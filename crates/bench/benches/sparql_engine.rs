@@ -1,12 +1,9 @@
 //! Substrate microbenchmarks: the SPARQL queries Index Extraction issues most
 //! often, measured directly against the store (supports the E8 analysis).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use hbold_endpoint::synth::{random_lod, RandomLodConfig};
-use hbold_sparql::{
-    evaluate_with_hooks, execute_query, execute_query_with, CancellationToken, EvalHooks,
-    EvalOptions,
-};
+use hbold_sparql::{evaluate_with_hooks, execute_query, CancellationToken, EvalHooks};
 use hbold_triple_store::TripleStore;
 
 fn bench(c: &mut Criterion) {
@@ -74,15 +71,7 @@ fn bench(c: &mut Criterion) {
     let join_query = hbold_sparql::parse_query("SELECT ?s ?p ?o WHERE { ?s a ?c . ?s ?p ?o }")
         .expect("bench query parses");
     group.bench_function("extraction_bgp_join_no_token", |b| {
-        b.iter(|| {
-            evaluate_with_hooks(
-                &store,
-                &join_query,
-                &EvalOptions::sequential(),
-                &EvalHooks::default(),
-            )
-            .unwrap()
-        })
+        b.iter(|| evaluate_with_hooks(&store, &join_query, &EvalHooks::default()).unwrap())
     });
     group.bench_function("extraction_bgp_join_armed_token", |b| {
         b.iter(|| {
@@ -90,7 +79,6 @@ fn bench(c: &mut Criterion) {
             evaluate_with_hooks(
                 &store,
                 &join_query,
-                &EvalOptions::sequential(),
                 &EvalHooks {
                     cancel: Some(&token),
                     ..EvalHooks::default()
@@ -99,33 +87,6 @@ fn bench(c: &mut Criterion) {
             .unwrap()
         })
     });
-    group.finish();
-
-    // Parallel sharded joins + GROUP BY: 1 vs N threads over a heavy
-    // extraction-shaped aggregate.
-    let heavy =
-        "SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s a ?c . ?s ?p ?o } GROUP BY ?c ORDER BY DESC(?n)";
-    let max_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(4);
-    let mut group = c.benchmark_group("sparql_engine_threads");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_secs(1));
-    group.measurement_time(std::time::Duration::from_secs(2));
-    let mut threads = 1;
-    while threads <= max_threads {
-        group.bench_with_input(
-            BenchmarkId::new("group_by_join", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    execute_query_with(&store, heavy, &EvalOptions::with_threads(threads)).unwrap()
-                })
-            },
-        );
-        threads *= 2;
-    }
     group.finish();
 }
 

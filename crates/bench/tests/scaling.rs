@@ -1,83 +1,7 @@
-//! Scaling checks behind the `pipeline_scaling` / `sparql_engine_threads`
-//! bench axes: parallel execution must return exactly the sequential answer,
-//! repeated extraction queries must hit the plan cache, and — on machines
-//! that actually have more than one core — the sharded engine must beat the
-//! sequential one on a heavy aggregate.
-
-use std::time::{Duration, Instant};
+//! The plan-cache claim behind the `pipeline_scaling` bench: repeated
+//! extraction queries must come out of the cache.
 
 use hbold_endpoint::synth::{random_lod, RandomLodConfig};
-use hbold_sparql::{evaluate, evaluate_with, parse_query, EvalOptions};
-use hbold_triple_store::TripleStore;
-
-fn heavy_store() -> TripleStore {
-    TripleStore::from_graph(&random_lod(&RandomLodConfig::sized(30, 6_000, 13)))
-}
-
-const HEAVY_QUERY: &str =
-    "SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s a ?c . ?s ?p ?o } GROUP BY ?c ORDER BY DESC(?n) ?c";
-
-/// One test covers both the correctness and the timing claim: keeping them
-/// in a single `#[test]` stops the libtest harness from running a
-/// thread-spawning sibling concurrently with the timed section, which would
-/// starve it of cores on small CI runners.
-#[test]
-fn parallel_engine_matches_sequential_and_speeds_up_on_multicore_hosts() {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let store = heavy_store();
-    let plan = parse_query(HEAVY_QUERY).unwrap();
-
-    // Correctness on every thread count first.
-    let sequential_answer = evaluate(&store, &plan).unwrap();
-    for threads in [2, 3, 4, 8] {
-        let parallel = evaluate_with(&store, &plan, &EvalOptions::with_threads(threads)).unwrap();
-        assert_eq!(sequential_answer, parallel, "threads={threads}");
-    }
-
-    // Then the wall-clock claim, with retries: shared CI runners see bursts
-    // of unrelated load, so a single unlucky measurement must not fail the
-    // build. Each attempt compares best-of-2 sequential vs best-of-2
-    // parallel; any attempt showing the speedup passes.
-    let time = |options: &EvalOptions| -> Duration {
-        (0..2)
-            .map(|_| {
-                let started = Instant::now();
-                evaluate_with(&store, &plan, options).unwrap();
-                started.elapsed()
-            })
-            .min()
-            .unwrap()
-    };
-    let threads = cores.min(4).max(2);
-    let mut best_speedup = 0.0f64;
-    for attempt in 0..5 {
-        let sequential = time(&EvalOptions::sequential());
-        let parallel = time(&EvalOptions::with_threads(threads));
-        let speedup = sequential.as_secs_f64() / parallel.as_secs_f64().max(1e-9);
-        best_speedup = best_speedup.max(speedup);
-        println!(
-            "scaling attempt {attempt}: sequential {sequential:?}, {threads} threads \
-             {parallel:?} (speedup {speedup:.2}x on {cores} cores)"
-        );
-        if cores >= 2 && speedup > 1.05 {
-            return;
-        }
-    }
-    if cores >= 2 {
-        panic!(
-            "expected a measurable multi-thread speedup on {cores} cores; \
-             best of 5 attempts with {threads} threads was {best_speedup:.2}x"
-        );
-    }
-    // Single-core host (e.g. a constrained CI container): parallelism cannot
-    // win wall-clock, but it must not collapse either.
-    assert!(
-        best_speedup > 0.4,
-        "sharded execution imploded on a single core: {best_speedup:.2}x"
-    );
-}
 
 #[test]
 fn repeated_extraction_queries_hit_the_plan_cache() {

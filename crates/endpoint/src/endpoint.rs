@@ -6,9 +6,7 @@ use std::time::{Duration, Instant};
 
 use hbold_rdf_model::Graph;
 use hbold_sparql::ast::{Expression, Projection, ProjectionItem, Query, QueryForm};
-use hbold_sparql::{
-    parse_cached_tracked, EvalHooks, EvalOptions, PlanCacheStats, PlanCounters, QueryResults,
-};
+use hbold_sparql::{parse_cached_tracked, EvalHooks, PlanCacheStats, PlanCounters, QueryResults};
 use hbold_telemetry::Span;
 use hbold_triple_store::{SharedStore, TripleStore};
 use parking_lot::Mutex;
@@ -67,10 +65,7 @@ struct EndpointCounters {
 #[derive(Debug, Clone)]
 enum Backend {
     /// In-process evaluation over a lock-free store snapshot.
-    Local {
-        store: SharedStore,
-        eval_options: EvalOptions,
-    },
+    Local(SharedStore),
     /// A live HTTP server across a socket.
     Http(HttpSparqlClient),
 }
@@ -105,10 +100,7 @@ impl SparqlEndpoint {
         SparqlEndpoint {
             url,
             name,
-            backend: Backend::Local {
-                store: SharedStore::from_store(store),
-                eval_options: EvalOptions::auto(),
-            },
+            backend: Backend::Local(SharedStore::from_store(store)),
             profile,
             state: Arc::new(Mutex::new(EndpointState::default())),
             counters: Arc::new(EndpointCounters::default()),
@@ -150,15 +142,9 @@ impl SparqlEndpoint {
         }
     }
 
-    /// Overrides the query-engine threading options (builder style). The
-    /// default is [`EvalOptions::auto`]: parallel joins sized to the machine,
-    /// engaged only once a query's seed scan is large enough to amortize the
-    /// thread fan-out. No-op on remote endpoints (the server owns its
-    /// engine options).
-    pub fn with_eval_options(mut self, options: EvalOptions) -> Self {
-        if let Backend::Local { eval_options, .. } = &mut self.backend {
-            *eval_options = options;
-        }
+    /// Returns `self` unchanged: the query engine has no options. Kept only
+    /// for the frozen `benchmark/` crate, which calls it.
+    pub fn with_eval_options(self, _options: hbold_sparql::EvalOptions) -> Self {
         self
     }
 
@@ -186,7 +172,7 @@ impl SparqlEndpoint {
     /// endpoints ask the server with a `COUNT(*)` query (0 if unreachable).
     pub fn triple_count(&self) -> usize {
         match &self.backend {
-            Backend::Local { store, .. } => store.len(),
+            Backend::Local(store) => store.len(),
             Backend::Http(client) => client
                 .query("SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }")
                 .ok()
@@ -201,7 +187,7 @@ impl SparqlEndpoint {
     /// endpoints — their store lives on the other side of a socket.
     pub fn store(&self) -> Option<&SharedStore> {
         match &self.backend {
-            Backend::Local { store, .. } => Some(store),
+            Backend::Local(store) => Some(store),
             Backend::Http(_) => None,
         }
     }
@@ -316,10 +302,7 @@ impl SparqlEndpoint {
         self.check_capabilities(&parsed)?;
 
         let (results, latency) = match &self.backend {
-            Backend::Local {
-                store,
-                eval_options,
-            } => {
+            Backend::Local(store) => {
                 // Evaluate against a lock-free snapshot: concurrent writers
                 // (and other queries) never block this query, and it never
                 // observes a half-applied bulk-load.
@@ -329,8 +312,7 @@ impl SparqlEndpoint {
                     trace,
                     cancel: None,
                 };
-                let results =
-                    hbold_sparql::evaluate_with_hooks(&snapshot, &parsed, eval_options, &hooks)?;
+                let results = hbold_sparql::evaluate_with_hooks(&snapshot, &parsed, &hooks)?;
                 (results, None)
             }
             Backend::Http(client) => {
@@ -607,7 +589,6 @@ mod tests {
             after.bgps_planned, 1,
             "query planning increments the BGP counter"
         );
-        assert_eq!(after.heuristic_plans, 0);
     }
 
     #[test]

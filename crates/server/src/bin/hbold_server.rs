@@ -50,8 +50,7 @@ OPTIONS:
     --slow-query-ms N       Trace every /sparql query and log queries slower
                             than N ms as one JSON line to stderr (query text,
                             join order, estimates vs actuals, per-operator
-                            timings, trace id). Traced queries execute
-                            single-threaded.
+                            timings, trace id)
     --query-timeout-ms N    Cancel any query/update still evaluating after
                             N ms with a typed 504 (cooperative cancellation
                             at operator batch boundaries — never a truncated

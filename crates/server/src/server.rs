@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use hbold_sparql::results::json_string;
 use hbold_sparql::{
     evaluate_with_hooks, parse_cached, parse_cached_tracked, parse_update, plan_update_op_with,
-    CancellationToken, EvalHooks, EvalOptions, QueryResults, SparqlError,
+    CancellationToken, EvalHooks, QueryResults, SparqlError,
 };
 use hbold_telemetry::{Span, EXPOSITION_CONTENT_TYPE};
 use hbold_triple_store::SharedStore;
@@ -41,16 +41,12 @@ pub struct ServerConfig {
     /// Accepted connections waiting for a free worker beyond this count are
     /// shed with a 503 instead of queueing without bound.
     pub max_pending_connections: usize,
-    /// Query-engine options used for every request.
-    pub eval: EvalOptions,
     /// Whether `POST /shutdown` remotely stops the server (used by the CLI
     /// binary and CI smoke test; off by default).
     pub enable_shutdown_route: bool,
     /// When set, every `/sparql` query is traced and queries slower than
     /// this many milliseconds emit one JSON line to stderr (query text, join
-    /// order, estimates vs actuals, per-operator timings, trace id). Traced
-    /// execution runs single-threaded, so leave this `None` on
-    /// latency-critical deployments.
+    /// order, estimates vs actuals, per-operator timings, trace id).
     pub slow_query_ms: Option<u64>,
     /// Per-query evaluation deadline. The engine polls a cancellation token
     /// at operator batch boundaries, so an expired deadline surfaces as a
@@ -77,7 +73,6 @@ impl Default for ServerConfig {
             keep_alive_max_requests: 1000,
             read_timeout: Duration::from_secs(10),
             max_pending_connections: 1024,
-            eval: EvalOptions::auto(),
             enable_shutdown_route: false,
             slow_query_ms: None,
             query_timeout: None,
@@ -921,7 +916,7 @@ fn execute(
         trace: root.as_ref(),
         cancel: Some(&guard.token),
     };
-    let results = match evaluate_with_hooks(&snapshot, &plan, &shared.config.eval, &hooks) {
+    let results = match evaluate_with_hooks(&snapshot, &plan, &hooks) {
         Ok(results) => results,
         Err(e) => return eval_error_response(shared, &e),
     };

@@ -208,7 +208,7 @@ impl ServerStats {
             .map(|(i, c)| format!("\"{}xx\":{}", i + 1, c.get()))
             .collect();
         format!(
-            "{{\"uptime_ms\":{},\"connections_accepted\":{},\"requests_total\":{},\"malformed_requests\":{},\"responses\":{{{}}},\"routes\":{{{}:{},{}:{},{}:{}}},\"updates\":{{\"requests_ok\":{},\"requests_error\":{},\"ops\":{},\"quads_removed\":{},\"quads_inserted\":{}}},\"armor\":{{\"query_timeouts\":{},\"query_cancelled\":{},\"admission_rejected\":{},\"request_timeouts\":{}}},\"plan_cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},\"hit_rate\":{:.4}}},\"optimizer\":{{\"bgps_planned\":{},\"bgps_reordered\":{},\"filters_pushed\":{},\"heuristic_plans\":{}}}}}",
+            "{{\"uptime_ms\":{},\"connections_accepted\":{},\"requests_total\":{},\"malformed_requests\":{},\"responses\":{{{}}},\"routes\":{{{}:{},{}:{},{}:{}}},\"updates\":{{\"requests_ok\":{},\"requests_error\":{},\"ops\":{},\"quads_removed\":{},\"quads_inserted\":{}}},\"armor\":{{\"query_timeouts\":{},\"query_cancelled\":{},\"admission_rejected\":{},\"request_timeouts\":{}}},\"plan_cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},\"hit_rate\":{:.4}}},\"optimizer\":{{\"bgps_planned\":{},\"bgps_reordered\":{},\"filters_pushed\":{}}}}}",
             self.started.elapsed().as_millis(),
             self.connections_accepted.get(),
             self.requests_total.get(),
@@ -236,7 +236,6 @@ impl ServerStats {
             optimizer.bgps_planned,
             optimizer.bgps_reordered,
             optimizer.filters_pushed,
-            optimizer.heuristic_plans,
         )
     }
 }
@@ -290,12 +289,7 @@ mod tests {
             assert!(updates.get(key).is_some(), "updates JSON carries {key}");
         }
         let optimizer = doc.get("optimizer").unwrap();
-        for key in [
-            "bgps_planned",
-            "bgps_reordered",
-            "filters_pushed",
-            "heuristic_plans",
-        ] {
+        for key in ["bgps_planned", "bgps_reordered", "filters_pushed"] {
             assert!(optimizer.get(key).is_some(), "optimizer JSON carries {key}");
         }
         assert_eq!(stats.ok_responses(), 2);

@@ -173,7 +173,6 @@ fn metrics_exposition_agrees_with_stats_json() {
     for family in [
         "hbold_optimizer_bgps_reordered_total",
         "hbold_optimizer_filters_pushed_total",
-        "hbold_optimizer_heuristic_plans_total",
     ] {
         assert!(
             expo.families().contains(&family.to_string()),

@@ -35,7 +35,7 @@ use hbold_triple_store::{QuadScan, TermDictionary, TermId, TripleStore, DEFAULT_
 
 use crate::ast::*;
 use crate::error::SparqlError;
-use crate::eval::{aggregate_values, compare_optional_terms, order_solutions, EvalOptions};
+use crate::eval::{aggregate_values, compare_optional_terms, order_solutions};
 use crate::expr::{evaluate_scoped, filter_passes_scoped, Binding, EvalValue, Scope};
 use crate::optimize::{BgpPlan, PlanCounters};
 use crate::results::SelectResults;
@@ -323,8 +323,7 @@ impl EncDataset {
 ///
 /// BGPs carry their triple patterns in **execution order**: the single
 /// pre-execution planning pass ([`crate::optimize::plan_pattern`]) permutes
-/// them in place, so the streaming and parallel paths both just walk the
-/// stored order.
+/// them in place, so the operators just walk the stored order.
 #[derive(Debug, Clone)]
 pub(crate) enum EncPattern {
     Bgp(Vec<EncTriplePattern>),
@@ -340,8 +339,8 @@ pub(crate) enum EncPattern {
         /// Equality conjuncts the optimizer pushed down: `(slot, id)`
         /// pre-binds the slot before `inner` scans (`None` id means the
         /// constant was never interned — no row can match). Sound only
-        /// under the conditions `crate::optimize` checks; empty unless the
-        /// statistics optimizer planned this pattern.
+        /// under the conditions `crate::optimize` checks; empty until the
+        /// planning pass has run.
         prebind: Vec<(u32, Option<TermId>)>,
     },
 }
@@ -412,15 +411,13 @@ fn compile_pattern_in(
 }
 
 /// Everything an encoded operator needs, bundled for cheap threading through
-/// the pipeline (and across worker threads — all fields are `Sync`).
+/// the pipeline.
 pub(crate) struct EncContext<'a> {
     pub store: &'a TripleStore,
     pub dict: &'a TermDictionary,
     pub layout: &'a SlotLayout,
     /// The query dataset (`FROM`/`FROM NAMED`), resolved to graph ids.
     pub dataset: EncDataset,
-    /// Join-ordering strategy the planning pass uses for this evaluation.
-    pub optimizer: crate::optimize::JoinOptimizer,
     /// Caller-private optimizer counters; the planning pass bumps these in
     /// addition to the process-wide registry when present.
     pub counters: Option<&'a PlanCounters>,
@@ -440,14 +437,12 @@ impl<'a> EncContext<'a> {
         store: &'a TripleStore,
         dict: &'a TermDictionary,
         layout: &'a SlotLayout,
-        optimizer: crate::optimize::JoinOptimizer,
     ) -> EncContext<'a> {
         EncContext {
             store,
             dict,
             layout,
             dataset: EncDataset::default(),
-            optimizer,
             counters: None,
             trace: None,
             cancel: None,
@@ -461,9 +456,7 @@ impl<'a> EncContext<'a> {
 /// planned [`EncPattern`] tree (and of each [`EncTriplePattern`] scan stage
 /// within its BGP). Addresses stay stable because the pattern is owned by
 /// the evaluating frame for the whole execution and never moved after the
-/// trace is built; clones made by the parallel path have fresh addresses
-/// and simply find no span — but traced runs force sequential execution
-/// anyway, for exact attribution.
+/// trace is built.
 pub(crate) struct ExecTrace {
     spans: HashMap<usize, Span>,
 }
@@ -1023,119 +1016,6 @@ fn stream_bgp<'a>(
     stream
 }
 
-// ---- parallel execution ----------------------------------------------------------
-
-/// Materializes every encoded solution of `pattern`, sharding across worker
-/// threads when the options and the pattern shape allow it.
-pub(crate) fn collect_solutions(
-    ctx: &EncContext<'_>,
-    pattern: &EncPattern,
-    options: &EvalOptions,
-) -> Result<Vec<EncRow>, SparqlError> {
-    if options.threads > 1 {
-        if let Some((first, rest, seed)) = split_first_scan(ctx, pattern) {
-            let seeds: Vec<EncRow> =
-                maybe_cancelled(ctx.cancel, Box::new(ScanRows::new(ctx, &first, seed)))
-                    .collect::<Result<_, _>>()?;
-            if seeds.len() >= options.parallel_threshold.max(1) {
-                return eval_rest_parallel(ctx, &rest, seeds, options.threads);
-            }
-            return maybe_cancelled(
-                ctx.cancel,
-                stream_pattern(ctx, &rest, Box::new(seeds.into_iter().map(Ok))),
-            )
-            .collect();
-        }
-    }
-    root_stream(ctx, pattern).collect()
-}
-
-/// Splits the plan into "scan the first triple pattern" plus "the rest of
-/// the pipeline", when the pattern shape permits (BGPs, joins and filters —
-/// the shapes extraction queries use). The first pattern is whatever the
-/// planning pass put first, so the parallel path executes the exact plan
-/// the sequential path would. Pushed filter pre-binds apply to the returned
-/// seed row (a never-interned constant makes the split unsatisfiable:
-/// return `None` and let the sequential path yield nothing).
-/// `OPTIONAL`/`UNION` roots return `None` and run sequentially.
-fn split_first_scan(
-    ctx: &EncContext<'_>,
-    pattern: &EncPattern,
-) -> Option<(EncTriplePattern, EncPattern, EncRow)> {
-    match pattern {
-        EncPattern::Bgp(tps) if !tps.is_empty() => Some((
-            tps[0],
-            EncPattern::Bgp(tps[1..].to_vec()),
-            ctx.layout.empty_row(),
-        )),
-        EncPattern::Join(parts) if !parts.is_empty() => {
-            let (first, rest_head, seed) = split_first_scan(ctx, &parts[0])?;
-            let mut rest = vec![rest_head];
-            rest.extend(parts[1..].iter().cloned());
-            Some((first, EncPattern::Join(rest), seed))
-        }
-        EncPattern::Filter {
-            inner,
-            condition,
-            prebind,
-        } => {
-            let (first, rest_inner, mut seed) = split_first_scan(ctx, inner)?;
-            if !crate::optimize::apply_prebind(prebind, &mut seed) {
-                return None;
-            }
-            Some((
-                first,
-                EncPattern::Filter {
-                    inner: Box::new(rest_inner),
-                    condition: condition.clone(),
-                    prebind: prebind.clone(),
-                },
-                seed,
-            ))
-        }
-        _ => None,
-    }
-}
-
-/// Runs the residual pipeline over seed chunks on scoped threads and
-/// concatenates results in chunk order, so the output is identical to the
-/// sequential evaluation.
-fn eval_rest_parallel(
-    ctx: &EncContext<'_>,
-    rest: &EncPattern,
-    seeds: Vec<EncRow>,
-    threads: usize,
-) -> Result<Vec<EncRow>, SparqlError> {
-    let chunk_size = seeds.len().div_ceil(threads).max(1);
-    let chunks: Vec<Vec<EncRow>> = seeds.chunks(chunk_size).map(|c| c.to_vec()).collect();
-    let outputs: Vec<Result<Vec<EncRow>, SparqlError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                scope.spawn(move || {
-                    // Each worker polls the shared token on its own stream:
-                    // one tripped check fails that worker's chunk, and the
-                    // in-band `Err` fails the whole collect below.
-                    maybe_cancelled(
-                        ctx.cancel,
-                        stream_pattern(ctx, rest, Box::new(chunk.into_iter().map(Ok))),
-                    )
-                    .collect::<Result<Vec<_>, _>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("evaluation worker panicked"))
-            .collect()
-    });
-    let mut solutions = Vec::new();
-    for output in outputs {
-        solutions.extend(output?);
-    }
-    Ok(solutions)
-}
-
 // ---- projection (the decode boundary) --------------------------------------------
 
 /// A projection compiled against the slot layout.
@@ -1307,16 +1187,9 @@ pub(crate) fn select_streaming(
     query: &Query,
     projection: &Projection,
     distinct: bool,
-    options: &EvalOptions,
 ) -> Result<SelectResults, SparqlError> {
     let proj = compile_projection(projection, ctx.layout);
     let offset = query.offset.unwrap_or(0);
-    // A LIMIT makes early termination the whole point; without one, the
-    // sharded parallel path can still win on large stores.
-    if query.limit.is_none() && options.threads > 1 {
-        let solutions = collect_solutions(ctx, pattern, options)?;
-        return finalize_rows(ctx, &proj, solutions, distinct, offset, None);
-    }
     let target = query.limit.map(|limit| offset.saturating_add(limit));
     let variables = proj.variables().to_vec();
     let rows = match &proj {
@@ -1394,19 +1267,18 @@ pub(crate) fn select_ordered(
     query: &Query,
     projection: &Projection,
     distinct: bool,
-    options: &EvalOptions,
 ) -> Result<SelectResults, SparqlError> {
     let proj = compile_projection(projection, ctx.layout);
     let offset = query.offset.unwrap_or(0);
     let ordered = match query.limit {
         // DISTINCT dedupes *projected rows* before LIMIT applies, so top-k
         // over raw solutions could come up short — full sort in that case.
-        Some(limit) if !distinct && options.threads <= 1 => {
+        Some(limit) if !distinct => {
             let k = offset.saturating_add(limit);
             order_solutions_topk(ctx, &query.order_by, root_stream(ctx, pattern), k)?
         }
         _ => {
-            let solutions = collect_solutions(ctx, pattern, options)?;
+            let solutions = root_stream(ctx, pattern).collect::<Result<_, _>>()?;
             order_encoded_solutions(ctx, &query.order_by, solutions)
         }
     };
@@ -1645,28 +1517,37 @@ pub(crate) fn count_only_streaming(
     }))
 }
 
-/// Evaluates a grouped/aggregated projection over encoded solutions.
+/// Evaluates a grouped/aggregated projection over the solutions of
+/// `pattern`.
 ///
 /// Partitioning hashes raw slot-id key vectors (the hot part — one hash of
 /// a few `u32`s per solution instead of a formatted string); group *output*
 /// evaluation decodes into Term-domain bindings, since ORDER BY over
 /// aggregate aliases and the tiny post-aggregation row count live naturally
-/// there.
+/// there. Groups leave in first-encounter order; only `ORDER BY` pins one.
 pub(crate) fn project_grouped(
     ctx: &EncContext<'_>,
+    pattern: &EncPattern,
     query: &Query,
     projection: &Projection,
-    solutions: Vec<EncRow>,
-    options: &EvalOptions,
 ) -> Result<SelectResults, SparqlError> {
     let Projection::Items(items) = projection else {
         return Err(SparqlError::Unsupported(
             "SELECT * cannot be combined with GROUP BY or aggregates".into(),
         ));
     };
+    // A static property of the query text, so it is checked before any row
+    // is scanned: the answer must not depend on whether a group exists.
+    for item in items {
+        if let ProjectionItem::Variable(v) = item {
+            if !query.group_by.contains(v) {
+                return Err(SparqlError::Evaluation(format!(
+                    "variable ?{v} is projected but is neither grouped nor aggregated"
+                )));
+            }
+        }
+    }
 
-    // Group keys address the GROUP BY variables' slots; duplicate names
-    // collapse to one slot occurrence for the legacy ordering.
     let group_slots: Vec<u32> = query
         .group_by
         .iter()
@@ -1676,33 +1557,12 @@ pub(crate) fn project_grouped(
                 .expect("layout covers group variables")
         })
         .collect();
-    // (name, slot) pairs in name order — the order a BTreeMap-keyed group
-    // binding would iterate in, used for the deterministic group order.
-    let mut named_slots: Vec<(&str, u32)> = query
-        .group_by
-        .iter()
-        .map(|v| {
-            (
-                v.as_str(),
-                ctx.layout
-                    .slot_of(v)
-                    .expect("layout covers group variables"),
-            )
-        })
-        .collect();
-    named_slots.sort();
-    named_slots.dedup();
-
-    let mut groups = group_solutions(&group_slots, solutions, options);
+    let mut groups = group_solutions(&group_slots, root_stream(ctx, pattern))?;
     // With no GROUP BY (pure aggregate query) there is exactly one group,
     // even if it is empty.
     if query.group_by.is_empty() && groups.is_empty() {
         groups.push((Vec::new(), Vec::new()));
     }
-    // Deterministic group order: exactly the string the Term-domain engine
-    // used to key its BTreeMap of groups ("name=<ntriples>" joined), so the
-    // encoded engine emits grouped rows in the identical order.
-    groups.sort_by_cached_key(|(key, _)| legacy_group_key(ctx, &named_slots, &group_slots, key));
 
     let variables: Vec<String> = items
         .iter()
@@ -1713,54 +1573,17 @@ pub(crate) fn project_grouped(
         .collect();
 
     // Evaluate each group into an output binding so ORDER BY can see
-    // aliases; groups are independent, so large group sets are sharded
-    // across threads.
-    let group_slots = &group_slots;
-    let grouped_bindings: Vec<Binding> =
-        if options.threads > 1 && groups.len() >= options.threads * 4 {
-            let chunk_size = groups.len().div_ceil(options.threads).max(1);
-            let chunks: Vec<Vec<(Vec<TermId>, Vec<EncRow>)>> =
-                groups.chunks(chunk_size).map(|c| c.to_vec()).collect();
-            let outputs: Vec<Result<Vec<Binding>, SparqlError>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .into_iter()
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            chunk
-                                .iter()
-                                .map(|(key, members)| {
-                                    // Group boundaries are this path's batch
-                                    // boundaries: one token poll per group.
-                                    if let Some(token) = ctx.cancel {
-                                        token.check()?;
-                                    }
-                                    evaluate_group(ctx, query, items, group_slots, key, members)
-                                })
-                                .collect::<Result<Vec<_>, _>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("aggregation worker panicked"))
-                    .collect()
-            });
-            let mut all = Vec::with_capacity(groups.len());
-            for output in outputs {
-                all.extend(output?);
+    // aliases. Group boundaries are this path's batch boundaries: one
+    // token poll per group.
+    let grouped_bindings = groups
+        .iter()
+        .map(|(key, members)| {
+            if let Some(token) = ctx.cancel {
+                token.check()?;
             }
-            all
-        } else {
-            groups
-                .iter()
-                .map(|(key, members)| {
-                    if let Some(token) = ctx.cancel {
-                        token.check()?;
-                    }
-                    evaluate_group(ctx, query, items, group_slots, key, members)
-                })
-                .collect::<Result<Vec<_>, _>>()?
-        };
+            evaluate_group(ctx, items, &group_slots, key, members)
+        })
+        .collect::<Result<Vec<Binding>, SparqlError>>()?;
 
     let ordered = order_solutions(&query.order_by, grouped_bindings)?;
     let rows = ordered
@@ -1770,114 +1593,34 @@ pub(crate) fn project_grouped(
     Ok(SelectResults { variables, rows })
 }
 
-/// The string the Term-domain engine used to key its group map:
-/// `"name=<ntriples>"` for every *bound* group variable, name-sorted,
-/// joined with `\u{1}`. `key` holds the group-slot values in GROUP BY
-/// order; each named slot's value is found by its first occurrence there.
-fn legacy_group_key(
-    ctx: &EncContext<'_>,
-    named_slots: &[(&str, u32)],
-    group_slots: &[u32],
-    key: &[TermId],
-) -> String {
-    let mut parts: Vec<String> = Vec::with_capacity(named_slots.len());
-    for &(name, slot) in named_slots {
-        let pos = group_slots
-            .iter()
-            .position(|&s| s == slot)
-            .expect("named slot comes from group_slots");
-        let id = key.get(pos).copied().unwrap_or(UNBOUND);
-        if id != UNBOUND {
-            parts.push(format!("{name}={}", ctx.dict.term(id).to_ntriples()));
-        }
-    }
-    parts.join("\u{1}")
-}
+/// One group: its key (the GROUP BY slot values) and its member rows.
+type Group = (Vec<TermId>, Vec<EncRow>);
 
-/// Partitions encoded solutions into groups keyed by the GROUP BY slots,
-/// sharding the partitioning across threads for large solution sets. Chunk
-/// maps are merged in chunk order, so member order inside each group
-/// matches the sequential partitioning exactly. Returns groups in
-/// first-encounter order (callers re-sort deterministically).
+/// Partitions an encoded solution stream into groups keyed by the GROUP BY
+/// slots, in first-encounter order.
 fn group_solutions(
     group_slots: &[u32],
-    solutions: Vec<EncRow>,
-    options: &EvalOptions,
-) -> Vec<(Vec<TermId>, Vec<EncRow>)> {
-    let partition = |chunk: Vec<EncRow>| -> (
-        Vec<Vec<TermId>>,
-        HashMap<Vec<TermId>, usize>,
-        Vec<Vec<EncRow>>,
-    ) {
-        let mut order: Vec<Vec<TermId>> = Vec::new();
-        let mut index: HashMap<Vec<TermId>, usize> = HashMap::new();
-        let mut members: Vec<Vec<EncRow>> = Vec::new();
-        for row in chunk {
-            let key: Vec<TermId> = group_slots.iter().map(|&s| row[s as usize]).collect();
-            match index.entry(key) {
-                Entry::Occupied(e) => members[*e.get()].push(row),
-                Entry::Vacant(v) => {
-                    order.push(v.key().clone());
-                    v.insert(members.len());
-                    members.push(vec![row]);
-                }
+    solutions: EncStream<'_>,
+) -> Result<Vec<Group>, SparqlError> {
+    let mut index: HashMap<Vec<TermId>, usize> = HashMap::new();
+    let mut groups: Vec<Group> = Vec::new();
+    for solution in solutions {
+        let row = solution?;
+        let key: Vec<TermId> = group_slots.iter().map(|&s| row[s as usize]).collect();
+        match index.entry(key) {
+            Entry::Occupied(e) => groups[*e.get()].1.push(row),
+            Entry::Vacant(v) => {
+                groups.push((v.key().clone(), vec![row]));
+                v.insert(groups.len() - 1);
             }
         }
-        (order, index, members)
-    };
-
-    if options.threads > 1 && solutions.len() >= options.parallel_threshold.max(1) {
-        let chunk_size = solutions.len().div_ceil(options.threads).max(1);
-        let chunks: Vec<Vec<EncRow>> = solutions.chunks(chunk_size).map(|c| c.to_vec()).collect();
-        let partials: Vec<_> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| scope.spawn(|| partition(chunk)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("grouping worker panicked"))
-                .collect()
-        });
-        let mut order: Vec<Vec<TermId>> = Vec::new();
-        let mut index: HashMap<Vec<TermId>, usize> = HashMap::new();
-        let mut merged: Vec<Vec<EncRow>> = Vec::new();
-        for (chunk_order, _, mut chunk_members) in partials {
-            for (i, key) in chunk_order.into_iter().enumerate() {
-                let rows = std::mem::take(&mut chunk_members[i]);
-                match index.entry(key) {
-                    Entry::Occupied(e) => merged[*e.get()].extend(rows),
-                    Entry::Vacant(v) => {
-                        order.push(v.key().clone());
-                        v.insert(merged.len());
-                        merged.push(rows);
-                    }
-                }
-            }
-        }
-        order
-            .into_iter()
-            .map(|key| {
-                let idx = index[&key];
-                (key, std::mem::take(&mut merged[idx]))
-            })
-            .collect()
-    } else {
-        let (order, index, mut members) = partition(solutions);
-        order
-            .into_iter()
-            .map(|key| {
-                let idx = index[&key];
-                (key, std::mem::take(&mut members[idx]))
-            })
-            .collect()
     }
+    Ok(groups)
 }
 
 /// Evaluates one group into its Term-domain output binding.
 fn evaluate_group(
     ctx: &EncContext<'_>,
-    query: &Query,
     items: &[ProjectionItem],
     group_slots: &[u32],
     key: &[TermId],
@@ -1899,12 +1642,8 @@ fn evaluate_group(
     let mut out = Binding::new();
     for item in items {
         match item {
+            // Grouped by construction: `project_grouped` checked up front.
             ProjectionItem::Variable(v) => {
-                if !query.group_by.contains(v) {
-                    return Err(SparqlError::Evaluation(format!(
-                        "variable ?{v} is projected but is neither grouped nor aggregated"
-                    )));
-                }
                 if let Some(term) = key_scope.term(v) {
                     out.insert(v.clone(), term);
                 }

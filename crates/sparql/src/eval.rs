@@ -16,12 +16,12 @@
 //! stop as soon as enough rows exist, and `ORDER BY ... LIMIT k` keeps a
 //! bounded top-k heap instead of sorting the full solution set.
 //!
-//! On top of the streaming core, [`evaluate_with`] can shard work across
-//! threads (`std::thread::scope`): the most selective triple pattern is
-//! scanned once, its solutions are split into chunks, and each thread runs
-//! the remaining pipeline over its chunk; `GROUP BY` partitions and
-//! aggregates groups in parallel the same way. Results are concatenated in
-//! chunk order, so parallel evaluation returns exactly the sequential answer.
+//! There is exactly one way to plan and one way to run a query: every
+//! entry point below ends in the same planning pass
+//! ([`crate::optimize`]) and the same single-threaded pipeline. Parallelism
+//! lives *between* queries (server workers, extraction fleets), never
+//! inside one. Rows of a grouped query leave in an unspecified order unless
+//! `ORDER BY` pins one.
 
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -36,63 +36,14 @@ use crate::encoded::{
 };
 use crate::error::SparqlError;
 use crate::expr::{evaluate_expression, number_term, numeric_value, Binding, EvalValue};
-use crate::optimize::{JoinOptimizer, PlanCounters};
+use crate::optimize::{BgpReorder, PlanCounters};
 use crate::plan::parse_cached;
 use crate::results::QueryResults;
-
-/// Tuning knobs for [`evaluate_with`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EvalOptions {
-    /// Worker threads for sharded BGP joins and GROUP BY (1 = sequential).
-    pub threads: usize,
-    /// Minimum number of seed solutions before sharding pays for itself;
-    /// below it, evaluation stays sequential even when `threads > 1`.
-    pub parallel_threshold: usize,
-    /// Join-ordering strategy (see [`crate::optimize`]). Defaults to the
-    /// statistics-driven optimizer; [`JoinOptimizer::Heuristic`] keeps the
-    /// legacy shape score.
-    pub optimizer: JoinOptimizer,
-}
-
-impl Default for EvalOptions {
-    fn default() -> Self {
-        EvalOptions {
-            threads: 1,
-            parallel_threshold: 256,
-            optimizer: JoinOptimizer::default(),
-        }
-    }
-}
-
-impl EvalOptions {
-    /// Purely sequential evaluation.
-    pub fn sequential() -> Self {
-        EvalOptions::default()
-    }
-
-    /// Evaluation with an explicit worker-thread count.
-    pub fn with_threads(threads: usize) -> Self {
-        EvalOptions {
-            threads: threads.max(1),
-            ..EvalOptions::default()
-        }
-    }
-
-    /// Sizes the worker pool from the machine's available parallelism
-    /// (capped at 8 — extraction queries stop scaling past that).
-    pub fn auto() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8);
-        EvalOptions::with_threads(threads)
-    }
-}
 
 /// Parses (through the plan cache) and evaluates a query string.
 ///
 /// This is the front door of the engine: one call from query text to
-/// [`QueryResults`], sequentially evaluated.
+/// [`QueryResults`].
 ///
 /// ```
 /// use hbold_rdf_model::{Iri, Triple, vocab::{foaf, rdf}};
@@ -116,41 +67,9 @@ pub fn execute_query(store: &TripleStore, query: &str) -> Result<QueryResults, S
     evaluate(store, &plan)
 }
 
-/// Parses (through the plan cache) and evaluates with explicit options.
-///
-/// ```
-/// use hbold_rdf_model::{Iri, Triple, vocab::{foaf, rdf}};
-/// use hbold_sparql::{execute_query, execute_query_with, EvalOptions};
-/// use hbold_triple_store::TripleStore;
-///
-/// let mut store = TripleStore::new();
-/// for i in 0..100 {
-///     store.insert(&Triple::new(
-///         Iri::new(format!("http://example.org/{i}"))?,
-///         rdf::type_(),
-///         foaf::person(),
-///     ));
-/// }
-///
-/// let query = "SELECT (COUNT(?s) AS ?n) WHERE { ?s a ?c } GROUP BY ?c";
-/// // Sharded parallel execution returns exactly what sequential does.
-/// let parallel = execute_query_with(&store, query, &EvalOptions::with_threads(4))?;
-/// let sequential = execute_query(&store, query)?;
-/// assert_eq!(parallel.to_sparql_json(), sequential.to_sparql_json());
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn execute_query_with(
-    store: &TripleStore,
-    query: &str,
-    options: &EvalOptions,
-) -> Result<QueryResults, SparqlError> {
-    let plan = parse_cached(query)?;
-    evaluate_with(store, &plan, options)
-}
-
-/// Evaluates a parsed [`Query`] against a store, sequentially.
+/// Evaluates a parsed [`Query`] against a store.
 pub fn evaluate(store: &TripleStore, query: &Query) -> Result<QueryResults, SparqlError> {
-    evaluate_with(store, query, &EvalOptions::sequential())
+    evaluate_with_hooks(store, query, &EvalHooks::default())
 }
 
 /// Caller-supplied observation hooks for one evaluation
@@ -164,8 +83,7 @@ pub struct EvalHooks<'a> {
     /// Parent span for an execution trace. When set, the evaluation adds
     /// `plan` and `execute` children under it, with one span per streaming
     /// operator below `execute` recording rows produced and cumulative
-    /// wall time. Tracing forces sequential execution (`threads = 1`) so
-    /// operator timings attribute exactly.
+    /// wall time.
     pub trace: Option<&'a Span>,
     /// Cooperative cancellation token, polled at operator batch boundaries
     /// (one relaxed atomic load per [`crate::cancel::DEFAULT_CHECK_INTERVAL`]
@@ -175,54 +93,43 @@ pub struct EvalHooks<'a> {
     pub cancel: Option<&'a crate::cancel::CancellationToken>,
 }
 
-/// Evaluates a parsed [`Query`] with the given threading options.
-pub fn evaluate_with(
-    store: &TripleStore,
-    query: &Query,
-    options: &EvalOptions,
-) -> Result<QueryResults, SparqlError> {
-    evaluate_with_hooks(store, query, options, &EvalHooks::default())
-}
-
-/// Evaluates a parsed [`Query`] with threading options and observation
-/// hooks. This is the widest entry point; [`evaluate_with`] and
-/// [`evaluate`] delegate here with no hooks attached, and the hooks add no
-/// per-row work when absent.
+/// Evaluates a parsed [`Query`] with observation hooks attached.
+/// [`evaluate`] delegates here with none, and the hooks add no per-row work
+/// when absent.
 pub fn evaluate_with_hooks(
     store: &TripleStore,
     query: &Query,
-    options: &EvalOptions,
     hooks: &EvalHooks<'_>,
 ) -> Result<QueryResults, SparqlError> {
-    // Tracing forces sequential execution: operator spans then measure one
-    // deterministic pipeline instead of interleaved shards.
-    let sequential;
-    let options = if hooks.trace.is_some() && options.threads > 1 {
-        sequential = EvalOptions {
-            threads: 1,
-            ..options.clone()
-        };
-        &sequential
-    } else {
-        options
-    };
+    evaluate_planned(store, query, hooks, None)
+}
+
+/// The one evaluation path. `reorder` is the planning pass's fuzz-only
+/// join-order override (see [`crate::fuzz::evaluate_shuffled`]); every
+/// other caller passes `None`.
+pub(crate) fn evaluate_planned(
+    store: &TripleStore,
+    query: &Query,
+    hooks: &EvalHooks<'_>,
+    reorder: Option<BgpReorder<'_>>,
+) -> Result<QueryResults, SparqlError> {
     // Compile the query to the encoded domain: variables get dense slots,
     // constant terms resolve to dictionary ids (a constant the store never
     // interned compiles to a scan that is statically empty).
     let layout = SlotLayout::of_query(query);
     let dict = store.dictionary();
-    let mut ctx = EncContext::new(store, dict, &layout, options.optimizer);
+    let mut ctx = EncContext::new(store, dict, &layout);
     ctx.counters = hooks.counters;
     ctx.cancel = hooks.cancel;
     ctx.dataset = EncDataset::compile(&query.dataset, dict);
     let mut pattern = compile_pattern(&query.pattern, &layout, dict);
-    // The single planning pass: orders every BGP (cost-based by default)
-    // and pushes eligible equality filters down, before any operator runs.
-    // Streaming and parallel execution then share one identical plan.
+    // The single planning pass: orders every BGP by cost and pushes
+    // eligible equality filters down, before any operator runs.
     let plan_span = hooks.trace.map(|root| root.child("plan"));
+    let plan = || crate::optimize::plan_pattern(&ctx, &mut pattern, reorder);
     let plans = match &plan_span {
-        Some(span) => span.timed(|| crate::optimize::plan_pattern(&ctx, &mut pattern)),
-        None => crate::optimize::plan_pattern(&ctx, &mut pattern),
+        Some(span) => span.timed(plan),
+        None => plan(),
     };
     if let Some(span) = &plan_span {
         span.set_attr("bgps", plans.len());
@@ -245,7 +152,7 @@ pub fn evaluate_with_hooks(
         faults.operator_latency();
     }
 
-    let run = || evaluate_form(&ctx, query, &pattern, options);
+    let run = || evaluate_form(&ctx, query, &pattern);
     match &exec_span {
         Some(span) => span.timed(run),
         None => run(),
@@ -256,7 +163,6 @@ fn evaluate_form(
     ctx: &EncContext<'_>,
     query: &Query,
     pattern: &crate::encoded::EncPattern,
-    options: &EvalOptions,
 ) -> Result<QueryResults, SparqlError> {
     match &query.form {
         QueryForm::Ask => {
@@ -283,10 +189,7 @@ fn evaluate_form(
                 };
                 let mut results = match fast {
                     Some(results) => results?,
-                    None => {
-                        let solutions = crate::encoded::collect_solutions(ctx, pattern, options)?;
-                        crate::encoded::project_grouped(ctx, query, projection, solutions, options)?
-                    }
+                    None => crate::encoded::project_grouped(ctx, pattern, query, projection)?,
                 };
                 // Post-aggregation row counts are small; DISTINCT/OFFSET/
                 // LIMIT run in the Term domain here.
@@ -303,15 +206,43 @@ fn evaluate_form(
                 }
                 results
             } else if query.order_by.is_empty() {
-                crate::encoded::select_streaming(
-                    ctx, pattern, query, projection, *distinct, options,
-                )?
+                crate::encoded::select_streaming(ctx, pattern, query, projection, *distinct)?
             } else {
-                crate::encoded::select_ordered(ctx, pattern, query, projection, *distinct, options)?
+                crate::encoded::select_ordered(ctx, pattern, query, projection, *distinct)?
             };
             Ok(QueryResults::Select(results))
         }
     }
+}
+
+// ---- compile-compat shim for the frozen `benchmark/` crate -------------------------
+
+/// Field-less stand-in for the engine options this crate no longer has.
+/// Kept only for the frozen `benchmark/` crate, which names it; nothing in
+/// the workspace does.
+#[derive(Debug, Clone, Copy)]
+pub struct EvalOptions;
+
+impl EvalOptions {
+    /// Kept only for the frozen `benchmark/` crate.
+    pub fn sequential() -> Self {
+        EvalOptions
+    }
+
+    /// Kept only for the frozen `benchmark/` crate.
+    pub fn auto() -> Self {
+        EvalOptions
+    }
+}
+
+/// [`evaluate`], ignoring `_options`. Kept only for the frozen `benchmark/`
+/// crate.
+pub fn evaluate_with(
+    store: &TripleStore,
+    query: &Query,
+    _options: &EvalOptions,
+) -> Result<QueryResults, SparqlError> {
+    evaluate(store, query)
 }
 
 // ---- Term-domain semantic primitives ---------------------------------------------
@@ -333,11 +264,11 @@ pub(crate) fn aggregate_values(
 ) -> Option<Term> {
     // SUM/AVG fold in *canonical* (total-order sorted) sequence, not in the
     // order the values arrived: float addition is non-associative, and the
-    // engines collect group members in different row orders (streaming,
-    // sharded parallel, reference oracle). Near the f64 precision edge —
-    // e.g. a group containing both 2^63 and -2^63 plus small values — the
-    // arrival-order sum visibly differs per engine; sorting first makes the
-    // fold a pure function of the value multiset.
+    // engine and the reference oracle collect group members in different
+    // row orders. Near the f64 precision edge — e.g. a group containing
+    // both 2^63 and -2^63 plus small values — the arrival-order sum visibly
+    // differs between them; sorting first makes the fold a pure function of
+    // the value multiset.
     match func {
         AggregateFunction::Count => Some(number_term(count as f64)),
         AggregateFunction::Sum => {
@@ -415,8 +346,8 @@ fn compare_keyed(
         }
     }
     // Total deterministic tie-break: equal sort keys fall back to the full
-    // binding, so every engine (sequential, parallel, reference oracle) cuts
-    // LIMIT boundaries identically.
+    // binding, so the engine and the reference oracle cut LIMIT boundaries
+    // identically.
     compare_bindings(ba, bb)
 }
 
@@ -761,25 +692,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_evaluation_matches_sequential() {
-        let store = sample_store();
-        let queries = [
-            "SELECT ?s ?p ?o WHERE { ?s ?p ?o }",
-            "SELECT ?class (COUNT(?s) AS ?n) WHERE { ?s a ?class } GROUP BY ?class ORDER BY DESC(?n)",
-            "SELECT ?s ?age WHERE { ?s <http://e.org/age> ?age FILTER(?age > 30) } ORDER BY ?age",
-            "SELECT DISTINCT ?p WHERE { ?s a <http://e.org/Person> . ?s ?p ?o } ORDER BY ?p",
-        ];
-        let mut options = EvalOptions::with_threads(4);
-        options.parallel_threshold = 1; // force the sharded path on this tiny store
-        for q in queries {
-            let plan = crate::parse_query(q).unwrap();
-            let sequential = evaluate(&store, &plan).unwrap();
-            let parallel = evaluate_with(&store, &plan, &options).unwrap();
-            assert_eq!(sequential, parallel, "query {q}");
-        }
-    }
-
-    #[test]
     fn topk_matches_full_sort_with_ties() {
         let mut store = TripleStore::new();
         let p = iri("http://e.org/score");
@@ -889,8 +801,7 @@ mod tests {
             trace: Some(&root),
             ..EvalHooks::default()
         };
-        let results =
-            evaluate_with_hooks(&store, &query, &EvalOptions::sequential(), &hooks).unwrap();
+        let results = evaluate_with_hooks(&store, &query, &hooks).unwrap();
         assert_eq!(results.into_select().unwrap().len(), 2);
 
         let children = root.children();
@@ -937,9 +848,8 @@ mod tests {
             trace: Some(&root),
             ..EvalHooks::default()
         };
-        // Tracing must not change results, even when threads were requested
-        // (it clamps to sequential execution internally).
-        let traced = evaluate_with_hooks(&store, &query, &EvalOptions::with_threads(4), &hooks)
+        // Tracing must not change results.
+        let traced = evaluate_with_hooks(&store, &query, &hooks)
             .unwrap()
             .to_sparql_json();
         assert_eq!(plain, traced);
@@ -967,10 +877,9 @@ mod tests {
             counters: Some(&counters),
             ..EvalHooks::default()
         };
-        evaluate_with_hooks(&store, &query, &EvalOptions::sequential(), &hooks).unwrap();
+        evaluate_with_hooks(&store, &query, &hooks).unwrap();
         let stats = counters.snapshot();
         assert_eq!(stats.bgps_planned, 1);
-        assert_eq!(stats.heuristic_plans, 0);
         // A second evaluation with fresh counters sees exactly the same
         // figures — no other thread can perturb a private counter set.
         let counters2 = PlanCounters::new();
@@ -978,7 +887,7 @@ mod tests {
             counters: Some(&counters2),
             ..EvalHooks::default()
         };
-        evaluate_with_hooks(&store, &query, &EvalOptions::sequential(), &hooks2).unwrap();
+        evaluate_with_hooks(&store, &query, &hooks2).unwrap();
         assert_eq!(counters2.snapshot(), stats);
     }
 }

@@ -16,17 +16,15 @@
 //! 1. **Syntax round-trip** — the query survives pretty-print → parse →
 //!    pretty-print → parse with a stable AST ([`crate::pretty`] is a
 //!    fixpoint on parser output).
-//! 2. **Differential evaluation** — the streaming engine (statistics
-//!    optimizer, the default), the sharded parallel engine (`threads = 3`,
-//!    `parallel_threshold = 1`), the streaming engine under the legacy
-//!    heuristic join order ([`crate::optimize::JoinOptimizer::Heuristic`]),
-//!    and the naive [`crate::reference`] evaluator all agree: exact row
-//!    sequences under `ORDER BY`, identical multisets otherwise, and a
-//!    sub-multiset + count check for the implementation-defined unordered
-//!    `LIMIT`/`OFFSET` cut. If the reference rejects the query, every
-//!    engine must too. The optimizer can change plans, never results — the
-//!    generated graphs include heavy cardinality skew (hub predicates, star
-//!    subjects) precisely so cost-based and heuristic plans diverge.
+//! 2. **Differential evaluation** — the engine under its cost-based plan,
+//!    the engine with every BGP's patterns in a seeded random permutation
+//!    ([`evaluate_shuffled`]; filter pushdown stays on), and the naive
+//!    [`crate::reference`] evaluator all agree: exact row sequences under
+//!    `ORDER BY`, identical multisets otherwise, and a sub-multiset + count
+//!    check for the implementation-defined unordered `LIMIT`/`OFFSET` cut.
+//!    If the reference rejects the query, the engine must too. The planner
+//!    may change plans, never results — over arbitrary join orders, on
+//!    graphs with heavy cardinality skew (hub predicates, star subjects).
 //! 3. **Serialization round-trip** — the result survives SPARQL-JSON and
 //!    TSV encode/decode losslessly, and the CSV output parses back (via
 //!    [`CsvTable`]) to exactly the term string values.
@@ -40,7 +38,7 @@
 //! ([`crate::update::apply_updates`]), one through the naive-reference path
 //! ([`crate::update::apply_updates_naive`]) — after which the stores'
 //! full quad sets and mutation counts must be identical and every probe
-//! query must pass the complete four-leg differential check above.
+//! query must pass the complete differential check above.
 //!
 //! Reproducing a failure: the harness in `tests/fuzz_differential.rs` prints
 //! the offending seed; re-run just that case with
@@ -56,7 +54,8 @@ use hbold_rdf_model::{BlankNode, Iri, Literal, Quad, Term, Triple};
 use hbold_triple_store::TripleStore;
 
 use crate::ast::*;
-use crate::eval::{self, EvalOptions};
+use crate::error::SparqlError;
+use crate::eval::{self, EvalHooks};
 use crate::expr::term_string_value;
 use crate::parser::{parse_query, parse_update};
 use crate::pretty::{print_query, print_update};
@@ -882,19 +881,52 @@ fn check_serialization(results: &QueryResults) -> Result<(), String> {
     Ok(())
 }
 
+/// Evaluates `query` with every BGP's triple patterns executed in a random
+/// permutation drawn from `seed` instead of the cost-based order (filter
+/// pushdown unchanged). Also returns how many BGPs thereby ran in an order
+/// other than the one the planner would have picked.
+///
+/// This is the only way to impose a join order on the engine, and it exists
+/// for the differential harness alone.
+pub fn evaluate_shuffled(
+    store: &TripleStore,
+    query: &Query,
+    seed: u64,
+) -> (Result<QueryResults, SparqlError>, usize) {
+    let mut rng = FuzzRng::new(seed);
+    let mut non_default = 0;
+    let mut shuffle = |planned: Vec<usize>| {
+        let mut order = planned.clone();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.below(i + 1));
+        }
+        non_default += usize::from(order != planned);
+        order
+    };
+    let result = eval::evaluate_planned(store, query, &EvalHooks::default(), Some(&mut shuffle));
+    (result, non_default)
+}
+
 /// Runs one full fuzz case for `seed`; `Err` carries a reproduction report
-/// (seed + generated query + what diverged).
-pub fn check_case(seed: u64) -> Result<(), String> {
+/// (seed + generated query + what diverged), `Ok` the number of BGPs the
+/// shuffled leg ran in a non-default order.
+pub fn check_case(seed: u64) -> Result<usize, String> {
     let mut rng = FuzzRng::new(seed);
     let store = generate_store(&mut rng);
     let query = generate_query(&mut rng);
-    check_query(&store, &query, &format!("seed {seed}"))
+    check_query(&store, &query, rng.next_u64(), &format!("seed {seed}"))
 }
 
-/// All three legs (syntax round-trip, four-way differential evaluation,
+/// All three legs (syntax round-trip, three-way differential evaluation,
 /// serialization round-trips) for one query against one store. Shared by
-/// the query cases and the probe queries of the update cases.
-fn check_query(store: &TripleStore, query: &Query, context: &str) -> Result<(), String> {
+/// the query cases and the probe queries of the update cases. Returns the
+/// number of BGPs the shuffled leg ran in a non-default order.
+fn check_query(
+    store: &TripleStore,
+    query: &Query,
+    shuffle_seed: u64,
+    context: &str,
+) -> Result<usize, String> {
     let printed = print_query(query);
     let fail = |msg: String| format!("{context}: {msg}\n  query: {printed}");
 
@@ -913,40 +945,31 @@ fn check_query(store: &TripleStore, query: &Query, context: &str) -> Result<(), 
         )));
     }
 
-    // Leg 2: differential evaluation — statistics-optimized streaming,
-    // sharded parallel, heuristic-ordered streaming, all against the naive
-    // reference. The optimizer can change plans, never results.
+    // Leg 2: differential evaluation — the cost-based plan and a shuffled
+    // join order, both against the naive reference. The planner can change
+    // plans, never results.
     let naive = reference::evaluate(store, &ast);
-    let sequential = eval::evaluate(store, &ast);
-    let mut options = EvalOptions::with_threads(3);
-    options.parallel_threshold = 1; // force sharding even on tiny stores
-    let parallel = eval::evaluate_with(store, &ast, &options);
-    let mut heuristic_options = EvalOptions::sequential();
-    heuristic_options.optimizer = crate::optimize::JoinOptimizer::Heuristic;
-    let heuristic = eval::evaluate_with(store, &ast, &heuristic_options);
+    let planned = eval::evaluate(store, &ast);
+    let (shuffled, non_default) = evaluate_shuffled(store, &ast, shuffle_seed);
 
     let expected = match naive {
         Err(e) => {
-            if sequential.is_ok() || parallel.is_ok() || heuristic.is_ok() {
+            if planned.is_ok() || shuffled.is_ok() {
                 return Err(fail(format!(
-                    "reference rejected the query ({e}) but an engine accepted it \
-                     (sequential ok: {}, parallel ok: {}, heuristic ok: {})",
-                    sequential.is_ok(),
-                    parallel.is_ok(),
-                    heuristic.is_ok()
+                    "reference rejected the query ({e}) but the engine accepted it \
+                     (planned ok: {}, shuffled ok: {})",
+                    planned.is_ok(),
+                    shuffled.is_ok()
                 )));
             }
-            return Ok(());
+            return Ok(non_default);
         }
         Ok(results) => results,
     };
-    let sequential = sequential
-        .map_err(|e| fail(format!("streaming engine failed, reference succeeded: {e}")))?;
-    let parallel =
-        parallel.map_err(|e| fail(format!("parallel engine failed, reference succeeded: {e}")))?;
-    let heuristic = heuristic.map_err(|e| {
+    let planned = planned.map_err(|e| fail(format!("engine failed, reference succeeded: {e}")))?;
+    let shuffled = shuffled.map_err(|e| {
         fail(format!(
-            "heuristic-ordered engine failed, reference succeeded: {e}"
+            "engine under a shuffled join order failed, reference succeeded: {e}"
         ))
     })?;
 
@@ -965,17 +988,16 @@ fn check_query(store: &TripleStore, query: &Query, context: &str) -> Result<(), 
         None
     };
 
-    check_equivalent(&ast, &expected, &sequential, uncut.as_ref(), "sequential").map_err(&fail)?;
-    check_equivalent(&ast, &expected, &parallel, uncut.as_ref(), "parallel").map_err(&fail)?;
-    check_equivalent(&ast, &expected, &heuristic, uncut.as_ref(), "heuristic").map_err(&fail)?;
+    check_equivalent(&ast, &expected, &planned, uncut.as_ref(), "planned").map_err(&fail)?;
+    check_equivalent(&ast, &expected, &shuffled, uncut.as_ref(), "shuffled").map_err(&fail)?;
     // The reference result itself must satisfy the cut-count invariant too.
     if let (Some(full), QueryResults::Select(exp)) = (&uncut, &expected) {
         check_select_equivalent(&ast, exp, exp, Some(full), "reference").map_err(&fail)?;
     }
 
-    // Leg 3: serialization round-trips on the streaming engine's result.
-    check_serialization(&sequential).map_err(&fail)?;
-    Ok(())
+    // Leg 3: serialization round-trips on the engine's result.
+    check_serialization(&planned).map_err(&fail)?;
+    Ok(non_default)
 }
 
 /// The full quad set of a store as N-Quads lines, for whole-store diffing.
@@ -999,6 +1021,9 @@ pub fn check_update_case(seed: u64) -> Result<(), String> {
     let initial: Vec<Quad> = engine_store.iter_quads().collect();
     naive_store.insert_quads_batch(initial.iter());
 
+    // A separate stream for the probes' shuffle seeds, so the generated
+    // update sequence is a function of `seed` alone.
+    let mut shuffle_seeds = FuzzRng::new(!seed);
     let steps = 3 + rng.below(4);
     for step in 0..steps {
         let ops: Vec<Update> = (0..1 + rng.below(2))
@@ -1060,6 +1085,7 @@ pub fn check_update_case(seed: u64) -> Result<(), String> {
         check_query(
             &engine_store,
             &probe,
+            shuffle_seeds.next_u64(),
             &format!("seed {seed} step {step} (probe after update)"),
         )?;
     }
@@ -1194,8 +1220,8 @@ mod tests {
     #[test]
     fn skewed_store_modes_appear() {
         // The skew modes must actually produce hub predicates and star
-        // subjects within a modest seed range, or the optimizer differential
-        // silently runs on uniform graphs only.
+        // subjects within a modest seed range, or the join-order
+        // differential silently runs on uniform graphs only.
         let dominant_share = |store: &TripleStore, query: &str| -> f64 {
             let top = eval::execute_query(store, query)
                 .unwrap()
@@ -1229,11 +1255,17 @@ mod tests {
 
     #[test]
     fn a_smoke_batch_of_cases_passes() {
+        let mut non_default = 0;
         for seed in 0..64 {
-            if let Err(report) = check_case(seed) {
-                panic!("{report}");
+            match check_case(seed) {
+                Ok(n) => non_default += n,
+                Err(report) => panic!("{report}"),
             }
         }
+        assert!(
+            non_default > 0,
+            "the shuffled leg never left the planned order"
+        );
     }
 
     #[test]

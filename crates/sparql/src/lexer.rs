@@ -326,9 +326,10 @@ impl Lexer {
         }
     }
 
-    /// Heuristic: after `<`, an IRI contains no whitespace before the closing
-    /// `>` and at least one `:` or the empty string (for `<>`), while a
-    /// comparison is followed by whitespace, a digit, a `?` variable, etc.
+    /// A guess from lookahead: after `<`, an IRI contains no whitespace
+    /// before the closing `>` and at least one `:` or the empty string (for
+    /// `<>`), while a comparison is followed by whitespace, a digit, a `?`
+    /// variable, etc.
     fn looks_like_iri(&self) -> bool {
         let mut offset = 1;
         while let Some(c) = self.peek_at(offset) {

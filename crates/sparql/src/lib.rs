@@ -14,8 +14,8 @@
 //! * [`parser`] — recursive-descent parser,
 //! * [`eval`] — a streaming operator pipeline over a triple store (BGP
 //!   joins, `FILTER`, `OPTIONAL`, `UNION`, `GROUP BY` + aggregates,
-//!   `ORDER BY` with top-k short-circuit, `DISTINCT`, `LIMIT`/`OFFSET`),
-//!   with optional sharded parallel execution via [`EvalOptions`],
+//!   `ORDER BY` with top-k short-circuit, `DISTINCT`, `LIMIT`/`OFFSET`);
+//!   one planner, one single-threaded executor, no engine options,
 //! * [`cancel`] — cooperative cancellation: a [`CancellationToken`]
 //!   (shared atomic state + optional monotonic deadline) the evaluator
 //!   polls at operator batch boundaries, surfacing typed
@@ -25,8 +25,7 @@
 //!   `TermId` rows, decoded only at the results boundary,
 //! * [`optimize`] — the statistics-driven cost-based optimizer: exact
 //!   index-range cardinality estimates drive greedy cheapest-next-join BGP
-//!   ordering and equality-filter pushdown, with the legacy shape heuristic
-//!   as the storeless fallback,
+//!   ordering and equality-filter pushdown,
 //! * [`plan`] — the normalized-query plan cache,
 //! * [`mod@reference`] — a deliberately naive evaluator used as a differential
 //!   test oracle against the streaming engine,
@@ -43,7 +42,8 @@
 //!   quad templates planned into atomic remove/insert deltas,
 //! * [`fuzz`] — seeded grammar-based query/graph generators and the
 //!   differential + serialization round-trip fuzz harness (queries under
-//!   four engine legs, update sequences against the naive planner).
+//!   the cost-based order, seeded random join orders and the naive
+//!   reference; update sequences against the naive planner).
 //!
 //! ```
 //! use hbold_rdf_model::{Iri, Triple, vocab::{foaf, rdf}};
@@ -87,13 +87,10 @@ pub mod update;
 pub use cancel::CancellationToken;
 pub use encoded::SlotLayout;
 pub use error::SparqlError;
-pub use eval::{
-    evaluate, evaluate_with, evaluate_with_hooks, execute_query, execute_query_with, EvalHooks,
-    EvalOptions,
-};
-pub use optimize::{
-    explain, plan_stats, JoinOptimizer, OptimizerStats, PlanCounters, PlanExplanation,
-};
+pub use eval::{evaluate, evaluate_with_hooks, execute_query, EvalHooks};
+// Compile-compat shim, kept only for the frozen `benchmark/` crate.
+pub use eval::{evaluate_with, EvalOptions};
+pub use optimize::{explain, plan_stats, OptimizerStats, PlanCounters, PlanExplanation};
 pub use parser::{parse_query, parse_update};
 pub use plan::{parse_cached, parse_cached_tracked, PlanCacheStats};
 pub use pretty::{print_query, print_update};

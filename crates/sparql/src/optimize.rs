@@ -12,9 +12,9 @@
 //!   `TripleStore::count_matching_encoded`), and positions occupied by
 //!   already-bound variables divide that count by a distinct-value estimate
 //!   for the position, yielding the expected rows *per input row*.
-//! * **Greedy cheapest-next-join ordering** — [`JoinOptimizer::Statistics`]
-//!   repeatedly picks the connected pattern with the smallest estimate
-//!   (ties broken by the shape heuristic, then by lowest pattern index).
+//! * **Greedy cheapest-next-join ordering** — the planner repeatedly picks
+//!   the connected pattern with the smallest estimate (ties broken by a
+//!   shape score, then by lowest pattern index).
 //!   Patterns with unbound variables and no link to the bound ones are
 //!   deferred while any connected pattern remains, so cartesian products
 //!   cannot be chosen by a cheap-looking estimate.
@@ -28,16 +28,14 @@
 //!   evaluation error (see `cannot_raise` in this module) — the residual
 //!   filter still runs, so pushdown only removes rows it would reject anyway.
 //!
-//! [`JoinOptimizer::Heuristic`] keeps the legacy shape score (constants and
-//! bound variables counted, cartesian products penalized) as the fallback
-//! for contexts without a store — it consults no statistics and performs no
-//! pushdown, matching how the naive reference evaluator behaves. Both modes
-//! run through the same single pre-execution planning pass, so the
-//! streaming and parallel engines consume one identical plan.
+//! The planning pass runs exactly once per evaluation and is the only
+//! consumer-facing source of join orders: there is no second strategy and
+//! no option selecting one.
 //!
-//! The optimizer can change plans, never results: the PR 6 differential
-//! fuzz harness runs every generated query under both modes against the
-//! naive reference (see [`crate::fuzz`]).
+//! The optimizer can change plans, never results: the differential fuzz
+//! harness evaluates every generated query under the cost-based order *and*
+//! under seeded random join orders against the naive reference (see
+//! [`crate::fuzz`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -50,22 +48,6 @@ use crate::ast::{ComparisonOp, Expression, Function, Query};
 use crate::encoded::{compile_pattern, EncContext, EncNode, EncPattern, EncTriplePattern};
 use crate::encoded::{EncDataset, EncGraph, SlotLayout, UNBOUND};
 
-// ---- optimizer selection ---------------------------------------------------------
-
-/// Join-ordering strategy used when planning basic graph patterns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JoinOptimizer {
-    /// Cost-based greedy ordering over index cardinality estimates, with
-    /// equality-filter pushdown. The default.
-    #[default]
-    Statistics,
-    /// The legacy shape-score heuristic: consults no store statistics and
-    /// performs no filter pushdown. The fallback when no statistics are
-    /// trustworthy (and the mode the differential fuzz harness pits against
-    /// [`JoinOptimizer::Statistics`]).
-    Heuristic,
-}
-
 // ---- decision counters (the plan_stats debug surface) ----------------------------
 
 /// The process-wide optimizer counters, registered once in the global
@@ -74,7 +56,6 @@ struct GlobalOptimizerCounters {
     bgps_planned: Counter,
     bgps_reordered: Counter,
     filters_pushed: Counter,
-    heuristic_plans: Counter,
 }
 
 fn global_counters() -> &'static GlobalOptimizerCounters {
@@ -84,7 +65,7 @@ fn global_counters() -> &'static GlobalOptimizerCounters {
         GlobalOptimizerCounters {
             bgps_planned: reg.counter(
                 "hbold_optimizer_bgps_planned_total",
-                "Basic graph patterns planned (either optimizer mode).",
+                "Basic graph patterns planned.",
                 &[],
             ),
             bgps_reordered: reg.counter(
@@ -95,11 +76,6 @@ fn global_counters() -> &'static GlobalOptimizerCounters {
             filters_pushed: reg.counter(
                 "hbold_optimizer_filters_pushed_total",
                 "Equality-filter conjuncts pushed down into scans.",
-                &[],
-            ),
-            heuristic_plans: reg.counter(
-                "hbold_optimizer_heuristic_plans_total",
-                "BGPs planned with the legacy heuristic (fallback mode).",
                 &[],
             ),
         }
@@ -119,7 +95,6 @@ pub struct PlanCounters {
     bgps_planned: AtomicU64,
     bgps_reordered: AtomicU64,
     filters_pushed: AtomicU64,
-    heuristic_plans: AtomicU64,
 }
 
 impl PlanCounters {
@@ -134,7 +109,6 @@ impl PlanCounters {
             bgps_planned: self.bgps_planned.load(Ordering::Relaxed),
             bgps_reordered: self.bgps_reordered.load(Ordering::Relaxed),
             filters_pushed: self.filters_pushed.load(Ordering::Relaxed),
-            heuristic_plans: self.heuristic_plans.load(Ordering::Relaxed),
         }
     }
 }
@@ -146,7 +120,6 @@ enum Decision {
     BgpPlanned,
     BgpReordered,
     FilterPushed,
-    HeuristicPlan,
 }
 
 fn bump(ctx: &EncContext<'_>, decision: Decision) {
@@ -161,10 +134,6 @@ fn bump(ctx: &EncContext<'_>, decision: Decision) {
             &global.filters_pushed,
             ctx.counters.map(|c| &c.filters_pushed),
         ),
-        Decision::HeuristicPlan => (
-            &global.heuristic_plans,
-            ctx.counters.map(|c| &c.heuristic_plans),
-        ),
     };
     global_counter.inc();
     if let Some(local) = local {
@@ -176,14 +145,12 @@ fn bump(ctx: &EncContext<'_>, decision: Decision) {
 /// the server's `/stats` document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OptimizerStats {
-    /// Basic graph patterns planned (either mode).
+    /// Basic graph patterns planned.
     pub bgps_planned: u64,
     /// BGPs whose execution order differs from their written order.
     pub bgps_reordered: u64,
     /// Equality-filter conjuncts pushed down into scans.
     pub filters_pushed: u64,
-    /// BGPs planned with the legacy heuristic (fallback mode).
-    pub heuristic_plans: u64,
 }
 
 /// Current process-wide optimizer counters.
@@ -193,7 +160,6 @@ pub fn plan_stats() -> OptimizerStats {
         bgps_planned: global.bgps_planned.get(),
         bgps_reordered: global.bgps_reordered.get(),
         filters_pushed: global.filters_pushed.get(),
-        heuristic_plans: global.heuristic_plans.get(),
     }
 }
 
@@ -207,7 +173,6 @@ pub fn reset_plan_stats() {
     global.bgps_planned.reset();
     global.bgps_reordered.reset();
     global.filters_pushed.reset();
-    global.heuristic_plans.reset();
 }
 
 // ---- per-query explain surface ---------------------------------------------------
@@ -218,8 +183,7 @@ pub struct BgpPlan {
     /// Execution order, as indexes into the BGP's written pattern list.
     pub order: Vec<usize>,
     /// Estimated rows produced per input row for each chosen pattern,
-    /// parallel to `order`. Empty under [`JoinOptimizer::Heuristic`], which
-    /// estimates nothing.
+    /// parallel to `order`.
     pub estimates: Vec<u64>,
 }
 
@@ -232,16 +196,16 @@ pub struct PlanExplanation {
     pub pushed_filters: usize,
 }
 
-/// Plans `query` against `store` with [`JoinOptimizer::Statistics`] and
-/// returns the decisions without executing anything. The planning pass is
-/// the real one, so the counters behind [`plan_stats`] advance.
+/// Plans `query` against `store` and returns the decisions without
+/// executing anything. The planning pass is the real one, so the counters
+/// behind [`plan_stats`] advance.
 pub fn explain(store: &TripleStore, query: &Query) -> PlanExplanation {
     let layout = SlotLayout::of_query(query);
     let dict = store.dictionary();
-    let mut ctx = EncContext::new(store, dict, &layout, JoinOptimizer::Statistics);
+    let mut ctx = EncContext::new(store, dict, &layout);
     ctx.dataset = EncDataset::compile(&query.dataset, dict);
     let mut pattern = compile_pattern(&query.pattern, &layout, dict);
-    let bgps = plan_pattern(&ctx, &mut pattern);
+    let bgps = plan_pattern(&ctx, &mut pattern, None);
     PlanExplanation {
         bgps,
         pushed_filters: count_prebinds(&pattern),
@@ -260,16 +224,25 @@ pub(crate) fn count_prebinds(pattern: &EncPattern) -> usize {
 
 // ---- the planning pass -----------------------------------------------------------
 
+/// The fuzz harness's join-order override: given a BGP's cost-based order,
+/// returns the order to execute instead (a permutation of it). Reachable
+/// only through [`crate::fuzz::evaluate_shuffled`].
+pub(crate) type BgpReorder<'a> = &'a mut dyn FnMut(Vec<usize>) -> Vec<usize>;
+
 /// Plans a compiled pattern in place: every BGP's triple patterns are
 /// permuted into execution order and every eligible equality filter is
 /// pushed down. Runs exactly once per evaluation, before any operator
-/// streams — the streaming and parallel paths then consume the same plan.
+/// streams.
 ///
 /// Returns the per-BGP decision records (consumed by [`explain`]).
-pub(crate) fn plan_pattern(ctx: &EncContext<'_>, pattern: &mut EncPattern) -> Vec<BgpPlan> {
+pub(crate) fn plan_pattern(
+    ctx: &EncContext<'_>,
+    pattern: &mut EncPattern,
+    mut reorder: Option<BgpReorder<'_>>,
+) -> Vec<BgpPlan> {
     let mut bound = vec![false; ctx.layout.len()];
     let mut bgps = Vec::new();
-    plan_rec(ctx, pattern, &mut bound, &mut bgps);
+    plan_rec(ctx, pattern, &mut bound, &mut bgps, &mut reorder);
     bgps
 }
 
@@ -282,16 +255,25 @@ fn plan_rec(
     pattern: &mut EncPattern,
     bound: &mut Vec<bool>,
     out: &mut Vec<BgpPlan>,
+    reorder: &mut Option<BgpReorder<'_>>,
 ) {
     match pattern {
         EncPattern::Bgp(tps) => {
-            let (order, estimates) = match ctx.optimizer {
-                JoinOptimizer::Statistics => stats_join_order(ctx.store, &ctx.dataset, tps, bound),
-                JoinOptimizer::Heuristic => {
-                    bump(ctx, Decision::HeuristicPlan);
-                    (bgp_join_order(tps, bound), Vec::new())
-                }
-            };
+            let (mut order, mut estimates) = stats_join_order(ctx.store, &ctx.dataset, tps, bound);
+            if let Some(reorder) = reorder {
+                order = reorder(order);
+                // Re-estimate along the imposed order, so `estimates` stays
+                // parallel to `order`.
+                let mut seen = bound.clone();
+                estimates = order
+                    .iter()
+                    .map(|&i| {
+                        let estimate = estimate_pattern(ctx.store, &ctx.dataset, &tps[i], &seen);
+                        mark_pattern_vars(&tps[i], &mut seen);
+                        estimate
+                    })
+                    .collect();
+            }
             bump(ctx, Decision::BgpPlanned);
             if order.iter().enumerate().any(|(i, &idx)| i != idx) {
                 bump(ctx, Decision::BgpReordered);
@@ -304,21 +286,21 @@ fn plan_rec(
         }
         EncPattern::Join(parts) => {
             for part in parts {
-                plan_rec(ctx, part, bound, out);
+                plan_rec(ctx, part, bound, out, reorder);
             }
         }
         EncPattern::Optional { left, right } => {
             // The right side streams per left row, so it plans with the
             // left side's bindings visible.
-            plan_rec(ctx, left, bound, out);
-            plan_rec(ctx, right, bound, out);
+            plan_rec(ctx, left, bound, out, reorder);
+            plan_rec(ctx, right, bound, out, reorder);
         }
         EncPattern::Union(a, b) => {
             // Each branch sees only the bindings from *before* the union;
             // afterwards either branch may have bound its variables.
             let mut bound_a = bound.clone();
-            plan_rec(ctx, a, &mut bound_a, out);
-            plan_rec(ctx, b, bound, out);
+            plan_rec(ctx, a, &mut bound_a, out, reorder);
+            plan_rec(ctx, b, bound, out, reorder);
             for (slot, a_bound) in bound.iter_mut().zip(bound_a) {
                 *slot |= a_bound;
             }
@@ -328,10 +310,8 @@ fn plan_rec(
             condition,
             prebind,
         } => {
-            if ctx.optimizer == JoinOptimizer::Statistics {
-                extract_prebinds(ctx, condition, inner, bound, prebind);
-            }
-            plan_rec(ctx, inner, bound, out);
+            extract_prebinds(ctx, condition, inner, bound, prebind);
+            plan_rec(ctx, inner, bound, out, reorder);
         }
     }
 }
@@ -366,10 +346,10 @@ fn pattern_var_slots(tp: &EncTriplePattern) -> impl Iterator<Item = u32> {
 /// remains, disconnected ones are ineligible — a cartesian product is never
 /// chosen over a join, no matter how cheap it looks.
 ///
-/// Ties break by the shape heuristic score, then to the lowest pattern
-/// index (candidates are scanned in ascending index order and only a
-/// strictly better candidate replaces the incumbent), so plans are
-/// deterministic and identical between the streaming and parallel paths.
+/// Ties break by the shape score ([`pattern_selectivity`]), then to the
+/// lowest pattern index (candidates are scanned in ascending index order
+/// and only a strictly better candidate replaces the incumbent), so plans
+/// are deterministic.
 fn stats_join_order(
     store: &TripleStore,
     dataset: &EncDataset,
@@ -382,21 +362,21 @@ fn stats_join_order(
     let mut estimates = Vec::with_capacity(tps.len());
     while !remaining.is_empty() {
         let any_connected = remaining.iter().any(|&idx| is_connected(&tps[idx], &bound));
-        let mut best: Option<(usize, u64, i64)> = None; // (pos, estimate, heuristic)
+        let mut best: Option<(usize, u64, i64)> = None; // (pos, estimate, shape score)
         for (pos, &idx) in remaining.iter().enumerate() {
             if any_connected && !is_connected(&tps[idx], &bound) {
                 continue;
             }
             let est = estimate_pattern(store, dataset, &tps[idx], &bound);
-            let heur = pattern_selectivity(&tps[idx], &bound);
+            let shape = pattern_selectivity(&tps[idx], &bound);
             let better = match best {
                 None => true,
-                Some((_, best_est, best_heur)) => {
-                    est < best_est || (est == best_est && heur > best_heur)
+                Some((_, best_est, best_shape)) => {
+                    est < best_est || (est == best_est && shape > best_shape)
                 }
             };
             if better {
-                best = Some((pos, est, heur));
+                best = Some((pos, est, shape));
             }
         }
         let (pos, est, _) = best.expect("candidate pool is never empty");
@@ -527,38 +507,9 @@ fn estimate_pattern(
     (total / divisor).max(1)
 }
 
-// ---- the legacy shape heuristic (fallback) ---------------------------------------
-
-/// Greedy join order by shape score: repeatedly pick the remaining pattern
-/// with the most concrete/bound positions. Returns indexes into `patterns`.
-/// Mirrors the scoring the pre-encoded engine used (and the differential
-/// oracle pinned).
-///
-/// Ties break to the *lowest* pattern index: candidates are scanned in
-/// ascending index order and only a strictly greater score replaces the
-/// incumbent. (`max_by_key` would return the last maximum, which made plans
-/// depend on where in the BGP a pattern happened to be written.)
-pub(crate) fn bgp_join_order(patterns: &[EncTriplePattern], bound: &[bool]) -> Vec<usize> {
-    let mut bound = bound.to_vec();
-    let mut remaining: Vec<usize> = (0..patterns.len()).collect();
-    let mut order = Vec::with_capacity(patterns.len());
-    while !remaining.is_empty() {
-        let mut best_pos = 0;
-        let mut best_score = pattern_selectivity(&patterns[remaining[0]], &bound);
-        for (pos, &idx) in remaining.iter().enumerate().skip(1) {
-            let score = pattern_selectivity(&patterns[idx], &bound);
-            if score > best_score {
-                best_pos = pos;
-                best_score = score;
-            }
-        }
-        let idx = remaining.remove(best_pos);
-        order.push(idx);
-        mark_pattern_vars(&patterns[idx], &mut bound);
-    }
-    order
-}
-
+/// The cost-based order's tie-break: a shape score counting concrete and
+/// already-bound positions, with a penalty for patterns that would form a
+/// cartesian product with the current rows.
 fn pattern_selectivity(tp: &EncTriplePattern, bound: &[bool]) -> i64 {
     let mut score = 0i64;
     let mut has_unbound = false;
@@ -788,10 +739,10 @@ mod tests {
     }
 
     #[test]
-    fn tie_break_is_lowest_pattern_index_in_both_modes() {
-        // Three identical patterns: every score and estimate ties, so both
-        // strategies must keep the written order (the old `max_by_key`
-        // picked the *last* maximum).
+    fn tie_break_is_lowest_pattern_index() {
+        // Three identical patterns: every estimate and shape score ties, so
+        // the written order must survive (a `max_by_key`-style pick would
+        // return the *last* maximum).
         let store = skewed_store();
         let hub = store
             .id_of(&iri("http://e.org/hub").into())
@@ -803,7 +754,6 @@ mod tests {
             tp(var(0), hub, var(1)),
         ];
         let bound = vec![false; 2];
-        assert_eq!(bgp_join_order(&patterns, &bound), vec![0, 1, 2]);
         let (order, _) = stats_join_order(&store, &EncDataset::default(), &patterns, &bound);
         assert_eq!(order, vec![0, 1, 2]);
     }
@@ -853,7 +803,7 @@ mod tests {
     #[test]
     fn connected_expensive_pattern_beats_cheap_disconnected_one() {
         // rare(2) and lone(2) tie at the cold start (nothing bound yet, so
-        // neither is "connected"); the heuristic tie-break keeps rare
+        // neither is "connected"); the shape-score tie-break keeps rare
         // (lowest index) first. After that, hub(60, connected via ?s) must
         // come before the disconnected lone even though lone's estimate is
         // far smaller: 2 cheap rows never outrank a connected join.

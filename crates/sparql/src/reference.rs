@@ -5,7 +5,7 @@
 //! [`TripleStore::iter`]), no join reordering (patterns evaluate in written
 //! order), no streaming, no top-k, no plan cache, no threads. Everything is
 //! materialized `Vec`s and full sorts. It exists so that property tests can
-//! assert the optimized streaming/parallel engine returns exactly the same
+//! assert the optimized streaming engine returns exactly the same
 //! multiset of rows on randomly generated queries — the "check every
 //! optimization against a naive implementation" discipline.
 //!
@@ -295,6 +295,17 @@ fn project_grouped(
             "SELECT * cannot be combined with GROUP BY or aggregates".into(),
         ));
     };
+    // Checked before grouping: whether the query is well-formed must not
+    // depend on whether the data produced a group.
+    for item in items {
+        if let ProjectionItem::Variable(v) = item {
+            if !query.group_by.contains(v) {
+                return Err(SparqlError::Evaluation(format!(
+                    "variable ?{v} is projected but is neither grouped nor aggregated"
+                )));
+            }
+        }
+    }
 
     // Naive grouping: a Vec of (key, members), linear-scanned per solution,
     // kept sorted by a deterministic key order at the end.
@@ -330,11 +341,6 @@ fn project_grouped(
         for item in items {
             match item {
                 ProjectionItem::Variable(v) => {
-                    if !query.group_by.contains(v) {
-                        return Err(SparqlError::Evaluation(format!(
-                            "variable ?{v} is projected but is neither grouped nor aggregated"
-                        )));
-                    }
                     if let Some(term) = key_binding.get(v) {
                         out.insert(v.clone(), term.clone());
                     }

@@ -30,7 +30,7 @@ use crate::ast::{
 };
 use crate::cancel::CancellationToken;
 use crate::error::SparqlError;
-use crate::eval::{evaluate_with_hooks, EvalHooks, EvalOptions};
+use crate::eval::{evaluate_with_hooks, EvalHooks};
 use crate::parser::parse_update;
 use crate::results::QueryResults;
 
@@ -47,7 +47,7 @@ pub struct UpdateOutcome {
 /// Which evaluator answers an operation's `WHERE` clause.
 #[derive(Clone, Copy)]
 enum WhereSolver {
-    /// The streaming engine (sequential mode — updates are not hot paths).
+    /// The streaming engine.
     Engine,
     /// The naive reference evaluator, for differential testing.
     Naive,
@@ -247,7 +247,6 @@ fn solve_where(
         WhereSolver::Engine => evaluate_with_hooks(
             store,
             &query,
-            &EvalOptions::sequential(),
             &EvalHooks {
                 cancel,
                 ..EvalHooks::default()

@@ -10,17 +10,15 @@
 
 use hbold_sparql::fuzz::{cases_from_env, generate_query, generate_store, seed_from_env, FuzzRng};
 use hbold_sparql::pretty::print_query;
-use hbold_sparql::{
-    evaluate_with_hooks, CancellationToken, EvalHooks, EvalOptions, QueryResults, SparqlError,
-};
+use hbold_sparql::{evaluate_with_hooks, CancellationToken, EvalHooks, QueryResults, SparqlError};
 use hbold_triple_store::TripleStore;
 
 /// Longest `cancel_after_checks` sweep per seed. Queries needing more
 /// checks than this finish uncancelled earlier in the sweep and break out.
 const MAX_BOUNDARY: u64 = 40;
 
-/// Order-insensitive fingerprint, so the sharded-parallel engine's
-/// legitimate row reordering (no ORDER BY) doesn't read as divergence.
+/// Fingerprint of a result; rows compare as a multiset unless ORDER BY
+/// pins their sequence.
 fn fingerprint(results: &QueryResults, ordered: bool) -> String {
     match results {
         QueryResults::Ask(b) => format!("ask:{b}"),
@@ -37,13 +35,11 @@ fn fingerprint(results: &QueryResults, ordered: bool) -> String {
 fn eval(
     store: &TripleStore,
     query: &hbold_sparql::ast::Query,
-    options: &EvalOptions,
     token: Option<&CancellationToken>,
 ) -> Result<QueryResults, SparqlError> {
     evaluate_with_hooks(
         store,
         query,
-        options,
         &EvalHooks {
             cancel: token,
             ..EvalHooks::default()
@@ -51,10 +47,10 @@ fn eval(
     )
 }
 
-/// One seed: sweep the token trip point across every batch boundary for
-/// both the sequential and the sharded-parallel engine. Returns the number
-/// of typed cancellations observed (so the caller can assert the sweep
-/// exercised the cancel path at all), or a reproduction report.
+/// One seed: sweep the token trip point across every batch boundary.
+/// Returns the number of typed cancellations observed (so the caller can
+/// assert the sweep exercised the cancel path at all), or a reproduction
+/// report.
 fn check_cancel_case(seed: u64) -> Result<u64, String> {
     let mut rng = FuzzRng::new(seed);
     let store = generate_store(&mut rng);
@@ -62,63 +58,53 @@ fn check_cancel_case(seed: u64) -> Result<u64, String> {
     let printed = print_query(&query);
     let fail = |msg: String| format!("seed {seed}: {msg}\n  query: {printed}");
 
-    let mut parallel = EvalOptions::with_threads(3);
-    parallel.parallel_threshold = 1;
-    let legs: [(&str, EvalOptions); 2] = [
-        ("sequential", EvalOptions::sequential()),
-        ("parallel", parallel),
-    ];
+    // The uncancelled run is the ground truth. The engine may legitimately
+    // reject queries the grammar can generate; then every cancelled run
+    // must reject or cancel too, never succeed.
+    let reference = eval(&store, &query, None);
+    let ordered = !query.order_by.is_empty();
+    let expected = match &reference {
+        Ok(results) => Some(fingerprint(results, ordered)),
+        Err(_) => None,
+    };
 
     let mut cancellations = 0;
-    for (leg, options) in &legs {
-        // The uncancelled run is the ground truth for this leg. Engines may
-        // legitimately reject queries the grammar can generate; then every
-        // cancelled run must reject or cancel too, never succeed.
-        let reference = eval(&store, &query, options, None);
-        let ordered = !query.order_by.is_empty();
-        let expected = match &reference {
-            Ok(results) => Some(fingerprint(results, ordered)),
-            Err(_) => None,
-        };
-
-        let mut finished_in_a_row = 0;
-        for boundary in 1..=MAX_BOUNDARY {
-            let token = CancellationToken::cancel_after_checks(boundary);
-            match eval(&store, &query, options, Some(&token)) {
-                Err(SparqlError::Cancelled) => {
-                    cancellations += 1;
-                    finished_in_a_row = 0;
-                }
-                Err(_) if expected.is_none() => finished_in_a_row += 1,
-                Err(e) => {
+    let mut finished_in_a_row = 0;
+    for boundary in 1..=MAX_BOUNDARY {
+        let token = CancellationToken::cancel_after_checks(boundary);
+        match eval(&store, &query, Some(&token)) {
+            Err(SparqlError::Cancelled) => {
+                cancellations += 1;
+                finished_in_a_row = 0;
+            }
+            Err(_) if expected.is_none() => finished_in_a_row += 1,
+            Err(e) => {
+                return Err(fail(format!(
+                    "boundary {boundary}: expected the uncancelled result or \
+                     Cancelled, got a different error: {e}"
+                )))
+            }
+            Ok(results) => {
+                let Some(expected) = &expected else {
                     return Err(fail(format!(
-                        "{leg} engine at boundary {boundary}: expected the uncancelled \
-                         result or Cancelled, got a different error: {e}"
-                    )))
+                        "boundary {boundary} succeeded, but the uncancelled run errored"
+                    )));
+                };
+                let got = fingerprint(&results, ordered);
+                if &got != expected {
+                    return Err(fail(format!(
+                        "boundary {boundary} returned a DIFFERENT result than the \
+                         uncancelled run — truncation?\
+                         \n  expected: {expected}\n  got:      {got}"
+                    )));
                 }
-                Ok(results) => {
-                    let Some(expected) = &expected else {
-                        return Err(fail(format!(
-                            "{leg} engine at boundary {boundary} succeeded, but the \
-                             uncancelled run errored"
-                        )));
-                    };
-                    let got = fingerprint(&results, ordered);
-                    if &got != expected {
-                        return Err(fail(format!(
-                            "{leg} engine at boundary {boundary} returned a DIFFERENT \
-                             result than the uncancelled run — truncation?\
-                             \n  expected: {expected}\n  got:      {got}"
-                        )));
-                    }
-                    finished_in_a_row += 1;
-                }
+                finished_in_a_row += 1;
             }
-            // Once the evaluation finishes before the trip point twice in a
-            // row, later boundaries only finish sooner; stop the sweep.
-            if finished_in_a_row >= 2 {
-                break;
-            }
+        }
+        // Once the evaluation finishes before the trip point twice in a
+        // row, later boundaries only finish sooner; stop the sweep.
+        if finished_in_a_row >= 2 {
+            break;
         }
     }
     Ok(cancellations)
@@ -155,11 +141,11 @@ fn cancelling_at_every_batch_boundary_never_truncates() {
         failures[0]
     );
     // The sweep must have actually exercised the cancel path — a token the
-    // engines never poll would make every case pass vacuously.
+    // engine never polls would make every case pass vacuously.
     assert!(
         total_cancellations > 0,
-        "no boundary in {cases} seeds produced a typed cancellation — are \
-         the engines polling the token at all?"
+        "no boundary in {cases} seeds produced a typed cancellation — is \
+         the engine polling the token at all?"
     );
 }
 
@@ -179,7 +165,7 @@ fn deadlines_cut_off_a_cross_join_mid_operator() {
     .expect("parses");
     let token = CancellationToken::with_timeout(std::time::Duration::from_millis(30));
     let started = std::time::Instant::now();
-    let result = eval(&store, &query, &EvalOptions::sequential(), Some(&token));
+    let result = eval(&store, &query, Some(&token));
     let elapsed = started.elapsed();
     assert!(
         matches!(result, Err(SparqlError::DeadlineExceeded)),

@@ -1,12 +1,11 @@
-//! Differential test oracle: the streaming/parallel engine versus the naive
+//! Differential test oracle: the streaming engine versus the naive
 //! reference evaluator on randomly generated queries over random stores.
 //!
 //! Every case builds a small random store and a random query AST (BGPs,
 //! OPTIONAL, UNION, FILTER, aggregates with GROUP BY, ORDER BY, DISTINCT,
-//! LIMIT/OFFSET), evaluates it three ways — streaming sequential, sharded
-//! parallel, and the deliberately naive `reference` evaluator — and asserts
-//! identical results: exact row sequences when ORDER BY pins an order,
-//! identical row multisets otherwise.
+//! LIMIT/OFFSET), evaluates it with the engine and with the deliberately
+//! naive `reference` evaluator, and asserts identical results: exact row
+//! sequences when ORDER BY pins an order, identical row multisets otherwise.
 //!
 //! The vendored proptest stand-in derandomizes generation from the test name
 //! and case index, so runs are reproducible by construction; the case count
@@ -18,7 +17,7 @@ use rand::{Rng, SeedableRng};
 
 use hbold_rdf_model::{Iri, Literal, Term, Triple};
 use hbold_sparql::ast::*;
-use hbold_sparql::{evaluate, evaluate_with, reference, EvalOptions, QueryResults, SlotLayout};
+use hbold_sparql::{evaluate, reference, QueryResults, SlotLayout};
 use hbold_triple_store::TripleStore;
 
 const VARS: [&str; 4] = ["a", "b", "c", "d"];
@@ -310,23 +309,18 @@ fn run_case(seed: u64) {
     let query = random_query(&mut rng);
 
     let naive = reference::evaluate(&store, &query);
-    let sequential = evaluate(&store, &query);
-    let mut options = EvalOptions::with_threads(3);
-    options.parallel_threshold = 1; // force sharding even on tiny stores
-    let parallel = evaluate_with(&store, &query, &options);
+    let engine = evaluate(&store, &query);
 
     match naive {
         Err(_) => {
             assert!(
-                sequential.is_err() && parallel.is_err(),
-                "engines accepted a query the reference rejects: {query:?}"
+                engine.is_err(),
+                "engine accepted a query the reference rejects: {query:?}"
             );
         }
         Ok(expected) => {
-            let sequential = sequential.expect("streaming engine failed where reference succeeded");
-            let parallel = parallel.expect("parallel engine failed where reference succeeded");
-            assert_equivalent(&query, &expected, &sequential, "sequential");
-            assert_equivalent(&query, &expected, &parallel, "parallel");
+            let engine = engine.expect("streaming engine failed where reference succeeded");
+            assert_equivalent(&query, &expected, &engine, "engine");
         }
     }
 }
@@ -499,16 +493,12 @@ fn nested_optional_union_scopes_share_slots() {
         assert_eq!(layout.name_of(layout.slot_of(v).unwrap()), v);
     }
 
-    // And the engines agree on a store exercising all scopes.
+    // And engine and reference agree on a store exercising all scopes.
     let mut rng = StdRng::seed_from_u64(20260726);
     for _ in 0..16 {
         let store = random_store(&mut rng);
         let naive = reference::evaluate(&store, &query).unwrap();
-        let sequential = evaluate(&store, &query).unwrap();
-        let mut options = EvalOptions::with_threads(3);
-        options.parallel_threshold = 1;
-        let parallel = evaluate_with(&store, &query, &options).unwrap();
-        assert_equivalent(&query, &naive, &sequential, "sequential");
-        assert_equivalent(&query, &naive, &parallel, "parallel");
+        let engine = evaluate(&store, &query).unwrap();
+        assert_equivalent(&query, &naive, &engine, "engine");
     }
 }

@@ -21,12 +21,16 @@ fn generated_queries_agree_across_engines_and_serializations() {
     }
     let cases = cases_from_env(512);
     let mut failures = Vec::new();
+    let mut non_default_orders = 0;
     for seed in 0..cases {
-        if let Err(report) = check_case(seed) {
-            eprintln!("fuzz failure: {report}");
-            failures.push(seed);
-            if failures.len() >= 5 {
-                break;
+        match check_case(seed) {
+            Ok(n) => non_default_orders += n,
+            Err(report) => {
+                eprintln!("fuzz failure: {report}");
+                failures.push(seed);
+                if failures.len() >= 5 {
+                    break;
+                }
             }
         }
     }
@@ -36,6 +40,16 @@ fn generated_queries_agree_across_engines_and_serializations() {
          (see stderr for the full reports)",
         failures.len(),
         failures[0]
+    );
+    eprintln!(
+        "query sweep: {cases} cases; the shuffled leg ran {non_default_orders} \
+         multi-pattern BGPs in a non-default order"
+    );
+    // A shuffle that always reproduced the planner's order would make the
+    // third leg a copy of the first.
+    assert!(
+        non_default_orders > 0,
+        "the shuffled leg never left the planned order in {cases} cases"
     );
 }
 

@@ -7,29 +7,21 @@
 use hbold_rdf_model::vocab::xsd;
 use hbold_rdf_model::{Iri, Literal, Term, Triple};
 use hbold_sparql::expr::number_term;
-use hbold_sparql::fuzz::{random_regex_pattern, FuzzRng};
+use hbold_sparql::fuzz::{evaluate_shuffled, random_regex_pattern, FuzzRng};
 use hbold_sparql::regex::Regex;
-use hbold_sparql::{evaluate_with, explain, reference, EvalOptions, JoinOptimizer, QueryResults};
+use hbold_sparql::{explain, reference, QueryResults, SparqlError};
 use hbold_triple_store::TripleStore;
 
 fn iri(s: &str) -> Iri {
     Iri::new(s).unwrap()
 }
 
-/// All engines on a query string — statistics-optimized streaming, sharded
-/// parallel, heuristic-ordered streaming — panicking if any disagrees with
-/// the reference (exact rows — every caller pins an ORDER BY or a 0/1-row
-/// shape).
+/// The engine on a query string — under its cost-based plan and under a few
+/// shuffled join orders — panicking if any run disagrees with the reference
+/// (exact rows — every caller pins an ORDER BY or a 0/1-row shape).
 fn three_way(store: &TripleStore, query: &str) -> QueryResults {
     let parsed = hbold_sparql::parse_query(query).unwrap();
     let naive = reference::evaluate(store, &parsed).unwrap();
-    let sequential = hbold_sparql::evaluate(store, &parsed).unwrap();
-    let mut options = EvalOptions::with_threads(3);
-    options.parallel_threshold = 1;
-    let parallel = evaluate_with(store, &parsed, &options).unwrap();
-    let mut heuristic_options = EvalOptions::sequential();
-    heuristic_options.optimizer = JoinOptimizer::Heuristic;
-    let heuristic = evaluate_with(store, &parsed, &heuristic_options).unwrap();
     let render = |r: &QueryResults| match r {
         QueryResults::Ask(b) => format!("ask:{b}"),
         QueryResults::Select(s) => format!(
@@ -44,21 +36,20 @@ fn three_way(store: &TripleStore, query: &str) -> QueryResults {
                 .collect::<Vec<_>>()
         ),
     };
+    let planned = hbold_sparql::evaluate(store, &parsed).unwrap();
     assert_eq!(
         render(&naive),
-        render(&sequential),
-        "sequential diverged on {query}"
+        render(&planned),
+        "planned order diverged on {query}"
     );
-    assert_eq!(
-        render(&naive),
-        render(&parallel),
-        "parallel diverged on {query}"
-    );
-    assert_eq!(
-        render(&naive),
-        render(&heuristic),
-        "heuristic-ordered diverged on {query}"
-    );
+    for seed in 0..4 {
+        let (shuffled, _) = evaluate_shuffled(store, &parsed, seed);
+        assert_eq!(
+            render(&naive),
+            render(&shuffled.unwrap()),
+            "shuffled join order (seed {seed}) diverged on {query}"
+        );
+    }
     naive
 }
 
@@ -419,9 +410,9 @@ fn sum_and_avg_are_independent_of_member_enumeration_order() {
             Term::Literal(value),
         ));
     }
-    // The engines walk ?s ?p ?o in different orders (reference scans
-    // insertion order, the encoded engine scans index order, parallel
-    // chunks), so before the canonical fold these disagreed near 2^63.
+    // The evaluators walk ?s ?p ?o in different orders (the reference scans
+    // insertion order, the encoded engine index order), so before the
+    // canonical fold these disagreed near 2^63.
     for agg in ["SUM", "AVG"] {
         for distinct in ["", "DISTINCT "] {
             let results = three_way(
@@ -558,5 +549,39 @@ fn rare_pattern_leads_regardless_of_writing_order() {
     ] {
         let results = three_way(&store, q);
         assert_eq!(results.into_select().unwrap().rows.len(), 6);
+    }
+}
+
+// ---- encoded.rs / reference.rs: a static error that depended on the data ---------
+
+/// Projecting a variable that is neither grouped nor aggregated was checked
+/// once *per group*, so on a store yielding zero groups the same query text
+/// succeeded with no rows. The check is static and runs before grouping.
+#[test]
+fn ungrouped_projection_is_rejected_whatever_the_data() {
+    let query = "SELECT ?s (COUNT(?p) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?o";
+    let parsed = hbold_sparql::parse_query(query).unwrap();
+    let mut one_triple = TripleStore::new();
+    one_triple.insert(&Triple::new(
+        iri("http://r.example/s"),
+        iri("http://r.example/p"),
+        Term::Literal(Literal::integer(1)),
+    ));
+    for store in [TripleStore::new(), one_triple] {
+        for outcome in [
+            hbold_sparql::execute_query(&store, query),
+            reference::evaluate(&store, &parsed),
+        ] {
+            match outcome {
+                Err(SparqlError::Evaluation(message)) => assert_eq!(
+                    message,
+                    "variable ?s is projected but is neither grouped nor aggregated"
+                ),
+                other => panic!(
+                    "expected the grouping error on {} triples, got {other:?}",
+                    store.len()
+                ),
+            }
+        }
     }
 }
