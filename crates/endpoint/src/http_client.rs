@@ -625,21 +625,17 @@ mod tests {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
-            for _ in 0..2 {
-                let (mut stream, _) = listener.accept().unwrap();
-                let mut sink = [0u8; 1024];
-                let _ = stream.read(&mut sink); // swallow the request
-                let _ =
-                    stream.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 999999999999\r\n\r\n");
-                // Second round: no framing at all, stream until the client
-                // hangs up.
-                let (mut stream, _) = listener.accept().unwrap();
-                let _ = stream.read(&mut sink);
-                let _ = stream.write_all(b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n");
-                let chunk = [b'x'; 4096];
-                while stream.write_all(&chunk).is_ok() {}
-                break;
-            }
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut sink = [0u8; 1024];
+            let _ = stream.read(&mut sink); // swallow the request
+            let _ = stream.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 999999999999\r\n\r\n");
+            // Second round: no framing at all, stream until the client
+            // hangs up.
+            let (mut stream, _) = listener.accept().unwrap();
+            let _ = stream.read(&mut sink);
+            let _ = stream.write_all(b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n");
+            let chunk = [b'x'; 4096];
+            while stream.write_all(&chunk).is_ok() {}
         });
 
         let client = HttpSparqlClient::new(format!("http://{addr}/sparql"))

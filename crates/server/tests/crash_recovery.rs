@@ -399,3 +399,33 @@ fn torn_wal_tail_rolls_back_only_the_uncommitted_wave() {
     memory_server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A data directory whose log holds a whole (checksum-valid) record of a
+/// type this build does not read must stop the boot — exit status 2, the
+/// reason on stderr — and must not be "repaired" by truncation.
+#[test]
+fn a_log_written_by_another_build_stops_the_boot_and_is_left_untouched() {
+    let dir = temp_dir("foreign-log");
+    {
+        let (store, _) = SharedStore::open(&dir).unwrap();
+        store.bulk_load(people_graph(5).iter());
+    }
+    let wal = dir.join("wal.log");
+    let mut bytes = std::fs::read(&wal).unwrap();
+    let payload = [9u8, 0]; // tag 9 was never assigned
+    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&hbold_triple_store::persist::codec::crc32(&payload).to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    std::fs::write(&wal, &bytes).unwrap();
+
+    let output = Command::new(env!("CARGO_BIN_EXE_hbold-server"))
+        .args(["--addr", "127.0.0.1:0", "--data-dir", dir.to_str().unwrap()])
+        .output()
+        .expect("run hbold-server");
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("cannot open data directory"), "{stderr}");
+    assert!(stderr.contains("unknown record tag 9"), "{stderr}");
+    assert_eq!(std::fs::read(&wal).unwrap(), bytes, "the log was modified");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -6,13 +6,15 @@
 //! * `snapshot-<generation>.hbs` — full, checksummed store images written
 //!   by [`Persistence::checkpoint`] (format in [`snapshot`]); generations
 //!   increase monotonically and only the newest valid one matters,
-//! * `wal.log` — the append-only log of every durable mutation since the
-//!   last checkpoint (format in [`wal`]).
+//! * `wal.log` — the append-only log of every commit since the last
+//!   checkpoint, one [`WalOp`] record each (format in [`wal`]).
 //!
 //! Recovery ([`Persistence::open`]) loads the newest snapshot that passes
 //! its checksums, replays the WAL over it, and truncates a torn WAL tail
 //! instead of failing — so a process killed at any instant restarts with
-//! exactly the committed prefix of its writes. A checkpoint writes the
+//! exactly the committed prefix of its writes. Each file has exactly one
+//! format version; a directory written by a different one is refused with
+//! a typed error, never reinterpreted or truncated. A checkpoint writes the
 //! next-generation snapshot atomically (temp file + fsync + rename), then
 //! empties the WAL and deletes older snapshots; because WAL replay is
 //! idempotent, a crash anywhere inside that protocol is harmless.
@@ -227,6 +229,7 @@ impl Persistence {
 
         let mut report = RecoveryReport::default();
         let mut store = TripleStore::new();
+        let mut newest_failure = None;
         let snapshots = list_snapshots(&dir)?;
         for (gen, path) in snapshots.iter().rev() {
             match snapshot::read_file(path) {
@@ -240,11 +243,14 @@ impl Persistence {
                 // booting from an older snapshot — or empty — would serve
                 // stale data and let a later checkpoint bury the newest
                 // good image. Refuse to open instead.
-                Err(PersistError::Corrupt { .. }) => report.snapshots_skipped += 1,
+                Err(PersistError::Corrupt { reason, .. }) => {
+                    report.snapshots_skipped += 1;
+                    newest_failure.get_or_insert(reason);
+                }
                 Err(io) => return Err(io),
             }
         }
-        if report.snapshot_generation.is_none() && report.snapshots_skipped > 0 {
+        if let (None, Some(newest_failure)) = (report.snapshot_generation, newest_failure) {
             // Snapshots exist but none validated: booting empty would look
             // like a successful (near-empty) recovery and the first
             // checkpoint would delete the corrupt-but-maybe-salvageable
@@ -253,8 +259,8 @@ impl Persistence {
             return Err(PersistError::Corrupt {
                 path: Some(dir),
                 reason: format!(
-                    "all {} snapshot file(s) failed validation; refusing to boot empty \
-                     (move them out of the directory to start fresh)",
+                    "all {} snapshot file(s) failed validation (newest: {newest_failure}); \
+                     refusing to boot empty (move them out of the directory to start fresh)",
                     report.snapshots_skipped
                 ),
             });
@@ -415,7 +421,7 @@ fn durability_counters() -> &'static DurabilityCounters {
 mod tests {
     use super::*;
     use hbold_rdf_model::vocab::{foaf, rdf};
-    use hbold_rdf_model::{Iri, Triple};
+    use hbold_rdf_model::{Iri, Quad, Triple};
 
     fn triple(n: u32) -> Triple {
         Triple::new(
@@ -423,6 +429,13 @@ mod tests {
             rdf::type_(),
             foaf::person(),
         )
+    }
+
+    fn insert(ns: impl IntoIterator<Item = u32>) -> WalOp {
+        WalOp {
+            removes: Vec::new(),
+            inserts: ns.into_iter().map(|n| Quad::from(triple(n))).collect(),
+        }
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -440,7 +453,7 @@ mod tests {
                 Persistence::open(&dir, PersistOptions::default()).unwrap();
             assert_eq!(report, RecoveryReport::default());
             for n in 0..10 {
-                let op = WalOp::Insert(vec![triple(n)]);
+                let op = insert([n]);
                 persist.log(&op).unwrap();
                 op.apply(&mut store);
             }
@@ -459,14 +472,17 @@ mod tests {
         {
             let (mut store, mut persist, _) =
                 Persistence::open(&dir, PersistOptions::default()).unwrap();
-            let op = WalOp::Insert((0..50).map(triple).collect());
+            let op = insert(0..50);
             persist.log(&op).unwrap();
             op.apply(&mut store);
             assert!(persist.wal_bytes() > 0);
             assert_eq!(persist.checkpoint(&store).unwrap(), 1);
             assert_eq!(persist.wal_bytes(), 0);
             // Post-checkpoint writes land in the (fresh) WAL.
-            let op = WalOp::Remove(vec![triple(0)]);
+            let op = WalOp {
+                removes: vec![Quad::from(triple(0))],
+                inserts: Vec::new(),
+            };
             persist.log(&op).unwrap();
             op.apply(&mut store);
         }
@@ -485,7 +501,7 @@ mod tests {
         let (mut store, mut persist, _) =
             Persistence::open(&dir, PersistOptions::default()).unwrap();
         for round in 0..3u32 {
-            let op = WalOp::Insert(vec![triple(round)]);
+            let op = insert([round]);
             persist.log(&op).unwrap();
             op.apply(&mut store);
             assert_eq!(persist.checkpoint(&store).unwrap(), (round + 1) as u64);
@@ -502,7 +518,7 @@ mod tests {
         {
             let (mut store, mut persist, _) =
                 Persistence::open(&dir, PersistOptions::default()).unwrap();
-            let op = WalOp::Insert(vec![triple(1)]);
+            let op = insert([1]);
             persist.log(&op).unwrap();
             op.apply(&mut store);
             persist.checkpoint(&store).unwrap();
@@ -548,7 +564,7 @@ mod tests {
         {
             let (mut store, mut persist, _) =
                 Persistence::open(&dir, PersistOptions::default()).unwrap();
-            let op = WalOp::Insert(vec![triple(1)]);
+            let op = insert([1]);
             persist.log(&op).unwrap();
             op.apply(&mut store);
             persist.checkpoint(&store).unwrap();
@@ -556,7 +572,7 @@ mod tests {
             // simulating bit rot in the most recent image. (A *torn write*
             // cannot produce this: the temp-file + rename protocol never
             // exposes a partially written snapshot under its final name.)
-            let op = WalOp::Insert(vec![triple(2)]);
+            let op = insert([2]);
             persist.log(&op).unwrap();
             op.apply(&mut store);
             persist.checkpoint(&store).unwrap();

@@ -6,7 +6,7 @@
 //! ```text
 //! header (44 bytes):
 //!   [ 0.. 8)  magic  "HBLDSNAP"
-//!   [ 8..12)  u32    format version (currently 2; version 1 still decodes)
+//!   [ 8..12)  u32    format version (2; any other is refused, see below)
 //!   [12..20)  u64    term count
 //!   [20..28)  u64    quad count
 //!   [28..36)  u64    payload length in bytes
@@ -30,9 +30,9 @@
 //! * Otherwise only `do = o − prev_o` follows (strictly positive, because
 //!   the sequence is strictly increasing).
 //!
-//! Version 1 files use the same scheme without the graph component
-//! (SPO-ordered triples); they decode as default-graph data, so snapshots
-//! taken before the quad-store upgrade keep restoring.
+//! There is one format version. A file carrying any other number was
+//! written by a different build: [`decode`] refuses it with a typed
+//! "unsupported snapshot version" error and never reinterprets it.
 //!
 //! A snapshot is written to a temporary file, fsynced, then renamed into
 //! place (and the directory fsynced), so readers only ever observe either
@@ -50,10 +50,8 @@ use super::PersistError;
 
 /// Magic bytes at the start of every snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"HBLDSNAP";
-/// Current snapshot format version.
+/// The snapshot format version this build writes and reads.
 pub const SNAPSHOT_VERSION: u32 = 2;
-/// The triples-only format written before the quad-store upgrade.
-const SNAPSHOT_VERSION_TRIPLES: u32 = 1;
 const HEADER_LEN: usize = 44;
 
 /// Serializes `store` into the snapshot byte format (header + payload).
@@ -113,8 +111,7 @@ pub fn encode(store: &TripleStore) -> Vec<u8> {
     out
 }
 
-/// Decodes a snapshot produced by [`encode`] (or by the pre-quad version 1
-/// writer), validating both checksums.
+/// Decodes a snapshot produced by [`encode`], validating both checksums.
 pub fn decode(bytes: &[u8]) -> Result<TripleStore, PersistError> {
     if bytes.len() < HEADER_LEN {
         return Err(PersistError::corrupt("snapshot shorter than its header"));
@@ -128,9 +125,9 @@ pub fn decode(bytes: &[u8]) -> Result<TripleStore, PersistError> {
         return Err(PersistError::corrupt("snapshot header checksum mismatch"));
     }
     let version = u32_at(8);
-    if version != SNAPSHOT_VERSION && version != SNAPSHOT_VERSION_TRIPLES {
+    if version != SNAPSHOT_VERSION {
         return Err(PersistError::corrupt(format!(
-            "unsupported snapshot version {version} (expected {SNAPSHOT_VERSION} or {SNAPSHOT_VERSION_TRIPLES})"
+            "unsupported snapshot version {version} (this build reads version {SNAPSHOT_VERSION})"
         )));
     }
     let len_at = |at: usize| {
@@ -172,68 +169,8 @@ pub fn decode(bytes: &[u8]) -> Result<TripleStore, PersistError> {
     };
     let term_in_range = |id: u32| (id as usize) < dict.len();
 
-    if version == SNAPSHOT_VERSION_TRIPLES {
-        // Version 1: SPO-ordered triples, all in the default graph.
-        let mut triples = Vec::with_capacity(quad_count.min(1 << 16));
-        let mut prev = (0u32, 0u32, 0u32);
-        for i in 0..quad_count {
-            let triple = if i == 0 {
-                (
-                    read_id(payload, &mut pos)?,
-                    read_id(payload, &mut pos)?,
-                    read_id(payload, &mut pos)?,
-                )
-            } else {
-                let ds = read_id(payload, &mut pos)?;
-                if ds > 0 {
-                    (
-                        prev.0
-                            .checked_add(ds)
-                            .ok_or_else(|| PersistError::corrupt("subject delta overflow"))?,
-                        read_id(payload, &mut pos)?,
-                        read_id(payload, &mut pos)?,
-                    )
-                } else {
-                    let dp = read_id(payload, &mut pos)?;
-                    if dp > 0 {
-                        (
-                            prev.0,
-                            prev.1
-                                .checked_add(dp)
-                                .ok_or_else(|| PersistError::corrupt("predicate delta overflow"))?,
-                            read_id(payload, &mut pos)?,
-                        )
-                    } else {
-                        let dd = read_id(payload, &mut pos)?;
-                        if dd == 0 {
-                            return Err(PersistError::corrupt("duplicate triple in snapshot"));
-                        }
-                        (
-                            prev.0,
-                            prev.1,
-                            prev.2
-                                .checked_add(dd)
-                                .ok_or_else(|| PersistError::corrupt("object delta overflow"))?,
-                        )
-                    }
-                }
-            };
-            if !term_in_range(triple.0) || !term_in_range(triple.1) || !term_in_range(triple.2) {
-                return Err(PersistError::corrupt(
-                    "triple references a term id outside the term table",
-                ));
-            }
-            triples.push(triple);
-            prev = triple;
-        }
-        if pos != payload.len() {
-            return Err(PersistError::corrupt("snapshot payload has trailing bytes"));
-        }
-        return Ok(TripleStore::from_snapshot_parts(dict, triples));
-    }
-
-    // Version 2: GSPO-ordered quads; the graph component is either a term
-    // id or the reserved default-graph sentinel.
+    // GSPO-ordered quads; the graph component is either a term id or the
+    // reserved default-graph sentinel.
     let mut quads = Vec::with_capacity(quad_count.min(1 << 16));
     let mut prev = (0u32, 0u32, 0u32, 0u32);
     for i in 0..quad_count {
@@ -404,58 +341,19 @@ mod tests {
     }
 
     #[test]
-    fn version_1_triple_snapshots_still_decode() {
-        // Re-encode a store's default graph with the legacy v1 layout
-        // (SPO-ordered triples, no graph component) and decode it.
-        use super::super::codec::write_term;
-        let store = sample(10);
-        let mut payload = Vec::new();
-        for (_, term) in store.dictionary().iter() {
-            write_term(&mut payload, term);
-        }
-        let spo: Vec<(u32, u32, u32)> = store
-            .encoded_gspo_iter()
-            .map(|&(_, s, p, o)| (s, p, o))
-            .collect();
-        let mut prev = (0u32, 0u32, 0u32);
-        for (i, &(s, p, o)) in spo.iter().enumerate() {
-            if i == 0 {
-                write_varint(&mut payload, s as u64);
-                write_varint(&mut payload, p as u64);
-                write_varint(&mut payload, o as u64);
-            } else {
-                let ds = s - prev.0;
-                write_varint(&mut payload, ds as u64);
-                if ds > 0 {
-                    write_varint(&mut payload, p as u64);
-                    write_varint(&mut payload, o as u64);
-                } else {
-                    let dp = p - prev.1;
-                    write_varint(&mut payload, dp as u64);
-                    if dp > 0 {
-                        write_varint(&mut payload, o as u64);
-                    } else {
-                        write_varint(&mut payload, (o - prev.2) as u64);
-                    }
-                }
-            }
-            prev = (s, p, o);
-        }
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(SNAPSHOT_MAGIC);
-        bytes.extend_from_slice(&SNAPSHOT_VERSION_TRIPLES.to_le_bytes());
-        bytes.extend_from_slice(&(store.term_count() as u64).to_le_bytes());
-        bytes.extend_from_slice(&(spo.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+    fn version_1_snapshots_are_refused_by_name() {
+        // A well-formed file of another format version — header and payload
+        // checksums valid — is a typed refusal, not an attempt to read it.
+        let mut bytes = encode(&sample(10));
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
         let header_crc = crc32(&bytes[..40]);
-        bytes.extend_from_slice(&header_crc.to_le_bytes());
-        bytes.extend_from_slice(&payload);
-
-        let decoded = decode(&bytes).unwrap();
-        assert_eq!(decoded.len(), store.len());
-        assert_eq!(decoded.to_graph(), store.to_graph());
-        assert!(decoded.named_graph_ids().is_empty());
+        bytes[40..44].copy_from_slice(&header_crc.to_le_bytes());
+        match decode(&bytes) {
+            Err(PersistError::Corrupt { reason, .. }) => {
+                assert!(reason.contains("version 1"), "reason was {reason:?}")
+            }
+            other => panic!("expected a typed version refusal, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,20 +1,16 @@
 //! The append-only write-ahead log.
 //!
-//! Every durable mutation is appended as one self-validating record
-//! *before* it is applied to the in-memory store, so a crash at any
-//! instant loses at most the record that was mid-write. Record layout:
+//! Every durable commit is appended as one self-validating record *before*
+//! it is applied to the in-memory store, so a crash at any instant loses at
+//! most the record that was mid-write. There is one record shape — the
+//! normalised delta of one commit, removes first:
 //!
 //! ```text
 //! [u32 LE payload length][u32 LE CRC-32 of payload][payload]
-//! payload (tags 1/2, triple batches):
-//!   [u8 op tag][varint triple count][count × (term, term, term)]
-//! payload (tags 3/4, quad batches):
-//!   [u8 op tag][varint quad count][count × quad]
-//! payload (tag 5, atomic update):
-//!   [u8 op tag][varint remove count][removes × quad]
-//!              [varint insert count][inserts × quad]
-//! quad: [u8 graph flag: 0 = default graph, 1 = named]
-//!       [named only: graph term][subject][predicate][object]
+//! payload: [u8 tag = 5][varint remove count][removes × quad]
+//!                      [varint insert count][inserts × quad]
+//! quad:    [u8 graph flag: 0 = default graph, 1 = named]
+//!          [named only: graph term][subject][predicate][object]
 //! ```
 //!
 //! Terms are stored by value (the codec of [`super::codec`]), not by
@@ -22,12 +18,18 @@
 //! which renumber nothing but make id assignment an implementation detail
 //! of the snapshot they compact into.
 //!
-//! Recovery reads records until the first torn or corrupt one, **truncates
-//! the file there**, and replays the valid prefix. Replay is idempotent —
-//! inserting a present triple or removing an absent one is a no-op — which
-//! is what makes the checkpoint protocol crash-safe: a crash between
-//! "snapshot renamed into place" and "WAL truncated" merely replays
-//! already-applied records onto the new snapshot.
+//! Recovery reads records until the first torn one — a short read or a
+//! checksum mismatch — **truncates the file there**, and replays the valid
+//! prefix. A record that *passes* its checksum but that this build cannot
+//! read (any other tag, or a tag-5 body that does not parse) was written
+//! whole by a different build: [`Wal::open`] refuses the log with
+//! [`PersistError::Corrupt`] and leaves the file untouched, because
+//! truncating there would destroy that record and every acknowledged
+//! record after it. Replay is idempotent — inserting a present quad or
+//! removing an absent one is a no-op — which is what makes the checkpoint
+//! protocol crash-safe: a crash between "snapshot renamed into place" and
+//! "WAL truncated" merely replays already-applied records onto the new
+//! snapshot.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -37,69 +39,33 @@ use hbold_rdf_model::{Quad, Triple};
 
 use crate::store::TripleStore;
 
-use super::codec::{crc32, read_term, write_term, write_varint};
+use super::codec::{crc32, read_len, read_term, write_term, write_varint};
 use super::PersistError;
 
-const OP_INSERT: u8 = 1;
-const OP_REMOVE: u8 = 2;
-const OP_INSERT_QUADS: u8 = 3;
-const OP_REMOVE_QUADS: u8 = 4;
-const OP_UPDATE: u8 = 5;
+const RECORD_TAG: u8 = 5;
 const GRAPH_DEFAULT: u8 = 0;
 const GRAPH_NAMED: u8 = 1;
 const RECORD_HEADER_LEN: usize = 8;
 
-/// One logical operation recorded in (or replayed from) the log.
+/// The delta of one commit, as recorded in (and replayed from) the log:
+/// apply all removes, then all inserts. One record per commit, so a crash
+/// can never expose the removes without the inserts (or vice versa) after
+/// replay.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WalOp {
-    /// Insert every triple of the batch into the default graph
-    /// (idempotent per triple).
-    Insert(Vec<Triple>),
-    /// Remove every triple of the batch from the default graph
-    /// (idempotent per triple).
-    Remove(Vec<Triple>),
-    /// Insert every quad of the batch (idempotent per quad).
-    InsertQuads(Vec<Quad>),
-    /// Remove every quad of the batch (idempotent per quad).
-    RemoveQuads(Vec<Quad>),
-    /// One atomic SPARQL Update step: apply all removes, then all inserts.
-    /// Logged as a single record so a crash can never expose the removes
-    /// without the inserts (or vice versa) after replay.
-    Update {
-        /// Quads removed by the update (applied first).
-        removes: Vec<Quad>,
-        /// Quads inserted by the update (applied second).
-        inserts: Vec<Quad>,
-    },
+pub struct WalOp {
+    /// Quads removed by the commit (applied first).
+    pub removes: Vec<Quad>,
+    /// Quads inserted by the commit (applied second).
+    pub inserts: Vec<Quad>,
 }
 
 impl WalOp {
-    /// Applies the operation to `store`.
+    /// Applies the delta to `store` (idempotent per quad).
     pub fn apply(&self, store: &mut TripleStore) {
-        match self {
-            WalOp::Insert(triples) => {
-                store.insert_batch(triples.iter());
-            }
-            WalOp::Remove(triples) => {
-                for t in triples {
-                    store.remove(t);
-                }
-            }
-            WalOp::InsertQuads(quads) => {
-                store.insert_quads_batch(quads.iter());
-            }
-            WalOp::RemoveQuads(quads) => {
-                for q in quads {
-                    store.remove_quad(q);
-                }
-            }
-            WalOp::Update { removes, inserts } => {
-                for q in removes {
-                    store.remove_quad(q);
-                }
-                store.insert_quads_batch(inserts.iter());
-            }
+        for q in &self.removes {
+            store.remove_quad(q);
         }
+        store.insert_quads_batch(&self.inserts);
     }
 }
 
@@ -144,7 +110,7 @@ fn write_quads(out: &mut Vec<u8>, quads: &[Quad]) {
 }
 
 fn read_quads(payload: &[u8], pos: &mut usize) -> Result<Vec<Quad>, PersistError> {
-    let count = super::codec::read_len(payload, pos)?;
+    let count = read_len(payload, pos)?;
     let mut quads = Vec::with_capacity(count.min(1 << 16));
     for _ in 0..count {
         quads.push(read_quad(payload, pos)?);
@@ -152,79 +118,40 @@ fn read_quads(payload: &[u8], pos: &mut usize) -> Result<Vec<Quad>, PersistError
     Ok(quads)
 }
 
-/// Serializes one operation into a complete record (header + payload).
+/// Serializes one operation into a complete record (header + payload), in
+/// one buffer: the header is reserved first and patched once the payload
+/// behind it is complete.
+///
+/// # Panics
+/// Panics if the payload exceeds the 4 GiB a record's length field can
+/// describe.
 pub fn encode_record(op: &WalOp) -> Vec<u8> {
-    let mut payload = Vec::new();
-    match op {
-        WalOp::Insert(triples) | WalOp::Remove(triples) => {
-            payload.push(if matches!(op, WalOp::Insert(_)) {
-                OP_INSERT
-            } else {
-                OP_REMOVE
-            });
-            write_varint(&mut payload, triples.len() as u64);
-            for t in triples.iter() {
-                write_term(&mut payload, &t.subject);
-                write_term(&mut payload, &t.predicate);
-                write_term(&mut payload, &t.object);
-            }
-        }
-        WalOp::InsertQuads(quads) | WalOp::RemoveQuads(quads) => {
-            payload.push(if matches!(op, WalOp::InsertQuads(_)) {
-                OP_INSERT_QUADS
-            } else {
-                OP_REMOVE_QUADS
-            });
-            write_quads(&mut payload, quads);
-        }
-        WalOp::Update { removes, inserts } => {
-            payload.push(OP_UPDATE);
-            write_quads(&mut payload, removes);
-            write_quads(&mut payload, inserts);
-        }
-    }
-    let mut record = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
-    record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    record.extend_from_slice(&crc32(&payload).to_le_bytes());
-    record.extend_from_slice(&payload);
+    let mut record = vec![0u8; RECORD_HEADER_LEN];
+    record.push(RECORD_TAG);
+    write_quads(&mut record, &op.removes);
+    write_quads(&mut record, &op.inserts);
+    let (header, payload) = record.split_at_mut(RECORD_HEADER_LEN);
+    let len = u32::try_from(payload.len()).expect("WAL record payload exceeds 4 GiB");
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
     record
 }
 
+/// Decodes a checksum-valid, non-empty payload.
 fn decode_payload(payload: &[u8]) -> Result<WalOp, PersistError> {
-    let mut pos = 0usize;
-    let Some(&tag) = payload.first() else {
-        return Err(PersistError::corrupt("empty WAL record payload"));
-    };
-    pos += 1;
-    let op = match tag {
-        OP_INSERT | OP_REMOVE => {
-            let count = super::codec::read_len(payload, &mut pos)?;
-            let mut triples = Vec::with_capacity(count.min(1 << 16));
-            for _ in 0..count {
-                let s = read_term(payload, &mut pos)?;
-                let p = read_term(payload, &mut pos)?;
-                let o = read_term(payload, &mut pos)?;
-                triples.push(Triple::new(s, p, o));
-            }
-            if tag == OP_INSERT {
-                WalOp::Insert(triples)
-            } else {
-                WalOp::Remove(triples)
-            }
-        }
-        OP_INSERT_QUADS => WalOp::InsertQuads(read_quads(payload, &mut pos)?),
-        OP_REMOVE_QUADS => WalOp::RemoveQuads(read_quads(payload, &mut pos)?),
-        OP_UPDATE => {
-            let removes = read_quads(payload, &mut pos)?;
-            let inserts = read_quads(payload, &mut pos)?;
-            WalOp::Update { removes, inserts }
-        }
-        other => return Err(PersistError::corrupt(format!("unknown WAL op tag {other}"))),
-    };
+    if payload[0] != RECORD_TAG {
+        return Err(PersistError::corrupt(format!(
+            "unknown record tag {} (this build writes and reads only tag {RECORD_TAG})",
+            payload[0]
+        )));
+    }
+    let mut pos = 1usize;
+    let removes = read_quads(payload, &mut pos)?;
+    let inserts = read_quads(payload, &mut pos)?;
     if pos != payload.len() {
         return Err(PersistError::corrupt("WAL record has trailing bytes"));
     }
-    Ok(op)
+    Ok(WalOp { removes, inserts })
 }
 
 /// What the recovery scan in [`Wal::open`] found.
@@ -255,6 +182,9 @@ impl Wal {
     /// Opens (creating if absent) the log at `path`, first scanning it for
     /// valid records and truncating any torn tail. The returned recovery
     /// holds the surviving operations; the `Wal` is positioned to append.
+    ///
+    /// A checksum-valid record this build cannot read is an error, and the
+    /// file is left exactly as found (see the module docs).
     pub fn open(path: &Path, sync_writes: bool) -> Result<(Wal, WalRecovery), PersistError> {
         let mut file = OpenOptions::new()
             .read(true)
@@ -279,9 +209,20 @@ impl Wal {
             if crc32(payload) != crc {
                 break; // Torn or corrupt payload.
             }
-            let Ok(op) = decode_payload(payload) else {
-                break; // Checksum collided with garbage; treat as torn.
-            };
+            if payload.is_empty() {
+                break; // Zero-filled tail: eight zero bytes pass as an empty record.
+            }
+            // Written whole (the checksum holds) yet unreadable: another
+            // build's record. Truncating here would destroy it and every
+            // acknowledged record after it, so report and touch nothing.
+            let op = decode_payload(payload).map_err(|e| match e {
+                PersistError::Corrupt { reason, .. } => PersistError::corrupt(format!(
+                    "checksum-valid WAL record at byte offset {pos} cannot be read: {reason}; \
+                     the log was written by a different build and is left untouched"
+                ))
+                .at_path(path),
+                io => io,
+            })?;
             recovery.ops.push(op);
             pos = start + len;
         }
@@ -398,6 +339,24 @@ mod tests {
         )
     }
 
+    fn quads(ns: &[u32]) -> Vec<Quad> {
+        ns.iter().map(|&n| Quad::from(triple(n))).collect()
+    }
+
+    fn insert(ns: &[u32]) -> WalOp {
+        WalOp {
+            removes: Vec::new(),
+            inserts: quads(ns),
+        }
+    }
+
+    fn remove(ns: &[u32]) -> WalOp {
+        WalOp {
+            removes: quads(ns),
+            inserts: Vec::new(),
+        }
+    }
+
     fn temp_wal(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("hbold-wal-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -408,11 +367,7 @@ mod tests {
     #[test]
     fn append_reopen_replays_in_order() {
         let path = temp_wal("order");
-        let ops = vec![
-            WalOp::Insert(vec![triple(1), triple(2)]),
-            WalOp::Remove(vec![triple(1)]),
-            WalOp::Insert(vec![triple(3)]),
-        ];
+        let ops = vec![insert(&[1, 2]), remove(&[1]), insert(&[3])];
         {
             let (mut wal, recovery) = Wal::open(&path, false).unwrap();
             assert!(recovery.ops.is_empty());
@@ -437,8 +392,8 @@ mod tests {
         let path = temp_wal("torn");
         {
             let (mut wal, _) = Wal::open(&path, false).unwrap();
-            wal.append(&WalOp::Insert(vec![triple(1)])).unwrap();
-            wal.append(&WalOp::Insert(vec![triple(2)])).unwrap();
+            wal.append(&insert(&[1])).unwrap();
+            wal.append(&insert(&[2])).unwrap();
         }
         // Tear the last record in half.
         let full = std::fs::metadata(&path).unwrap().len();
@@ -447,10 +402,10 @@ mod tests {
         drop(file);
 
         let (mut wal, recovery) = Wal::open(&path, false).unwrap();
-        assert_eq!(recovery.ops, vec![WalOp::Insert(vec![triple(1)])]);
+        assert_eq!(recovery.ops, vec![insert(&[1])]);
         assert!(recovery.truncated_tail);
         // The log keeps working after the cut.
-        wal.append(&WalOp::Insert(vec![triple(9)])).unwrap();
+        wal.append(&insert(&[9])).unwrap();
         drop(wal);
         let (_, recovery) = Wal::open(&path, false).unwrap();
         assert_eq!(recovery.ops.len(), 2);
@@ -464,7 +419,7 @@ mod tests {
         {
             let (mut wal, _) = Wal::open(&path, false).unwrap();
             for n in 0..4 {
-                wal.append(&WalOp::Insert(vec![triple(n)])).unwrap();
+                wal.append(&insert(&[n])).unwrap();
             }
         }
         let mut bytes = std::fs::read(&path).unwrap();
@@ -474,7 +429,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
 
         let (_, recovery) = Wal::open(&path, false).unwrap();
-        assert_eq!(recovery.ops, vec![WalOp::Insert(vec![triple(0)])]);
+        assert_eq!(recovery.ops, vec![insert(&[0])]);
         assert!(recovery.truncated_tail);
         assert_eq!(
             std::fs::metadata(&path).unwrap().len(),
@@ -484,19 +439,64 @@ mod tests {
     }
 
     #[test]
+    fn checksum_valid_records_of_another_build_are_refused_untouched() {
+        // Tag 1 is the triple-batch record older builds wrote; tag 9 was
+        // never assigned. Either way the record is whole (its checksum
+        // holds) and unreadable, with an acknowledged record behind it.
+        for tag in [1u8, 9] {
+            let path = temp_wal(&format!("foreign-{tag}"));
+            let mut payload = vec![tag];
+            write_varint(&mut payload, 1);
+            for term in [&triple(7).subject, &triple(7).predicate, &triple(7).object] {
+                write_term(&mut payload, term);
+            }
+            let mut bytes = encode_record(&insert(&[1]));
+            let foreign_at = bytes.len();
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+            bytes.extend_from_slice(&payload);
+            bytes.extend_from_slice(&encode_record(&insert(&[2])));
+            std::fs::write(&path, &bytes).unwrap();
+
+            match Wal::open(&path, false) {
+                Err(PersistError::Corrupt { reason, .. }) => {
+                    assert!(reason.contains(&format!("tag {tag} ")), "{reason}");
+                    assert!(
+                        reason.contains(&format!("byte offset {foreign_at} ")),
+                        "{reason}"
+                    );
+                }
+                other => panic!("tag {tag}: expected a typed refusal, got {other:?}"),
+            }
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                bytes,
+                "tag {tag}: log modified"
+            );
+            let _ = std::fs::remove_dir_all(path.parent().unwrap());
+        }
+    }
+
+    #[test]
     fn quad_ops_round_trip_and_replay() {
         let path = temp_wal("quads");
         let g: hbold_rdf_model::Term = Iri::new("http://graphs.example/g1").unwrap().into();
         let ops = vec![
-            WalOp::InsertQuads(vec![
-                Quad::new(triple(1), Some(g.clone())),
-                Quad::new(triple(2), None),
-            ]),
-            WalOp::Update {
+            WalOp {
+                removes: Vec::new(),
+                inserts: vec![
+                    Quad::new(triple(1), Some(g.clone())),
+                    Quad::new(triple(2), None),
+                ],
+            },
+            WalOp {
                 removes: vec![Quad::new(triple(2), None)],
                 inserts: vec![Quad::new(triple(3), Some(g.clone()))],
             },
-            WalOp::RemoveQuads(vec![Quad::new(triple(1), Some(g.clone()))]),
+            WalOp {
+                removes: vec![Quad::new(triple(1), Some(g.clone()))],
+                inserts: Vec::new(),
+            },
         ];
         {
             let (mut wal, _) = Wal::open(&path, false).unwrap();
@@ -529,9 +529,8 @@ mod tests {
         let g: hbold_rdf_model::Term = Iri::new("http://graphs.example/g1").unwrap().into();
         {
             let (mut wal, _) = Wal::open(&path, false).unwrap();
-            wal.append(&WalOp::InsertQuads(vec![Quad::new(triple(1), None)]))
-                .unwrap();
-            wal.append(&WalOp::Update {
+            wal.append(&insert(&[1])).unwrap();
+            wal.append(&WalOp {
                 removes: vec![Quad::new(triple(1), None)],
                 inserts: vec![Quad::new(triple(2), Some(g.clone()))],
             })
@@ -559,7 +558,7 @@ mod tests {
     fn reset_empties_the_log() {
         let path = temp_wal("reset");
         let (mut wal, _) = Wal::open(&path, true).unwrap();
-        wal.append(&WalOp::Insert(vec![triple(1)])).unwrap();
+        wal.append(&insert(&[1])).unwrap();
         assert!(wal.len_bytes() > 0);
         wal.reset().unwrap();
         assert_eq!(wal.len_bytes(), 0);

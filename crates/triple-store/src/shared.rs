@@ -11,23 +11,30 @@
 //! (`Arc::make_mut` clones the store only when snapshots are outstanding).
 //!
 //! The result is that a query never observes a half-applied write: either it
-//! sees the store from before a bulk-load or from after it, with dictionary
-//! and quad indexes always mutually consistent. Writers should prefer the
-//! batched [`SharedStore::bulk_load`] / [`SharedStore::bulk_load_quads`],
-//! which pay the copy-on-write clone once per batch instead of once per
-//! triple, and SPARQL Update executors should go through
-//! [`SharedStore::apply_update`], which commits a whole remove+insert step
-//! as one atomic, atomically-logged transition.
+//! sees the store from before a commit or from after it, with dictionary
+//! and quad indexes always mutually consistent.
+//!
+//! # One write path
+//!
+//! The store changes in exactly one way: a *plan* looks at the current
+//! state and names quads to remove and quads to insert, and one private
+//! commit function normalises that to the actual delta, logs it, applies
+//! it and publishes it as a single transition. The four mutators are plans:
+//! [`SharedStore::insert`] and [`SharedStore::remove`] name one
+//! default-graph triple, [`SharedStore::bulk_load`] a batch of them (one
+//! commit, so one copy-on-write clone per batch instead of one per triple),
+//! and [`SharedStore::apply_update`] takes the caller's own plan — the
+//! entry point of SPARQL Update executors.
 //!
 //! # Durability
 //!
 //! A store created with [`SharedStore::open`] is backed by a persistence
-//! directory (see [`crate::persist`]): every [`SharedStore::insert`],
-//! [`SharedStore::remove`] and [`SharedStore::bulk_load`] is appended to a
-//! write-ahead log before the method returns, and
-//! [`SharedStore::checkpoint`] compacts the log into a fresh binary
+//! directory (see [`crate::persist`]): every commit that changes anything
+//! is appended to a write-ahead log as one record before it is applied,
+//! and [`SharedStore::checkpoint`] compacts the log into a fresh binary
 //! snapshot. Reopening the same directory — including after the process
-//! was killed mid-write — recovers exactly the committed writes.
+//! was killed mid-write — recovers exactly the committed writes. An
+//! in-memory store runs the same commit function with the append skipped.
 //!
 //! ```
 //! use hbold_rdf_model::{Iri, Triple, vocab::{foaf, rdf}};
@@ -50,6 +57,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -81,7 +89,7 @@ use crate::store::TripleStore;
 pub struct SharedStore {
     inner: Arc<RwLock<Arc<TripleStore>>>,
     // Lock order: `persist` first, then the `inner` write lock. Durable
-    // writers hold the persist mutex across apply + WAL append, so the log
+    // writers hold the persist mutex across WAL append + apply, so the log
     // always reflects the published store history; checkpoints hold only
     // `persist` during their slow encode/fsync phase, keeping readers
     // (who take `inner` read locks and never touch `persist`) unblocked.
@@ -203,123 +211,40 @@ impl SharedStore {
         self.snapshot().is_empty()
     }
 
-    /// Inserts a triple; returns `true` if it was not already present.
-    ///
-    /// On a durable store the triple is appended to the write-ahead log
-    /// *before* it is applied (only when actually new), so a failed append
-    /// never publishes state the on-disk history lacks.
+    /// Inserts a triple into the default graph; returns `true` if it was
+    /// not already present.
     ///
     /// # Panics
     /// Panics if the store is durable and the log append fails — the
     /// in-memory and on-disk histories would otherwise diverge silently.
     pub fn insert(&self, triple: &Triple) -> bool {
-        let Some(persist) = &self.persist else {
-            return self.write(|store| store.insert(triple));
-        };
-        self.durable_commit(persist, |store| {
-            (!store.contains(triple)).then(|| WalOp::Insert(vec![triple.clone()]))
-        })
-        .is_some()
+        let quad = Quad::from(triple.clone());
+        self.commit(|_| (Vec::new(), vec![quad])).1 == 1
     }
 
-    /// Removes a triple; returns `true` if it was present. Logged like
-    /// [`SharedStore::insert`] on durable stores (and panics like it on
-    /// log failure).
+    /// Removes a triple from the default graph; returns `true` if it was
+    /// present. Panics like [`SharedStore::insert`] on log failure.
     pub fn remove(&self, triple: &Triple) -> bool {
-        let Some(persist) = &self.persist else {
-            return self.write(|store| store.remove(triple));
-        };
-        self.durable_commit(persist, |store| {
-            store
-                .contains(triple)
-                .then(|| WalOp::Remove(vec![triple.clone()]))
-        })
-        .is_some()
+        let quad = Quad::from(triple.clone());
+        self.commit(|_| (vec![quad], Vec::new())).0 == 1
     }
 
-    /// Bulk-loads a batch of triples, returning how many were new.
+    /// Bulk-loads a batch of triples into the default graph, returning how
+    /// many were new.
     ///
-    /// One write lock, at most one copy-on-write clone and (on durable
-    /// stores) one write-ahead-log record holding exactly the genuinely
-    /// new triples — re-loading an already-loaded dataset appends nothing,
-    /// so the WAL never grows with duplicates across repeated boots.
-    /// Concurrent readers keep querying the previous snapshot and never
-    /// see a partially applied batch.
+    /// One commit: one write lock, at most one copy-on-write clone and (on
+    /// durable stores) one write-ahead-log record holding exactly the
+    /// genuinely new triples — re-loading an already-loaded dataset appends
+    /// nothing, so the WAL never grows with duplicates across repeated
+    /// boots. Concurrent readers keep querying the previous snapshot and
+    /// never see a partially applied batch.
     ///
     /// # Panics
     /// Panics if the store is durable and the log append fails.
     pub fn bulk_load<'a>(&self, triples: impl IntoIterator<Item = &'a Triple>) -> usize {
-        let Some(persist) = &self.persist else {
-            // In-memory: keep the original zero-copy path.
-            return self.write(|store| store.insert_batch(triples));
-        };
-        let batch: Vec<Triple> = triples.into_iter().cloned().collect();
-        match self.durable_commit(persist, move |store| {
-            let mut seen = std::collections::HashSet::new();
-            let new: Vec<Triple> = batch
-                .iter()
-                .filter(|t| !store.contains(t) && seen.insert(*t))
-                .cloned()
-                .collect();
-            (!new.is_empty()).then(|| WalOp::Insert(new))
-        }) {
-            Some(WalOp::Insert(new)) => new.len(),
-            _ => 0,
-        }
-    }
-
-    /// Inserts a quad; returns `true` if it was not already present.
-    /// Logged like [`SharedStore::insert`] on durable stores (and panics
-    /// like it on log failure).
-    pub fn insert_quad(&self, quad: &Quad) -> bool {
-        let Some(persist) = &self.persist else {
-            return self.write(|store| store.insert_quad(quad));
-        };
-        self.durable_commit(persist, |store| {
-            (!store.contains_quad(quad)).then(|| WalOp::InsertQuads(vec![quad.clone()]))
-        })
-        .is_some()
-    }
-
-    /// Removes a quad; returns `true` if it was present. Logged like
-    /// [`SharedStore::insert`] on durable stores (and panics like it on
-    /// log failure).
-    pub fn remove_quad(&self, quad: &Quad) -> bool {
-        let Some(persist) = &self.persist else {
-            return self.write(|store| store.remove_quad(quad));
-        };
-        self.durable_commit(persist, |store| {
-            store
-                .contains_quad(quad)
-                .then(|| WalOp::RemoveQuads(vec![quad.clone()]))
-        })
-        .is_some()
-    }
-
-    /// Bulk-loads a batch of quads, returning how many were new. The quad
-    /// counterpart of [`SharedStore::bulk_load`]: one write lock, at most
-    /// one copy-on-write clone, and on durable stores one write-ahead-log
-    /// record holding exactly the genuinely new quads.
-    ///
-    /// # Panics
-    /// Panics if the store is durable and the log append fails.
-    pub fn bulk_load_quads<'a>(&self, quads: impl IntoIterator<Item = &'a Quad>) -> usize {
-        let Some(persist) = &self.persist else {
-            return self.write(|store| store.insert_quads_batch(quads));
-        };
-        let batch: Vec<Quad> = quads.into_iter().cloned().collect();
-        match self.durable_commit(persist, move |store| {
-            let mut seen = std::collections::HashSet::new();
-            let new: Vec<Quad> = batch
-                .iter()
-                .filter(|q| !store.contains_quad(q) && seen.insert(*q))
-                .cloned()
-                .collect();
-            (!new.is_empty()).then(|| WalOp::InsertQuads(new))
-        }) {
-            Some(WalOp::InsertQuads(new)) => new.len(),
-            _ => 0,
-        }
+        // The batch's one owned copy, made before any lock is taken.
+        let quads = triples.into_iter().cloned().map(Quad::from).collect();
+        self.commit(|_| (Vec::new(), quads)).1
     }
 
     /// Commits one atomic update step: `plan` inspects a consistent view
@@ -330,9 +255,10 @@ impl SharedStore {
     ///
     /// The plan is normalized before committing — removes are filtered to
     /// quads actually present, inserts to quads actually absent after the
-    /// removes — and the normalized delta is written to the write-ahead
-    /// log as **one** [`WalOp::Update`] record, which replays
-    /// idempotently. Returns `(removed, inserted)` counts.
+    /// removes, both to distinct quads — and the normalized delta is
+    /// written to the write-ahead log as **one** record, which replays
+    /// idempotently; a plan that changes nothing appends nothing. Returns
+    /// `(removed, inserted)` counts.
     ///
     /// This is the durability-correct entry point for SPARQL 1.1 Update:
     /// evaluating `DELETE`/`INSERT ... WHERE` against the same state it
@@ -344,42 +270,7 @@ impl SharedStore {
         &self,
         plan: impl FnOnce(&TripleStore) -> (Vec<Quad>, Vec<Quad>),
     ) -> (usize, usize) {
-        let normalize = |store: &TripleStore, removes: Vec<Quad>, inserts: Vec<Quad>| {
-            let mut seen = std::collections::HashSet::new();
-            let removes: Vec<Quad> = removes
-                .into_iter()
-                .filter(|q| store.contains_quad(q) && seen.insert(q.clone()))
-                .collect();
-            let removed: std::collections::HashSet<&Quad> = removes.iter().collect();
-            let mut seen = std::collections::HashSet::new();
-            let inserts: Vec<Quad> = inserts
-                .into_iter()
-                .filter(|q| {
-                    (!store.contains_quad(q) || removed.contains(q)) && seen.insert(q.clone())
-                })
-                .collect();
-            (removes, inserts)
-        };
-        let Some(persist) = &self.persist else {
-            return self.write(|store| {
-                let (removes, inserts) = plan(store);
-                let (removes, inserts) = normalize(store, removes, inserts);
-                for q in &removes {
-                    store.remove_quad(q);
-                }
-                store.insert_quads_batch(inserts.iter());
-                (removes.len(), inserts.len())
-            });
-        };
-        match self.durable_commit(persist, |store| {
-            let (removes, inserts) = plan(store);
-            let (removes, inserts) = normalize(store, removes, inserts);
-            (!removes.is_empty() || !inserts.is_empty())
-                .then_some(WalOp::Update { removes, inserts })
-        }) {
-            Some(WalOp::Update { removes, inserts }) => (removes.len(), inserts.len()),
-            _ => (0, 0),
-        }
+        self.commit(plan)
     }
 
     /// Returns all triples matching the pattern.
@@ -398,55 +289,42 @@ impl SharedStore {
         f(&self.snapshot())
     }
 
-    /// Runs `f` with exclusive (write) access to the underlying store.
-    ///
-    /// Outstanding snapshots are unaffected: if any exist, the store is
-    /// cloned before mutation (copy-on-write) and the new version is
-    /// published atomically when `f` returns.
-    ///
-    /// **Durability escape hatch:** mutations made through this closure
-    /// are *not* recorded in the write-ahead log — only the structured
-    /// [`SharedStore::insert`] / [`SharedStore::remove`] /
-    /// [`SharedStore::bulk_load`] operations are. On a durable store,
-    /// follow ad-hoc `write` mutations with a [`SharedStore::checkpoint`]
-    /// if they must survive a restart.
-    pub fn write<R>(&self, f: impl FnOnce(&mut TripleStore) -> R) -> R {
-        let mut guard = self.inner.write();
-        f(Arc::make_mut(&mut guard))
-    }
-
-    /// The durable mutation path: `plan` inspects the current store (no
-    /// mutation) and reports the exact delta to commit, which is then
-    /// **logged first and applied second** under the store write lock —
-    /// a failed append can never publish state the on-disk history lacks.
-    /// Auto-checkpoints afterwards when the WAL has outgrown its budget.
-    /// Returns the committed op (`None` = the plan was a no-op).
-    fn durable_commit(
-        &self,
-        persist: &Mutex<Persistence>,
-        plan: impl FnOnce(&TripleStore) -> Option<WalOp>,
-    ) -> Option<WalOp> {
+    /// The one way the store changes. Runs `plan` against the current
+    /// store, normalises what it returns to the actual delta, and — if
+    /// anything is left — **logs it first and applies it second** under the
+    /// store write lock, so a failed append can never publish state the
+    /// on-disk history lacks. An in-memory store takes the same steps minus
+    /// the append. Auto-checkpoints afterwards when the WAL has outgrown its
+    /// budget. Returns `(removed, inserted)`.
+    fn commit(&self, plan: impl FnOnce(&TripleStore) -> (Vec<Quad>, Vec<Quad>)) -> (usize, usize) {
         // Persistence lock first (see the field's lock-order note), held
         // across plan + append + apply so the WAL order matches publish
         // order.
-        let mut persist = persist.lock();
-        let applied = {
+        let mut persist = self.persist.as_ref().map(|p| p.lock());
+        let counts = {
             let mut guard = self.inner.write();
-            match plan(&guard) {
-                None => None,
-                Some(op) => {
+            let (mut removes, mut inserts) = plan(&guard);
+            retain_distinct(&mut removes, |q| guard.contains_quad(q));
+            let removed: HashSet<&Quad> = removes.iter().collect();
+            retain_distinct(&mut inserts, |q| {
+                !guard.contains_quad(q) || removed.contains(q)
+            });
+            let counts = (removes.len(), inserts.len());
+            if counts != (0, 0) {
+                let op = WalOp { removes, inserts };
+                if let Some(persist) = &mut persist {
                     // The append IS the commit point; nothing has been
                     // applied yet, so failing here leaves memory and disk
                     // consistent (both without the write).
                     persist
                         .log(&op)
                         .expect("write-ahead log append failed; cannot guarantee durability");
-                    op.apply(Arc::make_mut(&mut guard));
-                    Some(op)
                 }
+                op.apply(Arc::make_mut(&mut guard));
             }
+            counts
         }; // store lock released — readers proceed during any checkpoint
-        if persist.wants_checkpoint() {
+        if let Some(persist) = persist.as_mut().filter(|p| p.wants_checkpoint()) {
             let snapshot = self.inner.read().clone();
             // A failed compaction loses nothing — the operation is already
             // committed in the WAL, which simply keeps growing until a
@@ -464,8 +342,18 @@ impl SharedStore {
                 }
             }
         }
-        applied
+        counts
     }
+}
+
+/// Keeps, in place and in order, the first occurrence of every quad that
+/// `keep` accepts — by reference: the set borrows the quads it has seen and
+/// nothing is cloned.
+fn retain_distinct(quads: &mut Vec<Quad>, mut keep: impl FnMut(&Quad) -> bool) {
+    let mut seen = HashSet::with_capacity(quads.len());
+    let kept: Vec<bool> = quads.iter().map(|q| keep(q) && seen.insert(q)).collect();
+    let mut kept = kept.into_iter();
+    quads.retain(|_| kept.next().expect("one flag per quad"));
 }
 
 #[cfg(test)]
@@ -515,13 +403,11 @@ mod tests {
     #[test]
     fn read_and_write_closures() {
         let shared = SharedStore::new();
-        shared.write(|store| {
-            store.insert(&Triple::new(
-                Iri::new("http://e.org/a").unwrap(),
-                rdf::type_(),
-                foaf::person(),
-            ));
-        });
+        shared.insert(&Triple::new(
+            Iri::new("http://e.org/a").unwrap(),
+            rdf::type_(),
+            foaf::person(),
+        ));
         let classes = shared.read(|store| store.to_graph().classes());
         assert!(classes.contains(&foaf::person()));
         assert!(!shared.is_empty());
@@ -654,11 +540,13 @@ mod tests {
         let g: hbold_rdf_model::Term = Iri::new("http://graphs.example/g1").unwrap().into();
         {
             let (shared, _) = SharedStore::open(&dir).unwrap();
-            assert!(shared.insert_quad(&Quad::new(t(1), Some(g.clone()))));
-            assert!(!shared.insert_quad(&Quad::new(t(1), Some(g.clone()))));
+            let one = || vec![Quad::new(t(1), Some(g.clone()))];
+            assert_eq!(shared.apply_update(|_| (vec![], one())), (0, 1));
+            assert_eq!(shared.apply_update(|_| (vec![], one())), (0, 0));
             let batch: Vec<Quad> = (2..10).map(|n| Quad::new(t(n), Some(g.clone()))).collect();
-            assert_eq!(shared.bulk_load_quads(batch.iter()), 8);
-            assert!(shared.remove_quad(&Quad::new(t(2), Some(g.clone()))));
+            assert_eq!(shared.apply_update(|_| (vec![], batch)), (0, 8));
+            let two = vec![Quad::new(t(2), Some(g.clone()))];
+            assert_eq!(shared.apply_update(|_| (two, vec![])), (1, 0));
             let (removed, inserted) = shared.apply_update(|_| {
                 (
                     vec![Quad::new(t(3), Some(g.clone()))],
@@ -682,7 +570,7 @@ mod tests {
     fn apply_update_normalizes_to_the_actual_delta() {
         let shared = SharedStore::new();
         let g: hbold_rdf_model::Term = Iri::new("http://graphs.example/g1").unwrap().into();
-        shared.insert_quad(&Quad::new(t(1), Some(g.clone())));
+        shared.apply_update(|_| (vec![], vec![Quad::new(t(1), Some(g.clone()))]));
         // Removing an absent quad and inserting a present one are no-ops;
         // remove-then-reinsert of the same quad is a real (2-count) step.
         let (removed, inserted) = shared.apply_update(|_| {
@@ -717,7 +605,7 @@ mod tests {
             .iter()
             .map(|tr| Quad::new(tr.clone(), Some(ga.clone())))
             .collect();
-        shared.bulk_load_quads(batch.iter());
+        shared.apply_update(|_| (vec![], batch));
 
         let stop = Arc::new(AtomicBool::new(false));
         let writer = {

@@ -98,6 +98,25 @@ pub struct TripleStore {
 
 type QuadKey = (TermId, TermId, TermId, TermId);
 
+/// One quad by reference — subject, predicate, object, graph (`None` = the
+/// default graph) — borrowed from a [`Triple`] plus a graph name or from a
+/// [`Quad`]. Every insert, remove and lookup is written once against this
+/// form, so neither owned form is ever cloned into the other.
+type QuadRef<'a> = (&'a Term, &'a Term, &'a Term, Option<&'a Term>);
+
+fn triple_ref<'a>(triple: &'a Triple, graph: Option<&'a Term>) -> QuadRef<'a> {
+    (&triple.subject, &triple.predicate, &triple.object, graph)
+}
+
+fn quad_ref(quad: &Quad) -> QuadRef<'_> {
+    (
+        &quad.subject,
+        &quad.predicate,
+        &quad.object,
+        quad.graph.as_ref(),
+    )
+}
+
 /// The six key permutations of one encoded quad `(s, p, o, g)`.
 #[inline]
 fn permutations(s: TermId, p: TermId, o: TermId, g: TermId) -> [QuadKey; 6] {
@@ -123,20 +142,6 @@ impl TripleStore {
         let mut store = TripleStore::new();
         store.insert_batch(graph.iter());
         store
-    }
-
-    /// Rebuilds a store from a decoded v1 snapshot: the id-ordered
-    /// dictionary plus SPO-sorted encoded triples, all placed in the
-    /// default graph.
-    pub(crate) fn from_snapshot_parts(
-        dict: TermDictionary,
-        triples: Vec<(TermId, TermId, TermId)>,
-    ) -> Self {
-        let quads = triples
-            .into_iter()
-            .map(|(s, p, o)| (DEFAULT_GRAPH, s, p, o))
-            .collect();
-        TripleStore::from_snapshot_quads(dict, quads)
     }
 
     /// Rebuilds a store from a decoded snapshot: the id-ordered dictionary
@@ -269,6 +274,47 @@ impl TripleStore {
         removed
     }
 
+    /// Interns the four terms of a quad, cloning only those that are new.
+    fn intern_ref(&mut self, (s, p, o, graph): QuadRef<'_>) -> QuadKey {
+        (
+            self.dict.intern(s),
+            self.dict.intern(p),
+            self.dict.intern(o),
+            match graph {
+                None => DEFAULT_GRAPH,
+                Some(term) => self.dict.intern(term),
+            },
+        )
+    }
+
+    /// The SPOG key of a quad, or `None` when one of its terms was never
+    /// interned (so the quad cannot be stored): four dictionary probes.
+    fn key_of(&self, (s, p, o, graph): QuadRef<'_>) -> Option<QuadKey> {
+        Some((
+            self.dict.id_of(s)?,
+            self.dict.id_of(p)?,
+            self.dict.id_of(o)?,
+            self.graph_id(graph)?,
+        ))
+    }
+
+    fn insert_ref(&mut self, quad: QuadRef<'_>) -> bool {
+        let (s, p, o, g) = self.intern_ref(quad);
+        self.insert_encoded(s, p, o, g)
+    }
+
+    fn remove_ref(&mut self, quad: QuadRef<'_>) -> bool {
+        match self.key_of(quad) {
+            Some((s, p, o, g)) => self.remove_encoded(s, p, o, g),
+            None => false,
+        }
+    }
+
+    fn contains_ref(&self, quad: QuadRef<'_>) -> bool {
+        self.key_of(quad)
+            .is_some_and(|key| self.spog.contains(&key))
+    }
+
     /// Inserts a triple into the default graph; returns `true` if it was
     /// not already present there.
     pub fn insert(&mut self, triple: &Triple) -> bool {
@@ -278,26 +324,12 @@ impl TripleStore {
     /// Inserts a triple into one graph (`None` = the default graph);
     /// returns `true` if the quad was new.
     pub fn insert_in_graph(&mut self, triple: &Triple, graph: Option<&Term>) -> bool {
-        let s = self.dict.intern(&triple.subject);
-        let p = self.dict.intern(&triple.predicate);
-        let o = self.dict.intern(&triple.object);
-        let g = match graph {
-            None => DEFAULT_GRAPH,
-            Some(term) => self.dict.intern(term),
-        };
-        self.insert_encoded(s, p, o, g)
+        self.insert_ref(triple_ref(triple, graph))
     }
 
     /// Inserts a quad; returns `true` if it was new.
     pub fn insert_quad(&mut self, quad: &Quad) -> bool {
-        self.insert_in_graph(
-            &Triple::new(
-                quad.subject.clone(),
-                quad.predicate.clone(),
-                quad.object.clone(),
-            ),
-            quad.graph.as_ref(),
-        )
+        self.insert_ref(quad_ref(quad))
     }
 
     /// Bulk-loads a batch of triples into the default graph, returning how
@@ -307,47 +339,24 @@ impl TripleStore {
     /// indexes are extended in one pass each, which is markedly cheaper than
     /// per-triple [`TripleStore::insert`] calls on large loads.
     pub fn insert_batch<'a>(&mut self, triples: impl IntoIterator<Item = &'a Triple>) -> usize {
-        let triples = triples.into_iter();
-        // Most batches repeat subjects/predicates heavily, so the triple
-        // count itself is a reasonable (slightly generous) bound on new
-        // dictionary entries — reserving it once beats rehashing mid-load.
-        let hint = triples.size_hint().0;
-        self.dict.reserve(hint);
-        let encoded: Vec<(TermId, TermId, TermId, TermId)> = triples
-            .map(|t| {
-                (
-                    self.dict.intern(&t.subject),
-                    self.dict.intern(&t.predicate),
-                    self.dict.intern(&t.object),
-                    DEFAULT_GRAPH,
-                )
-            })
-            .collect();
-        self.insert_encoded_batch(encoded)
+        self.insert_refs(triples.into_iter().map(|t| triple_ref(t, None)))
     }
 
     /// Bulk-loads a batch of quads, returning how many were new.
     pub fn insert_quads_batch<'a>(&mut self, quads: impl IntoIterator<Item = &'a Quad>) -> usize {
-        let quads = quads.into_iter();
-        let hint = quads.size_hint().0;
-        self.dict.reserve(hint);
-        let encoded: Vec<(TermId, TermId, TermId, TermId)> = quads
-            .map(|q| {
-                (
-                    self.dict.intern(&q.subject),
-                    self.dict.intern(&q.predicate),
-                    self.dict.intern(&q.object),
-                    match &q.graph {
-                        None => DEFAULT_GRAPH,
-                        Some(term) => self.dict.intern(term),
-                    },
-                )
-            })
-            .collect();
+        self.insert_refs(quads.into_iter().map(quad_ref))
+    }
+
+    fn insert_refs<'a>(&mut self, quads: impl Iterator<Item = QuadRef<'a>>) -> usize {
+        // Most batches repeat subjects/predicates heavily, so the quad
+        // count itself is a reasonable (slightly generous) bound on new
+        // dictionary entries — reserving it once beats rehashing mid-load.
+        self.dict.reserve(quads.size_hint().0);
+        let encoded: Vec<QuadKey> = quads.map(|quad| self.intern_ref(quad)).collect();
         self.insert_encoded_batch(encoded)
     }
 
-    fn insert_encoded_batch(&mut self, encoded: Vec<(TermId, TermId, TermId, TermId)>) -> usize {
+    fn insert_encoded_batch(&mut self, encoded: Vec<QuadKey>) -> usize {
         let before = self.spog.len();
         self.spog.insert_batch(encoded.iter().copied());
         self.posg
@@ -377,27 +386,12 @@ impl TripleStore {
     /// Removes a triple from one graph (`None` = the default graph);
     /// returns `true` if the quad was present.
     pub fn remove_in_graph(&mut self, triple: &Triple, graph: Option<&Term>) -> bool {
-        let (Some(s), Some(p), Some(o), Some(g)) = (
-            self.dict.id_of(&triple.subject),
-            self.dict.id_of(&triple.predicate),
-            self.dict.id_of(&triple.object),
-            self.graph_id(graph),
-        ) else {
-            return false;
-        };
-        self.remove_encoded(s, p, o, g)
+        self.remove_ref(triple_ref(triple, graph))
     }
 
     /// Removes a quad; returns `true` if it was present.
     pub fn remove_quad(&mut self, quad: &Quad) -> bool {
-        self.remove_in_graph(
-            &Triple::new(
-                quad.subject.clone(),
-                quad.predicate.clone(),
-                quad.object.clone(),
-            ),
-            quad.graph.as_ref(),
-        )
+        self.remove_ref(quad_ref(quad))
     }
 
     /// Returns `true` if the exact triple is present in the default graph.
@@ -408,27 +402,12 @@ impl TripleStore {
     /// Returns `true` if the triple is present in one graph (`None` = the
     /// default graph).
     pub fn contains_in_graph(&self, triple: &Triple, graph: Option<&Term>) -> bool {
-        match (
-            self.dict.id_of(&triple.subject),
-            self.dict.id_of(&triple.predicate),
-            self.dict.id_of(&triple.object),
-            self.graph_id(graph),
-        ) {
-            (Some(s), Some(p), Some(o), Some(g)) => self.spog.contains(&(s, p, o, g)),
-            _ => false,
-        }
+        self.contains_ref(triple_ref(triple, graph))
     }
 
     /// Returns `true` if the exact quad is present.
     pub fn contains_quad(&self, quad: &Quad) -> bool {
-        self.contains_in_graph(
-            &Triple::new(
-                quad.subject.clone(),
-                quad.predicate.clone(),
-                quad.object.clone(),
-            ),
-            quad.graph.as_ref(),
-        )
+        self.contains_ref(quad_ref(quad))
     }
 
     /// The identifier of a term, if it has been interned.

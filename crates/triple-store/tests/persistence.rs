@@ -6,14 +6,16 @@
 //! prove it exhaustively by truncating the log at *every* byte offset of
 //! the final record and reopening.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs::OpenOptions;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use hbold_rdf_model::vocab::{foaf, rdf};
-use hbold_rdf_model::{Iri, Literal, Quad, Term, Triple, TriplePattern};
+use hbold_rdf_model::{BlankNode, Iri, Literal, Quad, Term, Triple, TriplePattern};
 use hbold_sparql::execute_query;
-use hbold_triple_store::{PersistOptions, SharedStore, TripleStore};
+use hbold_triple_store::persist::codec::crc32;
+use hbold_triple_store::persist::wal::{encode_record, WalOp};
+use hbold_triple_store::{PersistError, PersistOptions, SharedStore, TripleStore};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir =
@@ -100,7 +102,7 @@ fn recovery_at_every_truncation_offset_of_the_final_record() {
 }
 
 /// The same every-byte-offset property for graph-scoped **update** records
-/// (`WalOp::Update`, the record SPARQL 1.1 Update commits through): a log
+/// (what SPARQL 1.1 Update commits through `apply_update`): a log
 /// whose final record is an atomic removes+inserts delta spanning the
 /// default graph and a named graph must recover to exactly the committed
 /// prefix at every truncation offset — the torn update vanishes entirely,
@@ -153,9 +155,6 @@ fn recovery_at_every_truncation_offset_of_a_graph_update_record() {
     assert_eq!(record_starts.len(), committed_updates.len() + 1);
     let final_start = *record_starts.last().unwrap() as u64;
 
-    let fingerprint = |store: &TripleStore| -> BTreeSet<String> {
-        store.iter_quads().map(|q| q.to_nquads()).collect()
-    };
     let mut committed = TripleStore::new();
     for (removes, inserts) in &committed_updates {
         for q in removes {
@@ -308,5 +307,207 @@ fn repeated_sessions_accumulate() {
     }
     let (last, _) = SharedStore::open(&dir).unwrap();
     assert_eq!(last.len(), 120);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn fingerprint(store: &TripleStore) -> BTreeSet<String> {
+    store.iter_quads().map(|q| q.to_nquads()).collect()
+}
+
+/// In-memory ≡ durable: the same seeded sequence of `insert` / `remove` /
+/// `bulk_load` / `apply_update` steps — duplicates inside a plan, removes of
+/// absent quads, remove-then-reinsert, default and named graphs, plans that
+/// read the store, empty plans — played in lock-step against
+/// `SharedStore::new()` and `SharedStore::open(dir)` returns the same value
+/// at every step and ends in the same state; the reopened directory equals
+/// both, and replays exactly one record per step that changed something.
+#[test]
+fn in_memory_and_durable_stores_agree_step_by_step() {
+    let graphs = [
+        None,
+        Some(Term::Iri(Iri::new("http://e.org/graph/a").unwrap())),
+        Some(Term::Iri(Iri::new("http://e.org/graph/b").unwrap())),
+    ];
+    let triple = |n: u64| person(n as u32 / 2)[n as usize % 2].clone();
+    for seed in 1..=8u64 {
+        // splitmix64: the whole schedule is a function of `seed`.
+        let mut state = seed;
+        let mut next = move |below: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % below
+        };
+        let dir = temp_dir(&format!("differential-{seed}"));
+        let memory = SharedStore::new();
+        let (durable, _) = SharedStore::open(&dir).unwrap();
+        let mut changed = 0;
+        for step in 0..250 {
+            let kind = next(6);
+            let any_triple = triple(next(8));
+            let triples: Vec<Triple> = (0..next(6)).map(|_| triple(next(8))).collect();
+            let mut some_quads = |at_most: u64| -> Vec<Quad> {
+                (0..next(at_most + 1))
+                    .map(|_| Quad::new(triple(next(8)), graphs[next(3) as usize].clone()))
+                    .collect()
+            };
+            let (removes, inserts) = (some_quads(4), some_quads(4));
+            let cleared = graphs[next(3) as usize].clone();
+            let play = |store: &SharedStore| -> (usize, usize) {
+                match kind {
+                    0 => (0, store.insert(&any_triple) as usize),
+                    1 => (store.remove(&any_triple) as usize, 0),
+                    2 => (0, store.bulk_load(triples.iter())),
+                    3 => store.apply_update(|_| (removes.clone(), inserts.clone())),
+                    // A plan that reads the state it commits against: move
+                    // one graph's quads out and put `inserts` in.
+                    4 => store.apply_update(|current| {
+                        let gone = current.iter_quads().filter(|q| q.graph == cleared);
+                        (gone.collect(), inserts.clone())
+                    }),
+                    _ => store.apply_update(|_| (Vec::new(), Vec::new())),
+                }
+            };
+            let outcome = play(&memory);
+            assert_eq!(
+                play(&durable),
+                outcome,
+                "seed {seed} step {step} kind {kind}"
+            );
+            changed += usize::from(outcome != (0, 0));
+        }
+        let expected = fingerprint(&memory.snapshot());
+        assert_eq!(fingerprint(&durable.snapshot()), expected, "seed {seed}");
+        drop(durable); // release the directory lock before reopening
+        let (reopened, report) = SharedStore::open(&dir).unwrap();
+        assert_eq!(fingerprint(&reopened.snapshot()), expected, "seed {seed}");
+        assert_eq!(report.wal_ops_replayed, changed, "seed {seed}");
+        assert!(
+            changed > 100,
+            "seed {seed}: the schedule should mostly change things"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The record layout is pinned: this delta — default and named graph, every
+/// term kind — encodes to exactly these bytes (captured from the
+/// `WalOp::Update` encoder of the commit before the other four record
+/// types were deleted), and a log holding them replays to the delta.
+#[test]
+fn record_bytes_are_pinned() {
+    const GOLDEN: &str = "a2000000d49ca1ac\
+        050100000e687474703a2f2f652e6f72672f61000e687474703a2f2f652e6f72672f7002036f6c64\
+        0201000e687474703a2f2f652e6f72672f67000e687474703a2f2f652e6f72672f61\
+        000e687474703a2f2f652e6f72672f7003036e657702656e\
+        00010162000e687474703a2f2f652e6f72672f70\
+        04013728687474703a2f2f7777772e77332e6f72672f323030312f584d4c536368656d6123696e7465676572";
+    let iri = |s: &str| Term::Iri(Iri::new(s).unwrap());
+    let (a, p, g) = (
+        iri("http://e.org/a"),
+        iri("http://e.org/p"),
+        iri("http://e.org/g"),
+    );
+    let op = WalOp {
+        removes: vec![Quad::new(
+            Triple::new(a.clone(), p.clone(), Literal::string("old")),
+            None,
+        )],
+        inserts: vec![
+            Quad::new(
+                Triple::new(a, p.clone(), Literal::lang_string("new", "en")),
+                Some(g),
+            ),
+            Quad::new(
+                Triple::new(BlankNode::new("b"), p, Literal::integer(7)),
+                None,
+            ),
+        ],
+    };
+    let record = encode_record(&op);
+    let hex: String = record.iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(hex, GOLDEN);
+
+    let dir = temp_dir("golden");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("wal.log"), &record).unwrap();
+    let (recovered, report) = SharedStore::open(&dir).unwrap();
+    assert_eq!(report.wal_ops_replayed, 1);
+    let expected: BTreeSet<String> = op.inserts.iter().map(|q| q.to_nquads()).collect();
+    assert_eq!(fingerprint(&recovered.snapshot()), expected);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn dir_contents(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .map(|path| (path.clone(), std::fs::read(&path).unwrap()))
+        .collect()
+}
+
+/// A directory written by a different format version — a checksum-valid WAL
+/// record with another tag, or a snapshot of another version — is refused
+/// with a typed error and left byte-identical: never replayed as something
+/// else, never truncated.
+#[test]
+fn a_directory_of_another_format_version_is_refused_untouched() {
+    let refused = |dir: &Path, expect: &str| {
+        let before = dir_contents(dir);
+        match SharedStore::open(dir) {
+            Err(e @ PersistError::Corrupt { .. }) => {
+                assert!(e.to_string().contains(expect), "{e}")
+            }
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
+        assert_eq!(
+            dir_contents(dir),
+            before,
+            "the refusal modified the directory"
+        );
+    };
+
+    // An acknowledged record, then a whole record of the retired triple
+    // batch type (tag 1, empty batch), then another acknowledged record.
+    let dir = temp_dir("foreign-wal");
+    {
+        let (shared, _) = SharedStore::open(&dir).unwrap();
+        shared.bulk_load(person(1).iter());
+    }
+    let wal = dir.join("wal.log");
+    let mut bytes = std::fs::read(&wal).unwrap();
+    let foreign_at = bytes.len();
+    let payload = [1u8, 0];
+    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    bytes.extend_from_slice(&encode_record(&WalOp {
+        removes: Vec::new(),
+        inserts: person(2).into_iter().map(Quad::from).collect(),
+    }));
+    std::fs::write(&wal, &bytes).unwrap();
+    refused(
+        &dir,
+        &format!("byte offset {foreign_at} cannot be read: unknown record tag 1 "),
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A checkpointed directory whose snapshot says version 1 (header
+    // checksum recomputed, so the file is well-formed).
+    let dir = temp_dir("foreign-snapshot");
+    {
+        let (shared, _) = SharedStore::open(&dir).unwrap();
+        shared.bulk_load(person(1).iter());
+        shared.checkpoint().unwrap();
+        shared.bulk_load(person(2).iter());
+    }
+    let snapshot = dir.join("snapshot-0000000000000001.hbs");
+    let mut bytes = std::fs::read(&snapshot).unwrap();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let header_crc = crc32(&bytes[..40]);
+    bytes[40..44].copy_from_slice(&header_crc.to_le_bytes());
+    std::fs::write(&snapshot, &bytes).unwrap();
+    refused(&dir, "unsupported snapshot version 1 ");
     let _ = std::fs::remove_dir_all(&dir);
 }

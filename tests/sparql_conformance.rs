@@ -296,7 +296,7 @@ fn distinct_applies_before_limit() {
 }
 
 #[test]
-fn parallel_and_reference_engines_agree_with_streaming_on_the_dataset() {
+fn reference_engine_agrees_with_the_engine_on_the_dataset() {
     let store = store();
     let queries = [
         "SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o",
