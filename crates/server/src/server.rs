@@ -732,10 +732,29 @@ fn graph_name(term: &hbold_rdf_model::Term) -> &str {
     }
 }
 
-/// The `/stats` document: the server counters plus a per-graph quad-count
-/// section read from the current store snapshot.
+/// The `/stats` document: the server counters plus two sections read from
+/// the current store snapshot — per-graph quad counts, and the index
+/// storage tiers beside the folds that keep them bounded.
 fn stats_with_graphs(shared: &Shared) -> String {
     let snapshot = shared.store.snapshot();
+    let tiers: Vec<String> = snapshot
+        .index_tier_sizes()
+        .iter()
+        .map(|(order, t)| {
+            format!(
+                "\"{}\":{{\"flat\":{},\"delta\":{},\"dead\":{}}}",
+                order.label(),
+                t.flat,
+                t.delta,
+                t.dead
+            )
+        })
+        .collect();
+    let (folds, fold_keys) = hbold_triple_store::persist::fold_counts();
+    let index = format!(
+        "\"index\":{{\"folds\":{folds},\"fold_keys\":{fold_keys},\"tiers\":{{{}}}}}",
+        tiers.join(",")
+    );
     let named: Vec<String> = snapshot
         .graph_quad_counts()
         .into_iter()
@@ -754,6 +773,8 @@ fn stats_with_graphs(shared: &Shared) -> String {
     doc.truncate(doc.len() - 1);
     doc.push(',');
     doc.push_str(&graphs);
+    doc.push(',');
+    doc.push_str(&index);
     doc.push('}');
     doc
 }

@@ -117,6 +117,42 @@ fn deadline_produces_a_typed_504_and_a_reusable_worker() {
     server.shutdown();
 }
 
+/// The deadline also reaches a join that hands nothing downstream: every row
+/// of this cross product is rejected by the filter, so a token polled only
+/// where rows leave the pipeline is never looked at and the query runs to
+/// completion (a 200 with zero rows, long after the deadline). Polled at the
+/// scan stages it is a 504 like any other, and the worker comes back.
+#[test]
+fn deadline_reaches_a_join_that_produces_no_rows() {
+    let server = SparqlServer::start(
+        people_store(50),
+        ServerConfig {
+            workers: 1,
+            query_timeout: Some(Duration::from_millis(50)),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server starts");
+
+    let (status, text) = post(
+        server.addr(),
+        "/sparql",
+        "application/sparql-query",
+        "SELECT * WHERE { ?a ?b ?c . ?d ?e ?f . ?g ?h ?i FILTER(STR(?a) = \"nope\") }",
+    );
+    assert_eq!(status, 504, "got: {text}");
+    assert_eq!(server.stats().query_timeouts.get(), 1);
+
+    let (status, _) = post(
+        server.addr(),
+        "/sparql",
+        "application/sparql-query",
+        "ASK { ?s ?p ?o }",
+    );
+    assert_eq!(status, 200, "the one worker serves the next request");
+    server.shutdown();
+}
+
 /// Query-level admission control: with the census full, new queries are
 /// rejected up front with 503 + `Retry-After` (distinct from the
 /// connection-level shed) and the rejection counter moves.

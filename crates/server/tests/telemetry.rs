@@ -194,7 +194,23 @@ fn metrics_exposition_agrees_with_stats_json() {
             })
             .sum();
         assert!(total >= 20.0, "index {order} holds the store, saw {total}");
+        // /stats shows the same tiers: no write came between the two reads.
+        for tier in ["flat", "delta", "dead"] {
+            assert_eq!(
+                stat(&["index", "tiers", order, tier]),
+                metric(
+                    "hbold_index_tier_entries",
+                    &[("order", order), ("tier", tier)]
+                )
+            );
+        }
     }
+    // The fold counters sit beside them. Process-global like the engine
+    // families, and building the 20-triple store was itself one merge.
+    assert!(stat(&["index", "folds"]) >= 1.0);
+    assert!(stat(&["index", "fold_keys"]) >= 20.0);
+    assert!(metric("hbold_index_folds_total", &[]) >= stat(&["index", "folds"]));
+    assert!(metric("hbold_index_fold_keys_total", &[]) >= stat(&["index", "fold_keys"]));
 
     server.shutdown();
 }

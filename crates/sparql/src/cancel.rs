@@ -6,9 +6,11 @@
 //! every [`CancellationToken::check_interval`] rows (one relaxed atomic load
 //! per batch — measured in the noise on the `sparql_engine` suite), so a
 //! pathological query stops within one batch of the cancel signal instead
-//! of pinning its worker until the heat death of the join. There are two
-//! poll sites: the root of the operator pipeline (every `check_interval`
-//! output rows) and each group boundary of a grouped evaluation.
+//! of pinning its worker until the heat death of the join. There are three
+//! poll sites: the root of the operator pipeline, the output of every BGP
+//! scan stage (every `check_interval` rows each — a join whose rows a filter
+//! all rejects never reaches the root) and each group boundary of a grouped
+//! evaluation.
 //!
 //! Cancellation is **never silent truncation**: a tripped token surfaces as
 //! a typed [`SparqlError::Cancelled`] / [`SparqlError::DeadlineExceeded`]

@@ -891,8 +891,9 @@ impl Iterator for RowScan<'_> {
 /// the operators here execute BGPs in their stored order and apply pushed
 /// filter pre-binds, making no ordering decisions of their own.
 pub(crate) fn root_stream<'a>(ctx: &'a EncContext<'a>, pattern: &'a EncPattern) -> EncStream<'a> {
-    // Cancellation is checked at the root of the pipeline: one poll per
-    // batch of *output* rows, covering every operator below it.
+    // The root poll fails an already-tripped token before the first row,
+    // whatever the pattern; the scan stages below poll for themselves
+    // (see `stream_bgp`), since rows a filter drops never reach this one.
     maybe_cancelled(
         ctx.cancel,
         stream_pattern(
@@ -1000,6 +1001,12 @@ pub(crate) fn stream_pattern<'a>(
 /// Streams a basic graph pattern: each triple pattern — already permuted
 /// into execution order by the planning pass — becomes a nested index-scan
 /// stage of the pipeline.
+///
+/// Every stage's output polls the cancellation token. A join can run for
+/// ever while handing nothing downstream (a cross product under a filter
+/// that rejects every row), so a poll that counts only the rows leaving the
+/// pipeline would never fire; counted per stage, the work between two polls
+/// is bounded by `check_interval` rows plus one index scan.
 fn stream_bgp<'a>(
     ctx: &'a EncContext<'a>,
     patterns: &'a [EncTriplePattern],
@@ -1011,6 +1018,7 @@ fn stream_bgp<'a>(
             Err(e) => RowScan::Failed(Some(e)),
             Ok(row) => RowScan::Scan(ScanRows::new(ctx, tp, row)),
         }));
+        stream = maybe_cancelled(ctx.cancel, stream);
         stream = maybe_traced(ctx, tp, stream);
     }
     stream

@@ -176,3 +176,33 @@ fn deadlines_cut_off_a_cross_join_mid_operator() {
         "deadline took {elapsed:?} to fire — cancellation is not cooperative"
     );
 }
+
+/// A join that hands nothing downstream — every row of the cross product is
+/// rejected by the filter — must still be cancellable: the token is polled
+/// where the join does its work, not only where rows leave the pipeline.
+/// (Polled at the root alone, this query passes its single check, runs the
+/// whole product and returns `Ok(empty)` whatever the token says.)
+#[test]
+fn a_join_that_produces_no_rows_is_still_cancelled() {
+    let mut rng = FuzzRng::new(7);
+    let store = generate_store(&mut rng);
+    let query = hbold_sparql::parse_query(
+        "SELECT * WHERE { ?a ?b ?c . ?d ?e ?f . ?g ?h ?i FILTER(STR(?a) = \"nope\") }",
+    )
+    .expect("parses");
+    match eval(&store, &query, None) {
+        Ok(QueryResults::Select(rows)) => assert!(rows.rows.is_empty(), "not a zero-row join"),
+        other => panic!("uncancelled run: {other:?}"),
+    }
+    // The product has len³ rows and every one of them is a check; trip the
+    // token early, in the middle and late.
+    let product = (store.len() as u64).pow(3);
+    for checks in [1, 7, product / 2, product] {
+        let token = CancellationToken::cancel_after_checks(checks);
+        let result = eval(&store, &query, Some(&token));
+        assert!(
+            matches!(result, Err(SparqlError::Cancelled)),
+            "tripping after {checks} checks: expected Cancelled, got {result:?}"
+        );
+    }
+}

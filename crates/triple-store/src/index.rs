@@ -12,30 +12,39 @@
 //! range below is inclusive on both bounds, the sentinel needs no special
 //! casing: `scan_prefix1(TermId::MAX)` is a well-formed range.
 //!
-//! # Hybrid layout: sorted flat vector + B-tree delta
+//! # Hybrid layout: sorted flat vector + B-tree churn tiers
 //!
 //! The hot read path of the whole system is the SPARQL engine range-scanning
-//! these indexes, and H-BOLD's workload is load-mostly: datasets arrive
-//! through [`PositionalIndex::insert_batch`] (bulk loads, snapshot restores)
-//! and are then queried many times. The index therefore keeps its keys in
-//! two tiers:
+//! these indexes, and H-BOLD's workload is load-mostly with a trickle of
+//! refreshes: a dataset arrives in bulk, is queried many times, and every
+//! re-extraction lands as a small update. The index therefore keeps its keys
+//! in two tiers:
 //!
 //! * **`flat`** — a sorted, deduplicated `Vec` of keys. Prefix lookups are
 //!   two binary searches (`partition_point`) followed by a walk over
 //!   *contiguous memory*: no pointer chasing, perfect cache locality, and
-//!   the compiler can see through the iteration. Every `insert_batch`
-//!   merges into this tier (folding any outstanding delta in), so a
-//!   bulk-loaded store scans at flat-vector speed.
-//! * **`delta`** — a `BTreeSet` absorbing incremental single-key churn
-//!   ([`PositionalIndex::insert`]), plus a `dead` tombstone set for keys
-//!   removed from `flat`. Scans merge the two sorted sources on the fly;
-//!   when both churn sets are empty (the common case) the merge collapses
-//!   to a bare slice iterator.
+//!   the compiler can see through the iteration. Only
+//!   [`PositionalIndex::insert_batch`] writes it, by one linear merge that
+//!   also folds every outstanding churn key in, so a bulk-loaded or restored
+//!   store scans at flat-vector speed.
+//! * **churn** — a `delta` `BTreeSet` of keys inserted since the last merge
+//!   ([`PositionalIndex::insert`]) and a `dead` `BTreeSet` of tombstones
+//!   over `flat` ([`PositionalIndex::remove`]): a change costs
+//!   `O(log n)` per key whatever the size of `flat`. A scan is a three-way
+//!   merge of the sorted sources — `flat` and `delta` interleaved, `dead`
+//!   walked alongside as a third stream, so it pays for the churn inside its
+//!   own range and never probes a B-tree per key; when both churn sets are
+//!   empty (the common case) the merge collapses to a bare slice iterator.
+//!
+//! The index holds the mechanism only. *When* a change goes key by key into
+//! the churn tiers and when all six orders merge is decided in one place,
+//! `TripleStore`'s fold policy (see `FOLD_RATIO` in `store.rs`), so the six
+//! orders always sit in the same tier state.
 //!
 //! Invariants maintained by every mutation: `flat` is sorted and unique,
 //! `delta` is disjoint from `flat`, and `dead ⊆ flat`.
 
-use std::collections::BTreeSet;
+use std::collections::btree_set::{BTreeSet, Range};
 use std::ops::Bound;
 
 use crate::dictionary::TermId;
@@ -138,15 +147,29 @@ impl PositionalIndex {
         }
     }
 
+    /// Verifies the tier invariants of the module docs — `flat` sorted and
+    /// unique, `delta` disjoint from `flat`, `dead ⊆ flat` — in `O(n)`,
+    /// naming the first one that fails. For tests and debugging; nothing on
+    /// a read or write path calls it.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        if let Some(w) = self.flat.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(format!("flat is not sorted and unique at {:?}", w));
+        }
+        if let Some(key) = self.delta.iter().find(|k| self.flat_contains(k)) {
+            return Err(format!("delta key {key:?} is also in flat"));
+        }
+        if let Some(key) = self.dead.iter().find(|k| !self.flat_contains(k)) {
+            return Err(format!("tombstone {key:?} is not in flat"));
+        }
+        Ok(())
+    }
+
     fn flat_contains(&self, key: &Key) -> bool {
         self.flat.binary_search(key).is_ok()
     }
 
-    /// Inserts a key; returns `true` if it was new.
-    ///
-    /// Single-key inserts land in the B-tree delta tier; bulk loads should
-    /// prefer [`PositionalIndex::insert_batch`], which merges into the flat
-    /// tier and keeps scans on the contiguous fast path.
+    /// Inserts a key into the churn tiers; returns `true` if it was new.
+    /// `O(log n)`, and `flat` is never touched.
     pub fn insert(&mut self, key: Key) -> bool {
         if self.flat_contains(&key) {
             // Present in the bulk tier: new only if it was tombstoned.
@@ -156,56 +179,37 @@ impl PositionalIndex {
         }
     }
 
-    /// Bulk-inserts a batch of keys by merging them (and any outstanding
-    /// delta-tier keys) into the sorted flat tier. Duplicates — within the
-    /// batch or with existing keys — are deduplicated.
+    /// Merges a batch of keys and every outstanding churn key into a fresh
+    /// flat tier, leaving `delta` and `dead` empty. Duplicates — within the
+    /// batch or with existing keys — are deduplicated; an empty batch is a
+    /// pure fold of the churn tiers.
     ///
-    /// Cost is `O((n + m) + m log m)` for an index of `n` keys and a batch
-    /// of `m`: right for bulk loads and snapshot restores, deliberately not
-    /// for one-key-at-a-time churn (use [`PositionalIndex::insert`]).
+    /// One linear pass over the index's own merged scan against the sorted
+    /// batch: `O(n + m log m)` for an index of `n` keys and a batch of `m`.
+    /// Right for bulk loads and for folding accumulated churn, deliberately
+    /// not for one small change (use [`PositionalIndex::insert`]).
     pub fn insert_batch(&mut self, keys: impl IntoIterator<Item = Key>) {
         let mut incoming: Vec<Key> = keys.into_iter().collect();
-        // Fold the delta tier into the rebuild so the result is 100% flat.
-        incoming.extend(self.delta.iter().copied());
-        if incoming.is_empty() && self.dead.is_empty() {
+        if incoming.is_empty() && self.delta.is_empty() && self.dead.is_empty() {
             return;
         }
-        self.delta.clear();
         incoming.sort_unstable();
         incoming.dedup();
 
-        let old = std::mem::take(&mut self.flat);
-        let mut merged = Vec::with_capacity(old.len() + incoming.len());
-        let (mut i, mut j) = (0, 0);
-        while i < old.len() && j < incoming.len() {
-            match old[i].cmp(&incoming[j]) {
-                std::cmp::Ordering::Less => {
-                    if !self.dead.contains(&old[i]) {
-                        merged.push(old[i]);
-                    }
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    merged.push(incoming[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    // Re-inserting a tombstoned key resurrects it.
-                    merged.push(old[i]);
-                    i += 1;
-                    j += 1;
-                }
+        let mut merged = Vec::with_capacity(self.len() + incoming.len());
+        let mut incoming = incoming.into_iter().peekable();
+        for &key in self.scan_all() {
+            while let Some(smaller) = incoming.next_if(|k| *k < key) {
+                merged.push(smaller);
             }
+            // A batch key already present is dropped, not duplicated.
+            incoming.next_if_eq(&key);
+            merged.push(key);
         }
-        while i < old.len() {
-            if !self.dead.contains(&old[i]) {
-                merged.push(old[i]);
-            }
-            i += 1;
-        }
-        merged.extend_from_slice(&incoming[j..]);
-        self.dead.clear();
+        merged.extend(incoming);
         self.flat = merged;
+        self.delta.clear();
+        self.dead.clear();
     }
 
     /// Removes a key; returns `true` if it was present.
@@ -236,14 +240,11 @@ impl PositionalIndex {
     }
 
     fn scan_range(&self, lo: Key, hi: Key) -> PrefixScan<'_> {
+        let bounds = (Bound::Included(lo), Bound::Included(hi));
         PrefixScan::new(
             self.flat_range(lo, hi),
-            self.delta.range((Bound::Included(lo), Bound::Included(hi))),
-            if self.dead.is_empty() {
-                None
-            } else {
-                Some(&self.dead)
-            },
+            self.delta.range(bounds),
+            self.dead.range(bounds),
         )
     }
 
@@ -291,20 +292,13 @@ impl PositionalIndex {
 
     /// Scans every key in ascending order.
     pub fn scan_all(&self) -> PrefixScan<'_> {
-        PrefixScan::new(
-            &self.flat,
-            self.delta.range(..),
-            if self.dead.is_empty() {
-                None
-            } else {
-                Some(&self.dead)
-            },
-        )
+        PrefixScan::new(&self.flat, self.delta.range(..), self.dead.range(..))
     }
 
     /// Exact number of keys in `[lo, hi]`: two `partition_point` binary
-    /// searches on the flat tier, plus range counts over the (small) churn
-    /// tiers — no key is materialized.
+    /// searches on the flat tier, plus range counts over the churn tiers
+    /// (the churn inside the range, bounded by the store's fold policy) —
+    /// no key is materialized.
     fn count_range(&self, lo: Key, hi: Key) -> usize {
         let start = self.flat.partition_point(|k| *k < lo);
         let end = self.flat.partition_point(|k| *k <= hi);
@@ -352,31 +346,9 @@ impl PositionalIndex {
         )
     }
 
-    /// Smallest live key in `[lo, hi]`, merging both tiers.
+    /// Smallest live key in `[lo, hi]`: the head of the merged scan.
     fn first_in_range(&self, lo: Key, hi: Key) -> Option<Key> {
-        let start = self.flat.partition_point(|k| *k < lo);
-        let mut best: Option<Key> = None;
-        for k in &self.flat[start..] {
-            if *k > hi {
-                break;
-            }
-            // Tombstones are churn-small, so this skip loop is short.
-            if self.dead.is_empty() || !self.dead.contains(k) {
-                best = Some(*k);
-                break;
-            }
-        }
-        if let Some(d) = self
-            .delta
-            .range((Bound::Included(lo), Bound::Included(hi)))
-            .next()
-        {
-            best = Some(match best {
-                Some(b) => b.min(*d),
-                None => *d,
-            });
-        }
-        best
+        self.scan_range(lo, hi).next().copied()
     }
 
     /// Every distinct first component, in ascending order, computed exactly
@@ -475,43 +447,52 @@ fn key_successor(k: Key) -> Option<Key> {
     }
 }
 
-/// Ordered scan over a prefix range: a two-way merge of the flat tier's
-/// contiguous subslice and the delta tier's B-tree range, with tombstoned
-/// flat keys skipped. When the index has no incremental churn this is a
-/// plain slice walk.
+/// Ordered scan over a prefix range: a three-way merge of the flat tier's
+/// contiguous subslice, the delta tier's B-tree range and the tombstone
+/// tier's B-tree range. Every tombstone in the range shadows exactly one
+/// flat key of the range (`dead ⊆ flat`), so the tombstones are consumed in
+/// step with the flat keys they hide — one sorted stream, no lookup per key.
+/// When the index has no incremental churn this is a plain slice walk.
 pub struct PrefixScan<'a> {
     flat: std::slice::Iter<'a, Key>,
     flat_next: Option<&'a Key>,
-    delta: std::collections::btree_set::Range<'a, Key>,
+    delta: Range<'a, Key>,
     delta_next: Option<&'a Key>,
-    dead: Option<&'a BTreeSet<Key>>,
+    dead: Range<'a, Key>,
+    dead_next: Option<&'a Key>,
 }
 
 impl<'a> PrefixScan<'a> {
-    fn new(
-        flat: &'a [Key],
-        mut delta: std::collections::btree_set::Range<'a, Key>,
-        dead: Option<&'a BTreeSet<Key>>,
-    ) -> Self {
-        let mut flat_iter = flat.iter();
-        let flat_next = Self::pull(&mut flat_iter, dead);
+    fn new(flat: &'a [Key], mut delta: Range<'a, Key>, mut dead: Range<'a, Key>) -> Self {
         let delta_next = delta.next();
-        PrefixScan {
-            flat: flat_iter,
-            flat_next,
+        let dead_next = dead.next();
+        let mut scan = PrefixScan {
+            flat: flat.iter(),
+            flat_next: None,
             delta,
             delta_next,
             dead,
-        }
+            dead_next,
+        };
+        scan.flat_next = scan.pull();
+        scan
     }
 
-    fn pull(
-        flat: &mut std::slice::Iter<'a, Key>,
-        dead: Option<&'a BTreeSet<Key>>,
-    ) -> Option<&'a Key> {
-        match dead {
-            None => flat.next(),
-            Some(dead) => flat.find(|k| !dead.contains(k)),
+    /// The next flat key that is not tombstoned. With no tombstone left in
+    /// the range — always, on a store without churn — this is the slice
+    /// iterator's own `next`.
+    #[inline]
+    fn pull(&mut self) -> Option<&'a Key> {
+        loop {
+            let key = self.flat.next()?;
+            match self.dead_next {
+                None => return Some(key),
+                // The pending tombstone is never behind the flat cursor
+                // (`dead ⊆ flat`, both ascending over the same range), so
+                // it names either this key or a later one.
+                Some(dead) if dead != key => return Some(key),
+                Some(_) => self.dead_next = self.dead.next(),
+            }
         }
     }
 }
@@ -523,7 +504,7 @@ impl<'a> Iterator for PrefixScan<'a> {
         match (self.flat_next, self.delta_next) {
             (None, None) => None,
             (Some(f), None) => {
-                self.flat_next = Self::pull(&mut self.flat, self.dead);
+                self.flat_next = self.pull();
                 Some(f)
             }
             (None, Some(d)) => {
@@ -533,7 +514,7 @@ impl<'a> Iterator for PrefixScan<'a> {
             (Some(f), Some(d)) => {
                 // The tiers are disjoint by invariant; `<=` is defensive.
                 if f <= d {
-                    self.flat_next = Self::pull(&mut self.flat, self.dead);
+                    self.flat_next = self.pull();
                     Some(f)
                 } else {
                     self.delta_next = self.delta.next();
@@ -544,11 +525,12 @@ impl<'a> Iterator for PrefixScan<'a> {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        // The delta range's length is not known in O(1); give collectors the
-        // flat tier's guaranteed minimum and leave the upper bound open.
+        // The churn ranges' lengths are not known in O(1); give collectors
+        // the flat tier's guaranteed minimum when nothing can shadow it, and
+        // leave the upper bound open.
         let pending =
             usize::from(self.flat_next.is_some()) + usize::from(self.delta_next.is_some());
-        if self.dead.is_none() {
+        if self.dead_next.is_none() {
             (self.flat.len() + pending, None)
         } else {
             (0, None)

@@ -376,21 +376,42 @@ impl Persistence {
     }
 }
 
-/// Process-wide durability counters in the global telemetry registry.
+/// Process-wide write-path counters in the global telemetry registry.
 /// Successful operations only: a failed append/checkpoint/fsync returns the
 /// error without counting.
 struct DurabilityCounters {
     wal_appends: Counter,
     checkpoints: Counter,
     wal_fsyncs: Counter,
+    index_folds: Counter,
+    index_fold_keys: Counter,
 }
 
-/// Forces registration of the durability counter families
+/// Forces registration of the write-path counter families
 /// (`hbold_wal_appends_total`, `hbold_checkpoints_total`,
-/// `hbold_wal_fsyncs_total`), so a metrics scrape of a process that has not
-/// yet touched a WAL still exposes them at zero.
+/// `hbold_wal_fsyncs_total`, `hbold_index_folds_total`,
+/// `hbold_index_fold_keys_total`), so a metrics scrape of a process that has
+/// not yet written anything still exposes them at zero.
 pub fn register_metrics() {
     let _ = durability_counters();
+}
+
+/// Counts one merge of a store's six flat index tiers that left `keys` keys
+/// in each. A merge is the write path's only `O(store)` step — the latency
+/// spike a median hides — so the two counters are what an operator divides
+/// to see how often it runs and how much it rewrites.
+pub(crate) fn count_fold(keys: usize) {
+    let counters = durability_counters();
+    counters.index_folds.inc();
+    counters.index_fold_keys.add(keys as u64);
+}
+
+/// `(hbold_index_folds_total, hbold_index_fold_keys_total)` as they stand:
+/// merges of the flat index tiers in this process, and the keys they left in
+/// each tier, summed.
+pub fn fold_counts() -> (u64, u64) {
+    let counters = durability_counters();
+    (counters.index_folds.get(), counters.index_fold_keys.get())
 }
 
 fn durability_counters() -> &'static DurabilityCounters {
@@ -411,6 +432,16 @@ fn durability_counters() -> &'static DurabilityCounters {
             wal_fsyncs: reg.counter(
                 "hbold_wal_fsyncs_total",
                 "Explicit WAL fsyncs completed.",
+                &[],
+            ),
+            index_folds: reg.counter(
+                "hbold_index_folds_total",
+                "Merges of a store's six flat index tiers (bulk loads and folds of accumulated churn).",
+                &[],
+            ),
+            index_fold_keys: reg.counter(
+                "hbold_index_fold_keys_total",
+                "Keys left in each flat index tier by those merges, summed (per index order).",
                 &[],
             ),
         }

@@ -60,12 +60,11 @@ pub struct WalOp {
 }
 
 impl WalOp {
-    /// Applies the delta to `store` (idempotent per quad).
+    /// Applies the delta to `store` (idempotent per quad) in time
+    /// proportional to the delta, not the store — the same call whether a
+    /// commit publishes it or recovery replays it.
     pub fn apply(&self, store: &mut TripleStore) {
-        for q in &self.removes {
-            store.remove_quad(q);
-        }
-        store.insert_quads_batch(&self.inserts);
+        store.apply_delta(&self.removes, &self.inserts);
     }
 }
 

@@ -14,6 +14,21 @@ use crate::index::{IndexOrder, PositionalIndex, PrefixScan, TierSizes};
 /// on both bounds, the sentinel scans like any other identifier.
 pub const DEFAULT_GRAPH: TermId = TermId::MAX;
 
+/// The fold policy's one number: a store carries at most one churn key
+/// (`delta` inserts + `dead` tombstones) per `FOLD_RATIO` keys of its flat
+/// tiers; the change that would exceed that merges all six orders instead
+/// (see [`TripleStore::absorb`]).
+///
+/// Both sides of the trade scale with it, which is why it is a constant and
+/// not an option: a merge rewrites at most `FOLD_RATIO + 1` keys per key
+/// changed since the last one, so writes cost `O(change · log n)` amortised,
+/// and the churn tiers never hold more than `1 / FOLD_RATIO` (≈ 6 %) of the
+/// store, which bounds what a scan pays to merge them in (measured in
+/// ROADMAP.md, "O(delta) writes"). Nothing a caller knows — store size,
+/// update size, read/write mix — moves the balance point, because the
+/// threshold already scales with the store.
+const FOLD_RATIO: usize = 16;
+
 /// A triple with all three terms replaced by dictionary identifiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EncodedTriple {
@@ -246,7 +261,8 @@ impl TripleStore {
         }
     }
 
-    fn insert_encoded(&mut self, s: TermId, p: TermId, o: TermId, g: TermId) -> bool {
+    /// Puts one encoded quad into the churn tiers of all six orders.
+    fn insert_churn(&mut self, (s, p, o, g): QuadKey) -> bool {
         let [spog, posg, ospg, gspo, gpos, gosp] = permutations(s, p, o, g);
         let inserted = self.spog.insert(spog);
         if inserted {
@@ -260,7 +276,11 @@ impl TripleStore {
         inserted
     }
 
-    fn remove_encoded(&mut self, s: TermId, p: TermId, o: TermId, g: TermId) -> bool {
+    /// Takes one quad out through the churn tiers of all six orders.
+    fn remove_churn(&mut self, quad: QuadRef<'_>) -> bool {
+        let Some((s, p, o, g)) = self.key_of(quad) else {
+            return false;
+        };
         let [spog, posg, ospg, gspo, gpos, gosp] = permutations(s, p, o, g);
         let removed = self.spog.remove(&spog);
         if removed {
@@ -272,6 +292,43 @@ impl TripleStore {
             self.len -= 1;
         }
         removed
+    }
+
+    /// The tier policy — every mutation ends here, and nothing else chooses
+    /// between the churn tiers and a merge. Inserts `batch` (SPOG keys;
+    /// empty after a removal, whose tombstones are already in place) and
+    /// returns how many keys were new.
+    ///
+    /// While the churn the store would then carry stays within one key per
+    /// [`FOLD_RATIO`] flat keys, the batch goes key by key into the churn
+    /// tiers: `O(|batch| · log n)`, the flat tiers untouched. The change
+    /// that would cross the line merges instead — batch, `delta` and `dead`
+    /// into six fresh flat tiers in one linear pass each — so a bulk load
+    /// is one sort-and-merge, accumulated churn folds on the mutation that
+    /// crosses, and the six orders are always in the same tier state.
+    fn absorb(&mut self, batch: &[QuadKey]) -> usize {
+        let before = self.len;
+        let TierSizes { flat, delta, dead } = self.spog.tier_sizes();
+        if delta + dead + batch.len() <= flat / FOLD_RATIO {
+            for &key in batch {
+                self.insert_churn(key);
+            }
+        } else {
+            self.spog.insert_batch(batch.iter().copied());
+            self.posg
+                .insert_batch(batch.iter().map(|&(s, p, o, g)| (p, o, s, g)));
+            self.ospg
+                .insert_batch(batch.iter().map(|&(s, p, o, g)| (o, s, p, g)));
+            self.gspo
+                .insert_batch(batch.iter().map(|&(s, p, o, g)| (g, s, p, o)));
+            self.gpos
+                .insert_batch(batch.iter().map(|&(s, p, o, g)| (g, p, o, s)));
+            self.gosp
+                .insert_batch(batch.iter().map(|&(s, p, o, g)| (g, o, s, p)));
+            self.len = self.spog.len();
+            crate::persist::count_fold(self.len);
+        }
+        self.len - before
     }
 
     /// Interns the four terms of a quad, cloning only those that are new.
@@ -299,15 +356,16 @@ impl TripleStore {
     }
 
     fn insert_ref(&mut self, quad: QuadRef<'_>) -> bool {
-        let (s, p, o, g) = self.intern_ref(quad);
-        self.insert_encoded(s, p, o, g)
+        let key = self.intern_ref(quad);
+        self.absorb(&[key]) == 1
     }
 
     fn remove_ref(&mut self, quad: QuadRef<'_>) -> bool {
-        match self.key_of(quad) {
-            Some((s, p, o, g)) => self.remove_encoded(s, p, o, g),
-            None => false,
+        let removed = self.remove_churn(quad);
+        if removed {
+            self.absorb(&[]);
         }
+        removed
     }
 
     fn contains_ref(&self, quad: QuadRef<'_>) -> bool {
@@ -332,17 +390,19 @@ impl TripleStore {
         self.insert_ref(quad_ref(quad))
     }
 
-    /// Bulk-loads a batch of triples into the default graph, returning how
+    /// Inserts a batch of triples into the default graph, returning how
     /// many were new.
     ///
-    /// Terms are interned once per occurrence and the six positional
-    /// indexes are extended in one pass each, which is markedly cheaper than
-    /// per-triple [`TripleStore::insert`] calls on large loads.
+    /// Terms are interned once per occurrence and the tier policy is decided
+    /// once for the whole batch: a batch that is large against the store (a
+    /// bulk load) is one sort-and-merge per index, a small one goes key by
+    /// key into the churn tiers and leaves the flat tiers alone.
     pub fn insert_batch<'a>(&mut self, triples: impl IntoIterator<Item = &'a Triple>) -> usize {
         self.insert_refs(triples.into_iter().map(|t| triple_ref(t, None)))
     }
 
-    /// Bulk-loads a batch of quads, returning how many were new.
+    /// Inserts a batch of quads, returning how many were new (same tier
+    /// policy as [`TripleStore::insert_batch`]).
     pub fn insert_quads_batch<'a>(&mut self, quads: impl IntoIterator<Item = &'a Quad>) -> usize {
         self.insert_refs(quads.into_iter().map(quad_ref))
     }
@@ -353,25 +413,7 @@ impl TripleStore {
         // dictionary entries — reserving it once beats rehashing mid-load.
         self.dict.reserve(quads.size_hint().0);
         let encoded: Vec<QuadKey> = quads.map(|quad| self.intern_ref(quad)).collect();
-        self.insert_encoded_batch(encoded)
-    }
-
-    fn insert_encoded_batch(&mut self, encoded: Vec<QuadKey>) -> usize {
-        let before = self.spog.len();
-        self.spog.insert_batch(encoded.iter().copied());
-        self.posg
-            .insert_batch(encoded.iter().map(|&(s, p, o, g)| (p, o, s, g)));
-        self.ospg
-            .insert_batch(encoded.iter().map(|&(s, p, o, g)| (o, s, p, g)));
-        self.gspo
-            .insert_batch(encoded.iter().map(|&(s, p, o, g)| (g, s, p, o)));
-        self.gpos
-            .insert_batch(encoded.iter().map(|&(s, p, o, g)| (g, p, o, s)));
-        self.gosp
-            .insert_batch(encoded.iter().map(|&(s, p, o, g)| (g, o, s, p)));
-        let added = self.spog.len() - before;
-        self.len += added;
-        added
+        self.absorb(&encoded)
     }
 
     /// Removes a triple from the default graph; returns `true` if it was
@@ -392,6 +434,19 @@ impl TripleStore {
     /// Removes a quad; returns `true` if it was present.
     pub fn remove_quad(&mut self, quad: &Quad) -> bool {
         self.remove_ref(quad_ref(quad))
+    }
+
+    /// Applies one delta — every remove, then every insert — as a single
+    /// change: the tier policy is decided once, with the tombstones and the
+    /// inserts counted together, so a delta costs `O(|delta| · log n)` and
+    /// at most one merge however it is split between the two lists.
+    /// Idempotent per quad; returns `(removed, inserted)`.
+    pub fn apply_delta(&mut self, removes: &[Quad], inserts: &[Quad]) -> (usize, usize) {
+        let removed = removes
+            .iter()
+            .filter(|quad| self.remove_churn(quad_ref(quad)))
+            .count();
+        (removed, self.insert_quads_batch(inserts))
     }
 
     /// Returns `true` if the exact triple is present in the default graph.
@@ -785,9 +840,7 @@ impl Iterator for EncodedScan<'_> {
 impl FromIterator<Triple> for TripleStore {
     fn from_iter<I: IntoIterator<Item = Triple>>(iter: I) -> Self {
         let mut store = TripleStore::new();
-        for t in iter {
-            store.insert(&t);
-        }
+        store.extend(iter);
         store
     }
 }

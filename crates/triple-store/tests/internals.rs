@@ -1,11 +1,16 @@
-//! Internals-focused tests: dictionary encode/decode round-trips and
-//! agreement of the SPO/POS/OSP index orderings on every pattern shape.
+//! Internals-focused tests: dictionary encode/decode round-trips, agreement
+//! of the six index orderings on every pattern shape, and the storage tiers
+//! (flat / delta / tombstones) against a plain set model.
 
+use std::collections::BTreeSet;
+
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use hbold_rdf_model::{BlankNode, Iri, Literal, Term, Triple, TriplePattern};
-use hbold_triple_store::{TermId, TripleStore};
+use hbold_triple_store::index::PositionalIndex;
+use hbold_triple_store::{EncodedQuad, TermId, TierSizes, TripleStore, DEFAULT_GRAPH};
 
 /// A deterministic zoo of terms covering every [`Term`] variant, including
 /// pairs that are textually close but must intern separately.
@@ -171,40 +176,108 @@ fn index_orderings_agree_on_every_pattern_shape() {
     }
 }
 
+/// The quad set each of the six orders holds, read through the one pattern
+/// shape that dispatches to it (see `matching_quads_encoded_iter`): a fully
+/// open scan for SPOG, and a scan per leading identifier for the others.
+fn quad_set_per_order(store: &TripleStore) -> [BTreeSet<EncodedQuad>; 6] {
+    let ids: Vec<TermId> = (0..store.term_count() as TermId).collect();
+    let mut graphs = store.named_graph_ids();
+    graphs.push(DEFAULT_GRAPH);
+    let scan = |g, p, o| store.matching_quads_encoded_iter(g, None, p, o);
+    let each_graph = |p: Option<TermId>, o: Option<TermId>| -> BTreeSet<EncodedQuad> {
+        graphs.iter().flat_map(|&g| scan(Some(g), p, o)).collect()
+    };
+    [
+        scan(None, None, None).collect(),
+        ids.iter()
+            .flat_map(|&p| scan(None, Some(p), None))
+            .collect(),
+        ids.iter()
+            .flat_map(|&o| scan(None, None, Some(o)))
+            .collect(),
+        each_graph(None, None),
+        ids.iter()
+            .flat_map(|&p| each_graph(Some(p), None))
+            .collect(),
+        ids.iter()
+            .flat_map(|&o| each_graph(None, Some(o)))
+            .collect(),
+    ]
+}
+
 #[test]
 fn indexes_stay_consistent_under_interleaved_insert_remove() {
     let (mut store, triples) = random_store(7, 200);
-    let mut live: std::collections::BTreeSet<Triple> = triples.iter().cloned().collect();
+    let named: Term = Iri::new("http://r.example/graph").unwrap().into();
+    let graph_of = |in_named: bool| in_named.then_some(&named);
+    let mut live: BTreeSet<(Triple, bool)> = triples.iter().map(|t| (t.clone(), false)).collect();
     let mut rng = StdRng::seed_from_u64(99);
+    let mut folds = 0;
 
     for round in 0..300 {
+        let flat_before = store.index_tier_sizes()[0].1.flat;
         if rng.gen_bool(0.5) && !live.is_empty() {
-            let victim = live
+            let (victim, in_named) = live
                 .iter()
                 .nth(rng.gen_range(0..live.len()))
                 .cloned()
                 .unwrap();
             assert!(
-                store.remove(&victim),
-                "round {round}: remove reported absent triple"
+                store.remove_in_graph(&victim, graph_of(in_named)),
+                "round {round}: remove reported absent quad"
             );
-            live.remove(&victim);
+            live.remove(&(victim, in_named));
         } else {
             let t = &triples[rng.gen_range(0..triples.len())];
-            assert_eq!(store.insert(t), live.insert(t.clone()), "round {round}");
+            let in_named = rng.gen_bool(0.3);
+            assert_eq!(
+                store.insert_in_graph(t, graph_of(in_named)),
+                live.insert((t.clone(), in_named)),
+                "round {round}"
+            );
+        }
+
+        // All six orders are always in the same tier state: one policy
+        // decides for all of them, so their tier sizes never differ and a
+        // fold (the only thing that changes `flat`) happens to all at once.
+        let sizes = store.index_tier_sizes();
+        let first: TierSizes = sizes[0].1;
+        assert!(
+            sizes.iter().all(|(_, s)| *s == first),
+            "round {round}: orders disagree: {sizes:?}"
+        );
+        assert_eq!(first.flat + first.delta - first.dead, live.len());
+        if first.flat != flat_before {
+            folds += 1;
+            assert_eq!((first.delta, first.dead), (0, 0), "round {round}");
+            let [spog, others @ ..] = quad_set_per_order(&store);
+            assert_eq!(spog.len(), live.len(), "round {round}");
+            assert!(
+                others.iter().all(|set| *set == spog),
+                "round {round}: the orders hold different quad sets after a fold"
+            );
         }
     }
+    assert!(
+        folds >= 3,
+        "the churn crossed only {folds} folds; the test no longer covers them"
+    );
 
     assert_eq!(store.len(), live.len());
-    // After the churn, a full decode agrees with the live set, meaning all
-    // three orderings were kept in lock-step by insert/remove.
-    let mut from_store: Vec<Triple> = store.iter().collect();
+    // After the churn, every order decodes to the live set — mid-churn, with
+    // keys in all three tiers — meaning all six were kept in lock-step.
+    let [spog, others @ ..] = quad_set_per_order(&store);
+    assert!(others.iter().all(|set| *set == spog));
+    let mut from_store: Vec<(Triple, bool)> = spog
+        .iter()
+        .map(|&q| (store.decode(q.triple()), q.graph != DEFAULT_GRAPH))
+        .collect();
     from_store.sort();
-    let mut expected: Vec<Triple> = live.into_iter().collect();
-    expected.sort();
+    let expected: Vec<(Triple, bool)> = live.into_iter().collect();
     assert_eq!(from_store, expected);
-    // And each surviving triple is reachable through each access path.
-    for t in &expected {
+    // And each surviving default-graph triple is reachable through each
+    // triple-level access path.
+    for (t, _) in expected.iter().filter(|(_, in_named)| !in_named) {
         assert!(store.contains(t));
         assert!(store
             .matching(&TriplePattern::any().with_subject(t.subject.as_iri().unwrap().clone()))
@@ -217,5 +290,123 @@ fn indexes_stay_consistent_under_interleaved_insert_remove() {
             }),
             1
         );
+    }
+}
+
+// ---- the tier machinery against a set model ----------------------------------
+
+type Key = (TermId, TermId, TermId, TermId);
+
+/// Identifier domain of the model test: small enough that keys collide and
+/// every prefix can be enumerated, with `TermId::MAX` (the default-graph
+/// sentinel) in it so ranges that end at the top of the key space are hit.
+const IDS: [TermId; 4] = [0, 1, 2, TermId::MAX];
+
+/// The `n`-th key of the 192-key domain.
+fn nth_key(n: u32) -> Key {
+    let id = |v: u32| IDS[(v % 4) as usize];
+    (id(n), id(n / 4), id(n / 16), id(n / 64 % 3))
+}
+
+/// `len` pseudo-random keys drawn from `seed`.
+fn key_batch(seed: u32, len: usize) -> Vec<Key> {
+    let mut state = seed;
+    (0..len)
+        .map(|_| {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            nth_key(state >> 8)
+        })
+        .collect()
+}
+
+/// Every read the index offers, against the model.
+fn assert_index_matches_model(idx: &PositionalIndex, model: &BTreeSet<Key>) {
+    idx.check_invariants().expect("tier invariants");
+    let in_model =
+        |f: &dyn Fn(&Key) -> bool| -> Vec<Key> { model.iter().filter(|k| f(k)).copied().collect() };
+    assert_eq!(
+        idx.scan_all().copied().collect::<Vec<_>>(),
+        in_model(&|_| true)
+    );
+    assert_eq!(idx.len(), model.len());
+    assert_eq!(idx.is_empty(), model.is_empty());
+    let sizes = idx.tier_sizes();
+    assert_eq!(sizes.flat + sizes.delta - sizes.dead, model.len());
+
+    let firsts: BTreeSet<TermId> = model.iter().map(|k| k.0).collect();
+    assert_eq!(
+        idx.first_components(),
+        firsts.iter().copied().collect::<Vec<_>>()
+    );
+    // Four distinct values at most: under the estimators' probe budget, so
+    // both are exact.
+    assert_eq!(idx.distinct_first_estimate(), firsts.len());
+    for a in IDS {
+        let expected = in_model(&|k| k.0 == a);
+        assert_eq!(idx.scan_prefix1(a).copied().collect::<Vec<_>>(), expected);
+        assert_eq!(idx.count_prefix1(a), expected.len());
+        let seconds: BTreeSet<TermId> = expected.iter().map(|k| k.1).collect();
+        assert_eq!(idx.distinct_second_estimate(a), seconds.len());
+        for b in IDS {
+            let expected = in_model(&|k| (k.0, k.1) == (a, b));
+            assert_eq!(
+                idx.scan_prefix2(a, b).copied().collect::<Vec<_>>(),
+                expected
+            );
+            assert_eq!(idx.count_prefix2(a, b), expected.len());
+            for c in IDS {
+                let expected = in_model(&|k| (k.0, k.1, k.2) == (a, b, c));
+                assert_eq!(
+                    idx.scan_prefix3(a, b, c).copied().collect::<Vec<_>>(),
+                    expected
+                );
+                assert_eq!(idx.count_prefix3(a, b, c), expected.len());
+                for d in IDS {
+                    let key = (a, b, c, d);
+                    assert_eq!(idx.contains(&key), model.contains(&key));
+                    assert_eq!(
+                        idx.scan_prefix4(a, b, c, d).next().is_some(),
+                        model.contains(&key)
+                    );
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random interleavings of single inserts, removes, small and large
+    /// batch merges and bare folds: after every step the index answers every
+    /// read exactly like a `BTreeSet` of the same keys, and the tier
+    /// invariants hold. The index has no policy of its own (the store
+    /// decides when to merge), so the interleaving is free to leave any mix
+    /// of flat, delta and tombstoned keys behind.
+    #[test]
+    fn tiers_agree_with_a_set_model_under_any_interleaving(
+        ops in proptest::collection::vec((0u8..10, 0u32..1_000_000, 0usize..48), 1..80),
+    ) {
+        let mut idx = PositionalIndex::new();
+        let mut model: BTreeSet<Key> = BTreeSet::new();
+        for (step, &(kind, seed, len)) in ops.iter().enumerate() {
+            let key = nth_key(seed);
+            match kind {
+                0..=3 => prop_assert_eq!(idx.insert(key), model.insert(key), "step {}", step),
+                4..=6 => prop_assert_eq!(idx.remove(&key), model.remove(&key), "step {}", step),
+                7 | 8 => {
+                    // 7: a handful of keys; 8: up to a quarter of the domain.
+                    let batch = key_batch(seed, if kind == 7 { len % 4 } else { len });
+                    idx.insert_batch(batch.iter().copied());
+                    model.extend(batch);
+                    prop_assert_eq!(idx.tier_sizes().flat, model.len(), "step {}", step);
+                }
+                _ => {
+                    idx.insert_batch([]);
+                    prop_assert_eq!(idx.tier_sizes().flat, model.len(), "step {}", step);
+                }
+            }
+            assert_index_matches_model(&idx, &model);
+        }
     }
 }
