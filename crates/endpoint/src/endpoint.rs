@@ -264,7 +264,7 @@ impl SparqlEndpoint {
         }
         let root = Span::root("query");
         root.set_attr("query", query_text);
-        let outcome = self.query_with_trace(query_text, Some(&root))?;
+        let outcome = root.timed(|| self.query_with_trace(query_text, Some(&root)))?;
         Ok((outcome, root))
     }
 
@@ -608,6 +608,9 @@ mod tests {
         let children = trace.children();
         let names: Vec<&str> = children.iter().map(|c| c.name()).collect();
         assert_eq!(names, vec!["parse", "plan", "execute"]);
+        // The root's time covers its phases.
+        assert!(trace.elapsed_ns() >= children.iter().map(Span::elapsed_ns).sum::<u64>());
+        assert!(trace.elapsed_ns() > 0);
         // Traced queries flow through the same counters as plain ones.
         assert_eq!(ep.plan_stats().bgps_planned, 1);
         // The rendered document is self-describing JSON.

@@ -947,8 +947,9 @@ fn execute(
             QueryResults::Ask(_) => 1,
         };
         root.add_rows(rows as u64);
+        let elapsed = started.elapsed();
+        root.add_elapsed_ns(elapsed.as_nanos() as u64);
         if let Some(threshold) = shared.config.slow_query_ms {
-            let elapsed = started.elapsed();
             if elapsed.as_millis() as u64 >= threshold {
                 // One line per slow query, machine-parseable: the span tree
                 // carries the join order, per-scan estimates, and actual

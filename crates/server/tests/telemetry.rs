@@ -269,6 +269,16 @@ fn trace_query_returns_a_span_tree() {
         .map(|c| c.get("name").unwrap().as_str().unwrap())
         .collect();
     assert_eq!(children, ["parse", "plan", "execute"]);
+    // The root's time covers its phases (it used to read 0).
+    let elapsed = |span: &JsonValue| span.get("elapsed_ns").unwrap().as_f64().unwrap();
+    let phases = trace.get("children").unwrap().as_array().unwrap();
+    assert!(elapsed(trace) > 0.0);
+    assert!(elapsed(trace) >= phases.iter().map(elapsed).sum::<f64>());
+    // The count tail reports under `execute` beside the pattern it consumed.
+    let mut groups = Vec::new();
+    find_spans(trace, "group", &mut groups);
+    assert_eq!(groups.len(), 1);
+    assert!(elapsed(groups[0]) <= elapsed(&phases[2]));
 
     // The execute subtree carries per-operator detail: a bgp with its join
     // order, and scans with cardinality estimates and actual row counts.

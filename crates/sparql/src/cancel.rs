@@ -4,7 +4,7 @@
 //! A [`CancellationToken`] is a cheap, cloneable handle over shared atomic
 //! state plus an optional monotonic deadline. The evaluator checks it once
 //! every [`CancellationToken::check_interval`] rows (one relaxed atomic load
-//! per batch — measured in the noise on the `sparql_engine` suite), so a
+//! per batch), so a
 //! pathological query stops within one batch of the cancel signal instead
 //! of pinning its worker until the heat death of the join. There are three
 //! poll sites: the root of the operator pipeline, the output of every BGP

@@ -1,8 +1,15 @@
-//! The dictionary-encoded execution domain: slot layouts and `TermId` rows.
+//! The dictionary-encoded execution domain: slot layouts, `TermId` rows and
+//! the executor.
 //!
-//! The streaming engine in [`crate::eval`] carries solutions between
-//! operators as **slot-addressed encoded rows** instead of
-//! `BTreeMap<String, Term>` bindings:
+//! The one thing this module runs is a `Plan` (see [`crate::optimize`]):
+//! `execute` opens the plan's pattern pipeline in a single walk — the one
+//! site where a node's trace span and cancellation poll are attached — and
+//! hands the stream to the plan's tail (ask, count, group, top-k, sort,
+//! project). A compiled `EncPattern` cannot be run; only the planner takes
+//! one.
+//!
+//! The operators carry solutions between them as **slot-addressed encoded
+//! rows** instead of `BTreeMap<String, Term>` bindings:
 //!
 //! * At evaluation start each query's variables are compiled into a dense
 //!   [`SlotLayout`]: every variable the query mentions anywhere (graph
@@ -27,6 +34,7 @@
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::rc::Rc;
 use std::time::Instant;
 
 use hbold_rdf_model::Term;
@@ -37,8 +45,8 @@ use crate::ast::*;
 use crate::error::SparqlError;
 use crate::eval::{aggregate_values, compare_optional_terms, order_solutions};
 use crate::expr::{evaluate_scoped, filter_passes_scoped, Binding, EvalValue, Scope};
-use crate::optimize::{BgpPlan, PlanCounters};
-use crate::results::SelectResults;
+use crate::optimize::{Group, Node, Order, Plan, PlanCounters, Select, Tail};
+use crate::results::{QueryResults, SelectResults};
 
 /// Sentinel marking an unbound slot in an [`EncRow`].
 ///
@@ -318,12 +326,13 @@ impl EncDataset {
     }
 }
 
-/// A graph pattern compiled to the encoded domain. Filter conditions keep
-/// their AST form and evaluate through [`EncScope`] (decoding lazily).
+/// A graph pattern compiled to the encoded domain, triple patterns in
+/// written order. Filter conditions keep their AST form and evaluate through
+/// [`EncScope`] (decoding lazily).
 ///
-/// BGPs carry their triple patterns in **execution order**: the single
-/// pre-execution planning pass ([`crate::optimize::plan_pattern`]) permutes
-/// them in place, so the operators just walk the stored order.
+/// This is the planner's *input*, not something the operators can run:
+/// [`crate::optimize::plan_pattern`] consumes it and returns the
+/// [`Plan`] that [`execute`] walks.
 #[derive(Debug, Clone)]
 pub(crate) enum EncPattern {
     Bgp(Vec<EncTriplePattern>),
@@ -336,12 +345,6 @@ pub(crate) enum EncPattern {
     Filter {
         inner: Box<EncPattern>,
         condition: Expression,
-        /// Equality conjuncts the optimizer pushed down: `(slot, id)`
-        /// pre-binds the slot before `inner` scans (`None` id means the
-        /// constant was never interned — no row can match). Sound only
-        /// under the conditions `crate::optimize` checks; empty until the
-        /// planning pass has run.
-        prebind: Vec<(u32, Option<TermId>)>,
     },
 }
 
@@ -401,7 +404,6 @@ fn compile_pattern_in(
         GraphPattern::Filter { inner, condition } => EncPattern::Filter {
             inner: Box::new(compile_pattern_in(inner, layout, dict, graph)),
             condition: condition.clone(),
-            prebind: Vec::new(),
         },
         GraphPattern::Graph { name, inner } => {
             let g = EncGraph::Named(node(name));
@@ -421,18 +423,14 @@ pub(crate) struct EncContext<'a> {
     /// Caller-private optimizer counters; the planning pass bumps these in
     /// addition to the process-wide registry when present.
     pub counters: Option<&'a PlanCounters>,
-    /// Per-operator trace spans for this evaluation. `None` (the default)
-    /// keeps the operators exactly as before — the lookups below happen at
-    /// stream-construction time only, never per row.
-    pub trace: Option<&'a ExecTrace>,
     /// Cooperative cancellation token for this evaluation, polled at batch
-    /// boundaries by [`maybe_cancelled`] streams and at group boundaries by
-    /// the aggregation paths. `None` (the default) adds no per-row work.
+    /// boundaries by the streams [`attach`] wraps and at group boundaries by
+    /// the grouped tail. `None` (the default) adds no per-row work.
     pub cancel: Option<&'a crate::cancel::CancellationToken>,
 }
 
 impl<'a> EncContext<'a> {
-    /// A context with neither private counters nor tracing attached.
+    /// A context with neither private counters nor a token attached.
     pub(crate) fn new(
         store: &'a TripleStore,
         dict: &'a TermDictionary,
@@ -444,109 +442,18 @@ impl<'a> EncContext<'a> {
             layout,
             dataset: EncDataset::default(),
             counters: None,
-            trace: None,
             cancel: None,
         }
     }
 }
 
-// ---- execution tracing -----------------------------------------------------------
+// ---- observation: spans and cancellation polls -----------------------------------
 
-/// Trace spans for one evaluation, keyed by the address of each node in the
-/// planned [`EncPattern`] tree (and of each [`EncTriplePattern`] scan stage
-/// within its BGP). Addresses stay stable because the pattern is owned by
-/// the evaluating frame for the whole execution and never moved after the
-/// trace is built.
-pub(crate) struct ExecTrace {
-    spans: HashMap<usize, Span>,
-}
-
-impl ExecTrace {
-    /// Builds the span tree under `parent` by walking the planned pattern
-    /// in the same order as `crate::optimize::plan_rec`, so `plans` (one
-    /// entry per BGP, in planning order) pairs up with the Bgp nodes.
-    pub(crate) fn build(
-        ctx: &EncContext<'_>,
-        pattern: &EncPattern,
-        plans: &[BgpPlan],
-        parent: &Span,
-    ) -> ExecTrace {
-        let mut trace = ExecTrace {
-            spans: HashMap::new(),
-        };
-        let mut next_plan = 0;
-        trace.walk(ctx, pattern, plans, &mut next_plan, parent);
-        trace
-    }
-
-    fn walk(
-        &mut self,
-        ctx: &EncContext<'_>,
-        pattern: &EncPattern,
-        plans: &[BgpPlan],
-        next_plan: &mut usize,
-        parent: &Span,
-    ) {
-        match pattern {
-            EncPattern::Bgp(tps) => {
-                let span = parent.child("bgp");
-                let plan = plans.get(*next_plan);
-                *next_plan += 1;
-                if let Some(plan) = plan {
-                    span.set_attr(
-                        "order",
-                        plan.order.iter().map(|&i| i as u64).collect::<Vec<u64>>(),
-                    );
-                }
-                // The tps are already permuted into execution order, so the
-                // scan children read top-to-bottom as the pipeline runs;
-                // `estimates` is parallel to that order.
-                for (i, tp) in tps.iter().enumerate() {
-                    let scan = span.child("scan");
-                    scan.set_attr("pattern", render_triple_pattern(ctx, tp));
-                    if let Some(plan) = plan {
-                        if let Some(&written) = plan.order.get(i) {
-                            scan.set_attr("written_index", written);
-                        }
-                        if let Some(&estimate) = plan.estimates.get(i) {
-                            scan.set_attr("estimate", estimate);
-                        }
-                    }
-                    self.spans.insert(tp as *const _ as usize, scan);
-                }
-            }
-            EncPattern::Join(parts) => {
-                let span = parent.child("join");
-                for part in parts {
-                    self.walk(ctx, part, plans, next_plan, &span);
-                }
-            }
-            EncPattern::Optional { left, right } => {
-                let span = parent.child("optional");
-                self.spans
-                    .insert(pattern as *const _ as usize, span.clone());
-                self.walk(ctx, left, plans, next_plan, &span);
-                self.walk(ctx, right, plans, next_plan, &span);
-            }
-            EncPattern::Union(a, b) => {
-                let span = parent.child("union");
-                self.spans
-                    .insert(pattern as *const _ as usize, span.clone());
-                self.walk(ctx, a, plans, next_plan, &span);
-                self.walk(ctx, b, plans, next_plan, &span);
-            }
-            EncPattern::Filter { inner, prebind, .. } => {
-                let span = parent.child("filter");
-                span.set_attr("pushed_prebinds", prebind.len());
-                self.spans
-                    .insert(pattern as *const _ as usize, span.clone());
-                self.walk(ctx, inner, plans, next_plan, &span);
-            }
-        }
-    }
-
-    fn span_of<T>(&self, node: &T) -> Option<&Span> {
-        self.spans.get(&(node as *const T as usize))
+/// Runs `f`, adding its wall time to `span` when tracing is on.
+pub(crate) fn timed<T>(span: Option<&Span>, f: impl FnOnce() -> T) -> T {
+    match span {
+        Some(span) => span.timed(f),
+        None => f(),
     }
 }
 
@@ -574,86 +481,82 @@ fn render_triple_pattern(ctx: &EncContext<'_>, tp: &EncTriplePattern) -> String 
     }
 }
 
-/// An [`EncStream`] wrapper feeding a trace span: every pull's wall time is
-/// added to the span (inclusive of upstream work — a child span's elapsed
-/// is therefore cumulative, not self time) and every yielded row counts.
-struct TracedStream<'a> {
+/// An [`EncStream`] under observation. With a span, every pull's wall time
+/// is added to it (inclusive of upstream work — a span's elapsed is
+/// cumulative, not self time) and every yielded row counts. With a token,
+/// it is polled once every `check_interval` pulls, the very first included
+/// (so an already-tripped token fails before any row is produced): a tripped
+/// token turns into an in-band `Err`, which the downstream collectors treat
+/// as fatal — a cancelled query can never yield a truncated result, only
+/// the typed error. Between checks the cost is one integer decrement per row.
+struct Observed<'a> {
     inner: EncStream<'a>,
-    span: Span,
+    span: Option<Span>,
+    token: Option<&'a crate::cancel::CancellationToken>,
+    countdown: u32,
 }
 
-impl Iterator for TracedStream<'_> {
+impl Observed<'_> {
+    fn pull(&mut self) -> Option<Result<EncRow, SparqlError>> {
+        if let Some(token) = self.token {
+            if self.countdown == 0 {
+                self.countdown = token.check_interval();
+                if let Err(e) = token.check() {
+                    return Some(Err(e));
+                }
+            }
+            self.countdown -= 1;
+        }
+        self.inner.next()
+    }
+}
+
+impl Iterator for Observed<'_> {
     type Item = Result<EncRow, SparqlError>;
 
     fn next(&mut self) -> Option<Self::Item> {
+        if self.span.is_none() {
+            return self.pull();
+        }
         let start = Instant::now();
-        let item = self.inner.next();
-        self.span.add_elapsed_ns(start.elapsed().as_nanos() as u64);
-        if let Some(Ok(_)) = &item {
-            self.span.add_rows(1);
+        let item = self.pull();
+        if let Some(span) = &self.span {
+            span.add_elapsed_ns(start.elapsed().as_nanos() as u64);
+            if let Some(Ok(_)) = &item {
+                span.add_rows(1);
+            }
         }
         item
     }
 }
 
-/// Wraps `stream` in a [`TracedStream`] when tracing is on and a span was
-/// registered for `node`; the untraced path pays one `Option` check at
-/// construction and nothing per row.
-fn maybe_traced<'a, T>(ctx: &EncContext<'a>, node: &T, stream: EncStream<'a>) -> EncStream<'a> {
-    match ctx.trace.and_then(|trace| trace.span_of(node)) {
-        Some(span) => Box::new(TracedStream {
-            inner: stream,
+/// An opened plan node: feeds an input stream through the node's operator.
+/// The pipeline itself is applied once, to the root row; the right side of
+/// a left join and the branches of a union once per input row.
+type Opened<'a> = Rc<dyn Fn(EncStream<'a>) -> EncStream<'a> + 'a>;
+
+/// The one place a node's output comes under observation: `span` (when
+/// tracing is on and the node is timed) and, if `poll`, the evaluation's
+/// cancellation token. With neither, `op`'s stream is returned untouched —
+/// nothing per row.
+fn attach<'a>(
+    ctx: &'a EncContext<'a>,
+    span: Option<Span>,
+    poll: bool,
+    op: impl Fn(EncStream<'a>) -> EncStream<'a> + 'a,
+) -> Opened<'a> {
+    let token = ctx.cancel.filter(|_| poll);
+    if span.is_none() && token.is_none() {
+        return Rc::new(op);
+    }
+    Rc::new(move |input| {
+        Box::new(Observed {
+            inner: op(input),
             span: span.clone(),
-        }),
-        None => stream,
-    }
-}
-
-/// An [`EncStream`] wrapper that polls a
-/// [`CancellationToken`](crate::cancel::CancellationToken) once every
-/// `interval` pulls: a tripped token turns into an in-band `Err`, which the
-/// downstream collectors treat as fatal — so a cancelled query can never
-/// yield a truncated result, only the typed error. Between checks the cost
-/// is one integer decrement per row.
-struct CancelledStream<'a> {
-    inner: EncStream<'a>,
-    token: &'a crate::cancel::CancellationToken,
-    interval: u32,
-    countdown: u32,
-}
-
-impl Iterator for CancelledStream<'_> {
-    type Item = Result<EncRow, SparqlError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.countdown == 0 {
-            self.countdown = self.interval;
-            if let Err(e) = self.token.check() {
-                return Some(Err(e));
-            }
-        }
-        self.countdown -= 1;
-        self.inner.next()
-    }
-}
-
-/// Wraps `stream` in a [`CancelledStream`] when a token is attached; with
-/// no token (the default) the stream is returned untouched — zero per-row
-/// cost, exactly like [`maybe_traced`]. The very first pull checks the
-/// token, so an already-tripped token fails before any row is produced.
-fn maybe_cancelled<'b>(
-    cancel: Option<&'b crate::cancel::CancellationToken>,
-    stream: EncStream<'b>,
-) -> EncStream<'b> {
-    match cancel {
-        Some(token) => Box::new(CancelledStream {
-            inner: stream,
             token,
-            interval: token.check_interval(),
             countdown: 0,
-        }),
-        None => stream,
-    }
+        })
+    })
 }
 
 // ---- triple-pattern scans --------------------------------------------------------
@@ -883,52 +786,69 @@ impl Iterator for RowScan<'_> {
     }
 }
 
-// ---- streaming operators ---------------------------------------------------------
+// ---- the executor walk -----------------------------------------------------------
 
-/// The stream of all solutions of `pattern` starting from the empty row.
-///
-/// `pattern` must already be planned ([`crate::optimize::plan_pattern`]):
-/// the operators here execute BGPs in their stored order and apply pushed
-/// filter pre-binds, making no ordering decisions of their own.
-pub(crate) fn root_stream<'a>(ctx: &'a EncContext<'a>, pattern: &'a EncPattern) -> EncStream<'a> {
-    // The root poll fails an already-tripped token before the first row,
-    // whatever the pattern; the scan stages below poll for themselves
-    // (see `stream_bgp`), since rows a filter drops never reach this one.
-    maybe_cancelled(
-        ctx.cancel,
-        stream_pattern(
-            ctx,
-            pattern,
-            Box::new(std::iter::once(Ok(ctx.layout.empty_row()))),
-        ),
-    )
-}
-
-/// Compiles a planned `pattern` over `input` into a lazy encoded solution
-/// stream.
-pub(crate) fn stream_pattern<'a>(
-    ctx: &'a EncContext<'a>,
-    pattern: &'a EncPattern,
-    input: EncStream<'a>,
-) -> EncStream<'a> {
-    match pattern {
-        EncPattern::Bgp(tps) => stream_bgp(ctx, tps, input),
-        EncPattern::Join(parts) => {
-            let mut stream = input;
-            for part in parts {
-                stream = stream_pattern(ctx, part, stream);
+/// Opens `node` under the `parent` span: the one walk over the planned
+/// pattern, visiting every node exactly once. It makes no ordering decision
+/// of its own — BGP stages run in their planned order, pushed pre-binds are
+/// applied as recorded — and every operator's output passes through
+/// [`attach`].
+fn open<'a>(ctx: &'a EncContext<'a>, node: &'a Node, parent: Option<&Span>) -> Opened<'a> {
+    let child = |name: &str| parent.map(|p| p.child(name));
+    match node {
+        // `bgp` and `join` are label spans: they group their children and
+        // carry no time of their own.
+        Node::Bgp(stages) => {
+            let bgp = child("bgp");
+            if let Some(bgp) = &bgp {
+                let order: Vec<u64> = stages.iter().map(|s| s.written_index as u64).collect();
+                bgp.set_attr("order", order);
             }
-            stream
+            // Each stage is a nested index scan, and each polls the token:
+            // a join can run for ever while handing nothing downstream (a
+            // cross product under a filter that rejects every row), so a
+            // poll that counts only the rows leaving the pipeline would
+            // never fire; counted per stage, the work between two polls is
+            // bounded by `check_interval` rows plus one index scan.
+            let stages: Vec<Opened<'a>> = stages
+                .iter()
+                .map(|stage| {
+                    let span = bgp.as_ref().map(|bgp| {
+                        let scan = bgp.child("scan");
+                        scan.set_attr("pattern", render_triple_pattern(ctx, &stage.tp));
+                        scan.set_attr("written_index", stage.written_index);
+                        scan.set_attr("estimate", stage.estimate);
+                        scan
+                    });
+                    attach(ctx, span, true, move |input| {
+                        Box::new(input.flat_map(move |solution| match solution {
+                            Err(e) => RowScan::Failed(Some(e)),
+                            Ok(row) => RowScan::Scan(ScanRows::new(ctx, &stage.tp, row)),
+                        }))
+                    })
+                })
+                .collect();
+            Rc::new(move |input| stages.iter().fold(input, |stream, stage| stage(stream)))
         }
-        EncPattern::Optional { left, right } => {
-            let left_stream = stream_pattern(ctx, left, input);
-            let stream: EncStream<'a> =
-                Box::new(left_stream.flat_map(move |solution| -> EncStream<'a> {
+        Node::Join(parts) => {
+            let span = child("join");
+            let parts: Vec<Opened<'a>> = parts
+                .iter()
+                .map(|part| open(ctx, part, span.as_ref()))
+                .collect();
+            Rc::new(move |input| parts.iter().fold(input, |stream, part| part(stream)))
+        }
+        Node::LeftJoin { left, right } => {
+            let span = child("optional");
+            let left = open(ctx, left, span.as_ref());
+            let right = open(ctx, right, span.as_ref());
+            attach(ctx, span, false, move |input| {
+                let right = Rc::clone(&right);
+                Box::new(left(input).flat_map(move |solution| -> EncStream<'a> {
                     match solution {
                         Err(e) => Box::new(std::iter::once(Err(e))),
                         Ok(row) => {
-                            let seed: EncStream<'a> = Box::new(std::iter::once(Ok(row.clone())));
-                            let mut extended = stream_pattern(ctx, right, seed);
+                            let mut extended = right(Box::new(std::iter::once(Ok(row.clone()))));
                             match extended.next() {
                                 // Left join: an unmatched left solution survives.
                                 None => Box::new(std::iter::once(Ok(row))),
@@ -936,49 +856,56 @@ pub(crate) fn stream_pattern<'a>(
                             }
                         }
                     }
-                }));
-            maybe_traced(ctx, pattern, stream)
+                }))
+            })
         }
-        EncPattern::Union(a, b) => {
+        Node::Union(a, b) => {
+            let span = child("union");
+            let a = open(ctx, a, span.as_ref());
+            let b = open(ctx, b, span.as_ref());
             // Feed each input row through branch a then branch b; same
             // multiset as materialized `eval(a) ++ eval(b)`, and sequencing
             // is only observable under ORDER BY where the deterministic
             // sort makes both forms identical.
-            let stream: EncStream<'a> =
+            attach(ctx, span, false, move |input| {
+                let (a, b) = (Rc::clone(&a), Rc::clone(&b));
                 Box::new(input.flat_map(move |solution| -> EncStream<'a> {
                     match solution {
                         Err(e) => Box::new(std::iter::once(Err(e))),
-                        Ok(row) => {
-                            let left =
-                                stream_pattern(ctx, a, Box::new(std::iter::once(Ok(row.clone()))));
-                            let right = stream_pattern(ctx, b, Box::new(std::iter::once(Ok(row))));
-                            Box::new(left.chain(right))
-                        }
+                        Ok(row) => Box::new(
+                            a(Box::new(std::iter::once(Ok(row.clone()))))
+                                .chain(b(Box::new(std::iter::once(Ok(row))))),
+                        ),
                     }
-                }));
-            maybe_traced(ctx, pattern, stream)
+                }))
+            })
         }
-        EncPattern::Filter {
+        Node::Filter {
+            prebind,
             inner,
             condition,
-            prebind,
         } => {
-            // Pushed-down equality conjuncts pre-bind their slots on every
-            // input row, so the inner scans treat them as constants; the
-            // residual condition still evaluates in full on each survivor.
-            let input: EncStream<'a> = if prebind.is_empty() {
-                input
-            } else {
-                Box::new(input.filter_map(move |solution| match solution {
-                    Ok(mut row) => {
-                        crate::optimize::apply_prebind(prebind, &mut row).then_some(Ok(row))
-                    }
-                    Err(e) => Some(Err(e)),
-                }))
-            };
-            let stream = stream_pattern(ctx, inner, input);
-            let stream: EncStream<'a> =
-                Box::new(stream.filter_map(move |solution| match solution {
+            let span = child("filter");
+            if let Some(span) = &span {
+                span.set_attr("pushed_prebinds", prebind.len());
+            }
+            let inner = open(ctx, inner, span.as_ref());
+            attach(ctx, span, false, move |input| {
+                // Pushed-down equality conjuncts pre-bind their slots on
+                // every input row, so the inner scans treat them as
+                // constants; the residual condition still evaluates in full
+                // on each survivor.
+                let input: EncStream<'a> = if prebind.is_empty() {
+                    input
+                } else {
+                    Box::new(input.filter_map(move |solution| match solution {
+                        Ok(mut row) => {
+                            crate::optimize::apply_prebind(prebind, &mut row).then_some(Ok(row))
+                        }
+                        Err(e) => Some(Err(e)),
+                    }))
+                };
+                Box::new(inner(input).filter_map(move |solution| match solution {
                     Ok(row) => {
                         let scope = EncScope {
                             row: &row,
@@ -992,99 +919,164 @@ pub(crate) fn stream_pattern<'a>(
                         }
                     }
                     Err(e) => Some(Err(e)),
-                }));
-            maybe_traced(ctx, pattern, stream)
+                }))
+            })
         }
     }
 }
 
-/// Streams a basic graph pattern: each triple pattern — already permuted
-/// into execution order by the planning pass — becomes a nested index-scan
-/// stage of the pipeline.
-///
-/// Every stage's output polls the cancellation token. A join can run for
-/// ever while handing nothing downstream (a cross product under a filter
-/// that rejects every row), so a poll that counts only the rows leaving the
-/// pipeline would never fire; counted per stage, the work between two polls
-/// is bounded by `check_interval` rows plus one index scan.
-fn stream_bgp<'a>(
+/// The spans of the tail's stages, siblings of the pattern's root span in
+/// pipeline order. A stage the plan does not have has no span.
+#[derive(Default)]
+pub(crate) struct TailSpans {
+    ask: Option<Span>,
+    group: Option<Span>,
+    order: Option<Span>,
+    project: Option<Span>,
+}
+
+/// Opens the whole plan under `parent` without pulling a row: the pattern
+/// pipeline over the single empty row, and the tail's spans. This is the
+/// only place the pipeline is opened — [`execute`] runs what it returns,
+/// [`crate::optimize::explain`] renders the spans it leaves under `parent`.
+pub(crate) fn open_plan<'a>(
     ctx: &'a EncContext<'a>,
-    patterns: &'a [EncTriplePattern],
-    input: EncStream<'a>,
-) -> EncStream<'a> {
-    let mut stream = input;
-    for tp in patterns {
-        stream = Box::new(stream.flat_map(move |solution| match solution {
-            Err(e) => RowScan::Failed(Some(e)),
-            Ok(row) => RowScan::Scan(ScanRows::new(ctx, tp, row)),
-        }));
-        stream = maybe_cancelled(ctx.cancel, stream);
-        stream = maybe_traced(ctx, tp, stream);
-    }
-    stream
+    plan: &'a Plan<'_>,
+    parent: Option<&Span>,
+) -> (EncStream<'a>, TailSpans) {
+    let pipeline = open(ctx, &plan.root, parent);
+    // The root poll fails an already-tripped token before the first row,
+    // whatever the pattern; the scan stages poll for themselves, since rows
+    // a filter drops never reach this one.
+    let root = attach(ctx, None, true, move |input| pipeline(input));
+    let stream = root(Box::new(std::iter::once(Ok(ctx.layout.empty_row()))));
+    let spans = match (parent, &plan.tail) {
+        (None, _) => TailSpans::default(),
+        (Some(parent), Tail::Ask) => TailSpans {
+            ask: Some(parent.child("ask")),
+            ..TailSpans::default()
+        },
+        (Some(parent), Tail::Select(select)) => TailSpans {
+            ask: None,
+            group: select.group.as_ref().map(|group| {
+                let span = parent.child("group");
+                let strategy = match group {
+                    Group::Count(_) => "count",
+                    Group::Hash(_) => "hash",
+                };
+                span.set_attr("strategy", strategy);
+                span
+            }),
+            order: select.order.as_ref().map(|order| {
+                let span = parent.child("order");
+                match order {
+                    Order::TopK(k) => {
+                        span.set_attr("strategy", "topk");
+                        span.set_attr("k", *k);
+                    }
+                    Order::Sort => span.set_attr("strategy", "sort"),
+                }
+                span
+            }),
+            project: Some(parent.child("project")),
+        },
+    };
+    (stream, spans)
+}
+
+/// Runs a plan: opens it once and hands the stream to the plan's tail. With
+/// `span` set (tracing on) every timed node and tail stage reports under it,
+/// and it times the run itself — the pulls, not the opening.
+pub(crate) fn execute(
+    ctx: &EncContext<'_>,
+    plan: &Plan<'_>,
+    span: Option<&Span>,
+) -> Result<QueryResults, SparqlError> {
+    let (mut stream, spans) = open_plan(ctx, plan, span);
+    let select = match &plan.tail {
+        // Streaming pays off immediately: the first solution settles it.
+        Tail::Ask => {
+            return timed(span, || timed(spans.ask.as_ref(), || stream.next()))
+                .transpose()
+                .map(|row| QueryResults::Ask(row.is_some()))
+        }
+        Tail::Select(select) => select,
+    };
+    let query = select.query;
+    let offset = query.offset.unwrap_or(0);
+    let project = spans.project.as_ref();
+    let results = timed(span, || match (&select.group, &select.order) {
+        (Some(group), _) => {
+            let mut results = match group {
+                Group::Count(counters) => {
+                    timed(spans.group.as_ref(), || count_rows(counters, stream))?
+                }
+                Group::Hash(slots) => project_grouped(ctx, select, slots, stream, &spans)?,
+            };
+            // Post-aggregation row counts are small; DISTINCT/OFFSET/LIMIT
+            // run in the Term domain here.
+            timed(project, || {
+                distinct_cut(&mut results.rows, select.distinct, offset, query.limit)
+            });
+            Ok(results)
+        }
+        (None, Some(order)) => {
+            let ordered = timed(spans.order.as_ref(), || match order {
+                Order::TopK(k) => order_solutions_topk(ctx, &query.order_by, stream, *k),
+                Order::Sort => Ok(order_encoded_solutions(
+                    ctx,
+                    &query.order_by,
+                    stream.collect::<Result<_, _>>()?,
+                )),
+            })?;
+            let ordered = Box::new(ordered.into_iter().map(Ok));
+            timed(project, || project_rows(ctx, select, ordered))
+        }
+        (None, None) => timed(project, || project_rows(ctx, select, stream)),
+    })?;
+    Ok(QueryResults::Select(results))
 }
 
 // ---- projection (the decode boundary) --------------------------------------------
 
-/// A projection compiled against the slot layout.
-pub(crate) enum EncProjection<'q> {
+/// The columns of a projection compiled against the slot layout.
+enum Columns<'q> {
     /// Every column is a plain variable (or `SELECT *`): column `i` reads
     /// slot `slots[i]`, and DISTINCT can dedup on raw identifiers.
-    Slots {
-        variables: Vec<String>,
-        slots: Vec<u32>,
-    },
+    Slots(Vec<u32>),
     /// At least one column is a computed expression; rows materialize into
     /// the Term domain at projection time.
-    Mixed {
-        variables: Vec<String>,
-        items: &'q [ProjectionItem],
-    },
+    Mixed(&'q [ProjectionItem]),
 }
 
-pub(crate) fn compile_projection<'q>(
+/// Compiles a projection into its variable names and [`Columns`].
+fn compile_projection<'q>(
     projection: &'q Projection,
     layout: &SlotLayout,
-) -> EncProjection<'q> {
-    match projection {
-        Projection::Star => {
-            let slots: Vec<u32> = (0..layout.pattern_vars() as u32).collect();
-            EncProjection::Slots {
-                variables: layout.names()[..layout.pattern_vars()].to_vec(),
-                slots,
-            }
-        }
-        Projection::Items(items) => {
-            let variables: Vec<String> = items
-                .iter()
-                .map(|item| match item {
-                    ProjectionItem::Variable(v) => v.clone(),
-                    ProjectionItem::Expression { alias, .. } => alias.clone(),
-                })
-                .collect();
-            let all_slots: Option<Vec<u32>> = items
-                .iter()
-                .map(|item| match item {
-                    ProjectionItem::Variable(v) => layout.slot_of(v),
-                    ProjectionItem::Expression { .. } => None,
-                })
-                .collect();
-            match all_slots {
-                Some(slots) => EncProjection::Slots { variables, slots },
-                None => EncProjection::Mixed { variables, items },
-            }
-        }
-    }
-}
-
-impl EncProjection<'_> {
-    pub(crate) fn variables(&self) -> &[String] {
-        match self {
-            EncProjection::Slots { variables, .. } | EncProjection::Mixed { variables, .. } => {
-                variables
-            }
-        }
-    }
+) -> (Vec<String>, Columns<'q>) {
+    let Projection::Items(items) = projection else {
+        let width = layout.pattern_vars();
+        let slots = (0..width as u32).collect();
+        return (layout.names()[..width].to_vec(), Columns::Slots(slots));
+    };
+    let variables = items
+        .iter()
+        .map(|item| match item {
+            ProjectionItem::Variable(v) => v.clone(),
+            ProjectionItem::Expression { alias, .. } => alias.clone(),
+        })
+        .collect();
+    let all_slots: Option<Vec<u32>> = items
+        .iter()
+        .map(|item| match item {
+            ProjectionItem::Variable(v) => layout.slot_of(v),
+            ProjectionItem::Expression { .. } => None,
+        })
+        .collect();
+    (
+        variables,
+        all_slots.map_or(Columns::Mixed(items), Columns::Slots),
+    )
 }
 
 /// Projects one row into slot-id space (Slots projections only).
@@ -1092,12 +1084,10 @@ fn project_slots(slots: &[u32], row: &[TermId]) -> Vec<TermId> {
     slots.iter().map(|&s| row[s as usize]).collect()
 }
 
-/// Decodes a projected slot-id row into terms — the single point where
-/// variable columns materialize.
-fn decode_projected(dict: &TermDictionary, projected: &[TermId]) -> Vec<Option<Term>> {
-    projected
-        .iter()
-        .map(|&id| (id != UNBOUND).then(|| dict.term(id).clone()))
+/// Decodes projected slot ids into terms — the single point where variable
+/// columns materialize.
+fn decode(dict: &TermDictionary, ids: impl Iterator<Item = TermId>) -> Vec<Option<Term>> {
+    ids.map(|id| (id != UNBOUND).then(|| dict.term(id).clone()))
         .collect()
 }
 
@@ -1126,54 +1116,25 @@ fn project_mixed(
 }
 
 /// N-Triples-rendered dedup key for a Term-domain row (Mixed DISTINCT).
-pub(crate) fn term_row_key(row: &[Option<Term>]) -> String {
+fn term_row_key(row: &[Option<Term>]) -> String {
     row.iter()
         .map(|t| t.as_ref().map(|t| t.to_ntriples()).unwrap_or_default())
         .collect::<Vec<_>>()
         .join("\u{1}")
 }
 
-/// Applies DISTINCT (in row order), OFFSET and LIMIT to fully-materialized
-/// encoded solutions, decoding only the surviving rows.
-pub(crate) fn finalize_rows(
-    ctx: &EncContext<'_>,
-    projection: &EncProjection<'_>,
-    solutions: Vec<EncRow>,
+/// DISTINCT (in row order), OFFSET and LIMIT over Term-domain rows.
+fn distinct_cut(
+    rows: &mut Vec<Vec<Option<Term>>>,
     distinct: bool,
     offset: usize,
     limit: Option<usize>,
-) -> Result<SelectResults, SparqlError> {
-    let variables = projection.variables().to_vec();
-    let rows = match projection {
-        EncProjection::Slots { slots, .. } => {
-            let mut projected: Vec<Vec<TermId>> = solutions
-                .iter()
-                .map(|row| project_slots(slots, row))
-                .collect();
-            if distinct {
-                let mut seen: HashSet<Vec<TermId>> = HashSet::with_capacity(projected.len());
-                projected.retain(|p| seen.insert(p.clone()));
-            }
-            cut(&mut projected, offset, limit);
-            projected
-                .iter()
-                .map(|p| decode_projected(ctx.dict, p))
-                .collect()
-        }
-        EncProjection::Mixed { items, .. } => {
-            let mut rows: Vec<Vec<Option<Term>>> = Vec::with_capacity(solutions.len());
-            for row in &solutions {
-                rows.push(project_mixed(ctx, items, row)?);
-            }
-            if distinct {
-                let mut seen: HashSet<String> = HashSet::with_capacity(rows.len());
-                rows.retain(|r| seen.insert(term_row_key(r)));
-            }
-            cut(&mut rows, offset, limit);
-            rows
-        }
-    };
-    Ok(SelectResults { variables, rows })
+) {
+    if distinct {
+        let mut seen: HashSet<String> = HashSet::with_capacity(rows.len());
+        rows.retain(|r| seen.insert(term_row_key(r)));
+    }
+    cut(rows, offset, limit);
 }
 
 fn cut<T>(rows: &mut Vec<T>, offset: usize, limit: Option<usize>) {
@@ -1185,112 +1146,78 @@ fn cut<T>(rows: &mut Vec<T>, offset: usize, limit: Option<usize>) {
     }
 }
 
-// ---- SELECT strategies -----------------------------------------------------------
+// ---- SELECT tails ----------------------------------------------------------------
 
-/// Un-ordered SELECT: stream encoded rows straight into projected rows,
-/// stopping early once `OFFSET + LIMIT` (distinct) rows exist.
-pub(crate) fn select_streaming(
+/// The project stage: streams encoded rows — the pattern's own, or the order
+/// stage's — straight into projected rows, stopping once `OFFSET + LIMIT`
+/// (distinct) rows exist and decoding only the rows of the page.
+fn project_rows(
     ctx: &EncContext<'_>,
-    pattern: &EncPattern,
-    query: &Query,
-    projection: &Projection,
-    distinct: bool,
+    select: &Select<'_>,
+    stream: EncStream<'_>,
 ) -> Result<SelectResults, SparqlError> {
-    let proj = compile_projection(projection, ctx.layout);
-    let offset = query.offset.unwrap_or(0);
-    let target = query.limit.map(|limit| offset.saturating_add(limit));
-    let variables = proj.variables().to_vec();
-    let rows = match &proj {
-        EncProjection::Slots { slots, .. } if !distinct => {
-            // No dedup needed: decode straight off the stream, one output
-            // row allocation per solution and nothing else.
-            let mut kept: Vec<Vec<Option<Term>>> = Vec::new();
-            if target != Some(0) {
-                for solution in root_stream(ctx, pattern) {
-                    let row = solution?;
-                    kept.push(
-                        slots
-                            .iter()
-                            .map(|&s| {
-                                let id = row[s as usize];
-                                (id != UNBOUND).then(|| ctx.dict.term(id).clone())
-                            })
-                            .collect(),
-                    );
-                    if Some(kept.len()) == target {
-                        break;
-                    }
-                }
-            }
-            cut(&mut kept, offset, query.limit);
-            kept
-        }
-        EncProjection::Slots { slots, .. } => {
-            let mut kept: Vec<Vec<TermId>> = Vec::new();
+    let (variables, columns) = compile_projection(select.projection, ctx.layout);
+    let (offset, limit) = (select.query.offset.unwrap_or(0), select.query.limit);
+    // The stream is dropped after the row that completes the page, and
+    // never pulled at all for an empty page (`LIMIT 0`).
+    let target = limit.map_or(usize::MAX, |limit| offset.saturating_add(limit));
+    let stream: EncStream<'_> = match target {
+        0 => Box::new(std::iter::empty()),
+        _ => stream,
+    };
+    let rows = match columns {
+        // No dedup needed: decode straight off the stream, one output row
+        // allocation per solution of the page and nothing else.
+        Columns::Slots(slots) if !select.distinct => stream
+            .take(target)
+            .enumerate()
+            .filter_map(|(i, solution)| match solution {
+                Ok(_) if i < offset => None,
+                Ok(row) => Some(Ok(decode(ctx.dict, slots.iter().map(|&s| row[s as usize])))),
+                Err(e) => Some(Err(e)),
+            })
+            .collect::<Result<Vec<_>, SparqlError>>()?,
+        Columns::Slots(slots) => {
             let mut seen: HashSet<Vec<TermId>> = HashSet::new();
-            if target != Some(0) {
-                for solution in root_stream(ctx, pattern) {
-                    let row = solution?;
-                    let projected = project_slots(slots, &row);
-                    if !seen.insert(projected.clone()) {
-                        continue;
-                    }
-                    kept.push(projected);
-                    if Some(kept.len()) == target {
-                        break;
-                    }
-                }
-            }
-            cut(&mut kept, offset, query.limit);
-            kept.iter().map(|p| decode_projected(ctx.dict, p)).collect()
+            let mut kept = first_rows(stream, target, |row| {
+                let projected = project_slots(&slots, row);
+                Ok(seen.insert(projected.clone()).then_some(projected))
+            })?;
+            cut(&mut kept, offset, limit);
+            kept.iter()
+                .map(|p| decode(ctx.dict, p.iter().copied()))
+                .collect()
         }
-        EncProjection::Mixed { items, .. } => {
-            let mut kept: Vec<Vec<Option<Term>>> = Vec::new();
+        Columns::Mixed(items) => {
             let mut seen: HashSet<String> = HashSet::new();
-            if target != Some(0) {
-                for solution in root_stream(ctx, pattern) {
-                    let row = solution?;
-                    let projected = project_mixed(ctx, items, &row)?;
-                    if distinct && !seen.insert(term_row_key(&projected)) {
-                        continue;
-                    }
-                    kept.push(projected);
-                    if Some(kept.len()) == target {
-                        break;
-                    }
-                }
-            }
-            cut(&mut kept, offset, query.limit);
+            let mut kept = first_rows(stream, target, |row| {
+                let projected = project_mixed(ctx, items, row)?;
+                let fresh = !select.distinct || seen.insert(term_row_key(&projected));
+                Ok(fresh.then_some(projected))
+            })?;
+            cut(&mut kept, offset, limit);
             kept
         }
     };
     Ok(SelectResults { variables, rows })
 }
 
-/// Ordered SELECT: `LIMIT` without `DISTINCT` runs a bounded top-k heap over
-/// the encoded stream; everything else materializes and fully sorts.
-pub(crate) fn select_ordered(
-    ctx: &EncContext<'_>,
-    pattern: &EncPattern,
-    query: &Query,
-    projection: &Projection,
-    distinct: bool,
-) -> Result<SelectResults, SparqlError> {
-    let proj = compile_projection(projection, ctx.layout);
-    let offset = query.offset.unwrap_or(0);
-    let ordered = match query.limit {
-        // DISTINCT dedupes *projected rows* before LIMIT applies, so top-k
-        // over raw solutions could come up short — full sort in that case.
-        Some(limit) if !distinct => {
-            let k = offset.saturating_add(limit);
-            order_solutions_topk(ctx, &query.order_by, root_stream(ctx, pattern), k)?
+/// The first `target` rows `keep` lets through, pulling no further.
+fn first_rows<R>(
+    stream: EncStream<'_>,
+    target: usize,
+    mut keep: impl FnMut(&EncRow) -> Result<Option<R>, SparqlError>,
+) -> Result<Vec<R>, SparqlError> {
+    let mut kept = Vec::new();
+    for solution in stream {
+        if let Some(row) = keep(&solution?)? {
+            kept.push(row);
+            if kept.len() == target {
+                break;
+            }
         }
-        _ => {
-            let solutions = root_stream(ctx, pattern).collect::<Result<_, _>>()?;
-            order_encoded_solutions(ctx, &query.order_by, solutions)
-        }
-    };
-    finalize_rows(ctx, &proj, ordered, distinct, offset, query.limit)
+    }
+    Ok(kept)
 }
 
 // ---- ordering --------------------------------------------------------------------
@@ -1318,10 +1245,11 @@ fn order_keys(
 
 /// Total deterministic order over whole encoded rows: slots walked in
 /// variable-name order, unbound slots skipped, terms compared by their
-/// N-Triples form — byte-for-byte the `compare_bindings` order the
-/// Term-domain engine and the reference oracle use, reproduced without
-/// building a `BTreeMap`.
-pub(crate) fn compare_rows_tiebreak(ctx: &EncContext<'_>, a: &[TermId], b: &[TermId]) -> Ordering {
+/// N-Triples form — byte-for-byte the tie-break of
+/// [`crate::eval::order_solutions`] (spelled out as
+/// `crate::reference::compare_bindings`), reproduced without building a
+/// `BTreeMap`.
+fn compare_rows_tiebreak(ctx: &EncContext<'_>, a: &[TermId], b: &[TermId]) -> Ordering {
     let mut ia = ctx
         .layout
         .name_sorted
@@ -1379,7 +1307,7 @@ fn compare_keyed(
 }
 
 /// Sorts materialized encoded solutions under ORDER BY.
-pub(crate) fn order_encoded_solutions(
+fn order_encoded_solutions(
     ctx: &EncContext<'_>,
     order_by: &[OrderCondition],
     mut solutions: Vec<EncRow>,
@@ -1462,84 +1390,49 @@ fn order_solutions_topk(
 
 // ---- grouped evaluation ----------------------------------------------------------
 
-/// Streaming fast path for ungrouped pure-count projections
-/// (`SELECT (COUNT(*) AS ?n) (COUNT(?v) AS ?m) ... WHERE ...`): counts the
-/// encoded stream without materializing a single row. Returns `None` when
-/// the projection has any other shape (DISTINCT counts included — those
-/// need the values).
-pub(crate) fn count_only_streaming(
-    ctx: &EncContext<'_>,
-    pattern: &EncPattern,
-    query: &Query,
-    items: &[ProjectionItem],
-) -> Option<Result<SelectResults, SparqlError>> {
-    if !query.group_by.is_empty() || items.is_empty() {
-        return None;
-    }
-    // (alias, counted slot): `None` counts every solution (COUNT(*)),
-    // `Some(slot)` counts solutions where the variable is bound.
-    let mut counters: Vec<(String, Option<u32>)> = Vec::with_capacity(items.len());
-    for item in items {
-        match item {
-            ProjectionItem::Expression {
-                expr:
-                    Expression::Aggregate {
-                        func: AggregateFunction::Count,
-                        distinct: false,
-                        arg,
-                    },
-                alias,
-            } => match arg.as_deref() {
-                None => counters.push((alias.clone(), None)),
-                Some(Expression::Variable(v)) => {
-                    counters.push((alias.clone(), Some(ctx.layout.slot_of(v)?)))
-                }
-                Some(_) => return None,
-            },
-            _ => return None,
-        }
-    }
+/// The group stage of an ungrouped pure-count projection
+/// (`SELECT (COUNT(*) AS ?n) (COUNT(?v) AS ?m) ... WHERE ...`, see
+/// [`Group::Count`]): counts the encoded stream without materializing a
+/// single row.
+fn count_rows(
+    counters: &[(String, Option<u32>)],
+    stream: EncStream<'_>,
+) -> Result<SelectResults, SparqlError> {
     let mut counts = vec![0usize; counters.len()];
-    for solution in root_stream(ctx, pattern) {
-        let row = match solution {
-            Ok(row) => row,
-            Err(e) => return Some(Err(e)),
-        };
-        for (i, (_, slot)) in counters.iter().enumerate() {
-            match slot {
-                None => counts[i] += 1,
-                Some(slot) => {
-                    if row[*slot as usize] != UNBOUND {
-                        counts[i] += 1;
-                    }
-                }
+    for solution in stream {
+        let row = solution?;
+        for (count, (_, slot)) in counts.iter_mut().zip(counters) {
+            // `None` counts every solution, `Some(slot)` those binding it.
+            if slot.is_none_or(|slot| row[slot as usize] != UNBOUND) {
+                *count += 1;
             }
         }
     }
-    Some(Ok(SelectResults {
+    Ok(SelectResults {
         variables: counters.iter().map(|(alias, _)| alias.clone()).collect(),
         rows: vec![counts
             .iter()
             .map(|&n| aggregate_values(AggregateFunction::Count, Vec::new(), n))
             .collect()],
-    }))
+    })
 }
 
-/// Evaluates a grouped/aggregated projection over the solutions of
-/// `pattern`.
+/// The group and order stages of a grouped/aggregated projection
+/// ([`Group::Hash`]) over the pattern's solutions.
 ///
 /// Partitioning hashes raw slot-id key vectors (the hot part — one hash of
 /// a few `u32`s per solution instead of a formatted string); group *output*
 /// evaluation decodes into Term-domain bindings, since ORDER BY over
 /// aggregate aliases and the tiny post-aggregation row count live naturally
 /// there. Groups leave in first-encounter order; only `ORDER BY` pins one.
-pub(crate) fn project_grouped(
+fn project_grouped(
     ctx: &EncContext<'_>,
-    pattern: &EncPattern,
-    query: &Query,
-    projection: &Projection,
+    select: &Select<'_>,
+    group_slots: &[u32],
+    stream: EncStream<'_>,
+    spans: &TailSpans,
 ) -> Result<SelectResults, SparqlError> {
-    let Projection::Items(items) = projection else {
+    let Projection::Items(items) = select.projection else {
         return Err(SparqlError::Unsupported(
             "SELECT * cannot be combined with GROUP BY or aggregates".into(),
         ));
@@ -1548,7 +1441,7 @@ pub(crate) fn project_grouped(
     // is scanned: the answer must not depend on whether a group exists.
     for item in items {
         if let ProjectionItem::Variable(v) = item {
-            if !query.group_by.contains(v) {
+            if !select.query.group_by.contains(v) {
                 return Err(SparqlError::Evaluation(format!(
                     "variable ?{v} is projected but is neither grouped nor aggregated"
                 )));
@@ -1556,44 +1449,34 @@ pub(crate) fn project_grouped(
         }
     }
 
-    let group_slots: Vec<u32> = query
-        .group_by
-        .iter()
-        .map(|v| {
-            ctx.layout
-                .slot_of(v)
-                .expect("layout covers group variables")
-        })
-        .collect();
-    let mut groups = group_solutions(&group_slots, root_stream(ctx, pattern))?;
-    // With no GROUP BY (pure aggregate query) there is exactly one group,
-    // even if it is empty.
-    if query.group_by.is_empty() && groups.is_empty() {
-        groups.push((Vec::new(), Vec::new()));
+    let grouped_bindings = timed(spans.group.as_ref(), || {
+        let mut groups = group_solutions(group_slots, stream)?;
+        // With no GROUP BY (pure aggregate query) there is exactly one
+        // group, even if it is empty.
+        if group_slots.is_empty() && groups.is_empty() {
+            groups.push((Vec::new(), Vec::new()));
+        }
+        // Evaluate each group into an output binding so ORDER BY can see
+        // aliases. Group boundaries are this path's batch boundaries: one
+        // token poll per group.
+        groups
+            .iter()
+            .map(|(key, members)| {
+                if let Some(token) = ctx.cancel {
+                    token.check()?;
+                }
+                evaluate_group(ctx, items, group_slots, key, members)
+            })
+            .collect::<Result<Vec<Binding>, SparqlError>>()
+    })?;
+    if let Some(span) = &spans.group {
+        span.set_attr("groups", grouped_bindings.len());
     }
 
-    let variables: Vec<String> = items
-        .iter()
-        .map(|item| match item {
-            ProjectionItem::Variable(v) => v.clone(),
-            ProjectionItem::Expression { alias, .. } => alias.clone(),
-        })
-        .collect();
-
-    // Evaluate each group into an output binding so ORDER BY can see
-    // aliases. Group boundaries are this path's batch boundaries: one
-    // token poll per group.
-    let grouped_bindings = groups
-        .iter()
-        .map(|(key, members)| {
-            if let Some(token) = ctx.cancel {
-                token.check()?;
-            }
-            evaluate_group(ctx, items, &group_slots, key, members)
-        })
-        .collect::<Result<Vec<Binding>, SparqlError>>()?;
-
-    let ordered = order_solutions(&query.order_by, grouped_bindings)?;
+    let ordered = timed(spans.order.as_ref(), || {
+        order_solutions(&select.query.order_by, grouped_bindings)
+    })?;
+    let (variables, _) = compile_projection(select.projection, ctx.layout);
     let rows = ordered
         .iter()
         .map(|b| variables.iter().map(|v| b.get(v).cloned()).collect())
@@ -1602,16 +1485,16 @@ pub(crate) fn project_grouped(
 }
 
 /// One group: its key (the GROUP BY slot values) and its member rows.
-type Group = (Vec<TermId>, Vec<EncRow>);
+type Partition = (Vec<TermId>, Vec<EncRow>);
 
 /// Partitions an encoded solution stream into groups keyed by the GROUP BY
 /// slots, in first-encounter order.
 fn group_solutions(
     group_slots: &[u32],
     solutions: EncStream<'_>,
-) -> Result<Vec<Group>, SparqlError> {
+) -> Result<Vec<Partition>, SparqlError> {
     let mut index: HashMap<Vec<TermId>, usize> = HashMap::new();
-    let mut groups: Vec<Group> = Vec::new();
+    let mut groups: Vec<Partition> = Vec::new();
     for solution in solutions {
         let row = solution?;
         let key: Vec<TermId> = group_slots.iter().map(|&s| row[s as usize]).collect();

@@ -17,26 +17,24 @@
 //! bounded top-k heap instead of sorting the full solution set.
 //!
 //! There is exactly one way to plan and one way to run a query: every
-//! entry point below ends in the same planning pass
-//! ([`crate::optimize`]) and the same single-threaded pipeline. Parallelism
+//! entry point below compiles the query, has [`crate::optimize`] turn it
+//! into a plan value, and hands that to the one executor
+//! (`crate::encoded::execute`), a single-threaded pipeline. Parallelism
 //! lives *between* queries (server workers, extraction fleets), never
 //! inside one. Rows of a grouped query leave in an unspecified order unless
 //! `ORDER BY` pins one.
 
 use std::cmp::Ordering;
-use std::collections::BTreeSet;
 
 use hbold_rdf_model::Term;
 use hbold_telemetry::Span;
 use hbold_triple_store::TripleStore;
 
 use crate::ast::*;
-use crate::encoded::{
-    compile_pattern, term_row_key, EncContext, EncDataset, ExecTrace, SlotLayout,
-};
+use crate::encoded::{compile_pattern, execute, timed, EncContext, EncDataset, SlotLayout};
 use crate::error::SparqlError;
 use crate::expr::{evaluate_expression, number_term, numeric_value, Binding, EvalValue};
-use crate::optimize::{BgpReorder, PlanCounters};
+use crate::optimize::{plan_pattern, BgpReorder, PlanCounters};
 use crate::plan::parse_cached;
 use crate::results::QueryResults;
 
@@ -81,9 +79,9 @@ pub struct EvalHooks<'a> {
     /// per endpoint) can assert on it without racing other evaluations.
     pub counters: Option<&'a PlanCounters>,
     /// Parent span for an execution trace. When set, the evaluation adds
-    /// `plan` and `execute` children under it, with one span per streaming
-    /// operator below `execute` recording rows produced and cumulative
-    /// wall time.
+    /// `plan` and `execute` children under it, with one span per plan node
+    /// and tail stage below `execute` recording rows produced and
+    /// cumulative wall time.
     pub trace: Option<&'a Span>,
     /// Cooperative cancellation token, polled at operator batch boundaries
     /// (one relaxed atomic load per [`crate::cancel::DEFAULT_CHECK_INTERVAL`]
@@ -122,28 +120,17 @@ pub(crate) fn evaluate_planned(
     ctx.counters = hooks.counters;
     ctx.cancel = hooks.cancel;
     ctx.dataset = EncDataset::compile(&query.dataset, dict);
-    let mut pattern = compile_pattern(&query.pattern, &layout, dict);
-    // The single planning pass: orders every BGP by cost and pushes
-    // eligible equality filters down, before any operator runs.
+    let pattern = compile_pattern(&query.pattern, &layout, dict);
+    // The single planning pass: orders every BGP by cost, pushes eligible
+    // equality filters down and chooses the tail, before any operator runs.
     let plan_span = hooks.trace.map(|root| root.child("plan"));
-    let plan = || crate::optimize::plan_pattern(&ctx, &mut pattern, reorder);
-    let plans = match &plan_span {
-        Some(span) => span.timed(plan),
-        None => plan(),
-    };
+    let plan = timed(plan_span.as_ref(), || {
+        plan_pattern(&ctx, pattern, query, reorder)
+    });
     if let Some(span) = &plan_span {
-        span.set_attr("bgps", plans.len());
-        span.set_attr("pushed_filters", crate::optimize::count_prebinds(&pattern));
+        span.set_attr("bgps", plan.bgps().len());
+        span.set_attr("pushed_filters", plan.pushed_filters());
     }
-    // With tracing on, build the per-operator span tree under an `execute`
-    // child and re-attach it to the context; the pattern is not moved
-    // afterwards, so the node addresses the trace is keyed on stay valid.
-    let exec_span = hooks.trace.map(|root| root.child("execute"));
-    let exec_trace = exec_span
-        .as_ref()
-        .map(|span| ExecTrace::build(&ctx, &pattern, &plans, span));
-    ctx.trace = exec_trace.as_ref();
-    let ctx = ctx;
 
     // Chaos hook (inert unless HBOLD_FAULTS is set): artificial latency at
     // pipeline construction, so chaos soaks can turn any query into
@@ -152,67 +139,9 @@ pub(crate) fn evaluate_planned(
         faults.operator_latency();
     }
 
-    let run = || evaluate_form(&ctx, query, &pattern);
-    match &exec_span {
-        Some(span) => span.timed(run),
-        None => run(),
-    }
-}
-
-fn evaluate_form(
-    ctx: &EncContext<'_>,
-    query: &Query,
-    pattern: &crate::encoded::EncPattern,
-) -> Result<QueryResults, SparqlError> {
-    match &query.form {
-        QueryForm::Ask => {
-            // Streaming pays off immediately: the first solution settles it.
-            let mut stream = crate::encoded::root_stream(ctx, pattern);
-            match stream.next() {
-                None => Ok(QueryResults::Ask(false)),
-                Some(Ok(_)) => Ok(QueryResults::Ask(true)),
-                Some(Err(e)) => Err(e),
-            }
-        }
-        QueryForm::Select {
-            distinct,
-            projection,
-        } => {
-            let grouped = query.uses_aggregates() || !query.group_by.is_empty();
-            let results = if grouped {
-                // Pure-count projections stream without materializing rows.
-                let fast = match projection {
-                    Projection::Items(items) => {
-                        crate::encoded::count_only_streaming(ctx, pattern, query, items)
-                    }
-                    Projection::Star => None,
-                };
-                let mut results = match fast {
-                    Some(results) => results?,
-                    None => crate::encoded::project_grouped(ctx, pattern, query, projection)?,
-                };
-                // Post-aggregation row counts are small; DISTINCT/OFFSET/
-                // LIMIT run in the Term domain here.
-                if *distinct {
-                    let mut seen: BTreeSet<String> = BTreeSet::new();
-                    results.rows.retain(|row| seen.insert(term_row_key(row)));
-                }
-                let offset = query.offset.unwrap_or(0);
-                if offset > 0 {
-                    results.rows.drain(..offset.min(results.rows.len()));
-                }
-                if let Some(limit) = query.limit {
-                    results.rows.truncate(limit);
-                }
-                results
-            } else if query.order_by.is_empty() {
-                crate::encoded::select_streaming(ctx, pattern, query, projection, *distinct)?
-            } else {
-                crate::encoded::select_ordered(ctx, pattern, query, projection, *distinct)?
-            };
-            Ok(QueryResults::Select(results))
-        }
-    }
+    // With tracing on, every timed plan node reports under `execute`.
+    let exec_span = hooks.trace.map(|root| root.child("execute"));
+    execute(&ctx, &plan, exec_span.as_ref())
 }
 
 // ---- compile-compat shim for the frozen `benchmark/` crate -------------------------
@@ -251,7 +180,8 @@ pub fn evaluate_with(
 // the *semantic* primitives shared with the naive reference evaluator (the
 // differential oracle) and with grouped output evaluation, which works on
 // the small post-aggregation row set; the hot encoded operators in
-// `crate::encoded` reproduce their exact orderings in the id domain.
+// `crate::encoded` reproduce their exact orderings in the id domain. What
+// only the oracle needs lives in `crate::reference`.
 
 /// Final arithmetic step of an aggregate: folds the collected (already
 /// DISTINCT-filtered) argument values. `count` is the number of collected
@@ -290,36 +220,6 @@ pub(crate) fn aggregate_values(
     }
 }
 
-/// Evaluates one aggregate over Term-domain group members (the reference
-/// evaluator's path; the engine's encoded equivalent lives in
-/// `crate::encoded`).
-pub(crate) fn evaluate_aggregate(
-    func: AggregateFunction,
-    distinct: bool,
-    arg: Option<&Expression>,
-    members: &[Binding],
-) -> Result<Option<Term>, SparqlError> {
-    // Collect the argument values over the group (for COUNT(*) every member
-    // counts, bound or not).
-    let mut values: Vec<Term> = Vec::new();
-    for member in members {
-        match arg {
-            None => values.push(Term::Literal(hbold_rdf_model::Literal::integer(1))),
-            Some(expr) => {
-                if let Some(t) = evaluate_expression(expr, member)?.into_term() {
-                    values.push(t);
-                }
-            }
-        }
-    }
-    if distinct {
-        let mut seen = BTreeSet::new();
-        values.retain(|t| seen.insert(t.to_ntriples()));
-    }
-    let count = values.len();
-    Ok(aggregate_values(func, values, count))
-}
-
 fn order_keys(order_by: &[OrderCondition], binding: &Binding) -> Vec<Option<Term>> {
     order_by
         .iter()
@@ -346,9 +246,12 @@ fn compare_keyed(
         }
     }
     // Total deterministic tie-break: equal sort keys fall back to the full
-    // binding, so the engine and the reference oracle cut LIMIT boundaries
-    // identically.
-    compare_bindings(ba, bb)
+    // binding (variable names, then term N-Triples forms), so the engine
+    // and the reference oracle cut LIMIT boundaries identically.
+    fn entries(b: &Binding) -> impl Iterator<Item = (&String, String)> {
+        b.iter().map(|(name, term)| (name, term.to_ntriples()))
+    }
+    entries(ba).cmp(entries(bb))
 }
 
 /// Sorts Term-domain solutions under ORDER BY (grouped output rows and the
@@ -388,29 +291,6 @@ pub(crate) fn compare_terms(a: &Term, b: &Term) -> Ordering {
         }
     }
     a.cmp(b)
-}
-
-/// Total deterministic order over whole bindings (variable names, then term
-/// N-Triples forms); the shared ORDER BY tie-break. The encoded engine's
-/// `compare_rows_tiebreak` reproduces this order over slot rows.
-pub(crate) fn compare_bindings(a: &Binding, b: &Binding) -> Ordering {
-    let mut ia = a.iter();
-    let mut ib = b.iter();
-    loop {
-        match (ia.next(), ib.next()) {
-            (None, None) => return Ordering::Equal,
-            (None, Some(_)) => return Ordering::Less,
-            (Some(_), None) => return Ordering::Greater,
-            (Some((ka, va)), Some((kb, vb))) => {
-                let ord = ka
-                    .cmp(kb)
-                    .then_with(|| va.to_ntriples().cmp(&vb.to_ntriples()));
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -863,6 +743,101 @@ mod tests {
         let json = root.to_json();
         assert!(json.starts_with("{\"name\":\"query\""));
         assert!(json.contains("\"children\""));
+
+        // The same over generated queries: tracing changes no answer, and
+        // the scan spans are exactly the stages `explain()` reports — same
+        // number, same order, same written index and estimate.
+        let render = |outcome: Result<QueryResults, SparqlError>| match outcome {
+            Ok(results) => results.to_sparql_json(),
+            Err(e) => format!("error: {e}"),
+        };
+        for seed in 0..320 {
+            let mut rng = crate::fuzz::FuzzRng::new(seed);
+            let store = crate::fuzz::generate_store(&mut rng);
+            let query = crate::fuzz::generate_query(&mut rng);
+            let root = Span::root("query");
+            let hooks = EvalHooks {
+                trace: Some(&root),
+                ..EvalHooks::default()
+            };
+            let traced = render(evaluate_with_hooks(&store, &query, &hooks));
+            assert_eq!(render(evaluate(&store, &query)), traced, "seed {seed}");
+            let mut scans = Vec::new();
+            find_spans(&root, "scan", &mut scans);
+            let traced_stages: Vec<(u64, u64)> = scans
+                .iter()
+                .map(|scan| {
+                    let attr = |key| scan.attr(key).unwrap().as_u64().unwrap();
+                    (attr("written_index"), attr("estimate"))
+                })
+                .collect();
+            let explained_stages: Vec<(u64, u64)> = crate::optimize::explain(&store, &query)
+                .bgps
+                .iter()
+                .flat_map(|bgp| {
+                    bgp.order
+                        .iter()
+                        .map(|&i| i as u64)
+                        .zip(bgp.estimates.iter().copied())
+                })
+                .collect();
+            assert_eq!(traced_stages, explained_stages, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn tail_stages_report_under_execute() {
+        let store = sample_store();
+        let trace = |q: &str| {
+            let root = Span::root("query");
+            let hooks = EvalHooks {
+                trace: Some(&root),
+                ..EvalHooks::default()
+            };
+            evaluate_with_hooks(&store, &parse_cached(q).unwrap(), &hooks).unwrap();
+            root.children()[1].clone()
+        };
+        let names = |span: &Span| -> Vec<String> {
+            let children = span.children();
+            children.iter().map(|c| c.name().to_string()).collect()
+        };
+
+        // A browse page: the pattern, then top-k, then the page's decode.
+        let execute = trace(
+            "SELECT ?s ?age WHERE { ?s a <http://e.org/Person> . ?s <http://e.org/age> ?age } \
+             ORDER BY ?age LIMIT 2 OFFSET 1",
+        );
+        assert_eq!(names(&execute), ["bgp", "order", "project"]);
+        let (bgp, order, project) = (
+            &execute.children()[0],
+            &execute.children()[1],
+            &execute.children()[2],
+        );
+        assert_eq!(order.attr("strategy").unwrap().as_str(), Some("topk"));
+        assert_eq!(order.attr("k").unwrap().as_u64(), Some(3));
+        // `bgp` is a label; `order` pulled the stream, so its inclusive time
+        // covers the last scan's, and the stages add up inside `execute`.
+        assert_eq!(bgp.elapsed_ns(), 0);
+        let last_scan = bgp.children().last().unwrap().clone();
+        assert_eq!(last_scan.rows(), 3);
+        assert!(order.elapsed_ns() >= last_scan.elapsed_ns());
+        assert!(order.elapsed_ns() + project.elapsed_ns() <= execute.elapsed_ns());
+
+        // An extraction count: hash groups, sorted, projected.
+        let execute =
+            trace("SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s a ?c } GROUP BY ?c ORDER BY DESC(?n)");
+        assert_eq!(names(&execute), ["bgp", "group", "order", "project"]);
+        let group = &execute.children()[1];
+        assert_eq!(group.attr("strategy").unwrap().as_str(), Some("hash"));
+        assert_eq!(group.attr("groups").unwrap().as_u64(), Some(3));
+        let sort = execute.children()[2].attr("strategy").unwrap();
+        assert_eq!(sort.as_str(), Some("sort"));
+
+        assert_eq!(
+            names(&trace("SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }")),
+            ["bgp", "group", "project"]
+        );
+        assert_eq!(names(&trace("ASK { ?s ?p ?o }")), ["bgp", "ask"]);
     }
 
     #[test]

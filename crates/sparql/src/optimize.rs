@@ -3,8 +3,15 @@
 //! The extraction queries at the heart of H-BOLD are multi-pattern BGP
 //! joins, and join order dominates their cost: scanning a hub predicate
 //! first can materialize thousands of intermediate rows that a rare
-//! predicate would have pruned to a handful. This module plans each
-//! compiled [`EncPattern`](crate::encoded) exactly once, before execution:
+//! predicate would have pruned to a handful. This module turns each
+//! compiled [`EncPattern`](crate::encoded) into a `Plan` exactly once,
+//! before execution. The plan is a value — a tree of pipeline nodes (scan
+//! stages carrying their written index and estimate, joins, left joins,
+//! unions, filters with their pushed pre-binds) plus the tail chosen from
+//! the query's form and solution modifiers — and it is the only thing the
+//! executor runs, so "planned before run" holds by type. [`explain`] and the
+//! trace's `plan` / `execute` spans are read off the same value. Planning
+//! decides:
 //!
 //! * **Cardinality estimation** — every triple pattern's constant prefix is
 //!   counted *exactly* against the store's flat SPO/POS/OSP indexes (two
@@ -27,6 +34,10 @@
 //!   pattern, and the whole condition must be statically unable to raise an
 //!   evaluation error (see `cannot_raise` in this module) — the residual
 //!   filter still runs, so pushdown only removes rows it would reject anyway.
+//! * **The tail** — `ASK` stops at the first solution; a projection of plain
+//!   `COUNT`s with no `GROUP BY` counts off the stream; other aggregates
+//!   hash-partition; `ORDER BY … LIMIT` without `DISTINCT` keeps a top-k
+//!   heap, any other `ORDER BY` sorts; everything ends in the project stage.
 //!
 //! The planning pass runs exactly once per evaluation and is the only
 //! consumer-facing source of join orders: there is no second strategy and
@@ -37,14 +48,16 @@
 //! under seeded random join orders against the naive reference (see
 //! [`crate::fuzz`]).
 
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use hbold_rdf_model::Term;
-use hbold_telemetry::{Counter, Registry};
+use hbold_telemetry::{Counter, Registry, Span};
 use hbold_triple_store::{TermId, TripleStore, DEFAULT_GRAPH};
 
-use crate::ast::{ComparisonOp, Expression, Function, Query};
+use crate::ast::{AggregateFunction, ComparisonOp, Expression, Function};
+use crate::ast::{Projection, ProjectionItem, Query, QueryForm};
 use crate::encoded::{compile_pattern, EncContext, EncNode, EncPattern, EncTriplePattern};
 use crate::encoded::{EncDataset, EncGraph, SlotLayout, UNBOUND};
 
@@ -163,16 +176,126 @@ pub fn plan_stats() -> OptimizerStats {
     }
 }
 
-/// Resets the process-wide optimizer counters.
-///
-/// Benchmarks only: the counters back monotone Prometheus families, so
-/// nothing in a serving process should ever call this. Tests should prefer
-/// a private [`PlanCounters`] over resetting shared state.
-pub fn reset_plan_stats() {
-    let global = global_counters();
-    global.bgps_planned.reset();
-    global.bgps_reordered.reset();
-    global.filters_pushed.reset();
+// ---- the plan value --------------------------------------------------------------
+
+/// One index-scan stage of a planned BGP.
+pub(crate) struct ScanStage {
+    pub tp: EncTriplePattern,
+    /// The pattern's position in the BGP as written.
+    pub written_index: usize,
+    /// Estimated rows produced per input row.
+    pub estimate: u64,
+}
+
+/// A node of the planned pattern pipeline. Every node maps an input stream
+/// of solutions to an output stream; the root's input is the empty row.
+pub(crate) enum Node {
+    /// Nested index scans, in execution order.
+    Bgp(Vec<ScanStage>),
+    /// The parts, each fed by the one before.
+    Join(Vec<Node>),
+    /// `OPTIONAL`: `right` runs once per `left` row; an unmatched row survives.
+    LeftJoin { left: Box<Node>, right: Box<Node> },
+    /// Each input row through the first branch, then the second.
+    Union(Box<Node>, Box<Node>),
+    Filter {
+        /// Equality conjuncts pushed down: `(slot, id)` pre-binds the slot
+        /// on every input row before `inner` scans (`None` id means the
+        /// constant was never interned — no row can match). Sound only
+        /// under the conditions [`extract_prebinds`] checks.
+        prebind: Vec<(u32, Option<TermId>)>,
+        inner: Box<Node>,
+        /// The whole condition, evaluated on every row `inner` yields.
+        condition: Expression,
+    },
+}
+
+impl Node {
+    /// Visits the subtree in planning order (which is execution order).
+    fn walk<'n>(&'n self, visit: &mut impl FnMut(&'n Node)) {
+        visit(self);
+        match self {
+            Node::Bgp(_) => {}
+            Node::Join(parts) => parts.iter().for_each(|part| part.walk(visit)),
+            Node::LeftJoin { left: a, right: b } | Node::Union(a, b) => {
+                a.walk(visit);
+                b.walk(visit);
+            }
+            Node::Filter { inner, .. } => inner.walk(visit),
+        }
+    }
+}
+
+/// How a SELECT partitions its solutions.
+pub(crate) enum Group {
+    /// No `GROUP BY` and nothing projected but non-`DISTINCT`
+    /// `COUNT(*)` / `COUNT(?v)` columns — `(alias, counted slot)`, where no
+    /// slot counts every solution: counted off the stream, no row kept.
+    Count(Vec<(String, Option<u32>)>),
+    /// Hash partition on the `GROUP BY` slots (none: one group).
+    Hash(Vec<u32>),
+}
+
+/// How a SELECT's `ORDER BY` runs.
+pub(crate) enum Order {
+    /// A bounded heap of the `OFFSET + LIMIT` smallest rows.
+    TopK(usize),
+    /// Materialize and sort.
+    Sort,
+}
+
+/// A SELECT tail. The stages it has run in this order: group, order, then
+/// project (projection, `DISTINCT`, `OFFSET`/`LIMIT`, decode), which every
+/// SELECT ends in.
+pub(crate) struct Select<'q> {
+    /// Source of the modifiers the stages read as written: `ORDER BY`
+    /// conditions, `GROUP BY` names, `OFFSET`, `LIMIT`.
+    pub query: &'q Query,
+    pub projection: &'q Projection,
+    pub distinct: bool,
+    pub group: Option<Group>,
+    pub order: Option<Order>,
+}
+
+/// What consumes the pattern pipeline's solutions.
+pub(crate) enum Tail<'q> {
+    /// `ASK`: the first solution settles it.
+    Ask,
+    Select(Select<'q>),
+}
+
+/// A planned query: the only thing [`crate::encoded::execute`] runs, and
+/// what [`explain`] and the `plan` / `execute` trace spans are read off.
+pub(crate) struct Plan<'q> {
+    pub root: Node,
+    pub tail: Tail<'q>,
+}
+
+impl Plan<'_> {
+    /// The decision record of every BGP, in planning order.
+    pub(crate) fn bgps(&self) -> Vec<BgpPlan> {
+        let mut bgps = Vec::new();
+        self.root.walk(&mut |node| {
+            if let Node::Bgp(stages) = node {
+                bgps.push(BgpPlan {
+                    order: stages.iter().map(|s| s.written_index).collect(),
+                    estimates: stages.iter().map(|s| s.estimate).collect(),
+                });
+            }
+        });
+        bgps
+    }
+
+    /// Number of equality-filter conjuncts pushed down into scans.
+    pub(crate) fn pushed_filters(&self) -> usize {
+        let mut pushed = 0;
+        self.root.walk(&mut |node| {
+            if let Node::Filter { prebind, .. } = node {
+                pushed += prebind.len();
+            }
+        });
+        pushed
+    }
 }
 
 // ---- per-query explain surface ---------------------------------------------------
@@ -187,13 +310,25 @@ pub struct BgpPlan {
     pub estimates: Vec<u64>,
 }
 
-/// A per-query report of the optimizer's decisions.
+/// A per-query report of the optimizer's decisions. Its `Display` is the
+/// planned pipeline, one node per line with its attributes — the span tree
+/// a traced execution fills in, before any row is pulled.
 #[derive(Debug, Clone)]
 pub struct PlanExplanation {
     /// One entry per BGP, in planning (execution) order.
     pub bgps: Vec<BgpPlan>,
     /// Number of equality-filter conjuncts pushed down into scans.
     pub pushed_filters: usize,
+    outline: Span,
+}
+
+impl fmt::Display for PlanExplanation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.outline
+            .children()
+            .iter()
+            .try_for_each(|node| write!(f, "{node}"))
+    }
 }
 
 /// Plans `query` against `store` and returns the decisions without
@@ -204,21 +339,19 @@ pub fn explain(store: &TripleStore, query: &Query) -> PlanExplanation {
     let dict = store.dictionary();
     let mut ctx = EncContext::new(store, dict, &layout);
     ctx.dataset = EncDataset::compile(&query.dataset, dict);
-    let mut pattern = compile_pattern(&query.pattern, &layout, dict);
-    let bgps = plan_pattern(&ctx, &mut pattern, None);
+    let plan = plan_pattern(
+        &ctx,
+        compile_pattern(&query.pattern, &layout, dict),
+        query,
+        None,
+    );
+    // The span tree an execution would time: opened, never pulled.
+    let outline = Span::root("explain");
+    drop(crate::encoded::open_plan(&ctx, &plan, Some(&outline)));
     PlanExplanation {
-        bgps,
-        pushed_filters: count_prebinds(&pattern),
-    }
-}
-
-pub(crate) fn count_prebinds(pattern: &EncPattern) -> usize {
-    match pattern {
-        EncPattern::Bgp(_) => 0,
-        EncPattern::Join(parts) => parts.iter().map(count_prebinds).sum(),
-        EncPattern::Optional { left, right } => count_prebinds(left) + count_prebinds(right),
-        EncPattern::Union(a, b) => count_prebinds(a) + count_prebinds(b),
-        EncPattern::Filter { inner, prebind, .. } => prebind.len() + count_prebinds(inner),
+        bgps: plan.bgps(),
+        pushed_filters: plan.pushed_filters(),
+        outline,
     }
 }
 
@@ -229,21 +362,21 @@ pub(crate) fn count_prebinds(pattern: &EncPattern) -> usize {
 /// only through [`crate::fuzz::evaluate_shuffled`].
 pub(crate) type BgpReorder<'a> = &'a mut dyn FnMut(Vec<usize>) -> Vec<usize>;
 
-/// Plans a compiled pattern in place: every BGP's triple patterns are
-/// permuted into execution order and every eligible equality filter is
-/// pushed down. Runs exactly once per evaluation, before any operator
-/// streams.
-///
-/// Returns the per-BGP decision records (consumed by [`explain`]).
-pub(crate) fn plan_pattern(
+/// Plans a compiled query: consumes the pattern, puts every BGP's triple
+/// patterns in execution order, pushes every eligible equality filter down,
+/// and chooses the tail from `query`'s form and solution modifiers. Runs
+/// exactly once per evaluation, before any operator streams.
+pub(crate) fn plan_pattern<'q>(
     ctx: &EncContext<'_>,
-    pattern: &mut EncPattern,
+    pattern: EncPattern,
+    query: &'q Query,
     mut reorder: Option<BgpReorder<'_>>,
-) -> Vec<BgpPlan> {
+) -> Plan<'q> {
     let mut bound = vec![false; ctx.layout.len()];
-    let mut bgps = Vec::new();
-    plan_rec(ctx, pattern, &mut bound, &mut bgps, &mut reorder);
-    bgps
+    Plan {
+        root: plan_rec(ctx, pattern, &mut bound, &mut reorder),
+        tail: plan_tail(ctx.layout, query),
+    }
 }
 
 /// Recursive planning walk. Contract: plans `pattern` given the slots in
@@ -252,14 +385,13 @@ pub(crate) fn plan_pattern(
 /// describe the rows each operator will actually see.
 fn plan_rec(
     ctx: &EncContext<'_>,
-    pattern: &mut EncPattern,
+    pattern: EncPattern,
     bound: &mut Vec<bool>,
-    out: &mut Vec<BgpPlan>,
     reorder: &mut Option<BgpReorder<'_>>,
-) {
+) -> Node {
     match pattern {
         EncPattern::Bgp(tps) => {
-            let (mut order, mut estimates) = stats_join_order(ctx.store, &ctx.dataset, tps, bound);
+            let (mut order, mut estimates) = stats_join_order(ctx.store, &ctx.dataset, &tps, bound);
             if let Some(reorder) = reorder {
                 order = reorder(order);
                 // Re-estimate along the imposed order, so `estimates` stays
@@ -278,42 +410,132 @@ fn plan_rec(
             if order.iter().enumerate().any(|(i, &idx)| i != idx) {
                 bump(ctx, Decision::BgpReordered);
             }
-            *tps = order.iter().map(|&i| tps[i]).collect();
-            for tp in tps.iter() {
+            for tp in &tps {
                 mark_pattern_vars(tp, bound);
             }
-            out.push(BgpPlan { order, estimates });
+            Node::Bgp(
+                order
+                    .into_iter()
+                    .zip(estimates)
+                    .map(|(written_index, estimate)| ScanStage {
+                        tp: tps[written_index],
+                        written_index,
+                        estimate,
+                    })
+                    .collect(),
+            )
         }
-        EncPattern::Join(parts) => {
-            for part in parts {
-                plan_rec(ctx, part, bound, out, reorder);
-            }
-        }
+        EncPattern::Join(parts) => Node::Join(
+            parts
+                .into_iter()
+                .map(|part| plan_rec(ctx, part, bound, reorder))
+                .collect(),
+        ),
         EncPattern::Optional { left, right } => {
             // The right side streams per left row, so it plans with the
             // left side's bindings visible.
-            plan_rec(ctx, left, bound, out, reorder);
-            plan_rec(ctx, right, bound, out, reorder);
+            let left = Box::new(plan_rec(ctx, *left, bound, reorder));
+            let right = Box::new(plan_rec(ctx, *right, bound, reorder));
+            Node::LeftJoin { left, right }
         }
         EncPattern::Union(a, b) => {
             // Each branch sees only the bindings from *before* the union;
             // afterwards either branch may have bound its variables.
             let mut bound_a = bound.clone();
-            plan_rec(ctx, a, &mut bound_a, out, reorder);
-            plan_rec(ctx, b, bound, out, reorder);
+            let a = Box::new(plan_rec(ctx, *a, &mut bound_a, reorder));
+            let b = Box::new(plan_rec(ctx, *b, bound, reorder));
             for (slot, a_bound) in bound.iter_mut().zip(bound_a) {
                 *slot |= a_bound;
             }
+            Node::Union(a, b)
         }
-        EncPattern::Filter {
-            inner,
-            condition,
-            prebind,
-        } => {
-            extract_prebinds(ctx, condition, inner, bound, prebind);
-            plan_rec(ctx, inner, bound, out, reorder);
+        EncPattern::Filter { inner, condition } => {
+            let prebind = extract_prebinds(ctx, &condition, &inner, bound);
+            let inner = Box::new(plan_rec(ctx, *inner, bound, reorder));
+            Node::Filter {
+                prebind,
+                inner,
+                condition,
+            }
         }
     }
+}
+
+/// Chooses the tail from the query's form and solution modifiers.
+fn plan_tail<'q>(layout: &SlotLayout, query: &'q Query) -> Tail<'q> {
+    let QueryForm::Select {
+        distinct,
+        projection,
+    } = &query.form
+    else {
+        return Tail::Ask;
+    };
+    let sort = (!query.order_by.is_empty()).then_some(Order::Sort);
+    let (group, order) = if query.uses_aggregates() || !query.group_by.is_empty() {
+        match count_columns(layout, query, projection) {
+            // One row, which nothing can reorder.
+            Some(counters) => (Some(Group::Count(counters)), None),
+            None => {
+                let slots = query
+                    .group_by
+                    .iter()
+                    .map(|v| layout.slot_of(v).expect("layout covers group variables"));
+                (Some(Group::Hash(slots.collect())), sort)
+            }
+        }
+    } else {
+        let order = match (sort, query.limit) {
+            // DISTINCT dedupes *projected rows* before LIMIT applies, so
+            // top-k over raw solutions could come up short — full sort in
+            // that case.
+            (Some(_), Some(limit)) if !*distinct => {
+                Some(Order::TopK(query.offset.unwrap_or(0).saturating_add(limit)))
+            }
+            (sort, _) => sort,
+        };
+        (None, order)
+    };
+    Tail::Select(Select {
+        query,
+        projection,
+        distinct: *distinct,
+        group,
+        order,
+    })
+}
+
+/// The columns of a [`Group::Count`] tail, or `None` when the projection
+/// has any other shape (`DISTINCT` counts included — those need the values).
+fn count_columns(
+    layout: &SlotLayout,
+    query: &Query,
+    projection: &Projection,
+) -> Option<Vec<(String, Option<u32>)>> {
+    let Projection::Items(items) = projection else {
+        return None;
+    };
+    if !query.group_by.is_empty() || items.is_empty() {
+        return None;
+    }
+    items
+        .iter()
+        .map(|item| match item {
+            ProjectionItem::Expression {
+                expr:
+                    Expression::Aggregate {
+                        func: AggregateFunction::Count,
+                        distinct: false,
+                        arg,
+                    },
+                alias,
+            } => match arg.as_deref() {
+                None => Some((alias.clone(), None)),
+                Some(Expression::Variable(v)) => Some((alias.clone(), Some(layout.slot_of(v)?))),
+                Some(_) => None,
+            },
+            _ => None,
+        })
+        .collect()
 }
 
 fn mark_pattern_vars(tp: &EncTriplePattern, bound: &mut [bool]) {
@@ -543,20 +765,20 @@ fn pattern_selectivity(tp: &EncTriplePattern, bound: &[bool]) -> i64 {
 
 // ---- equality-filter pushdown ----------------------------------------------------
 
-/// Collects `?v = <iri>` conjuncts from `condition` that can soundly
-/// pre-bind `?v`'s slot before `inner` scans, appending them to `prebind`
-/// and marking the slots bound (so the estimator sees them as constants).
+/// Collects the `?v = <iri>` conjuncts of `condition` that can soundly
+/// pre-bind `?v`'s slot before `inner` scans, marking the slots bound (so
+/// the estimator sees them as constants).
 fn extract_prebinds(
     ctx: &EncContext<'_>,
     condition: &Expression,
     inner: &EncPattern,
     bound: &mut [bool],
-    prebind: &mut Vec<(u32, Option<TermId>)>,
-) {
+) -> Vec<(u32, Option<TermId>)> {
+    let mut prebind = Vec::new();
     let mut pairs: Vec<(&str, &Term)> = Vec::new();
     collect_eq_conjuncts(condition, &mut pairs);
     if pairs.is_empty() || !cannot_raise(condition) {
-        return;
+        return prebind;
     }
     // Pushdown requires the variable bound in *every* inner solution:
     // pruning on the pre-bound value is then exactly what the residual
@@ -583,6 +805,7 @@ fn extract_prebinds(
         bound[slot as usize] = true;
         bump(ctx, Decision::FilterPushed);
     }
+    prebind
 }
 
 /// Walks the top-level `&&` spine collecting `?v = <iri>` conjuncts (either
@@ -868,6 +1091,82 @@ mod tests {
             &parse_query("SELECT * WHERE { ?s <http://e.org/hub> ?o FILTER(?o = \"x\") }").unwrap(),
         );
         assert_eq!(literal.pushed_filters, 0);
+    }
+
+    #[test]
+    fn explain_renders_the_pipeline_and_the_chosen_tail() {
+        // The shapes the server actually sees: the three extraction counts,
+        // an un-grouped count, a browse page, and the remaining tails.
+        let mut triples = Vec::new();
+        for i in 0..6 {
+            let s = iri(&format!("http://e.org/s{i}"));
+            let next = iri(&format!("http://e.org/s{}", (i + 1) % 6));
+            triples.push(Triple::new(
+                s.clone(),
+                iri("http://e.org/a"),
+                iri("http://e.org/C"),
+            ));
+            triples.push(Triple::new(s.clone(), iri("http://e.org/p"), next));
+        }
+        let mut store = TripleStore::new();
+        store.insert_batch(triples.iter());
+        let class = "scan pattern=?s <http://e.org/a> <http://e.org/C> written_index=0 estimate=6";
+        for (query, outline) in [
+            (
+                "SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s <http://e.org/a> ?c } GROUP BY ?c ORDER BY DESC(?n)",
+                "bgp order=[0]\n  scan pattern=?s <http://e.org/a> ?c written_index=0 estimate=6\n\
+                 group strategy=hash\norder strategy=sort\nproject\n"
+                    .to_string(),
+            ),
+            (
+                "SELECT ?p (COUNT(?s) AS ?n) WHERE { ?s <http://e.org/a> <http://e.org/C> . ?s ?p ?o } \
+                 GROUP BY ?p ORDER BY ?p",
+                format!(
+                    "bgp order=[0, 1]\n  {class}\n  scan pattern=?s ?p ?o written_index=1 estimate=2\n\
+                     group strategy=hash\norder strategy=sort\nproject\n"
+                ),
+            ),
+            (
+                "SELECT ?p ?t (COUNT(?s) AS ?n) WHERE { ?o <http://e.org/a> ?t . ?s ?p ?o . \
+                 ?s <http://e.org/a> <http://e.org/C> } GROUP BY ?p ?t ORDER BY ?p ?t",
+                format!(
+                    "bgp order=[2, 1, 0]\n  {}\n  scan pattern=?s ?p ?o written_index=1 estimate=2\n  \
+                     scan pattern=?o <http://e.org/a> ?t written_index=0 estimate=1\n\
+                     group strategy=hash\norder strategy=sort\nproject\n",
+                    class.replace("written_index=0", "written_index=2")
+                ),
+            ),
+            (
+                "SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }",
+                "bgp order=[0]\n  scan pattern=?s ?p ?o written_index=0 estimate=12\n\
+                 group strategy=count\nproject\n"
+                    .to_string(),
+            ),
+            (
+                "SELECT ?s ?o WHERE { ?s <http://e.org/a> <http://e.org/C> . ?s <http://e.org/p> ?o } \
+                 ORDER BY ?o ?s LIMIT 1000 OFFSET 2000",
+                format!(
+                    "bgp order=[0, 1]\n  {class}\n  \
+                     scan pattern=?s <http://e.org/p> ?o written_index=1 estimate=1\n\
+                     order strategy=topk k=3000\nproject\n"
+                ),
+            ),
+            (
+                "SELECT ?s WHERE { ?s <http://e.org/a> <http://e.org/C> } LIMIT 4",
+                format!("bgp order=[0]\n  {class}\nproject\n"),
+            ),
+            (
+                "SELECT DISTINCT ?s WHERE { ?s <http://e.org/a> <http://e.org/C> } ORDER BY ?s LIMIT 3",
+                format!("bgp order=[0]\n  {class}\norder strategy=sort\nproject\n"),
+            ),
+            (
+                "ASK { ?s <http://e.org/a> <http://e.org/C> }",
+                format!("bgp order=[0]\n  {class}\nask\n"),
+            ),
+        ] {
+            let plan = explain(&store, &parse_query(query).unwrap());
+            assert_eq!(plan.to_string(), outline, "query {query}");
+        }
     }
 
     #[test]

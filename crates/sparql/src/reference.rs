@@ -14,6 +14,7 @@
 //! comparator and the deterministic ORDER BY tie-break), which both sides
 //! must agree on by definition.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 use hbold_rdf_model::{Term, Triple};
@@ -21,7 +22,7 @@ use hbold_triple_store::TripleStore;
 
 use crate::ast::*;
 use crate::error::SparqlError;
-use crate::eval::{compare_bindings, evaluate_aggregate, order_solutions};
+use crate::eval::{aggregate_values, order_solutions};
 use crate::expr::{evaluate_expression, filter_passes, Binding};
 use crate::parser::parse_query;
 use crate::results::{QueryResults, SelectResults};
@@ -369,6 +370,60 @@ fn project_grouped(
         .map(|b| variables.iter().map(|v| b.get(v).cloned()).collect())
         .collect();
     Ok(SelectResults { variables, rows })
+}
+
+/// Evaluates one aggregate over a group's members (the engine's encoded
+/// equivalent lives in `crate::encoded`; only the final arithmetic,
+/// [`aggregate_values`], is shared).
+fn evaluate_aggregate(
+    func: AggregateFunction,
+    distinct: bool,
+    arg: Option<&Expression>,
+    members: &[Binding],
+) -> Result<Option<Term>, SparqlError> {
+    // Collect the argument values over the group (for COUNT(*) every member
+    // counts, bound or not).
+    let mut values: Vec<Term> = Vec::new();
+    for member in members {
+        match arg {
+            None => values.push(Term::Literal(hbold_rdf_model::Literal::integer(1))),
+            Some(expr) => {
+                if let Some(t) = evaluate_expression(expr, member)?.into_term() {
+                    values.push(t);
+                }
+            }
+        }
+    }
+    if distinct {
+        let mut seen = BTreeSet::new();
+        values.retain(|t| seen.insert(t.to_ntriples()));
+    }
+    let count = values.len();
+    Ok(aggregate_values(func, values, count))
+}
+
+/// Total deterministic order over whole bindings (variable names, then term
+/// N-Triples forms): the ORDER BY tie-break of [`order_solutions`], spelled
+/// out. The encoded engine's `compare_rows_tiebreak` reproduces this order
+/// over slot rows.
+fn compare_bindings(a: &Binding, b: &Binding) -> Ordering {
+    let mut ia = a.iter();
+    let mut ib = b.iter();
+    loop {
+        match (ia.next(), ib.next()) {
+            (None, None) => return Ordering::Equal,
+            (None, Some(_)) => return Ordering::Less,
+            (Some(_), None) => return Ordering::Greater,
+            (Some((ka, va)), Some((kb, vb))) => {
+                let ord = ka
+                    .cmp(kb)
+                    .then_with(|| va.to_ntriples().cmp(&vb.to_ntriples()));
+                if ord != Ordering::Equal {
+                    return ord;
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 //! Tracing is strictly opt-in: when no span is supplied, nothing here is
 //! even allocated.
 
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -98,6 +99,23 @@ impl AttrValue {
                     item.to_json(out);
                 }
                 out.push(']');
+            }
+        }
+    }
+}
+
+impl fmt::Display for AttrValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AttrValue::U64(v) => write!(f, "{v}"),
+            AttrValue::F64(v) => write!(f, "{v}"),
+            AttrValue::Str(v) => f.write_str(v),
+            AttrValue::List(items) => {
+                f.write_str("[")?;
+                for (i, item) in items.iter().enumerate() {
+                    write!(f, "{}{item}", if i > 0 { ", " } else { "" })?;
+                }
+                f.write_str("]")
             }
         }
     }
@@ -225,6 +243,19 @@ impl Span {
         out
     }
 
+    /// Writes the subtree's names and attributes — no timings, no row
+    /// counts — one line per span, children indented under their parent.
+    fn write_outline(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
+        write!(f, "{:width$}{}", "", self.inner.name, width = depth * 2)?;
+        for (key, value) in self.inner.attrs.lock().expect("span lock poisoned").iter() {
+            write!(f, " {key}={value}")?;
+        }
+        writeln!(f)?;
+        self.children()
+            .iter()
+            .try_for_each(|child| child.write_outline(f, depth + 1))
+    }
+
     /// Renders the subtree as JSON:
     /// `{"name":..,"elapsed_ns":..,"rows":..,"attrs":{..},"children":[..]}`.
     pub fn to_json(&self) -> String {
@@ -264,6 +295,14 @@ impl Span {
         }
         out.push(']');
         out.push('}');
+    }
+}
+
+/// The subtree as an outline: what ran (or would run) and with which
+/// attributes, without the measurements [`Span::to_json`] carries.
+impl fmt::Display for Span {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_outline(f, 0)
     }
 }
 

@@ -698,12 +698,12 @@ impl TripleStore {
         }
     }
 
-    /// Counts the default-graph triples matching a pattern without decoding
-    /// or materializing them.
+    /// Counts the default-graph triples matching a pattern without walking
+    /// them (see [`TripleStore::count_matching_encoded`]).
     pub fn count_matching(&self, pattern: &TriplePattern) -> usize {
         match self.encode_pattern(pattern) {
             Err(()) => 0,
-            Ok((s, p, o)) => self.matching_encoded_iter(s, p, o).count(),
+            Ok((s, p, o)) => self.count_matching_encoded(s, p, o),
         }
     }
 

@@ -247,6 +247,23 @@ fn indexes_stay_consistent_under_interleaved_insert_remove() {
             "round {round}: orders disagree: {sizes:?}"
         );
         assert_eq!(first.flat + first.delta - first.dead, live.len());
+        // The range count (two binary searches + delta − dead) equals a walk
+        // of the same range, for every pattern shape, with keys in all three
+        // tiers and named-graph quads beside the default graph's.
+        let probe = &triples[round % triples.len()];
+        for shape in 0..8u8 {
+            let pick = |bit: u8, term: &Term| (shape & bit != 0).then(|| term.clone());
+            let pattern = TriplePattern {
+                subject: pick(1, &probe.subject),
+                predicate: pick(2, &probe.predicate),
+                object: pick(4, &probe.object),
+            };
+            assert_eq!(
+                store.count_matching(&pattern),
+                store.matching(&pattern).len(),
+                "round {round}: {pattern:?}"
+            );
+        }
         if first.flat != flat_before {
             folds += 1;
             assert_eq!((first.delta, first.dead), (0, 0), "round {round}");
