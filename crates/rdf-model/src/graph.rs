@@ -196,6 +196,31 @@ mod tests {
         assert!(g.is_empty());
     }
 
+    /// The cyclic `Ord for Literal` this pins the end of made the set lose
+    /// its own members: re-inserting 400 such triples added duplicates and
+    /// `contains` missed triples the graph held.
+    #[test]
+    fn set_semantics_hold_over_mixed_integer_and_string_objects() {
+        let (s, p) = (iri("http://e.org/s"), iri("http://e.org/p"));
+        let triples: Vec<Triple> = (0..200)
+            .flat_map(|i| {
+                let n = (i * 37) % 200;
+                [Literal::integer(n), Literal::string((n * 3).to_string())]
+            })
+            .map(|o| Triple::new(s.clone(), p.clone(), o))
+            .collect();
+        let mut g = Graph::new();
+        for t in &triples {
+            g.insert(t.clone());
+        }
+        assert_eq!(g.len(), 400);
+        let added = triples.iter().filter(|t| g.insert((*t).clone())).count();
+        assert_eq!(added, 0, "re-inserting held triples must add nothing");
+        let missed = triples.iter().filter(|t| !g.contains(t)).count();
+        assert_eq!(missed, 0, "contains() must find every held triple");
+        assert_eq!(g.len(), 400);
+    }
+
     #[test]
     fn pattern_queries() {
         let g = sample();

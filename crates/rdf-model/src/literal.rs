@@ -4,7 +4,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::term::Iri;
-use crate::value::LiteralValue;
+use crate::value::{LiteralValue, ValueKey};
 use crate::vocab::{rdf, xsd};
 
 /// An RDF 1.1 literal.
@@ -99,8 +99,9 @@ impl Literal {
     }
 
     /// Interprets the literal as a typed [`LiteralValue`] for use in SPARQL
-    /// filters, ordering and aggregation. Ill-formed lexical forms fall back
-    /// to [`LiteralValue::Text`].
+    /// filters and aggregate arithmetic. Ill-formed lexical forms fall back
+    /// to [`LiteralValue::Text`]. Ordering does not go through this: see
+    /// `Ord for Literal`.
     pub fn value(&self) -> LiteralValue {
         LiteralValue::parse(self.lexical_form(), &self.datatype)
     }
@@ -125,17 +126,17 @@ impl PartialOrd for Literal {
 }
 
 impl Ord for Literal {
+    /// The literal part of the term order (see [`crate::Term`]): value
+    /// class and value, then lexical form, datatype, language. Every
+    /// component is read off one literal, so the order is total, and it
+    /// ends in the three fields `Eq` compares, so `Equal` means `==`.
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Value-aware comparison first (so "2" < "10" for integers), falling
-        // back to lexical ordering for incomparable values.
-        match self.value().partial_cmp(&other.value()) {
-            Some(ord) if ord != std::cmp::Ordering::Equal => ord,
-            _ => self
-                .lexical
-                .cmp(&other.lexical)
-                .then_with(|| self.datatype.cmp(&other.datatype))
-                .then_with(|| self.language.cmp(&other.language)),
-        }
+        let key = |l: &Self| ValueKey::of(&l.lexical, &l.datatype);
+        key(self)
+            .cmp(&key(other))
+            .then_with(|| self.lexical.cmp(&other.lexical))
+            .then_with(|| self.datatype.cmp(&other.datatype))
+            .then_with(|| self.language.cmp(&other.language))
     }
 }
 

@@ -233,10 +233,17 @@ pub enum TermKind {
 
 /// Any RDF term: IRI, blank node or literal.
 ///
-/// The ordering (`Ord`) sorts blank nodes before IRIs before literals and
-/// then by textual form, matching the ordering SPARQL uses for `ORDER BY`
-/// over unbound-free solutions closely enough for the engine in
-/// `hbold-sparql`.
+/// `Ord` is *the* term order — the one `ORDER BY`, `MIN`/`MAX`, the
+/// whole-row tie-break of `hbold-sparql` and [`crate::Graph`]'s set all
+/// stand on. Blank nodes sort before IRIs before literals; blank nodes and
+/// IRIs by their text; literals by value class (numeric < boolean <
+/// dateTime < everything else), by value within the class (`NaN` after
+/// every number, `-0.0` = `0.0`, integers exact beyond 2^53), then by
+/// lexical form, datatype and language. It is total, and `Equal` exactly
+/// when `==`, so it agrees with `Eq` and `Hash`. Where it refines SPARQL:
+/// value-equal literals (`"1"`, `"01"`, `"1.0"^^xsd:double`) do not tie,
+/// they order by lexical form. The `<` and `=` *operators* of `FILTER` are
+/// [`crate::LiteralValue`]'s partial order and are a different thing.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Term {
     /// An IRI term.
@@ -387,6 +394,7 @@ impl From<&Iri> for Term {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vocab::xsd;
 
     #[test]
     fn iri_accepts_http_and_urn() {
@@ -466,6 +474,70 @@ mod tests {
         let mut v = vec![lit.clone(), iri.clone(), blank.clone()];
         v.sort();
         assert_eq!(v, vec![blank, iri, lit]);
+    }
+
+    /// Every pair strictly ordered as listed, in both directions — which,
+    /// over a list, is transitivity too.
+    fn assert_strictly_ascending(terms: &[Term]) {
+        for (i, a) in terms.iter().enumerate() {
+            for (j, b) in terms.iter().enumerate() {
+                assert_eq!(a.cmp(b), i.cmp(&j), "{a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn numbers_and_numeric_looking_strings_do_not_cycle() {
+        // Was `"10"^^integer > "9"^^integer > "5" > "10"^^integer`: value
+        // comparison when both sides parsed, lexical otherwise.
+        assert_strictly_ascending(&[
+            Literal::integer(9).into(),
+            Literal::integer(10).into(),
+            Literal::string("5").into(),
+        ]);
+    }
+
+    #[test]
+    fn integers_past_2_pow_53_keep_their_exact_order_against_doubles() {
+        // Through an `as f64` cast 2^53 + 1 ties the double 2^53 while it
+        // does not tie the integer 2^53: "value, then lexical" cycles here.
+        assert_strictly_ascending(&[
+            Literal::typed("09007199254740992.0", xsd::double()).into(),
+            Literal::typed("9007199254740992", xsd::integer()).into(),
+            Literal::typed("+9007199254740993", xsd::integer()).into(),
+        ]);
+    }
+
+    #[test]
+    fn value_classes_and_their_edges_fall_where_documented() {
+        let double = |s: &str| Term::from(Literal::typed(s, xsd::double()));
+        assert_strictly_ascending(&[
+            BlankNode::numbered(1).into(),
+            Iri::new("http://a.example/z").unwrap().into(),
+            double("-INF"),
+            Literal::integer(i64::MIN).into(),
+            // Value-equal forms order by lexical form, `-0.0` = `0.0`.
+            double("-0.0"),
+            Literal::integer(0).into(),
+            double("0.0"),
+            Literal::typed("00", xsd::integer()).into(),
+            Literal::integer(i64::MAX).into(),
+            double("INF"),
+            double("NaN"),
+            Literal::boolean(false).into(),
+            Literal::boolean(true).into(),
+            // One instant under two offsets: lexical form decides.
+            Literal::typed("1970-01-01T00:00:00Z", xsd::date_time()).into(),
+            Literal::typed("1970-01-01T01:00:00+01:00", xsd::date_time()).into(),
+            Literal::date_time_from_unix(1).into(),
+            // Text: plain, tagged and ill-typed literals by lexical form,
+            // then datatype IRI (`rdf:langString` < `xsd:*`), then language.
+            Literal::string("5").into(),
+            Literal::lang_string("abc", "en").into(),
+            Literal::lang_string("abc", "fr").into(),
+            Literal::typed("abc", xsd::integer()).into(),
+            Literal::string("abd").into(),
+        ]);
     }
 
     #[test]

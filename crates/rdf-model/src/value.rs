@@ -32,26 +32,7 @@ impl LiteralValue {
     /// mirroring SPARQL's behaviour of treating ill-typed literals as plain
     /// terms rather than erroring out the whole query.
     pub fn parse(lexical: &str, datatype: &Iri) -> LiteralValue {
-        if crate::vocab::is_integer_datatype(datatype) {
-            if let Ok(v) = lexical.trim().parse::<i64>() {
-                return LiteralValue::Integer(v);
-            }
-        } else if crate::vocab::is_floating_datatype(datatype) {
-            if let Ok(v) = lexical.trim().parse::<f64>() {
-                return LiteralValue::Double(v);
-            }
-        } else if datatype == &xsd::boolean() {
-            match lexical.trim() {
-                "true" | "1" => return LiteralValue::Boolean(true),
-                "false" | "0" => return LiteralValue::Boolean(false),
-                _ => {}
-            }
-        } else if datatype == &xsd::date_time() || datatype == &xsd::date() {
-            if let Some(ts) = parse_iso8601(lexical.trim()) {
-                return LiteralValue::DateTime(ts);
-            }
-        }
-        LiteralValue::Text(lexical.to_string())
+        parse_typed(lexical, datatype).unwrap_or_else(|| LiteralValue::Text(lexical.to_string()))
     }
 
     /// Returns the value as an `f64` if it is numeric.
@@ -103,6 +84,72 @@ impl PartialOrd for LiteralValue {
             (DateTime(a), DateTime(b)) => a.partial_cmp(b),
             (Text(a), Text(b)) => a.partial_cmp(b),
             _ => None,
+        }
+    }
+}
+
+/// The typed (non-[`LiteralValue::Text`]) reading of a lexical form, `None`
+/// when the datatype has none or the form is ill-typed. Allocates nothing.
+fn parse_typed(lexical: &str, datatype: &Iri) -> Option<LiteralValue> {
+    let lexical = lexical.trim();
+    if crate::vocab::is_integer_datatype(datatype) {
+        lexical.parse().ok().map(LiteralValue::Integer)
+    } else if crate::vocab::is_floating_datatype(datatype) {
+        lexical.parse().ok().map(LiteralValue::Double)
+    } else if datatype == &xsd::boolean() {
+        match lexical {
+            "true" | "1" => Some(LiteralValue::Boolean(true)),
+            "false" | "0" => Some(LiteralValue::Boolean(false)),
+            _ => None,
+        }
+    } else if datatype == &xsd::date_time() || datatype == &xsd::date() {
+        parse_iso8601(lexical).map(LiteralValue::DateTime)
+    } else {
+        None
+    }
+}
+
+/// The value part of a literal's key in the term order (see
+/// [`crate::Term`]): the variants are the value classes in their order, the
+/// payload orders within a class. It is a function of *one* literal and its
+/// `Ord` is derived, so the order is total by construction — nothing is
+/// decided by comparing two parsed values pairwise.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum ValueKey {
+    /// Any number but `NaN`, `-INF` and `INF` included, as `(hi, lo)`: `hi`
+    /// is the value rounded to the nearest `f64` (order-preserving bits,
+    /// `-0.0` as `0.0`), `lo` what that rounding took off an integer (0 for
+    /// the floating types). Rounding is monotone, so `hi` decides unless it
+    /// ties, and then the values differ by exactly `lo` — integers beyond
+    /// 2^53 keep their exact order among themselves and against doubles.
+    Number(i64, i64),
+    /// `NaN`: after every number.
+    NaN,
+    Boolean(bool),
+    /// Seconds since the epoch, so equal instants tie whatever their offset.
+    DateTime(i64),
+    /// Strings, language-tagged strings, unknown datatypes and ill-typed
+    /// literals of the known ones: ordered by what follows the key.
+    Text,
+}
+
+impl ValueKey {
+    pub(crate) fn of(lexical: &str, datatype: &Iri) -> ValueKey {
+        // A non-NaN f64 as an i64 of the same order (`f64::total_cmp`'s map).
+        fn ordered(v: f64) -> i64 {
+            let bits = (v + 0.0).to_bits() as i64;
+            bits ^ (((bits >> 63) as u64) >> 1) as i64
+        }
+        match parse_typed(lexical, datatype) {
+            Some(LiteralValue::Integer(v)) => {
+                let hi = v as f64;
+                ValueKey::Number(ordered(hi), (v as i128 - hi as i128) as i64)
+            }
+            Some(LiteralValue::Double(v)) if v.is_nan() => ValueKey::NaN,
+            Some(LiteralValue::Double(v)) => ValueKey::Number(ordered(v), 0),
+            Some(LiteralValue::Boolean(b)) => ValueKey::Boolean(b),
+            Some(LiteralValue::DateTime(t)) => ValueKey::DateTime(t),
+            Some(LiteralValue::Text(_)) | None => ValueKey::Text,
         }
     }
 }

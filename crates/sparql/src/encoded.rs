@@ -21,11 +21,12 @@
 //!   is a flat `memcpy` instead of a tree rebuild with per-term `Arc`
 //!   traffic.
 //! * Joins, `FILTER`, `OPTIONAL`, `UNION`, `DISTINCT`, `GROUP BY`
-//!   partitioning and the `ORDER BY` tie-break all operate on identifiers;
-//!   the dictionary is consulted lazily — only where lexical values are
-//!   genuinely needed (expression evaluation, ORDER BY sort keys, aggregate
-//!   arithmetic) — and full [`Term`] rows materialize exactly once, at the
-//!   [`SelectResults`] boundary.
+//!   partitioning and the `ORDER BY` tie-break all operate on identifiers
+//!   (the tie-break decodes the two terms where ids differ, to compare
+//!   them by the term order); the dictionary is consulted lazily — only
+//!   where lexical values are genuinely needed (expression evaluation,
+//!   ORDER BY sort keys, aggregate arithmetic) — and full [`Term`] rows
+//!   materialize exactly once, at the [`SelectResults`] boundary.
 //!
 //! The naive reference evaluator ([`crate::reference`]) deliberately stays
 //! in the Term domain, so the differential oracle keeps checking this whole
@@ -33,7 +34,7 @@
 
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -43,8 +44,8 @@ use hbold_triple_store::{QuadScan, TermDictionary, TermId, TripleStore, DEFAULT_
 
 use crate::ast::*;
 use crate::error::SparqlError;
-use crate::eval::{aggregate_values, compare_optional_terms, order_solutions};
-use crate::expr::{evaluate_scoped, filter_passes_scoped, Binding, EvalValue, Scope};
+use crate::eval::{aggregate_values, order_bindings, order_keys, order_solutions};
+use crate::expr::{evaluate_scoped, filter_passes_scoped, Binding, Scope};
 use crate::optimize::{Group, Node, Order, Plan, PlanCounters, Select, Tail};
 use crate::results::{QueryResults, SelectResults};
 
@@ -1021,13 +1022,26 @@ pub(crate) fn execute(
             Ok(results)
         }
         (None, Some(order)) => {
-            let ordered = timed(spans.order.as_ref(), || match order {
-                Order::TopK(k) => order_solutions_topk(ctx, &query.order_by, stream, *k),
-                Order::Sort => Ok(order_encoded_solutions(
-                    ctx,
+            let k = match order {
+                Order::TopK(k) => Some(*k),
+                Order::Sort => None,
+            };
+            let ordered = timed(spans.order.as_ref(), || {
+                order_solutions(
                     &query.order_by,
-                    stream.collect::<Result<_, _>>()?,
-                )),
+                    stream,
+                    k,
+                    // Keys evaluate with lazy decode.
+                    |row| {
+                        let scope = EncScope {
+                            row,
+                            layout: ctx.layout,
+                            dict: ctx.dict,
+                        };
+                        order_keys(&query.order_by, &scope)
+                    },
+                    |a, b| compare_rows_tiebreak(ctx, a, b),
+                )
             })?;
             let ordered = Box::new(ordered.into_iter().map(Ok));
             timed(project, || project_rows(ctx, select, ordered))
@@ -1115,14 +1129,6 @@ fn project_mixed(
     Ok(out)
 }
 
-/// N-Triples-rendered dedup key for a Term-domain row (Mixed DISTINCT).
-fn term_row_key(row: &[Option<Term>]) -> String {
-    row.iter()
-        .map(|t| t.as_ref().map(|t| t.to_ntriples()).unwrap_or_default())
-        .collect::<Vec<_>>()
-        .join("\u{1}")
-}
-
 /// DISTINCT (in row order), OFFSET and LIMIT over Term-domain rows.
 fn distinct_cut(
     rows: &mut Vec<Vec<Option<Term>>>,
@@ -1131,8 +1137,8 @@ fn distinct_cut(
     limit: Option<usize>,
 ) {
     if distinct {
-        let mut seen: HashSet<String> = HashSet::with_capacity(rows.len());
-        rows.retain(|r| seen.insert(term_row_key(r)));
+        let mut seen: HashSet<Vec<Option<Term>>> = HashSet::with_capacity(rows.len());
+        rows.retain(|r| seen.insert(r.clone()));
     }
     cut(rows, offset, limit);
 }
@@ -1189,10 +1195,10 @@ fn project_rows(
                 .collect()
         }
         Columns::Mixed(items) => {
-            let mut seen: HashSet<String> = HashSet::new();
+            let mut seen: HashSet<Vec<Option<Term>>> = HashSet::new();
             let mut kept = first_rows(stream, target, |row| {
                 let projected = project_mixed(ctx, items, row)?;
-                let fresh = !select.distinct || seen.insert(term_row_key(&projected));
+                let fresh = !select.distinct || seen.insert(projected.clone());
                 Ok(fresh.then_some(projected))
             })?;
             cut(&mut kept, offset, limit);
@@ -1222,33 +1228,11 @@ fn first_rows<R>(
 
 // ---- ordering --------------------------------------------------------------------
 
-/// ORDER BY sort keys for one row: expression evaluation with lazy decode.
-fn order_keys(
-    ctx: &EncContext<'_>,
-    order_by: &[OrderCondition],
-    row: &[TermId],
-) -> Vec<Option<Term>> {
-    let scope = EncScope {
-        row,
-        layout: ctx.layout,
-        dict: ctx.dict,
-    };
-    order_by
-        .iter()
-        .map(|cond| {
-            evaluate_scoped(&cond.expr, &scope)
-                .ok()
-                .and_then(EvalValue::into_term)
-        })
-        .collect()
-}
-
-/// Total deterministic order over whole encoded rows: slots walked in
-/// variable-name order, unbound slots skipped, terms compared by their
-/// N-Triples form — byte-for-byte the tie-break of
-/// [`crate::eval::order_solutions`] (spelled out as
-/// `crate::reference::compare_bindings`), reproduced without building a
-/// `BTreeMap`.
+/// The whole-row tie-break of `ORDER BY` over encoded rows: `Binding`'s own
+/// order (variable names, then the term order — what
+/// [`crate::eval::order_bindings`] breaks ties by) without building the
+/// map. Slots are walked in variable-name order, unbound ones skipped, ids
+/// compared first and terms decoded only where they differ.
 fn compare_rows_tiebreak(ctx: &EncContext<'_>, a: &[TermId], b: &[TermId]) -> Ordering {
     let mut ia = ctx
         .layout
@@ -1272,120 +1256,13 @@ fn compare_rows_tiebreak(ctx: &EncContext<'_>, a: &[TermId], b: &[TermId]) -> Or
                 }
                 let (ida, idb) = (a[sa as usize], b[sb as usize]);
                 if ida != idb {
-                    // Distinct ids are distinct terms with distinct
-                    // N-Triples forms (interning is injective).
-                    let ord = ctx
-                        .dict
-                        .term(ida)
-                        .to_ntriples()
-                        .cmp(&ctx.dict.term(idb).to_ntriples());
-                    if ord != Ordering::Equal {
-                        return ord;
-                    }
+                    // Interning is injective, and the term order ties only
+                    // equal terms: distinct ids never compare `Equal`.
+                    return ctx.dict.term(ida).cmp(ctx.dict.term(idb));
                 }
             }
         }
     }
-}
-
-fn compare_keyed(
-    ctx: &EncContext<'_>,
-    order_by: &[OrderCondition],
-    ka: &[Option<Term>],
-    ra: &[TermId],
-    kb: &[Option<Term>],
-    rb: &[TermId],
-) -> Ordering {
-    for (i, cond) in order_by.iter().enumerate() {
-        let ord = compare_optional_terms(&ka[i], &kb[i]);
-        let ord = if cond.descending { ord.reverse() } else { ord };
-        if ord != Ordering::Equal {
-            return ord;
-        }
-    }
-    compare_rows_tiebreak(ctx, ra, rb)
-}
-
-/// Sorts materialized encoded solutions under ORDER BY.
-fn order_encoded_solutions(
-    ctx: &EncContext<'_>,
-    order_by: &[OrderCondition],
-    mut solutions: Vec<EncRow>,
-) -> Vec<EncRow> {
-    if order_by.is_empty() {
-        return solutions;
-    }
-    // Precompute sort keys to avoid re-evaluating expressions in the
-    // comparator.
-    let mut keyed: Vec<(Vec<Option<Term>>, EncRow)> = solutions
-        .drain(..)
-        .map(|row| (order_keys(ctx, order_by, &row), row))
-        .collect();
-    keyed.sort_by(|(ka, ra), (kb, rb)| compare_keyed(ctx, order_by, ka, ra, kb, rb));
-    keyed.into_iter().map(|(_, row)| row).collect()
-}
-
-/// Bounded top-k ordering over an encoded stream: a max-heap of size `k`
-/// keeps the k smallest rows (under the ORDER BY comparator) while the
-/// stream is consumed, so `ORDER BY ... LIMIT k` never materializes or
-/// fully sorts the solution set.
-fn order_solutions_topk(
-    ctx: &EncContext<'_>,
-    order_by: &[OrderCondition],
-    stream: EncStream<'_>,
-    k: usize,
-) -> Result<Vec<EncRow>, SparqlError> {
-    if k == 0 {
-        return Ok(Vec::new());
-    }
-    struct Entry<'e> {
-        keys: Vec<Option<Term>>,
-        row: EncRow,
-        ctx: &'e EncContext<'e>,
-        order_by: &'e [OrderCondition],
-    }
-    impl PartialEq for Entry<'_> {
-        fn eq(&self, other: &Self) -> bool {
-            self.cmp(other) == Ordering::Equal
-        }
-    }
-    impl Eq for Entry<'_> {}
-    impl PartialOrd for Entry<'_> {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Entry<'_> {
-        fn cmp(&self, other: &Self) -> Ordering {
-            compare_keyed(
-                self.ctx,
-                self.order_by,
-                &self.keys,
-                &self.row,
-                &other.keys,
-                &other.row,
-            )
-        }
-    }
-    // `k` comes from `offset + limit` and may be astronomically large (e.g.
-    // `LIMIT 9223372036854775807 OFFSET 9223372036854775807`), so it must
-    // only bound the heap's *size*, never pre-size its allocation: the
-    // capacity hint is clamped and `k + 1` style arithmetic avoided.
-    let mut heap: BinaryHeap<Entry<'_>> = BinaryHeap::with_capacity(k.saturating_add(1).min(1024));
-    for solution in stream {
-        let row = solution?;
-        let entry = Entry {
-            keys: order_keys(ctx, order_by, &row),
-            row,
-            ctx,
-            order_by,
-        };
-        heap.push(entry);
-        if heap.len() > k {
-            heap.pop(); // drop the current worst
-        }
-    }
-    Ok(heap.into_sorted_vec().into_iter().map(|e| e.row).collect())
 }
 
 // ---- grouped evaluation ----------------------------------------------------------
@@ -1474,7 +1351,7 @@ fn project_grouped(
     }
 
     let ordered = timed(spans.order.as_ref(), || {
-        order_solutions(&select.query.order_by, grouped_bindings)
+        order_bindings(&select.query.order_by, grouped_bindings)
     })?;
     let (variables, _) = compile_projection(select.projection, ctx.layout);
     let rows = ordered
@@ -1607,8 +1484,8 @@ fn evaluate_aggregate(
         }
     }
     if distinct {
-        let mut seen: HashSet<String> = HashSet::with_capacity(values.len());
-        values.retain(|t| seen.insert(t.to_ntriples()));
+        let mut seen: HashSet<Term> = HashSet::with_capacity(values.len());
+        values.retain(|t| seen.insert(t.clone()));
     }
     let count = values.len();
     Ok(aggregate_values(func, values, count))

@@ -25,6 +25,7 @@
 //! `ORDER BY` pins one.
 
 use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use hbold_rdf_model::Term;
 use hbold_telemetry::Span;
@@ -33,7 +34,7 @@ use hbold_triple_store::TripleStore;
 use crate::ast::*;
 use crate::encoded::{compile_pattern, execute, timed, EncContext, EncDataset, SlotLayout};
 use crate::error::SparqlError;
-use crate::expr::{evaluate_expression, number_term, numeric_value, Binding, EvalValue};
+use crate::expr::{evaluate_scoped, number_term, numeric_value, Binding, EvalValue, Scope};
 use crate::optimize::{plan_pattern, BgpReorder, PlanCounters};
 use crate::plan::parse_cached;
 use crate::results::QueryResults;
@@ -174,14 +175,13 @@ pub fn evaluate_with(
     evaluate(store, query)
 }
 
-// ---- Term-domain semantic primitives ---------------------------------------------
+// ---- what stands on the term order ------------------------------------------------
 //
-// Everything below operates on decoded terms and `Binding` maps. These are
-// the *semantic* primitives shared with the naive reference evaluator (the
-// differential oracle) and with grouped output evaluation, which works on
-// the small post-aggregation row set; the hot encoded operators in
-// `crate::encoded` reproduce their exact orderings in the id domain. What
-// only the oracle needs lives in `crate::reference`.
+// `Ord for Term` (in `hbold-rdf-model`) is the one order. `MIN`/`MAX`, the
+// `ORDER BY` keys and the whole-row tie-break below *are* it — the engine's
+// id rows, grouped output bindings and the naive reference evaluator (the
+// differential oracle) all sort through the one `order_solutions`. What only
+// the oracle needs lives in `crate::reference`.
 
 /// Final arithmetic step of an aggregate: folds the collected (already
 /// DISTINCT-filtered) argument values. `count` is the number of collected
@@ -215,82 +215,119 @@ pub(crate) fn aggregate_values(
                 Some(number_term(nums.iter().sum::<f64>() / nums.len() as f64))
             }
         }
-        AggregateFunction::Min => values.iter().min_by(|a, b| compare_terms(a, b)).cloned(),
-        AggregateFunction::Max => values.iter().max_by(|a, b| compare_terms(a, b)).cloned(),
+        AggregateFunction::Min => values.into_iter().min(),
+        AggregateFunction::Max => values.into_iter().max(),
     }
 }
 
-fn order_keys(order_by: &[OrderCondition], binding: &Binding) -> Vec<Option<Term>> {
+/// A solution beside its evaluated `ORDER BY` keys.
+type Keyed<R> = (Vec<Option<Term>>, R);
+
+/// The `ORDER BY` keys of one solution; a condition that errors is unbound.
+pub(crate) fn order_keys(order_by: &[OrderCondition], scope: &impl Scope) -> Vec<Option<Term>> {
     order_by
         .iter()
         .map(|cond| {
-            evaluate_expression(&cond.expr, binding)
+            evaluate_scoped(&cond.expr, scope)
                 .ok()
                 .and_then(EvalValue::into_term)
         })
         .collect()
 }
 
-fn compare_keyed(
+/// The `ORDER BY` comparator: each key under `Option<Term>`'s own order
+/// (unbound first, then the term order), reversed under `DESC`; equal keys
+/// fall to `tiebreak` over the whole rows, which makes the order total, so
+/// every caller cuts `LIMIT` boundaries identically.
+fn compare_keyed<R>(
     order_by: &[OrderCondition],
-    ka: &[Option<Term>],
-    ba: &Binding,
-    kb: &[Option<Term>],
-    bb: &Binding,
+    (ka, ra): &Keyed<R>,
+    (kb, rb): &Keyed<R>,
+    tiebreak: &impl Fn(&R, &R) -> Ordering,
 ) -> Ordering {
-    for (i, cond) in order_by.iter().enumerate() {
-        let ord = compare_optional_terms(&ka[i], &kb[i]);
-        let ord = if cond.descending { ord.reverse() } else { ord };
+    for (cond, (a, b)) in order_by.iter().zip(ka.iter().zip(kb)) {
+        let ord = if cond.descending { b.cmp(a) } else { a.cmp(b) };
         if ord != Ordering::Equal {
             return ord;
         }
     }
-    // Total deterministic tie-break: equal sort keys fall back to the full
-    // binding (variable names, then term N-Triples forms), so the engine
-    // and the reference oracle cut LIMIT boundaries identically.
-    fn entries(b: &Binding) -> impl Iterator<Item = (&String, String)> {
-        b.iter().map(|(name, term)| (name, term.to_ntriples()))
-    }
-    entries(ba).cmp(entries(bb))
+    tiebreak(ra, rb)
 }
 
-/// Sorts Term-domain solutions under ORDER BY (grouped output rows and the
-/// reference evaluator).
-pub(crate) fn order_solutions(
+/// Sorts solutions under `ORDER BY` — all of them, or with `k` the first `k`
+/// through a bounded max-heap, so `ORDER BY ... LIMIT` never materializes or
+/// fully sorts the solution set. `keys` evaluates a solution's sort keys
+/// (once, not per comparison); `tiebreak` orders whole solutions.
+pub(crate) fn order_solutions<R>(
     order_by: &[OrderCondition],
-    mut solutions: Vec<Binding>,
-) -> Result<Vec<Binding>, SparqlError> {
-    if order_by.is_empty() {
-        return Ok(solutions);
-    }
-    // Precompute sort keys to avoid re-evaluating expressions in the comparator.
-    let mut keyed: Vec<(Vec<Option<Term>>, Binding)> = solutions
-        .drain(..)
-        .map(|binding| (order_keys(order_by, &binding), binding))
-        .collect();
-    keyed.sort_by(|(ka, ba), (kb, bb)| compare_keyed(order_by, ka, ba, kb, bb));
-    Ok(keyed.into_iter().map(|(_, b)| b).collect())
-}
-
-pub(crate) fn compare_optional_terms(a: &Option<Term>, b: &Option<Term>) -> Ordering {
-    match (a, b) {
-        (None, None) => Ordering::Equal,
-        (None, Some(_)) => Ordering::Less,
-        (Some(_), None) => Ordering::Greater,
-        (Some(a), Some(b)) => compare_terms(a, b),
-    }
-}
-
-/// Value-aware term comparison used for ORDER BY and MIN/MAX: numeric
-/// literals compare numerically, everything else falls back to the model
-/// ordering (blank < IRI < literal, then textual).
-pub(crate) fn compare_terms(a: &Term, b: &Term) -> Ordering {
-    if let (Term::Literal(la), Term::Literal(lb)) = (a, b) {
-        if let Some(ord) = la.value().partial_cmp(&lb.value()) {
-            return ord;
+    solutions: impl Iterator<Item = Result<R, SparqlError>>,
+    k: Option<usize>,
+    keys: impl Fn(&R) -> Vec<Option<Term>>,
+    tiebreak: impl Fn(&R, &R) -> Ordering,
+) -> Result<Vec<R>, SparqlError> {
+    struct Entry<'c, R, C>(Keyed<R>, &'c C);
+    impl<R, C: Fn(&Keyed<R>, &Keyed<R>) -> Ordering> PartialEq for Entry<'_, R, C> {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp(other) == Ordering::Equal
         }
     }
-    a.cmp(b)
+    impl<R, C: Fn(&Keyed<R>, &Keyed<R>) -> Ordering> Eq for Entry<'_, R, C> {}
+    impl<R, C: Fn(&Keyed<R>, &Keyed<R>) -> Ordering> PartialOrd for Entry<'_, R, C> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl<R, C: Fn(&Keyed<R>, &Keyed<R>) -> Ordering> Ord for Entry<'_, R, C> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            (self.1)(&self.0, &other.0)
+        }
+    }
+
+    if order_by.is_empty() {
+        return solutions.collect();
+    }
+    let compare = |a: &Keyed<R>, b: &Keyed<R>| compare_keyed(order_by, a, b, &tiebreak);
+    let keyed = solutions.map(|solution| solution.map(|row| (keys(&row), row)));
+    Ok(match k {
+        None => {
+            let mut all = keyed.collect::<Result<Vec<_>, _>>()?;
+            all.sort_by(compare);
+            all.into_iter().map(|(_, row)| row).collect()
+        }
+        Some(0) => Vec::new(),
+        Some(k) => {
+            // `k` comes from `offset + limit` and may be astronomically
+            // large (e.g. `LIMIT 9223372036854775807 OFFSET
+            // 9223372036854775807`), so it must only bound the heap's
+            // *size*, never pre-size its allocation: the capacity hint is
+            // clamped and `k + 1` style arithmetic avoided.
+            let mut heap = BinaryHeap::with_capacity(k.saturating_add(1).min(1024));
+            for entry in keyed {
+                heap.push(Entry(entry?, &compare));
+                if heap.len() > k {
+                    heap.pop(); // drop the current worst
+                }
+            }
+            let sorted = heap.into_sorted_vec();
+            sorted.into_iter().map(|Entry((_, row), _)| row).collect()
+        }
+    })
+}
+
+/// [`order_solutions`] over Term-domain bindings (grouped output rows and
+/// the reference evaluator): the tie-break is `Binding`'s own order —
+/// variable names, then the term order.
+pub(crate) fn order_bindings(
+    order_by: &[OrderCondition],
+    solutions: Vec<Binding>,
+) -> Result<Vec<Binding>, SparqlError> {
+    order_solutions(
+        order_by,
+        solutions.into_iter().map(Ok),
+        None,
+        |binding| order_keys(order_by, binding),
+        Binding::cmp,
+    )
 }
 
 #[cfg(test)]

@@ -28,6 +28,12 @@
 //! 3. **Serialization round-trip** — the result survives SPARQL-JSON and
 //!    TSV encode/decode losslessly, and the CSV output parses back (via
 //!    [`CsvTable`]) to exactly the term string values.
+//! 4. **Permuted insertion order** — the store's quads re-inserted in a
+//!    seeded shuffle (other ids, other scan orders) give the same answer,
+//!    the exact sequence under `ORDER BY`, and an ordered answer is
+//!    non-decreasing under `Term::cmp`. The engine and the reference share
+//!    the term order by design, so this — with the exhaustive order test in
+//!    `tests/fuzz_regressions.rs` — is what checks the order itself.
 //!
 //! [`check_update_case`] is the update-side counterpart: it generates a
 //! random sequence of SPARQL 1.1 Update requests (`INSERT DATA` / `DELETE
@@ -47,9 +53,10 @@
 //! which is usually a few clauses and minimizes quickly by deleting parts.
 //! `HBOLD_FUZZ_CASES` scales the sweep (default 512; CI smoke uses the same).
 
+use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 
-use hbold_rdf_model::vocab::rdf;
+use hbold_rdf_model::vocab::{rdf, xsd};
 use hbold_rdf_model::{BlankNode, Iri, Literal, Quad, Term, Triple};
 use hbold_triple_store::TripleStore;
 
@@ -97,6 +104,13 @@ impl FuzzRng {
     /// Picks a uniformly random element of a non-empty slice.
     pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         &items[self.below(items.len())]
+    }
+
+    /// Shuffles `items` in place (Fisher–Yates).
+    pub fn shuffle<T>(&mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            items.swap(i, self.below(i + 1));
+        }
     }
 }
 
@@ -146,9 +160,9 @@ pub fn literal_pool() -> Vec<Literal> {
         Literal::double(1e300),
         // Largest f64 strictly below 2^63: the float→int narrowing boundary.
         Literal::double(9_223_372_036_854_774_784.0),
-        Literal::typed("NaN", hbold_rdf_model::vocab::xsd::double()),
+        Literal::typed("NaN", xsd::double()),
         // Ill-formed: lexical form does not match the datatype.
-        Literal::typed("abc", hbold_rdf_model::vocab::xsd::integer()),
+        Literal::typed("abc", xsd::integer()),
         Literal::boolean(true),
         Literal::boolean(false),
         Literal::date_time_from_unix(0),
@@ -173,6 +187,44 @@ pub fn literal_pool() -> Vec<Literal> {
     ] {
         pool.push(Literal::string(s));
     }
+    // What a term order has to survive: numeric-looking plain strings,
+    // value-equal forms of one number / boolean / instant, integers that
+    // only an exact comparison tells apart from the double 2^53, the
+    // infinities and a second `NaN`.
+    for s in ["5", "10", "-1"] {
+        pool.push(Literal::string(s));
+    }
+    for (lexical, datatype) in [
+        ("01", xsd::integer()),
+        ("+1", xsd::integer()),
+        ("1.0", xsd::double()),
+        ("1", xsd::decimal()),
+        ("1", xsd::boolean()),
+        ("+9007199254740993", xsd::integer()),
+        ("9007199254740992", xsd::integer()),
+        ("09007199254740992.0", xsd::double()),
+        ("INF", xsd::double()),
+        ("-INF", xsd::double()),
+        ("NaN", xsd::float()),
+        // The instant of `date_time_from_unix(0)` under another offset.
+        ("1970-01-01T01:00:00+01:00", xsd::date_time()),
+    ] {
+        pool.push(Literal::typed(lexical, datatype));
+    }
+    pool
+}
+
+/// How many distinct blank nodes the generated stores draw from.
+const BLANKS: u64 = 3;
+
+/// Every term a generated store or query can hold: the literal pool, the
+/// IRI pools and the blank nodes — what the exhaustive term-order test
+/// walks.
+pub fn term_pool() -> Vec<Term> {
+    let iris = [subject_iris(), predicate_iris(), class_iris(), graph_iris()];
+    let mut pool: Vec<Term> = literal_pool().into_iter().map(Term::Literal).collect();
+    pool.extend(iris.into_iter().flatten().map(Term::Iri));
+    pool.extend((0..BLANKS).map(|n| Term::Blank(BlankNode::numbered(n))));
     pool
 }
 
@@ -202,7 +254,7 @@ pub fn generate_store(rng: &mut FuzzRng) -> TripleStore {
         0..=3 => Term::Literal(rng.pick(&literals).clone()),
         4..=5 => Term::Iri(rng.pick(&subjects).clone()),
         6..=7 => Term::Iri(rng.pick(&classes).clone()),
-        8 => Term::Blank(BlankNode::numbered(rng.below(3) as u64)),
+        8 => Term::Blank(BlankNode::numbered(rng.below(BLANKS as usize) as u64)),
         _ => Term::Iri(rng.pick(&predicates).clone()),
     };
     for _ in 0..triples {
@@ -818,6 +870,40 @@ fn check_equivalent(
     }
 }
 
+/// An ordered answer is non-decreasing under `Term::cmp` on its `ORDER BY`
+/// keys — read off the leading conditions that are projected variables,
+/// since rows sorted on all keys are sorted on any prefix of them.
+fn check_sorted(query: &Query, results: &QueryResults) -> Result<(), String> {
+    let QueryResults::Select(select) = results else {
+        return Ok(());
+    };
+    let columns: Vec<(usize, bool)> = query
+        .order_by
+        .iter()
+        .map_while(|cond| match &cond.expr {
+            Expression::Variable(v) => select.variables.iter().position(|name| name == v),
+            _ => None,
+        })
+        .zip(query.order_by.iter().map(|cond| cond.descending))
+        .collect();
+    for pair in select.rows.windows(2) {
+        for &(column, descending) in &columns {
+            let (a, b) = (&pair[0][column], &pair[1][column]);
+            match if descending { b.cmp(a) } else { a.cmp(b) } {
+                Ordering::Less => break,
+                Ordering::Equal => {}
+                Ordering::Greater => {
+                    return Err(format!(
+                        "ordered rows decrease under Term::cmp on ?{}: {a:?} before {b:?}",
+                        select.variables[column]
+                    ))
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 /// JSON, TSV and CSV round-trip checks on a concrete result.
 fn check_serialization(results: &QueryResults) -> Result<(), String> {
     let json = results.to_sparql_json();
@@ -897,9 +983,7 @@ pub fn evaluate_shuffled(
     let mut non_default = 0;
     let mut shuffle = |planned: Vec<usize>| {
         let mut order = planned.clone();
-        for i in (1..order.len()).rev() {
-            order.swap(i, rng.below(i + 1));
-        }
+        rng.shuffle(&mut order);
         non_default += usize::from(order != planned);
         order
     };
@@ -917,8 +1001,9 @@ pub fn check_case(seed: u64) -> Result<usize, String> {
     check_query(&store, &query, rng.next_u64(), &format!("seed {seed}"))
 }
 
-/// All three legs (syntax round-trip, three-way differential evaluation,
-/// serialization round-trips) for one query against one store. Shared by
+/// All four legs (syntax round-trip, three-way differential evaluation,
+/// serialization round-trips, permuted insertion order) for one query
+/// against one store. Shared by
 /// the query cases and the probe queries of the update cases. Returns the
 /// number of BGPs the shuffled leg ran in a non-default order.
 fn check_query(
@@ -997,6 +1082,23 @@ fn check_query(
 
     // Leg 3: serialization round-trips on the engine's result.
     check_serialization(&planned).map_err(&fail)?;
+
+    // Leg 4: insertion-order independence. Engine and oracle share `Ord for
+    // Term` on purpose, so their agreeing says nothing about the order
+    // itself; this leg does. The same quads inserted in a shuffled order
+    // get other ids and other scan orders, and must still give the
+    // reference's answer — the exact sequence under ORDER BY, the same
+    // MIN/MAX — and an ordered answer must be sorted under `Term::cmp`.
+    let mut quads: Vec<Quad> = store.iter_quads().collect();
+    FuzzRng::new(!shuffle_seed).shuffle(&mut quads);
+    let mut permuted = TripleStore::new();
+    for quad in &quads {
+        permuted.insert_quad(quad);
+    }
+    let replayed = eval::evaluate(&permuted, &ast)
+        .map_err(|e| fail(format!("engine failed on the permuted store: {e}")))?;
+    check_equivalent(&ast, &expected, &replayed, uncut.as_ref(), "permuted").map_err(&fail)?;
+    check_sorted(&ast, &replayed).map_err(&fail)?;
     Ok(non_default)
 }
 

@@ -10,11 +10,11 @@
 //! optimization against a naive implementation" discipline.
 //!
 //! The only pieces shared with the real engine are the *semantic* primitives
-//! (expression evaluation in [`crate::expr`], the value-aware term
-//! comparator and the deterministic ORDER BY tie-break), which both sides
-//! must agree on by definition.
+//! (expression evaluation in [`crate::expr`], the term order — `Ord for
+//! Term` — and the `ORDER BY` sort over it), which both sides must agree on
+//! by definition; the fuzz harness's permutation leg and the exhaustive
+//! order test check the order itself.
 
-use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
 use hbold_rdf_model::{Term, Triple};
@@ -22,7 +22,7 @@ use hbold_triple_store::TripleStore;
 
 use crate::ast::*;
 use crate::error::SparqlError;
-use crate::eval::{aggregate_values, order_solutions};
+use crate::eval::{aggregate_values, order_bindings};
 use crate::expr::{evaluate_expression, filter_passes, Binding};
 use crate::parser::parse_query;
 use crate::results::{QueryResults, SelectResults};
@@ -51,7 +51,7 @@ pub fn evaluate(store: &TripleStore, query: &Query) -> Result<QueryResults, Spar
             let mut results = if query.uses_aggregates() || !query.group_by.is_empty() {
                 project_grouped(query, projection, solutions)?
             } else {
-                let ordered = order_solutions(&query.order_by, solutions)?;
+                let ordered = order_bindings(&query.order_by, solutions)?;
                 project_plain(&query.pattern, projection, ordered)?
             };
             if *distinct {
@@ -326,7 +326,7 @@ fn project_grouped(
     if query.group_by.is_empty() && groups.is_empty() {
         groups.push((Binding::new(), Vec::new()));
     }
-    groups.sort_by(|(a, _), (b, _)| compare_bindings(a, b));
+    groups.sort_by(|(a, _), (b, _)| a.cmp(b));
 
     let variables: Vec<String> = items
         .iter()
@@ -364,7 +364,7 @@ fn project_grouped(
         grouped_bindings.push(out);
     }
 
-    let ordered = order_solutions(&query.order_by, grouped_bindings)?;
+    let ordered = order_bindings(&query.order_by, grouped_bindings)?;
     let rows = ordered
         .iter()
         .map(|b| variables.iter().map(|v| b.get(v).cloned()).collect())
@@ -400,30 +400,6 @@ fn evaluate_aggregate(
     }
     let count = values.len();
     Ok(aggregate_values(func, values, count))
-}
-
-/// Total deterministic order over whole bindings (variable names, then term
-/// N-Triples forms): the ORDER BY tie-break of [`order_solutions`], spelled
-/// out. The encoded engine's `compare_rows_tiebreak` reproduces this order
-/// over slot rows.
-fn compare_bindings(a: &Binding, b: &Binding) -> Ordering {
-    let mut ia = a.iter();
-    let mut ib = b.iter();
-    loop {
-        match (ia.next(), ib.next()) {
-            (None, None) => return Ordering::Equal,
-            (None, Some(_)) => return Ordering::Less,
-            (Some(_), None) => return Ordering::Greater,
-            (Some((ka, va)), Some((kb, vb))) => {
-                let ord = ka
-                    .cmp(kb)
-                    .then_with(|| va.to_ntriples().cmp(&vb.to_ntriples()));
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 use hbold_rdf_model::vocab::xsd;
 use hbold_rdf_model::{Iri, Literal, Term, Triple};
 use hbold_sparql::expr::number_term;
-use hbold_sparql::fuzz::{evaluate_shuffled, random_regex_pattern, FuzzRng};
+use hbold_sparql::fuzz::{evaluate_shuffled, random_regex_pattern, term_pool, FuzzRng};
 use hbold_sparql::regex::Regex;
 use hbold_sparql::{explain, reference, QueryResults, SparqlError};
 use hbold_triple_store::TripleStore;
@@ -194,7 +194,7 @@ fn mixed_type_equality_and_nan_ordering_agree() {
 
 // ---- eval.rs / encoded.rs: LIMIT/OFFSET arithmetic at the extremes ---------------
 
-/// `ORDER BY` + huge `LIMIT`/`OFFSET` drove `order_solutions_topk` into
+/// `ORDER BY` + huge `LIMIT`/`OFFSET` drove the top-k heap into
 /// `BinaryHeap::with_capacity(offset + limit + 1)` — a capacity-overflow
 /// abort reachable straight from the parser. The capacity hint is now
 /// clamped; the whole pipeline must survive and return the right rows.
@@ -584,4 +584,121 @@ fn ungrouped_projection_is_rejected_whatever_the_data() {
             }
         }
     }
+}
+
+// ---- rdf-model: one total order for terms -----------------------------------------
+
+/// `Ord for Term` is proved over the fuzz harness's whole term pool, not
+/// sampled: every triple of terms is checked for reflexivity, antisymmetry,
+/// transitivity and `Equal` ⇔ `==` (so `Ord` agrees with the derived
+/// `Eq`/`Hash`), and every shuffle sorts to one sequence. The engine and the
+/// reference share this order by design, so their agreeing cannot vouch for it.
+#[test]
+fn the_term_order_is_total_over_the_whole_fuzz_pool() {
+    use std::cmp::Ordering::{Equal, Less};
+    let pool = term_pool();
+    for a in &pool {
+        assert_eq!(a.cmp(a), Equal, "reflexivity: {a}");
+        for b in &pool {
+            let ab = a.cmp(b);
+            assert_eq!(ab, b.cmp(a).reverse(), "antisymmetry: {a} vs {b}");
+            assert_eq!(ab == Equal, a == b, "Equal must mean ==: {a} vs {b}");
+            if ab != Less {
+                continue;
+            }
+            for c in pool.iter().filter(|c| b.cmp(c) == Less) {
+                assert_eq!(a.cmp(c), Less, "transitivity: {a} < {b} < {c}");
+            }
+        }
+    }
+    let mut sorted = pool.clone();
+    sorted.sort();
+    let mut rng = FuzzRng::new(0x07de7);
+    for _ in 0..32 {
+        let mut shuffled = pool.clone();
+        rng.shuffle(&mut shuffled);
+        shuffled.sort();
+        assert_eq!(shuffled, sorted, "a shuffle sorted to another sequence");
+    }
+}
+
+/// Under the cyclic order this panicked inside `slice::sort_by` ("does not
+/// correctly implement a total order") — a dead server worker per request.
+/// Full sort and top-k both return, sorted under `Term::cmp`, with the
+/// reference's rows.
+#[test]
+fn order_by_over_mixed_integer_and_string_literals_sorts() {
+    let mut store = TripleStore::new();
+    let p = iri("http://r.example/p");
+    for i in 0..5_000_i64 {
+        let n = (i * 7_919) % 5_000;
+        let o = if i % 2 == 0 {
+            Literal::integer(n)
+        } else {
+            Literal::string(n.to_string())
+        };
+        store.insert(&Triple::new(
+            iri(&format!("http://r.example/s{i}")),
+            p.clone(),
+            o,
+        ));
+    }
+    for (query, expected_rows) in [
+        ("SELECT ?o WHERE { ?s ?p ?o } ORDER BY ?o", 5_000),
+        ("SELECT ?o WHERE { ?s ?p ?o } ORDER BY ?o LIMIT 10", 10),
+    ] {
+        let parsed = hbold_sparql::parse_query(query).unwrap();
+        let rows = hbold_sparql::evaluate(&store, &parsed)
+            .unwrap()
+            .into_select()
+            .unwrap()
+            .rows;
+        assert_eq!(rows.len(), expected_rows, "{query}");
+        assert!(
+            rows.windows(2).all(|pair| pair[0][0] <= pair[1][0]),
+            "{query}: not sorted under Term::cmp"
+        );
+        let naive = reference::evaluate(&store, &parsed).unwrap();
+        assert_eq!(rows, naive.into_select().unwrap().rows, "{query}");
+    }
+}
+
+/// `MIN`/`MAX` ran on a comparator under which value-equal literals tied, so
+/// `{0, "-0.0"^^xsd:double, "00"^^xsd:integer}` had three answers for three
+/// insertion orders. Every permutation now gives one.
+#[test]
+fn min_max_and_order_by_do_not_depend_on_insertion_order() {
+    let values = [
+        Literal::integer(0),
+        Literal::typed("-0.0", xsd::double()),
+        Literal::typed("00", xsd::integer()),
+    ];
+    let p = iri("http://r.example/p");
+    let mut answers = std::collections::BTreeSet::new();
+    for permutation in [[0, 1, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+        let mut store = TripleStore::new();
+        for i in permutation {
+            store.insert(&Triple::new(
+                iri("http://r.example/s"),
+                p.clone(),
+                Term::Literal(values[i].clone()),
+            ));
+        }
+        let answer: Vec<_> = [
+            "SELECT (MIN(?o) AS ?lo) (MAX(?o) AS ?hi) WHERE { ?s ?p ?o }",
+            "SELECT ?o WHERE { ?s ?p ?o } ORDER BY ?o",
+            "SELECT ?o WHERE { ?s ?p ?o } ORDER BY DESC(?o) LIMIT 1",
+        ]
+        .iter()
+        .map(|query| three_way(&store, query).into_select().unwrap().rows)
+        .collect();
+        answers.insert(answer);
+    }
+    assert_eq!(answers.len(), 1, "answers differ by insertion order");
+    // The refinement of SPARQL's order: value-equal forms do not tie, they
+    // order by lexical form — "-0.0" < "0" < "00".
+    let [_, lowest, highest] = values.map(|literal| Some(Term::Literal(literal)));
+    let answer = answers.pop_first().unwrap();
+    assert_eq!(answer[0], [[lowest, highest.clone()]]);
+    assert_eq!(answer[2], [[highest]]);
 }
