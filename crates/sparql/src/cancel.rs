@@ -1,22 +1,22 @@
-//! Cooperative query cancellation: a shared token the streaming engine
-//! polls at operator batch boundaries.
+//! Cooperative query cancellation: a shared token the engine polls as it
+//! works, a batch of scanned quads at a time.
 //!
 //! A [`CancellationToken`] is a cheap, cloneable handle over shared atomic
 //! state plus an optional monotonic deadline. The evaluator checks it once
-//! every [`CancellationToken::check_interval`] rows (one relaxed atomic load
-//! per batch), so a
+//! every [`CancellationToken::check_interval`] units of work (one relaxed
+//! atomic load per batch), so a
 //! pathological query stops within one batch of the cancel signal instead
 //! of pinning its worker until the heat death of the join. There are three
-//! poll sites: the root of the operator pipeline, the output of every BGP
-//! scan stage (every `check_interval` rows each — a join whose rows a filter
-//! all rejects never reaches the root) and each group boundary of a grouped
-//! evaluation.
+//! poll sites: the start of the walk (an already-tripped token fails before
+//! the first row), every BGP scan stage (every `check_interval` quads it
+//! *examines* — a join whose rows a filter all rejects, or a repeated
+//! variable no quad satisfies, hands nothing downstream and must still be
+//! stoppable) and each group boundary of a grouped evaluation.
 //!
 //! Cancellation is **never silent truncation**: a tripped token surfaces as
 //! a typed [`SparqlError::Cancelled`] / [`SparqlError::DeadlineExceeded`]
-//! through the engine's in-band error stream, and the first error aborts
-//! every collector — a cancelled query returns an error, not a prefix of
-//! its answer.
+//! out of the walk, and the first error abandons every sink — a cancelled
+//! query returns an error, not a prefix of its answer.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use crate::error::SparqlError;
 
-/// Default rows between token checks — large enough that the check
+/// Default scanned quads between token checks — large enough that the check
 /// disappears into the scan cost, small enough that cancellation latency
 /// stays in the microseconds for any non-pathological row rate.
 pub const DEFAULT_CHECK_INTERVAL: u32 = 1024;
@@ -46,7 +46,7 @@ struct Inner {
     /// Deterministic test hook: remaining successful checks before the
     /// token trips itself ([`TRIP_DISARMED`] = off).
     trip_after: AtomicU64,
-    /// Rows between checks for streams polling this token.
+    /// Quads examined between checks by a scan stage polling this token.
     check_interval: u32,
 }
 
@@ -100,7 +100,7 @@ impl CancellationToken {
         CancellationToken::with_parts(None, checks, 1)
     }
 
-    /// Rows a polling stream should let pass between checks (≥ 1).
+    /// Quads a polling scan stage examines between checks (≥ 1).
     pub fn check_interval(&self) -> u32 {
         self.inner.check_interval.max(1)
     }

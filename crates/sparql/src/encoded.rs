@@ -2,50 +2,58 @@
 //! the executor.
 //!
 //! The one thing this module runs is a `Plan` (see [`crate::optimize`]):
-//! `execute` opens the plan's pattern pipeline in a single walk — the one
-//! site where a node's trace span and cancellation poll are attached — and
-//! hands the stream to the plan's tail (ask, count, group, top-k, sort,
+//! `execute` opens the plan in a single walk — the one site where a node's
+//! trace span and cancellation poll are attached — and then *pushes* the
+//! pattern's solutions into the plan's tail (ask, group, top-k, sort,
 //! project). A compiled `EncPattern` cannot be run; only the planner takes
 //! one.
 //!
-//! The operators carry solutions between them as **slot-addressed encoded
-//! rows** instead of `BTreeMap<String, Term>` bindings:
+//! **One row.** At evaluation start each query's variables are compiled
+//! into a dense [`SlotLayout`]: every variable the query mentions anywhere
+//! gets one fixed slot index. A solution is a fixed-width `[TermId]` with the
+//! sentinel [`UNBOUND`] marking unbound slots — and the whole walk shares a
+//! single such buffer. `Op::run(row, emit)` binds a node's slots in the row,
+//! calls `emit` with it, and un-binds when `emit` returns, so the call stack
+//! is the undo log and no solution is ever copied to be handed on: a BGP is
+//! nested index scans, a join nests `run`s, a left join emits the left row
+//! itself when its right side emitted nothing, a union runs both branches, a
+//! filter pre-binds, tests and restores. `emit` answers [`Flow`]:
+//! `Continue`, `Break` (how `ASK` and an unordered `LIMIT` stop the walk
+//! early) or the error that fails the query.
 //!
-//! * At evaluation start each query's variables are compiled into a dense
-//!   [`SlotLayout`]: every variable the query mentions anywhere (graph
-//!   pattern, projection, GROUP BY, ORDER BY, filter and aggregate
-//!   expressions) gets one fixed slot index.
-//! * A solution is then a fixed-width `Vec<TermId>` ([`EncRow`]) with the
-//!   sentinel [`UNBOUND`] marking unbound slots. Extending a solution
-//!   through a triple pattern binds and compares raw `u32`s; cloning a row
-//!   is a flat `memcpy` instead of a tree rebuild with per-term `Arc`
-//!   traffic.
-//! * Joins, `FILTER`, `OPTIONAL`, `UNION`, `DISTINCT`, `GROUP BY`
-//!   partitioning and the `ORDER BY` tie-break all operate on identifiers
-//!   (the tie-break decodes the two terms where ids differ, to compare
-//!   them by the term order); the dictionary is consulted lazily — only
-//!   where lexical values are genuinely needed (expression evaluation,
-//!   ORDER BY sort keys, aggregate arithmetic) — and full [`Term`] rows
-//!   materialize exactly once, at the [`SelectResults`] boundary.
+//! **Sinks copy what they keep.** The tail stages receive the borrowed row:
+//! the group stage folds it into per-group accumulators and keeps nothing,
+//! the order stage tests it against the top-k heap's maximum before copying
+//! it, the project stage decodes the rows of the page. Everything up to
+//! there operates on identifiers (two terms compare by reference in the
+//! dictionary where ids differ); the dictionary is consulted only where
+//! lexical values are genuinely needed (expression evaluation, aggregate
+//! arithmetic), and full [`Term`] rows materialize exactly once, at the
+//! [`SelectResults`] boundary.
 //!
 //! The naive reference evaluator ([`crate::reference`]) deliberately stays
 //! in the Term domain, so the differential oracle keeps checking this whole
 //! module against an implementation that shares none of it.
 
+use std::cell::Cell;
 use std::cmp::Ordering;
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
-use std::rc::Rc;
-use std::time::Instant;
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::ops::ControlFlow;
+use std::time::{Duration, Instant};
 
 use hbold_rdf_model::Term;
 use hbold_telemetry::Span;
-use hbold_triple_store::{QuadScan, TermDictionary, TermId, TripleStore, DEFAULT_GRAPH};
+use hbold_triple_store::{EncodedQuad, TermDictionary, TermId, TripleStore, DEFAULT_GRAPH};
 
 use crate::ast::*;
+use crate::cancel::CancellationToken;
 use crate::error::SparqlError;
-use crate::eval::{aggregate_values, order_bindings, order_keys, order_solutions};
-use crate::expr::{evaluate_scoped, filter_passes_scoped, Binding, Scope};
+use crate::eval::{
+    aggregate_numbers, compare_ordered, order_bindings, order_keys, order_solutions,
+};
+use crate::expr::{
+    evaluate_scoped, filter_passes_scoped, number_term, numeric_value, Binding, Scope,
+};
 use crate::optimize::{Group, Node, Order, Plan, PlanCounters, Select, Tail};
 use crate::results::{QueryResults, SelectResults};
 
@@ -56,14 +64,10 @@ use crate::results::{QueryResults, SelectResults};
 /// point the dictionary's `Vec<Term>` backing would have failed long before.
 pub const UNBOUND: TermId = TermId::MAX;
 
-/// A fixed-width encoded solution row: `row[slot]` is the [`TermId`] bound
-/// to the variable occupying `slot` in the query's [`SlotLayout`], or
-/// [`UNBOUND`].
+/// A fixed-width encoded solution row, owned (the walk's one buffer, a copy
+/// a sink keeps): `row[slot]` is the [`TermId`] bound to the variable
+/// occupying `slot` in the query's [`SlotLayout`], or [`UNBOUND`].
 pub type EncRow = Vec<TermId>;
-
-/// A lazy stream of encoded solutions; errors are carried in-band and
-/// surface at the first pull that encounters them.
-pub(crate) type EncStream<'a> = Box<dyn Iterator<Item = Result<EncRow, SparqlError>> + 'a>;
 
 // ---- slot layout -----------------------------------------------------------------
 
@@ -424,9 +428,10 @@ pub(crate) struct EncContext<'a> {
     /// Caller-private optimizer counters; the planning pass bumps these in
     /// addition to the process-wide registry when present.
     pub counters: Option<&'a PlanCounters>,
-    /// Cooperative cancellation token for this evaluation, polled at batch
-    /// boundaries by the streams [`attach`] wraps and at group boundaries by
-    /// the grouped tail. `None` (the default) adds no per-row work.
+    /// Cooperative cancellation token for this evaluation, polled through
+    /// the probes [`attach`] makes — before the first row, and by every scan
+    /// stage as it examines quads — and at group boundaries by the grouped
+    /// tail. `None` (the default) adds no per-row work.
     pub cancel: Option<&'a crate::cancel::CancellationToken>,
 }
 
@@ -444,6 +449,15 @@ impl<'a> EncContext<'a> {
             dataset: EncDataset::default(),
             counters: None,
             cancel: None,
+        }
+    }
+
+    /// The lazily-decoding expression scope over one row.
+    fn scope<'r>(&'r self, row: &'r [TermId]) -> EncScope<'r> {
+        EncScope {
+            row,
+            layout: self.layout,
+            dict: self.dict,
         }
     }
 }
@@ -482,404 +496,133 @@ fn render_triple_pattern(ctx: &EncContext<'_>, tp: &EncTriplePattern) -> String 
     }
 }
 
-/// An [`EncStream`] under observation. With a span, every pull's wall time
-/// is added to it (inclusive of upstream work — a span's elapsed is
-/// cumulative, not self time) and every yielded row counts. With a token,
-/// it is polled once every `check_interval` pulls, the very first included
-/// (so an already-tripped token fails before any row is produced): a tripped
-/// token turns into an in-band `Err`, which the downstream collectors treat
-/// as fatal — a cancelled query can never yield a truncated result, only
-/// the typed error. Between checks the cost is one integer decrement per row.
-struct Observed<'a> {
-    inner: EncStream<'a>,
+/// What a node's walk and every sink answer: go on, stop the whole walk, or
+/// fail it. An error is fatal wherever it arises: a cancelled or failing
+/// query never yields a truncated result, only the typed error.
+pub(crate) type Flow = Result<ControlFlow<()>, SparqlError>;
+
+const CONTINUE: Flow = Ok(ControlFlow::Continue(()));
+
+/// Where a node sends its solutions: the one row buffer with the node's
+/// bindings written in, which the callee hands back exactly as it got it.
+pub(crate) type Emit<'e> = &'e mut dyn FnMut(&mut [TermId]) -> Flow;
+
+/// A plan node under observation: [`attach`] is the one place a node gets
+/// its span and its cancellation poll, the two methods here the one place
+/// rows, time and token checks are recorded.
+struct Probe<'a> {
     span: Option<Span>,
-    token: Option<&'a crate::cancel::CancellationToken>,
-    countdown: u32,
+    token: Option<&'a CancellationToken>,
+    /// Units of work left before the next token check.
+    countdown: Cell<u32>,
 }
 
-impl Observed<'_> {
-    fn pull(&mut self) -> Option<Result<EncRow, SparqlError>> {
-        if let Some(token) = self.token {
-            if self.countdown == 0 {
-                self.countdown = token.check_interval();
-                if let Err(e) = token.check() {
-                    return Some(Err(e));
-                }
-            }
-            self.countdown -= 1;
-        }
-        self.inner.next()
+fn attach<'a>(ctx: &EncContext<'a>, span: Option<Span>, poll: bool) -> Probe<'a> {
+    Probe {
+        span,
+        token: ctx.cancel.filter(|_| poll),
+        countdown: Cell::new(0),
     }
 }
 
-impl Iterator for Observed<'_> {
-    type Item = Result<EncRow, SparqlError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.span.is_none() {
-            return self.pull();
-        }
-        let start = Instant::now();
-        let item = self.pull();
-        if let Some(span) = &self.span {
-            span.add_elapsed_ns(start.elapsed().as_nanos() as u64);
-            if let Some(Ok(_)) = &item {
-                span.add_rows(1);
-            }
-        }
-        item
-    }
-}
-
-/// An opened plan node: feeds an input stream through the node's operator.
-/// The pipeline itself is applied once, to the root row; the right side of
-/// a left join and the branches of a union once per input row.
-type Opened<'a> = Rc<dyn Fn(EncStream<'a>) -> EncStream<'a> + 'a>;
-
-/// The one place a node's output comes under observation: `span` (when
-/// tracing is on and the node is timed) and, if `poll`, the evaluation's
-/// cancellation token. With neither, `op`'s stream is returned untouched —
-/// nothing per row.
-fn attach<'a>(
-    ctx: &'a EncContext<'a>,
-    span: Option<Span>,
-    poll: bool,
-    op: impl Fn(EncStream<'a>) -> EncStream<'a> + 'a,
-) -> Opened<'a> {
-    let token = ctx.cancel.filter(|_| poll);
-    if span.is_none() && token.is_none() {
-        return Rc::new(op);
-    }
-    Rc::new(move |input| {
-        Box::new(Observed {
-            inner: op(input),
-            span: span.clone(),
-            token,
-            countdown: 0,
-        })
-    })
-}
-
-// ---- triple-pattern scans --------------------------------------------------------
-
-/// How one triple pattern's candidate quads are produced, decided once per
-/// input row from the pattern's graph scope and the query dataset.
-enum ScanMode<'a> {
-    /// A constant (or the scoped graph) is absent / excluded: no matches.
-    Empty,
-    /// One concrete graph (the store default graph, a single `FROM` graph,
-    /// a constant `GRAPH <g>`, or `GRAPH ?g` with `?g` already bound): one
-    /// graph-first index range scan. The graph id is fixed, so nothing
-    /// graph-related needs binding per quad.
-    Single(QuadScan<'a>),
-    /// `GRAPH ?g` with `?g` unbound: a graph-last index scan across every
-    /// graph, skipping default-graph quads, optionally restricted to the
-    /// `FROM NAMED` set, binding the graph slot per quad.
-    AnyNamed {
-        scan: QuadScan<'a>,
-        allowed: Option<&'a [TermId]>,
-        slot: u32,
-    },
-    /// A `FROM` merge of two or more graphs: the default graph is their
-    /// *set* union, so matches materialize into a dedup set first.
-    Merged(std::vec::IntoIter<[TermId; 3]>),
-}
-
-/// Lazily extends one encoded row through one triple pattern via an encoded
-/// index scan. Concrete type so BGP stages avoid a heap allocation per
-/// input row.
-pub(crate) struct ScanRows<'a> {
-    mode: ScanMode<'a>,
-    tp: &'a EncTriplePattern,
-    row: EncRow,
-}
-
-impl<'a> ScanRows<'a> {
-    pub(crate) fn new(
-        ctx: &'a EncContext<'a>,
-        tp: &'a EncTriplePattern,
-        row: EncRow,
-    ) -> ScanRows<'a> {
-        // Resolve each position: a constant uses its pre-compiled id, a
-        // variable already bound in the row acts as a constant, and an
-        // unbound variable leaves the position open for the range scan.
-        let resolve = |node: EncNode| -> Result<Option<TermId>, ()> {
-            match node {
-                EncNode::Const(Some(id)) => Ok(Some(id)),
-                EncNode::Const(None) => Err(()),
-                EncNode::Var(slot) => match row[slot as usize] {
-                    UNBOUND => Ok(None),
-                    id => Ok(Some(id)),
-                },
-            }
+impl Probe<'_> {
+    /// Counts one unit of the node's work (a quad examined) and checks the
+    /// token once every `check_interval` units, the very first included.
+    #[inline]
+    fn poll(&self) -> Result<(), SparqlError> {
+        let Some(token) = self.token else {
+            return Ok(());
         };
-        let (s, p, o) = match (
-            resolve(tp.subject),
-            resolve(tp.predicate),
-            resolve(tp.object),
-        ) {
-            (Ok(s), Ok(p), Ok(o)) => (s, p, o),
-            _ => {
-                return ScanRows {
-                    mode: ScanMode::Empty,
-                    tp,
-                    row,
-                }
-            }
+        let mut left = self.countdown.get();
+        if left == 0 {
+            left = token.check_interval();
+            token.check()?;
+        }
+        self.countdown.set(left - 1);
+        Ok(())
+    }
+
+    /// Runs the node's `work` against `emit`. With a span, every row
+    /// reaching `emit` counts and the clock stops while `emit` runs: a
+    /// span's elapsed time covers the node and the subtree under it, never
+    /// what it emits into.
+    fn observe(&self, emit: Emit<'_>, work: impl FnOnce(Emit<'_>) -> Flow) -> Flow {
+        let Some(span) = &self.span else {
+            return work(emit);
         };
-        let mode = match tp.graph {
-            EncGraph::Default => match &ctx.dataset.default_graphs {
-                // No FROM clause: the store's own default graph.
-                None => ScanMode::Single(ctx.store.matching_quads_encoded_iter(
-                    Some(DEFAULT_GRAPH),
-                    s,
-                    p,
-                    o,
-                )),
-                Some(graphs) => match graphs.as_slice() {
-                    [] => ScanMode::Empty,
-                    &[g] => {
-                        ScanMode::Single(ctx.store.matching_quads_encoded_iter(Some(g), s, p, o))
-                    }
-                    graphs => {
-                        let mut set: std::collections::BTreeSet<[TermId; 3]> =
-                            std::collections::BTreeSet::new();
-                        for &g in graphs {
-                            for quad in ctx.store.matching_quads_encoded_iter(Some(g), s, p, o) {
-                                set.insert([quad.subject, quad.predicate, quad.object]);
-                            }
-                        }
-                        ScanMode::Merged(set.into_iter().collect::<Vec<_>>().into_iter())
-                    }
-                },
-            },
-            EncGraph::Named(node) => match resolve(node) {
-                Err(()) => ScanMode::Empty,
-                Ok(Some(g)) => {
-                    // A concrete named graph must be visible in the dataset.
-                    let visible = match &ctx.dataset.named_graphs {
-                        None => true,
-                        Some(named) => named.contains(&g),
-                    };
-                    if visible {
-                        ScanMode::Single(ctx.store.matching_quads_encoded_iter(Some(g), s, p, o))
-                    } else {
-                        ScanMode::Empty
-                    }
-                }
-                Ok(None) => {
-                    let EncGraph::Named(EncNode::Var(slot)) = tp.graph else {
-                        unreachable!("unbound named graph is always a variable")
-                    };
-                    ScanMode::AnyNamed {
-                        scan: ctx.store.matching_quads_encoded_iter(None, s, p, o),
-                        allowed: ctx.dataset.named_graphs.as_deref(),
-                        slot,
-                    }
-                }
-            },
-        };
-        ScanRows { mode, tp, row }
-    }
-}
-
-/// Binds the triple positions of one matched quad into a clone of the input
-/// row; `None` when a repeated variable matches conflicting ids.
-fn extend_triple(
-    tp: &EncTriplePattern,
-    row: &EncRow,
-    s: TermId,
-    p: TermId,
-    o: TermId,
-) -> Option<EncRow> {
-    let mut extended = row.clone();
-    for (node, id) in [(tp.subject, s), (tp.predicate, p), (tp.object, o)] {
-        if let EncNode::Var(slot) = node {
-            let cell = &mut extended[slot as usize];
-            if *cell == UNBOUND {
-                *cell = id;
-            } else if *cell != id {
-                // Same variable twice in one pattern with a conflicting
-                // match (e.g. `?x ?p ?x`).
-                return None;
-            }
-        }
-    }
-    Some(extended)
-}
-
-impl Iterator for ScanRows<'_> {
-    type Item = Result<EncRow, SparqlError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let ScanRows { mode, tp, row } = self;
-        match mode {
-            ScanMode::Empty => None,
-            ScanMode::Single(scan) => {
-                for quad in scan {
-                    if let Some(extended) =
-                        extend_triple(tp, row, quad.subject, quad.predicate, quad.object)
-                    {
-                        return Some(Ok(extended));
-                    }
-                }
-                None
-            }
-            ScanMode::Merged(triples) => {
-                for [s, p, o] in triples.by_ref() {
-                    if let Some(extended) = extend_triple(tp, row, s, p, o) {
-                        return Some(Ok(extended));
-                    }
-                }
-                None
-            }
-            ScanMode::AnyNamed {
-                scan,
-                allowed,
-                slot,
-            } => {
-                for quad in scan {
-                    if quad.graph == DEFAULT_GRAPH {
-                        continue;
-                    }
-                    if let Some(allowed) = allowed {
-                        if !allowed.contains(&quad.graph) {
-                            continue;
-                        }
-                    }
-                    let Some(mut extended) =
-                        extend_triple(tp, row, quad.subject, quad.predicate, quad.object)
-                    else {
-                        continue;
-                    };
-                    // Bind the graph variable (conflict-checked like any
-                    // other position: `GRAPH ?g { ?g ?p ?o }` is legal).
-                    let cell = &mut extended[*slot as usize];
-                    if *cell == UNBOUND {
-                        *cell = quad.graph;
-                    } else if *cell != quad.graph {
-                        continue;
-                    }
-                    return Some(Ok(extended));
-                }
-                None
-            }
-        }
-    }
-}
-
-/// Per-input-row stage output: either the input's error passed through, or
-/// a scan of its extensions. Lets a BGP stage `flat_map` without boxing an
-/// iterator per row.
-pub(crate) enum RowScan<'a> {
-    Failed(Option<SparqlError>),
-    Scan(ScanRows<'a>),
-}
-
-impl Iterator for RowScan<'_> {
-    type Item = Result<EncRow, SparqlError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            RowScan::Failed(e) => e.take().map(Err),
-            RowScan::Scan(scan) => scan.next(),
-        }
+        let (mut rows, mut own) = (0, Duration::ZERO);
+        let mut clock = Instant::now();
+        let flow = work(&mut |row| {
+            rows += 1;
+            own += clock.elapsed();
+            let flow = emit(row);
+            clock = Instant::now();
+            flow
+        });
+        span.add_elapsed_ns((own + clock.elapsed()).as_nanos() as u64);
+        span.add_rows(rows);
+        flow
     }
 }
 
 // ---- the executor walk -----------------------------------------------------------
 
+/// An opened plan node: the node's parts beside the probes observing them.
+enum Op<'a> {
+    /// Nested index scans, in planned order.
+    Bgp(Vec<(&'a EncTriplePattern, Probe<'a>)>),
+    Join(Vec<Op<'a>>),
+    LeftJoin(Box<Op<'a>>, Box<Op<'a>>, Probe<'a>),
+    Union(Box<Op<'a>>, Box<Op<'a>>, Probe<'a>),
+    /// The pushed pre-binds, the inner node, the whole condition.
+    Filter(
+        &'a [(u32, Option<TermId>)],
+        Box<Op<'a>>,
+        &'a Expression,
+        Probe<'a>,
+    ),
+}
+
 /// Opens `node` under the `parent` span: the one walk over the planned
-/// pattern, visiting every node exactly once. It makes no ordering decision
-/// of its own — BGP stages run in their planned order, pushed pre-binds are
-/// applied as recorded — and every operator's output passes through
-/// [`attach`].
-fn open<'a>(ctx: &'a EncContext<'a>, node: &'a Node, parent: Option<&Span>) -> Opened<'a> {
+/// pattern, visiting every node exactly once and creating every span. It
+/// makes no ordering decision of its own.
+fn open<'a>(ctx: &EncContext<'a>, node: &'a Node, parent: Option<&Span>) -> Op<'a> {
     let child = |name: &str| parent.map(|p| p.child(name));
     match node {
         // `bgp` and `join` are label spans: they group their children and
         // carry no time of their own.
         Node::Bgp(stages) => {
-            let bgp = child("bgp");
-            if let Some(bgp) = &bgp {
-                let order: Vec<u64> = stages.iter().map(|s| s.written_index as u64).collect();
-                bgp.set_attr("order", order);
-            }
-            // Each stage is a nested index scan, and each polls the token:
+            let order: Vec<u64> = stages.iter().map(|s| s.written_index as u64).collect();
+            let bgp = child("bgp").inspect(|bgp| bgp.set_attr("order", order));
+            // Every stage polls the token, counting the quads it examines:
             // a join can run for ever while handing nothing downstream (a
-            // cross product under a filter that rejects every row), so a
-            // poll that counts only the rows leaving the pipeline would
-            // never fire; counted per stage, the work between two polls is
-            // bounded by `check_interval` rows plus one index scan.
-            let stages: Vec<Opened<'a>> = stages
-                .iter()
-                .map(|stage| {
-                    let span = bgp.as_ref().map(|bgp| {
-                        let scan = bgp.child("scan");
-                        scan.set_attr("pattern", render_triple_pattern(ctx, &stage.tp));
-                        scan.set_attr("written_index", stage.written_index);
-                        scan.set_attr("estimate", stage.estimate);
-                        scan
-                    });
-                    attach(ctx, span, true, move |input| {
-                        Box::new(input.flat_map(move |solution| match solution {
-                            Err(e) => RowScan::Failed(Some(e)),
-                            Ok(row) => RowScan::Scan(ScanRows::new(ctx, &stage.tp, row)),
-                        }))
-                    })
-                })
-                .collect();
-            Rc::new(move |input| stages.iter().fold(input, |stream, stage| stage(stream)))
+            // cross product under a filter that rejects every row), so the
+            // work between two polls is bounded where the work is done.
+            let stages = stages.iter().map(|stage| {
+                let span = bgp.as_ref().map(|bgp| bgp.child("scan")).inspect(|scan| {
+                    scan.set_attr("pattern", render_triple_pattern(ctx, &stage.tp));
+                    scan.set_attr("written_index", stage.written_index);
+                    scan.set_attr("estimate", stage.estimate);
+                });
+                (&stage.tp, attach(ctx, span, true))
+            });
+            Op::Bgp(stages.collect())
         }
         Node::Join(parts) => {
             let span = child("join");
-            let parts: Vec<Opened<'a>> = parts
-                .iter()
-                .map(|part| open(ctx, part, span.as_ref()))
-                .collect();
-            Rc::new(move |input| parts.iter().fold(input, |stream, part| part(stream)))
+            Op::Join(parts.iter().map(|p| open(ctx, p, span.as_ref())).collect())
         }
         Node::LeftJoin { left, right } => {
             let span = child("optional");
-            let left = open(ctx, left, span.as_ref());
-            let right = open(ctx, right, span.as_ref());
-            attach(ctx, span, false, move |input| {
-                let right = Rc::clone(&right);
-                Box::new(left(input).flat_map(move |solution| -> EncStream<'a> {
-                    match solution {
-                        Err(e) => Box::new(std::iter::once(Err(e))),
-                        Ok(row) => {
-                            let mut extended = right(Box::new(std::iter::once(Ok(row.clone()))));
-                            match extended.next() {
-                                // Left join: an unmatched left solution survives.
-                                None => Box::new(std::iter::once(Ok(row))),
-                                Some(first) => Box::new(std::iter::once(first).chain(extended)),
-                            }
-                        }
-                    }
-                }))
-            })
+            let left = Box::new(open(ctx, left, span.as_ref()));
+            let right = Box::new(open(ctx, right, span.as_ref()));
+            Op::LeftJoin(left, right, attach(ctx, span, false))
         }
         Node::Union(a, b) => {
             let span = child("union");
-            let a = open(ctx, a, span.as_ref());
-            let b = open(ctx, b, span.as_ref());
-            // Feed each input row through branch a then branch b; same
-            // multiset as materialized `eval(a) ++ eval(b)`, and sequencing
-            // is only observable under ORDER BY where the deterministic
-            // sort makes both forms identical.
-            attach(ctx, span, false, move |input| {
-                let (a, b) = (Rc::clone(&a), Rc::clone(&b));
-                Box::new(input.flat_map(move |solution| -> EncStream<'a> {
-                    match solution {
-                        Err(e) => Box::new(std::iter::once(Err(e))),
-                        Ok(row) => Box::new(
-                            a(Box::new(std::iter::once(Ok(row.clone()))))
-                                .chain(b(Box::new(std::iter::once(Ok(row))))),
-                        ),
-                    }
-                }))
-            })
+            let a = Box::new(open(ctx, a, span.as_ref()));
+            let b = Box::new(open(ctx, b, span.as_ref()));
+            Op::Union(a, b, attach(ctx, span, false))
         }
         Node::Filter {
             prebind,
@@ -887,168 +630,384 @@ fn open<'a>(ctx: &'a EncContext<'a>, node: &'a Node, parent: Option<&Span>) -> O
             condition,
         } => {
             let span = child("filter");
-            if let Some(span) = &span {
-                span.set_attr("pushed_prebinds", prebind.len());
-            }
-            let inner = open(ctx, inner, span.as_ref());
-            attach(ctx, span, false, move |input| {
-                // Pushed-down equality conjuncts pre-bind their slots on
-                // every input row, so the inner scans treat them as
-                // constants; the residual condition still evaluates in full
-                // on each survivor.
-                let input: EncStream<'a> = if prebind.is_empty() {
-                    input
-                } else {
-                    Box::new(input.filter_map(move |solution| match solution {
-                        Ok(mut row) => {
-                            crate::optimize::apply_prebind(prebind, &mut row).then_some(Ok(row))
-                        }
-                        Err(e) => Some(Err(e)),
-                    }))
-                };
-                Box::new(inner(input).filter_map(move |solution| match solution {
-                    Ok(row) => {
-                        let scope = EncScope {
-                            row: &row,
-                            layout: ctx.layout,
-                            dict: ctx.dict,
-                        };
-                        match filter_passes_scoped(condition, &scope) {
-                            Ok(true) => Some(Ok(row)),
-                            Ok(false) => None,
-                            Err(e) => Some(Err(e)),
-                        }
-                    }
-                    Err(e) => Some(Err(e)),
-                }))
-            })
+            let span = span.inspect(|span| span.set_attr("pushed_prebinds", prebind.len()));
+            let inner = Box::new(open(ctx, inner, span.as_ref()));
+            Op::Filter(prebind, inner, condition, attach(ctx, span, false))
         }
     }
 }
 
+/// Runs `items` as a chain: `step` runs the first against the row and emits
+/// into the rest, the last into `emit`. An empty chain is the identity.
+fn chain<T>(
+    items: &[T],
+    row: &mut [TermId],
+    emit: Emit<'_>,
+    step: &impl Fn(&T, &mut [TermId], Emit<'_>) -> Flow,
+) -> Flow {
+    match items {
+        [] => emit(row),
+        [last] => step(last, row, emit),
+        [first, rest @ ..] => step(first, row, &mut |row| chain(rest, row, &mut *emit, step)),
+    }
+}
+
+impl Op<'_> {
+    /// Pushes every solution of this node that extends `row` into `emit`.
+    /// A node binds its slots in `row` itself, emits, and un-binds on the
+    /// way back, so `row` leaves as it came, whatever the outcome.
+    fn run(&self, ctx: &EncContext<'_>, row: &mut [TermId], emit: Emit<'_>) -> Flow {
+        match self {
+            Op::Bgp(stages) => chain(stages, row, emit, &|(tp, probe), row, emit| {
+                probe.observe(emit, |emit| scan(ctx, tp, probe, row, emit))
+            }),
+            Op::Join(parts) => chain(parts, row, emit, &|part, row, emit| {
+                part.run(ctx, row, emit)
+            }),
+            Op::LeftJoin(left, right, probe) => probe.observe(emit, |emit| {
+                left.run(ctx, row, &mut |row| {
+                    let mut matched = false;
+                    let flow = right.run(ctx, row, &mut |row| {
+                        matched = true;
+                        emit(row)
+                    })?;
+                    // Left join: an unmatched left solution survives.
+                    if matched {
+                        Ok(flow)
+                    } else {
+                        emit(row)
+                    }
+                })
+            }),
+            // Branch a, then branch b: the same multiset as `eval(a) ++
+            // eval(b)`, and sequencing is only observable under ORDER BY,
+            // where the sort is deterministic.
+            Op::Union(a, b, probe) => probe.observe(emit, |emit| {
+                if a.run(ctx, row, &mut *emit)?.is_break() {
+                    return Ok(ControlFlow::Break(()));
+                }
+                b.run(ctx, row, emit)
+            }),
+            // Pushed-down equality conjuncts pre-bind their slots, so the
+            // inner scans treat them as constants; the residual condition
+            // still evaluates in full on each survivor.
+            Op::Filter(prebind, inner, condition, probe) => probe.observe(emit, |emit| {
+                crate::optimize::apply_prebind(prebind, row, &mut |row| {
+                    inner.run(ctx, row, &mut |row| {
+                        let passes = filter_passes_scoped(condition, &ctx.scope(row))?;
+                        if passes {
+                            emit(row)
+                        } else {
+                            CONTINUE
+                        }
+                    })
+                })
+            }),
+        }
+    }
+}
+
+// ---- triple-pattern scans --------------------------------------------------------
+
+/// One BGP stage: extends `row` through `tp` by an encoded index scan,
+/// emitting once per matching quad. A constant uses its pre-compiled id, a
+/// variable the row already binds acts as a constant, and an unbound
+/// variable leaves its position open for the range scan to bind.
+fn scan(
+    ctx: &EncContext<'_>,
+    tp: &EncTriplePattern,
+    probe: &Probe<'_>,
+    row: &mut [TermId],
+    emit: Emit<'_>,
+) -> Flow {
+    // The positions this scan binds, as (position, slot), and the ids it
+    // looks up.
+    let mut open = [(0usize, 0u32); 4];
+    let mut opened = 0;
+    let mut fixed = [None; 3];
+    for (position, node) in tp.nodes().into_iter().enumerate() {
+        match node {
+            EncNode::Const(None) => return CONTINUE,
+            EncNode::Const(Some(id)) => fixed[position] = Some(id),
+            EncNode::Var(slot) => match row[slot as usize] {
+                UNBOUND => {
+                    open[opened] = (position, slot);
+                    opened += 1;
+                }
+                id => fixed[position] = Some(id),
+            },
+        }
+    }
+    let [s, p, o] = fixed;
+    let within = |g: TermId| ctx.store.matching_quads_encoded_iter(Some(g), s, p, o);
+    let named = ctx.dataset.named_graphs.as_deref();
+    let visible = |g: TermId| named.is_none_or(|named| named.contains(&g));
+    // The graphs to scan inside: the store's default graph or the `FROM`
+    // graphs, or the named graph the pattern is scoped to, if visible.
+    let scoped;
+    let graphs: &[TermId] = match tp.graph {
+        EncGraph::Default => match &ctx.dataset.default_graphs {
+            None => &[DEFAULT_GRAPH],
+            Some(graphs) => graphs,
+        },
+        EncGraph::Named(EncNode::Var(slot)) if row[slot as usize] == UNBOUND => {
+            // `GRAPH ?g`, `?g` unbound: a graph-last scan across every
+            // graph, skipping the default graph's quads and the graphs
+            // `FROM NAMED` hides, binding the graph slot per quad —
+            // conflict-checked like any other position (`GRAPH ?g { ?g ?p
+            // ?o }` is legal).
+            open[opened] = (3, slot);
+            let quads = ctx.store.matching_quads_encoded_iter(None, s, p, o);
+            let admit = |g| g != DEFAULT_GRAPH && visible(g);
+            return each_quad(quads, admit, &open[..=opened], probe, row, emit);
+        }
+        EncGraph::Named(node) => {
+            let graph = match node {
+                EncNode::Const(id) => id,
+                EncNode::Var(slot) => Some(row[slot as usize]),
+            };
+            scoped = graph.filter(|&g| visible(g));
+            scoped.as_slice()
+        }
+    };
+    let open = &open[..opened];
+    match graphs {
+        [] => CONTINUE,
+        &[g] => each_quad(within(g), |_| true, open, probe, row, emit),
+        // A `FROM` merge of two or more graphs: the default graph is their
+        // *set* union, so matches go through a dedup set first.
+        graphs => {
+            let merged: BTreeSet<[TermId; 3]> = graphs
+                .iter()
+                .flat_map(|&g| within(g))
+                .map(|quad| [quad.subject, quad.predicate, quad.object])
+                .collect();
+            let quads = merged
+                .into_iter()
+                .map(|[subject, predicate, object]| EncodedQuad {
+                    subject,
+                    predicate,
+                    object,
+                    graph: DEFAULT_GRAPH,
+                });
+            each_quad(quads, |_| true, open, probe, row, emit)
+        }
+    }
+}
+
+/// The scan loop: every quad is one unit of the stage's work (polled); each
+/// one of a graph `admit` lets through binds the `open` positions, emits,
+/// and un-binds. Every open slot was unbound on entry, so un-binding resets
+/// them all — also after a repeated variable met conflicting ids (`?x ?p
+/// ?x`) and nothing was emitted.
+#[inline]
+fn each_quad(
+    quads: impl Iterator<Item = EncodedQuad>,
+    admit: impl Fn(TermId) -> bool,
+    open: &[(usize, u32)],
+    probe: &Probe<'_>,
+    row: &mut [TermId],
+    emit: Emit<'_>,
+) -> Flow {
+    for quad in quads {
+        probe.poll()?;
+        if !admit(quad.graph) {
+            continue;
+        }
+        let ids = [quad.subject, quad.predicate, quad.object, quad.graph];
+        let consistent = open.iter().all(|&(position, slot)| {
+            let cell = &mut row[slot as usize];
+            if *cell == UNBOUND {
+                *cell = ids[position];
+            }
+            *cell == ids[position]
+        });
+        let flow = if consistent { emit(row) } else { CONTINUE };
+        for &(_, slot) in open {
+            row[slot as usize] = UNBOUND;
+        }
+        if flow?.is_break() {
+            return Ok(ControlFlow::Break(()));
+        }
+    }
+    CONTINUE
+}
+
+// ---- the plan, opened and run ----------------------------------------------------
+
 /// The spans of the tail's stages, siblings of the pattern's root span in
 /// pipeline order. A stage the plan does not have has no span.
 #[derive(Default)]
-pub(crate) struct TailSpans {
+struct TailSpans {
     ask: Option<Span>,
     group: Option<Span>,
     order: Option<Span>,
     project: Option<Span>,
 }
 
-/// Opens the whole plan under `parent` without pulling a row: the pattern
-/// pipeline over the single empty row, and the tail's spans. This is the
-/// only place the pipeline is opened — [`execute`] runs what it returns,
+/// A plan with its spans created and its probes attached, not yet run.
+pub(crate) struct OpenedPlan<'a> {
+    root: Op<'a>,
+    /// Fails an already-tripped token before the first row.
+    start: Probe<'a>,
+    spans: TailSpans,
+}
+
+/// Opens the whole plan under `parent` without producing a row. This is the
+/// only place a plan is opened — [`execute`] runs what it returns,
 /// [`crate::optimize::explain`] renders the spans it leaves under `parent`.
 pub(crate) fn open_plan<'a>(
-    ctx: &'a EncContext<'a>,
+    ctx: &EncContext<'a>,
     plan: &'a Plan<'_>,
     parent: Option<&Span>,
-) -> (EncStream<'a>, TailSpans) {
-    let pipeline = open(ctx, &plan.root, parent);
-    // The root poll fails an already-tripped token before the first row,
-    // whatever the pattern; the scan stages poll for themselves, since rows
-    // a filter drops never reach this one.
-    let root = attach(ctx, None, true, move |input| pipeline(input));
-    let stream = root(Box::new(std::iter::once(Ok(ctx.layout.empty_row()))));
-    let spans = match (parent, &plan.tail) {
-        (None, _) => TailSpans::default(),
-        (Some(parent), Tail::Ask) => TailSpans {
-            ask: Some(parent.child("ask")),
+) -> OpenedPlan<'a> {
+    let root = open(ctx, &plan.root, parent);
+    let stage = |name: &str| parent.map(|parent| parent.child(name));
+    let spans = match &plan.tail {
+        Tail::Ask => TailSpans {
+            ask: stage("ask"),
             ..TailSpans::default()
         },
-        (Some(parent), Tail::Select(select)) => TailSpans {
+        Tail::Select(select) => TailSpans {
             ask: None,
-            group: select.group.as_ref().map(|group| {
-                let span = parent.child("group");
-                let strategy = match group {
-                    Group::Count(_) => "count",
-                    Group::Hash(_) => "hash",
-                };
-                span.set_attr("strategy", strategy);
-                span
+            group: select.group.as_ref().and_then(|Group::Hash(_)| {
+                stage("group").inspect(|span| span.set_attr("strategy", "hash"))
             }),
-            order: select.order.as_ref().map(|order| {
-                let span = parent.child("order");
-                match order {
+            order: select.order.as_ref().and_then(|order| {
+                stage("order").inspect(|span| match order {
                     Order::TopK(k) => {
                         span.set_attr("strategy", "topk");
                         span.set_attr("k", *k);
                     }
                     Order::Sort => span.set_attr("strategy", "sort"),
-                }
-                span
+                })
             }),
-            project: Some(parent.child("project")),
+            project: stage("project"),
         },
     };
-    (stream, spans)
+    OpenedPlan {
+        root,
+        start: attach(ctx, None, true),
+        spans,
+    }
 }
 
-/// Runs a plan: opens it once and hands the stream to the plan's tail. With
-/// `span` set (tracing on) every timed node and tail stage reports under it,
-/// and it times the run itself — the pulls, not the opening.
+/// Runs a plan: opens it once and drives the pattern's solutions into the
+/// plan's tail, a sink that copies out of the borrowed row only what it
+/// keeps. With `span` set (tracing on) every node and tail stage reports
+/// under it, and it times the run itself, not the opening.
 pub(crate) fn execute(
     ctx: &EncContext<'_>,
     plan: &Plan<'_>,
     span: Option<&Span>,
 ) -> Result<QueryResults, SparqlError> {
-    let (mut stream, spans) = open_plan(ctx, plan, span);
-    let select = match &plan.tail {
-        // Streaming pays off immediately: the first solution settles it.
-        Tail::Ask => {
-            return timed(span, || timed(spans.ask.as_ref(), || stream.next()))
-                .transpose()
-                .map(|row| QueryResults::Ask(row.is_some()))
-        }
-        Tail::Select(select) => select,
+    let OpenedPlan { root, start, spans } = open_plan(ctx, plan, span);
+    let drive = |emit: Emit<'_>| -> Flow {
+        start.poll()?;
+        root.run(ctx, &mut ctx.layout.empty_row(), emit)
     };
+    timed(span, || match &plan.tail {
+        // The first solution settles it: the walk breaks iff there is one.
+        Tail::Ask => {
+            let mut first = |_: &mut [TermId]| Ok(ControlFlow::Break(()));
+            let flow = timed(spans.ask.as_ref(), || drive(&mut first))?;
+            Ok(QueryResults::Ask(flow.is_break()))
+        }
+        Tail::Select(select) => run_select(ctx, select, &spans, drive).map(QueryResults::Select),
+    })
+}
+
+/// The SELECT tails. A tail span wraps the drive it consumes, so the first
+/// stage's time includes the pattern's.
+fn run_select(
+    ctx: &EncContext<'_>,
+    select: &Select<'_>,
+    spans: &TailSpans,
+    drive: impl FnOnce(Emit<'_>) -> Flow,
+) -> Result<SelectResults, SparqlError> {
     let query = select.query;
-    let offset = query.offset.unwrap_or(0);
-    let project = spans.project.as_ref();
-    let results = timed(span, || match (&select.group, &select.order) {
-        (Some(group), _) => {
-            let mut results = match group {
-                Group::Count(counters) => {
-                    timed(spans.group.as_ref(), || count_rows(counters, stream))?
+    let (offset, limit) = (query.offset.unwrap_or(0), query.limit);
+    let results = if let Some(Group::Hash(slots)) = &select.group {
+        let mut results = project_grouped(ctx, select, slots, drive, spans)?;
+        // Post-aggregation row counts are small; DISTINCT/OFFSET/LIMIT run
+        // in the Term domain here.
+        timed(spans.project.as_ref(), || {
+            distinct_cut(&mut results.rows, select.distinct, offset, limit)
+        });
+        results
+    } else {
+        // The project stage, a sink over encoded rows — the pattern's own,
+        // or the order stage's: `DISTINCT` on the projected columns (ids
+        // looked up as a borrowed slice, copied only when new), `OFFSET`,
+        // `LIMIT`, the decode of exactly the page's rows, and `Break` with
+        // the row that completes the page.
+        let (variables, columns) = compile_projection(select.projection, ctx.layout);
+        let target = limit.map_or(usize::MAX, |limit| offset.saturating_add(limit));
+        let (mut seen_ids, mut seen_terms) = (HashSet::new(), HashSet::new());
+        let (mut projected_ids, mut passed, mut rows) = (Vec::new(), 0, Vec::new());
+        let mut project = |row: &[TermId]| -> Flow {
+            let projected = match &columns {
+                Columns::Slots(slots) => {
+                    let ids = slots.iter().map(|&s| row[s as usize]);
+                    if select.distinct {
+                        projected_ids.clear();
+                        projected_ids.extend(ids.clone());
+                        if seen_ids.contains(projected_ids.as_slice()) {
+                            return CONTINUE;
+                        }
+                        seen_ids.insert(projected_ids.clone());
+                    }
+                    // The single point where variable columns materialize.
+                    (passed >= offset).then(|| {
+                        ids.map(|id| (id != UNBOUND).then(|| ctx.dict.term(id).clone()))
+                            .collect()
+                    })
                 }
-                Group::Hash(slots) => project_grouped(ctx, select, slots, stream, &spans)?,
+                Columns::Mixed(items) => {
+                    let projected = project_mixed(ctx, items, row)?;
+                    if select.distinct && !seen_terms.insert(projected.clone()) {
+                        return CONTINUE;
+                    }
+                    (passed >= offset).then_some(projected)
+                }
             };
-            // Post-aggregation row counts are small; DISTINCT/OFFSET/LIMIT
-            // run in the Term domain here.
-            timed(project, || {
-                distinct_cut(&mut results.rows, select.distinct, offset, query.limit)
-            });
-            Ok(results)
+            rows.extend(projected);
+            passed += 1;
+            Ok(match passed >= target {
+                true => ControlFlow::Break(()),
+                false => ControlFlow::Continue(()),
+            })
+        };
+        match &select.order {
+            // An empty page (`LIMIT 0`) never runs the pattern at all.
+            None if target == 0 => {}
+            None => drop(timed(spans.project.as_ref(), || {
+                drive(&mut |row| project(row))
+            })?),
+            Some(order) => {
+                let k = match order {
+                    Order::TopK(k) => Some(*k),
+                    Order::Sort => None,
+                };
+                let ordered = timed(spans.order.as_ref(), || {
+                    order_rows(ctx, &query.order_by, k, drive, spans.order.as_ref())
+                })?;
+                timed(spans.project.as_ref(), || {
+                    for (_, row) in &ordered {
+                        if target == 0 || project(row)?.is_break() {
+                            break;
+                        }
+                    }
+                    Ok::<(), SparqlError>(())
+                })?;
+            }
         }
-        (None, Some(order)) => {
-            let k = match order {
-                Order::TopK(k) => Some(*k),
-                Order::Sort => None,
-            };
-            let ordered = timed(spans.order.as_ref(), || {
-                order_solutions(
-                    &query.order_by,
-                    stream,
-                    k,
-                    // Keys evaluate with lazy decode.
-                    |row| {
-                        let scope = EncScope {
-                            row,
-                            layout: ctx.layout,
-                            dict: ctx.dict,
-                        };
-                        order_keys(&query.order_by, &scope)
-                    },
-                    |a, b| compare_rows_tiebreak(ctx, a, b),
-                )
-            })?;
-            let ordered = Box::new(ordered.into_iter().map(Ok));
-            timed(project, || project_rows(ctx, select, ordered))
-        }
-        (None, None) => timed(project, || project_rows(ctx, select, stream)),
-    })?;
-    Ok(QueryResults::Select(results))
+        SelectResults { variables, rows }
+    };
+    if let Some(span) = &spans.project {
+        span.add_rows(results.rows.len() as u64);
+    }
+    Ok(results)
 }
 
 // ---- projection (the decode boundary) --------------------------------------------
@@ -1093,18 +1052,6 @@ fn compile_projection<'q>(
     )
 }
 
-/// Projects one row into slot-id space (Slots projections only).
-fn project_slots(slots: &[u32], row: &[TermId]) -> Vec<TermId> {
-    slots.iter().map(|&s| row[s as usize]).collect()
-}
-
-/// Decodes projected slot ids into terms — the single point where variable
-/// columns materialize.
-fn decode(dict: &TermDictionary, ids: impl Iterator<Item = TermId>) -> Vec<Option<Term>> {
-    ids.map(|id| (id != UNBOUND).then(|| dict.term(id).clone()))
-        .collect()
-}
-
 /// Projects one row through a Mixed projection (expressions evaluate with
 /// lazy decode; results land directly in the Term domain).
 fn project_mixed(
@@ -1112,11 +1059,7 @@ fn project_mixed(
     items: &[ProjectionItem],
     row: &[TermId],
 ) -> Result<Vec<Option<Term>>, SparqlError> {
-    let scope = EncScope {
-        row,
-        layout: ctx.layout,
-        dict: ctx.dict,
-    };
+    let scope = ctx.scope(row);
     let mut out = Vec::with_capacity(items.len());
     for item in items {
         match item {
@@ -1140,10 +1083,6 @@ fn distinct_cut(
         let mut seen: HashSet<Vec<Option<Term>>> = HashSet::with_capacity(rows.len());
         rows.retain(|r| seen.insert(r.clone()));
     }
-    cut(rows, offset, limit);
-}
-
-fn cut<T>(rows: &mut Vec<T>, offset: usize, limit: Option<usize>) {
     if offset > 0 {
         rows.drain(..offset.min(rows.len()));
     }
@@ -1152,87 +1091,95 @@ fn cut<T>(rows: &mut Vec<T>, offset: usize, limit: Option<usize>) {
     }
 }
 
-// ---- SELECT tails ----------------------------------------------------------------
+// ---- ordering --------------------------------------------------------------------
 
-/// The project stage: streams encoded rows — the pattern's own, or the order
-/// stage's — straight into projected rows, stopping once `OFFSET + LIMIT`
-/// (distinct) rows exist and decoding only the rows of the page.
-fn project_rows(
+/// A kept solution of the order stage: the evaluated `ORDER BY` keys (none
+/// when every condition is a plain variable — the row's own ids are the
+/// keys then) beside the copied row.
+type KeyedRow = (Vec<Option<Term>>, EncRow);
+
+/// The order stage: drives the pattern into the one [`order_solutions`].
+/// Plain-variable `ORDER BY` conditions resolve to slots once and compare
+/// ids, so nothing decodes before projection; a row is tested against the
+/// heap's maximum while still borrowed, and copied only if it gets in.
+fn order_rows(
     ctx: &EncContext<'_>,
-    select: &Select<'_>,
-    stream: EncStream<'_>,
-) -> Result<SelectResults, SparqlError> {
-    let (variables, columns) = compile_projection(select.projection, ctx.layout);
-    let (offset, limit) = (select.query.offset.unwrap_or(0), select.query.limit);
-    // The stream is dropped after the row that completes the page, and
-    // never pulled at all for an empty page (`LIMIT 0`).
-    let target = limit.map_or(usize::MAX, |limit| offset.saturating_add(limit));
-    let stream: EncStream<'_> = match target {
-        0 => Box::new(std::iter::empty()),
-        _ => stream,
+    order_by: &[OrderCondition],
+    k: Option<usize>,
+    drive: impl FnOnce(Emit<'_>) -> Flow,
+    span: Option<&Span>,
+) -> Result<Vec<KeyedRow>, SparqlError> {
+    // `LIMIT 0`: nothing to keep, and the pattern never runs.
+    if k == Some(0) {
+        return Ok(Vec::new());
+    }
+    let slots: Option<Vec<u32>> = order_by
+        .iter()
+        .map(|cond| match &cond.expr {
+            Expression::Variable(v) => ctx.layout.slot_of(v),
+            _ => None,
+        })
+        .collect();
+    let keys_of = |row: &[TermId]| match slots {
+        Some(_) => Vec::new(),
+        None => order_keys(order_by, &ctx.scope(row)),
     };
-    let rows = match columns {
-        // No dedup needed: decode straight off the stream, one output row
-        // allocation per solution of the page and nothing else.
-        Columns::Slots(slots) if !select.distinct => stream
-            .take(target)
-            .enumerate()
-            .filter_map(|(i, solution)| match solution {
-                Ok(_) if i < offset => None,
-                Ok(row) => Some(Ok(decode(ctx.dict, slots.iter().map(|&s| row[s as usize])))),
-                Err(e) => Some(Err(e)),
+    type View<'v> = (&'v [Option<Term>], &'v [TermId]);
+    let compare = |(ka, ra): View<'_>, (kb, rb): View<'_>| {
+        compare_ordered(
+            order_by,
+            |i| match &slots {
+                Some(slots) => compare_ids(ctx.dict, ra[slots[i] as usize], rb[slots[i] as usize]),
+                None => ka[i].cmp(&kb[i]),
+            },
+            || compare_rows_tiebreak(ctx, ra, rb),
+        )
+    };
+    let mut rows_in = 0u64;
+    let kept = order_solutions(
+        k,
+        &|a: &KeyedRow, b: &KeyedRow| compare((&a.0, &a.1), (&b.0, &b.1)),
+        |sorter| {
+            drive(&mut |row| {
+                rows_in += 1;
+                let keys = keys_of(row);
+                let gets_in = sorter
+                    .admits(|worst| compare((&keys, row), (&worst.0, &worst.1)) == Ordering::Less);
+                if gets_in {
+                    sorter.keep(|kept| {
+                        kept.0 = keys;
+                        kept.1.clear();
+                        kept.1.extend_from_slice(row);
+                    });
+                }
+                CONTINUE
             })
-            .collect::<Result<Vec<_>, SparqlError>>()?,
-        Columns::Slots(slots) => {
-            let mut seen: HashSet<Vec<TermId>> = HashSet::new();
-            let mut kept = first_rows(stream, target, |row| {
-                let projected = project_slots(&slots, row);
-                Ok(seen.insert(projected.clone()).then_some(projected))
-            })?;
-            cut(&mut kept, offset, limit);
-            kept.iter()
-                .map(|p| decode(ctx.dict, p.iter().copied()))
-                .collect()
-        }
-        Columns::Mixed(items) => {
-            let mut seen: HashSet<Vec<Option<Term>>> = HashSet::new();
-            let mut kept = first_rows(stream, target, |row| {
-                let projected = project_mixed(ctx, items, row)?;
-                let fresh = !select.distinct || seen.insert(projected.clone());
-                Ok(fresh.then_some(projected))
-            })?;
-            cut(&mut kept, offset, limit);
-            kept
-        }
-    };
-    Ok(SelectResults { variables, rows })
-}
-
-/// The first `target` rows `keep` lets through, pulling no further.
-fn first_rows<R>(
-    stream: EncStream<'_>,
-    target: usize,
-    mut keep: impl FnMut(&EncRow) -> Result<Option<R>, SparqlError>,
-) -> Result<Vec<R>, SparqlError> {
-    let mut kept = Vec::new();
-    for solution in stream {
-        if let Some(row) = keep(&solution?)? {
-            kept.push(row);
-            if kept.len() == target {
-                break;
-            }
-        }
+            .map(drop)
+        },
+    )?;
+    if let Some(span) = span {
+        span.set_attr("rows_in", rows_in);
+        span.add_rows(kept.len() as u64);
     }
     Ok(kept)
 }
 
-// ---- ordering --------------------------------------------------------------------
+/// Two `ORDER BY` keys held as ids, under `Option<Term>`'s order: unbound
+/// first, then the term order. Interning is injective, so equal ids are
+/// equal terms and only differing ids look their terms up.
+fn compare_ids(dict: &TermDictionary, a: TermId, b: TermId) -> Ordering {
+    let term = |id: TermId| (id != UNBOUND).then(|| dict.term(id));
+    match a == b {
+        true => Ordering::Equal,
+        false => term(a).cmp(&term(b)),
+    }
+}
 
 /// The whole-row tie-break of `ORDER BY` over encoded rows: `Binding`'s own
 /// order (variable names, then the term order — what
 /// [`crate::eval::order_bindings`] breaks ties by) without building the
 /// map. Slots are walked in variable-name order, unbound ones skipped, ids
-/// compared first and terms decoded only where they differ.
+/// compared first and terms looked up only where they differ.
 fn compare_rows_tiebreak(ctx: &EncContext<'_>, a: &[TermId], b: &[TermId]) -> Ordering {
     let mut ia = ctx
         .layout
@@ -1254,11 +1201,11 @@ fn compare_rows_tiebreak(ctx: &EncContext<'_>, a: &[TermId], b: &[TermId]) -> Or
                 if ord != Ordering::Equal {
                     return ord;
                 }
-                let (ida, idb) = (a[sa as usize], b[sb as usize]);
-                if ida != idb {
-                    // Interning is injective, and the term order ties only
-                    // equal terms: distinct ids never compare `Equal`.
-                    return ctx.dict.term(ida).cmp(ctx.dict.term(idb));
+                // Distinct ids never compare `Equal`: the term order ties
+                // only equal terms.
+                match compare_ids(ctx.dict, a[sa as usize], b[sb as usize]) {
+                    Ordering::Equal => {}
+                    ord => return ord,
                 }
             }
         }
@@ -1267,46 +1214,114 @@ fn compare_rows_tiebreak(ctx: &EncContext<'_>, a: &[TermId], b: &[TermId]) -> Or
 
 // ---- grouped evaluation ----------------------------------------------------------
 
-/// The group stage of an ungrouped pure-count projection
-/// (`SELECT (COUNT(*) AS ?n) (COUNT(?v) AS ?m) ... WHERE ...`, see
-/// [`Group::Count`]): counts the encoded stream without materializing a
-/// single row.
-fn count_rows(
-    counters: &[(String, Option<u32>)],
-    stream: EncStream<'_>,
-) -> Result<SelectResults, SparqlError> {
-    let mut counts = vec![0usize; counters.len()];
-    for solution in stream {
-        let row = solution?;
-        for (count, (_, slot)) in counts.iter_mut().zip(counters) {
-            // `None` counts every solution, `Some(slot)` those binding it.
-            if slot.is_none_or(|slot| row[slot as usize] != UNBOUND) {
-                *count += 1;
+/// What one aggregate has folded of one group so far. Only the fields its
+/// function reads are ever touched; the untouched ones hold no allocation.
+#[derive(Default)]
+struct Accumulator {
+    /// `DISTINCT`: the values already folded — ids while the argument is a
+    /// plain variable, terms once an expression had to compute them.
+    seen_ids: HashSet<TermId>,
+    seen_terms: HashSet<Term>,
+    /// `COUNT`: values folded.
+    count: usize,
+    /// `MIN` / `MAX`: the running best under the term order.
+    best: Option<Term>,
+    /// `SUM` / `AVG`: the numeric values, kept so the sum folds in sorted
+    /// order at the end — a pure function of the multiset, whatever order
+    /// the rows arrived in.
+    numbers: Vec<f64>,
+}
+
+/// An aggregate column of a grouped projection, its argument resolved once.
+struct Aggregate<'q> {
+    func: AggregateFunction,
+    distinct: bool,
+    /// `None` is `agg(*)`: every solution counts, as the literal `1`.
+    arg: Option<&'q Expression>,
+    /// The argument's slot when it is a plain variable: such values dedup as
+    /// ids, and `COUNT` never looks a term up.
+    slot: Option<u32>,
+}
+
+impl Aggregate<'_> {
+    /// Folds one solution of the group into `acc`.
+    fn fold(
+        &self,
+        ctx: &EncContext<'_>,
+        row: &[TermId],
+        acc: &mut Accumulator,
+    ) -> Result<(), SparqlError> {
+        let computed;
+        let (repeated, term) = match (self.slot, self.arg) {
+            (Some(slot), _) => match row[slot as usize] {
+                UNBOUND => return Ok(()),
+                id => (self.distinct && !acc.seen_ids.insert(id), ctx.dict.term(id)),
+            },
+            (None, None) if self.func == AggregateFunction::Count && !self.distinct => {
+                acc.count += 1;
+                return Ok(());
             }
+            (None, arg) => {
+                computed = match arg {
+                    None => Some(Term::Literal(hbold_rdf_model::Literal::integer(1))),
+                    Some(expr) => evaluate_scoped(expr, &ctx.scope(row))?.into_term(),
+                };
+                match &computed {
+                    Some(term) => (self.distinct && !acc.seen_terms.insert(term.clone()), term),
+                    None => return Ok(()),
+                }
+            }
+        };
+        if repeated {
+            return Ok(());
+        }
+        let wanted = match self.func {
+            AggregateFunction::Count => {
+                acc.count += 1;
+                return Ok(());
+            }
+            AggregateFunction::Sum | AggregateFunction::Avg => {
+                acc.numbers.extend(numeric_value(term));
+                return Ok(());
+            }
+            AggregateFunction::Min => Ordering::Less,
+            AggregateFunction::Max => Ordering::Greater,
+        };
+        if acc
+            .best
+            .as_ref()
+            .is_none_or(|best| term.cmp(best) == wanted)
+        {
+            acc.best = Some(term.clone());
+        }
+        Ok(())
+    }
+
+    /// The aggregate's value over a finished group.
+    fn finish(&self, acc: Accumulator) -> Option<Term> {
+        match self.func {
+            AggregateFunction::Count => Some(number_term(acc.count as f64)),
+            AggregateFunction::Sum | AggregateFunction::Avg => {
+                Some(aggregate_numbers(self.func, acc.numbers))
+            }
+            AggregateFunction::Min | AggregateFunction::Max => acc.best,
         }
     }
-    Ok(SelectResults {
-        variables: counters.iter().map(|(alias, _)| alias.clone()).collect(),
-        rows: vec![counts
-            .iter()
-            .map(|&n| aggregate_values(AggregateFunction::Count, Vec::new(), n))
-            .collect()],
-    })
 }
 
 /// The group and order stages of a grouped/aggregated projection
-/// ([`Group::Hash`]) over the pattern's solutions.
-///
-/// Partitioning hashes raw slot-id key vectors (the hot part — one hash of
-/// a few `u32`s per solution instead of a formatted string); group *output*
-/// evaluation decodes into Term-domain bindings, since ORDER BY over
-/// aggregate aliases and the tiny post-aggregation row count live naturally
-/// there. Groups leave in first-encounter order; only `ORDER BY` pins one.
+/// ([`Group::Hash`]). The group stage is a sink of per-group accumulators: a
+/// solution is looked up by its key — the `GROUP BY` slots' ids, hashed as a
+/// borrowed slice and copied once per *group* — and folded into that group's
+/// aggregates on the spot; no solution is kept. With no `GROUP BY` there is
+/// exactly one group, even if it is empty. Group *output* evaluation decodes
+/// into Term-domain bindings, where ORDER BY over aggregate aliases lives.
+/// Groups leave in first-encounter order; only `ORDER BY` pins one.
 fn project_grouped(
     ctx: &EncContext<'_>,
     select: &Select<'_>,
     group_slots: &[u32],
-    stream: EncStream<'_>,
+    drive: impl FnOnce(Emit<'_>) -> Flow,
     spans: &TailSpans,
 ) -> Result<SelectResults, SparqlError> {
     let Projection::Items(items) = select.projection else {
@@ -1325,34 +1340,86 @@ fn project_grouped(
             }
         }
     }
+    let aggregates: Vec<Aggregate<'_>> = items
+        .iter()
+        .filter_map(|item| match item {
+            ProjectionItem::Expression {
+                expr:
+                    Expression::Aggregate {
+                        func,
+                        distinct,
+                        arg,
+                    },
+                ..
+            } => Some(Aggregate {
+                func: *func,
+                distinct: *distinct,
+                arg: arg.as_deref(),
+                slot: match arg.as_deref() {
+                    Some(Expression::Variable(name)) => ctx.layout.slot_of(name),
+                    _ => None,
+                },
+            }),
+            _ => None,
+        })
+        .collect();
+    let fresh =
+        || -> Vec<Accumulator> { aggregates.iter().map(|_| Accumulator::default()).collect() };
 
     let grouped_bindings = timed(spans.group.as_ref(), || {
-        let mut groups = group_solutions(group_slots, stream)?;
-        // With no GROUP BY (pure aggregate query) there is exactly one
-        // group, even if it is empty.
-        if group_slots.is_empty() && groups.is_empty() {
-            groups.push((Vec::new(), Vec::new()));
+        let mut index: HashMap<Vec<TermId>, usize> = HashMap::new();
+        let mut groups: Vec<(Vec<TermId>, Vec<Accumulator>)> = Vec::new();
+        if group_slots.is_empty() {
+            groups.push((Vec::new(), fresh()));
         }
+        let mut key: Vec<TermId> = Vec::with_capacity(group_slots.len());
+        drive(&mut |row| {
+            let group = if group_slots.is_empty() {
+                0
+            } else {
+                key.clear();
+                key.extend(group_slots.iter().map(|&s| row[s as usize]));
+                match index.get(key.as_slice()) {
+                    Some(&group) => group,
+                    None => {
+                        index.insert(key.clone(), groups.len());
+                        groups.push((key.clone(), fresh()));
+                        groups.len() - 1
+                    }
+                }
+            };
+            for (aggregate, acc) in aggregates.iter().zip(&mut groups[group].1) {
+                aggregate.fold(ctx, row, acc)?;
+            }
+            CONTINUE
+        })
+        .map(drop)?;
         // Evaluate each group into an output binding so ORDER BY can see
         // aliases. Group boundaries are this path's batch boundaries: one
         // token poll per group.
         groups
-            .iter()
-            .map(|(key, members)| {
+            .into_iter()
+            .map(|(key, accs)| {
                 if let Some(token) = ctx.cancel {
                     token.check()?;
                 }
-                evaluate_group(ctx, items, group_slots, key, members)
+                let finished = aggregates.iter().zip(accs).map(|(a, acc)| a.finish(acc));
+                evaluate_group(ctx, items, group_slots, &key, finished)
             })
             .collect::<Result<Vec<Binding>, SparqlError>>()
     })?;
     if let Some(span) = &spans.group {
         span.set_attr("groups", grouped_bindings.len());
+        span.add_rows(grouped_bindings.len() as u64);
     }
 
     let ordered = timed(spans.order.as_ref(), || {
         order_bindings(&select.query.order_by, grouped_bindings)
     })?;
+    if let Some(span) = &spans.order {
+        span.set_attr("rows_in", ordered.len());
+        span.add_rows(ordered.len() as u64);
+    }
     let (variables, _) = compile_projection(select.projection, ctx.layout);
     let rows = ordered
         .iter()
@@ -1361,38 +1428,15 @@ fn project_grouped(
     Ok(SelectResults { variables, rows })
 }
 
-/// One group: its key (the GROUP BY slot values) and its member rows.
-type Partition = (Vec<TermId>, Vec<EncRow>);
-
-/// Partitions an encoded solution stream into groups keyed by the GROUP BY
-/// slots, in first-encounter order.
-fn group_solutions(
-    group_slots: &[u32],
-    solutions: EncStream<'_>,
-) -> Result<Vec<Partition>, SparqlError> {
-    let mut index: HashMap<Vec<TermId>, usize> = HashMap::new();
-    let mut groups: Vec<Partition> = Vec::new();
-    for solution in solutions {
-        let row = solution?;
-        let key: Vec<TermId> = group_slots.iter().map(|&s| row[s as usize]).collect();
-        match index.entry(key) {
-            Entry::Occupied(e) => groups[*e.get()].1.push(row),
-            Entry::Vacant(v) => {
-                groups.push((v.key().clone(), vec![row]));
-                v.insert(groups.len() - 1);
-            }
-        }
-    }
-    Ok(groups)
-}
-
-/// Evaluates one group into its Term-domain output binding.
+/// Evaluates one finished group into its Term-domain output binding;
+/// `aggregates` yields the values of the projection's aggregate columns, in
+/// column order.
 fn evaluate_group(
     ctx: &EncContext<'_>,
     items: &[ProjectionItem],
     group_slots: &[u32],
     key: &[TermId],
-    members: &[EncRow],
+    mut aggregates: impl Iterator<Item = Option<Term>>,
 ) -> Result<Binding, SparqlError> {
     // A synthetic row binding exactly the group-key slots: non-aggregate
     // expressions in the projection see the key (and nothing else), the
@@ -1401,92 +1445,24 @@ fn evaluate_group(
     for (i, &slot) in group_slots.iter().enumerate() {
         key_row[slot as usize] = key[i];
     }
-    let key_scope = EncScope {
-        row: &key_row,
-        layout: ctx.layout,
-        dict: ctx.dict,
-    };
+    let key_scope = ctx.scope(&key_row);
 
     let mut out = Binding::new();
     for item in items {
-        match item {
+        let (name, value) = match item {
             // Grouped by construction: `project_grouped` checked up front.
-            ProjectionItem::Variable(v) => {
-                if let Some(term) = key_scope.term(v) {
-                    out.insert(v.clone(), term);
-                }
-            }
+            ProjectionItem::Variable(v) => (v, key_scope.term(v)),
+            ProjectionItem::Expression {
+                expr: Expression::Aggregate { .. },
+                alias,
+            } => (alias, aggregates.next().flatten()),
             ProjectionItem::Expression { expr, alias } => {
-                let value = match expr {
-                    Expression::Aggregate {
-                        func,
-                        distinct,
-                        arg,
-                    } => evaluate_aggregate(ctx, *func, *distinct, arg.as_deref(), members)?,
-                    other => evaluate_scoped(other, &key_scope)?.into_term(),
-                };
-                if let Some(term) = value {
-                    out.insert(alias.clone(), term);
-                }
+                (alias, evaluate_scoped(expr, &key_scope)?.into_term())
             }
+        };
+        if let Some(term) = value {
+            out.insert(name.clone(), term);
         }
     }
     Ok(out)
-}
-
-/// Evaluates one aggregate over a group's encoded members.
-///
-/// The common `agg(?var)` shape stays in the id domain until the arithmetic:
-/// `COUNT` never decodes at all, and `COUNT(DISTINCT ?v)` dedups raw ids.
-fn evaluate_aggregate(
-    ctx: &EncContext<'_>,
-    func: AggregateFunction,
-    distinct: bool,
-    arg: Option<&Expression>,
-    members: &[EncRow],
-) -> Result<Option<Term>, SparqlError> {
-    // Fast path: plain variable argument.
-    if let Some(Expression::Variable(name)) = arg {
-        if let Some(slot) = ctx.layout.slot_of(name) {
-            let mut ids: Vec<TermId> = members
-                .iter()
-                .map(|row| row[slot as usize])
-                .filter(|&id| id != UNBOUND)
-                .collect();
-            if distinct {
-                let mut seen: HashSet<TermId> = HashSet::with_capacity(ids.len());
-                ids.retain(|&id| seen.insert(id));
-            }
-            if func == AggregateFunction::Count {
-                return Ok(aggregate_values(func, Vec::new(), ids.len()));
-            }
-            let values: Vec<Term> = ids.iter().map(|&id| ctx.dict.term(id).clone()).collect();
-            let count = values.len();
-            return Ok(aggregate_values(func, values, count));
-        }
-    }
-    // General path: evaluate the argument expression per member (or count
-    // every member for COUNT(*)).
-    let mut values: Vec<Term> = Vec::new();
-    for member in members {
-        match arg {
-            None => values.push(Term::Literal(hbold_rdf_model::Literal::integer(1))),
-            Some(expr) => {
-                let scope = EncScope {
-                    row: member,
-                    layout: ctx.layout,
-                    dict: ctx.dict,
-                };
-                if let Some(t) = evaluate_scoped(expr, &scope)?.into_term() {
-                    values.push(t);
-                }
-            }
-        }
-    }
-    if distinct {
-        let mut seen: HashSet<Term> = HashSet::with_capacity(values.len());
-        values.retain(|t| seen.insert(t.clone()));
-    }
-    let count = values.len();
-    Ok(aggregate_values(func, values, count))
 }

@@ -1,25 +1,25 @@
 //! Query evaluation over a [`TripleStore`].
 //!
-//! The engine is a *streaming operator pipeline* running in the
+//! The engine is a *push-driven walk of the plan* running in the
 //! **dictionary-encoded domain** (see [`crate::encoded`]): at evaluation
 //! start the query's variables are compiled to a dense slot layout, and
 //! every operator — BGP index-scan joins, `FILTER`, `OPTIONAL`, `UNION`,
-//! `DISTINCT`, `GROUP BY` partitioning, the `ORDER BY` tie-break — carries
-//! and compares fixed-width rows of raw `TermId`s. The dictionary is
-//! consulted lazily, only where lexical values are genuinely needed
-//! (expression evaluation, sort keys, aggregate arithmetic), and full
+//! `DISTINCT`, `GROUP BY` accumulators, `ORDER BY` on plain variables and
+//! its tie-break — binds and compares raw `TermId`s in one shared row
+//! buffer. The dictionary is consulted lazily, only where lexical values are
+//! genuinely needed (expression evaluation, aggregate arithmetic), and full
 //! [`Term`] rows materialize exactly once, at the [`QueryResults`]
 //! boundary.
 //!
-//! Streaming behaviours carry over from the Term-domain engine this
-//! replaced: `ASK` stops at the first solution, un-ordered `LIMIT` queries
-//! stop as soon as enough rows exist, and `ORDER BY ... LIMIT k` keeps a
-//! bounded top-k heap instead of sorting the full solution set.
+//! `ASK` stops at the first solution, un-ordered `LIMIT` queries stop as
+//! soon as enough rows exist, `ORDER BY ... LIMIT k` keeps a bounded top-k
+//! heap instead of sorting the full solution set, and an aggregate folds
+//! each solution into its group as it arrives instead of keeping it.
 //!
 //! There is exactly one way to plan and one way to run a query: every
 //! entry point below compiles the query, has [`crate::optimize`] turn it
 //! into a plan value, and hands that to the one executor
-//! (`crate::encoded::execute`), a single-threaded pipeline. Parallelism
+//! (`crate::encoded::execute`), a single-threaded walk. Parallelism
 //! lives *between* queries (server workers, extraction fleets), never
 //! inside one. Rows of a grouped query leave in an unspecified order unless
 //! `ORDER BY` pins one.
@@ -34,7 +34,7 @@ use hbold_triple_store::TripleStore;
 use crate::ast::*;
 use crate::encoded::{compile_pattern, execute, timed, EncContext, EncDataset, SlotLayout};
 use crate::error::SparqlError;
-use crate::expr::{evaluate_scoped, number_term, numeric_value, Binding, EvalValue, Scope};
+use crate::expr::{evaluate_scoped, number_term, Binding, EvalValue, Scope};
 use crate::optimize::{plan_pattern, BgpReorder, PlanCounters};
 use crate::plan::parse_cached;
 use crate::results::QueryResults;
@@ -81,12 +81,12 @@ pub struct EvalHooks<'a> {
     pub counters: Option<&'a PlanCounters>,
     /// Parent span for an execution trace. When set, the evaluation adds
     /// `plan` and `execute` children under it, with one span per plan node
-    /// and tail stage below `execute` recording rows produced and
-    /// cumulative wall time.
+    /// and tail stage below `execute` recording rows produced and wall
+    /// time (a node's own and its subtree's; a tail stage's whole drive).
     pub trace: Option<&'a Span>,
-    /// Cooperative cancellation token, polled at operator batch boundaries
-    /// (one relaxed atomic load per [`crate::cancel::DEFAULT_CHECK_INTERVAL`]
-    /// rows). A tripped token fails the whole evaluation with the typed
+    /// Cooperative cancellation token, polled by every scan stage (one
+    /// relaxed atomic load per [`crate::cancel::DEFAULT_CHECK_INTERVAL`]
+    /// quads examined). A tripped token fails the whole evaluation with the typed
     /// [`SparqlError::Cancelled`] / [`SparqlError::DeadlineExceeded`] —
     /// never a truncated result.
     pub cancel: Option<&'a crate::cancel::CancellationToken>,
@@ -180,48 +180,28 @@ pub fn evaluate_with(
 // `Ord for Term` (in `hbold-rdf-model`) is the one order. `MIN`/`MAX`, the
 // `ORDER BY` keys and the whole-row tie-break below *are* it — the engine's
 // id rows, grouped output bindings and the naive reference evaluator (the
-// differential oracle) all sort through the one `order_solutions`. What only
-// the oracle needs lives in `crate::reference`.
+// differential oracle) all sort through the one `order_solutions`, and sum
+// through the one `aggregate_numbers`. What only the oracle needs lives in
+// `crate::reference`.
 
-/// Final arithmetic step of an aggregate: folds the collected (already
-/// DISTINCT-filtered) argument values. `count` is the number of collected
-/// values — passed separately so `COUNT` fast paths can skip materializing
-/// `values` entirely.
-pub(crate) fn aggregate_values(
-    func: AggregateFunction,
-    values: Vec<Term>,
-    count: usize,
-) -> Option<Term> {
-    // SUM/AVG fold in *canonical* (total-order sorted) sequence, not in the
-    // order the values arrived: float addition is non-associative, and the
-    // engine and the reference oracle collect group members in different
-    // row orders. Near the f64 precision edge — e.g. a group containing
-    // both 2^63 and -2^63 plus small values — the arrival-order sum visibly
-    // differs between them; sorting first makes the fold a pure function of
-    // the value multiset.
+/// `SUM` (or, for [`AggregateFunction::Avg`], the mean) of an aggregate's
+/// numeric values.
+///
+/// The fold runs in *canonical* (total-order sorted) sequence, not in the
+/// order the values arrived: float addition is non-associative, and the
+/// engine and the reference oracle meet group members in different row
+/// orders. Near the f64 precision edge — e.g. a group containing both 2^63
+/// and -2^63 plus small values — the arrival-order sum visibly differs
+/// between them; sorting first makes the fold a pure function of the value
+/// multiset.
+pub(crate) fn aggregate_numbers(func: AggregateFunction, mut numbers: Vec<f64>) -> Term {
+    numbers.sort_unstable_by(f64::total_cmp);
+    let sum: f64 = numbers.iter().sum();
     match func {
-        AggregateFunction::Count => Some(number_term(count as f64)),
-        AggregateFunction::Sum => {
-            let mut nums: Vec<f64> = values.iter().filter_map(numeric_value).collect();
-            nums.sort_unstable_by(f64::total_cmp);
-            Some(number_term(nums.iter().sum()))
-        }
-        AggregateFunction::Avg => {
-            let mut nums: Vec<f64> = values.iter().filter_map(numeric_value).collect();
-            nums.sort_unstable_by(f64::total_cmp);
-            if nums.is_empty() {
-                Some(number_term(0.0))
-            } else {
-                Some(number_term(nums.iter().sum::<f64>() / nums.len() as f64))
-            }
-        }
-        AggregateFunction::Min => values.into_iter().min(),
-        AggregateFunction::Max => values.into_iter().max(),
+        AggregateFunction::Avg if !numbers.is_empty() => number_term(sum / numbers.len() as f64),
+        _ => number_term(sum),
     }
 }
-
-/// A solution beside its evaluated `ORDER BY` keys.
-type Keyed<R> = (Vec<Option<Term>>, R);
 
 /// The `ORDER BY` keys of one solution; a condition that errors is unbound.
 pub(crate) fn order_keys(order_by: &[OrderCondition], scope: &impl Scope) -> Vec<Option<Term>> {
@@ -235,99 +215,143 @@ pub(crate) fn order_keys(order_by: &[OrderCondition], scope: &impl Scope) -> Vec
         .collect()
 }
 
-/// The `ORDER BY` comparator: each key under `Option<Term>`'s own order
-/// (unbound first, then the term order), reversed under `DESC`; equal keys
-/// fall to `tiebreak` over the whole rows, which makes the order total, so
-/// every caller cuts `LIMIT` boundaries identically.
-fn compare_keyed<R>(
+/// The `ORDER BY` comparator: `key(i)` compares two solutions' `i`-th keys
+/// ascending — under `Option<Term>`'s own order, unbound first, then the
+/// term order — and is reversed under `DESC`; equal keys fall to `tiebreak`
+/// over the whole rows, which makes the order total, so every caller cuts
+/// `LIMIT` boundaries identically.
+pub(crate) fn compare_ordered(
     order_by: &[OrderCondition],
-    (ka, ra): &Keyed<R>,
-    (kb, rb): &Keyed<R>,
-    tiebreak: &impl Fn(&R, &R) -> Ordering,
+    key: impl Fn(usize) -> Ordering,
+    tiebreak: impl FnOnce() -> Ordering,
 ) -> Ordering {
-    for (cond, (a, b)) in order_by.iter().zip(ka.iter().zip(kb)) {
-        let ord = if cond.descending { b.cmp(a) } else { a.cmp(b) };
+    for (i, cond) in order_by.iter().enumerate() {
+        let ord = key(i);
+        let ord = if cond.descending { ord.reverse() } else { ord };
         if ord != Ordering::Equal {
             return ord;
         }
     }
-    tiebreak(ra, rb)
+    tiebreak()
 }
 
-/// Sorts solutions under `ORDER BY` — all of them, or with `k` the first `k`
-/// through a bounded max-heap, so `ORDER BY ... LIMIT` never materializes or
-/// fully sorts the solution set. `keys` evaluates a solution's sort keys
-/// (once, not per comparison); `tiebreak` orders whole solutions.
-pub(crate) fn order_solutions<R>(
-    order_by: &[OrderCondition],
-    solutions: impl Iterator<Item = Result<R, SparqlError>>,
+/// A total order over solutions.
+type Compare<'c, R> = &'c dyn Fn(&R, &R) -> Ordering;
+
+/// A solution in the top-k heap, ordered by the sorter's comparator.
+struct Entry<'c, R>(R, Compare<'c, R>);
+
+impl<R> PartialEq for Entry<'_, R> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl<R> Eq for Entry<'_, R> {}
+impl<R> PartialOrd for Entry<'_, R> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<R> Ord for Entry<'_, R> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.1)(&self.0, &other.0)
+    }
+}
+
+/// What [`order_solutions`] hands its driver: the solutions kept so far —
+/// all of them, or with `k` the `k` smallest in a bounded max-heap.
+pub(crate) struct Sorter<'c, R> {
+    compare: Compare<'c, R>,
     k: Option<usize>,
-    keys: impl Fn(&R) -> Vec<Option<Term>>,
-    tiebreak: impl Fn(&R, &R) -> Ordering,
-) -> Result<Vec<R>, SparqlError> {
-    struct Entry<'c, R, C>(Keyed<R>, &'c C);
-    impl<R, C: Fn(&Keyed<R>, &Keyed<R>) -> Ordering> PartialEq for Entry<'_, R, C> {
-        fn eq(&self, other: &Self) -> bool {
-            self.cmp(other) == Ordering::Equal
-        }
-    }
-    impl<R, C: Fn(&Keyed<R>, &Keyed<R>) -> Ordering> Eq for Entry<'_, R, C> {}
-    impl<R, C: Fn(&Keyed<R>, &Keyed<R>) -> Ordering> PartialOrd for Entry<'_, R, C> {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl<R, C: Fn(&Keyed<R>, &Keyed<R>) -> Ordering> Ord for Entry<'_, R, C> {
-        fn cmp(&self, other: &Self) -> Ordering {
-            (self.1)(&self.0, &other.0)
+    all: Vec<R>,
+    heap: BinaryHeap<Entry<'c, R>>,
+}
+
+impl<R: Default> Sorter<'_, R> {
+    /// Whether a candidate (possibly still borrowed) gets in: there is
+    /// room, or it orders before the greatest solution kept — `below(worst)`.
+    pub(crate) fn admits(&self, below: impl FnOnce(&R) -> bool) -> bool {
+        match self.k {
+            Some(k) if self.heap.len() >= k => self.heap.peek().is_some_and(|w| below(&w.0)),
+            _ => true,
         }
     }
 
-    if order_by.is_empty() {
-        return solutions.collect();
-    }
-    let compare = |a: &Keyed<R>, b: &Keyed<R>| compare_keyed(order_by, a, b, &tiebreak);
-    let keyed = solutions.map(|solution| solution.map(|row| (keys(&row), row)));
-    Ok(match k {
-        None => {
-            let mut all = keyed.collect::<Result<Vec<_>, _>>()?;
-            all.sort_by(compare);
-            all.into_iter().map(|(_, row)| row).collect()
-        }
-        Some(0) => Vec::new(),
-        Some(k) => {
-            // `k` comes from `offset + limit` and may be astronomically
-            // large (e.g. `LIMIT 9223372036854775807 OFFSET
-            // 9223372036854775807`), so it must only bound the heap's
-            // *size*, never pre-size its allocation: the capacity hint is
-            // clamped and `k + 1` style arithmetic avoided.
-            let mut heap = BinaryHeap::with_capacity(k.saturating_add(1).min(1024));
-            for entry in keyed {
-                heap.push(Entry(entry?, &compare));
-                if heap.len() > k {
-                    heap.pop(); // drop the current worst
+    /// Keeps a candidate [`Sorter::admits`] let in: `fill` writes it into a
+    /// fresh solution while there is room, and over the evicted greatest one
+    /// (whose buffers it can reuse) afterwards.
+    pub(crate) fn keep(&mut self, fill: impl FnOnce(&mut R)) {
+        match self.k {
+            // Sifted back into place when the guard drops.
+            Some(k) if self.heap.len() >= k => {
+                if let Some(mut worst) = self.heap.peek_mut() {
+                    fill(&mut worst.0);
                 }
             }
+            _ => {
+                let mut solution = R::default();
+                fill(&mut solution);
+                match self.k {
+                    Some(_) => self.heap.push(Entry(solution, self.compare)),
+                    None => self.all.push(solution),
+                }
+            }
+        }
+    }
+}
+
+/// Sorts the solutions `drive` offers to the [`Sorter`] under `compare`, a
+/// total order — all of them, or with `k` the first `k` through a bounded
+/// max-heap, so `ORDER BY ... LIMIT` never materializes or fully sorts the
+/// solution set. This is the one sort, for id rows and bindings alike.
+pub(crate) fn order_solutions<R: Default>(
+    k: Option<usize>,
+    compare: Compare<'_, R>,
+    drive: impl FnOnce(&mut Sorter<'_, R>) -> Result<(), SparqlError>,
+) -> Result<Vec<R>, SparqlError> {
+    let mut sorter = Sorter {
+        compare,
+        k,
+        all: Vec::new(),
+        // `k` comes from `offset + limit` and may be astronomically large
+        // (e.g. `LIMIT 9223372036854775807 OFFSET 9223372036854775807`), so
+        // it only bounds the heap's *size*, never pre-sizes its allocation.
+        heap: BinaryHeap::with_capacity(k.map_or(0, |k| k.min(1024))),
+    };
+    drive(&mut sorter)?;
+    let Sorter { mut all, heap, .. } = sorter;
+    Ok(match k {
+        None => {
+            all.sort_by(compare);
+            all
+        }
+        Some(_) => {
             let sorted = heap.into_sorted_vec();
-            sorted.into_iter().map(|Entry((_, row), _)| row).collect()
+            sorted.into_iter().map(|Entry(row, _)| row).collect()
         }
     })
 }
 
 /// [`order_solutions`] over Term-domain bindings (grouped output rows and
-/// the reference evaluator): the tie-break is `Binding`'s own order —
-/// variable names, then the term order.
+/// the reference evaluator): keys evaluate once per solution, and the
+/// tie-break is `Binding`'s own order — variable names, then the term order.
 pub(crate) fn order_bindings(
     order_by: &[OrderCondition],
     solutions: Vec<Binding>,
 ) -> Result<Vec<Binding>, SparqlError> {
-    order_solutions(
-        order_by,
-        solutions.into_iter().map(Ok),
-        None,
-        |binding| order_keys(order_by, binding),
-        Binding::cmp,
-    )
+    if order_by.is_empty() {
+        return Ok(solutions);
+    }
+    type Keyed = (Vec<Option<Term>>, Binding);
+    let compare =
+        |a: &Keyed, b: &Keyed| compare_ordered(order_by, |i| a.0[i].cmp(&b.0[i]), || a.1.cmp(&b.1));
+    let sorted = order_solutions(None, &compare, |sorter| {
+        for solution in solutions {
+            sorter.keep(|kept| *kept = (order_keys(order_by, &solution), solution));
+        }
+        Ok(())
+    })?;
+    Ok(sorted.into_iter().map(|(_, solution)| solution).collect())
 }
 
 #[cfg(test)]
@@ -852,13 +876,24 @@ mod tests {
         );
         assert_eq!(order.attr("strategy").unwrap().as_str(), Some("topk"));
         assert_eq!(order.attr("k").unwrap().as_u64(), Some(3));
-        // `bgp` is a label; `order` pulled the stream, so its inclusive time
-        // covers the last scan's, and the stages add up inside `execute`.
+        // `bgp` is a label; `order` drove the pattern, so its time covers
+        // the last scan's own, and the stages add up inside `execute`.
         assert_eq!(bgp.elapsed_ns(), 0);
         let last_scan = bgp.children().last().unwrap().clone();
         assert_eq!(last_scan.rows(), 3);
         assert!(order.elapsed_ns() >= last_scan.elapsed_ns());
         assert!(order.elapsed_ns() + project.elapsed_ns() <= execute.elapsed_ns());
+        // The tail says what it threw away: 3 rows in, 3 kept (k = 3), and
+        // the page is the 2 past the offset.
+        assert_eq!(order.attr("rows_in").unwrap().as_u64(), Some(3));
+        assert_eq!((order.rows(), project.rows()), (3, 2));
+        let narrower = trace("SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o LIMIT 4");
+        let order = &narrower.children()[1];
+        assert_eq!(
+            order.attr("rows_in").unwrap().as_u64(),
+            Some(store.len() as u64)
+        );
+        assert_eq!(order.rows(), 4);
 
         // An extraction count: hash groups, sorted, projected.
         let execute =
@@ -867,8 +902,9 @@ mod tests {
         let group = &execute.children()[1];
         assert_eq!(group.attr("strategy").unwrap().as_str(), Some("hash"));
         assert_eq!(group.attr("groups").unwrap().as_u64(), Some(3));
-        let sort = execute.children()[2].attr("strategy").unwrap();
-        assert_eq!(sort.as_str(), Some("sort"));
+        let (order, project) = (&execute.children()[2], &execute.children()[3]);
+        assert_eq!(order.attr("strategy").unwrap().as_str(), Some("sort"));
+        assert_eq!((group.rows(), order.rows(), project.rows()), (3, 3, 3));
 
         assert_eq!(
             names(&trace("SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }")),

@@ -11,7 +11,10 @@
 //! function, `DISTINCT`, `ORDER BY`, `LIMIT`/`OFFSET` in all combinations,
 //! `GROUP BY` with aggregates, and every literal shape: typed numerics at
 //! the `i64`/`f64` boundary, `NaN`, language tags, strings needing
-//! CSV/TSV/JSON escaping) and then checks, via [`check_case`]:
+//! CSV/TSV/JSON escaping) — or, for a fixed share of seeds, a query in the
+//! shape of schema extraction (a short `?s a <C> . ?s ?p ?o . ?o a ?t` chain,
+//! grouped and aggregated, with and without `ORDER BY … LIMIT`) — and then
+//! checks, via [`check_case`]:
 //!
 //! 1. **Syntax round-trip** — the query survives pretty-print → parse →
 //!    pretty-print → parse with a stable AST ([`crate::pretty`] is a
@@ -530,8 +533,130 @@ fn random_dataset(rng: &mut FuzzRng) -> Dataset {
     }
 }
 
+/// The `i`-th aggregate column of a generated projection, `(... AS ?agg<i>)`:
+/// any of the five functions, `DISTINCT` or not, over `arg` — or, for some
+/// `COUNT`s, over `*`.
+fn random_aggregate(rng: &mut FuzzRng, i: usize, arg: String) -> ProjectionItem {
+    let func = *rng.pick(&[
+        AggregateFunction::Count,
+        AggregateFunction::Sum,
+        AggregateFunction::Avg,
+        AggregateFunction::Min,
+        AggregateFunction::Max,
+    ]);
+    let arg = if func == AggregateFunction::Count && rng.chance(30) {
+        None // COUNT(*)
+    } else {
+        Some(Box::new(Expression::Variable(arg)))
+    };
+    ProjectionItem::Expression {
+        expr: Expression::Aggregate {
+            func,
+            distinct: rng.chance(30),
+            arg,
+        },
+        alias: format!("agg{i}"),
+    }
+}
+
+/// A query in the shape of H-BOLD's schema extraction: one to three patterns
+/// of the link-count chain `?s <p> <C> . ?s ?p ?o . ?o <q> ?x` — the last one
+/// sometimes under `OPTIONAL`, so that a group key can be unbound — grouped by
+/// zero to two of its variables, with one or two aggregates of any function,
+/// with and without `ORDER BY … LIMIT`. The general generator reaches these
+/// shapes only by accident; the grouped tail is where the extraction
+/// workload lives.
+fn generate_extraction_query(rng: &mut FuzzRng) -> Query {
+    let var = |name: &str| TermOrVariable::Variable(name.to_string());
+    let predicate =
+        |rng: &mut FuzzRng| TermOrVariable::Term(Term::Iri(rng.pick(&predicate_iris()).clone()));
+    let mut chain = vec![
+        TriplePatternAst {
+            subject: var("s"),
+            predicate: predicate(rng),
+            object: if rng.chance(50) {
+                TermOrVariable::Term(Term::Iri(rng.pick(&class_iris()).clone()))
+            } else {
+                var("y")
+            },
+        },
+        TriplePatternAst {
+            subject: var("s"),
+            predicate: var("p"),
+            object: var("o"),
+        },
+        TriplePatternAst {
+            subject: var("o"),
+            predicate: predicate(rng),
+            object: var("x"),
+        },
+    ];
+    // One pattern is the plain `?s ?p ?o` scan.
+    match rng.below(3) {
+        0 => chain = vec![chain.swap_remove(1)],
+        1 => chain.truncate(2),
+        _ => {}
+    }
+    let pattern = if chain.len() > 1 && rng.chance(40) {
+        let last = chain.pop().expect("the chain has two patterns or more");
+        GraphPattern::Optional {
+            left: Box::new(GraphPattern::Bgp(chain)),
+            right: Box::new(GraphPattern::Bgp(vec![last])),
+        }
+    } else {
+        GraphPattern::Bgp(chain)
+    };
+
+    let pattern_vars = pattern.variables();
+    let mut group_by: Vec<String> = Vec::new();
+    for _ in 0..rng.below(3) {
+        let key = rng.pick(&pattern_vars);
+        if !group_by.contains(key) {
+            group_by.push(key.clone());
+        }
+    }
+    let mut items: Vec<ProjectionItem> = group_by
+        .iter()
+        .map(|v| ProjectionItem::Variable(v.clone()))
+        .collect();
+    let mut orderable = group_by.clone();
+    for i in 0..1 + rng.below(2) {
+        let arg = rng.pick(&pattern_vars).clone();
+        items.push(random_aggregate(rng, i, arg));
+        orderable.push(format!("agg{i}"));
+    }
+    let ordered = rng.chance(50);
+    let order_by = (0..if ordered { 1 + rng.below(2) } else { 0 })
+        .map(|_| OrderCondition {
+            expr: Expression::Variable(rng.pick(&orderable).clone()),
+            descending: rng.chance(50),
+        })
+        .collect();
+    Query {
+        form: QueryForm::Select {
+            distinct: rng.chance(10),
+            projection: Projection::Items(items),
+        },
+        dataset: Dataset::default(),
+        pattern,
+        group_by,
+        order_by,
+        limit: rng
+            .chance(if ordered { 60 } else { 15 })
+            .then(|| random_cut_value(rng)),
+        offset: rng.chance(15).then(|| random_cut_value(rng)),
+    }
+}
+
+/// Share of generated queries, in percent, that take the extraction shape
+/// ([`generate_extraction_query`]) instead of the general grammar.
+const EXTRACTION_SHARE: usize = 20;
+
 /// Generates a random query over the full supported surface.
 pub fn generate_query(rng: &mut FuzzRng) -> Query {
+    if rng.chance(EXTRACTION_SHARE) {
+        return generate_extraction_query(rng);
+    }
     let pattern = random_pattern(rng, 2, true);
     let dataset = random_dataset(rng);
     if rng.chance(10) {
@@ -566,28 +691,9 @@ pub fn generate_query(rng: &mut FuzzRng) -> Query {
             .collect();
         let mut orderable = group_by.clone();
         for i in 0..1 + rng.below(2) {
-            let func = *rng.pick(&[
-                AggregateFunction::Count,
-                AggregateFunction::Sum,
-                AggregateFunction::Avg,
-                AggregateFunction::Min,
-                AggregateFunction::Max,
-            ]);
-            let arg = if func == AggregateFunction::Count && rng.chance(30) {
-                None // COUNT(*)
-            } else {
-                Some(Box::new(Expression::Variable(random_var(rng))))
-            };
-            let alias = format!("agg{i}");
-            orderable.push(alias.clone());
-            items.push(ProjectionItem::Expression {
-                expr: Expression::Aggregate {
-                    func,
-                    distinct: rng.chance(30),
-                    arg,
-                },
-                alias,
-            });
+            let arg = random_var(rng);
+            items.push(random_aggregate(rng, i, arg));
+            orderable.push(format!("agg{i}"));
         }
         (Projection::Items(items), group_by.clone(), orderable)
     } else if rng.chance(25) || pattern_vars.is_empty() {
@@ -991,10 +1097,29 @@ pub fn evaluate_shuffled(
     (result, non_default)
 }
 
+/// What one fuzz case exercised — the sweep sums these and fails when a kind
+/// of case it exists to cover stopped being generated.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Coverage {
+    /// BGPs the shuffled leg ran in a non-default order.
+    pub reordered_bgps: usize,
+    /// Cases whose plan has a group stage (aggregates and/or `GROUP BY`).
+    pub grouped: usize,
+    /// Cases whose plan orders through the bounded top-k heap.
+    pub topk: usize,
+}
+
+impl std::ops::AddAssign for Coverage {
+    fn add_assign(&mut self, other: Coverage) {
+        self.reordered_bgps += other.reordered_bgps;
+        self.grouped += other.grouped;
+        self.topk += other.topk;
+    }
+}
+
 /// Runs one full fuzz case for `seed`; `Err` carries a reproduction report
-/// (seed + generated query + what diverged), `Ok` the number of BGPs the
-/// shuffled leg ran in a non-default order.
-pub fn check_case(seed: u64) -> Result<usize, String> {
+/// (seed + generated query + what diverged), `Ok` what the case covered.
+pub fn check_case(seed: u64) -> Result<Coverage, String> {
     let mut rng = FuzzRng::new(seed);
     let store = generate_store(&mut rng);
     let query = generate_query(&mut rng);
@@ -1004,14 +1129,14 @@ pub fn check_case(seed: u64) -> Result<usize, String> {
 /// All four legs (syntax round-trip, three-way differential evaluation,
 /// serialization round-trips, permuted insertion order) for one query
 /// against one store. Shared by
-/// the query cases and the probe queries of the update cases. Returns the
-/// number of BGPs the shuffled leg ran in a non-default order.
+/// the query cases and the probe queries of the update cases. Returns what
+/// the case covered, read off the plan the engine actually ran.
 fn check_query(
     store: &TripleStore,
     query: &Query,
     shuffle_seed: u64,
     context: &str,
-) -> Result<usize, String> {
+) -> Result<Coverage, String> {
     let printed = print_query(query);
     let fail = |msg: String| format!("{context}: {msg}\n  query: {printed}");
 
@@ -1035,7 +1160,13 @@ fn check_query(
     // plans, never results.
     let naive = reference::evaluate(store, &ast);
     let planned = eval::evaluate(store, &ast);
-    let (shuffled, non_default) = evaluate_shuffled(store, &ast, shuffle_seed);
+    let (shuffled, reordered_bgps) = evaluate_shuffled(store, &ast, shuffle_seed);
+    let tail = crate::optimize::explain(store, &ast).to_string();
+    let coverage = Coverage {
+        reordered_bgps,
+        grouped: usize::from(tail.contains("\ngroup strategy=")),
+        topk: usize::from(tail.contains("\norder strategy=topk")),
+    };
 
     let expected = match naive {
         Err(e) => {
@@ -1047,7 +1178,7 @@ fn check_query(
                     shuffled.is_ok()
                 )));
             }
-            return Ok(non_default);
+            return Ok(coverage);
         }
         Ok(results) => results,
     };
@@ -1099,7 +1230,7 @@ fn check_query(
         .map_err(|e| fail(format!("engine failed on the permuted store: {e}")))?;
     check_equivalent(&ast, &expected, &replayed, uncut.as_ref(), "permuted").map_err(&fail)?;
     check_sorted(&ast, &replayed).map_err(&fail)?;
-    Ok(non_default)
+    Ok(coverage)
 }
 
 /// The full quad set of a store as N-Quads lines, for whole-store diffing.
@@ -1357,16 +1488,16 @@ mod tests {
 
     #[test]
     fn a_smoke_batch_of_cases_passes() {
-        let mut non_default = 0;
+        let mut covered = Coverage::default();
         for seed in 0..64 {
             match check_case(seed) {
-                Ok(n) => non_default += n,
+                Ok(coverage) => covered += coverage,
                 Err(report) => panic!("{report}"),
             }
         }
         assert!(
-            non_default > 0,
-            "the shuffled leg never left the planned order"
+            covered.reordered_bgps > 0 && covered.grouped > 0 && covered.topk > 0,
+            "coverage gap in 64 cases: {covered:?}"
         );
     }
 

@@ -34,10 +34,10 @@
 //!   pattern, and the whole condition must be statically unable to raise an
 //!   evaluation error (see `cannot_raise` in this module) — the residual
 //!   filter still runs, so pushdown only removes rows it would reject anyway.
-//! * **The tail** — `ASK` stops at the first solution; a projection of plain
-//!   `COUNT`s with no `GROUP BY` counts off the stream; other aggregates
-//!   hash-partition; `ORDER BY … LIMIT` without `DISTINCT` keeps a top-k
-//!   heap, any other `ORDER BY` sorts; everything ends in the project stage.
+//! * **The tail** — `ASK` stops at the first solution; aggregates fold into
+//!   per-group accumulators hashed on the `GROUP BY` ids (no `GROUP BY`: one
+//!   group); `ORDER BY … LIMIT` without `DISTINCT` keeps a top-k heap, any
+//!   other `ORDER BY` sorts; everything ends in the project stage.
 //!
 //! The planning pass runs exactly once per evaluation and is the only
 //! consumer-facing source of join orders: there is no second strategy and
@@ -49,6 +49,7 @@
 //! [`crate::fuzz`]).
 
 use std::fmt;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -56,10 +57,9 @@ use hbold_rdf_model::Term;
 use hbold_telemetry::{Counter, Registry, Span};
 use hbold_triple_store::{TermId, TripleStore, DEFAULT_GRAPH};
 
-use crate::ast::{AggregateFunction, ComparisonOp, Expression, Function};
-use crate::ast::{Projection, ProjectionItem, Query, QueryForm};
+use crate::ast::{ComparisonOp, Expression, Function, Projection, Query, QueryForm};
 use crate::encoded::{compile_pattern, EncContext, EncNode, EncPattern, EncTriplePattern};
-use crate::encoded::{EncDataset, EncGraph, SlotLayout, UNBOUND};
+use crate::encoded::{Emit, EncDataset, EncGraph, Flow, SlotLayout, UNBOUND};
 
 // ---- decision counters (the plan_stats debug surface) ----------------------------
 
@@ -187,8 +187,8 @@ pub(crate) struct ScanStage {
     pub estimate: u64,
 }
 
-/// A node of the planned pattern pipeline. Every node maps an input stream
-/// of solutions to an output stream; the root's input is the empty row.
+/// A node of the planned pattern pipeline. Every node extends each solution
+/// it is given into zero or more; the root is given the empty row.
 pub(crate) enum Node {
     /// Nested index scans, in execution order.
     Bgp(Vec<ScanStage>),
@@ -228,11 +228,9 @@ impl Node {
 
 /// How a SELECT partitions its solutions.
 pub(crate) enum Group {
-    /// No `GROUP BY` and nothing projected but non-`DISTINCT`
-    /// `COUNT(*)` / `COUNT(?v)` columns — `(alias, counted slot)`, where no
-    /// slot counts every solution: counted off the stream, no row kept.
-    Count(Vec<(String, Option<u32>)>),
-    /// Hash partition on the `GROUP BY` slots (none: one group).
+    /// Per-group accumulators, hashed on the `GROUP BY` slots' ids (none:
+    /// one group, with no lookup). A solution is folded into its group's
+    /// aggregates as it arrives; no solution is kept.
     Hash(Vec<u32>),
 }
 
@@ -345,7 +343,7 @@ pub fn explain(store: &TripleStore, query: &Query) -> PlanExplanation {
         query,
         None,
     );
-    // The span tree an execution would time: opened, never pulled.
+    // The span tree an execution would time: opened, never run.
     let outline = Span::root("explain");
     drop(crate::encoded::open_plan(&ctx, &plan, Some(&outline)));
     PlanExplanation {
@@ -365,7 +363,7 @@ pub(crate) type BgpReorder<'a> = &'a mut dyn FnMut(Vec<usize>) -> Vec<usize>;
 /// Plans a compiled query: consumes the pattern, puts every BGP's triple
 /// patterns in execution order, pushes every eligible equality filter down,
 /// and chooses the tail from `query`'s form and solution modifiers. Runs
-/// exactly once per evaluation, before any operator streams.
+/// exactly once per evaluation, before any operator runs.
 pub(crate) fn plan_pattern<'q>(
     ctx: &EncContext<'_>,
     pattern: EncPattern,
@@ -381,7 +379,7 @@ pub(crate) fn plan_pattern<'q>(
 
 /// Recursive planning walk. Contract: plans `pattern` given the slots in
 /// `bound`, and marks every slot the pattern can bind — mirroring exactly
-/// the bound-slot propagation the streaming operators perform, so estimates
+/// the bound-slot propagation the operators perform, so estimates
 /// describe the rows each operator will actually see.
 fn plan_rec(
     ctx: &EncContext<'_>,
@@ -432,8 +430,8 @@ fn plan_rec(
                 .collect(),
         ),
         EncPattern::Optional { left, right } => {
-            // The right side streams per left row, so it plans with the
-            // left side's bindings visible.
+            // The right side runs per left row, so it plans with the left
+            // side's bindings visible.
             let left = Box::new(plan_rec(ctx, *left, bound, reorder));
             let right = Box::new(plan_rec(ctx, *right, bound, reorder));
             Node::LeftJoin { left, right }
@@ -472,17 +470,11 @@ fn plan_tail<'q>(layout: &SlotLayout, query: &'q Query) -> Tail<'q> {
     };
     let sort = (!query.order_by.is_empty()).then_some(Order::Sort);
     let (group, order) = if query.uses_aggregates() || !query.group_by.is_empty() {
-        match count_columns(layout, query, projection) {
-            // One row, which nothing can reorder.
-            Some(counters) => (Some(Group::Count(counters)), None),
-            None => {
-                let slots = query
-                    .group_by
-                    .iter()
-                    .map(|v| layout.slot_of(v).expect("layout covers group variables"));
-                (Some(Group::Hash(slots.collect())), sort)
-            }
-        }
+        let slots = query
+            .group_by
+            .iter()
+            .map(|v| layout.slot_of(v).expect("layout covers group variables"));
+        (Some(Group::Hash(slots.collect())), sort)
     } else {
         let order = match (sort, query.limit) {
             // DISTINCT dedupes *projected rows* before LIMIT applies, so
@@ -502,40 +494,6 @@ fn plan_tail<'q>(layout: &SlotLayout, query: &'q Query) -> Tail<'q> {
         group,
         order,
     })
-}
-
-/// The columns of a [`Group::Count`] tail, or `None` when the projection
-/// has any other shape (`DISTINCT` counts included — those need the values).
-fn count_columns(
-    layout: &SlotLayout,
-    query: &Query,
-    projection: &Projection,
-) -> Option<Vec<(String, Option<u32>)>> {
-    let Projection::Items(items) = projection else {
-        return None;
-    };
-    if !query.group_by.is_empty() || items.is_empty() {
-        return None;
-    }
-    items
-        .iter()
-        .map(|item| match item {
-            ProjectionItem::Expression {
-                expr:
-                    Expression::Aggregate {
-                        func: AggregateFunction::Count,
-                        distinct: false,
-                        arg,
-                    },
-                alias,
-            } => match arg.as_deref() {
-                None => Some((alias.clone(), None)),
-                Some(Expression::Variable(v)) => Some((alias.clone(), Some(layout.slot_of(v)?))),
-                Some(_) => None,
-            },
-            _ => None,
-        })
-        .collect()
 }
 
 fn mark_pattern_vars(tp: &EncTriplePattern, bound: &mut [bool]) {
@@ -894,22 +852,29 @@ fn certainly_binds(pattern: &EncPattern, out: &mut [bool]) {
     }
 }
 
-/// Applies a filter's pushed-down bindings to one row: sets unbound slots,
-/// passes matching bound slots, and returns `false` (drop the row) on a
-/// conflict or an unsatisfiable (never-interned) constant.
-pub(crate) fn apply_prebind(prebind: &[(u32, Option<TermId>)], row: &mut [TermId]) -> bool {
-    for &(slot, id) in prebind {
-        let Some(id) = id else {
-            return false;
-        };
-        let cell = &mut row[slot as usize];
-        if *cell == UNBOUND {
-            *cell = id;
-        } else if *cell != id {
-            return false;
+/// Runs `body` on `row` with a filter's pushed-down bindings applied: each
+/// pre-bind sets its slot if unbound and passes a slot already holding the
+/// same id; a conflict, or an unsatisfiable (never-interned) constant, means
+/// no row can match and `body` does not run. Every slot is restored on the
+/// way back — the recursion is the undo log.
+pub(crate) fn apply_prebind(
+    prebind: &[(u32, Option<TermId>)],
+    row: &mut [TermId],
+    body: Emit<'_>,
+) -> Flow {
+    let Some((&(slot, id), rest)) = prebind.split_first() else {
+        return body(row);
+    };
+    let before = row[slot as usize];
+    match id {
+        Some(id) if before == UNBOUND || before == id => {
+            row[slot as usize] = id;
+            let flow = apply_prebind(rest, row, body);
+            row[slot as usize] = before;
+            flow
         }
+        _ => Ok(ControlFlow::Continue(())),
     }
-    true
 }
 
 #[cfg(test)]
@@ -1139,7 +1104,7 @@ mod tests {
             (
                 "SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }",
                 "bgp order=[0]\n  scan pattern=?s ?p ?o written_index=0 estimate=12\n\
-                 group strategy=count\nproject\n"
+                 group strategy=hash\nproject\n"
                     .to_string(),
             ),
             (
@@ -1192,11 +1157,21 @@ mod tests {
 
     #[test]
     fn apply_prebind_sets_passes_and_drops() {
-        let mut row = vec![UNBOUND, 7];
-        assert!(apply_prebind(&[(0, Some(5))], &mut row));
-        assert_eq!(row, vec![5, 7]);
-        assert!(apply_prebind(&[(1, Some(7))], &mut row));
-        assert!(!apply_prebind(&[(1, Some(8))], &mut row));
-        assert!(!apply_prebind(&[(0, None)], &mut row));
+        // What the body saw, if it ran; the row is restored either way.
+        let seen = |prebind: &[(u32, Option<TermId>)]| {
+            let mut row = vec![UNBOUND, 7];
+            let mut seen = None;
+            let flow = apply_prebind(prebind, &mut row, &mut |row| {
+                seen = Some(row.to_vec());
+                Ok(ControlFlow::Continue(()))
+            });
+            assert!(flow.unwrap().is_continue());
+            assert_eq!(row, vec![UNBOUND, 7]);
+            seen
+        };
+        assert_eq!(seen(&[(0, Some(5))]), Some(vec![5, 7]));
+        assert_eq!(seen(&[(0, Some(5)), (1, Some(7))]), Some(vec![5, 7]));
+        assert_eq!(seen(&[(0, Some(5)), (1, Some(8))]), None);
+        assert_eq!(seen(&[(0, None)]), None);
     }
 }

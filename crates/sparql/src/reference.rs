@@ -22,8 +22,8 @@ use hbold_triple_store::TripleStore;
 
 use crate::ast::*;
 use crate::error::SparqlError;
-use crate::eval::{aggregate_values, order_bindings};
-use crate::expr::{evaluate_expression, filter_passes, Binding};
+use crate::eval::{aggregate_numbers, order_bindings};
+use crate::expr::{evaluate_expression, filter_passes, number_term, numeric_value, Binding};
 use crate::parser::parse_query;
 use crate::results::{QueryResults, SelectResults};
 
@@ -373,8 +373,8 @@ fn project_grouped(
 }
 
 /// Evaluates one aggregate over a group's members (the engine's encoded
-/// equivalent lives in `crate::encoded`; only the final arithmetic,
-/// [`aggregate_values`], is shared).
+/// equivalent lives in `crate::encoded`; only the `SUM`/`AVG` arithmetic,
+/// [`aggregate_numbers`], is shared).
 fn evaluate_aggregate(
     func: AggregateFunction,
     distinct: bool,
@@ -398,8 +398,15 @@ fn evaluate_aggregate(
         let mut seen = BTreeSet::new();
         values.retain(|t| seen.insert(t.to_ntriples()));
     }
-    let count = values.len();
-    Ok(aggregate_values(func, values, count))
+    Ok(match func {
+        AggregateFunction::Count => Some(number_term(values.len() as f64)),
+        AggregateFunction::Sum | AggregateFunction::Avg => Some(aggregate_numbers(
+            func,
+            values.iter().filter_map(numeric_value).collect(),
+        )),
+        AggregateFunction::Min => values.into_iter().min(),
+        AggregateFunction::Max => values.into_iter().max(),
+    })
 }
 
 #[cfg(test)]

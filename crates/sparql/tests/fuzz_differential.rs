@@ -9,7 +9,7 @@
 //! On failure the panic message embeds the seed and the generated query, so
 //! any red run is reproducible with `HBOLD_FUZZ_SEED`.
 
-use hbold_sparql::fuzz::{cases_from_env, check_case, check_update_case, seed_from_env};
+use hbold_sparql::fuzz::{cases_from_env, check_case, check_update_case, seed_from_env, Coverage};
 
 #[test]
 fn generated_queries_agree_across_engines_and_serializations() {
@@ -21,10 +21,10 @@ fn generated_queries_agree_across_engines_and_serializations() {
     }
     let cases = cases_from_env(512);
     let mut failures = Vec::new();
-    let mut non_default_orders = 0;
+    let mut covered = Coverage::default();
     for seed in 0..cases {
         match check_case(seed) {
-            Ok(n) => non_default_orders += n,
+            Ok(coverage) => covered += coverage,
             Err(report) => {
                 eprintln!("fuzz failure: {report}");
                 failures.push(seed);
@@ -42,14 +42,24 @@ fn generated_queries_agree_across_engines_and_serializations() {
         failures[0]
     );
     eprintln!(
-        "query sweep: {cases} cases; the shuffled leg ran {non_default_orders} \
-         multi-pattern BGPs in a non-default order"
+        "query sweep: {cases} cases; the shuffled leg ran {} multi-pattern BGPs in a \
+         non-default order; {} cases ran a group stage, {} a top-k order stage",
+        covered.reordered_bgps, covered.grouped, covered.topk
     );
     // A shuffle that always reproduced the planner's order would make the
     // third leg a copy of the first.
     assert!(
-        non_default_orders > 0,
+        covered.reordered_bgps > 0,
         "the shuffled leg never left the planned order in {cases} cases"
+    );
+    // The accumulator and top-k sinks are where the extraction and browse
+    // workloads live: a generator that stopped reaching them would leave
+    // them checked by nothing.
+    assert!(
+        covered.grouped > 0 && covered.topk > 0,
+        "no grouped ({}) or no top-k ({}) case in {cases} cases",
+        covered.grouped,
+        covered.topk
     );
 }
 

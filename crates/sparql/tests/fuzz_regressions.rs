@@ -702,3 +702,197 @@ fn min_max_and_order_by_do_not_depend_on_insertion_order() {
     assert_eq!(answer[0], [[lowest, highest.clone()]]);
     assert_eq!(answer[2], [[highest]]);
 }
+
+// ---- encoded.rs: one row, bound and un-bound around a callback -------------------
+//
+// The executor walks the plan over the query's single row buffer: a node
+// binds its slots, emits, and un-binds on the way back. Each pin below is a
+// defect that sharing the row invites — a binding that outlives the node
+// that made it, or an error that reads as "nothing matched".
+
+/// `x<i> <p> <o>` for every `(subject, predicate, object)` name triple, the
+/// IRIs in `http://u.example/`. Ids follow first mention, so scan order is
+/// the order written here.
+fn undo_store(triples: &[(&str, &str, &str)]) -> TripleStore {
+    let term = |name: &str| iri(&format!("http://u.example/{name}"));
+    let mut store = TripleStore::new();
+    for (s, p, o) in triples {
+        store.insert(&Triple::new(term(s), term(p), term(o)));
+    }
+    store
+}
+
+/// The rows of a three-way-checked SELECT, cells by their local name.
+fn undo_rows(store: &TripleStore, query: &str) -> Vec<Vec<Option<String>>> {
+    let query = query.replace('<', "<http://u.example/");
+    let rows = three_way(store, &query).into_select().unwrap().rows;
+    rows.iter()
+        .map(|row| {
+            row.iter()
+                .map(|cell| cell.as_ref().map(|term| term.label().to_string()))
+                .collect()
+        })
+        .collect()
+}
+
+fn cells(row: &[&str]) -> Vec<Option<String>> {
+    row.iter()
+        .map(|cell| (!cell.is_empty()).then(|| cell.to_string()))
+        .collect()
+}
+
+/// The right side of an `OPTIONAL` binds `?x` in its first stage and finds
+/// nothing in its second: the left row survives with `?x` *unbound*, in
+/// whichever order the two stages ran.
+#[test]
+fn an_optional_that_fails_in_its_second_stage_leaves_nothing_bound() {
+    let store = undo_store(&[
+        ("a", "p", "b"),
+        ("a", "q", "x1"),
+        ("a", "q", "x2"),
+        ("elsewhere", "r", "y"),
+        ("c", "p", "d"),
+        ("c", "q", "x3"),
+        ("x3", "r", "y3"),
+    ]);
+    let rows = undo_rows(
+        &store,
+        "SELECT ?s ?x ?y WHERE { ?s <p> ?o OPTIONAL { ?s <q> ?x . ?x <r> ?y } } ORDER BY ?s",
+    );
+    assert_eq!(rows, [cells(&["a", "", ""]), cells(&["c", "x3", "y3"])]);
+    // The same under a join that runs after it: a stale `?x` would turn the
+    // last pattern into a lookup of `x2`'s neighbours.
+    let rows = undo_rows(
+        &store,
+        "SELECT ?s ?x ?z WHERE { ?s <p> ?o OPTIONAL { ?s <q> ?x . ?x <r> ?y } . ?z <r> ?w } \
+         ORDER BY ?s ?z",
+    );
+    assert_eq!(
+        rows,
+        [
+            cells(&["a", "", "elsewhere"]),
+            cells(&["a", "", "x3"]),
+            cells(&["c", "x3", "elsewhere"]),
+            cells(&["c", "x3", "x3"]),
+        ]
+    );
+}
+
+/// What one `UNION` branch binds is gone before the other branch runs.
+#[test]
+fn union_branches_do_not_see_each_others_bindings() {
+    let store = undo_store(&[("a", "p", "b"), ("c", "q", "d"), ("a", "q", "e")]);
+    let rows = undo_rows(
+        &store,
+        "SELECT ?s ?x ?y WHERE { { ?s <p> ?x } UNION { ?s <q> ?y } } ORDER BY ?s ?x ?y",
+    );
+    // Were `?s = a` still bound when the second branch ran, `c q d` would be
+    // missing; were `?x`, the `q` rows would carry it.
+    assert_eq!(
+        rows,
+        [
+            cells(&["a", "", "e"]),
+            cells(&["a", "b", ""]),
+            cells(&["c", "", "d"]),
+        ]
+    );
+    // Per input row, too: the union runs once for each `?t`.
+    let rows = undo_rows(
+        &store,
+        "SELECT ?t ?s WHERE { ?t <p> ?b { ?s <p> ?x } UNION { ?s <q> ?y } } ORDER BY ?t ?s ?y",
+    );
+    assert_eq!(rows.len(), 3);
+}
+
+/// A filter's pushed-down pre-bind (`?s = <a>` binds `?s` before the inner
+/// scan) is undone when the filter is: the next branch scans every subject.
+#[test]
+fn a_pushed_prebind_is_restored_after_its_filter() {
+    let store = undo_store(&[("a", "p", "b"), ("c", "p", "d"), ("c", "q", "e")]);
+    let query = "SELECT ?s ?o WHERE { { ?s <p> ?o FILTER(?s = <a>) } UNION { ?s <q> ?o } } \
+                 ORDER BY ?s";
+    let parsed = hbold_sparql::parse_query(&query.replace('<', "<http://u.example/")).unwrap();
+    assert_eq!(
+        explain(&store, &parsed).pushed_filters,
+        1,
+        "not the pushed shape"
+    );
+    assert_eq!(
+        undo_rows(&store, query),
+        [cells(&["a", "b"]), cells(&["c", "e"])]
+    );
+    // Inside the right side of a left join, once per left row.
+    let rows = undo_rows(
+        &store,
+        "SELECT ?l ?s WHERE { ?l <p> ?m OPTIONAL { ?s <p> ?o FILTER(?s = <a>) } . ?s <p> ?o2 } \
+         ORDER BY ?l ?s",
+    );
+    assert_eq!(rows, [cells(&["a", "a"]), cells(&["c", "a"])]);
+}
+
+/// A repeated variable that meets conflicting ids in one quad is un-bound
+/// before the next quad is tried — in a triple (`?x ?p ?x`) and across the
+/// graph position (`GRAPH ?g { ?g ?p ?o }`).
+#[test]
+fn repeated_variable_conflicts_unbind_cleanly() {
+    // Scanned first: `a r b`, which binds `?x = a` and then conflicts.
+    let mut store = undo_store(&[("a", "r", "b"), ("c", "r", "c"), ("d", "r", "a")]);
+    assert_eq!(
+        undo_rows(&store, "SELECT ?x WHERE { ?x <r> ?x } ORDER BY ?x"),
+        [cells(&["c"])]
+    );
+    assert_eq!(
+        undo_rows(
+            &store,
+            "SELECT ?x ?y WHERE { ?y <r> ?z OPTIONAL { ?x ?p ?x } } ORDER BY ?y"
+        ),
+        [cells(&["c", "a"]), cells(&["c", "c"]), cells(&["c", "d"])]
+    );
+    let term = |name: &str| Term::Iri(iri(&format!("http://u.example/{name}")));
+    for (s, g) in [("a", "g1"), ("g1", "g1"), ("g2", "g1"), ("g2", "g2")] {
+        let triple = Triple::new(term(s), term("r"), term("o"));
+        store.insert_quad(&hbold_rdf_model::Quad::new(triple, Some(term(g))));
+    }
+    assert_eq!(
+        undo_rows(
+            &store,
+            "SELECT ?g WHERE { GRAPH ?g { ?g ?p ?o } } ORDER BY ?g"
+        ),
+        [cells(&["g1"]), cells(&["g2"])]
+    );
+}
+
+/// Inside the right side of a left join, a tripped token and a `FILTER` that
+/// fails hard are the query's typed error — never "the right side did not
+/// match", which would hand back the bare left row.
+#[test]
+fn errors_inside_an_optional_are_errors_not_no_match() {
+    use hbold_sparql::{evaluate_with_hooks, CancellationToken, EvalHooks};
+    let store = undo_store(&[("a", "p", "b"), ("a", "q", "x1"), ("a", "q", "x2")]);
+    let parse =
+        |query: &str| hbold_sparql::parse_query(&query.replace('<', "<http://u.example/")).unwrap();
+    let query = parse("SELECT ?s ?x WHERE { ?s <p> ?o OPTIONAL { ?s <q> ?x } }");
+    let full = hbold_sparql::evaluate(&store, &query).unwrap();
+    assert_eq!(full.clone().into_select().unwrap().rows.len(), 2);
+    // One check at the root, one for the left quad, one per right quad:
+    // tripping after 2 lands inside the right side.
+    let mut cancelled = 0;
+    for checks in 0..6 {
+        let token = CancellationToken::cancel_after_checks(checks);
+        let hooks = EvalHooks {
+            cancel: Some(&token),
+            ..EvalHooks::default()
+        };
+        match evaluate_with_hooks(&store, &query, &hooks) {
+            Err(SparqlError::Cancelled) => cancelled += 1,
+            other => assert_eq!(other.unwrap(), full, "tripped after {checks} checks"),
+        }
+    }
+    assert!(cancelled >= 4, "the right side was never cancelled");
+
+    let failing = parse(
+        "SELECT ?s ?x WHERE { ?s <p> ?o OPTIONAL { ?s <q> ?x FILTER(regex(STR(?x), \"(\")) } }",
+    );
+    assert!(reference::evaluate(&store, &failing).is_err());
+    assert!(hbold_sparql::evaluate(&store, &failing).is_err());
+}

@@ -1,0 +1,144 @@
+//! Rows without `malloc`, pinned without a clock: a counting global
+//! allocator around `evaluate`. The executor walks the plan over one row
+//! buffer and its sinks copy only what they keep, so the allocations of a
+//! query follow what it *answers* — its groups, the rows of its page — not
+//! the rows it scans. Each test compares a store with one 8 × its size.
+//! With a row cloned per scan stage, a group's members buffered and a sort
+//! key allocated per candidate, every one of these counts grew with the
+//! store.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use hbold_rdf_model::vocab::rdf;
+use hbold_rdf_model::{Iri, Literal, Triple};
+use hbold_sparql::{evaluate, parse_query, SelectResults};
+use hbold_triple_store::TripleStore;
+
+thread_local! {
+    /// Allocations made by this thread (tests run on threads of their own).
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a const-initialised thread-local
+// `Cell`, so touching it neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: `layout` is the caller's, passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` above with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const CLASSES: usize = 4;
+
+fn iri(local: &str) -> Iri {
+    Iri::new(format!("http://rf.example/{local}")).unwrap()
+}
+
+/// `instances` typed subjects over four classes, each with a name and two
+/// links to other instances: a class/instance graph whose schema (classes,
+/// properties, link targets) does not grow with `instances`.
+fn class_instance_store(instances: usize) -> TripleStore {
+    let mut triples = Vec::new();
+    for i in 0..instances {
+        let s = iri(&format!("i{i:06}"));
+        triples.push(Triple::new(
+            s.clone(),
+            rdf::type_(),
+            iri(&format!("C{}", i % CLASSES)),
+        ));
+        triples.push(Triple::new(
+            s.clone(),
+            iri("name"),
+            Literal::string(format!("n{i}")),
+        ));
+        for (k, step) in [(0, 7), (1, 13)] {
+            // `i / CLASSES` spreads a class's links over every target class.
+            let target = iri(&format!("i{:06}", (i * step + i / CLASSES + k) % instances));
+            triples.push(Triple::new(s.clone(), iri(&format!("link{k}")), target));
+        }
+    }
+    let mut store = TripleStore::new();
+    store.insert_batch(triples.iter());
+    store
+}
+
+/// Evaluates `query`, returning its rows and the allocations `evaluate` made.
+fn counted(store: &TripleStore, query: &str) -> (SelectResults, usize) {
+    let parsed = parse_query(query).unwrap();
+    let before = ALLOCATIONS.with(Cell::get);
+    let results = evaluate(store, &parsed).unwrap();
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    (results.into_select().unwrap(), allocations)
+}
+
+/// `(small, large)`: the same query over 500 and over 4 000 instances.
+fn at_both_sizes(query: &str) -> [(SelectResults, usize); 2] {
+    [500, 4_000].map(|instances| counted(&class_instance_store(instances), query))
+}
+
+#[test]
+fn a_link_count_allocates_for_its_groups_not_its_rows() {
+    // The extraction's link count: ≈ 3 rows scanned per instance of C0 per
+    // stage, eight (property, target) groups whatever the size.
+    let [(small, few), (large, many)] = at_both_sizes(
+        "SELECT ?p ?t (COUNT(?o) AS ?n) WHERE { \
+         ?s a <http://rf.example/C0> . ?s ?p ?o . ?o a ?t } GROUP BY ?p ?t",
+    );
+    assert_eq!(
+        (small.rows.len(), large.rows.len()),
+        (2 * CLASSES, 2 * CLASSES)
+    );
+    assert!(
+        many <= 2 * few && few <= 2 * many,
+        "{few} allocations over 500 instances, {many} over 4 000"
+    );
+}
+
+#[test]
+fn a_count_over_a_join_allocates_the_same_at_any_size() {
+    let [(small, few), (large, many)] =
+        at_both_sizes("SELECT (COUNT(*) AS ?n) WHERE { ?s a <http://rf.example/C1> . ?s ?p ?o }");
+    let count = |results: &SelectResults| -> usize {
+        let n = results.rows[0][0].as_ref().unwrap();
+        n.label().parse().unwrap()
+    };
+    assert_eq!(count(&small) * 8, count(&large), "rows are not constant");
+    assert!(
+        many.abs_diff(few) <= 4,
+        "{few} allocations over 500 instances, {many} over 4 000"
+    );
+}
+
+#[test]
+fn a_top_k_allocates_for_the_rows_it_keeps_not_the_rows_it_sees() {
+    const KEPT: usize = 100;
+    let [(small, few), (large, many)] =
+        at_both_sizes("SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o LIMIT 100");
+    assert_eq!((small.rows.len(), large.rows.len()), (KEPT, KEPT));
+    assert!(
+        many <= 2 * few && few <= 2 * many,
+        "{few} allocations over 2 000 rows, {many} over 16 000"
+    );
+    // A kept row is its copy in the heap and its decoded output row; the
+    // rest is the heap's own growth and the query's fixed set-up.
+    assert!(many <= 4 * KEPT, "{many} allocations to keep {KEPT} rows");
+}

@@ -20,10 +20,11 @@
 //! re-extraction lands as a small update. The index therefore keeps its keys
 //! in two tiers:
 //!
-//! * **`flat`** — a sorted, deduplicated `Vec` of keys. Prefix lookups are
-//!   two binary searches (`partition_point`) followed by a walk over
-//!   *contiguous memory*: no pointer chasing, perfect cache locality, and
-//!   the compiler can see through the iteration. Only
+//! * **`flat`** — a sorted, deduplicated `Vec` of keys. A prefix lookup is
+//!   one binary search (`partition_point`) for the range's start, a gallop
+//!   from there to its end, and a walk over *contiguous memory*: no pointer
+//!   chasing, perfect cache locality, and the compiler can see through the
+//!   iteration. Only
 //!   [`PositionalIndex::insert_batch`] writes it, by one linear merge that
 //!   also folds every outstanding churn key in, so a bulk-loaded or restored
 //!   store scans at flat-vector speed.
@@ -33,8 +34,9 @@
 //!   `O(log n)` per key whatever the size of `flat`. A scan is a three-way
 //!   merge of the sorted sources — `flat` and `delta` interleaved, `dead`
 //!   walked alongside as a third stream, so it pays for the churn inside its
-//!   own range and never probes a B-tree per key; when both churn sets are
-//!   empty (the common case) the merge collapses to a bare slice iterator.
+//!   own range and never probes a B-tree per key; when neither churn set
+//!   reaches into the range (the common case) the scan is a bare slice
+//!   iterator.
 //!
 //! The index holds the mechanism only. *When* a change goes key by key into
 //! the churn tiers and when all six orders merge is decided in one place,
@@ -232,19 +234,41 @@ impl PositionalIndex {
         self.flat_contains(key) && !self.dead.contains(key)
     }
 
-    /// The contiguous `flat` subrange covering `[lo, hi]` (inclusive).
-    fn flat_range(&self, lo: Key, hi: Key) -> &[Key] {
-        let start = self.flat.partition_point(|k| *k < lo);
-        let end = self.flat.partition_point(|k| *k <= hi);
-        &self.flat[start..end]
+    /// The bounds of the contiguous `flat` subrange covering `[lo, hi]`
+    /// (inclusive). A probe searches once: the start is a binary search over
+    /// the tier, and the end is galloped from the start — doubling steps,
+    /// then a binary search inside the last step — because a prefix range is
+    /// short next to the index it sits in, so its end is a few keys away,
+    /// not `log n` probes away.
+    fn flat_bounds(&self, lo: Key, hi: Key) -> (usize, usize) {
+        let lo_bits = key_bits(lo);
+        let start = self.flat.partition_point(|k| key_bits(*k) < lo_bits);
+        let tail = &self.flat[start..];
+        // Invariant: every key before `within` is in the range.
+        let (mut within, mut probe, mut step) = (0, 0, 1);
+        while probe < tail.len() && tail[probe] <= hi {
+            within = probe + 1;
+            probe += step;
+            step *= 2;
+        }
+        let window = &tail[within..probe.min(tail.len())];
+        (start, start + within + window.partition_point(|k| *k <= hi))
     }
 
     fn scan_range(&self, lo: Key, hi: Key) -> PrefixScan<'_> {
+        let (start, end) = self.flat_bounds(lo, hi);
         let bounds = (Bound::Included(lo), Bound::Included(hi));
+        // An empty churn tier — the common case — is not descended at all.
+        fn churn(tier: &BTreeSet<Key>, bounds: (Bound<Key>, Bound<Key>)) -> Range<'_, Key> {
+            match tier.is_empty() {
+                true => Range::default(),
+                false => tier.range(bounds),
+            }
+        }
         PrefixScan::new(
-            self.flat_range(lo, hi),
-            self.delta.range(bounds),
-            self.dead.range(bounds),
+            &self.flat[start..end],
+            churn(&self.delta, bounds),
+            churn(&self.dead, bounds),
         )
     }
 
@@ -295,13 +319,12 @@ impl PositionalIndex {
         PrefixScan::new(&self.flat, self.delta.range(..), self.dead.range(..))
     }
 
-    /// Exact number of keys in `[lo, hi]`: two `partition_point` binary
-    /// searches on the flat tier, plus range counts over the churn tiers
-    /// (the churn inside the range, bounded by the store's fold policy) —
-    /// no key is materialized.
+    /// Exact number of keys in `[lo, hi]`: the flat tier's bounds (one
+    /// binary search and a gallop, see [`PositionalIndex::flat_bounds`]),
+    /// plus range counts over the churn tiers (the churn inside the range,
+    /// bounded by the store's fold policy) — no key is materialized.
     fn count_range(&self, lo: Key, hi: Key) -> usize {
-        let start = self.flat.partition_point(|k| *k < lo);
-        let end = self.flat.partition_point(|k| *k <= hi);
+        let (start, end) = self.flat_bounds(lo, hi);
         let mut n = end - start;
         if !self.delta.is_empty() {
             n += self
@@ -320,7 +343,7 @@ impl PositionalIndex {
 
     /// Exact number of keys whose first component equals `first`, without
     /// walking them. This is the cardinality of a one-constant pattern
-    /// lookup and costs two binary searches.
+    /// lookup and costs one binary search and a gallop.
     pub fn count_prefix1(&self, first: TermId) -> usize {
         self.count_range(
             (first, 0, 0, 0),
@@ -426,6 +449,13 @@ impl PositionalIndex {
     }
 }
 
+/// The key as one integer whose order is the key's: one wide comparison per
+/// step of the range-start search instead of up to four narrow ones.
+#[inline]
+fn key_bits(k: Key) -> u128 {
+    ((k.0 as u128) << 96) | ((k.1 as u128) << 64) | ((k.2 as u128) << 32) | k.3 as u128
+}
+
 /// Probe budget for the distinct-value estimators: after this many runs
 /// have been counted exactly, the rest of the range is extrapolated.
 const DISTINCT_PROBES: usize = 16;
@@ -447,13 +477,23 @@ fn key_successor(k: Key) -> Option<Key> {
     }
 }
 
-/// Ordered scan over a prefix range: a three-way merge of the flat tier's
-/// contiguous subslice, the delta tier's B-tree range and the tombstone
-/// tier's B-tree range. Every tombstone in the range shadows exactly one
-/// flat key of the range (`dead ⊆ flat`), so the tombstones are consumed in
-/// step with the flat keys they hide — one sorted stream, no lookup per key.
-/// When the index has no incremental churn this is a plain slice walk.
-pub struct PrefixScan<'a> {
+/// Ordered scan over a prefix range. With no churn inside the range — always,
+/// on a store without churn — it is the flat tier's contiguous subslice and
+/// nothing else: a bare slice iterator, small enough to move around for free.
+/// Otherwise it is a (boxed) three-way [`Merge`].
+pub struct PrefixScan<'a>(Scan<'a>);
+
+enum Scan<'a> {
+    Flat(std::slice::Iter<'a, Key>),
+    Merged(Box<Merge<'a>>),
+}
+
+/// A three-way merge of the flat tier's subslice, the delta tier's B-tree
+/// range and the tombstone tier's B-tree range. Every tombstone in the range
+/// shadows exactly one flat key of the range (`dead ⊆ flat`), so the
+/// tombstones are consumed in step with the flat keys they hide — one sorted
+/// stream, no lookup per key.
+struct Merge<'a> {
     flat: std::slice::Iter<'a, Key>,
     flat_next: Option<&'a Key>,
     delta: Range<'a, Key>,
@@ -466,7 +506,10 @@ impl<'a> PrefixScan<'a> {
     fn new(flat: &'a [Key], mut delta: Range<'a, Key>, mut dead: Range<'a, Key>) -> Self {
         let delta_next = delta.next();
         let dead_next = dead.next();
-        let mut scan = PrefixScan {
+        if delta_next.is_none() && dead_next.is_none() {
+            return PrefixScan(Scan::Flat(flat.iter()));
+        }
+        let mut merge = Merge {
             flat: flat.iter(),
             flat_next: None,
             delta,
@@ -474,14 +517,13 @@ impl<'a> PrefixScan<'a> {
             dead,
             dead_next,
         };
-        scan.flat_next = scan.pull();
-        scan
+        merge.flat_next = merge.pull();
+        PrefixScan(Scan::Merged(Box::new(merge)))
     }
+}
 
-    /// The next flat key that is not tombstoned. With no tombstone left in
-    /// the range — always, on a store without churn — this is the slice
-    /// iterator's own `next`.
-    #[inline]
+impl<'a> Merge<'a> {
+    /// The next flat key that is not tombstoned.
     fn pull(&mut self) -> Option<&'a Key> {
         loop {
             let key = self.flat.next()?;
@@ -495,10 +537,6 @@ impl<'a> PrefixScan<'a> {
             }
         }
     }
-}
-
-impl<'a> Iterator for PrefixScan<'a> {
-    type Item = &'a Key;
 
     fn next(&mut self) -> Option<&'a Key> {
         match (self.flat_next, self.delta_next) {
@@ -523,17 +561,31 @@ impl<'a> Iterator for PrefixScan<'a> {
             }
         }
     }
+}
+
+impl<'a> Iterator for PrefixScan<'a> {
+    type Item = &'a Key;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a Key> {
+        match &mut self.0 {
+            Scan::Flat(keys) => keys.next(),
+            Scan::Merged(merge) => merge.next(),
+        }
+    }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        // The churn ranges' lengths are not known in O(1); give collectors
-        // the flat tier's guaranteed minimum when nothing can shadow it, and
-        // leave the upper bound open.
-        let pending =
-            usize::from(self.flat_next.is_some()) + usize::from(self.delta_next.is_some());
-        if self.dead_next.is_none() {
-            (self.flat.len() + pending, None)
-        } else {
-            (0, None)
+        match &self.0 {
+            Scan::Flat(keys) => keys.size_hint(),
+            // The churn ranges' lengths are not known in O(1); give
+            // collectors the flat tier's guaranteed minimum when nothing can
+            // shadow it, and leave the upper bound open.
+            Scan::Merged(merge) if merge.dead_next.is_none() => {
+                let pending = usize::from(merge.flat_next.is_some())
+                    + usize::from(merge.delta_next.is_some());
+                (merge.flat.len() + pending, None)
+            }
+            Scan::Merged(_) => (0, None),
         }
     }
 }
@@ -711,6 +763,35 @@ mod tests {
         assert_eq!(idx.count_prefix1(7), 0);
         assert_eq!(idx.count_prefix2(1, 1), 4);
         assert_eq!(idx.count_prefix3(1, 1, 3), 2);
+    }
+
+    #[test]
+    fn galloped_range_ends_agree_with_a_binary_search() {
+        // Runs of every length from 0 to 40 (the gallop's doubling windows
+        // end inside, at and past a run's end), the last run ending the tier.
+        let mut keys = Vec::new();
+        for first in 0..=40u32 {
+            keys.extend((0..first).map(|third| (2 * first, 7, third, 0)));
+        }
+        let idx = PositionalIndex::from_sorted(keys.clone());
+        let max = TermId::MAX;
+        for first in 0..=82u32 {
+            for (lo, hi) in [
+                ((first, 0, 0, 0), (first, max, max, max)),
+                ((first, 7, 3, 0), (first, 7, 9, max)),
+                ((first, 0, 0, 0), (first + 5, 7, 2, 0)),
+                ((first, 0, 0, 0), (max, max, max, max)),
+            ] {
+                let start = keys.partition_point(|k| *k < lo);
+                let end = keys.partition_point(|k| *k <= hi);
+                assert_eq!(idx.flat_bounds(lo, hi), (start, end), "[{lo:?}, {hi:?}]");
+                assert_eq!(idx.count_range(lo, hi), end - start);
+            }
+        }
+        assert_eq!(
+            PositionalIndex::new().flat_bounds((0, 0, 0, 0), (1, 0, 0, 0)),
+            (0, 0)
+        );
     }
 
     #[test]

@@ -554,8 +554,8 @@ impl TripleStore {
     /// Counts the default-graph triples matching the encoded pattern
     /// `(subject?, predicate?, object?)` without walking them: the same
     /// index dispatch as [`TripleStore::matching_encoded_iter`], but each
-    /// prefix is resolved with two binary searches on the flat tier (plus
-    /// the churn tiers). This is the exact-cardinality primitive behind the
+    /// prefix is resolved with one binary search and a gallop on the flat
+    /// tier (plus the churn tiers). This is the exact-cardinality primitive behind the
     /// SPARQL cost-based join optimizer.
     pub fn count_matching_encoded(
         &self,
