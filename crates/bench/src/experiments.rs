@@ -1,14 +1,13 @@
 //! Experiment drivers: one function per experiment of `EXPERIMENTS.md`.
 //!
 //! Each driver returns a plain-data result that the `exp_report` binary
-//! formats as the paper-style table, and that the Criterion benches reuse as
-//! their workload definitions.
+//! formats as the paper-style table.
 
 use std::time::{Duration, Instant};
 
 use hbold::{
-    EndpointCatalog, EndpointSource, ExplorationSession, ExtractionPipeline, HBold, PortalCrawler,
-    RefreshPolicy, RefreshScheduler, SchedulerStats,
+    EndpointCatalog, EndpointSource, ExtractionPipeline, HBold, PortalCrawler, RefreshPolicy,
+    RefreshScheduler, SchedulerStats,
 };
 use hbold_cluster::{modularity, ClusterSchema, ClusteringAlgorithm, WeightedGraph};
 use hbold_docstore::DocStore;
@@ -568,14 +567,6 @@ pub fn e11_extraction_strategies(classes: usize, instances: usize) -> Vec<E11Row
         });
     }
     rows
-}
-
-/// Opens an exploration session over the scholarly endpoint (helper shared by
-/// benches).
-pub fn scholarly_session() -> ExplorationSession {
-    let endpoint = scholarly_endpoint();
-    let (summary, clusters) = summary_and_clusters(&endpoint);
-    ExplorationSession::start(summary, clusters)
 }
 
 #[cfg(test)]

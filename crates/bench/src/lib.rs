@@ -1,8 +1,7 @@
 //! # hbold-bench
 //!
-//! Shared fixtures and experiment drivers behind the Criterion benchmarks
-//! (`benches/`) and the `exp_report` binary that regenerates the paper's
-//! evaluation tables (see `EXPERIMENTS.md` at the workspace root).
+//! Shared fixtures and experiment drivers behind the `exp_report` binary
+//! that regenerates the paper's evaluation tables (E1–E11).
 //!
 //! Every fixture is deterministic (seeded) and deliberately smaller than the
 //! public datasets the paper used — the experiments compare *architectures*

@@ -550,6 +550,13 @@ mod tests {
         let new_id = rebuilt.insert(doc! { "url" => "http://x.org" });
         assert_eq!(new_id, 3);
         assert!(Collection::from_jsonl("not a line").is_err());
+        // A hostile line in a collection file is a typed error, not a stack
+        // overflow that takes the process down while it loads its cache.
+        let hostile = format!("{text}7\t{}\n", "[".repeat(100_000));
+        assert!(matches!(
+            Collection::from_jsonl(&hostile),
+            Err(DocStoreError::Json(_))
+        ));
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! JSON encoding and decoding for [`DocValue`]s.
 //!
-//! Implemented locally so the workspace has no external JSON dependency (the
-//! document store needs its own value model regardless — see DESIGN.md). The
+//! Implemented locally so the workspace has no external JSON dependency; the
+//! document store needs its own value model regardless (ARCHITECTURE.md,
+//! "JSON", says why this codec is not yet `hbold_telemetry::json`). The
 //! encoder produces deterministic output (object keys are sorted because the
 //! underlying map is a `BTreeMap`), which keeps the persisted collection
-//! files diff-friendly and the tests stable.
+//! files diff-friendly and the tests stable. The decoder reads untrusted
+//! lines off disk: nesting is bounded, control characters must be escaped,
+//! and a lone surrogate is an error.
 
 use std::collections::BTreeMap;
 
@@ -21,17 +24,14 @@ pub fn to_json(value: &DocValue) -> String {
 /// Parses a JSON document into a [`DocValue`].
 pub fn from_json(text: &str) -> Result<DocValue, DocStoreError> {
     let mut parser = JsonParser {
-        chars: text.chars().collect(),
+        text,
         pos: 0,
+        depth: 0,
     };
-    parser.skip_ws();
     let value = parser.parse_value()?;
     parser.skip_ws();
-    if parser.pos != parser.chars.len() {
-        return Err(DocStoreError::Json(format!(
-            "trailing characters at offset {}",
-            parser.pos
-        )));
+    if parser.pos != text.len() {
+        return Err(parser.error("trailing characters"));
     }
     Ok(value)
 }
@@ -101,121 +101,171 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
-struct JsonParser {
-    chars: Vec<char>,
+/// Containers may nest this deep. The parser recurses once per level, so
+/// without a bound a line of `[[[[…` overflows the stack.
+const MAX_NESTING: usize = 128;
+
+struct JsonParser<'a> {
+    text: &'a str,
+    /// Byte offset; always on a character boundary.
     pos: usize,
+    depth: usize,
 }
 
-impl JsonParser {
+impl JsonParser<'_> {
     fn error(&self, message: impl Into<String>) -> DocStoreError {
         DocStoreError::Json(format!("{} (at offset {})", message.into(), self.pos))
     }
 
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek();
-        if c.is_some() {
-            self.pos += 1;
-        }
-        c
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_whitespace()) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
-    fn expect(&mut self, expected: char) -> Result<(), DocStoreError> {
-        match self.bump() {
-            Some(c) if c == expected => Ok(()),
-            Some(c) => Err(self.error(format!("expected '{expected}', found '{c}'"))),
-            None => Err(self.error(format!("expected '{expected}', found end of input"))),
+    fn expect(&mut self, expected: u8) -> Result<(), DocStoreError> {
+        if self.peek() != Some(expected) {
+            return Err(self.error(format!("expected '{}'", expected as char)));
         }
+        self.pos += 1;
+        Ok(())
     }
 
     fn parse_value(&mut self) -> Result<DocValue, DocStoreError> {
         self.skip_ws();
         match self.peek() {
-            Some('n') => self.parse_keyword("null", DocValue::Null),
-            Some('t') => self.parse_keyword("true", DocValue::Bool(true)),
-            Some('f') => self.parse_keyword("false", DocValue::Bool(false)),
-            Some('"') => Ok(DocValue::String(self.parse_string()?)),
-            Some('[') => self.parse_array(),
-            Some('{') => self.parse_object(),
-            Some(c) if c == '-' || c.is_ascii_digit() => self.parse_number(),
-            Some(c) => Err(self.error(format!("unexpected character '{c}'"))),
+            Some(b'n') => self.parse_keyword("null", DocValue::Null),
+            Some(b't') => self.parse_keyword("true", DocValue::Bool(true)),
+            Some(b'f') => self.parse_keyword("false", DocValue::Bool(false)),
+            Some(b'"') => Ok(DocValue::String(self.parse_string()?)),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'-' | b'0'..=b'9') => self.parse_number(),
+            Some(_) => Err(self.error("unexpected character")),
             None => Err(self.error("unexpected end of input")),
         }
     }
 
-    fn parse_keyword(&mut self, keyword: &str, value: DocValue) -> Result<DocValue, DocStoreError> {
-        for expected in keyword.chars() {
-            match self.bump() {
-                Some(c) if c == expected => {}
-                _ => return Err(self.error(format!("invalid literal (expected '{keyword}')"))),
-            }
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<DocValue, DocStoreError>,
+    ) -> Result<DocValue, DocStoreError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.error(format!("nesting deeper than {MAX_NESTING} levels")));
         }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
+    }
+
+    fn parse_keyword(&mut self, keyword: &str, value: DocValue) -> Result<DocValue, DocStoreError> {
+        if !self.text[self.pos..].starts_with(keyword) {
+            return Err(self.error(format!("invalid literal (expected '{keyword}')")));
+        }
+        self.pos += keyword.len();
         Ok(value)
     }
 
     fn parse_string(&mut self) -> Result<String, DocStoreError> {
-        self.expect('"')?;
+        self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.bump() {
-                Some('"') => return Ok(out),
-                Some('\\') => match self.bump() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('t') => out.push('\t'),
-                    Some('b') => out.push('\u{8}'),
-                    Some('f') => out.push('\u{c}'),
-                    Some('u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let c = self
-                                .bump()
-                                .ok_or_else(|| self.error("unterminated \\u escape"))?;
-                            let d = c
-                                .to_digit(16)
-                                .ok_or_else(|| self.error("invalid hex digit in \\u escape"))?;
-                            code = code * 16 + d;
-                        }
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    Some(c) => return Err(self.error(format!("unknown escape '\\{c}'"))),
-                    None => return Err(self.error("unterminated escape")),
-                },
-                Some(c) => out.push(c),
-                None => return Err(self.error("unterminated string")),
+            // `"`, `\` and control bytes are ASCII, so the cut falls on a
+            // character boundary.
+            let rest = &self.text[self.pos..];
+            let stop = rest
+                .bytes()
+                .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+                .ok_or_else(|| self.error("unterminated string"))?;
+            out.push_str(&rest[..stop]);
+            self.pos += stop;
+            match rest.as_bytes()[stop] {
+                b'"' => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                b'\\' => {
+                    self.pos += 1;
+                    out.push(self.parse_escape()?);
+                }
+                _ => return Err(self.error("raw control character in string")),
             }
         }
     }
 
+    /// Decodes one escape; `pos` is just past its backslash.
+    fn parse_escape(&mut self) -> Result<char, DocStoreError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => return self.parse_unicode_escape(),
+            Some(_) => return Err(self.error("unknown escape")),
+            None => return Err(self.error("unterminated escape")),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// Decodes `uXXXX`, or the surrogate pair `uXXXX\uXXXX`, at `pos`. A pair
+    /// is one character; a lone surrogate is an error, not a U+FFFD that
+    /// silently changes the document.
+    fn parse_unicode_escape(&mut self) -> Result<char, DocStoreError> {
+        let code = match self.parse_hex4()? {
+            high @ 0xd800..=0xdbff => {
+                if self.peek() != Some(b'\\') {
+                    return Err(self.error("unpaired high surrogate"));
+                }
+                self.pos += 1;
+                match self.parse_hex4()? {
+                    low @ 0xdc00..=0xdfff => 0x10000 + ((high - 0xd800) << 10) + (low - 0xdc00),
+                    _ => return Err(self.error("invalid low surrogate")),
+                }
+            }
+            0xdc00..=0xdfff => return Err(self.error("unpaired low surrogate")),
+            unit => unit,
+        };
+        char::from_u32(code).ok_or_else(|| self.error("invalid \\u escape"))
+    }
+
+    /// Reads `uXXXX` at `pos`.
+    fn parse_hex4(&mut self) -> Result<u32, DocStoreError> {
+        let digits = self
+            .text
+            .get(self.pos + 1..self.pos + 5)
+            .filter(|d| self.peek() == Some(b'u') && d.bytes().all(|b| b.is_ascii_hexdigit()))
+            .ok_or_else(|| self.error("expected \\u and four hex digits"))?;
+        self.pos += 5;
+        Ok(u32::from_str_radix(digits, 16).expect("four hex digits"))
+    }
+
     fn parse_number(&mut self) -> Result<DocValue, DocStoreError> {
         let start = self.pos;
-        if self.peek() == Some('-') {
+        if self.peek() == Some(b'-') {
             self.pos += 1;
         }
         let mut is_float = false;
         while let Some(c) = self.peek() {
             match c {
-                '0'..='9' => self.pos += 1,
-                '.' | 'e' | 'E' | '+' | '-' => {
+                b'0'..=b'9' => self.pos += 1,
+                b'.' | b'e' | b'E' | b'+' | b'-' => {
                     is_float = true;
                     self.pos += 1;
                 }
                 _ => break,
             }
         }
-        let text: String = self.chars[start..self.pos].iter().collect();
+        let text = &self.text[start..self.pos];
         if is_float {
             text.parse::<f64>()
                 .map(DocValue::Float)
@@ -228,46 +278,50 @@ impl JsonParser {
     }
 
     fn parse_array(&mut self) -> Result<DocValue, DocStoreError> {
-        self.expect('[')?;
+        self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(']') {
-            self.bump();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
             return Ok(DocValue::Array(items));
         }
         loop {
             items.push(self.parse_value()?);
             self.skip_ws();
-            match self.bump() {
-                Some(',') => continue,
-                Some(']') => return Ok(DocValue::Array(items)),
-                Some(c) => return Err(self.error(format!("expected ',' or ']', found '{c}'"))),
-                None => return Err(self.error("unterminated array")),
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(DocValue::Array(items));
+                }
+                _ => return Err(self.error("expected ',' or ']' in array")),
             }
         }
     }
 
     fn parse_object(&mut self) -> Result<DocValue, DocStoreError> {
-        self.expect('{')?;
+        self.expect(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
-        if self.peek() == Some('}') {
-            self.bump();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
             return Ok(DocValue::Object(map));
         }
         loop {
             self.skip_ws();
             let key = self.parse_string()?;
             self.skip_ws();
-            self.expect(':')?;
+            self.expect(b':')?;
             let value = self.parse_value()?;
             map.insert(key, value);
             self.skip_ws();
-            match self.bump() {
-                Some(',') => continue,
-                Some('}') => return Ok(DocValue::Object(map)),
-                Some(c) => return Err(self.error(format!("expected ',' or '}}', found '{c}'"))),
-                None => return Err(self.error("unterminated object")),
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(DocValue::Object(map));
+                }
+                _ => return Err(self.error("expected ',' or '}' in object")),
             }
         }
     }
@@ -335,5 +389,31 @@ mod tests {
         assert!(from_json("{\"a\":1} extra").is_err());
         assert!(from_json("tru").is_err());
         assert!(from_json("").is_err());
+        // Raw control characters must be escaped.
+        assert!(from_json("\"a\u{1}b\"").is_err());
+        // Nesting is bounded: each of these overflowed the parser's stack.
+        for open in ["[", "{\"a\":"] {
+            let err = from_json(&open.repeat(100_000)).unwrap_err();
+            assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        }
+        // A lone surrogate is an error, not a replacement character.
+        for lone in [
+            "\"\\ud83d\"",
+            "\"\\ude00\"",
+            "\"\\ud83dx\"",
+            "\"\\ud83d\\u0041\"",
+        ] {
+            assert!(from_json(lone).is_err(), "accepted: {lone}");
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_character() {
+        assert_eq!(
+            from_json("\"\\ud83d\\ude00 \\u00e9\"").unwrap(),
+            DocValue::String("😀 é".into())
+        );
+        let emoji = DocValue::String("😀".into());
+        assert_eq!(from_json(&to_json(&emoji)).unwrap(), emoji);
     }
 }

@@ -9,8 +9,8 @@
 //! objects) with a store-assigned identifier. Collections support equality /
 //! range / containment [`Filter`]s, secondary hash indexes on top-level
 //! fields, and persistence to disk in a JSON-lines format written and parsed
-//! by this crate's own [`json`] codec (no external JSON dependency — see
-//! DESIGN.md).
+//! by this crate's own [`json`] codec (no external JSON dependency;
+//! ARCHITECTURE.md, "JSON", records why it is not yet the workspace's one).
 //!
 //! ```
 //! use hbold_docstore::{doc, DocStore, DocValue, Filter};

@@ -655,6 +655,55 @@ mod tests {
     }
 
     #[test]
+    fn hostile_nesting_is_a_malformed_error_not_a_stack_overflow() {
+        use std::io::{Read, Write};
+
+        // A "200 OK" whose body nests a megabyte deep — bare arrays, arrays
+        // under a member the decoder skips, objects all the way down: a
+        // recursive decoder dies of stack overflow on each, and takes the
+        // crawler with it.
+        let deep = |open: &str| open.repeat((1 << 20) / open.len());
+        let bodies = [
+            deep("["),
+            format!("{{\"link\":{}", deep("[")),
+            deep("{\"a\":"),
+        ];
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            for body in bodies {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut sink = [0u8; 2048];
+                let _ = stream.read(&mut sink);
+                let head = format!(
+                    "HTTP/1.1 200 OK\r\nContent-Type: application/sparql-results+json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+                    body.len()
+                );
+                let _ = stream.write_all(head.as_bytes());
+                let _ = stream.write_all(body.as_bytes());
+                // Closing with request bytes still unread resets the
+                // connection under the client's read: drain until it hangs up.
+                let _ = stream.shutdown(std::net::Shutdown::Write);
+                let _ = stream.read_to_end(&mut Vec::new());
+            }
+        });
+
+        let client = HttpSparqlClient::new(format!("http://{addr}/sparql"))
+            .with_timeout(Duration::from_secs(5));
+        for i in 0..3 {
+            match client.query("ASK { ?s ?p ?o }") {
+                // The bare array is refused at its first byte; the other two
+                // only once the reader has counted its way to the bound.
+                Err(HttpClientError::Malformed(msg)) => {
+                    assert!(i == 0 || msg.contains("nesting deeper than 128"), "{msg}")
+                }
+                other => panic!("expected a malformed-body error, got {other:?}"),
+            }
+        }
+        server.join().unwrap();
+    }
+
+    #[test]
     fn unreachable_servers_are_io_errors() {
         // Port 1 on loopback: nothing listens there.
         let client = HttpSparqlClient::new("http://127.0.0.1:1/sparql")

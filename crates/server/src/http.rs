@@ -8,7 +8,7 @@
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
-use hbold_sparql::results::json_string;
+use hbold_telemetry::json::JsonValue;
 
 /// Byte budgets for a single request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -556,11 +556,12 @@ impl HttpResponse {
     /// clients and the chaos harness never need per-path parsers:
     /// `{"error":{"status":503,"reason":"...","detail":"..."}}`.
     pub fn error(status: u16, reason: &'static str, detail: impl Into<String>) -> Self {
-        let body = format!(
-            "{{\"error\":{{\"status\":{status},\"reason\":{},\"detail\":{}}}}}\n",
-            json_string(reason),
-            json_string(&detail.into()),
-        );
+        let error = JsonValue::object([
+            ("status", u64::from(status).into()),
+            ("reason", reason.into()),
+            ("detail", JsonValue::String(detail.into())),
+        ]);
+        let body = format!("{}\n", JsonValue::object([("error", error)]));
         HttpResponse {
             status,
             reason,

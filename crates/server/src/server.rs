@@ -14,11 +14,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hbold_sparql::results::json_string;
 use hbold_sparql::{
     evaluate_with_hooks, parse_cached, parse_cached_tracked, parse_update, plan_update_op_with,
     CancellationToken, EvalHooks, QueryResults, SparqlError,
 };
+use hbold_telemetry::json::JsonValue;
 use hbold_telemetry::{Span, EXPOSITION_CONTENT_TYPE};
 use hbold_triple_store::SharedStore;
 
@@ -737,46 +737,38 @@ fn graph_name(term: &hbold_rdf_model::Term) -> &str {
 /// storage tiers beside the folds that keep them bounded.
 fn stats_with_graphs(shared: &Shared) -> String {
     let snapshot = shared.store.snapshot();
-    let tiers: Vec<String> = snapshot
-        .index_tier_sizes()
-        .iter()
-        .map(|(order, t)| {
-            format!(
-                "\"{}\":{{\"flat\":{},\"delta\":{},\"dead\":{}}}",
-                order.label(),
-                t.flat,
-                t.delta,
-                t.dead
-            )
-        })
-        .collect();
+    let tiers = snapshot.index_tier_sizes();
+    let tiers = tiers.iter().map(|(order, t)| {
+        let sizes = JsonValue::object([
+            ("flat", t.flat.into()),
+            ("delta", t.delta.into()),
+            ("dead", t.dead.into()),
+        ]);
+        (order.label(), sizes)
+    });
     let (folds, fold_keys) = hbold_triple_store::persist::fold_counts();
-    let index = format!(
-        "\"index\":{{\"folds\":{folds},\"fold_keys\":{fold_keys},\"tiers\":{{{}}}}}",
-        tiers.join(",")
-    );
-    let named: Vec<String> = snapshot
+    let index = JsonValue::object([
+        ("folds", folds.into()),
+        ("fold_keys", fold_keys.into()),
+        ("tiers", JsonValue::object(tiers)),
+    ]);
+    let named: Vec<(String, JsonValue)> = snapshot
         .graph_quad_counts()
         .into_iter()
-        .filter_map(|(graph, quads)| graph.map(|term| (term, quads)))
-        .map(|(term, quads)| format!("{}:{}", json_string(graph_name(&term)), quads))
+        .filter_map(|(graph, quads)| Some((graph_name(&graph?).to_string(), quads.into())))
         .collect();
-    let graphs = format!(
-        "\"graphs\":{{\"quads_total\":{},\"default\":{},\"named_count\":{},\"named\":{{{}}}}}",
-        snapshot.len(),
-        snapshot.default_graph_len(),
-        named.len(),
-        named.join(","),
-    );
-    let mut doc = shared.stats.to_json();
-    debug_assert!(doc.ends_with('}'));
-    doc.truncate(doc.len() - 1);
-    doc.push(',');
-    doc.push_str(&graphs);
-    doc.push(',');
-    doc.push_str(&index);
-    doc.push('}');
-    doc
+    let graphs = JsonValue::object([
+        ("quads_total", snapshot.len().into()),
+        ("default", snapshot.default_graph_len().into()),
+        ("named_count", named.len().into()),
+        ("named", JsonValue::Object(named)),
+    ]);
+    let mut doc = shared.stats.to_value();
+    if let JsonValue::Object(members) = &mut doc {
+        members.push(("graphs".into(), graphs));
+        members.push(("index".into(), index));
+    }
+    doc.to_string()
 }
 
 /// Maps an evaluation failure to its response. The cancellation family is
@@ -954,25 +946,25 @@ fn execute(
                 // One line per slow query, machine-parseable: the span tree
                 // carries the join order, per-scan estimates, and actual
                 // rows/elapsed per operator.
-                eprintln!(
-                    "{{\"event\":\"slow_query\",\"trace_id\":{},\"elapsed_us\":{},\"query\":{},\"trace\":{}}}",
-                    json_string(&trace_id.to_string()),
-                    elapsed.as_micros(),
-                    json_string(&query),
-                    root.to_json(),
-                );
+                let line = JsonValue::object([
+                    ("event", "slow_query".into()),
+                    ("trace_id", trace_id.to_string().into()),
+                    ("elapsed_us", (elapsed.as_micros() as u64).into()),
+                    ("query", query.as_str().into()),
+                    ("trace", root.to_value()),
+                ]);
+                eprintln!("{line}");
             }
         }
     }
     if trace_wanted {
         let root = root.expect("trace_wanted implies a root span");
-        let body = format!(
-            "{{\"trace_id\":{},\"rows\":{},\"trace\":{}}}",
-            json_string(&trace_id.to_string()),
-            root.rows(),
-            root.to_json(),
-        );
-        return HttpResponse::ok("application/json; charset=utf-8", body);
+        let body = JsonValue::object([
+            ("trace_id", trace_id.to_string().into()),
+            ("rows", root.rows().into()),
+            ("trace", root.to_value()),
+        ]);
+        return HttpResponse::ok("application/json; charset=utf-8", body.to_string());
     }
     let body = match (&results, format) {
         (_, ResultFormat::Json) => results.to_sparql_json(),

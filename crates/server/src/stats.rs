@@ -16,7 +16,7 @@
 
 use std::time::Instant;
 
-use hbold_sparql::results::json_string;
+use hbold_telemetry::json::JsonValue;
 use hbold_telemetry::{Counter, Histogram, Registry};
 
 /// Counters for one route.
@@ -196,61 +196,92 @@ impl ServerStats {
         out
     }
 
-    /// Renders the `/stats` JSON document, including the process-wide plan
-    /// cache and cost-based-optimizer counters from the SPARQL engine.
+    /// Renders the `/stats` JSON document.
     pub fn to_json(&self) -> String {
+        self.to_value().to_string()
+    }
+
+    /// The `/stats` document as a tree its caller may add sections to:
+    /// this instance's counters, and the process-wide plan cache and
+    /// cost-based-optimizer counters from the SPARQL engine.
+    pub fn to_value(&self) -> JsonValue {
         let plan = hbold_sparql::plan::stats();
         let optimizer = hbold_sparql::plan_stats();
-        let classes: Vec<String> = self
-            .responses_by_class
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("\"{}xx\":{}", i + 1, c.get()))
-            .collect();
-        format!(
-            "{{\"uptime_ms\":{},\"connections_accepted\":{},\"requests_total\":{},\"malformed_requests\":{},\"responses\":{{{}}},\"routes\":{{{}:{},{}:{},{}:{}}},\"updates\":{{\"requests_ok\":{},\"requests_error\":{},\"ops\":{},\"quads_removed\":{},\"quads_inserted\":{}}},\"armor\":{{\"query_timeouts\":{},\"query_cancelled\":{},\"admission_rejected\":{},\"request_timeouts\":{}}},\"plan_cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},\"hit_rate\":{:.4}}},\"optimizer\":{{\"bgps_planned\":{},\"bgps_reordered\":{},\"filters_pushed\":{}}}}}",
-            self.started.elapsed().as_millis(),
-            self.connections_accepted.get(),
-            self.requests_total.get(),
-            self.malformed_requests.get(),
-            classes.join(","),
-            json_string("/sparql"),
-            hist_json(&self.sparql.latency),
-            json_string("/update"),
-            hist_json(&self.update.latency),
-            json_string("other"),
-            hist_json(&self.other.latency),
-            self.update_ok.get(),
-            self.update_error.get(),
-            self.update_ops.get(),
-            self.update_quads_removed.get(),
-            self.update_quads_inserted.get(),
-            self.query_timeouts.get(),
-            self.query_cancelled.get(),
-            self.admission_rejected.get(),
-            self.request_timeouts.get(),
-            plan.hits,
-            plan.misses,
-            plan.entries,
-            plan.hit_rate(),
-            optimizer.bgps_planned,
-            optimizer.bgps_reordered,
-            optimizer.filters_pushed,
-        )
+        let classes = self.responses_by_class.iter().enumerate();
+        JsonValue::object([
+            (
+                "uptime_ms",
+                (self.started.elapsed().as_millis() as u64).into(),
+            ),
+            (
+                "connections_accepted",
+                self.connections_accepted.get().into(),
+            ),
+            ("requests_total", self.requests_total.get().into()),
+            ("malformed_requests", self.malformed_requests.get().into()),
+            (
+                "responses",
+                JsonValue::object(classes.map(|(i, c)| (format!("{}xx", i + 1), c.get().into()))),
+            ),
+            (
+                "routes",
+                JsonValue::object([
+                    ("/sparql", hist_value(&self.sparql.latency)),
+                    ("/update", hist_value(&self.update.latency)),
+                    ("other", hist_value(&self.other.latency)),
+                ]),
+            ),
+            (
+                "updates",
+                JsonValue::object([
+                    ("requests_ok", self.update_ok.get().into()),
+                    ("requests_error", self.update_error.get().into()),
+                    ("ops", self.update_ops.get().into()),
+                    ("quads_removed", self.update_quads_removed.get().into()),
+                    ("quads_inserted", self.update_quads_inserted.get().into()),
+                ]),
+            ),
+            (
+                "armor",
+                JsonValue::object([
+                    ("query_timeouts", self.query_timeouts.get().into()),
+                    ("query_cancelled", self.query_cancelled.get().into()),
+                    ("admission_rejected", self.admission_rejected.get().into()),
+                    ("request_timeouts", self.request_timeouts.get().into()),
+                ]),
+            ),
+            (
+                "plan_cache",
+                JsonValue::object([
+                    ("hits", plan.hits.into()),
+                    ("misses", plan.misses.into()),
+                    ("entries", plan.entries.into()),
+                    // Four decimals, as the share always printed.
+                    ("hit_rate", ((plan.hit_rate() * 1e4).round() / 1e4).into()),
+                ]),
+            ),
+            (
+                "optimizer",
+                JsonValue::object([
+                    ("bgps_planned", optimizer.bgps_planned.into()),
+                    ("bgps_reordered", optimizer.bgps_reordered.into()),
+                    ("filters_pushed", optimizer.filters_pushed.into()),
+                ]),
+            ),
+        ])
     }
 }
 
-/// The `/stats` JSON rendering of one latency histogram (microseconds).
-fn hist_json(h: &Histogram) -> String {
-    format!(
-        "{{\"count\":{},\"mean_us\":{},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{},\"max_us\":{}}}",
-        h.count(),
-        h.mean(),
-        h.quantile(0.50),
-        h.quantile(0.95),
-        h.quantile(0.99),
-        h.max(),
-    )
+/// The `/stats` rendering of one latency histogram (microseconds).
+fn hist_value(h: &Histogram) -> JsonValue {
+    JsonValue::object([
+        ("count", h.count().into()),
+        ("mean_us", h.mean().into()),
+        ("p50_us", h.quantile(0.50).into()),
+        ("p95_us", h.quantile(0.95).into()),
+        ("p99_us", h.quantile(0.99).into()),
+        ("max_us", h.max().into()),
+    ])
 }
 
 #[cfg(test)]

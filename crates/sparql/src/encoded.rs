@@ -17,7 +17,7 @@
 //! is the undo log and no solution is ever copied to be handed on: a BGP is
 //! nested index scans, a join nests `run`s, a left join emits the left row
 //! itself when its right side emitted nothing, a union runs both branches, a
-//! filter pre-binds, tests and restores. `emit` answers [`Flow`]:
+//! filter pre-binds, tests and restores. `emit` answers `Flow`:
 //! `Continue`, `Break` (how `ASK` and an unordered `LIMIT` stop the walk
 //! early) or the error that fails the query.
 //!

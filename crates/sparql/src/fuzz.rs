@@ -30,7 +30,11 @@
 //!    graphs with heavy cardinality skew (hub predicates, star subjects).
 //! 3. **Serialization round-trip** — the result survives SPARQL-JSON and
 //!    TSV encode/decode losslessly, and the CSV output parses back (via
-//!    [`CsvTable`]) to exactly the term string values.
+//!    [`CsvTable`]) to exactly the term string values. On the JSON document
+//!    the codec itself is checked too: the tree parsed from it renders the
+//!    encoder's bytes and re-parses to itself, the document with every
+//!    object's members in a seeded shuffled order decodes to the same
+//!    result, and no proper prefix of it decodes at all.
 //! 4. **Permuted insertion order** — the store's quads re-inserted in a
 //!    seeded shuffle (other ids, other scan orders) give the same answer,
 //!    the exact sequence under `ORDER BY`, and an ordered answer is
@@ -61,6 +65,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use hbold_rdf_model::vocab::{rdf, xsd};
 use hbold_rdf_model::{BlankNode, Iri, Literal, Quad, Term, Triple};
+use hbold_telemetry::json::JsonValue;
 use hbold_triple_store::TripleStore;
 
 use crate::ast::*;
@@ -1011,7 +1016,7 @@ fn check_sorted(query: &Query, results: &QueryResults) -> Result<(), String> {
 }
 
 /// JSON, TSV and CSV round-trip checks on a concrete result.
-fn check_serialization(results: &QueryResults) -> Result<(), String> {
+fn check_serialization(results: &QueryResults, seed: u64) -> Result<(), String> {
     let json = results.to_sparql_json();
     let back = QueryResults::from_sparql_json(&json)
         .map_err(|e| format!("JSON round-trip: decoder rejected own output: {e}\n{json}"))?;
@@ -1021,6 +1026,7 @@ fn check_serialization(results: &QueryResults) -> Result<(), String> {
             if a.variables == b.variables && a.rows == b.rows => {}
         _ => return Err(format!("JSON round-trip changed the result:\n{json}")),
     }
+    check_json_codec(&json, &back, seed)?;
 
     let select = match results {
         QueryResults::Select(s) => s,
@@ -1068,6 +1074,55 @@ fn check_serialization(results: &QueryResults) -> Result<(), String> {
         };
         if *parsed != expected {
             return Err(format!("CSV cell mismatch: {parsed:?} vs {expected:?}"));
+        }
+    }
+    Ok(())
+}
+
+/// What the JSON codec owes the wire, on one results document that decodes
+/// to `decoded`: the tree and the encoder write the same bytes, a document
+/// with its members in any other order decodes to the same result, and no
+/// truncation of it decodes at all.
+fn check_json_codec(json: &str, decoded: &QueryResults, seed: u64) -> Result<(), String> {
+    let mut tree = JsonValue::parse(json).map_err(|e| format!("tree rejected {json}: {e}"))?;
+    // No numbers in a results document, so the tree's rendering is not just
+    // a document that re-parses to an equal tree: it is this document.
+    let rendered = tree.to_string();
+    if rendered != json {
+        return Err(format!("tree and encoder disagree:\n{rendered}\n{json}"));
+    }
+
+    fn shuffle_members(value: &mut JsonValue, rng: &mut FuzzRng) {
+        match value {
+            JsonValue::Object(members) => {
+                rng.shuffle(members);
+                members
+                    .iter_mut()
+                    .for_each(|(_, v)| shuffle_members(v, rng));
+            }
+            JsonValue::Array(items) => items.iter_mut().for_each(|v| shuffle_members(v, rng)),
+            _ => {}
+        }
+    }
+    shuffle_members(&mut tree, &mut FuzzRng::new(seed));
+    let shuffled = tree.to_string();
+    if QueryResults::from_sparql_json(&shuffled).as_ref() != Ok(decoded) {
+        return Err(format!(
+            "member order changed the decoded result:\n{shuffled}"
+        ));
+    }
+
+    // Every cut of a short document. A long one is cut one byte in `stride`
+    // (which byte, the seed says) and everywhere in its closing brackets, so
+    // that the work stays linear in its length.
+    let stride = (json.len() / 2048 + 1) as u64;
+    let offset = seed % stride;
+    let sampled = |i: usize| (i as u64 + offset).is_multiple_of(stride) || i + 16 > json.len();
+    for cut in (0..json.len()).filter(|&i| sampled(i) && json.is_char_boundary(i)) {
+        if let Ok(accepted) = QueryResults::from_sparql_json(&json[..cut]) {
+            return Err(format!(
+                "decoder accepted a document cut at byte {cut}: {accepted:?}\n{json}"
+            ));
         }
     }
     Ok(())
@@ -1212,7 +1267,7 @@ fn check_query(
     }
 
     // Leg 3: serialization round-trips on the engine's result.
-    check_serialization(&planned).map_err(&fail)?;
+    check_serialization(&planned, shuffle_seed).map_err(&fail)?;
 
     // Leg 4: insertion-order independence. Engine and oracle share `Ord for
     // Term` on purpose, so their agreeing says nothing about the order

@@ -1,391 +1,6 @@
-//! A minimal JSON reader.
-//!
-//! The workspace builds offline with no external JSON dependency (see the
-//! encoder notes in [`crate::results`]), yet the HTTP SPARQL Protocol client
-//! has to read `application/sparql-results+json` bodies off the wire. This
-//! module supplies the missing half: a small recursive-descent parser into a
-//! [`JsonValue`] tree, strict enough for round-tripping our own encoder and
-//! lenient about nothing else.
+//! The JSON tree, re-exported from where the workspace's one codec lives:
+//! [`hbold_telemetry::json`]. The SPARQL-results decoder in
+//! [`crate::results`] reads that module's events directly; this path stays
+//! for callers that name `hbold_sparql::json::JsonValue`.
 
-use std::fmt;
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number.
-    Number(f64),
-    /// A string, with escapes decoded.
-    String(String),
-    /// An array.
-    Array(Vec<JsonValue>),
-    /// An object; member order is preserved, duplicate keys are kept as-is
-    /// (lookups return the first).
-    Object(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Parses a complete JSON document (trailing garbage is an error).
-    pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after JSON document"));
-        }
-        Ok(value)
-    }
-
-    /// Member lookup on an object (first match), `None` otherwise.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Object(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The members, if this is an object.
-    pub fn as_object(&self) -> Option<&[(String, JsonValue)]> {
-        match self {
-            JsonValue::Object(members) => Some(members),
-            _ => None,
-        }
-    }
-}
-
-/// A JSON syntax error with the byte offset where parsing stopped.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    /// Byte offset into the input.
-    pub offset: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON error at byte {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, message: impl Into<String>) -> JsonError {
-        JsonError {
-            offset: self.pos,
-            message: message.into(),
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected '{}'", byte as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, JsonError> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(format!("expected '{word}'")))
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(members));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let escape = self.peek().ok_or_else(|| self.err("dangling escape"))?;
-                    self.pos += 1;
-                    match escape {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let unit = self.hex4()?;
-                            // Decode surrogate pairs; a lone surrogate is an
-                            // error rather than a replacement character, so a
-                            // round-trip can never silently corrupt a term.
-                            let c = if (0xd800..0xdc00).contains(&unit) {
-                                if !self.bytes[self.pos..].starts_with(b"\\u") {
-                                    return Err(self.err("unpaired high surrogate"));
-                                }
-                                self.pos += 2;
-                                let low = self.hex4()?;
-                                if !(0xdc00..0xe000).contains(&low) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let code = 0x10000 + ((unit - 0xd800) << 10) + (low - 0xdc00);
-                                char::from_u32(code)
-                            } else if (0xdc00..0xe000).contains(&unit) {
-                                None
-                            } else {
-                                char::from_u32(unit)
-                            };
-                            out.push(c.ok_or_else(|| self.err("invalid \\u escape"))?);
-                        }
-                        other => {
-                            return Err(self.err(format!("invalid escape '\\{}'", other as char)))
-                        }
-                    }
-                }
-                Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so boundaries
-                    // are trustworthy).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len()
-                        && (self.bytes[self.pos] & 0b1100_0000) == 0b1000_0000
-                    {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .expect("input was valid UTF-8"),
-                    );
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, JsonError> {
-        let chunk = self
-            .bytes
-            .get(self.pos..self.pos + 4)
-            .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let text = std::str::from_utf8(chunk).map_err(|_| self.err("non-ASCII in \\u escape"))?;
-        let unit =
-            u32::from_str_radix(text, 16).map_err(|_| self.err("invalid \\u escape digits"))?;
-        self.pos += 4;
-        Ok(unit)
-    }
-
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
-        text.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| self.err("invalid number"))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_nested_documents() {
-        let v = JsonValue::parse(
-            r#"{"head":{"vars":["s"]},"n":-1.5e2,"ok":true,"none":null,"xs":[1,2]}"#,
-        )
-        .unwrap();
-        assert_eq!(
-            v.get("head")
-                .unwrap()
-                .get("vars")
-                .unwrap()
-                .as_array()
-                .unwrap()[0]
-                .as_str(),
-            Some("s")
-        );
-        assert_eq!(v.get("n").unwrap().as_f64(), Some(-150.0));
-        assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
-        assert_eq!(v.get("none"), Some(&JsonValue::Null));
-        assert_eq!(v.get("xs").unwrap().as_array().unwrap().len(), 2);
-        assert_eq!(v.get("missing"), None);
-    }
-
-    #[test]
-    fn decodes_escapes_and_surrogate_pairs() {
-        let v = JsonValue::parse(r#""a\"b\\c\n\t\u00e9\ud83d\ude00""#).unwrap();
-        assert_eq!(v.as_str(), Some("a\"b\\c\n\té😀"));
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        for bad in [
-            "",
-            "{",
-            "[1,]",
-            "{\"a\":}",
-            "\"unterminated",
-            "tru",
-            "1 2",
-            "\"\\ud800\"",
-            "\"\\q\"",
-            "{\"a\" 1}",
-            "\u{1}",
-        ] {
-            assert!(JsonValue::parse(bad).is_err(), "accepted: {bad:?}");
-        }
-        // Raw control characters must be escaped per RFC 8259.
-        assert!(JsonValue::parse("\"a\u{0001}b\"").is_err());
-    }
-
-    #[test]
-    fn error_carries_offset() {
-        let err = JsonValue::parse("[1, oops]").unwrap_err();
-        assert_eq!(err.offset, 4);
-        assert!(err.to_string().contains("byte 4"));
-    }
-}
+pub use hbold_telemetry::json::{JsonError, JsonValue};

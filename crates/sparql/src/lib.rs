@@ -34,8 +34,11 @@
 //! * [`regex`] — a small self-contained regular-expression engine used by
 //!   the `REGEX`/`CONTAINS` filters,
 //! * [`results`] — query results plus SPARQL-JSON (both directions), CSV and
-//!   TSV serialization,
-//! * [`json`] — the minimal JSON reader behind the SPARQL-JSON decoder,
+//!   TSV serialization; the JSON decoder reads rows straight off the events
+//!   of `hbold_telemetry::json::Reader`, bounded in depth and independent of
+//!   member order,
+//! * [`json`] — a re-export of the workspace's one JSON tree, which lives in
+//!   `hbold_telemetry::json`,
 //! * [`pretty`] — pretty-printer whose output re-parses to the same AST,
 //! * [`update`] — SPARQL 1.1 Update: `INSERT DATA` / `DELETE DATA` /
 //!   `DELETE WHERE` / `DELETE ... INSERT ... WHERE`, with `GRAPH`-scoped

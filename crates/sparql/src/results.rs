@@ -7,14 +7,24 @@
 //! exists so `hbold_server`-served results can be read back by the HTTP
 //! client into the exact [`QueryResults`] the engine produced — the
 //! round-trip is lexical and lossless.
+//!
+//! Both JSON directions stand on [`hbold_telemetry::json`]: the encoder
+//! pushes into one buffer and escapes with its `write_str`, the decoder
+//! reads rows straight off its `Reader`'s events — no tree in between, and
+//! nesting bounded by the reader, so a hostile endpoint's body is a
+//! [`ResultsParseError`], never a stack overflow. The decoder does not
+//! depend on member order (`results` may precede `head`, a term's `value`
+//! its `type`: third-party endpoints owe us no order), and of a repeated
+//! member the first wins, as [`JsonValue::get`] answers.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use hbold_rdf_model::vocab::rdf;
 use hbold_rdf_model::{BlankNode, Iri, Literal, Term};
+use hbold_telemetry::json::{write_str, Event, JsonError, JsonValue, Reader};
 
 use crate::expr::Binding;
-use crate::json::JsonValue;
 
 /// The result of evaluating a query.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,7 +57,11 @@ impl QueryResults {
     pub fn to_sparql_json(&self) -> String {
         match self {
             QueryResults::Select(s) => s.to_sparql_json(),
-            QueryResults::Ask(b) => format!("{{\"head\":{{}},\"boolean\":{b}}}"),
+            QueryResults::Ask(b) => JsonValue::object([
+                ("head", JsonValue::Object(Vec::new())),
+                ("boolean", JsonValue::Bool(*b)),
+            ])
+            .to_string(),
         }
     }
 
@@ -56,51 +70,49 @@ impl QueryResults {
     /// This is the exact inverse of [`QueryResults::to_sparql_json`]: the
     /// variables, row order, bound/unbound structure and every term's
     /// lexical form, language tag and datatype survive the round-trip.
+    /// Members may come in any order; of a repeated member the first wins.
     pub fn from_sparql_json(text: &str) -> Result<QueryResults, ResultsParseError> {
-        let doc = JsonValue::parse(text)
-            .map_err(|e| ResultsParseError(format!("malformed results document: {e}")))?;
-        if let Some(boolean) = doc.get("boolean") {
-            let b = boolean
-                .as_bool()
-                .ok_or_else(|| ResultsParseError("\"boolean\" is not a boolean".into()))?;
-            return Ok(QueryResults::Ask(b));
-        }
-        let vars = doc
-            .get("head")
-            .and_then(|h| h.get("vars"))
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| ResultsParseError("missing head.vars array".into()))?;
-        let variables: Vec<String> = vars
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| ResultsParseError("head.vars entry is not a string".into()))
-            })
-            .collect::<Result<_, _>>()?;
-        let bindings = doc
-            .get("results")
-            .and_then(|r| r.get("bindings"))
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| ResultsParseError("missing results.bindings array".into()))?;
-        let mut rows = Vec::with_capacity(bindings.len());
-        for binding in bindings {
-            let members = binding
-                .as_object()
-                .ok_or_else(|| ResultsParseError("binding is not an object".into()))?;
-            for (name, _) in members {
-                if !variables.iter().any(|v| v == name) {
-                    return Err(ResultsParseError(format!(
-                        "binding mentions unprojected variable ?{name}"
-                    )));
+        let mut reader = Reader::new(text);
+        let mut boolean = None;
+        let mut variables: Option<Vec<String>> = None;
+        let mut rows = None;
+        // A `results` member met before `head`: read once the variables are
+        // known, from a fork of the reader left at its value.
+        let mut deferred: Option<Reader> = None;
+        read_object(&mut reader, "results document", |reader, key| {
+            match &*key {
+                "boolean" if boolean.is_none() => match next(reader)? {
+                    Event::Bool(b) => boolean = Some(b),
+                    _ => return Err(ResultsParseError("\"boolean\" is not a boolean".into())),
+                },
+                // An ASK answer's `head` has no `vars`.
+                "head" if variables.is_none() => {
+                    variables = read_list(reader, "head", "vars", |_, first| match first {
+                        Event::String(v) => Ok(v.into_owned()),
+                        _ => Err(ResultsParseError("head.vars entry is not a string".into())),
+                    })?
                 }
+                "results" if rows.is_none() && deferred.is_none() => match &variables {
+                    Some(variables) => rows = read_rows(reader, variables)?,
+                    None => {
+                        deferred = Some(reader.clone());
+                        reader.skip().map_err(malformed)?;
+                    }
+                },
+                _ => reader.skip().map_err(malformed)?,
             }
-            let row = variables
-                .iter()
-                .map(|v| binding.get(v).map(term_from_json).transpose())
-                .collect::<Result<Vec<Option<Term>>, _>>()?;
-            rows.push(row);
+            Ok(())
+        })?;
+        // `Eof`, or the error for what trails the document.
+        next(&mut reader)?;
+        if let Some(boolean) = boolean {
+            return Ok(QueryResults::Ask(boolean));
         }
+        let variables = variables.ok_or_else(|| ResultsParseError("missing head.vars".into()))?;
+        if let Some(mut reader) = deferred {
+            rows = read_rows(&mut reader, &variables)?;
+        }
+        let rows = rows.ok_or_else(|| ResultsParseError("missing results.bindings".into()))?;
         Ok(QueryResults::Select(SelectResults { variables, rows }))
     }
 }
@@ -117,46 +129,145 @@ impl fmt::Display for ResultsParseError {
 
 impl std::error::Error for ResultsParseError {}
 
-fn term_from_json(value: &JsonValue) -> Result<Term, ResultsParseError> {
-    let kind = value
-        .get("type")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| ResultsParseError("term has no \"type\"".into()))?;
-    let lexical = value
-        .get("value")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| ResultsParseError("term has no string \"value\"".into()))?;
-    match kind {
+fn malformed(e: JsonError) -> ResultsParseError {
+    ResultsParseError(format!("malformed results document: {e}"))
+}
+
+fn next<'a>(reader: &mut Reader<'a>) -> Result<Event<'a>, ResultsParseError> {
+    reader.next().map_err(malformed)
+}
+
+/// Reads the members of the object that is due, handing each key to `member`
+/// with the reader at its value.
+fn read_object<'a>(
+    reader: &mut Reader<'a>,
+    what: &str,
+    mut member: impl FnMut(&mut Reader<'a>, Cow<'a, str>) -> Result<(), ResultsParseError>,
+) -> Result<(), ResultsParseError> {
+    if next(reader)? != Event::StartObject {
+        return Err(ResultsParseError(format!("{what} is not an object")));
+    }
+    while let Event::Key(key) = next(reader)? {
+        member(reader, key)?;
+    }
+    Ok(())
+}
+
+/// Reads an object for its one array member — `head` for its `vars`,
+/// `results` for its `bindings` — handing each item's first event to `item`.
+/// Other members are read past, and so is a second `name`; `None` when the
+/// object has no such member.
+fn read_list<'a, T>(
+    reader: &mut Reader<'a>,
+    what: &str,
+    name: &str,
+    mut item: impl FnMut(&mut Reader<'a>, Event<'a>) -> Result<T, ResultsParseError>,
+) -> Result<Option<Vec<T>>, ResultsParseError> {
+    let mut list = None;
+    read_object(reader, what, |reader, key| {
+        if key != name || list.is_some() {
+            return reader.skip().map_err(malformed);
+        }
+        if next(reader)? != Event::StartArray {
+            return Err(ResultsParseError(format!("{what}.{name} is not an array")));
+        }
+        let mut items = Vec::new();
+        loop {
+            match next(reader)? {
+                Event::EndArray => break,
+                first => items.push(item(reader, first)?),
+            }
+        }
+        list = Some(items);
+        Ok(())
+    })?;
+    Ok(list)
+}
+
+/// `results`: the rows of its `bindings`, one cell per variable.
+fn read_rows(
+    reader: &mut Reader,
+    variables: &[String],
+) -> Result<Option<Vec<Vec<Option<Term>>>>, ResultsParseError> {
+    read_list(reader, "results", "bindings", |reader, first| match first {
+        Event::StartObject => read_binding(reader, variables),
+        _ => Err(ResultsParseError("binding is not an object".into())),
+    })
+}
+
+/// One binding object, its `{` already read.
+fn read_binding(
+    reader: &mut Reader,
+    variables: &[String],
+) -> Result<Vec<Option<Term>>, ResultsParseError> {
+    let mut row = vec![None; variables.len()];
+    while let Event::Key(name) = next(reader)? {
+        // `SELECT ?s ?s` projects one name twice; both cells get the term.
+        let mut columns = (0..variables.len()).filter(|&i| variables[i] == name);
+        let first = columns.next().ok_or_else(|| {
+            ResultsParseError(format!("binding mentions unprojected variable ?{name}"))
+        })?;
+        if row[first].is_some() {
+            reader.skip().map_err(malformed)?;
+            continue;
+        }
+        let term = read_term(reader)?;
+        for column in columns {
+            row[column] = Some(term.clone());
+        }
+        row[first] = Some(term);
+    }
+    Ok(row)
+}
+
+fn read_term(reader: &mut Reader) -> Result<Term, ResultsParseError> {
+    let [mut kind, mut value, mut lang, mut datatype] = [None, None, None, None];
+    read_object(reader, "term", |reader, key| {
+        let slot = match &*key {
+            "type" => &mut kind,
+            "value" => &mut value,
+            "xml:lang" => &mut lang,
+            "datatype" => &mut datatype,
+            _ => return reader.skip().map_err(malformed),
+        };
+        if slot.is_some() {
+            return reader.skip().map_err(malformed);
+        }
+        match next(reader)? {
+            Event::String(s) => *slot = Some(s),
+            _ => return Err(ResultsParseError(format!("term's {key:?} is not a string"))),
+        }
+        Ok(())
+    })?;
+    let kind = kind.ok_or_else(|| ResultsParseError("term has no \"type\"".into()))?;
+    let lexical = value.ok_or_else(|| ResultsParseError("term has no \"value\"".into()))?;
+    match &*kind {
         "uri" => Iri::new(lexical)
             .map(Term::Iri)
             .map_err(|e| ResultsParseError(format!("invalid IRI term: {}", e.reason()))),
         "bnode" => Ok(Term::Blank(BlankNode::new(lexical))),
-        "literal" => {
-            let lang = value.get("xml:lang").and_then(JsonValue::as_str);
-            let dt = value.get("datatype").and_then(JsonValue::as_str);
-            match (lang, dt) {
-                // The encoder emits *either* xml:lang or datatype, never
-                // both; a document carrying both is corrupt, not a term this
-                // implementation could have produced.
-                (Some(_), Some(_)) => Err(ResultsParseError(
-                    "literal carries both xml:lang and datatype".into(),
-                )),
-                (Some(lang), None) => Ok(Term::Literal(Literal::lang_string(lexical, lang))),
-                (None, Some(dt)) => {
-                    let datatype = Iri::new(dt).map_err(|e| {
-                        ResultsParseError(format!("invalid datatype IRI: {}", e.reason()))
-                    })?;
-                    // rdf:langString only ever appears *with* a language tag.
-                    if datatype == rdf::lang_string() {
-                        return Err(ResultsParseError(
-                            "rdf:langString literal without xml:lang".into(),
-                        ));
-                    }
-                    Ok(Term::Literal(Literal::typed(lexical, datatype)))
+        "literal" => match (lang, datatype) {
+            // The encoder emits *either* xml:lang or datatype, never
+            // both; a document carrying both is corrupt, not a term this
+            // implementation could have produced.
+            (Some(_), Some(_)) => Err(ResultsParseError(
+                "literal carries both xml:lang and datatype".into(),
+            )),
+            (Some(lang), None) => Ok(Term::Literal(Literal::lang_string(lexical, lang))),
+            (None, Some(dt)) => {
+                let datatype = Iri::new(dt).map_err(|e| {
+                    ResultsParseError(format!("invalid datatype IRI: {}", e.reason()))
+                })?;
+                // rdf:langString only ever appears *with* a language tag.
+                if datatype == rdf::lang_string() {
+                    return Err(ResultsParseError(
+                        "rdf:langString literal without xml:lang".into(),
+                    ));
                 }
-                (None, None) => Ok(Term::Literal(Literal::string(lexical))),
+                Ok(Term::Literal(Literal::typed(lexical, datatype)))
             }
-        }
+            (None, None) => Ok(Term::Literal(Literal::string(lexical))),
+        },
         // The legacy D2R/Virtuoso "typed-literal" spelling is deliberately
         // rejected: the encoder in this crate can never emit it, so a decoder
         // accepting it could not be exercised by round-trip testing.
@@ -212,20 +323,18 @@ impl SelectResults {
         })
     }
 
-    /// Serializes the table in the SPARQL 1.1 Query Results JSON format.
-    ///
-    /// The encoder is local to this crate (see DESIGN.md: no external JSON
-    /// dependency); it escapes strings and emits the standard
-    /// `head`/`results.bindings` structure.
+    /// Serializes the table in the SPARQL 1.1 Query Results JSON format:
+    /// the standard `head` / `results.bindings` structure, pushed into one
+    /// buffer, every name and value through the workspace's one escaper.
     pub fn to_sparql_json(&self) -> String {
-        let mut out = String::from("{\"head\":{\"vars\":[");
+        let mut out = String::from(r#"{"head":{"vars":["#);
         for (i, v) in self.variables.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&json_string(v));
+            write_str(&mut out, v);
         }
-        out.push_str("]},\"results\":{\"bindings\":[");
+        out.push_str(r#"]},"results":{"bindings":["#);
         for (i, row) in self.rows.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -238,9 +347,9 @@ impl SelectResults {
                     out.push(',');
                 }
                 first = false;
-                out.push_str(&json_string(v));
+                write_str(&mut out, v);
                 out.push(':');
-                out.push_str(&term_to_json(term));
+                write_term(&mut out, term);
             }
             out.push('}');
         }
@@ -562,49 +671,31 @@ impl CsvTable {
 /// Escapes a string for JSON output (quotes included).
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    write_str(&mut out, s);
     out
 }
 
-fn term_to_json(term: &Term) -> String {
-    match term {
-        Term::Iri(iri) => format!(
-            "{{\"type\":\"uri\",\"value\":{}}}",
-            json_string(iri.as_str())
-        ),
-        Term::Blank(b) => format!(
-            "{{\"type\":\"bnode\",\"value\":{}}}",
-            json_string(b.label())
-        ),
-        Term::Literal(lit) => {
-            let mut out = format!(
-                "{{\"type\":\"literal\",\"value\":{}",
-                json_string(lit.lexical_form())
-            );
-            if let Some(lang) = lit.language() {
-                out.push_str(&format!(",\"xml:lang\":{}", json_string(lang)));
-            } else {
-                out.push_str(&format!(
-                    ",\"datatype\":{}",
-                    json_string(lit.datatype().as_str())
-                ));
+fn write_term(out: &mut String, term: &Term) {
+    let (kind, value) = match term {
+        Term::Iri(iri) => (r#"{"type":"uri","value":"#, iri.as_str()),
+        Term::Blank(b) => (r#"{"type":"bnode","value":"#, b.label()),
+        Term::Literal(lit) => (r#"{"type":"literal","value":"#, lit.lexical_form()),
+    };
+    out.push_str(kind);
+    write_str(out, value);
+    if let Term::Literal(lit) = term {
+        match lit.language() {
+            Some(lang) => {
+                out.push_str(r#","xml:lang":"#);
+                write_str(out, lang);
             }
-            out.push('}');
-            out
+            None => {
+                out.push_str(r#","datatype":"#);
+                write_str(out, lit.datatype().as_str());
+            }
         }
     }
+    out.push('}');
 }
 
 fn csv_escape(s: &str) -> String {
@@ -916,6 +1007,102 @@ mod tests {
                 "accepted: {bad}"
             );
         }
+    }
+
+    #[test]
+    fn json_encoder_bytes_are_pinned() {
+        // Captured from the encoder as it stood before it moved onto
+        // `hbold_telemetry::json` (one `String` per name, value and term):
+        // every term shape the fuzz pool knows, bound and unbound cells, a
+        // variable name that needs escaping.
+        let pool = crate::fuzz::term_pool();
+        let table = SelectResults {
+            variables: vec!["term".into(), "prev \"quoted\"".into()],
+            rows: pool
+                .iter()
+                .enumerate()
+                .map(|(i, t)| vec![Some(t.clone()), (i % 2 == 1).then(|| pool[i - 1].clone())])
+                .collect(),
+        };
+        let json = table.to_sparql_json();
+        assert_eq!(json, include_str!("../tests/golden/term_pool.srj"));
+        assert_eq!(
+            QueryResults::from_sparql_json(&json).unwrap(),
+            QueryResults::Select(table)
+        );
+    }
+
+    #[test]
+    fn json_decoder_does_not_depend_on_member_order() {
+        // `results` before `head`, a term's `value` before its `type`,
+        // members nobody asked for (`link`, `distinct`, a vendor extension
+        // holding a deep value) wherever an endpoint cares to put them.
+        let doc = r#"{
+            "results": {"distinct": false, "bindings": [
+                {"o": {"xml:lang": "en", "value": "chat", "type": "literal"},
+                 "s": {"value": "http://e.org/a", "type": "uri"}},
+                {"s": {"value": "b0", "type": "bnode", "vendor": [{"x": [1, 2.5e3, null]}]}},
+                {"o": {"datatype": "http://www.w3.org/2001/XMLSchema#integer", "value": "5", "type": "literal"}}
+            ], "ordered": true},
+            "vendor:stats": {"rows": 3, "nested": [[[]]]},
+            "head": {"link": ["http://e.org/meta"], "vars": ["s", "o"]}
+        }"#;
+        let expected = QueryResults::Select(SelectResults {
+            variables: vec!["s".into(), "o".into()],
+            rows: vec![
+                vec![
+                    Some(Term::Iri(Iri::new("http://e.org/a").unwrap())),
+                    Some(Term::Literal(Literal::lang_string("chat", "en"))),
+                ],
+                vec![Some(Term::Blank(BlankNode::new("b0"))), None],
+                vec![None, Some(Term::Literal(Literal::integer(5)))],
+            ],
+        });
+        assert_eq!(QueryResults::from_sparql_json(doc).unwrap(), expected);
+        assert_eq!(
+            QueryResults::from_sparql_json(r#"{"boolean": false, "head": {"link": []}}"#).unwrap(),
+            QueryResults::Ask(false)
+        );
+        // An unprojected variable is still caught when `head` comes last.
+        let late_head = r#"{"results":{"bindings":[{"x":{"type":"bnode","value":"b"}}]},"head":{"vars":["s"]}}"#;
+        assert!(QueryResults::from_sparql_json(late_head)
+            .unwrap_err()
+            .0
+            .contains("unprojected variable ?x"));
+    }
+
+    #[test]
+    fn of_a_repeated_json_member_the_first_wins() {
+        // The rule `JsonValue::get` has always answered by, at every level:
+        // a later member of the same name is read past, whatever it holds.
+        let doc = r#"{
+            "head": {"vars": ["s"], "vars": ["other"]},
+            "head": {"vars": ["late"]},
+            "results": {"bindings": [
+                {"s": {"type": "uri", "type": "bnode", "value": "http://e.org/first", "value": 7},
+                 "s": {"type": "nonsense"}}
+            ], "bindings": "ignored"},
+            "results": 0
+        }"#;
+        assert_eq!(
+            QueryResults::from_sparql_json(doc).unwrap(),
+            QueryResults::Select(SelectResults {
+                variables: vec!["s".into()],
+                rows: vec![vec![Some(Term::Iri(
+                    Iri::new("http://e.org/first").unwrap()
+                ))]],
+            })
+        );
+        // `SELECT ?s ?s` projects one name twice, so the encoder repeats the
+        // member; both cells read the first.
+        let twice = SelectResults {
+            variables: vec!["s".into(), "s".into()],
+            rows: vec![vec![Some(Term::Literal(Literal::integer(1))); 2]],
+        };
+        assert_eq!(
+            QueryResults::from_sparql_json(&twice.to_sparql_json()).unwrap(),
+            QueryResults::Select(twice)
+        );
     }
 
     #[test]

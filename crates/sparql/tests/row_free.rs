@@ -92,6 +92,9 @@ fn counted(store: &TripleStore, query: &str) -> (SelectResults, usize) {
 
 /// `(small, large)`: the same query over 500 and over 4 000 instances.
 fn at_both_sizes(query: &str) -> [(SelectResults, usize); 2] {
+    // The first evaluation in a process also registers the engine's metric
+    // families, and which test gets to be first is the scheduler's choice.
+    counted(&class_instance_store(CLASSES), query);
     [500, 4_000].map(|instances| counted(&class_instance_store(instances), query))
 }
 

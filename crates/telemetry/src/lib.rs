@@ -1,9 +1,11 @@
 //! Unified telemetry for the H-BOLD workspace: a metrics registry with
-//! Prometheus text-format exposition, and per-query execution traces.
+//! Prometheus text-format exposition, per-query execution traces, and the
+//! JSON codec both are read and written with.
 //!
 //! The crate is std-only and dependency-free so every other crate in the
 //! workspace (engine, store, server, application layer) can depend on it
-//! without cycles.
+//! without cycles — which is also why the workspace's one JSON codec lives
+//! here rather than beside its heaviest user.
 //!
 //! # Metrics
 //!
@@ -29,11 +31,21 @@
 //! [`trace::Span::to_json`] renders the whole tree as an `EXPLAIN
 //! ANALYZE`-style JSON document. Spans are only allocated when a caller
 //! asks for a trace, so the untraced hot path pays nothing.
+//!
+//! # JSON
+//!
+//! [`json`] holds three things and the rest of the wire stands on them: a
+//! pull [`json::Reader`] that yields events from an explicit, depth-bounded
+//! stack (the SPARQL-results decoder reads rows straight off it),
+//! [`json::write_str`], the one string escaper, and the [`json::JsonValue`]
+//! tree that span trees, `/stats`, error bodies and the slow-query log are
+//! built as and printed from.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod expo;
+pub mod json;
 pub mod metrics;
 pub mod trace;
 

@@ -13,6 +13,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::json::JsonValue;
+
 /// An attribute value attached to a span.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttrValue {
@@ -79,26 +81,13 @@ impl AttrValue {
         }
     }
 
-    fn to_json(&self, out: &mut String) {
+    fn to_value(&self) -> JsonValue {
         match self {
-            AttrValue::U64(v) => out.push_str(&v.to_string()),
-            AttrValue::F64(v) => {
-                if v.is_finite() {
-                    out.push_str(&format!("{v}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            AttrValue::Str(v) => push_json_string(out, v),
+            AttrValue::U64(v) => JsonValue::from(*v),
+            AttrValue::F64(v) => JsonValue::from(*v),
+            AttrValue::Str(v) => JsonValue::from(v.as_str()),
             AttrValue::List(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.to_json(out);
-                }
-                out.push(']');
+                JsonValue::Array(items.iter().map(AttrValue::to_value).collect())
             }
         }
     }
@@ -119,24 +108,6 @@ impl fmt::Display for AttrValue {
             }
         }
     }
-}
-
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[derive(Debug)]
@@ -259,42 +230,23 @@ impl Span {
     /// Renders the subtree as JSON:
     /// `{"name":..,"elapsed_ns":..,"rows":..,"attrs":{..},"children":[..]}`.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.write_json(&mut out);
-        out
+        self.to_value().to_string()
     }
 
-    fn write_json(&self, out: &mut String) {
-        out.push('{');
-        out.push_str("\"name\":");
-        push_json_string(out, &self.inner.name);
-        out.push_str(&format!(
-            ",\"elapsed_ns\":{},\"rows\":{}",
-            self.elapsed_ns(),
-            self.rows()
-        ));
-        // `attrs` and `children` are always present, even when empty, so
-        // consumers can walk the tree without per-key existence checks.
+    /// The subtree as a JSON tree, for embedding in a larger document.
+    /// `attrs` and `children` are always present, even when empty, so
+    /// consumers can walk the tree without per-key existence checks.
+    pub fn to_value(&self) -> JsonValue {
         let attrs = self.inner.attrs.lock().expect("span lock poisoned").clone();
-        out.push_str(",\"attrs\":{");
-        for (i, (key, value)) in attrs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_string(out, key);
-            out.push(':');
-            value.to_json(out);
-        }
-        out.push('}');
-        out.push_str(",\"children\":[");
-        for (i, child) in self.children().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            child.write_json(out);
-        }
-        out.push(']');
-        out.push('}');
+        let attrs = JsonValue::object(attrs.into_iter().map(|(k, v)| (k, v.to_value())));
+        let children = self.children().iter().map(Span::to_value).collect();
+        JsonValue::object([
+            ("name", self.name().into()),
+            ("elapsed_ns", self.elapsed_ns().into()),
+            ("rows", self.rows().into()),
+            ("attrs", attrs),
+            ("children", JsonValue::Array(children)),
+        ])
     }
 }
 

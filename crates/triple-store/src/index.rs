@@ -480,7 +480,7 @@ fn key_successor(k: Key) -> Option<Key> {
 /// Ordered scan over a prefix range. With no churn inside the range — always,
 /// on a store without churn — it is the flat tier's contiguous subslice and
 /// nothing else: a bare slice iterator, small enough to move around for free.
-/// Otherwise it is a (boxed) three-way [`Merge`].
+/// Otherwise it is a (boxed) three-way `Merge`.
 pub struct PrefixScan<'a>(Scan<'a>);
 
 enum Scan<'a> {

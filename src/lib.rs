@@ -5,8 +5,8 @@
 //! `tests/` directories (and downstream users who want a single dependency)
 //! can reach the whole system through one crate.
 //!
-//! See `README.md` for the architecture overview and `DESIGN.md` for the
-//! paper-to-module mapping.
+//! See `README.md` for the overview and `ARCHITECTURE.md` for the
+//! paper-to-crate mapping.
 
 pub use hbold;
 pub use hbold_cluster as cluster;
