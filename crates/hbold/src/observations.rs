@@ -120,8 +120,9 @@ pub fn observation_quads(indexes: &DatasetIndexes) -> Vec<Quad> {
 
 /// Replaces the endpoint's named graph with the observations from one
 /// extraction, as a single atomic WAL-logged update: every quad currently
-/// in the graph is removed and the fresh observation quads are inserted in
-/// the same store transition. Returns the `(removed, inserted)` counts, or
+/// in the graph — read off that graph's own index range, not the whole
+/// store — is removed and the fresh observation quads are inserted in the
+/// same store transition. Returns the `(removed, inserted)` counts, or
 /// `None` when the endpoint URL is not a valid IRI.
 pub fn record_observations(
     store: &SharedStore,
@@ -131,8 +132,8 @@ pub fn record_observations(
     let inserts = observation_quads(indexes);
     Some(store.apply_update(|current| {
         let removes: Vec<Quad> = current
-            .iter_quads()
-            .filter(|q| q.graph.as_ref() == Some(&graph))
+            .iter_graph(Some(&graph))
+            .map(|triple| Quad::new(triple, Some(graph.clone())))
             .collect();
         (removes, inserts)
     }))

@@ -700,18 +700,29 @@ fn metrics(shared: &Shared) -> HttpResponse {
             &[],
         )
         .set(snapshot.named_graph_ids().len() as u64);
-    for (graph, quads) in snapshot.graph_quad_counts() {
-        let label = match &graph {
-            Some(term) => graph_name(term).to_string(),
-            None => "default".to_string(),
-        };
+    let graphs: Vec<(String, usize)> = snapshot
+        .graph_quad_counts()
+        .into_iter()
+        .map(|(graph, quads)| {
+            let label = graph.as_ref().map_or("default", graph_name);
+            (label.to_string(), quads)
+        })
+        .collect();
+    // A graph that no longer holds a quad has no series: the registry would
+    // otherwise repeat its last count on every scrape.
+    registry.retain("hbold_store_graph_quads", |labels| {
+        labels
+            .iter()
+            .any(|(_, graph)| graphs.iter().any(|(label, _)| label == graph))
+    });
+    for (label, quads) in &graphs {
         registry
             .gauge(
                 "hbold_store_graph_quads",
-                "Quads per graph (the default graph is labeled \"default\").",
-                &[("graph", &label)],
+                "Quads per graph holding at least one (the default graph is labeled \"default\").",
+                &[("graph", label)],
             )
-            .set(quads as u64);
+            .set(*quads as u64);
     }
     registry
         .gauge(

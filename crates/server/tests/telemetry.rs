@@ -180,10 +180,17 @@ fn metrics_exposition_agrees_with_stats_json() {
         );
     }
 
-    // Scrape-time gauges: 10 people × 2 triples each, six quad indexes.
+    // Scrape-time gauges: 10 people × 2 triples each, three quad indexes of
+    // three tiers each.
     assert_eq!(metric("hbold_store_triples", &[]), 20.0);
     assert!(metric("hbold_plan_cache_entries", &[]) >= 1.0);
-    for order in ["spog", "posg", "ospg", "gspo", "gpos", "gosp"] {
+    let tier_series = expo
+        .samples
+        .iter()
+        .filter(|sample| sample.name == "hbold_index_tier_entries")
+        .count();
+    assert_eq!(tier_series, 9);
+    for order in ["gspo", "gpos", "gosp"] {
         let total: f64 = ["flat", "delta", "dead"]
             .iter()
             .map(|tier| {

@@ -288,5 +288,26 @@ fn stats_and_metrics_carry_update_counters_and_graph_counts() {
         expo.value("hbold_store_graph_quads", &[("graph", "default")]),
         Some(8.0)
     );
+
+    // Emptying the graph takes its series out of the scrape; it used to
+    // repeat the last count, 2, on every scrape after.
+    let delete = "DELETE WHERE { GRAPH <http://example.org/g> { ?s ?p ?o } }";
+    assert_eq!(post_update(&server, "/update", delete).0, 204);
+    let (status, _, body) = roundtrip(&server, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+    assert_eq!(status, 200);
+    let expo = hbold_telemetry::expo::parse_exposition(std::str::from_utf8(&body).unwrap())
+        .expect("valid exposition");
+    assert_eq!(expo.value("hbold_store_named_graphs", &[]), Some(0.0));
+    assert_eq!(
+        expo.value(
+            "hbold_store_graph_quads",
+            &[("graph", "http://example.org/g")]
+        ),
+        None
+    );
+    assert_eq!(
+        expo.value("hbold_store_graph_quads", &[("graph", "default")]),
+        Some(8.0)
+    );
     server.shutdown();
 }

@@ -21,6 +21,13 @@
 //! `Continue`, `Break` (how `ASK` and an unordered `LIMIT` stop the walk
 //! early) or the error that fails the query.
 //!
+//! **Every scan reads inside one graph.** The query's dataset resolves once,
+//! into two graph lists (`EncDataset`): the default graphs a plain pattern
+//! reads and the named graphs `GRAPH` can see. A scan stage runs the store's
+//! in-graph scan per graph of its scope; `GRAPH ?g` with `?g` unbound is a
+//! loop over the named list that binds `?g` and runs the stage as if it had
+//! been bound all along.
+//!
 //! **Sinks copy what they keep.** The tail stages receive the borrowed row:
 //! the group stage folds it into per-group accumulators and keeps nothing,
 //! the order stage tests it against the top-k heap's maximum before copying
@@ -43,7 +50,7 @@ use std::time::{Duration, Instant};
 
 use hbold_rdf_model::Term;
 use hbold_telemetry::Span;
-use hbold_triple_store::{EncodedQuad, TermDictionary, TermId, TripleStore, DEFAULT_GRAPH};
+use hbold_triple_store::{EncodedTriple, TermDictionary, TermId, TripleStore, DEFAULT_GRAPH};
 
 use crate::ast::*;
 use crate::cancel::CancellationToken;
@@ -297,37 +304,48 @@ impl EncTriplePattern {
     }
 }
 
-/// The query dataset resolved to graph identifiers.
+/// The query dataset resolved to graph identifiers, once per query: the two
+/// graph lists every scan reads inside.
 ///
-/// `None` in either field means the query had **no** dataset clauses at all
-/// and the store's own dataset applies; when any `FROM`/`FROM NAMED` clause
-/// is present both fields are `Some` (possibly-empty — per SPARQL, dataset
-/// clauses *replace* the store dataset rather than extend it). Graphs never
-/// interned by the store resolve to nothing and simply drop out.
-#[derive(Debug, Clone, Default)]
+/// Without dataset clauses the default graph is the store's own and `GRAPH`
+/// sees every named graph holding a quad; any `FROM`/`FROM NAMED` clause
+/// *replaces* both (per SPARQL, dataset clauses replace the store dataset
+/// rather than extend it), and graphs never interned by the store resolve to
+/// nothing and simply drop out.
+#[derive(Debug, Clone)]
 pub(crate) struct EncDataset {
-    /// `FROM` graphs merged into the query's default graph.
-    pub default_graphs: Option<Vec<TermId>>,
-    /// `FROM NAMED` graphs visible to `GRAPH`.
-    pub named_graphs: Option<Vec<TermId>>,
+    /// The graphs merged into the query's default graph:
+    /// `[DEFAULT_GRAPH]`, or the `FROM` graphs.
+    pub default_graphs: Vec<TermId>,
+    /// The graphs visible to `GRAPH`, ascending: the store's named graphs,
+    /// or the `FROM NAMED` graphs.
+    pub named_graphs: Vec<TermId>,
 }
 
 impl EncDataset {
-    /// Resolves a parsed [`Dataset`] against the store dictionary.
-    pub(crate) fn compile(dataset: &Dataset, dict: &TermDictionary) -> EncDataset {
+    /// Resolves a parsed [`Dataset`] against the store.
+    pub(crate) fn compile(dataset: &Dataset, store: &TripleStore) -> EncDataset {
         if dataset.is_empty() {
-            return EncDataset::default();
+            return EncDataset {
+                default_graphs: vec![DEFAULT_GRAPH],
+                named_graphs: store.named_graph_ids(),
+            };
         }
         let resolve = |graphs: &[Term]| -> Vec<TermId> {
-            let mut ids: Vec<TermId> = graphs.iter().filter_map(|t| dict.id_of(t)).collect();
+            let mut ids: Vec<TermId> = graphs.iter().filter_map(|t| store.id_of(t)).collect();
             ids.sort_unstable();
             ids.dedup();
             ids
         };
         EncDataset {
-            default_graphs: Some(resolve(&dataset.default_graphs)),
-            named_graphs: Some(resolve(&dataset.named_graphs)),
+            default_graphs: resolve(&dataset.default_graphs),
+            named_graphs: resolve(&dataset.named_graphs),
         }
+    }
+
+    /// `true` when `GRAPH` can see `graph`.
+    pub(crate) fn is_named(&self, graph: TermId) -> bool {
+        self.named_graphs.binary_search(&graph).is_ok()
     }
 }
 
@@ -436,17 +454,18 @@ pub(crate) struct EncContext<'a> {
 }
 
 impl<'a> EncContext<'a> {
-    /// A context with neither private counters nor a token attached.
+    /// A context for one query over `store`, its dataset resolved, with
+    /// neither private counters nor a token attached.
     pub(crate) fn new(
         store: &'a TripleStore,
-        dict: &'a TermDictionary,
         layout: &'a SlotLayout,
+        dataset: &Dataset,
     ) -> EncContext<'a> {
         EncContext {
             store,
-            dict,
+            dict: store.dictionary(),
             layout,
-            dataset: EncDataset::default(),
+            dataset: EncDataset::compile(dataset, store),
             counters: None,
             cancel: None,
         }
@@ -709,10 +728,11 @@ impl Op<'_> {
 
 // ---- triple-pattern scans --------------------------------------------------------
 
-/// One BGP stage: extends `row` through `tp` by an encoded index scan,
-/// emitting once per matching quad. A constant uses its pre-compiled id, a
-/// variable the row already binds acts as a constant, and an unbound
-/// variable leaves its position open for the range scan to bind.
+/// One BGP stage: extends `row` through `tp` by encoded index scans inside
+/// the graphs the pattern reads, emitting once per matching quad. A constant
+/// uses its pre-compiled id, a variable the row already binds acts as a
+/// constant, and an unbound variable leaves its position open for the range
+/// scan to bind.
 fn scan(
     ctx: &EncContext<'_>,
     tp: &EncTriplePattern,
@@ -720,9 +740,43 @@ fn scan(
     row: &mut [TermId],
     emit: Emit<'_>,
 ) -> Flow {
+    // The graphs to scan inside: the query's default graphs, or the named
+    // graph the pattern is scoped to, if visible.
+    let scoped: [TermId; 1];
+    let graphs: &[TermId] = match tp.graph {
+        EncGraph::Default => &ctx.dataset.default_graphs,
+        EncGraph::Named(EncNode::Var(slot)) if row[slot as usize] == UNBOUND => {
+            // `GRAPH ?g`, `?g` unbound: one in-graph scan per visible named
+            // graph, with `?g` bound to it meanwhile — so a `?g` inside the
+            // triple (`GRAPH ?g { ?g ?p ?o }`) is a constant like any bound
+            // variable.
+            for &g in &ctx.dataset.named_graphs {
+                row[slot as usize] = g;
+                let flow = scan(ctx, tp, probe, row, emit);
+                row[slot as usize] = UNBOUND;
+                if flow?.is_break() {
+                    return Ok(ControlFlow::Break(()));
+                }
+            }
+            return CONTINUE;
+        }
+        EncGraph::Named(node) => {
+            let graph = match node {
+                EncNode::Const(id) => id,
+                EncNode::Var(slot) => Some(row[slot as usize]),
+            };
+            match graph {
+                Some(g) if ctx.dataset.is_named(g) => {
+                    scoped = [g];
+                    &scoped
+                }
+                _ => return CONTINUE,
+            }
+        }
+    };
     // The positions this scan binds, as (position, slot), and the ids it
     // looks up.
-    let mut open = [(0usize, 0u32); 4];
+    let mut open = [(0usize, 0u32); 3];
     let mut opened = 0;
     let mut fixed = [None; 3];
     for (position, node) in tp.nodes().into_iter().enumerate() {
@@ -739,82 +793,35 @@ fn scan(
         }
     }
     let [s, p, o] = fixed;
-    let within = |g: TermId| ctx.store.matching_quads_encoded_iter(Some(g), s, p, o);
-    let named = ctx.dataset.named_graphs.as_deref();
-    let visible = |g: TermId| named.is_none_or(|named| named.contains(&g));
-    // The graphs to scan inside: the store's default graph or the `FROM`
-    // graphs, or the named graph the pattern is scoped to, if visible.
-    let scoped;
-    let graphs: &[TermId] = match tp.graph {
-        EncGraph::Default => match &ctx.dataset.default_graphs {
-            None => &[DEFAULT_GRAPH],
-            Some(graphs) => graphs,
-        },
-        EncGraph::Named(EncNode::Var(slot)) if row[slot as usize] == UNBOUND => {
-            // `GRAPH ?g`, `?g` unbound: a graph-last scan across every
-            // graph, skipping the default graph's quads and the graphs
-            // `FROM NAMED` hides, binding the graph slot per quad —
-            // conflict-checked like any other position (`GRAPH ?g { ?g ?p
-            // ?o }` is legal).
-            open[opened] = (3, slot);
-            let quads = ctx.store.matching_quads_encoded_iter(None, s, p, o);
-            let admit = |g| g != DEFAULT_GRAPH && visible(g);
-            return each_quad(quads, admit, &open[..=opened], probe, row, emit);
-        }
-        EncGraph::Named(node) => {
-            let graph = match node {
-                EncNode::Const(id) => id,
-                EncNode::Var(slot) => Some(row[slot as usize]),
-            };
-            scoped = graph.filter(|&g| visible(g));
-            scoped.as_slice()
-        }
-    };
+    let within = |g: TermId| ctx.store.matching_quads_encoded_iter(g, s, p, o);
     let open = &open[..opened];
     match graphs {
         [] => CONTINUE,
-        &[g] => each_quad(within(g), |_| true, open, probe, row, emit),
+        &[g] => each_triple(within(g), open, probe, row, emit),
         // A `FROM` merge of two or more graphs: the default graph is their
         // *set* union, so matches go through a dedup set first.
         graphs => {
-            let merged: BTreeSet<[TermId; 3]> = graphs
-                .iter()
-                .flat_map(|&g| within(g))
-                .map(|quad| [quad.subject, quad.predicate, quad.object])
-                .collect();
-            let quads = merged
-                .into_iter()
-                .map(|[subject, predicate, object]| EncodedQuad {
-                    subject,
-                    predicate,
-                    object,
-                    graph: DEFAULT_GRAPH,
-                });
-            each_quad(quads, |_| true, open, probe, row, emit)
+            let merged: BTreeSet<EncodedTriple> = graphs.iter().flat_map(|&g| within(g)).collect();
+            each_triple(merged.into_iter(), open, probe, row, emit)
         }
     }
 }
 
-/// The scan loop: every quad is one unit of the stage's work (polled); each
-/// one of a graph `admit` lets through binds the `open` positions, emits,
-/// and un-binds. Every open slot was unbound on entry, so un-binding resets
-/// them all — also after a repeated variable met conflicting ids (`?x ?p
-/// ?x`) and nothing was emitted.
+/// The scan loop: every triple is one unit of the stage's work (polled);
+/// each binds the `open` positions, emits, and un-binds. Every open slot was
+/// unbound on entry, so un-binding resets them all — also after a repeated
+/// variable met conflicting ids (`?x ?p ?x`) and nothing was emitted.
 #[inline]
-fn each_quad(
-    quads: impl Iterator<Item = EncodedQuad>,
-    admit: impl Fn(TermId) -> bool,
+fn each_triple(
+    triples: impl Iterator<Item = EncodedTriple>,
     open: &[(usize, u32)],
     probe: &Probe<'_>,
     row: &mut [TermId],
     emit: Emit<'_>,
 ) -> Flow {
-    for quad in quads {
+    for triple in triples {
         probe.poll()?;
-        if !admit(quad.graph) {
-            continue;
-        }
-        let ids = [quad.subject, quad.predicate, quad.object, quad.graph];
+        let ids = [triple.subject, triple.predicate, triple.object];
         let consistent = open.iter().all(|&(position, slot)| {
             let cell = &mut row[slot as usize];
             if *cell == UNBOUND {

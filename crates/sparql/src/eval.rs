@@ -32,7 +32,7 @@ use hbold_telemetry::Span;
 use hbold_triple_store::TripleStore;
 
 use crate::ast::*;
-use crate::encoded::{compile_pattern, execute, timed, EncContext, EncDataset, SlotLayout};
+use crate::encoded::{compile_pattern, execute, timed, EncContext, SlotLayout};
 use crate::error::SparqlError;
 use crate::expr::{evaluate_scoped, number_term, Binding, EvalValue, Scope};
 use crate::optimize::{plan_pattern, BgpReorder, PlanCounters};
@@ -113,15 +113,14 @@ pub(crate) fn evaluate_planned(
     reorder: Option<BgpReorder<'_>>,
 ) -> Result<QueryResults, SparqlError> {
     // Compile the query to the encoded domain: variables get dense slots,
-    // constant terms resolve to dictionary ids (a constant the store never
-    // interned compiles to a scan that is statically empty).
+    // the dataset's two graph lists resolve to ids once, and constant terms
+    // resolve to dictionary ids (a constant the store never interned
+    // compiles to a scan that is statically empty).
     let layout = SlotLayout::of_query(query);
-    let dict = store.dictionary();
-    let mut ctx = EncContext::new(store, dict, &layout);
+    let mut ctx = EncContext::new(store, &layout, &query.dataset);
     ctx.counters = hooks.counters;
     ctx.cancel = hooks.cancel;
-    ctx.dataset = EncDataset::compile(&query.dataset, dict);
-    let pattern = compile_pattern(&query.pattern, &layout, dict);
+    let pattern = compile_pattern(&query.pattern, &layout, ctx.dict);
     // The single planning pass: orders every BGP by cost, pushes eligible
     // equality filters down and chooses the tail, before any operator runs.
     let plan_span = hooks.trace.map(|root| root.child("plan"));

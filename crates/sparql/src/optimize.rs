@@ -14,11 +14,13 @@
 //! decides:
 //!
 //! * **Cardinality estimation** — every triple pattern's constant prefix is
-//!   counted *exactly* against the store's flat SPO/POS/OSP indexes (two
-//!   binary searches per count, delta tier included; see
-//!   `TripleStore::count_matching_encoded`), and positions occupied by
+//!   counted *exactly*, graph by graph over the graphs it reads, against the
+//!   store's graph-first GSPO/GPOS/GOSP indexes (a binary search and a
+//!   gallop per count, churn tiers included; see
+//!   `TripleStore::count_matching_quads_encoded`), and positions occupied by
 //!   already-bound variables divide that count by a distinct-value estimate
-//!   for the position, yielding the expected rows *per input row*.
+//!   for the position read inside one graph, yielding the expected rows *per
+//!   input row*.
 //! * **Greedy cheapest-next-join ordering** — the planner repeatedly picks
 //!   the connected pattern with the smallest estimate (ties broken by a
 //!   shape score, then by lowest pattern index).
@@ -55,7 +57,7 @@ use std::sync::OnceLock;
 
 use hbold_rdf_model::Term;
 use hbold_telemetry::{Counter, Registry, Span};
-use hbold_triple_store::{TermId, TripleStore, DEFAULT_GRAPH};
+use hbold_triple_store::{TermId, TripleStore};
 
 use crate::ast::{ComparisonOp, Expression, Function, Projection, Query, QueryForm};
 use crate::encoded::{compile_pattern, EncContext, EncNode, EncPattern, EncTriplePattern};
@@ -334,12 +336,10 @@ impl fmt::Display for PlanExplanation {
 /// behind [`plan_stats`] advance.
 pub fn explain(store: &TripleStore, query: &Query) -> PlanExplanation {
     let layout = SlotLayout::of_query(query);
-    let dict = store.dictionary();
-    let mut ctx = EncContext::new(store, dict, &layout);
-    ctx.dataset = EncDataset::compile(&query.dataset, dict);
+    let ctx = EncContext::new(store, &layout, &query.dataset);
     let plan = plan_pattern(
         &ctx,
-        compile_pattern(&query.pattern, &layout, dict),
+        compile_pattern(&query.pattern, &layout, ctx.dict),
         query,
         None,
     );
@@ -586,16 +586,17 @@ fn is_connected(tp: &EncTriplePattern, bound: &[bool]) -> bool {
 /// Expected number of rows this pattern produces *per input row*, given the
 /// bound slots.
 ///
-/// The constant positions are counted exactly against the store indexes
-/// *within the pattern's graph scope* — a default-graph pattern counts the
-/// default graph (or the `FROM` merge), `GRAPH <g>` counts graph `g`, and
-/// `GRAPH ?g` counts every visible named graph. Each position occupied by a
-/// bound variable then divides the count by a distinct-value estimate for
-/// that position (conditioned on a constant neighbor when one exists — e.g.
-/// a bound subject under a constant object divides by the distinct subjects
-/// *of that object*); a bound graph variable divides by the number of
-/// visible named graphs. The estimate is clamped to at least 1 unless the
-/// graph scope or constant prefix matches nothing.
+/// The constant positions are counted exactly against the store indexes,
+/// graph by graph over the pattern's graph scope — the query's default
+/// graphs (the store's default graph, or the `FROM` graphs), `GRAPH <g>`'s
+/// one graph, or every visible named graph for `GRAPH ?g`. Each position
+/// occupied by a bound variable then divides the count by a distinct-value
+/// estimate for that position read inside the scope's largest graph
+/// (conditioned on a constant neighbor when one exists — e.g. a bound
+/// subject under a constant object divides by the distinct subjects *of that
+/// object*); a bound graph variable divides by the number of visible named
+/// graphs. The estimate is clamped to at least 1 unless the graph scope or
+/// constant prefix matches nothing.
 fn estimate_pattern(
     store: &TripleStore,
     dataset: &EncDataset,
@@ -613,74 +614,61 @@ fn estimate_pattern(
             EncNode::Var(_) => {}
         }
     }
-    let count = |g: Option<TermId>| {
-        store.count_matching_quads_encoded(g, consts[0], consts[1], consts[2]) as u64
-    };
-    let (total, graph_divisor): (u64, u64) = match tp.graph {
-        EncGraph::Default => match &dataset.default_graphs {
-            // No FROM clause: the store's own default graph.
-            None => (count(Some(DEFAULT_GRAPH)), 1),
-            // FROM merge: the per-graph sum over-counts duplicates the
-            // set-semantics merge removes, which only makes the estimate
-            // conservative.
-            Some(graphs) => (graphs.iter().map(|&g| count(Some(g))).sum(), 1),
-        },
-        // A graph IRI the store never interned: statically empty.
-        EncGraph::Named(EncNode::Const(None)) => return 0,
-        EncGraph::Named(EncNode::Const(Some(g))) => {
-            let visible = match &dataset.named_graphs {
-                None => true,
-                Some(named) => named.contains(&g),
-            };
-            if !visible {
-                return 0;
-            }
-            (count(Some(g)), 1)
+    let scoped: [TermId; 1];
+    let (graphs, graph_divisor): (&[TermId], u64) = match tp.graph {
+        EncGraph::Default => (&dataset.default_graphs, 1),
+        EncGraph::Named(EncNode::Const(Some(g))) if dataset.is_named(g) => {
+            scoped = [g];
+            (&scoped, 1)
         }
+        // A graph IRI the store never interned, or one the dataset hides:
+        // statically empty.
+        EncGraph::Named(EncNode::Const(_)) => return 0,
+        // A bound graph variable pins the scan to one graph; assume named
+        // quads spread evenly across the visible graphs.
         EncGraph::Named(EncNode::Var(slot)) => {
-            let (named_total, graph_count) = match &dataset.named_graphs {
-                Some(named) => (
-                    named.iter().map(|&g| count(Some(g))).sum::<u64>(),
-                    named.len() as u64,
-                ),
-                None => (
-                    // All-graphs count minus the default graph's share: the
-                    // scan skips default-graph quads.
-                    count(None).saturating_sub(count(Some(DEFAULT_GRAPH))),
-                    store.named_graph_ids().len() as u64,
-                ),
+            let graphs = &dataset.named_graphs;
+            let divisor = match bound[slot as usize] {
+                true => graphs.len().max(1) as u64,
+                false => 1,
             };
-            if bound[slot as usize] {
-                // A bound graph variable pins the scan to one graph; assume
-                // named quads spread evenly across the visible graphs.
-                (named_total, graph_count.max(1))
-            } else {
-                (named_total, 1)
-            }
+            (graphs, divisor)
         }
     };
+    let count =
+        |g: TermId| store.count_matching_quads_encoded(g, consts[0], consts[1], consts[2]) as u64;
+    // Over a `FROM` merge the per-graph sum over-counts the duplicates the
+    // set-semantics merge removes, which only makes the estimate
+    // conservative.
+    let total: u64 = graphs.iter().map(|&g| count(g)).sum();
     if total <= 1 {
         return total;
     }
+    // The distinct-value estimates read the scope's largest graph.
+    let graph = graphs
+        .iter()
+        .copied()
+        .max_by_key(|&g| store.count_matching_quads_encoded(g, None, None, None))
+        .expect("a scope that matches rows has a graph");
     let mut divisor: u64 = graph_divisor;
     if bound_var[0] {
         let d = match consts[2] {
-            Some(o) => store.distinct_subjects_of_object(o),
-            None => store.distinct_subjects_estimate(),
+            Some(o) => store.distinct_subjects_of_object(graph, o),
+            None => store.distinct_subjects_estimate(graph),
         };
         divisor = divisor.saturating_mul(d.max(1) as u64);
     }
     if bound_var[1] {
         let d = match consts[0] {
-            Some(s) => store.distinct_predicates_of_subject(s),
-            None => store.distinct_predicates_estimate(),
+            Some(s) => store.distinct_predicates_of_subject(graph, s),
+            None => store.distinct_predicates_estimate(graph),
         };
         divisor = divisor.saturating_mul(d.max(1) as u64);
     }
     if bound_var[2] {
         let d = match consts[1] {
-            Some(p) => store.distinct_objects_of_predicate(p),
-            None => store.distinct_objects_estimate(),
+            Some(p) => store.distinct_objects_of_predicate(graph, p),
+            None => store.distinct_objects_estimate(graph),
         };
         divisor = divisor.saturating_mul(d.max(1) as u64);
     }
@@ -880,6 +868,7 @@ pub(crate) fn apply_prebind(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Dataset;
     use crate::parse_query;
     use hbold_rdf_model::{Iri, Triple};
 
@@ -942,7 +931,8 @@ mod tests {
             tp(var(0), hub, var(1)),
         ];
         let bound = vec![false; 2];
-        let (order, _) = stats_join_order(&store, &EncDataset::default(), &patterns, &bound);
+        let ds = EncDataset::compile(&Dataset::default(), &store);
+        let (order, _) = stats_join_order(&store, &ds, &patterns, &bound);
         assert_eq!(order, vec![0, 1, 2]);
     }
 
@@ -975,7 +965,7 @@ mod tests {
     fn estimates_divide_by_distinct_counts_for_bound_vars() {
         let store = skewed_store();
         let hub = store.id_of(&iri("http://e.org/hub").into()).unwrap();
-        let ds = EncDataset::default();
+        let ds = EncDataset::compile(&Dataset::default(), &store);
         // (?s hub ?o) with ?s already bound: 60 triples / 20 subjects = 3.
         let pattern = tp(var(0), EncNode::Const(Some(hub)), var(1));
         let est = estimate_pattern(&store, &ds, &pattern, &[true, false]);

@@ -862,6 +862,73 @@ fn repeated_variable_conflicts_unbind_cleanly() {
     );
 }
 
+// ---- encoded.rs: `GRAPH ?g` as a loop over the visible named graphs -------------
+
+/// `GRAPH ?g` with `?g` unbound runs one in-graph scan per named graph the
+/// query can see, `?g` bound to it meanwhile. Four shapes that loop must get
+/// right, each against the planned, shuffled and reference engines.
+#[test]
+fn graph_variable_scans_read_each_visible_named_graph() {
+    let term = |name: &str| Term::Iri(iri(&format!("http://u.example/{name}")));
+    let mut store = undo_store(&[("a", "r", "o"), ("g1", "link", "g2"), ("g3", "link", "a")]);
+    let named = |s: &str, g: &str| {
+        hbold_rdf_model::Quad::new(Triple::new(term(s), term("r"), term("o")), Some(term(g)))
+    };
+    for (s, g) in [("a", "g1"), ("g1", "g1"), ("g2", "g2"), ("b", "g3")] {
+        store.insert_quad(&named(s, g));
+    }
+    let ask = |store: &TripleStore, query: &str| {
+        let query = query.replace('<', "<http://u.example/");
+        three_way(store, &query) == QueryResults::Ask(true)
+    };
+
+    // `?g` inside its own triple: the graph binds it first, so the subject
+    // position reads it as a constant.
+    assert_eq!(
+        undo_rows(
+            &store,
+            "SELECT ?g ?o WHERE { GRAPH ?g { ?g ?p ?o } } ORDER BY ?g"
+        ),
+        [cells(&["g1", "o"]), cells(&["g2", "o"])]
+    );
+    // `?g` bound by an earlier pattern — in whichever order the scans run:
+    // `g1 link g2` scopes the graph pattern to `g2`; `g3 link a` names no
+    // graph at all.
+    assert_eq!(
+        undo_rows(
+            &store,
+            "SELECT ?x ?g ?s WHERE { ?x <link> ?g . GRAPH ?g { ?s <r> <o> } } ORDER BY ?x ?s"
+        ),
+        [cells(&["g1", "g2", "g2"])]
+    );
+    // `FROM NAMED` hides every graph it does not name, also from a constant
+    // `GRAPH <g1>`.
+    assert_eq!(
+        undo_rows(
+            &store,
+            "SELECT ?g ?s FROM NAMED <g2> FROM NAMED <g3> WHERE { GRAPH ?g { ?s <r> <o> } } \
+             ORDER BY ?g ?s"
+        ),
+        [cells(&["g2", "g2"]), cells(&["g3", "b"])]
+    );
+    assert!(!ask(
+        &store,
+        "ASK FROM NAMED <g2> { GRAPH <g1> { ?s ?p ?o } }"
+    ));
+    // A graph whose quads were all deleted is no graph: its name stays
+    // interned, but neither `GRAPH ?g` nor `GRAPH <g3>` finds it.
+    assert!(store.remove_quad(&named("b", "g3")));
+    assert_eq!(
+        undo_rows(
+            &store,
+            "SELECT ?g (COUNT(*) AS ?n) WHERE { GRAPH ?g { ?s ?p ?o } } GROUP BY ?g ORDER BY ?g"
+        ),
+        [cells(&["g1", "2"]), cells(&["g2", "1"])]
+    );
+    assert!(!ask(&store, "ASK { GRAPH <g3> { ?s ?p ?o } }"));
+    assert!(ask(&store, "ASK { GRAPH <g2> { ?s ?p ?o } }"));
+}
+
 /// Inside the right side of a left join, a tripped token and a `FILTER` that
 /// fails hard are the query's typed error — never "the right side did not
 /// match", which would hand back the bare left row.

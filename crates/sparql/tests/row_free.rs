@@ -11,7 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use hbold_rdf_model::vocab::rdf;
-use hbold_rdf_model::{Iri, Literal, Triple};
+use hbold_rdf_model::{Iri, Literal, Quad, Triple};
 use hbold_sparql::{evaluate, parse_query, SelectResults};
 use hbold_triple_store::TripleStore;
 
@@ -57,6 +57,30 @@ fn iri(local: &str) -> Iri {
 /// links to other instances: a class/instance graph whose schema (classes,
 /// properties, link targets) does not grow with `instances`.
 fn class_instance_store(instances: usize) -> TripleStore {
+    let mut store = TripleStore::new();
+    store.insert_batch(class_instance_triples(instances).iter());
+    store
+}
+
+/// The same triples spread over `NAMED_GRAPHS` named graphs by subject, the
+/// default graph empty: as many graphs at every size.
+fn named_graph_store(instances: usize) -> TripleStore {
+    let quads: Vec<Quad> = class_instance_triples(instances)
+        .into_iter()
+        .enumerate()
+        .map(|(i, triple)| {
+            let graph = iri(&format!("g{}", i / 4 % NAMED_GRAPHS));
+            Quad::new(triple, Some(graph.into()))
+        })
+        .collect();
+    let mut store = TripleStore::new();
+    store.insert_quads_batch(&quads);
+    store
+}
+
+const NAMED_GRAPHS: usize = 3;
+
+fn class_instance_triples(instances: usize) -> Vec<Triple> {
     let mut triples = Vec::new();
     for i in 0..instances {
         let s = iri(&format!("i{i:06}"));
@@ -76,9 +100,7 @@ fn class_instance_store(instances: usize) -> TripleStore {
             triples.push(Triple::new(s.clone(), iri(&format!("link{k}")), target));
         }
     }
-    let mut store = TripleStore::new();
-    store.insert_batch(triples.iter());
-    store
+    triples
 }
 
 /// Evaluates `query`, returning its rows and the allocations `evaluate` made.
@@ -92,10 +114,24 @@ fn counted(store: &TripleStore, query: &str) -> (SelectResults, usize) {
 
 /// `(small, large)`: the same query over 500 and over 4 000 instances.
 fn at_both_sizes(query: &str) -> [(SelectResults, usize); 2] {
+    at_both_sizes_of(class_instance_store, query)
+}
+
+fn at_both_sizes_of(store: fn(usize) -> TripleStore, query: &str) -> [(SelectResults, usize); 2] {
     // The first evaluation in a process also registers the engine's metric
     // families, and which test gets to be first is the scheduler's choice.
-    counted(&class_instance_store(CLASSES), query);
-    [500, 4_000].map(|instances| counted(&class_instance_store(instances), query))
+    counted(&store(CLASSES), query);
+    [500, 4_000].map(|instances| counted(&store(instances), query))
+}
+
+/// The single count of a result.
+fn count(results: &SelectResults) -> usize {
+    results.rows[0][0]
+        .as_ref()
+        .unwrap()
+        .label()
+        .parse()
+        .unwrap()
 }
 
 #[test]
@@ -120,10 +156,6 @@ fn a_link_count_allocates_for_its_groups_not_its_rows() {
 fn a_count_over_a_join_allocates_the_same_at_any_size() {
     let [(small, few), (large, many)] =
         at_both_sizes("SELECT (COUNT(*) AS ?n) WHERE { ?s a <http://rf.example/C1> . ?s ?p ?o }");
-    let count = |results: &SelectResults| -> usize {
-        let n = results.rows[0][0].as_ref().unwrap();
-        n.label().parse().unwrap()
-    };
     assert_eq!(count(&small) * 8, count(&large), "rows are not constant");
     assert!(
         many.abs_diff(few) <= 4,
@@ -144,4 +176,32 @@ fn a_top_k_allocates_for_the_rows_it_keeps_not_the_rows_it_sees() {
     // A kept row is its copy in the heap and its decoded output row; the
     // rest is the heap's own growth and the query's fixed set-up.
     assert!(many <= 4 * KEPT, "{many} allocations to keep {KEPT} rows");
+}
+
+#[test]
+fn a_graph_variable_count_allocates_the_same_at_any_size() {
+    // `GRAPH ?g` is one in-graph scan per visible named graph: the graph
+    // list is resolved once per query, never per row or per graph.
+    let [(small, few), (large, many)] = at_both_sizes_of(
+        named_graph_store,
+        "SELECT (COUNT(*) AS ?n) WHERE { GRAPH ?g { ?s a <http://rf.example/C1> . ?s ?p ?o } }",
+    );
+    assert_eq!(count(&small) * 8, count(&large), "rows are not constant");
+    assert!(
+        many.abs_diff(few) <= 4,
+        "{few} allocations over 500 instances, {many} over 4 000"
+    );
+    // Grouped by the graph: one group per named graph at either size.
+    let [(small, few), (large, many)] = at_both_sizes_of(
+        named_graph_store,
+        "SELECT ?g (COUNT(*) AS ?n) WHERE { GRAPH ?g { ?s ?p ?o } } GROUP BY ?g",
+    );
+    assert_eq!(
+        (small.rows.len(), large.rows.len()),
+        (NAMED_GRAPHS, NAMED_GRAPHS)
+    );
+    assert!(
+        many.abs_diff(few) <= 4,
+        "{few} allocations over 500 instances, {many} over 4 000"
+    );
 }

@@ -348,6 +348,18 @@ impl Registry {
         }
     }
 
+    /// Drops the series of family `name` whose sorted label pairs `keep`
+    /// rejects — how a scrape-time gauge whose subject is gone leaves the
+    /// exposition instead of repeating its last value for ever. A handle to
+    /// a dropped series keeps working but is no longer rendered; registering
+    /// the same labels again starts a fresh series.
+    pub fn retain(&self, name: &str, keep: impl Fn(&[(String, String)]) -> bool) {
+        let mut families = self.families.lock().expect("registry lock poisoned");
+        if let Some(family) = families.get_mut(name) {
+            family.series.retain(|labels, _| keep(labels));
+        }
+    }
+
     /// Renders every family in the Prometheus text exposition format
     /// (version 0.0.4). Families and series appear in sorted order so the
     /// output is deterministic.
@@ -445,6 +457,19 @@ mod tests {
         let g = reg.gauge("t_size", "help", &[]);
         g.set(7);
         assert_eq!(reg.gauge("t_size", "help", &[]).get(), 7);
+    }
+
+    #[test]
+    fn retain_drops_rejected_series_from_the_render() {
+        let reg = Registry::new();
+        reg.gauge("t_quads", "help", &[("graph", "a")]).set(2);
+        reg.gauge("t_quads", "help", &[("graph", "b")]).set(3);
+        reg.retain("t_quads", |labels| labels[0].1 == "b");
+        reg.retain("t_absent", |_| false);
+        let text = reg.render();
+        assert!(!text.contains("t_quads{graph=\"a\"}"), "{text}");
+        assert!(text.contains("t_quads{graph=\"b\"} 3\n"), "{text}");
+        assert_eq!(reg.gauge("t_quads", "help", &[("graph", "a")]).get(), 0);
     }
 
     #[test]

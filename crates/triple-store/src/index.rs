@@ -4,13 +4,12 @@
 //! permutation of `(subject, predicate, object, graph)` identifiers. A
 //! lookup that binds a prefix of the permutation becomes a range scan.
 //!
-//! Six permutations are kept (the SPOG/POSG/OSPG + GSPO/GPOS/GOSP layout):
-//! the three graph-last orders serve any-graph scans with a triple prefix,
-//! and the three graph-first orders serve scans inside one graph — including
-//! the default graph, which is addressed by the reserved
-//! `DEFAULT_GRAPH` identifier (`TermId::MAX`, never interned). Because every
-//! range below is inclusive on both bounds, the sentinel needs no special
-//! casing: `scan_prefix1(TermId::MAX)` is a well-formed range.
+//! Three permutations are kept, all graph-first — GSPO, GPOS, GOSP — because
+//! every scan reads inside one graph: a triple prefix under a graph prefix
+//! covers every pattern shape. The default graph is addressed by the
+//! reserved `DEFAULT_GRAPH` identifier (`TermId::MAX`, never interned), and
+//! because every range below is inclusive on both bounds, the sentinel needs
+//! no special casing: `scan_prefix1(TermId::MAX)` is a well-formed range.
 //!
 //! # Hybrid layout: sorted flat vector + B-tree churn tiers
 //!
@@ -39,8 +38,8 @@
 //!   iterator.
 //!
 //! The index holds the mechanism only. *When* a change goes key by key into
-//! the churn tiers and when all six orders merge is decided in one place,
-//! `TripleStore`'s fold policy (see `FOLD_RATIO` in `store.rs`), so the six
+//! the churn tiers and when all three orders merge is decided in one place,
+//! `TripleStore`'s fold policy (see `FOLD_RATIO` in `store.rs`), so the three
 //! orders always sit in the same tier state.
 //!
 //! Invariants maintained by every mutation: `flat` is sorted and unique,
@@ -51,20 +50,14 @@ use std::ops::Bound;
 
 use crate::dictionary::TermId;
 
-/// The six index orderings kept by the store.
+/// The three index orderings kept by the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IndexOrder {
-    /// subject, predicate, object, graph — any-graph (s ? ?), (s p ?), (s p o).
-    Spog,
-    /// predicate, object, subject, graph — any-graph (? p ?), (? p o).
-    Posg,
-    /// object, subject, predicate, graph — any-graph (? ? o), (s ? o).
-    Ospg,
-    /// graph, subject, predicate, object — in-graph (s ? ?), (s p ?), (s p o).
+    /// graph, subject, predicate, object — (s ? ?), (s p ?), (s p o), (? ? ?).
     Gspo,
-    /// graph, predicate, object, subject — in-graph (? p ?), (? p o).
+    /// graph, predicate, object, subject — (? p ?), (? p o).
     Gpos,
-    /// graph, object, subject, predicate — in-graph (? ? o), (s ? o).
+    /// graph, object, subject, predicate — (? ? o), (s ? o).
     Gosp,
 }
 
@@ -72,9 +65,6 @@ impl IndexOrder {
     /// The lowercase label used in metrics (`hbold_index_tier_entries`).
     pub fn label(self) -> &'static str {
         match self {
-            IndexOrder::Spog => "spog",
-            IndexOrder::Posg => "posg",
-            IndexOrder::Ospg => "ospg",
             IndexOrder::Gspo => "gspo",
             IndexOrder::Gpos => "gpos",
             IndexOrder::Gosp => "gosp",
@@ -391,28 +381,30 @@ impl PositionalIndex {
         out
     }
 
-    /// Estimated number of distinct first components across the index.
-    ///
-    /// Exact when there are at most `DISTINCT_PROBES` (16) distinct leading
-    /// values; beyond that the remainder is extrapolated from the average
-    /// run length observed so far. Each probe gallops over one run with two
-    /// binary searches, so the cost is `O(DISTINCT_PROBES · log n)`.
-    pub fn distinct_first_estimate(&self) -> usize {
-        self.distinct_run_estimate(
-            (0, 0, 0, 0),
-            (TermId::MAX, TermId::MAX, TermId::MAX, TermId::MAX),
-            |k| (k.0, TermId::MAX, TermId::MAX, TermId::MAX),
-        )
-    }
-
     /// Estimated number of distinct second components among keys whose
-    /// first component equals `first` (same probe budget and cost model as
-    /// [`PositionalIndex::distinct_first_estimate`]).
+    /// first component equals `first` — on a graph-first order, the
+    /// distinct values of one position inside one graph.
+    ///
+    /// Exact when there are at most `DISTINCT_PROBES` (16) distinct values;
+    /// beyond that the remainder is extrapolated from the average run length
+    /// observed so far. Each probe gallops over one run with two binary
+    /// searches, so the cost is `O(DISTINCT_PROBES · log n)`.
     pub fn distinct_second_estimate(&self, first: TermId) -> usize {
         self.distinct_run_estimate(
             (first, 0, 0, 0),
             (first, TermId::MAX, TermId::MAX, TermId::MAX),
             |k| (k.0, k.1, TermId::MAX, TermId::MAX),
+        )
+    }
+
+    /// Estimated number of distinct third components among keys whose
+    /// first two components equal `(first, second)` (same probe budget and
+    /// cost model as [`PositionalIndex::distinct_second_estimate`]).
+    pub fn distinct_third_estimate(&self, first: TermId, second: TermId) -> usize {
+        self.distinct_run_estimate(
+            (first, second, 0, 0),
+            (first, second, TermId::MAX, TermId::MAX),
+            |k| (k.0, k.1, k.2, TermId::MAX),
         )
     }
 
@@ -808,42 +800,45 @@ mod tests {
     #[test]
     fn distinct_estimates_are_exact_under_probe_budget() {
         for idx in [filled(), filled_flat()] {
-            // 3 distinct firsts, 3 distinct seconds per first — all under
-            // the probe budget, so the estimates are exact.
-            assert_eq!(idx.distinct_first_estimate(), 3);
+            // 3 distinct seconds per first, 3 distinct thirds per pair — all
+            // under the probe budget, so the estimates are exact.
             for first in 0..3 {
                 assert_eq!(idx.distinct_second_estimate(first), 3);
+                for second in 0..3 {
+                    assert_eq!(idx.distinct_third_estimate(first, second), 3);
+                }
             }
             assert_eq!(idx.distinct_second_estimate(9), 0);
+            assert_eq!(idx.distinct_third_estimate(1, 9), 0);
         }
-        assert_eq!(PositionalIndex::new().distinct_first_estimate(), 0);
+        assert_eq!(PositionalIndex::new().distinct_second_estimate(0), 0);
     }
 
     #[test]
     fn distinct_estimate_extrapolates_past_probe_budget() {
-        // 100 uniform runs of 10 keys: the estimator probes 16 and must
-        // extrapolate the rest to roughly the true count.
+        // 100 uniform runs of 10 keys inside one graph: the estimator probes
+        // 16 and must extrapolate the rest to roughly the true count.
         let mut keys = Vec::new();
         for s in 0..100 {
             for o in 0..10 {
-                keys.push((s, 0, o, 0));
+                keys.push((5, s, 0, o));
             }
         }
         let mut idx = PositionalIndex::new();
         idx.insert_batch(keys);
-        let est = idx.distinct_first_estimate();
+        let est = idx.distinct_second_estimate(5);
         assert!((90..=110).contains(&est), "estimate {est} not near 100");
     }
 
     #[test]
     fn distinct_estimates_respect_tombstones_and_delta() {
         let mut idx = PositionalIndex::new();
-        idx.insert_batch([(1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0)]);
-        idx.remove(&(2, 0, 0, 0));
-        idx.insert((4, 7, 7, 0));
-        assert_eq!(idx.distinct_first_estimate(), 3); // 1, 3, 4
-        assert_eq!(idx.distinct_second_estimate(4), 1);
-        assert_eq!(idx.distinct_second_estimate(2), 0);
+        idx.insert_batch([(0, 1, 0, 0), (0, 2, 0, 0), (0, 3, 0, 0)]);
+        idx.remove(&(0, 2, 0, 0));
+        idx.insert((0, 4, 7, 7));
+        assert_eq!(idx.distinct_second_estimate(0), 3); // 1, 3, 4
+        assert_eq!(idx.distinct_third_estimate(0, 4), 1);
+        assert_eq!(idx.distinct_third_estimate(0, 2), 0);
     }
 
     #[test]

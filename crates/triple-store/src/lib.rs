@@ -6,14 +6,14 @@
 //! Each SPARQL endpoint simulated by `hbold-endpoint` holds its dataset in a
 //! [`TripleStore`]. The store interns every RDF term once in a
 //! [`TermDictionary`] and keeps the resulting `(u32, u32, u32, u32)` quads in
-//! six sorted indexes (SPOG, POSG, OSPG, GSPO, GPOS, GOSP). A pattern lookup
-//! picks the index whose ordering puts the bound positions first, so it
-//! becomes a range scan — the standard design of native RDF quad stores,
-//! scaled down to what the H-BOLD experiments need (hundreds of thousands of
-//! triples per endpoint). Triples without an explicit graph live in the
-//! default graph (the reserved id [`store::DEFAULT_GRAPH`]); the triple-level
-//! API is a view of that graph, so triple-only callers are unaffected by
-//! named-graph data.
+//! three sorted graph-first indexes (GSPO, GPOS, GOSP). Every scan reads
+//! inside one graph: a pattern lookup picks the index whose ordering puts the
+//! bound positions right after the graph, so it becomes a range scan — the
+//! standard design of native RDF quad stores, scaled down to what the H-BOLD
+//! experiments need (hundreds of thousands of triples per endpoint). Triples
+//! without an explicit graph live in the default graph (the reserved id
+//! [`store::DEFAULT_GRAPH`]); the triple-level API is a view of that graph, so
+//! triple-only callers are unaffected by named-graph data.
 //!
 //! ```
 //! use hbold_rdf_model::{Iri, Literal, Triple, TriplePattern, vocab::{foaf, rdf}};
@@ -47,4 +47,4 @@ pub use index::{IndexOrder, TierSizes};
 pub use persist::{PersistError, PersistOptions, RecoveryReport};
 pub use shared::SharedStore;
 pub use stats::StoreStats;
-pub use store::{EncodedQuad, EncodedScan, EncodedTriple, QuadScan, TripleStore, DEFAULT_GRAPH};
+pub use store::{EncodedScan, EncodedTriple, TripleStore, DEFAULT_GRAPH};

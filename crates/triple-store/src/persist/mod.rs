@@ -396,7 +396,7 @@ pub fn register_metrics() {
     let _ = durability_counters();
 }
 
-/// Counts one merge of a store's six flat index tiers that left `keys` keys
+/// Counts one merge of a store's three flat index tiers that left `keys` keys
 /// in each. A merge is the write path's only `O(store)` step — the latency
 /// spike a median hides — so the two counters are what an operator divides
 /// to see how often it runs and how much it rewrites.
@@ -436,7 +436,7 @@ fn durability_counters() -> &'static DurabilityCounters {
             ),
             index_folds: reg.counter(
                 "hbold_index_folds_total",
-                "Merges of a store's six flat index tiers (bulk loads and folds of accumulated churn).",
+                "Merges of a store's three flat index tiers (bulk loads and folds of accumulated churn).",
                 &[],
             ),
             index_fold_keys: reg.counter(

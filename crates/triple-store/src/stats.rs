@@ -40,7 +40,7 @@ impl StoreStats {
         let mut predicates: BTreeSet<&Term> = BTreeSet::new();
         let mut objects: BTreeSet<&Term> = BTreeSet::new();
         // Iterate encoded triples to avoid cloning terms.
-        for enc in store.matching_encoded(None, None, None) {
+        for enc in store.matching_encoded_iter(None, None, None) {
             subjects.insert(store.term(enc.subject));
             predicates.insert(store.term(enc.predicate));
             objects.insert(store.term(enc.object));

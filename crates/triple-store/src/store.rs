@@ -1,6 +1,7 @@
-//! The [`TripleStore`]: dictionary + six positional quad indexes.
+//! The [`TripleStore`]: dictionary + three graph-first positional quad
+//! indexes.
 
-use hbold_rdf_model::{Graph, Iri, Quad, Term, Triple, TriplePattern};
+use hbold_rdf_model::{Graph, Quad, Term, Triple, TriplePattern};
 
 use crate::dictionary::{TermDictionary, TermId};
 use crate::index::{IndexOrder, PositionalIndex, PrefixScan, TierSizes};
@@ -16,7 +17,7 @@ pub const DEFAULT_GRAPH: TermId = TermId::MAX;
 
 /// The fold policy's one number: a store carries at most one churn key
 /// (`delta` inserts + `dead` tombstones) per `FOLD_RATIO` keys of its flat
-/// tiers; the change that would exceed that merges all six orders instead
+/// tiers; the change that would exceed that merges all three orders instead
 /// (see [`TripleStore::absorb`]).
 ///
 /// Both sides of the trade scale with it, which is why it is a constant and
@@ -40,40 +41,16 @@ pub struct EncodedTriple {
     pub object: TermId,
 }
 
-/// A quad with all terms replaced by dictionary identifiers; the graph is
-/// [`DEFAULT_GRAPH`] for default-graph quads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EncodedQuad {
-    /// Subject identifier.
-    pub subject: TermId,
-    /// Predicate identifier.
-    pub predicate: TermId,
-    /// Object identifier.
-    pub object: TermId,
-    /// Graph identifier ([`DEFAULT_GRAPH`] = the default graph).
-    pub graph: TermId,
-}
-
-impl EncodedQuad {
-    /// The triple component (drops the graph).
-    pub fn triple(self) -> EncodedTriple {
-        EncodedTriple {
-            subject: self.subject,
-            predicate: self.predicate,
-            object: self.object,
-        }
-    }
-}
-
-/// An in-memory RDF quad store with dictionary encoding and the six-index
-/// SPOG/POSG/OSPG + GSPO/GPOS/GOSP layout.
+/// An in-memory RDF quad store with dictionary encoding and three
+/// graph-first indexes: GSPO, GPOS, GOSP.
 ///
-/// The three graph-last orders serve any-graph lookups with a triple
-/// prefix; the three graph-first orders serve lookups inside one graph —
-/// including the default graph, addressed by the reserved [`DEFAULT_GRAPH`]
-/// identifier. The triple-level API (insert/remove/matching/iter) operates
-/// on the default graph, so triples-only callers see exactly the pre-quad
-/// behaviour; the `*_in_graph` and quad APIs address named graphs.
+/// Every scan reads inside one graph — the default graph is addressed by
+/// the reserved [`DEFAULT_GRAPH`] identifier — so a graph prefix followed by
+/// a triple prefix serves every pattern shape. Reading across graphs is the
+/// caller's loop over [`TripleStore::named_graph_ids`]. The triple-level API
+/// (insert/remove/matching/iter) operates on the default graph, so
+/// triples-only callers see exactly the pre-quad behaviour; the
+/// `*_in_graph` and quad APIs address named graphs.
 ///
 /// ```
 /// use hbold_rdf_model::{Iri, Triple, TriplePattern, vocab::{foaf, rdf}};
@@ -102,15 +79,12 @@ impl EncodedQuad {
 #[derive(Debug, Clone, Default)]
 pub struct TripleStore {
     dict: TermDictionary,
-    spog: PositionalIndex,
-    posg: PositionalIndex,
-    ospg: PositionalIndex,
     gspo: PositionalIndex,
     gpos: PositionalIndex,
     gosp: PositionalIndex,
-    len: usize,
 }
 
+/// An encoded quad in GSPO order: `(graph, subject, predicate, object)`.
 type QuadKey = (TermId, TermId, TermId, TermId);
 
 /// One quad by reference — subject, predicate, object, graph (`None` = the
@@ -132,17 +106,16 @@ fn quad_ref(quad: &Quad) -> QuadRef<'_> {
     )
 }
 
-/// The six key permutations of one encoded quad `(s, p, o, g)`.
+/// The GPOS key of a GSPO key.
 #[inline]
-fn permutations(s: TermId, p: TermId, o: TermId, g: TermId) -> [QuadKey; 6] {
-    [
-        (s, p, o, g), // spog
-        (p, o, s, g), // posg
-        (o, s, p, g), // ospg
-        (g, s, p, o), // gspo
-        (g, p, o, s), // gpos
-        (g, o, s, p), // gosp
-    ]
+fn gpos((g, s, p, o): QuadKey) -> QuadKey {
+    (g, p, o, s)
+}
+
+/// The GOSP key of a GSPO key.
+#[inline]
+fn gosp((g, s, p, o): QuadKey) -> QuadKey {
+    (g, o, s, p)
 }
 
 impl TripleStore {
@@ -160,55 +133,40 @@ impl TripleStore {
     }
 
     /// Rebuilds a store from a decoded snapshot: the id-ordered dictionary
-    /// plus GSPO-ordered encoded quads. The other five permutations are
+    /// plus GSPO-ordered encoded quads. The other two permutations are
     /// derived here rather than stored, keeping the snapshot small.
     ///
-    /// All six indexes are built as pure sorted flat vectors (see
+    /// All three indexes are built as pure sorted flat vectors (see
     /// [`PositionalIndex`]), so a restored store starts on the contiguous
     /// scan fast path with zero B-tree nodes.
-    pub(crate) fn from_snapshot_quads(
-        dict: TermDictionary,
-        mut gspo: Vec<(TermId, TermId, TermId, TermId)>,
-    ) -> Self {
+    pub(crate) fn from_snapshot_quads(dict: TermDictionary, mut keys: Vec<QuadKey>) -> Self {
         // The snapshot writer emits ascending GSPO order, but defend against
         // hand-crafted files: sort + dedup is cheap relative to decode.
-        gspo.sort_unstable();
-        gspo.dedup();
-        let sorted = |f: fn(&QuadKey) -> QuadKey| -> PositionalIndex {
-            let mut keys: Vec<QuadKey> = gspo.iter().map(f).collect();
-            keys.sort_unstable();
-            PositionalIndex::from_sorted(keys)
+        keys.sort_unstable();
+        keys.dedup();
+        let sorted = |f: fn(QuadKey) -> QuadKey| -> PositionalIndex {
+            let mut permuted: Vec<QuadKey> = keys.iter().copied().map(f).collect();
+            permuted.sort_unstable();
+            PositionalIndex::from_sorted(permuted)
         };
-        let spog = sorted(|&(g, s, p, o)| (s, p, o, g));
-        let posg = sorted(|&(g, s, p, o)| (p, o, s, g));
-        let ospg = sorted(|&(g, s, p, o)| (o, s, p, g));
-        let gpos = sorted(|&(g, s, p, o)| (g, p, o, s));
-        let gosp = sorted(|&(g, s, p, o)| (g, o, s, p));
-        let len = gspo.len();
         TripleStore {
             dict,
-            spog,
-            posg,
-            ospg,
-            gspo: PositionalIndex::from_sorted(gspo),
-            gpos,
-            gosp,
-            len,
+            gpos: sorted(gpos),
+            gosp: sorted(gosp),
+            gspo: PositionalIndex::from_sorted(keys),
         }
     }
 
     /// Iterates the encoded quads in ascending GSPO order (the order the
     /// snapshot writer delta-encodes them in; the default graph sorts
     /// last because its identifier is `TermId::MAX`).
-    pub(crate) fn encoded_gspo_iter(
-        &self,
-    ) -> impl Iterator<Item = &(TermId, TermId, TermId, TermId)> {
+    pub(crate) fn encoded_gspo_iter(&self) -> impl Iterator<Item = &QuadKey> {
         self.gspo.scan_all()
     }
 
     /// Number of quads stored (across the default and all named graphs).
     pub fn len(&self) -> usize {
-        self.len
+        self.gspo.len()
     }
 
     /// Number of triples in the default graph.
@@ -226,7 +184,7 @@ impl TripleStore {
 
     /// Returns `true` if the store holds no quads.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Number of distinct terms interned by the store.
@@ -234,13 +192,10 @@ impl TripleStore {
         self.dict.len()
     }
 
-    /// Per-tier sizes of the six positional indexes (flat / delta / dead;
+    /// Per-tier sizes of the three positional indexes (flat / delta / dead;
     /// see [`crate::index`]) — the raw material for storage-tier gauges.
-    pub fn index_tier_sizes(&self) -> [(IndexOrder, TierSizes); 6] {
+    pub fn index_tier_sizes(&self) -> [(IndexOrder, TierSizes); 3] {
         [
-            (IndexOrder::Spog, self.spog.tier_sizes()),
-            (IndexOrder::Posg, self.posg.tier_sizes()),
-            (IndexOrder::Ospg, self.ospg.tier_sizes()),
             (IndexOrder::Gspo, self.gspo.tier_sizes()),
             (IndexOrder::Gpos, self.gpos.tier_sizes()),
             (IndexOrder::Gosp, self.gosp.tier_sizes()),
@@ -261,41 +216,31 @@ impl TripleStore {
         }
     }
 
-    /// Puts one encoded quad into the churn tiers of all six orders.
-    fn insert_churn(&mut self, (s, p, o, g): QuadKey) -> bool {
-        let [spog, posg, ospg, gspo, gpos, gosp] = permutations(s, p, o, g);
-        let inserted = self.spog.insert(spog);
+    /// Puts one encoded quad into the churn tiers of all three orders.
+    fn insert_churn(&mut self, key: QuadKey) -> bool {
+        let inserted = self.gspo.insert(key);
         if inserted {
-            self.posg.insert(posg);
-            self.ospg.insert(ospg);
-            self.gspo.insert(gspo);
-            self.gpos.insert(gpos);
-            self.gosp.insert(gosp);
-            self.len += 1;
+            self.gpos.insert(gpos(key));
+            self.gosp.insert(gosp(key));
         }
         inserted
     }
 
-    /// Takes one quad out through the churn tiers of all six orders.
+    /// Takes one quad out through the churn tiers of all three orders.
     fn remove_churn(&mut self, quad: QuadRef<'_>) -> bool {
-        let Some((s, p, o, g)) = self.key_of(quad) else {
+        let Some(key) = self.key_of(quad) else {
             return false;
         };
-        let [spog, posg, ospg, gspo, gpos, gosp] = permutations(s, p, o, g);
-        let removed = self.spog.remove(&spog);
+        let removed = self.gspo.remove(&key);
         if removed {
-            self.posg.remove(&posg);
-            self.ospg.remove(&ospg);
-            self.gspo.remove(&gspo);
-            self.gpos.remove(&gpos);
-            self.gosp.remove(&gosp);
-            self.len -= 1;
+            self.gpos.remove(&gpos(key));
+            self.gosp.remove(&gosp(key));
         }
         removed
     }
 
     /// The tier policy — every mutation ends here, and nothing else chooses
-    /// between the churn tiers and a merge. Inserts `batch` (SPOG keys;
+    /// between the churn tiers and a merge. Inserts `batch` (GSPO keys;
     /// empty after a removal, whose tombstones are already in place) and
     /// returns how many keys were new.
     ///
@@ -303,55 +248,47 @@ impl TripleStore {
     /// [`FOLD_RATIO`] flat keys, the batch goes key by key into the churn
     /// tiers: `O(|batch| · log n)`, the flat tiers untouched. The change
     /// that would cross the line merges instead — batch, `delta` and `dead`
-    /// into six fresh flat tiers in one linear pass each — so a bulk load
+    /// into three fresh flat tiers in one linear pass each — so a bulk load
     /// is one sort-and-merge, accumulated churn folds on the mutation that
-    /// crosses, and the six orders are always in the same tier state.
+    /// crosses, and the three orders are always in the same tier state.
     fn absorb(&mut self, batch: &[QuadKey]) -> usize {
-        let before = self.len;
-        let TierSizes { flat, delta, dead } = self.spog.tier_sizes();
+        let before = self.len();
+        let TierSizes { flat, delta, dead } = self.gspo.tier_sizes();
         if delta + dead + batch.len() <= flat / FOLD_RATIO {
             for &key in batch {
                 self.insert_churn(key);
             }
         } else {
-            self.spog.insert_batch(batch.iter().copied());
-            self.posg
-                .insert_batch(batch.iter().map(|&(s, p, o, g)| (p, o, s, g)));
-            self.ospg
-                .insert_batch(batch.iter().map(|&(s, p, o, g)| (o, s, p, g)));
-            self.gspo
-                .insert_batch(batch.iter().map(|&(s, p, o, g)| (g, s, p, o)));
-            self.gpos
-                .insert_batch(batch.iter().map(|&(s, p, o, g)| (g, p, o, s)));
-            self.gosp
-                .insert_batch(batch.iter().map(|&(s, p, o, g)| (g, o, s, p)));
-            self.len = self.spog.len();
-            crate::persist::count_fold(self.len);
+            self.gspo.insert_batch(batch.iter().copied());
+            self.gpos.insert_batch(batch.iter().copied().map(gpos));
+            self.gosp.insert_batch(batch.iter().copied().map(gosp));
+            crate::persist::count_fold(self.len());
         }
-        self.len - before
+        self.len() - before
     }
 
     /// Interns the four terms of a quad, cloning only those that are new.
     fn intern_ref(&mut self, (s, p, o, graph): QuadRef<'_>) -> QuadKey {
+        let g = match graph {
+            None => DEFAULT_GRAPH,
+            Some(term) => self.dict.intern(term),
+        };
         (
+            g,
             self.dict.intern(s),
             self.dict.intern(p),
             self.dict.intern(o),
-            match graph {
-                None => DEFAULT_GRAPH,
-                Some(term) => self.dict.intern(term),
-            },
         )
     }
 
-    /// The SPOG key of a quad, or `None` when one of its terms was never
+    /// The GSPO key of a quad, or `None` when one of its terms was never
     /// interned (so the quad cannot be stored): four dictionary probes.
     fn key_of(&self, (s, p, o, graph): QuadRef<'_>) -> Option<QuadKey> {
         Some((
+            self.graph_id(graph)?,
             self.dict.id_of(s)?,
             self.dict.id_of(p)?,
             self.dict.id_of(o)?,
-            self.graph_id(graph)?,
         ))
     }
 
@@ -370,7 +307,7 @@ impl TripleStore {
 
     fn contains_ref(&self, quad: QuadRef<'_>) -> bool {
         self.key_of(quad)
-            .is_some_and(|key| self.spog.contains(&key))
+            .is_some_and(|key| self.gspo.contains(&key))
     }
 
     /// Inserts a triple into the default graph; returns `true` if it was
@@ -477,129 +414,81 @@ impl TripleStore {
 
     /// Streams the encoded triples of the **default graph** matching the
     /// encoded pattern `(subject?, predicate?, object?)`, choosing the best
-    /// index.
-    ///
-    /// This is the innermost loop of the SPARQL engine's encoded operator
-    /// pipeline: it returns a concrete iterator (no boxing, no decoding)
-    /// walking a contiguous index range, so a BGP join stays entirely in
-    /// the `TermId` domain.
+    /// index: [`TripleStore::matching_quads_encoded_iter`] on
+    /// [`DEFAULT_GRAPH`].
     pub fn matching_encoded_iter(
         &self,
         subject: Option<TermId>,
         predicate: Option<TermId>,
         object: Option<TermId>,
     ) -> EncodedScan<'_> {
-        EncodedScan {
-            inner: self.matching_quads_encoded_iter(
-                Some(DEFAULT_GRAPH),
-                subject,
-                predicate,
-                object,
-            ),
-        }
+        self.matching_quads_encoded_iter(DEFAULT_GRAPH, subject, predicate, object)
     }
 
-    /// Streams the encoded quads matching the encoded pattern
-    /// `(graph?, subject?, predicate?, object?)`, choosing the best of the
-    /// six indexes. `graph = Some(g)` scans inside one graph (graph-first
-    /// index, pass [`DEFAULT_GRAPH`] for the default graph); `graph = None`
-    /// scans across **all** graphs (graph-last index) and yields each
-    /// quad's graph identifier.
+    /// Streams the encoded triples of one graph ([`DEFAULT_GRAPH`] for the
+    /// default graph) matching the encoded pattern
+    /// `(subject?, predicate?, object?)`, choosing the graph-first index
+    /// whose order puts the bound positions right after the graph.
+    ///
+    /// This is the innermost loop of the SPARQL engine: it returns a
+    /// concrete iterator (no boxing, no decoding) walking a contiguous index
+    /// range, so a BGP join stays entirely in the `TermId` domain.
     pub fn matching_quads_encoded_iter(
         &self,
-        graph: Option<TermId>,
+        graph: TermId,
         subject: Option<TermId>,
         predicate: Option<TermId>,
         object: Option<TermId>,
-    ) -> QuadScan<'_> {
-        let (scan, order) = match graph {
-            Some(g) => match (subject, predicate, object) {
-                (Some(s), Some(p), Some(o)) => {
-                    (self.gspo.scan_prefix4(g, s, p, o), IndexOrder::Gspo)
-                }
-                (Some(s), Some(p), None) => (self.gspo.scan_prefix3(g, s, p), IndexOrder::Gspo),
-                (Some(s), None, None) => (self.gspo.scan_prefix2(g, s), IndexOrder::Gspo),
-                (None, Some(p), Some(o)) => (self.gpos.scan_prefix3(g, p, o), IndexOrder::Gpos),
-                (None, Some(p), None) => (self.gpos.scan_prefix2(g, p), IndexOrder::Gpos),
-                (None, None, Some(o)) => (self.gosp.scan_prefix2(g, o), IndexOrder::Gosp),
-                (Some(s), None, Some(o)) => (self.gosp.scan_prefix3(g, o, s), IndexOrder::Gosp),
-                (None, None, None) => (self.gspo.scan_prefix1(g), IndexOrder::Gspo),
-            },
-            None => match (subject, predicate, object) {
-                (Some(s), Some(p), Some(o)) => (self.spog.scan_prefix3(s, p, o), IndexOrder::Spog),
-                (Some(s), Some(p), None) => (self.spog.scan_prefix2(s, p), IndexOrder::Spog),
-                (Some(s), None, None) => (self.spog.scan_prefix1(s), IndexOrder::Spog),
-                (None, Some(p), Some(o)) => (self.posg.scan_prefix2(p, o), IndexOrder::Posg),
-                (None, Some(p), None) => (self.posg.scan_prefix1(p), IndexOrder::Posg),
-                (None, None, Some(o)) => (self.ospg.scan_prefix1(o), IndexOrder::Ospg),
-                (Some(s), None, Some(o)) => (self.ospg.scan_prefix2(o, s), IndexOrder::Ospg),
-                (None, None, None) => (self.spog.scan_all(), IndexOrder::Spog),
-            },
+    ) -> EncodedScan<'_> {
+        let g = graph;
+        let (scan, order) = match (subject, predicate, object) {
+            (Some(s), Some(p), Some(o)) => (self.gspo.scan_prefix4(g, s, p, o), IndexOrder::Gspo),
+            (Some(s), Some(p), None) => (self.gspo.scan_prefix3(g, s, p), IndexOrder::Gspo),
+            (Some(s), None, None) => (self.gspo.scan_prefix2(g, s), IndexOrder::Gspo),
+            (None, Some(p), Some(o)) => (self.gpos.scan_prefix3(g, p, o), IndexOrder::Gpos),
+            (None, Some(p), None) => (self.gpos.scan_prefix2(g, p), IndexOrder::Gpos),
+            (None, None, Some(o)) => (self.gosp.scan_prefix2(g, o), IndexOrder::Gosp),
+            (Some(s), None, Some(o)) => (self.gosp.scan_prefix3(g, o, s), IndexOrder::Gosp),
+            (None, None, None) => (self.gspo.scan_prefix1(g), IndexOrder::Gspo),
         };
-        QuadScan { scan, order }
-    }
-
-    /// Returns all encoded default-graph triples matching the encoded
-    /// pattern `(subject?, predicate?, object?)`, choosing the best index.
-    pub fn matching_encoded(
-        &self,
-        subject: Option<TermId>,
-        predicate: Option<TermId>,
-        object: Option<TermId>,
-    ) -> Vec<EncodedTriple> {
-        self.matching_encoded_iter(subject, predicate, object)
-            .collect()
+        EncodedScan { scan, order }
     }
 
     /// Counts the default-graph triples matching the encoded pattern
-    /// `(subject?, predicate?, object?)` without walking them: the same
-    /// index dispatch as [`TripleStore::matching_encoded_iter`], but each
-    /// prefix is resolved with one binary search and a gallop on the flat
-    /// tier (plus the churn tiers). This is the exact-cardinality primitive behind the
-    /// SPARQL cost-based join optimizer.
+    /// `(subject?, predicate?, object?)` without walking them
+    /// ([`TripleStore::count_matching_quads_encoded`] on [`DEFAULT_GRAPH`]).
     pub fn count_matching_encoded(
         &self,
         subject: Option<TermId>,
         predicate: Option<TermId>,
         object: Option<TermId>,
     ) -> usize {
-        self.count_matching_quads_encoded(Some(DEFAULT_GRAPH), subject, predicate, object)
+        self.count_matching_quads_encoded(DEFAULT_GRAPH, subject, predicate, object)
     }
 
-    /// Counts the quads matching the encoded pattern
-    /// `(graph?, subject?, predicate?, object?)` without walking them —
-    /// the quad-level counterpart of
-    /// [`TripleStore::count_matching_encoded`], with the same graph
-    /// selection semantics as
-    /// [`TripleStore::matching_quads_encoded_iter`].
+    /// Counts the triples of one graph matching the encoded pattern
+    /// `(subject?, predicate?, object?)` without walking them: the same
+    /// index dispatch as [`TripleStore::matching_quads_encoded_iter`], but
+    /// each prefix is resolved with one binary search and a gallop on the
+    /// flat tier (plus the churn tiers). This is the exact-cardinality
+    /// primitive behind the SPARQL cost-based join optimizer.
     pub fn count_matching_quads_encoded(
         &self,
-        graph: Option<TermId>,
+        graph: TermId,
         subject: Option<TermId>,
         predicate: Option<TermId>,
         object: Option<TermId>,
     ) -> usize {
-        match graph {
-            Some(g) => match (subject, predicate, object) {
-                (Some(s), Some(p), Some(o)) => usize::from(self.gspo.contains(&(g, s, p, o))),
-                (Some(s), Some(p), None) => self.gspo.count_prefix3(g, s, p),
-                (Some(s), None, None) => self.gspo.count_prefix2(g, s),
-                (None, Some(p), Some(o)) => self.gpos.count_prefix3(g, p, o),
-                (None, Some(p), None) => self.gpos.count_prefix2(g, p),
-                (None, None, Some(o)) => self.gosp.count_prefix2(g, o),
-                (Some(s), None, Some(o)) => self.gosp.count_prefix3(g, o, s),
-                (None, None, None) => self.gspo.count_prefix1(g),
-            },
-            None => match (subject, predicate, object) {
-                (Some(s), Some(p), Some(o)) => self.spog.count_prefix3(s, p, o),
-                (Some(s), Some(p), None) => self.spog.count_prefix2(s, p),
-                (Some(s), None, None) => self.spog.count_prefix1(s),
-                (None, Some(p), Some(o)) => self.posg.count_prefix2(p, o),
-                (None, Some(p), None) => self.posg.count_prefix1(p),
-                (None, None, Some(o)) => self.ospg.count_prefix1(o),
-                (Some(s), None, Some(o)) => self.ospg.count_prefix2(o, s),
-                (None, None, None) => self.len,
-            },
+        let g = graph;
+        match (subject, predicate, object) {
+            (Some(s), Some(p), Some(o)) => usize::from(self.gspo.contains(&(g, s, p, o))),
+            (Some(s), Some(p), None) => self.gspo.count_prefix3(g, s, p),
+            (Some(s), None, None) => self.gspo.count_prefix2(g, s),
+            (None, Some(p), Some(o)) => self.gpos.count_prefix3(g, p, o),
+            (None, Some(p), None) => self.gpos.count_prefix2(g, p),
+            (None, None, Some(o)) => self.gosp.count_prefix2(g, o),
+            (Some(s), None, Some(o)) => self.gosp.count_prefix3(g, o, s),
+            (None, None, None) => self.gspo.count_prefix1(g),
         }
     }
 
@@ -625,34 +514,37 @@ impl TripleStore {
             .collect()
     }
 
-    /// Estimated number of distinct subjects in the store (all graphs).
-    pub fn distinct_subjects_estimate(&self) -> usize {
-        self.spog.distinct_first_estimate()
+    /// Estimated number of distinct subjects in one graph.
+    pub fn distinct_subjects_estimate(&self, graph: TermId) -> usize {
+        self.gspo.distinct_second_estimate(graph)
     }
 
-    /// Estimated number of distinct predicates in the store (all graphs).
-    pub fn distinct_predicates_estimate(&self) -> usize {
-        self.posg.distinct_first_estimate()
+    /// Estimated number of distinct predicates in one graph.
+    pub fn distinct_predicates_estimate(&self, graph: TermId) -> usize {
+        self.gpos.distinct_second_estimate(graph)
     }
 
-    /// Estimated number of distinct objects in the store (all graphs).
-    pub fn distinct_objects_estimate(&self) -> usize {
-        self.ospg.distinct_first_estimate()
+    /// Estimated number of distinct objects in one graph.
+    pub fn distinct_objects_estimate(&self, graph: TermId) -> usize {
+        self.gosp.distinct_second_estimate(graph)
     }
 
-    /// Estimated number of distinct predicates on quads with subject `s`.
-    pub fn distinct_predicates_of_subject(&self, s: TermId) -> usize {
-        self.spog.distinct_second_estimate(s)
+    /// Estimated number of distinct predicates on one graph's triples with
+    /// subject `s`.
+    pub fn distinct_predicates_of_subject(&self, graph: TermId, s: TermId) -> usize {
+        self.gspo.distinct_third_estimate(graph, s)
     }
 
-    /// Estimated number of distinct objects on quads with predicate `p`.
-    pub fn distinct_objects_of_predicate(&self, p: TermId) -> usize {
-        self.posg.distinct_second_estimate(p)
+    /// Estimated number of distinct objects on one graph's triples with
+    /// predicate `p`.
+    pub fn distinct_objects_of_predicate(&self, graph: TermId, p: TermId) -> usize {
+        self.gpos.distinct_third_estimate(graph, p)
     }
 
-    /// Estimated number of distinct subjects on quads with object `o`.
-    pub fn distinct_subjects_of_object(&self, o: TermId) -> usize {
-        self.ospg.distinct_second_estimate(o)
+    /// Estimated number of distinct subjects on one graph's triples with
+    /// object `o`.
+    pub fn distinct_subjects_of_object(&self, graph: TermId, o: TermId) -> usize {
+        self.gosp.distinct_third_estimate(graph, o)
     }
 
     /// Resolves a [`TriplePattern`]'s bound positions to identifiers;
@@ -716,23 +608,19 @@ impl TripleStore {
         )
     }
 
-    /// Decodes an encoded quad back into terms.
-    pub fn decode_quad(&self, encoded: EncodedQuad) -> Quad {
-        Quad::new(
-            self.decode(encoded.triple()),
-            (encoded.graph != DEFAULT_GRAPH).then(|| self.dict.term(encoded.graph).clone()),
-        )
-    }
-
     /// Iterates over every default-graph triple (decoded, in SPO id order).
     pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
-        self.gspo.scan_prefix1(DEFAULT_GRAPH).map(|&(_, s, p, o)| {
-            Triple::new(
-                self.dict.term(s).clone(),
-                self.dict.term(p).clone(),
-                self.dict.term(o).clone(),
-            )
-        })
+        self.iter_graph(None)
+    }
+
+    /// Iterates over the triples of one graph (`None` = the default graph;
+    /// decoded, in SPO id order), reading that graph's GSPO range only. A
+    /// graph name the store never interned holds nothing.
+    pub fn iter_graph(&self, graph: Option<&Term>) -> impl Iterator<Item = Triple> + '_ {
+        self.graph_id(graph)
+            .into_iter()
+            .flat_map(|g| self.matching_quads_encoded_iter(g, None, None, None))
+            .map(|e| self.decode(e))
     }
 
     /// Iterates over every stored quad (decoded, named graphs in ascending
@@ -754,74 +642,15 @@ impl TripleStore {
     pub fn to_graph(&self) -> Graph {
         self.iter().collect()
     }
-
-    /// All distinct predicate IRIs in use (any graph), with the number of
-    /// quads using each (sorted by IRI).
-    pub fn predicate_usage(&self) -> Vec<(Iri, usize)> {
-        let mut usage: Vec<(Iri, usize)> = Vec::new();
-        let mut current: Option<(TermId, usize)> = None;
-        for &(p, _, _, _) in self.posg.scan_all() {
-            match current {
-                Some((cur, n)) if cur == p => current = Some((cur, n + 1)),
-                Some((cur, n)) => {
-                    if let Some(iri) = self.dict.term(cur).as_iri() {
-                        usage.push((iri.clone(), n));
-                    }
-                    current = Some((p, 1));
-                }
-                None => current = Some((p, 1)),
-            }
-        }
-        if let Some((cur, n)) = current {
-            if let Some(iri) = self.dict.term(cur).as_iri() {
-                usage.push((iri.clone(), n));
-            }
-        }
-        usage.sort_by(|a, b| a.0.cmp(&b.0));
-        usage
-    }
 }
 
-/// A streaming scan of encoded quads from one positional index, with the
-/// index's key permutation mapped back to subject/predicate/object/graph
-/// on the fly. Concrete (unboxed) so BGP join inner loops monomorphize
-/// fully.
-pub struct QuadScan<'s> {
+/// A streaming scan of the encoded triples of one graph from one positional
+/// index, with the index's key permutation mapped back to
+/// subject/predicate/object on the fly. Concrete (unboxed) so BGP join
+/// inner loops monomorphize fully.
+pub struct EncodedScan<'s> {
     scan: PrefixScan<'s>,
     order: IndexOrder,
-}
-
-impl Iterator for QuadScan<'_> {
-    type Item = EncodedQuad;
-
-    #[inline]
-    fn next(&mut self) -> Option<EncodedQuad> {
-        let &(a, b, c, d) = self.scan.next()?;
-        let (subject, predicate, object, graph) = match self.order {
-            IndexOrder::Spog => (a, b, c, d),
-            IndexOrder::Posg => (c, a, b, d),
-            IndexOrder::Ospg => (b, c, a, d),
-            IndexOrder::Gspo => (b, c, d, a),
-            IndexOrder::Gpos => (d, b, c, a),
-            IndexOrder::Gosp => (c, d, b, a),
-        };
-        Some(EncodedQuad {
-            subject,
-            predicate,
-            object,
-            graph,
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.scan.size_hint()
-    }
-}
-
-/// A [`QuadScan`] restricted to one graph, yielding bare encoded triples —
-/// the shape the triple-level read path consumes.
-pub struct EncodedScan<'s> {
-    inner: QuadScan<'s>,
 }
 
 impl Iterator for EncodedScan<'_> {
@@ -829,11 +658,21 @@ impl Iterator for EncodedScan<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<EncodedTriple> {
-        self.inner.next().map(EncodedQuad::triple)
+        let &(_, a, b, c) = self.scan.next()?;
+        let (subject, predicate, object) = match self.order {
+            IndexOrder::Gspo => (a, b, c),
+            IndexOrder::Gpos => (c, a, b),
+            IndexOrder::Gosp => (b, c, a),
+        };
+        Some(EncodedTriple {
+            subject,
+            predicate,
+            object,
+        })
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
+        self.scan.size_hint()
     }
 }
 
@@ -856,7 +695,7 @@ impl Extend<Triple> for TripleStore {
 mod tests {
     use super::*;
     use hbold_rdf_model::vocab::{foaf, rdf};
-    use hbold_rdf_model::Literal;
+    use hbold_rdf_model::{Iri, Literal};
 
     fn iri(s: &str) -> Iri {
         Iri::new(s).unwrap()
@@ -1010,8 +849,8 @@ mod tests {
     #[test]
     fn encoded_counts_agree_with_scans_on_every_shape() {
         let mut store = sample();
-        // A couple of named-graph quads so the any-graph arms see several
-        // graphs and the in-graph arms see a non-trivial graph component.
+        // A couple of named-graph quads so the scans see several graphs and
+        // a non-trivial graph component.
         let g: Term = iri("http://e.org/g").into();
         store.insert_in_graph(
             &Triple::new(iri("http://e.org/alice"), rdf::type_(), foaf::person()),
@@ -1027,18 +866,26 @@ mod tests {
         );
         let mut slots: Vec<Option<TermId>> = vec![None];
         slots.extend((0..store.term_count() as TermId).map(Some));
-        let mut graphs: Vec<Option<TermId>> = vec![None, Some(DEFAULT_GRAPH)];
-        graphs.extend(store.named_graph_ids().into_iter().map(Some));
+        let mut graphs = store.named_graph_ids();
+        graphs.push(DEFAULT_GRAPH);
         // Every dispatch arm, for every interned id in every position.
         for &graph in &graphs {
             for &s in &slots {
                 for &p in &slots {
                     for &o in &slots {
+                        let scanned: Vec<EncodedTriple> =
+                            store.matching_quads_encoded_iter(graph, s, p, o).collect();
                         assert_eq!(
                             store.count_matching_quads_encoded(graph, s, p, o),
-                            store.matching_quads_encoded_iter(graph, s, p, o).count(),
+                            scanned.len(),
                             "pattern ({graph:?}, {s:?}, {p:?}, {o:?})"
                         );
+                        // Each arm maps its key permutation back correctly.
+                        assert!(scanned.iter().all(|t| {
+                            s.is_none_or(|s| t.subject == s)
+                                && p.is_none_or(|p| t.predicate == p)
+                                && o.is_none_or(|o| t.object == o)
+                        }));
                     }
                 }
             }
@@ -1048,23 +895,62 @@ mod tests {
             store.count_matching_encoded(None, None, None),
             store.default_graph_len()
         );
-        assert!(store
-            .matching_quads_encoded_iter(None, None, None, None)
-            .all(|q| q.graph == DEFAULT_GRAPH || store.term(q.graph).is_iri()));
+        let in_graphs: usize = graphs
+            .iter()
+            .map(|&g| store.count_matching_quads_encoded(g, None, None, None))
+            .sum();
+        assert_eq!(in_graphs, store.len());
     }
 
     #[test]
     fn distinct_stats_match_sample_graph() {
         let store = sample();
+        let g = DEFAULT_GRAPH;
         // alice, bob, acme are subjects; type/name/knows/member predicates.
-        assert_eq!(store.distinct_subjects_estimate(), 3);
-        assert_eq!(store.distinct_predicates_estimate(), 4);
+        assert_eq!(store.distinct_subjects_estimate(g), 3);
+        assert_eq!(store.distinct_predicates_estimate(g), 4);
         let alice = store.id_of(&iri("http://e.org/alice").into()).unwrap();
-        assert_eq!(store.distinct_predicates_of_subject(alice), 3);
+        assert_eq!(store.distinct_predicates_of_subject(g, alice), 3);
         let type_ = store.id_of(&rdf::type_().into()).unwrap();
-        assert_eq!(store.distinct_objects_of_predicate(type_), 2);
+        assert_eq!(store.distinct_objects_of_predicate(g, type_), 2);
         let bob = store.id_of(&iri("http://e.org/bob").into()).unwrap();
-        assert_eq!(store.distinct_subjects_of_object(bob), 1);
+        assert_eq!(store.distinct_subjects_of_object(g, bob), 1);
+    }
+
+    #[test]
+    fn distinct_stats_read_inside_one_graph() {
+        let mut store = sample();
+        let g: Term = iri("http://e.org/g").into();
+        for name in ["x", "y"] {
+            let t = Triple::new(
+                iri(&format!("http://e.org/{name}")),
+                foaf::name(),
+                foaf::person(),
+            );
+            store.insert_in_graph(&t, Some(&g));
+        }
+        let named = store.id_of(&g).unwrap();
+        // The default graph's numbers are untouched by the named graph's.
+        assert_eq!(store.distinct_subjects_estimate(DEFAULT_GRAPH), 3);
+        assert_eq!(store.distinct_predicates_estimate(DEFAULT_GRAPH), 4);
+        assert_eq!(store.distinct_subjects_estimate(named), 2);
+        assert_eq!(store.distinct_predicates_estimate(named), 1);
+        assert_eq!(store.distinct_objects_estimate(named), 1);
+        let person = store.id_of(&foaf::person().into()).unwrap();
+        assert_eq!(store.distinct_subjects_of_object(named, person), 2);
+        assert_eq!(store.distinct_subjects_of_object(DEFAULT_GRAPH, person), 2);
+    }
+
+    #[test]
+    fn iter_graph_reads_one_graph() {
+        let mut store = sample();
+        let g: Term = iri("http://e.org/g").into();
+        let t = Triple::new(iri("http://e.org/x"), rdf::type_(), foaf::person());
+        store.insert_in_graph(&t, Some(&g));
+        assert_eq!(store.iter_graph(Some(&g)).collect::<Vec<_>>(), vec![t]);
+        assert_eq!(store.iter_graph(None).count(), store.default_graph_len());
+        let unknown: Term = iri("http://e.org/never-interned").into();
+        assert_eq!(store.iter_graph(Some(&unknown)).count(), 0);
     }
 
     #[test]
@@ -1082,18 +968,6 @@ mod tests {
         let rebuilt = TripleStore::from_graph(&graph);
         assert_eq!(rebuilt.len(), store.len());
         assert_eq!(rebuilt.to_graph(), graph);
-    }
-
-    #[test]
-    fn predicate_usage_counts() {
-        let store = sample();
-        let usage = store.predicate_usage();
-        let get = |iri: &Iri| usage.iter().find(|(p, _)| p == iri).map(|(_, n)| *n);
-        assert_eq!(get(&rdf::type_()), Some(3));
-        assert_eq!(get(&foaf::name()), Some(1));
-        assert_eq!(get(&foaf::knows()), Some(1));
-        assert_eq!(get(&foaf::member()), Some(1));
-        assert_eq!(usage.len(), 4);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Internals-focused tests: dictionary encode/decode round-trips, agreement
-//! of the six index orderings on every pattern shape, and the storage tiers
+//! of the three index orderings on every pattern shape, and the storage tiers
 //! (flat / delta / tombstones) against a plain set model.
 
 use std::collections::BTreeSet;
@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 
 use hbold_rdf_model::{BlankNode, Iri, Literal, Term, Triple, TriplePattern};
 use hbold_triple_store::index::PositionalIndex;
-use hbold_triple_store::{EncodedQuad, TermId, TierSizes, TripleStore, DEFAULT_GRAPH};
+use hbold_triple_store::{EncodedTriple, TermId, TierSizes, TripleStore, DEFAULT_GRAPH};
 
 /// A deterministic zoo of terms covering every [`Term`] variant, including
 /// pairs that are textually close but must intern separately.
@@ -166,7 +166,7 @@ fn index_orderings_agree_on_every_pattern_shape() {
                     .cloned()
                     .collect();
                 expected.sort();
-                // Indexed answer: whichever of SPO/POS/OSP the store picked.
+                // Indexed answer: whichever of GSPO/GPOS/GOSP the store picked.
                 let mut actual = store.matching(&pattern);
                 actual.sort();
                 assert_eq!(actual, expected, "pattern {pattern:?}");
@@ -176,25 +176,28 @@ fn index_orderings_agree_on_every_pattern_shape() {
     }
 }
 
-/// The quad set each of the six orders holds, read through the one pattern
-/// shape that dispatches to it (see `matching_quads_encoded_iter`): a fully
-/// open scan for SPOG, and a scan per leading identifier for the others.
-fn quad_set_per_order(store: &TripleStore) -> [BTreeSet<EncodedQuad>; 6] {
+/// One stored quad as the scans report it: its graph beside its triple.
+type ScannedQuad = (TermId, EncodedTriple);
+
+/// The quad set each of the three orders holds, read graph by graph through
+/// the one pattern shape that dispatches to it (see
+/// `matching_quads_encoded_iter`): a fully open scan for GSPO, and a scan
+/// per predicate (GPOS) or per object (GOSP) identifier.
+fn quad_set_per_order(store: &TripleStore) -> [BTreeSet<ScannedQuad>; 3] {
     let ids: Vec<TermId> = (0..store.term_count() as TermId).collect();
     let mut graphs = store.named_graph_ids();
     graphs.push(DEFAULT_GRAPH);
-    let scan = |g, p, o| store.matching_quads_encoded_iter(g, None, p, o);
-    let each_graph = |p: Option<TermId>, o: Option<TermId>| -> BTreeSet<EncodedQuad> {
-        graphs.iter().flat_map(|&g| scan(Some(g), p, o)).collect()
+    let each_graph = |p: Option<TermId>, o: Option<TermId>| -> BTreeSet<ScannedQuad> {
+        graphs
+            .iter()
+            .flat_map(|&g| {
+                store
+                    .matching_quads_encoded_iter(g, None, p, o)
+                    .map(move |t| (g, t))
+            })
+            .collect()
     };
     [
-        scan(None, None, None).collect(),
-        ids.iter()
-            .flat_map(|&p| scan(None, Some(p), None))
-            .collect(),
-        ids.iter()
-            .flat_map(|&o| scan(None, None, Some(o)))
-            .collect(),
         each_graph(None, None),
         ids.iter()
             .flat_map(|&p| each_graph(Some(p), None))
@@ -237,7 +240,7 @@ fn indexes_stay_consistent_under_interleaved_insert_remove() {
             );
         }
 
-        // All six orders are always in the same tier state: one policy
+        // All three orders are always in the same tier state: one policy
         // decides for all of them, so their tier sizes never differ and a
         // fold (the only thing that changes `flat`) happens to all at once.
         let sizes = store.index_tier_sizes();
@@ -267,10 +270,10 @@ fn indexes_stay_consistent_under_interleaved_insert_remove() {
         if first.flat != flat_before {
             folds += 1;
             assert_eq!((first.delta, first.dead), (0, 0), "round {round}");
-            let [spog, others @ ..] = quad_set_per_order(&store);
-            assert_eq!(spog.len(), live.len(), "round {round}");
+            let [gspo, gpos, gosp] = quad_set_per_order(&store);
+            assert_eq!(gspo.len(), live.len(), "round {round}");
             assert!(
-                others.iter().all(|set| *set == spog),
+                gpos == gspo && gosp == gspo,
                 "round {round}: the orders hold different quad sets after a fold"
             );
         }
@@ -282,12 +285,12 @@ fn indexes_stay_consistent_under_interleaved_insert_remove() {
 
     assert_eq!(store.len(), live.len());
     // After the churn, every order decodes to the live set — mid-churn, with
-    // keys in all three tiers — meaning all six were kept in lock-step.
-    let [spog, others @ ..] = quad_set_per_order(&store);
-    assert!(others.iter().all(|set| *set == spog));
-    let mut from_store: Vec<(Triple, bool)> = spog
+    // keys in all three tiers — meaning all three were kept in lock-step.
+    let [gspo, gpos, gosp] = quad_set_per_order(&store);
+    assert!(gpos == gspo && gosp == gspo);
+    let mut from_store: Vec<(Triple, bool)> = gspo
         .iter()
-        .map(|&q| (store.decode(q.triple()), q.graph != DEFAULT_GRAPH))
+        .map(|&(g, t)| (store.decode(t), g != DEFAULT_GRAPH))
         .collect();
     from_store.sort();
     let expected: Vec<(Triple, bool)> = live.into_iter().collect();
@@ -355,17 +358,18 @@ fn assert_index_matches_model(idx: &PositionalIndex, model: &BTreeSet<Key>) {
         idx.first_components(),
         firsts.iter().copied().collect::<Vec<_>>()
     );
-    // Four distinct values at most: under the estimators' probe budget, so
-    // both are exact.
-    assert_eq!(idx.distinct_first_estimate(), firsts.len());
     for a in IDS {
         let expected = in_model(&|k| k.0 == a);
         assert_eq!(idx.scan_prefix1(a).copied().collect::<Vec<_>>(), expected);
         assert_eq!(idx.count_prefix1(a), expected.len());
+        // Four distinct values at most: under the estimators' probe budget,
+        // so both are exact.
         let seconds: BTreeSet<TermId> = expected.iter().map(|k| k.1).collect();
         assert_eq!(idx.distinct_second_estimate(a), seconds.len());
         for b in IDS {
             let expected = in_model(&|k| (k.0, k.1) == (a, b));
+            let thirds: BTreeSet<TermId> = expected.iter().map(|k| k.2).collect();
+            assert_eq!(idx.distinct_third_estimate(a, b), thirds.len());
             assert_eq!(
                 idx.scan_prefix2(a, b).copied().collect::<Vec<_>>(),
                 expected

@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
 use hbold_rdf_model::vocab::{foaf, rdf};
-use hbold_rdf_model::{Iri, Quad, Triple};
+use hbold_rdf_model::{Iri, Quad, Term, Triple};
 use hbold_triple_store::persist::fold_counts;
 use hbold_triple_store::{SharedStore, TierSizes, TripleStore};
 
@@ -40,14 +40,30 @@ fn quads(ns: impl IntoIterator<Item = usize>) -> Vec<Quad> {
     ns.into_iter().map(|n| Quad::from(t(n))).collect()
 }
 
-/// The one `TierSizes` all six orders share; panics if they differ.
+/// The one `TierSizes` the three orders share; panics if they differ.
 fn tiers(store: &TripleStore) -> TierSizes {
-    let sizes = store.index_tier_sizes();
+    let [(_, gspo), (_, gpos), (_, gosp)] = store.index_tier_sizes();
     assert!(
-        sizes.iter().all(|(_, s)| *s == sizes[0].1),
-        "orders disagree: {sizes:?}"
+        gpos == gspo && gosp == gspo,
+        "orders disagree: gspo {gspo:?}, gpos {gpos:?}, gosp {gosp:?}"
     );
-    sizes[0].1
+    gspo
+}
+
+/// Requires the three orders to hold the same quads. Every quad of these
+/// stores is `<n> rdf:type foaf:Person` in the default graph, so one scan per
+/// order reads all of it: GSPO fully open, GPOS under the one predicate,
+/// GOSP under the one object.
+fn orders_hold_the_same_quads(store: &TripleStore) {
+    let id = |term: Term| store.id_of(&term).expect("interned");
+    let (p, o) = (id(rdf::type_().into()), id(foaf::person().into()));
+    let scan = |p, o| -> BTreeSet<_> { store.matching_encoded_iter(None, p, o).collect() };
+    let gspo = scan(None, None);
+    assert_eq!(gspo.len(), store.len());
+    assert!(
+        scan(Some(p), None) == gspo && scan(None, Some(o)) == gspo,
+        "the orders hold different quad sets"
+    );
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -61,7 +77,7 @@ fn nquads_fingerprint(store: &TripleStore) -> BTreeSet<String> {
 }
 
 /// A store built one `insert` at a time — or collected from an iterator —
-/// used to stay in six B-trees for ever (`flat = 0`, `delta = N`). Under the
+/// used to stay in B-trees for ever (`flat = 0`, `delta = N`). Under the
 /// policy it folds as it grows, so at least 15/16 of it scans as a slice.
 #[test]
 fn a_store_built_by_single_inserts_reaches_the_flat_tier() {
@@ -80,6 +96,7 @@ fn a_store_built_by_single_inserts_reaches_the_flat_tier() {
             flat * FOLD_RATIO >= N * (FOLD_RATIO - 1),
             "only {flat} of {N} keys are in the flat tier ({delta} in delta)"
         );
+        orders_hold_the_same_quads(store);
     }
 }
 
@@ -100,7 +117,9 @@ fn tombstones_stay_under_the_threshold_without_any_insert() {
             dead: 0
         }
     );
+    let mut folds = 0;
     for (removed, triple) in triples.iter().step_by(2).enumerate() {
+        let flat_before = tiers(&store).flat;
         assert!(store.remove(triple));
         let TierSizes { flat, delta, dead } = tiers(&store);
         assert_eq!(delta, 0);
@@ -109,7 +128,12 @@ fn tombstones_stay_under_the_threshold_without_any_insert() {
             dead <= flat / FOLD_RATIO,
             "{dead} tombstones over a flat tier of {flat}"
         );
+        if flat != flat_before {
+            folds += 1;
+            orders_hold_the_same_quads(&store);
+        }
     }
+    assert!(folds >= 3, "only {folds} folds");
     assert_eq!(store.len(), N / 2);
 }
 
@@ -172,6 +196,7 @@ fn small_updates_leave_the_flat_tiers_alone_until_the_crossing_one() {
         }
     );
     assert_eq!(fold_counts().0, folds_before + 1);
+    orders_hold_the_same_quads(&shared.snapshot());
     assert_eq!(
         update(),
         TierSizes {
@@ -263,6 +288,8 @@ fn folds_copy_a_bounded_number_of_keys_per_key_changed() {
         copied <= (FOLD_RATIO + 1) * COMMITS,
         "{folds} folds rewrote {copied} keys for {COMMITS} changed"
     );
-    let TierSizes { flat, delta, dead } = tiers(&shared.snapshot());
+    let snapshot = shared.snapshot();
+    let TierSizes { flat, delta, dead } = tiers(&snapshot);
     assert!(delta + dead <= flat / FOLD_RATIO);
+    orders_hold_the_same_quads(&snapshot);
 }
