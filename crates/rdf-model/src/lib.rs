@@ -33,6 +33,6 @@ pub mod vocab;
 pub use graph::Graph;
 pub use literal::Literal;
 pub use quad::Quad;
-pub use term::{BlankNode, Iri, IriParseError, Term, TermKind};
+pub use term::{BlankNode, Iri, IriParseError, OrderKey, Term, TermKind};
 pub use triple::{Triple, TriplePattern};
-pub use value::LiteralValue;
+pub use value::{LiteralValue, ValueKey};

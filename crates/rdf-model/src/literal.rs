@@ -24,27 +24,51 @@ pub struct Literal {
 impl Literal {
     /// A simple string literal (`xsd:string`).
     pub fn string(value: impl Into<String>) -> Self {
-        Literal {
-            lexical: Arc::from(value.into()),
-            datatype: xsd::string(),
-            language: None,
-        }
+        Literal::new_simple(&value.into())
     }
 
     /// A language-tagged string. The tag is lower-cased per BCP 47 matching
     /// conventions so `"x"@EN` and `"x"@en` compare equal.
     pub fn lang_string(value: impl Into<String>, lang: impl Into<String>) -> Self {
-        Literal {
-            lexical: Arc::from(value.into()),
-            datatype: rdf::lang_string(),
-            language: Some(Arc::from(lang.into().to_ascii_lowercase())),
-        }
+        Literal::new_tagged(&value.into(), &lang.into())
     }
 
     /// A literal with an explicit datatype.
     pub fn typed(value: impl Into<String>, datatype: Iri) -> Self {
+        Literal::new_typed(&value.into(), datatype)
+    }
+
+    /// [`Literal::string`] over a borrowed lexical form, which it copies
+    /// exactly once, straight into the shared buffer. The `new_*`
+    /// constructors are what decoders call: their text is a slice of the
+    /// document.
+    pub fn new_simple(lexical: &str) -> Self {
         Literal {
-            lexical: Arc::from(value.into()),
+            lexical: Arc::from(lexical),
+            datatype: xsd::string(),
+            language: None,
+        }
+    }
+
+    /// [`Literal::lang_string`] over borrowed text: the lexical form is
+    /// copied once, and so is the tag — lower-cased on the way only when it
+    /// is not already.
+    pub fn new_tagged(lexical: &str, lang: &str) -> Self {
+        let language = match lang.bytes().any(|b| b.is_ascii_uppercase()) {
+            true => Arc::from(lang.to_ascii_lowercase()),
+            false => Arc::from(lang),
+        };
+        Literal {
+            lexical: Arc::from(lexical),
+            datatype: rdf::lang_string(),
+            language: Some(language),
+        }
+    }
+
+    /// [`Literal::typed`] over a borrowed lexical form, copied once.
+    pub fn new_typed(lexical: &str, datatype: Iri) -> Self {
+        Literal {
+            lexical: Arc::from(lexical),
             datatype,
             language: None,
         }
@@ -111,11 +135,21 @@ impl Literal {
         let escaped = escape_literal(self.lexical_form());
         if let Some(lang) = self.language() {
             format!("\"{escaped}\"@{lang}")
-        } else if self.datatype == xsd::string() {
+        } else if self.datatype.as_str() == xsd::text::string {
             format!("\"{escaped}\"")
         } else {
             format!("\"{escaped}\"^^{}", self.datatype.to_ntriples())
         }
+    }
+
+    /// The literal's fields of [`crate::term::OrderKey::Literal`].
+    pub(crate) fn order_key(&self) -> (ValueKey, &str, &str, Option<&str>) {
+        (
+            ValueKey::of(&self.lexical, &self.datatype),
+            &self.lexical,
+            self.datatype.as_str(),
+            self.language.as_deref(),
+        )
     }
 }
 
@@ -131,12 +165,7 @@ impl Ord for Literal {
     /// component is read off one literal, so the order is total, and it
     /// ends in the three fields `Eq` compares, so `Equal` means `==`.
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        let key = |l: &Self| ValueKey::of(&l.lexical, &l.datatype);
-        key(self)
-            .cmp(&key(other))
-            .then_with(|| self.lexical.cmp(&other.lexical))
-            .then_with(|| self.datatype.cmp(&other.datatype))
-            .then_with(|| self.language.cmp(&other.language))
+        self.order_key().cmp(&other.order_key())
     }
 }
 

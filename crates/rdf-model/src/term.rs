@@ -10,6 +10,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::literal::Literal;
+use crate::value::ValueKey;
 
 /// Error returned by [`Iri::new`] when the supplied text is not an
 /// acceptable IRI.
@@ -65,49 +66,23 @@ impl Iri {
     ///   `IRIREF` production).
     pub fn new(text: impl Into<String>) -> Result<Self, IriParseError> {
         let text = text.into();
-        if text.is_empty() {
-            return Err(IriParseError {
-                text,
-                reason: "empty string",
-            });
+        match invalid_iri(&text) {
+            Some(reason) => Err(IriParseError { text, reason }),
+            None => Ok(Iri(Arc::from(text))),
         }
-        let Some(colon) = text.find(':') else {
-            return Err(IriParseError {
-                text,
-                reason: "missing scheme (IRI must be absolute)",
-            });
-        };
-        if colon == 0 {
-            return Err(IriParseError {
-                text,
-                reason: "empty scheme",
-            });
+    }
+
+    /// [`Iri::new`] over borrowed text, which it copies exactly once —
+    /// straight into the shared buffer — and only when it is valid. What
+    /// decoders call: their text is a slice of the document.
+    pub fn parse(text: &str) -> Result<Self, IriParseError> {
+        match invalid_iri(text) {
+            Some(reason) => Err(IriParseError {
+                text: text.to_string(),
+                reason,
+            }),
+            None => Ok(Iri(Arc::from(text))),
         }
-        let scheme = &text[..colon];
-        if !scheme
-            .chars()
-            .next()
-            .map(|c| c.is_ascii_alphabetic())
-            .unwrap_or(false)
-            || !scheme
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '+' || c == '-' || c == '.')
-        {
-            return Err(IriParseError {
-                text,
-                reason: "scheme must be alphanumeric and start with a letter",
-            });
-        }
-        if let Some(bad) = text.chars().find(|c| {
-            c.is_whitespace() || matches!(c, '<' | '>' | '"' | '{' | '}' | '|' | '^' | '`' | '\\')
-        }) {
-            let _ = bad;
-            return Err(IriParseError {
-                text,
-                reason: "contains a character not allowed in IRIREF",
-            });
-        }
-        Ok(Iri(Arc::from(text)))
     }
 
     /// Creates an IRI without validation.
@@ -158,6 +133,33 @@ impl Iri {
     }
 }
 
+/// Why `text` is not an acceptable IRI (the rules of [`Iri::new`]), or
+/// `None` when it is one.
+fn invalid_iri(text: &str) -> Option<&'static str> {
+    let Some(colon) = text.find(':') else {
+        return Some(match text.is_empty() {
+            true => "empty string",
+            false => "missing scheme (IRI must be absolute)",
+        });
+    };
+    if colon == 0 {
+        return Some("empty scheme");
+    }
+    let scheme = &text[..colon];
+    if !scheme.starts_with(|c: char| c.is_ascii_alphabetic())
+        || !scheme
+            .chars()
+            .all(|c| c.is_ascii_alphanumeric() || c == '+' || c == '-' || c == '.')
+    {
+        return Some("scheme must be alphanumeric and start with a letter");
+    }
+    let forbidden = |c: char| {
+        c.is_whitespace() || matches!(c, '<' | '>' | '"' | '{' | '}' | '|' | '^' | '`' | '\\')
+    };
+    text.contains(forbidden)
+        .then_some("contains a character not allowed in IRIREF")
+}
+
 impl fmt::Display for Iri {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "<{}>", self.as_str())
@@ -178,24 +180,28 @@ pub struct BlankNode(Arc<str>);
 impl BlankNode {
     /// Creates a blank node with the given label. Labels are restricted to
     /// ASCII alphanumerics, `_`, `-` and `.` so they can always be emitted in
-    /// N-Triples without escaping.
+    /// N-Triples without escaping; any other character becomes `_`, and an
+    /// empty label becomes `b0`.
     pub fn new(label: impl Into<String>) -> Self {
-        let label: String = label.into();
-        let sanitized: String = label
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || c == '_' || c == '-' || c == '.' {
-                    c
-                } else {
-                    '_'
-                }
-            })
-            .collect();
-        BlankNode(Arc::from(if sanitized.is_empty() {
-            "b0".to_string()
+        BlankNode::from_label(&label.into())
+    }
+
+    /// [`BlankNode::new`] over a borrowed label: a label that needs no
+    /// sanitizing — every label this crate writes — is copied exactly once,
+    /// straight into the shared buffer.
+    pub fn from_label(label: &str) -> Self {
+        let allowed = |c: char| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.');
+        if label.is_empty() {
+            BlankNode(Arc::from("b0"))
+        } else if label.chars().all(allowed) {
+            BlankNode(Arc::from(label))
         } else {
-            sanitized
-        }))
+            let sanitized: String = label
+                .chars()
+                .map(|c| if allowed(c) { c } else { '_' })
+                .collect();
+            BlankNode(Arc::from(sanitized))
+        }
     }
 
     /// Creates a blank node with a numeric label, e.g. `b42`.
@@ -242,8 +248,10 @@ pub enum TermKind {
 /// lexical form, datatype and language. It is total, and `Equal` exactly
 /// when `==`, so it agrees with `Eq` and `Hash`. Where it refines SPARQL:
 /// value-equal literals (`"1"`, `"01"`, `"1.0"^^xsd:double`) do not tie,
-/// they order by lexical form. The `<` and `=` *operators* of `FILTER` are
-/// [`crate::LiteralValue`]'s partial order and are a different thing.
+/// they order by lexical form. The order is written once, as the derived
+/// order of each term's [`OrderKey`]. The `<` and `=` *operators* of
+/// `FILTER` are [`crate::LiteralValue`]'s partial order and are a different
+/// thing.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Term {
     /// An IRI term.
@@ -335,6 +343,40 @@ impl Term {
     }
 }
 
+/// A term's place in the term order, as one value: its derived `Ord` *is*
+/// [`Term::cmp`] — the variants rank blank nodes before IRIs before
+/// literals, and a literal's fields are its value key, lexical form,
+/// datatype and language, in that order.
+///
+/// A key borrows the term's text, so computing one copies nothing; what it
+/// costs is a literal's [`ValueKey`], which parses the lexical form. A sort
+/// that computes each key once (`sort_by_cached_key`) therefore parses each
+/// literal once, where a sort by [`Term::cmp`] parses one per comparison.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum OrderKey<'a> {
+    /// A blank node, by its label.
+    Blank(&'a str),
+    /// An IRI, by its text.
+    Iri(&'a str),
+    /// A literal: value class and value, lexical form, datatype IRI,
+    /// language tag.
+    Literal(ValueKey, &'a str, &'a str, Option<&'a str>),
+}
+
+impl Term {
+    /// The term's [`OrderKey`].
+    pub fn order_key(&self) -> OrderKey<'_> {
+        match self {
+            Term::Blank(b) => OrderKey::Blank(b.label()),
+            Term::Iri(iri) => OrderKey::Iri(iri.as_str()),
+            Term::Literal(l) => {
+                let (value, lexical, datatype, language) = l.order_key();
+                OrderKey::Literal(value, lexical, datatype, language)
+            }
+        }
+    }
+}
+
 impl PartialOrd for Term {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
@@ -343,21 +385,7 @@ impl PartialOrd for Term {
 
 impl Ord for Term {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        fn rank(t: &Term) -> u8 {
-            match t {
-                Term::Blank(_) => 0,
-                Term::Iri(_) => 1,
-                Term::Literal(_) => 2,
-            }
-        }
-        rank(self)
-            .cmp(&rank(other))
-            .then_with(|| match (self, other) {
-                (Term::Blank(a), Term::Blank(b)) => a.cmp(b),
-                (Term::Iri(a), Term::Iri(b)) => a.cmp(b),
-                (Term::Literal(a), Term::Literal(b)) => a.cmp(b),
-                _ => std::cmp::Ordering::Equal,
-            })
+        self.order_key().cmp(&other.order_key())
     }
 }
 
@@ -538,6 +566,33 @@ mod tests {
             Literal::typed("abc", xsd::integer()).into(),
             Literal::string("abd").into(),
         ]);
+    }
+
+    #[test]
+    fn borrowed_constructors_agree_with_the_owned_ones() {
+        for text in [
+            "http://example.org/x",
+            "urn:uuid:1",
+            "",
+            "no-scheme",
+            ":x",
+            "1a:x",
+            "http://a b",
+        ] {
+            assert_eq!(Iri::parse(text), Iri::new(text), "{text:?}");
+        }
+        for label in ["b1", "", "with space", "ünï", "a.b-c_d"] {
+            assert_eq!(BlankNode::from_label(label), BlankNode::new(label));
+        }
+        assert_eq!(
+            Literal::new_tagged("x", "EN-gb"),
+            Literal::lang_string("x", "en-GB")
+        );
+        assert_eq!(Literal::new_simple("x"), Literal::string("x"));
+        assert_eq!(
+            Literal::new_typed("5", xsd::integer()),
+            Literal::typed("5", xsd::integer())
+        );
     }
 
     #[test]

@@ -96,13 +96,13 @@ fn parse_typed(lexical: &str, datatype: &Iri) -> Option<LiteralValue> {
         lexical.parse().ok().map(LiteralValue::Integer)
     } else if crate::vocab::is_floating_datatype(datatype) {
         lexical.parse().ok().map(LiteralValue::Double)
-    } else if datatype == &xsd::boolean() {
+    } else if datatype.as_str() == xsd::text::boolean {
         match lexical {
             "true" | "1" => Some(LiteralValue::Boolean(true)),
             "false" | "0" => Some(LiteralValue::Boolean(false)),
             _ => None,
         }
-    } else if datatype == &xsd::date_time() || datatype == &xsd::date() {
+    } else if matches!(datatype.as_str(), xsd::text::date_time | xsd::text::date) {
         parse_iso8601(lexical).map(LiteralValue::DateTime)
     } else {
         None
@@ -110,12 +110,12 @@ fn parse_typed(lexical: &str, datatype: &Iri) -> Option<LiteralValue> {
 }
 
 /// The value part of a literal's key in the term order (see
-/// [`crate::Term`]): the variants are the value classes in their order, the
-/// payload orders within a class. It is a function of *one* literal and its
-/// `Ord` is derived, so the order is total by construction — nothing is
+/// [`crate::OrderKey`]): the variants are the value classes in their order,
+/// the payload orders within a class. It is a function of *one* literal and
+/// its `Ord` is derived, so the order is total by construction — nothing is
 /// decided by comparing two parsed values pairwise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum ValueKey {
+pub enum ValueKey {
     /// Any number but `NaN`, `-INF` and `INF` included, as `(hi, lo)`: `hi`
     /// is the value rounded to the nearest `f64` (order-preserving bits,
     /// `-0.0` as `0.0`), `lo` what that rounding took off an integer (0 for
@@ -125,6 +125,7 @@ pub(crate) enum ValueKey {
     Number(i64, i64),
     /// `NaN`: after every number.
     NaN,
+    /// `false` before `true`.
     Boolean(bool),
     /// Seconds since the epoch, so equal instants tie whatever their offset.
     DateTime(i64),
@@ -134,7 +135,8 @@ pub(crate) enum ValueKey {
 }
 
 impl ValueKey {
-    pub(crate) fn of(lexical: &str, datatype: &Iri) -> ValueKey {
+    /// The key of the literal with this lexical form and datatype.
+    pub fn of(lexical: &str, datatype: &Iri) -> ValueKey {
         // A non-NaN f64 as an i64 of the same order (`f64::total_cmp`'s map).
         fn ordered(v: f64) -> i64 {
             let bits = (v + 0.0).to_bits() as i64;

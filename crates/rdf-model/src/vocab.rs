@@ -3,11 +3,14 @@
 //! Each vocabulary is a module of zero-argument functions returning shared
 //! [`Iri`] values (constructed once behind a `OnceLock`, then cheaply
 //! cloned). Functions rather than constants because [`Iri`] owns an
-//! `Arc<str>` and cannot be built in a `const` context.
+//! `Arc<str>` and cannot be built in a `const` context; the IRI texts
+//! themselves are constants, in each module's `text`, for code that only
+//! needs to recognize a term — a comparison against them costs no reference
+//! count.
 
 use std::sync::OnceLock;
 
-use crate::term::Iri;
+use crate::term::{Iri, IriParseError};
 
 /// Declares a vocabulary module: a namespace plus a set of term accessors.
 macro_rules! vocabulary {
@@ -29,13 +32,33 @@ macro_rules! vocabulary {
                 Iri::new_unchecked(format!("{}{}", NAMESPACE, local))
             }
 
+            /// The text of each term of this vocabulary, one constant per
+            /// accessor of the same name.
+            #[allow(non_upper_case_globals)]
+            pub mod text {
+                $(
+                    #[doc = concat!("`", $ns, $local, "`")]
+                    pub const $fn_name: &str = concat!($ns, $local);
+                )*
+            }
+
             $(
                 $(#[$meta])*
                 pub fn $fn_name() -> Iri {
                     static CELL: OnceLock<Iri> = OnceLock::new();
-                    CELL.get_or_init(|| Iri::new_unchecked(concat!($ns, $local))).clone()
+                    CELL.get_or_init(|| Iri::new_unchecked(text::$fn_name)).clone()
                 }
             )*
+
+            /// The shared IRI of the term of this vocabulary whose text is
+            /// `iri`, if there is one: decoders use it to hand every literal
+            /// of a well-known datatype the same `Arc` instead of a copy.
+            pub fn lookup(iri: &str) -> Option<Iri> {
+                match iri {
+                    $( text::$fn_name => Some($fn_name()), )*
+                    _ => None,
+                }
+            }
         }
     };
 }
@@ -228,15 +251,29 @@ impl crate::term::Iri {
 
 /// Returns `true` if `dt` is one of the XSD integer datatypes.
 pub fn is_integer_datatype(dt: &Iri) -> bool {
-    dt == &xsd::integer()
-        || dt == &xsd::int()
-        || dt == &xsd::long()
-        || dt == &xsd::non_negative_integer()
+    matches!(
+        dt.as_str(),
+        xsd::text::integer | xsd::text::int | xsd::text::long | xsd::text::non_negative_integer
+    )
 }
 
 /// Returns `true` if `dt` is one of the XSD floating-point / decimal datatypes.
 pub fn is_floating_datatype(dt: &Iri) -> bool {
-    dt == &xsd::double() || dt == &xsd::float() || dt == &xsd::decimal()
+    matches!(
+        dt.as_str(),
+        xsd::text::double | xsd::text::float | xsd::text::decimal
+    )
+}
+
+/// The IRI of a literal's datatype given as text: the shared vocabulary IRI
+/// when the text names an XSD or RDF term — every literal of that datatype
+/// then holds one `Arc`, and decoding it allocates nothing — a validated new
+/// one ([`Iri::parse`]) otherwise.
+pub fn datatype_iri(text: &str) -> Result<Iri, IriParseError> {
+    match xsd::lookup(text).or_else(|| rdf::lookup(text)) {
+        Some(iri) => Ok(iri),
+        None => Iri::parse(text),
+    }
 }
 
 /// Returns `true` if `dt` is any XSD numeric datatype.
@@ -277,6 +314,24 @@ mod tests {
             "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
         );
         assert_eq!(a.local_name(), "type");
+    }
+
+    #[test]
+    fn texts_and_lookup_name_the_shared_iris() {
+        assert_eq!(xsd::text::integer, xsd::integer().as_str());
+        assert_eq!(rdf::text::type_, rdf::type_().as_str());
+        let shared = xsd::lookup("http://www.w3.org/2001/XMLSchema#integer").unwrap();
+        assert_eq!(shared.as_str().as_ptr(), xsd::integer().as_str().as_ptr());
+        assert_eq!(xsd::lookup("http://www.w3.org/2001/XMLSchema#nope"), None);
+        assert_eq!(xsd::lookup(rdf::text::type_), None);
+        // Known datatypes come out shared, others validated and new.
+        let lang = datatype_iri(rdf::text::lang_string).unwrap();
+        assert_eq!(lang.as_str().as_ptr(), rdf::lang_string().as_str().as_ptr());
+        assert_eq!(
+            datatype_iri("http://e.org/dt").unwrap().as_str(),
+            "http://e.org/dt"
+        );
+        assert!(datatype_iri("not an iri").is_err());
     }
 
     #[test]

@@ -5,6 +5,9 @@
 //! used between the synthetic dataset generators, the simulated endpoints
 //! and the test suite because it round-trips exactly.
 
+use std::borrow::Cow;
+
+use hbold_rdf_model::vocab::datatype_iri;
 use hbold_rdf_model::{BlankNode, Graph, Iri, Literal, Term, Triple};
 
 use crate::error::ParseError;
@@ -50,46 +53,52 @@ pub fn write(graph: &Graph) -> String {
     graph.to_ntriples()
 }
 
-/// A character cursor over one statement.
-struct Cursor {
-    chars: Vec<char>,
+/// A cursor over one statement, at a byte offset of it: IRIs, blank-node
+/// labels and literals without escapes are slices of the line, copied once,
+/// straight into their terms.
+struct Cursor<'a> {
+    line: &'a str,
     pos: usize,
     line_no: usize,
 }
 
-impl Cursor {
-    fn new(line: &str, line_no: usize) -> Self {
+impl<'a> Cursor<'a> {
+    fn new(line: &'a str, line_no: usize) -> Self {
         Cursor {
-            chars: line.chars().collect(),
+            line,
             pos: 0,
             line_no,
         }
     }
 
     fn at_end(&self) -> bool {
-        self.pos >= self.chars.len()
+        self.pos >= self.line.len()
+    }
+
+    fn rest(&self) -> &'a str {
+        &self.line[self.pos..]
     }
 
     fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+        self.rest().chars().next()
     }
 
     fn bump(&mut self) -> Option<char> {
-        let c = self.peek();
-        if c.is_some() {
-            self.pos += 1;
-        }
-        c
+        let c = self.peek()?;
+        self.pos += c.len_utf8();
+        Some(c)
     }
 
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(c) if c.is_whitespace()) {
-            self.pos += 1;
+            self.bump();
         }
     }
 
+    /// An error at the cursor, its column counted in characters.
     fn error(&self, message: impl Into<String>) -> ParseError {
-        ParseError::new(self.line_no, self.pos + 1, message)
+        let column = self.line[..self.pos].chars().count() + 1;
+        ParseError::new(self.line_no, column, message)
     }
 
     fn expect(&mut self, expected: char) -> Result<(), ParseError> {
@@ -98,6 +107,15 @@ impl Cursor {
             Some(c) => Err(self.error(format!("expected '{expected}', found '{c}'"))),
             None => Err(self.error(format!("expected '{expected}', found end of line"))),
         }
+    }
+
+    /// Consumes the longest run of characters accepted by `take` and
+    /// returns it.
+    fn take_while(&mut self, take: impl Fn(char) -> bool) -> &'a str {
+        let rest = self.rest();
+        let len = rest.find(|c: char| !take(c)).unwrap_or(rest.len());
+        self.pos += len;
+        &rest[..len]
     }
 
     fn parse_term(&mut self) -> Result<Term, ParseError> {
@@ -110,47 +128,75 @@ impl Cursor {
         }
     }
 
-    fn parse_iri(&mut self) -> Result<Iri, ParseError> {
+    /// The text between `<` and `>`, the cursor past the `>`.
+    fn parse_iri_text(&mut self) -> Result<&'a str, ParseError> {
         self.expect('<')?;
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c == '>' {
-                let text: String = self.chars[start..self.pos].iter().collect();
-                self.pos += 1;
-                return Iri::new(text).map_err(|e| self.error(e.to_string()));
-            }
-            self.pos += 1;
+        let text = self.take_while(|c| c != '>');
+        if self.bump().is_none() {
+            return Err(self.error("unterminated IRI (missing '>')"));
         }
-        Err(self.error("unterminated IRI (missing '>')"))
+        Ok(text)
+    }
+
+    fn parse_iri(&mut self) -> Result<Iri, ParseError> {
+        let text = self.parse_iri_text()?;
+        Iri::parse(text).map_err(|e| self.error(e.to_string()))
     }
 
     fn parse_blank(&mut self) -> Result<BlankNode, ParseError> {
         self.expect('_')?;
         self.expect(':')?;
         let start = self.pos;
-        while matches!(self.peek(), Some(c) if c.is_ascii_alphanumeric() || c == '_' || c == '-' || c == '.')
-        {
-            self.pos += 1;
-        }
-        if self.pos == start {
+        let label = self.take_while(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.'));
+        if label.is_empty() {
             return Err(self.error("empty blank node label"));
         }
         // A trailing '.' belongs to the statement terminator, not the label.
-        let mut end = self.pos;
-        while end > start && self.chars[end - 1] == '.' {
-            end -= 1;
-        }
-        let label: String = self.chars[start..end].iter().collect();
-        self.pos = end;
-        Ok(BlankNode::new(label))
+        let label = label.trim_end_matches('.');
+        self.pos = start + label.len();
+        Ok(BlankNode::from_label(label))
     }
 
     fn parse_literal(&mut self) -> Result<Literal, ParseError> {
         self.expect('"')?;
-        let mut value = String::new();
+        // The common case has no escape: the lexical form is a slice.
+        let plain = self.take_while(|c| c != '"' && c != '\\');
+        let value: Cow<'a, str> = match self.bump() {
+            Some('"') => Cow::Borrowed(plain),
+            Some(_) => {
+                let mut value = plain.to_string();
+                self.pos -= 1;
+                self.unescape_rest(&mut value)?;
+                Cow::Owned(value)
+            }
+            None => return Err(self.error("unterminated string literal")),
+        };
+        match self.peek() {
+            Some('@') => {
+                self.pos += 1;
+                let lang = self.take_while(|c| c.is_ascii_alphanumeric() || c == '-');
+                if lang.is_empty() {
+                    return Err(self.error("empty language tag"));
+                }
+                Ok(Literal::new_tagged(&value, lang))
+            }
+            Some('^') => {
+                self.pos += 1;
+                self.expect('^')?;
+                let text = self.parse_iri_text()?;
+                let datatype = datatype_iri(text).map_err(|e| self.error(e.to_string()))?;
+                Ok(Literal::new_typed(&value, datatype))
+            }
+            _ => Ok(Literal::new_simple(&value)),
+        }
+    }
+
+    /// Reads the rest of a literal's lexical form into `value`, unescaping,
+    /// through the closing quote.
+    fn unescape_rest(&mut self, value: &mut String) -> Result<(), ParseError> {
         loop {
             match self.bump() {
-                Some('"') => break,
+                Some('"') => return Ok(()),
                 Some('\\') => match self.bump() {
                     Some('n') => value.push('\n'),
                     Some('r') => value.push('\r'),
@@ -165,27 +211,6 @@ impl Cursor {
                 Some(c) => value.push(c),
                 None => return Err(self.error("unterminated string literal")),
             }
-        }
-        match self.peek() {
-            Some('@') => {
-                self.pos += 1;
-                let start = self.pos;
-                while matches!(self.peek(), Some(c) if c.is_ascii_alphanumeric() || c == '-') {
-                    self.pos += 1;
-                }
-                if self.pos == start {
-                    return Err(self.error("empty language tag"));
-                }
-                let lang: String = self.chars[start..self.pos].iter().collect();
-                Ok(Literal::lang_string(value, lang))
-            }
-            Some('^') => {
-                self.pos += 1;
-                self.expect('^')?;
-                let datatype = self.parse_iri()?;
-                Ok(Literal::typed(value, datatype))
-            }
-            _ => Ok(Literal::string(value)),
         }
     }
 

@@ -677,6 +677,13 @@ fn metrics(shared: &Shared) -> HttpResponse {
             &[],
         )
         .set(snapshot.term_count() as u64);
+    registry
+        .gauge(
+            "hbold_store_sorted_terms",
+            "Leading dictionary ids numbered in term order; below hbold_store_terms, ORDER BY no longer streams.",
+            &[],
+        )
+        .set(snapshot.dictionary().sorted_len() as u64);
     for (order, tiers) in snapshot.index_tier_sizes() {
         let order = order.label();
         for (tier, entries) in [

@@ -183,6 +183,12 @@ fn metrics_exposition_agrees_with_stats_json() {
     // Scrape-time gauges: 10 people × 2 triples each, three quad indexes of
     // three tiers each.
     assert_eq!(metric("hbold_store_triples", &[]), 20.0);
+    // A fresh load: every id is in term order.
+    assert!(metric("hbold_store_terms", &[]) > 0.0);
+    assert_eq!(
+        metric("hbold_store_sorted_terms", &[]),
+        metric("hbold_store_terms", &[])
+    );
     assert!(metric("hbold_plan_cache_entries", &[]) >= 1.0);
     let tier_series = expo
         .samples

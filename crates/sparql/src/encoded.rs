@@ -882,6 +882,7 @@ pub(crate) fn open_plan<'a>(
             }),
             order: select.order.as_ref().and_then(|order| {
                 stage("order").inspect(|span| match order {
+                    Order::Stream => span.set_attr("strategy", "stream"),
                     Order::TopK(k) => {
                         span.set_attr("strategy", "topk");
                         span.set_attr("k", *k);
@@ -987,14 +988,30 @@ fn run_select(
         };
         match &select.order {
             // An empty page (`LIMIT 0`) never runs the pattern at all.
-            None if target == 0 => {}
+            None | Some(Order::Stream) if target == 0 => {}
             None => drop(timed(spans.project.as_ref(), || {
                 drive(&mut |row| project(row))
             })?),
+            // The rows arrive in order: the order stage only counts them
+            // through, and the project stage's `Break` ends the walk.
+            Some(Order::Stream) => {
+                let mut rows_in = 0u64;
+                timed(spans.order.as_ref(), || {
+                    drive(&mut |row| {
+                        rows_in += 1;
+                        project(row)
+                    })
+                    .map(drop)
+                })?;
+                if let Some(span) = &spans.order {
+                    span.set_attr("rows_in", rows_in);
+                    span.add_rows(rows_in);
+                }
+            }
             Some(order) => {
                 let k = match order {
                     Order::TopK(k) => Some(*k),
-                    Order::Sort => None,
+                    _ => None,
                 };
                 let ordered = timed(spans.order.as_ref(), || {
                     order_rows(ctx, &query.order_by, k, drive, spans.order.as_ref())
@@ -1173,8 +1190,14 @@ fn order_rows(
 
 /// Two `ORDER BY` keys held as ids, under `Option<Term>`'s order: unbound
 /// first, then the term order. Interning is injective, so equal ids are
-/// equal terms and only differing ids look their terms up.
+/// equal terms; below the dictionary's `sorted_len` ids are numbered in term
+/// order, so two such ids compare as integers; only the rest look their
+/// terms up.
 fn compare_ids(dict: &TermDictionary, a: TermId, b: TermId) -> Ordering {
+    let sorted = dict.sorted_len() as u64;
+    if u64::from(a.max(b)) < sorted {
+        return a.cmp(&b);
+    }
     let term = |id: TermId| (id != UNBOUND).then(|| dict.term(id));
     match a == b {
         true => Ordering::Equal,

@@ -848,15 +848,16 @@ mod tests {
     #[test]
     fn tail_stages_report_under_execute() {
         let store = sample_store();
-        let trace = |q: &str| {
+        let trace_on = |store: &TripleStore, q: &str| {
             let root = Span::root("query");
             let hooks = EvalHooks {
                 trace: Some(&root),
                 ..EvalHooks::default()
             };
-            evaluate_with_hooks(&store, &parse_cached(q).unwrap(), &hooks).unwrap();
+            evaluate_with_hooks(store, &parse_cached(q).unwrap(), &hooks).unwrap();
             root.children()[1].clone()
         };
+        let trace = |q: &str| trace_on(&store, q);
         let names = |span: &Span| -> Vec<String> {
             let children = span.children();
             children.iter().map(|c| c.name().to_string()).collect()
@@ -886,12 +887,20 @@ mod tests {
         // the page is the 2 past the offset.
         assert_eq!(order.attr("rows_in").unwrap().as_u64(), Some(3));
         assert_eq!((order.rows(), project.rows()), (3, 2));
-        let narrower = trace("SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o LIMIT 4");
-        let order = &narrower.children()[1];
+        let narrower = "SELECT ?s ?p ?o WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o LIMIT 4";
+        let order = &trace(narrower).children()[1];
         assert_eq!(
             order.attr("rows_in").unwrap().as_u64(),
             Some(store.len() as u64)
         );
+        assert_eq!(order.rows(), 4);
+        // The same page over a fresh load of the same data — ids in term
+        // order — streams: the stage passes the page's rows and the walk
+        // stops there.
+        let fresh = TripleStore::from_graph(&store.to_graph());
+        let order = &trace_on(&fresh, narrower).children()[1];
+        assert_eq!(order.attr("strategy").unwrap().as_str(), Some("stream"));
+        assert_eq!(order.attr("rows_in").unwrap().as_u64(), Some(4));
         assert_eq!(order.rows(), 4);
 
         // An extraction count: hash groups, sorted, projected.

@@ -13,16 +13,21 @@
 //! the `i64`/`f64` boundary, `NaN`, language tags, strings needing
 //! CSV/TSV/JSON escaping) — or, for a fixed share of seeds, a query in the
 //! shape of schema extraction (a short `?s a <C> . ?s ?p ?o . ?o a ?t` chain,
-//! grouped and aggregated, with and without `ORDER BY … LIMIT`) — and then
-//! checks, via [`check_case`]:
+//! grouped and aggregated, with and without `ORDER BY … LIMIT`) or of a
+//! browse page (`?s a <C> . ?s ?p ?o ORDER BY ?s ?p ?o`, and orders next to
+//! it that must not stream). The store is loaded one quad at a time, in one
+//! fresh bulk load (its ids then in term order, where `ORDER BY` can stream)
+//! or a fresh load followed by single inserts. Then it checks, via
+//! [`check_case`]:
 //!
 //! 1. **Syntax round-trip** — the query survives pretty-print → parse →
 //!    pretty-print → parse with a stable AST ([`crate::pretty`] is a
 //!    fixpoint on parser output).
 //! 2. **Differential evaluation** — the engine under its cost-based plan,
 //!    the engine with every BGP's patterns in a seeded random permutation
-//!    ([`evaluate_shuffled`]; filter pushdown stays on), and the naive
-//!    [`crate::reference`] evaluator all agree: exact row sequences under
+//!    ([`evaluate_shuffled`]; filter pushdown stays on, an `ORDER BY` never
+//!    streams), and the naive [`crate::reference`] evaluator all agree:
+//!    exact row sequences under
 //!    `ORDER BY`, identical multisets otherwise, and a sub-multiset + count
 //!    check for the implementation-defined unordered `LIMIT`/`OFFSET` cut.
 //!    If the reference rejects the query, the engine must too. The planner
@@ -245,12 +250,18 @@ pub fn term_pool() -> Vec<Term> {
 /// skewed modes give the cost-based optimizer real cardinality spreads to
 /// exploit — and the differential harness a chance to catch it changing
 /// results rather than just plans.
+///
+/// The quads then go in one of three ways, which decide the store's ids: one
+/// at a time (ids in arrival order), in one fresh bulk load (ids in term
+/// order throughout, so `ORDER BY` may stream) or a fresh load of a prefix
+/// followed by the rest one at a time (a sorted run, then interns past it —
+/// the live store after an update).
 pub fn generate_store(rng: &mut FuzzRng) -> TripleStore {
     let subjects = subject_iris();
     let predicates = predicate_iris();
     let classes = class_iris();
     let literals = literal_pool();
-    let mut store = TripleStore::new();
+    let mut quads: Vec<Quad> = Vec::new();
     let mode = rng.below(4);
     let triples = match mode {
         0 | 1 => 6 + rng.below(24),
@@ -277,7 +288,7 @@ pub fn generate_store(rng: &mut FuzzRng) -> TripleStore {
             rng.pick(&predicates).clone()
         };
         let o = random_object(rng);
-        store.insert(&Triple::new(s, p, o));
+        quads.push(Quad::from(Triple::new(s, p, o)));
     }
     // A scatter of named-graph quads (over the same term pools, so graph
     // scopes overlap the default graph's data): `GRAPH` patterns, dataset
@@ -288,7 +299,17 @@ pub fn generate_store(rng: &mut FuzzRng) -> TripleStore {
         let s = rng.pick(&subjects).clone();
         let p = rng.pick(&predicates).clone();
         let o = random_object(rng);
-        store.insert_quad(&Quad::new(Triple::new(s, p, o), Some(g.into())));
+        quads.push(Quad::new(Triple::new(s, p, o), Some(g.into())));
+    }
+    let loaded = match rng.below(3) {
+        0 => 0,
+        1 => quads.len(),
+        _ => rng.below(quads.len() + 1),
+    };
+    let mut store = TripleStore::new();
+    store.insert_quads_batch(&quads[..loaded]);
+    for quad in &quads[loaded..] {
+        store.insert_quad(quad);
     }
     store
 }
@@ -653,14 +674,89 @@ fn generate_extraction_query(rng: &mut FuzzRng) -> Query {
     }
 }
 
+/// A query in the shape of a browse page: `?s <p> <C> . ?s ?p ?o` (or the
+/// bare `?s ?p ?o` scan), sometimes under a `FILTER`, ordered by `?s ?p ?o`
+/// — the order its scans bind them in, which streams on a store whose ids
+/// are term order — or by a variation that must not stream: a `DESC` key, a
+/// strict prefix of the three (rows then tie), another order. `DISTINCT`,
+/// `LIMIT` and `OFFSET` at random.
+fn generate_browse_query(rng: &mut FuzzRng) -> Query {
+    let var = |name: &str| TermOrVariable::Variable(name.to_string());
+    let mut patterns = vec![TriplePatternAst {
+        subject: var("s"),
+        predicate: var("p"),
+        object: var("o"),
+    }];
+    if rng.chance(70) {
+        let class = TermOrVariable::Term(Term::Iri(rng.pick(&class_iris()).clone()));
+        let predicate = TermOrVariable::Term(Term::Iri(rng.pick(&predicate_iris()).clone()));
+        patterns.insert(
+            rng.below(2),
+            TriplePatternAst {
+                subject: var("s"),
+                predicate,
+                object: class,
+            },
+        );
+    }
+    let mut pattern = GraphPattern::Bgp(patterns);
+    if rng.chance(25) {
+        pattern = GraphPattern::Filter {
+            inner: Box::new(pattern),
+            condition: random_condition(rng, 1),
+        };
+    }
+    let mut keys = vec!["s", "p", "o"];
+    match rng.below(5) {
+        0 => keys.truncate(1 + rng.below(2)),
+        1 => rng.shuffle(&mut keys),
+        _ => {}
+    }
+    let order_by = keys
+        .into_iter()
+        .map(|key| OrderCondition {
+            expr: Expression::Variable(key.to_string()),
+            descending: rng.chance(10),
+        })
+        .collect();
+    let items: Vec<ProjectionItem> = ["s", "p", "o"]
+        .into_iter()
+        .filter(|_| rng.chance(70))
+        .map(|v| ProjectionItem::Variable(v.to_string()))
+        .collect();
+    let projection = match items.is_empty() || rng.chance(30) {
+        true => Projection::Star,
+        false => Projection::Items(items),
+    };
+    Query {
+        form: QueryForm::Select {
+            distinct: rng.chance(25),
+            projection,
+        },
+        dataset: random_dataset(rng),
+        pattern,
+        group_by: vec![],
+        order_by,
+        limit: rng.chance(80).then(|| random_cut_value(rng)),
+        offset: rng.chance(50).then(|| random_cut_value(rng)),
+    }
+}
+
 /// Share of generated queries, in percent, that take the extraction shape
 /// ([`generate_extraction_query`]) instead of the general grammar.
 const EXTRACTION_SHARE: usize = 20;
+
+/// Share of generated queries, in percent, that take the browse shape
+/// ([`generate_browse_query`]).
+const BROWSE_SHARE: usize = 10;
 
 /// Generates a random query over the full supported surface.
 pub fn generate_query(rng: &mut FuzzRng) -> Query {
     if rng.chance(EXTRACTION_SHARE) {
         return generate_extraction_query(rng);
+    }
+    if rng.chance(BROWSE_SHARE) {
+        return generate_browse_query(rng);
     }
     let pattern = random_pattern(rng, 2, true);
     let dataset = random_dataset(rng);
@@ -1162,6 +1258,9 @@ pub struct Coverage {
     pub grouped: usize,
     /// Cases whose plan orders through the bounded top-k heap.
     pub topk: usize,
+    /// Cases whose plan streams its `ORDER BY` (rows in term order off a
+    /// store whose ids are term order).
+    pub streamed: usize,
 }
 
 impl std::ops::AddAssign for Coverage {
@@ -1169,6 +1268,7 @@ impl std::ops::AddAssign for Coverage {
         self.reordered_bgps += other.reordered_bgps;
         self.grouped += other.grouped;
         self.topk += other.topk;
+        self.streamed += other.streamed;
     }
 }
 
@@ -1221,6 +1321,7 @@ fn check_query(
         reordered_bgps,
         grouped: usize::from(tail.contains("\ngroup strategy=")),
         topk: usize::from(tail.contains("\norder strategy=topk")),
+        streamed: usize::from(tail.contains("\norder strategy=stream")),
     };
 
     let expected = match naive {
@@ -1551,7 +1652,10 @@ mod tests {
             }
         }
         assert!(
-            covered.reordered_bgps > 0 && covered.grouped > 0 && covered.topk > 0,
+            covered.reordered_bgps > 0
+                && covered.grouped > 0
+                && covered.topk > 0
+                && covered.streamed > 0,
             "coverage gap in 64 cases: {covered:?}"
         );
     }

@@ -38,8 +38,19 @@
 //!   filter still runs, so pushdown only removes rows it would reject anyway.
 //! * **The tail** — `ASK` stops at the first solution; aggregates fold into
 //!   per-group accumulators hashed on the `GROUP BY` ids (no `GROUP BY`: one
-//!   group); `ORDER BY … LIMIT` without `DISTINCT` keeps a top-k heap, any
-//!   other `ORDER BY` sorts; everything ends in the project stage.
+//!   group); an `ORDER BY` the rows already arrive in *streams* (below),
+//!   `ORDER BY … LIMIT` without `DISTINCT` keeps a top-k heap, any other
+//!   `ORDER BY` sorts; everything ends in the project stage.
+//! * **Interesting orders** (System R's term) — each scan stage is one
+//!   range of one index per input row, so it emits its open variables
+//!   sorted by id in that index's key order, and nested stages emit the
+//!   concatenation. After a fresh load, ids *are* `Term::cmp` order (see
+//!   `hbold_triple_store::dictionary`), so when the `ORDER BY` keys are
+//!   exactly those variables, ascending, over one BGP of one graph, and the
+//!   store has interned nothing since, the order stage is `Order::Stream`:
+//!   rows pass through, and the project stage stops the walk after
+//!   `OFFSET + LIMIT` of them. The rule is decided here, against the store
+//!   being planned; the executor has no fallback to take.
 //!
 //! The planning pass runs exactly once per evaluation and is the only
 //! consumer-facing source of join orders: there is no second strategy and
@@ -57,7 +68,7 @@ use std::sync::OnceLock;
 
 use hbold_rdf_model::Term;
 use hbold_telemetry::{Counter, Registry, Span};
-use hbold_triple_store::{TermId, TripleStore};
+use hbold_triple_store::{IndexOrder, TermId, TripleStore};
 
 use crate::ast::{ComparisonOp, Expression, Function, Projection, Query, QueryForm};
 use crate::encoded::{compile_pattern, EncContext, EncNode, EncPattern, EncTriplePattern};
@@ -238,6 +249,10 @@ pub(crate) enum Group {
 
 /// How a SELECT's `ORDER BY` runs.
 pub(crate) enum Order {
+    /// The rows already arrive in `ORDER BY` order (see [`stream_order`]):
+    /// the stage passes them on as they come, and the project stage stops
+    /// the walk after `OFFSET + LIMIT` of them.
+    Stream,
     /// A bounded heap of the `OFFSET + LIMIT` smallest rows.
     TopK(usize),
     /// Materialize and sort.
@@ -371,9 +386,17 @@ pub(crate) fn plan_pattern<'q>(
     mut reorder: Option<BgpReorder<'_>>,
 ) -> Plan<'q> {
     let mut bound = vec![false; ctx.layout.len()];
+    // A plan under an imposed join order (the fuzz harness's shuffled leg)
+    // never streams: it is what a streamed answer is checked against.
+    let imposed = reorder.is_some();
+    let root = plan_rec(ctx, pattern, &mut bound, &mut reorder);
+    let streamed = match imposed {
+        true => None,
+        false => stream_order(ctx, &root),
+    };
     Plan {
-        root: plan_rec(ctx, pattern, &mut bound, &mut reorder),
-        tail: plan_tail(ctx.layout, query),
+        tail: plan_tail(ctx, query, streamed),
+        root,
     }
 }
 
@@ -459,8 +482,10 @@ fn plan_rec(
     }
 }
 
-/// Chooses the tail from the query's form and solution modifiers.
-fn plan_tail<'q>(layout: &SlotLayout, query: &'q Query) -> Tail<'q> {
+/// Chooses the tail from the query's form and solution modifiers, and —
+/// for an ungrouped `ORDER BY` — from `streamed`, the order the pattern's
+/// rows arrive in ([`stream_order`]).
+fn plan_tail<'q>(ctx: &EncContext<'_>, query: &'q Query, streamed: Option<Vec<u32>>) -> Tail<'q> {
     let QueryForm::Select {
         distinct,
         projection,
@@ -470,13 +495,15 @@ fn plan_tail<'q>(layout: &SlotLayout, query: &'q Query) -> Tail<'q> {
     };
     let sort = (!query.order_by.is_empty()).then_some(Order::Sort);
     let (group, order) = if query.uses_aggregates() || !query.group_by.is_empty() {
-        let slots = query
-            .group_by
-            .iter()
-            .map(|v| layout.slot_of(v).expect("layout covers group variables"));
+        let slots = query.group_by.iter().map(|v| {
+            ctx.layout
+                .slot_of(v)
+                .expect("layout covers group variables")
+        });
         (Some(Group::Hash(slots.collect())), sort)
     } else {
         let order = match (sort, query.limit) {
+            (Some(_), _) if streams(ctx, query, streamed) => Some(Order::Stream),
             // DISTINCT dedupes *projected rows* before LIMIT applies, so
             // top-k over raw solutions could come up short — full sort in
             // that case.
@@ -494,6 +521,81 @@ fn plan_tail<'q>(layout: &SlotLayout, query: &'q Query) -> Tail<'q> {
         group,
         order,
     })
+}
+
+// ---- interesting orders ----------------------------------------------------------
+
+/// The variables a planned pattern's rows arrive sorted by — by id, in
+/// this order of precedence — or `None` when the pattern has no such order
+/// to offer.
+///
+/// Only one shape has one: a single BGP, possibly under a `FILTER` (whose
+/// pushed pre-binds are bound before the first scan, and whose test drops
+/// rows without reordering them), reading exactly one graph — the query's
+/// default graph, when that is one graph: a `FROM` merge dedups through a
+/// set, and `GRAPH` scopes are left to the general path. Each scan stage is
+/// one index range per input row ([`IndexOrder::for_pattern`]), so it emits
+/// its open variables sorted in the index's key order, and nested scans
+/// emit the concatenation: the first stage's variables, then the second's,
+/// and so on. A variable met again is already bound and adds nothing.
+fn stream_order(ctx: &EncContext<'_>, root: &Node) -> Option<Vec<u32>> {
+    let (prebind, stages): (&[(u32, Option<TermId>)], _) = match root {
+        Node::Bgp(stages) => (&[], stages),
+        Node::Filter { prebind, inner, .. } => match inner.as_ref() {
+            Node::Bgp(stages) => (prebind, stages),
+            _ => return None,
+        },
+        _ => return None,
+    };
+    let one_graph = ctx.dataset.default_graphs.len() == 1
+        && stages
+            .iter()
+            .all(|stage| matches!(stage.tp.graph, EncGraph::Default));
+    if !one_graph {
+        return None;
+    }
+    let mut bound = vec![false; ctx.layout.len()];
+    for &(slot, _) in prebind {
+        bound[slot as usize] = true;
+    }
+    let mut emitted = Vec::new();
+    for stage in stages {
+        let nodes = stage.tp.nodes();
+        let fixed = nodes.map(|node| match node {
+            EncNode::Const(_) => true,
+            EncNode::Var(slot) => bound[slot as usize],
+        });
+        for &position in IndexOrder::for_pattern(fixed).1 {
+            if let EncNode::Var(slot) = nodes[position] {
+                if !bound[slot as usize] {
+                    bound[slot as usize] = true;
+                    emitted.push(slot);
+                }
+            }
+        }
+    }
+    Some(emitted)
+}
+
+/// `true` when `ORDER BY` may stream: every condition is an ascending plain
+/// variable, the list is exactly the variables the rows arrive sorted by
+/// (`streamed`, in that order) — so two rows never tie and the whole-row
+/// tie-break has nothing left to decide — and every id of the store is in
+/// term order, so sorted by id is sorted by `Term::cmp`. Decided here, once:
+/// the executor has no fallback to take.
+fn streams(ctx: &EncContext<'_>, query: &Query, streamed: Option<Vec<u32>>) -> bool {
+    let Some(streamed) = streamed else {
+        return false;
+    };
+    let keys: Option<Vec<u32>> = query
+        .order_by
+        .iter()
+        .map(|cond| match &cond.expr {
+            Expression::Variable(v) if !cond.descending => ctx.layout.slot_of(v),
+            _ => None,
+        })
+        .collect();
+    keys == Some(streamed) && ctx.dict.sorted_len() == ctx.dict.len()
 }
 
 fn mark_pattern_vars(tp: &EncTriplePattern, bound: &mut [bool]) {
@@ -1107,11 +1209,27 @@ mod tests {
                 ),
             ),
             (
+                // The browse page: its scans emit `?s ?p ?o` in id order,
+                // and the store's ids are term order.
+                "SELECT ?s ?p ?o WHERE { ?s <http://e.org/a> <http://e.org/C> . ?s ?p ?o } \
+                 ORDER BY ?s ?p ?o LIMIT 1000 OFFSET 2000",
+                format!(
+                    "bgp order=[0, 1]\n  {class}\n  \
+                     scan pattern=?s ?p ?o written_index=1 estimate=2\n\
+                     order strategy=stream\nproject\n"
+                ),
+            ),
+            (
                 "SELECT ?s WHERE { ?s <http://e.org/a> <http://e.org/C> } LIMIT 4",
                 format!("bgp order=[0]\n  {class}\nproject\n"),
             ),
             (
                 "SELECT DISTINCT ?s WHERE { ?s <http://e.org/a> <http://e.org/C> } ORDER BY ?s LIMIT 3",
+                format!("bgp order=[0]\n  {class}\norder strategy=stream\nproject\n"),
+            ),
+            (
+                "SELECT DISTINCT ?s WHERE { ?s <http://e.org/a> <http://e.org/C> } \
+                 ORDER BY DESC(?s) LIMIT 3",
                 format!("bgp order=[0]\n  {class}\norder strategy=sort\nproject\n"),
             ),
             (

@@ -20,7 +20,7 @@
 use std::borrow::Cow;
 use std::fmt;
 
-use hbold_rdf_model::vocab::rdf;
+use hbold_rdf_model::vocab::{datatype_iri, rdf};
 use hbold_rdf_model::{BlankNode, Iri, Literal, Term};
 use hbold_telemetry::json::{write_str, Event, JsonError, JsonValue, Reader};
 
@@ -241,11 +241,13 @@ fn read_term(reader: &mut Reader) -> Result<Term, ResultsParseError> {
     })?;
     let kind = kind.ok_or_else(|| ResultsParseError("term has no \"type\"".into()))?;
     let lexical = value.ok_or_else(|| ResultsParseError("term has no \"value\"".into()))?;
+    // Every text is copied once, from the document (or the unescaped string
+    // the reader made) into the term; a well-known datatype is shared.
     match &*kind {
-        "uri" => Iri::new(lexical)
+        "uri" => Iri::parse(&lexical)
             .map(Term::Iri)
             .map_err(|e| ResultsParseError(format!("invalid IRI term: {}", e.reason()))),
-        "bnode" => Ok(Term::Blank(BlankNode::new(lexical))),
+        "bnode" => Ok(Term::Blank(BlankNode::from_label(&lexical))),
         "literal" => match (lang, datatype) {
             // The encoder emits *either* xml:lang or datatype, never
             // both; a document carrying both is corrupt, not a term this
@@ -253,20 +255,18 @@ fn read_term(reader: &mut Reader) -> Result<Term, ResultsParseError> {
             (Some(_), Some(_)) => Err(ResultsParseError(
                 "literal carries both xml:lang and datatype".into(),
             )),
-            (Some(lang), None) => Ok(Term::Literal(Literal::lang_string(lexical, lang))),
+            (Some(lang), None) => Ok(Term::Literal(Literal::new_tagged(&lexical, &lang))),
+            // rdf:langString only ever appears *with* a language tag.
+            (None, Some(dt)) if dt == rdf::text::lang_string => Err(ResultsParseError(
+                "rdf:langString literal without xml:lang".into(),
+            )),
             (None, Some(dt)) => {
-                let datatype = Iri::new(dt).map_err(|e| {
+                let datatype = datatype_iri(&dt).map_err(|e| {
                     ResultsParseError(format!("invalid datatype IRI: {}", e.reason()))
                 })?;
-                // rdf:langString only ever appears *with* a language tag.
-                if datatype == rdf::lang_string() {
-                    return Err(ResultsParseError(
-                        "rdf:langString literal without xml:lang".into(),
-                    ));
-                }
-                Ok(Term::Literal(Literal::typed(lexical, datatype)))
+                Ok(Term::Literal(Literal::new_typed(&lexical, datatype)))
             }
-            (None, None) => Ok(Term::Literal(Literal::string(lexical))),
+            (None, None) => Ok(Term::Literal(Literal::new_simple(&lexical))),
         },
         // The legacy D2R/Virtuoso "typed-literal" spelling is deliberately
         // rejected: the encoder in this crate can never emit it, so a decoder

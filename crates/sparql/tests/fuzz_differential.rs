@@ -43,8 +43,9 @@ fn generated_queries_agree_across_engines_and_serializations() {
     );
     eprintln!(
         "query sweep: {cases} cases; the shuffled leg ran {} multi-pattern BGPs in a \
-         non-default order; {} cases ran a group stage, {} a top-k order stage",
-        covered.reordered_bgps, covered.grouped, covered.topk
+         non-default order; {} cases ran a group stage, {} a top-k order stage, {} a \
+         streamed order stage",
+        covered.reordered_bgps, covered.grouped, covered.topk, covered.streamed
     );
     // A shuffle that always reproduced the planner's order would make the
     // third leg a copy of the first.
@@ -52,14 +53,16 @@ fn generated_queries_agree_across_engines_and_serializations() {
         covered.reordered_bgps > 0,
         "the shuffled leg never left the planned order in {cases} cases"
     );
-    // The accumulator and top-k sinks are where the extraction and browse
-    // workloads live: a generator that stopped reaching them would leave
-    // them checked by nothing.
+    // The accumulator, top-k and streamed sinks are where the extraction
+    // and browse workloads live: a generator that stopped reaching them —
+    // a store generator that stopped making fresh loads, for the last —
+    // would leave them checked by nothing.
     assert!(
-        covered.grouped > 0 && covered.topk > 0,
-        "no grouped ({}) or no top-k ({}) case in {cases} cases",
+        covered.grouped > 0 && covered.topk > 0 && covered.streamed > 0,
+        "no grouped ({}), top-k ({}) or streamed ({}) case in {cases} cases",
         covered.grouped,
-        covered.topk
+        covered.topk,
+        covered.streamed
     );
 }
 

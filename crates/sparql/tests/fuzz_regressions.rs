@@ -963,3 +963,258 @@ fn errors_inside_an_optional_are_errors_not_no_match() {
     assert!(reference::evaluate(&store, &failing).is_err());
     assert!(hbold_sparql::evaluate(&store, &failing).is_err());
 }
+
+// ---- optimize.rs / encoded.rs: `ORDER BY` that streams in id order -------------
+//
+// A fresh bulk load numbers the dictionary in term order, so a BGP's nested
+// scans emit their variables sorted by `Term::cmp` and an `ORDER BY` over
+// exactly those variables, ascending, is planned as `strategy=stream`: no
+// sort, a stop after `OFFSET + LIMIT` rows. Each pin checks the plan and the
+// answer against the reference and the shuffled orders (which never stream).
+
+/// The `order …` line of the plan, or `""` when it has none.
+fn order_line(store: &TripleStore, query: &str) -> String {
+    let plan = explain(store, &hbold_sparql::parse_query(query).unwrap()).to_string();
+    let line = plan.lines().find(|line| line.starts_with("order "));
+    line.unwrap_or_default().to_string()
+}
+
+/// `x0 … x5 a <C>`, each with a `v` literal and a link to the next: one
+/// fresh bulk load, ids in term order.
+fn browse_store() -> TripleStore {
+    let term = |name: &str| iri(&format!("http://b.example/{name}"));
+    let mut triples = Vec::new();
+    for i in 0..6 {
+        let s = term(&format!("x{i}"));
+        triples.push(Triple::new(
+            s.clone(),
+            hbold_rdf_model::vocab::rdf::type_(),
+            term("C"),
+        ));
+        triples.push(Triple::new(s.clone(), term("v"), Literal::integer(10 - i)));
+        triples.push(Triple::new(
+            s,
+            term("next"),
+            term(&format!("x{}", (i + 1) % 6)),
+        ));
+    }
+    let mut store = TripleStore::new();
+    store.insert_batch(triples.iter());
+    assert_eq!(store.dictionary().sorted_len(), store.term_count());
+    store
+}
+
+const BROWSE: &str = "{ ?s a <http://b.example/C> . ?s ?p ?o }";
+
+#[test]
+fn only_ascending_keys_equal_to_the_emitted_variables_stream() {
+    let store = browse_store();
+    for (modifiers, strategy) in [
+        (
+            "ORDER BY ?s ?p ?o LIMIT 4 OFFSET 3",
+            "order strategy=stream",
+        ),
+        ("ORDER BY ?s ?p ?o", "order strategy=stream"),
+        // A descending key reads the order backwards: top-k or sort.
+        ("ORDER BY DESC(?s) ?p ?o LIMIT 4", "order strategy=topk k=4"),
+        ("ORDER BY ?s ?p DESC(?o)", "order strategy=sort"),
+        // A strict prefix ties rows the whole-row tie-break must order.
+        ("ORDER BY ?s LIMIT 5", "order strategy=topk k=5"),
+        ("ORDER BY ?s ?p LIMIT 5", "order strategy=topk k=5"),
+        // Another order of the same variables, or an expression key.
+        ("ORDER BY ?p ?s ?o LIMIT 5", "order strategy=topk k=5"),
+        (
+            "ORDER BY ?s ?p ASC(STR(?o)) LIMIT 5",
+            "order strategy=topk k=5",
+        ),
+    ] {
+        let query = format!("SELECT ?s ?p ?o WHERE {BROWSE} {modifiers}");
+        assert_eq!(order_line(&store, &query), strategy, "{query}");
+        three_way(&store, &query);
+    }
+    // The page is the reference's page.
+    let page = three_way(
+        &store,
+        &format!("SELECT * WHERE {BROWSE} ORDER BY ?s ?p ?o LIMIT 4 OFFSET 3"),
+    );
+    assert_eq!(page.into_select().unwrap().rows.len(), 4);
+}
+
+#[test]
+fn distinct_order_by_limit_streams_and_cuts_after_dedup() {
+    let store = browse_store();
+    // DISTINCT on a projection narrower than the keys: the stream dedups
+    // in term order, then cuts — a top-k over raw rows would come up short.
+    let query = format!("SELECT DISTINCT ?s WHERE {BROWSE} ORDER BY ?s ?p ?o LIMIT 3 OFFSET 1");
+    assert_eq!(order_line(&store, &query), "order strategy=stream");
+    let rows = three_way(&store, &query).into_select().unwrap().rows;
+    let labels: Vec<&str> = rows
+        .iter()
+        .map(|r| r[0].as_ref().unwrap().label())
+        .collect();
+    assert_eq!(labels, ["x1", "x2", "x3"]);
+    let query = "SELECT DISTINCT ?p WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o LIMIT 2";
+    assert_eq!(order_line(&store, query), "order strategy=stream");
+    three_way(&store, query);
+}
+
+#[test]
+fn a_streamed_page_past_the_end_or_of_no_rows_is_empty() {
+    let store = browse_store();
+    for modifiers in [
+        "LIMIT 0",
+        "LIMIT 0 OFFSET 2",
+        "OFFSET 18",
+        "OFFSET 1000 LIMIT 5",
+        "OFFSET 9223372036854775807 LIMIT 9223372036854775807",
+    ] {
+        let query = format!("SELECT * WHERE {BROWSE} ORDER BY ?s ?p ?o {modifiers}");
+        assert_eq!(
+            order_line(&store, &query),
+            "order strategy=stream",
+            "{query}"
+        );
+        let rows = three_way(&store, &query).into_select().unwrap().rows;
+        assert!(rows.is_empty(), "{query}");
+    }
+    // The last row, exactly: 6 subjects × 3 triples.
+    let query = format!("SELECT * WHERE {BROWSE} ORDER BY ?s ?p ?o OFFSET 17");
+    assert_eq!(
+        three_way(&store, &query).into_select().unwrap().rows.len(),
+        1
+    );
+}
+
+#[test]
+fn ids_of_a_fresh_load_order_mixed_literals_as_the_term_order_does() {
+    // Numbers of three types, numeric-looking and plain strings, language
+    // tags and ill-typed literals: ids follow `Term::cmp`, so comparing ids
+    // is comparing terms.
+    let mut objects: Vec<Term> = hbold_sparql::fuzz::literal_pool()
+        .into_iter()
+        .map(Term::Literal)
+        .collect();
+    objects.push(Term::Literal(Literal::typed("abc", xsd::integer())));
+    objects.push(Term::Literal(Literal::lang_string("abc", "en")));
+    let p = iri("http://r.example/p");
+    let triples: Vec<Triple> = objects
+        .iter()
+        .enumerate()
+        .map(|(i, o)| Triple::new(iri(&format!("http://r.example/s{i}")), p.clone(), o.clone()))
+        .collect();
+    let mut store = TripleStore::new();
+    store.insert_batch(triples.iter());
+    let dict = store.dictionary();
+    assert_eq!(dict.sorted_len(), dict.len());
+    for (a, ta) in dict.iter() {
+        for (b, tb) in dict.iter() {
+            assert_eq!(a.cmp(&b), ta.cmp(tb), "{ta} vs {tb}");
+        }
+    }
+    for query in [
+        "SELECT ?o WHERE { ?s <http://r.example/p> ?o } ORDER BY ?o",
+        "SELECT ?o WHERE { ?s <http://r.example/p> ?o } ORDER BY ?o LIMIT 7",
+        "SELECT ?o WHERE { ?s <http://r.example/p> ?o } ORDER BY DESC(?o) LIMIT 7",
+        "SELECT (MIN(?o) AS ?lo) (MAX(?o) AS ?hi) WHERE { ?s ?p ?o }",
+    ] {
+        three_way(&store, query);
+    }
+    // `?s <p> ?o` scans GPOS: rows arrive by object, so ordering by it streams.
+    let query = "SELECT ?o ?s WHERE { ?s <http://r.example/p> ?o } ORDER BY ?o ?s LIMIT 9";
+    assert_eq!(order_line(&store, query), "order strategy=stream");
+    let rows = three_way(&store, query).into_select().unwrap().rows;
+    assert!(rows.windows(2).all(|pair| pair[0][0] <= pair[1][0]));
+}
+
+#[test]
+fn graph_scopes_and_from_merges_do_not_stream() {
+    let term = |name: &str| Term::Iri(iri(&format!("http://b.example/{name}")));
+    let mut quads = Vec::new();
+    for (g, s) in [("g1", "a"), ("g1", "b"), ("g2", "a"), ("g2", "c")] {
+        let triple = Triple::new(term(s), term("p"), term(&format!("{s}-{g}")));
+        quads.push(hbold_rdf_model::Quad::new(triple.clone(), Some(term(g))));
+        quads.push(hbold_rdf_model::Quad::new(triple, None));
+    }
+    let mut store = TripleStore::new();
+    store.insert_quads_batch(&quads);
+    assert_eq!(store.dictionary().sorted_len(), store.term_count());
+    for (query, strategy) in [
+        (
+            "SELECT * WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o LIMIT 3",
+            "order strategy=stream",
+        ),
+        // One `FROM` graph is the default graph, read like it.
+        (
+            "SELECT * FROM <http://b.example/g1> WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o LIMIT 3",
+            "order strategy=stream",
+        ),
+        // A merge dedups through a set: no scan order survives it.
+        (
+            "SELECT * FROM <http://b.example/g1> FROM <http://b.example/g2> WHERE { ?s ?p ?o } \
+             ORDER BY ?s ?p ?o LIMIT 3",
+            "order strategy=topk k=3",
+        ),
+        (
+            "SELECT * WHERE { GRAPH <http://b.example/g2> { ?s ?p ?o } } ORDER BY ?s ?p ?o LIMIT 3",
+            "order strategy=topk k=3",
+        ),
+        (
+            "SELECT * WHERE { GRAPH ?g { ?s ?p ?o } } ORDER BY ?g ?s ?p ?o LIMIT 3",
+            "order strategy=topk k=3",
+        ),
+    ] {
+        assert_eq!(order_line(&store, query), strategy, "{query}");
+        three_way(&store, query);
+    }
+}
+
+/// Interning after the load ends the sorted run: the same page plans as a
+/// top-k and answers identically — in memory, and after a restore from a
+/// snapshot plus the log's tail.
+#[test]
+fn an_intern_after_the_load_falls_back_to_topk_with_the_same_answers() {
+    use hbold_triple_store::SharedStore;
+    let page = format!("SELECT * WHERE {BROWSE} ORDER BY ?s ?p ?o LIMIT 5 OFFSET 2");
+    let rows = |store: &TripleStore| three_way(store, &page).into_select().unwrap().rows;
+    let loaded = browse_store();
+    assert_eq!(order_line(&loaded, &page), "order strategy=stream");
+    let expected = rows(&loaded);
+
+    let mut grown = loaded.clone();
+    grown.insert(&Triple::new(
+        iri("http://b.example/fresh"),
+        iri("http://b.example/unrelated"),
+        Literal::string("fresh"),
+    ));
+    assert!(grown.dictionary().sorted_len() < grown.term_count());
+    assert_eq!(order_line(&grown, &page), "order strategy=topk k=7");
+    assert_eq!(rows(&grown), expected);
+
+    let dir = std::env::temp_dir().join(format!("hbold-stream-fallback-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let (shared, _) = SharedStore::open(&dir).unwrap();
+        shared.bulk_load(loaded.iter().collect::<Vec<_>>().iter());
+        assert_eq!(
+            order_line(&shared.snapshot(), &page),
+            "order strategy=stream"
+        );
+        shared.checkpoint().unwrap();
+        shared.insert(&Triple::new(
+            iri("http://b.example/fresh"),
+            iri("http://b.example/unrelated"),
+            Literal::string("fresh"),
+        ));
+    }
+    let (restored, report) = SharedStore::open(&dir).unwrap();
+    assert_eq!(
+        (report.snapshot_generation, report.wal_ops_replayed),
+        (Some(1), 1)
+    );
+    let snapshot = restored.snapshot();
+    assert_eq!(snapshot.dictionary().sorted_len(), loaded.term_count());
+    assert_eq!(order_line(&snapshot, &page), "order strategy=topk k=7");
+    assert_eq!(rows(&snapshot), expected);
+    drop(restored);
+    let _ = std::fs::remove_dir_all(&dir);
+}

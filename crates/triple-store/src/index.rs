@@ -70,6 +70,40 @@ impl IndexOrder {
             IndexOrder::Gosp => "gosp",
         }
     }
+
+    /// The one dispatch table of pattern lookups: given which of a
+    /// pattern's subject, predicate and object (positions 0, 1, 2) are
+    /// bound, the index whose order puts them right after the graph, and the
+    /// positions the lookup leaves open, in the order the index's key holds
+    /// them.
+    ///
+    /// A lookup is one range of that index — one graph, one bound prefix —
+    /// so its rows come out sorted by the open positions, lexicographically,
+    /// in the order returned. The store's scans and counts dispatch through
+    /// this, and so does the SPARQL planner when it asks in what order a
+    /// scan emits its rows.
+    pub fn for_pattern(bound: [bool; 3]) -> (IndexOrder, &'static [usize]) {
+        match bound {
+            [true, true, true] => (IndexOrder::Gspo, &[]),
+            [true, true, false] => (IndexOrder::Gspo, &[2]),
+            [true, false, false] => (IndexOrder::Gspo, &[1, 2]),
+            [false, false, false] => (IndexOrder::Gspo, &[0, 1, 2]),
+            [false, true, true] => (IndexOrder::Gpos, &[0]),
+            [false, true, false] => (IndexOrder::Gpos, &[2, 0]),
+            [true, false, true] => (IndexOrder::Gosp, &[1]),
+            [false, false, true] => (IndexOrder::Gosp, &[0, 1]),
+        }
+    }
+
+    /// The positions (subject 0, predicate 1, object 2) this order's keys
+    /// hold after the graph, in key order.
+    pub(crate) fn positions(self) -> [usize; 3] {
+        match self {
+            IndexOrder::Gspo => [0, 1, 2],
+            IndexOrder::Gpos => [1, 2, 0],
+            IndexOrder::Gosp => [2, 0, 1],
+        }
+    }
 }
 
 type Key = (TermId, TermId, TermId, TermId);

@@ -6,16 +6,17 @@
 //! always serializes to the same bytes, which keeps snapshot files
 //! diffable and the recovery tests exact.
 
+use hbold_rdf_model::vocab::{datatype_iri, xsd};
 use hbold_rdf_model::{BlankNode, Iri, Literal, Term};
 
 use super::PersistError;
 
 /// Term tag bytes. A tag is the first byte of every encoded term.
-const TAG_IRI: u8 = 0;
-const TAG_BLANK: u8 = 1;
-const TAG_STRING: u8 = 2;
-const TAG_LANG: u8 = 3;
-const TAG_TYPED: u8 = 4;
+pub(super) const TAG_IRI: u8 = 0;
+pub(super) const TAG_BLANK: u8 = 1;
+pub(super) const TAG_STRING: u8 = 2;
+pub(super) const TAG_LANG: u8 = 3;
+pub(super) const TAG_TYPED: u8 = 4;
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE 802.3 polynomial, reflected), table built at compile time.
@@ -109,16 +110,15 @@ pub fn read_len(bytes: &[u8], pos: &mut usize) -> Result<usize, PersistError> {
         .map_err(|_| PersistError::corrupt("length does not fit in usize"))
 }
 
-/// Reads a length-prefixed UTF-8 string.
-pub fn read_str(bytes: &[u8], pos: &mut usize) -> Result<String, PersistError> {
+/// Reads a length-prefixed UTF-8 string, borrowed from `bytes`.
+pub fn read_str<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<&'a str, PersistError> {
     let len = read_len(bytes, pos)?;
     let end = pos
         .checked_add(len)
         .filter(|&end| end <= bytes.len())
         .ok_or_else(|| PersistError::corrupt("string length runs past end of input"))?;
     let text = std::str::from_utf8(&bytes[*pos..end])
-        .map_err(|_| PersistError::corrupt("string is not valid UTF-8"))?
-        .to_string();
+        .map_err(|_| PersistError::corrupt("string is not valid UTF-8"))?;
     *pos = end;
     Ok(text)
 }
@@ -127,65 +127,90 @@ pub fn read_str(bytes: &[u8], pos: &mut usize) -> Result<String, PersistError> {
 // Terms.
 // ---------------------------------------------------------------------------
 
-/// Appends an encoded [`Term`]: a tag byte followed by the term's
-/// length-prefixed text component(s).
-pub fn write_term(out: &mut Vec<u8>, term: &Term) {
+/// The tag a term is written under.
+pub(super) fn tag_of(term: &Term) -> u8 {
     match term {
-        Term::Iri(iri) => {
-            out.push(TAG_IRI);
-            write_str(out, iri.as_str());
-        }
-        Term::Blank(blank) => {
-            out.push(TAG_BLANK);
-            write_str(out, blank.label());
-        }
-        Term::Literal(literal) => {
-            if let Some(lang) = literal.language() {
-                out.push(TAG_LANG);
-                write_str(out, literal.lexical_form());
-                write_str(out, lang);
-            } else if literal.datatype() == &hbold_rdf_model::vocab::xsd::string() {
-                out.push(TAG_STRING);
-                write_str(out, literal.lexical_form());
-            } else {
-                out.push(TAG_TYPED);
-                write_str(out, literal.lexical_form());
-                write_str(out, literal.datatype().as_str());
-            }
+        Term::Iri(_) => TAG_IRI,
+        Term::Blank(_) => TAG_BLANK,
+        Term::Literal(literal) if literal.language().is_some() => TAG_LANG,
+        Term::Literal(literal) if literal.datatype().as_str() == xsd::text::string => TAG_STRING,
+        Term::Literal(_) => TAG_TYPED,
+    }
+}
+
+/// The text every tag carries first: the IRI, the blank-node label or the
+/// literal's lexical form.
+pub(super) fn text_of(term: &Term) -> &str {
+    match term {
+        Term::Iri(iri) => iri.as_str(),
+        Term::Blank(blank) => blank.label(),
+        Term::Literal(literal) => literal.lexical_form(),
+    }
+}
+
+/// Appends an encoded [`Term`]: a tag byte followed by the term's
+/// length-prefixed text component(s) — the text, then a language-tagged
+/// literal's tag or a typed literal's datatype IRI.
+pub fn write_term(out: &mut Vec<u8>, term: &Term) {
+    let tag = tag_of(term);
+    out.push(tag);
+    write_str(out, text_of(term));
+    if let Term::Literal(literal) = term {
+        match tag {
+            TAG_LANG => write_str(out, literal.language().unwrap_or_default()),
+            TAG_TYPED => write_str(out, literal.datatype().as_str()),
+            _ => {}
         }
     }
 }
 
-/// Reads one encoded [`Term`].
+/// Reads one encoded [`Term`]. Every text is copied exactly once, from
+/// `bytes` into the term, and a typed literal of a well-known datatype
+/// shares the vocabulary's IRI instead of a copy.
 pub fn read_term(bytes: &[u8], pos: &mut usize) -> Result<Term, PersistError> {
-    let Some(&tag) = bytes.get(*pos) else {
-        return Err(PersistError::corrupt("term tag runs past end of input"));
+    let tag = match bytes.get(*pos) {
+        None => return Err(PersistError::corrupt("term tag runs past end of input")),
+        Some(&tag) if tag > TAG_TYPED => {
+            return Err(PersistError::corrupt(format!("unknown term tag {tag}")))
+        }
+        Some(&tag) => tag,
     };
     *pos += 1;
-    match tag {
-        TAG_IRI => {
-            let text = read_str(bytes, pos)?;
-            // Snapshot/WAL terms were validated when first constructed, so a
-            // decode failure here means file corruption, not user input.
-            Ok(Iri::new(text)
-                .map_err(|e| PersistError::corrupt(format!("invalid IRI in term: {e}")))?
-                .into())
-        }
-        TAG_BLANK => Ok(BlankNode::new(read_str(bytes, pos)?).into()),
-        TAG_STRING => Ok(Literal::string(read_str(bytes, pos)?).into()),
-        TAG_LANG => {
-            let lexical = read_str(bytes, pos)?;
-            let lang = read_str(bytes, pos)?;
-            Ok(Literal::lang_string(lexical, lang).into())
-        }
-        TAG_TYPED => {
-            let lexical = read_str(bytes, pos)?;
-            let datatype = Iri::new(read_str(bytes, pos)?)
-                .map_err(|e| PersistError::corrupt(format!("invalid datatype IRI: {e}")))?;
-            Ok(Literal::typed(lexical, datatype).into())
-        }
-        other => Err(PersistError::corrupt(format!("unknown term tag {other}"))),
-    }
+    let text = read_str(bytes, pos)?;
+    let (lang, datatype) = match tag {
+        TAG_LANG => (read_str(bytes, pos)?, None),
+        TAG_TYPED => ("", Some(parse_datatype(read_str(bytes, pos)?)?)),
+        _ => ("", None),
+    };
+    term_of(tag, text, lang, datatype)
+}
+
+/// Builds the term a tag and its fields describe (`lang` is read for
+/// [`TAG_LANG`] only, `datatype` for [`TAG_TYPED`] only), copying each text
+/// once.
+pub(super) fn term_of(
+    tag: u8,
+    text: &str,
+    lang: &str,
+    datatype: Option<Iri>,
+) -> Result<Term, PersistError> {
+    Ok(match (tag, datatype) {
+        // Snapshot/WAL terms were validated when first constructed, so a
+        // decode failure here means file corruption, not user input.
+        (TAG_IRI, _) => Iri::parse(text)
+            .map_err(|e| PersistError::corrupt(format!("invalid IRI in term: {e}")))?
+            .into(),
+        (TAG_BLANK, _) => BlankNode::from_label(text).into(),
+        (TAG_STRING, _) => Literal::new_simple(text).into(),
+        (TAG_LANG, _) => Literal::new_tagged(text, lang).into(),
+        (TAG_TYPED, Some(datatype)) => Literal::new_typed(text, datatype).into(),
+        (other, _) => return Err(PersistError::corrupt(format!("unknown term tag {other}"))),
+    })
+}
+
+/// A typed literal's datatype IRI from its text: shared when well known.
+pub(super) fn parse_datatype(text: &str) -> Result<Iri, PersistError> {
+    datatype_iri(text).map_err(|e| PersistError::corrupt(format!("invalid datatype IRI: {e}")))
 }
 
 #[cfg(test)]

@@ -1,99 +1,153 @@
 //! The binary snapshot format: one self-contained, checksummed file holding
 //! a full [`TripleStore`].
 //!
-//! Layout (all fixed-width integers little-endian):
+//! Layout (all fixed-width integers little-endian, every other integer an
+//! LEB128 varint):
 //!
 //! ```text
 //! header (44 bytes):
 //!   [ 0.. 8)  magic  "HBLDSNAP"
-//!   [ 8..12)  u32    format version (2; any other is refused, see below)
+//!   [ 8..12)  u32    format version (3; any other is refused, see below)
 //!   [12..20)  u64    term count
 //!   [20..28)  u64    quad count
 //!   [28..36)  u64    payload length in bytes
 //!   [36..40)  u32    CRC-32 of the payload
 //!   [40..44)  u32    CRC-32 of header bytes [0..40)
 //! payload:
-//!   term table:  `term count` encoded terms; the i-th entry defines id i
+//!   term table:  `term count` front-coded terms; the i-th entry defines id i
 //!   quad runs:   `quad count` delta-encoded (g, s, p, o) id quads in
 //!                ascending GSPO order (see below). The default graph is
 //!                the reserved id `u32::MAX`, so it sorts last.
 //! ```
 //!
+//! # The term table
+//!
+//! Terms are written in id order, and after a fresh load id order is term
+//! order (see [`crate::dictionary`]), so neighbours share long prefixes —
+//! IRIs of one namespace, numbers of one magnitude. Each term is front-coded
+//! against the one before it, in the manner of HDT's dictionary (Fernández
+//! et al. 2013):
+//!
+//! ```text
+//! term:   [u8 tag][text]            IRI (0), blank node (1), plain string (2)
+//!         [u8 tag][text][lang]      language-tagged literal (3)
+//!         [u8 tag][text][datatype]  typed literal (4)
+//! text:   [shared][suffix length][suffix bytes]
+//! lang:   [length][bytes]
+//! ```
+//!
+//! `text` is the IRI, the blank-node label or the lexical form: the first
+//! `shared` bytes of the previous term's text (of whatever kind, the empty
+//! text before the first term) followed by the suffix. A typed literal's
+//! datatype IRI is front-coded the same way against the datatype of the
+//! previous *typed* literal, so a run of one datatype costs two bytes a term.
+//! A `shared` longer than the previous text, or one that splits a
+//! character, is corruption.
+//!
+//! The file records nothing about order. [`decode`] recomputes the restored
+//! dictionary's `sorted_len` as it reads — the longest prefix of the table
+//! that increases under `Term::cmp` — at the price of one byte comparison per
+//! IRI or blank node (the suffix against what it replaces: the shared prefix
+//! is already equal) and one value key per literal. A run that does not
+//! increase only ends that prefix early; it is never an error.
+//!
+//! # The quad runs
+//!
 //! Quads are sorted, so consecutive entries share long prefixes. Each quad
 //! is encoded against its predecessor as:
 //!
-//! * `dg = g − prev_g` (varint). If `dg > 0` the graph changed and `s`,
-//!   `p`, `o` follow as absolute varints.
-//! * Otherwise `ds = s − prev_s` follows; if `ds > 0`, `p` and `o` are
-//!   absolute.
+//! * `dg = g − prev_g`. If `dg > 0` the graph changed and `s`, `p`, `o`
+//!   follow as absolute values.
+//! * Otherwise `ds = s − prev_s` follows; if `ds > 0`, `p` and `o` follow as
+//!   zigzag-encoded signed deltas against `prev_p` and `prev_o`: in term
+//!   order a subject's first predicate and object sit near the previous
+//!   subject's last ones.
 //! * Otherwise `dp = p − prev_p` follows; if `dp > 0`, `o` is absolute.
 //! * Otherwise only `do = o − prev_o` follows (strictly positive, because
 //!   the sequence is strictly increasing).
 //!
-//! There is one format version. A file carrying any other number was
-//! written by a different build: [`decode`] refuses it with a typed
-//! "unsupported snapshot version" error and never reinterprets it.
+//! The first quad is encoded against `(0, 0, 0, 0)` with every component
+//! absolute.
+//!
+//! There is one format version. A file carrying any other number — version
+//! 2, before the front coding, included — was written by a different build:
+//! [`decode`] refuses it with a typed "unsupported snapshot version" error
+//! and never reinterprets it.
 //!
 //! A snapshot is written to a temporary file, fsynced, then renamed into
 //! place (and the directory fsynced), so readers only ever observe either
 //! the old complete snapshot or the new complete snapshot.
 
+use std::cmp::Ordering;
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::Path;
 
-use crate::dictionary::TermDictionary;
+use hbold_rdf_model::{Iri, Term, ValueKey};
+
+use crate::dictionary::{TermDictionary, TermId};
 use crate::store::{TripleStore, DEFAULT_GRAPH};
 
-use super::codec::{crc32, read_term, read_varint, write_term, write_varint};
+use super::codec::{
+    crc32, parse_datatype, read_len, read_str, read_varint, tag_of, term_of, text_of, write_str,
+    write_varint, TAG_LANG, TAG_TYPED,
+};
 use super::PersistError;
 
 /// Magic bytes at the start of every snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"HBLDSNAP";
 /// The snapshot format version this build writes and reads.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 const HEADER_LEN: usize = 44;
 
 /// Serializes `store` into the snapshot byte format (header + payload).
 pub fn encode(store: &TripleStore) -> Vec<u8> {
     let mut payload = Vec::new();
+    let (mut text, mut datatype) = ("", "");
     for (_, term) in store.dictionary().iter() {
-        write_term(&mut payload, term);
+        let tag = tag_of(term);
+        payload.push(tag);
+        write_front_coded(&mut payload, text, text_of(term));
+        text = text_of(term);
+        if let Term::Literal(literal) = term {
+            match tag {
+                TAG_LANG => write_str(&mut payload, literal.language().unwrap_or_default()),
+                TAG_TYPED => {
+                    write_front_coded(&mut payload, datatype, literal.datatype().as_str());
+                    datatype = literal.datatype().as_str();
+                }
+                _ => {}
+            }
+        }
     }
     let mut prev = (0u32, 0u32, 0u32, 0u32);
-    let mut first = true;
-    for &(g, s, p, o) in store.encoded_gspo_iter() {
-        if first {
-            // The first quad is encoded against a virtual (0, 0, 0, 0)
-            // predecessor with every component treated as "changed".
-            write_varint(&mut payload, g as u64);
-            write_varint(&mut payload, s as u64);
-            write_varint(&mut payload, p as u64);
-            write_varint(&mut payload, o as u64);
-            first = false;
-        } else {
-            let dg = g - prev.0;
-            write_varint(&mut payload, dg as u64);
-            if dg > 0 {
-                write_varint(&mut payload, s as u64);
-                write_varint(&mut payload, p as u64);
-                write_varint(&mut payload, o as u64);
+    for (i, &(g, s, p, o)) in store.encoded_gspo_iter().enumerate() {
+        let mut varint = |value: u64| write_varint(&mut payload, value);
+        if i == 0 || g != prev.0 {
+            // The first quad is "changed" in every component.
+            if i > 0 {
+                varint((g - prev.0) as u64);
             } else {
-                let ds = s - prev.1;
-                write_varint(&mut payload, ds as u64);
-                if ds > 0 {
-                    write_varint(&mut payload, p as u64);
-                    write_varint(&mut payload, o as u64);
-                } else {
-                    let dp = p - prev.2;
-                    write_varint(&mut payload, dp as u64);
-                    if dp > 0 {
-                        write_varint(&mut payload, o as u64);
-                    } else {
-                        write_varint(&mut payload, (o - prev.3) as u64);
-                    }
-                }
+                varint(g as u64);
             }
+            varint(s as u64);
+            varint(p as u64);
+            varint(o as u64);
+        } else if s != prev.1 {
+            varint(0);
+            varint((s - prev.1) as u64);
+            varint(zigzag(p as i64 - prev.2 as i64));
+            varint(zigzag(o as i64 - prev.3 as i64));
+        } else if p != prev.2 {
+            varint(0);
+            varint(0);
+            varint((p - prev.2) as u64);
+            varint(o as u64);
+        } else {
+            varint(0);
+            varint(0);
+            varint(0);
+            varint((o - prev.3) as u64);
         }
         prev = (g, s, p, o);
     }
@@ -109,6 +163,56 @@ pub fn encode(store: &TripleStore) -> Vec<u8> {
     out.extend_from_slice(&header_crc.to_le_bytes());
     out.extend_from_slice(&payload);
     out
+}
+
+/// Appends `text` front-coded against `prev`: the length of their longest
+/// common prefix that ends on a character boundary, then the rest of `text`.
+fn write_front_coded(out: &mut Vec<u8>, prev: &str, text: &str) {
+    let mut shared = prev
+        .bytes()
+        .zip(text.bytes())
+        .take_while(|(a, b)| a == b)
+        .count();
+    while !text.is_char_boundary(shared) {
+        shared -= 1;
+    }
+    write_varint(out, shared as u64);
+    write_str(out, &text[shared..]);
+}
+
+/// Reads a text [`write_front_coded`] wrote against `prev`, which becomes
+/// it. Returns how the new text orders against the old one: its first
+/// `shared` bytes are the old text's, so the suffix against what it replaces
+/// decides — one byte, when the prefix was the longest.
+fn read_front_coded(
+    bytes: &[u8],
+    pos: &mut usize,
+    prev: &mut String,
+) -> Result<Ordering, PersistError> {
+    let shared = read_len(bytes, pos)?;
+    let suffix = read_str(bytes, pos)?;
+    if shared > prev.len() {
+        return Err(PersistError::corrupt(
+            "front-coded prefix is longer than the previous term's text",
+        ));
+    }
+    if !prev.is_char_boundary(shared) {
+        return Err(PersistError::corrupt(
+            "front-coded prefix splits a character",
+        ));
+    }
+    let order = suffix.as_bytes().cmp(&prev.as_bytes()[shared..]);
+    prev.truncate(shared);
+    prev.push_str(suffix);
+    Ok(order)
+}
+
+fn zigzag(delta: i64) -> u64 {
+    ((delta << 1) ^ (delta >> 63)) as u64
+}
+
+fn unzigzag(value: u64) -> i64 {
+    (value >> 1) as i64 ^ -((value & 1) as i64)
 }
 
 /// Decodes a snapshot produced by [`encode`], validating both checksums.
@@ -145,97 +249,148 @@ pub fn decode(bytes: &[u8]) -> Result<TripleStore, PersistError> {
         return Err(PersistError::corrupt("snapshot payload checksum mismatch"));
     }
 
+    let mut pos = 0usize;
+    let (terms, sorted_len) = read_term_table(payload, &mut pos, term_count)?;
+    let dict = TermDictionary::from_terms(terms, sorted_len)
+        .ok_or_else(|| PersistError::corrupt("duplicate term in term table"))?;
+    let quads = read_quads(payload, &mut pos, quad_count, dict.len())?;
+    if pos != payload.len() {
+        return Err(PersistError::corrupt("snapshot payload has trailing bytes"));
+    }
+    Ok(TripleStore::from_snapshot_quads(dict, quads))
+}
+
+/// Reads the term table, and with it the length of its longest prefix that
+/// increases under `Term::cmp` (see the module docs).
+fn read_term_table(
+    payload: &[u8],
+    pos: &mut usize,
+    count: usize,
+) -> Result<(Vec<Term>, usize), PersistError> {
     // Counts come from the (CRC-guarded) header, but a maliciously crafted
     // header can carry a valid checksum over absurd counts — cap the
     // pre-allocation and let the per-item reads fail on the short payload.
-    let mut pos = 0usize;
-    let mut terms = Vec::with_capacity(term_count.min(1 << 16));
-    for _ in 0..term_count {
-        terms.push(read_term(payload, &mut pos)?);
+    let mut terms: Vec<Term> = Vec::with_capacity(count.min(1 << 16));
+    let (mut text, mut datatype_text) = (String::new(), String::new());
+    let mut datatype: Option<Iri> = None;
+    // The previous term's value key (literals only), while the run lasts.
+    let mut prev_value: Option<ValueKey> = None;
+    let mut sorted_len = None;
+    for i in 0..count {
+        let Some(&tag) = payload.get(*pos) else {
+            return Err(PersistError::corrupt("term tag runs past end of input"));
+        };
+        *pos += 1;
+        let text_order = read_front_coded(payload, pos, &mut text)?;
+        let (lang, typed) = match tag {
+            TAG_LANG => (read_str(payload, pos)?, None),
+            TAG_TYPED => {
+                let datatype_order = read_front_coded(payload, pos, &mut datatype_text)?;
+                // An unchanged datatype is the previous one's `Arc`.
+                if datatype.is_none() || datatype_order != Ordering::Equal {
+                    datatype = Some(parse_datatype(&datatype_text)?);
+                }
+                ("", datatype.clone())
+            }
+            _ => ("", None),
+        };
+        let term = term_of(tag, &text, lang, typed)?;
+        if sorted_len.is_none() {
+            let value = match &term {
+                Term::Literal(l) => Some(ValueKey::of(l.lexical_form(), l.datatype())),
+                _ => None,
+            };
+            if let Some(prev) = terms.last() {
+                if !increases(prev, prev_value, &term, value, text_order) {
+                    sorted_len = Some(i);
+                }
+            }
+            prev_value = value;
+        }
+        terms.push(term);
     }
-    // The term table defines a bijection id ↔ term; a duplicate entry
-    // (only producible by a crafted file — the dictionary interns) would
-    // make `by_term` lookups disagree with stored triples, turning later
-    // contains/remove calls into silent no-ops.
-    let distinct: std::collections::HashSet<&_> = terms.iter().collect();
-    if distinct.len() != terms.len() {
-        return Err(PersistError::corrupt("duplicate term in term table"));
-    }
-    let dict = TermDictionary::from_terms(terms);
+    Ok((terms, sorted_len.unwrap_or(count)))
+}
 
-    let read_id = |payload: &[u8], pos: &mut usize| -> Result<u32, PersistError> {
+/// Whether `term` follows `prev` in the term order, given each one's value
+/// key (literals) and how `term`'s text orders against `prev`'s.
+fn increases(
+    prev: &Term,
+    prev_value: Option<ValueKey>,
+    term: &Term,
+    value: Option<ValueKey>,
+    text_order: Ordering,
+) -> bool {
+    match (prev, term) {
+        (Term::Blank(_), Term::Blank(_)) | (Term::Iri(_), Term::Iri(_)) => {
+            text_order == Ordering::Greater
+        }
+        (Term::Literal(p), Term::Literal(l)) => {
+            let rest = || (l.datatype(), l.language()).cmp(&(p.datatype(), p.language()));
+            value.cmp(&prev_value).then(text_order).then_with(rest) == Ordering::Greater
+        }
+        // Across kinds: blank nodes, then IRIs, then literals.
+        (Term::Blank(_), _) | (Term::Iri(_), Term::Literal(_)) => true,
+        _ => false,
+    }
+}
+
+/// Reads the GSPO-ordered quad runs; every term id must name an entry of the
+/// `terms`-long table, and a graph may also be the default-graph sentinel.
+fn read_quads(
+    payload: &[u8],
+    pos: &mut usize,
+    count: usize,
+    terms: usize,
+) -> Result<Vec<(TermId, TermId, TermId, TermId)>, PersistError> {
+    let read = |pos: &mut usize| -> Result<TermId, PersistError> {
         let v = read_varint(payload, pos)?;
-        u32::try_from(v).map_err(|_| PersistError::corrupt("term id exceeds 32 bits"))
+        TermId::try_from(v).map_err(|_| PersistError::corrupt("term id exceeds 32 bits"))
     };
-    let term_in_range = |id: u32| (id as usize) < dict.len();
-
-    // GSPO-ordered quads; the graph component is either a term id or the
-    // reserved default-graph sentinel.
-    let mut quads = Vec::with_capacity(quad_count.min(1 << 16));
-    let mut prev = (0u32, 0u32, 0u32, 0u32);
-    for i in 0..quad_count {
-        let quad = if i == 0 {
-            (
-                read_id(payload, &mut pos)?,
-                read_id(payload, &mut pos)?,
-                read_id(payload, &mut pos)?,
-                read_id(payload, &mut pos)?,
-            )
-        } else {
-            let dg = read_id(payload, &mut pos)?;
-            if dg > 0 {
-                (
-                    prev.0
-                        .checked_add(dg)
-                        .ok_or_else(|| PersistError::corrupt("graph delta overflow"))?,
-                    read_id(payload, &mut pos)?,
-                    read_id(payload, &mut pos)?,
-                    read_id(payload, &mut pos)?,
-                )
+    let add = |base: TermId, delta: TermId, what: &str| {
+        base.checked_add(delta)
+            .ok_or_else(|| PersistError::corrupt(format!("{what} delta overflow")))
+    };
+    let shift = |base: TermId, pos: &mut usize, what: &str| -> Result<TermId, PersistError> {
+        let delta = unzigzag(read_varint(payload, pos)?);
+        (base as i64)
+            .checked_add(delta)
+            .and_then(|id| TermId::try_from(id).ok())
+            .ok_or_else(|| PersistError::corrupt(format!("{what} delta out of range")))
+    };
+    let in_table = |id: TermId| (id as usize) < terms;
+    let mut quads = Vec::with_capacity(count.min(1 << 16));
+    let mut prev = (0, 0, 0, 0);
+    for i in 0..count {
+        let dg = read(pos)?;
+        let quad = if i == 0 || dg > 0 {
+            let g = if i == 0 {
+                dg
             } else {
-                let ds = read_id(payload, &mut pos)?;
-                if ds > 0 {
-                    (
-                        prev.0,
-                        prev.1
-                            .checked_add(ds)
-                            .ok_or_else(|| PersistError::corrupt("subject delta overflow"))?,
-                        read_id(payload, &mut pos)?,
-                        read_id(payload, &mut pos)?,
-                    )
+                add(prev.0, dg, "graph")?
+            };
+            (g, read(pos)?, read(pos)?, read(pos)?)
+        } else {
+            let ds = read(pos)?;
+            if ds > 0 {
+                let s = add(prev.1, ds, "subject")?;
+                let p = shift(prev.2, pos, "predicate")?;
+                (prev.0, s, p, shift(prev.3, pos, "object")?)
+            } else {
+                let dp = read(pos)?;
+                if dp > 0 {
+                    (prev.0, prev.1, add(prev.2, dp, "predicate")?, read(pos)?)
                 } else {
-                    let dp = read_id(payload, &mut pos)?;
-                    if dp > 0 {
-                        (
-                            prev.0,
-                            prev.1,
-                            prev.2
-                                .checked_add(dp)
-                                .ok_or_else(|| PersistError::corrupt("predicate delta overflow"))?,
-                            read_id(payload, &mut pos)?,
-                        )
-                    } else {
-                        let dd = read_id(payload, &mut pos)?;
-                        if dd == 0 {
-                            return Err(PersistError::corrupt("duplicate quad in snapshot"));
-                        }
-                        (
-                            prev.0,
-                            prev.1,
-                            prev.2,
-                            prev.3
-                                .checked_add(dd)
-                                .ok_or_else(|| PersistError::corrupt("object delta overflow"))?,
-                        )
+                    let dd = read(pos)?;
+                    if dd == 0 {
+                        return Err(PersistError::corrupt("duplicate quad in snapshot"));
                     }
+                    (prev.0, prev.1, prev.2, add(prev.3, dd, "object")?)
                 }
             }
         };
-        if !(term_in_range(quad.0) || quad.0 == DEFAULT_GRAPH)
-            || !term_in_range(quad.1)
-            || !term_in_range(quad.2)
-            || !term_in_range(quad.3)
-        {
+        let (g, s, p, o) = quad;
+        if !(in_table(g) || g == DEFAULT_GRAPH) || !in_table(s) || !in_table(p) || !in_table(o) {
             return Err(PersistError::corrupt(
                 "quad references a term id outside the term table",
             ));
@@ -243,10 +398,7 @@ pub fn decode(bytes: &[u8]) -> Result<TripleStore, PersistError> {
         quads.push(quad);
         prev = quad;
     }
-    if pos != payload.len() {
-        return Err(PersistError::corrupt("snapshot payload has trailing bytes"));
-    }
-    Ok(TripleStore::from_snapshot_quads(dict, quads))
+    Ok(quads)
 }
 
 /// Writes `store` as a snapshot at `path` atomically: the bytes go to
@@ -343,16 +495,20 @@ mod tests {
     #[test]
     fn version_1_snapshots_are_refused_by_name() {
         // A well-formed file of another format version — header and payload
-        // checksums valid — is a typed refusal, not an attempt to read it.
-        let mut bytes = encode(&sample(10));
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let header_crc = crc32(&bytes[..40]);
-        bytes[40..44].copy_from_slice(&header_crc.to_le_bytes());
-        match decode(&bytes) {
-            Err(PersistError::Corrupt { reason, .. }) => {
-                assert!(reason.contains("version 1"), "reason was {reason:?}")
+        // checksums valid — is a typed refusal, not an attempt to read it:
+        // version 2 (whole texts, absolute predicate and object) included.
+        for version in [1u32, 2] {
+            let mut bytes = encode(&sample(10));
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            let header_crc = crc32(&bytes[..40]);
+            bytes[40..44].copy_from_slice(&header_crc.to_le_bytes());
+            match decode(&bytes) {
+                Err(PersistError::Corrupt { reason, .. }) => assert!(
+                    reason.contains(&format!("version {version} ")),
+                    "reason was {reason:?}"
+                ),
+                other => panic!("expected a typed version refusal, got {other:?}"),
             }
-            other => panic!("expected a typed version refusal, got {other:?}"),
         }
     }
 
@@ -383,26 +539,163 @@ mod tests {
         }
     }
 
-    #[test]
-    fn duplicate_term_table_entries_are_corruption() {
-        // Craft a payload whose term table lists the same term twice, with
-        // all checksums valid; decode must refuse it.
-        use super::super::codec::{crc32, write_term};
-        let term: hbold_rdf_model::Term = Iri::new("http://e.org/dup").unwrap().into();
-        let mut payload = Vec::new();
-        write_term(&mut payload, &term);
-        write_term(&mut payload, &term);
+    /// A well-formed file — both checksums valid — around a hand-made
+    /// payload.
+    fn crafted(terms: u64, quads: u64, payload: &[u8]) -> Vec<u8> {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(SNAPSHOT_MAGIC);
         bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&2u64.to_le_bytes()); // term count
-        bytes.extend_from_slice(&0u64.to_le_bytes()); // quad count
+        bytes.extend_from_slice(&terms.to_le_bytes());
+        bytes.extend_from_slice(&quads.to_le_bytes());
         bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+        bytes.extend_from_slice(&crc32(payload).to_le_bytes());
         let header_crc = crc32(&bytes[..40]);
         bytes.extend_from_slice(&header_crc.to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        assert!(decode(&bytes).is_err());
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    /// A term table of IRIs, each written whole (nothing shared).
+    fn iri_table(iris: &[&str]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        for iri in iris {
+            payload.push(super::super::codec::TAG_IRI);
+            write_varint(&mut payload, 0);
+            write_str(&mut payload, iri);
+        }
+        payload
+    }
+
+    fn corruption(bytes: &[u8]) -> String {
+        match decode(bytes) {
+            Err(PersistError::Corrupt { reason, .. }) => reason,
+            other => panic!("expected corruption, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn duplicate_term_table_entries_are_corruption() {
+        // The same term twice, all checksums valid: decode must refuse it.
+        let payload = iri_table(&["http://e.org/dup", "http://e.org/dup"]);
+        let reason = corruption(&crafted(2, 0, &payload));
+        assert!(reason.contains("duplicate term"), "{reason}");
+    }
+
+    #[test]
+    fn a_prefix_longer_than_the_previous_text_is_corruption() {
+        let mut payload = iri_table(&["http://e.org/a"]);
+        payload.push(super::super::codec::TAG_IRI);
+        write_varint(&mut payload, 15); // "http://e.org/a" has 14 bytes
+        write_str(&mut payload, "b");
+        let reason = corruption(&crafted(2, 0, &payload));
+        assert!(reason.contains("longer than the previous"), "{reason}");
+        // A prefix that ends inside a character.
+        let mut payload = iri_table(&["http://e.org/é"]);
+        payload.push(super::super::codec::TAG_IRI);
+        write_varint(&mut payload, 14);
+        write_str(&mut payload, "x");
+        let reason = corruption(&crafted(2, 0, &payload));
+        assert!(reason.contains("splits a character"), "{reason}");
+    }
+
+    #[test]
+    fn a_run_out_of_order_only_shortens_the_sorted_prefix() {
+        // Nothing in the file claims an order: an IRI table whose third
+        // entry steps back decodes whole, sorted up to there.
+        let iris = [
+            "http://e.org/a",
+            "http://e.org/c",
+            "http://e.org/b",
+            "http://e.org/d",
+        ];
+        let decoded = decode(&crafted(4, 0, &iri_table(&iris))).unwrap();
+        assert_eq!(decoded.term_count(), 4);
+        assert_eq!(decoded.dictionary().sorted_len(), 2);
+        for (id, iri) in iris.iter().enumerate() {
+            let term: Term = Iri::new(*iri).unwrap().into();
+            assert_eq!(decoded.id_of(&term), Some(id as TermId));
+        }
+        // Literals too: one value key each, against the literal before.
+        let mut terms: Vec<Term> = vec![
+            Iri::new("http://z.example/p").unwrap().into(),
+            Literal::integer(9).into(),
+            Literal::integer(10).into(),
+            Literal::string("10").into(),
+            Literal::string("9").into(),
+            Literal::integer(2).into(),
+        ];
+        let mut store = TripleStore::new();
+        for term in &terms {
+            store.insert(&Triple::new(
+                Iri::new("http://e.org/s").unwrap(),
+                rdf::type_(),
+                term.clone(),
+            ));
+        }
+        let decoded = decode(&encode(&store)).unwrap();
+        // Interned: s, rdf:type, then the six objects in the order above.
+        terms.splice(
+            0..0,
+            [
+                Iri::new("http://e.org/s").unwrap().into(),
+                rdf::type_().into(),
+            ],
+        );
+        let listed: Vec<Term> = decoded
+            .dictionary()
+            .iter()
+            .map(|(_, t)| t.clone())
+            .collect();
+        assert_eq!(listed, terms);
+        assert_eq!(
+            decoded.dictionary().sorted_len(),
+            7,
+            "ends before the integer 2"
+        );
+    }
+
+    #[test]
+    fn a_fresh_load_round_trips_with_its_whole_order() {
+        // A fresh load is term-ordered throughout: the restore finds all of
+        // it sorted, and what a later intern appended not.
+        let triples: Vec<Triple> = sample(30).iter().collect();
+        let mut store = TripleStore::from_graph(&triples.iter().cloned().collect());
+        assert_eq!(store.dictionary().sorted_len(), store.term_count());
+        let decoded = decode(&encode(&store)).unwrap();
+        assert_eq!(decoded.dictionary().sorted_len(), store.term_count());
+        assert_eq!(decoded.to_graph(), store.to_graph());
+        let sorted = store.term_count();
+        store.insert(&Triple::new(
+            Iri::new("http://a.example/first").unwrap(),
+            rdf::type_(),
+            foaf::person(),
+        ));
+        let decoded = decode(&encode(&store)).unwrap();
+        assert_eq!(decoded.dictionary().sorted_len(), sorted);
+        for (id, term) in store.dictionary().iter() {
+            assert_eq!(decoded.dictionary().get(id), Some(term));
+        }
+    }
+
+    #[test]
+    fn front_coding_shrinks_the_term_table() {
+        // Sorted IRIs of one namespace share most of their bytes.
+        let store = TripleStore::from_graph(&sample(200).iter().collect());
+        let whole: usize = store
+            .dictionary()
+            .iter()
+            .map(|(_, t)| {
+                let mut one = Vec::new();
+                super::super::codec::write_term(&mut one, t);
+                one.len()
+            })
+            .sum();
+        let bytes = encode(&store);
+        assert!(
+            bytes.len() - HEADER_LEN < whole,
+            "the whole snapshot ({} bytes) outweighs its terms written whole ({whole})",
+            bytes.len()
+        );
     }
 
     #[test]

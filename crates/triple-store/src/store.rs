@@ -125,7 +125,8 @@ impl TripleStore {
     }
 
     /// Builds a store from a [`Graph`] using the batched bulk-load path
-    /// (into the default graph).
+    /// (into the default graph): a fresh load, so its ids are numbered in
+    /// `Term::cmp` order.
     pub fn from_graph(graph: &Graph) -> Self {
         let mut store = TripleStore::new();
         store.insert_batch(graph.iter());
@@ -333,7 +334,9 @@ impl TripleStore {
     /// Terms are interned once per occurrence and the tier policy is decided
     /// once for the whole batch: a batch that is large against the store (a
     /// bulk load) is one sort-and-merge per index, a small one goes key by
-    /// key into the churn tiers and leaves the flat tiers alone.
+    /// key into the churn tiers and leaves the flat tiers alone. A batch into
+    /// a store that has never interned a term numbers its terms in
+    /// `Term::cmp` order (see [`crate::dictionary`]).
     pub fn insert_batch<'a>(&mut self, triples: impl IntoIterator<Item = &'a Triple>) -> usize {
         self.insert_refs(triples.into_iter().map(|t| triple_ref(t, None)))
     }
@@ -344,12 +347,28 @@ impl TripleStore {
         self.insert_refs(quads.into_iter().map(quad_ref))
     }
 
+    /// The batch path. A batch into an empty dictionary is a *fresh load*:
+    /// it interns as any batch does, then renumbers the dictionary into term
+    /// order once and rewrites its own keys before they reach an index — no
+    /// id of the store existed before the batch, so none held elsewhere can
+    /// go stale (see [`crate::dictionary`]).
     fn insert_refs<'a>(&mut self, quads: impl Iterator<Item = QuadRef<'a>>) -> usize {
+        let fresh = self.dict.is_empty();
         // Most batches repeat subjects/predicates heavily, so the quad
         // count itself is a reasonable (slightly generous) bound on new
         // dictionary entries — reserving it once beats rehashing mid-load.
         self.dict.reserve(quads.size_hint().0);
-        let encoded: Vec<QuadKey> = quads.map(|quad| self.intern_ref(quad)).collect();
+        let mut encoded: Vec<QuadKey> = quads.map(|quad| self.intern_ref(quad)).collect();
+        if fresh {
+            let old_to_new = self.dict.renumber();
+            let id = |old: TermId| old_to_new[old as usize];
+            for (g, s, p, o) in &mut encoded {
+                if *g != DEFAULT_GRAPH {
+                    *g = id(*g);
+                }
+                (*s, *p, *o) = (id(*s), id(*p), id(*o));
+            }
+        }
         self.absorb(&encoded)
     }
 
@@ -440,18 +459,31 @@ impl TripleStore {
         predicate: Option<TermId>,
         object: Option<TermId>,
     ) -> EncodedScan<'_> {
-        let g = graph;
-        let (scan, order) = match (subject, predicate, object) {
-            (Some(s), Some(p), Some(o)) => (self.gspo.scan_prefix4(g, s, p, o), IndexOrder::Gspo),
-            (Some(s), Some(p), None) => (self.gspo.scan_prefix3(g, s, p), IndexOrder::Gspo),
-            (Some(s), None, None) => (self.gspo.scan_prefix2(g, s), IndexOrder::Gspo),
-            (None, Some(p), Some(o)) => (self.gpos.scan_prefix3(g, p, o), IndexOrder::Gpos),
-            (None, Some(p), None) => (self.gpos.scan_prefix2(g, p), IndexOrder::Gpos),
-            (None, None, Some(o)) => (self.gosp.scan_prefix2(g, o), IndexOrder::Gosp),
-            (Some(s), None, Some(o)) => (self.gosp.scan_prefix3(g, o, s), IndexOrder::Gosp),
-            (None, None, None) => (self.gspo.scan_prefix1(g), IndexOrder::Gspo),
+        let (order, index, [a, b, c], bound) = self.lookup([subject, predicate, object]);
+        let scan = match bound {
+            0 => index.scan_prefix1(graph),
+            1 => index.scan_prefix2(graph, a),
+            2 => index.scan_prefix3(graph, a, b),
+            _ => index.scan_prefix4(graph, a, b, c),
         };
         EncodedScan { scan, order }
+    }
+
+    /// A pattern lookup's dispatch ([`IndexOrder::for_pattern`]): the order,
+    /// its index, the pattern's ids in the index's key order (open positions
+    /// as 0, all after the bound ones) and how many are bound.
+    fn lookup(
+        &self,
+        spo: [Option<TermId>; 3],
+    ) -> (IndexOrder, &PositionalIndex, [TermId; 3], usize) {
+        let (order, open) = IndexOrder::for_pattern(spo.map(|id| id.is_some()));
+        let index = match order {
+            IndexOrder::Gspo => &self.gspo,
+            IndexOrder::Gpos => &self.gpos,
+            IndexOrder::Gosp => &self.gosp,
+        };
+        let key = order.positions().map(|position| spo[position].unwrap_or(0));
+        (order, index, key, 3 - open.len())
     }
 
     /// Counts the default-graph triples matching the encoded pattern
@@ -479,16 +511,12 @@ impl TripleStore {
         predicate: Option<TermId>,
         object: Option<TermId>,
     ) -> usize {
-        let g = graph;
-        match (subject, predicate, object) {
-            (Some(s), Some(p), Some(o)) => usize::from(self.gspo.contains(&(g, s, p, o))),
-            (Some(s), Some(p), None) => self.gspo.count_prefix3(g, s, p),
-            (Some(s), None, None) => self.gspo.count_prefix2(g, s),
-            (None, Some(p), Some(o)) => self.gpos.count_prefix3(g, p, o),
-            (None, Some(p), None) => self.gpos.count_prefix2(g, p),
-            (None, None, Some(o)) => self.gosp.count_prefix2(g, o),
-            (Some(s), None, Some(o)) => self.gosp.count_prefix3(g, o, s),
-            (None, None, None) => self.gspo.count_prefix1(g),
+        let (_, index, [a, b, c], bound) = self.lookup([subject, predicate, object]);
+        match bound {
+            0 => index.count_prefix1(graph),
+            1 => index.count_prefix2(graph, a),
+            2 => index.count_prefix3(graph, a, b),
+            _ => usize::from(index.contains(&(graph, a, b, c))),
         }
     }
 

@@ -4,7 +4,9 @@
 //! append must recover to exactly the committed prefix — every fully
 //! written record applied, the torn record discarded, nothing else. We
 //! prove it exhaustively by truncating the log at *every* byte offset of
-//! the final record and reopening.
+//! the final record and reopening — a log over a checkpointed snapshot, so
+//! each reopen also decodes the front-coded term table and recomputes how
+//! much of it is in term order.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::OpenOptions;
@@ -32,6 +34,19 @@ fn person(n: u32) -> Vec<Triple> {
     ]
 }
 
+/// The data a sweep's directory starts from: loaded fresh into an empty
+/// directory — so numbered in term order — and checkpointed, so that
+/// recovery reads a snapshot before the log. Returns the number of terms
+/// the snapshot holds, all of them in order.
+fn checkpointed_base(shared: &SharedStore) -> usize {
+    let base: Vec<Triple> = (900..920).flat_map(person).collect();
+    shared.bulk_load(base.iter());
+    shared.checkpoint().unwrap();
+    let terms = shared.snapshot().term_count();
+    assert_eq!(shared.snapshot().dictionary().sorted_len(), terms);
+    terms
+}
+
 /// Truncate the WAL at every byte offset inside its final record and
 /// assert the recovered store is exactly the state after the committed
 /// records — the final record is torn, so it must vanish entirely.
@@ -42,14 +57,16 @@ fn recovery_at_every_truncation_offset_of_the_final_record() {
     // Build a log of N-1 committed batches plus one final batch, and keep
     // the expected state both with and without that final batch.
     let committed_batches = 5u32;
-    {
+    let sorted_terms = {
         let (shared, _) = SharedStore::open(&dir).unwrap();
+        let sorted_terms = checkpointed_base(&shared);
         for n in 0..committed_batches {
             shared.bulk_load(person(n).iter());
         }
         let final_batch = person(committed_batches);
         shared.bulk_load(final_batch.iter());
-    }
+        sorted_terms
+    };
     let wal = dir.join("wal.log");
     let full_len = std::fs::metadata(&wal).unwrap().len();
     let full_bytes = std::fs::read(&wal).unwrap();
@@ -67,7 +84,7 @@ fn recovery_at_every_truncation_offset_of_the_final_record() {
     let final_start = *record_starts.last().unwrap() as u64;
 
     let mut committed = TripleStore::new();
-    for n in 0..committed_batches {
+    for n in (900..920).chain(0..committed_batches) {
         committed.insert_batch(person(n).iter());
     }
     let committed_graph = committed.to_graph();
@@ -85,6 +102,9 @@ fn recovery_at_every_truncation_offset_of_the_final_record() {
             committed_graph,
             "truncation at byte {cut} of {full_len} must yield exactly the committed prefix"
         );
+        // The snapshot's run is in term order; what the log interned is not.
+        assert_eq!(recovered.snapshot().dictionary().sorted_len(), sorted_terms);
+        assert_eq!(report.snapshot_generation, Some(1));
         let expect_torn = cut > final_start;
         assert_eq!(
             report.wal_tail_truncated, expect_torn,
@@ -132,14 +152,16 @@ fn recovery_at_every_truncation_offset_of_a_graph_update_record() {
         vec![quad(2, Some(&g1)), quad(2, None)],
         vec![quad(200, Some(&g1)), quad(200, None)],
     );
-    {
+    let sorted_terms = {
         let (shared, _) = SharedStore::open(&dir).unwrap();
+        let sorted_terms = checkpointed_base(&shared);
         for (removes, inserts) in &committed_updates {
             shared.apply_update(|_| (removes.clone(), inserts.clone()));
         }
         let (removes, inserts) = &final_update;
         shared.apply_update(|_| (removes.clone(), inserts.clone()));
-    }
+        sorted_terms
+    };
     let wal = dir.join("wal.log");
     let full_len = std::fs::metadata(&wal).unwrap().len();
     let full_bytes = std::fs::read(&wal).unwrap();
@@ -156,6 +178,7 @@ fn recovery_at_every_truncation_offset_of_a_graph_update_record() {
     let final_start = *record_starts.last().unwrap() as u64;
 
     let mut committed = TripleStore::new();
+    committed.insert_batch((900..920).flat_map(person).collect::<Vec<_>>().iter());
     for (removes, inserts) in &committed_updates {
         for q in removes {
             committed.remove_quad(q);
@@ -178,6 +201,7 @@ fn recovery_at_every_truncation_offset_of_a_graph_update_record() {
             committed_fp,
             "truncation at byte {cut} of {full_len} must yield exactly the committed updates"
         );
+        assert_eq!(recovered.snapshot().dictionary().sorted_len(), sorted_terms);
         assert_eq!(
             report.wal_tail_truncated,
             cut > final_start,
@@ -493,21 +517,24 @@ fn a_directory_of_another_format_version_is_refused_untouched() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 
-    // A checkpointed directory whose snapshot says version 1 (header
-    // checksum recomputed, so the file is well-formed).
-    let dir = temp_dir("foreign-snapshot");
-    {
-        let (shared, _) = SharedStore::open(&dir).unwrap();
-        shared.bulk_load(person(1).iter());
-        shared.checkpoint().unwrap();
-        shared.bulk_load(person(2).iter());
+    // A checkpointed directory whose snapshot says version 1, or version 2
+    // — the format before front coding (header checksum recomputed, so the
+    // file is well-formed).
+    for version in [1u32, 2] {
+        let dir = temp_dir(&format!("foreign-snapshot-{version}"));
+        {
+            let (shared, _) = SharedStore::open(&dir).unwrap();
+            shared.bulk_load(person(1).iter());
+            shared.checkpoint().unwrap();
+            shared.bulk_load(person(2).iter());
+        }
+        let snapshot = dir.join("snapshot-0000000000000001.hbs");
+        let mut bytes = std::fs::read(&snapshot).unwrap();
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        let header_crc = crc32(&bytes[..40]);
+        bytes[40..44].copy_from_slice(&header_crc.to_le_bytes());
+        std::fs::write(&snapshot, &bytes).unwrap();
+        refused(&dir, &format!("unsupported snapshot version {version} "));
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let snapshot = dir.join("snapshot-0000000000000001.hbs");
-    let mut bytes = std::fs::read(&snapshot).unwrap();
-    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-    let header_crc = crc32(&bytes[..40]);
-    bytes[40..44].copy_from_slice(&header_crc.to_le_bytes());
-    std::fs::write(&snapshot, &bytes).unwrap();
-    refused(&dir, "unsupported snapshot version 1 ");
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,0 +1,157 @@
+//! Terms decode with one copy, pinned without a clock: a counting global
+//! allocator around the decoders that build terms from text — the SPARQL
+//! results JSON reader, the N-Triples parser and the snapshot / write-ahead
+//! log term codec. Each text is copied once, from the document into the
+//! term's shared buffer, and a literal of a well-known datatype shares the
+//! vocabulary's IRI: one allocation per IRI, blank node, plain or typed
+//! literal (a language-tagged one has its tag to copy too). Through
+//! `impl Into<String>` constructors each of them cost a `String` and then
+//! the `Arc` copied from it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use hbold_rdf_model::vocab::xsd;
+use hbold_rdf_model::{BlankNode, Graph, Iri, Literal, Term, Triple};
+use hbold_sparql::QueryResults;
+use hbold_triple_store::persist::{codec, snapshot};
+use hbold_triple_store::TripleStore;
+
+thread_local! {
+    /// Allocations made by this thread (tests run on threads of their own).
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a const-initialised thread-local
+// `Cell`, so touching it neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: `layout` is the caller's, passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` above with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// What `f` returns, and the allocations it made.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// `n` triples whose objects cycle through a plain, an integer and a
+/// `xsd:date` literal.
+fn triples(n: usize) -> Vec<Triple> {
+    (0..n)
+        .map(|i| {
+            let object = match i % 3 {
+                0 => Literal::string(format!("name {i}")),
+                1 => Literal::integer(i as i64),
+                _ => Literal::typed(format!("2020-01-{:02}", i % 28 + 1), xsd::date()),
+            };
+            Triple::new(
+                Iri::new(format!("http://alloc.example/s{i}")).unwrap(),
+                Iri::new(format!("http://alloc.example/p{}", i % 4)).unwrap(),
+                object,
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn one_allocation_per_term_read_back_from_a_log_record() {
+    let terms: Vec<(Term, usize)> = vec![
+        (Iri::new("http://alloc.example/a").unwrap().into(), 1),
+        (BlankNode::new("b7").into(), 1),
+        (Literal::string("plain").into(), 1),
+        (Literal::integer(42).into(), 1),
+        (
+            Literal::typed("x", Iri::new("http://alloc.example/dt").unwrap()).into(),
+            2,
+        ),
+        (Literal::lang_string("ciao", "it").into(), 2),
+    ];
+    for (term, expected) in terms {
+        let mut bytes = Vec::new();
+        codec::write_term(&mut bytes, &term);
+        let (decoded, allocations) = counted(|| codec::read_term(&bytes, &mut 0).unwrap());
+        assert_eq!(decoded, term);
+        assert_eq!(allocations, expected, "{term}");
+    }
+}
+
+#[test]
+fn one_allocation_per_term_of_an_ntriples_line() {
+    for triple in triples(3) {
+        let line = format!(
+            "{} {} {} .",
+            triple.subject, triple.predicate, triple.object
+        );
+        let (parsed, allocations) =
+            counted(|| hbold_rdf_parser::ntriples::parse_line(&line, 1).unwrap());
+        assert_eq!(parsed, triple);
+        assert_eq!(allocations, 3, "{line}");
+    }
+}
+
+/// The allocations a decode of `n` rows (or triples) made beyond one of
+/// `n / 2`, per added row.
+fn marginal(decode: impl Fn(usize) -> usize, n: usize) -> f64 {
+    (decode(n) - decode(n / 2)) as f64 / (n - n / 2) as f64
+}
+
+#[test]
+fn a_results_document_decodes_each_term_once() {
+    let decode = |n: usize| {
+        let rows = triples(n)
+            .into_iter()
+            .map(|t| vec![Some(t.subject), Some(t.predicate), Some(t.object)])
+            .collect();
+        let json = QueryResults::Select(hbold_sparql::SelectResults {
+            variables: vec!["s".into(), "p".into(), "o".into()],
+            rows,
+        })
+        .to_sparql_json();
+        let (decoded, allocations) = counted(|| QueryResults::from_sparql_json(&json).unwrap());
+        assert_eq!(decoded.into_select().unwrap().rows.len(), n);
+        allocations
+    };
+    // Three terms and the row's own vector; the table's vector grows once.
+    let per_row = marginal(decode, 600);
+    assert!(per_row <= 4.01, "{per_row} allocations per decoded row");
+}
+
+#[test]
+fn a_snapshot_term_table_decodes_each_term_once() {
+    let decode = |n: usize| {
+        let graph: Graph = triples(n).into_iter().collect();
+        let bytes = snapshot::encode(&TripleStore::from_graph(&graph));
+        let (store, allocations) = counted(|| snapshot::decode(&bytes).unwrap());
+        assert_eq!(store.len(), n);
+        allocations
+    };
+    // Each added triple adds two terms — its subject and its object — and
+    // nothing else allocates per term: the tables are sized up front.
+    let per_triple = marginal(decode, 600);
+    assert!(
+        per_triple <= 2.01,
+        "{per_triple} allocations per decoded triple"
+    );
+}
