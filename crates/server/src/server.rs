@@ -686,15 +686,11 @@ fn metrics(shared: &Shared) -> HttpResponse {
         .set(snapshot.dictionary().sorted_len() as u64);
     for (order, tiers) in snapshot.index_tier_sizes() {
         let order = order.label();
-        for (tier, entries) in [
-            ("flat", tiers.flat),
-            ("delta", tiers.delta),
-            ("dead", tiers.dead),
-        ] {
+        for (tier, entries) in tiers.labeled() {
             registry
                 .gauge(
                     "hbold_index_tier_entries",
-                    "Entries per positional index tier.",
+                    "Entries per positional index tier (directory: 4-byte offsets over the flat tier).",
                     &[("order", order), ("tier", tier)],
                 )
                 .set(entries as u64);
@@ -757,11 +753,7 @@ fn stats_with_graphs(shared: &Shared) -> String {
     let snapshot = shared.store.snapshot();
     let tiers = snapshot.index_tier_sizes();
     let tiers = tiers.iter().map(|(order, t)| {
-        let sizes = JsonValue::object([
-            ("flat", t.flat.into()),
-            ("delta", t.delta.into()),
-            ("dead", t.dead.into()),
-        ]);
+        let sizes = JsonValue::object(t.labeled().map(|(tier, n)| (tier, n.into())));
         (order.label(), sizes)
     });
     let (folds, fold_keys) = hbold_triple_store::persist::fold_counts();

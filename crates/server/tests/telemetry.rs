@@ -181,7 +181,7 @@ fn metrics_exposition_agrees_with_stats_json() {
     }
 
     // Scrape-time gauges: 10 people × 2 triples each, three quad indexes of
-    // three tiers each.
+    // four tiers each.
     assert_eq!(metric("hbold_store_triples", &[]), 20.0);
     // A fresh load: every id is in term order.
     assert!(metric("hbold_store_terms", &[]) > 0.0);
@@ -195,27 +195,27 @@ fn metrics_exposition_agrees_with_stats_json() {
         .iter()
         .filter(|sample| sample.name == "hbold_index_tier_entries")
         .count();
-    assert_eq!(tier_series, 9);
+    assert_eq!(tier_series, 12);
     for order in ["gspo", "gpos", "gosp"] {
-        let total: f64 = ["flat", "delta", "dead"]
-            .iter()
-            .map(|tier| {
-                metric(
-                    "hbold_index_tier_entries",
-                    &[("order", order), ("tier", tier)],
-                )
-            })
-            .sum();
+        let tier = |name| {
+            metric(
+                "hbold_index_tier_entries",
+                &[("order", order), ("tier", name)],
+            )
+        };
+        let total: f64 = ["flat", "delta", "dead"].map(tier).iter().sum();
         assert!(total >= 20.0, "index {order} holds the store, saw {total}");
+        // One graph whose ids of each position form a block no wider than
+        // its keys: every order has a directory, of at most an offset per
+        // key plus one.
+        let directory = tier("directory");
+        assert!(
+            directory > 0.0 && directory <= tier("flat") + 1.0,
+            "index {order} has a directory of {directory}"
+        );
         // /stats shows the same tiers: no write came between the two reads.
-        for tier in ["flat", "delta", "dead"] {
-            assert_eq!(
-                stat(&["index", "tiers", order, tier]),
-                metric(
-                    "hbold_index_tier_entries",
-                    &[("order", order), ("tier", tier)]
-                )
-            );
+        for name in ["flat", "delta", "dead", "directory"] {
+            assert_eq!(stat(&["index", "tiers", order, name]), tier(name));
         }
     }
     // The fold counters sit beside them. Process-global like the engine

@@ -19,11 +19,10 @@
 //! re-extraction lands as a small update. The index therefore keeps its keys
 //! in two tiers:
 //!
-//! * **`flat`** — a sorted, deduplicated `Vec` of keys. A prefix lookup is
-//!   one binary search (`partition_point`) for the range's start, a gallop
-//!   from there to its end, and a walk over *contiguous memory*: no pointer
-//!   chasing, perfect cache locality, and the compiler can see through the
-//!   iteration. Only
+//! * **`flat`** — a sorted, deduplicated `Vec` of keys. A prefix lookup
+//!   finds its range through the directory below, then walks *contiguous
+//!   memory*: no pointer chasing, perfect cache locality, and the compiler
+//!   can see through the iteration. Only
 //!   [`PositionalIndex::insert_batch`] writes it, by one linear merge that
 //!   also folds every outstanding churn key in, so a bulk-loaded or restored
 //!   store scans at flat-vector speed.
@@ -43,10 +42,45 @@
 //! orders always sit in the same tier state.
 //!
 //! Invariants maintained by every mutation: `flat` is sorted and unique,
-//! `delta` is disjoint from `flat`, and `dead ⊆ flat`.
+//! `delta` is disjoint from `flat`, `dead ⊆ flat`, and the directory
+//! describes `flat`.
+//!
+//! # The directory: a probe jumps, it does not search
+//!
+//! Beside `flat` the index keeps one entry per run of equal first
+//! components — on the graph-first orders, one per graph: the run's flat
+//! bounds and, when the run is dense, an offsets array over its second
+//! component (the subject directory of HDT's bitmap triples, Fernández et
+//! al. 2013). `offsets[b − second_min]` is the flat position of the first
+//! key `(graph, b, ..)` — of the next larger second id when `b` has no key
+//! — and the array ends with the run's end: `span + 1` entries for a span of
+//! `second_max − second_min + 1` ids. A probe then finds the graph's run by
+//! a binary search over the runs (a handful), and a bound second component
+//! by two loads, whatever the order the probes arrive in:
+//!
+//! * a prefix of just the graph is the run's bounds;
+//! * a second id outside the span is the empty range at the span's edge;
+//! * a two-component prefix is the window `offsets[b]..offsets[b + 1]`,
+//!   unsearched;
+//! * a longer prefix searches inside that window, a few keys wide.
+//!
+//! A run gets a directory only when its span is at most its key count, so
+//! the directory costs at most 4 bytes per 16-byte key, and at most one
+//! entry per flat key plus one per run overall. Dictionary ids are dense
+//! and a fresh load numbers them in term order, so the subjects, predicates
+//! and objects of one graph usually form such blocks. A run whose second ids
+//! are scattered wider than its keys (a small named graph over a large
+//! dictionary) keeps a plain binary search, inside the run, for each end
+//! of a range.
+//!
+//! The directory is built in one linear pass wherever `flat` is written —
+//! [`PositionalIndex::insert_batch`] and the snapshot restore — and the churn
+//! tiers never touch it. Each run's offsets sit behind an `Arc`, so the
+//! store's copy-on-write clone copies one pointer per run, not the arrays.
 
 use std::collections::btree_set::{BTreeSet, Range};
 use std::ops::Bound;
+use std::sync::Arc;
 
 use crate::dictionary::TermId;
 
@@ -120,6 +154,22 @@ pub struct TierSizes {
     pub delta: usize,
     /// Tombstones over the flat tier.
     pub dead: usize,
+    /// Offsets in the flat tier's directory (4 bytes each; at most one per
+    /// flat key plus one per run — see the module docs).
+    pub directory: usize,
+}
+
+impl TierSizes {
+    /// Each tier's entries under its metric label (`tier="flat"`, …), in a
+    /// fixed order.
+    pub fn labeled(&self) -> [(&'static str, usize); 4] {
+        [
+            ("flat", self.flat),
+            ("delta", self.delta),
+            ("dead", self.dead),
+            ("directory", self.directory),
+        ]
+    }
 }
 
 /// A single sorted index over one permutation of quad positions.
@@ -127,10 +177,100 @@ pub struct TierSizes {
 pub struct PositionalIndex {
     /// Sorted, deduplicated bulk tier — see the module docs.
     flat: Vec<Key>,
+    /// One entry per run of equal first components in `flat`, ascending —
+    /// the directory of the module docs. Rebuilt whenever `flat` is.
+    runs: Vec<Run>,
     /// Incremental inserts not yet merged into `flat` (disjoint from it).
     delta: BTreeSet<Key>,
     /// Keys logically removed from `flat` (tombstones).
     dead: BTreeSet<Key>,
+}
+
+/// The keys of `flat` sharing one first component, `flat[start..end]`, and
+/// their directory over the second component when the run is dense.
+#[derive(Debug, Clone, PartialEq)]
+struct Run {
+    first: TermId,
+    start: usize,
+    end: usize,
+    second_min: TermId,
+    /// `offsets[b - second_min]` is the flat position of the first key with
+    /// a second component `≥ b`; the last entry is `end`. `None` when the
+    /// run's span of second ids exceeds its key count.
+    offsets: Option<Arc<[u32]>>,
+}
+
+impl Run {
+    /// The runs of a sorted flat tier, each with its directory when dense:
+    /// one linear pass.
+    fn directory(flat: &[Key]) -> Vec<Run> {
+        let mut runs = Vec::new();
+        let mut start = 0;
+        while let Some(&(first, second_min, _, _)) = flat.get(start) {
+            let len = flat[start..].partition_point(|k| k.0 == first);
+            let keys = &flat[start..start + len];
+            let end = start + len;
+            let span = (keys[len - 1].1 - second_min) as usize + 1;
+            let offsets = (span <= len && u32::try_from(end).is_ok()).then(|| {
+                let mut offsets = Vec::with_capacity(span + 1);
+                for (at, key) in (start..).zip(keys) {
+                    // Every second id up to this key's starts here.
+                    offsets.resize((key.1 - second_min) as usize + 1, at as u32);
+                }
+                offsets.push(end as u32);
+                Arc::from(offsets)
+            });
+            runs.push(Run {
+                first,
+                start,
+                end,
+                second_min,
+                offsets,
+            });
+            start = end;
+        }
+        runs
+    }
+
+    /// The flat positions a search for a key `(first, second, ..)` of this
+    /// run is confined to: the directory's window of `second` — empty at the
+    /// span's edge when `second` lies outside it — or the whole run when the
+    /// run has no directory.
+    #[inline]
+    fn window(&self, second: TermId) -> (usize, usize) {
+        let Some(offsets) = &self.offsets else {
+            return (self.start, self.end);
+        };
+        let Some(i) = second.checked_sub(self.second_min) else {
+            return (self.start, self.start);
+        };
+        match offsets.get(i as usize..i as usize + 2) {
+            Some(&[from, to]) => (from as usize, to as usize),
+            _ => (self.end, self.end),
+        }
+    }
+
+    /// The flat position of this run's first key above `key` (`upper`) or
+    /// not below it; `key.0` is the run's first component.
+    #[inline]
+    fn position(&self, flat: &[Key], key: Key, upper: bool) -> usize {
+        let (from, to) = self.window(key.1);
+        if self.offsets.is_some() {
+            // Every key of a directory window has `key.1` as its second
+            // component, so a key at the bottom or the top of the last two
+            // components lands on the window's edge without a search.
+            match (upper, key.2, key.3) {
+                (false, 0, 0) => return from,
+                (true, TermId::MAX, TermId::MAX) => return to,
+                _ => {}
+            }
+        }
+        let bits = key_bits(key);
+        from + flat[from..to].partition_point(|k| match upper {
+            true => key_bits(*k) <= bits,
+            false => key_bits(*k) < bits,
+        })
+    }
 }
 
 impl PositionalIndex {
@@ -148,6 +288,7 @@ impl PositionalIndex {
             "keys must be sorted+unique"
         );
         PositionalIndex {
+            runs: Run::directory(&keys),
             flat: keys,
             delta: BTreeSet::new(),
             dead: BTreeSet::new(),
@@ -170,16 +311,25 @@ impl PositionalIndex {
             flat: self.flat.len(),
             delta: self.delta.len(),
             dead: self.dead.len(),
+            directory: self
+                .runs
+                .iter()
+                .filter_map(|run| run.offsets.as_ref())
+                .map(|offsets| offsets.len())
+                .sum(),
         }
     }
 
     /// Verifies the tier invariants of the module docs — `flat` sorted and
-    /// unique, `delta` disjoint from `flat`, `dead ⊆ flat` — in `O(n)`,
-    /// naming the first one that fails. For tests and debugging; nothing on
-    /// a read or write path calls it.
+    /// unique, the directory describing `flat`, `delta` disjoint from
+    /// `flat`, `dead ⊆ flat` — in `O(n)`, naming the first one that fails.
+    /// For tests and debugging; nothing on a read or write path calls it.
     pub fn check_invariants(&self) -> Result<(), String> {
         if let Some(w) = self.flat.windows(2).find(|w| w[0] >= w[1]) {
             return Err(format!("flat is not sorted and unique at {:?}", w));
+        }
+        if self.runs != Run::directory(&self.flat) {
+            return Err("the directory does not describe flat".into());
         }
         if let Some(key) = self.delta.iter().find(|k| self.flat_contains(k)) {
             return Err(format!("delta key {key:?} is also in flat"));
@@ -191,7 +341,8 @@ impl PositionalIndex {
     }
 
     fn flat_contains(&self, key: &Key) -> bool {
-        self.flat.binary_search(key).is_ok()
+        let (start, end) = self.flat_bounds(*key, *key);
+        start < end
     }
 
     /// Inserts a key into the churn tiers; returns `true` if it was new.
@@ -233,6 +384,7 @@ impl PositionalIndex {
             merged.push(key);
         }
         merged.extend(incoming);
+        self.runs = Run::directory(&merged);
         self.flat = merged;
         self.delta.clear();
         self.dead.clear();
@@ -258,25 +410,39 @@ impl PositionalIndex {
         self.flat_contains(key) && !self.dead.contains(key)
     }
 
-    /// The bounds of the contiguous `flat` subrange covering `[lo, hi]`
-    /// (inclusive). A probe searches once: the start is a binary search over
-    /// the tier, and the end is galloped from the start — doubling steps,
-    /// then a binary search inside the last step — because a prefix range is
-    /// short next to the index it sits in, so its end is a few keys away,
-    /// not `log n` probes away.
-    fn flat_bounds(&self, lo: Key, hi: Key) -> (usize, usize) {
-        let lo_bits = key_bits(lo);
-        let start = self.flat.partition_point(|k| key_bits(*k) < lo_bits);
-        let tail = &self.flat[start..];
-        // Invariant: every key before `within` is in the range.
-        let (mut within, mut probe, mut step) = (0, 0, 1);
-        while probe < tail.len() && tail[probe] <= hi {
-            within = probe + 1;
-            probe += step;
-            step *= 2;
+    /// The run of `first`, or the flat position where its keys would start.
+    #[inline]
+    fn run(&self, first: TermId) -> Result<&Run, usize> {
+        match self.runs.binary_search_by_key(&first, |run| run.first) {
+            Ok(i) => Ok(&self.runs[i]),
+            Err(i) => Err(self.runs.get(i).map_or(self.flat.len(), |run| run.start)),
         }
-        let window = &tail[within..probe.min(tail.len())];
-        (start, start + within + window.partition_point(|k| *k <= hi))
+    }
+
+    /// The flat position of the first key above `key` (`upper`) or not
+    /// below it.
+    fn position(&self, key: Key, upper: bool) -> usize {
+        match self.run(key.0) {
+            Ok(run) => run.position(&self.flat, key, upper),
+            Err(at) => at,
+        }
+    }
+
+    /// The bounds of the contiguous `flat` subrange covering `[lo, hi]`
+    /// (inclusive), through the directory of the module docs.
+    fn flat_bounds(&self, lo: Key, hi: Key) -> (usize, usize) {
+        if lo.0 != hi.0 {
+            // A range across runs (a cursor over graphs): each end alone.
+            let start = self.position(lo, false);
+            return (start, self.position(hi, true).max(start));
+        }
+        match self.run(lo.0) {
+            Ok(run) => {
+                let start = run.position(&self.flat, lo, false);
+                (start, run.position(&self.flat, hi, true).max(start))
+            }
+            Err(at) => (at, at),
+        }
     }
 
     fn scan_range(&self, lo: Key, hi: Key) -> PrefixScan<'_> {
@@ -343,10 +509,10 @@ impl PositionalIndex {
         PrefixScan::new(&self.flat, self.delta.range(..), self.dead.range(..))
     }
 
-    /// Exact number of keys in `[lo, hi]`: the flat tier's bounds (one
-    /// binary search and a gallop, see [`PositionalIndex::flat_bounds`]),
-    /// plus range counts over the churn tiers (the churn inside the range,
-    /// bounded by the store's fold policy) — no key is materialized.
+    /// Exact number of keys in `[lo, hi]`: the flat tier's bounds (a
+    /// directory lookup, see [`PositionalIndex::flat_bounds`]), plus range
+    /// counts over the churn tiers (the churn inside the range, bounded by
+    /// the store's fold policy) — no key is materialized.
     fn count_range(&self, lo: Key, hi: Key) -> usize {
         let (start, end) = self.flat_bounds(lo, hi);
         let mut n = end - start;
@@ -367,7 +533,7 @@ impl PositionalIndex {
 
     /// Exact number of keys whose first component equals `first`, without
     /// walking them. This is the cardinality of a one-constant pattern
-    /// lookup and costs one binary search and a gallop.
+    /// lookup and costs one search over the runs.
     pub fn count_prefix1(&self, first: TermId) -> usize {
         self.count_range(
             (first, 0, 0, 0),
@@ -399,8 +565,8 @@ impl PositionalIndex {
     }
 
     /// Every distinct first component, in ascending order, computed exactly
-    /// by galloping from run to run (`O(distinct · log n)`). The store uses
-    /// this on a graph-first index to enumerate graphs.
+    /// by jumping from run to run (one search over the runs each). The store
+    /// uses this on a graph-first index to enumerate graphs.
     pub fn first_components(&self) -> Vec<TermId> {
         let mut out = Vec::new();
         let mut cursor: Key = (0, 0, 0, 0);
@@ -421,8 +587,9 @@ impl PositionalIndex {
     ///
     /// Exact when there are at most `DISTINCT_PROBES` (16) distinct values;
     /// beyond that the remainder is extrapolated from the average run length
-    /// observed so far. Each probe gallops over one run with two binary
-    /// searches, so the cost is `O(DISTINCT_PROBES · log n)`.
+    /// observed so far. Each probe is two range lookups through the
+    /// directory (see the module docs), so the cost is `DISTINCT_PROBES`
+    /// pairs of them.
     pub fn distinct_second_estimate(&self, first: TermId) -> usize {
         self.distinct_run_estimate(
             (first, 0, 0, 0),
@@ -476,7 +643,7 @@ impl PositionalIndex {
 }
 
 /// The key as one integer whose order is the key's: one wide comparison per
-/// step of the range-start search instead of up to four narrow ones.
+/// step of a search instead of up to four narrow ones.
 #[inline]
 fn key_bits(k: Key) -> u128 {
     ((k.0 as u128) << 96) | ((k.1 as u128) << 64) | ((k.2 as u128) << 32) | k.3 as u128
@@ -792,19 +959,25 @@ mod tests {
     }
 
     #[test]
-    fn galloped_range_ends_agree_with_a_binary_search() {
-        // Runs of every length from 0 to 40 (the gallop's doubling windows
-        // end inside, at and past a run's end), the last run ending the tier.
+    fn range_ends_agree_with_a_binary_search() {
+        // Runs of every length from 0 to 40, the last run ending the tier.
+        // Every other run also ends on a far second id, which leaves it
+        // without a directory: its range ends are searched inside the run.
         let mut keys = Vec::new();
         for first in 0..=40u32 {
             keys.extend((0..first).map(|third| (2 * first, 7, third, 0)));
+            if first % 2 == 1 {
+                keys.push((2 * first, 9_000, 0, 0));
+            }
         }
         let idx = PositionalIndex::from_sorted(keys.clone());
+        assert!(idx.runs.iter().any(|run| run.offsets.is_none()));
         let max = TermId::MAX;
         for first in 0..=82u32 {
             for (lo, hi) in [
                 ((first, 0, 0, 0), (first, max, max, max)),
                 ((first, 7, 3, 0), (first, 7, 9, max)),
+                ((first, 7, 3, 0), (first, 9_000, 0, 0)),
                 ((first, 0, 0, 0), (first + 5, 7, 2, 0)),
                 ((first, 0, 0, 0), (max, max, max, max)),
             ] {
@@ -818,6 +991,100 @@ mod tests {
             PositionalIndex::new().flat_bounds((0, 0, 0, 0), (1, 0, 0, 0)),
             (0, 0)
         );
+    }
+
+    /// Three graphs: 3 dense with a hole at second id 14, 5 sparse (three
+    /// second ids over a span of 50 001), 9 dense on the top second id.
+    fn directory_keys() -> Vec<Key> {
+        let max = TermId::MAX;
+        let mut keys = Vec::new();
+        for b in (10..=19).filter(|&b| b != 14) {
+            keys.extend((0..2 + b % 2).map(|c| (3, b, c, 1)));
+        }
+        for b in [0, 1000, 50_000] {
+            keys.extend([(5, b, 2, 0), (5, b, max, max)]);
+        }
+        keys.extend((0..4).map(|c| (9, max, c, 0)));
+        keys
+    }
+
+    /// Bounds, scans, counts and membership of `idx`, whose live keys are
+    /// `model`, against a reference: a `partition_point` over the flat tier
+    /// and a range over the model. Every prefix shape and a range across
+    /// runs, probed below, between, inside and above the runs and with
+    /// second ids inside, outside and at the edges of each run's span.
+    fn assert_probes_match_reference(idx: &PositionalIndex, model: &BTreeSet<Key>) {
+        idx.check_invariants().unwrap();
+        let sizes = idx.tier_sizes();
+        assert!(sizes.directory <= sizes.flat + idx.runs.len(), "{sizes:?}");
+        let max = TermId::MAX;
+        let reference = |lo: Key, hi: Key| {
+            let start = idx.flat.partition_point(|k| *k < lo);
+            (start, idx.flat.partition_point(|k| *k <= hi).max(start))
+        };
+        let seconds = [0, 1, 9, 10, 12, 14, 19, 20, 999, 1000, 50_000, 50_001];
+        for a in [0, 3, 4, 5, 7, 9, 12] {
+            for b in seconds.into_iter().chain([max - 1, max]) {
+                for c in [0, 1, 2, max] {
+                    for d in [0, 1, max] {
+                        for (lo, hi) in [
+                            ((a, 0, 0, 0), (a, max, max, max)),
+                            ((a, b, 0, 0), (a, b, max, max)),
+                            ((a, b, c, 0), (a, b, c, max)),
+                            ((a, b, c, d), (a, b, c, d)),
+                            ((a, b, c, d), (max, max, max, max)),
+                        ] {
+                            let live: Vec<Key> = model.range(lo..=hi).copied().collect();
+                            assert_eq!(idx.flat_bounds(lo, hi), reference(lo, hi), "{lo:?}");
+                            assert_eq!(idx.count_range(lo, hi), live.len(), "{lo:?}");
+                            let scanned: Vec<Key> = idx.scan_range(lo, hi).copied().collect();
+                            assert_eq!(scanned, live, "[{lo:?}, {hi:?}]");
+                        }
+                        assert_eq!(idx.contains(&(a, b, c, d)), model.contains(&(a, b, c, d)));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn directory_probes_agree_with_a_reference_search() {
+        let max = TermId::MAX;
+        let keys = directory_keys();
+        let mut model: BTreeSet<Key> = keys.iter().copied().collect();
+        assert_probes_match_reference(&PositionalIndex::new(), &BTreeSet::new());
+
+        let restored = PositionalIndex::from_sorted(keys.clone());
+        let dense = |idx: &PositionalIndex, g| idx.run(g).unwrap().offsets.is_some();
+        assert!(dense(&restored, 3) && !dense(&restored, 5) && dense(&restored, 9));
+        // Graph 3 spans 10 second ids (11 offsets), graph 9 one (2 offsets).
+        assert_eq!(restored.tier_sizes().directory, 13);
+        assert_probes_match_reference(&restored, &model);
+
+        // A fold builds the same directory from unsorted input.
+        let mut idx = PositionalIndex::new();
+        idx.insert_batch(keys.iter().rev().copied());
+        assert_eq!(idx.runs, restored.runs);
+        assert_probes_match_reference(&idx, &model);
+
+        // Churn leaves the directory alone: graph 4 lives only in delta, the
+        // hole at (3, 14) fills in delta, and every run loses a key.
+        for key in [(4, 10, 0, 0), (4, 12, 1, 1), (3, 14, 0, 0)] {
+            assert!(idx.insert(key) && model.insert(key));
+        }
+        for key in [(3, 10, 0, 1), (5, 1000, 2, 0), (9, max, 3, 0)] {
+            assert!(idx.remove(&key) && model.remove(&key));
+        }
+        assert_eq!(idx.runs, restored.runs);
+        assert_probes_match_reference(&idx, &model);
+
+        // The next fold takes graph 4 into a run of its own — without a
+        // directory, its span of 3 second ids being wider than its 2 keys —
+        // and gives graph 3 a directory over the filled hole.
+        idx.insert_batch([]);
+        assert!(!dense(&idx, 4) && dense(&idx, 3));
+        assert_eq!(idx.tier_sizes().directory, 13);
+        assert_probes_match_reference(&idx, &model);
     }
 
     #[test]

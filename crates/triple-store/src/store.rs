@@ -254,7 +254,9 @@ impl TripleStore {
     /// crosses, and the three orders are always in the same tier state.
     fn absorb(&mut self, batch: &[QuadKey]) -> usize {
         let before = self.len();
-        let TierSizes { flat, delta, dead } = self.gspo.tier_sizes();
+        let TierSizes {
+            flat, delta, dead, ..
+        } = self.gspo.tier_sizes();
         if delta + dead + batch.len() <= flat / FOLD_RATIO {
             for &key in batch {
                 self.insert_churn(key);
@@ -501,8 +503,8 @@ impl TripleStore {
     /// Counts the triples of one graph matching the encoded pattern
     /// `(subject?, predicate?, object?)` without walking them: the same
     /// index dispatch as [`TripleStore::matching_quads_encoded_iter`], but
-    /// each prefix is resolved with one binary search and a gallop on the
-    /// flat tier (plus the churn tiers). This is the exact-cardinality
+    /// each prefix is resolved by the flat tier's directory (plus the churn
+    /// tiers; see [`crate::index`]). This is the exact-cardinality
     /// primitive behind the SPARQL cost-based join optimizer.
     pub fn count_matching_quads_encoded(
         &self,

@@ -15,7 +15,7 @@ use std::sync::{Mutex, MutexGuard};
 use hbold_rdf_model::vocab::{foaf, rdf};
 use hbold_rdf_model::{Iri, Quad, Term, Triple};
 use hbold_triple_store::persist::fold_counts;
-use hbold_triple_store::{SharedStore, TierSizes, TripleStore};
+use hbold_triple_store::{SharedStore, TripleStore};
 
 /// The store's fold ratio (`FOLD_RATIO` in `store.rs`, private there): at
 /// most one churn key per this many flat keys.
@@ -40,9 +40,12 @@ fn quads(ns: impl IntoIterator<Item = usize>) -> Vec<Quad> {
     ns.into_iter().map(|n| Quad::from(t(n))).collect()
 }
 
-/// The one `TierSizes` the three orders share; panics if they differ.
-fn tiers(store: &TripleStore) -> TierSizes {
-    let [(_, gspo), (_, gpos), (_, gosp)] = store.index_tier_sizes();
+/// The one `(flat, delta, dead)` the three orders share; panics if they
+/// differ. (Each order's directory over its flat tier is its own.)
+fn tiers(store: &TripleStore) -> (usize, usize, usize) {
+    let [gspo, gpos, gosp] = store
+        .index_tier_sizes()
+        .map(|(_, s)| (s.flat, s.delta, s.dead));
     assert!(
         gpos == gspo && gosp == gspo,
         "orders disagree: gspo {gspo:?}, gpos {gpos:?}, gosp {gosp:?}"
@@ -90,7 +93,7 @@ fn a_store_built_by_single_inserts_reaches_the_flat_tier() {
     let collected: TripleStore = (0..N).map(t).collect();
     for store in [&inserted, &collected] {
         assert_eq!(store.len(), N);
-        let TierSizes { flat, delta, dead } = tiers(store);
+        let (flat, delta, dead) = tiers(store);
         assert_eq!(flat + delta - dead, N);
         assert!(
             flat * FOLD_RATIO >= N * (FOLD_RATIO - 1),
@@ -109,19 +112,12 @@ fn tombstones_stay_under_the_threshold_without_any_insert() {
     let mut store = TripleStore::new();
     let triples: Vec<Triple> = (0..N).map(t).collect();
     store.insert_batch(&triples);
-    assert_eq!(
-        tiers(&store),
-        TierSizes {
-            flat: N,
-            delta: 0,
-            dead: 0
-        }
-    );
+    assert_eq!(tiers(&store), (N, 0, 0));
     let mut folds = 0;
     for (removed, triple) in triples.iter().step_by(2).enumerate() {
-        let flat_before = tiers(&store).flat;
+        let flat_before = tiers(&store).0;
         assert!(store.remove(triple));
-        let TierSizes { flat, delta, dead } = tiers(&store);
+        let (flat, delta, dead) = tiers(&store);
         assert_eq!(delta, 0);
         assert_eq!(flat - dead, N - removed - 1);
         assert!(
@@ -147,14 +143,7 @@ fn small_updates_leave_the_flat_tiers_alone_until_the_crossing_one() {
     let shared = SharedStore::new();
     let triples: Vec<Triple> = (0..N).map(t).collect();
     assert_eq!(shared.bulk_load(&triples), N);
-    assert_eq!(
-        tiers(&shared.snapshot()),
-        TierSizes {
-            flat: N,
-            delta: 0,
-            dead: 0
-        }
-    );
+    assert_eq!(tiers(&shared.snapshot()), (N, 0, 0));
 
     let limit = N / FOLD_RATIO;
     let (folds_before, _) = fold_counts();
@@ -165,46 +154,18 @@ fn small_updates_leave_the_flat_tiers_alone_until_the_crossing_one() {
         assert_eq!(shared.apply_update(|_| (Vec::new(), inserts)), (0, 2));
         tiers(&shared.snapshot())
     };
-    assert_eq!(
-        update(),
-        TierSizes {
-            flat: N,
-            delta: 2,
-            dead: 0
-        }
-    );
+    assert_eq!(update(), (N, 2, 0));
     for k in 2..=limit / 2 {
-        assert_eq!(
-            update(),
-            TierSizes {
-                flat: N,
-                delta: 2 * k,
-                dead: 0
-            }
-        );
+        assert_eq!(update(), (N, 2 * k, 0));
     }
     assert_eq!(fold_counts().0, folds_before, "a fold before the threshold");
 
     // `limit` keys of churn are allowed; two more are not.
     let merged = N + limit / 2 * 2 + 2;
-    assert_eq!(
-        update(),
-        TierSizes {
-            flat: merged,
-            delta: 0,
-            dead: 0
-        }
-    );
+    assert_eq!(update(), (merged, 0, 0));
     assert_eq!(fold_counts().0, folds_before + 1);
     orders_hold_the_same_quads(&shared.snapshot());
-    assert_eq!(
-        update(),
-        TierSizes {
-            flat: merged,
-            delta: 2,
-            dead: 0
-        }
-    );
+    assert_eq!(update(), (merged, 2, 0));
 }
 
 /// (b) Recovery is snapshot load plus O(record) per log record: reopening a
@@ -242,14 +203,7 @@ fn reopening_a_snapshot_plus_a_log_tail_performs_no_fold() {
     assert_eq!(report.snapshot_generation, Some(1));
     assert_eq!(report.wal_ops_replayed, TAIL);
     let recovered = reopened.snapshot();
-    assert_eq!(
-        tiers(&recovered),
-        TierSizes {
-            flat: N,
-            delta: 2 * TAIL,
-            dead: TAIL
-        }
-    );
+    assert_eq!(tiers(&recovered), (N, 2 * TAIL, TAIL));
     assert_eq!(
         nquads_fingerprint(&recovered),
         nquads_fingerprint(&in_memory.snapshot())
@@ -289,7 +243,7 @@ fn folds_copy_a_bounded_number_of_keys_per_key_changed() {
         "{folds} folds rewrote {copied} keys for {COMMITS} changed"
     );
     let snapshot = shared.snapshot();
-    let TierSizes { flat, delta, dead } = tiers(&snapshot);
+    let (flat, delta, dead) = tiers(&snapshot);
     assert!(delta + dead <= flat / FOLD_RATIO);
     orders_hold_the_same_quads(&snapshot);
 }
