@@ -1,12 +1,11 @@
 //! The simulated SPARQL endpoint.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hbold_rdf_model::Graph;
 use hbold_sparql::ast::{Expression, Projection, ProjectionItem, Query, QueryForm};
-use hbold_sparql::{parse_cached_tracked, EvalHooks, PlanCacheStats, PlanCounters, QueryResults};
+use hbold_sparql::{parse_cached_tracked, EvalHooks, QueryResults};
 use hbold_telemetry::Span;
 use hbold_triple_store::{SharedStore, TripleStore};
 use parking_lot::Mutex;
@@ -46,19 +45,6 @@ pub struct SparqlEndpoint {
     backend: Backend,
     profile: EndpointProfile,
     state: Arc<Mutex<EndpointState>>,
-    counters: Arc<EndpointCounters>,
-}
-
-/// Per-endpoint observation counters. Clones of the endpoint share one set
-/// (they are handles to the same endpoint), but two distinct endpoints never
-/// share — so tests and dashboards can attribute planning decisions and
-/// plan-cache traffic to a single endpoint without racing the rest of the
-/// process. The process-wide registry aggregates advance independently.
-#[derive(Debug, Default)]
-struct EndpointCounters {
-    plan: PlanCounters,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
 }
 
 /// Where queries are answered.
@@ -103,7 +89,6 @@ impl SparqlEndpoint {
             backend: Backend::Local(SharedStore::from_store(store)),
             profile,
             state: Arc::new(Mutex::new(EndpointState::default())),
-            counters: Arc::new(EndpointCounters::default()),
         }
     }
 
@@ -138,7 +123,6 @@ impl SparqlEndpoint {
             backend: Backend::Http(client),
             profile,
             state: Arc::new(Mutex::new(EndpointState::default())),
-            counters: Arc::new(EndpointCounters::default()),
         }
     }
 
@@ -190,35 +174,6 @@ impl SparqlEndpoint {
             Backend::Local(store) => Some(store),
             Backend::Http(_) => None,
         }
-    }
-
-    /// *This endpoint's* SPARQL plan-cache counters.
-    ///
-    /// Every local endpoint parses through the same process-wide
-    /// normalized-query cache (the extraction pipeline re-issues the same
-    /// statistics shapes against every endpoint in the fleet, so hit rates
-    /// climb fast); remote endpoints still pay a local cached parse for
-    /// capability checking before the query goes over the wire. The hit and
-    /// miss counts here cover only queries issued through this endpoint —
-    /// parallel users of the shared cache cannot perturb them — while
-    /// `entries` reports the shared cache's current size. The process-wide
-    /// aggregate remains available as `hbold_sparql::plan::stats()`.
-    pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        PlanCacheStats {
-            hits: self.counters.cache_hits.load(Ordering::Relaxed),
-            misses: self.counters.cache_misses.load(Ordering::Relaxed),
-            entries: hbold_sparql::plan::stats().entries,
-        }
-    }
-
-    /// *This endpoint's* cost-based-optimizer counters: how many BGPs were
-    /// planned, how many came out in a different order than written, how
-    /// many equality filters were pushed into the scan, and how many plans
-    /// fell back to the shape heuristic — counting only queries evaluated
-    /// through this endpoint. The process-wide aggregate remains available
-    /// as [`hbold_sparql::plan_stats`].
-    pub fn plan_stats(&self) -> hbold_sparql::OptimizerStats {
-        self.counters.plan.snapshot()
     }
 
     /// Total number of queries this endpoint has received.
@@ -290,12 +245,6 @@ impl SparqlEndpoint {
             Some(span) => span.timed(parse)?,
             None => parse()?,
         };
-        let hit_counter = if cache_hit {
-            &self.counters.cache_hits
-        } else {
-            &self.counters.cache_misses
-        };
-        hit_counter.fetch_add(1, Ordering::Relaxed);
         if let Some(span) = &parse_span {
             span.set_attr("cache_hit", u64::from(cache_hit));
         }
@@ -308,7 +257,6 @@ impl SparqlEndpoint {
                 // observes a half-applied bulk-load.
                 let snapshot = store.snapshot();
                 let hooks = EvalHooks {
-                    counters: Some(&self.counters.plan),
                     trace,
                     cancel: None,
                 };
@@ -546,27 +494,23 @@ mod tests {
             &sample_graph(3),
             EndpointProfile::full_featured(),
         );
-        // Hit/miss counters are per-endpoint, so the assertions are exact
-        // even with other tests hammering the shared cache in parallel.
+        // Each trace's `parse` span says whether its lookup hit the
+        // process-wide plan cache. A query text no other test issues keeps
+        // the sequence exact with the cache shared in parallel.
         let q = "SELECT ?endpoint_cache_probe WHERE { ?endpoint_cache_probe a ?c }";
-        assert_eq!(ep.plan_cache_stats().hits, 0);
-        assert_eq!(ep.plan_cache_stats().misses, 0);
-        ep.query(q).unwrap();
-        let after_first = ep.plan_cache_stats();
-        assert_eq!(after_first.misses, 1, "first parse misses");
-        assert_eq!(after_first.hits, 0);
+        let cache_hit = |ep: &SparqlEndpoint| {
+            let (_, trace) = ep.trace_query(q).unwrap();
+            let parse = trace.children()[0].clone();
+            assert_eq!(parse.name(), "parse");
+            parse.attr("cache_hit").unwrap().as_u64().unwrap()
+        };
+        assert_eq!(cache_hit(&ep), 0, "first parse misses");
         for _ in 0..3 {
-            ep.query(q).unwrap();
+            assert_eq!(cache_hit(&ep), 1, "re-issues hit the cache");
         }
-        let after = ep.plan_cache_stats();
-        assert_eq!(after.hits, 3, "re-issues hit the cache");
-        assert_eq!(after.misses, 1);
-        assert!(after.entries >= 1);
-        assert_eq!(after.hit_rate(), 0.75);
-        // A clone is a handle to the same endpoint: it shares the counters.
-        let clone = ep.clone();
-        clone.query(q).unwrap();
-        assert_eq!(ep.plan_cache_stats().hits, 4);
+        // Untraced queries read the same cache.
+        ep.query(q).unwrap();
+        assert_eq!(cache_hit(&ep.clone()), 1);
     }
 
     #[test]
@@ -576,18 +520,28 @@ mod tests {
             &sample_graph(4),
             EndpointProfile::full_featured(),
         );
-        // Optimizer counters are per-endpoint: exactly one BGP planned for
-        // this endpoint's first query, regardless of parallel tests.
-        assert_eq!(ep.plan_stats().bgps_planned, 0);
-        ep.query(
-            "SELECT ?s WHERE { ?s a <http://xmlns.com/foaf/0.1/Person> . \
-             ?s <http://xmlns.com/foaf/0.1/name> ?n }",
-        )
-        .unwrap();
-        let after = ep.plan_stats();
+        // The `plan` span carries this evaluation's decisions alone,
+        // whatever other tests plan in parallel.
+        let plan = |q: &str| {
+            let (_, trace) = ep.trace_query(q).unwrap();
+            let plan = trace.children()[1].clone();
+            assert_eq!(plan.name(), "plan");
+            let attr = |key| plan.attr(key).unwrap().as_u64().unwrap();
+            (attr("bgps"), attr("pushed_filters"))
+        };
         assert_eq!(
-            after.bgps_planned, 1,
-            "query planning increments the BGP counter"
+            plan(
+                "SELECT ?s WHERE { ?s a <http://xmlns.com/foaf/0.1/Person> . \
+                  ?s <http://xmlns.com/foaf/0.1/name> ?n }"
+            ),
+            (1, 0)
+        );
+        assert_eq!(
+            plan(
+                "SELECT ?s WHERE { ?s a ?c . ?s <http://xmlns.com/foaf/0.1/name> ?n \
+                  FILTER(?c = <http://xmlns.com/foaf/0.1/Person>) }"
+            ),
+            (1, 1)
         );
     }
 
@@ -611,8 +565,8 @@ mod tests {
         // The root's time covers its phases.
         assert!(trace.elapsed_ns() >= children.iter().map(Span::elapsed_ns).sum::<u64>());
         assert!(trace.elapsed_ns() > 0);
-        // Traced queries flow through the same counters as plain ones.
-        assert_eq!(ep.plan_stats().bgps_planned, 1);
+        // The plan span counts the one BGP it planned.
+        assert_eq!(children[1].attr("bgps").unwrap().as_u64(), Some(1));
         // The rendered document is self-describing JSON.
         let json = trace.to_json();
         assert!(json.starts_with("{\"name\":\"query\""));

@@ -66,7 +66,7 @@ OPTIONS:
 
 ROUTES:
     /sparql (GET ?query= or POST ; add trace=1 for an execution trace),
-    /stats, /metrics, /health[, /shutdown]
+    /update (POST), /metrics, /health[, /shutdown]
 
 EXIT CODES:
     0   clean exit after a graceful shutdown
@@ -285,7 +285,7 @@ fn main() -> ExitCode {
         }
     };
     println!("hbold-server serving {triples} quads at {}", server.url());
-    println!("routes: /sparql /update /stats /metrics /health");
+    println!("routes: /sparql /update /metrics /health");
     server.wait();
     if store.is_durable() {
         if store.wal_bytes() == Some(0) {

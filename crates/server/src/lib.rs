@@ -18,11 +18,12 @@
 //!
 //! Routes:
 //!
-//! * `GET /sparql?query=...` / `POST /sparql` — the protocol endpoint,
-//! * `GET /stats` — request counters, per-route latency histograms and the
-//!   engine's plan-cache hit/miss counters, as JSON,
-//! * `GET /metrics` — the same telemetry as Prometheus text exposition,
-//!   plus store/index/WAL gauges refreshed at scrape time,
+//! * `GET /sparql?query=...` / `POST /sparql` — the protocol endpoint; add
+//!   `trace=1` for the query's span tree instead of its results,
+//! * `POST /update` — SPARQL 1.1 Update,
+//! * `GET /metrics` — every counter and histogram as Prometheus text
+//!   exposition (request counts, per-route latency, plan cache, optimizer,
+//!   WAL), plus store/index gauges refreshed at scrape time,
 //! * `GET /health` — liveness probe,
 //! * `POST /shutdown` — graceful remote stop (opt-in, for the CLI binary
 //!   and the CI smoke test).

@@ -316,7 +316,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                         false,
                     );
                     // Every recorded status gets a latency sample, shed
-                    // responses included, so `/stats` counts line up.
+                    // responses included, so the `/metrics` counts line up.
                     shared
                         .stats
                         .other
@@ -517,132 +517,18 @@ fn route(shared: &Shared, request: &HttpRequest, trace_id: &TraceId) -> HttpResp
     let trace_wanted = request.query_param("trace") == Some("1");
     match (request.method.as_str(), request.path.as_str()) {
         ("GET" | "HEAD", "/health") => HttpResponse::ok("text/plain; charset=utf-8", "ok\n"),
-        ("GET", "/stats") => {
-            HttpResponse::ok("application/json; charset=utf-8", stats_with_graphs(shared))
-        }
         ("GET", "/metrics") => metrics(shared),
         ("GET", "/sparql") => match request.query_param("query") {
             Some(query) => execute(shared, query.to_string(), request, trace_wanted, trace_id),
             None => HttpResponse::error(400, "Bad Request", "missing required \"query\" parameter"),
         },
-        ("POST", "/sparql") => {
-            let content_type = request
-                .header("content-type")
-                .unwrap_or("")
-                .split(';')
-                .next()
-                .unwrap_or("")
-                .trim()
-                .to_ascii_lowercase();
-            match content_type.as_str() {
-                "application/sparql-query" => match String::from_utf8(request.body.clone()) {
-                    Ok(query) => execute(shared, query, request, trace_wanted, trace_id),
-                    Err(_) => {
-                        HttpResponse::error(400, "Bad Request", "query body is not UTF-8")
-                    }
-                },
-                "application/sparql-update" => match String::from_utf8(request.body.clone()) {
-                    Ok(update) => execute_update_request(shared, &update),
-                    Err(_) => {
-                        HttpResponse::error(400, "Bad Request", "update body is not UTF-8")
-                    }
-                },
-                "application/x-www-form-urlencoded" => {
-                    let body = match std::str::from_utf8(&request.body) {
-                        Ok(body) => body,
-                        Err(_) => {
-                            return HttpResponse::error(
-                                400,
-                                "Bad Request",
-                                "form body is not UTF-8",
-                            )
-                        }
-                    };
-                    match crate::http::parse_query_string(body) {
-                        Ok(params) => {
-                            let trace = trace_wanted
-                                || params.iter().any(|(k, v)| k == "trace" && v == "1");
-                            let mut params = params.into_iter();
-                            match params.find(|(k, _)| k == "query" || k == "update") {
-                                Some((key, query)) if key == "query" => {
-                                    execute(shared, query, request, trace, trace_id)
-                                }
-                                Some((_, update)) => execute_update_request(shared, &update),
-                                None => HttpResponse::error(
-                                    400,
-                                    "Bad Request",
-                                    "form body has no \"query\" or \"update\" field",
-                                ),
-                            }
-                        }
-                        Err(e) => HttpResponse::error(
-                            400,
-                            "Bad Request",
-                            format!("malformed form body: {e}"),
-                        ),
-                    }
-                }
-                other => HttpResponse::error(
-                    415,
-                    "Unsupported Media Type",
-                    format!(
-                        "unsupported Content-Type {other:?}; use application/sparql-query, application/sparql-update or application/x-www-form-urlencoded"
-                    ),
-                ),
+        ("POST", path @ ("/sparql" | "/update")) => match decode_body(request, path == "/update") {
+            Ok(Body::Query(query, form_trace)) => {
+                execute(shared, query, request, trace_wanted || form_trace, trace_id)
             }
-        }
-        ("POST", "/update") => {
-            let content_type = request
-                .header("content-type")
-                .unwrap_or("")
-                .split(';')
-                .next()
-                .unwrap_or("")
-                .trim()
-                .to_ascii_lowercase();
-            match content_type.as_str() {
-                "application/sparql-update" => match String::from_utf8(request.body.clone()) {
-                    Ok(update) => execute_update_request(shared, &update),
-                    Err(_) => {
-                        HttpResponse::error(400, "Bad Request", "update body is not UTF-8")
-                    }
-                },
-                "application/x-www-form-urlencoded" => {
-                    let body = match std::str::from_utf8(&request.body) {
-                        Ok(body) => body,
-                        Err(_) => {
-                            return HttpResponse::error(
-                                400,
-                                "Bad Request",
-                                "form body is not UTF-8",
-                            )
-                        }
-                    };
-                    match crate::http::parse_query_string(body) {
-                        Ok(params) => match params.into_iter().find(|(k, _)| k == "update") {
-                            Some((_, update)) => execute_update_request(shared, &update),
-                            None => HttpResponse::error(
-                                400,
-                                "Bad Request",
-                                "form body has no \"update\" field",
-                            ),
-                        },
-                        Err(e) => HttpResponse::error(
-                            400,
-                            "Bad Request",
-                            format!("malformed form body: {e}"),
-                        ),
-                    }
-                }
-                other => HttpResponse::error(
-                    415,
-                    "Unsupported Media Type",
-                    format!(
-                        "unsupported Content-Type {other:?}; use application/sparql-update or application/x-www-form-urlencoded"
-                    ),
-                ),
-            }
-        }
+            Ok(Body::Update(update)) => execute_update_request(shared, &update),
+            Err(refused) => refused,
+        },
         (_, "/sparql") => HttpResponse::error(
             405,
             "Method Not Allowed",
@@ -655,10 +541,67 @@ fn route(shared: &Shared, request: &HttpRequest, trace_id: &TraceId) -> HttpResp
             shared.request_shutdown();
             HttpResponse::ok("text/plain; charset=utf-8", "shutting down\n").with_close()
         }
-        (_, "/health") | (_, "/stats") | (_, "/metrics") => {
+        (_, "/health") | (_, "/metrics") => {
             HttpResponse::error(405, "Method Not Allowed", "use GET").with_header("Allow", "GET")
         }
         _ => HttpResponse::error(404, "Not Found", "no such route"),
+    }
+}
+
+/// What a `POST` body to `/sparql` or `/update` carries.
+enum Body {
+    /// A query, and whether its form asked for a trace (`trace=1`).
+    Query(String, bool),
+    Update(String),
+}
+
+/// Decodes a `POST` body by its `Content-Type`: a direct query or update,
+/// or a form's first `query` / `update` field. `/update` (`updates_only`)
+/// takes an update and nothing else. `Err` is the ready-to-send 400 or 415.
+fn decode_body(request: &HttpRequest, updates_only: bool) -> Result<Body, HttpResponse> {
+    let bad = |detail: String| HttpResponse::error(400, "Bad Request", detail);
+    let utf8 = |what: &str| {
+        String::from_utf8(request.body.clone())
+            .map_err(|_| bad(format!("{what} body is not UTF-8")))
+    };
+    let content_type = request
+        .header("content-type")
+        .unwrap_or("")
+        .split(';')
+        .next()
+        .unwrap_or("")
+        .trim()
+        .to_ascii_lowercase();
+    match content_type.as_str() {
+        "application/sparql-query" if !updates_only => Ok(Body::Query(utf8("query")?, false)),
+        "application/sparql-update" => Ok(Body::Update(utf8("update")?)),
+        "application/x-www-form-urlencoded" => {
+            let body = std::str::from_utf8(&request.body)
+                .map_err(|_| bad("form body is not UTF-8".into()))?;
+            let params = crate::http::parse_query_string(body)
+                .map_err(|e| bad(format!("malformed form body: {e}")))?;
+            let trace = params.iter().any(|(k, v)| k == "trace" && v == "1");
+            let wanted = |key: &str| key == "update" || (key == "query" && !updates_only);
+            match params.into_iter().find(|(key, _)| wanted(key)) {
+                Some((key, query)) if key == "query" => Ok(Body::Query(query, trace)),
+                Some((_, update)) => Ok(Body::Update(update)),
+                None if updates_only => Err(bad("form body has no \"update\" field".into())),
+                None => Err(bad("form body has no \"query\" or \"update\" field".into())),
+            }
+        }
+        other => {
+            let direct = match updates_only {
+                true => "application/sparql-update",
+                false => "application/sparql-query, application/sparql-update",
+            };
+            Err(HttpResponse::error(
+                415,
+                "Unsupported Media Type",
+                format!(
+                    "unsupported Content-Type {other:?}; use {direct} or application/x-www-form-urlencoded"
+                ),
+            ))
+        }
     }
 }
 
@@ -744,41 +687,6 @@ fn graph_name(term: &hbold_rdf_model::Term) -> &str {
         hbold_rdf_model::Term::Iri(iri) => iri.as_str(),
         other => other.label(),
     }
-}
-
-/// The `/stats` document: the server counters plus two sections read from
-/// the current store snapshot — per-graph quad counts, and the index
-/// storage tiers beside the folds that keep them bounded.
-fn stats_with_graphs(shared: &Shared) -> String {
-    let snapshot = shared.store.snapshot();
-    let tiers = snapshot.index_tier_sizes();
-    let tiers = tiers.iter().map(|(order, t)| {
-        let sizes = JsonValue::object(t.labeled().map(|(tier, n)| (tier, n.into())));
-        (order.label(), sizes)
-    });
-    let (folds, fold_keys) = hbold_triple_store::persist::fold_counts();
-    let index = JsonValue::object([
-        ("folds", folds.into()),
-        ("fold_keys", fold_keys.into()),
-        ("tiers", JsonValue::object(tiers)),
-    ]);
-    let named: Vec<(String, JsonValue)> = snapshot
-        .graph_quad_counts()
-        .into_iter()
-        .filter_map(|(graph, quads)| Some((graph_name(&graph?).to_string(), quads.into())))
-        .collect();
-    let graphs = JsonValue::object([
-        ("quads_total", snapshot.len().into()),
-        ("default", snapshot.default_graph_len().into()),
-        ("named_count", named.len().into()),
-        ("named", JsonValue::Object(named)),
-    ]);
-    let mut doc = shared.stats.to_value();
-    if let JsonValue::Object(members) = &mut doc {
-        members.push(("graphs".into(), graphs));
-        members.push(("index".into(), index));
-    }
-    doc.to_string()
 }
 
 /// Maps an evaluation failure to its response. The cancellation family is
@@ -935,7 +843,6 @@ fn execute(
     };
     let snapshot = shared.store.snapshot();
     let hooks = EvalHooks {
-        counters: None,
         trace: root.as_ref(),
         cancel: Some(&guard.token),
     };

@@ -2,11 +2,11 @@
 //! backed by a per-instance [`Registry`].
 //!
 //! Every figure lives in exactly one place — a counter or histogram handle
-//! registered in the server's own registry — and is rendered two ways: the
-//! back-compatible `/stats` JSON document, and the Prometheus text
-//! exposition served on `/metrics` (which appends the process-wide
-//! [`Registry::global`] families: plan cache, optimizer, WAL/checkpoint,
-//! scheduler). The registry is per-instance rather than global because
+//! registered in the server's own registry — and is read in one place: the
+//! Prometheus text exposition served on `/metrics`, which appends the
+//! process-wide [`Registry::global`] families (plan cache, optimizer,
+//! WAL/checkpoint). One query's own figures are in its trace (`?trace=1`).
+//! The registry is per-instance rather than global because
 //! parallel tests boot several servers in one process; instance families
 //! use the `hbold_http_*` namespace, disjoint from the global one, so the
 //! concatenated exposition never repeats a family.
@@ -14,9 +14,6 @@
 //! The hot path stays lock-free: handles are `Arc`s over atomics, and the
 //! registry lock is only taken at registration and render time.
 
-use std::time::Instant;
-
-use hbold_telemetry::json::JsonValue;
 use hbold_telemetry::{Counter, Histogram, Registry};
 
 /// Counters for one route.
@@ -29,7 +26,6 @@ pub struct RouteStats {
 /// Aggregate server telemetry, shared across workers.
 #[derive(Debug)]
 pub struct ServerStats {
-    started: Instant,
     registry: Registry,
     /// Accepted TCP connections.
     pub connections_accepted: Counter,
@@ -43,7 +39,7 @@ pub struct ServerStats {
     pub sparql: RouteStats,
     /// `/update` SPARQL Update route.
     pub update: RouteStats,
-    /// Every other served route (`/stats`, `/health`, ...).
+    /// Every other served route (`/metrics`, `/health`, ...).
     pub other: RouteStats,
     /// Update requests that committed (2xx).
     pub update_ok: Counter,
@@ -74,8 +70,7 @@ impl Default for ServerStats {
         // touch them now so a scrape of a freshly booted server that has not
         // served a query (or written to a WAL) already exposes every family
         // at zero instead of omitting it.
-        let _ = hbold_sparql::plan::stats();
-        let _ = hbold_sparql::plan_stats();
+        hbold_sparql::register_metrics();
         hbold_triple_store::persist::register_metrics();
         let registry = Registry::new();
         let class_counter = |class: &str| {
@@ -93,7 +88,6 @@ impl Default for ServerStats {
             ),
         };
         ServerStats {
-            started: Instant::now(),
             connections_accepted: registry.counter(
                 "hbold_http_connections_accepted_total",
                 "TCP connections accepted.",
@@ -195,93 +189,6 @@ impl ServerStats {
         out.push_str(&Registry::global().render());
         out
     }
-
-    /// Renders the `/stats` JSON document.
-    pub fn to_json(&self) -> String {
-        self.to_value().to_string()
-    }
-
-    /// The `/stats` document as a tree its caller may add sections to:
-    /// this instance's counters, and the process-wide plan cache and
-    /// cost-based-optimizer counters from the SPARQL engine.
-    pub fn to_value(&self) -> JsonValue {
-        let plan = hbold_sparql::plan::stats();
-        let optimizer = hbold_sparql::plan_stats();
-        let classes = self.responses_by_class.iter().enumerate();
-        JsonValue::object([
-            (
-                "uptime_ms",
-                (self.started.elapsed().as_millis() as u64).into(),
-            ),
-            (
-                "connections_accepted",
-                self.connections_accepted.get().into(),
-            ),
-            ("requests_total", self.requests_total.get().into()),
-            ("malformed_requests", self.malformed_requests.get().into()),
-            (
-                "responses",
-                JsonValue::object(classes.map(|(i, c)| (format!("{}xx", i + 1), c.get().into()))),
-            ),
-            (
-                "routes",
-                JsonValue::object([
-                    ("/sparql", hist_value(&self.sparql.latency)),
-                    ("/update", hist_value(&self.update.latency)),
-                    ("other", hist_value(&self.other.latency)),
-                ]),
-            ),
-            (
-                "updates",
-                JsonValue::object([
-                    ("requests_ok", self.update_ok.get().into()),
-                    ("requests_error", self.update_error.get().into()),
-                    ("ops", self.update_ops.get().into()),
-                    ("quads_removed", self.update_quads_removed.get().into()),
-                    ("quads_inserted", self.update_quads_inserted.get().into()),
-                ]),
-            ),
-            (
-                "armor",
-                JsonValue::object([
-                    ("query_timeouts", self.query_timeouts.get().into()),
-                    ("query_cancelled", self.query_cancelled.get().into()),
-                    ("admission_rejected", self.admission_rejected.get().into()),
-                    ("request_timeouts", self.request_timeouts.get().into()),
-                ]),
-            ),
-            (
-                "plan_cache",
-                JsonValue::object([
-                    ("hits", plan.hits.into()),
-                    ("misses", plan.misses.into()),
-                    ("entries", plan.entries.into()),
-                    // Four decimals, as the share always printed.
-                    ("hit_rate", ((plan.hit_rate() * 1e4).round() / 1e4).into()),
-                ]),
-            ),
-            (
-                "optimizer",
-                JsonValue::object([
-                    ("bgps_planned", optimizer.bgps_planned.into()),
-                    ("bgps_reordered", optimizer.bgps_reordered.into()),
-                    ("filters_pushed", optimizer.filters_pushed.into()),
-                ]),
-            ),
-        ])
-    }
-}
-
-/// The `/stats` rendering of one latency histogram (microseconds).
-fn hist_value(h: &Histogram) -> JsonValue {
-    JsonValue::object([
-        ("count", h.count().into()),
-        ("mean_us", h.mean().into()),
-        ("p50_us", h.quantile(0.50).into()),
-        ("p95_us", h.quantile(0.95).into()),
-        ("p99_us", h.quantile(0.99).into()),
-        ("max_us", h.max().into()),
-    ])
 }
 
 #[cfg(test)]
@@ -289,55 +196,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stats_json_is_parseable() {
-        let stats = ServerStats::default();
-        stats.connections_accepted.add(3);
-        stats.requests_total.add(5);
-        stats.record_status(200);
-        stats.record_status(200);
-        stats.record_status(404);
-        stats.sparql.latency.record(250);
-        let json = stats.to_json();
-        let doc = hbold_sparql::json::JsonValue::parse(&json).expect("stats JSON parses");
-        assert_eq!(doc.get("connections_accepted").unwrap().as_f64(), Some(3.0));
-        assert_eq!(
-            doc.get("responses").unwrap().get("2xx").unwrap().as_f64(),
-            Some(2.0)
-        );
-        assert_eq!(
-            doc.get("responses").unwrap().get("4xx").unwrap().as_f64(),
-            Some(1.0)
-        );
-        assert!(doc.get("plan_cache").unwrap().get("hits").is_some());
-        let updates = doc.get("updates").unwrap();
-        for key in [
-            "requests_ok",
-            "requests_error",
-            "ops",
-            "quads_removed",
-            "quads_inserted",
-        ] {
-            assert!(updates.get(key).is_some(), "updates JSON carries {key}");
-        }
-        let optimizer = doc.get("optimizer").unwrap();
-        for key in ["bgps_planned", "bgps_reordered", "filters_pushed"] {
-            assert!(optimizer.get(key).is_some(), "optimizer JSON carries {key}");
-        }
-        assert_eq!(stats.ok_responses(), 2);
-    }
-
-    #[test]
     fn armor_counters_flow_into_stats_and_metrics() {
         let stats = ServerStats::default();
         stats.query_timeouts.inc();
         stats.query_timeouts.inc();
         stats.admission_rejected.inc();
-        let doc = hbold_sparql::json::JsonValue::parse(&stats.to_json()).unwrap();
-        let armor = doc.get("armor").expect("armor section");
-        assert_eq!(armor.get("query_timeouts").unwrap().as_f64(), Some(2.0));
-        assert_eq!(armor.get("query_cancelled").unwrap().as_f64(), Some(0.0));
-        assert_eq!(armor.get("admission_rejected").unwrap().as_f64(), Some(1.0));
-        assert_eq!(armor.get("request_timeouts").unwrap().as_f64(), Some(0.0));
         // Registered eagerly: a fresh scrape exposes every family at zero or
         // its true value, never omits one.
         let expo =
@@ -354,47 +217,67 @@ mod tests {
     #[test]
     fn stats_and_metrics_read_the_same_handles() {
         let stats = ServerStats::default();
+        stats.connections_accepted.add(3);
         stats.requests_total.add(7);
         stats.record_status(200);
+        stats.record_status(200);
+        stats.record_status(404);
         stats.sparql.latency.record(100);
         stats.other.latency.record(3);
-        let json = stats.to_json();
-        let doc = hbold_sparql::json::JsonValue::parse(&json).unwrap();
         let text = stats.render_metrics();
         let expo = hbold_telemetry::expo::parse_exposition(&text).expect("valid exposition");
         assert!(expo.validate().is_empty(), "{:?}", expo.validate());
+        let value = |name, labels: &[(&str, &str)]| expo.value(name, labels);
         assert_eq!(
-            expo.value("hbold_http_requests_total", &[]),
-            doc.get("requests_total").unwrap().as_f64()
+            value("hbold_http_connections_accepted_total", &[]),
+            Some(stats.connections_accepted.get() as f64)
         );
         assert_eq!(
-            expo.value("hbold_http_responses_total", &[("class", "2xx")]),
+            value("hbold_http_requests_total", &[]),
+            Some(stats.requests_total.get() as f64)
+        );
+        assert_eq!(stats.ok_responses(), 2);
+        assert_eq!(
+            value("hbold_http_responses_total", &[("class", "2xx")]),
+            Some(2.0)
+        );
+        assert_eq!(
+            value("hbold_http_responses_total", &[("class", "4xx")]),
             Some(1.0)
         );
         assert_eq!(
-            expo.value(
+            value(
                 "hbold_http_request_duration_us_count",
                 &[("route", "/sparql")]
             ),
-            Some(1.0)
+            Some(stats.sparql.latency.count() as f64)
+        );
+        assert_eq!(
+            value("hbold_http_request_duration_us_sum", &[("route", "other")]),
+            Some(3.0)
         );
         // The global engine families ride along in the same document.
-        assert!(text.contains("# TYPE hbold_plan_cache_hits_total counter"));
+        for family in [
+            "hbold_plan_cache_hits_total",
+            "hbold_plan_cache_misses_total",
+            "hbold_optimizer_bgps_planned_total",
+            "hbold_optimizer_bgps_reordered_total",
+            "hbold_optimizer_filters_pushed_total",
+        ] {
+            assert!(
+                text.contains(&format!("# TYPE {family} counter")),
+                "{family}"
+            );
+        }
         // Update families are registered eagerly, so a scrape of a server
         // that has never served an update still exposes them at zero.
         assert_eq!(
-            expo.value("hbold_update_requests_total", &[("result", "ok")]),
+            value("hbold_update_requests_total", &[("result", "ok")]),
             Some(0.0)
         );
-        assert_eq!(expo.value("hbold_update_ops_total", &[]), Some(0.0));
-        assert_eq!(
-            expo.value("hbold_update_quads_removed_total", &[]),
-            Some(0.0)
-        );
-        assert_eq!(
-            expo.value("hbold_update_quads_inserted_total", &[]),
-            Some(0.0)
-        );
+        assert_eq!(value("hbold_update_ops_total", &[]), Some(0.0));
+        assert_eq!(value("hbold_update_quads_removed_total", &[]), Some(0.0));
+        assert_eq!(value("hbold_update_quads_inserted_total", &[]), Some(0.0));
     }
 
     #[test]

@@ -1,29 +1,15 @@
 //! End-to-end SPARQL Protocol tests over real loopback sockets.
 
+mod common;
+
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use hbold_rdf_model::vocab::{foaf, rdf};
-use hbold_rdf_model::{Graph, Iri, Literal, Triple};
+use common::{read_response, roundtrip, sample_store};
 use hbold_server::{ServerConfig, SparqlServer};
-use hbold_sparql::json::JsonValue;
 use hbold_sparql::QueryResults;
-use hbold_triple_store::SharedStore;
-
-fn sample_store(people: usize) -> SharedStore {
-    let mut g = Graph::new();
-    for i in 0..people {
-        let s = Iri::new(format!("http://example.org/person/{i}")).unwrap();
-        g.insert(Triple::new(s.clone(), rdf::type_(), foaf::person()));
-        g.insert(Triple::new(
-            s,
-            foaf::name(),
-            Literal::string(format!("Person {i}")),
-        ));
-    }
-    SharedStore::from_graph(&g)
-}
+use hbold_telemetry::expo::parse_exposition;
 
 fn start_server() -> SparqlServer {
     SparqlServer::start(
@@ -35,48 +21,6 @@ fn start_server() -> SparqlServer {
         },
     )
     .expect("server starts")
-}
-
-/// One response off a keep-alive stream: (status, headers-block, body).
-fn read_response(stream: &mut TcpStream) -> (u16, String, Vec<u8>) {
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 1024];
-    let head_end = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos;
-        }
-        let n = stream.read(&mut chunk).expect("read response head");
-        assert!(n > 0, "connection closed before response head finished");
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = String::from_utf8(buf[..head_end].to_vec()).expect("ASCII head");
-    let status: u16 = head
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line in {head:?}"));
-    let content_length: usize = head
-        .lines()
-        .find_map(|l| {
-            let (k, v) = l.split_once(':')?;
-            k.eq_ignore_ascii_case("content-length")
-                .then(|| v.trim().parse().ok())?
-        })
-        .expect("response has Content-Length");
-    let mut body: Vec<u8> = buf[head_end + 4..].to_vec();
-    while body.len() < content_length {
-        let n = stream.read(&mut chunk).expect("read response body");
-        assert!(n > 0, "connection closed mid-body");
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(content_length);
-    (status, head, body)
-}
-
-fn roundtrip(server: &SparqlServer, request: &str) -> (u16, String, Vec<u8>) {
-    let mut stream = TcpStream::connect(server.addr()).expect("connect");
-    stream.write_all(request.as_bytes()).expect("send");
-    read_response(&mut stream)
 }
 
 const COUNT_QUERY: &str =
@@ -208,7 +152,7 @@ fn keep_alive_serves_many_requests_on_one_connection() {
 }
 
 #[test]
-fn stats_route_reports_traffic_and_plan_cache() {
+fn traffic_and_plan_cache_are_on_metrics_not_stats() {
     let server = start_server();
     for _ in 0..3 {
         let (status, _, _) = roundtrip(
@@ -221,32 +165,42 @@ fn stats_route_reports_traffic_and_plan_cache() {
         );
         assert_eq!(status, 200);
     }
-    let (status, _, body) = roundtrip(&server, "GET /stats HTTP/1.1\r\nHost: x\r\n\r\n");
+    // One read-out: the JSON document that repeated /metrics is gone.
+    for method in ["GET", "POST"] {
+        let (status, _, _) = roundtrip(
+            &server,
+            &format!("{method} /stats HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"),
+        );
+        assert_eq!(status, 404, "{method} /stats");
+    }
+    let (status, _, body) = roundtrip(&server, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
     assert_eq!(status, 200);
-    let doc = JsonValue::parse(std::str::from_utf8(&body).unwrap()).expect("stats is JSON");
-    assert!(doc.get("requests_total").unwrap().as_f64().unwrap() >= 4.0);
-    assert!(
-        doc.get("responses")
-            .unwrap()
-            .get("2xx")
-            .unwrap()
-            .as_f64()
-            .unwrap()
-            >= 3.0
+    let expo = parse_exposition(std::str::from_utf8(&body).unwrap()).expect("exposition");
+    let metric = |name, labels: &[(&str, &str)]| expo.value(name, labels).unwrap();
+    assert_eq!(metric("hbold_http_requests_total", &[]), 6.0);
+    assert_eq!(
+        metric("hbold_http_responses_total", &[("class", "2xx")]),
+        3.0
     );
-    let sparql_route = doc.get("routes").unwrap().get("/sparql").unwrap();
-    assert!(sparql_route.get("count").unwrap().as_f64().unwrap() >= 3.0);
-    assert!(sparql_route.get("p50_us").unwrap().as_f64().unwrap() > 0.0);
+    assert_eq!(
+        metric("hbold_http_responses_total", &[("class", "4xx")]),
+        2.0
+    );
+    assert_eq!(
+        metric(
+            "hbold_http_request_duration_us_count",
+            &[("route", "/sparql")]
+        ),
+        3.0
+    );
+    assert!(
+        metric(
+            "hbold_http_request_duration_us_sum",
+            &[("route", "/sparql")]
+        ) > 0.0
+    );
     // The same query three times: the process-wide plan cache must have hits.
-    assert!(
-        doc.get("plan_cache")
-            .unwrap()
-            .get("hits")
-            .unwrap()
-            .as_f64()
-            .unwrap()
-            >= 2.0
-    );
+    assert!(metric("hbold_plan_cache_hits_total", &[]) >= 2.0);
     server.shutdown();
 }
 

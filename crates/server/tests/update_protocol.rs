@@ -2,32 +2,15 @@
 //! `POST /update` (and `/sparql`) with `application/sparql-update` and
 //! form-encoded bodies, 204/400/405/415 statuses, graph-scoped mutations
 //! visible to follow-up queries, and the update counters + per-graph quad
-//! counts surfaced on `/stats` and `/metrics`.
+//! counts surfaced on `/metrics`.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+mod common;
+
 use std::time::Duration;
 
-use hbold_rdf_model::vocab::{foaf, rdf};
-use hbold_rdf_model::{Graph, Iri, Literal, Triple};
+use common::{roundtrip, sample_store};
 use hbold_server::{ServerConfig, SparqlServer};
-use hbold_sparql::json::JsonValue;
 use hbold_sparql::QueryResults;
-use hbold_triple_store::SharedStore;
-
-fn sample_store(people: usize) -> SharedStore {
-    let mut g = Graph::new();
-    for i in 0..people {
-        let s = Iri::new(format!("http://example.org/person/{i}")).unwrap();
-        g.insert(Triple::new(s.clone(), rdf::type_(), foaf::person()));
-        g.insert(Triple::new(
-            s,
-            foaf::name(),
-            Literal::string(format!("Person {i}")),
-        ));
-    }
-    SharedStore::from_graph(&g)
-}
 
 fn start_server() -> SparqlServer {
     SparqlServer::start(
@@ -39,48 +22,6 @@ fn start_server() -> SparqlServer {
         },
     )
     .expect("server starts")
-}
-
-/// One response off a keep-alive stream: (status, headers-block, body).
-fn read_response(stream: &mut TcpStream) -> (u16, String, Vec<u8>) {
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 1024];
-    let head_end = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos;
-        }
-        let n = stream.read(&mut chunk).expect("read response head");
-        assert!(n > 0, "connection closed before response head finished");
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = String::from_utf8(buf[..head_end].to_vec()).expect("ASCII head");
-    let status: u16 = head
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line in {head:?}"));
-    let content_length: usize = head
-        .lines()
-        .find_map(|l| {
-            let (k, v) = l.split_once(':')?;
-            k.eq_ignore_ascii_case("content-length")
-                .then(|| v.trim().parse().ok())?
-        })
-        .expect("response has Content-Length");
-    let mut body: Vec<u8> = buf[head_end + 4..].to_vec();
-    while body.len() < content_length {
-        let n = stream.read(&mut chunk).expect("read response body");
-        assert!(n > 0, "connection closed mid-body");
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(content_length);
-    (status, head, body)
-}
-
-fn roundtrip(server: &SparqlServer, request: &str) -> (u16, String, Vec<u8>) {
-    let mut stream = TcpStream::connect(server.addr()).expect("connect");
-    stream.write_all(request.as_bytes()).expect("send");
-    read_response(&mut stream)
 }
 
 /// Sends one update request body as `application/sparql-update` to `path`.
@@ -226,38 +167,13 @@ fn update_error_statuses() {
 }
 
 #[test]
-fn stats_and_metrics_carry_update_counters_and_graph_counts() {
+fn metrics_carry_update_counters_and_graph_counts() {
     let server = start_server();
     let insert = "INSERT DATA { GRAPH <http://example.org/g> { \
                   <http://example.org/a> <http://example.org/p> \"1\" . \
                   <http://example.org/b> <http://example.org/p> \"2\" } }";
     assert_eq!(post_update(&server, "/update", insert).0, 204);
     assert_eq!(post_update(&server, "/update", "INSERT").0, 400);
-
-    let (status, _, body) = roundtrip(&server, "GET /stats HTTP/1.1\r\nHost: x\r\n\r\n");
-    assert_eq!(status, 200);
-    let doc = JsonValue::parse(std::str::from_utf8(&body).unwrap()).expect("stats JSON parses");
-    let updates = doc
-        .get("updates")
-        .expect("stats carries an updates section");
-    assert_eq!(updates.get("requests_ok").unwrap().as_f64(), Some(1.0));
-    assert_eq!(updates.get("requests_error").unwrap().as_f64(), Some(1.0));
-    assert_eq!(updates.get("ops").unwrap().as_f64(), Some(1.0));
-    assert_eq!(updates.get("quads_inserted").unwrap().as_f64(), Some(2.0));
-    let graphs = doc.get("graphs").expect("stats carries a graphs section");
-    // 4 people × 2 triples in the default graph + the 2 named-graph quads.
-    assert_eq!(graphs.get("default").unwrap().as_f64(), Some(8.0));
-    assert_eq!(graphs.get("quads_total").unwrap().as_f64(), Some(10.0));
-    assert_eq!(graphs.get("named_count").unwrap().as_f64(), Some(1.0));
-    assert_eq!(
-        graphs
-            .get("named")
-            .unwrap()
-            .get("http://example.org/g")
-            .unwrap()
-            .as_f64(),
-        Some(2.0)
-    );
 
     let (status, _, body) = roundtrip(&server, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
     assert_eq!(status, 200);
@@ -272,10 +188,13 @@ fn stats_and_metrics_carry_update_counters_and_graph_counts() {
         expo.value("hbold_update_requests_total", &[("result", "error")]),
         Some(1.0)
     );
+    assert_eq!(expo.value("hbold_update_ops_total", &[]), Some(1.0));
     assert_eq!(
         expo.value("hbold_update_quads_inserted_total", &[]),
         Some(2.0)
     );
+    // 4 people × 2 triples in the default graph + the 2 named-graph quads.
+    assert_eq!(expo.value("hbold_store_triples", &[]), Some(10.0));
     assert_eq!(expo.value("hbold_store_named_graphs", &[]), Some(1.0));
     assert_eq!(
         expo.value(

@@ -62,7 +62,7 @@ use crate::eval::{
 use crate::expr::{
     evaluate_scoped, filter_passes_scoped, number_term, numeric_value, Binding, Scope,
 };
-use crate::optimize::{Group, Node, Order, Plan, PlanCounters, Select, Tail};
+use crate::optimize::{Group, Node, Order, Plan, Select, Tail};
 use crate::results::{QueryResults, SelectResults};
 
 /// Sentinel marking an unbound slot in an [`EncRow`].
@@ -444,9 +444,6 @@ pub(crate) struct EncContext<'a> {
     pub layout: &'a SlotLayout,
     /// The query dataset (`FROM`/`FROM NAMED`), resolved to graph ids.
     pub dataset: EncDataset,
-    /// Caller-private optimizer counters; the planning pass bumps these in
-    /// addition to the process-wide registry when present.
-    pub counters: Option<&'a PlanCounters>,
     /// Cooperative cancellation token for this evaluation, polled through
     /// the probes [`attach`] makes — before the first row, and by every scan
     /// stage as it examines quads — and at group boundaries by the grouped
@@ -455,8 +452,8 @@ pub(crate) struct EncContext<'a> {
 }
 
 impl<'a> EncContext<'a> {
-    /// A context for one query over `store`, its dataset resolved, with
-    /// neither private counters nor a token attached.
+    /// A context for one query over `store`, its dataset resolved, with no
+    /// token attached.
     pub(crate) fn new(
         store: &'a TripleStore,
         layout: &'a SlotLayout,
@@ -467,7 +464,6 @@ impl<'a> EncContext<'a> {
             dict: store.dictionary(),
             layout,
             dataset: EncDataset::compile(dataset, store),
-            counters: None,
             cancel: None,
         }
     }

@@ -35,7 +35,7 @@ use crate::ast::*;
 use crate::encoded::{compile_pattern, execute, timed, EncContext, SlotLayout};
 use crate::error::SparqlError;
 use crate::expr::{evaluate_scoped, number_term, Binding, EvalValue, Scope};
-use crate::optimize::{plan_pattern, BgpReorder, PlanCounters};
+use crate::optimize::{plan_pattern, BgpReorder};
 use crate::plan::parse_cached;
 use crate::results::QueryResults;
 
@@ -75,10 +75,6 @@ pub fn evaluate(store: &TripleStore, query: &Query) -> Result<QueryResults, Spar
 /// (see [`evaluate_with_hooks`]). The default observes nothing.
 #[derive(Default)]
 pub struct EvalHooks<'a> {
-    /// Private optimizer decision counters, bumped *in addition to* the
-    /// process-wide registry — a caller that owns one of these (e.g. one
-    /// per endpoint) can assert on it without racing other evaluations.
-    pub counters: Option<&'a PlanCounters>,
     /// Parent span for an execution trace. When set, the evaluation adds
     /// `plan` and `execute` children under it, with one span per plan node
     /// and tail stage below `execute` recording rows produced and wall
@@ -118,7 +114,6 @@ pub(crate) fn evaluate_planned(
     // compiles to a scan that is statically empty).
     let layout = SlotLayout::of_query(query);
     let mut ctx = EncContext::new(store, &layout, &query.dataset);
-    ctx.counters = hooks.counters;
     ctx.cancel = hooks.cancel;
     let pattern = compile_pattern(&query.pattern, &layout, ctx.dict);
     // The single planning pass: orders every BGP by cost, pushes eligible
@@ -919,31 +914,5 @@ mod tests {
             ["bgp", "group", "project"]
         );
         assert_eq!(names(&trace("ASK { ?s ?p ?o }")), ["bgp", "ask"]);
-    }
-
-    #[test]
-    fn private_plan_counters_track_one_evaluation() {
-        let store = sample_store();
-        let query = parse_cached(
-            "SELECT ?s WHERE { ?s a <http://e.org/Person> . ?s <http://e.org/age> ?a }",
-        )
-        .unwrap();
-        let counters = PlanCounters::new();
-        let hooks = EvalHooks {
-            counters: Some(&counters),
-            ..EvalHooks::default()
-        };
-        evaluate_with_hooks(&store, &query, &hooks).unwrap();
-        let stats = counters.snapshot();
-        assert_eq!(stats.bgps_planned, 1);
-        // A second evaluation with fresh counters sees exactly the same
-        // figures — no other thread can perturb a private counter set.
-        let counters2 = PlanCounters::new();
-        let hooks2 = EvalHooks {
-            counters: Some(&counters2),
-            ..EvalHooks::default()
-        };
-        evaluate_with_hooks(&store, &query, &hooks2).unwrap();
-        assert_eq!(counters2.snapshot(), stats);
     }
 }

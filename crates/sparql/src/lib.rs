@@ -93,7 +93,7 @@ pub use error::SparqlError;
 pub use eval::{evaluate, evaluate_with_hooks, execute_query, EvalHooks};
 // Compile-compat shim, kept only for the frozen `benchmark/` crate.
 pub use eval::{evaluate_with, EvalOptions};
-pub use optimize::{explain, plan_stats, OptimizerStats, PlanCounters, PlanExplanation};
+pub use optimize::{explain, PlanExplanation};
 pub use parser::{parse_query, parse_update};
 pub use plan::{parse_cached, parse_cached_tracked, PlanCacheStats};
 pub use pretty::{print_query, print_update};
@@ -102,3 +102,12 @@ pub use update::{
     apply_updates, apply_updates_naive, execute_update, execute_update_naive, plan_update_op,
     plan_update_op_naive, plan_update_op_with, UpdateOutcome,
 };
+
+/// Forces registration of the engine's counter families
+/// (`hbold_plan_cache_hits_total`, `hbold_plan_cache_misses_total` and the
+/// three `hbold_optimizer_*_total`), so a metrics scrape of a process that
+/// has not yet parsed or planned a query still exposes them at zero.
+pub fn register_metrics() {
+    let _ = plan::counters();
+    let _ = optimize::counters();
+}

@@ -63,7 +63,6 @@
 
 use std::fmt;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use hbold_rdf_model::Term;
@@ -74,21 +73,23 @@ use crate::ast::{ComparisonOp, Expression, Function, Projection, Query, QueryFor
 use crate::encoded::{compile_pattern, EncContext, EncNode, EncPattern, EncTriplePattern};
 use crate::encoded::{Emit, EncDataset, EncGraph, Flow, SlotLayout, UNBOUND};
 
-// ---- decision counters (the plan_stats debug surface) ----------------------------
+// ---- decision counters ------------------------------------------------------------
 
-/// The process-wide optimizer counters, registered once in the global
-/// telemetry registry so `/metrics` exposes them as counter families.
-struct GlobalOptimizerCounters {
+/// The optimizer's decision counters, registered once in the process-wide
+/// telemetry registry: `/metrics` is where they are read. One evaluation's
+/// own decisions are in its trace (the `plan` span's `bgps` and
+/// `pushed_filters`, each scan's `written_index`).
+pub(crate) struct OptimizerCounters {
     bgps_planned: Counter,
     bgps_reordered: Counter,
     filters_pushed: Counter,
 }
 
-fn global_counters() -> &'static GlobalOptimizerCounters {
-    static COUNTERS: OnceLock<GlobalOptimizerCounters> = OnceLock::new();
+pub(crate) fn counters() -> &'static OptimizerCounters {
+    static COUNTERS: OnceLock<OptimizerCounters> = OnceLock::new();
     COUNTERS.get_or_init(|| {
         let reg = Registry::global();
-        GlobalOptimizerCounters {
+        OptimizerCounters {
             bgps_planned: reg.counter(
                 "hbold_optimizer_bgps_planned_total",
                 "Basic graph patterns planned.",
@@ -106,87 +107,6 @@ fn global_counters() -> &'static GlobalOptimizerCounters {
             ),
         }
     })
-}
-
-/// A private set of optimizer decision counters.
-///
-/// The process-wide aggregate always advances (it backs `/stats` and
-/// `/metrics`); callers that need race-free observation — e.g. one
-/// [`PlanCounters`] per `SparqlEndpoint`, asserted on by parallel tests —
-/// pass their own instance through
-/// [`EvalHooks`](crate::eval::EvalHooks), and every planning decision then
-/// bumps both.
-#[derive(Debug, Default)]
-pub struct PlanCounters {
-    bgps_planned: AtomicU64,
-    bgps_reordered: AtomicU64,
-    filters_pushed: AtomicU64,
-}
-
-impl PlanCounters {
-    /// A fresh all-zero counter set.
-    pub fn new() -> PlanCounters {
-        PlanCounters::default()
-    }
-
-    /// Snapshot of this counter set.
-    pub fn snapshot(&self) -> OptimizerStats {
-        OptimizerStats {
-            bgps_planned: self.bgps_planned.load(Ordering::Relaxed),
-            bgps_reordered: self.bgps_reordered.load(Ordering::Relaxed),
-            filters_pushed: self.filters_pushed.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Which optimizer decision to count (one helper so every bump site hits
-/// the global registry and the caller's optional [`PlanCounters`] alike).
-#[derive(Clone, Copy)]
-enum Decision {
-    BgpPlanned,
-    BgpReordered,
-    FilterPushed,
-}
-
-fn bump(ctx: &EncContext<'_>, decision: Decision) {
-    let global = global_counters();
-    let (global_counter, local) = match decision {
-        Decision::BgpPlanned => (&global.bgps_planned, ctx.counters.map(|c| &c.bgps_planned)),
-        Decision::BgpReordered => (
-            &global.bgps_reordered,
-            ctx.counters.map(|c| &c.bgps_reordered),
-        ),
-        Decision::FilterPushed => (
-            &global.filters_pushed,
-            ctx.counters.map(|c| &c.filters_pushed),
-        ),
-    };
-    global_counter.inc();
-    if let Some(local) = local {
-        local.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Optimizer decision counters, exposed on `SparqlEndpoint::plan_stats` and
-/// the server's `/stats` document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct OptimizerStats {
-    /// Basic graph patterns planned.
-    pub bgps_planned: u64,
-    /// BGPs whose execution order differs from their written order.
-    pub bgps_reordered: u64,
-    /// Equality-filter conjuncts pushed down into scans.
-    pub filters_pushed: u64,
-}
-
-/// Current process-wide optimizer counters.
-pub fn plan_stats() -> OptimizerStats {
-    let global = global_counters();
-    OptimizerStats {
-        bgps_planned: global.bgps_planned.get(),
-        bgps_reordered: global.bgps_reordered.get(),
-        filters_pushed: global.filters_pushed.get(),
-    }
 }
 
 // ---- the plan value --------------------------------------------------------------
@@ -347,8 +267,8 @@ impl fmt::Display for PlanExplanation {
 }
 
 /// Plans `query` against `store` and returns the decisions without
-/// executing anything. The planning pass is the real one, so the counters
-/// behind [`plan_stats`] advance.
+/// executing anything. The planning pass is the real one, so the optimizer
+/// counters on `/metrics` advance.
 pub fn explain(store: &TripleStore, query: &Query) -> PlanExplanation {
     let layout = SlotLayout::of_query(query);
     let ctx = EncContext::new(store, &layout, &query.dataset);
@@ -427,9 +347,9 @@ fn plan_rec(
                     })
                     .collect();
             }
-            bump(ctx, Decision::BgpPlanned);
+            counters().bgps_planned.inc();
             if order.iter().enumerate().any(|(i, &idx)| i != idx) {
-                bump(ctx, Decision::BgpReordered);
+                counters().bgps_reordered.inc();
             }
             for tp in &tps {
                 mark_pattern_vars(tp, bound);
@@ -851,7 +771,7 @@ fn extract_prebinds(
         // conjunct, so the scan is pruned to nothing.
         prebind.push((slot, ctx.dict.id_of(term)));
         bound[slot as usize] = true;
-        bump(ctx, Decision::FilterPushed);
+        counters().filters_pushed.inc();
     }
     prebind
 }

@@ -43,12 +43,12 @@ fn cache() -> &'static Mutex<HashMap<String, CacheEntry>> {
 /// Hit/miss counters live in the process-wide telemetry registry, so the
 /// server's `/metrics` endpoint exposes them without a second bookkeeping
 /// path.
-struct CacheCounters {
+pub(crate) struct CacheCounters {
     hits: Counter,
     misses: Counter,
 }
 
-fn counters() -> &'static CacheCounters {
+pub(crate) fn counters() -> &'static CacheCounters {
     static COUNTERS: OnceLock<CacheCounters> = OnceLock::new();
     COUNTERS.get_or_init(|| {
         let reg = Registry::global();
@@ -100,9 +100,8 @@ pub fn parse_cached(text: &str) -> Result<Arc<Query>, SparqlError> {
 
 /// [`parse_cached`], also reporting whether the lookup hit the cache.
 ///
-/// The flag lets callers keep *private* hit/miss counters (e.g. one pair
-/// per endpoint) that parallel users of the process-wide cache cannot
-/// perturb; the process-wide counters advance either way.
+/// The flag is what a trace's `parse` span reports as `cache_hit`; the
+/// process-wide counters advance either way.
 pub fn parse_cached_tracked(text: &str) -> Result<(Arc<Query>, bool), SparqlError> {
     let key = normalize(text);
     {

@@ -6,10 +6,11 @@
 //! by a set of quads to **insert**, both planned against the store state
 //! *before* the operation applies (so `DELETE`/`INSERT WHERE` templates all
 //! instantiate from one consistent snapshot, per the SPARQL 1.1 Update
-//! semantics). [`plan_update_op`] produces that delta; callers then apply it
-//! however their store is wrapped — [`apply_updates`] mutates a plain
-//! [`TripleStore`] in place, while the server routes the same planner
-//! through `SharedStore::apply_update` to get WAL-backed atomicity.
+//! semantics). [`plan_update_op`] produces that delta, and one call applies
+//! it, `TripleStore::apply_delta`: [`apply_updates`] on a plain
+//! [`TripleStore`] in place, and the server through
+//! `SharedStore::apply_update`, whose commit (and WAL replay) makes the same
+//! call under WAL-backed atomicity.
 //!
 //! Template instantiation follows the spec's silent-skip rule: a solution
 //! that leaves a template variable unbound, or binds a term invalid for its
@@ -169,16 +170,9 @@ fn apply_with(
     let mut outcome = UpdateOutcome::default();
     for op in ops {
         let (removes, inserts) = plan_with(store, op, solver, None)?;
-        for quad in &removes {
-            if store.remove_quad(quad) {
-                outcome.removed += 1;
-            }
-        }
-        for quad in &inserts {
-            if store.insert_quad(quad) {
-                outcome.inserted += 1;
-            }
-        }
+        let (removed, inserted) = store.apply_delta(&removes, &inserts);
+        outcome.removed += removed;
+        outcome.inserted += inserted;
     }
     Ok(outcome)
 }

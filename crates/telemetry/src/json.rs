@@ -15,8 +15,8 @@
 //!   folding the reader's events, rendered by its `Display`.
 //!
 //! Decoders that care about speed (the SPARQL-results decoder) read the
-//! events directly; everything that *emits* a document (span trees, `/stats`,
-//! error bodies, the slow-query log) builds a [`JsonValue`] and prints it.
+//! events directly; everything that *emits* a document (span trees, error
+//! bodies, the slow-query log) builds a [`JsonValue`] and prints it.
 
 use std::borrow::Cow;
 use std::fmt;

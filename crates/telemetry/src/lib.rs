@@ -38,8 +38,8 @@
 //! pull [`json::Reader`] that yields events from an explicit, depth-bounded
 //! stack (the SPARQL-results decoder reads rows straight off it),
 //! [`json::write_str`], the one string escaper, and the [`json::JsonValue`]
-//! tree that span trees, `/stats`, error bodies and the slow-query log are
-//! built as and printed from.
+//! tree that span trees, error bodies and the slow-query log are built as
+//! and printed from.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

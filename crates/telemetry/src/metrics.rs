@@ -44,12 +44,6 @@ pub struct Counter {
 }
 
 impl Counter {
-    /// Creates a detached counter not tied to any registry (useful for
-    /// per-instance handles that are *also* mirrored into a registry).
-    pub fn detached() -> Counter {
-        Counter::default()
-    }
-
     /// Adds one.
     pub fn inc(&self) {
         self.cell.fetch_add(1, Ordering::Relaxed);
@@ -92,9 +86,10 @@ impl Gauge {
 
 /// Lock-free log2 histogram over unitless `u64` samples.
 ///
-/// This is the generalization of the server's old `LatencyHistogram`: the
-/// same 26 power-of-two buckets, plus count/sum/max, with quantiles read
-/// by rank-walking the buckets (accurate to a factor of two).
+/// The server's old `LatencyHistogram`, generalized: the same 26
+/// power-of-two buckets plus count and sum, which is all the exposition
+/// carries. Quantiles are the scraper's to read off the cumulative buckets
+/// (accurate to a factor of two).
 #[derive(Debug, Clone, Default)]
 pub struct Histogram {
     core: Arc<HistogramCore>,
@@ -105,22 +100,15 @@ struct HistogramCore {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
-    max: AtomicU64,
 }
 
 impl Histogram {
-    /// Creates a detached histogram not tied to any registry.
-    pub fn detached() -> Histogram {
-        Histogram::default()
-    }
-
     /// Records one sample.
     pub fn record(&self, value: u64) {
         let idx = (64 - u64::leading_zeros(value | 1) as usize).min(BUCKETS - 1);
         self.core.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.core.count.fetch_add(1, Ordering::Relaxed);
         self.core.sum.fetch_add(value, Ordering::Relaxed);
-        self.core.max.fetch_max(value, Ordering::Relaxed);
     }
 
     /// Number of recorded samples.
@@ -131,40 +119,6 @@ impl Histogram {
     /// Sum of all recorded samples.
     pub fn sum(&self) -> u64 {
         self.core.sum.load(Ordering::Relaxed)
-    }
-
-    /// Largest recorded sample.
-    pub fn max(&self) -> u64 {
-        self.core.max.load(Ordering::Relaxed)
-    }
-
-    /// Mean sample (0 when empty).
-    pub fn mean(&self) -> u64 {
-        let count = self.count();
-        if count == 0 {
-            0
-        } else {
-            self.sum() / count
-        }
-    }
-
-    /// Upper bound of the bucket containing the `q` quantile
-    /// (`0.0..=1.0`). Bucketed, so accurate to a factor of two — plenty
-    /// for spotting a p99 collapse.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let count = self.count();
-        if count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (idx, bucket) in self.core.buckets.iter().enumerate() {
-            seen += bucket.load(Ordering::Relaxed);
-            if seen >= rank {
-                return 1u64 << idx;
-            }
-        }
-        self.max()
     }
 
     /// Per-bucket counts, exposed for the Prometheus renderer.
@@ -508,20 +462,19 @@ mod tests {
 
     #[test]
     fn histogram_matches_old_latency_histogram_semantics() {
-        let h = Histogram::detached();
+        let h = Histogram::default();
         for us in [1u64, 2, 3, 100, 100, 100, 100, 100, 100, 8_000] {
             h.record(us);
         }
         assert_eq!(h.count(), 10);
-        assert_eq!(h.max(), 8_000);
-        assert!(h.mean() > 0);
-        assert_eq!(h.quantile(0.5), 128);
-        assert_eq!(h.quantile(1.0), 8192);
-        assert_eq!(Histogram::detached().quantile(0.5), 0);
-        let saturated = Histogram::detached();
+        assert_eq!(h.sum(), 8_606);
+        // Bucket i holds [2^(i-1), 2^i): 1 | 2, 3 | 100 ×6 | 8 000.
+        let counts = h.bucket_counts();
+        assert_eq!((counts[1], counts[2], counts[7], counts[13]), (1, 2, 6, 1));
+        assert_eq!(counts.iter().sum::<u64>(), 10);
+        let saturated = Histogram::default();
         saturated.record(u64::MAX);
-        assert_eq!(saturated.quantile(1.0), 1u64 << (BUCKETS - 1));
-        assert_eq!(saturated.max(), u64::MAX);
+        assert_eq!(saturated.bucket_counts()[BUCKETS - 1], 1);
     }
 
     #[test]

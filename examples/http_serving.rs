@@ -72,8 +72,16 @@ fn main() {
     print!("{}", report.render());
     assert!(report.all_2xx(), "the burst must be answered cleanly");
 
-    // 5. The server's own view, then a graceful stop.
-    println!("server stats: {}", server.stats().to_json());
+    // 5. The server's own view — its `/metrics` HTTP families, buckets
+    //    aside — then a graceful stop.
+    println!("server metrics:");
+    let metrics = server.stats().render_metrics();
+    let http = metrics
+        .lines()
+        .filter(|line| line.starts_with("hbold_http_"));
+    for line in http.filter(|line| !line.contains("_bucket")) {
+        println!("  {line}");
+    }
     server.shutdown();
     println!("server drained and shut down gracefully");
 }
