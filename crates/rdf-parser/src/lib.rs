@@ -5,7 +5,8 @@
 //! Two concrete syntaxes are supported:
 //!
 //! * **N-Triples** ([`ntriples`]) — the line-oriented syntax used for dumps
-//!   and for shipping graphs between the simulated endpoints and tests.
+//!   and for shipping graphs between the simulated endpoints and tests;
+//!   [`ntriples::Reader`] streams a dump without holding it.
 //! * **Turtle (subset)** ([`turtle`]) — `@prefix`/`PREFIX` declarations,
 //!   prefixed names, the `a` keyword, predicate lists (`;`), object lists
 //!   (`,`), anonymous blank nodes `[...]`, numeric/boolean shorthand

@@ -4,8 +4,13 @@
 //! their fully expanded form, a `.` terminator. It is the exchange format
 //! used between the synthetic dataset generators, the simulated endpoints
 //! and the test suite because it round-trips exactly.
+//!
+//! A dump is read by [`Reader`], one line at a time from any [`BufRead`], so
+//! a loader can consume its triples as they are parsed without holding the
+//! file or a [`Graph`] of it; [`parse`] is that reader collected.
 
 use std::borrow::Cow;
+use std::io::BufRead;
 
 use hbold_rdf_model::vocab::datatype_iri;
 use hbold_rdf_model::{BlankNode, Graph, Iri, Literal, Term, Triple};
@@ -17,16 +22,69 @@ use crate::error::ParseError;
 /// Empty lines and `#` comment lines are ignored. Errors carry the position
 /// of the offending character.
 pub fn parse(input: &str) -> Result<Graph, ParseError> {
-    let mut graph = Graph::new();
-    for (line_no, raw_line) in input.lines().enumerate() {
-        let line = raw_line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
+    Reader::new(input.as_bytes()).collect()
+}
+
+/// A streaming N-Triples reader: yields the triples of `input` in file
+/// order, one line at a time through one reused line buffer.
+///
+/// Lines end at `\n` (a `\r` before it is trimmed with the other
+/// whitespace); empty lines and `#` comment lines are skipped. A malformed
+/// line yields a [`ParseError`] with its 1-based line and column — the same
+/// error [`parse`] returns — and reading may go on with the next line. A line
+/// that is not UTF-8 is an error at the column of its first bad byte. An I/O
+/// error of `input` is an error at the line being read, and ends the
+/// iteration.
+#[derive(Debug)]
+pub struct Reader<R> {
+    input: R,
+    line: Vec<u8>,
+    line_no: usize,
+    failed: bool,
+}
+
+impl<R: BufRead> Reader<R> {
+    /// A reader over `input`, positioned before its first line.
+    pub fn new(input: R) -> Self {
+        Reader {
+            input,
+            line: Vec::new(),
+            line_no: 0,
+            failed: false,
         }
-        let triple = parse_line(line, line_no + 1)?;
-        graph.insert(triple);
     }
-    Ok(graph)
+}
+
+impl<R: BufRead> Iterator for Reader<R> {
+    type Item = Result<Triple, ParseError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while !self.failed {
+            self.line.clear();
+            match self.input.read_until(b'\n', &mut self.line) {
+                Ok(0) => return None,
+                Ok(_) => self.line_no += 1,
+                Err(e) => {
+                    self.failed = true;
+                    let message = format!("cannot read the input: {e}");
+                    return Some(Err(ParseError::new(self.line_no + 1, 1, message)));
+                }
+            }
+            let line = match std::str::from_utf8(&self.line) {
+                Ok(text) => text.trim(),
+                Err(e) => {
+                    let valid = &self.line[..e.valid_up_to()];
+                    let column = String::from_utf8_lossy(valid).chars().count() + 1;
+                    return Some(Err(ParseError::new(self.line_no, column, "invalid UTF-8")));
+                }
+            };
+            if line.is_empty() || line.starts_with('#') {
+                continue;
+            }
+            return Some(parse_line(line, self.line_no));
+        }
+        None
+    }
 }
 
 /// Parses a single N-Triples statement (without trailing newline).
@@ -322,6 +380,67 @@ mod tests {
         );
         let err = parse("<http://e.org/a> <http://e.org/p> \"unterminated .").unwrap_err();
         assert_eq!(err.line(), 1);
+    }
+
+    /// The line-splitting reference the reader must agree with: `str::lines`
+    /// (which also drops a `\r` before each `\n`), trimmed, blank and `#`
+    /// lines skipped, every other line through `parse_line`.
+    fn by_lines(input: &str) -> Vec<Result<Triple, ParseError>> {
+        input
+            .lines()
+            .enumerate()
+            .map(|(i, line)| (i + 1, line.trim()))
+            .filter(|(_, line)| !line.is_empty() && !line.starts_with('#'))
+            .map(|(line_no, line)| parse_line(line, line_no))
+            .collect()
+    }
+
+    /// The reader over a 7-byte buffer, so lines straddle refills.
+    fn streamed(input: &[u8]) -> Vec<Result<Triple, ParseError>> {
+        Reader::new(std::io::BufReader::with_capacity(7, input)).collect()
+    }
+
+    #[test]
+    fn the_reader_agrees_with_line_splitting_on_every_layout() {
+        let docs = [
+            // CRLF line ends, a comment and blank lines between triples.
+            "<http://e.org/a> <http://e.org/p> \"x\" .\r\n# note\r\n\r\n<http://e.org/b> <http://e.org/p> _:n .\r\n",
+            // No newline after the last triple; indented comment; spaces-only line.
+            "  # indented\n   \n<http://e.org/a> <http://e.org/p> <http://e.org/o> .",
+            // Escapes and a non-ASCII lexical form.
+            "<http://e.org/a> <http://e.org/p> \"t\\tq\\\"\\u00e9\\U0001F600 ł\"@en .\n",
+            // A malformed third line between good ones.
+            "<http://e.org/a> <http://e.org/p> \"1\" .\n\n<http://e.org/a> <http://e.org/p> .\n<http://e.org/a> <http://e.org/p> \"2\" .\n",
+            "",
+        ];
+        for doc in docs {
+            let expected = by_lines(doc);
+            assert_eq!(streamed(doc.as_bytes()), expected, "{doc:?}");
+            let first_error = expected.iter().find_map(|r| r.as_ref().err().cloned());
+            match (parse(doc), first_error) {
+                (Ok(graph), None) => {
+                    let triples: Graph = expected.into_iter().map(Result::unwrap).collect();
+                    assert_eq!(graph, triples);
+                }
+                (Err(e), Some(first)) => assert_eq!(e, first),
+                (got, want) => panic!("{doc:?}: parse gave {got:?}, expected error {want:?}"),
+            }
+        }
+        let err = parse("# header\n\n<http://e.org/a> <http://e.org/p> .\n").unwrap_err();
+        assert_eq!((err.line(), err.column()), (3, 35));
+    }
+
+    #[test]
+    fn invalid_utf8_is_an_error_at_its_line_not_a_panic() {
+        let mut doc = b"<http://e.org/a> <http://e.org/p> \"ok\" .\n".to_vec();
+        doc.extend_from_slice(b"<http://e.org/a> <http://e.org/p> \"\xC3\xA9\xFF\" .\n");
+        doc.extend_from_slice(b"<http://e.org/b> <http://e.org/p> \"ok\" .\n");
+        let results = streamed(&doc);
+        assert_eq!(results.len(), 3);
+        assert!(results[0].is_ok() && results[2].is_ok());
+        let err = results[1].as_ref().unwrap_err();
+        assert_eq!((err.line(), err.column()), (2, 37));
+        assert!(err.message().contains("UTF-8"), "{err}");
     }
 
     #[test]

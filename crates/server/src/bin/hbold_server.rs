@@ -6,22 +6,29 @@
 //!              [--data-dir DIR] [--demo-people N] [--enable-shutdown]
 //! ```
 //!
-//! With `--data`, the file is parsed as Turtle (or N-Triples for `.nt`) and
-//! served; otherwise (and without `--data-dir`) a small built-in demo dataset
-//! is generated. With `--data-dir`, the store is durable: the directory is
-//! recovered on boot (snapshot + write-ahead-log replay, truncating a torn
-//! tail), every load is logged, and a graceful shutdown compacts the log
-//! into a fresh snapshot. With `--enable-shutdown`, `POST /shutdown` stops
+//! With `--data`, the file is loaded as Turtle (or, for `.nt`, streamed as
+//! N-Triples straight into the store, never held whole) and served;
+//! otherwise an empty store is seeded with a small built-in demo dataset.
+//! With `--data-dir`, the store is durable: the directory is recovered on
+//! boot (snapshot + write-ahead-log replay, truncating a torn tail), a load
+//! that adds anything is committed as the next snapshot generation before
+//! the server listens, every update is logged, and a graceful shutdown
+//! compacts the log into a fresh snapshot. A data file that does not parse,
+//! or a load that cannot be written, exits 2 with the store and the
+//! directory untouched. With `--enable-shutdown`, `POST /shutdown` stops
 //! the server gracefully — the process exits 0 once every in-flight
 //! connection has drained (this is how the CI smoke job verifies graceful
 //! shutdown without signal handling).
 
+use std::fs::File;
+use std::io::BufReader;
 use std::process::ExitCode;
 
 use hbold_rdf_model::vocab::{foaf, rdf};
 use hbold_rdf_model::{Graph, Iri, Literal, Triple};
+use hbold_rdf_parser::{ntriples, turtle};
 use hbold_server::{ServerConfig, SparqlServer};
-use hbold_triple_store::{PersistOptions, SharedStore};
+use hbold_triple_store::{LoadError, PersistOptions, SharedStore};
 
 const HELP: &str = "\
 hbold-server — serve a dataset over the SPARQL 1.1 Protocol
@@ -34,10 +41,12 @@ OPTIONS:
     --workers N             Worker threads, one connection each (default 8)
     --data FILE.{ttl,nt}    Serve this Turtle (.ttl) or N-Triples (.nt) file;
                             with --data-dir the file is loaded *into* the
-                            durable store (write-ahead logged)
+                            durable store, committed as the next snapshot
+                            generation (nothing is logged; a file adding
+                            nothing writes nothing)
     --data-dir DIR          Durable mode: recover the store from DIR on boot
                             (newest valid snapshot + WAL replay), log every
-                            load, checkpoint on graceful shutdown
+                            update, checkpoint on graceful shutdown
     --checkpoint-wal-bytes N
                             Auto-checkpoint once the WAL exceeds N bytes
                             (default 67108864; requires --data-dir)
@@ -71,7 +80,8 @@ ROUTES:
 EXIT CODES:
     0   clean exit after a graceful shutdown
     2   usage error (unknown flag, missing value, unreadable or unparsable
-        data file, bind failure, unrecoverable data directory)";
+        data file, a load that cannot be written, bind failure,
+        unrecoverable data directory)";
 
 fn usage() -> &'static str {
     "usage: hbold-server [--addr HOST:PORT] [--workers N] [--data FILE.{ttl,nt}] \
@@ -201,19 +211,23 @@ fn demo_graph(people: usize) -> Graph {
     g
 }
 
-fn load_graph(args: &Args) -> Result<Option<Graph>, String> {
-    let Some(path) = &args.data else {
-        return Ok(None);
-    };
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let parsed = if path.ends_with(".nt") {
-        hbold_rdf_parser::ntriples::parse(&text)
+/// Loads the `--data` file into `store`: N-Triples streamed line by line
+/// into the store's load, Turtle parsed whole first. Returns how many
+/// triples were new; on an error the store (and its directory) is as it
+/// was, and the message names the file — and, for a parse error, the line.
+fn load_file(store: &SharedStore, path: &str) -> Result<usize, String> {
+    let file = File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let loaded = if path.ends_with(".nt") {
+        store.try_bulk_load(ntriples::Reader::new(BufReader::new(file)))
     } else {
-        hbold_rdf_parser::turtle::parse(&text)
+        let text = std::io::read_to_string(file).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let graph = turtle::parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))?;
+        store.try_bulk_load(graph.iter().map(Ok))
     };
-    parsed
-        .map(Some)
-        .map_err(|e| format!("cannot parse {path}: {e}"))
+    loaded.map_err(|e| match e {
+        LoadError::Source(e) => format!("cannot parse {path}: {e}"),
+        LoadError::Persist(e) => format!("cannot load {path}: {e}"),
+    })
 }
 
 fn main() -> ExitCode {
@@ -223,14 +237,6 @@ fn main() -> ExitCode {
             println!("{HELP}");
             return ExitCode::SUCCESS;
         }
-        Err(message) => {
-            eprintln!("{message}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let graph = match load_graph(&args) {
-        Ok(graph) => graph,
         Err(message) => {
             eprintln!("{message}");
             return ExitCode::from(2);
@@ -258,23 +264,25 @@ fn main() -> ExitCode {
                     ""
                 },
             );
-            if let Some(graph) = &graph {
-                let added = store.bulk_load(graph.iter());
-                println!("hbold-server: loaded {added} new triples into {dir}");
-            } else if store.is_empty() {
-                // A brand-new data directory with nothing to load: seed it
-                // with the demo dataset so the server (and the CI smoke
-                // cycle) has data to serve and to persist.
-                let added = store.bulk_load(demo_graph(args.demo_people).iter());
-                println!("hbold-server: seeded {dir} with {added} demo triples");
-            }
             store
         }
-        None => {
-            let graph = graph.unwrap_or_else(|| demo_graph(args.demo_people));
-            SharedStore::from_graph(&graph)
-        }
+        None => SharedStore::new(),
     };
+    if let Some(path) = &args.data {
+        match load_file(&store, path) {
+            Ok(added) => println!("hbold-server: loaded {added} new triples from {path}"),
+            Err(message) => {
+                eprintln!("{message}");
+                return ExitCode::from(2);
+            }
+        }
+    } else if store.is_empty() {
+        // Nothing to load into an empty store (in memory, or a brand-new
+        // data directory): seed it with the demo dataset so the server (and
+        // the CI smoke cycle) has data to serve and to persist.
+        let added = store.bulk_load(demo_graph(args.demo_people).iter());
+        println!("hbold-server: seeded the store with {added} demo triples");
+    }
 
     let triples = store.len();
     let server = match SparqlServer::start(store.clone(), args.config.clone()) {

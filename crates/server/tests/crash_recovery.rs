@@ -7,7 +7,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
@@ -116,14 +116,16 @@ fn percent_encode(query: &str) -> String {
 
 /// GET ?query= against a loopback port; returns (status, body bytes).
 fn http_query(port: u16, query: &str) -> (u16, Vec<u8>) {
+    http_get(port, &format!("/sparql?query={}", percent_encode(query)))
+}
+
+/// GET `target` against a loopback port; returns (status, body bytes).
+fn http_get(port: u16, target: &str) -> (u16, Vec<u8>) {
     let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    let request = format!(
-        "GET /sparql?query={} HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n",
-        percent_encode(query)
-    );
+    let request = format!("GET {target} HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n");
     stream.write_all(request.as_bytes()).expect("send request");
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw).expect("read response");
@@ -160,6 +162,18 @@ fn http_update(port: u16, update: &str) -> u16 {
         .unwrap_or_else(|| panic!("bad status line in {head:?}"))
 }
 
+/// The snapshot, temp-snapshot and log files of a data directory, sorted
+/// (the directory's `lock` file left out).
+fn store_files(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.contains(".hbs") || name == "wal.log")
+        .collect();
+    names.sort();
+    names
+}
+
 fn wait_until_serving(port: u16) {
     for _ in 0..100 {
         if TcpStream::connect(("127.0.0.1", port)).is_ok() {
@@ -179,19 +193,32 @@ fn killed_server_restarts_with_byte_identical_results() {
     let data_dir_str = data_dir.to_str().unwrap();
     let nt_str = nt_path.to_str().unwrap();
 
-    // Boot a durable server that loads the dataset (write-ahead logged),
-    // then SIGKILL it: no graceful drain, no shutdown checkpoint — the WAL
-    // is all that survives.
+    // Boot a durable server that loads the dataset into the empty
+    // directory. The load is committed before the server listens, as
+    // snapshot generation 1 over an empty log — not as a log record.
     let mut first = spawn_server(&["--data-dir", data_dir_str, "--data", nt_str]);
     wait_until_serving(first.port);
     let (status, warm_body) = http_query(first.port, QUERIES[0]);
     assert_eq!(status, 200, "durable server answers before the crash");
+    assert_eq!(
+        store_files(&data_dir),
+        ["snapshot-0000000000000001.hbs", "wal.log"],
+        "a serving server's loaded directory"
+    );
+    assert_eq!(
+        std::fs::metadata(data_dir.join("wal.log")).unwrap().len(),
+        0
+    );
+    let (_, metrics) = http_get(first.port, "/metrics");
+    let metrics = String::from_utf8_lossy(&metrics);
+    assert!(
+        metrics.lines().any(|l| l == "hbold_wal_appends_total 0"),
+        "the load appended to the log:\n{metrics}"
+    );
+    // SIGKILL: no graceful drain, no shutdown checkpoint — the load's
+    // snapshot is all that survives.
     first.child.kill().expect("SIGKILL the server");
     let _ = first.child.wait();
-    assert!(
-        data_dir.join("wal.log").exists(),
-        "the WAL survived the kill"
-    );
 
     // Restart from the data directory alone — no --data this time.
     let mut restarted = spawn_server(&["--data-dir", data_dir_str]);
@@ -309,8 +336,9 @@ fn graceful_shutdown_checkpoints_so_restart_needs_no_wal() {
     let nt_path = dir.join("people.nt");
     write_ntriples(&people_graph(40), &nt_path);
 
-    // Boot durable, then stop through POST /shutdown: the drain must
-    // checkpoint, leaving a snapshot and an empty WAL.
+    // Boot durable (the load is snapshot generation 1), log one update,
+    // then stop through POST /shutdown: the drain must checkpoint the
+    // update, leaving one snapshot and an empty WAL.
     let mut server = spawn_server(&[
         "--data-dir",
         data_dir.to_str().unwrap(),
@@ -319,6 +347,10 @@ fn graceful_shutdown_checkpoints_so_restart_needs_no_wal() {
         "--enable-shutdown",
     ]);
     wait_until_serving(server.port);
+    let update =
+        "INSERT DATA { <http://example.org/person/40> a <http://xmlns.com/foaf/0.1/Person> }";
+    assert_eq!(http_update(server.port, update), 204);
+    assert!(std::fs::metadata(data_dir.join("wal.log")).unwrap().len() > 0);
     let mut stream = TcpStream::connect(("127.0.0.1", server.port)).unwrap();
     stream
         .write_all(b"POST /shutdown HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n")
@@ -339,6 +371,7 @@ fn graceful_shutdown_checkpoints_so_restart_needs_no_wal() {
         .filter(|e| e.file_name().to_string_lossy().ends_with(".hbs"))
         .count();
     assert_eq!(snapshots, 1, "exactly one snapshot generation remains");
+    assert!(data_dir.join("snapshot-0000000000000002.hbs").exists());
 
     // And the snapshot alone reproduces the data.
     let mut restarted = spawn_server(&["--data-dir", data_dir.to_str().unwrap()]);
@@ -348,7 +381,7 @@ fn graceful_shutdown_checkpoints_so_restart_needs_no_wal() {
         "SELECT (COUNT(?s) AS ?n) WHERE { ?s a <http://xmlns.com/foaf/0.1/Person> }",
     );
     assert_eq!(status, 200);
-    assert!(String::from_utf8_lossy(&body).contains("\"40\""));
+    assert!(String::from_utf8_lossy(&body).contains("\"41\""));
     restarted.child.kill().unwrap();
     let _ = restarted.child.wait();
     let _ = std::fs::remove_dir_all(&dir);
@@ -371,7 +404,7 @@ fn torn_wal_tail_rolls_back_only_the_uncommitted_wave() {
             foaf::person(),
         );
         store.insert(&extra);
-    } // dropped without checkpoint — only the WAL holds the data
+    } // dropped without checkpoint — the load's snapshot plus the WAL
     let wal = dir.join("wal.log");
     let len = std::fs::metadata(&wal).unwrap().len();
     std::fs::OpenOptions::new()
@@ -427,5 +460,51 @@ fn a_log_written_by_another_build_stops_the_boot_and_is_left_untouched() {
     assert!(stderr.contains("cannot open data directory"), "{stderr}");
     assert!(stderr.contains("unknown record tag 9"), "{stderr}");
     assert_eq!(std::fs::read(&wal).unwrap(), bytes, "the log was modified");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A load that fails commits nothing: a file whose line 40 does not parse,
+/// and a valid file whose snapshot cannot be written (`HBOLD_FAULTS`
+/// failing every snapshot write), each stop the boot with exit status 2 and
+/// the reason on stderr, and leave the data directory without a snapshot,
+/// without a temp file and with an empty log.
+#[test]
+fn a_load_that_fails_exits_2_and_leaves_the_directory_empty() {
+    let dir = temp_dir("failed-load");
+    let good = dir.join("people.nt");
+    write_ntriples(&people_graph(30), &good);
+    let text = std::fs::read_to_string(&good).unwrap();
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines[39] = "<http://example.org/person/7> <http://xmlns.com/foaf/0.1/name> .";
+    let bad = dir.join("broken.nt");
+    std::fs::write(&bad, lines.join("\n")).unwrap();
+
+    let run = |data_dir: &Path, file: &Path, faults: &str| {
+        let output = Command::new(env!("CARGO_BIN_EXE_hbold-server"))
+            .args(["--addr", "127.0.0.1:0", "--data-dir"])
+            .arg(data_dir)
+            .arg("--data")
+            .arg(file)
+            .env("HBOLD_FAULTS", faults)
+            .output()
+            .expect("run hbold-server");
+        assert_eq!(output.status.code(), Some(2), "{output:?}");
+        assert_eq!(
+            store_files(data_dir),
+            ["wal.log"],
+            "the failed load left files"
+        );
+        assert_eq!(
+            std::fs::metadata(data_dir.join("wal.log")).unwrap().len(),
+            0
+        );
+        String::from_utf8_lossy(&output.stderr).into_owned()
+    };
+    let stderr = run(&dir.join("parse-data"), &bad, "");
+    assert!(stderr.contains("broken.nt"), "{stderr}");
+    assert!(stderr.contains("line 40,"), "{stderr}");
+    let stderr = run(&dir.join("fault-data"), &good, "snapshot_io=1");
+    assert!(stderr.contains("people.nt"), "{stderr}");
+    assert!(stderr.contains("injected snapshot I/O fault"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }

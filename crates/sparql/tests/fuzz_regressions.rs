@@ -1199,7 +1199,7 @@ fn an_intern_after_the_load_falls_back_to_topk_with_the_same_answers() {
             order_line(&shared.snapshot(), &page),
             "order strategy=stream"
         );
-        shared.checkpoint().unwrap();
+        // The load is snapshot generation 1; the insert is the log's tail.
         shared.insert(&Triple::new(
             iri("http://b.example/fresh"),
             iri("http://b.example/unrelated"),

@@ -4,9 +4,10 @@
 //!
 //! Interning numbers terms in the order they arrive, which says nothing about
 //! the terms. A *fresh load* — a batch inserted into a store whose dictionary
-//! is empty (`TripleStore::from_graph`, a bulk load, the replay of that load's
-//! log record) — is the one moment no id has been handed out yet, so the
-//! store interns the batch and then renumbers it once — one
+//! is empty (`TripleStore::from_graph`, a first bulk load, streamed from a
+//! parser or not, the replay of a log record into an empty store) — is the
+//! one moment no id has been handed out yet, so the store interns the batch
+//! and then renumbers it once — one
 //! `sort_by_cached_key` over each term's [`hbold_rdf_model::OrderKey`]:
 //! afterwards id order *is* `Term::cmp` order. A snapshot keeps the
 //! numbering, and its restore recomputes how far the order holds.

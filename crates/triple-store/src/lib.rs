@@ -45,6 +45,6 @@ pub use dictionary::{TermDictionary, TermId};
 pub use fault::FaultInjector;
 pub use index::{IndexOrder, TierSizes};
 pub use persist::{PersistError, PersistOptions, RecoveryReport};
-pub use shared::SharedStore;
+pub use shared::{LoadError, SharedStore};
 pub use stats::StoreStats;
 pub use store::{EncodedScan, EncodedTriple, TripleStore, DEFAULT_GRAPH};

@@ -6,7 +6,7 @@
 //! * `snapshot-<generation>.hbs` — full, checksummed store images written
 //!   by [`Persistence::checkpoint`] (format in [`snapshot`]); generations
 //!   increase monotonically and only the newest valid one matters,
-//! * `wal.log` — the append-only log of every commit since the last
+//! * `wal.log` — the append-only log of every update since the last
 //!   checkpoint, one [`WalOp`] record each (format in [`wal`]).
 //!
 //! Recovery ([`Persistence::open`]) loads the newest snapshot that passes
@@ -15,9 +15,18 @@
 //! exactly the committed prefix of its writes. Each file has exactly one
 //! format version; a directory written by a different one is refused with
 //! a typed error, never reinterpreted or truncated. A checkpoint writes the
-//! next-generation snapshot atomically (temp file + fsync + rename), then
-//! empties the WAL and deletes older snapshots; because WAL replay is
-//! idempotent, a crash anywhere inside that protocol is harmless.
+//! next-generation snapshot atomically (temp file + fsync + rename +
+//! directory fsync), then empties the WAL and deletes older snapshots.
+//!
+//! A bulk load ([`crate::SharedStore::try_bulk_load`]) logs nothing: it
+//! commits by checkpointing the *next* store version, so the rename is its
+//! commit point. A checkpoint of the current version is harmless to crash
+//! in anywhere, because WAL replay is idempotent and the log's records
+//! replay as no-ops over the snapshot that already holds them. A loaded
+//! snapshot holds more than the log knows about, so it is only ever
+//! renamed in over an *empty* log: a load over a non-empty log first runs an
+//! ordinary checkpoint. A crash between the load's rename and its log reset
+//! then replays nothing over the loaded data.
 //!
 //! The module is deliberately low-level and single-threaded; the
 //! thread-safe entry point is [`crate::SharedStore::open`], which owns a
@@ -335,11 +344,16 @@ impl Persistence {
 
     /// Compacts the WAL into a fresh snapshot of `store`: writes
     /// `snapshot-<generation+1>.hbs` atomically, empties the WAL, and
-    /// deletes older snapshot files. Returns the new generation.
+    /// deletes older snapshot files. Returns the new generation. An error
+    /// before the rename changes nothing: no new snapshot, no temp file,
+    /// the WAL as it was.
     ///
-    /// Crash-safe at every step: the snapshot only becomes visible through
-    /// an atomic rename, and until the WAL is emptied its records simply
-    /// replay as no-ops over the new snapshot on the next open.
+    /// Crash-safe at every step when `store` is the state the snapshot and
+    /// the WAL describe: the snapshot only becomes visible through an atomic
+    /// rename, and until the WAL is emptied its records simply replay as
+    /// no-ops over the new snapshot on the next open. A bulk load passes the
+    /// version it built instead, which is safe only over an empty WAL (see
+    /// the module docs).
     pub fn checkpoint(&mut self, store: &TripleStore) -> Result<u64, PersistError> {
         let next = self.generation + 1;
         let path = snapshot_path(&self.dir, next);

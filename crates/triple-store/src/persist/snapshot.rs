@@ -404,15 +404,19 @@ fn read_quads(
 /// Writes `store` as a snapshot at `path` atomically: the bytes go to
 /// `path` + `.tmp` first, are fsynced, and the temp file is renamed over
 /// `path` (followed by a directory fsync where the platform supports it).
+/// A failure before the rename removes the temp file again.
 pub fn write_file(store: &TripleStore, path: &Path) -> Result<(), PersistError> {
     let bytes = encode(store);
     let tmp = path.with_extension("hbs.tmp");
-    {
-        let mut file = File::create(&tmp)?;
+    let written = File::create(&tmp).and_then(|mut file| {
         file.write_all(&bytes)?;
         file.sync_all()?;
+        std::fs::rename(&tmp, path)
+    });
+    if let Err(e) = written {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e.into());
     }
-    std::fs::rename(&tmp, path)?;
     if let Some(dir) = path.parent() {
         // Persist the rename itself; ignore platforms where directories
         // cannot be opened for sync.

@@ -1,9 +1,11 @@
 //! The append-only write-ahead log.
 //!
-//! Every durable commit is appended as one self-validating record *before*
+//! Every durable update is appended as one self-validating record *before*
 //! it is applied to the in-memory store, so a crash at any instant loses at
-//! most the record that was mid-write. There is one record shape — the
-//! normalised delta of one commit, removes first:
+//! most the record that was mid-write. A bulk load writes no record: it
+//! commits as the next snapshot generation, renamed in over an empty log
+//! (see [`super`]). There is one record shape — the normalised delta of one
+//! update, removes first:
 //!
 //! ```text
 //! [u32 LE payload length][u32 LE CRC-32 of payload][payload]
@@ -47,8 +49,8 @@ const GRAPH_DEFAULT: u8 = 0;
 const GRAPH_NAMED: u8 = 1;
 const RECORD_HEADER_LEN: usize = 8;
 
-/// The delta of one commit, as recorded in (and replayed from) the log:
-/// apply all removes, then all inserts. One record per commit, so a crash
+/// The delta of one update, as recorded in (and replayed from) the log:
+/// apply all removes, then all inserts. One record per update, so a crash
 /// can never expose the removes without the inserts (or vice versa) after
 /// replay.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -7,34 +7,42 @@
 //! a writer. [`SharedStore`] therefore keeps the current store behind an
 //! `Arc`: readers grab a [`SharedStore::snapshot`] — a brief read-lock to
 //! clone the `Arc`, after which they query the immutable snapshot entirely
-//! lock-free — while writers mutate copy-on-write under a write lock
-//! (`Arc::make_mut` clones the store only when snapshots are outstanding).
+//! lock-free — while updates mutate copy-on-write under a write lock
+//! (`Arc::make_mut` clones the store only when snapshots are outstanding)
+//! and loads take it only to swap in the version they built beside.
 //!
 //! The result is that a query never observes a half-applied write: either it
 //! sees the store from before a commit or from after it, with dictionary
 //! and quad indexes always mutually consistent.
 //!
-//! # One write path
+//! # Two write paths
 //!
-//! The store changes in exactly one way: a *plan* looks at the current
-//! state and names quads to remove and quads to insert, and one private
-//! commit function normalises that to the actual delta, logs it, applies
-//! it and publishes it as a single transition. The four mutators are plans:
-//! [`SharedStore::insert`] and [`SharedStore::remove`] name one
-//! default-graph triple, [`SharedStore::bulk_load`] a batch of them (one
-//! commit, so one copy-on-write clone per batch instead of one per triple),
-//! and [`SharedStore::apply_update`] takes the caller's own plan — the
-//! entry point of SPARQL Update executors.
+//! An *update* is a plan: it looks at the current state and names quads to
+//! remove and quads to insert, and one private commit function normalises
+//! that to the actual delta, logs it, applies it and publishes it as a
+//! single transition. [`SharedStore::insert`] and [`SharedStore::remove`]
+//! name one default-graph triple, and [`SharedStore::apply_update`] takes
+//! the caller's own plan — the entry point of SPARQL Update executors.
+//!
+//! A *load* ([`SharedStore::bulk_load`], [`SharedStore::try_bulk_load`])
+//! is a batch of triples, possibly streamed straight from a parser. It is
+//! interned into the next store version, built beside the published one
+//! (into an empty store when nothing was ever interned, so a first load is
+//! a fresh load in term order), and that version is published whole — or,
+//! on a source error, dropped with nothing published.
 //!
 //! # Durability
 //!
 //! A store created with [`SharedStore::open`] is backed by a persistence
-//! directory (see [`crate::persist`]): every commit that changes anything
-//! is appended to a write-ahead log as one record before it is applied,
-//! and [`SharedStore::checkpoint`] compacts the log into a fresh binary
-//! snapshot. Reopening the same directory — including after the process
-//! was killed mid-write — recovers exactly the committed writes. An
-//! in-memory store runs the same commit function with the append skipped.
+//! directory (see [`crate::persist`]). Every update that changes anything is
+//! appended to a write-ahead log as one record before it is applied, and
+//! [`SharedStore::checkpoint`] compacts the log into a fresh binary
+//! snapshot. A load logs nothing: its next version is written as the next
+//! snapshot generation through the same checkpoint protocol, and the
+//! snapshot's rename is the load's commit. Reopening the same directory —
+//! including after the process was killed mid-write — recovers exactly the
+//! committed writes. An in-memory store takes the same steps minus the
+//! disk.
 //!
 //! ```
 //! use hbold_rdf_model::{Iri, Triple, vocab::{foaf, rdf}};
@@ -57,7 +65,10 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use std::borrow::Borrow;
 use std::collections::HashSet;
+use std::convert::Infallible;
+use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -66,6 +77,34 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::persist::{PersistError, PersistOptions, Persistence, RecoveryReport, WalOp};
 use crate::store::TripleStore;
+
+/// Why [`SharedStore::try_bulk_load`] committed nothing. Either way the
+/// published store is unchanged, and so is a durable store's directory.
+#[derive(Debug)]
+pub enum LoadError<E> {
+    /// The triple source failed — for a parser, the first malformed line.
+    Source(E),
+    /// The loaded version could not be written as the next snapshot.
+    Persist(PersistError),
+}
+
+impl<E: fmt::Display> fmt::Display for LoadError<E> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LoadError::Source(e) => e.fmt(f),
+            LoadError::Persist(e) => write!(f, "the load could not be made durable: {e}"),
+        }
+    }
+}
+
+impl<E: std::error::Error + 'static> std::error::Error for LoadError<E> {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            LoadError::Source(e) => Some(e),
+            LoadError::Persist(e) => Some(e),
+        }
+    }
+}
 
 /// A cheaply clonable, thread-safe triple store handle with snapshot reads
 /// and optional write-ahead-logged durability.
@@ -88,12 +127,15 @@ use crate::store::TripleStore;
 #[derive(Debug, Clone, Default)]
 pub struct SharedStore {
     inner: Arc<RwLock<Arc<TripleStore>>>,
-    // Lock order: `persist` first, then the `inner` write lock. Durable
-    // writers hold the persist mutex across WAL append + apply, so the log
-    // always reflects the published store history; checkpoints hold only
-    // `persist` during their slow encode/fsync phase, keeping readers
-    // (who take `inner` read locks and never touch `persist`) unblocked.
-    persist: Option<Arc<Mutex<Persistence>>>,
+    // The writers' lock, and the persistence directory of a durable store.
+    // Lock order: `persist` first, then the `inner` write lock. Every writer
+    // holds the persist mutex across its whole write — WAL append + apply,
+    // or a load's build + snapshot — so the log always reflects the
+    // published store history and no write is built on a stale version;
+    // checkpoints and loads hold only `persist` during their slow
+    // build/encode/fsync phase, keeping readers (who take `inner` read
+    // locks and never touch `persist`) unblocked.
+    persist: Arc<Mutex<Option<Persistence>>>,
 }
 
 impl SharedStore {
@@ -106,7 +148,7 @@ impl SharedStore {
     pub fn from_store(store: TripleStore) -> Self {
         SharedStore {
             inner: Arc::new(RwLock::new(Arc::new(store))),
-            persist: None,
+            persist: Arc::default(),
         }
     }
 
@@ -138,7 +180,7 @@ impl SharedStore {
         Ok((
             SharedStore {
                 inner: Arc::new(RwLock::new(Arc::new(store))),
-                persist: Some(Arc::new(Mutex::new(persistence))),
+                persist: Arc::new(Mutex::new(Some(persistence))),
             },
             report,
         ))
@@ -146,19 +188,19 @@ impl SharedStore {
 
     /// `true` when this store is backed by a persistence directory.
     pub fn is_durable(&self) -> bool {
-        self.persist.is_some()
+        self.persist.lock().is_some()
     }
 
     /// The persistence directory, when the store is durable.
     pub fn data_dir(&self) -> Option<PathBuf> {
-        self.persist.as_ref().map(|p| p.lock().dir().to_path_buf())
+        self.persist.lock().as_ref().map(|p| p.dir().to_path_buf())
     }
 
     /// Bytes currently in the write-ahead log (`None` for in-memory
-    /// stores). Grows with every durable write, returns to zero at each
-    /// checkpoint.
+    /// stores). Grows with every durable update, returns to zero at each
+    /// checkpoint and load.
     pub fn wal_bytes(&self) -> Option<u64> {
-        self.persist.as_ref().map(|p| p.lock().wal_bytes())
+        self.persist.lock().as_ref().map(Persistence::wal_bytes)
     }
 
     /// Compacts the write-ahead log into a fresh snapshot (temp file +
@@ -166,17 +208,17 @@ impl SharedStore {
     /// snapshot generations. Returns the new snapshot generation, or
     /// `Ok(None)` for an in-memory store.
     ///
-    /// Durable writers are excluded for the duration (they queue on the
+    /// Writers are excluded for the duration (they queue on the
     /// persistence lock); readers are not — the slow encode/write/fsync
     /// runs against a frozen `Arc` snapshot, never under the store lock.
     pub fn checkpoint(&self) -> Result<Option<u64>, PersistError> {
-        let Some(persist) = &self.persist else {
+        let mut persist = self.persist.lock();
+        let Some(persist) = persist.as_mut() else {
             return Ok(None);
         };
-        let mut persist = persist.lock();
         // With the persistence lock held no durable write can apply or
         // log, so this snapshot is exactly the state the WAL describes.
-        let snapshot = self.inner.read().clone();
+        let snapshot = self.snapshot();
         let generation = persist.checkpoint(&snapshot)?;
         Ok(Some(generation))
     }
@@ -185,8 +227,8 @@ impl SharedStore {
     /// durable without the cost of a checkpoint. No-op for in-memory
     /// stores.
     pub fn sync(&self) -> Result<(), PersistError> {
-        match &self.persist {
-            Some(persist) => persist.lock().sync(),
+        match self.persist.lock().as_mut() {
+            Some(persist) => persist.sync(),
             None => Ok(()),
         }
     }
@@ -230,21 +272,70 @@ impl SharedStore {
     }
 
     /// Bulk-loads a batch of triples into the default graph, returning how
-    /// many were new.
-    ///
-    /// One commit: one write lock, at most one copy-on-write clone and (on
-    /// durable stores) one write-ahead-log record holding exactly the
-    /// genuinely new triples — re-loading an already-loaded dataset appends
-    /// nothing, so the WAL never grows with duplicates across repeated
-    /// boots. Concurrent readers keep querying the previous snapshot and
-    /// never see a partially applied batch.
+    /// many were new: [`SharedStore::try_bulk_load`] over a source that
+    /// cannot fail.
     ///
     /// # Panics
-    /// Panics if the store is durable and the log append fails.
+    /// Panics if the store is durable and the loaded version cannot be
+    /// written as a snapshot — the in-memory and on-disk histories would
+    /// otherwise diverge silently.
     pub fn bulk_load<'a>(&self, triples: impl IntoIterator<Item = &'a Triple>) -> usize {
-        // The batch's one owned copy, made before any lock is taken.
-        let quads = triples.into_iter().cloned().map(Quad::from).collect();
-        self.commit(|_| (Vec::new(), quads)).1
+        match self.try_bulk_load(triples.into_iter().map(Ok::<_, Infallible>)) {
+            Ok(added) => added,
+            Err(LoadError::Source(never)) => match never {},
+            Err(e @ LoadError::Persist(_)) => panic!("{e}"),
+        }
+    }
+
+    /// Loads a stream of triples into the default graph — typically a
+    /// parser's, read straight from a file — and returns how many were new.
+    ///
+    /// The triples are interned one by one into the next store version,
+    /// built beside the published one: into an empty store when nothing was
+    /// ever interned (a fresh load, numbered in term order), else into a copy
+    /// of the published store. Neither the batch nor its terms are held
+    /// anywhere else. Only the finished version's publication takes the
+    /// store's write lock, so readers keep querying the previous version
+    /// throughout and never see part of a load.
+    ///
+    /// On a durable store the version is made durable *before* it is
+    /// published, as the next snapshot generation through the checkpoint
+    /// protocol (temp file, fsync, rename, directory fsync, log reset): the
+    /// rename is the commit, and nothing is logged. A log that is not empty
+    /// is first compacted by an ordinary checkpoint, so the loaded snapshot
+    /// is only ever renamed in over an empty log — otherwise a crash between
+    /// that rename and the log reset would replay old records (say, the
+    /// remove of a triple this load re-adds) over the loaded data.
+    ///
+    /// A load that adds nothing writes nothing. On any error nothing is
+    /// published and nothing of the load reaches the directory:
+    /// [`LoadError::Source`] carries the source's first error,
+    /// [`LoadError::Persist`] a failed snapshot write.
+    pub fn try_bulk_load<T: Borrow<Triple>, E>(
+        &self,
+        triples: impl IntoIterator<Item = Result<T, E>>,
+    ) -> Result<usize, LoadError<E>> {
+        // Every writer serializes here, so the version built below is never
+        // stale by the time it is published.
+        let mut persist = self.persist.lock();
+        let published = self.snapshot();
+        let mut next = if published.term_count() == 0 {
+            TripleStore::new()
+        } else {
+            TripleStore::clone(&published)
+        };
+        let added = next.try_insert_batch(triples).map_err(LoadError::Source)?;
+        if added == 0 {
+            return Ok(0);
+        }
+        if let Some(persist) = persist.as_mut() {
+            if persist.wal_bytes() > 0 {
+                persist.checkpoint(&published).map_err(LoadError::Persist)?;
+            }
+            persist.checkpoint(&next).map_err(LoadError::Persist)?;
+        }
+        *self.inner.write() = Arc::new(next);
+        Ok(added)
     }
 
     /// Commits one atomic update step: `plan` inspects a consistent view
@@ -300,7 +391,7 @@ impl SharedStore {
         // Persistence lock first (see the field's lock-order note), held
         // across plan + append + apply so the WAL order matches publish
         // order.
-        let mut persist = self.persist.as_ref().map(|p| p.lock());
+        let mut persist = self.persist.lock();
         let counts = {
             let mut guard = self.inner.write();
             let (mut removes, mut inserts) = plan(&guard);
@@ -312,7 +403,7 @@ impl SharedStore {
             let counts = (removes.len(), inserts.len());
             if counts != (0, 0) {
                 let op = WalOp { removes, inserts };
-                if let Some(persist) = &mut persist {
+                if let Some(persist) = persist.as_mut() {
                     // The append IS the commit point; nothing has been
                     // applied yet, so failing here leaves memory and disk
                     // consistent (both without the write).
@@ -436,6 +527,23 @@ mod tests {
         assert_eq!(shared.len(), 1);
     }
 
+    /// One logged update inserting `triples` into the default graph.
+    fn log_insert(shared: &SharedStore, triples: impl IntoIterator<Item = Triple>) -> usize {
+        let quads = triples.into_iter().map(Quad::from).collect();
+        shared.apply_update(|_| (Vec::new(), quads)).1
+    }
+
+    /// The snapshot and temp-snapshot files in `dir`, sorted.
+    fn generations(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.contains(".hbs"))
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
     fn durable_store_round_trips_without_checkpoint() {
         let dir = temp_dir("wal-only");
@@ -445,8 +553,7 @@ mod tests {
             assert!(shared.is_durable());
             assert_eq!(shared.data_dir(), Some(dir.clone()));
             shared.insert(&t(1));
-            let batch: Vec<Triple> = (2..20).map(t).collect();
-            shared.bulk_load(batch.iter());
+            log_insert(&shared, (2..20).map(t));
             shared.remove(&t(5));
             assert!(shared.wal_bytes().unwrap() > 0);
         }
@@ -463,8 +570,7 @@ mod tests {
         let dir = temp_dir("checkpointed");
         {
             let (shared, _) = SharedStore::open(&dir).unwrap();
-            let batch: Vec<Triple> = (0..50).map(t).collect();
-            shared.bulk_load(batch.iter());
+            log_insert(&shared, (0..50).map(t));
             assert_eq!(shared.checkpoint().unwrap(), Some(1));
             assert_eq!(shared.wal_bytes(), Some(0));
             shared.insert(&t(100)); // lands in the fresh WAL
@@ -484,33 +590,61 @@ mod tests {
         let after_insert = shared.wal_bytes().unwrap();
         shared.insert(&t(1)); // duplicate
         shared.remove(&t(99)); // absent
-        shared.bulk_load([&t(1)]); // fully deduplicated batch
+        assert_eq!(log_insert(&shared, [t(1), t(1)]), 0); // fully deduplicated
         assert_eq!(shared.wal_bytes().unwrap(), after_insert);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn bulk_load_logs_only_the_genuinely_new_triples() {
-        let dir = temp_dir("delta-log");
+    fn a_bulk_load_logs_nothing_and_a_reload_writes_nothing() {
+        let dir = temp_dir("load-snapshot");
         let (shared, _) = SharedStore::open(&dir).unwrap();
         let batch: Vec<Triple> = (0..20).map(t).collect();
-        shared.bulk_load(batch.iter());
-        let after_first = shared.wal_bytes().unwrap();
-        // Re-loading the same dataset plus one new triple must append a
-        // record for exactly that one triple, not the whole batch again —
-        // otherwise repeated boots grow the WAL by the full dataset.
+        assert_eq!(shared.bulk_load(batch.iter()), 20);
+        // The load committed as the next snapshot generation, not a record.
+        assert_eq!(shared.wal_bytes(), Some(0));
+        assert_eq!(generations(&dir), ["snapshot-0000000000000001.hbs"]);
+        let loaded = std::fs::read(dir.join("snapshot-0000000000000001.hbs")).unwrap();
+        assert_eq!(loaded, crate::persist::snapshot::encode(&shared.snapshot()));
+        // Re-loading what is already there writes nothing at all.
+        assert_eq!(shared.bulk_load(batch.iter()), 0);
+        assert_eq!(shared.wal_bytes(), Some(0));
+        assert_eq!(generations(&dir), ["snapshot-0000000000000001.hbs"]);
+        // One new triple is the next generation; the older one is gone.
         let mut grown = batch.clone();
         grown.push(t(100));
         assert_eq!(shared.bulk_load(grown.iter()), 1);
-        let delta = shared.wal_bytes().unwrap() - after_first;
-        assert!(
-            delta < after_first / 4,
-            "one-triple record ({delta} bytes) should be far smaller than \
-             the 20-triple record ({after_first} bytes)"
-        );
+        assert_eq!(shared.wal_bytes(), Some(0));
+        assert_eq!(generations(&dir), ["snapshot-0000000000000002.hbs"]);
         drop(shared); // release the directory lock before reopening
-        let (reopened, _) = SharedStore::open(&dir).unwrap();
+        let (reopened, report) = SharedStore::open(&dir).unwrap();
         assert_eq!(reopened.len(), 21);
+        assert_eq!(report.snapshot_generation, Some(2));
+        assert_eq!(report.wal_ops_replayed, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_load_publishes_nothing_and_leaves_the_directory_alone() {
+        let dir = temp_dir("failed-load");
+        let (shared, _) = SharedStore::open(&dir).unwrap();
+        shared.insert(&t(1));
+        let wal = std::fs::read(dir.join("wal.log")).unwrap();
+        let before = shared.snapshot();
+        let source = (2..10)
+            .map(|n| Ok(t(n)))
+            .chain([Err("line 9 is malformed")]);
+        match shared.try_bulk_load(source) {
+            Err(LoadError::Source(e)) => assert_eq!(e, "line 9 is malformed"),
+            other => panic!("expected the source's error, got {other:?}"),
+        }
+        assert!(
+            Arc::ptr_eq(&before, &shared.snapshot()),
+            "a version was published"
+        );
+        assert_eq!(shared.snapshot().term_count(), 3, "the load's terms leaked");
+        assert!(generations(&dir).is_empty(), "{:?}", generations(&dir));
+        assert_eq!(std::fs::read(dir.join("wal.log")).unwrap(), wal);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,6 +1,8 @@
 //! The [`TripleStore`]: dictionary + three graph-first positional quad
 //! indexes.
 
+use std::borrow::Borrow;
+
 use hbold_rdf_model::{Graph, Quad, Term, Triple, TriplePattern};
 
 use crate::dictionary::{TermDictionary, TermId};
@@ -349,6 +351,31 @@ impl TripleStore {
         self.insert_refs(quads.into_iter().map(quad_ref))
     }
 
+    /// [`TripleStore::insert_batch`] over a fallible source — a streaming
+    /// parser: each triple is interned as it arrives and dropped, so the
+    /// batch is never held as terms, only as encoded keys. Returns how many
+    /// triples were new, or the source's first error.
+    ///
+    /// On an error no quad of the batch is in the indexes, but the terms
+    /// interned before it stay in the dictionary (interning is
+    /// append-only), so a caller that must leave no trace loads into a copy
+    /// and drops it — as [`crate::SharedStore::try_bulk_load`] does.
+    pub(crate) fn try_insert_batch<T: Borrow<Triple>, E>(
+        &mut self,
+        triples: impl IntoIterator<Item = Result<T, E>>,
+    ) -> Result<usize, E> {
+        let fresh = self.dict.is_empty();
+        let triples = triples.into_iter();
+        // A parser knows no length (no reserve); a `Graph` does (see
+        // `insert_refs`).
+        self.dict.reserve(triples.size_hint().0);
+        let mut encoded = Vec::with_capacity(triples.size_hint().0);
+        for triple in triples {
+            encoded.push(self.intern_ref(triple_ref(triple?.borrow(), None)));
+        }
+        Ok(self.absorb_interned(fresh, encoded))
+    }
+
     /// The batch path. A batch into an empty dictionary is a *fresh load*:
     /// it interns as any batch does, then renumbers the dictionary into term
     /// order once and rewrites its own keys before they reach an index — no
@@ -360,7 +387,14 @@ impl TripleStore {
         // count itself is a reasonable (slightly generous) bound on new
         // dictionary entries — reserving it once beats rehashing mid-load.
         self.dict.reserve(quads.size_hint().0);
-        let mut encoded: Vec<QuadKey> = quads.map(|quad| self.intern_ref(quad)).collect();
+        let encoded: Vec<QuadKey> = quads.map(|quad| self.intern_ref(quad)).collect();
+        self.absorb_interned(fresh, encoded)
+    }
+
+    /// A batch's second half: its interned keys, renumbered when the batch
+    /// was a fresh load (`fresh`: the dictionary was empty before it), go
+    /// through the tier policy in one [`TripleStore::absorb`].
+    fn absorb_interned(&mut self, fresh: bool, mut encoded: Vec<QuadKey>) -> usize {
         if fresh {
             let old_to_new = self.dict.renumber();
             let id = |old: TermId| old_to_new[old as usize];

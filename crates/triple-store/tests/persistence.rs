@@ -34,14 +34,21 @@ fn person(n: u32) -> Vec<Triple> {
     ]
 }
 
-/// The data a sweep's directory starts from: loaded fresh into an empty
-/// directory — so numbered in term order — and checkpointed, so that
-/// recovery reads a snapshot before the log. Returns the number of terms
-/// the snapshot holds, all of them in order.
+/// Inserts `triples` into the default graph as one logged update — one WAL
+/// record when anything is new. Returns how many were.
+fn log(shared: &SharedStore, triples: Vec<Triple>) -> usize {
+    let quads = triples.into_iter().map(Quad::from).collect();
+    shared.apply_update(|_| (Vec::new(), quads)).1
+}
+
+/// The data a sweep's directory starts from: bulk-loaded fresh into an
+/// empty directory — so numbered in term order, and committed as snapshot
+/// generation 1 — so that recovery reads a snapshot before the log.
+/// Returns the number of terms the snapshot holds, all of them in order.
 fn checkpointed_base(shared: &SharedStore) -> usize {
     let base: Vec<Triple> = (900..920).flat_map(person).collect();
     shared.bulk_load(base.iter());
-    shared.checkpoint().unwrap();
+    assert_eq!(shared.wal_bytes(), Some(0), "a load logs nothing");
     let terms = shared.snapshot().term_count();
     assert_eq!(shared.snapshot().dictionary().sorted_len(), terms);
     terms
@@ -61,10 +68,9 @@ fn recovery_at_every_truncation_offset_of_the_final_record() {
         let (shared, _) = SharedStore::open(&dir).unwrap();
         let sorted_terms = checkpointed_base(&shared);
         for n in 0..committed_batches {
-            shared.bulk_load(person(n).iter());
+            log(&shared, person(n));
         }
-        let final_batch = person(committed_batches);
-        shared.bulk_load(final_batch.iter());
+        log(&shared, person(committed_batches));
         sorted_terms
     };
     let wal = dir.join("wal.log");
@@ -238,7 +244,7 @@ fn recovered_store_answers_sparql_identically_to_in_memory() {
         shared.bulk_load(triples.iter());
         shared.checkpoint().unwrap();
         // More writes after the checkpoint, recovered from the WAL alone.
-        shared.bulk_load(person(100).iter());
+        log(&shared, person(100));
         shared.remove(&person(3)[1]);
     }
     let (recovered, _) = SharedStore::open(&dir).unwrap();
@@ -271,8 +277,8 @@ fn crash_between_snapshot_rename_and_wal_reset_is_harmless() {
     let dir = temp_dir("mid-checkpoint");
     {
         let (shared, _) = SharedStore::open(&dir).unwrap();
-        shared.bulk_load(person(1).iter());
-        shared.bulk_load(person(2).iter());
+        log(&shared, person(1));
+        log(&shared, person(2));
     }
     // Simulate the dangerous window: write the snapshot the checkpoint
     // would have produced but leave the WAL untouched, plus a stray temp
@@ -309,6 +315,44 @@ fn crash_between_snapshot_rename_and_wal_reset_is_harmless() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A bulk load commits as a snapshot, not a log record, so it must never be
+/// renamed in over a log whose records it does not hold: replaying them over
+/// the loaded data could undo it. Here the log holds `[remove X]` and the
+/// load re-adds X. The load checkpoints the log away first, so the reopened
+/// directory holds X, in one snapshot and an empty log — and so does the
+/// directory a crash between the load's rename and its log reset leaves,
+/// because the log was empty before that rename.
+#[test]
+fn a_bulk_load_over_a_log_survives_the_crash_window() {
+    let dir = temp_dir("load-over-log");
+    let x = person(1).remove(0);
+    {
+        let (shared, _) = SharedStore::open(&dir).unwrap();
+        assert_eq!(shared.bulk_load(person(1).iter()), 2);
+        assert!(shared.remove(&x));
+        assert!(shared.wal_bytes().unwrap() > 0, "the log holds [remove X]");
+        assert_eq!(shared.bulk_load(person(1).iter().chain(&person(2))), 3);
+        assert_eq!(shared.wal_bytes(), Some(0));
+    }
+    let files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.contains(".hbs"))
+        .collect();
+    // Generation 1 is the first load, 2 the checkpoint of the log, 3 the
+    // load renamed in over the emptied log.
+    assert_eq!(files, ["snapshot-0000000000000003.hbs"]);
+    assert_eq!(std::fs::metadata(dir.join("wal.log")).unwrap().len(), 0);
+    let (reopened, report) = SharedStore::open(&dir).unwrap();
+    assert!(
+        reopened.snapshot().contains(&x),
+        "the re-added triple was lost"
+    );
+    assert_eq!(reopened.len(), 4);
+    assert_eq!(report.wal_ops_replayed, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Durability survives many open/write/close cycles with periodic
 /// checkpoints — the "accumulates extracted summaries over repeated runs"
 /// shape of the H-BOLD workflow.
@@ -323,7 +367,7 @@ fn repeated_sessions_accumulate() {
         let (shared, _) = SharedStore::open_with(&dir, options.clone()).unwrap();
         assert_eq!(shared.len() as u32, session * 20);
         for n in 0..10 {
-            shared.bulk_load(person(session * 10 + n).iter());
+            log(&shared, person(session * 10 + n));
         }
         if session % 2 == 0 {
             shared.checkpoint().unwrap();
@@ -344,7 +388,9 @@ fn fingerprint(store: &TripleStore) -> BTreeSet<String> {
 /// read the store, empty plans — played in lock-step against
 /// `SharedStore::new()` and `SharedStore::open(dir)` returns the same value
 /// at every step and ends in the same state; the reopened directory equals
-/// both, and replays exactly one record per step that changed something.
+/// both, and replays exactly one record per update that changed something
+/// since the last load that did (a load commits as a snapshot and leaves
+/// the log empty).
 #[test]
 fn in_memory_and_durable_stores_agree_step_by_step() {
     let graphs = [
@@ -366,7 +412,7 @@ fn in_memory_and_durable_stores_agree_step_by_step() {
         let dir = temp_dir(&format!("differential-{seed}"));
         let memory = SharedStore::new();
         let (durable, _) = SharedStore::open(&dir).unwrap();
-        let mut changed = 0;
+        let (mut changed, mut logged) = (0, 0);
         for step in 0..250 {
             let kind = next(6);
             let any_triple = triple(next(8));
@@ -399,14 +445,22 @@ fn in_memory_and_durable_stores_agree_step_by_step() {
                 outcome,
                 "seed {seed} step {step} kind {kind}"
             );
-            changed += usize::from(outcome != (0, 0));
+            if outcome != (0, 0) {
+                changed += 1;
+                logged = if kind == 2 { 0 } else { logged + 1 };
+            }
+            assert_eq!(
+                durable.wal_bytes() == Some(0),
+                logged == 0,
+                "seed {seed} step {step} kind {kind}"
+            );
         }
         let expected = fingerprint(&memory.snapshot());
         assert_eq!(fingerprint(&durable.snapshot()), expected, "seed {seed}");
         drop(durable); // release the directory lock before reopening
         let (reopened, report) = SharedStore::open(&dir).unwrap();
         assert_eq!(fingerprint(&reopened.snapshot()), expected, "seed {seed}");
-        assert_eq!(report.wal_ops_replayed, changed, "seed {seed}");
+        assert_eq!(report.wal_ops_replayed, logged, "seed {seed}");
         assert!(
             changed > 100,
             "seed {seed}: the schedule should mostly change things"
@@ -497,7 +551,7 @@ fn a_directory_of_another_format_version_is_refused_untouched() {
     let dir = temp_dir("foreign-wal");
     {
         let (shared, _) = SharedStore::open(&dir).unwrap();
-        shared.bulk_load(person(1).iter());
+        log(&shared, person(1));
     }
     let wal = dir.join("wal.log");
     let mut bytes = std::fs::read(&wal).unwrap();
@@ -524,9 +578,9 @@ fn a_directory_of_another_format_version_is_refused_untouched() {
         let dir = temp_dir(&format!("foreign-snapshot-{version}"));
         {
             let (shared, _) = SharedStore::open(&dir).unwrap();
-            shared.bulk_load(person(1).iter());
+            log(&shared, person(1));
             shared.checkpoint().unwrap();
-            shared.bulk_load(person(2).iter());
+            log(&shared, person(2));
         }
         let snapshot = dir.join("snapshot-0000000000000001.hbs");
         let mut bytes = std::fs::read(&snapshot).unwrap();

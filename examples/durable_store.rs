@@ -5,11 +5,12 @@
 //! ```
 //!
 //! The example opens a durable [`SharedStore`] in a temp directory, loads a
-//! synthetic dataset (every load write-ahead logged), serves it over HTTP,
-//! checkpoints, writes more, then simulates three increasingly rude restarts:
-//! a clean reopen, a reopen with only the WAL (no checkpoint), and a reopen
-//! after the WAL's final record is torn in half — recovering exactly the
-//! committed prefix every time.
+//! synthetic dataset (committed as the first snapshot generation — a load
+//! logs nothing), serves it over HTTP, logs an update and checkpoints it,
+//! writes more, then simulates two increasingly rude restarts: a reopen with
+//! the last write only in the WAL (no checkpoint), and a reopen after the
+//! WAL's final record is torn in half — recovering exactly the committed
+//! prefix every time.
 
 use hbold_endpoint::synth::{scholarly, ScholarlyConfig};
 use hbold_rdf_model::vocab::{foaf, rdf};
@@ -27,8 +28,13 @@ fn main() {
     println!("opened {} (recovered: {report:?})", dir.display());
     let graph = scholarly(&ScholarlyConfig::default());
     let loaded = store.bulk_load(graph.iter());
+    let snapshots: Vec<String> = std::fs::read_dir(&dir)
+        .expect("list data directory")
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".hbs"))
+        .collect();
     println!(
-        "bulk-loaded {loaded} triples, WAL at {} bytes",
+        "bulk-loaded {loaded} triples as {snapshots:?}, WAL at {} bytes",
         store.wal_bytes().unwrap()
     );
 
@@ -38,7 +44,14 @@ fn main() {
     println!("serving at {}", server.url());
     server.shutdown();
 
-    // 3. Checkpoint: the WAL compacts into a checksummed binary snapshot.
+    // 3. An update is logged; a checkpoint compacts the WAL into the next
+    //    checksummed binary snapshot.
+    let carol = Iri::new("http://example.org/carol").unwrap();
+    store.insert(&Triple::new(carol, rdf::type_(), foaf::person()));
+    println!(
+        "one update logged, WAL at {} bytes",
+        store.wal_bytes().unwrap()
+    );
     let generation = store.checkpoint().expect("checkpoint").unwrap();
     println!(
         "checkpointed to snapshot generation {generation}, WAL back to {} bytes",
