@@ -22,10 +22,13 @@
 //! * **`flat`** — a sorted, deduplicated `Vec` of keys. A prefix lookup
 //!   finds its range through the directory below, then walks *contiguous
 //!   memory*: no pointer chasing, perfect cache locality, and the compiler
-//!   can see through the iteration. Only
-//!   [`PositionalIndex::insert_batch`] writes it, by one linear merge that
-//!   also folds every outstanding churn key in, so a bulk-loaded or restored
-//!   store scans at flat-vector speed.
+//!   can see through the iteration. It is written in two places only:
+//!   [`PositionalIndex::insert_batch`], by one linear merge that also folds
+//!   every outstanding churn key in, and the store's builder from sorted
+//!   GSPO keys (a restore, or the first fold of an empty store), which
+//!   derives the other two orders by one counting pass each
+//!   ([`PositionalIndex::regrouped`]). So a bulk-loaded or restored store
+//!   scans at flat-vector speed.
 //! * **churn** — a `delta` `BTreeSet` of keys inserted since the last merge
 //!   ([`PositionalIndex::insert`]) and a `dead` `BTreeSet` of tombstones
 //!   over `flat` ([`PositionalIndex::remove`]): a change costs
@@ -74,7 +77,7 @@
 //! of a range.
 //!
 //! The directory is built in one linear pass wherever `flat` is written —
-//! [`PositionalIndex::insert_batch`] and the snapshot restore — and the churn
+//! [`PositionalIndex::insert_batch`] and the store's builder — and the churn
 //! tiers never touch it. Each run's offsets sit behind an `Arc`, so the
 //! store's copy-on-write clone copies one pointer per run, not the arrays.
 
@@ -174,6 +177,7 @@ impl TierSizes {
 
 /// A single sorted index over one permutation of quad positions.
 #[derive(Debug, Clone, Default)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct PositionalIndex {
     /// Sorted, deduplicated bulk tier — see the module docs.
     flat: Vec<Key>,
@@ -280,7 +284,7 @@ impl PositionalIndex {
     }
 
     /// Builds an index directly from an already-sorted, deduplicated key
-    /// vector (the snapshot-restore fast path). Debug builds verify the
+    /// vector (the store builder's path). Debug builds verify the
     /// precondition.
     pub(crate) fn from_sorted(keys: Vec<Key>) -> Self {
         debug_assert!(
@@ -293,6 +297,56 @@ impl PositionalIndex {
             delta: BTreeSet::new(),
             dead: BTreeSet::new(),
         }
+    }
+
+    /// A flat-only index of this one's keys mapped through `permute`, for a
+    /// `permute` that keeps the first component and under which the keys of
+    /// one run that share a permuted second component already sit in
+    /// permuted order — GOSP from GSPO, GPOS from GOSP. Then the whole sort
+    /// is one stable counting pass per run by the permuted second
+    /// component: linear, with one counter per id of the run's span.
+    ///
+    /// A run whose span exceeds its key count (the directory's density rule,
+    /// see the module docs) is sorted by comparison instead, so a small run
+    /// over a large dictionary allocates no counter per id. Only the store's
+    /// builder calls this, on an index without churn.
+    pub(crate) fn regrouped(&self, permute: impl Fn(Key) -> Key) -> Self {
+        debug_assert!(self.delta.is_empty() && self.dead.is_empty());
+        let mut out = vec![(0, 0, 0, 0); self.flat.len()];
+        let mut counts: Vec<usize> = Vec::new();
+        for run in &self.runs {
+            let keys = &self.flat[run.start..run.end];
+            let out = &mut out[run.start..run.end];
+            let (min, max) = keys.iter().fold((TermId::MAX, 0), |(min, max), &key| {
+                let second = permute(key).1;
+                (min.min(second), max.max(second))
+            });
+            let span = (max - min) as usize + 1;
+            if span > keys.len() {
+                for (slot, &key) in out.iter_mut().zip(keys) {
+                    *slot = permute(key);
+                }
+                out.sort_unstable();
+                continue;
+            }
+            counts.clear();
+            counts.resize(span, 0);
+            for &key in keys {
+                counts[(permute(key).1 - min) as usize] += 1;
+            }
+            // Each second id's first slot: the keys of all smaller ones.
+            let mut next = 0;
+            for count in &mut counts {
+                (*count, next) = (next, next + *count);
+            }
+            for &key in keys {
+                let key = permute(key);
+                let slot = &mut counts[(key.1 - min) as usize];
+                out[*slot] = key;
+                *slot += 1;
+            }
+        }
+        PositionalIndex::from_sorted(out)
     }
 
     /// Number of keys in the index.
@@ -1155,6 +1209,37 @@ mod tests {
         idx.insert((2, 9, 9, 9)); // delta tier participates
         idx.remove(&(3, 0, 0, 0)); // tombstoned runs disappear
         assert_eq!(idx.first_components(), vec![1, 2, TermId::MAX]);
+    }
+
+    #[test]
+    fn regrouping_sorts_dense_and_sparse_runs_alike() {
+        // The store builder's chain, GSPO → GOSP → GPOS, over a dense run
+        // (graph 1), a run whose objects and predicates span far more ids
+        // than it has keys (graph 2: the comparison fallback) and a one-key
+        // run (graph 3).
+        let to_gosp = |(g, s, p, o): Key| (g, o, s, p);
+        let gosp_to_gpos = |(g, o, s, p): Key| (g, p, o, s);
+        let mut keys: Vec<Key> = (0..40).map(|i| (1, i / 4, i % 4, i * 3 % 8)).collect();
+        keys.extend([(2, 5, 0, 9_999), (2, 6, 9_999, 0), (3, 1, 2, 3)]);
+        let gspo = PositionalIndex::from_sorted(keys.clone());
+        let gosp = gspo.regrouped(to_gosp);
+        let gpos = gosp.regrouped(gosp_to_gpos);
+        let sorted = |permute: fn(Key) -> Key| {
+            let mut permuted: Vec<Key> = keys.iter().map(|&k| permute(k)).collect();
+            permuted.sort_unstable();
+            permuted
+        };
+        assert_eq!(gosp.flat, sorted(|(g, s, p, o)| (g, o, s, p)));
+        assert_eq!(gpos.flat, sorted(|(g, s, p, o)| (g, p, o, s)));
+        for idx in [&gosp, &gpos] {
+            idx.check_invariants().unwrap();
+            let dense = |g| idx.run(g).unwrap().offsets.is_some();
+            assert!(dense(1) && !dense(2) && dense(3));
+        }
+        assert_eq!(
+            PositionalIndex::new().regrouped(to_gosp),
+            PositionalIndex::new()
+        );
     }
 
     #[test]

@@ -69,6 +69,12 @@
 //! The first quad is encoded against `(0, 0, 0, 0)` with every component
 //! absolute.
 //!
+//! So the runs are strictly increasing by construction, whatever the bytes:
+//! every quad after the first adds a positive delta to one component and
+//! keeps the ones before it, and a `do` of zero is corruption. [`decode`]
+//! hands them to the store's builder as they come, without a sort, and the
+//! builder derives GPOS and GOSP from them by one counting pass each.
+//!
 //! There is one format version. A file carrying any other number — version
 //! 2, before the front coding, included — was written by a different build:
 //! [`decode`] refuses it with a typed "unsupported snapshot version" error
@@ -257,7 +263,7 @@ pub fn decode(bytes: &[u8]) -> Result<TripleStore, PersistError> {
     if pos != payload.len() {
         return Err(PersistError::corrupt("snapshot payload has trailing bytes"));
     }
-    Ok(TripleStore::from_snapshot_quads(dict, quads))
+    Ok(TripleStore::from_gspo(dict, quads))
 }
 
 /// Reads the term table, and with it the length of its longest prefix that
@@ -269,8 +275,10 @@ fn read_term_table(
 ) -> Result<(Vec<Term>, usize), PersistError> {
     // Counts come from the (CRC-guarded) header, but a maliciously crafted
     // header can carry a valid checksum over absurd counts — cap the
-    // pre-allocation and let the per-item reads fail on the short payload.
-    let mut terms: Vec<Term> = Vec::with_capacity(count.min(1 << 16));
+    // pre-allocation by what the rest of the payload can hold (a term takes
+    // at least 3 bytes: tag, shared length, suffix length) and let the
+    // per-item reads fail on the short payload.
+    let mut terms: Vec<Term> = Vec::with_capacity(count.min((payload.len() - *pos) / 3));
     let (mut text, mut datatype_text) = (String::new(), String::new());
     let mut datatype: Option<Iri> = None;
     // The previous term's value key (literals only), while the run lasts.
@@ -337,6 +345,9 @@ fn increases(
 
 /// Reads the GSPO-ordered quad runs; every term id must name an entry of the
 /// `terms`-long table, and a graph may also be the default-graph sentinel.
+/// The keys come out strictly increasing whatever the bytes: each adds a
+/// positive delta to one component and keeps those before it (see the
+/// module docs).
 fn read_quads(
     payload: &[u8],
     pos: &mut usize,
@@ -359,7 +370,9 @@ fn read_quads(
             .ok_or_else(|| PersistError::corrupt(format!("{what} delta out of range")))
     };
     let in_table = |id: TermId| (id as usize) < terms;
-    let mut quads = Vec::with_capacity(count.min(1 << 16));
+    // A quad takes at least 4 bytes (four one-byte varints): exact for a
+    // real file, bounded for a crafted header.
+    let mut quads = Vec::with_capacity(count.min((payload.len() - *pos) / 4));
     let mut prev = (0, 0, 0, 0);
     for i in 0..count {
         let dg = read(pos)?;
@@ -543,6 +556,64 @@ mod tests {
         }
     }
 
+    #[test]
+    fn every_quad_run_byte_decodes_to_consistent_orders_or_fails() {
+        // Decode hands the quad runs to the builder without sorting them.
+        // Whatever a byte of the runs becomes — both checksums recomputed so
+        // the decoder reads that far — the file is corrupt or its three
+        // orders are sorted, unique and hold one quad set.
+        type Key = (TermId, TermId, TermId, TermId);
+        let mut store = sample_with_graphs(12);
+        // Two objects per subject and predicate, so the runs hold every
+        // record shape, a bare `do` included.
+        for i in 0..12 {
+            for j in [1, 2] {
+                let person = |n: usize| Iri::new(format!("http://e.org/{}", n % 12)).unwrap();
+                store.insert(&Triple::new(person(i), foaf::knows(), person(i + j)));
+            }
+        }
+        let bytes = encode(&store);
+        let mut runs_at = 0;
+        read_term_table(&bytes[HEADER_LEN..], &mut runs_at, store.term_count()).unwrap();
+        let quads = |idx: &crate::index::PositionalIndex, to_gspo: fn(Key) -> Key| {
+            idx.scan_all()
+                .map(|&k| to_gspo(k))
+                .collect::<std::collections::BTreeSet<Key>>()
+        };
+        let (mut refused, mut decoded) = (0, 0);
+        for at in HEADER_LEN + runs_at..bytes.len() {
+            for mask in [0x01, 0x02, 0x40, 0x80, 0xFF] {
+                let mut copy = bytes.clone();
+                copy[at] ^= mask;
+                let crc = crc32(&copy[HEADER_LEN..]);
+                copy[36..40].copy_from_slice(&crc.to_le_bytes());
+                let crc = crc32(&copy[..40]);
+                copy[40..44].copy_from_slice(&crc.to_le_bytes());
+                match decode(&copy) {
+                    Err(PersistError::Corrupt { .. }) => refused += 1,
+                    Err(other) => panic!("byte {at} ^ {mask:#x}: {other:?}"),
+                    Ok(store) => {
+                        decoded += 1;
+                        let [gspo, gpos, gosp] = store.orders();
+                        for idx in [gspo, gpos, gosp] {
+                            idx.check_invariants()
+                                .unwrap_or_else(|e| panic!("byte {at} ^ {mask:#x}: {e}"));
+                        }
+                        let set = quads(gspo, |k| k);
+                        assert_eq!(set.len(), store.len());
+                        assert_eq!(quads(gpos, |(g, p, o, s)| (g, s, p, o)), set);
+                        assert_eq!(quads(gosp, |(g, o, s, p)| (g, s, p, o)), set);
+                    }
+                }
+            }
+        }
+        // Both outcomes occur, or the sweep proves nothing.
+        assert!(
+            refused > 0 && decoded > 0,
+            "{refused} refused, {decoded} decoded"
+        );
+    }
+
     /// A well-formed file — both checksums valid — around a hand-made
     /// payload.
     fn crafted(terms: u64, quads: u64, payload: &[u8]) -> Vec<u8> {
@@ -707,11 +778,28 @@ mod tests {
         // A malicious header can carry a *valid* CRC over absurd counts;
         // decode must reject it via parse failure, not attempt an
         // exabyte-scale pre-allocation.
-        let mut bytes = encode(&sample(2));
-        bytes[12..20].copy_from_slice(&(u64::MAX / 2).to_le_bytes()); // term count
-        let crc = crate::persist::codec::crc32(&bytes[..40]);
-        bytes[40..44].copy_from_slice(&crc.to_le_bytes());
-        assert!(decode(&bytes).is_err());
+        for count_at in [12, 20] {
+            // The term count, then the quad count.
+            let mut bytes = encode(&sample(2));
+            bytes[count_at..count_at + 8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+            let crc = crate::persist::codec::crc32(&bytes[..40]);
+            bytes[40..44].copy_from_slice(&crc.to_le_bytes());
+            assert!(decode(&bytes).is_err());
+        }
+    }
+
+    #[test]
+    fn quad_runs_are_read_into_one_exact_allocation() {
+        // 70 000 quads, more than any fixed cap on the reservation: the
+        // first absolute, then each one object further.
+        let count = 70_000;
+        let mut payload = vec![0, 0, 0, 0];
+        for _ in 1..count {
+            payload.extend([0, 0, 0, 1]);
+        }
+        let quads = read_quads(&payload, &mut 0, count, count).unwrap();
+        assert_eq!(quads.len(), count);
+        assert_eq!(quads.capacity(), count, "the key vector grew while reading");
     }
 
     #[test]

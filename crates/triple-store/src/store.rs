@@ -135,29 +135,35 @@ impl TripleStore {
         store
     }
 
-    /// Rebuilds a store from a decoded snapshot: the id-ordered dictionary
-    /// plus GSPO-ordered encoded quads. The other two permutations are
-    /// derived here rather than stored, keeping the snapshot small.
+    /// Builds a store from its dictionary and its quads as strictly
+    /// increasing GSPO keys — the one way the three orders are built from
+    /// nothing: a snapshot restore, whose quad runs decode in that order by
+    /// construction, and the fold of a batch into an empty store (see
+    /// [`TripleStore::absorb`]). Debug builds verify the order.
     ///
-    /// All three indexes are built as pure sorted flat vectors (see
-    /// [`PositionalIndex`]), so a restored store starts on the contiguous
-    /// scan fast path with zero B-tree nodes.
-    pub(crate) fn from_snapshot_quads(dict: TermDictionary, mut keys: Vec<QuadKey>) -> Self {
-        // The snapshot writer emits ascending GSPO order, but defend against
-        // hand-crafted files: sort + dedup is cheap relative to decode.
-        keys.sort_unstable();
-        keys.dedup();
-        let sorted = |f: fn(QuadKey) -> QuadKey| -> PositionalIndex {
-            let mut permuted: Vec<QuadKey> = keys.iter().copied().map(f).collect();
-            permuted.sort_unstable();
-            PositionalIndex::from_sorted(permuted)
-        };
+    /// GSPO is the keys themselves. Inside one graph the keys of one object
+    /// already sit in `(s, p)` order, so GOSP is one stable counting pass of
+    /// GSPO by object; likewise GPOS is one of GOSP by predicate (see
+    /// [`PositionalIndex::regrouped`]). All three come out as pure sorted
+    /// flat tiers with their directories, so the store starts on the
+    /// contiguous scan path with no B-tree node.
+    pub(crate) fn from_gspo(dict: TermDictionary, keys: Vec<QuadKey>) -> Self {
+        let gspo = PositionalIndex::from_sorted(keys);
+        let gosp = gspo.regrouped(gosp);
+        let gpos = gosp.regrouped(|(g, o, s, p)| (g, p, o, s));
         TripleStore {
             dict,
-            gpos: sorted(gpos),
-            gosp: sorted(gosp),
-            gspo: PositionalIndex::from_sorted(keys),
+            gspo,
+            gpos,
+            gosp,
         }
+    }
+
+    /// The three orders — GSPO, GPOS, GOSP — for tests that check their
+    /// invariants.
+    #[cfg(test)]
+    pub(crate) fn orders(&self) -> [&PositionalIndex; 3] {
+        [&self.gspo, &self.gpos, &self.gosp]
     }
 
     /// Iterates the encoded quads in ascending GSPO order (the order the
@@ -254,15 +260,25 @@ impl TripleStore {
     /// into three fresh flat tiers in one linear pass each — so a bulk load
     /// is one sort-and-merge, accumulated churn folds on the mutation that
     /// crosses, and the three orders are always in the same tier state.
-    fn absorb(&mut self, batch: &[QuadKey]) -> usize {
+    /// Into an empty index set there is nothing to merge with: the batch is
+    /// sorted once and handed to [`TripleStore::from_gspo`].
+    fn absorb(&mut self, mut batch: Vec<QuadKey>) -> usize {
         let before = self.len();
         let TierSizes {
             flat, delta, dead, ..
         } = self.gspo.tier_sizes();
         if delta + dead + batch.len() <= flat / FOLD_RATIO {
-            for &key in batch {
+            for key in batch {
                 self.insert_churn(key);
             }
+        } else if flat + delta + dead == 0 {
+            batch.sort_unstable();
+            batch.dedup();
+            // The batch becomes GSPO's flat tier: keep no slack a streamed
+            // batch grew while interning, or dedup left behind.
+            batch.shrink_to_fit();
+            *self = TripleStore::from_gspo(std::mem::take(&mut self.dict), batch);
+            crate::persist::count_fold(self.len());
         } else {
             self.gspo.insert_batch(batch.iter().copied());
             self.gpos.insert_batch(batch.iter().copied().map(gpos));
@@ -299,13 +315,13 @@ impl TripleStore {
 
     fn insert_ref(&mut self, quad: QuadRef<'_>) -> bool {
         let key = self.intern_ref(quad);
-        self.absorb(&[key]) == 1
+        self.absorb(vec![key]) == 1
     }
 
     fn remove_ref(&mut self, quad: QuadRef<'_>) -> bool {
         let removed = self.remove_churn(quad);
         if removed {
-            self.absorb(&[]);
+            self.absorb(Vec::new());
         }
         removed
     }
@@ -337,7 +353,8 @@ impl TripleStore {
     ///
     /// Terms are interned once per occurrence and the tier policy is decided
     /// once for the whole batch: a batch that is large against the store (a
-    /// bulk load) is one sort-and-merge per index, a small one goes key by
+    /// bulk load) is one sort-and-merge per index — into an empty store, one
+    /// sort and two counting passes in all — a small one goes key by
     /// key into the churn tiers and leaves the flat tiers alone. A batch into
     /// a store that has never interned a term numbers its terms in
     /// `Term::cmp` order (see [`crate::dictionary`]).
@@ -405,7 +422,7 @@ impl TripleStore {
                 (*s, *p, *o) = (id(*s), id(*p), id(*o));
             }
         }
-        self.absorb(&encoded)
+        self.absorb(encoded)
     }
 
     /// Removes a triple from the default graph; returns `true` if it was
@@ -1044,6 +1061,96 @@ mod tests {
         assert_eq!(store.len(), 2);
         store.extend(triples);
         assert_eq!(store.len(), 2);
+    }
+
+    /// A dictionary of `n` IRIs, numbered in term order.
+    fn dictionary(n: TermId) -> TermDictionary {
+        let terms = (0..n)
+            .map(|i| iri(&format!("http://e.org/t{i:06}")).into())
+            .collect();
+        TermDictionary::from_terms(terms, n as usize).unwrap()
+    }
+
+    /// Random strictly increasing GSPO keys over `terms` ids: a dense
+    /// default graph and a dense named graph (2), a two-quad graph (0) whose
+    /// predicates and objects span the whole dictionary — wider than its
+    /// keys, the counting passes' comparison fallback — and a one-quad graph
+    /// (1); predicates and objects reach `terms − 1` in every graph.
+    fn random_gspo(seed: u64, terms: TermId) -> Vec<QuadKey> {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let top = terms - 1;
+        let mut keys = vec![(0, 1, top, 0), (0, 2, 0, top), (1, top, top, top)];
+        for (g, len, ids) in [(2, 400, 40), (DEFAULT_GRAPH, 3 * terms, terms)] {
+            let mut id = || rng.gen_range(0..ids);
+            keys.extend((0..len).map(|_| (g, id(), id(), id())));
+            keys.extend([(g, 0, top, 0), (g, 1, 0, top)]);
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    }
+
+    #[test]
+    fn the_builder_derives_each_order_as_a_sort_of_its_keys() {
+        let permutations: [fn(QuadKey) -> QuadKey; 3] = [|key| key, gpos, gosp];
+        for (seed, terms) in [(1, 300), (2, 300), (3, 2_000)] {
+            let keys = random_gspo(seed, terms);
+            let store = TripleStore::from_gspo(dictionary(terms), keys.clone());
+            assert_eq!(store.len(), keys.len());
+            for (idx, permute) in store.orders().into_iter().zip(permutations) {
+                let mut expected: Vec<QuadKey> = keys.iter().map(|&k| permute(k)).collect();
+                expected.sort_unstable();
+                assert_eq!(idx.scan_all().copied().collect::<Vec<_>>(), expected);
+                idx.check_invariants().unwrap();
+                // The merge path's index of the same keys: flat tier and
+                // directory alike.
+                let mut merged = PositionalIndex::new();
+                merged.insert_batch(expected);
+                assert!(*idx == merged, "seed {seed}");
+            }
+        }
+        let empty = TripleStore::from_gspo(TermDictionary::default(), Vec::new());
+        assert!(empty.is_empty());
+        for idx in empty.orders() {
+            idx.check_invariants().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_fresh_fold_builds_what_a_restore_of_its_snapshot_builds() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        let graphs: Vec<Option<Term>> = vec![
+            None,
+            Some(iri("http://e.org/g/a").into()),
+            Some(iri("http://e.org/g/b").into()),
+        ];
+        let quads: Vec<Quad> = (0..1_500)
+            .map(|_| {
+                let s = iri(&format!("http://e.org/s{}", rng.gen_range(0..200)));
+                let p = iri(&format!("http://e.org/p{}", rng.gen_range(0..8)));
+                let o: Term = match rng.gen_bool(0.5) {
+                    true => iri(&format!("http://e.org/s{}", rng.gen_range(0..200))).into(),
+                    false => Literal::integer(rng.gen_range(0..100)).into(),
+                };
+                let graph = graphs[rng.gen_range(0..graphs.len())].clone();
+                Quad::new(Triple::new(s, p, o), graph)
+            })
+            .collect();
+        let mut with_graphs = TripleStore::new();
+        with_graphs.insert_quads_batch(&quads);
+        let default_only: Graph = quads.iter().map(|q| q.triple()).collect();
+        for fresh in [with_graphs, TripleStore::from_graph(&default_only)] {
+            let restored =
+                crate::persist::snapshot::decode(&crate::persist::snapshot::encode(&fresh))
+                    .unwrap();
+            assert_eq!(fresh.index_tier_sizes(), restored.index_tier_sizes());
+            for (built, decoded) in fresh.orders().into_iter().zip(restored.orders()) {
+                assert!(built.scan_all().eq(decoded.scan_all()));
+                assert!(built == decoded, "flat tiers and directories");
+            }
+        }
     }
 
     #[test]
