@@ -61,9 +61,15 @@ impl Iri {
     /// * non-empty,
     /// * must contain a `:` separating a non-empty alphabetic scheme from the
     ///   rest (i.e. the IRI is absolute),
-    /// * must not contain whitespace, `<`, `>`, `"`, `{`, `}`, `|`, `^` or
-    ///   backslash (characters that are illegal in the N-Triples / SPARQL
-    ///   `IRIREF` production).
+    /// * must not contain whitespace, `<`, `>`, `"`, `{`, `}`, `|`, `^`,
+    ///   backtick or backslash (characters that are illegal in the
+    ///   N-Triples / SPARQL `IRIREF` production).
+    ///
+    /// Whitespace is Unicode's: besides the ASCII space, tab and line
+    /// breaks, `U+0085`, `U+00A0`, `U+2000`–`U+200A`, `U+3000` and the rest
+    /// of the `White_Space` property are refused too. The check reads bytes
+    /// and decodes characters only from the first non-ASCII one on, which
+    /// changes its speed, not its verdicts.
     pub fn new(text: impl Into<String>) -> Result<Self, IriParseError> {
         let text = text.into();
         match invalid_iri(&text) {
@@ -83,6 +89,30 @@ impl Iri {
             }),
             None => Ok(Iri(Arc::from(text))),
         }
+    }
+
+    /// [`Iri::parse`] of `text` up to its first `>`, and that length; `None`
+    /// when `text` has no `>`. What a reader of `<…>` calls past the `<`: an
+    /// ASCII IRI is read once, by the scan that finds its `>`.
+    pub fn parse_until_gt(text: &str) -> Option<(Result<Self, IriParseError>, usize)> {
+        let bytes = text.as_bytes();
+        let stop = bytes
+            .iter()
+            .position(|&b| b >= 0x80 || FORBIDDEN_ASCII[b as usize])?;
+        if bytes[stop] != b'>' {
+            let end = stop + text[stop..].find('>')?;
+            return Some((Iri::parse(&text[..end]), end));
+        }
+        // Nothing before `stop` is forbidden: only the scheme can fail.
+        let body = &text[..stop];
+        let iri = match scheme_end(body) {
+            Ok(_) => Ok(Iri(Arc::from(body))),
+            Err(reason) => Err(IriParseError {
+                text: body.to_string(),
+                reason,
+            }),
+        };
+        Some((iri, stop))
     }
 
     /// Creates an IRI without validation.
@@ -133,31 +163,70 @@ impl Iri {
     }
 }
 
-/// Why `text` is not an acceptable IRI (the rules of [`Iri::new`]), or
-/// `None` when it is one.
-fn invalid_iri(text: &str) -> Option<&'static str> {
+/// Whether `c` may not appear in an IRI: whitespace, or a character the
+/// N-Triples / SPARQL `IRIREF` production excludes.
+const fn forbidden_in_iri(c: char) -> bool {
+    c.is_whitespace() || matches!(c, '<' | '>' | '"' | '{' | '}' | '|' | '^' | '`' | '\\')
+}
+
+/// [`forbidden_in_iri`] of every ASCII character, indexed by its byte.
+const FORBIDDEN_ASCII: [bool; 128] = {
+    let mut table = [false; 128];
+    let mut b = 0;
+    while b < 128 {
+        table[b] = forbidden_in_iri(b as u8 as char);
+        b += 1;
+    }
+    table
+};
+
+/// The rules of [`Iri::new`] for the scheme: where the `:` that ends it
+/// is, or why `text` has no valid scheme.
+fn scheme_end(text: &str) -> Result<usize, &'static str> {
     let Some(colon) = text.find(':') else {
-        return Some(match text.is_empty() {
+        return Err(match text.is_empty() {
             true => "empty string",
             false => "missing scheme (IRI must be absolute)",
         });
     };
     if colon == 0 {
-        return Some("empty scheme");
+        return Err("empty scheme");
     }
-    let scheme = &text[..colon];
-    if !scheme.starts_with(|c: char| c.is_ascii_alphabetic())
-        || !scheme
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '+' || c == '-' || c == '.')
+    let bytes = text.as_bytes();
+    if !bytes[0].is_ascii_alphabetic()
+        || !bytes[..colon]
+            .iter()
+            .all(|&b| b.is_ascii_alphanumeric() || matches!(b, b'+' | b'-' | b'.'))
     {
-        return Some("scheme must be alphanumeric and start with a letter");
+        return Err("scheme must be alphanumeric and start with a letter");
     }
-    let forbidden = |c: char| {
-        c.is_whitespace() || matches!(c, '<' | '>' | '"' | '{' | '}' | '|' | '^' | '`' | '\\')
-    };
-    text.contains(forbidden)
-        .then_some("contains a character not allowed in IRIREF")
+    Ok(colon)
+}
+
+/// Whether `text` holds a character [`forbidden_in_iri`]: by byte against
+/// [`FORBIDDEN_ASCII`] up to its first non-ASCII byte, by `char` from there
+/// on, so Unicode whitespace is refused too.
+fn has_forbidden(text: &str) -> bool {
+    let bytes = text.as_bytes();
+    match bytes
+        .iter()
+        .position(|&b| b >= 0x80 || FORBIDDEN_ASCII[b as usize])
+    {
+        None => false,
+        Some(i) if bytes[i] < 0x80 => true,
+        // Every byte before `i` is ASCII, so `i` starts a character.
+        Some(i) => text[i..].contains(forbidden_in_iri),
+    }
+}
+
+/// Why `text` is not an acceptable IRI (the rules of [`Iri::new`]), or
+/// `None` when it is one.
+fn invalid_iri(text: &str) -> Option<&'static str> {
+    match scheme_end(text) {
+        Err(reason) => Some(reason),
+        Ok(colon) => has_forbidden(&text[colon + 1..])
+            .then_some("contains a character not allowed in IRIREF"),
+    }
 }
 
 impl fmt::Display for Iri {
@@ -190,15 +259,23 @@ impl BlankNode {
     /// sanitizing — every label this crate writes — is copied exactly once,
     /// straight into the shared buffer.
     pub fn from_label(label: &str) -> Self {
-        let allowed = |c: char| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.');
+        // An ASCII-only test, so a byte at or above 0x80 is never allowed
+        // and a label of allowed bytes is one of allowed characters.
+        let allowed = |b: u8| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.');
         if label.is_empty() {
             BlankNode(Arc::from("b0"))
-        } else if label.chars().all(allowed) {
+        } else if label.bytes().all(allowed) {
             BlankNode(Arc::from(label))
         } else {
             let sanitized: String = label
                 .chars()
-                .map(|c| if allowed(c) { c } else { '_' })
+                .map(|c| {
+                    if c.is_ascii() && allowed(c as u8) {
+                        c
+                    } else {
+                        '_'
+                    }
+                })
                 .collect();
             BlankNode(Arc::from(sanitized))
         }
@@ -593,6 +670,110 @@ mod tests {
             Literal::new_typed("5", xsd::integer()),
             Literal::typed("5", xsd::integer())
         );
+    }
+
+    /// [`invalid_iri`] as it stood before it read bytes, one `char` at a
+    /// time: the reference the byte-table validator must agree with.
+    fn invalid_iri_by_char(text: &str) -> Option<&'static str> {
+        let Some(colon) = text.find(':') else {
+            return Some(match text.is_empty() {
+                true => "empty string",
+                false => "missing scheme (IRI must be absolute)",
+            });
+        };
+        if colon == 0 {
+            return Some("empty scheme");
+        }
+        let scheme = &text[..colon];
+        if !scheme.starts_with(|c: char| c.is_ascii_alphabetic())
+            || !scheme
+                .chars()
+                .all(|c| c.is_ascii_alphanumeric() || c == '+' || c == '-' || c == '.')
+        {
+            return Some("scheme must be alphanumeric and start with a letter");
+        }
+        let forbidden = |c: char| {
+            c.is_whitespace() || matches!(c, '<' | '>' | '"' | '{' | '}' | '|' | '^' | '`' | '\\')
+        };
+        text.contains(forbidden)
+            .then_some("contains a character not allowed in IRIREF")
+    }
+
+    /// [`BlankNode::from_label`]'s sanitizing as it stood before it read
+    /// bytes: the reference for the label it keeps.
+    fn label_by_char(label: &str) -> String {
+        let allowed = |c: char| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.');
+        match label.is_empty() {
+            true => "b0".into(),
+            false => label
+                .chars()
+                .map(|c| if allowed(c) { c } else { '_' })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn the_byte_validators_agree_with_the_char_ones_on_every_scalar_value() {
+        let places: [(&str, &str); 5] = [
+            ("http://e.org/a", "b"),
+            ("h", ":x"),
+            ("", ""),
+            ("x:", ""),
+            ("", ":y"),
+        ];
+        let mut text = String::new();
+        let mut cases = 0;
+        for c in (0..=char::MAX as u32).filter_map(char::from_u32) {
+            for (before, after) in places {
+                text.clear();
+                text.push_str(before);
+                text.push(c);
+                text.push_str(after);
+                let verdict = invalid_iri(&text);
+                assert_eq!(verdict, invalid_iri_by_char(&text), "{text:?}");
+                // As a reader of `<…>` meets it: the same verdict, read once.
+                let whole = text.len();
+                text.push_str("> .");
+                let end = text.find('>').expect("a '>' was pushed");
+                let verdict = match end == whole {
+                    true => verdict,
+                    false => invalid_iri(&text[..end]),
+                };
+                let (iri, len) = Iri::parse_until_gt(&text).expect("a '>' was pushed");
+                assert_eq!(
+                    (iri.err().map(|e| e.reason()), len),
+                    (verdict, end),
+                    "{text:?}"
+                );
+                cases += 1;
+            }
+            text.clear();
+            text.push_str("a.");
+            text.push(c);
+            text.push('z');
+            assert_eq!(BlankNode::from_label(&text).label(), label_by_char(&text));
+        }
+        assert_eq!(cases, 5 * 1_112_064);
+        // A forbidden character on either side of the first non-ASCII one.
+        for text in [
+            "http://é.org/a b",
+            "http://é.org/a\u{a0}b",
+            "http://é.org/a\u{3000}",
+            "http://e.org/<é",
+            "http://e.org/é>",
+            "urn:ü:\u{85}",
+            "é:x",
+            "h\u{2003}:x",
+        ] {
+            assert_eq!(invalid_iri(text), invalid_iri_by_char(text), "{text:?}");
+            assert!(Iri::parse(text).is_err(), "{text:?}");
+        }
+        assert_eq!(invalid_iri("http://é.org/ü"), None);
+        assert_eq!(Iri::parse_until_gt("http://e.org/a b"), None);
+        assert_eq!(Iri::parse_until_gt("http://é.org/a b"), None);
+        for label in ["", "b1", "ünï", "a\u{a0}b", "x.y-z_0", "😀"] {
+            assert_eq!(BlankNode::from_label(label).label(), label_by_char(label));
+        }
     }
 
     #[test]

@@ -97,7 +97,7 @@ pub fn parse_line(line: &str, line_no: usize) -> Result<Triple, ParseError> {
     cursor.skip_ws();
     let object = cursor.parse_term()?;
     cursor.skip_ws();
-    cursor.expect('.')?;
+    cursor.expect(b'.')?;
     cursor.skip_ws();
     if !cursor.at_end() {
         return Err(cursor.error("trailing content after '.'"));
@@ -114,6 +114,12 @@ pub fn write(graph: &Graph) -> String {
 /// A cursor over one statement, at a byte offset of it: IRIs, blank-node
 /// labels and literals without escapes are slices of the line, copied once,
 /// straight into their terms.
+///
+/// It reads bytes. Every delimiter of the grammar is ASCII, and each scan
+/// either takes every non-ASCII byte (an IRI or literal body) or stops at the
+/// first one (a blank label, a language tag), so it always stops on a
+/// character boundary. Only whitespace, which Unicode has more of, is decoded
+/// as a `char` at a non-ASCII byte; error columns are counted in `char`s.
 struct Cursor<'a> {
     line: &'a str,
     pos: usize,
@@ -137,6 +143,10 @@ impl<'a> Cursor<'a> {
         &self.line[self.pos..]
     }
 
+    fn peek_byte(&self) -> Option<u8> {
+        self.line.as_bytes().get(self.pos).copied()
+    }
+
     fn peek(&self) -> Option<char> {
         self.rest().chars().next()
     }
@@ -147,9 +157,16 @@ impl<'a> Cursor<'a> {
         Some(c)
     }
 
+    /// Skips `char::is_whitespace`: ASCII by byte, the rest by `char`.
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_whitespace()) {
-            self.bump();
+        while let Some(b) = self.peek_byte() {
+            match b {
+                b' ' | b'\t' | b'\n' | b'\x0b' | b'\x0c' | b'\r' => self.pos += 1,
+                0x80.. if self.peek().is_some_and(char::is_whitespace) => {
+                    self.bump();
+                }
+                _ => return,
+            }
         }
     }
 
@@ -159,53 +176,70 @@ impl<'a> Cursor<'a> {
         ParseError::new(self.line_no, column, message)
     }
 
-    fn expect(&mut self, expected: char) -> Result<(), ParseError> {
+    /// Consumes the ASCII character `expected`; an error after whatever
+    /// character stands there instead.
+    fn expect(&mut self, expected: u8) -> Result<(), ParseError> {
+        if self.peek_byte() == Some(expected) {
+            self.pos += 1;
+            return Ok(());
+        }
+        let expected = expected as char;
         match self.bump() {
-            Some(c) if c == expected => Ok(()),
             Some(c) => Err(self.error(format!("expected '{expected}', found '{c}'"))),
             None => Err(self.error(format!("expected '{expected}', found end of line"))),
         }
     }
 
-    /// Consumes the longest run of characters accepted by `take` and
-    /// returns it.
-    fn take_while(&mut self, take: impl Fn(char) -> bool) -> &'a str {
+    /// Consumes the longest run of bytes accepted by `take` and returns it.
+    /// `take` must answer alike for every byte at or above 0x80, so the run
+    /// ends on a character boundary.
+    fn take_while(&mut self, take: impl Fn(u8) -> bool) -> &'a str {
         let rest = self.rest();
-        let len = rest.find(|c: char| !take(c)).unwrap_or(rest.len());
+        let len = rest.bytes().position(|b| !take(b)).unwrap_or(rest.len());
         self.pos += len;
         &rest[..len]
     }
 
     fn parse_term(&mut self) -> Result<Term, ParseError> {
-        match self.peek() {
-            Some('<') => self.parse_iri().map(Term::from),
-            Some('_') => self.parse_blank().map(Term::from),
-            Some('"') => self.parse_literal().map(Term::from),
-            Some(c) => Err(self.error(format!("unexpected character '{c}' at start of term"))),
+        match self.peek_byte() {
+            Some(b'<') => self.parse_iri().map(Term::from),
+            Some(b'_') => self.parse_blank().map(Term::from),
+            Some(b'"') => self.parse_literal().map(Term::from),
+            Some(_) => {
+                let c = self.peek().expect("the cursor is on a character boundary");
+                Err(self.error(format!("unexpected character '{c}' at start of term")))
+            }
             None => Err(self.error("unexpected end of line, expected a term")),
         }
     }
 
     /// The text between `<` and `>`, the cursor past the `>`.
     fn parse_iri_text(&mut self) -> Result<&'a str, ParseError> {
-        self.expect('<')?;
-        let text = self.take_while(|c| c != '>');
-        if self.bump().is_none() {
+        self.expect(b'<')?;
+        let text = self.take_while(|b| b != b'>');
+        if self.at_end() {
             return Err(self.error("unterminated IRI (missing '>')"));
         }
+        self.pos += 1;
         Ok(text)
     }
 
     fn parse_iri(&mut self) -> Result<Iri, ParseError> {
-        let text = self.parse_iri_text()?;
-        Iri::parse(text).map_err(|e| self.error(e.to_string()))
+        self.expect(b'<')?;
+        let Some((iri, len)) = Iri::parse_until_gt(self.rest()) else {
+            self.pos = self.line.len();
+            return Err(self.error("unterminated IRI (missing '>')"));
+        };
+        self.pos += len + 1;
+        iri.map_err(|e| self.error(e.to_string()))
     }
 
     fn parse_blank(&mut self) -> Result<BlankNode, ParseError> {
-        self.expect('_')?;
-        self.expect(':')?;
+        self.expect(b'_')?;
+        self.expect(b':')?;
         let start = self.pos;
-        let label = self.take_while(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.'));
+        let label =
+            self.take_while(|b| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.'));
         if label.is_empty() {
             return Err(self.error("empty blank node label"));
         }
@@ -216,31 +250,33 @@ impl<'a> Cursor<'a> {
     }
 
     fn parse_literal(&mut self) -> Result<Literal, ParseError> {
-        self.expect('"')?;
+        self.expect(b'"')?;
         // The common case has no escape: the lexical form is a slice.
-        let plain = self.take_while(|c| c != '"' && c != '\\');
-        let value: Cow<'a, str> = match self.bump() {
-            Some('"') => Cow::Borrowed(plain),
+        let plain = self.take_while(|b| b != b'"' && b != b'\\');
+        let value: Cow<'a, str> = match self.peek_byte() {
+            Some(b'"') => {
+                self.pos += 1;
+                Cow::Borrowed(plain)
+            }
             Some(_) => {
                 let mut value = plain.to_string();
-                self.pos -= 1;
                 self.unescape_rest(&mut value)?;
                 Cow::Owned(value)
             }
             None => return Err(self.error("unterminated string literal")),
         };
-        match self.peek() {
-            Some('@') => {
+        match self.peek_byte() {
+            Some(b'@') => {
                 self.pos += 1;
-                let lang = self.take_while(|c| c.is_ascii_alphanumeric() || c == '-');
+                let lang = self.take_while(|b| b.is_ascii_alphanumeric() || b == b'-');
                 if lang.is_empty() {
                     return Err(self.error("empty language tag"));
                 }
                 Ok(Literal::new_tagged(&value, lang))
             }
-            Some('^') => {
+            Some(b'^') => {
                 self.pos += 1;
-                self.expect('^')?;
+                self.expect(b'^')?;
                 let text = self.parse_iri_text()?;
                 let datatype = datatype_iri(text).map_err(|e| self.error(e.to_string()))?;
                 Ok(Literal::new_typed(&value, datatype))
@@ -250,24 +286,29 @@ impl<'a> Cursor<'a> {
     }
 
     /// Reads the rest of a literal's lexical form into `value`, unescaping,
-    /// through the closing quote.
+    /// through the closing quote: the text between escapes a slice at a time.
     fn unescape_rest(&mut self, value: &mut String) -> Result<(), ParseError> {
         loop {
-            match self.bump() {
-                Some('"') => return Ok(()),
-                Some('\\') => match self.bump() {
-                    Some('n') => value.push('\n'),
-                    Some('r') => value.push('\r'),
-                    Some('t') => value.push('\t'),
-                    Some('"') => value.push('"'),
-                    Some('\\') => value.push('\\'),
-                    Some('u') => value.push(self.parse_unicode_escape(4)?),
-                    Some('U') => value.push(self.parse_unicode_escape(8)?),
-                    Some(c) => return Err(self.error(format!("unknown escape sequence '\\{c}'"))),
-                    None => return Err(self.error("unterminated escape sequence")),
-                },
-                Some(c) => value.push(c),
+            value.push_str(self.take_while(|b| b != b'"' && b != b'\\'));
+            match self.peek_byte() {
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                // The backslash: the escaped character follows.
+                Some(_) => self.pos += 1,
                 None => return Err(self.error("unterminated string literal")),
+            }
+            match self.bump() {
+                Some('n') => value.push('\n'),
+                Some('r') => value.push('\r'),
+                Some('t') => value.push('\t'),
+                Some('"') => value.push('"'),
+                Some('\\') => value.push('\\'),
+                Some('u') => value.push(self.parse_unicode_escape(4)?),
+                Some('U') => value.push(self.parse_unicode_escape(8)?),
+                Some(c) => return Err(self.error(format!("unknown escape sequence '\\{c}'"))),
+                None => return Err(self.error("unterminated escape sequence")),
             }
         }
     }
@@ -441,6 +482,72 @@ mod tests {
         let err = results[1].as_ref().unwrap_err();
         assert_eq!((err.line(), err.column()), (2, 37));
         assert!(err.message().contains("UTF-8"), "{err}");
+    }
+
+    #[test]
+    fn the_byte_cursor_reads_unicode_as_the_char_cursor_did() {
+        let (a, p) = (iri("http://e.org/a"), iri("http://e.org/p"));
+        // Unicode whitespace between the terms and before the '.'.
+        for ws in ['\u{a0}', '\u{85}', '\u{2003}', '\u{3000}'] {
+            let line = format!("{ws}<http://e.org/a>{ws}<http://e.org/p>{ws}\"x\"{ws}.{ws}");
+            let expected = Triple::new(a.clone(), p.clone(), Literal::string("x"));
+            assert_eq!(parse_line(&line, 1), Ok(expected), "{line:?}");
+            let line = format!("_:b{ws}<http://e.org/p>{ws}\"x\"@en{ws}.");
+            let expected = Triple::new(
+                BlankNode::new("b"),
+                p.clone(),
+                Literal::lang_string("x", "en"),
+            );
+            assert_eq!(parse_line(&line, 1), Ok(expected), "{line:?}");
+        }
+        // Multi-byte characters directly before '>' and '"'.
+        let line = "<http://e.org/é> <http://e.org/p😀> \"ü\"^^<http://e.org/dé> .";
+        let expected = Triple::new(
+            iri("http://e.org/é"),
+            iri("http://e.org/p😀"),
+            Literal::typed("ü", iri("http://e.org/dé")),
+        );
+        assert_eq!(parse_line(line, 1), Ok(expected));
+        let line = "<http://e.org/a> <http://e.org/p> \"中\"@en .";
+        let expected = Triple::new(a.clone(), p.clone(), Literal::lang_string("中", "en"));
+        assert_eq!(parse_line(line, 1), Ok(expected));
+        // Errors: a non-ASCII character ends a blank label or a language tag,
+        // and columns after multi-byte text count characters, not bytes.
+        let pins = [
+            (
+                "_:abé <http://e.org/p> \"x\" .",
+                5,
+                "unexpected character 'é' at start of term",
+            ),
+            (
+                "<http://e.org/a> <http://e.org/p> \"x\"@enü .",
+                42,
+                "expected '.', found 'ü'",
+            ),
+            (
+                "<http://é.org/ä> <http://e.org/p> .",
+                35,
+                "unexpected character '.' at start of term",
+            ),
+            (
+                "<http://é.org/ä> <http://e.org/p> \"ü\\q\" .",
+                39,
+                "unknown escape sequence '\\q'",
+            ),
+            (
+                "<http://é.org/ä> <http://e.org/p> <x:ü\u{a0}> .",
+                41,
+                "invalid IRI `x:ü\u{a0}`: contains a character not allowed in IRIREF",
+            ),
+        ];
+        for (line, column, message) in pins {
+            let err = parse_line(line, 3).unwrap_err();
+            assert_eq!(
+                (err.line(), err.column(), err.message()),
+                (3, column, message),
+                "{line:?}"
+            );
+        }
     }
 
     #[test]

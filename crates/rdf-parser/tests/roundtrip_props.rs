@@ -1,12 +1,13 @@
 //! Property tests: any graph we can express in Turtle survives
 //! `parse_turtle` → `write_ntriples` → `parse_ntriples` unchanged, for
 //! arbitrary generated datasets (entities, typed links, literals of every
-//! shorthand kind, escapes, language tags).
+//! shorthand kind, escapes, language tags), and any graph of non-ASCII
+//! terms survives N-Triples written with Unicode whitespace between them.
 
 use proptest::prelude::*;
 
 use hbold_rdf_model::vocab::rdf;
-use hbold_rdf_model::{Graph, Iri, Literal, Triple};
+use hbold_rdf_model::{BlankNode, Graph, Iri, Literal, Term, Triple};
 use hbold_rdf_parser::{parse_ntriples, parse_turtle, write_ntriples};
 
 fn ex(local: &str) -> Iri {
@@ -121,5 +122,45 @@ proptest! {
         prop_assert_eq!(&back, &graph);
         let twice = write_ntriples(&back);
         prop_assert_eq!(once, twice);
+    }
+
+    /// Non-ASCII IRIs, literals and blank labels, one triple a line with
+    /// the terms apart by ASCII or Unicode whitespace: the parser reads the
+    /// graph that was written.
+    #[test]
+    fn non_ascii_terms_survive_any_whitespace(
+        locals in proptest::collection::vec("[a-z0-9éłß中Ω😀._~-]{1,8}", 1..10),
+        texts in proptest::collection::vec("[a-z \"\\\\\n\t\u{a0}\u{85}\u{3000}àé中😀]{0,12}", 0..10),
+        blanks in proptest::collection::vec("[a-z0-9ü中_-]{1,6}", 0..5),
+        gaps in proptest::collection::vec(0usize..6, 1..40),
+    ) {
+        let local = |i: usize| Iri::new(format!("http://prop.example/{}", locals[i % locals.len()])).unwrap();
+        let mut graph = Graph::new();
+        for (i, name) in locals.iter().enumerate() {
+            let object = Iri::new(format!("http://ü.example/{i}/{name}")).unwrap();
+            graph.insert(Triple::new(local(i), ex("links"), object));
+        }
+        for (i, text) in texts.iter().enumerate() {
+            let datatype = Iri::new(format!("http://prop.example/dt/{}", locals[i % locals.len()])).unwrap();
+            graph.insert(Triple::new(local(i), ex("note"), Literal::string(text.clone())));
+            graph.insert(Triple::new(local(i), ex("note"), Literal::lang_string(text.clone(), "de-ch")));
+            graph.insert(Triple::new(local(i), ex("note"), Literal::typed(text.clone(), datatype)));
+        }
+        for (i, label) in blanks.iter().enumerate() {
+            graph.insert(Triple::new(BlankNode::new(label.clone()), ex("tag"), local(i)));
+        }
+        let spaces = [" ", "\t", "\u{a0}", "\u{85}", "\u{2003}", "\u{3000}"];
+        let mut doc = String::new();
+        for (i, t) in graph.iter().enumerate() {
+            let gap = |k: usize| spaces[gaps[(3 * i + k) % gaps.len()]];
+            let terms: [&Term; 3] = [&t.subject, &t.predicate, &t.object];
+            for (k, term) in terms.into_iter().enumerate() {
+                doc.push_str(&term.to_ntriples());
+                doc.push_str(gap(k));
+            }
+            doc.push_str(".\n");
+        }
+        let parsed = parse_ntriples(&doc).unwrap_or_else(|e| panic!("ntriples parse failed: {e}\n{doc}"));
+        prop_assert_eq!(parsed, graph);
     }
 }

@@ -189,31 +189,63 @@ fn read_rows(
     reader: &mut Reader,
     variables: &[String],
 ) -> Result<Option<Vec<Vec<Option<Term>>>>, ResultsParseError> {
+    let columns = Columns::new(variables);
     read_list(reader, "results", "bindings", |reader, first| match first {
-        Event::StartObject => read_binding(reader, variables),
+        Event::StartObject => read_binding(reader, &columns),
         _ => Err(ResultsParseError("binding is not an object".into())),
     })
+}
+
+/// The projected variables of one document, with the first column of each
+/// one's name: `SELECT ?s ?s` projects a name twice, and every column of it
+/// holds the term its first column reads.
+struct Columns<'v> {
+    names: &'v [String],
+    first: Vec<usize>,
+}
+
+impl<'v> Columns<'v> {
+    fn new(names: &'v [String]) -> Self {
+        let first = names
+            .iter()
+            .enumerate()
+            .map(|(i, name)| names[..i].iter().position(|n| n == name).unwrap_or(i))
+            .collect();
+        Columns { names, first }
+    }
+
+    /// A column named `name`. An encoder writes a row's cells in column
+    /// order, so the column after the previous cell's is tried first.
+    fn find(&self, name: &str, expected: usize) -> Option<usize> {
+        match self.names.get(expected) {
+            Some(n) if n == name => Some(expected),
+            _ => self.names.iter().position(|n| n == name),
+        }
+    }
 }
 
 /// One binding object, its `{` already read.
 fn read_binding(
     reader: &mut Reader,
-    variables: &[String],
+    columns: &Columns,
 ) -> Result<Vec<Option<Term>>, ResultsParseError> {
-    let mut row = vec![None; variables.len()];
+    let mut row = vec![None; columns.names.len()];
+    let mut expected = 0;
     while let Event::Key(name) = next(reader)? {
-        // `SELECT ?s ?s` projects one name twice; both cells get the term.
-        let mut columns = (0..variables.len()).filter(|&i| variables[i] == name);
-        let first = columns.next().ok_or_else(|| {
+        let column = columns.find(&name, expected).ok_or_else(|| {
             ResultsParseError(format!("binding mentions unprojected variable ?{name}"))
         })?;
+        expected = column + 1;
+        let first = columns.first[column];
         if row[first].is_some() {
             reader.skip().map_err(malformed)?;
             continue;
         }
         let term = read_term(reader)?;
-        for column in columns {
-            row[column] = Some(term.clone());
+        for (cell, &of) in row.iter_mut().zip(&columns.first).skip(first + 1) {
+            if of == first {
+                *cell = Some(term.clone());
+            }
         }
         row[first] = Some(term);
     }
@@ -221,24 +253,30 @@ fn read_binding(
 }
 
 fn read_term(reader: &mut Reader) -> Result<Term, ResultsParseError> {
+    if next(reader)? != Event::StartObject {
+        return Err(ResultsParseError("term is not an object".into()));
+    }
     let [mut kind, mut value, mut lang, mut datatype] = [None, None, None, None];
-    read_object(reader, "term", |reader, key| {
+    while let Event::Key(key) = next(reader)? {
         let slot = match &*key {
             "type" => &mut kind,
             "value" => &mut value,
             "xml:lang" => &mut lang,
             "datatype" => &mut datatype,
-            _ => return reader.skip().map_err(malformed),
+            _ => {
+                reader.skip().map_err(malformed)?;
+                continue;
+            }
         };
         if slot.is_some() {
-            return reader.skip().map_err(malformed);
+            reader.skip().map_err(malformed)?;
+            continue;
         }
         match next(reader)? {
             Event::String(s) => *slot = Some(s),
             _ => return Err(ResultsParseError(format!("term's {key:?} is not a string"))),
         }
-        Ok(())
-    })?;
+    }
     let kind = kind.ok_or_else(|| ResultsParseError("term has no \"type\"".into()))?;
     let lexical = value.ok_or_else(|| ResultsParseError("term has no \"value\"".into()))?;
     // Every text is copied once, from the document (or the unescaped string
@@ -1103,6 +1141,61 @@ mod tests {
             QueryResults::from_sparql_json(&twice.to_sparql_json()).unwrap(),
             QueryResults::Select(twice)
         );
+    }
+
+    #[test]
+    fn binding_keys_resolve_to_their_columns_in_any_order() {
+        let lit = |v: &str| Some(Term::Literal(Literal::string(v)));
+        let uri = |v: &str| Some(Term::Iri(Iri::new(v).unwrap()));
+        // `?s` projected twice, around `?o`: keys come in column order, in
+        // other orders, with `?s` after another variable, and not at all.
+        let doc = r#"{"head":{"vars":["s","o","s","x"]},"results":{"bindings":[
+            {"s":{"type":"literal","value":"s0"},"o":{"type":"literal","value":"o0"},
+             "s":{"type":"literal","value":"late"},"x":{"type":"literal","value":"x0"}},
+            {"x":{"type":"literal","value":"x1"},"o":{"type":"literal","value":"o1"},
+             "s":{"type":"literal","value":"s1"}},
+            {"o":{"type":"literal","value":"o2"},"s":{"type":"literal","value":"s2"}},
+            {"x":{"type":"literal","value":"x3"},"s":{"type":"literal","value":"s3"},
+             "s":{"type":"literal","value":"late"}},
+            {},
+            {"s":{"type":"uri","value":"http://e.org/first","value":"http://e.org/second",
+                  "type":"literal","vendor":{"value":1}},
+             "o":{"type":"literal","value":"en","xml:lang":"en","xml:lang":"fr"}}
+        ]}}"#;
+        let row = |s: &str, o: &str, x: &str| {
+            let cell = |v: &str| (!v.is_empty()).then(|| lit(v)).flatten();
+            vec![cell(s), cell(o), cell(s), cell(x)]
+        };
+        let tagged = Some(Term::Literal(Literal::lang_string("en", "en")));
+        let expected = QueryResults::Select(SelectResults {
+            variables: vec!["s".into(), "o".into(), "s".into(), "x".into()],
+            rows: vec![
+                row("s0", "o0", "x0"),
+                row("s1", "o1", "x1"),
+                row("s2", "o2", ""),
+                row("s3", "", "x3"),
+                row("", "", ""),
+                vec![
+                    uri("http://e.org/first"),
+                    tagged,
+                    uri("http://e.org/first"),
+                    None,
+                ],
+            ],
+        });
+        assert_eq!(QueryResults::from_sparql_json(doc).unwrap(), expected);
+        // A key no column has is the same error wherever it comes.
+        for bindings in [
+            r#"{"zz":{"type":"bnode","value":"b"}}"#,
+            r#"{"s":{"type":"bnode","value":"b"},"zz":{"type":"bnode","value":"b"}}"#,
+            r#"{"x":{"type":"bnode","value":"b"},"zz":{"type":"bnode","value":"b"}}"#,
+        ] {
+            let doc = format!(
+                r#"{{"head":{{"vars":["s","o","s","x"]}},"results":{{"bindings":[{bindings}]}}}}"#
+            );
+            let err = QueryResults::from_sparql_json(&doc).unwrap_err();
+            assert_eq!(err.0, "binding mentions unprojected variable ?zz", "{doc}");
+        }
     }
 
     #[test]
