@@ -10,8 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::availability::AvailabilityModel;
-use crate::endpoint::{QueryOutcome, SparqlEndpoint};
-use crate::error::EndpointError;
+use crate::endpoint::SparqlEndpoint;
 use crate::profile::{EndpointProfile, SparqlImplementation};
 use crate::synth::{random_lod, RandomLodConfig};
 
@@ -173,49 +172,6 @@ impl EndpointFleet {
             .map(SparqlEndpoint::triple_count)
             .sum()
     }
-
-    /// Sends the same query to every endpoint, sharding the fleet across
-    /// `threads` scoped worker threads. Returns `(url, outcome)` pairs in
-    /// fleet order regardless of completion order.
-    ///
-    /// This is how many extraction pipelines hammer the fleet at once: each
-    /// endpoint serves from a lock-free store snapshot with a plan-cached
-    /// parse, so concurrent broadcasts scale with the hardware.
-    pub fn query_broadcast(
-        &self,
-        query: &str,
-        threads: usize,
-    ) -> Vec<(String, Result<QueryOutcome, EndpointError>)> {
-        let threads = threads.clamp(1, self.endpoints.len().max(1));
-        if threads <= 1 {
-            return self
-                .endpoints
-                .iter()
-                .map(|e| (e.url().to_string(), e.query(query)))
-                .collect();
-        }
-        let chunk_size = self.endpoints.len().div_ceil(threads).max(1);
-        let outputs: Vec<Vec<(String, Result<QueryOutcome, EndpointError>)>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .endpoints
-                    .chunks(chunk_size)
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            chunk
-                                .iter()
-                                .map(|e| (e.url().to_string(), e.query(query)))
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("fleet query worker panicked"))
-                    .collect()
-            });
-        outputs.into_iter().flatten().collect()
-    }
 }
 
 impl FromIterator<SparqlEndpoint> for EndpointFleet {
@@ -274,24 +230,6 @@ mod tests {
         let available = fleet.available().len();
         assert!(available < 30, "some endpoints should be dead");
         assert!(available > 5, "not all endpoints should be dead");
-    }
-
-    #[test]
-    fn broadcast_matches_sequential_queries() {
-        let fleet = EndpointFleet::generate(&FleetConfig::small(8, 5));
-        fleet.set_day(0);
-        let q = "SELECT (COUNT(*) AS ?n) WHERE { ?s a ?c }";
-        let sequential = fleet.query_broadcast(q, 1);
-        let parallel = fleet.query_broadcast(q, 4);
-        assert_eq!(sequential.len(), parallel.len());
-        for ((url_a, out_a), (url_b, out_b)) in sequential.iter().zip(parallel.iter()) {
-            assert_eq!(url_a, url_b, "fleet order is preserved");
-            match (out_a, out_b) {
-                (Ok(a), Ok(b)) => assert_eq!(a.results, b.results),
-                (Err(_), Err(_)) => {}
-                other => panic!("outcome kind differs for {url_a}: {other:?}"),
-            }
-        }
     }
 
     #[test]

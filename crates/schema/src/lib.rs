@@ -16,8 +16,6 @@
 //! * [`summary`] — the Schema Summary: a pseudograph whose nodes are the
 //!   instantiated classes (with attributes and instance counts) and whose
 //!   arcs are the object properties connecting them.
-//! * [`parallel`] — extraction across a whole endpoint fleet using scoped
-//!   worker threads.
 //!
 //! Everything converts to and from [`hbold_docstore::DocValue`], because the
 //! H-BOLD pipeline stores summaries in the document store and serves the
@@ -26,11 +24,9 @@
 pub mod diff;
 pub mod extraction;
 pub mod indexes;
-pub mod parallel;
 pub mod summary;
 
 pub use diff::SummaryDiff;
 pub use extraction::{ExtractionError, ExtractionReport, ExtractionStrategy, IndexExtractor};
 pub use indexes::{ClassIndex, DatasetIndexes, ObjectLinkIndex, PropertyIndex};
-pub use parallel::{extract_fleet, FleetExtractionOutcome};
 pub use summary::{SchemaEdge, SchemaNode, SchemaSummary};

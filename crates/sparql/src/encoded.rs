@@ -1,23 +1,24 @@
 //! The dictionary-encoded execution domain: slot layouts, `TermId` rows and
 //! the executor.
 //!
-//! The one thing this module runs is a `Plan` (see [`crate::optimize`]):
-//! `execute` opens the plan in a single walk — the one site where a node's
-//! trace span and cancellation poll are attached — and then *pushes* the
-//! pattern's solutions into the plan's tail (ask, group, top-k, sort,
-//! project). A compiled `EncPattern` cannot be run; only the planner takes
-//! one.
+//! The one thing this module runs is a `Plan` (see [`crate::optimize`]): one
+//! tree of `optimize::Node`s, planned in a single walk straight from the
+//! parsed pattern. Each node is built with its trace span and cancellation
+//! poll already attached (`attach` is the one place either is made), so
+//! `execute` only walks the tree, *pushing* the pattern's solutions into the
+//! plan's tail (ask, group, top-k, sort, project), and then settles the span
+//! tree's arithmetic.
 //!
 //! **One row.** At evaluation start each query's variables are compiled
 //! into a dense [`SlotLayout`]: every variable the query mentions anywhere
 //! gets one fixed slot index. A solution is a fixed-width `[TermId]` with the
 //! sentinel [`UNBOUND`] marking unbound slots — and the whole walk shares a
-//! single such buffer. `Op::run(row, emit)` binds a node's slots in the row,
-//! calls `emit` with it, and un-binds when `emit` returns, so the call stack
-//! is the undo log and no solution is ever copied to be handed on: a BGP is
-//! nested index scans, a join nests `run`s, a left join emits the left row
-//! itself when its right side emitted nothing, a union runs both branches, a
-//! filter pre-binds, tests and restores. `emit` answers `Flow`:
+//! single such buffer. `Node::run(row, emit)` binds a node's slots in the
+//! row, calls `emit` with it, and un-binds when `emit` returns, so the call
+//! stack is the undo log and no solution is ever copied to be handed on: a
+//! BGP is nested index scans, a join nests `run`s, a left join emits the
+//! left row itself when its right side emitted nothing, a union runs both
+//! branches, a filter pre-binds, tests and restores. `emit` answers `Flow`:
 //! `Continue`, `Break` (how `ASK` and an unordered `LIMIT` stop the walk
 //! early) or the error that fails the query.
 //!
@@ -62,7 +63,7 @@ use crate::eval::{
 use crate::expr::{
     evaluate_scoped, filter_passes_scoped, number_term, numeric_value, Binding, Scope,
 };
-use crate::optimize::{Group, Node, Order, Plan, Select, Tail};
+use crate::optimize::{Node, Order, Plan, Select, Tail, TailSpans};
 use crate::results::{QueryResults, SelectResults};
 
 /// Sentinel marking an unbound slot in an [`EncRow`].
@@ -256,7 +257,7 @@ impl Scope for EncScope<'_> {
     }
 }
 
-// ---- compiled pattern ------------------------------------------------------------
+// ---- compiled triple patterns ----------------------------------------------------
 
 /// One position of an encoded triple pattern.
 #[derive(Debug, Clone, Copy)]
@@ -270,9 +271,9 @@ pub(crate) enum EncNode {
 }
 
 /// The graph a triple pattern is scoped to, in the encoded domain. `GRAPH`
-/// groups compile *away*: every triple pattern inside a `GRAPH g { ... }`
+/// groups plan *away*: every triple pattern inside a `GRAPH g { ... }`
 /// carries `Named(g)` here, everything else carries `Default`, and the
-/// pattern tree itself has no graph node.
+/// plan tree itself has no graph node.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum EncGraph {
     /// The query's default graph (the store default graph, or the `FROM`
@@ -350,92 +351,6 @@ impl EncDataset {
     }
 }
 
-/// A graph pattern compiled to the encoded domain, triple patterns in
-/// written order. Filter conditions keep their AST form and evaluate through
-/// [`EncScope`] (decoding lazily).
-///
-/// This is the planner's *input*, not something the operators can run:
-/// [`crate::optimize::plan_pattern`] consumes it and returns the
-/// [`Plan`] that [`execute`] walks.
-#[derive(Debug, Clone)]
-pub(crate) enum EncPattern {
-    Bgp(Vec<EncTriplePattern>),
-    Join(Vec<EncPattern>),
-    Optional {
-        left: Box<EncPattern>,
-        right: Box<EncPattern>,
-    },
-    Union(Box<EncPattern>, Box<EncPattern>),
-    Filter {
-        inner: Box<EncPattern>,
-        condition: Expression,
-    },
-}
-
-/// Compiles a parsed graph pattern against a store dictionary and layout.
-pub(crate) fn compile_pattern(
-    pattern: &GraphPattern,
-    layout: &SlotLayout,
-    dict: &TermDictionary,
-) -> EncPattern {
-    compile_pattern_in(pattern, layout, dict, EncGraph::Default)
-}
-
-/// The recursive compiler, threading the enclosing graph scope: a `GRAPH`
-/// node disappears here, stamping its graph onto every triple pattern of the
-/// scoped subtree.
-fn compile_pattern_in(
-    pattern: &GraphPattern,
-    layout: &SlotLayout,
-    dict: &TermDictionary,
-    graph: EncGraph,
-) -> EncPattern {
-    let node = |n: &TermOrVariable| -> EncNode {
-        match n {
-            TermOrVariable::Term(t) => EncNode::Const(dict.id_of(t)),
-            TermOrVariable::Variable(v) => EncNode::Var(
-                layout
-                    .slot_of(v)
-                    .expect("layout covers all pattern variables"),
-            ),
-        }
-    };
-    match pattern {
-        GraphPattern::Bgp(tps) => EncPattern::Bgp(
-            tps.iter()
-                .map(|tp| EncTriplePattern {
-                    subject: node(&tp.subject),
-                    predicate: node(&tp.predicate),
-                    object: node(&tp.object),
-                    graph,
-                })
-                .collect(),
-        ),
-        GraphPattern::Join(parts) => EncPattern::Join(
-            parts
-                .iter()
-                .map(|p| compile_pattern_in(p, layout, dict, graph))
-                .collect(),
-        ),
-        GraphPattern::Optional { left, right } => EncPattern::Optional {
-            left: Box::new(compile_pattern_in(left, layout, dict, graph)),
-            right: Box::new(compile_pattern_in(right, layout, dict, graph)),
-        },
-        GraphPattern::Union(a, b) => EncPattern::Union(
-            Box::new(compile_pattern_in(a, layout, dict, graph)),
-            Box::new(compile_pattern_in(b, layout, dict, graph)),
-        ),
-        GraphPattern::Filter { inner, condition } => EncPattern::Filter {
-            inner: Box::new(compile_pattern_in(inner, layout, dict, graph)),
-            condition: condition.clone(),
-        },
-        GraphPattern::Graph { name, inner } => {
-            let g = EncGraph::Named(node(name));
-            compile_pattern_in(inner, layout, dict, g)
-        }
-    }
-}
-
 /// Everything an encoded operator needs, bundled for cheap threading through
 /// the pipeline.
 pub(crate) struct EncContext<'a> {
@@ -468,6 +383,30 @@ impl<'a> EncContext<'a> {
         }
     }
 
+    /// Compiles one position of a triple pattern: a constant to its id
+    /// (`None`: never interned, the scan is statically empty), a variable
+    /// to its slot.
+    pub(crate) fn node(&self, node: &TermOrVariable) -> EncNode {
+        match node {
+            TermOrVariable::Term(t) => EncNode::Const(self.dict.id_of(t)),
+            TermOrVariable::Variable(v) => EncNode::Var(
+                self.layout
+                    .slot_of(v)
+                    .expect("layout covers all pattern variables"),
+            ),
+        }
+    }
+
+    /// Compiles a parsed triple pattern, scoped to `graph`.
+    pub(crate) fn compile(&self, tp: &TriplePatternAst, graph: EncGraph) -> EncTriplePattern {
+        EncTriplePattern {
+            subject: self.node(&tp.subject),
+            predicate: self.node(&tp.predicate),
+            object: self.node(&tp.object),
+            graph,
+        }
+    }
+
     /// The lazily-decoding expression scope over one row.
     fn scope<'r>(&'r self, row: &'r [TermId]) -> EncScope<'r> {
         EncScope {
@@ -490,7 +429,7 @@ pub(crate) fn timed<T>(span: Option<&Span>, f: impl FnOnce() -> T) -> T {
 
 /// Renders an encoded triple pattern back to readable text for trace spans:
 /// variables through the layout, constants through the dictionary.
-fn render_triple_pattern(ctx: &EncContext<'_>, tp: &EncTriplePattern) -> String {
+pub(crate) fn render_triple_pattern(ctx: &EncContext<'_>, tp: &EncTriplePattern) -> String {
     let node = |n: EncNode| -> String {
         match n {
             EncNode::Var(slot) => format!("?{}", ctx.layout.name_of(slot)),
@@ -526,14 +465,14 @@ pub(crate) type Emit<'e> = &'e mut dyn FnMut(&mut [TermId]) -> Flow;
 /// A plan node under observation: [`attach`] is the one place a node gets
 /// its span and its cancellation poll, the two methods here the one place
 /// rows, time and token checks are recorded.
-struct Probe<'a> {
+pub(crate) struct Probe<'a> {
     span: Option<Span>,
     token: Option<&'a CancellationToken>,
     /// Units of work left before the next token check.
     countdown: Cell<u32>,
 }
 
-fn attach<'a>(ctx: &EncContext<'a>, span: Option<Span>, poll: bool) -> Probe<'a> {
+pub(crate) fn attach<'a>(ctx: &EncContext<'a>, span: Option<Span>, poll: bool) -> Probe<'a> {
     Probe {
         span,
         token: ctx.cancel.filter(|_| poll),
@@ -583,76 +522,6 @@ impl Probe<'_> {
 
 // ---- the executor walk -----------------------------------------------------------
 
-/// An opened plan node: the node's parts beside the probes observing them.
-enum Op<'a> {
-    /// Nested index scans, in planned order.
-    Bgp(Vec<(&'a EncTriplePattern, Probe<'a>)>),
-    Join(Vec<Op<'a>>),
-    LeftJoin(Box<Op<'a>>, Box<Op<'a>>, Probe<'a>),
-    Union(Box<Op<'a>>, Box<Op<'a>>, Probe<'a>),
-    /// The pushed pre-binds, the inner node, the whole condition.
-    Filter(
-        &'a [(u32, Option<TermId>)],
-        Box<Op<'a>>,
-        &'a Expression,
-        Probe<'a>,
-    ),
-}
-
-/// Opens `node` under the `parent` span: the one walk over the planned
-/// pattern, visiting every node exactly once and creating every span. It
-/// makes no ordering decision of its own.
-fn open<'a>(ctx: &EncContext<'a>, node: &'a Node, parent: Option<&Span>) -> Op<'a> {
-    let child = |name: &str| parent.map(|p| p.child(name));
-    match node {
-        // `bgp` and `join` are label spans: they group their children and
-        // carry no time of their own.
-        Node::Bgp(stages) => {
-            let order: Vec<u64> = stages.iter().map(|s| s.written_index as u64).collect();
-            let bgp = child("bgp").inspect(|bgp| bgp.set_attr("order", order));
-            // Every stage polls the token, counting the quads it examines:
-            // a join can run for ever while handing nothing downstream (a
-            // cross product under a filter that rejects every row), so the
-            // work between two polls is bounded where the work is done.
-            let stages = stages.iter().map(|stage| {
-                let span = bgp.as_ref().map(|bgp| bgp.child("scan")).inspect(|scan| {
-                    scan.set_attr("pattern", render_triple_pattern(ctx, &stage.tp));
-                    scan.set_attr("written_index", stage.written_index);
-                    scan.set_attr("estimate", stage.estimate);
-                });
-                (&stage.tp, attach(ctx, span, true))
-            });
-            Op::Bgp(stages.collect())
-        }
-        Node::Join(parts) => {
-            let span = child("join");
-            Op::Join(parts.iter().map(|p| open(ctx, p, span.as_ref())).collect())
-        }
-        Node::LeftJoin { left, right } => {
-            let span = child("optional");
-            let left = Box::new(open(ctx, left, span.as_ref()));
-            let right = Box::new(open(ctx, right, span.as_ref()));
-            Op::LeftJoin(left, right, attach(ctx, span, false))
-        }
-        Node::Union(a, b) => {
-            let span = child("union");
-            let a = Box::new(open(ctx, a, span.as_ref()));
-            let b = Box::new(open(ctx, b, span.as_ref()));
-            Op::Union(a, b, attach(ctx, span, false))
-        }
-        Node::Filter {
-            prebind,
-            inner,
-            condition,
-        } => {
-            let span = child("filter");
-            let span = span.inspect(|span| span.set_attr("pushed_prebinds", prebind.len()));
-            let inner = Box::new(open(ctx, inner, span.as_ref()));
-            Op::Filter(prebind, inner, condition, attach(ctx, span, false))
-        }
-    }
-}
-
 /// Runs `items` as a chain: `step` runs the first against the row and emits
 /// into the rest, the last into `emit`. An empty chain is the identity.
 fn chain<T>(
@@ -668,19 +537,19 @@ fn chain<T>(
     }
 }
 
-impl Op<'_> {
+impl Node<'_> {
     /// Pushes every solution of this node that extends `row` into `emit`.
     /// A node binds its slots in `row` itself, emits, and un-binds on the
     /// way back, so `row` leaves as it came, whatever the outcome.
-    fn run(&self, ctx: &EncContext<'_>, row: &mut [TermId], emit: Emit<'_>) -> Flow {
+    pub(crate) fn run(&self, ctx: &EncContext<'_>, row: &mut [TermId], emit: Emit<'_>) -> Flow {
         match self {
-            Op::Bgp(stages) => chain(stages, row, emit, &|(tp, probe), row, emit| {
+            Node::Bgp(stages) => chain(stages, row, emit, &|(tp, probe), row, emit| {
                 probe.observe(emit, |emit| scan(ctx, tp, probe, row, emit))
             }),
-            Op::Join(parts) => chain(parts, row, emit, &|part, row, emit| {
+            Node::Join(parts) => chain(parts, row, emit, &|part, row, emit| {
                 part.run(ctx, row, emit)
             }),
-            Op::LeftJoin(left, right, probe) => probe.observe(emit, |emit| {
+            Node::LeftJoin { left, right, probe } => probe.observe(emit, |emit| {
                 left.run(ctx, row, &mut |row| {
                     let mut matched = false;
                     let flow = right.run(ctx, row, &mut |row| {
@@ -698,7 +567,7 @@ impl Op<'_> {
             // Branch a, then branch b: the same multiset as `eval(a) ++
             // eval(b)`, and sequencing is only observable under ORDER BY,
             // where the sort is deterministic.
-            Op::Union(a, b, probe) => probe.observe(emit, |emit| {
+            Node::Union(a, b, probe) => probe.observe(emit, |emit| {
                 if a.run(ctx, row, &mut *emit)?.is_break() {
                     return Ok(ControlFlow::Break(()));
                 }
@@ -707,7 +576,12 @@ impl Op<'_> {
             // Pushed-down equality conjuncts pre-bind their slots, so the
             // inner scans treat them as constants; the residual condition
             // still evaluates in full on each survivor.
-            Op::Filter(prebind, inner, condition, probe) => probe.observe(emit, |emit| {
+            Node::Filter {
+                prebind,
+                inner,
+                condition,
+                probe,
+            } => probe.observe(emit, |emit| {
                 crate::optimize::apply_prebind(prebind, row, &mut |row| {
                     inner.run(ctx, row, &mut |row| {
                         let passes = filter_passes_scoped(condition, &ctx.scope(row))?;
@@ -837,93 +711,55 @@ fn each_triple(
     CONTINUE
 }
 
-// ---- the plan, opened and run ----------------------------------------------------
+// ---- the plan, run ---------------------------------------------------------------
 
-/// The spans of the tail's stages, siblings of the pattern's root span in
-/// pipeline order. A stage the plan does not have has no span.
-#[derive(Default)]
-struct TailSpans {
-    ask: Option<Span>,
-    group: Option<Span>,
-    order: Option<Span>,
-    project: Option<Span>,
-}
-
-/// A plan with its spans created and its probes attached, not yet run.
-pub(crate) struct OpenedPlan<'a> {
-    root: Op<'a>,
-    /// Fails an already-tripped token before the first row.
-    start: Probe<'a>,
-    spans: TailSpans,
-}
-
-/// Opens the whole plan under `parent` without producing a row. This is the
-/// only place a plan is opened — [`execute`] runs what it returns,
-/// [`crate::optimize::explain`] renders the spans it leaves under `parent`.
-pub(crate) fn open_plan<'a>(
-    ctx: &EncContext<'a>,
-    plan: &'a Plan<'_>,
-    parent: Option<&Span>,
-) -> OpenedPlan<'a> {
-    let root = open(ctx, &plan.root, parent);
-    let stage = |name: &str| parent.map(|parent| parent.child(name));
-    let spans = match &plan.tail {
-        Tail::Ask => TailSpans {
-            ask: stage("ask"),
-            ..TailSpans::default()
-        },
-        Tail::Select(select) => TailSpans {
-            ask: None,
-            group: select.group.as_ref().and_then(|Group::Hash(_)| {
-                stage("group").inspect(|span| span.set_attr("strategy", "hash"))
-            }),
-            order: select.order.as_ref().and_then(|order| {
-                stage("order").inspect(|span| match order {
-                    Order::Stream => span.set_attr("strategy", "stream"),
-                    Order::TopK(k) => {
-                        span.set_attr("strategy", "topk");
-                        span.set_attr("k", *k);
-                    }
-                    Order::Sort => span.set_attr("strategy", "sort"),
-                })
-            }),
-            project: stage("project"),
-        },
-    };
-    OpenedPlan {
-        root,
-        start: attach(ctx, None, true),
-        spans,
-    }
-}
-
-/// Runs a plan: opens it once and drives the pattern's solutions into the
-/// plan's tail, a sink that copies out of the borrowed row only what it
-/// keeps. With `span` set (tracing on) every node and tail stage reports
-/// under it, and it times the run itself, not the opening.
+/// Runs a plan: drives the pattern's solutions into the plan's tail, a sink
+/// that copies out of the borrowed row only what it keeps. With `span` set
+/// (tracing on) it times the run, every node and tail stage reports under
+/// it, and once the walk is done their times are settled so that a span's
+/// children never add up to more than the span.
 pub(crate) fn execute(
     ctx: &EncContext<'_>,
     plan: &Plan<'_>,
     span: Option<&Span>,
 ) -> Result<QueryResults, SparqlError> {
-    let OpenedPlan { root, start, spans } = open_plan(ctx, plan, span);
+    // Fails an already-tripped token before the first row.
+    let start = attach(ctx, None, true);
     let drive = |emit: Emit<'_>| -> Flow {
         start.poll()?;
-        root.run(ctx, &mut ctx.layout.empty_row(), emit)
+        plan.root.run(ctx, &mut ctx.layout.empty_row(), emit)
     };
-    timed(span, || match &plan.tail {
+    let spans = &plan.spans;
+    let results = timed(span, || match &plan.tail {
         // The first solution settles it: the walk breaks iff there is one.
         Tail::Ask => {
             let mut first = |_: &mut [TermId]| Ok(ControlFlow::Break(()));
             let flow = timed(spans.ask.as_ref(), || drive(&mut first))?;
             Ok(QueryResults::Ask(flow.is_break()))
         }
-        Tail::Select(select) => run_select(ctx, select, &spans, drive).map(QueryResults::Select),
-    })
+        Tail::Select(select) => run_select(ctx, select, spans, drive).map(QueryResults::Select),
+    });
+    // `execute`'s children are the pattern's root span, then the tail
+    // stages: the first drove the pattern and gives its time back.
+    if let Some([pattern, driver, ..]) = span.map(|span| span.children()).as_deref() {
+        let pattern_ns = settle_labels(pattern);
+        driver.set_elapsed_ns(driver.elapsed_ns().saturating_sub(pattern_ns));
+    }
+    results
 }
 
-/// The SELECT tails. A tail span wraps the drive it consumes, so the first
-/// stage's time includes the pattern's.
+/// Gives every label span (`bgp`, `join`) of the subtree its children's
+/// time, bottom-up, and returns `span`'s time.
+fn settle_labels(span: &Span) -> u64 {
+    let children: u64 = span.children().iter().map(settle_labels).sum();
+    if matches!(span.name(), "bgp" | "join") {
+        span.set_elapsed_ns(children);
+    }
+    span.elapsed_ns()
+}
+
+/// The SELECT tails. A tail span wraps the drive it consumes, so until
+/// [`execute`] settles it the first stage's time includes the pattern's.
 fn run_select(
     ctx: &EncContext<'_>,
     select: &Select<'_>,
@@ -932,7 +768,7 @@ fn run_select(
 ) -> Result<SelectResults, SparqlError> {
     let query = select.query;
     let (offset, limit) = (query.offset.unwrap_or(0), query.limit);
-    let results = if let Some(Group::Hash(slots)) = &select.group {
+    let results = if let Some(slots) = &select.group {
         let mut results = project_grouped(ctx, select, slots, drive, spans)?;
         // Post-aggregation row counts are small; DISTINCT/OFFSET/LIMIT run
         // in the Term domain here.
@@ -1390,7 +1226,7 @@ impl Aggregate<'_> {
 }
 
 /// The group and order stages of a grouped/aggregated projection
-/// ([`Group::Hash`]). The group stage is a sink of per-group accumulators: a
+/// (`Select::group`). The group stage is a sink of per-group accumulators: a
 /// solution is looked up by its key — the `GROUP BY` slots' ids, hashed as a
 /// borrowed slice and copied once per *group* — and folded into that group's
 /// aggregates on the spot; no solution is kept. With no `GROUP BY` there is

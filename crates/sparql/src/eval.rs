@@ -16,13 +16,14 @@
 //! heap instead of sorting the full solution set, and an aggregate folds
 //! each solution into its group as it arrives instead of keeping it.
 //!
-//! There is exactly one way to plan and one way to run a query: every
-//! entry point below compiles the query, has [`crate::optimize`] turn it
-//! into a plan value, and hands that to the one executor
-//! (`crate::encoded::execute`), a single-threaded walk. Parallelism
-//! lives *between* queries (server workers, extraction fleets), never
-//! inside one. Rows of a grouped query leave in an unspecified order unless
-//! `ORDER BY` pins one.
+//! There is exactly one way to plan and one way to run a query, and one
+//! pattern tree per evaluation: every entry point below lays the query's
+//! variables out in slots, has [`crate::optimize`] plan the parsed pattern
+//! in one walk into the nodes the executor runs, and hands that plan to the
+//! one executor (`crate::encoded::execute`), a single-threaded walk.
+//! Parallelism lives *between* queries (server workers, extraction
+//! pipelines), never inside one. Rows of a grouped query leave in an
+//! unspecified order unless `ORDER BY` pins one.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -32,7 +33,7 @@ use hbold_telemetry::Span;
 use hbold_triple_store::TripleStore;
 
 use crate::ast::*;
-use crate::encoded::{compile_pattern, execute, timed, EncContext, SlotLayout};
+use crate::encoded::{execute, timed, EncContext, SlotLayout};
 use crate::error::SparqlError;
 use crate::expr::{evaluate_scoped, number_term, Binding, EvalValue, Scope};
 use crate::optimize::{plan_pattern, BgpReorder};
@@ -108,23 +109,19 @@ pub(crate) fn evaluate_planned(
     hooks: &EvalHooks<'_>,
     reorder: Option<BgpReorder<'_>>,
 ) -> Result<QueryResults, SparqlError> {
-    // Compile the query to the encoded domain: variables get dense slots,
-    // the dataset's two graph lists resolve to ids once, and constant terms
-    // resolve to dictionary ids (a constant the store never interned
-    // compiles to a scan that is statically empty).
     let layout = SlotLayout::of_query(query);
     let mut ctx = EncContext::new(store, &layout, &query.dataset);
     ctx.cancel = hooks.cancel;
-    let pattern = compile_pattern(&query.pattern, &layout, ctx.dict);
-    // The single planning pass: orders every BGP by cost, pushes eligible
-    // equality filters down and chooses the tail, before any operator runs.
+    // The single planning pass, before any operator runs; with tracing on
+    // it makes every node's span under `execute`.
     let plan_span = hooks.trace.map(|root| root.child("plan"));
+    let exec_span = hooks.trace.map(|root| root.child("execute"));
     let plan = timed(plan_span.as_ref(), || {
-        plan_pattern(&ctx, pattern, query, reorder)
+        plan_pattern(&ctx, query, reorder, exec_span.as_ref())
     });
     if let Some(span) = &plan_span {
-        span.set_attr("bgps", plan.bgps().len());
-        span.set_attr("pushed_filters", plan.pushed_filters());
+        span.set_attr("bgps", plan.bgps.len());
+        span.set_attr("pushed_filters", plan.pushed_filters);
     }
 
     // Chaos hook (inert unless HBOLD_FAULTS is set): artificial latency at
@@ -134,8 +131,6 @@ pub(crate) fn evaluate_planned(
         faults.operator_latency();
     }
 
-    // With tracing on, every timed plan node reports under `execute`.
-    let exec_span = hooks.trace.map(|root| root.child("execute"));
     execute(&ctx, &plan, exec_span.as_ref())
 }
 
@@ -871,12 +866,16 @@ mod tests {
         );
         assert_eq!(order.attr("strategy").unwrap().as_str(), Some("topk"));
         assert_eq!(order.attr("k").unwrap().as_u64(), Some(3));
-        // `bgp` is a label; `order` drove the pattern, so its time covers
-        // the last scan's own, and the stages add up inside `execute`.
-        assert_eq!(bgp.elapsed_ns(), 0);
+        // `bgp` is a label carrying its scans' sum; `order` drove the
+        // pattern but keeps only its own time, so the pattern and the
+        // stages add up inside `execute`.
+        let scans: u64 = bgp.children().iter().map(Span::elapsed_ns).sum();
+        assert_eq!(bgp.elapsed_ns(), scans);
         let last_scan = bgp.children().last().unwrap().clone();
         assert_eq!(last_scan.rows(), 3);
-        assert!(order.elapsed_ns() >= last_scan.elapsed_ns());
+        assert!(
+            bgp.elapsed_ns() + order.elapsed_ns() + project.elapsed_ns() <= execute.elapsed_ns()
+        );
         assert!(order.elapsed_ns() + project.elapsed_ns() <= execute.elapsed_ns());
         // The tail says what it threw away: 3 rows in, 3 kept (k = 3), and
         // the page is the 2 past the offset.

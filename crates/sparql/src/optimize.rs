@@ -1,17 +1,18 @@
-//! Statistics-driven cost-based optimization of compiled query plans.
+//! Statistics-driven cost-based optimization: one walk from the parsed
+//! pattern to the tree the executor runs.
 //!
 //! The extraction queries at the heart of H-BOLD are multi-pattern BGP
 //! joins, and join order dominates their cost: scanning a hub predicate
 //! first can materialize thousands of intermediate rows that a rare
-//! predicate would have pruned to a handful. This module turns each
-//! compiled [`EncPattern`](crate::encoded) into a `Plan` exactly once,
-//! before execution. The plan is a value — a tree of pipeline nodes (scan
-//! stages carrying their written index and estimate, joins, left joins,
-//! unions, filters with their pushed pre-binds) plus the tail chosen from
-//! the query's form and solution modifiers — and it is the only thing the
-//! executor runs, so "planned before run" holds by type. [`explain`] and the
-//! trace's `plan` / `execute` spans are read off the same value. Planning
-//! decides:
+//! predicate would have pruned to a handful. `plan_pattern` walks the
+//! parsed pattern once, before execution: it compiles each triple pattern
+//! as its BGP is planned, passes a `GRAPH` scope down to the patterns under
+//! it, and gives each node its trace span and cancellation poll as it builds
+//! it. The `Plan` — scans, joins, left joins, unions, filters with their
+//! pushed pre-binds, plus the tail chosen from the query's form and
+//! solution modifiers — is the tree `encoded::execute` walks, so
+//! "planned before run" holds by type. [`explain`] plans under its outline
+//! span and never runs. Planning decides:
 //!
 //! * **Cardinality estimation** — every triple pattern's constant prefix is
 //!   counted *exactly*, graph by graph over the graphs it reads, against the
@@ -69,8 +70,8 @@ use hbold_rdf_model::Term;
 use hbold_telemetry::{Counter, Registry, Span};
 use hbold_triple_store::{IndexOrder, TermId, TripleStore};
 
-use crate::ast::{ComparisonOp, Expression, Function, Projection, Query, QueryForm};
-use crate::encoded::{compile_pattern, EncContext, EncNode, EncPattern, EncTriplePattern};
+use crate::ast::{ComparisonOp, Expression, Function, GraphPattern, Projection, Query, QueryForm};
+use crate::encoded::{attach, render_triple_pattern, EncContext, EncNode, EncTriplePattern, Probe};
 use crate::encoded::{Emit, EncDataset, EncGraph, Flow, SlotLayout, UNBOUND};
 
 // ---- decision counters ------------------------------------------------------------
@@ -111,60 +112,34 @@ pub(crate) fn counters() -> &'static OptimizerCounters {
 
 // ---- the plan value --------------------------------------------------------------
 
-/// One index-scan stage of a planned BGP.
-pub(crate) struct ScanStage {
-    pub tp: EncTriplePattern,
-    /// The pattern's position in the BGP as written.
-    pub written_index: usize,
-    /// Estimated rows produced per input row.
-    pub estimate: u64,
-}
-
-/// A node of the planned pattern pipeline. Every node extends each solution
-/// it is given into zero or more; the root is given the empty row.
-pub(crate) enum Node {
-    /// Nested index scans, in execution order.
-    Bgp(Vec<ScanStage>),
+/// A node of the planned pattern pipeline, the tree the executor walks.
+/// Every node extends each solution it is given into zero or more; the root
+/// is given the empty row. A node's `probe` observes it.
+pub(crate) enum Node<'p> {
+    /// Nested index scans, in execution order: each compiled pattern beside
+    /// the probe that times its `scan` span and polls the token.
+    Bgp(Vec<(EncTriplePattern, Probe<'p>)>),
     /// The parts, each fed by the one before.
-    Join(Vec<Node>),
+    Join(Vec<Node<'p>>),
     /// `OPTIONAL`: `right` runs once per `left` row; an unmatched row survives.
-    LeftJoin { left: Box<Node>, right: Box<Node> },
+    LeftJoin {
+        left: Box<Node<'p>>,
+        right: Box<Node<'p>>,
+        probe: Probe<'p>,
+    },
     /// Each input row through the first branch, then the second.
-    Union(Box<Node>, Box<Node>),
+    Union(Box<Node<'p>>, Box<Node<'p>>, Probe<'p>),
     Filter {
         /// Equality conjuncts pushed down: `(slot, id)` pre-binds the slot
         /// on every input row before `inner` scans (`None` id means the
         /// constant was never interned — no row can match). Sound only
         /// under the conditions [`extract_prebinds`] checks.
         prebind: Vec<(u32, Option<TermId>)>,
-        inner: Box<Node>,
+        inner: Box<Node<'p>>,
         /// The whole condition, evaluated on every row `inner` yields.
-        condition: Expression,
+        condition: &'p Expression,
+        probe: Probe<'p>,
     },
-}
-
-impl Node {
-    /// Visits the subtree in planning order (which is execution order).
-    fn walk<'n>(&'n self, visit: &mut impl FnMut(&'n Node)) {
-        visit(self);
-        match self {
-            Node::Bgp(_) => {}
-            Node::Join(parts) => parts.iter().for_each(|part| part.walk(visit)),
-            Node::LeftJoin { left: a, right: b } | Node::Union(a, b) => {
-                a.walk(visit);
-                b.walk(visit);
-            }
-            Node::Filter { inner, .. } => inner.walk(visit),
-        }
-    }
-}
-
-/// How a SELECT partitions its solutions.
-pub(crate) enum Group {
-    /// Per-group accumulators, hashed on the `GROUP BY` slots' ids (none:
-    /// one group, with no lookup). A solution is folded into its group's
-    /// aggregates as it arrives; no solution is kept.
-    Hash(Vec<u32>),
 }
 
 /// How a SELECT's `ORDER BY` runs.
@@ -188,7 +163,10 @@ pub(crate) struct Select<'q> {
     pub query: &'q Query,
     pub projection: &'q Projection,
     pub distinct: bool,
-    pub group: Option<Group>,
+    /// Per-group accumulators, hashed on these `GROUP BY` slots' ids (none:
+    /// one group, with no lookup). A solution is folded into its group's
+    /// aggregates as it arrives; no solution is kept.
+    pub group: Option<Vec<u32>>,
     pub order: Option<Order>,
 }
 
@@ -199,38 +177,26 @@ pub(crate) enum Tail<'q> {
     Select(Select<'q>),
 }
 
-/// A planned query: the only thing [`crate::encoded::execute`] runs, and
-/// what [`explain`] and the `plan` / `execute` trace spans are read off.
-pub(crate) struct Plan<'q> {
-    pub root: Node,
-    pub tail: Tail<'q>,
+/// The spans of the tail's stages, siblings of the pattern's root span in
+/// pipeline order. A stage the plan does not have has no span.
+#[derive(Default)]
+pub(crate) struct TailSpans {
+    pub ask: Option<Span>,
+    pub group: Option<Span>,
+    pub order: Option<Span>,
+    pub project: Option<Span>,
 }
 
-impl Plan<'_> {
+/// A planned query: the only thing [`crate::encoded::execute`] runs, and
+/// what [`explain`] and the `plan` / `execute` trace spans are read off.
+pub(crate) struct Plan<'p> {
+    pub root: Node<'p>,
+    pub tail: Tail<'p>,
+    pub spans: TailSpans,
     /// The decision record of every BGP, in planning order.
-    pub(crate) fn bgps(&self) -> Vec<BgpPlan> {
-        let mut bgps = Vec::new();
-        self.root.walk(&mut |node| {
-            if let Node::Bgp(stages) = node {
-                bgps.push(BgpPlan {
-                    order: stages.iter().map(|s| s.written_index).collect(),
-                    estimates: stages.iter().map(|s| s.estimate).collect(),
-                });
-            }
-        });
-        bgps
-    }
-
+    pub bgps: Vec<BgpPlan>,
     /// Number of equality-filter conjuncts pushed down into scans.
-    pub(crate) fn pushed_filters(&self) -> usize {
-        let mut pushed = 0;
-        self.root.walk(&mut |node| {
-            if let Node::Filter { prebind, .. } = node {
-                pushed += prebind.len();
-            }
-        });
-        pushed
-    }
+    pub pushed_filters: usize,
 }
 
 // ---- per-query explain surface ---------------------------------------------------
@@ -272,18 +238,12 @@ impl fmt::Display for PlanExplanation {
 pub fn explain(store: &TripleStore, query: &Query) -> PlanExplanation {
     let layout = SlotLayout::of_query(query);
     let ctx = EncContext::new(store, &layout, &query.dataset);
-    let plan = plan_pattern(
-        &ctx,
-        compile_pattern(&query.pattern, &layout, ctx.dict),
-        query,
-        None,
-    );
-    // The span tree an execution would time: opened, never run.
+    // The span tree an execution would time: planned, never run.
     let outline = Span::root("explain");
-    drop(crate::encoded::open_plan(&ctx, &plan, Some(&outline)));
+    let plan = plan_pattern(&ctx, query, None, Some(&outline));
     PlanExplanation {
-        bgps: plan.bgps(),
-        pushed_filters: plan.pushed_filters(),
+        bgps: plan.bgps,
+        pushed_filters: plan.pushed_filters,
         outline,
     }
 }
@@ -295,108 +255,161 @@ pub fn explain(store: &TripleStore, query: &Query) -> PlanExplanation {
 /// only through [`crate::fuzz::evaluate_shuffled`].
 pub(crate) type BgpReorder<'a> = &'a mut dyn FnMut(Vec<usize>) -> Vec<usize>;
 
-/// Plans a compiled query: consumes the pattern, puts every BGP's triple
-/// patterns in execution order, pushes every eligible equality filter down,
-/// and chooses the tail from `query`'s form and solution modifiers. Runs
-/// exactly once per evaluation, before any operator runs.
-pub(crate) fn plan_pattern<'q>(
-    ctx: &EncContext<'_>,
-    pattern: EncPattern,
-    query: &'q Query,
-    mut reorder: Option<BgpReorder<'_>>,
-) -> Plan<'q> {
-    let mut bound = vec![false; ctx.layout.len()];
+/// Plans `query` in one walk over its parsed pattern: compiles every triple
+/// pattern, puts every BGP's patterns in execution order, pushes every
+/// eligible equality filter down, chooses the tail from the query's form
+/// and solution modifiers, and gives every node and tail stage its span
+/// under `parent` (tracing on) and its cancellation poll. Runs exactly once
+/// per evaluation, before any operator runs.
+pub(crate) fn plan_pattern<'p>(
+    ctx: &EncContext<'p>,
+    query: &'p Query,
+    reorder: Option<BgpReorder<'_>>,
+    parent: Option<&Span>,
+) -> Plan<'p> {
     // A plan under an imposed join order (the fuzz harness's shuffled leg)
     // never streams: it is what a streamed answer is checked against.
     let imposed = reorder.is_some();
-    let root = plan_rec(ctx, pattern, &mut bound, &mut reorder);
-    let streamed = match imposed {
-        true => None,
-        false => stream_order(ctx, &root),
+    let mut planner = Planner {
+        ctx,
+        reorder,
+        bgps: Vec::new(),
+        pushed_filters: 0,
     };
+    let mut bound = vec![false; ctx.layout.len()];
+    let root = planner.node(&query.pattern, EncGraph::Default, &mut bound, parent);
+    let streamed = (!imposed).then(|| stream_order(ctx, &root)).flatten();
+    let (tail, spans) = plan_tail(ctx, query, streamed, parent);
     Plan {
-        tail: plan_tail(ctx, query, streamed),
         root,
+        tail,
+        spans,
+        bgps: planner.bgps,
+        pushed_filters: planner.pushed_filters,
     }
 }
 
-/// Recursive planning walk. Contract: plans `pattern` given the slots in
-/// `bound`, and marks every slot the pattern can bind — mirroring exactly
-/// the bound-slot propagation the operators perform, so estimates
-/// describe the rows each operator will actually see.
-fn plan_rec(
-    ctx: &EncContext<'_>,
-    pattern: EncPattern,
-    bound: &mut Vec<bool>,
-    reorder: &mut Option<BgpReorder<'_>>,
-) -> Node {
-    match pattern {
-        EncPattern::Bgp(tps) => {
-            let (mut order, mut estimates) = stats_join_order(ctx.store, &ctx.dataset, &tps, bound);
-            if let Some(reorder) = reorder {
-                order = reorder(order);
-                // Re-estimate along the imposed order, so `estimates` stays
-                // parallel to `order`.
-                let mut seen = bound.clone();
-                estimates = order
+/// One planning walk: what its nodes are planned against, and the decision
+/// record it leaves.
+struct Planner<'a, 'p, 'r> {
+    ctx: &'a EncContext<'p>,
+    reorder: Option<BgpReorder<'r>>,
+    bgps: Vec<BgpPlan>,
+    pushed_filters: usize,
+}
+
+impl<'p> Planner<'_, 'p, '_> {
+    /// Plans `pattern`, scoped to `graph`, given the slots in `bound`, and
+    /// marks every slot the pattern can bind — mirroring exactly the
+    /// bound-slot propagation the operators perform, so estimates describe
+    /// the rows each operator will actually see. A node's span goes under
+    /// `parent` before its children's, so the span tree is in planning
+    /// order, which is execution order.
+    fn node(
+        &mut self,
+        pattern: &'p GraphPattern,
+        graph: EncGraph,
+        bound: &mut Vec<bool>,
+        parent: Option<&Span>,
+    ) -> Node<'p> {
+        let ctx = self.ctx;
+        let child = |name: &str| parent.map(|p| p.child(name));
+        match pattern {
+            GraphPattern::Bgp(tps) => {
+                let tps: Vec<EncTriplePattern> =
+                    tps.iter().map(|tp| ctx.compile(tp, graph)).collect();
+                let (mut order, mut estimates) =
+                    stats_join_order(ctx.store, &ctx.dataset, &tps, bound);
+                if let Some(reorder) = &mut self.reorder {
+                    order = reorder(order);
+                    // Re-estimate along the imposed order, so `estimates`
+                    // stays parallel to `order`.
+                    let mut seen = bound.clone();
+                    estimates = order
+                        .iter()
+                        .map(|&i| {
+                            let estimate =
+                                estimate_pattern(ctx.store, &ctx.dataset, &tps[i], &seen);
+                            mark_pattern_vars(&tps[i], &mut seen);
+                            estimate
+                        })
+                        .collect();
+                }
+                counters().bgps_planned.inc();
+                if order.iter().enumerate().any(|(i, &idx)| i != idx) {
+                    counters().bgps_reordered.inc();
+                }
+                for tp in &tps {
+                    mark_pattern_vars(tp, bound);
+                }
+                // `bgp` is a label span over its stages. Every stage polls
+                // the token, counting the quads it examines: a join can run
+                // for ever while handing nothing downstream (a cross product
+                // under a filter that rejects every row), so the work
+                // between two polls is bounded where the work is done.
+                let written: Vec<u64> = order.iter().map(|&i| i as u64).collect();
+                let label = child("bgp").inspect(|bgp| bgp.set_attr("order", written));
+                let stages = order.iter().zip(&estimates).map(|(&i, &estimate)| {
+                    let span = label.as_ref().map(|bgp| bgp.child("scan"));
+                    let span = span.inspect(|scan| {
+                        scan.set_attr("pattern", render_triple_pattern(ctx, &tps[i]));
+                        scan.set_attr("written_index", i);
+                        scan.set_attr("estimate", estimate);
+                    });
+                    (tps[i], attach(ctx, span, true))
+                });
+                let stages: Vec<_> = stages.collect();
+                self.bgps.push(BgpPlan { order, estimates });
+                Node::Bgp(stages)
+            }
+            GraphPattern::Join(parts) => {
+                let span = child("join");
+                let parts = parts
                     .iter()
-                    .map(|&i| {
-                        let estimate = estimate_pattern(ctx.store, &ctx.dataset, &tps[i], &seen);
-                        mark_pattern_vars(&tps[i], &mut seen);
-                        estimate
-                    })
-                    .collect();
+                    .map(|p| self.node(p, graph, bound, span.as_ref()));
+                Node::Join(parts.collect())
             }
-            counters().bgps_planned.inc();
-            if order.iter().enumerate().any(|(i, &idx)| i != idx) {
-                counters().bgps_reordered.inc();
+            GraphPattern::Optional { left, right } => {
+                // The right side runs per left row, so it plans with the
+                // left side's bindings visible.
+                let span = child("optional");
+                let left = Box::new(self.node(left, graph, bound, span.as_ref()));
+                let right = Box::new(self.node(right, graph, bound, span.as_ref()));
+                let probe = attach(ctx, span, false);
+                Node::LeftJoin { left, right, probe }
             }
-            for tp in &tps {
-                mark_pattern_vars(tp, bound);
+            GraphPattern::Union(a, b) => {
+                // Each branch sees only the bindings from *before* the
+                // union; afterwards either branch may have bound its
+                // variables.
+                let span = child("union");
+                let mut bound_a = bound.clone();
+                let a = Box::new(self.node(a, graph, &mut bound_a, span.as_ref()));
+                let b = Box::new(self.node(b, graph, bound, span.as_ref()));
+                for (slot, a_bound) in bound.iter_mut().zip(bound_a) {
+                    *slot |= a_bound;
+                }
+                Node::Union(a, b, attach(ctx, span, false))
             }
-            Node::Bgp(
-                order
-                    .into_iter()
-                    .zip(estimates)
-                    .map(|(written_index, estimate)| ScanStage {
-                        tp: tps[written_index],
-                        written_index,
-                        estimate,
-                    })
-                    .collect(),
-            )
-        }
-        EncPattern::Join(parts) => Node::Join(
-            parts
-                .into_iter()
-                .map(|part| plan_rec(ctx, part, bound, reorder))
-                .collect(),
-        ),
-        EncPattern::Optional { left, right } => {
-            // The right side runs per left row, so it plans with the left
-            // side's bindings visible.
-            let left = Box::new(plan_rec(ctx, *left, bound, reorder));
-            let right = Box::new(plan_rec(ctx, *right, bound, reorder));
-            Node::LeftJoin { left, right }
-        }
-        EncPattern::Union(a, b) => {
-            // Each branch sees only the bindings from *before* the union;
-            // afterwards either branch may have bound its variables.
-            let mut bound_a = bound.clone();
-            let a = Box::new(plan_rec(ctx, *a, &mut bound_a, reorder));
-            let b = Box::new(plan_rec(ctx, *b, bound, reorder));
-            for (slot, a_bound) in bound.iter_mut().zip(bound_a) {
-                *slot |= a_bound;
+            GraphPattern::Filter { inner, condition } => {
+                let prebind = extract_prebinds(ctx, condition, inner, graph, bound);
+                self.pushed_filters += prebind.len();
+                let span = child("filter");
+                let span = span.inspect(|span| span.set_attr("pushed_prebinds", prebind.len()));
+                let inner = Box::new(self.node(inner, graph, bound, span.as_ref()));
+                let probe = attach(ctx, span, false);
+                Node::Filter {
+                    prebind,
+                    inner,
+                    condition,
+                    probe,
+                }
             }
-            Node::Union(a, b)
-        }
-        EncPattern::Filter { inner, condition } => {
-            let prebind = extract_prebinds(ctx, &condition, &inner, bound);
-            let inner = Box::new(plan_rec(ctx, *inner, bound, reorder));
-            Node::Filter {
-                prebind,
-                inner,
-                condition,
+            // A `GRAPH` node plans away: its scope goes down to every
+            // triple pattern under it.
+            GraphPattern::Graph { name, inner } => {
+                let graph = EncGraph::Named(ctx.node(name));
+                self.node(inner, graph, bound, parent)
             }
         }
     }
@@ -404,14 +417,25 @@ fn plan_rec(
 
 /// Chooses the tail from the query's form and solution modifiers, and —
 /// for an ungrouped `ORDER BY` — from `streamed`, the order the pattern's
-/// rows arrive in ([`stream_order`]).
-fn plan_tail<'q>(ctx: &EncContext<'_>, query: &'q Query, streamed: Option<Vec<u32>>) -> Tail<'q> {
+/// rows arrive in ([`stream_order`]); its stages' spans go under `parent`,
+/// after the pattern's.
+fn plan_tail<'p>(
+    ctx: &EncContext<'_>,
+    query: &'p Query,
+    streamed: Option<Vec<u32>>,
+    parent: Option<&Span>,
+) -> (Tail<'p>, TailSpans) {
+    let stage = |name: &str| parent.map(|parent| parent.child(name));
     let QueryForm::Select {
         distinct,
         projection,
     } = &query.form
     else {
-        return Tail::Ask;
+        let spans = TailSpans {
+            ask: stage("ask"),
+            ..TailSpans::default()
+        };
+        return (Tail::Ask, spans);
     };
     let sort = (!query.order_by.is_empty()).then_some(Order::Sort);
     let (group, order) = if query.uses_aggregates() || !query.group_by.is_empty() {
@@ -420,7 +444,7 @@ fn plan_tail<'q>(ctx: &EncContext<'_>, query: &'q Query, streamed: Option<Vec<u3
                 .slot_of(v)
                 .expect("layout covers group variables")
         });
-        (Some(Group::Hash(slots.collect())), sort)
+        (Some(slots.collect()), sort)
     } else {
         let order = match (sort, query.limit) {
             (Some(_), _) if streams(ctx, query, streamed) => Some(Order::Stream),
@@ -434,13 +458,31 @@ fn plan_tail<'q>(ctx: &EncContext<'_>, query: &'q Query, streamed: Option<Vec<u3
         };
         (None, order)
     };
-    Tail::Select(Select {
+    let spans = TailSpans {
+        ask: None,
+        group: group
+            .as_ref()
+            .and_then(|_| stage("group").inspect(|span| span.set_attr("strategy", "hash"))),
+        order: order.as_ref().and_then(|order| {
+            stage("order").inspect(|span| match order {
+                Order::Stream => span.set_attr("strategy", "stream"),
+                Order::TopK(k) => {
+                    span.set_attr("strategy", "topk");
+                    span.set_attr("k", *k);
+                }
+                Order::Sort => span.set_attr("strategy", "sort"),
+            })
+        }),
+        project: stage("project"),
+    };
+    let select = Select {
         query,
         projection,
         distinct: *distinct,
         group,
         order,
-    })
+    };
+    (Tail::Select(select), spans)
 }
 
 // ---- interesting orders ----------------------------------------------------------
@@ -470,7 +512,7 @@ fn stream_order(ctx: &EncContext<'_>, root: &Node) -> Option<Vec<u32>> {
     let one_graph = ctx.dataset.default_graphs.len() == 1
         && stages
             .iter()
-            .all(|stage| matches!(stage.tp.graph, EncGraph::Default));
+            .all(|(tp, _)| matches!(tp.graph, EncGraph::Default));
     if !one_graph {
         return None;
     }
@@ -479,8 +521,8 @@ fn stream_order(ctx: &EncContext<'_>, root: &Node) -> Option<Vec<u32>> {
         bound[slot as usize] = true;
     }
     let mut emitted = Vec::new();
-    for stage in stages {
-        let nodes = stage.tp.nodes();
+    for (tp, _) in stages {
+        let nodes = tp.nodes();
         let fixed = nodes.map(|node| match node {
             EncNode::Const(_) => true,
             EncNode::Var(slot) => bound[slot as usize],
@@ -734,12 +776,13 @@ fn pattern_selectivity(tp: &EncTriplePattern, bound: &[bool]) -> i64 {
 // ---- equality-filter pushdown ----------------------------------------------------
 
 /// Collects the `?v = <iri>` conjuncts of `condition` that can soundly
-/// pre-bind `?v`'s slot before `inner` scans, marking the slots bound (so
-/// the estimator sees them as constants).
+/// pre-bind `?v`'s slot before `inner`, scoped to `graph`, scans, marking
+/// the slots bound (so the estimator sees them as constants).
 fn extract_prebinds(
     ctx: &EncContext<'_>,
     condition: &Expression,
-    inner: &EncPattern,
+    inner: &GraphPattern,
+    graph: EncGraph,
     bound: &mut [bool],
 ) -> Vec<(u32, Option<TermId>)> {
     let mut prebind = Vec::new();
@@ -754,7 +797,7 @@ fn extract_prebinds(
     // every pruned row, and a false top-level conjunct makes the whole
     // error-free condition false).
     let mut certain = vec![false; bound.len()];
-    certainly_binds(inner, &mut certain);
+    certainly_binds(ctx, inner, graph, &mut certain);
     for (name, term) in pairs {
         let Some(slot) = ctx.layout.slot_of(name) else {
             continue;
@@ -833,32 +876,42 @@ fn cannot_raise(expr: &Expression) -> bool {
     }
 }
 
-/// Marks the slots bound in *every* solution of `pattern`: all BGP/Join
-/// variables, only the left side of `OPTIONAL`, and the intersection of
-/// `UNION` branches.
-fn certainly_binds(pattern: &EncPattern, out: &mut [bool]) {
+/// Marks the slots bound in *every* solution of `pattern`, scoped to
+/// `graph`: all BGP/Join variables, only the left side of `OPTIONAL`, and
+/// the intersection of `UNION` branches. A `GRAPH ?g` marks `?g` through the
+/// triple patterns it scopes (their scans bind it on every row), so over no
+/// triple pattern it marks nothing.
+fn certainly_binds(
+    ctx: &EncContext<'_>,
+    pattern: &GraphPattern,
+    graph: EncGraph,
+    out: &mut [bool],
+) {
     match pattern {
-        EncPattern::Bgp(tps) => {
+        GraphPattern::Bgp(tps) => {
             for tp in tps {
-                mark_pattern_vars(tp, out);
+                mark_pattern_vars(&ctx.compile(tp, graph), out);
             }
         }
-        EncPattern::Join(parts) => {
+        GraphPattern::Join(parts) => {
             for p in parts {
-                certainly_binds(p, out);
+                certainly_binds(ctx, p, graph, out);
             }
         }
-        EncPattern::Optional { left, .. } => certainly_binds(left, out),
-        EncPattern::Union(a, b) => {
+        GraphPattern::Optional { left, .. } => certainly_binds(ctx, left, graph, out),
+        GraphPattern::Union(a, b) => {
             let mut in_a = vec![false; out.len()];
             let mut in_b = vec![false; out.len()];
-            certainly_binds(a, &mut in_a);
-            certainly_binds(b, &mut in_b);
+            certainly_binds(ctx, a, graph, &mut in_a);
+            certainly_binds(ctx, b, graph, &mut in_b);
             for (slot, (a_bound, b_bound)) in out.iter_mut().zip(in_a.into_iter().zip(in_b)) {
                 *slot |= a_bound && b_bound;
             }
         }
-        EncPattern::Filter { inner, .. } => certainly_binds(inner, out),
+        GraphPattern::Filter { inner, .. } => certainly_binds(ctx, inner, graph, out),
+        GraphPattern::Graph { name, inner } => {
+            certainly_binds(ctx, inner, EncGraph::Named(ctx.node(name)), out)
+        }
     }
 }
 

@@ -175,6 +175,12 @@ impl Span {
         self.inner.elapsed_ns.load(Ordering::Relaxed)
     }
 
+    /// Replaces the elapsed wall time: for a span whose time is settled
+    /// from others' once they are done.
+    pub fn set_elapsed_ns(&self, ns: u64) {
+        self.inner.elapsed_ns.store(ns, Ordering::Relaxed);
+    }
+
     /// Sets (or replaces) an attribute.
     pub fn set_attr(&self, key: &str, value: impl Into<AttrValue>) {
         let value = value.into();
