@@ -114,17 +114,12 @@ impl HttpConnection {
     /// Connects to `host:port` with `timeout` applied to connect, reads and
     /// writes, and the default response-size cap.
     pub fn connect(host_port: &str, timeout: Duration) -> io::Result<HttpConnection> {
-        HttpConnection::connect_with_cap(host_port, timeout, DEFAULT_MAX_RESPONSE_BYTES)
-    }
-
-    /// Connects with an explicit response-body cap and one timeout for
-    /// connect, reads and writes.
-    pub fn connect_with_cap(
-        host_port: &str,
-        timeout: Duration,
-        max_response_bytes: usize,
-    ) -> io::Result<HttpConnection> {
-        HttpConnection::connect_with_timeouts(host_port, timeout, timeout, max_response_bytes)
+        HttpConnection::connect_with_timeouts(
+            host_port,
+            timeout,
+            timeout,
+            DEFAULT_MAX_RESPONSE_BYTES,
+        )
     }
 
     /// Connects with distinct connect and read/write timeouts. A remote
@@ -428,8 +423,7 @@ fn retry_counters() -> &'static RetryCounters {
 pub struct HttpSparqlClient {
     url: String,
     transport: QueryTransport,
-    connect_timeout: Duration,
-    read_timeout: Duration,
+    timeout: Duration,
     max_response_bytes: usize,
     retry: RetryPolicy,
 }
@@ -442,8 +436,7 @@ impl HttpSparqlClient {
         HttpSparqlClient {
             url: url.into(),
             transport: QueryTransport::default(),
-            connect_timeout: Duration::from_secs(10),
-            read_timeout: Duration::from_secs(10),
+            timeout: Duration::from_secs(10),
             max_response_bytes: DEFAULT_MAX_RESPONSE_BYTES,
             retry: RetryPolicy::none(),
         }
@@ -461,22 +454,9 @@ impl HttpSparqlClient {
         self
     }
 
-    /// Overrides both the connect and read/write timeouts (builder style).
+    /// Overrides the connect and read/write timeout (builder style).
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.connect_timeout = timeout;
-        self.read_timeout = timeout;
-        self
-    }
-
-    /// Overrides only the connect timeout (builder style).
-    pub fn with_connect_timeout(mut self, timeout: Duration) -> Self {
-        self.connect_timeout = timeout;
-        self
-    }
-
-    /// Overrides only the read/write timeout (builder style).
-    pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
-        self.read_timeout = timeout;
+        self.timeout = timeout;
         self
     }
 
@@ -535,8 +515,8 @@ impl HttpSparqlClient {
         let (host_port, path) = parse_http_url(&self.url).map_err(HttpClientError::InvalidUrl)?;
         let mut conn = HttpConnection::connect_with_timeouts(
             &host_port,
-            self.connect_timeout,
-            self.read_timeout,
+            self.timeout,
+            self.timeout,
             self.max_response_bytes,
         )
         .map_err(|e| HttpClientError::Io(e.to_string()))?;

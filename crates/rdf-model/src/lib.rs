@@ -26,6 +26,7 @@ pub mod graph;
 pub mod literal;
 pub mod quad;
 pub mod term;
+pub mod text;
 pub mod triple;
 pub mod value;
 pub mod vocab;

@@ -248,9 +248,10 @@ pub struct BlankNode(Arc<str>);
 
 impl BlankNode {
     /// Creates a blank node with the given label. Labels are restricted to
-    /// ASCII alphanumerics, `_`, `-` and `.` so they can always be emitted in
-    /// N-Triples without escaping; any other character becomes `_`, and an
-    /// empty label becomes `b0`.
+    /// ASCII alphanumerics, `_`, `-` and `.`, and do not end in `.`, so
+    /// every reader of `_:label` reads them back as written; any other
+    /// character, and a final `.`, becomes `_`, and an empty label becomes
+    /// `b0`.
     pub fn new(label: impl Into<String>) -> Self {
         BlankNode::from_label(&label.into())
     }
@@ -264,10 +265,10 @@ impl BlankNode {
         let allowed = |b: u8| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.');
         if label.is_empty() {
             BlankNode(Arc::from("b0"))
-        } else if label.bytes().all(allowed) {
+        } else if label.bytes().all(allowed) && !label.ends_with('.') {
             BlankNode(Arc::from(label))
         } else {
-            let sanitized: String = label
+            let mut sanitized: String = label
                 .chars()
                 .map(|c| {
                     if c.is_ascii() && allowed(c as u8) {
@@ -277,6 +278,10 @@ impl BlankNode {
                     }
                 })
                 .collect();
+            if sanitized.ends_with('.') {
+                sanitized.pop();
+                sanitized.push('_');
+            }
             BlankNode(Arc::from(sanitized))
         }
     }

@@ -14,8 +14,12 @@
 //!   documents produced by the synthetic dataset generators and the ones a
 //!   user would realistically paste into H-BOLD's manual-insertion form.
 //!
-//! Both parsers report errors with line/column positions through
-//! [`ParseError`].
+//! Both read their terms — IRIs, blank nodes, literals with the full escape
+//! set, language tags, prefixed names — through the workspace's one term
+//! reader, [`hbold_rdf_model::text::Cursor`], which the SPARQL lexer and the
+//! SPARQL TSV decoder call too, and keep only their own grammar around it.
+//! Both report errors with line/column positions (columns counted in
+//! characters) through [`ParseError`].
 //!
 //! ```
 //! use hbold_rdf_parser::{parse_turtle, ntriples};

@@ -9,11 +9,10 @@
 //! a loader can consume its triples as they are parsed without holding the
 //! file or a [`Graph`] of it; [`parse`] is that reader collected.
 
-use std::borrow::Cow;
 use std::io::BufRead;
 
-use hbold_rdf_model::vocab::datatype_iri;
-use hbold_rdf_model::{BlankNode, Graph, Iri, Literal, Term, Triple};
+use hbold_rdf_model::text::{Cursor, SyntaxError};
+use hbold_rdf_model::{Graph, Triple};
 
 use crate::error::ParseError;
 
@@ -89,18 +88,19 @@ impl<R: BufRead> Iterator for Reader<R> {
 
 /// Parses a single N-Triples statement (without trailing newline).
 pub fn parse_line(line: &str, line_no: usize) -> Result<Triple, ParseError> {
-    let mut cursor = Cursor::new(line, line_no);
+    let mut cursor = Cursor::new(line);
+    let at = |e: SyntaxError| ParseError::new(line_no, e.line_column(line).1, e.message);
     cursor.skip_ws();
-    let subject = cursor.parse_term()?;
+    let subject = cursor.read_term().map_err(at)?;
     cursor.skip_ws();
-    let predicate = cursor.parse_term()?;
+    let predicate = cursor.read_term().map_err(at)?;
     cursor.skip_ws();
-    let object = cursor.parse_term()?;
+    let object = cursor.read_term().map_err(at)?;
     cursor.skip_ws();
-    cursor.expect(b'.')?;
+    cursor.expect(b'.').map_err(at)?;
     cursor.skip_ws();
     if !cursor.at_end() {
-        return Err(cursor.error("trailing content after '.'"));
+        return Err(at(cursor.error("trailing content after '.'")));
     }
     Triple::try_new(subject, predicate, object)
         .map_err(|e| ParseError::new(line_no, 1, e.to_string()))
@@ -111,227 +111,11 @@ pub fn write(graph: &Graph) -> String {
     graph.to_ntriples()
 }
 
-/// A cursor over one statement, at a byte offset of it: IRIs, blank-node
-/// labels and literals without escapes are slices of the line, copied once,
-/// straight into their terms.
-///
-/// It reads bytes. Every delimiter of the grammar is ASCII, and each scan
-/// either takes every non-ASCII byte (an IRI or literal body) or stops at the
-/// first one (a blank label, a language tag), so it always stops on a
-/// character boundary. Only whitespace, which Unicode has more of, is decoded
-/// as a `char` at a non-ASCII byte; error columns are counted in `char`s.
-struct Cursor<'a> {
-    line: &'a str,
-    pos: usize,
-    line_no: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(line: &'a str, line_no: usize) -> Self {
-        Cursor {
-            line,
-            pos: 0,
-            line_no,
-        }
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos >= self.line.len()
-    }
-
-    fn rest(&self) -> &'a str {
-        &self.line[self.pos..]
-    }
-
-    fn peek_byte(&self) -> Option<u8> {
-        self.line.as_bytes().get(self.pos).copied()
-    }
-
-    fn peek(&self) -> Option<char> {
-        self.rest().chars().next()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
-        self.pos += c.len_utf8();
-        Some(c)
-    }
-
-    /// Skips `char::is_whitespace`: ASCII by byte, the rest by `char`.
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.peek_byte() {
-            match b {
-                b' ' | b'\t' | b'\n' | b'\x0b' | b'\x0c' | b'\r' => self.pos += 1,
-                0x80.. if self.peek().is_some_and(char::is_whitespace) => {
-                    self.bump();
-                }
-                _ => return,
-            }
-        }
-    }
-
-    /// An error at the cursor, its column counted in characters.
-    fn error(&self, message: impl Into<String>) -> ParseError {
-        let column = self.line[..self.pos].chars().count() + 1;
-        ParseError::new(self.line_no, column, message)
-    }
-
-    /// Consumes the ASCII character `expected`; an error after whatever
-    /// character stands there instead.
-    fn expect(&mut self, expected: u8) -> Result<(), ParseError> {
-        if self.peek_byte() == Some(expected) {
-            self.pos += 1;
-            return Ok(());
-        }
-        let expected = expected as char;
-        match self.bump() {
-            Some(c) => Err(self.error(format!("expected '{expected}', found '{c}'"))),
-            None => Err(self.error(format!("expected '{expected}', found end of line"))),
-        }
-    }
-
-    /// Consumes the longest run of bytes accepted by `take` and returns it.
-    /// `take` must answer alike for every byte at or above 0x80, so the run
-    /// ends on a character boundary.
-    fn take_while(&mut self, take: impl Fn(u8) -> bool) -> &'a str {
-        let rest = self.rest();
-        let len = rest.bytes().position(|b| !take(b)).unwrap_or(rest.len());
-        self.pos += len;
-        &rest[..len]
-    }
-
-    fn parse_term(&mut self) -> Result<Term, ParseError> {
-        match self.peek_byte() {
-            Some(b'<') => self.parse_iri().map(Term::from),
-            Some(b'_') => self.parse_blank().map(Term::from),
-            Some(b'"') => self.parse_literal().map(Term::from),
-            Some(_) => {
-                let c = self.peek().expect("the cursor is on a character boundary");
-                Err(self.error(format!("unexpected character '{c}' at start of term")))
-            }
-            None => Err(self.error("unexpected end of line, expected a term")),
-        }
-    }
-
-    /// The text between `<` and `>`, the cursor past the `>`.
-    fn parse_iri_text(&mut self) -> Result<&'a str, ParseError> {
-        self.expect(b'<')?;
-        let text = self.take_while(|b| b != b'>');
-        if self.at_end() {
-            return Err(self.error("unterminated IRI (missing '>')"));
-        }
-        self.pos += 1;
-        Ok(text)
-    }
-
-    fn parse_iri(&mut self) -> Result<Iri, ParseError> {
-        self.expect(b'<')?;
-        let Some((iri, len)) = Iri::parse_until_gt(self.rest()) else {
-            self.pos = self.line.len();
-            return Err(self.error("unterminated IRI (missing '>')"));
-        };
-        self.pos += len + 1;
-        iri.map_err(|e| self.error(e.to_string()))
-    }
-
-    fn parse_blank(&mut self) -> Result<BlankNode, ParseError> {
-        self.expect(b'_')?;
-        self.expect(b':')?;
-        let start = self.pos;
-        let label =
-            self.take_while(|b| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.'));
-        if label.is_empty() {
-            return Err(self.error("empty blank node label"));
-        }
-        // A trailing '.' belongs to the statement terminator, not the label.
-        let label = label.trim_end_matches('.');
-        self.pos = start + label.len();
-        Ok(BlankNode::from_label(label))
-    }
-
-    fn parse_literal(&mut self) -> Result<Literal, ParseError> {
-        self.expect(b'"')?;
-        // The common case has no escape: the lexical form is a slice.
-        let plain = self.take_while(|b| b != b'"' && b != b'\\');
-        let value: Cow<'a, str> = match self.peek_byte() {
-            Some(b'"') => {
-                self.pos += 1;
-                Cow::Borrowed(plain)
-            }
-            Some(_) => {
-                let mut value = plain.to_string();
-                self.unescape_rest(&mut value)?;
-                Cow::Owned(value)
-            }
-            None => return Err(self.error("unterminated string literal")),
-        };
-        match self.peek_byte() {
-            Some(b'@') => {
-                self.pos += 1;
-                let lang = self.take_while(|b| b.is_ascii_alphanumeric() || b == b'-');
-                if lang.is_empty() {
-                    return Err(self.error("empty language tag"));
-                }
-                Ok(Literal::new_tagged(&value, lang))
-            }
-            Some(b'^') => {
-                self.pos += 1;
-                self.expect(b'^')?;
-                let text = self.parse_iri_text()?;
-                let datatype = datatype_iri(text).map_err(|e| self.error(e.to_string()))?;
-                Ok(Literal::new_typed(&value, datatype))
-            }
-            _ => Ok(Literal::new_simple(&value)),
-        }
-    }
-
-    /// Reads the rest of a literal's lexical form into `value`, unescaping,
-    /// through the closing quote: the text between escapes a slice at a time.
-    fn unescape_rest(&mut self, value: &mut String) -> Result<(), ParseError> {
-        loop {
-            value.push_str(self.take_while(|b| b != b'"' && b != b'\\'));
-            match self.peek_byte() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                // The backslash: the escaped character follows.
-                Some(_) => self.pos += 1,
-                None => return Err(self.error("unterminated string literal")),
-            }
-            match self.bump() {
-                Some('n') => value.push('\n'),
-                Some('r') => value.push('\r'),
-                Some('t') => value.push('\t'),
-                Some('"') => value.push('"'),
-                Some('\\') => value.push('\\'),
-                Some('u') => value.push(self.parse_unicode_escape(4)?),
-                Some('U') => value.push(self.parse_unicode_escape(8)?),
-                Some(c) => return Err(self.error(format!("unknown escape sequence '\\{c}'"))),
-                None => return Err(self.error("unterminated escape sequence")),
-            }
-        }
-    }
-
-    fn parse_unicode_escape(&mut self, digits: usize) -> Result<char, ParseError> {
-        let mut code = 0u32;
-        for _ in 0..digits {
-            let c = self
-                .bump()
-                .ok_or_else(|| self.error("unterminated unicode escape"))?;
-            let d = c
-                .to_digit(16)
-                .ok_or_else(|| self.error("invalid hex digit in unicode escape"))?;
-            code = code * 16 + d;
-        }
-        char::from_u32(code).ok_or_else(|| self.error("unicode escape is not a valid code point"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hbold_rdf_model::vocab::{foaf, rdf, xsd};
+    use hbold_rdf_model::{BlankNode, Iri, Literal, Term};
 
     fn iri(s: &str) -> Iri {
         Iri::new(s).unwrap()

@@ -3,60 +3,68 @@
 //! Supported syntax:
 //!
 //! * `@prefix` / SPARQL-style `PREFIX` declarations and `@base` / `BASE`,
-//! * IRIs in `<...>` form and prefixed names (`foaf:Person`),
+//! * IRIs in `<...>` form and prefixed names (`foaf:Person`, and `ex:a.b`
+//!   with interior `.`s),
 //! * the `a` keyword for `rdf:type`,
 //! * predicate lists (`;`) and object lists (`,`),
-//! * blank node labels (`_:x`) and anonymous blank nodes (`[ ... ]`),
-//! * string literals with escapes, language tags and `^^` datatypes,
+//! * blank node labels (`_:x`, N-Triples' ASCII alphabet) and anonymous
+//!   blank nodes (`[ ... ]`),
+//! * `"..."` string literals with every escape of the grammar (`\t \b \n \r
+//!   \f \" \' \\ \uXXXX \UXXXXXXXX`), language tags and `^^` datatypes,
 //! * numeric (`42`, `-3.14`, `1.2e6`) and boolean (`true`/`false`) shorthand
 //!   literals,
 //! * `#` comments.
 //!
-//! Not supported (documented subset): collections `( ... )`, triple-quoted
-//! long strings, and relative IRI resolution beyond simple concatenation with
-//! the base. None of these appear in the documents H-BOLD manipulates.
+//! Terms are read by the workspace's one term reader,
+//! [`hbold_rdf_model::text::Cursor`]; this module is the grammar around it.
+//!
+//! Not supported (documented subset): collections `( ... )`, single-quoted
+//! and triple-quoted long strings, and relative IRI resolution beyond simple
+//! concatenation with the base. None of these appear in the documents H-BOLD
+//! manipulates.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
-use hbold_rdf_model::vocab::{rdf, xsd};
+use hbold_rdf_model::text::{Cursor, Numeral, SyntaxError};
+use hbold_rdf_model::vocab::{datatype_iri, rdf, xsd};
 use hbold_rdf_model::{BlankNode, Graph, Iri, Literal, Term, Triple};
 
 use crate::error::ParseError;
 
 /// Parses a Turtle document into a [`Graph`].
 pub fn parse(input: &str) -> Result<Graph, ParseError> {
-    Parser::new(input).parse_document()
+    Parser::new(input).parse_document().map_err(|e| {
+        let (line, column) = e.line_column(input);
+        ParseError::new(line, column, e.message)
+    })
 }
 
-struct Parser {
-    chars: Vec<char>,
-    pos: usize,
-    line: usize,
-    column: usize,
+struct Parser<'a> {
+    cursor: Cursor<'a>,
     prefixes: HashMap<String, String>,
     base: Option<String>,
-    graph: Graph,
+    /// The triples read so far, made a [`Graph`] at the end as N-Triples'
+    /// are: one bulk build instead of a tree insert each.
+    triples: Vec<Triple>,
     blank_counter: u64,
 }
 
-impl Parser {
-    fn new(input: &str) -> Self {
+impl<'a> Parser<'a> {
+    fn new(input: &'a str) -> Self {
         Parser {
-            chars: input.chars().collect(),
-            pos: 0,
-            line: 1,
-            column: 1,
+            cursor: Cursor::new(input),
             prefixes: HashMap::new(),
             base: None,
-            graph: Graph::new(),
+            triples: Vec::new(),
             blank_counter: 0,
         }
     }
 
-    fn parse_document(mut self) -> Result<Graph, ParseError> {
+    fn parse_document(mut self) -> Result<Graph, SyntaxError> {
         loop {
-            self.skip_ws_and_comments();
-            if self.at_end() {
+            self.cursor.skip_ws_and_comments();
+            if self.cursor.at_end() {
                 break;
             }
             if self.try_directive()? {
@@ -64,272 +72,151 @@ impl Parser {
             }
             self.parse_statement()?;
         }
-        Ok(self.graph)
+        Ok(self.triples.into_iter().collect())
     }
 
-    // ---- character machinery -------------------------------------------------
-
-    fn at_end(&self) -> bool {
-        self.pos >= self.chars.len()
+    fn error(&self, message: impl Into<String>) -> SyntaxError {
+        self.cursor.error(message)
     }
 
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
-    }
-
-    fn peek_at(&self, offset: usize) -> Option<char> {
-        self.chars.get(self.pos + offset).copied()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek();
-        if let Some(c) = c {
-            self.pos += 1;
-            if c == '\n' {
-                self.line += 1;
-                self.column = 1;
-            } else {
-                self.column += 1;
-            }
-        }
-        c
-    }
-
-    fn error(&self, message: impl Into<String>) -> ParseError {
-        ParseError::new(self.line, self.column, message)
-    }
-
-    fn skip_ws_and_comments(&mut self) {
-        loop {
-            match self.peek() {
-                Some(c) if c.is_whitespace() => {
-                    self.bump();
-                }
-                Some('#') => {
-                    while let Some(c) = self.peek() {
-                        if c == '\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
-                }
-                _ => break,
-            }
-        }
-    }
-
-    fn expect(&mut self, expected: char) -> Result<(), ParseError> {
-        match self.bump() {
-            Some(c) if c == expected => Ok(()),
-            Some(c) => Err(self.error(format!("expected '{expected}', found '{c}'"))),
-            None => Err(self.error(format!("expected '{expected}', found end of input"))),
-        }
-    }
-
-    /// Consumes a case-insensitive keyword if it is next (followed by a
-    /// non-name character). Returns whether it was consumed.
+    /// Consumes a case-insensitive keyword if it is the whole next name
+    /// (so `a` doesn't match `abc` or the prefix of `a:x`). Returns whether
+    /// it was consumed.
     fn try_keyword(&mut self, keyword: &str) -> bool {
-        let len = keyword.chars().count();
-        for (i, k) in keyword.chars().enumerate() {
-            match self.peek_at(i) {
-                Some(c) if c.eq_ignore_ascii_case(&k) => {}
-                _ => return false,
-            }
+        let mut ahead = self.cursor.clone();
+        let found =
+            ahead.read_name().eq_ignore_ascii_case(keyword) && ahead.peek_byte() != Some(b':');
+        if found {
+            self.cursor = ahead;
         }
-        // Must not be followed by a name character (so `a` doesn't match `abc:x`).
-        if matches!(self.peek_at(len), Some(c) if c.is_alphanumeric() || c == '_' || c == ':') {
-            return false;
-        }
-        for _ in 0..len {
-            self.bump();
-        }
-        true
+        found
     }
 
     // ---- directives -----------------------------------------------------------
 
-    fn try_directive(&mut self) -> Result<bool, ParseError> {
-        if self.peek() == Some('@') {
-            self.bump();
-            if self.try_keyword("prefix") {
-                self.parse_prefix_directive(true)?;
-                return Ok(true);
-            }
-            if self.try_keyword("base") {
-                self.parse_base_directive(true)?;
-                return Ok(true);
-            }
+    fn try_directive(&mut self) -> Result<bool, SyntaxError> {
+        let dotted = self.cursor.eat(b'@');
+        if self.try_keyword("prefix") {
+            self.parse_prefix_directive(dotted)?;
+        } else if self.try_keyword("base") {
+            self.parse_base_directive(dotted)?;
+        } else if dotted {
             return Err(self.error("unknown @-directive (expected @prefix or @base)"));
+        } else {
+            return Ok(false);
         }
-        // SPARQL-style directives: PREFIX / BASE without '@' and without '.'.
-        if self.looks_like_sparql_directive("PREFIX") {
-            self.try_keyword("PREFIX");
-            self.parse_prefix_directive(false)?;
-            return Ok(true);
-        }
-        if self.looks_like_sparql_directive("BASE") {
-            self.try_keyword("BASE");
-            self.parse_base_directive(false)?;
-            return Ok(true);
-        }
-        Ok(false)
+        Ok(true)
     }
 
-    fn looks_like_sparql_directive(&self, keyword: &str) -> bool {
-        for (i, k) in keyword.chars().enumerate() {
-            match self.peek_at(i) {
-                Some(c) if c.eq_ignore_ascii_case(&k) => {}
-                _ => return false,
-            }
-        }
-        matches!(self.peek_at(keyword.len()), Some(c) if c.is_whitespace())
+    /// `@prefix name: <iri> .`, or SPARQL-style without `@` and `.`.
+    fn parse_prefix_directive(&mut self, dotted: bool) -> Result<(), SyntaxError> {
+        self.cursor.skip_ws_and_comments();
+        let prefix = self.cursor.read_name();
+        self.cursor.expect(b':')?;
+        self.cursor.skip_ws_and_comments();
+        let iri = self.iri_text()?.into_owned();
+        self.prefixes.insert(prefix.to_string(), iri);
+        self.end_directive(dotted)
     }
 
-    fn parse_prefix_directive(&mut self, dotted: bool) -> Result<(), ParseError> {
-        self.skip_ws_and_comments();
-        let prefix = self.parse_prefix_label()?;
-        self.skip_ws_and_comments();
-        let iri = self.parse_iri_ref()?;
-        self.prefixes.insert(prefix, iri);
+    fn parse_base_directive(&mut self, dotted: bool) -> Result<(), SyntaxError> {
+        self.cursor.skip_ws_and_comments();
+        self.base = Some(self.iri_text()?.into_owned());
+        self.end_directive(dotted)
+    }
+
+    fn end_directive(&mut self, dotted: bool) -> Result<(), SyntaxError> {
         if dotted {
-            self.skip_ws_and_comments();
-            self.expect('.')?;
+            self.cursor.skip_ws_and_comments();
+            self.cursor.expect(b'.')?;
         }
         Ok(())
     }
 
-    fn parse_base_directive(&mut self, dotted: bool) -> Result<(), ParseError> {
-        self.skip_ws_and_comments();
-        let iri = self.parse_iri_ref()?;
-        self.base = Some(iri);
-        if dotted {
-            self.skip_ws_and_comments();
-            self.expect('.')?;
+    /// The text of `<...>`, resolved against the base if it is relative.
+    fn iri_text(&mut self) -> Result<Cow<'a, str>, SyntaxError> {
+        let text = self.cursor.read_iri_text()?;
+        match &self.base {
+            Some(base) if !text.contains(':') => Ok(Cow::Owned(format!("{base}{text}"))),
+            _ => Ok(Cow::Borrowed(text)),
         }
-        Ok(())
     }
 
-    /// Parses `name:` (the prefix label of a @prefix directive).
-    fn parse_prefix_label(&mut self) -> Result<String, ParseError> {
-        let mut name = String::new();
-        while matches!(self.peek(), Some(c) if c.is_alphanumeric() || c == '_' || c == '-' || c == '.')
-        {
-            name.push(self.bump().unwrap());
+    /// `<...>` as an IRI: read and checked in one scan when there is no
+    /// base to resolve against.
+    fn parse_iri(&mut self) -> Result<Iri, SyntaxError> {
+        if self.base.is_none() {
+            return self.cursor.read_iri();
         }
-        self.expect(':')?;
-        Ok(name)
-    }
-
-    /// Parses `<...>`, returning the raw IRI text (resolved against the base
-    /// if it is relative).
-    fn parse_iri_ref(&mut self) -> Result<String, ParseError> {
-        self.expect('<')?;
-        let mut text = String::new();
-        loop {
-            match self.bump() {
-                Some('>') => break,
-                Some(c) => text.push(c),
-                None => return Err(self.error("unterminated IRI (missing '>')")),
-            }
-        }
-        if !text.contains(':') {
-            if let Some(base) = &self.base {
-                return Ok(format!("{base}{text}"));
-            }
-        }
-        Ok(text)
+        let text = self.iri_text()?;
+        Iri::parse(&text).map_err(|e| self.error(e.to_string()))
     }
 
     // ---- statements -----------------------------------------------------------
 
-    fn parse_statement(&mut self) -> Result<(), ParseError> {
+    fn parse_statement(&mut self) -> Result<(), SyntaxError> {
         let subject = self.parse_subject()?;
-        self.skip_ws_and_comments();
+        self.cursor.skip_ws_and_comments();
         self.parse_predicate_object_list(&subject)?;
-        self.skip_ws_and_comments();
-        self.expect('.')
+        self.cursor.skip_ws_and_comments();
+        self.cursor.expect(b'.')
     }
 
-    fn parse_subject(&mut self) -> Result<Term, ParseError> {
-        match self.peek() {
-            Some('<') => {
-                let iri = self.parse_iri_ref()?;
-                Ok(Term::Iri(
-                    Iri::new(iri).map_err(|e| self.error(e.to_string()))?,
-                ))
-            }
-            Some('_') => Ok(Term::Blank(self.parse_blank_label()?)),
-            Some('[') => {
-                let node = self.parse_anonymous_blank()?;
-                Ok(Term::Blank(node))
-            }
-            Some(_) => {
-                let iri = self.parse_prefixed_name()?;
-                Ok(Term::Iri(iri))
-            }
+    fn parse_subject(&mut self) -> Result<Term, SyntaxError> {
+        match self.cursor.peek_byte() {
+            Some(b'<') => Ok(Term::Iri(self.parse_iri()?)),
+            Some(b'_') => Ok(Term::Blank(self.cursor.read_blank()?)),
+            Some(b'[') => Ok(Term::Blank(self.parse_anonymous_blank()?)),
+            Some(_) => Ok(Term::Iri(self.parse_prefixed_name()?)),
             None => Err(self.error("unexpected end of input, expected a subject")),
         }
     }
 
-    fn parse_predicate_object_list(&mut self, subject: &Term) -> Result<(), ParseError> {
+    fn parse_predicate_object_list(&mut self, subject: &Term) -> Result<(), SyntaxError> {
         loop {
-            self.skip_ws_and_comments();
+            self.cursor.skip_ws_and_comments();
             let predicate = self.parse_predicate()?;
             loop {
-                self.skip_ws_and_comments();
+                self.cursor.skip_ws_and_comments();
                 let object = self.parse_object()?;
                 let triple = Triple::try_new(subject.clone(), predicate.clone(), object)
                     .map_err(|e| self.error(e.to_string()))?;
-                self.graph.insert(triple);
-                self.skip_ws_and_comments();
-                if self.peek() == Some(',') {
-                    self.bump();
-                } else {
+                self.triples.push(triple);
+                self.cursor.skip_ws_and_comments();
+                if !self.cursor.eat(b',') {
                     break;
                 }
             }
-            if self.peek() == Some(';') {
-                self.bump();
-                self.skip_ws_and_comments();
-                // A dangling ';' before '.' or ']' is allowed.
-                if matches!(self.peek(), Some('.') | Some(']')) {
-                    break;
-                }
-            } else {
+            if !self.cursor.eat(b';') {
+                break;
+            }
+            self.cursor.skip_ws_and_comments();
+            // A dangling ';' before '.' or ']' is allowed.
+            if matches!(self.cursor.peek_byte(), Some(b'.' | b']')) {
                 break;
             }
         }
         Ok(())
     }
 
-    fn parse_predicate(&mut self) -> Result<Iri, ParseError> {
+    fn parse_predicate(&mut self) -> Result<Iri, SyntaxError> {
         if self.try_keyword("a") {
             return Ok(rdf::type_());
         }
-        match self.peek() {
-            Some('<') => {
-                let iri = self.parse_iri_ref()?;
-                Iri::new(iri).map_err(|e| self.error(e.to_string()))
-            }
+        match self.cursor.peek_byte() {
+            Some(b'<') => self.parse_iri(),
             Some(_) => self.parse_prefixed_name(),
             None => Err(self.error("unexpected end of input, expected a predicate")),
         }
     }
 
-    fn parse_object(&mut self) -> Result<Term, ParseError> {
-        match self.peek() {
-            Some('<') => {
-                let iri = self.parse_iri_ref()?;
-                Ok(Term::Iri(
-                    Iri::new(iri).map_err(|e| self.error(e.to_string()))?,
-                ))
-            }
-            Some('_') => Ok(Term::Blank(self.parse_blank_label()?)),
-            Some('[') => Ok(Term::Blank(self.parse_anonymous_blank()?)),
-            Some('"') => Ok(Term::Literal(self.parse_string_literal()?)),
-            Some(c) if c.is_ascii_digit() || c == '-' || c == '+' => {
-                Ok(Term::Literal(self.parse_numeric_literal()?))
-            }
+    fn parse_object(&mut self) -> Result<Term, SyntaxError> {
+        match self.cursor.peek_byte() {
+            Some(b'<') => Ok(Term::Iri(self.parse_iri()?)),
+            Some(b'_') => Ok(Term::Blank(self.cursor.read_blank()?)),
+            Some(b'[') => Ok(Term::Blank(self.parse_anonymous_blank()?)),
+            Some(b'"') => Ok(Term::Literal(self.parse_rdf_literal()?)),
+            Some(b'0'..=b'9' | b'-' | b'+') => Ok(Term::Literal(self.parse_numeric_literal()?)),
             Some(_) => {
                 // Boolean shorthand or a prefixed name.
                 if self.try_keyword("true") {
@@ -344,162 +231,68 @@ impl Parser {
         }
     }
 
-    fn parse_blank_label(&mut self) -> Result<BlankNode, ParseError> {
-        self.expect('_')?;
-        self.expect(':')?;
-        let mut label = String::new();
-        while matches!(self.peek(), Some(c) if c.is_alphanumeric() || c == '_' || c == '-') {
-            label.push(self.bump().unwrap());
-        }
-        if label.is_empty() {
-            return Err(self.error("empty blank node label"));
-        }
-        Ok(BlankNode::new(label))
-    }
-
     /// Parses `[ ... ]`, emitting the contained triples with a fresh blank
     /// node subject, and returns that node.
-    fn parse_anonymous_blank(&mut self) -> Result<BlankNode, ParseError> {
-        self.expect('[')?;
+    fn parse_anonymous_blank(&mut self) -> Result<BlankNode, SyntaxError> {
+        self.cursor.expect(b'[')?;
         self.blank_counter += 1;
         let node = BlankNode::new(format!("anon{}", self.blank_counter));
-        self.skip_ws_and_comments();
-        if self.peek() == Some(']') {
-            self.bump();
+        self.cursor.skip_ws_and_comments();
+        if self.cursor.eat(b']') {
             return Ok(node);
         }
         let subject = Term::Blank(node.clone());
         self.parse_predicate_object_list(&subject)?;
-        self.skip_ws_and_comments();
-        self.expect(']')?;
+        self.cursor.skip_ws_and_comments();
+        self.cursor.expect(b']')?;
         Ok(node)
     }
 
-    fn parse_prefixed_name(&mut self) -> Result<Iri, ParseError> {
-        let mut prefix = String::new();
-        while matches!(self.peek(), Some(c) if c.is_alphanumeric() || c == '_' || c == '-' || c == '.')
-        {
-            prefix.push(self.bump().unwrap());
-        }
-        if self.peek() != Some(':') {
+    fn parse_prefixed_name(&mut self) -> Result<Iri, SyntaxError> {
+        let prefix = self.cursor.read_name();
+        if !self.cursor.eat(b':') {
             return Err(self.error(format!("expected ':' after prefix '{prefix}'")));
         }
-        self.bump();
-        let mut local = String::new();
-        while matches!(self.peek(), Some(c) if c.is_alphanumeric() || c == '_' || c == '-' || c == '%')
-        {
-            local.push(self.bump().unwrap());
-        }
-        let Some(ns) = self.prefixes.get(&prefix) else {
+        let local = self.cursor.read_local();
+        let Some(ns) = self.prefixes.get(prefix) else {
             return Err(self.error(format!("undeclared prefix '{prefix}:'")));
         };
         Iri::new(format!("{ns}{local}")).map_err(|e| self.error(e.to_string()))
     }
 
-    fn parse_string_literal(&mut self) -> Result<Literal, ParseError> {
-        self.expect('"')?;
-        let mut value = String::new();
-        loop {
-            match self.bump() {
-                Some('"') => break,
-                Some('\\') => match self.bump() {
-                    Some('n') => value.push('\n'),
-                    Some('r') => value.push('\r'),
-                    Some('t') => value.push('\t'),
-                    Some('"') => value.push('"'),
-                    Some('\\') => value.push('\\'),
-                    Some('u') => value.push(self.parse_unicode_escape(4)?),
-                    Some('U') => value.push(self.parse_unicode_escape(8)?),
-                    Some(c) => return Err(self.error(format!("unknown escape sequence '\\{c}'"))),
-                    None => return Err(self.error("unterminated escape sequence")),
-                },
-                Some(c) => value.push(c),
-                None => return Err(self.error("unterminated string literal")),
-            }
-        }
-        match self.peek() {
-            Some('@') => {
-                self.bump();
-                let mut lang = String::new();
-                while matches!(self.peek(), Some(c) if c.is_ascii_alphanumeric() || c == '-') {
-                    lang.push(self.bump().unwrap());
-                }
-                if lang.is_empty() {
-                    return Err(self.error("empty language tag"));
-                }
-                Ok(Literal::lang_string(value, lang))
-            }
-            Some('^') => {
-                self.bump();
-                self.expect('^')?;
-                let datatype = match self.peek() {
-                    Some('<') => {
-                        let iri = self.parse_iri_ref()?;
-                        Iri::new(iri).map_err(|e| self.error(e.to_string()))?
+    /// `RDFLiteral`: a quoted string and its `@lang` or `^^datatype`,
+    /// the datatype an IRI or a prefixed name.
+    fn parse_rdf_literal(&mut self) -> Result<Literal, SyntaxError> {
+        let lexical = self.cursor.read_quoted(b'"')?;
+        match self.cursor.peek_byte() {
+            Some(b'@') => Ok(Literal::new_tagged(&lexical, self.cursor.read_langtag()?)),
+            Some(b'^') => {
+                self.cursor.bump();
+                self.cursor.expect(b'^')?;
+                let datatype = match self.cursor.peek_byte() {
+                    Some(b'<') => {
+                        let text = self.iri_text()?;
+                        datatype_iri(&text).map_err(|e| self.error(e.to_string()))?
                     }
                     _ => self.parse_prefixed_name()?,
                 };
-                Ok(Literal::typed(value, datatype))
+                Ok(Literal::new_typed(&lexical, datatype))
             }
-            _ => Ok(Literal::string(value)),
+            _ => Ok(Literal::new_simple(&lexical)),
         }
     }
 
-    fn parse_unicode_escape(&mut self, digits: usize) -> Result<char, ParseError> {
-        let mut code = 0u32;
-        for _ in 0..digits {
-            let c = self
-                .bump()
-                .ok_or_else(|| self.error("unterminated unicode escape"))?;
-            let d = c
-                .to_digit(16)
-                .ok_or_else(|| self.error("invalid hex digit in unicode escape"))?;
-            code = code * 16 + d;
-        }
-        char::from_u32(code).ok_or_else(|| self.error("unicode escape is not a valid code point"))
-    }
-
-    fn parse_numeric_literal(&mut self) -> Result<Literal, ParseError> {
-        let mut text = String::new();
-        if matches!(self.peek(), Some('-') | Some('+')) {
-            text.push(self.bump().unwrap());
-        }
-        let mut is_double = false;
-        let mut is_decimal = false;
-        while let Some(c) = self.peek() {
-            match c {
-                '0'..='9' => text.push(self.bump().unwrap()),
-                '.' => {
-                    // A '.' followed by a digit is a decimal point; otherwise it
-                    // terminates the statement.
-                    if matches!(self.peek_at(1), Some(d) if d.is_ascii_digit()) {
-                        is_decimal = true;
-                        text.push(self.bump().unwrap());
-                    } else {
-                        break;
-                    }
-                }
-                'e' | 'E' => {
-                    is_double = true;
-                    text.push(self.bump().unwrap());
-                    if matches!(self.peek(), Some('-') | Some('+')) {
-                        text.push(self.bump().unwrap());
-                    }
-                }
-                _ => break,
-            }
-        }
-        if text.is_empty() || text == "-" || text == "+" {
+    fn parse_numeric_literal(&mut self) -> Result<Literal, SyntaxError> {
+        let (text, numeral) = self.cursor.read_number();
+        if matches!(text, "" | "-" | "+") {
             return Err(self.error("malformed numeric literal"));
         }
-        let datatype = if is_double {
-            xsd::double()
-        } else if is_decimal {
-            xsd::decimal()
-        } else {
-            xsd::integer()
+        let datatype = match numeral {
+            Numeral::Integer => xsd::integer(),
+            Numeral::Decimal => xsd::decimal(),
+            Numeral::Double => xsd::double(),
         };
-        Ok(Literal::typed(text, datatype))
+        Ok(Literal::new_typed(text, datatype))
     }
 }
 

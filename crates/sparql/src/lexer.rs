@@ -1,5 +1,7 @@
 //! Tokenizer for the SPARQL subset.
 
+use hbold_rdf_model::text::{Cursor, Numeral, SyntaxError};
+
 use crate::error::SparqlError;
 
 /// A single token with its source position (1-based line/column).
@@ -137,19 +139,24 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, SparqlError> {
     Lexer::new(input).run()
 }
 
-struct Lexer {
-    chars: Vec<char>,
-    pos: usize,
+/// The token loop. It reads bytes through the shared term reader
+/// ([`Cursor`]), and counts token lines and columns in characters.
+struct Lexer<'a> {
+    text: &'a str,
+    cursor: Cursor<'a>,
+    /// The byte offset that `line` and `column` are the position of.
+    seen: usize,
     line: usize,
     column: usize,
     tokens: Vec<Token>,
 }
 
-impl Lexer {
-    fn new(input: &str) -> Self {
+impl<'a> Lexer<'a> {
+    fn new(input: &'a str) -> Self {
         Lexer {
-            chars: input.chars().collect(),
-            pos: 0,
+            text: input,
+            cursor: Cursor::new(input),
+            seen: 0,
             line: 1,
             column: 1,
             tokens: Vec::new(),
@@ -158,304 +165,113 @@ impl Lexer {
 
     fn run(mut self) -> Result<Vec<Token>, SparqlError> {
         loop {
-            self.skip_ws_and_comments();
-            let (line, column) = (self.line, self.column);
-            let Some(c) = self.peek() else {
-                self.push_at(TokenKind::Eof, line, column);
-                break;
+            self.cursor.skip_ws_and_comments();
+            let (line, column) = self.position();
+            let Some(b) = self.cursor.peek_byte() else {
+                self.tokens.push(Token {
+                    kind: TokenKind::Eof,
+                    line,
+                    column,
+                });
+                return Ok(self.tokens);
             };
-            let kind = match c {
-                '{' => self.single(TokenKind::LBrace),
-                '}' => self.single(TokenKind::RBrace),
-                '(' => self.single(TokenKind::LParen),
-                ')' => self.single(TokenKind::RParen),
-                '.' => self.single(TokenKind::Dot),
-                ';' => self.single(TokenKind::Semicolon),
-                ',' => self.single(TokenKind::Comma),
-                '*' => self.single(TokenKind::Star),
-                '+' => self.single(TokenKind::Plus),
-                '/' => self.single(TokenKind::Slash),
-                '=' => self.single(TokenKind::Eq),
-                '!' => {
-                    self.bump();
-                    if self.peek() == Some('=') {
-                        self.bump();
-                        TokenKind::Ne
-                    } else {
-                        TokenKind::Bang
-                    }
-                }
-                '&' => {
-                    self.bump();
-                    if self.peek() == Some('&') {
-                        self.bump();
-                        TokenKind::AndAnd
-                    } else {
-                        return Err(self.error("expected '&&'"));
-                    }
-                }
-                '|' => {
-                    self.bump();
-                    if self.peek() == Some('|') {
-                        self.bump();
-                        TokenKind::OrOr
-                    } else {
-                        return Err(self.error("expected '||'"));
-                    }
-                }
-                '<' => {
-                    // Either an IRI (`<http://...>`) or a comparison operator.
-                    if self.looks_like_iri() {
-                        self.lex_iri()?
-                    } else {
-                        self.bump();
-                        if self.peek() == Some('=') {
-                            self.bump();
-                            TokenKind::Le
-                        } else {
-                            TokenKind::Lt
-                        }
-                    }
-                }
-                '>' => {
-                    self.bump();
-                    if self.peek() == Some('=') {
-                        self.bump();
-                        TokenKind::Ge
-                    } else {
-                        TokenKind::Gt
-                    }
-                }
-                '?' | '$' => {
-                    self.bump();
-                    let name = self.lex_name();
-                    if name.is_empty() {
-                        return Err(self.error("empty variable name"));
-                    }
-                    TokenKind::Var(name)
-                }
-                '"' | '\'' => self.lex_string(c)?,
-                '^' => {
-                    self.bump();
-                    if self.peek() == Some('^') {
-                        self.bump();
-                        TokenKind::DoubleCaret
-                    } else {
-                        return Err(self.error("expected '^^'"));
-                    }
-                }
-                '@' => {
-                    self.bump();
-                    let mut tag = String::new();
-                    while matches!(self.peek(), Some(c) if c.is_ascii_alphanumeric() || c == '-') {
-                        tag.push(self.bump().unwrap());
-                    }
-                    if tag.is_empty() {
-                        return Err(self.error("empty language tag"));
-                    }
-                    TokenKind::LangTag(tag)
-                }
-                '-' => {
-                    self.bump();
-                    if matches!(self.peek(), Some(d) if d.is_ascii_digit()) {
-                        self.lex_number(true)?
-                    } else {
-                        TokenKind::Minus
-                    }
-                }
-                c if c.is_ascii_digit() => self.lex_number(false)?,
-                c if c.is_alphabetic() || c == '_' => self.lex_word()?,
-                other => return Err(self.error(format!("unexpected character '{other}'"))),
-            };
-            self.push_at(kind, line, column);
+            let kind = self.token(b).map_err(|e| {
+                let (line, column) = e.line_column(self.text);
+                SparqlError::parse(line, column, e.message)
+            })?;
+            self.tokens.push(Token { kind, line, column });
         }
-        Ok(self.tokens)
     }
 
-    fn push_at(&mut self, kind: TokenKind, line: usize, column: usize) {
-        self.tokens.push(Token { kind, line, column });
-    }
-
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
-    }
-
-    fn peek_at(&self, offset: usize) -> Option<char> {
-        self.chars.get(self.pos + offset).copied()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek();
-        if let Some(c) = c {
-            self.pos += 1;
-            if c == '\n' {
+    /// The line and column of the cursor, counted on from the last
+    /// position asked for: every byte is counted once.
+    fn position(&mut self) -> (usize, usize) {
+        let pos = self.cursor.pos();
+        for &b in &self.text.as_bytes()[self.seen..pos] {
+            if b == b'\n' {
                 self.line += 1;
                 self.column = 1;
-            } else {
+            } else if b & 0xC0 != 0x80 {
+                // Not a UTF-8 continuation byte: a character starts here.
                 self.column += 1;
             }
         }
-        c
+        self.seen = pos;
+        (self.line, self.column)
     }
 
-    fn single(&mut self, kind: TokenKind) -> TokenKind {
-        self.bump();
-        kind
-    }
-
-    fn error(&self, message: impl Into<String>) -> SparqlError {
-        SparqlError::parse(self.line, self.column, message)
-    }
-
-    fn skip_ws_and_comments(&mut self) {
-        loop {
-            match self.peek() {
-                Some(c) if c.is_whitespace() => {
-                    self.bump();
+    /// The token starting with byte `b`.
+    fn token(&mut self, b: u8) -> Result<TokenKind, SyntaxError> {
+        let c = &mut self.cursor;
+        let single = match b {
+            b'{' => Some(TokenKind::LBrace),
+            b'}' => Some(TokenKind::RBrace),
+            b'(' => Some(TokenKind::LParen),
+            b')' => Some(TokenKind::RParen),
+            b'.' => Some(TokenKind::Dot),
+            b';' => Some(TokenKind::Semicolon),
+            b',' => Some(TokenKind::Comma),
+            b'*' => Some(TokenKind::Star),
+            b'+' => Some(TokenKind::Plus),
+            b'/' => Some(TokenKind::Slash),
+            b'=' => Some(TokenKind::Eq),
+            _ => None,
+        };
+        if let Some(kind) = single {
+            c.bump();
+            return Ok(kind);
+        }
+        match b {
+            b'!' => pair(c, b, b'=', TokenKind::Ne, Some(TokenKind::Bang)),
+            b'&' => pair(c, b, b'&', TokenKind::AndAnd, None),
+            b'|' => pair(c, b, b'|', TokenKind::OrOr, None),
+            b'^' => pair(c, b, b'^', TokenKind::DoubleCaret, None),
+            b'>' => pair(c, b, b'=', TokenKind::Ge, Some(TokenKind::Gt)),
+            // Either an IRI (`<http://...>`) or a comparison operator.
+            b'<' if looks_like_iri(c.rest()) => Ok(TokenKind::Iri(c.read_iri_text()?.to_string())),
+            b'<' => pair(c, b, b'=', TokenKind::Le, Some(TokenKind::Lt)),
+            b'?' | b'$' => {
+                c.bump();
+                let name = c.take_chars(|ch| ch.is_alphanumeric() || ch == '_');
+                if name.is_empty() {
+                    return Err(c.error("empty variable name"));
                 }
-                Some('#') => {
-                    while let Some(c) = self.peek() {
-                        if c == '\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
+                Ok(TokenKind::Var(name.to_string()))
+            }
+            b'"' | b'\'' => Ok(TokenKind::String(c.read_quoted(b)?.into_owned())),
+            b'@' => Ok(TokenKind::LangTag(c.read_langtag()?.to_string())),
+            b'-' if !c.peek_byte_at(1).is_some_and(|d| d.is_ascii_digit()) => {
+                c.bump();
+                Ok(TokenKind::Minus)
+            }
+            b'-' | b'0'..=b'9' => {
+                let (text, numeral) = c.read_number();
+                match numeral {
+                    Numeral::Integer => text
+                        .parse::<i64>()
+                        .map(TokenKind::Integer)
+                        .map_err(|_| c.error("malformed integer literal")),
+                    _ => text
+                        .parse::<f64>()
+                        .map(TokenKind::Decimal)
+                        .map_err(|_| c.error("malformed numeric literal")),
                 }
-                _ => break,
             }
-        }
-    }
-
-    /// A guess from lookahead: after `<`, an IRI contains no whitespace
-    /// before the closing `>` and at least one `:` or the empty string (for
-    /// `<>`), while a comparison is followed by whitespace, a digit, a `?`
-    /// variable, etc.
-    fn looks_like_iri(&self) -> bool {
-        let mut offset = 1;
-        while let Some(c) = self.peek_at(offset) {
-            if c == '>' {
-                return true;
-            }
-            if c.is_whitespace() || c == '"' {
-                return false;
-            }
-            offset += 1;
-            if offset > 4096 {
-                return false;
-            }
-        }
-        false
-    }
-
-    fn lex_iri(&mut self) -> Result<TokenKind, SparqlError> {
-        self.bump(); // consume '<'
-        let mut text = String::new();
-        loop {
-            match self.bump() {
-                Some('>') => break,
-                Some(c) => text.push(c),
-                None => return Err(self.error("unterminated IRI")),
-            }
-        }
-        Ok(TokenKind::Iri(text))
-    }
-
-    fn lex_name(&mut self) -> String {
-        let mut name = String::new();
-        while matches!(self.peek(), Some(c) if c.is_alphanumeric() || c == '_') {
-            name.push(self.bump().unwrap());
-        }
-        name
-    }
-
-    fn lex_string(&mut self, quote: char) -> Result<TokenKind, SparqlError> {
-        self.bump(); // opening quote
-        let mut value = String::new();
-        loop {
-            match self.bump() {
-                Some(c) if c == quote => break,
-                Some('\\') => match self.bump() {
-                    Some('n') => value.push('\n'),
-                    Some('r') => value.push('\r'),
-                    Some('t') => value.push('\t'),
-                    Some('"') => value.push('"'),
-                    Some('\'') => value.push('\''),
-                    Some('\\') => value.push('\\'),
-                    Some(c) => {
-                        return Err(self.error(format!("unknown escape sequence '\\{c}'")));
-                    }
-                    None => return Err(self.error("unterminated escape sequence")),
-                },
-                Some(c) => value.push(c),
-                None => return Err(self.error("unterminated string literal")),
-            }
-        }
-        Ok(TokenKind::String(value))
-    }
-
-    fn lex_number(&mut self, negative: bool) -> Result<TokenKind, SparqlError> {
-        let mut text = String::new();
-        if negative {
-            text.push('-');
-        }
-        let mut is_float = false;
-        while let Some(c) = self.peek() {
-            match c {
-                '0'..='9' => text.push(self.bump().unwrap()),
-                '.' => {
-                    if matches!(self.peek_at(1), Some(d) if d.is_ascii_digit()) {
-                        is_float = true;
-                        text.push(self.bump().unwrap());
-                    } else {
-                        break;
-                    }
-                }
-                'e' | 'E' => {
-                    is_float = true;
-                    text.push(self.bump().unwrap());
-                    if matches!(self.peek(), Some('+') | Some('-')) {
-                        text.push(self.bump().unwrap());
-                    }
-                }
-                _ => break,
-            }
-        }
-        if is_float {
-            text.parse::<f64>()
-                .map(TokenKind::Decimal)
-                .map_err(|_| self.error("malformed numeric literal"))
-        } else {
-            text.parse::<i64>()
-                .map(TokenKind::Integer)
-                .map_err(|_| self.error("malformed integer literal"))
+            _ => match c.peek() {
+                Some(ch) if ch.is_alphabetic() || ch == '_' => self.word(),
+                Some(other) => Err(c.error(format!("unexpected character '{other}'"))),
+                None => unreachable!("a byte was peeked"),
+            },
         }
     }
 
     /// A bare word: keyword, the `a` shorthand, or a prefixed name.
-    fn lex_word(&mut self) -> Result<TokenKind, SparqlError> {
-        let mut word = String::new();
-        while matches!(self.peek(), Some(c) if c.is_alphanumeric() || c == '_' || c == '-') {
-            word.push(self.bump().unwrap());
-        }
-        if self.peek() == Some(':') {
+    fn word(&mut self) -> Result<TokenKind, SyntaxError> {
+        let word = self.cursor.read_name();
+        if self.cursor.eat(b':') {
             // A prefixed name: word is the prefix, what follows is the local part.
-            self.bump();
-            let mut local = String::new();
-            loop {
-                let Some(c) = self.peek() else { break };
-                let is_name_char = c.is_alphanumeric()
-                    || c == '_'
-                    || c == '-'
-                    || c == '%'
-                    // A '.' continues the name only when followed by another
-                    // name character; a trailing '.' is statement punctuation.
-                    || (c == '.' && !c_is_final_dot(&self.chars, self.pos));
-                if !is_name_char {
-                    break;
-                }
-                local.push(self.bump().unwrap());
-            }
-            return Ok(TokenKind::PrefixedName(word, local));
+            let local = self.cursor.read_local();
+            return Ok(TokenKind::PrefixedName(word.to_string(), local.to_string()));
         }
         if word == "a" {
             return Ok(TokenKind::A);
@@ -464,17 +280,45 @@ impl Lexer {
         if KEYWORDS.contains(&upper.as_str()) {
             return Ok(TokenKind::Keyword(upper));
         }
-        Err(self.error(format!(
+        Err(self.cursor.error(format!(
             "unexpected word '{word}' (not a keyword, variable or prefixed name)"
         )))
     }
 }
 
-/// Returns `true` if the character at `pos` is a '.' not followed by a name
-/// character (i.e. it terminates the triple rather than continuing a name).
-fn c_is_final_dot(chars: &[char], pos: usize) -> bool {
-    chars.get(pos) == Some(&'.')
-        && !matches!(chars.get(pos + 1), Some(c) if c.is_alphanumeric() || *c == '_')
+/// The operator `first` `second` (the cursor on `first`), or `alone` for
+/// `first` by itself; without `alone` that is an error.
+fn pair(
+    c: &mut Cursor<'_>,
+    first: u8,
+    second: u8,
+    both: TokenKind,
+    alone: Option<TokenKind>,
+) -> Result<TokenKind, SyntaxError> {
+    c.bump();
+    match (c.eat(second), alone) {
+        (true, _) => Ok(both),
+        (false, Some(alone)) => Ok(alone),
+        (false, None) => {
+            let both = format!("{}{}", first as char, second as char);
+            Err(c.error(format!("expected '{both}'")))
+        }
+    }
+}
+
+/// A guess from lookahead at `text` (from its `<`): an IRI contains no
+/// whitespace or `"` before the closing `>`, while a comparison is followed
+/// by whitespace, a digit, a `?` variable, etc.
+fn looks_like_iri(text: &str) -> bool {
+    for c in text[1..].chars().take(4096) {
+        if c == '>' {
+            return true;
+        }
+        if c.is_whitespace() || c == '"' {
+            return false;
+        }
+    }
+    false
 }
 
 #[cfg(test)]

@@ -99,8 +99,8 @@ pub use plan::{parse_cached, parse_cached_tracked, PlanCacheStats};
 pub use pretty::{print_query, print_update};
 pub use results::{CsvTable, QueryResults, ResultsParseError, SelectResults};
 pub use update::{
-    apply_updates, apply_updates_naive, execute_update, execute_update_naive, plan_update_op,
-    plan_update_op_naive, plan_update_op_with, UpdateOutcome,
+    apply_updates, apply_updates_naive, execute_update, plan_update_op, plan_update_op_with,
+    UpdateOutcome,
 };
 
 /// Forces registration of the engine's counter families

@@ -20,6 +20,7 @@
 use std::borrow::Cow;
 use std::fmt;
 
+use hbold_rdf_model::text::Cursor;
 use hbold_rdf_model::vocab::{datatype_iri, rdf};
 use hbold_rdf_model::{BlankNode, Iri, Literal, Term};
 use hbold_telemetry::json::{write_str, Event, JsonError, JsonValue, Reader};
@@ -451,9 +452,12 @@ impl SelectResults {
     /// structure and every term (IRI, blank node, plain / language-tagged /
     /// typed literal) survive the round-trip losslessly.
     ///
-    /// The decoder is strict: it only accepts what the encoder can emit
-    /// (backslash escapes limited to `\" \\ \n \r \t`, `?`-prefixed header
-    /// columns, one solution per line, a trailing newline).
+    /// A cell is read as N-Triples reads a term, by the same reader
+    /// ([`hbold_rdf_model::text::Cursor`]): every escape of the term
+    /// grammars (`\t \b \n \r \f \" \' \\ \uXXXX \UXXXXXXXX`) decodes,
+    /// and nothing may follow the term. Around the cells the decoder is
+    /// strict: `?`-prefixed header columns, one solution per line, a
+    /// trailing newline.
     pub fn from_tsv(text: &str) -> Result<SelectResults, ResultsParseError> {
         let mut lines: Vec<&str> = text.split('\n').collect();
         // The encoder terminates every line, including the last row, with
@@ -505,91 +509,21 @@ impl SelectResults {
     }
 }
 
-/// Parses one TSV cell: empty = unbound, otherwise an N-Triples term.
+/// Parses one TSV cell: empty = unbound, otherwise an N-Triples term, read
+/// by the workspace's one term reader.
 fn tsv_term(cell: &str) -> Result<Option<Term>, ResultsParseError> {
     if cell.is_empty() {
         return Ok(None);
     }
-    if let Some(rest) = cell.strip_prefix('<') {
-        let iri = rest
-            .strip_suffix('>')
-            .ok_or_else(|| ResultsParseError(format!("unterminated IRI cell {cell:?}")))?;
-        return Iri::new(iri)
-            .map(|iri| Some(Term::Iri(iri)))
-            .map_err(|e| ResultsParseError(format!("invalid IRI in TSV: {}", e.reason())));
-    }
-    if let Some(label) = cell.strip_prefix("_:") {
-        // Only labels the encoder can produce (BlankNode sanitizes to this
-        // alphabet), so decoding them with `BlankNode::new` is lossless.
-        if label.is_empty()
-            || !label
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-'))
-        {
-            return Err(ResultsParseError(format!(
-                "invalid blank node label in TSV: {label:?}"
-            )));
-        }
-        return Ok(Some(Term::Blank(BlankNode::new(label))));
-    }
-    if !cell.starts_with('"') {
-        return Err(ResultsParseError(format!("unrecognized TSV term {cell:?}")));
-    }
-    // Quoted literal: unescape up to the closing quote, then read the
-    // optional @lang / ^^<datatype> suffix.
-    let mut lexical = String::new();
-    let mut chars = cell.chars().skip(1);
-    loop {
-        match chars.next() {
-            None => {
-                return Err(ResultsParseError(format!(
-                    "unterminated literal cell {cell:?}"
-                )))
-            }
-            Some('"') => break,
-            Some('\\') => match chars.next() {
-                Some('"') => lexical.push('"'),
-                Some('\\') => lexical.push('\\'),
-                Some('n') => lexical.push('\n'),
-                Some('r') => lexical.push('\r'),
-                Some('t') => lexical.push('\t'),
-                other => {
-                    return Err(ResultsParseError(format!(
-                        "unsupported escape \\{} in TSV literal",
-                        other.map(String::from).unwrap_or_default()
-                    )))
-                }
-            },
-            Some(c) => lexical.push(c),
-        }
-    }
-    let suffix: String = chars.collect();
-    if suffix.is_empty() {
-        return Ok(Some(Term::Literal(Literal::string(lexical))));
-    }
-    if let Some(lang) = suffix.strip_prefix('@') {
-        if lang.is_empty() || !lang.chars().all(|c| c.is_ascii_alphanumeric() || c == '-') {
-            return Err(ResultsParseError(format!(
-                "invalid language tag {lang:?} in TSV literal"
-            )));
-        }
-        return Ok(Some(Term::Literal(Literal::lang_string(lexical, lang))));
-    }
-    if let Some(dt) = suffix.strip_prefix("^^") {
-        let iri = dt
-            .strip_prefix('<')
-            .and_then(|d| d.strip_suffix('>'))
-            .ok_or_else(|| {
-                ResultsParseError(format!("datatype {dt:?} is not an <IRI> in TSV literal"))
-            })?;
-        let datatype = Iri::new(iri).map_err(|e| {
-            ResultsParseError(format!("invalid datatype IRI in TSV: {}", e.reason()))
-        })?;
-        return Ok(Some(Term::Literal(Literal::typed(lexical, datatype))));
-    }
-    Err(ResultsParseError(format!(
-        "unexpected characters {suffix:?} after TSV literal"
-    )))
+    let mut cursor = Cursor::new(cell);
+    let term = cursor.read_term().and_then(|term| match cursor.at_end() {
+        true => Ok(term),
+        false => Err(cursor.error("unexpected text after the term")),
+    });
+    term.map(Some).map_err(|e| {
+        let (_, column) = e.line_column(cell);
+        ResultsParseError(format!("TSV cell {cell:?}, column {column}: {}", e.message))
+    })
 }
 
 /// A decoded CSV results document: the raw header and cell strings.

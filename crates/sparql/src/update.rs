@@ -77,15 +77,6 @@ pub fn plan_update_op_with(
     plan_with(store, op, WhereSolver::Engine, cancel)
 }
 
-/// [`plan_update_op`] with the `WHERE` clause evaluated by the naive
-/// reference evaluator — the differential oracle for update fuzzing.
-pub fn plan_update_op_naive(
-    store: &TripleStore,
-    op: &Update,
-) -> Result<(Vec<Quad>, Vec<Quad>), SparqlError> {
-    plan_with(store, op, WhereSolver::Naive, None)
-}
-
 fn plan_with(
     store: &TripleStore,
     op: &Update,
@@ -133,16 +124,6 @@ pub fn execute_update(
 ) -> Result<UpdateOutcome, SparqlError> {
     let ops = parse_update(request)?;
     apply_updates(store, &ops)
-}
-
-/// [`execute_update`] with `WHERE` clauses evaluated by the naive reference
-/// evaluator.
-pub fn execute_update_naive(
-    store: &mut TripleStore,
-    request: &str,
-) -> Result<UpdateOutcome, SparqlError> {
-    let ops = parse_update(request)?;
-    apply_updates_naive(store, &ops)
 }
 
 /// Applies parsed update operations to a plain in-memory store in order.
@@ -508,7 +489,7 @@ mod tests {
         )
         .unwrap();
         let engine = plan_update_op(&store, &ops[0]).unwrap();
-        let naive = plan_update_op_naive(&store, &ops[0]).unwrap();
+        let naive = plan_with(&store, &ops[0], WhereSolver::Naive, None).unwrap();
         assert_eq!(engine, naive);
         assert!(!engine.0.is_empty());
     }

@@ -27,7 +27,7 @@
 //!   every outstanding churn key in, and the store's builder from sorted
 //!   GSPO keys (a restore, or the first fold of an empty store), which
 //!   derives the other two orders by one counting pass each
-//!   ([`PositionalIndex::regrouped`]). So a bulk-loaded or restored store
+//!   (`PositionalIndex::regrouped`). So a bulk-loaded or restored store
 //!   scans at flat-vector speed.
 //! * **churn** — a `delta` `BTreeSet` of keys inserted since the last merge
 //!   ([`PositionalIndex::insert`]) and a `dead` `BTreeSet` of tombstones

@@ -155,3 +155,47 @@ fn a_snapshot_term_table_decodes_each_term_once() {
         "{per_triple} allocations per decoded triple"
     );
 }
+
+/// `n` N-Triples statements of [`triples`], one a line.
+fn ntriples_text(n: usize) -> String {
+    triples(n)
+        .iter()
+        .map(|t| format!("{} {} {} .\n", t.subject, t.predicate, t.object))
+        .collect()
+}
+
+#[test]
+fn turtle_reads_ntriples_statements_with_the_ntriples_allocations() {
+    let text = ntriples_text(2_000);
+    let (ntriples, by_ntriples) = counted(|| hbold_rdf_parser::parse_ntriples(&text).unwrap());
+    let (turtle, by_turtle) = counted(|| hbold_rdf_parser::parse_turtle(&text).unwrap());
+    assert_eq!(turtle, ntriples);
+    assert!(
+        by_turtle <= by_ntriples + 16,
+        "Turtle {by_turtle} allocations, N-Triples {by_ntriples}"
+    );
+}
+
+#[test]
+fn a_long_literal_costs_turtle_no_more_than_ntriples() {
+    let doc = |len: usize| {
+        format!(
+            "<http://alloc.example/s> <http://alloc.example/p> \"{}\" .\n",
+            "x".repeat(len)
+        )
+    };
+    let (long, short) = (doc(1_000), doc(1));
+    let (ntriples, by_ntriples) = counted(|| hbold_rdf_parser::parse_ntriples(&long).unwrap());
+    let (turtle, by_turtle) = counted(|| hbold_rdf_parser::parse_turtle(&long).unwrap());
+    assert_eq!(turtle, ntriples);
+    // N-Triples has its line buffer besides; the literal is one copy in both.
+    assert!(
+        by_turtle <= by_ntriples,
+        "Turtle {by_turtle} allocations, N-Triples {by_ntriples}"
+    );
+    let (_, by_turtle_short) = counted(|| hbold_rdf_parser::parse_turtle(&short).unwrap());
+    assert_eq!(
+        by_turtle, by_turtle_short,
+        "a 1 000-character literal against one of 1"
+    );
+}
