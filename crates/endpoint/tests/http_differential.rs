@@ -13,10 +13,9 @@ use hbold_endpoint::{
 use hbold_server::{ServerConfig, SparqlServer};
 use hbold_triple_store::SharedStore;
 
-/// The differential oracle's query shapes (crates/sparql/tests/
-/// differential_oracle.rs exercises these constructs generatively; this list
-/// covers the same constructs with concrete text that the plan cache and the
-/// wire protocol both see).
+/// The differential fuzz check's query shapes (`hbold_sparql::fuzz`
+/// generates these constructs; this list covers the same constructs with
+/// concrete text that the plan cache and the wire protocol both see).
 const ORACLE_SHAPES: &[&str] = &[
     // Plain BGP + projection.
     "SELECT ?s ?c WHERE { ?s a ?c }",

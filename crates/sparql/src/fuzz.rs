@@ -33,6 +33,10 @@
 //!    If the reference rejects the query, the engine must too. The planner
 //!    may change plans, never results — over arbitrary join orders, on
 //!    graphs with heavy cardinality skew (hub predicates, star subjects).
+//!    The slot layout the engine compiles is checked on its own: a dense
+//!    bijection of slots and names, the pattern variables first in
+//!    first-appearance order, every projected, grouped and ordered variable
+//!    resolving to the slot of its name.
 //! 3. **Serialization round-trip** — the result survives SPARQL-JSON and
 //!    TSV encode/decode losslessly, and the CSV output parses back (via
 //!    [`CsvTable`]) to exactly the term string values. On the JSON document
@@ -40,12 +44,18 @@
 //!    encoder's bytes and re-parses to itself, the document with every
 //!    object's members in a seeded shuffled order decodes to the same
 //!    result, and no proper prefix of it decodes at all.
-//! 4. **Permuted insertion order** — the store's quads re-inserted in a
-//!    seeded shuffle (other ids, other scan orders) give the same answer,
-//!    the exact sequence under `ORDER BY`, and an ordered answer is
-//!    non-decreasing under `Term::cmp`. The engine and the reference share
-//!    the term order by design, so this — with the exhaustive order test in
-//!    `tests/fuzz_regressions.rs` — is what checks the order itself.
+//! 4. **Every physical shape** — the store's quads held the other ways the
+//!    server can hold them give the same answer, the exact sequence under
+//!    `ORDER BY`, and an ordered answer is non-decreasing under `Term::cmp`:
+//!    re-inserted one by one in a seeded shuffle (other ids, other scan
+//!    orders); restored from the store's snapshot; replayed from a seeded
+//!    log of deltas into an empty store; with flat, delta and tombstone
+//!    tiers all non-empty; and with junk terms interned between the
+//!    logical ones, so that runs go without a directory. The engine and the
+//!    reference share the term order by design, so this — with the
+//!    exhaustive order test in `tests/fuzz_regressions.rs` — is what checks
+//!    the order itself. [`Coverage`] counts the cases whose churned and
+//!    sparse shapes reached their tier states.
 //!
 //! [`check_update_case`] is the update-side counterpart: it generates a
 //! random sequence of SPARQL 1.1 Update requests (`INSERT DATA` / `DELETE
@@ -55,8 +65,9 @@
 //! lockstep — one through the engine-planned path
 //! ([`crate::update::apply_updates`]), one through the naive-reference path
 //! ([`crate::update::apply_updates_naive`]) — after which the stores'
-//! full quad sets and mutation counts must be identical and every probe
-//! query must pass the complete differential check above.
+//! full quad sets and mutation counts must be identical, the engine
+//! store's snapshot must restore to the same quads, and every probe query
+//! must pass the complete differential check above.
 //!
 //! Reproducing a failure: the harness in `tests/fuzz_differential.rs` prints
 //! the offending seed; re-run just that case with
@@ -71,9 +82,11 @@ use std::collections::{BTreeSet, HashMap};
 use hbold_rdf_model::vocab::{rdf, xsd};
 use hbold_rdf_model::{BlankNode, Iri, Literal, Quad, Term, Triple};
 use hbold_telemetry::json::JsonValue;
+use hbold_triple_store::persist::{snapshot, WalOp};
 use hbold_triple_store::TripleStore;
 
 use crate::ast::*;
+use crate::encoded::SlotLayout;
 use crate::error::SparqlError;
 use crate::eval::{self, EvalHooks};
 use crate::expr::term_string_value;
@@ -846,9 +859,9 @@ pub fn generate_query(rng: &mut FuzzRng) -> Query {
         vec![]
     };
 
-    // Unlike the narrower differential oracle, LIMIT/OFFSET are generated
-    // with and without ORDER BY: the unordered cut is implementation-defined
-    // row-wise but still pinned down by a sub-multiset + count check.
+    // LIMIT/OFFSET are generated with and without ORDER BY: the unordered
+    // cut is implementation-defined row-wise but still pinned down by a
+    // sub-multiset + count check.
     let limit = rng.chance(35).then(|| random_cut_value(rng));
     let offset = rng.chance(25).then(|| random_cut_value(rng));
 
@@ -1111,6 +1124,75 @@ fn check_sorted(query: &Query, results: &QueryResults) -> Result<(), String> {
     Ok(())
 }
 
+/// The slot layout compiled for `query` is a dense bijection between slots
+/// and names, puts the pattern variables first in first-appearance order,
+/// and resolves every variable the query projects, groups or orders by to
+/// the slot carrying that name.
+fn check_slots(query: &Query) -> Result<(), String> {
+    fn variables(expr: &Expression, out: &mut Vec<String>) {
+        match expr {
+            Expression::Variable(v) => out.push(v.clone()),
+            Expression::Constant(_) | Expression::Aggregate { arg: None, .. } => {}
+            Expression::Not(inner)
+            | Expression::Aggregate {
+                arg: Some(inner), ..
+            } => variables(inner, out),
+            Expression::Or(a, b)
+            | Expression::And(a, b)
+            | Expression::Comparison {
+                left: a, right: b, ..
+            } => {
+                variables(a, out);
+                variables(b, out);
+            }
+            Expression::Function { args, .. } => args.iter().for_each(|a| variables(a, out)),
+        }
+    }
+    let layout = SlotLayout::of_query(query);
+    let pattern_vars = query.pattern.variables();
+    let leading: Vec<&str> = (0..layout.pattern_vars() as u32)
+        .map(|slot| layout.name_of(slot))
+        .collect();
+    if leading != pattern_vars {
+        return Err(format!(
+            "slot layout: leading slots {leading:?}, pattern variables {pattern_vars:?}"
+        ));
+    }
+    for slot in 0..layout.len() as u32 {
+        let name = layout.name_of(slot);
+        if layout.slot_of(name) != Some(slot) {
+            return Err(format!(
+                "slot layout: slot {slot} holds ?{name}, which resolves elsewhere"
+            ));
+        }
+    }
+    let mut referenced = query.group_by.clone();
+    if let QueryForm::Select {
+        projection: Projection::Items(items),
+        ..
+    } = &query.form
+    {
+        for item in items {
+            match item {
+                ProjectionItem::Variable(v) => referenced.push(v.clone()),
+                ProjectionItem::Expression { expr, .. } => variables(expr, &mut referenced),
+            }
+        }
+    }
+    for cond in &query.order_by {
+        variables(&cond.expr, &mut referenced);
+    }
+    match referenced
+        .iter()
+        .find(|v| layout.slot_of(v).map(|slot| layout.name_of(slot)) != Some(v.as_str()))
+    {
+        Some(v) => Err(format!(
+            "slot layout: ?{v} does not resolve to its own slot"
+        )),
+        None => Ok(()),
+    }
+}
+
 /// JSON, TSV and CSV round-trip checks on a concrete result.
 fn check_serialization(results: &QueryResults, seed: u64) -> Result<(), String> {
     let json = results.to_sparql_json();
@@ -1261,6 +1343,12 @@ pub struct Coverage {
     /// Cases whose plan streams its `ORDER BY` (rows in term order off a
     /// store whose ids are term order).
     pub streamed: usize,
+    /// Cases whose churned shape had its flat, delta and tombstone tiers
+    /// all non-empty at query time.
+    pub churned: usize,
+    /// Cases whose sparse shape had an index order in which no run got a
+    /// directory.
+    pub sparse: usize,
 }
 
 impl std::ops::AddAssign for Coverage {
@@ -1269,6 +1357,8 @@ impl std::ops::AddAssign for Coverage {
         self.grouped += other.grouped;
         self.topk += other.topk;
         self.streamed += other.streamed;
+        self.churned += other.churned;
+        self.sparse += other.sparse;
     }
 }
 
@@ -1282,11 +1372,11 @@ pub fn check_case(seed: u64) -> Result<Coverage, String> {
 }
 
 /// All four legs (syntax round-trip, three-way differential evaluation,
-/// serialization round-trips, permuted insertion order) for one query
-/// against one store. Shared by
-/// the query cases and the probe queries of the update cases. Returns what
-/// the case covered, read off the plan the engine actually ran.
-fn check_query(
+/// serialization round-trips, every physical shape) for one query against
+/// one store. Shared by the query cases, the probe queries of the update
+/// cases and the pinned regressions. Returns what the case covered, read
+/// off the plan the engine actually ran and the shapes it was run on.
+pub fn check_query(
     store: &TripleStore,
     query: &Query,
     shuffle_seed: u64,
@@ -1311,17 +1401,19 @@ fn check_query(
     }
 
     // Leg 2: differential evaluation — the cost-based plan and a shuffled
-    // join order, both against the naive reference. The planner can change
-    // plans, never results.
+    // join order, both against the naive reference, on the slot layout the
+    // engine compiles. The planner can change plans, never results.
+    check_slots(&ast).map_err(&fail)?;
     let naive = reference::evaluate(store, &ast);
     let planned = eval::evaluate(store, &ast);
     let (shuffled, reordered_bgps) = evaluate_shuffled(store, &ast, shuffle_seed);
     let tail = crate::optimize::explain(store, &ast).to_string();
-    let coverage = Coverage {
+    let mut coverage = Coverage {
         reordered_bgps,
         grouped: usize::from(tail.contains("\ngroup strategy=")),
         topk: usize::from(tail.contains("\norder strategy=topk")),
         streamed: usize::from(tail.contains("\norder strategy=stream")),
+        ..Coverage::default()
     };
 
     let expected = match naive {
@@ -1370,23 +1462,149 @@ fn check_query(
     // Leg 3: serialization round-trips on the engine's result.
     check_serialization(&planned, shuffle_seed).map_err(&fail)?;
 
-    // Leg 4: insertion-order independence. Engine and oracle share `Ord for
-    // Term` on purpose, so their agreeing says nothing about the order
-    // itself; this leg does. The same quads inserted in a shuffled order
-    // get other ids and other scan orders, and must still give the
-    // reference's answer — the exact sequence under ORDER BY, the same
-    // MIN/MAX — and an ordered answer must be sorted under `Term::cmp`.
+    // Leg 4: every physical shape. Engine and oracle share `Ord for Term`
+    // on purpose, so their agreeing says nothing about the order itself,
+    // and they read one store, so it says nothing about the others the
+    // server can hold the same quads in; this leg does. Each shape has
+    // other ids, tiers or directories, and must still give the reference's
+    // answer — the exact sequence under ORDER BY, the same MIN/MAX — and an
+    // ordered answer must be sorted under `Term::cmp`.
+    for (shape, reshaped) in physical_shapes(store, !shuffle_seed).map_err(&fail)? {
+        let tiers = reshaped.index_tier_sizes().map(|(_, sizes)| sizes);
+        match shape {
+            "churned" => {
+                coverage.churned = usize::from(
+                    tiers
+                        .iter()
+                        .all(|t| t.flat > 0 && t.delta > 0 && t.dead > 0),
+                )
+            }
+            "sparse" => {
+                coverage.sparse = usize::from(tiers.iter().any(|t| t.flat > 0 && t.directory == 0))
+            }
+            _ => {}
+        }
+        let answer = eval::evaluate(&reshaped, &ast)
+            .map_err(|e| fail(format!("engine failed on the {shape} store: {e}")))?;
+        check_equivalent(&ast, &expected, &answer, uncut.as_ref(), shape).map_err(&fail)?;
+        check_sorted(&ast, &answer).map_err(|e| fail(format!("{shape}: {e}")))?;
+    }
+    Ok(coverage)
+}
+
+/// The fewest quads that leave room for the churned shape: the churn tiers
+/// may hold one key per 16 flat keys (the store's `FOLD_RATIO`), and that
+/// shape keeps two there, a tombstone and a delta key.
+const CHURN_ROOM: usize = 32;
+
+/// Leg 4's table: the quads of `store` in every physical shape the server
+/// can hold them in, each under the name a failure report gives it. Every
+/// row holds the same logical quad set.
+///
+/// * `permuted` — inserted one by one in a seeded shuffle: other ids, other
+///   scan orders.
+/// * `restored` — `store` through a snapshot and back, as a restart loads
+///   it: `from_gspo`'s counting passes and a rebuilt directory.
+/// * `replayed` — committed as a seeded log of deltas and replayed into an
+///   empty store, as recovery does: the first record a fresh load, the rest
+///   a few quads each through the churn tiers and their folds, some
+///   removing a quad a later record adds back.
+/// * `churned` — flat, delta and tombstone tiers all non-empty at query
+///   time (only from [`CHURN_ROOM`] quads up).
+/// * `sparse` — junk terms interned between the logical ones, so that a
+///   run's id span outgrows its key count and it goes without a directory.
+fn physical_shapes(
+    store: &TripleStore,
+    seed: u64,
+) -> Result<Vec<(&'static str, TripleStore)>, String> {
+    let mut rng = FuzzRng::new(seed);
     let mut quads: Vec<Quad> = store.iter_quads().collect();
-    FuzzRng::new(!shuffle_seed).shuffle(&mut quads);
+    rng.shuffle(&mut quads);
+
     let mut permuted = TripleStore::new();
     for quad in &quads {
         permuted.insert_quad(quad);
     }
-    let replayed = eval::evaluate(&permuted, &ast)
-        .map_err(|e| fail(format!("engine failed on the permuted store: {e}")))?;
-    check_equivalent(&ast, &expected, &replayed, uncut.as_ref(), "permuted").map_err(&fail)?;
-    check_sorted(&ast, &replayed).map_err(&fail)?;
-    Ok(coverage)
+    let restored = snapshot::decode(&snapshot::encode(store))
+        .map_err(|e| format!("the store's snapshot does not decode: {e}"))?;
+    let mut replayed = TripleStore::new();
+    for record in wal_records(&quads, &mut rng) {
+        record.apply(&mut replayed);
+    }
+    let mut shapes = vec![
+        ("permuted", permuted),
+        ("restored", restored),
+        ("replayed", replayed),
+        ("sparse", sparse(&quads)),
+    ];
+    shapes.extend(churned(&quads).map(|store| ("churned", store)));
+    Ok(shapes)
+}
+
+/// `quads` as the log records of a seeded run of commits: chunks of random
+/// size, the first one half the set or more but not all of it. Now and then
+/// a record also removes a quad an earlier one inserted and puts it back on
+/// the pile, so a later record adds it again; a quarter of the set at most,
+/// so the log ends.
+fn wal_records(quads: &[Quad], rng: &mut FuzzRng) -> Vec<WalOp> {
+    let mut pending = quads.to_vec();
+    let mut present: Vec<Quad> = Vec::new();
+    let mut removals = quads.len() / 4;
+    let mut records = Vec::new();
+    let mut chunk = quads.len().div_ceil(2) + rng.below((quads.len() / 2).max(1));
+    while !pending.is_empty() {
+        let inserts: Vec<Quad> = pending.drain(..chunk.min(pending.len())).collect();
+        let mut removes = Vec::new();
+        if removals > 0 && !present.is_empty() && rng.chance(30) {
+            removals -= 1;
+            let quad = present.swap_remove(rng.below(present.len()));
+            pending.push(quad.clone());
+            removes.push(quad);
+        }
+        present.extend(inserts.iter().cloned());
+        records.push(WalOp { removes, inserts });
+        chunk = 1 + rng.below(4);
+    }
+    records
+}
+
+/// A fresh load of every quad but the last plus one extra — a quad the set
+/// lacks, sharing its graph, subject and predicate with a quad it holds, so
+/// scans walk past it — then the extra removed (a tombstone over a flat
+/// key) and the last quad inserted (a delta key). `None` below
+/// [`CHURN_ROOM`] quads, where either change would fold.
+fn churned(quads: &[Quad]) -> Option<TripleStore> {
+    let (last, rest) = quads.split_last().filter(|_| quads.len() >= CHURN_ROOM)?;
+    let extra = Quad {
+        object: Term::Iri(iri("http://f.example/churned")),
+        ..rest[0].clone()
+    };
+    if quads.contains(&extra) {
+        return None;
+    }
+    let mut store = TripleStore::new();
+    store.insert_quads_batch(rest.iter().chain([&extra]));
+    store.remove_quad(&extra);
+    store.insert_quad(last);
+    Some(store)
+}
+
+/// The quads one by one, each followed by a junk quad of three fresh terms
+/// that is inserted and removed again. The dictionary keeps the junk
+/// (interning is append-only), so the logical ids lie apart throughout and
+/// a run's span outgrows its keys. A junk block before the load would not
+/// do: a run's directory starts at its own smallest id.
+fn sparse(quads: &[Quad]) -> TripleStore {
+    let mut store = TripleStore::new();
+    for (i, quad) in quads.iter().enumerate() {
+        store.insert_quad(quad);
+        let junk = |part: &str| iri(&format!("http://f.example/junk{i}{part}"));
+        let junk = Quad::from(Triple::new(junk("s"), junk("p"), junk("o")));
+        if store.insert_quad(&junk) {
+            store.remove_quad(&junk);
+        }
+    }
+    store
 }
 
 /// The full quad set of a store as N-Quads lines, for whole-store diffing.
@@ -1400,9 +1618,10 @@ fn store_fingerprint(store: &TripleStore) -> BTreeSet<String> {
 ///
 /// Checks per request: the print → parse fixpoint holds, both planners
 /// agree on whether the request evaluates at all, the applied mutation
-/// counts match, and the two stores end byte-identical (as N-Quads sets).
-/// Checks per probe: the complete query-side differential suite
-/// ([`check_case`]'s legs) against the updated store.
+/// counts match, the two stores end byte-identical (as N-Quads sets), and
+/// the engine store's snapshot restores to that same set. Checks per
+/// probe: the complete query-side differential suite ([`check_case`]'s
+/// legs) against the updated store.
 pub fn check_update_case(seed: u64) -> Result<(), String> {
     let mut rng = FuzzRng::new(seed);
     let mut engine_store = generate_store(&mut rng);
@@ -1468,7 +1687,17 @@ pub fn check_update_case(seed: u64) -> Result<(), String> {
             )));
         }
 
-        // Leg 3: a probe query over the updated store passes the full
+        // Leg 3: the updated store survives a checkpoint — its snapshot
+        // restores to the same quads.
+        let restored = snapshot::decode(&snapshot::encode(&engine_store))
+            .map_err(|e| fail(format!("the updated store's snapshot does not decode: {e}")))?;
+        if store_fingerprint(&restored) != engine_quads {
+            return Err(fail(
+                "the updated store's snapshot restores other quads".into(),
+            ));
+        }
+
+        // Leg 4: a probe query over the updated store passes the full
         // query-side differential suite.
         let probe = generate_query(&mut rng);
         check_query(
@@ -1655,7 +1884,9 @@ mod tests {
             covered.reordered_bgps > 0
                 && covered.grouped > 0
                 && covered.topk > 0
-                && covered.streamed > 0,
+                && covered.streamed > 0
+                && covered.churned > 0
+                && covered.sparse > 0,
             "coverage gap in 64 cases: {covered:?}"
         );
     }

@@ -1,6 +1,7 @@
 //! Grammar-based fuzz sweep: every seeded case must pass the three-way
-//! differential check, the parse → pretty-print → re-parse fixpoint, and the
-//! JSON/CSV/TSV serialization round-trips (see `hbold_sparql::fuzz`).
+//! differential check, the parse → pretty-print → re-parse fixpoint, the
+//! JSON/CSV/TSV serialization round-trips and the same answer from every
+//! physical shape of its store (see `hbold_sparql::fuzz`).
 //!
 //! * `HBOLD_FUZZ_CASES=<n>` scales the sweep (default 512; the CI smoke job
 //!   uses the default, local deep sweeps use 10k+).
@@ -44,8 +45,14 @@ fn generated_queries_agree_across_engines_and_serializations() {
     eprintln!(
         "query sweep: {cases} cases; the shuffled leg ran {} multi-pattern BGPs in a \
          non-default order; {} cases ran a group stage, {} a top-k order stage, {} a \
-         streamed order stage",
-        covered.reordered_bgps, covered.grouped, covered.topk, covered.streamed
+         streamed order stage; {} ran on a churned store with all three tiers \
+         non-empty, {} on a sparse store with an order whose runs have no directory",
+        covered.reordered_bgps,
+        covered.grouped,
+        covered.topk,
+        covered.streamed,
+        covered.churned,
+        covered.sparse
     );
     // A shuffle that always reproduced the planner's order would make the
     // third leg a copy of the first.
@@ -63,6 +70,15 @@ fn generated_queries_agree_across_engines_and_serializations() {
         covered.grouped,
         covered.topk,
         covered.streamed
+    );
+    // A shape that no longer reaches its tier state — a fold policy that
+    // left no room for churn, a dictionary that stopped spreading ids —
+    // would check the dense, flat-only store a second time.
+    assert!(
+        covered.churned > 0 && covered.sparse > 0,
+        "no churned ({}) or sparse ({}) shape in {cases} cases",
+        covered.churned,
+        covered.sparse
     );
 }
 

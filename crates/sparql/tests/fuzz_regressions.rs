@@ -7,50 +7,26 @@
 use hbold_rdf_model::vocab::xsd;
 use hbold_rdf_model::{Iri, Literal, Term, Triple};
 use hbold_sparql::expr::number_term;
-use hbold_sparql::fuzz::{evaluate_shuffled, random_regex_pattern, term_pool, FuzzRng};
+use hbold_sparql::fuzz::{check_query, generate_store, random_regex_pattern, term_pool, FuzzRng};
 use hbold_sparql::regex::Regex;
-use hbold_sparql::{explain, reference, QueryResults, SparqlError};
+use hbold_sparql::{explain, reference, QueryResults, SlotLayout, SparqlError};
 use hbold_triple_store::TripleStore;
 
 fn iri(s: &str) -> Iri {
     Iri::new(s).unwrap()
 }
 
-/// The engine on a query string — under its cost-based plan and under a few
-/// shuffled join orders — panicking if any run disagrees with the reference
-/// (exact rows — every caller pins an ORDER BY or a 0/1-row shape).
-fn three_way(store: &TripleStore, query: &str) -> QueryResults {
+/// Every leg of the fuzz check (`fuzz::check_query`: print → parse, the
+/// planned and a shuffled join order against the reference, the
+/// serializations, every physical shape of the store) on a query string,
+/// panicking on the first failure; then the reference's answer, for the
+/// caller's own assertions.
+fn checked(store: &TripleStore, query: &str) -> QueryResults {
     let parsed = hbold_sparql::parse_query(query).unwrap();
-    let naive = reference::evaluate(store, &parsed).unwrap();
-    let render = |r: &QueryResults| match r {
-        QueryResults::Ask(b) => format!("ask:{b}"),
-        QueryResults::Select(s) => format!(
-            "{:?}|{:?}",
-            s.variables,
-            s.rows
-                .iter()
-                .map(|row| row
-                    .iter()
-                    .map(|c| c.as_ref().map(|t| t.to_ntriples()))
-                    .collect::<Vec<_>>())
-                .collect::<Vec<_>>()
-        ),
-    };
-    let planned = hbold_sparql::evaluate(store, &parsed).unwrap();
-    assert_eq!(
-        render(&naive),
-        render(&planned),
-        "planned order diverged on {query}"
-    );
-    for seed in 0..4 {
-        let (shuffled, _) = evaluate_shuffled(store, &parsed, seed);
-        assert_eq!(
-            render(&naive),
-            render(&shuffled.unwrap()),
-            "shuffled join order (seed {seed}) diverged on {query}"
-        );
+    if let Err(report) = check_query(store, &parsed, 0, "pinned") {
+        panic!("{report}");
     }
-    naive
+    reference::evaluate(store, &parsed).unwrap()
 }
 
 fn numeric_store() -> TripleStore {
@@ -124,7 +100,7 @@ fn aggregating_i64_min_stays_integral_everywhere() {
         iri("http://r.example/p"),
         Term::Literal(Literal::integer(i64::MIN)),
     ));
-    let results = three_way(&store, "SELECT (SUM(?o) AS ?t) WHERE { ?s ?p ?o }");
+    let results = checked(&store, "SELECT (SUM(?o) AS ?t) WHERE { ?s ?p ?o }");
     let rows = results.into_select().unwrap().rows;
     assert_eq!(
         rows[0][0].as_ref().unwrap(),
@@ -142,7 +118,7 @@ fn aggregating_i64_min_stays_integral_everywhere() {
 fn nan_compares_unequal_to_itself_in_all_engines() {
     let store = numeric_store();
     // `?o = ?o` keeps every row except the NaN one.
-    let eq = three_way(
+    let eq = checked(
         &store,
         "SELECT ?o WHERE { ?s ?p ?o FILTER(?o = ?o) } ORDER BY ?o",
     );
@@ -153,13 +129,13 @@ fn nan_compares_unequal_to_itself_in_all_engines() {
         .all(|r| r[0].as_ref().unwrap().label() != "NaN"));
 
     // `?o != ?o` keeps exactly the NaN row.
-    let ne = three_way(&store, "SELECT ?o WHERE { ?s ?p ?o FILTER(?o != ?o) }");
+    let ne = checked(&store, "SELECT ?o WHERE { ?s ?p ?o FILTER(?o != ?o) }");
     let ne_rows = ne.into_select().unwrap().rows;
     assert_eq!(ne_rows.len(), 1);
     assert_eq!(ne_rows[0][0].as_ref().unwrap().label(), "NaN");
 
     // Ordering comparisons on NaN are an evaluation error → row dropped.
-    let lt = three_way(
+    let lt = checked(
         &store,
         "SELECT ?o WHERE { ?s ?p ?o FILTER(?o <= ?o) } ORDER BY ?o",
     );
@@ -177,7 +153,7 @@ fn mixed_type_equality_and_nan_ordering_agree() {
         iri("http://r.example/p"),
         Term::Literal(Literal::string("1")),
     ));
-    let eq = three_way(
+    let eq = checked(
         &store,
         "SELECT ?o WHERE { ?s ?p ?o FILTER(?o = \"1\") } ORDER BY ?o",
     );
@@ -189,7 +165,7 @@ fn mixed_type_equality_and_nan_ordering_agree() {
         &Term::Literal(Literal::string("1"))
     );
     // Total order over NaN + integers + doubles + strings is consistent.
-    three_way(&store, "SELECT ?o WHERE { ?s ?p ?o } ORDER BY ?o ?s");
+    checked(&store, "SELECT ?o WHERE { ?s ?p ?o } ORDER BY ?o ?s");
 }
 
 // ---- eval.rs / encoded.rs: LIMIT/OFFSET arithmetic at the extremes ---------------
@@ -203,18 +179,18 @@ fn huge_limit_offset_under_order_by_does_not_panic() {
     let store = numeric_store();
     let q = "SELECT ?o WHERE { ?s ?p ?o } ORDER BY ?o \
              LIMIT 9223372036854775807 OFFSET 9223372036854775807";
-    let results = three_way(&store, q);
+    let results = checked(&store, q);
     assert!(results.into_select().unwrap().rows.is_empty());
 
     // Same extreme without the OFFSET: every row survives the cut.
     let q = "SELECT ?o WHERE { ?s ?p ?o } ORDER BY ?o LIMIT 9223372036854775807";
-    let results = three_way(&store, q);
+    let results = checked(&store, q);
     assert_eq!(results.into_select().unwrap().rows.len(), 4);
 
     // DISTINCT disables the top-k path; the plain sort path must cope too.
     let q = "SELECT DISTINCT ?o WHERE { ?s ?p ?o } ORDER BY ?o \
              LIMIT 9223372036854775806 OFFSET 1";
-    let results = three_way(&store, q);
+    let results = checked(&store, q);
     assert_eq!(results.into_select().unwrap().rows.len(), 3);
 }
 
@@ -232,7 +208,7 @@ fn zero_limit_and_oversized_offset_cut_to_empty() {
         "SELECT (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } LIMIT 0",
         "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?s OFFSET 99",
     ] {
-        let results = three_way(&store, q);
+        let results = checked(&store, q);
         assert!(
             results.into_select().unwrap().rows.is_empty(),
             "expected an empty cut for {q}"
@@ -240,7 +216,7 @@ fn zero_limit_and_oversized_offset_cut_to_empty() {
     }
     // OFFSET mid-stream under ORDER BY: exact tail retained.
     let q = "SELECT ?o WHERE { ?s ?p ?o } ORDER BY ?o LIMIT 2 OFFSET 1";
-    let results = three_way(&store, q);
+    let results = checked(&store, q);
     assert_eq!(results.into_select().unwrap().rows.len(), 2);
 }
 
@@ -341,7 +317,7 @@ fn regex_filters_agree_across_engines_on_generated_patterns() {
                 "SELECT ?o WHERE {{ ?s ?p ?o FILTER(REGEX(?o, \"{escaped}\", \"{flags}\")) }} ORDER BY ?o"
             )
         };
-        three_way(&store, &query);
+        checked(&store, &query);
     }
 }
 
@@ -362,7 +338,7 @@ fn alternation_anchors_are_per_branch_in_queries() {
         ));
     }
     // `^apple$|pie`: full-string "apple" OR substring "pie".
-    let results = three_way(
+    let results = checked(
         &store,
         "SELECT ?o WHERE { ?s ?p ?o FILTER(REGEX(?o, \"^apple$|pie\")) } ORDER BY ?o",
     );
@@ -374,7 +350,7 @@ fn alternation_anchors_are_per_branch_in_queries() {
     assert_eq!(values, ["apple", "applepie", "pie"]);
 
     // An interior `$` makes the branch unmatchable rather than literal.
-    let results = three_way(
+    let results = checked(
         &store,
         "SELECT ?o WHERE { ?s ?p ?o FILTER(REGEX(?o, \"apple$pie\")) }",
     );
@@ -415,7 +391,7 @@ fn sum_and_avg_are_independent_of_member_enumeration_order() {
     // canonical fold these disagreed near 2^63.
     for agg in ["SUM", "AVG"] {
         for distinct in ["", "DISTINCT "] {
-            let results = three_way(
+            let results = checked(
                 &store,
                 &format!("SELECT ({agg}({distinct}?o) AS ?n) WHERE {{ ?s ?p ?o }}"),
             );
@@ -488,7 +464,7 @@ fn optimizer_never_interleaves_a_cartesian_product() {
     assert_eq!(plan.bgps[0].estimates[0], 2);
 
     // Results stay identical across all engines on the same shape.
-    let results = three_way(
+    let results = checked(
         &store,
         "SELECT ?a ?b ?c ?x ?y WHERE { ?a <http://r.example/rare> ?b . \
          ?a <http://r.example/hub> ?c . ?x <http://r.example/lone> ?y } ORDER BY ?a ?c ?x",
@@ -547,7 +523,7 @@ fn rare_pattern_leads_regardless_of_writing_order() {
         "SELECT ?s ?v ?h WHERE { ?s <http://r.example/rare> ?v . ?s <http://r.example/hub> ?h } ORDER BY ?s ?h",
         "SELECT ?s ?v ?h WHERE { ?s <http://r.example/hub> ?h . ?s <http://r.example/rare> ?v } ORDER BY ?s ?h",
     ] {
-        let results = three_way(&store, q);
+        let results = checked(&store, q);
         assert_eq!(results.into_select().unwrap().rows.len(), 6);
     }
 }
@@ -690,7 +666,7 @@ fn min_max_and_order_by_do_not_depend_on_insertion_order() {
             "SELECT ?o WHERE { ?s ?p ?o } ORDER BY DESC(?o) LIMIT 1",
         ]
         .iter()
-        .map(|query| three_way(&store, query).into_select().unwrap().rows)
+        .map(|query| checked(&store, query).into_select().unwrap().rows)
         .collect();
         answers.insert(answer);
     }
@@ -701,6 +677,25 @@ fn min_max_and_order_by_do_not_depend_on_insertion_order() {
     let answer = answers.pop_first().unwrap();
     assert_eq!(answer[0], [[lowest, highest.clone()]]);
     assert_eq!(answer[2], [[highest]]);
+}
+
+// ---- encoded.rs: one slot per variable, whatever the scopes -----------------------
+
+/// Hand-built deep `OPTIONAL`/`UNION` nesting: a variable appearing in every
+/// scope compiles to a single shared slot, and the query passes every leg
+/// of the fuzz check on generated stores.
+#[test]
+fn nested_optional_union_scopes_share_slots() {
+    let query = "SELECT ?a ?c ?d WHERE { ?a <http://f.example/p0> ?b \
+                 OPTIONAL { { ?a <http://f.example/p1> ?c } UNION \
+                 { ?b <http://f.example/p2> ?c OPTIONAL { ?c <http://f.example/p3> ?d } } } } \
+                 ORDER BY ?c DESC(?a)";
+    let layout = SlotLayout::of_query(&hbold_sparql::parse_query(query).unwrap());
+    // ?c appears in both UNION branches and the inner OPTIONAL: one slot.
+    assert_eq!(layout.names(), ["a", "b", "c", "d"]);
+    for seed in 0..16 {
+        checked(&generate_store(&mut FuzzRng::new(seed)), query);
+    }
 }
 
 // ---- encoded.rs: one row, bound and un-bound around a callback -------------------
@@ -722,10 +717,10 @@ fn undo_store(triples: &[(&str, &str, &str)]) -> TripleStore {
     store
 }
 
-/// The rows of a three-way-checked SELECT, cells by their local name.
+/// The rows of a fully checked SELECT, cells by their local name.
 fn undo_rows(store: &TripleStore, query: &str) -> Vec<Vec<Option<String>>> {
     let query = query.replace('<', "<http://u.example/");
-    let rows = three_way(store, &query).into_select().unwrap().rows;
+    let rows = checked(store, &query).into_select().unwrap().rows;
     rows.iter()
         .map(|row| {
             row.iter()
@@ -879,7 +874,7 @@ fn graph_variable_scans_read_each_visible_named_graph() {
     }
     let ask = |store: &TripleStore, query: &str| {
         let query = query.replace('<', "<http://u.example/");
-        three_way(store, &query) == QueryResults::Ask(true)
+        checked(store, &query) == QueryResults::Ask(true)
     };
 
     // `?g` inside its own triple: the graph binds it first, so the subject
@@ -1030,10 +1025,10 @@ fn only_ascending_keys_equal_to_the_emitted_variables_stream() {
     ] {
         let query = format!("SELECT ?s ?p ?o WHERE {BROWSE} {modifiers}");
         assert_eq!(order_line(&store, &query), strategy, "{query}");
-        three_way(&store, &query);
+        checked(&store, &query);
     }
     // The page is the reference's page.
-    let page = three_way(
+    let page = checked(
         &store,
         &format!("SELECT * WHERE {BROWSE} ORDER BY ?s ?p ?o LIMIT 4 OFFSET 3"),
     );
@@ -1047,7 +1042,7 @@ fn distinct_order_by_limit_streams_and_cuts_after_dedup() {
     // in term order, then cuts — a top-k over raw rows would come up short.
     let query = format!("SELECT DISTINCT ?s WHERE {BROWSE} ORDER BY ?s ?p ?o LIMIT 3 OFFSET 1");
     assert_eq!(order_line(&store, &query), "order strategy=stream");
-    let rows = three_way(&store, &query).into_select().unwrap().rows;
+    let rows = checked(&store, &query).into_select().unwrap().rows;
     let labels: Vec<&str> = rows
         .iter()
         .map(|r| r[0].as_ref().unwrap().label())
@@ -1055,7 +1050,7 @@ fn distinct_order_by_limit_streams_and_cuts_after_dedup() {
     assert_eq!(labels, ["x1", "x2", "x3"]);
     let query = "SELECT DISTINCT ?p WHERE { ?s ?p ?o } ORDER BY ?s ?p ?o LIMIT 2";
     assert_eq!(order_line(&store, query), "order strategy=stream");
-    three_way(&store, query);
+    checked(&store, query);
 }
 
 #[test]
@@ -1074,15 +1069,12 @@ fn a_streamed_page_past_the_end_or_of_no_rows_is_empty() {
             "order strategy=stream",
             "{query}"
         );
-        let rows = three_way(&store, &query).into_select().unwrap().rows;
+        let rows = checked(&store, &query).into_select().unwrap().rows;
         assert!(rows.is_empty(), "{query}");
     }
     // The last row, exactly: 6 subjects × 3 triples.
     let query = format!("SELECT * WHERE {BROWSE} ORDER BY ?s ?p ?o OFFSET 17");
-    assert_eq!(
-        three_way(&store, &query).into_select().unwrap().rows.len(),
-        1
-    );
+    assert_eq!(checked(&store, &query).into_select().unwrap().rows.len(), 1);
 }
 
 #[test]
@@ -1117,12 +1109,12 @@ fn ids_of_a_fresh_load_order_mixed_literals_as_the_term_order_does() {
         "SELECT ?o WHERE { ?s <http://r.example/p> ?o } ORDER BY DESC(?o) LIMIT 7",
         "SELECT (MIN(?o) AS ?lo) (MAX(?o) AS ?hi) WHERE { ?s ?p ?o }",
     ] {
-        three_way(&store, query);
+        checked(&store, query);
     }
     // `?s <p> ?o` scans GPOS: rows arrive by object, so ordering by it streams.
     let query = "SELECT ?o ?s WHERE { ?s <http://r.example/p> ?o } ORDER BY ?o ?s LIMIT 9";
     assert_eq!(order_line(&store, query), "order strategy=stream");
-    let rows = three_way(&store, query).into_select().unwrap().rows;
+    let rows = checked(&store, query).into_select().unwrap().rows;
     assert!(rows.windows(2).all(|pair| pair[0][0] <= pair[1][0]));
 }
 
@@ -1164,7 +1156,7 @@ fn graph_scopes_and_from_merges_do_not_stream() {
         ),
     ] {
         assert_eq!(order_line(&store, query), strategy, "{query}");
-        three_way(&store, query);
+        checked(&store, query);
     }
 }
 
@@ -1175,7 +1167,7 @@ fn graph_scopes_and_from_merges_do_not_stream() {
 fn an_intern_after_the_load_falls_back_to_topk_with_the_same_answers() {
     use hbold_triple_store::SharedStore;
     let page = format!("SELECT * WHERE {BROWSE} ORDER BY ?s ?p ?o LIMIT 5 OFFSET 2");
-    let rows = |store: &TripleStore| three_way(store, &page).into_select().unwrap().rows;
+    let rows = |store: &TripleStore| checked(store, &page).into_select().unwrap().rows;
     let loaded = browse_store();
     assert_eq!(order_line(&loaded, &page), "order strategy=stream");
     let expected = rows(&loaded);
