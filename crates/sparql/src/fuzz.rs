@@ -1469,21 +1469,9 @@ pub fn check_query(
     // other ids, tiers or directories, and must still give the reference's
     // answer — the exact sequence under ORDER BY, the same MIN/MAX — and an
     // ordered answer must be sorted under `Term::cmp`.
-    for (shape, reshaped) in physical_shapes(store, !shuffle_seed).map_err(&fail)? {
-        let tiers = reshaped.index_tier_sizes().map(|(_, sizes)| sizes);
-        match shape {
-            "churned" => {
-                coverage.churned = usize::from(
-                    tiers
-                        .iter()
-                        .all(|t| t.flat > 0 && t.delta > 0 && t.dead > 0),
-                )
-            }
-            "sparse" => {
-                coverage.sparse = usize::from(tiers.iter().any(|t| t.flat > 0 && t.directory == 0))
-            }
-            _ => {}
-        }
+    let (shapes, reached) = physical_shapes(store, !shuffle_seed).map_err(&fail)?;
+    coverage += reached;
+    for (shape, reshaped) in shapes {
         let answer = eval::evaluate(&reshaped, &ast)
             .map_err(|e| fail(format!("engine failed on the {shape} store: {e}")))?;
         check_equivalent(&ast, &expected, &answer, uncut.as_ref(), shape).map_err(&fail)?;
@@ -1497,9 +1485,14 @@ pub fn check_query(
 /// shape keeps two there, a tombstone and a delta key.
 const CHURN_ROOM: usize = 32;
 
+/// One row of leg 4's table: the name a failure report gives the shape, and
+/// the store in it.
+type Shape = (&'static str, TripleStore);
+
 /// Leg 4's table: the quads of `store` in every physical shape the server
-/// can hold them in, each under the name a failure report gives it. Every
-/// row holds the same logical quad set.
+/// can hold them in, each under the name a failure report gives it, and
+/// whether the churned and sparse rows reached the tier state they exist
+/// for. Every row holds the same logical quad set.
 ///
 /// * `permuted` — inserted one by one in a seeded shuffle: other ids, other
 ///   scan orders.
@@ -1513,10 +1506,7 @@ const CHURN_ROOM: usize = 32;
 ///   time (only from [`CHURN_ROOM`] quads up).
 /// * `sparse` — junk terms interned between the logical ones, so that a
 ///   run's id span outgrows its key count and it goes without a directory.
-fn physical_shapes(
-    store: &TripleStore,
-    seed: u64,
-) -> Result<Vec<(&'static str, TripleStore)>, String> {
+fn physical_shapes(store: &TripleStore, seed: u64) -> Result<(Vec<Shape>, Coverage), String> {
     let mut rng = FuzzRng::new(seed);
     let mut quads: Vec<Quad> = store.iter_quads().collect();
     rng.shuffle(&mut quads);
@@ -1531,14 +1521,31 @@ fn physical_shapes(
     for record in wal_records(&quads, &mut rng) {
         record.apply(&mut replayed);
     }
+    let sparse = sparse(&quads);
+    let tiers = |store: &TripleStore| store.index_tier_sizes().map(|(_, sizes)| sizes);
+    let mut reached = Coverage {
+        sparse: usize::from(
+            tiers(&sparse)
+                .iter()
+                .any(|t| t.flat > 0 && t.directory == 0),
+        ),
+        ..Coverage::default()
+    };
     let mut shapes = vec![
         ("permuted", permuted),
         ("restored", restored),
         ("replayed", replayed),
-        ("sparse", sparse(&quads)),
+        ("sparse", sparse),
     ];
-    shapes.extend(churned(&quads).map(|store| ("churned", store)));
-    Ok(shapes)
+    if let Some(churned) = churned(&quads) {
+        reached.churned = usize::from(
+            tiers(&churned)
+                .iter()
+                .all(|t| t.flat > 0 && t.delta > 0 && t.dead > 0),
+        );
+        shapes.push(("churned", churned));
+    }
+    Ok((shapes, reached))
 }
 
 /// `quads` as the log records of a seeded run of commits: chunks of random

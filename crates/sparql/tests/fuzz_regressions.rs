@@ -7,7 +7,9 @@
 use hbold_rdf_model::vocab::xsd;
 use hbold_rdf_model::{Iri, Literal, Term, Triple};
 use hbold_sparql::expr::number_term;
-use hbold_sparql::fuzz::{check_query, generate_store, random_regex_pattern, term_pool, FuzzRng};
+use hbold_sparql::fuzz::{
+    check_query, evaluate_shuffled, generate_store, random_regex_pattern, term_pool, FuzzRng,
+};
 use hbold_sparql::regex::Regex;
 use hbold_sparql::{explain, reference, QueryResults, SlotLayout, SparqlError};
 use hbold_triple_store::TripleStore;
@@ -19,14 +21,34 @@ fn iri(s: &str) -> Iri {
 /// Every leg of the fuzz check (`fuzz::check_query`: print → parse, the
 /// planned and a shuffled join order against the reference, the
 /// serializations, every physical shape of the store) on a query string,
-/// panicking on the first failure; then the reference's answer, for the
-/// caller's own assertions.
+/// panicking on the first failure; then three more shuffled join orders
+/// against the reference, since one shuffle can leave a two-pattern BGP in
+/// its planned order; then the reference's answer, for the caller's own
+/// assertions.
 fn checked(store: &TripleStore, query: &str) -> QueryResults {
     let parsed = hbold_sparql::parse_query(query).unwrap();
-    if let Err(report) = check_query(store, &parsed, 0, "pinned") {
-        panic!("{report}");
+    let covered =
+        check_query(store, &parsed, 0, "pinned").unwrap_or_else(|report| panic!("{report}"));
+    let expected = reference::evaluate(store, &parsed).unwrap();
+    let mut reordered = covered.reordered_bgps;
+    for seed in 1..4 {
+        let (shuffled, reordered_here) = evaluate_shuffled(store, &parsed, seed);
+        reordered += reordered_here;
+        assert_eq!(
+            shuffled.unwrap(),
+            expected,
+            "shuffled join order (seed {seed}) diverged on {query}"
+        );
     }
-    reference::evaluate(store, &parsed).unwrap()
+    let joins = explain(store, &parsed)
+        .to_string()
+        .lines()
+        .any(|line| line.trim_start().starts_with("bgp order=[") && line.contains(','));
+    assert!(
+        !joins || reordered > 0,
+        "no shuffle reordered a BGP of {query}"
+    );
+    expected
 }
 
 fn numeric_store() -> TripleStore {
