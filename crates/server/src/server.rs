@@ -627,6 +627,13 @@ fn metrics(shared: &Shared) -> HttpResponse {
             &[],
         )
         .set(snapshot.dictionary().sorted_len() as u64);
+    registry
+        .gauge(
+            "hbold_store_hashed_terms",
+            "Dictionary ids a hash index covers; below hbold_store_terms, a restored base is still searched.",
+            &[],
+        )
+        .set(snapshot.dictionary().hashed_len() as u64);
     for (order, tiers) in snapshot.index_tier_sizes() {
         let order = order.label();
         for (tier, entries) in tiers.labeled() {

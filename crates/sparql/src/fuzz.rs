@@ -66,8 +66,9 @@
 //! ([`crate::update::apply_updates`]), one through the naive-reference path
 //! ([`crate::update::apply_updates_naive`]) — after which the stores'
 //! full quad sets and mutation counts must be identical, the engine
-//! store's snapshot must restore to the same quads, and every probe query
-//! must pass the complete differential check above.
+//! store's snapshot must restore to the same quads (the next request is
+//! applied to that restore), and every probe query must pass the complete
+//! differential check above.
 //!
 //! Reproducing a failure: the harness in `tests/fuzz_differential.rs` prints
 //! the offending seed; re-run just that case with
@@ -1628,7 +1629,9 @@ fn store_fingerprint(store: &TripleStore) -> BTreeSet<String> {
 /// counts match, the two stores end byte-identical (as N-Quads sets), and
 /// the engine store's snapshot restores to that same set. Checks per
 /// probe: the complete query-side differential suite ([`check_case`]'s
-/// legs) against the updated store.
+/// legs) against the updated store. The next request then goes to the
+/// restored engine store, whose dictionary base is searched, not hashed,
+/// until its lookups pay for an index.
 pub fn check_update_case(seed: u64) -> Result<(), String> {
     let mut rng = FuzzRng::new(seed);
     let mut engine_store = generate_store(&mut rng);
@@ -1695,7 +1698,9 @@ pub fn check_update_case(seed: u64) -> Result<(), String> {
         }
 
         // Leg 3: the updated store survives a checkpoint — its snapshot
-        // restores to the same quads.
+        // restores to the same quads — and the next step updates the
+        // restored store, so interning goes through a base that is searched
+        // until its searches pay for its index.
         let restored = snapshot::decode(&snapshot::encode(&engine_store))
             .map_err(|e| fail(format!("the updated store's snapshot does not decode: {e}")))?;
         if store_fingerprint(&restored) != engine_quads {
@@ -1713,6 +1718,7 @@ pub fn check_update_case(seed: u64) -> Result<(), String> {
             shuffle_seeds.next_u64(),
             &format!("seed {seed} step {step} (probe after update)"),
         )?;
+        engine_store = restored;
     }
     Ok(())
 }

@@ -21,10 +21,43 @@
 //! is where the whole order comes back.
 //! Below `sorted_len` two ids compare as their terms do, so `ORDER BY`
 //! compares integers and an index scan emits its rows in term order.
+//!
+//! # A sorted base and a hashed tail
+//!
+//! The dictionary is two parts, split at `sorted_len`:
+//!
+//! * the **base**, the ids below `sorted_len`: an immutable term list behind
+//!   an `Arc`, shared by every clone — so a copy-on-write clone of a store
+//!   copies one pointer and the tail, never the base — and a hash index
+//!   built at most once, in a `OnceLock`;
+//! * the **tail**, the ids from `sorted_len` on: an owned term list and its
+//!   own hash map. Every intern past the base lands here.
+//!
+//! A fresh load interns into the tail (the base is empty) and its renumbering
+//! hands the tail's hash map, ids rewritten, to the new base as its index:
+//! nothing is hashed twice. A restore ([`TermDictionary::from_terms`]) builds
+//! no base index: the base is in `Term::cmp` order, so a lookup can
+//! binary-search it instead, and only the tail is hashed.
+//!
+//! A search costs ⌈log₂ n⌉ comparisons over a base of `n` terms, the index
+//! `n` hashes once. So the base counts its searches, shared by every version
+//! that holds it, and the search that brings `searches × ⌈log₂ n⌉` to at
+//! least `n` builds the index instead of searching: the searches before it
+//! cost about one build. A 41 241-term base builds at its 2 578th search. A
+//! restore that replays a short log tail stays below that and never hashes
+//! its base; a restored server taking updates crosses it after a few
+//! thousand lookups.
+//!
+//! The hash is the standard library's SipHash: terms are outside bytes (a
+//! dataset, an update request), and the table must not degrade on terms
+//! crafted to collide.
 
+use std::cell::OnceCell;
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use hbold_rdf_model::Term;
 
@@ -32,11 +65,12 @@ use hbold_rdf_model::Term;
 pub type TermId = u32;
 
 /// Ids sharing one 64-bit term hash. Collisions are vanishingly rare, so the
-/// one-id case avoids a heap allocation.
+/// one-id case avoids a heap allocation, and the many-id case is a boxed
+/// slice: 16 bytes a bucket, where a `Vec` would make it 24.
 #[derive(Debug, Clone)]
 enum Bucket {
     One(TermId),
-    Many(Vec<TermId>),
+    Many(Box<[TermId]>),
 }
 
 impl Bucket {
@@ -49,9 +83,112 @@ impl Bucket {
 
     fn push(&mut self, id: TermId) {
         match self {
-            Bucket::One(first) => *self = Bucket::Many(vec![*first, id]),
-            Bucket::Many(ids) => ids.push(id),
+            Bucket::One(first) => *self = Bucket::Many(Box::new([*first, id])),
+            Bucket::Many(ids) => *ids = ids.iter().copied().chain([id]).collect(),
         }
+    }
+}
+
+/// A hash index over a term list: term hash → positions in the list.
+type Index = HashMap<u64, Bucket>;
+
+/// Files position `at` of `terms` under `hash`, unless a position already
+/// filed there holds `term`: then that position comes back and nothing is
+/// filed.
+fn file(index: &mut Index, terms: &[Term], term: &Term, hash: u64, at: TermId) -> Option<TermId> {
+    match index.entry(hash) {
+        Entry::Occupied(mut e) => {
+            if let Some(existing) = e.get().find(terms, term) {
+                return Some(existing);
+            }
+            e.get_mut().push(at);
+        }
+        Entry::Vacant(v) => {
+            v.insert(Bucket::One(at));
+        }
+    }
+    None
+}
+
+fn hash_term(term: &Term) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    term.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// The ids below `sorted_len`: strictly increasing under `Term::cmp`,
+/// immutable, shared between store versions (see the module docs).
+#[derive(Debug, Default)]
+struct Base {
+    terms: Vec<Term>,
+    index: OnceLock<Index>,
+    /// Lookups answered by binary search so far, by every version sharing
+    /// this base.
+    searches: AtomicUsize,
+}
+
+impl Base {
+    fn new(terms: Vec<Term>, index: OnceLock<Index>) -> Self {
+        Base {
+            terms,
+            index,
+            searches: AtomicUsize::new(0),
+        }
+    }
+
+    /// The id of `term` if the base holds it. `hash` is the term's hash,
+    /// computed only if the index answers.
+    fn find(&self, term: &Term, hash: impl Fn() -> u64) -> Option<TermId> {
+        if self.terms.is_empty() {
+            return None;
+        }
+        if let Some(index) = self.index_for_lookup() {
+            return index.get(&hash()).and_then(|b| b.find(&self.terms, term));
+        }
+        let key = term.order_key();
+        self.terms
+            .binary_search_by(|t| t.order_key().cmp(&key))
+            .ok()
+            .map(|i| i as TermId)
+    }
+
+    /// The index, if it exists or this lookup is the one that pays for it:
+    /// otherwise the lookup is counted as a search (see the module docs).
+    fn index_for_lookup(&self) -> Option<&Index> {
+        if let Some(index) = self.index.get() {
+            return Some(index);
+        }
+        // The count publishes nothing else: `OnceLock` orders the index.
+        let searches = self.searches.fetch_add(1, Ordering::Relaxed) + 1;
+        let comparisons = self.terms.len().next_power_of_two().trailing_zeros() as usize;
+        (searches.saturating_mul(comparisons) >= self.terms.len()).then(|| {
+            self.index.get_or_init(|| {
+                let mut index = Index::with_capacity(self.terms.len());
+                for (i, term) in self.terms.iter().enumerate() {
+                    file(&mut index, &self.terms, term, hash_term(term), i as TermId);
+                }
+                index
+            })
+        })
+    }
+}
+
+/// The ids from `sorted_len` on, hashed. Bucket entries are positions in
+/// `terms`, not ids.
+#[derive(Debug, Clone, Default)]
+struct Tail {
+    terms: Vec<Term>,
+    by_hash: Index,
+}
+
+impl Tail {
+    fn find(&self, term: &Term, hash: impl Fn() -> u64) -> Option<TermId> {
+        if self.terms.is_empty() {
+            return None;
+        }
+        self.by_hash
+            .get(&hash())
+            .and_then(|b| b.find(&self.terms, term))
     }
 }
 
@@ -62,26 +199,20 @@ impl Bucket {
 /// query it many times) this is the right trade-off, and it keeps all
 /// existing identifiers stable.
 ///
-/// The reverse map is keyed by the term's 64-bit hash rather than by the
-/// term itself: each `intern` miss therefore pays exactly one hash
-/// computation, one table probe and one `Term` clone (into the id-ordered
-/// `by_id` table), instead of the two lookups and two clones a
-/// `HashMap<Term, TermId>` would cost — and the table stores 12 bytes per
-/// entry instead of a second copy of every term.
+/// The hash maps are keyed by the term's 64-bit hash rather than by the
+/// term itself: each `intern` miss therefore pays one hash computation, a
+/// lookup in the base and a probe of the tail, and one `Term` clone (into
+/// the tail's term list), instead of the two probes and two clones a
+/// `HashMap<Term, TermId>` would cost per table — and a table stores 24
+/// bytes per entry instead of a second copy of every term.
 ///
 /// Ids below [`TermDictionary::sorted_len`] are numbered in `Term::cmp`
-/// order (see the module docs).
+/// order and live in a base shared by every clone; the rest live in an owned,
+/// hashed tail (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub struct TermDictionary {
-    by_hash: HashMap<u64, Bucket>,
-    by_id: Vec<Term>,
-    sorted_len: usize,
-}
-
-fn hash_term(term: &Term) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    term.hash(&mut hasher);
-    hasher.finish()
+    base: Arc<Base>,
+    tail: Tail,
 }
 
 impl TermDictionary {
@@ -92,54 +223,64 @@ impl TermDictionary {
 
     /// Number of distinct interned terms.
     pub fn len(&self) -> usize {
-        self.by_id.len()
+        self.base.terms.len() + self.tail.terms.len()
     }
 
     /// Returns `true` if no terms have been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.by_id.is_empty()
+        self.len() == 0
     }
 
     /// Pre-reserves capacity for at least `additional` further terms; bulk
     /// load paths call this once up front instead of growing both tables
     /// incrementally.
     pub fn reserve(&mut self, additional: usize) {
-        self.by_id.reserve(additional);
-        self.by_hash.reserve(additional);
+        self.tail.terms.reserve(additional);
+        self.tail.by_hash.reserve(additional);
     }
 
     /// How many leading ids are numbered in `Term::cmp` order: for any two
     /// ids `a, b < sorted_len()`, `a < b` exactly when
     /// `term(a) < term(b)`.
     pub fn sorted_len(&self) -> usize {
-        self.sorted_len
+        self.base.terms.len()
+    }
+
+    /// How many ids a hash index covers: the tail's always, the base's once
+    /// its index exists — all of them after a fresh load, the tail's alone
+    /// after a restore until the base's searches pay for its index.
+    pub fn hashed_len(&self) -> usize {
+        let base = self.base.index.get().map_or(0, |_| self.base.terms.len());
+        base + self.tail.terms.len()
     }
 
     /// Rebuilds a dictionary from its id-ordered term list (the snapshot
     /// term table): entry `i` of `terms` becomes the term with id `i`, and
     /// the first `sorted_len` entries must be strictly increasing under
-    /// `Term::cmp` (the caller's check). `None` when a term is listed twice:
-    /// the table would not be a bijection, and lookups would disagree with
-    /// the quads that name the other copy.
-    pub(crate) fn from_terms(terms: Vec<Term>, sorted_len: usize) -> Option<Self> {
-        let mut by_hash: HashMap<u64, Bucket> = HashMap::with_capacity(terms.len());
-        for (i, term) in terms.iter().enumerate() {
-            match by_hash.entry(hash_term(term)) {
-                Entry::Occupied(mut e) => {
-                    if e.get().find(&terms, term).is_some() {
-                        return None;
-                    }
-                    e.get_mut().push(i as TermId)
-                }
-                Entry::Vacant(v) => {
-                    v.insert(Bucket::One(i as TermId));
-                }
+    /// `Term::cmp` (the caller's check). They become the base, unhashed;
+    /// the rest become the tail, each checked against the base by search
+    /// and against the tail before it by hash. `None` when a term is listed
+    /// twice: the table would not be a bijection, and lookups would disagree
+    /// with the quads that name the other copy.
+    pub(crate) fn from_terms(mut terms: Vec<Term>, sorted_len: usize) -> Option<Self> {
+        let tail = terms.split_off(sorted_len);
+        terms.shrink_to_fit();
+        let base = Base::new(terms, OnceLock::new());
+        let mut by_hash = Index::with_capacity(tail.len());
+        for (at, term) in tail.iter().enumerate() {
+            let hash = hash_term(term);
+            if base.find(term, || hash).is_some()
+                || file(&mut by_hash, &tail, term, hash, at as TermId).is_some()
+            {
+                return None;
             }
         }
         Some(TermDictionary {
-            by_hash,
-            by_id: terms,
-            sorted_len,
+            base: Arc::new(base),
+            tail: Tail {
+                terms: tail,
+                by_hash,
+            },
         })
     }
 
@@ -149,64 +290,66 @@ impl TermDictionary {
     ///
     /// One `sort_by_cached_key` over the terms' [`OrderKey`]s — each
     /// literal's value is parsed once, not once per comparison — then the
-    /// term table is permuted and the hash buckets' ids are rewritten in
-    /// place: no term is hashed again. Only a store's fresh load calls it,
-    /// while no id of this dictionary can be held anywhere else.
+    /// term list is permuted into the new base and the tail's hash buckets
+    /// are rewritten in place into its index: no term is hashed again. Only
+    /// a store's fresh load calls it, while the base is empty and no id of
+    /// this dictionary can be held anywhere else.
     ///
     /// [`OrderKey`]: hbold_rdf_model::OrderKey
     pub(crate) fn renumber(&mut self) -> Vec<TermId> {
-        let by_id = &self.by_id;
-        let mut new_to_old: Vec<TermId> = (0..by_id.len() as TermId).collect();
-        new_to_old.sort_by_cached_key(|&old| by_id[old as usize].order_key());
+        debug_assert!(self.base.terms.is_empty(), "renumbering a restored base");
+        let Tail { terms, mut by_hash } = std::mem::take(&mut self.tail);
+        let mut new_to_old: Vec<TermId> = (0..terms.len() as TermId).collect();
+        new_to_old.sort_by_cached_key(|&old| terms[old as usize].order_key());
         let mut old_to_new = vec![0; new_to_old.len()];
         for (new, &old) in new_to_old.iter().enumerate() {
             old_to_new[old as usize] = new as TermId;
         }
-        let mut old_terms: Vec<Option<Term>> = std::mem::take(&mut self.by_id)
-            .into_iter()
-            .map(Some)
-            .collect();
-        self.by_id = new_to_old
+        let mut old_terms: Vec<Option<Term>> = terms.into_iter().map(Some).collect();
+        let terms = new_to_old
             .iter()
             .map(|&old| old_terms[old as usize].take().expect("a permutation"))
             .collect();
-        for bucket in self.by_hash.values_mut() {
+        for bucket in by_hash.values_mut() {
             match bucket {
                 Bucket::One(id) => *id = old_to_new[*id as usize],
                 Bucket::Many(ids) => ids.iter_mut().for_each(|id| *id = old_to_new[*id as usize]),
             }
         }
-        self.sorted_len = self.by_id.len();
+        self.base = Arc::new(Base::new(terms, OnceLock::from(by_hash)));
         old_to_new
     }
 
     /// Interns `term`, returning its identifier. Idempotent.
     ///
-    /// A hit costs one hash + probe and no clone; a miss additionally clones
-    /// the term once, into the id table, at the next id — past
-    /// [`TermDictionary::sorted_len`], which it does not extend.
+    /// A hit costs one lookup (a hash + probe, or a search of an unindexed
+    /// base) and no clone; a miss additionally clones the term once, into
+    /// the tail, at the next id — past [`TermDictionary::sorted_len`], which
+    /// it does not extend.
     pub fn intern(&mut self, term: &Term) -> TermId {
-        let id = self.by_id.len() as TermId;
-        match self.by_hash.entry(hash_term(term)) {
-            Entry::Occupied(mut e) => {
-                if let Some(existing) = e.get().find(&self.by_id, term) {
-                    return existing;
-                }
-                e.get_mut().push(id);
-            }
-            Entry::Vacant(v) => {
-                v.insert(Bucket::One(id));
-            }
+        let hash = OnceCell::new();
+        let hash = || *hash.get_or_init(|| hash_term(term));
+        if let Some(id) = self.base.find(term, hash) {
+            return id;
         }
-        self.by_id.push(term.clone());
-        id
+        let base_len = self.base.terms.len() as TermId;
+        let tail = &mut self.tail;
+        let at = tail.terms.len() as TermId;
+        if let Some(existing) = file(&mut tail.by_hash, &tail.terms, term, hash(), at) {
+            return base_len + existing;
+        }
+        tail.terms.push(term.clone());
+        base_len + at
     }
 
     /// Looks up the identifier of an already-interned term.
     pub fn id_of(&self, term: &Term) -> Option<TermId> {
-        self.by_hash
-            .get(&hash_term(term))
-            .and_then(|bucket| bucket.find(&self.by_id, term))
+        let hash = OnceCell::new();
+        let hash = || *hash.get_or_init(|| hash_term(term));
+        self.base.find(term, hash).or_else(|| {
+            let base_len = self.base.terms.len() as TermId;
+            self.tail.find(term, hash).map(|at| base_len + at)
+        })
     }
 
     /// Returns the term with the given identifier.
@@ -214,29 +357,53 @@ impl TermDictionary {
     /// # Panics
     /// Panics if `id` was not produced by this dictionary.
     pub fn term(&self, id: TermId) -> &Term {
-        &self.by_id[id as usize]
+        let base = &self.base.terms;
+        match base.get(id as usize) {
+            Some(term) => term,
+            None => &self.tail.terms[id as usize - base.len()],
+        }
     }
 
     /// Returns the term with the given identifier, or `None` if out of range.
     pub fn get(&self, id: TermId) -> Option<&Term> {
-        self.by_id.get(id as usize)
+        let id = id as usize;
+        let base = &self.base.terms;
+        match id.checked_sub(base.len()) {
+            None => Some(&base[id]),
+            Some(at) => self.tail.terms.get(at),
+        }
     }
 
     /// Iterates over all `(id, term)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (TermId, &Term)> {
-        self.by_id.iter().enumerate().map(|(i, t)| (i as TermId, t))
+        self.base
+            .terms
+            .iter()
+            .chain(&self.tail.terms)
+            .enumerate()
+            .map(|(i, t)| (i as TermId, t))
+    }
+
+    /// Whether `self` and `other` share one base.
+    #[cfg(test)]
+    pub(crate) fn shares_base_with(&self, other: &TermDictionary) -> bool {
+        Arc::ptr_eq(&self.base, &other.base)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hbold_rdf_model::{Iri, Literal};
+    use hbold_rdf_model::{BlankNode, Iri, Literal};
+
+    fn iri(text: &str) -> Term {
+        Iri::new(text).unwrap().into()
+    }
 
     #[test]
     fn interning_is_idempotent_and_dense() {
         let mut d = TermDictionary::new();
-        let a: Term = Iri::new("http://e.org/a").unwrap().into();
+        let a = iri("http://e.org/a");
         let b: Term = Literal::string("b").into();
         let ia = d.intern(&a);
         let ib = d.intern(&b);
@@ -270,9 +437,7 @@ mod tests {
     #[test]
     fn iteration_preserves_insertion_order() {
         let mut d = TermDictionary::new();
-        let terms: Vec<Term> = (0..5)
-            .map(|i| Iri::new(format!("http://e.org/{i}")).unwrap().into())
-            .collect();
+        let terms: Vec<Term> = (0..5).map(|i| iri(&format!("http://e.org/{i}"))).collect();
         for t in &terms {
             d.intern(t);
         }
@@ -282,35 +447,121 @@ mod tests {
 
     #[test]
     fn from_terms_rebuild_matches_interning() {
-        let terms: Vec<Term> = (0..20)
-            .map(|i| Iri::new(format!("http://e.org/{i}")).unwrap().into())
-            .collect();
-        let rebuilt = TermDictionary::from_terms(terms.clone(), 0).unwrap();
-        assert_eq!(rebuilt.len(), 20);
-        for (i, t) in terms.iter().enumerate() {
-            assert_eq!(rebuilt.id_of(t), Some(i as TermId));
-            assert_eq!(rebuilt.term(i as TermId), t);
+        let terms: Vec<Term> = (0..20).map(|i| iri(&format!("http://e.org/{i}"))).collect();
+        // Unsorted, sorted up to 10, and all of it sorted: the same ids.
+        let mut sorted = terms.clone();
+        sorted.sort();
+        for (terms, sorted_len) in [(&terms, 0), (&sorted, 10), (&sorted, 20)] {
+            let rebuilt = TermDictionary::from_terms(terms.clone(), sorted_len).unwrap();
+            assert_eq!(rebuilt.len(), 20);
+            assert_eq!(rebuilt.sorted_len(), sorted_len);
+            for (i, t) in terms.iter().enumerate() {
+                assert_eq!(rebuilt.id_of(t), Some(i as TermId));
+                assert_eq!(rebuilt.term(i as TermId), t);
+            }
+            assert_eq!(rebuilt.id_of(&iri("http://e.org/missing")), None);
         }
         let mut twice = terms.clone();
         twice.push(terms[3].clone());
         assert!(TermDictionary::from_terms(twice, 0).is_none());
     }
 
+    /// 112 terms of every kind, strictly increasing under `Term::cmp`.
+    fn sorted_mix() -> Vec<Term> {
+        let mut terms: Vec<Term> = (0..28)
+            .flat_map(|i| {
+                [
+                    BlankNode::new(format!("b{i}")).into(),
+                    iri(&format!("http://e.org/{i}")),
+                    Literal::integer(i).into(),
+                    Literal::string(format!("{i}")).into(),
+                ]
+            })
+            .collect();
+        terms.sort();
+        terms
+    }
+
+    #[test]
+    fn a_restored_base_is_searched_until_its_searches_pay_for_the_index() {
+        // ⌈log₂ 112⌉ = 7, so the 16th search builds the index: 16 × 7 = 112.
+        let terms = sorted_mix();
+        assert_eq!(terms.len(), 112);
+        let mut d = TermDictionary::from_terms(terms.clone(), 112).unwrap();
+        let missing: [Term; 2] = [iri("http://e.org/missing"), Literal::integer(99).into()];
+        let new: Term = Literal::integer(1000).into();
+        assert_eq!(d.hashed_len(), 0, "a restore hashes no base term");
+        // Searches 1–15: six by `id_of`, two misses, six by `intern`, and
+        // the intern of a new term, which searches the base before the tail.
+        let probes: Vec<usize> = (0..12).map(|k| k * 37 % 112).collect();
+        let mut before = Vec::new();
+        for &at in &probes[..6] {
+            before.push(d.id_of(&terms[at]));
+        }
+        assert_eq!(missing.each_ref().map(|t| d.id_of(t)), [None, None]);
+        for &at in &probes[6..] {
+            before.push(Some(d.intern(&terms[at])));
+        }
+        assert_eq!(d.intern(&new), 112);
+        assert_eq!(d.len(), 113);
+        assert_eq!(d.hashed_len(), 1, "15 searches: only the tail is hashed");
+        // The 16th builds it, and answers through it.
+        assert_eq!(d.id_of(&terms[111]), Some(111));
+        assert_eq!(d.hashed_len(), 113, "the 16th search hashes the base");
+        let after: Vec<_> = probes.iter().map(|&at| d.id_of(&terms[at])).collect();
+        assert_eq!(before, after);
+        let expected: Vec<_> = probes.iter().map(|&at| Some(at as TermId)).collect();
+        assert_eq!(before, expected);
+        for (i, t) in terms.iter().enumerate() {
+            assert_eq!(d.id_of(t), Some(i as TermId));
+            assert_eq!(d.intern(t), i as TermId);
+        }
+        assert_eq!(missing.each_ref().map(|t| d.id_of(t)), [None, None]);
+        assert_eq!((d.id_of(&new), d.intern(&new)), (Some(112), 112));
+        assert_eq!(d.len(), 113);
+    }
+
+    #[test]
+    fn clones_share_the_base_and_its_index() {
+        let terms = sorted_mix();
+        let original = TermDictionary::from_terms(terms.clone(), 112).unwrap();
+        let mut copy = original.clone();
+        assert!(copy.shares_base_with(&original));
+        // An intern into the copy lands in its own tail.
+        let new = iri("http://a.example/new");
+        assert_eq!(copy.intern(&new), 112);
+        assert!(copy.shares_base_with(&original));
+        assert_eq!((original.len(), original.id_of(&new)), (112, None));
+        // Searches through either version count toward one index, which
+        // both then use: two above, and the 14th here is the 16th.
+        for t in &terms[..14] {
+            assert!(copy.id_of(t).is_some());
+        }
+        assert_eq!(copy.hashed_len(), 113);
+        assert_eq!(original.hashed_len(), 112);
+        // A restore of the same terms is a base of its own.
+        let restored = TermDictionary::from_terms(terms, 112).unwrap();
+        assert!(!restored.shares_base_with(&original));
+        assert_eq!(restored.hashed_len(), 0);
+    }
+
     #[test]
     fn renumbering_puts_ids_in_term_order_and_keeps_every_lookup() {
         let terms: Vec<Term> = vec![
             Literal::integer(10).into(),
-            Iri::new("http://e.org/b").unwrap().into(),
+            iri("http://e.org/b"),
             Literal::string("5").into(),
-            hbold_rdf_model::BlankNode::new("z").into(),
+            BlankNode::new("z").into(),
             Literal::integer(9).into(),
-            Iri::new("http://e.org/a").unwrap().into(),
+            iri("http://e.org/a"),
         ];
         let mut d = TermDictionary::new();
         let old: Vec<TermId> = terms.iter().map(|t| d.intern(t)).collect();
         assert_eq!(d.sorted_len(), 0);
         let old_to_new = d.renumber();
         assert_eq!(d.sorted_len(), terms.len());
+        // The load's hash map became the base's index.
+        assert_eq!(d.hashed_len(), terms.len());
         let mut sorted = terms.clone();
         sorted.sort();
         let in_id_order: Vec<Term> = d.iter().map(|(_, t)| t.clone()).collect();
@@ -320,10 +571,11 @@ mod tests {
             assert_eq!(d.term(old_to_new[id as usize]), t);
         }
         // A later intern appends past the sorted run, whatever the term.
-        let first: Term = hbold_rdf_model::BlankNode::new("a").into();
+        let first: Term = BlankNode::new("a").into();
         assert_eq!(d.intern(&first), terms.len() as TermId);
         assert_eq!(d.sorted_len(), terms.len());
         assert_eq!(d.id_of(&first), Some(terms.len() as TermId));
+        assert_eq!(d.hashed_len(), terms.len() + 1);
     }
 
     #[test]
@@ -341,11 +593,15 @@ mod tests {
     /// bucket type directly.
     #[test]
     fn bucket_chains_on_collision() {
-        let terms: Vec<Term> = vec![Literal::string("a").into(), Literal::string("b").into()];
+        let terms: Vec<Term> = ["a", "b", "c"].map(|t| Literal::string(t).into()).into();
         let mut bucket = Bucket::One(0);
         bucket.push(1);
         assert_eq!(bucket.find(&terms, &terms[0]), Some(0));
         assert_eq!(bucket.find(&terms, &terms[1]), Some(1));
-        assert_eq!(bucket.find(&terms, &Literal::string("c").into()), None);
+        assert_eq!(bucket.find(&terms, &terms[2]), None);
+        bucket.push(2);
+        assert_eq!(bucket.find(&terms, &terms[2]), Some(2));
+        assert_eq!(bucket.find(&terms, &Literal::string("d").into()), None);
+        assert_eq!(std::mem::size_of::<Bucket>(), 16);
     }
 }

@@ -451,7 +451,7 @@ pub fn read_file(path: &Path) -> Result<TripleStore, PersistError> {
 mod tests {
     use super::*;
     use hbold_rdf_model::vocab::{foaf, rdf};
-    use hbold_rdf_model::{Iri, Literal, Term, Triple};
+    use hbold_rdf_model::{Iri, Literal, Quad, Term, Triple};
 
     fn sample(n: usize) -> TripleStore {
         let mut store = TripleStore::new();
@@ -654,6 +654,73 @@ mod tests {
         let payload = iri_table(&["http://e.org/dup", "http://e.org/dup"]);
         let reason = corruption(&crafted(2, 0, &payload));
         assert!(reason.contains("duplicate term"), "{reason}");
+    }
+
+    #[test]
+    fn a_tail_that_repeats_a_term_is_corruption() {
+        // The table is sorted up to "d" and the tail begins at "b". The
+        // sorted base is searched, not hashed, and a copy of one of its
+        // terms in the tail must still be found; so must a copy inside the
+        // tail.
+        let table = [
+            "http://e.org/a",
+            "http://e.org/c",
+            "http://e.org/d",
+            "http://e.org/b",
+        ];
+        for repeated in ["http://e.org/c", "http://e.org/a", "http://e.org/b"] {
+            let iris = [&table[..], &[repeated]].concat();
+            let reason = corruption(&crafted(5, 0, &iri_table(&iris)));
+            assert!(reason.contains("duplicate term"), "{repeated}: {reason}");
+        }
+    }
+
+    #[test]
+    fn a_restore_and_a_short_log_tail_hash_no_base_term() {
+        // A fresh load's 20 003 terms: ⌈log₂⌉ = 15, so the base's index is
+        // built at its 1 334th search. A restore and 100 logged records of
+        // two quads each (three lookups a quad) search it 600 times.
+        let loaded = TripleStore::from_graph(&sample(10_000).iter().collect());
+        assert_eq!(loaded.dictionary().hashed_len(), loaded.term_count());
+        let mut store = decode(&encode(&loaded)).unwrap();
+        let terms = store.term_count();
+        assert_eq!(terms, 20_003);
+        assert_eq!(store.dictionary().hashed_len(), 0);
+        let record = |i: usize| {
+            let s = Iri::new(format!("http://e.org/new/{i}")).unwrap();
+            let quads = [
+                Triple::new(s.clone(), rdf::type_(), foaf::person()),
+                Triple::new(s, foaf::name(), Literal::string(format!("new {i}"))),
+            ];
+            crate::persist::WalOp {
+                removes: Vec::new(),
+                inserts: quads.into_iter().map(|t| Quad::new(t, None)).collect(),
+            }
+        };
+        for i in 0..100 {
+            record(i).apply(&mut store);
+        }
+        assert_eq!(store.term_count(), terms + 200);
+        assert_eq!(
+            store.dictionary().hashed_len(),
+            200,
+            "only the tail is hashed"
+        );
+        // A store that keeps taking updates crosses the threshold, and its
+        // ids do not move.
+        let mut i = 100;
+        while store.dictionary().hashed_len() < store.term_count() {
+            record(i).apply(&mut store);
+            i += 1;
+        }
+        assert_eq!(
+            i, 223,
+            "6 searches a record: the 1 334th falls in the 223rd"
+        );
+        for (id, term) in loaded.dictionary().iter() {
+            assert_eq!(store.id_of(term), Some(id));
+        }
+        assert_eq!(store.len(), loaded.len() + 2 * i);
     }
 
     #[test]
