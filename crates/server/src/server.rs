@@ -640,10 +640,22 @@ fn metrics(shared: &Shared) -> HttpResponse {
             registry
                 .gauge(
                     "hbold_index_tier_entries",
-                    "Entries per positional index tier (directory: 4-byte offsets over the flat tier).",
+                    "Entries per positional index tier (directory: offsets over the flat tier).",
                     &[("order", order), ("tier", tier)],
                 )
                 .set(entries as u64);
+        }
+    }
+    for (order, tiers) in snapshot.index_bytes() {
+        let order = order.label();
+        for (tier, bytes) in tiers.labeled() {
+            registry
+                .gauge(
+                    "hbold_index_bytes",
+                    "Heap bytes per positional index tier (pairs: 8 per flat key; delta/dead: 16 per key).",
+                    &[("order", order), ("tier", tier)],
+                )
+                .set(bytes as u64);
         }
     }
     registry

@@ -30,6 +30,7 @@ const FAMILIES: &[(&str, &str)] = &[
     ("hbold_http_request_timeouts_total", "counter"),
     ("hbold_http_requests_total", "counter"),
     ("hbold_http_responses_total", "counter"),
+    ("hbold_index_bytes", "gauge"),
     ("hbold_index_tier_entries", "gauge"),
     ("hbold_plan_cache_entries", "gauge"),
     ("hbold_query_cancelled_total", "counter"),
@@ -192,7 +193,24 @@ fn metrics_exposition_reports_exact_traffic() {
             directory > 0.0 && directory <= tier("flat") + 1.0,
             "index {order} has a directory of {directory}"
         );
+        // Its bytes beside it: 8 per flat key at least (a pair each), more
+        // than 4 per offset (each array carries its reference counts), 16
+        // per churn key.
+        let bytes = |name| metric("hbold_index_bytes", &[("order", order), ("tier", name)]);
+        assert!(bytes("pairs") >= 8.0 * tier("flat"), "index {order} pairs");
+        assert!(
+            bytes("directory") > 4.0 * directory,
+            "index {order} directory"
+        );
+        assert_eq!(bytes("delta"), 16.0 * tier("delta"));
+        assert_eq!(bytes("dead"), 16.0 * tier("dead"));
     }
+    let byte_series = expo
+        .samples
+        .iter()
+        .filter(|sample| sample.name == "hbold_index_bytes")
+        .count();
+    assert_eq!(byte_series, 12);
     // The fold counters sit beside them. Process-global like the engine
     // families, and building the 20-triple store was itself one merge.
     assert!(metric("hbold_index_folds_total", &[]) >= 1.0);

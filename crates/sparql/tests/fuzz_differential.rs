@@ -46,7 +46,7 @@ fn generated_queries_agree_across_engines_and_serializations() {
         "query sweep: {cases} cases; the shuffled leg ran {} multi-pattern BGPs in a \
          non-default order; {} cases ran a group stage, {} a top-k order stage, {} a \
          streamed order stage; {} ran on a churned store with all three tiers \
-         non-empty, {} on a sparse store with an order whose runs have no directory",
+         non-empty, {} on a sparse store with a run whose directory lists its second ids",
         covered.reordered_bgps,
         covered.grouped,
         covered.topk,

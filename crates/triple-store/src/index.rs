@@ -11,7 +11,7 @@
 //! because every range below is inclusive on both bounds, the sentinel needs
 //! no special casing: `scan_prefix1(TermId::MAX)` is a well-formed range.
 //!
-//! # Hybrid layout: sorted flat vector + B-tree churn tiers
+//! # Hybrid layout: a compact sorted tier + B-tree churn tiers
 //!
 //! The hot read path of the whole system is the SPARQL engine range-scanning
 //! these indexes, and H-BOLD's workload is load-mostly with a trickle of
@@ -19,25 +19,33 @@
 //! re-extraction lands as a small update. The index therefore keeps its keys
 //! in two tiers:
 //!
-//! * **`flat`** — a sorted, deduplicated `Vec` of keys. A prefix lookup
-//!   finds its range through the directory below, then walks *contiguous
-//!   memory*: no pointer chasing, perfect cache locality, and the compiler
-//!   can see through the iteration. It is written in two places only:
+//! * **`flat`** — the sorted, deduplicated bulk tier, held the way HDT's
+//!   BitmapTriples hold triples (Fernández et al., "Binary RDF
+//!   representation for publication and exchange (HDT)", J. Web Semantics
+//!   2013). The keys sharing a first component form a *run* (on the
+//!   graph-first orders, one per graph), each run keeps a directory over
+//!   its second components — the Y level, below — and of every key only its
+//!   last two components are stored, as one `(c, d)` pair of 8 bytes in a
+//!   single `Vec` — the Z level. The run implies the first component and the
+//!   directory window a position falls in implies the second, so a key
+//!   costs 8 bytes instead of 16. A prefix lookup finds its range through
+//!   the directory, then walks *contiguous memory*: no pointer chasing,
+//!   perfect cache locality. It is written in two places only:
 //!   [`PositionalIndex::insert_batch`], by one linear merge that also folds
-//!   every outstanding churn key in, and the store's builder from sorted
-//!   GSPO keys (a restore, or the first fold of an empty store), which
-//!   derives the other two orders by one counting pass each
-//!   (`PositionalIndex::regrouped`). So a bulk-loaded or restored store
-//!   scans at flat-vector speed.
-//! * **churn** — a `delta` `BTreeSet` of keys inserted since the last merge
-//!   ([`PositionalIndex::insert`]) and a `dead` `BTreeSet` of tombstones
-//!   over `flat` ([`PositionalIndex::remove`]): a change costs
+//!   every outstanding churn key in, and the store's builder from GSPO's
+//!   tier (a restore's quad runs decode straight into it, or the first fold
+//!   of an empty store builds it from sorted keys), which derives the other
+//!   two orders by one counting pass each (`PositionalIndex::regrouped`). So
+//!   a bulk-loaded or restored store scans at flat-vector speed.
+//! * **churn** — a `delta` `BTreeSet` of full keys inserted since the last
+//!   merge ([`PositionalIndex::insert`]) and a `dead` `BTreeSet` of
+//!   tombstones over `flat` ([`PositionalIndex::remove`]): a change costs
 //!   `O(log n)` per key whatever the size of `flat`. A scan is a three-way
 //!   merge of the sorted sources — `flat` and `delta` interleaved, `dead`
 //!   walked alongside as a third stream, so it pays for the churn inside its
 //!   own range and never probes a B-tree per key; when neither churn set
-//!   reaches into the range (the common case) the scan is a bare slice
-//!   iterator.
+//!   reaches into the range (the common case) the scan is a bare walk over
+//!   the flat tier's pairs.
 //!
 //! The index holds the mechanism only. *When* a change goes key by key into
 //! the churn tiers and when all three orders merge is decided in one place,
@@ -45,43 +53,62 @@
 //! orders always sit in the same tier state.
 //!
 //! Invariants maintained by every mutation: `flat` is sorted and unique,
-//! `delta` is disjoint from `flat`, `dead ⊆ flat`, and the directory
-//! describes `flat`.
+//! `delta` is disjoint from `flat`, `dead ⊆ flat`, and the directory with
+//! the pairs is exactly what the builder makes of `flat`'s full keys.
 //!
-//! # The directory: a probe jumps, it does not search
+//! # The directory (Y level): a probe jumps, it does not search
 //!
-//! Beside `flat` the index keeps one entry per run of equal first
-//! components — on the graph-first orders, one per graph: the run's flat
-//! bounds and, when the run is dense, an offsets array over its second
-//! component (the subject directory of HDT's bitmap triples, Fernández et
-//! al. 2013). `offsets[b − second_min]` is the flat position of the first
-//! key `(graph, b, ..)` — of the next larger second id when `b` has no key
-//! — and the array ends with the run's end: `span + 1` entries for a span of
-//! `second_max − second_min + 1` ids. A probe then finds the graph's run by
-//! a binary search over the runs (a handful), and a bound second component
-//! by two loads, whatever the order the probes arrive in:
+//! Each run's directory splits the run into *windows*, one per second
+//! component, `offsets[i]..offsets[i + 1]` being the flat positions of the
+//! keys `(a, b_i, ..)`; the offsets end with the run's end. It takes one of
+//! two shapes, by the run's span of second ids (`b_max − b_min + 1`)
+//! against its key count:
 //!
-//! * a prefix of just the graph is the run's bounds;
-//! * a second id outside the span is the empty range at the span's edge;
-//! * a two-component prefix is the window `offsets[b]..offsets[b + 1]`,
-//!   unsearched;
-//! * a longer prefix searches inside that window, a few keys wide.
+//! * **dense** — the span is at most the key count: `b_i = b_min + i` for
+//!   every id of the span, so `offsets[b − b_min]` is the flat position of
+//!   the first key `(a, b, ..)` — of the next larger second id when `b` has
+//!   no key, an empty window — and a second id is found by two loads.
+//!   `span + 1` offsets: at most 4 bytes per key, plus 4 per run.
+//!   Dictionary ids are dense and a fresh load numbers them in term order,
+//!   so the subjects, predicates and objects of one graph usually form such
+//!   blocks.
+//! * **sparse** — the second ids are scattered wider than the run's keys (a
+//!   small named graph over a large dictionary): the run's sorted distinct
+//!   second ids beside their offsets, and a second id is found by a binary
+//!   search among them. 8 bytes per distinct id, plus 4 per run.
 //!
-//! A run gets a directory only when its span is at most its key count, so
-//! the directory costs at most 4 bytes per 16-byte key, and at most one
-//! entry per flat key plus one per run overall. Dictionary ids are dense
-//! and a fresh load numbers them in term order, so the subjects, predicates
-//! and objects of one graph usually form such blocks. A run whose second ids
-//! are scattered wider than its keys (a small named graph over a large
-//! dictionary) keeps a plain binary search, inside the run, for each end
-//! of a range.
+//! A probe finds the first component's run by a binary search over the
+//! runs (a handful), then:
+//!
+//! * a prefix of just the first component is the run's bounds;
+//! * a second id without keys is the empty window where its keys would sit;
+//! * a two-component prefix is its window, unsearched;
+//! * a longer prefix searches inside that window's pairs, a few wide.
+//!
+//! Scans yield keys by value. A scan with the second component bound — every
+//! join probe — is a bare slice iterator over the window's pairs beside that
+//! constant; `scan_prefix1` and `scan_all` walk the directory in step with
+//! the pairs, advancing the second component as the position crosses the
+//! next offset (a dense directory's empty windows are stepped over). A walk
+//! pays a branch per window that a vector of full keys did not; its `fold`
+//! (`count`, `for_each`, a merge, the snapshot writer) runs window by window
+//! over slices and pays nothing per key.
+//!
+//! So a flat key costs 8 bytes plus its share of the directory: at most 4
+//! more in a dense run and at most 8 in a sparse one, ≈ 9 on a fresh load
+//! (measured in `tests/store_heap_bytes.rs`; [`PositionalIndex::heap_bytes`]
+//! is the exact count, exported as `hbold_index_bytes`). Positions are
+//! `u32`: one flat tier holds at most `u32::MAX` keys (4.29 billion quads
+//! per store), which every build of a tier asserts.
 //!
 //! The directory is built in one linear pass wherever `flat` is written —
 //! [`PositionalIndex::insert_batch`] and the store's builder — and the churn
-//! tiers never touch it. Each run's offsets sit behind an `Arc`, so the
-//! store's copy-on-write clone copies one pointer per run, not the arrays.
+//! tiers never touch it. Each run's arrays sit behind an `Arc`, so the
+//! store's copy-on-write clone copies the pairs and one pointer per run.
 
+use std::alloc::Layout;
 use std::collections::btree_set::{BTreeSet, Range};
+use std::mem::size_of;
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -99,7 +126,8 @@ pub enum IndexOrder {
 }
 
 impl IndexOrder {
-    /// The lowercase label used in metrics (`hbold_index_tier_entries`).
+    /// The lowercase label used in metrics (`hbold_index_tier_entries`,
+    /// `hbold_index_bytes`).
     pub fn label(self) -> &'static str {
         match self {
             IndexOrder::Gspo => "gspo",
@@ -145,6 +173,12 @@ impl IndexOrder {
 
 type Key = (TermId, TermId, TermId, TermId);
 
+/// A flat key's last two components: all the flat tier stores per key.
+type Pair = (TermId, TermId);
+
+/// What a flat position must fit in (see the module docs).
+const POSITION_LIMIT: &str = "a flat tier holds at most u32::MAX keys";
+
 /// Sizes of one positional index's storage tiers (see the module docs for
 /// the tier semantics). Surfaced per index order through
 /// `TripleStore::index_tier_sizes` so the serving layer can export them as
@@ -157,9 +191,15 @@ pub struct TierSizes {
     pub delta: usize,
     /// Tombstones over the flat tier.
     pub dead: usize,
-    /// Offsets in the flat tier's directory (4 bytes each; at most one per
-    /// flat key plus one per run — see the module docs).
+    /// Offsets in the flat tier's directory: one per second id of a dense
+    /// run's span, one per distinct second id of a sparse run, plus one per
+    /// run for its end — at most one per flat key plus one per run. A
+    /// sparse run's offsets sit beside as many ids, so the directory's bytes
+    /// are [`TierBytes::directory`], not four per offset.
     pub directory: usize,
+    /// Runs whose directory lists their distinct second ids (the sparse
+    /// shape of the module docs). Not a tier, so not in [`TierSizes::labeled`].
+    pub sparse_runs: usize,
 }
 
 impl TierSizes {
@@ -175,14 +215,48 @@ impl TierSizes {
     }
 }
 
+/// Heap bytes of one positional index, per tier: the one accounting of an
+/// index's memory ([`PositionalIndex::heap_bytes`]), exported per order as
+/// `hbold_index_bytes`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TierBytes {
+    /// The flat tier's `(c, d)` pairs: 8 bytes per key the vector has room
+    /// for.
+    pub pairs: usize,
+    /// The flat tier's directory: the run table and each run's offsets and
+    /// (sparse runs) ids, each array with the two reference counts ahead of
+    /// it.
+    pub directory: usize,
+    /// The delta tier's keys, 16 bytes each; the B-tree's node slack is not
+    /// counted.
+    pub delta: usize,
+    /// The tombstone tier's keys, counted as `delta`'s.
+    pub dead: usize,
+}
+
+impl TierBytes {
+    /// Each tier's bytes under its metric label (`tier="pairs"`, …), in a
+    /// fixed order.
+    pub fn labeled(&self) -> [(&'static str, usize); 4] {
+        [
+            ("pairs", self.pairs),
+            ("directory", self.directory),
+            ("delta", self.delta),
+            ("dead", self.dead),
+        ]
+    }
+}
+
 /// A single sorted index over one permutation of quad positions.
 #[derive(Debug, Clone, Default)]
 #[cfg_attr(test, derive(PartialEq))]
 pub struct PositionalIndex {
-    /// Sorted, deduplicated bulk tier — see the module docs.
-    flat: Vec<Key>,
-    /// One entry per run of equal first components in `flat`, ascending —
-    /// the directory of the module docs. Rebuilt whenever `flat` is.
+    /// The flat tier's Z level: the last two components of its keys, in key
+    /// order — see the module docs.
+    pairs: Vec<Pair>,
+    /// The flat tier's Y level: one entry per run of equal first
+    /// components, ascending, each with its directory. Rebuilt whenever
+    /// `pairs` is.
     runs: Vec<Run>,
     /// Incremental inserts not yet merged into `flat` (disjoint from it).
     delta: BTreeSet<Key>,
@@ -190,90 +264,248 @@ pub struct PositionalIndex {
     dead: BTreeSet<Key>,
 }
 
-/// The keys of `flat` sharing one first component, `flat[start..end]`, and
-/// their directory over the second component when the run is dense.
+/// The flat keys sharing one first component and their directory: window
+/// `i` holds the keys `(first, second(i), ..)` at flat positions
+/// `offsets[i]..offsets[i + 1]`, and the run ends at the last offset.
 #[derive(Debug, Clone, PartialEq)]
 struct Run {
     first: TermId,
-    start: usize,
-    end: usize,
-    second_min: TermId,
-    /// `offsets[b - second_min]` is the flat position of the first key with
-    /// a second component `≥ b`; the last entry is `end`. `None` when the
-    /// run's span of second ids exceeds its key count.
-    offsets: Option<Arc<[u32]>>,
+    seconds: Seconds,
+    offsets: Arc<[u32]>,
+}
+
+/// The second ids of a run's windows — the directory's two shapes.
+#[derive(Debug, Clone, PartialEq)]
+enum Seconds {
+    /// Window `i` is second id `min + i`, every id of the span.
+    Dense(TermId),
+    /// Window `i` is the `i`-th distinct second id, ascending.
+    Sparse(Arc<[TermId]>),
 }
 
 impl Run {
-    /// The runs of a sorted flat tier, each with its directory when dense:
-    /// one linear pass.
-    fn directory(flat: &[Key]) -> Vec<Run> {
-        let mut runs = Vec::new();
-        let mut start = 0;
-        while let Some(&(first, second_min, _, _)) = flat.get(start) {
-            let len = flat[start..].partition_point(|k| k.0 == first);
-            let keys = &flat[start..start + len];
-            let end = start + len;
-            let span = (keys[len - 1].1 - second_min) as usize + 1;
-            let offsets = (span <= len && u32::try_from(end).is_ok()).then(|| {
-                let mut offsets = Vec::with_capacity(span + 1);
-                for (at, key) in (start..).zip(keys) {
-                    // Every second id up to this key's starts here.
-                    offsets.resize((key.1 - second_min) as usize + 1, at as u32);
-                }
-                offsets.push(end as u32);
-                Arc::from(offsets)
-            });
-            runs.push(Run {
-                first,
-                start,
-                end,
-                second_min,
-                offsets,
-            });
-            start = end;
+    /// The run of `first` whose distinct second ids `seconds` (ascending,
+    /// non-empty) start at flat positions `starts` and whose keys end at
+    /// `end`, its directory dense when its span of second ids is at most its
+    /// key count and sparse otherwise. The one place that chooses the shape.
+    fn new(first: TermId, seconds: &[TermId], starts: &[u32], end: u32) -> Run {
+        let min = seconds[0];
+        let span = (seconds[seconds.len() - 1] - min) as usize + 1;
+        let mut offsets;
+        let seconds = if span <= (end - starts[0]) as usize {
+            offsets = Vec::with_capacity(span + 1);
+            for (&id, &at) in seconds.iter().zip(starts) {
+                // Every second id up to this one starts here.
+                offsets.resize((id - min) as usize + 1, at);
+            }
+            Seconds::Dense(min)
+        } else {
+            offsets = Vec::with_capacity(starts.len() + 1);
+            offsets.extend_from_slice(starts);
+            Seconds::Sparse(Arc::from(seconds))
+        };
+        offsets.push(end);
+        Run {
+            first,
+            seconds,
+            offsets: Arc::from(offsets),
         }
-        runs
     }
 
-    /// The flat positions a search for a key `(first, second, ..)` of this
-    /// run is confined to: the directory's window of `second` — empty at the
-    /// span's edge when `second` lies outside it — or the whole run when the
-    /// run has no directory.
+    fn start(&self) -> usize {
+        self.offsets[0] as usize
+    }
+
+    fn end(&self) -> usize {
+        self.offsets[self.offsets.len() - 1] as usize
+    }
+
+    /// What a walk needs to enter this run at its first window: the first
+    /// and second component of its keys, the offsets from the window's end
+    /// on, the later windows' second ids when sparse, and the window's
+    /// length. Out of line, and by value, so the walk never lends itself out
+    /// and stays in registers.
+    #[cold]
+    #[inline(never)]
+    fn entry(&self) -> (TermId, TermId, &[u32], Option<&[TermId]>, u32) {
+        (
+            self.first,
+            self.second(0),
+            &self.offsets[1..],
+            self.sparse_ids().map(|ids| &ids[1..]),
+            self.offsets[1] - self.offsets[0],
+        )
+    }
+
+    /// The second ids of a sparse directory's windows.
+    fn sparse_ids(&self) -> Option<&[TermId]> {
+        match &self.seconds {
+            Seconds::Dense(_) => None,
+            Seconds::Sparse(ids) => Some(ids),
+        }
+    }
+
+    /// The second id of window `i`.
     #[inline]
+    fn second(&self, i: usize) -> TermId {
+        match &self.seconds {
+            Seconds::Dense(min) => min + i as TermId,
+            Seconds::Sparse(ids) => ids[i],
+        }
+    }
+
+    /// The flat positions of the keys `(first, second, ..)` of this run:
+    /// its window, or the empty range where its keys would sit.
+    #[inline(always)]
     fn window(&self, second: TermId) -> (usize, usize) {
-        let Some(offsets) = &self.offsets else {
-            return (self.start, self.end);
+        let i = match &self.seconds {
+            Seconds::Dense(min) => match second.checked_sub(*min) {
+                Some(i) => i as usize,
+                None => return (self.start(), self.start()),
+            },
+            Seconds::Sparse(ids) => return self.sparse_window(ids, second),
         };
-        let Some(i) = second.checked_sub(self.second_min) else {
-            return (self.start, self.start);
-        };
-        match offsets.get(i as usize..i as usize + 2) {
+        match self.offsets.get(i..i + 2) {
             Some(&[from, to]) => (from as usize, to as usize),
-            _ => (self.end, self.end),
+            _ => (self.end(), self.end()),
+        }
+    }
+
+    /// [`Run::window`] in a sparse directory: a search among its ids.
+    #[inline(never)]
+    fn sparse_window(&self, ids: &[TermId], second: TermId) -> (usize, usize) {
+        match ids.binary_search(&second) {
+            Ok(i) => (self.offsets[i] as usize, self.offsets[i + 1] as usize),
+            Err(i) => (self.offsets[i] as usize, self.offsets[i] as usize),
         }
     }
 
     /// The flat position of this run's first key above `key` (`upper`) or
     /// not below it; `key.0` is the run's first component.
-    #[inline]
-    fn position(&self, flat: &[Key], key: Key, upper: bool) -> usize {
-        let (from, to) = self.window(key.1);
-        if self.offsets.is_some() {
-            // Every key of a directory window has `key.1` as its second
-            // component, so a key at the bottom or the top of the last two
-            // components lands on the window's edge without a search.
-            match (upper, key.2, key.3) {
-                (false, 0, 0) => return from,
-                (true, TermId::MAX, TermId::MAX) => return to,
-                _ => {}
+    #[inline(always)]
+    fn position(&self, pairs: &[Pair], key: Key, upper: bool) -> usize {
+        seek(pairs, self.window(key.1), (key.2, key.3), upper)
+    }
+
+    /// Calls `f` with each of the run's full keys, in order: each window's
+    /// pairs beside its first and second component.
+    #[inline(always)]
+    fn each_key(&self, pairs: &[Pair], mut f: impl FnMut(Key)) {
+        for (i, window) in self.offsets.windows(2).enumerate() {
+            let second = self.second(i);
+            for &(c, d) in &pairs[window[0] as usize..window[1] as usize] {
+                f((self.first, second, c, d));
             }
         }
-        let bits = key_bits(key);
-        from + flat[from..to].partition_point(|k| match upper {
-            true => key_bits(*k) <= bits,
-            false => key_bits(*k) < bits,
-        })
+    }
+
+    /// Heap bytes of the run's arrays.
+    fn heap_bytes(&self) -> usize {
+        let ids = match &self.seconds {
+            Seconds::Dense(_) => 0,
+            Seconds::Sparse(ids) => arc_bytes(ids),
+        };
+        ids + arc_bytes(&self.offsets)
+    }
+}
+
+/// The flat position of the first key of the window `from..to` whose last
+/// two components lie above `pair` (`upper`) or not below it. Every key of
+/// a window shares its first two components, so a pair at the bottom or the
+/// top of the pair space lands on the window's edge without a search.
+#[inline(always)]
+fn seek(pairs: &[Pair], (from, to): (usize, usize), pair: Pair, upper: bool) -> usize {
+    match (upper, pair) {
+        (false, (0, 0)) => return from,
+        (true, (TermId::MAX, TermId::MAX)) => return to,
+        _ => {}
+    }
+    let bits = pair_bits(pair);
+    from + pairs[from..to].partition_point(|&pair| match upper {
+        true => pair_bits(pair) <= bits,
+        false => pair_bits(pair) < bits,
+    })
+}
+
+/// The allocation behind an `Arc<[T]>` of `items`: the strong and weak
+/// counts, then the items, padded to the counts' alignment.
+fn arc_bytes<T>(items: &[T]) -> usize {
+    let counts = Layout::new::<[usize; 2]>();
+    let items = Layout::array::<T>(items.len()).expect("an allocated array's layout");
+    let (layout, _) = counts.extend(items).expect("an allocated Arc's layout");
+    layout.pad_to_align().size()
+}
+
+/// Builds a flat tier — pairs and directory — from strictly increasing full
+/// keys, one at a time: the linear pass behind every write of the tier but
+/// the counting passes of [`PositionalIndex::regrouped`], and the snapshot
+/// decoder's GSPO order.
+pub(crate) struct TierBuilder {
+    pairs: Vec<Pair>,
+    runs: Vec<Run>,
+    /// The first and second component of the last key pushed.
+    last: Option<(TermId, TermId)>,
+    /// The open run's distinct second ids and their first positions.
+    seconds: Vec<TermId>,
+    starts: Vec<u32>,
+}
+
+impl TierBuilder {
+    /// A builder with room for `keys` pairs.
+    pub(crate) fn with_capacity(keys: usize) -> Self {
+        TierBuilder {
+            pairs: Vec::with_capacity(keys),
+            runs: Vec::new(),
+            last: None,
+            seconds: Vec::new(),
+            starts: Vec::new(),
+        }
+    }
+
+    /// Appends `key`, which must be above every key pushed before it.
+    #[inline]
+    pub(crate) fn push(&mut self, (first, second, c, d): Key) {
+        if self.last != Some((first, second)) {
+            self.open_window(first, second);
+        }
+        self.pairs.push((c, d));
+    }
+
+    /// Starts the window of `(first, second)` at the next position, and a
+    /// run when `first` is new.
+    fn open_window(&mut self, first: TermId, second: TermId) {
+        if let Some((open, _)) = self.last.filter(|&(open, _)| open != first) {
+            self.close_run(open);
+        }
+        self.last = Some((first, second));
+        self.seconds.push(second);
+        self.starts.push(self.position());
+    }
+
+    /// The next key's flat position.
+    fn position(&self) -> u32 {
+        u32::try_from(self.pairs.len()).expect(POSITION_LIMIT)
+    }
+
+    fn close_run(&mut self, first: TermId) {
+        let end = self.position();
+        self.runs
+            .push(Run::new(first, &self.seconds, &self.starts, end));
+        self.seconds.clear();
+        self.starts.clear();
+    }
+
+    /// A churn-free index of the pushed keys.
+    pub(crate) fn finish(mut self) -> PositionalIndex {
+        if let Some((first, _)) = self.last {
+            self.close_run(first);
+        }
+        PositionalIndex {
+            pairs: self.pairs,
+            runs: self.runs,
+            delta: BTreeSet::new(),
+            dead: BTreeSet::new(),
+        }
     }
 }
 
@@ -284,74 +516,88 @@ impl PositionalIndex {
     }
 
     /// Builds an index directly from an already-sorted, deduplicated key
-    /// vector (the store builder's path). Debug builds verify the
-    /// precondition.
+    /// vector (the store builder's path), which it drops once the keys are
+    /// pairs. Debug builds verify the precondition.
     pub(crate) fn from_sorted(keys: Vec<Key>) -> Self {
         debug_assert!(
             keys.windows(2).all(|w| w[0] < w[1]),
             "keys must be sorted+unique"
         );
+        let mut tier = TierBuilder::with_capacity(keys.len());
+        for key in keys {
+            tier.push(key);
+        }
+        tier.finish()
+    }
+
+    /// A flat-only index of this one's keys `(a, b, c, d)` regrouped as
+    /// `(a, d, b, c)` — GOSP from GSPO and GPOS from GOSP are both this
+    /// rotation. Inside one run the keys sharing `d` already sit in `(b, c)`
+    /// order, so the whole sort is one stable counting pass per run by `d`,
+    /// writing each `(b, c)` straight to its position: linear, and the counts
+    /// are the new directory. Two of its three passes read the pairs alone,
+    /// which hold `d`.
+    ///
+    /// A run that will be dense (see the module docs) counts into one
+    /// counter per id of its span; one that will be sparse counts into one
+    /// per distinct id, found by a binary search, so a small run over a large
+    /// dictionary allocates no counter per id. Only the store's builder
+    /// calls this, on an index without churn.
+    pub(crate) fn regrouped(&self) -> Self {
+        debug_assert!(self.delta.is_empty() && self.dead.is_empty());
+        let mut pairs = vec![(0, 0); self.pairs.len()];
+        let mut runs = Vec::with_capacity(self.runs.len());
+        let (mut counts, mut seconds, mut starts) = (Vec::<u32>::new(), Vec::new(), Vec::new());
+        for run in &self.runs {
+            let lasts = || self.pairs[run.start()..run.end()].iter().map(|&(_, d)| d);
+            let (min, max) =
+                lasts().fold((TermId::MAX, 0), |(min, max), d| (min.min(d), max.max(d)));
+            let span = (max - min) as usize + 1;
+            let dense = span <= run.end() - run.start();
+            seconds.clear();
+            if !dense {
+                seconds.extend(lasts());
+                seconds.sort_unstable();
+                seconds.dedup();
+            }
+            let slot = |seconds: &[TermId], second: TermId| match dense {
+                true => (second - min) as usize,
+                false => seconds.partition_point(|&id| id < second),
+            };
+            counts.clear();
+            counts.resize(if dense { span } else { seconds.len() }, 0);
+            lasts().for_each(|d| counts[slot(&seconds, d)] += 1);
+            // Each slot's first position: the run's start plus the keys of
+            // all smaller ones.
+            starts.clear();
+            let mut next = run.start() as u32;
+            for (i, count) in counts.iter_mut().enumerate() {
+                if dense && *count > 0 {
+                    seconds.push(min + i as TermId);
+                }
+                if *count > 0 {
+                    starts.push(next);
+                }
+                (*count, next) = (next, next + *count);
+            }
+            run.each_key(&self.pairs, |(_, b, c, d)| {
+                let at = &mut counts[slot(&seconds, d)];
+                pairs[*at as usize] = (b, c);
+                *at += 1;
+            });
+            runs.push(Run::new(run.first, &seconds, &starts, next));
+        }
         PositionalIndex {
-            runs: Run::directory(&keys),
-            flat: keys,
+            pairs,
+            runs,
             delta: BTreeSet::new(),
             dead: BTreeSet::new(),
         }
     }
 
-    /// A flat-only index of this one's keys mapped through `permute`, for a
-    /// `permute` that keeps the first component and under which the keys of
-    /// one run that share a permuted second component already sit in
-    /// permuted order — GOSP from GSPO, GPOS from GOSP. Then the whole sort
-    /// is one stable counting pass per run by the permuted second
-    /// component: linear, with one counter per id of the run's span.
-    ///
-    /// A run whose span exceeds its key count (the directory's density rule,
-    /// see the module docs) is sorted by comparison instead, so a small run
-    /// over a large dictionary allocates no counter per id. Only the store's
-    /// builder calls this, on an index without churn.
-    pub(crate) fn regrouped(&self, permute: impl Fn(Key) -> Key) -> Self {
-        debug_assert!(self.delta.is_empty() && self.dead.is_empty());
-        let mut out = vec![(0, 0, 0, 0); self.flat.len()];
-        let mut counts: Vec<usize> = Vec::new();
-        for run in &self.runs {
-            let keys = &self.flat[run.start..run.end];
-            let out = &mut out[run.start..run.end];
-            let (min, max) = keys.iter().fold((TermId::MAX, 0), |(min, max), &key| {
-                let second = permute(key).1;
-                (min.min(second), max.max(second))
-            });
-            let span = (max - min) as usize + 1;
-            if span > keys.len() {
-                for (slot, &key) in out.iter_mut().zip(keys) {
-                    *slot = permute(key);
-                }
-                out.sort_unstable();
-                continue;
-            }
-            counts.clear();
-            counts.resize(span, 0);
-            for &key in keys {
-                counts[(permute(key).1 - min) as usize] += 1;
-            }
-            // Each second id's first slot: the keys of all smaller ones.
-            let mut next = 0;
-            for count in &mut counts {
-                (*count, next) = (next, next + *count);
-            }
-            for &key in keys {
-                let key = permute(key);
-                let slot = &mut counts[(key.1 - min) as usize];
-                out[*slot] = key;
-                *slot += 1;
-            }
-        }
-        PositionalIndex::from_sorted(out)
-    }
-
     /// Number of keys in the index.
     pub fn len(&self) -> usize {
-        self.flat.len() + self.delta.len() - self.dead.len()
+        self.pairs.len() + self.delta.len() - self.dead.len()
     }
 
     /// Returns `true` if the index is empty.
@@ -362,28 +608,65 @@ impl PositionalIndex {
     /// Current per-tier sizes.
     pub fn tier_sizes(&self) -> TierSizes {
         TierSizes {
-            flat: self.flat.len(),
+            flat: self.pairs.len(),
             delta: self.delta.len(),
             dead: self.dead.len(),
-            directory: self
+            directory: self.runs.iter().map(|run| run.offsets.len()).sum(),
+            sparse_runs: self
                 .runs
                 .iter()
-                .filter_map(|run| run.offsets.as_ref())
-                .map(|offsets| offsets.len())
-                .sum(),
+                .filter(|run| matches!(run.seconds, Seconds::Sparse(_)))
+                .count(),
         }
     }
 
+    /// The heap bytes of each tier — exact for the flat tier's pairs and
+    /// directory, the keys alone for the churn tiers (see [`TierBytes`]).
+    pub fn heap_bytes(&self) -> TierBytes {
+        TierBytes {
+            pairs: self.pairs.capacity() * size_of::<Pair>(),
+            directory: self.runs.capacity() * size_of::<Run>()
+                + self.runs.iter().map(Run::heap_bytes).sum::<usize>(),
+            delta: self.delta.len() * size_of::<Key>(),
+            dead: self.dead.len() * size_of::<Key>(),
+        }
+    }
+
+    /// The flat tier's full keys, in order.
+    fn flat_keys(&self) -> Vec<Key> {
+        let mut keys = Vec::with_capacity(self.pairs.len());
+        for run in &self.runs {
+            run.each_key(&self.pairs, |key| keys.push(key));
+        }
+        keys
+    }
+
     /// Verifies the tier invariants of the module docs — `flat` sorted and
-    /// unique, the directory describing `flat`, `delta` disjoint from
-    /// `flat`, `dead ⊆ flat` — in `O(n)`, naming the first one that fails.
-    /// For tests and debugging; nothing on a read or write path calls it.
+    /// unique, its pairs and directory those the builder makes of its full
+    /// keys, `delta` disjoint from `flat`, `dead ⊆ flat` — in `O(n)`, naming
+    /// the first one that fails. For tests and debugging; nothing on a read
+    /// or write path calls it.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if let Some(w) = self.flat.windows(2).find(|w| w[0] >= w[1]) {
+        let mut at = 0;
+        for run in &self.runs {
+            if run.start() != at || run.offsets.windows(2).any(|w| w[0] > w[1]) {
+                return Err(format!("run {} does not continue at {at}", run.first));
+            }
+            at = run.end();
+        }
+        if at != self.pairs.len() {
+            return Err(format!(
+                "the runs end at {at} of {} pairs",
+                self.pairs.len()
+            ));
+        }
+        let keys = self.flat_keys();
+        if let Some(w) = keys.windows(2).find(|w| w[0] >= w[1]) {
             return Err(format!("flat is not sorted and unique at {:?}", w));
         }
-        if self.runs != Run::directory(&self.flat) {
-            return Err("the directory does not describe flat".into());
+        let rebuilt = PositionalIndex::from_sorted(keys);
+        if rebuilt.runs != self.runs || rebuilt.pairs != self.pairs {
+            return Err("the pairs and directory are not a rebuild of their keys".into());
         }
         if let Some(key) = self.delta.iter().find(|k| self.flat_contains(k)) {
             return Err(format!("delta key {key:?} is also in flat"));
@@ -416,9 +699,10 @@ impl PositionalIndex {
     /// pure fold of the churn tiers.
     ///
     /// One linear pass over the index's own merged scan against the sorted
-    /// batch: `O(n + m log m)` for an index of `n` keys and a batch of `m`.
-    /// Right for bulk loads and for folding accumulated churn, deliberately
-    /// not for one small change (use [`PositionalIndex::insert`]).
+    /// batch, straight into the new pairs and directory: `O(n + m log m)`
+    /// for an index of `n` keys and a batch of `m`. Right for bulk loads and
+    /// for folding accumulated churn, deliberately not for one small change
+    /// (use [`PositionalIndex::insert`]).
     pub fn insert_batch(&mut self, keys: impl IntoIterator<Item = Key>) {
         let mut incoming: Vec<Key> = keys.into_iter().collect();
         if incoming.is_empty() && self.delta.is_empty() && self.dead.is_empty() {
@@ -427,21 +711,18 @@ impl PositionalIndex {
         incoming.sort_unstable();
         incoming.dedup();
 
-        let mut merged = Vec::with_capacity(self.len() + incoming.len());
+        let mut tier = TierBuilder::with_capacity(self.len() + incoming.len());
         let mut incoming = incoming.into_iter().peekable();
-        for &key in self.scan_all() {
+        self.scan_all().for_each(|key| {
             while let Some(smaller) = incoming.next_if(|k| *k < key) {
-                merged.push(smaller);
+                tier.push(smaller);
             }
             // A batch key already present is dropped, not duplicated.
             incoming.next_if_eq(&key);
-            merged.push(key);
-        }
-        merged.extend(incoming);
-        self.runs = Run::directory(&merged);
-        self.flat = merged;
-        self.delta.clear();
-        self.dead.clear();
+            tier.push(key);
+        });
+        incoming.for_each(|key| tier.push(key));
+        *self = tier.finish();
     }
 
     /// Removes a key; returns `true` if it was present.
@@ -469,7 +750,7 @@ impl PositionalIndex {
     fn run(&self, first: TermId) -> Result<&Run, usize> {
         match self.runs.binary_search_by_key(&first, |run| run.first) {
             Ok(i) => Ok(&self.runs[i]),
-            Err(i) => Err(self.runs.get(i).map_or(self.flat.len(), |run| run.start)),
+            Err(i) => Err(self.runs.get(i).map_or(self.pairs.len(), Run::start)),
         }
     }
 
@@ -477,7 +758,7 @@ impl PositionalIndex {
     /// below it.
     fn position(&self, key: Key, upper: bool) -> usize {
         match self.run(key.0) {
-            Ok(run) => run.position(&self.flat, key, upper),
+            Ok(run) => run.position(&self.pairs, key, upper),
             Err(at) => at,
         }
     }
@@ -491,9 +772,18 @@ impl PositionalIndex {
             return (start, self.position(hi, true).max(start));
         }
         match self.run(lo.0) {
+            // Both ends in one window (a bound second component): one lookup.
+            Ok(run) if lo.1 == hi.1 => {
+                let window = run.window(lo.1);
+                let start = seek(&self.pairs, window, (lo.2, lo.3), false);
+                (
+                    start,
+                    seek(&self.pairs, window, (hi.2, hi.3), true).max(start),
+                )
+            }
             Ok(run) => {
-                let start = run.position(&self.flat, lo, false);
-                (start, run.position(&self.flat, hi, true).max(start))
+                let start = run.position(&self.pairs, lo, false);
+                (start, run.position(&self.pairs, hi, true).max(start))
             }
             Err(at) => (at, at),
         }
@@ -501,6 +791,20 @@ impl PositionalIndex {
 
     fn scan_range(&self, lo: Key, hi: Key) -> PrefixScan<'_> {
         let (start, end) = self.flat_bounds(lo, hi);
+        let one_window = (lo.0, lo.1) == (hi.0, hi.1);
+        if one_window && self.delta.is_empty() && self.dead.is_empty() {
+            // The hot path: every key of the range has `lo`'s first two
+            // components, and no churn reaches into it.
+            return PrefixScan(Scan::Window(Window {
+                first: lo.0,
+                second: lo.1,
+                pairs: self.pairs[start..end].iter(),
+            }));
+        }
+        let walk = match one_window {
+            true => Walk::window((lo.0, lo.1), &self.pairs[start..end]),
+            false => Walk::new(self, start, end),
+        };
         let bounds = (Bound::Included(lo), Bound::Included(hi));
         // An empty churn tier — the common case — is not descended at all.
         fn churn(tier: &BTreeSet<Key>, bounds: (Bound<Key>, Bound<Key>)) -> Range<'_, Key> {
@@ -509,11 +813,7 @@ impl PositionalIndex {
                 false => tier.range(bounds),
             }
         }
-        PrefixScan::new(
-            &self.flat[start..end],
-            churn(&self.delta, bounds),
-            churn(&self.dead, bounds),
-        )
+        PrefixScan::new(walk, churn(&self.delta, bounds), churn(&self.dead, bounds))
     }
 
     /// Scans keys whose first component equals `first`, in ascending order.
@@ -560,7 +860,11 @@ impl PositionalIndex {
 
     /// Scans every key in ascending order.
     pub fn scan_all(&self) -> PrefixScan<'_> {
-        PrefixScan::new(&self.flat, self.delta.range(..), self.dead.range(..))
+        PrefixScan::new(
+            Walk::new(self, 0, self.pairs.len()),
+            self.delta.range(..),
+            self.dead.range(..),
+        )
     }
 
     /// Exact number of keys in `[lo, hi]`: the flat tier's bounds (a
@@ -613,9 +917,14 @@ impl PositionalIndex {
         )
     }
 
-    /// Smallest live key in `[lo, hi]`: the head of the merged scan.
+    /// Smallest live key in `[lo, hi]`: the head of the merged scan — with
+    /// no churn, of a walk that is never boxed into a scan.
     fn first_in_range(&self, lo: Key, hi: Key) -> Option<Key> {
-        self.scan_range(lo, hi).next().copied()
+        if !self.delta.is_empty() || !self.dead.is_empty() {
+            return self.scan_range(lo, hi).next();
+        }
+        let (start, end) = self.flat_bounds(lo, hi);
+        Walk::new(self, start, end).next()
     }
 
     /// Every distinct first component, in ascending order, computed exactly
@@ -696,11 +1005,11 @@ impl PositionalIndex {
     }
 }
 
-/// The key as one integer whose order is the key's: one wide comparison per
-/// step of a search instead of up to four narrow ones.
+/// The pair as one integer whose order is the pair's: one wide comparison
+/// per step of a search instead of up to two narrow ones.
 #[inline]
-fn key_bits(k: Key) -> u128 {
-    ((k.0 as u128) << 96) | ((k.1 as u128) << 64) | ((k.2 as u128) << 32) | k.3 as u128
+fn pair_bits((c, d): Pair) -> u64 {
+    ((c as u64) << 32) | d as u64
 }
 
 /// Probe budget for the distinct-value estimators: after this many runs
@@ -724,25 +1033,195 @@ fn key_successor(k: Key) -> Option<Key> {
     }
 }
 
-/// Ordered scan over a prefix range. With no churn inside the range — always,
-/// on a store without churn — it is the flat tier's contiguous subslice and
-/// nothing else: a bare slice iterator, small enough to move around for free.
-/// Otherwise it is a (boxed) three-way `Merge`.
+/// Ordered scan over a prefix range, yielding keys by value. With no churn
+/// inside the range — always, on a store without churn — it reads the flat
+/// tier's pairs and nothing else: inside one window (the second component
+/// bound) a bare slice iterator beside a constant, across windows a walk of
+/// the directory in step with the pairs. Otherwise it is a (boxed) three-way
+/// `Merge`.
 pub struct PrefixScan<'a>(Scan<'a>);
 
 enum Scan<'a> {
-    Flat(std::slice::Iter<'a, Key>),
+    Window(Window<'a>),
+    /// Boxed: carried inline, the walk's state makes every scan the size of
+    /// a walk, and the window probes of a join measurably slower.
+    Walk(Box<Walk<'a>>),
     Merged(Box<Merge<'a>>),
 }
 
-/// A three-way merge of the flat tier's subslice, the delta tier's B-tree
+/// The pairs of one window beside the first and second component their
+/// keys share.
+struct Window<'a> {
+    first: TermId,
+    second: TermId,
+    pairs: std::slice::Iter<'a, Pair>,
+}
+
+impl Window<'_> {
+    #[inline]
+    fn next(&mut self) -> Option<Key> {
+        let &(c, d) = self.pairs.next()?;
+        Some((self.first, self.second, c, d))
+    }
+
+    fn fold<B>(self, acc: B, mut f: impl FnMut(B, Key) -> B) -> B {
+        let (first, second) = (self.first, self.second);
+        self.pairs
+            .fold(acc, |acc, &(c, d)| f(acc, (first, second, c, d)))
+    }
+}
+
+/// A walk over a range of an index's flat tier: the range's pairs, and the
+/// directory read in step with them — the current window's first and second
+/// component and how many of its pairs are left, the offsets and ids of the
+/// windows after it.
+struct Walk<'a> {
+    first: TermId,
+    second: TermId,
+    /// Pairs of the current window not yet returned.
+    left: u32,
+    /// The range's pairs not yet returned.
+    pairs: std::slice::Iter<'a, Pair>,
+    /// The current run's offsets from the current window's end on.
+    ends: &'a [u32],
+    /// The second ids of the current run's later windows when its directory
+    /// is sparse; `None` when it is dense (a window's id is the last one's
+    /// plus one).
+    ids: Option<&'a [TermId]>,
+    /// The runs after the current one.
+    runs: &'a [Run],
+}
+
+impl<'a> Walk<'a> {
+    /// The pairs of one window, whose keys all begin with `prefix`: nothing
+    /// to walk.
+    fn window(prefix: (TermId, TermId), pairs: &'a [Pair]) -> Self {
+        Walk {
+            first: prefix.0,
+            second: prefix.1,
+            left: pairs.len() as u32,
+            pairs: pairs.iter(),
+            ends: &[],
+            ids: None,
+            runs: &[],
+        }
+    }
+
+    /// The flat positions `start..end` of `index`, across windows and runs.
+    fn new(index: &'a PositionalIndex, start: usize, end: usize) -> Self {
+        if start >= end {
+            return Walk::window((0, 0), &[]);
+        }
+        let run = index.runs.partition_point(|run| run.end() <= start);
+        let directory = &index.runs[run];
+        let i = directory
+            .offsets
+            .partition_point(|&at| at as usize <= start)
+            - 1;
+        Walk {
+            first: directory.first,
+            second: directory.second(i),
+            left: directory.offsets[i + 1] - start as u32,
+            pairs: index.pairs[start..end].iter(),
+            ends: &directory.offsets[i + 1..],
+            ids: directory.sparse_ids().map(|ids| &ids[i + 1..]),
+            runs: &index.runs[run + 1..],
+        }
+    }
+
+    /// A scan of the walk: a bare [`Window`] when its range lies in the
+    /// current window.
+    fn into_scan(self) -> Scan<'a> {
+        match self.pairs.len() <= self.left as usize {
+            true => Scan::Window(Window {
+                first: self.first,
+                second: self.second,
+                pairs: self.pairs,
+            }),
+            false => Scan::Walk(Box::new(self)),
+        }
+    }
+
+    #[inline]
+    fn next(&mut self) -> Option<Key> {
+        let &(c, d) = self.pairs.next()?;
+        if self.left == 0 {
+            self.cross();
+        }
+        self.left -= 1;
+        Some((self.first, self.second, c, d))
+    }
+
+    /// [`Walk::step`] out of line, so that a scan's `next` stays small enough
+    /// to inline into the loop that drives it.
+    #[inline(never)]
+    fn cross(&mut self) {
+        self.step();
+    }
+
+    /// Moves to the next window that holds a key: over the empty windows of
+    /// a dense directory, and into the next run at the end of this one. Only
+    /// called while pairs are left, so there is one.
+    #[inline(always)]
+    fn step(&mut self) {
+        loop {
+            self.left = match *self.ends {
+                [end, next, ..] => {
+                    self.ends = &self.ends[1..];
+                    self.second = match &mut self.ids {
+                        None => self.second + 1,
+                        Some(ids) => {
+                            let id = ids[0];
+                            *ids = &ids[1..];
+                            id
+                        }
+                    };
+                    next - end
+                }
+                _ => {
+                    let (run, left);
+                    (run, self.runs) = self.runs.split_first().expect("the range lies in runs");
+                    (self.first, self.second, self.ends, self.ids, left) = run.entry();
+                    left
+                }
+            };
+            if self.left > 0 {
+                return;
+            }
+        }
+    }
+
+    /// Keys left.
+    fn len(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// The rest of the walk, window by window: a slice fold each.
+    fn fold<B>(mut self, mut acc: B, mut f: impl FnMut(B, Key) -> B) -> B {
+        loop {
+            let rest = self.pairs.as_slice();
+            let (window, rest) = rest.split_at((self.left as usize).min(rest.len()));
+            let (first, second) = (self.first, self.second);
+            acc = window
+                .iter()
+                .fold(acc, |acc, &(c, d)| f(acc, (first, second, c, d)));
+            if rest.is_empty() {
+                return acc;
+            }
+            self.pairs = rest.iter();
+            self.step();
+        }
+    }
+}
+
+/// A three-way merge of the flat tier's range, the delta tier's B-tree
 /// range and the tombstone tier's B-tree range. Every tombstone in the range
 /// shadows exactly one flat key of the range (`dead ⊆ flat`), so the
 /// tombstones are consumed in step with the flat keys they hide — one sorted
 /// stream, no lookup per key.
 struct Merge<'a> {
-    flat: std::slice::Iter<'a, Key>,
-    flat_next: Option<&'a Key>,
+    flat: Walk<'a>,
+    flat_next: Option<Key>,
     delta: Range<'a, Key>,
     delta_next: Option<&'a Key>,
     dead: Range<'a, Key>,
@@ -750,14 +1229,14 @@ struct Merge<'a> {
 }
 
 impl<'a> PrefixScan<'a> {
-    fn new(flat: &'a [Key], mut delta: Range<'a, Key>, mut dead: Range<'a, Key>) -> Self {
+    fn new(flat: Walk<'a>, mut delta: Range<'a, Key>, mut dead: Range<'a, Key>) -> Self {
         let delta_next = delta.next();
         let dead_next = dead.next();
         if delta_next.is_none() && dead_next.is_none() {
-            return PrefixScan(Scan::Flat(flat.iter()));
+            return PrefixScan(flat.into_scan());
         }
         let mut merge = Merge {
-            flat: flat.iter(),
+            flat,
             flat_next: None,
             delta,
             delta_next,
@@ -769,9 +1248,9 @@ impl<'a> PrefixScan<'a> {
     }
 }
 
-impl<'a> Merge<'a> {
+impl Merge<'_> {
     /// The next flat key that is not tombstoned.
-    fn pull(&mut self) -> Option<&'a Key> {
+    fn pull(&mut self) -> Option<Key> {
         loop {
             let key = self.flat.next()?;
             match self.dead_next {
@@ -779,24 +1258,24 @@ impl<'a> Merge<'a> {
                 // The pending tombstone is never behind the flat cursor
                 // (`dead ⊆ flat`, both ascending over the same range), so
                 // it names either this key or a later one.
-                Some(dead) if dead != key => return Some(key),
+                Some(dead) if *dead != key => return Some(key),
                 Some(_) => self.dead_next = self.dead.next(),
             }
         }
     }
 
-    fn next(&mut self) -> Option<&'a Key> {
+    fn next(&mut self) -> Option<Key> {
         match (self.flat_next, self.delta_next) {
             (None, None) => None,
             (Some(f), None) => {
                 self.flat_next = self.pull();
                 Some(f)
             }
-            (None, Some(d)) => {
+            (None, Some(&d)) => {
                 self.delta_next = self.delta.next();
                 Some(d)
             }
-            (Some(f), Some(d)) => {
+            (Some(f), Some(&d)) => {
                 // The tiers are disjoint by invariant; `<=` is defensive.
                 if f <= d {
                     self.flat_next = self.pull();
@@ -810,20 +1289,36 @@ impl<'a> Merge<'a> {
     }
 }
 
-impl<'a> Iterator for PrefixScan<'a> {
-    type Item = &'a Key;
+impl Iterator for PrefixScan<'_> {
+    type Item = Key;
 
     #[inline]
-    fn next(&mut self) -> Option<&'a Key> {
+    fn next(&mut self) -> Option<Key> {
         match &mut self.0 {
-            Scan::Flat(keys) => keys.next(),
+            Scan::Window(window) => window.next(),
+            Scan::Walk(walk) => walk.next(),
             Scan::Merged(merge) => merge.next(),
+        }
+    }
+
+    fn fold<B, F: FnMut(B, Key) -> B>(self, init: B, mut f: F) -> B {
+        match self.0 {
+            Scan::Window(window) => window.fold(init, f),
+            Scan::Walk(walk) => walk.fold(init, f),
+            Scan::Merged(mut merge) => {
+                let mut acc = init;
+                while let Some(key) = merge.next() {
+                    acc = f(acc, key);
+                }
+                acc
+            }
         }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         match &self.0 {
-            Scan::Flat(keys) => keys.size_hint(),
+            Scan::Window(window) => window.pairs.size_hint(),
+            Scan::Walk(walk) => (walk.len(), Some(walk.len())),
             // The churn ranges' lengths are not known in O(1); give
             // collectors the flat tier's guaranteed minimum when nothing can
             // shadow it, and leave the upper bound open.
@@ -917,7 +1412,7 @@ mod tests {
         idx.insert((1, 1, 2, 0));
         idx.insert((1, 1, 0, 0));
         idx.insert((0, 9, 9, 0));
-        let all: Vec<Key> = idx.scan_all().copied().collect();
+        let all: Vec<Key> = idx.scan_all().collect();
         assert_eq!(
             all,
             vec![
@@ -929,7 +1424,7 @@ mod tests {
                 (2, 0, 0, 0)
             ]
         );
-        let ones: Vec<Key> = idx.scan_prefix2(1, 1).copied().collect();
+        let ones: Vec<Key> = idx.scan_prefix2(1, 1).collect();
         assert_eq!(
             ones,
             vec![(1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 2, 0), (1, 1, 3, 0)]
@@ -945,7 +1440,7 @@ mod tests {
         assert!(!idx.contains(&(1, 1, 2, 0)));
         assert_eq!(idx.len(), 2);
         assert_eq!(idx.scan_prefix1(1).count(), 2);
-        assert!(idx.scan_all().all(|k| *k != (1, 1, 2, 0)));
+        assert!(idx.scan_all().all(|k| k != (1, 1, 2, 0)));
         // Re-inserting a tombstoned key resurrects it in place.
         assert!(idx.insert((1, 1, 2, 0)));
         assert!(!idx.insert((1, 1, 2, 0)));
@@ -960,7 +1455,7 @@ mod tests {
         idx.insert((2, 0, 0, 0)); // delta
         idx.remove(&(3, 0, 0, 0)); // tombstone
         idx.insert_batch([(4, 0, 0, 0), (1, 0, 0, 0)]); // dup with flat
-        let all: Vec<Key> = idx.scan_all().copied().collect();
+        let all: Vec<Key> = idx.scan_all().collect();
         assert_eq!(all, vec![(1, 0, 0, 0), (2, 0, 0, 0), (4, 0, 0, 0)]);
         assert_eq!(idx.len(), 3);
         assert!(!idx.contains(&(3, 0, 0, 0)));
@@ -1015,8 +1510,8 @@ mod tests {
     #[test]
     fn range_ends_agree_with_a_binary_search() {
         // Runs of every length from 0 to 40, the last run ending the tier.
-        // Every other run also ends on a far second id, which leaves it
-        // without a directory: its range ends are searched inside the run.
+        // Every other run also ends on a far second id, which makes its
+        // directory sparse: its second ids are searched, not indexed.
         let mut keys = Vec::new();
         for first in 0..=40u32 {
             keys.extend((0..first).map(|third| (2 * first, 7, third, 0)));
@@ -1025,7 +1520,7 @@ mod tests {
             }
         }
         let idx = PositionalIndex::from_sorted(keys.clone());
-        assert!(idx.runs.iter().any(|run| run.offsets.is_none()));
+        assert!(idx.tier_sizes().sparse_runs > 0);
         let max = TermId::MAX;
         for first in 0..=82u32 {
             for (lo, hi) in [
@@ -1072,9 +1567,10 @@ mod tests {
         let sizes = idx.tier_sizes();
         assert!(sizes.directory <= sizes.flat + idx.runs.len(), "{sizes:?}");
         let max = TermId::MAX;
+        let flat = idx.flat_keys();
         let reference = |lo: Key, hi: Key| {
-            let start = idx.flat.partition_point(|k| *k < lo);
-            (start, idx.flat.partition_point(|k| *k <= hi).max(start))
+            let start = flat.partition_point(|k| *k < lo);
+            (start, flat.partition_point(|k| *k <= hi).max(start))
         };
         let seconds = [0, 1, 9, 10, 12, 14, 19, 20, 999, 1000, 50_000, 50_001];
         for a in [0, 3, 4, 5, 7, 9, 12] {
@@ -1091,7 +1587,7 @@ mod tests {
                             let live: Vec<Key> = model.range(lo..=hi).copied().collect();
                             assert_eq!(idx.flat_bounds(lo, hi), reference(lo, hi), "{lo:?}");
                             assert_eq!(idx.count_range(lo, hi), live.len(), "{lo:?}");
-                            let scanned: Vec<Key> = idx.scan_range(lo, hi).copied().collect();
+                            let scanned: Vec<Key> = idx.scan_range(lo, hi).collect();
                             assert_eq!(scanned, live, "[{lo:?}, {hi:?}]");
                         }
                         assert_eq!(idx.contains(&(a, b, c, d)), model.contains(&(a, b, c, d)));
@@ -1109,10 +1605,13 @@ mod tests {
         assert_probes_match_reference(&PositionalIndex::new(), &BTreeSet::new());
 
         let restored = PositionalIndex::from_sorted(keys.clone());
-        let dense = |idx: &PositionalIndex, g| idx.run(g).unwrap().offsets.is_some();
+        let dense =
+            |idx: &PositionalIndex, g| matches!(idx.run(g).unwrap().seconds, Seconds::Dense(_));
         assert!(dense(&restored, 3) && !dense(&restored, 5) && dense(&restored, 9));
-        // Graph 3 spans 10 second ids (11 offsets), graph 9 one (2 offsets).
-        assert_eq!(restored.tier_sizes().directory, 13);
+        // Graph 3 spans 10 second ids (11 offsets), graph 5 lists its 3
+        // (4 offsets), graph 9 spans one (2 offsets).
+        assert_eq!(restored.tier_sizes().directory, 17);
+        assert_eq!(restored.tier_sizes().sparse_runs, 1);
         assert_probes_match_reference(&restored, &model);
 
         // A fold builds the same directory from unsorted input.
@@ -1132,12 +1631,13 @@ mod tests {
         assert_eq!(idx.runs, restored.runs);
         assert_probes_match_reference(&idx, &model);
 
-        // The next fold takes graph 4 into a run of its own — without a
-        // directory, its span of 3 second ids being wider than its 2 keys —
-        // and gives graph 3 a directory over the filled hole.
+        // The next fold takes graph 4 into a run of its own — sparse, its
+        // span of 3 second ids being wider than its 2 keys (3 offsets) —
+        // and fills graph 3's window of the hole.
         idx.insert_batch([]);
         assert!(!dense(&idx, 4) && dense(&idx, 3));
-        assert_eq!(idx.tier_sizes().directory, 13);
+        assert_eq!(idx.tier_sizes().directory, 20);
+        assert_eq!(idx.tier_sizes().sparse_runs, 2);
         assert_probes_match_reference(&idx, &model);
     }
 
@@ -1215,31 +1715,26 @@ mod tests {
     fn regrouping_sorts_dense_and_sparse_runs_alike() {
         // The store builder's chain, GSPO → GOSP → GPOS, over a dense run
         // (graph 1), a run whose objects and predicates span far more ids
-        // than it has keys (graph 2: the comparison fallback) and a one-key
+        // than it has keys (graph 2: sparse, counted by rank) and a one-key
         // run (graph 3).
-        let to_gosp = |(g, s, p, o): Key| (g, o, s, p);
-        let gosp_to_gpos = |(g, o, s, p): Key| (g, p, o, s);
         let mut keys: Vec<Key> = (0..40).map(|i| (1, i / 4, i % 4, i * 3 % 8)).collect();
         keys.extend([(2, 5, 0, 9_999), (2, 6, 9_999, 0), (3, 1, 2, 3)]);
         let gspo = PositionalIndex::from_sorted(keys.clone());
-        let gosp = gspo.regrouped(to_gosp);
-        let gpos = gosp.regrouped(gosp_to_gpos);
+        let gosp = gspo.regrouped();
+        let gpos = gosp.regrouped();
         let sorted = |permute: fn(Key) -> Key| {
             let mut permuted: Vec<Key> = keys.iter().map(|&k| permute(k)).collect();
             permuted.sort_unstable();
             permuted
         };
-        assert_eq!(gosp.flat, sorted(|(g, s, p, o)| (g, o, s, p)));
-        assert_eq!(gpos.flat, sorted(|(g, s, p, o)| (g, p, o, s)));
+        assert_eq!(gosp.flat_keys(), sorted(|(g, s, p, o)| (g, o, s, p)));
+        assert_eq!(gpos.flat_keys(), sorted(|(g, s, p, o)| (g, p, o, s)));
         for idx in [&gosp, &gpos] {
             idx.check_invariants().unwrap();
-            let dense = |g| idx.run(g).unwrap().offsets.is_some();
+            let dense = |g| matches!(idx.run(g).unwrap().seconds, Seconds::Dense(_));
             assert!(dense(1) && !dense(2) && dense(3));
         }
-        assert_eq!(
-            PositionalIndex::new().regrouped(to_gosp),
-            PositionalIndex::new()
-        );
+        assert_eq!(PositionalIndex::new().regrouped(), PositionalIndex::new());
     }
 
     #[test]
@@ -1247,7 +1742,7 @@ mod tests {
         let keys = vec![(0, 0, 1, 0), (0, 1, 0, 0), (5, 5, 5, 5)];
         let idx = PositionalIndex::from_sorted(keys.clone());
         assert_eq!(idx.len(), 3);
-        assert_eq!(idx.scan_all().copied().collect::<Vec<_>>(), keys);
+        assert_eq!(idx.scan_all().collect::<Vec<_>>(), keys);
         assert!(idx.contains(&(0, 1, 0, 0)));
     }
 }

@@ -43,7 +43,7 @@ pub mod store;
 
 pub use dictionary::{TermDictionary, TermId};
 pub use fault::FaultInjector;
-pub use index::{IndexOrder, TierSizes};
+pub use index::{IndexOrder, TierBytes, TierSizes};
 pub use persist::{PersistError, PersistOptions, RecoveryReport};
 pub use shared::{LoadError, SharedStore};
 pub use stats::StoreStats;

@@ -92,6 +92,7 @@ use std::path::Path;
 use hbold_rdf_model::{Iri, Term, ValueKey};
 
 use crate::dictionary::{TermDictionary, TermId};
+use crate::index::{PositionalIndex, TierBuilder};
 use crate::store::{TripleStore, DEFAULT_GRAPH};
 
 use super::codec::{
@@ -127,7 +128,9 @@ pub fn encode(store: &TripleStore) -> Vec<u8> {
         }
     }
     let mut prev = (0u32, 0u32, 0u32, 0u32);
-    for (i, &(g, s, p, o)) in store.encoded_gspo_iter().enumerate() {
+    // Internal iteration: the scan walks its directory window by window.
+    let quads = store.encoded_gspo_iter().enumerate();
+    quads.for_each(|(i, (g, s, p, o))| {
         let mut varint = |value: u64| write_varint(&mut payload, value);
         if i == 0 || g != prev.0 {
             // The first quad is "changed" in every component.
@@ -156,7 +159,7 @@ pub fn encode(store: &TripleStore) -> Vec<u8> {
             varint((o - prev.3) as u64);
         }
         prev = (g, s, p, o);
-    }
+    });
 
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(SNAPSHOT_MAGIC);
@@ -259,11 +262,11 @@ pub fn decode(bytes: &[u8]) -> Result<TripleStore, PersistError> {
     let (terms, sorted_len) = read_term_table(payload, &mut pos, term_count)?;
     let dict = TermDictionary::from_terms(terms, sorted_len)
         .ok_or_else(|| PersistError::corrupt("duplicate term in term table"))?;
-    let quads = read_quads(payload, &mut pos, quad_count, dict.len())?;
+    let gspo = read_quads(payload, &mut pos, quad_count, dict.len())?;
     if pos != payload.len() {
         return Err(PersistError::corrupt("snapshot payload has trailing bytes"));
     }
-    Ok(TripleStore::from_gspo(dict, quads))
+    Ok(TripleStore::from_gspo(dict, gspo))
 }
 
 /// Reads the term table, and with it the length of its longest prefix that
@@ -343,17 +346,18 @@ fn increases(
     }
 }
 
-/// Reads the GSPO-ordered quad runs; every term id must name an entry of the
-/// `terms`-long table, and a graph may also be the default-graph sentinel.
-/// The keys come out strictly increasing whatever the bytes: each adds a
-/// positive delta to one component and keeps those before it (see the
-/// module docs).
+/// Reads the GSPO-ordered quad runs straight into GSPO's flat tier; every
+/// term id must name an entry of the `terms`-long table, and a graph may
+/// also be the default-graph sentinel. The keys come out strictly
+/// increasing whatever the bytes — each adds a positive delta to one
+/// component and keeps those before it (see the module docs) — as the
+/// tier's builder requires.
 fn read_quads(
     payload: &[u8],
     pos: &mut usize,
     count: usize,
     terms: usize,
-) -> Result<Vec<(TermId, TermId, TermId, TermId)>, PersistError> {
+) -> Result<PositionalIndex, PersistError> {
     let read = |pos: &mut usize| -> Result<TermId, PersistError> {
         let v = read_varint(payload, pos)?;
         TermId::try_from(v).map_err(|_| PersistError::corrupt("term id exceeds 32 bits"))
@@ -372,7 +376,7 @@ fn read_quads(
     let in_table = |id: TermId| (id as usize) < terms;
     // A quad takes at least 4 bytes (four one-byte varints): exact for a
     // real file, bounded for a crafted header.
-    let mut quads = Vec::with_capacity(count.min((payload.len() - *pos) / 4));
+    let mut gspo = TierBuilder::with_capacity(count.min((payload.len() - *pos) / 4));
     let mut prev = (0, 0, 0, 0);
     for i in 0..count {
         let dg = read(pos)?;
@@ -408,10 +412,10 @@ fn read_quads(
                 "quad references a term id outside the term table",
             ));
         }
-        quads.push(quad);
+        gspo.push(quad);
         prev = quad;
     }
-    Ok(quads)
+    Ok(gspo.finish())
 }
 
 /// Writes `store` as a snapshot at `path` atomically: the bytes go to
@@ -575,9 +579,9 @@ mod tests {
         let bytes = encode(&store);
         let mut runs_at = 0;
         read_term_table(&bytes[HEADER_LEN..], &mut runs_at, store.term_count()).unwrap();
-        let quads = |idx: &crate::index::PositionalIndex, to_gspo: fn(Key) -> Key| {
+        let quads = |idx: &PositionalIndex, to_gspo: fn(Key) -> Key| {
             idx.scan_all()
-                .map(|&k| to_gspo(k))
+                .map(to_gspo)
                 .collect::<std::collections::BTreeSet<Key>>()
         };
         let (mut refused, mut decoded) = (0, 0);
@@ -864,9 +868,10 @@ mod tests {
         for _ in 1..count {
             payload.extend([0, 0, 0, 1]);
         }
-        let quads = read_quads(&payload, &mut 0, count, count).unwrap();
-        assert_eq!(quads.len(), count);
-        assert_eq!(quads.capacity(), count, "the key vector grew while reading");
+        let gspo = read_quads(&payload, &mut 0, count, count).unwrap();
+        assert_eq!(gspo.len(), count);
+        let pairs = gspo.heap_bytes().pairs;
+        assert_eq!(pairs, 8 * count, "the pair vector grew while reading");
     }
 
     #[test]

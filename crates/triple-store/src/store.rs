@@ -6,7 +6,7 @@ use std::borrow::Borrow;
 use hbold_rdf_model::{Graph, Quad, Term, Triple, TriplePattern};
 
 use crate::dictionary::{TermDictionary, TermId};
-use crate::index::{IndexOrder, PositionalIndex, PrefixScan, TierSizes};
+use crate::index::{IndexOrder, PositionalIndex, PrefixScan, TierBytes, TierSizes};
 
 /// The reserved identifier of the default graph.
 ///
@@ -135,22 +135,21 @@ impl TripleStore {
         store
     }
 
-    /// Builds a store from its dictionary and its quads as strictly
-    /// increasing GSPO keys — the one way the three orders are built from
-    /// nothing: a snapshot restore, whose quad runs decode in that order by
-    /// construction, and the fold of a batch into an empty store (see
-    /// [`TripleStore::absorb`]). Debug builds verify the order.
+    /// Builds a store from its dictionary and its GSPO order, a flat tier
+    /// without churn — the one way the three orders are built from nothing:
+    /// a snapshot restore, whose quad runs decode into GSPO's pairs and
+    /// directory in key order by construction, and the fold of a batch into
+    /// an empty store (see [`TripleStore::absorb`]).
     ///
-    /// GSPO is the keys themselves. Inside one graph the keys of one object
-    /// already sit in `(s, p)` order, so GOSP is one stable counting pass of
-    /// GSPO by object; likewise GPOS is one of GOSP by predicate (see
+    /// Inside one graph the keys of one object already sit in `(s, p)`
+    /// order, so GOSP is one stable counting pass of GSPO by object;
+    /// likewise GPOS is one of GOSP by predicate (see
     /// [`PositionalIndex::regrouped`]). All three come out as pure sorted
     /// flat tiers with their directories, so the store starts on the
     /// contiguous scan path with no B-tree node.
-    pub(crate) fn from_gspo(dict: TermDictionary, keys: Vec<QuadKey>) -> Self {
-        let gspo = PositionalIndex::from_sorted(keys);
-        let gosp = gspo.regrouped(gosp);
-        let gpos = gosp.regrouped(|(g, o, s, p)| (g, p, o, s));
+    pub(crate) fn from_gspo(dict: TermDictionary, gspo: PositionalIndex) -> Self {
+        let gosp = gspo.regrouped();
+        let gpos = gosp.regrouped();
         TripleStore {
             dict,
             gspo,
@@ -169,7 +168,7 @@ impl TripleStore {
     /// Iterates the encoded quads in ascending GSPO order (the order the
     /// snapshot writer delta-encodes them in; the default graph sorts
     /// last because its identifier is `TermId::MAX`).
-    pub(crate) fn encoded_gspo_iter(&self) -> impl Iterator<Item = &QuadKey> {
+    pub(crate) fn encoded_gspo_iter(&self) -> impl Iterator<Item = QuadKey> + '_ {
         self.gspo.scan_all()
     }
 
@@ -208,6 +207,17 @@ impl TripleStore {
             (IndexOrder::Gspo, self.gspo.tier_sizes()),
             (IndexOrder::Gpos, self.gpos.tier_sizes()),
             (IndexOrder::Gosp, self.gosp.tier_sizes()),
+        ]
+    }
+
+    /// Heap bytes of the three positional indexes, per tier
+    /// ([`PositionalIndex::heap_bytes`]) — behind the `hbold_index_bytes`
+    /// gauges.
+    pub fn index_bytes(&self) -> [(IndexOrder, TierBytes); 3] {
+        [
+            (IndexOrder::Gspo, self.gspo.heap_bytes()),
+            (IndexOrder::Gpos, self.gpos.heap_bytes()),
+            (IndexOrder::Gosp, self.gosp.heap_bytes()),
         ]
     }
 
@@ -274,10 +284,10 @@ impl TripleStore {
         } else if flat + delta + dead == 0 {
             batch.sort_unstable();
             batch.dedup();
-            // The batch becomes GSPO's flat tier: keep no slack a streamed
-            // batch grew while interning, or dedup left behind.
-            batch.shrink_to_fit();
-            *self = TripleStore::from_gspo(std::mem::take(&mut self.dict), batch);
+            // GSPO's pairs take exactly the deduplicated keys' room, and the
+            // batch is dropped as they are written.
+            let gspo = PositionalIndex::from_sorted(batch);
+            *self = TripleStore::from_gspo(std::mem::take(&mut self.dict), gspo);
             crate::persist::count_fold(self.len());
         } else {
             self.gspo.insert_batch(batch.iter().copied());
@@ -707,7 +717,7 @@ impl TripleStore {
     /// Iterates over every stored quad (decoded, named graphs in ascending
     /// graph-id order first, the default graph last).
     pub fn iter_quads(&self) -> impl Iterator<Item = Quad> + '_ {
-        self.gspo.scan_all().map(|&(g, s, p, o)| {
+        self.gspo.scan_all().map(|(g, s, p, o)| {
             Quad::new(
                 Triple::new(
                     self.dict.term(s).clone(),
@@ -734,22 +744,33 @@ pub struct EncodedScan<'s> {
     order: IndexOrder,
 }
 
+/// The triple of an index key of `order`.
+#[inline]
+fn triple_of(order: IndexOrder, (_, a, b, c): QuadKey) -> EncodedTriple {
+    let (subject, predicate, object) = match order {
+        IndexOrder::Gspo => (a, b, c),
+        IndexOrder::Gpos => (c, a, b),
+        IndexOrder::Gosp => (b, c, a),
+    };
+    EncodedTriple {
+        subject,
+        predicate,
+        object,
+    }
+}
+
 impl Iterator for EncodedScan<'_> {
     type Item = EncodedTriple;
 
     #[inline]
     fn next(&mut self) -> Option<EncodedTriple> {
-        let &(_, a, b, c) = self.scan.next()?;
-        let (subject, predicate, object) = match self.order {
-            IndexOrder::Gspo => (a, b, c),
-            IndexOrder::Gpos => (c, a, b),
-            IndexOrder::Gosp => (b, c, a),
-        };
-        Some(EncodedTriple {
-            subject,
-            predicate,
-            object,
-        })
+        Some(triple_of(self.order, self.scan.next()?))
+    }
+
+    fn fold<B, F: FnMut(B, EncodedTriple) -> B>(self, init: B, mut f: F) -> B {
+        let order = self.order;
+        self.scan
+            .fold(init, move |acc, key| f(acc, triple_of(order, key)))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -1096,12 +1117,13 @@ mod tests {
         let permutations: [fn(QuadKey) -> QuadKey; 3] = [|key| key, gpos, gosp];
         for (seed, terms) in [(1, 300), (2, 300), (3, 2_000)] {
             let keys = random_gspo(seed, terms);
-            let store = TripleStore::from_gspo(dictionary(terms), keys.clone());
+            let gspo = PositionalIndex::from_sorted(keys.clone());
+            let store = TripleStore::from_gspo(dictionary(terms), gspo);
             assert_eq!(store.len(), keys.len());
             for (idx, permute) in store.orders().into_iter().zip(permutations) {
                 let mut expected: Vec<QuadKey> = keys.iter().map(|&k| permute(k)).collect();
                 expected.sort_unstable();
-                assert_eq!(idx.scan_all().copied().collect::<Vec<_>>(), expected);
+                assert_eq!(idx.scan_all().collect::<Vec<_>>(), expected);
                 idx.check_invariants().unwrap();
                 // The merge path's index of the same keys: flat tier and
                 // directory alike.
@@ -1110,7 +1132,7 @@ mod tests {
                 assert!(*idx == merged, "seed {seed}");
             }
         }
-        let empty = TripleStore::from_gspo(TermDictionary::default(), Vec::new());
+        let empty = TripleStore::from_gspo(TermDictionary::default(), PositionalIndex::new());
         assert!(empty.is_empty());
         for idx in empty.orders() {
             idx.check_invariants().unwrap();

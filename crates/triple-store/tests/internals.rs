@@ -319,15 +319,32 @@ fn indexes_stay_consistent_under_interleaved_insert_remove() {
 
 type Key = (TermId, TermId, TermId, TermId);
 
-/// Identifier domain of the model test: small enough that keys collide and
-/// every prefix can be enumerated, with `TermId::MAX` (the default-graph
-/// sentinel) in it so ranges that end at the top of the key space are hit.
+/// Identifier domain of the model test's first, third and fourth
+/// components: small enough that keys collide and every prefix can be
+/// enumerated, with `TermId::MAX` (the default-graph sentinel) in it so
+/// ranges that end at the top of the key space are hit.
 const IDS: [TermId; 4] = [0, 1, 2, TermId::MAX];
 
-/// The `n`-th key of the 192-key domain.
+/// The second components: a dense block of ids, and `TermId::MAX` beside
+/// it. A run whose keys reach only the block, in a span no wider than its
+/// key count, gets a dense directory — with empty windows where its keys
+/// skip an id of the block; a run that also reaches `TermId::MAX` gets a
+/// sparse one.
+const SECONDS: [TermId; 7] = [3, 4, 5, 6, 7, 8, TermId::MAX];
+
+/// Second ids a probe tries: the block, its neighbours and both ends of the
+/// id space.
+const PROBED_SECONDS: [TermId; 11] = [0, 2, 3, 4, 5, 6, 7, 8, 9, TermId::MAX - 1, TermId::MAX];
+
+/// The `n`-th key of the 336-key domain.
 fn nth_key(n: u32) -> Key {
     let id = |v: u32| IDS[(v % 4) as usize];
-    (id(n), id(n / 4), id(n / 16), id(n / 64 % 3))
+    (
+        id(n),
+        SECONDS[(n / 4 % 7) as usize],
+        id(n / 28),
+        id(n / 112 % 3),
+    )
 }
 
 /// `len` pseudo-random keys drawn from `seed`.
@@ -344,11 +361,11 @@ fn key_batch(seed: u32, len: usize) -> Vec<Key> {
 /// Every read the index offers, against the model.
 fn assert_index_matches_model(idx: &PositionalIndex, model: &BTreeSet<Key>) {
     idx.check_invariants().expect("tier invariants");
-    let in_model =
-        |f: &dyn Fn(&Key) -> bool| -> Vec<Key> { model.iter().filter(|k| f(k)).copied().collect() };
+    let max = TermId::MAX;
+    let in_model = |lo: Key, hi: Key| -> Vec<Key> { model.range(lo..=hi).copied().collect() };
     assert_eq!(
-        idx.scan_all().copied().collect::<Vec<_>>(),
-        in_model(&|_| true)
+        idx.scan_all().collect::<Vec<_>>(),
+        in_model((0, 0, 0, 0), (max, max, max, max))
     );
     assert_eq!(idx.len(), model.len());
     assert_eq!(idx.is_empty(), model.is_empty());
@@ -361,28 +378,22 @@ fn assert_index_matches_model(idx: &PositionalIndex, model: &BTreeSet<Key>) {
         firsts.iter().copied().collect::<Vec<_>>()
     );
     for a in IDS {
-        let expected = in_model(&|k| k.0 == a);
-        assert_eq!(idx.scan_prefix1(a).copied().collect::<Vec<_>>(), expected);
+        let expected = in_model((a, 0, 0, 0), (a, max, max, max));
+        assert_eq!(idx.scan_prefix1(a).collect::<Vec<_>>(), expected);
         assert_eq!(idx.count_prefix1(a), expected.len());
-        // Four distinct values at most: under the estimators' probe budget,
+        // Seven distinct values at most: under the estimators' probe budget,
         // so both are exact.
         let seconds: BTreeSet<TermId> = expected.iter().map(|k| k.1).collect();
         assert_eq!(idx.distinct_second_estimate(a), seconds.len());
-        for b in IDS {
-            let expected = in_model(&|k| (k.0, k.1) == (a, b));
+        for b in PROBED_SECONDS {
+            let expected = in_model((a, b, 0, 0), (a, b, max, max));
             let thirds: BTreeSet<TermId> = expected.iter().map(|k| k.2).collect();
             assert_eq!(idx.distinct_third_estimate(a, b), thirds.len());
-            assert_eq!(
-                idx.scan_prefix2(a, b).copied().collect::<Vec<_>>(),
-                expected
-            );
+            assert_eq!(idx.scan_prefix2(a, b).collect::<Vec<_>>(), expected);
             assert_eq!(idx.count_prefix2(a, b), expected.len());
             for c in IDS {
-                let expected = in_model(&|k| (k.0, k.1, k.2) == (a, b, c));
-                assert_eq!(
-                    idx.scan_prefix3(a, b, c).copied().collect::<Vec<_>>(),
-                    expected
-                );
+                let expected = in_model((a, b, c, 0), (a, b, c, max));
+                assert_eq!(idx.scan_prefix3(a, b, c).collect::<Vec<_>>(), expected);
                 assert_eq!(idx.count_prefix3(a, b, c), expected.len());
                 for d in IDS {
                     let key = (a, b, c, d);
@@ -397,39 +408,125 @@ fn assert_index_matches_model(idx: &PositionalIndex, model: &BTreeSet<Key>) {
     }
 }
 
+/// The directory shapes a flat tier holding exactly `model` must have, as
+/// the module docs of `index` define them, counted over its runs.
+#[derive(Debug, Default, PartialEq)]
+struct Shapes {
+    /// Runs, one per first component.
+    runs: usize,
+    /// Dense runs with an empty window: an id of the span without keys.
+    gapped: usize,
+    /// Sparse runs.
+    sparse: usize,
+    /// Offsets of all directories.
+    offsets: usize,
+}
+
+fn shapes_of(model: &BTreeSet<Key>) -> Shapes {
+    let mut shapes = Shapes::default();
+    let firsts: BTreeSet<TermId> = model.iter().map(|k| k.0).collect();
+    for a in firsts {
+        let max = TermId::MAX;
+        let keys = model.range((a, 0, 0, 0)..=(a, max, max, max)).count();
+        let seconds: BTreeSet<TermId> = model
+            .range((a, 0, 0, 0)..=(a, max, max, max))
+            .map(|k| k.1)
+            .collect();
+        let (low, high) = (*seconds.first().unwrap(), *seconds.last().unwrap());
+        let span = (high - low) as usize + 1;
+        shapes.runs += 1;
+        if span <= keys {
+            shapes.offsets += span + 1;
+            shapes.gapped += usize::from(span > seconds.len());
+        } else {
+            shapes.offsets += seconds.len() + 1;
+            shapes.sparse += 1;
+        }
+    }
+    shapes
+}
+
+/// Plays random interleavings of single inserts, removes, small and large
+/// batch merges and bare folds against an index and a `BTreeSet` of the
+/// same keys. After every step the index answers every read exactly like
+/// the set, and the tier invariants hold; after every merge its directory
+/// has the shapes the set implies. Returns the runs seen after merges,
+/// added up (offsets not counted).
+fn play(ops: &[(u8, u32, usize)]) -> Shapes {
+    let mut idx = PositionalIndex::new();
+    let mut model: BTreeSet<Key> = BTreeSet::new();
+    let mut seen = Shapes::default();
+    for (step, &(kind, seed, len)) in ops.iter().enumerate() {
+        let key = nth_key(seed);
+        match kind {
+            0..=3 => assert_eq!(idx.insert(key), model.insert(key), "step {step}"),
+            4..=6 => assert_eq!(idx.remove(&key), model.remove(&key), "step {step}"),
+            _ => {
+                // 7: a handful of keys; 8: up to a seventh of the domain;
+                // 9: a bare fold.
+                let batch = key_batch(seed, [len % 4, len, 0][kind as usize - 7]);
+                idx.insert_batch(batch.iter().copied());
+                model.extend(batch);
+                let sizes = idx.tier_sizes();
+                assert_eq!(sizes.flat, model.len(), "step {step}");
+                let shapes = shapes_of(&model);
+                assert_eq!(
+                    (sizes.directory, sizes.sparse_runs),
+                    (shapes.offsets, shapes.sparse),
+                    "step {step}: {shapes:?}"
+                );
+                seen.runs += shapes.runs;
+                seen.gapped += shapes.gapped;
+                seen.sparse += shapes.sparse;
+            }
+        }
+        assert_index_matches_model(&idx, &model);
+    }
+    seen
+}
+
+fn ops() -> impl Strategy<Value = Vec<(u8, u32, usize)>> {
+    proptest::collection::vec((0u8..10, 0u32..1_000_000, 0usize..48), 1..80)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random interleavings of single inserts, removes, small and large
-    /// batch merges and bare folds: after every step the index answers every
-    /// read exactly like a `BTreeSet` of the same keys, and the tier
-    /// invariants hold. The index has no policy of its own (the store
-    /// decides when to merge), so the interleaving is free to leave any mix
-    /// of flat, delta and tombstoned keys behind.
+    /// [`play`] on random interleavings. The index has no policy of its own
+    /// (the store decides when to merge), so the interleaving is free to
+    /// leave any mix of flat, delta and tombstoned keys behind, and any mix
+    /// of run shapes.
     #[test]
-    fn tiers_agree_with_a_set_model_under_any_interleaving(
-        ops in proptest::collection::vec((0u8..10, 0u32..1_000_000, 0usize..48), 1..80),
-    ) {
-        let mut idx = PositionalIndex::new();
-        let mut model: BTreeSet<Key> = BTreeSet::new();
-        for (step, &(kind, seed, len)) in ops.iter().enumerate() {
-            let key = nth_key(seed);
-            match kind {
-                0..=3 => prop_assert_eq!(idx.insert(key), model.insert(key), "step {}", step),
-                4..=6 => prop_assert_eq!(idx.remove(&key), model.remove(&key), "step {}", step),
-                7 | 8 => {
-                    // 7: a handful of keys; 8: up to a quarter of the domain.
-                    let batch = key_batch(seed, if kind == 7 { len % 4 } else { len });
-                    idx.insert_batch(batch.iter().copied());
-                    model.extend(batch);
-                    prop_assert_eq!(idx.tier_sizes().flat, model.len(), "step {}", step);
-                }
-                _ => {
-                    idx.insert_batch([]);
-                    prop_assert_eq!(idx.tier_sizes().flat, model.len(), "step {}", step);
-                }
-            }
-            assert_index_matches_model(&idx, &model);
-        }
+    fn tiers_agree_with_a_set_model_under_any_interleaving(ops in ops()) {
+        play(&ops);
     }
+}
+
+/// The interleavings [`play`] sees reach both directory shapes, dense runs
+/// with empty windows among them, and tiers of several runs — so its
+/// `scan_prefix1` and `scan_all` checks walk across empty windows and run
+/// boundaries — or the model test proves nothing about them.
+#[test]
+fn the_model_interleavings_reach_every_run_shape() {
+    let mut rng = StdRng::seed_from_u64(36);
+    let mut seen = Shapes::default();
+    for _ in 0..32 {
+        let ops: Vec<(u8, u32, usize)> = (0..rng.gen_range(1..80))
+            .map(|_| {
+                (
+                    rng.gen_range(0..10),
+                    rng.gen_range(0..1_000_000),
+                    rng.gen_range(0..48),
+                )
+            })
+            .collect();
+        let shapes = play(&ops);
+        seen.runs += shapes.runs;
+        seen.gapped += shapes.gapped;
+        seen.sparse += shapes.sparse;
+    }
+    assert!(
+        seen.gapped > 0 && seen.sparse > 0 && seen.runs > seen.gapped + seen.sparse,
+        "{seen:?}"
+    );
 }
