@@ -1261,8 +1261,9 @@ fn check_serialization(results: &QueryResults, seed: u64) -> Result<(), String> 
 
 /// What the JSON codec owes the wire, on one results document that decodes
 /// to `decoded`: the tree and the encoder write the same bytes, a document
-/// with its members in any other order decodes to the same result, and no
-/// truncation of it decodes at all.
+/// with its members in any other order decodes to the same result, and so
+/// does one whose strings are spelled with other escapes, and no truncation
+/// of it decodes at all.
 fn check_json_codec(json: &str, decoded: &QueryResults, seed: u64) -> Result<(), String> {
     let mut tree = JsonValue::parse(json).map_err(|e| format!("tree rejected {json}: {e}"))?;
     // No numbers in a results document, so the tree's rendering is not just
@@ -1292,6 +1293,13 @@ fn check_json_codec(json: &str, decoded: &QueryResults, seed: u64) -> Result<(),
         ));
     }
 
+    let escaped = re_escaped(json, &mut FuzzRng::new(!seed));
+    if QueryResults::from_sparql_json(&escaped).as_ref() != Ok(decoded) {
+        return Err(format!(
+            "re-escaping (seed {seed}) changed the decoded result:\n{escaped}"
+        ));
+    }
+
     // Every cut of a short document. A long one is cut one byte in `stride`
     // (which byte, the seed says) and everywhere in its closing brackets, so
     // that the work stays linear in its length.
@@ -1306,6 +1314,43 @@ fn check_json_codec(json: &str, decoded: &QueryResults, seed: u64) -> Result<(),
         }
     }
     Ok(())
+}
+
+/// `json` with a quarter of its strings' characters, drawn by `rng`, spelled
+/// as escapes the encoder never writes: `\/` for half of the `/`s, `\u00XX`
+/// for ASCII, `\uXXXX` for the rest of the BMP and a surrogate pair for an
+/// astral character. The encoder's own escapes are copied as they are.
+fn re_escaped(json: &str, rng: &mut FuzzRng) -> String {
+    let mut out = String::with_capacity(2 * json.len());
+    let mut in_string = false;
+    let mut chars = json.chars();
+    while let Some(c) = chars.next() {
+        match c {
+            '"' => in_string = !in_string,
+            '\\' if in_string => {
+                out.push(c);
+                let escaped = chars.next().expect("an escape has a character");
+                out.push(escaped);
+                if escaped == 'u' {
+                    out.extend(chars.by_ref().take(4));
+                }
+                continue;
+            }
+            _ if !in_string || !rng.chance(25) => {}
+            '/' if rng.chance(50) => {
+                out.push_str("\\/");
+                continue;
+            }
+            _ => {
+                for unit in c.encode_utf16(&mut [0; 2]) {
+                    out.push_str(&format!("\\u{unit:04x}"));
+                }
+                continue;
+            }
+        }
+        out.push(c);
+    }
+    out
 }
 
 /// Evaluates `query` with every BGP's triple patterns executed in a random
@@ -1740,6 +1785,30 @@ pub fn seed_from_env() -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn re_escaped_documents_spell_every_character_another_way() {
+        let results = QueryResults::Select(SelectResults {
+            variables: vec!["v".into()],
+            rows: ["a/b", "é\"\\\n\u{1}\u{7f}", "😀 and 😀", "http://e.org/x"]
+                .into_iter()
+                .map(|s| vec![Some(Term::Literal(Literal::string(s)))])
+                .collect(),
+        });
+        let json = results.to_sparql_json();
+        let mut spellings = BTreeSet::new();
+        for seed in 0..64 {
+            let escaped = re_escaped(&json, &mut FuzzRng::new(seed));
+            assert_eq!(QueryResults::from_sparql_json(&escaped).unwrap(), results);
+            for needle in ["\\/", "\\u0061", "\\u00e9", "\\ud83d\\ude00", "\\u0076"] {
+                if escaped.contains(needle) {
+                    spellings.insert(needle);
+                }
+            }
+            check_json_codec(&json, &results, seed).unwrap();
+        }
+        assert_eq!(spellings.len(), 5, "{spellings:?}");
+    }
 
     #[test]
     fn rng_is_deterministic_and_spread_out() {

@@ -11,6 +11,9 @@
 //!   RFC 8259: no leading zeros, no bare `.`/`e`, no raw control characters,
 //!   surrogate pairs decoded and lone surrogates rejected.
 //! * [`write_str`] is the only string escaper.
+//! * Both find the bytes a string cannot hold as they are — `"`, `\` and
+//!   control bytes — with one scan, `special`, eight bytes a step; the runs
+//!   between them are borrowed or copied whole.
 //! * [`JsonValue`] is the tree for documents small enough to hold: built by
 //!   folding the reader's events, rendered by its `Display`.
 //!
@@ -269,10 +272,7 @@ impl<'a> Reader<'a> {
             // `"`, `\` and control bytes are ASCII, so every cut below falls
             // on a character boundary of the `&str`.
             let rest = &self.text[self.pos..];
-            let stop = rest
-                .bytes()
-                .position(|b| b == b'"' || b == b'\\' || b < 0x20)
-                .ok_or_else(|| self.err("unterminated string"))?;
+            let stop = special(rest.as_bytes()).ok_or_else(|| self.err("unterminated string"))?;
             let run = &rest[..stop];
             self.pos += stop + 1;
             match rest.as_bytes()[stop] {
@@ -346,27 +346,62 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// The offset of the first byte a JSON string cannot hold as it is — `"`,
+/// `\` or a control byte below 0x20 — in `bytes`, if there is one.
+///
+/// The one scan under both directions of the codec ([`Reader`]'s strings and
+/// [`write_str`]), eight bytes a step: simdjson's structural scan (Langdale
+/// & Lemire, VLDB J. 2019) as plain `u64` arithmetic. In a word `x`,
+/// `(x - 0x01…01 * n) & !x & 0x80…80` flags every byte below `n` (for
+/// `n <= 0x80`): a borrow can flag a byte above a flagged one, never one
+/// below, so the lowest flag of each mask — and of their union — is exact.
+/// `"` and `\` are the bytes of `x` XOR their splat that are below 1.
+fn special(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    let below = |x: u64, n: u8| x.wrapping_sub(ONES * n as u64) & !x & HIGHS;
+    let mut words = bytes.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let x = u64::from_le_bytes(word.try_into().expect("an 8-byte chunk"));
+        let flags = below(x, 0x20)
+            | below(x ^ (ONES * b'"' as u64), 1)
+            | below(x ^ (ONES * b'\\' as u64), 1);
+        if flags != 0 {
+            return Some(i * 8 + flags.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = words.remainder();
+    let at = tail
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)?;
+    Some(bytes.len() - tail.len() + at)
+}
+
 /// Appends `s` as a JSON string, quotes included. The workspace's one
 /// escaper: `"`, `\` and the control characters are escaped, nothing else.
 pub fn write_str(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        if b >= 0x20 && b != b'"' && b != b'\\' {
-            continue;
-        }
-        out.push_str(&s[run..i]);
-        run = i + 1;
+    let mut rest = s;
+    // Every special byte is ASCII, so each cut falls on a char boundary.
+    while let Some(at) = special(rest.as_bytes()) {
+        out.push_str(&rest[..at]);
+        let b = rest.as_bytes()[at];
         match b {
             b'"' => out.push_str("\\\""),
             b'\\' => out.push_str("\\\\"),
             b'\n' => out.push_str("\\n"),
             b'\r' => out.push_str("\\r"),
             b'\t' => out.push_str("\\t"),
-            _ => out.push_str(&format!("\\u{b:04x}")),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
+            }
         }
+        rest = &rest[at + 1..];
     }
-    out.push_str(&s[run..]);
+    out.push_str(rest);
     out.push('"');
 }
 
@@ -721,6 +756,87 @@ mod tests {
         assert_eq!(reader.next().unwrap(), Event::EndObject);
         assert_eq!(reader.next().unwrap(), Event::Eof);
         assert!(Reader::new("[1").skip().is_err());
+    }
+
+    /// The byte predicate [`special`] computes eight bytes at a time.
+    fn is_special(b: u8) -> bool {
+        b == b'"' || b == b'\\' || b < 0x20
+    }
+
+    #[test]
+    fn special_agrees_with_the_byte_predicate_at_every_alignment() {
+        // Fillers around the probe: ASCII, DEL beside `!` (one above the
+        // control range), and two- and four-byte UTF-8 sequences.
+        let fillers: [&[u8]; 4] = [b"a", &[0x7f, 0x21], "é".as_bytes(), "😀".as_bytes()];
+        for filler in fillers {
+            for len in 0..=24usize {
+                let base: Vec<u8> = filler.iter().copied().cycle().take(len).collect();
+                assert_eq!(special(&base), base.iter().position(|&b| is_special(b)));
+                for offset in (0..=16).filter(|&o| o < len) {
+                    for b in 0..=255u8 {
+                        let mut buf = base.clone();
+                        buf[offset] = b;
+                        let expected = buf.iter().position(|&b| is_special(b));
+                        assert_eq!(special(&buf), expected, "{b:#04x} at {offset} of {buf:?}");
+                        // A later special byte must not move the answer.
+                        if let Some(last) = buf.last_mut().filter(|_| offset + 1 < len) {
+                            *last = b'"';
+                            let expected = buf.iter().position(|&b| is_special(b));
+                            assert_eq!(special(&buf), expected, "{buf:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The escaper as it was before [`special`]: one byte a step, and a
+    /// `format!` per control character. Kept to pin the bytes.
+    fn per_byte_escaper(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn write_str_matches_the_per_byte_escaper_and_reads_back() {
+        let mut alphabet: Vec<char> = (0u8..0x20).map(char::from).collect();
+        alphabet.extend(['"', '\\', '/', 'a', 'Z', ' ', '\u{7f}', 'é', '☃', '😀']);
+        // xorshift64: a seeded sweep without a dependency.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        for _ in 0..3_000 {
+            // Mostly plain text, so runs longer than a word occur.
+            let len = draw(40);
+            let s: String = (0..len)
+                .map(|_| match draw(4) {
+                    0 => alphabet[draw(alphabet.len())],
+                    _ => 'x',
+                })
+                .collect();
+            let mut out = String::new();
+            write_str(&mut out, &s);
+            assert_eq!(out, per_byte_escaper(&s), "{s:?}");
+            let mut reader = Reader::new(&out);
+            assert_eq!(reader.next().unwrap(), Event::String(s.as_str().into()));
+            assert_eq!(reader.next().unwrap(), Event::Eof);
+        }
     }
 
     #[test]

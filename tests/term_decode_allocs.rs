@@ -1,10 +1,11 @@
 //! Terms decode with one copy, pinned without a clock: a counting global
 //! allocator around the decoders that build terms from text — the SPARQL
 //! results JSON reader, the N-Triples parser and the snapshot / write-ahead
-//! log term codec. Each text is copied once, from the document into the
+//! log term codec — and around the JSON string escaper. Each text is copied once, from the document into the
 //! term's shared buffer, and a literal of a well-known datatype shares the
 //! vocabulary's IRI: one allocation per IRI, blank node, plain or typed
-//! literal (a language-tagged one has its tag to copy too). Through
+//! literal (a language-tagged one has its tag to copy too), and a results
+//! column builds a term that repeats in it only once. Through
 //! `impl Into<String>` constructors each of them cost a `String` and then
 //! the `Arc` copied from it.
 
@@ -117,25 +118,69 @@ fn marginal(decode: impl Fn(usize) -> usize, n: usize) -> f64 {
     (decode(n) - decode(n / 2)) as f64 / (n - n / 2) as f64
 }
 
+/// The allocations decoding the `?s ?p ?o` results document of `rows` made.
+fn results_decode(rows: impl Iterator<Item = [Term; 3]>) -> usize {
+    let rows: Vec<Vec<Option<Term>>> = rows.map(|row| row.map(Some).to_vec()).collect();
+    let n = rows.len();
+    let json = QueryResults::Select(hbold_sparql::SelectResults {
+        variables: vec!["s".into(), "p".into(), "o".into()],
+        rows,
+    })
+    .to_sparql_json();
+    let (decoded, allocations) = counted(|| QueryResults::from_sparql_json(&json).unwrap());
+    assert_eq!(decoded.into_select().unwrap().rows.len(), n);
+    allocations
+}
+
 #[test]
 fn a_results_document_decodes_each_term_once() {
     let decode = |n: usize| {
-        let rows = triples(n)
-            .into_iter()
-            .map(|t| vec![Some(t.subject), Some(t.predicate), Some(t.object)])
-            .collect();
-        let json = QueryResults::Select(hbold_sparql::SelectResults {
-            variables: vec!["s".into(), "p".into(), "o".into()],
-            rows,
-        })
-        .to_sparql_json();
-        let (decoded, allocations) = counted(|| QueryResults::from_sparql_json(&json).unwrap());
-        assert_eq!(decoded.into_select().unwrap().rows.len(), n);
-        allocations
+        results_decode(
+            triples(n)
+                .into_iter()
+                .map(|t| [t.subject, t.predicate, t.object]),
+        )
     };
     // Three terms and the row's own vector; the table's vector grows once.
     let per_row = marginal(decode, 600);
     assert!(per_row <= 4.01, "{per_row} allocations per decoded row");
+}
+
+#[test]
+fn a_repeated_term_is_built_once_per_column() {
+    // Sorted `?s ?p ?o` listing rows: a subject on five consecutive rows,
+    // four predicates in turn, every object new.
+    let decode = |n: usize| {
+        results_decode((0..n).map(|i| {
+            let s = Iri::new(format!("http://alloc.example/s{}", i / 5)).unwrap();
+            let p = Iri::new(format!("http://alloc.example/p{}", i % 4)).unwrap();
+            let o = Literal::string(format!("value {i}"));
+            [s.into(), p.into(), o.into()]
+        }))
+    };
+    // New terms per row: one object and a fifth of a subject. Plus the
+    // row's own vector.
+    let per_row = marginal(decode, 600);
+    assert!(
+        per_row <= 1.2 + 1.0 + 0.01,
+        "{per_row} allocations per decoded row"
+    );
+}
+
+#[test]
+fn escaping_control_characters_allocates_nothing_but_the_output() {
+    let text: String = (0..10_000u32)
+        .map(|i| char::from_u32(i % 0x20).unwrap())
+        .collect();
+    let mut out = String::with_capacity(6 * text.len() + 2);
+    let ((), allocations) = counted(|| hbold_telemetry::json::write_str(&mut out, &text));
+    assert_eq!(allocations, 0);
+    assert!(out.starts_with("\"\\u0000\\u0001"), "{}", &out[..20]);
+    assert!(
+        out.ends_with("\\u000e\\u000f\""),
+        "{}",
+        &out[out.len() - 20..]
+    );
 }
 
 #[test]
