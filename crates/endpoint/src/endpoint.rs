@@ -5,7 +5,7 @@ use std::time::{Duration, Instant};
 
 use hbold_rdf_model::Graph;
 use hbold_sparql::ast::{Expression, Projection, ProjectionItem, Query, QueryForm};
-use hbold_sparql::{parse_cached_tracked, EvalHooks, QueryResults};
+use hbold_sparql::{parse_traced, EvalHooks, QueryResults};
 use hbold_telemetry::Span;
 use hbold_triple_store::{SharedStore, TripleStore};
 use parking_lot::Mutex;
@@ -239,15 +239,7 @@ impl SparqlEndpoint {
         // statistics query shapes against every endpoint. Remote queries are
         // parsed too, so capability checks (and parse errors) are settled
         // before anything crosses the wire.
-        let parse_span = trace.map(|root| root.child("parse"));
-        let parse = || parse_cached_tracked(query_text);
-        let (parsed, cache_hit) = match &parse_span {
-            Some(span) => span.timed(parse)?,
-            None => parse()?,
-        };
-        if let Some(span) = &parse_span {
-            span.set_attr("cache_hit", u64::from(cache_hit));
-        }
+        let parsed = parse_traced(query_text, trace)?;
         self.check_capabilities(&parsed)?;
 
         let (results, latency) = match &self.backend {

@@ -15,8 +15,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hbold_sparql::{
-    evaluate_with_hooks, parse_cached, parse_cached_tracked, parse_update, plan_update_op_with,
-    CancellationToken, EvalHooks, QueryResults, SparqlError,
+    evaluate_with_hooks, parse_traced, parse_update, plan_update_op_with, CancellationToken,
+    EvalHooks, QueryResults, SparqlError,
 };
 use hbold_telemetry::json::JsonValue;
 use hbold_telemetry::{Span, EXPOSITION_CONTENT_TYPE};
@@ -24,6 +24,10 @@ use hbold_triple_store::SharedStore;
 
 use crate::http::{Connection, HttpRequest, HttpResponse, Limits};
 use crate::stats::ServerStats;
+
+/// How many requests one keep-alive connection may issue before the server
+/// closes it.
+const KEEP_ALIVE_MAX_REQUESTS: usize = 1000;
 
 /// Server configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,8 +38,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Byte budgets for request heads and bodies.
     pub limits: Limits,
-    /// How many requests one keep-alive connection may issue.
-    pub keep_alive_max_requests: usize,
     /// Socket read timeout (also bounds idle keep-alive connections).
     pub read_timeout: Duration,
     /// Accepted connections waiting for a free worker beyond this count are
@@ -70,7 +72,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 8,
             limits: Limits::default(),
-            keep_alive_max_requests: 1000,
             read_timeout: Duration::from_secs(10),
             max_pending_connections: 1024,
             enable_shutdown_route: false,
@@ -423,7 +424,7 @@ fn serve_connection(shared: &Shared, conn_id: u64, mut conn: Connection) {
 
         let closing = response.close
             || !request.wants_keep_alive()
-            || served + 1 >= shared.config.keep_alive_max_requests
+            || served + 1 >= KEEP_ALIVE_MAX_REQUESTS
             || shared.shutdown.load(Ordering::SeqCst);
         response.close = closing;
         let head_only = request.method == "HEAD";
@@ -842,21 +843,7 @@ fn execute(
         root
     });
     let started = Instant::now();
-    let parsed = match &root {
-        Some(root) => {
-            let parse = root.child("parse");
-            let result = parse.timed(|| parse_cached_tracked(&query));
-            match result {
-                Ok((plan, cache_hit)) => {
-                    parse.set_attr("cache_hit", u64::from(cache_hit));
-                    Ok(plan)
-                }
-                Err(e) => Err(e),
-            }
-        }
-        None => parse_cached(&query),
-    };
-    let plan = match parsed {
+    let plan = match parse_traced(&query, root.as_ref()) {
         Ok(plan) => plan,
         Err(e) => return HttpResponse::error(400, "Bad Request", e.to_string()),
     };

@@ -22,7 +22,8 @@
 //!
 //! 1. **Syntax round-trip** — the query survives pretty-print → parse →
 //!    pretty-print → parse with a stable AST ([`crate::pretty`] is a
-//!    fixpoint on parser output).
+//!    fixpoint on parser output), and the plan cache answers the printed
+//!    text with that AST.
 //! 2. **Differential evaluation** — the engine under its cost-based plan,
 //!    the engine with every BGP's patterns in a seeded random permutation
 //!    ([`evaluate_shuffled`]; filter pushdown stays on, an `ORDER BY` never
@@ -93,6 +94,7 @@ use crate::error::SparqlError;
 use crate::eval::{self, EvalHooks};
 use crate::expr::term_string_value;
 use crate::parser::{parse_query, parse_update};
+use crate::plan::parse_cached;
 use crate::pretty::{print_query, print_update};
 use crate::reference;
 use crate::results::{CsvTable, QueryResults, SelectResults};
@@ -1433,9 +1435,18 @@ pub fn check_query(
     let printed = print_query(query);
     let fail = |msg: String| format!("{context}: {msg}\n  query: {printed}");
 
-    // Leg 1: parse → pretty-print → re-parse fixpoint.
+    // Leg 1: parse → pretty-print → re-parse fixpoint, and the plan cache
+    // serves the printed text's own plan.
     let ast =
         parse_query(&printed).map_err(|e| fail(format!("printed query does not parse: {e}")))?;
+    let cached = parse_cached(&printed)
+        .map_err(|e| fail(format!("the plan cache rejects the printed query: {e}")))?;
+    if *cached != ast {
+        return Err(fail(format!(
+            "the plan cache serves another plan:\n  cached: {}",
+            print_query(&cached)
+        )));
+    }
     let reprinted = print_query(&ast);
     let ast2 = parse_query(&reprinted).map_err(|e| {
         fail(format!(

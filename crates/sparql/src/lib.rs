@@ -26,7 +26,8 @@
 //! * [`optimize`] — the statistics-driven cost-based optimizer: exact
 //!   index-range cardinality estimates drive greedy cheapest-next-join BGP
 //!   ordering and equality-filter pushdown,
-//! * [`plan`] — the normalized-query plan cache,
+//! * [`plan`] — the plan cache, keyed on the exact query text (at most
+//!   16 KiB),
 //! * [`mod@reference`] — a deliberately naive evaluator used as a differential
 //!   test oracle against the streaming engine,
 //! * [`expr`] — expression evaluation (comparisons, logical operators,
@@ -95,7 +96,7 @@ pub use eval::{evaluate, evaluate_with_hooks, execute_query, EvalHooks};
 pub use eval::{evaluate_with, EvalOptions};
 pub use optimize::{explain, PlanExplanation};
 pub use parser::{parse_query, parse_update};
-pub use plan::{parse_cached, parse_cached_tracked, PlanCacheStats};
+pub use plan::{parse_cached, parse_traced, PlanCacheStats};
 pub use pretty::{print_query, print_update};
 pub use results::{CsvTable, QueryResults, ResultsParseError, SelectResults};
 pub use update::{

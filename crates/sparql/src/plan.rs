@@ -1,18 +1,19 @@
-//! Normalized-query plan cache.
+//! Exact-text plan cache.
 //!
 //! H-BOLD's index extraction issues the same handful of statistics query
 //! shapes against every endpoint, thousands of times per crawl. Parsing is
 //! cheap but not free, and the parsed [`Query`] is immutable — so the engine
-//! keeps a process-wide cache from *normalized* query text to the parsed
-//! plan, shared behind an `Arc`. Normalization collapses insignificant
-//! whitespace (outside of string literals and IRIs) so that formatting
-//! differences between query builders do not fragment the cache.
+//! keeps a process-wide cache from query text, *exactly as received* and at
+//! most 16 KiB of it, to the parsed plan, shared behind an `Arc`. The key is
+//! the text itself: the lexer is the only code that reads SPARQL, so two
+//! texts that parse differently can never share a plan. A hit borrows the
+//! text and allocates nothing; only a miss copies it into the map.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use hbold_telemetry::{Counter, Registry};
+use hbold_telemetry::{Counter, Registry, Span};
 
 use crate::ast::Query;
 use crate::error::SparqlError;
@@ -25,6 +26,11 @@ use crate::parser::parse_query;
 /// sawtooth. Recency is a single atomic stamp bumped on hit, so the hot
 /// path stays a `HashMap` lookup.
 const MAX_ENTRIES: usize = 4096;
+
+/// The longest text the cache keeps: the server's request-head budget, so
+/// every query that fits in a GET stays cacheable, while a megabyte POST
+/// body is parsed and dropped instead of pinning its text and plan.
+const MAX_CACHED_TEXT: usize = 16 * 1024;
 
 /// One cached plan plus the logical time of its last use.
 struct CacheEntry {
@@ -95,18 +101,28 @@ impl PlanCacheStats {
 /// Parse errors are *not* cached: a malformed query is re-parsed (and fails
 /// again) on every call, which keeps the cache free of garbage keys.
 pub fn parse_cached(text: &str) -> Result<Arc<Query>, SparqlError> {
-    parse_cached_tracked(text).map(|(plan, _)| plan)
+    lookup(text).map(|(plan, _)| plan)
 }
 
-/// [`parse_cached`], also reporting whether the lookup hit the cache.
-///
-/// The flag is what a trace's `parse` span reports as `cache_hit`; the
-/// process-wide counters advance either way.
-pub fn parse_cached_tracked(text: &str) -> Result<(Arc<Query>, bool), SparqlError> {
-    let key = normalize(text);
+/// [`parse_cached`] under a `parse` child span of `trace`, when there is
+/// one: the span times the lookup and reports whether it hit the cache as
+/// `cache_hit` (0 or 1). Without a trace it is [`parse_cached`].
+pub fn parse_traced(text: &str, trace: Option<&Span>) -> Result<Arc<Query>, SparqlError> {
+    let Some(root) = trace else {
+        return parse_cached(text);
+    };
+    let span = root.child("parse");
+    let (plan, cache_hit) = span.timed(|| lookup(text))?;
+    span.set_attr("cache_hit", u64::from(cache_hit));
+    Ok(plan)
+}
+
+/// The cached plan of `text` and whether it was a hit; the process-wide
+/// counters advance either way.
+fn lookup(text: &str) -> Result<(Arc<Query>, bool), SparqlError> {
     {
         let mut cache = cache().lock().expect("plan cache poisoned");
-        if let Some(entry) = cache.get_mut(&key) {
+        if let Some(entry) = cache.get_mut(text) {
             entry.last_used = CLOCK.fetch_add(1, Ordering::Relaxed);
             counters().hits.inc();
             return Ok((entry.plan.clone(), true));
@@ -116,12 +132,15 @@ pub fn parse_cached_tracked(text: &str) -> Result<(Arc<Query>, bool), SparqlErro
     // racing on the same fresh query simply both parse it once.
     let plan = Arc::new(parse_query(text)?);
     counters().misses.inc();
+    if text.len() > MAX_CACHED_TEXT {
+        return Ok((plan, false));
+    }
     let mut cache = cache().lock().expect("plan cache poisoned");
     if cache.len() >= MAX_ENTRIES {
         evict_lru_quarter(&mut cache);
     }
     cache.insert(
-        key,
+        text.to_owned(),
         CacheEntry {
             plan: plan.clone(),
             last_used: CLOCK.fetch_add(1, Ordering::Relaxed),
@@ -162,159 +181,84 @@ pub fn reset() {
     counters().misses.reset();
 }
 
-/// Collapses whitespace runs to a single space and strips `#` comments,
-/// mirroring the lexer's token boundaries so two texts normalize to the same
-/// key if and only if they tokenize identically.
-///
-/// String literals (single- or double-quoted, with backslash escapes) and
-/// IRIs (`<...>` with no whitespace before the closing `>`, exactly the
-/// lexer's `looks_like_iri` rule) are copied verbatim: `"a  b"` stays
-/// distinct from `"a b"`, and a `#` inside an IRI is not a comment. A `#`
-/// anywhere else starts a comment that runs to end of line — it must be
-/// *removed* (not just whitespace-collapsed), otherwise `... #x\nLIMIT 5`
-/// and `... #x LIMIT 5` (where the LIMIT sits inside the comment) would
-/// collide on one cache key while parsing differently.
-fn normalize(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    let chars: Vec<char> = text.chars().collect();
-    let mut i = 0;
-    let mut pending_space = false;
-    let push = |out: &mut String, c: char, pending_space: &mut bool| {
-        if *pending_space && !out.is_empty() {
-            out.push(' ');
-        }
-        *pending_space = false;
-        out.push(c);
-    };
-    while i < chars.len() {
-        let c = chars[i];
-        match c {
-            '"' | '\'' => {
-                push(&mut out, c, &mut pending_space);
-                i += 1;
-                while i < chars.len() {
-                    let inner = chars[i];
-                    out.push(inner);
-                    i += 1;
-                    if inner == '\\' {
-                        if i < chars.len() {
-                            out.push(chars[i]);
-                            i += 1;
-                        }
-                    } else if inner == c {
-                        break;
-                    }
-                }
-            }
-            '<' => {
-                // The lexer treats `<...>` as an IRI only when no whitespace
-                // or quote appears before the closing `>`.
-                let mut end = None;
-                for (offset, &ahead) in chars[i + 1..].iter().enumerate() {
-                    if ahead == '>' {
-                        end = Some(i + 1 + offset);
-                        break;
-                    }
-                    if ahead.is_whitespace() || ahead == '"' {
-                        break;
-                    }
-                }
-                match end {
-                    Some(end) => {
-                        push(&mut out, '<', &mut pending_space);
-                        for &iri_char in &chars[i + 1..=end] {
-                            out.push(iri_char);
-                        }
-                        i = end + 1;
-                    }
-                    None => {
-                        push(&mut out, '<', &mut pending_space);
-                        i += 1;
-                    }
-                }
-            }
-            '#' => {
-                // Comment to end of line: dropped entirely, acting as a
-                // token separator like the whitespace around it.
-                while i < chars.len() && chars[i] != '\n' {
-                    i += 1;
-                }
-                pending_space = true;
-            }
-            c if c.is_whitespace() => {
-                pending_space = true;
-                i += 1;
-            }
-            c => {
-                push(&mut out, c, &mut pending_space);
-                i += 1;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
+    use hbold_rdf_model::{Iri, Literal, Triple};
+    use hbold_triple_store::TripleStore;
+
     use super::*;
-
-    #[test]
-    fn normalization_collapses_outer_whitespace_only() {
-        assert_eq!(
-            normalize("SELECT ?s\n  WHERE  { ?s ?p \"a  b\" }"),
-            "SELECT ?s WHERE { ?s ?p \"a  b\" }"
-        );
-        assert_eq!(normalize("  ASK { ?s ?p ?o }  "), "ASK { ?s ?p ?o }");
-        assert_eq!(
-            normalize("SELECT ?s WHERE { ?s ?p 'it\\'s  x' }"),
-            "SELECT ?s WHERE { ?s ?p 'it\\'s  x' }"
-        );
-    }
-
-    #[test]
-    fn normalization_strips_comments_like_the_lexer() {
-        // Tokens after the comment's newline survive; the comment itself
-        // disappears, so the two texts below must NOT share a cache key.
-        let with_limit = normalize("SELECT ?s WHERE { ?s ?p ?o } #x\nLIMIT 5");
-        let limit_in_comment = normalize("SELECT ?s WHERE { ?s ?p ?o } #x LIMIT 5");
-        assert_eq!(with_limit, "SELECT ?s WHERE { ?s ?p ?o } LIMIT 5");
-        assert_eq!(limit_in_comment, "SELECT ?s WHERE { ?s ?p ?o }");
-        assert_ne!(with_limit, limit_in_comment);
-        // Comment-only formatting differences do share a key.
-        assert_eq!(
-            normalize("SELECT ?s # pick subjects\nWHERE { ?s ?p ?o }"),
-            normalize("SELECT ?s WHERE { ?s ?p ?o }")
-        );
-        // '#' inside an IRI or a string literal is not a comment.
-        assert_eq!(
-            normalize("ASK { ?s ?p <http://e.org/x#frag> }"),
-            "ASK { ?s ?p <http://e.org/x#frag> }"
-        );
-        assert_eq!(
-            normalize("ASK { ?s ?p \"a # b\" }"),
-            "ASK { ?s ?p \"a # b\" }"
-        );
-        // '<' as a comparison operator (whitespace before any '>') is kept.
-        assert_eq!(
-            normalize("SELECT ?s WHERE { ?s ?p ?o FILTER(?o <  5) }"),
-            "SELECT ?s WHERE { ?s ?p ?o FILTER(?o < 5) }"
-        );
-    }
+    use crate::{eval, reference};
 
     #[test]
     fn repeated_parses_hit_the_cache() {
         // Counters are process-global and tests run in parallel, so assert
         // deltas on a query text unique to this test.
+        let text = "SELECT ?plan_cache_probe WHERE { ?plan_cache_probe a ?c }";
         let before = stats();
-        let a = parse_cached("SELECT ?plan_cache_probe WHERE { ?plan_cache_probe a ?c }").unwrap();
-        let b =
-            parse_cached("SELECT ?plan_cache_probe\nWHERE   { ?plan_cache_probe a ?c }").unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "normalized variants share one plan");
+        let a = parse_cached(text).unwrap();
+        let b = parse_cached(text).unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "one text, one plan");
         let after = stats();
-        assert!(after.hits >= before.hits + 1);
-        assert!(after.misses >= before.misses + 1);
+        assert!(after.hits > before.hits);
+        assert!(after.misses > before.misses);
         assert!(after.entries >= 1);
         assert!(after.hit_rate() > 0.0);
+        // The key is the text as received: a reformatted query is parsed
+        // again, to the same plan.
+        let reformatted =
+            parse_cached("SELECT ?plan_cache_probe\nWHERE   { ?plan_cache_probe a ?c }").unwrap();
+        assert!(!Arc::ptr_eq(&a, &reformatted));
+        assert_eq!(a, reformatted);
+    }
+
+    #[test]
+    fn texts_that_lex_differently_never_share_a_plan() {
+        // Past 4 096 characters the lexer stops looking for an IRI's `>`, so
+        // `<?vvv…` is a comparison here. A key read by any other rule that
+        // takes `<?vvv…||?o='>` for one IRI and collapses the spaces after
+        // it would serve the first query's plan for the second.
+        let iri = |local: &str| Iri::new(format!("http://collide.example/{local}")).unwrap();
+        let mut store = TripleStore::new();
+        let triples = [
+            Triple::new(iri("two"), iri("p"), Literal::string(">  x")),
+            Triple::new(iri("one"), iri("p"), Literal::string("> x")),
+        ];
+        store.insert_batch(triples.iter());
+        let long_var = "v".repeat(4100);
+        let query = |object: &str| {
+            format!("SELECT ?s WHERE {{ ?s ?p ?o FILTER(?s <?{long_var}||?o='{object}') }}")
+        };
+        for text in [query(">  x"), query("> x")] {
+            let answer = eval::execute_query(&store, &text).unwrap();
+            assert_eq!(answer.clone().into_select().unwrap().len(), 1);
+            assert_eq!(answer, reference::execute_query(&store, &text).unwrap());
+        }
+    }
+
+    #[test]
+    fn a_text_past_the_cap_is_parsed_but_not_kept() {
+        let ask = |len: usize| {
+            let padding = len - "ASK { ?s ?p \"\" }".len();
+            format!("ASK {{ ?s ?p \"{}\" }}", "x".repeat(padding))
+        };
+        let fits = ask(MAX_CACHED_TEXT);
+        assert!(Arc::ptr_eq(
+            &parse_cached(&fits).unwrap(),
+            &parse_cached(&fits).unwrap()
+        ));
+        let too_long = ask(17 * 1024);
+        let root = Span::root("query");
+        let first = parse_traced(&too_long, Some(&root)).unwrap();
+        let second = parse_traced(&too_long, Some(&root)).unwrap();
+        let cache_hits: Vec<_> = root
+            .children()
+            .iter()
+            .map(|parse| parse.attr("cache_hit").and_then(|hit| hit.as_u64()))
+            .collect();
+        assert_eq!(cache_hits, [Some(0), Some(0)], "two misses");
+        assert!(!Arc::ptr_eq(&first, &second));
+        let cache = cache().lock().unwrap();
+        assert!(!cache.contains_key(too_long.as_str()), "no entry");
     }
 
     #[test]

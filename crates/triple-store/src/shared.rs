@@ -2,9 +2,9 @@
 //! optional durability.
 //!
 //! The simulated endpoint fleet serves queries from many extraction worker
-//! threads at once (see `hbold-schema`'s parallel extraction and the parallel
-//! SPARQL engine in `hbold-sparql`), so the read path must never block behind
-//! a writer. [`SharedStore`] therefore keeps the current store behind an
+//! threads at once (`hbold::ExtractionPipeline::run_many` fans a crawl out
+//! over endpoints, and the server's workers answer concurrent clients), so
+//! the read path must never block behind a writer. [`SharedStore`] therefore keeps the current store behind an
 //! `Arc`: readers grab a [`SharedStore::snapshot`] — a brief read-lock to
 //! clone the `Arc`, after which they query the immutable snapshot entirely
 //! lock-free — while updates mutate copy-on-write under a write lock

@@ -5,47 +5,17 @@
 //! the rows it scans. Each test compares a store with one 8 × its size.
 //! With a row cloned per scan stage, a group's members buffered and a sort
 //! key allocated per candidate, every one of these counts grew with the
-//! store.
+//! store. Before any of it, a query text the plan cache already holds is
+//! looked up without allocating at all.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod common;
+
+use std::sync::Arc;
 
 use hbold_rdf_model::vocab::rdf;
 use hbold_rdf_model::{Iri, Literal, Quad, Triple};
-use hbold_sparql::{evaluate, parse_query, SelectResults};
+use hbold_sparql::{evaluate, parse_cached, parse_query, SelectResults};
 use hbold_triple_store::TripleStore;
-
-thread_local! {
-    /// Allocations made by this thread (tests run on threads of their own).
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a const-initialised thread-local
-// `Cell`, so touching it neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: `layout` is the caller's, passed through as received.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` above with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: as for `dealloc`; `new_size` is the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
 
 const CLASSES: usize = 4;
 
@@ -106,9 +76,7 @@ fn class_instance_triples(instances: usize) -> Vec<Triple> {
 /// Evaluates `query`, returning its rows and the allocations `evaluate` made.
 fn counted(store: &TripleStore, query: &str) -> (SelectResults, usize) {
     let parsed = parse_query(query).unwrap();
-    let before = ALLOCATIONS.with(Cell::get);
-    let results = evaluate(store, &parsed).unwrap();
-    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    let (results, allocations) = common::counted(|| evaluate(store, &parsed).unwrap());
     (results.into_select().unwrap(), allocations)
 }
 
@@ -204,4 +172,13 @@ fn a_graph_variable_count_allocates_the_same_at_any_size() {
         many.abs_diff(few) <= 4,
         "{few} allocations over 500 instances, {many} over 4 000"
     );
+}
+
+#[test]
+fn a_cached_query_text_is_looked_up_without_allocating() {
+    let text = "SELECT ?s WHERE { ?s a <http://rf.example/CachedProbe> }";
+    let plan = parse_cached(text).unwrap();
+    let (again, allocations) = common::counted(|| parse_cached(text).unwrap());
+    assert!(Arc::ptr_eq(&plan, &again), "a hit");
+    assert_eq!(allocations, 0, "a plan-cache hit allocates nothing");
 }

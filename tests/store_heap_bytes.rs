@@ -9,58 +9,12 @@
 //! the default graph, sparse for a small named graph beside it. The rest is
 //! the dictionary.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod common;
 
 use hbold_endpoint::synth::{random_lod, RandomLodConfig};
 use hbold_rdf_model::{Iri, Quad, Term};
 use hbold_triple_store::persist::snapshot;
 use hbold_triple_store::TripleStore;
-
-thread_local! {
-    /// Bytes allocated and not yet freed by this thread (tests run on
-    /// threads of their own).
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-fn count(bytes: isize) {
-    LIVE.with(|live| live.set(live.get() + bytes));
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a const-initialised thread-local
-// `Cell`, so touching it neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size() as isize);
-        // SAFETY: `layout` is the caller's, passed through as received.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count(-(layout.size() as isize));
-        // SAFETY: `ptr` came from `System.alloc` above with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size as isize - layout.size() as isize);
-        // SAFETY: as for `dealloc`; `new_size` is the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// What `build` returns, and the heap bytes it still holds once built.
-fn held<T>(build: impl FnOnce() -> T) -> (T, usize) {
-    let before = LIVE.with(Cell::get);
-    let out = build();
-    (out, (LIVE.with(Cell::get) - before) as usize)
-}
 
 /// Bytes per quad of the restored store below (`random_lod` seed 7, 5 000
 /// instances, plus three named-graph quads: 22 273 quads, 11 195 terms), as
@@ -98,8 +52,8 @@ fn a_restored_store_holds_the_index_bytes_it_reports() {
     // counted below.
     drop(snapshot::decode(&whole).unwrap());
 
-    let (restored, store_bytes) = held(|| snapshot::decode(&whole).unwrap());
-    let (dictionary, dictionary_bytes) = held(|| snapshot::decode(&terms_only).unwrap());
+    let (restored, store_bytes) = common::held(|| snapshot::decode(&whole).unwrap());
+    let (dictionary, dictionary_bytes) = common::held(|| snapshot::decode(&terms_only).unwrap());
     assert!(dictionary.is_empty() && dictionary.term_count() == restored.term_count());
     let sizes = restored.index_tier_sizes();
     assert!(

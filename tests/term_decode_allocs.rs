@@ -9,8 +9,7 @@
 //! `impl Into<String>` constructors each of them cost a `String` and then
 //! the `Arc` copied from it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod common;
 
 use hbold_rdf_model::vocab::xsd;
 use hbold_rdf_model::{BlankNode, Graph, Iri, Literal, Term, Triple};
@@ -18,44 +17,7 @@ use hbold_sparql::QueryResults;
 use hbold_triple_store::persist::{codec, snapshot};
 use hbold_triple_store::TripleStore;
 
-thread_local! {
-    /// Allocations made by this thread (tests run on threads of their own).
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a const-initialised thread-local
-// `Cell`, so touching it neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: `layout` is the caller's, passed through as received.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` above with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: as for `dealloc`; `new_size` is the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// What `f` returns, and the allocations it made.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = f();
-    (out, ALLOCATIONS.with(Cell::get) - before)
-}
+use common::counted;
 
 /// `n` triples whose objects cycle through a plain, an integer and a
 /// `xsd:date` literal.
