@@ -465,8 +465,8 @@ pub fn run_chaos(config: &ChaosConfig) -> Result<ChaosReport, String> {
     }
 
     // Invariant 3: liveness — the server must still answer simple queries
-    // promptly on fresh connections (a leaked/wedged worker pool would
-    // stall these).
+    // promptly on fresh connections (leaked evaluation slots would stall
+    // these).
     for round in 0..(config.readers + config.heavy_readers).max(2) {
         let mut conn = None;
         match post(

@@ -16,8 +16,8 @@
 //! compacts the log into a fresh snapshot. A data file that does not parse,
 //! or a load that cannot be written, exits 2 with the store and the
 //! directory untouched. With `--enable-shutdown`, `POST /shutdown` stops
-//! the server gracefully — the process exits 0 once every in-flight
-//! connection has drained (this is how the CI smoke job verifies graceful
+//! the server gracefully — the process exits 0 once every request being
+//! answered has its response (this is how the CI smoke job verifies graceful
 //! shutdown without signal handling).
 
 use std::fs::File;
@@ -38,7 +38,9 @@ USAGE:
 
 OPTIONS:
     --addr HOST:PORT        Bind address (default 127.0.0.1:0 = OS-picked port)
-    --workers N             Worker threads, one connection each (default 8)
+    --workers N             Queries and updates evaluating at once; more wait
+                            for a slot (default 8). Each connection has its
+                            own thread, so idle ones hold no slot
     --data FILE.{ttl,nt}    Serve this Turtle (.ttl) or N-Triples (.nt) file;
                             with --data-dir the file is loaded *into* the
                             durable store, committed as the next snapshot

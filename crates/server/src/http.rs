@@ -187,8 +187,8 @@ impl Connection {
                 return Err(head_too_large(&self.buf, limits));
             }
             // A timeout with request bytes already on the wire is a slow
-            // client pinning a worker: answer 408. A timeout on an empty
-            // buffer is an idle keep-alive connection: quiet close.
+            // client: answer 408. A timeout on an empty buffer is an idle
+            // keep-alive connection: quiet close.
             let n = match self.fill() {
                 Ok(n) => n,
                 Err(RequestError::Io(kind)) if is_timeout_kind(kind) && !self.buf.is_empty() => {
@@ -369,6 +369,14 @@ impl Connection {
                 Err(_) => return,
             }
         }
+    }
+}
+
+impl Drop for Connection {
+    /// Closes the socket itself, not only this handle: the server's acceptor
+    /// keeps a clone of every connection's socket until its next accept.
+    fn drop(&mut self) {
+        let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
 }
 

@@ -7,8 +7,9 @@
 //! The paper's workload is exploration over *remote* SPARQL endpoints; until
 //! this crate, every "endpoint" in the reproduction was an in-process object
 //! behind a simulated latency model. [`SparqlServer`] puts the PR 2 parallel
-//! engine behind a socket: a `TcpListener` feeding a worker thread pool,
-//! HTTP keep-alive, the protocol's three query transports (GET `?query=`,
+//! engine behind a socket: a `TcpListener` giving each connection its own
+//! thread, a census bounding the queries evaluating at once, HTTP
+//! keep-alive, the protocol's three query transports (GET `?query=`,
 //! POST `application/sparql-query`, POST form-encoded), content negotiation
 //! over the SPARQL-JSON / CSV / TSV serializers in `hbold_sparql::results`,
 //! and hard byte limits that turn hostile input into clean 4xx responses.

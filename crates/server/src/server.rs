@@ -1,14 +1,15 @@
-//! The SPARQL Protocol server: acceptor + worker pool over a [`SharedStore`].
+//! The SPARQL Protocol server: a thread per connection over a [`SharedStore`].
 //!
-//! Every worker serves whole connections (HTTP/1.1 keep-alive) and answers
-//! each query from a lock-free store snapshot with a plan-cached parse —
-//! exactly the read path the in-process engine uses, now exercised across a
-//! socket. Shutdown is graceful: workers finish the connection they hold,
-//! the acceptor is woken with a self-connect, and `join` drains everything.
+//! Each thread serves its connection (HTTP/1.1 keep-alive) and answers each
+//! query from a lock-free store snapshot with a plan-cached parse. The query
+//! census is the one limit on work: at most [`ServerConfig::workers`]
+//! evaluations run at once. Shutdown is graceful: the census drains, then
+//! idle reads are ended and every thread is joined.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -34,14 +35,15 @@ const KEEP_ALIVE_MAX_REQUESTS: usize = 1000;
 pub struct ServerConfig {
     /// Bind address; use port 0 to let the OS pick a free loopback port.
     pub addr: String,
-    /// Worker threads, each serving one connection at a time.
+    /// Queries and updates evaluating at once; more wait for a slot, and
+    /// their deadlines start when they get one.
     pub workers: usize,
     /// Byte budgets for request heads and bodies.
     pub limits: Limits,
     /// Socket read timeout (also bounds idle keep-alive connections).
     pub read_timeout: Duration,
-    /// Accepted connections waiting for a free worker beyond this count are
-    /// shed with a 503 instead of queueing without bound.
+    /// Connections open beyond `workers` plus this count are shed with a
+    /// 503 instead of getting a thread.
     pub max_pending_connections: usize,
     /// Whether `POST /shutdown` remotely stops the server (used by the CLI
     /// binary and CI smoke test; off by default).
@@ -57,9 +59,9 @@ pub struct ServerConfig {
     pub query_timeout: Option<Duration>,
     /// Query-level admission control: at most this many queries/updates
     /// evaluating at once; excess requests get an immediate `503` with
-    /// `Retry-After` instead of queueing. Distinct from
-    /// [`ServerConfig::max_pending_connections`], which bounds *connections*
-    /// waiting for a worker. `0` (default) means unlimited.
+    /// `Retry-After` instead of waiting for a slot. Distinct from
+    /// [`ServerConfig::max_pending_connections`], which bounds open
+    /// *connections*. `0` (default) means unlimited.
     pub max_inflight_queries: usize,
     /// Graceful-shutdown drain window: in-flight queries get this long to
     /// finish before the remainder are cancelled.
@@ -90,29 +92,28 @@ struct Shared {
     shutdown: AtomicBool,
     /// Monotonic connection ids; the `c<conn>` half of every trace id.
     next_conn_id: AtomicU64,
-    queue: Mutex<VecDeque<(u64, TcpStream)>>,
-    queue_ready: Condvar,
     addr: SocketAddr,
     /// Cancellation tokens of queries currently evaluating, keyed by a
     /// monotonic query id. Doubles as the admission-control census: its size
     /// is the in-flight query count.
     active_queries: Mutex<HashMap<u64, CancellationToken>>,
+    /// Signalled whenever a query leaves the census.
+    census_changed: Condvar,
     next_query_id: AtomicU64,
 }
 
 impl Shared {
     fn request_shutdown(&self) {
         if !self.shutdown.swap(true, Ordering::SeqCst) {
-            self.queue_ready.notify_all();
             // Wake the acceptor out of its blocking accept().
             let _ = TcpStream::connect(self.addr);
         }
     }
 
     /// Admission + registration for one query/update evaluation. `Err` is
-    /// the ready-to-send 503 when the in-flight limit is reached; `Ok` is an
-    /// RAII guard whose token the evaluation must poll and whose drop
-    /// deregisters the query.
+    /// the ready-to-send 503 when the in-flight limit is reached; `Ok`, once
+    /// fewer than `workers` evaluations run, is an RAII guard whose token
+    /// the evaluation must poll and whose drop deregisters the query.
     fn begin_query(&self) -> Result<QueryGuard<'_>, HttpResponse> {
         let mut active = self.active_queries.lock().expect("query census poisoned");
         let limit = self.config.max_inflight_queries;
@@ -125,10 +126,21 @@ impl Shared {
             )
             .with_header("Retry-After", "1"));
         }
+        while active.len() >= self.config.workers.max(1) {
+            active = self
+                .census_changed
+                .wait(active)
+                .expect("query census poisoned");
+        }
+        // Made after the wait, which is not the query's time; cancelled in a
+        // shutdown, so nothing starts that the drain's sweep could miss.
         let token = match self.config.query_timeout {
             Some(timeout) => CancellationToken::with_timeout(timeout),
             None => CancellationToken::new(),
         };
+        if self.shutdown.load(Ordering::SeqCst) {
+            token.cancel();
+        }
         let id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
         active.insert(id, token.clone());
         Ok(QueryGuard {
@@ -153,14 +165,18 @@ impl Drop for QueryGuard<'_> {
             .lock()
             .expect("query census poisoned")
             .remove(&self.id);
+        self.shared.census_changed.notify_all();
     }
 }
+
+/// A connection's thread, and a clone of its socket to end an idle read.
+type OpenConnection = (TcpStream, JoinHandle<()>);
 
 /// A running server; dropping the handle shuts it down.
 pub struct SparqlServer {
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// Returns the connections still open once a shutdown is requested.
+    acceptor: Option<JoinHandle<Vec<OpenConnection>>>,
 }
 
 impl SparqlServer {
@@ -168,35 +184,24 @@ impl SparqlServer {
     pub fn start(store: SharedStore, config: ServerConfig) -> io::Result<SparqlServer> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
             store,
             config,
             stats: ServerStats::default(),
             shutdown: AtomicBool::new(false),
             next_conn_id: AtomicU64::new(1),
-            queue: Mutex::new(VecDeque::new()),
-            queue_ready: Condvar::new(),
             addr,
             active_queries: Mutex::new(HashMap::new()),
+            census_changed: Condvar::new(),
             next_query_id: AtomicU64::new(1),
         });
-
         let acceptor = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || accept_loop(listener, shared))
         };
-        let workers = (0..workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(shared))
-            })
-            .collect();
-
         Ok(SparqlServer {
             shared,
             acceptor: Some(acceptor),
-            workers,
         })
     }
 
@@ -221,145 +226,126 @@ impl SparqlServer {
         self.shared.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Requests shutdown and joins every thread; in-flight connections are
-    /// served to completion first.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
+    /// Requests shutdown and joins every thread; requests being answered
+    /// get their responses first.
+    pub fn shutdown(self) {
+        drop(self);
     }
 
     /// Blocks until a shutdown is requested (e.g. through the `/shutdown`
     /// route), then drains and joins. Used by the `hbold-server` binary.
     pub fn wait(mut self) {
-        while !self.shared.shutdown.load(Ordering::SeqCst) {
-            std::thread::park_timeout(Duration::from_millis(100));
-        }
-        self.stop_and_join();
+        self.join();
     }
 
-    fn stop_and_join(&mut self) {
-        self.shared.request_shutdown();
+    /// Joins the acceptor (it returns once a shutdown is requested), drains
+    /// the census, then ends every open connection and joins its thread.
+    fn join(&mut self) {
+        let Some(acceptor) = self.acceptor.take() else {
+            return;
+        };
+        let open = acceptor.join().unwrap_or_default();
         // Drain: give in-flight queries a bounded window to finish on their
-        // own, then cancel whatever is left so the worker joins below cannot
-        // block on a pathological join. Cancelled queries answer a typed 503
-        // — their connections still get a response, not a reset.
+        // own, then cancel whatever is left so the joins below cannot block
+        // on a pathological join. Cancelled queries answer a typed 503 —
+        // their connections still get a response, not a reset.
         let deadline = Instant::now() + self.shared.config.shutdown_drain;
-        loop {
-            let active = self
+        let mut active = self
+            .shared
+            .active_queries
+            .lock()
+            .expect("query census poisoned");
+        while !active.is_empty() && Instant::now() < deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            active = self
                 .shared
-                .active_queries
-                .lock()
-                .expect("query census poisoned");
-            if active.is_empty() {
-                break;
-            }
-            if Instant::now() >= deadline {
-                for token in active.values() {
-                    token.cancel();
-                }
-                break;
-            }
-            drop(active);
-            std::thread::sleep(Duration::from_millis(10));
+                .census_changed
+                .wait_timeout(active, left)
+                .expect("query census poisoned")
+                .0;
         }
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
+        for token in active.values() {
+            token.cancel();
         }
-        self.shared.queue_ready.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        drop(active);
+        // An idle read ends at once; a request being answered still has its
+        // write half, and closes after its response.
+        for (stream, _) in &open {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        for (_, thread) in open {
+            let _ = thread.join();
         }
     }
 }
 
 impl Drop for SparqlServer {
     fn drop(&mut self) {
-        self.stop_and_join();
+        self.shared.request_shutdown();
+        self.join();
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
+/// Accepts connections until a shutdown is requested, and returns the ones
+/// still open then.
+fn accept_loop(listener: TcpListener, shared: Arc<Shared>) -> Vec<OpenConnection> {
+    let mut open: Vec<OpenConnection> = Vec::new();
     loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    // The wake-up self-connect (or a late client) during
-                    // shutdown: drop it without queueing.
-                    drop(stream);
-                    return;
-                }
-                shared.stats.connections_accepted.inc();
-                let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
-                let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
-                // A peer that stops reading must not pin a worker in
-                // write_all forever either.
-                let _ = stream.set_write_timeout(Some(shared.config.read_timeout));
-                let _ = stream.set_nodelay(true);
-                let mut queue = shared.queue.lock().expect("connection queue poisoned");
-                if queue.len() >= shared.config.max_pending_connections {
-                    // Backpressure: a connection flood must not grow the
-                    // queue (and the process's FD table) without bound.
-                    // Shed the newest connection with a best-effort 503 —
-                    // on a short write timeout, so a peer that never reads
-                    // cannot stall the acceptor.
-                    drop(queue);
-                    let started = Instant::now();
-                    shared.stats.record_status(503);
-                    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-                    let mut conn = Connection::new(stream);
-                    let _ = conn.write_response(
-                        &HttpResponse::error(
-                            503,
-                            "Service Unavailable",
-                            "connection queue is full, retry later",
-                        )
-                        .with_header("Retry-After", "1")
-                        .with_close(),
-                        false,
-                    );
-                    // Every recorded status gets a latency sample, shed
-                    // responses included, so the `/metrics` counts line up.
-                    shared
-                        .stats
-                        .other
-                        .latency
-                        .record(started.elapsed().as_micros() as u64);
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            // The wake-up self-connect (or a late client) during shutdown:
+            // drop it unserved.
+            return open;
+        }
+        let Ok((stream, _)) = accepted else {
+            // Transient accept failure (e.g. EMFILE): back off briefly.
+            std::thread::sleep(Duration::from_millis(10));
+            continue;
+        };
+        shared.stats.connections_accepted.inc();
+        let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
+        let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
+        // A peer that stops reading must not pin its thread in write_all
+        // forever either.
+        let _ = stream.set_write_timeout(Some(shared.config.read_timeout));
+        let _ = stream.set_nodelay(true);
+        open.retain(|(_, thread)| !thread.is_finished());
+        if open.len() < shared.config.workers.max(1) + shared.config.max_pending_connections {
+            if let Ok(clone) = stream.try_clone() {
+                let shared = Arc::clone(&shared);
+                let spawned = std::thread::Builder::new()
+                    .spawn(move || serve_connection(&shared, conn_id, Connection::new(clone)));
+                if let Ok(thread) = spawned {
+                    open.push((stream, thread));
                     continue;
                 }
-                queue.push_back((conn_id, stream));
-                shared.queue_ready.notify_one();
-            }
-            Err(_) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                // Transient accept failure (e.g. EMFILE): back off briefly.
-                std::thread::sleep(Duration::from_millis(10));
             }
         }
-    }
-}
-
-fn worker_loop(shared: Arc<Shared>) {
-    loop {
-        let stream = {
-            let mut queue = shared.queue.lock().expect("connection queue poisoned");
-            loop {
-                if let Some(stream) = queue.pop_front() {
-                    break Some(stream);
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break None;
-                }
-                queue = shared
-                    .queue_ready
-                    .wait(queue)
-                    .expect("connection queue poisoned");
-            }
-        };
-        match stream {
-            Some((conn_id, stream)) => serve_connection(&shared, conn_id, Connection::new(stream)),
-            None => return,
-        }
+        // Backpressure: a connection flood must not grow the threads (and
+        // the process's FD table) without bound. Shed the newest connection,
+        // or one that gets no thread, with a best-effort 503 — on a short
+        // write timeout, so a peer that never reads cannot stall the
+        // acceptor.
+        let started = Instant::now();
+        shared.stats.record_status(503);
+        let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
+        let _ = Connection::new(stream).write_response(
+            &HttpResponse::error(
+                503,
+                "Service Unavailable",
+                "too many open connections, retry later",
+            )
+            .with_header("Retry-After", "1")
+            .with_close(),
+            false,
+        );
+        // Every recorded status gets a latency sample, shed responses
+        // included, so the `/metrics` counts line up.
+        shared
+            .stats
+            .other
+            .latency
+            .record(started.elapsed().as_micros() as u64);
     }
 }
 
@@ -411,7 +397,14 @@ fn serve_connection(shared: &Shared, conn_id: u64, mut conn: Connection) {
         };
 
         let started = Instant::now();
-        let mut response = route(shared, &request, &trace_id);
+        // A panic ends this request, not the server: the census slot comes
+        // back through `QueryGuard`'s drop as the stack unwinds.
+        let routed = catch_unwind(AssertUnwindSafe(|| route(shared, &request, &trace_id)));
+        let mut response = routed.unwrap_or_else(|_| {
+            shared.stats.worker_panics.inc();
+            HttpResponse::error(500, "Internal Server Error", "the request handler panicked")
+                .with_close()
+        });
         let elapsed_us = started.elapsed().as_micros() as u64;
         if request.path == "/sparql" {
             shared.stats.sparql.latency.record(elapsed_us);

@@ -23,7 +23,7 @@ pub struct RouteStats {
     pub latency: Histogram,
 }
 
-/// Aggregate server telemetry, shared across workers.
+/// Aggregate server telemetry, shared across connection threads.
 #[derive(Debug)]
 pub struct ServerStats {
     registry: Registry,
@@ -58,10 +58,13 @@ pub struct ServerStats {
     /// Queries cancelled for any other reason (graceful shutdown) → 503.
     pub query_cancelled: Counter,
     /// Requests refused by query-level admission control (the in-flight
-    /// query limit, distinct from the connection-queue shed) → 503.
+    /// query limit, distinct from the connection shed) → 503.
     pub admission_rejected: Counter,
     /// Slow clients reaped mid-request by the read timeout → 408.
     pub request_timeouts: Counter,
+    /// Requests whose handler panicked → 500; the connection closes and the
+    /// server keeps serving.
+    pub worker_panics: Counter,
 }
 
 impl Default for ServerStats {
@@ -156,6 +159,11 @@ impl Default for ServerStats {
             request_timeouts: registry.counter(
                 "hbold_http_request_timeouts_total",
                 "Slow clients reaped mid-request by the read timeout (408).",
+                &[],
+            ),
+            worker_panics: registry.counter(
+                "hbold_worker_panics_total",
+                "Requests whose handler panicked (500); the server kept serving.",
                 &[],
             ),
             registry,

@@ -6,6 +6,12 @@
 //! never a truncated result — the armor counters move, the worker is
 //! immediately reusable, and a timed-out update commits nothing (store and
 //! WAL stay byte-identical).
+//!
+//! Each connection has its own thread and `workers` bounds only the
+//! queries and updates evaluating at once, so idle connections hold
+//! nothing and shutdown does not wait for them.
+
+mod common;
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -300,4 +306,136 @@ fn shutdown_drains_then_cancels_inflight_queries() {
         text.contains("cancelled") || text.contains("shutting down"),
         "typed shutdown-cancel body: {text}"
     );
+}
+
+/// Keep-alive clients that went idle, and a connection that never said
+/// anything, hold no worker. With `workers: 2`
+/// and three such connections open, a fresh `/health` answers at once
+/// instead of waiting out their read timeout, and shutdown closes them
+/// instead of waiting for them.
+#[test]
+fn idle_connections_hold_no_worker_and_do_not_delay_shutdown() {
+    let server = SparqlServer::start(
+        people_store(10),
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server starts");
+    let health = "GET /health HTTP/1.1\r\nHost: x\r\n\r\n";
+    let mut idle: Vec<TcpStream> = (0..2)
+        .map(|_| {
+            let mut stream = TcpStream::connect(server.addr()).expect("connect");
+            assert_eq!(common::send(&mut stream, health).0, 200);
+            stream
+        })
+        .collect();
+    let _silent = TcpStream::connect(server.addr()).expect("connect silent");
+    std::thread::sleep(Duration::from_millis(50));
+
+    let started = Instant::now();
+    let (status, _, _) = common::roundtrip(&server, health);
+    let elapsed = started.elapsed();
+    assert_eq!(status, 200);
+    assert!(
+        elapsed < Duration::from_millis(100),
+        "/health took {elapsed:?} behind idle connections"
+    );
+
+    let started = Instant::now();
+    server.shutdown();
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "shutdown took {elapsed:?} with idle clients open"
+    );
+    for stream in &mut idle {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut rest = Vec::new();
+        assert_eq!(stream.read_to_end(&mut rest).expect("read EOF"), 0);
+    }
+}
+
+/// `workers` bounds evaluations: with one slot, the second of two cross
+/// joins sent together waits for the first, and its deadline starts only
+/// when it gets the slot, so its 504 arrives at least two deadlines after
+/// it was sent.
+#[test]
+fn one_worker_evaluates_one_query_at_a_time_and_a_waiting_deadline_starts_late() {
+    let timeout = Duration::from_millis(200);
+    let server = SparqlServer::start(
+        people_store(200),
+        ServerConfig {
+            workers: 1,
+            query_timeout: Some(timeout),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server starts");
+    let addr = server.addr();
+    let sent = Instant::now();
+    let joins: Vec<_> = (0..2)
+        .map(|_| {
+            std::thread::spawn(move || {
+                let (status, text) = post(addr, "/sparql", "application/sparql-query", CROSS_JOIN);
+                (status, text, sent.elapsed())
+            })
+        })
+        .collect();
+    let mut answered: Vec<_> = joins
+        .into_iter()
+        .map(|join| join.join().expect("client thread"))
+        .collect();
+    answered.sort_by_key(|(_, _, elapsed)| *elapsed);
+    for (status, text, _) in &answered {
+        assert_eq!(*status, 504, "got: {text}");
+    }
+    assert!(
+        answered[1].2 >= 2 * timeout,
+        "the second 504 came {:?} after sending: its deadline ran while it waited",
+        answered[1].2
+    );
+    assert_eq!(server.stats().query_timeouts.get(), 2);
+    server.shutdown();
+}
+
+/// A query still waiting for a slot at shutdown starts cancelled when it
+/// gets one: with one slot, no deadline and two cross joins, shutdown
+/// cancels the running one after the drain window and the waiting one
+/// never runs. Both answer a typed 503, and shutdown is bounded.
+#[test]
+fn shutdown_cancels_a_query_waiting_for_a_slot() {
+    let server = SparqlServer::start(
+        people_store(200),
+        ServerConfig {
+            workers: 1,
+            shutdown_drain: Duration::from_millis(200),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server starts");
+    let addr = server.addr();
+    let joins: Vec<_> = (0..2)
+        .map(|_| {
+            std::thread::spawn(move || {
+                post(addr, "/sparql", "application/sparql-query", CROSS_JOIN)
+            })
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(300)); // one evaluating, one waiting
+
+    let started = Instant::now();
+    server.shutdown();
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "shutdown took {elapsed:?} with a query waiting for the slot"
+    );
+    for join in joins {
+        let (status, text) = join.join().expect("client thread");
+        assert_eq!(status, 503, "got: {text}");
+    }
 }

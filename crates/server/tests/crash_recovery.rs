@@ -9,7 +9,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hbold_rdf_model::vocab::{foaf, rdf};
 use hbold_rdf_model::{Graph, Iri, Literal, Triple};
@@ -70,9 +70,14 @@ struct ServerProcess {
 }
 
 fn spawn_server(args: &[&str]) -> ServerProcess {
+    spawn_server_with_env(args, &[])
+}
+
+fn spawn_server_with_env(args: &[&str], env: &[(&str, &str)]) -> ServerProcess {
     let mut child = Command::new(env!("CARGO_BIN_EXE_hbold-server"))
         .args(["--addr", "127.0.0.1:0"])
         .args(args)
+        .envs(env.iter().copied())
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
         .spawn()
@@ -384,6 +389,67 @@ fn graceful_shutdown_checkpoints_so_restart_needs_no_wal() {
     assert!(String::from_utf8_lossy(&body).contains("\"41\""));
     restarted.child.kill().unwrap();
     let _ = restarted.child.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A panic while answering a request costs that request, not the server.
+/// With every WAL append failing (`wal_io=1`, process-global, hence the
+/// binary) an `INSERT DATA` panics inside its commit: it gets a typed 500
+/// with the JSON error body, and the server — one worker — still answers
+/// `/health` at once and counts the panic on `/metrics`.
+#[test]
+fn a_panicking_update_is_a_500_and_the_server_keeps_answering() {
+    let dir = temp_dir("panic");
+    let data_dir = dir.join("data");
+    let mut server = spawn_server_with_env(
+        &[
+            "--data-dir",
+            data_dir.to_str().unwrap(),
+            "--demo-people",
+            "5",
+            "--workers",
+            "1",
+        ],
+        &[("HBOLD_FAULTS", "seed=1,wal_io=1")],
+    );
+    wait_until_serving(server.port);
+
+    let update = "INSERT DATA { <http://example.org/a> <http://example.org/p> \"v\" }";
+    let mut stream = TcpStream::connect(("127.0.0.1", server.port)).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let request = format!(
+        "POST /update HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Type: application/sparql-update\r\nContent-Length: {}\r\n\r\n{update}",
+        update.len()
+    );
+    stream.write_all(request.as_bytes()).expect("send update");
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).expect("read the 500");
+    let text = String::from_utf8_lossy(&raw);
+    assert!(text.starts_with("HTTP/1.1 500"), "got {text:?}");
+    assert!(text.contains("Connection: close"), "got {text:?}");
+    assert!(text.contains("\"status\":500"), "JSON error body: {text}");
+
+    let started = Instant::now();
+    let (status, _) = http_get(server.port, "/health");
+    assert_eq!(status, 200);
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "/health took {:?} after the panic",
+        started.elapsed()
+    );
+    let (status, body) = http_get(server.port, "/metrics");
+    assert_eq!(status, 200);
+    let metrics = String::from_utf8_lossy(&body);
+    assert!(
+        metrics
+            .lines()
+            .any(|line| line == "hbold_worker_panics_total 1"),
+        "panic not counted: {metrics}"
+    );
+    server.child.kill().unwrap();
+    let _ = server.child.wait();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

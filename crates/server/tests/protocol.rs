@@ -4,7 +4,7 @@ mod common;
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use common::{read_response, roundtrip, sample_store};
 use hbold_server::{ServerConfig, SparqlServer};
@@ -254,6 +254,38 @@ fn graceful_shutdown_stops_accepting() {
         }
     };
     assert!(refused, "server still answering after graceful shutdown");
+}
+
+/// `wait` returns as soon as the `/shutdown` request is answered, not at
+/// the next tick of a polling loop.
+#[test]
+fn wait_returns_right_after_the_shutdown_response() {
+    let server = SparqlServer::start(
+        sample_store(2),
+        ServerConfig {
+            enable_shutdown_route: true,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server starts");
+    let addr = server.addr();
+    let waiter = std::thread::spawn(move || {
+        server.wait();
+        Instant::now()
+    });
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let (status, _, _) = common::send(
+        &mut stream,
+        "POST /shutdown HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n",
+    );
+    let answered = Instant::now();
+    assert_eq!(status, 200);
+    let returned = waiter.join().expect("wait returns");
+    let late = returned.saturating_duration_since(answered);
+    assert!(
+        late < Duration::from_millis(50),
+        "wait returned {late:?} after the shutdown response"
+    );
 }
 
 #[test]

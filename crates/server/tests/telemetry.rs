@@ -45,6 +45,7 @@ const FAMILIES: &[(&str, &str)] = &[
     ("hbold_update_quads_inserted_total", "counter"),
     ("hbold_update_quads_removed_total", "counter"),
     ("hbold_update_requests_total", "counter"),
+    ("hbold_worker_panics_total", "counter"),
     ("hbold_checkpoints_total", "counter"),
     ("hbold_index_fold_keys_total", "counter"),
     ("hbold_index_folds_total", "counter"),

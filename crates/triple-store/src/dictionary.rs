@@ -35,7 +35,7 @@
 //!
 //! A fresh load interns into the tail (the base is empty) and its renumbering
 //! hands the tail's hash map, ids rewritten, to the new base as its index:
-//! nothing is hashed twice. A restore ([`TermDictionary::from_terms`]) builds
+//! nothing is hashed twice. A restore (`TermDictionary::from_terms`) builds
 //! no base index: the base is in `Term::cmp` order, so a lookup can
 //! binary-search it instead, and only the tail is hashed.
 //!
