@@ -12,7 +12,7 @@
 use hbold_rdf_model::vocab::{rdf, rdfs, void};
 use hbold_rdf_model::{Iri, Literal, Quad, Term, Triple};
 use hbold_schema::DatasetIndexes;
-use hbold_triple_store::SharedStore;
+use hbold_triple_store::{PersistError, SharedStore};
 
 /// Namespace for the observation predicates VoID has no term for.
 const HBOLD_NS: &str = "http://hbold.example/ns#";
@@ -123,20 +123,25 @@ pub fn observation_quads(indexes: &DatasetIndexes) -> Vec<Quad> {
 /// in the graph — read off that graph's own index range, not the whole
 /// store — is removed and the fresh observation quads are inserted in the
 /// same store transition. Returns the `(removed, inserted)` counts, or
-/// `None` when the endpoint URL is not a valid IRI.
+/// `Ok(None)` when the endpoint URL is not a valid IRI. A durable store's
+/// failed log append is the error, and leaves the previous observations in
+/// place.
 pub fn record_observations(
     store: &SharedStore,
     indexes: &DatasetIndexes,
-) -> Option<(usize, usize)> {
-    let graph = observation_graph(&indexes.endpoint_url)?;
+) -> Result<Option<(usize, usize)>, PersistError> {
+    let Some(graph) = observation_graph(&indexes.endpoint_url) else {
+        return Ok(None);
+    };
     let inserts = observation_quads(indexes);
-    Some(store.apply_update(|current| {
+    let counts = store.apply_update(|current| {
         let removes: Vec<Quad> = current
             .iter_graph(Some(&graph))
             .map(|triple| Quad::new(triple, Some(graph.clone())))
             .collect();
         (removes, inserts)
-    }))
+    })?;
+    Ok(Some(counts))
 }
 
 #[cfg(test)]
@@ -187,13 +192,13 @@ mod tests {
     fn reextraction_replaces_the_graph_atomically() {
         let store = SharedStore::new();
         let first = sample_indexes(1, 30);
-        let (removed, inserted) = record_observations(&store, &first).unwrap();
+        let (removed, inserted) = record_observations(&store, &first).unwrap().unwrap();
         assert_eq!(removed, 0);
         assert_eq!(inserted, observation_quads(&first).len());
 
         // A second extraction with different numbers replaces, not appends.
         let second = sample_indexes(8, 31);
-        let (removed, inserted) = record_observations(&store, &second).unwrap();
+        let (removed, inserted) = record_observations(&store, &second).unwrap().unwrap();
         assert!(removed > 0, "stale observations are removed");
         assert!(inserted > 0, "changed observations are inserted");
         let snapshot = store.snapshot();
@@ -216,7 +221,7 @@ mod tests {
         let store = SharedStore::new();
         let mut indexes = sample_indexes(1, 5);
         indexes.endpoint_url = "not an iri".into();
-        assert!(record_observations(&store, &indexes).is_none());
+        assert_eq!(record_observations(&store, &indexes).unwrap(), None);
         assert!(store.snapshot().is_empty());
     }
 }

@@ -96,7 +96,9 @@ impl ExtractionPipeline {
 
     /// Records every successful extraction's observations into `store`,
     /// one named graph per endpoint (builder style). Re-extracting an
-    /// endpoint atomically replaces its graph.
+    /// endpoint atomically replaces its graph. Should a durable store's log
+    /// refuse the update, the run still succeeds, the graph keeps the
+    /// previous extraction and a warning goes to stderr.
     pub fn with_observation_store(mut self, store: &SharedStore) -> Self {
         self.observation_store = Some(store.clone());
         self
@@ -162,7 +164,12 @@ impl ExtractionPipeline {
             catalog.record_success(endpoint.url(), day);
         }
         if let Some(observations) = &self.observation_store {
-            record_observations(observations, &indexes);
+            if let Err(e) = record_observations(observations, &indexes) {
+                eprintln!(
+                    "hbold: observations of {} not recorded: {e}",
+                    endpoint.url()
+                );
+            }
         }
 
         Ok(PipelineResult {

@@ -48,7 +48,9 @@ OPTIONS:
                             nothing writes nothing)
     --data-dir DIR          Durable mode: recover the store from DIR on boot
                             (newest valid snapshot + WAL replay), log every
-                            update, checkpoint on graceful shutdown
+                            update, checkpoint on graceful shutdown. An
+                            update the WAL cannot record gets a 503 with
+                            Retry-After and is not applied
     --checkpoint-wal-bytes N
                             Auto-checkpoint once the WAL exceeds N bytes
                             (default 67108864; requires --data-dir)
@@ -67,9 +69,10 @@ OPTIONS:
                             at operator batch boundaries — never a truncated
                             result). Default: unbounded
     --max-inflight-queries N
-                            Admit at most N concurrently evaluating
-                            queries/updates; excess requests get an immediate
-                            503 with Retry-After (default 0 = unlimited)
+                            Admit at most N queries/updates at once, those
+                            evaluating and those waiting for a slot; excess
+                            requests get an immediate 503 with Retry-After
+                            (default 0 = unlimited)
     --shutdown-drain-ms N   On graceful shutdown, give in-flight queries N ms
                             to finish before cancelling them (default 5000)
     --enable-shutdown       Enable POST /shutdown for remote graceful stop

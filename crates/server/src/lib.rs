@@ -39,11 +39,8 @@
 //! use hbold_rdf_model::{Iri, Triple, vocab::{foaf, rdf}};
 //!
 //! let store = SharedStore::new();
-//! store.insert(&Triple::new(
-//!     Iri::new("http://example.org/alice").unwrap(),
-//!     rdf::type_(),
-//!     foaf::person(),
-//! ));
+//! let alice = Iri::new("http://example.org/alice").unwrap();
+//! store.bulk_load([&Triple::new(alice, rdf::type_(), foaf::person())]);
 //! let server = SparqlServer::start(store, ServerConfig::default()).unwrap();
 //! let url = server.url(); // http://127.0.0.1:<port>/sparql
 //! server.shutdown();

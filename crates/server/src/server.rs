@@ -15,6 +15,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use hbold_sparql::ast::QueryForm;
 use hbold_sparql::{
     evaluate_with_hooks, parse_traced, parse_update, plan_update_op_with, CancellationToken,
     EvalHooks, QueryResults, SparqlError,
@@ -58,8 +59,9 @@ pub struct ServerConfig {
     /// (default) lets queries run unbounded.
     pub query_timeout: Option<Duration>,
     /// Query-level admission control: at most this many queries/updates
-    /// evaluating at once; excess requests get an immediate `503` with
-    /// `Retry-After` instead of waiting for a slot. Distinct from
+    /// admitted at once, counted from admission to their answer — those
+    /// evaluating and those waiting for one of the `workers` slots. Excess
+    /// requests get an immediate `503` with `Retry-After`. Distinct from
     /// [`ServerConfig::max_pending_connections`], which bounds open
     /// *connections*. `0` (default) means unlimited.
     pub max_inflight_queries: usize,
@@ -93,13 +95,22 @@ struct Shared {
     /// Monotonic connection ids; the `c<conn>` half of every trace id.
     next_conn_id: AtomicU64,
     addr: SocketAddr,
-    /// Cancellation tokens of queries currently evaluating, keyed by a
-    /// monotonic query id. Doubles as the admission-control census: its size
-    /// is the in-flight query count.
-    active_queries: Mutex<HashMap<u64, CancellationToken>>,
+    /// The queries admitted and not yet answered.
+    census: Mutex<Census>,
     /// Signalled whenever a query leaves the census.
     census_changed: Condvar,
     next_query_id: AtomicU64,
+}
+
+/// The admission-control census.
+#[derive(Default)]
+struct Census {
+    /// Queries admitted and not yet answered, waiting for a slot or
+    /// evaluating; [`ServerConfig::max_inflight_queries`] bounds it.
+    admitted: usize,
+    /// Cancellation tokens of the queries evaluating, keyed by a monotonic
+    /// query id; [`ServerConfig::workers`] bounds it.
+    evaluating: HashMap<u64, CancellationToken>,
 }
 
 impl Shared {
@@ -115,9 +126,9 @@ impl Shared {
     /// fewer than `workers` evaluations run, is an RAII guard whose token
     /// the evaluation must poll and whose drop deregisters the query.
     fn begin_query(&self) -> Result<QueryGuard<'_>, HttpResponse> {
-        let mut active = self.active_queries.lock().expect("query census poisoned");
+        let mut census = self.census.lock().expect("query census poisoned");
         let limit = self.config.max_inflight_queries;
-        if limit != 0 && active.len() >= limit {
+        if limit != 0 && census.admitted >= limit {
             self.stats.admission_rejected.inc();
             return Err(HttpResponse::error(
                 503,
@@ -126,10 +137,11 @@ impl Shared {
             )
             .with_header("Retry-After", "1"));
         }
-        while active.len() >= self.config.workers.max(1) {
-            active = self
+        census.admitted += 1;
+        while census.evaluating.len() >= self.config.workers.max(1) {
+            census = self
                 .census_changed
-                .wait(active)
+                .wait(census)
                 .expect("query census poisoned");
         }
         // Made after the wait, which is not the query's time; cancelled in a
@@ -142,7 +154,7 @@ impl Shared {
             token.cancel();
         }
         let id = self.next_query_id.fetch_add(1, Ordering::Relaxed);
-        active.insert(id, token.clone());
+        census.evaluating.insert(id, token.clone());
         Ok(QueryGuard {
             shared: self,
             id,
@@ -160,11 +172,10 @@ struct QueryGuard<'a> {
 
 impl Drop for QueryGuard<'_> {
     fn drop(&mut self) {
-        self.shared
-            .active_queries
-            .lock()
-            .expect("query census poisoned")
-            .remove(&self.id);
+        let mut census = self.shared.census.lock().expect("query census poisoned");
+        census.evaluating.remove(&self.id);
+        census.admitted -= 1;
+        drop(census);
         self.shared.census_changed.notify_all();
     }
 }
@@ -191,7 +202,7 @@ impl SparqlServer {
             shutdown: AtomicBool::new(false),
             next_conn_id: AtomicU64::new(1),
             addr,
-            active_queries: Mutex::new(HashMap::new()),
+            census: Mutex::default(),
             census_changed: Condvar::new(),
             next_query_id: AtomicU64::new(1),
         });
@@ -250,24 +261,20 @@ impl SparqlServer {
         // on a pathological join. Cancelled queries answer a typed 503 —
         // their connections still get a response, not a reset.
         let deadline = Instant::now() + self.shared.config.shutdown_drain;
-        let mut active = self
-            .shared
-            .active_queries
-            .lock()
-            .expect("query census poisoned");
-        while !active.is_empty() && Instant::now() < deadline {
+        let mut census = self.shared.census.lock().expect("query census poisoned");
+        while !census.evaluating.is_empty() && Instant::now() < deadline {
             let left = deadline.saturating_duration_since(Instant::now());
-            active = self
+            census = self
                 .shared
                 .census_changed
-                .wait_timeout(active, left)
+                .wait_timeout(census, left)
                 .expect("query census poisoned")
                 .0;
         }
-        for token in active.values() {
+        for token in census.evaluating.values() {
             token.cancel();
         }
-        drop(active);
+        drop(census);
         // An idle read ends at once; a request being answered still has its
         // write half, and closes after its response.
         for (stream, _) in &open {
@@ -397,14 +404,7 @@ fn serve_connection(shared: &Shared, conn_id: u64, mut conn: Connection) {
         };
 
         let started = Instant::now();
-        // A panic ends this request, not the server: the census slot comes
-        // back through `QueryGuard`'s drop as the stack unwinds.
-        let routed = catch_unwind(AssertUnwindSafe(|| route(shared, &request, &trace_id)));
-        let mut response = routed.unwrap_or_else(|_| {
-            shared.stats.worker_panics.inc();
-            HttpResponse::error(500, "Internal Server Error", "the request handler panicked")
-                .with_close()
-        });
+        let mut response = answer_or_500(&shared.stats, || route(shared, &request, &trace_id));
         let elapsed_us = started.elapsed().as_micros() as u64;
         if request.path == "/sparql" {
             shared.stats.sparql.latency.record(elapsed_us);
@@ -434,6 +434,18 @@ fn serve_connection(shared: &Shared, conn_id: u64, mut conn: Connection) {
             return;
         }
     }
+}
+
+/// Runs a request's handler; a panic ends this request, not the server. It
+/// answers a 500 that closes the connection and counts in
+/// `hbold_worker_panics_total`. The census slot comes back through
+/// `QueryGuard`'s drop as the stack unwinds.
+fn answer_or_500(stats: &ServerStats, handler: impl FnOnce() -> HttpResponse) -> HttpResponse {
+    catch_unwind(AssertUnwindSafe(handler)).unwrap_or_else(|_| {
+        stats.worker_panics.inc();
+        HttpResponse::error(500, "Internal Server Error", "the request handler panicked")
+            .with_close()
+    })
 }
 
 /// A request's identity for tracing and the slow-query log: connection
@@ -732,9 +744,10 @@ fn eval_error_response(shared: &Shared, e: &SparqlError) -> HttpResponse {
 /// `;`-separated sequence commits as one atomic, WAL-logged store
 /// transition through `SharedStore::apply_update`, planned against the
 /// state the previous operations produced. Success is `204 No Content`;
-/// a parse or evaluation failure is a 400 (operations already committed
-/// before a mid-sequence failure stay committed, and the error body says
-/// so).
+/// a parse or evaluation failure is a 400, and a write-ahead log that
+/// refuses the operation's record a 503 with `Retry-After` (operations
+/// already committed before a mid-sequence failure stay committed, and the
+/// error body says so).
 fn execute_update_request(shared: &Shared, update: &str) -> HttpResponse {
     let guard = match shared.begin_query() {
         Ok(guard) => guard,
@@ -755,7 +768,7 @@ fn execute_update_request(shared: &Shared, update: &str) -> HttpResponse {
         // mid-WHERE aborts planning before any delta exists, so the store
         // and its WAL stay byte-identical — never a half-applied operation.
         let mut eval_error: Option<SparqlError> = None;
-        let (removed, inserted) = shared.store.apply_update(|store| {
+        let applied = shared.store.apply_update(|store| {
             match plan_update_op_with(store, op, Some(&guard.token)) {
                 Ok(delta) => delta,
                 Err(e) => {
@@ -764,26 +777,36 @@ fn execute_update_request(shared: &Shared, update: &str) -> HttpResponse {
                 }
             }
         });
+        let failed = |why: &dyn std::fmt::Display| {
+            format!(
+                "operation {} of {} failed: {why}{}",
+                index + 1,
+                ops.len(),
+                if index > 0 {
+                    " (earlier operations in this request were committed)"
+                } else {
+                    ""
+                },
+            )
+        };
         if let Some(e) = eval_error {
             shared.stats.update_error.inc();
             if matches!(e, SparqlError::Cancelled | SparqlError::DeadlineExceeded) {
                 return eval_error_response(shared, &e);
             }
-            return HttpResponse::error(
-                400,
-                "Bad Request",
-                format!(
-                    "operation {} of {} failed: {e}{}",
-                    index + 1,
-                    ops.len(),
-                    if index > 0 {
-                        " (earlier operations in this request were committed)"
-                    } else {
-                        ""
-                    },
-                ),
-            );
+            return HttpResponse::error(400, "Bad Request", failed(&e));
         }
+        let (removed, inserted) = match applied {
+            Ok(counts) => counts,
+            // The log append is the commit point: nothing of this operation
+            // was applied, and the store serves on unchanged.
+            Err(e) => {
+                shared.stats.update_error.inc();
+                let why = format!("the write-ahead log refused it, nothing of it was applied: {e}");
+                return HttpResponse::error(503, "Service Unavailable", failed(&why))
+                    .with_header("Retry-After", "1");
+            }
+        };
         shared.stats.update_ops.inc();
         shared.stats.update_quads_removed.add(removed as u64);
         shared.stats.update_quads_inserted.add(inserted as u64);
@@ -840,6 +863,15 @@ fn execute(
         Ok(plan) => plan,
         Err(e) => return HttpResponse::error(400, "Bad Request", e.to_string()),
     };
+    // The form decides what the answer can be written as: refuse an
+    // unwritable ASK before evaluating it.
+    if plan.form == QueryForm::Ask && format != ResultFormat::Json {
+        return HttpResponse::error(
+            406,
+            "Not Acceptable",
+            "ASK results are only available as application/sparql-results+json",
+        );
+    }
     let snapshot = shared.store.snapshot();
     let hooks = EvalHooks {
         trace: root.as_ref(),
@@ -883,16 +915,10 @@ fn execute(
         return HttpResponse::ok("application/json; charset=utf-8", body.to_string());
     }
     let body = match (&results, format) {
-        (_, ResultFormat::Json) => results.to_sparql_json(),
         (QueryResults::Select(s), ResultFormat::Csv) => s.to_csv(),
         (QueryResults::Select(s), ResultFormat::Tsv) => s.to_tsv(),
-        (QueryResults::Ask(_), ResultFormat::Csv | ResultFormat::Tsv) => {
-            return HttpResponse::error(
-                406,
-                "Not Acceptable",
-                "ASK results are only available as application/sparql-results+json",
-            )
-        }
+        // JSON, or an ASK, whose other formats were refused above.
+        _ => results.to_sparql_json(),
     };
     HttpResponse::ok(format.content_type(), body)
 }
@@ -900,6 +926,20 @@ fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_panicking_handler_is_a_500_that_closes_the_connection() {
+        let stats = ServerStats::default();
+        let response = answer_or_500(&stats, || panic!("a handler bug"));
+        assert_eq!(response.status, 500);
+        assert!(response.close, "the connection stays open after a panic");
+        let body = String::from_utf8(response.body).unwrap();
+        assert!(body.contains("\"status\":500"), "JSON error body: {body}");
+        assert_eq!(stats.worker_panics.get(), 1);
+        let response = answer_or_500(&stats, || HttpResponse::ok("text/plain", "ok"));
+        assert_eq!((response.status, response.close), (200, false));
+        assert_eq!(stats.worker_panics.get(), 1);
+    }
 
     #[test]
     fn accept_negotiation() {

@@ -43,7 +43,7 @@ pub struct ServerStats {
     pub other: RouteStats,
     /// Update requests that committed (2xx).
     pub update_ok: Counter,
-    /// Update requests rejected (parse or evaluation failure).
+    /// Update requests rejected (parse, evaluation or log failure).
     pub update_error: Counter,
     /// Individual update operations committed (one request may carry a
     /// `;`-separated sequence; each operation is one WAL record).

@@ -439,3 +439,132 @@ fn shutdown_cancels_a_query_waiting_for_a_slot() {
         assert_eq!(status, 503, "got: {text}");
     }
 }
+
+/// The admission limit counts a query from admission to its answer, the
+/// ones waiting for a slot included: with one slot and a limit of two, a
+/// running cross join and a waiting one fill the census, and a third query
+/// is refused at once instead of queueing behind them.
+#[test]
+fn admission_counts_a_query_waiting_for_a_slot() {
+    let timeout = Duration::from_millis(500);
+    let server = SparqlServer::start(
+        people_store(200),
+        ServerConfig {
+            workers: 1,
+            max_inflight_queries: 2,
+            query_timeout: Some(timeout),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server starts");
+    let addr = server.addr();
+    let mut joins = Vec::new();
+    for _ in 0..2 {
+        joins.push(std::thread::spawn(move || {
+            post(addr, "/sparql", "application/sparql-query", CROSS_JOIN)
+        }));
+        std::thread::sleep(Duration::from_millis(100)); // one running, then one waiting
+    }
+
+    let sent = Instant::now();
+    let (status, text) = post(
+        addr,
+        "/sparql",
+        "application/sparql-query",
+        "ASK { ?s ?p ?o }",
+    );
+    let waited = sent.elapsed();
+    assert_eq!(status, 503, "got: {text}");
+    assert!(text.contains("Retry-After: 1"), "no Retry-After: {text}");
+    assert!(
+        waited < Duration::from_millis(200),
+        "the refusal took {waited:?}"
+    );
+    assert_eq!(server.stats().admission_rejected.get(), 1);
+    for join in joins {
+        let (status, text) = join.join().expect("client thread");
+        assert_eq!(status, 504, "got: {text}");
+    }
+    server.shutdown();
+}
+
+/// An update's `WHERE` evaluates beside the published store, not under its
+/// lock: while a deadline-bound `INSERT … WHERE` cross join evaluates, an
+/// `ASK` and a `/metrics` scrape answer at once, and the update still ends
+/// in its typed 504.
+#[test]
+fn a_read_does_not_wait_for_an_update_s_where() {
+    let server = SparqlServer::start(
+        people_store(500),
+        ServerConfig {
+            workers: 2,
+            query_timeout: Some(Duration::from_millis(1500)),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server starts");
+    let addr = server.addr();
+    let update = std::thread::spawn(move || {
+        post(
+            addr,
+            "/update",
+            "application/sparql-update",
+            "INSERT { ?a <http://example.org/p> ?c } WHERE { ?a ?b ?c . ?d ?e ?f . ?g ?h ?i }",
+        )
+    });
+    std::thread::sleep(Duration::from_millis(300)); // the WHERE is evaluating
+
+    let sent = Instant::now();
+    let (status, text) = post(
+        addr,
+        "/sparql",
+        "application/sparql-query",
+        "ASK { ?s ?p ?o }",
+    );
+    assert_eq!(status, 200, "got: {text}");
+    let (status, _, _) = common::roundtrip(&server, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+    assert_eq!(status, 200);
+    let waited = sent.elapsed();
+    assert!(
+        waited < Duration::from_millis(500),
+        "the read and the scrape took {waited:?} behind the update"
+    );
+    let (status, text) = update.join().expect("update thread");
+    assert_eq!(status, 504, "got: {text}");
+    server.shutdown();
+}
+
+/// Content negotiation reads the query's form before evaluating: an `ASK`
+/// that costs its whole deadline as JSON is refused as CSV or TSV at once.
+#[test]
+fn an_ask_that_cannot_be_written_is_refused_before_it_runs() {
+    let server = SparqlServer::start(
+        people_store(200),
+        ServerConfig {
+            query_timeout: Some(Duration::from_millis(1500)),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server starts");
+    let ask = "ASK { ?a ?b ?c . ?d ?e ?f . ?g ?h ?i FILTER(CONTAINS(STR(?i), \"no such text\")) }";
+    let request = |accept: &str| {
+        format!(
+            "POST /sparql HTTP/1.1\r\nHost: x\r\nContent-Type: application/sparql-query\r\nAccept: {accept}\r\nContent-Length: {}\r\n\r\n{ask}",
+            ask.len()
+        )
+    };
+    for accept in ["text/csv", "text/tab-separated-values"] {
+        let sent = Instant::now();
+        let (status, _, body) = common::roundtrip(&server, &request(accept));
+        let waited = sent.elapsed();
+        assert_eq!(status, 406, "{}", String::from_utf8_lossy(&body));
+        assert!(
+            waited < Duration::from_millis(100),
+            "the 406 for {accept} took {waited:?}"
+        );
+    }
+    // The same ASK, written as JSON, really does run into the deadline.
+    let (status, _, body) = common::roundtrip(&server, &request("application/sparql-results+json"));
+    assert_eq!(status, 504, "{}", String::from_utf8_lossy(&body));
+    server.shutdown();
+}

@@ -12,9 +12,11 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use hbold_rdf_model::vocab::{foaf, rdf};
-use hbold_rdf_model::{Graph, Iri, Literal, Triple};
+use hbold_rdf_model::{Graph, Iri, Literal, Quad, Triple};
 use hbold_server::{ServerConfig, SparqlServer};
 use hbold_triple_store::SharedStore;
+
+mod common;
 
 const QUERIES: &[&str] = &[
     "SELECT ?s ?name WHERE { ?s <http://xmlns.com/foaf/0.1/name> ?name } ORDER BY ?name LIMIT 25",
@@ -67,6 +69,15 @@ fn write_ntriples(graph: &Graph, path: &PathBuf) {
 struct ServerProcess {
     child: Child,
     port: u16,
+}
+
+/// A failed assertion must not leave the child running: it holds the test
+/// harness's stderr open, and whoever reads that waits forever.
+impl Drop for ServerProcess {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
 }
 
 fn spawn_server(args: &[&str]) -> ServerProcess {
@@ -392,64 +403,97 @@ fn graceful_shutdown_checkpoints_so_restart_needs_no_wal() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A panic while answering a request costs that request, not the server.
-/// With every WAL append failing (`wal_io=1`, process-global, hence the
-/// binary) an `INSERT DATA` panics inside its commit: it gets a typed 500
-/// with the JSON error body, and the server — one worker — still answers
-/// `/health` at once and counts the panic on `/metrics`.
+/// A write-ahead log that refuses an update's record costs that update, not
+/// the server. With every WAL append failing (`wal_io=1`, process-global,
+/// hence the binary) an `INSERT DATA` gets a typed 503 with `Retry-After`
+/// and the JSON error body, on a connection that stays open; `/health` and
+/// a read answer at once, nothing panicked, and the store and `wal.log` are
+/// unchanged — also after a restart without faults.
 #[test]
-fn a_panicking_update_is_a_500_and_the_server_keeps_answering() {
-    let dir = temp_dir("panic");
+fn a_failed_wal_append_is_a_503_and_leaves_no_trace() {
+    let dir = temp_dir("wal-fault");
     let data_dir = dir.join("data");
-    let mut server = spawn_server_with_env(
-        &[
-            "--data-dir",
-            data_dir.to_str().unwrap(),
-            "--demo-people",
-            "5",
-            "--workers",
-            "1",
-        ],
-        &[("HBOLD_FAULTS", "seed=1,wal_io=1")],
-    );
+    let args = [
+        "--data-dir",
+        data_dir.to_str().unwrap(),
+        "--demo-people",
+        "5",
+        "--workers",
+        "1",
+    ];
+    let mut server = spawn_server_with_env(&args, &[("HBOLD_FAULTS", "seed=1,wal_io=1")]);
     wait_until_serving(server.port);
+    let wal = data_dir.join("wal.log");
+    let wal_len = std::fs::metadata(&wal).unwrap().len();
+    let count = "SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }";
+    let (status, triples) = http_query(server.port, count);
+    assert_eq!(status, 200);
+    let ask = "ASK { <http://example.org/a> <http://example.org/p> \"v\" }";
 
     let update = "INSERT DATA { <http://example.org/a> <http://example.org/p> \"v\" }";
     let mut stream = TcpStream::connect(("127.0.0.1", server.port)).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    let request = format!(
-        "POST /update HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Type: application/sparql-update\r\nContent-Length: {}\r\n\r\n{update}",
-        update.len()
+    let (status, head, body) = common::send(
+        &mut stream,
+        &format!(
+            "POST /update HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Type: application/sparql-update\r\nContent-Length: {}\r\n\r\n{update}",
+            update.len()
+        ),
     );
-    stream.write_all(request.as_bytes()).expect("send update");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read the 500");
-    let text = String::from_utf8_lossy(&raw);
-    assert!(text.starts_with("HTTP/1.1 500"), "got {text:?}");
-    assert!(text.contains("Connection: close"), "got {text:?}");
-    assert!(text.contains("\"status\":500"), "JSON error body: {text}");
+    let body = String::from_utf8_lossy(&body);
+    assert_eq!(status, 503, "{head}\n{body}");
+    assert!(head.contains("Retry-After: 1"), "{head}");
+    assert!(head.contains("Connection: keep-alive"), "{head}");
+    assert!(body.contains("\"status\":503"), "JSON error body: {body}");
+    assert!(body.contains("operation 1 of 1 failed"), "{body}");
+    assert!(body.contains("injected WAL I/O fault"), "{body}");
 
+    // The same connection, then fresh ones, answer at once.
     let started = Instant::now();
-    let (status, _) = http_get(server.port, "/health");
+    let (status, _, _) = common::send(
+        &mut stream,
+        "GET /health HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n",
+    );
     assert_eq!(status, 200);
+    assert_eq!(
+        http_query(server.port, ask),
+        (200, br#"{"head":{},"boolean":false}"#.to_vec())
+    );
+    assert_eq!(http_query(server.port, count), (200, triples.clone()));
     assert!(
         started.elapsed() < Duration::from_secs(1),
-        "/health took {:?} after the panic",
+        "the server took {:?} to answer after the failed append",
         started.elapsed()
     );
-    let (status, body) = http_get(server.port, "/metrics");
+    let (status, metrics) = http_get(server.port, "/metrics");
     assert_eq!(status, 200);
-    let metrics = String::from_utf8_lossy(&body);
-    assert!(
-        metrics
-            .lines()
-            .any(|line| line == "hbold_worker_panics_total 1"),
-        "panic not counted: {metrics}"
-    );
+    let metrics = String::from_utf8_lossy(&metrics);
+    for line in [
+        "hbold_worker_panics_total 0",
+        "hbold_faults_injected_total{fault=\"wal_io\"} 1",
+        "hbold_update_requests_total{result=\"error\"} 1",
+    ] {
+        assert!(
+            metrics.lines().any(|l| l == line),
+            "no {line:?} in {metrics}"
+        );
+    }
+    assert_eq!(std::fs::metadata(&wal).unwrap().len(), wal_len);
     server.child.kill().unwrap();
     let _ = server.child.wait();
+
+    let mut restarted = spawn_server(&args[..2]);
+    wait_until_serving(restarted.port);
+    assert_eq!(
+        http_query(restarted.port, ask),
+        (200, br#"{"head":{},"boolean":false}"#.to_vec())
+    );
+    assert_eq!(http_query(restarted.port, count), (200, triples));
+    assert_eq!(std::fs::metadata(&wal).unwrap().len(), wal_len);
+    restarted.child.kill().unwrap();
+    let _ = restarted.child.wait();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -469,7 +513,8 @@ fn torn_wal_tail_rolls_back_only_the_uncommitted_wave() {
             rdf::type_(),
             foaf::person(),
         );
-        store.insert(&extra);
+        let extra = vec![Quad::from(extra)];
+        store.apply_update(|_| (Vec::new(), extra)).unwrap();
     } // dropped without checkpoint — the load's snapshot plus the WAL
     let wal = dir.join("wal.log");
     let len = std::fs::metadata(&wal).unwrap().len();

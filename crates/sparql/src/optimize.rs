@@ -740,12 +740,9 @@ fn estimate_pattern(
 }
 
 /// The cost-based order's tie-break: a shape score counting concrete and
-/// already-bound positions, with a penalty for patterns that would form a
-/// cartesian product with the current rows.
+/// already-bound positions.
 fn pattern_selectivity(tp: &EncTriplePattern, bound: &[bool]) -> i64 {
     let mut score = 0i64;
-    let mut has_unbound = false;
-    let mut has_bound_var = false;
     // The graph position scores exactly like a triple position: `GRAPH
     // <g>` is a constant, `GRAPH ?g` a variable.
     let graph_node = match tp.graph {
@@ -755,20 +752,11 @@ fn pattern_selectivity(tp: &EncTriplePattern, bound: &[bool]) -> i64 {
     for node in tp.nodes().into_iter().chain(graph_node) {
         match node {
             EncNode::Const(_) => score += 2,
-            EncNode::Var(slot) if bound[slot as usize] => {
-                // A variable the current rows already bind acts as a
-                // concrete term, and additionally keeps the join connected.
-                score += 3;
-                has_bound_var = true;
-            }
-            EncNode::Var(_) => has_unbound = true,
+            // A variable the current rows already bind acts as a concrete
+            // term, and additionally keeps the join connected.
+            EncNode::Var(slot) if bound[slot as usize] => score += 3,
+            EncNode::Var(_) => {}
         }
-    }
-    // A pattern with unbound variables but no link to the bound ones would
-    // produce a cartesian product with the current rows; defer it until
-    // everything connected has been joined.
-    if bound.iter().any(|&b| b) && has_unbound && !has_bound_var {
-        score -= 100;
     }
     score
 }

@@ -5,7 +5,7 @@
 //! defect; they stay green forever regardless of the fuzz case count.
 
 use hbold_rdf_model::vocab::xsd;
-use hbold_rdf_model::{Iri, Literal, Term, Triple};
+use hbold_rdf_model::{Iri, Literal, Quad, Term, Triple};
 use hbold_sparql::expr::number_term;
 use hbold_sparql::fuzz::{
     check_query, evaluate_shuffled, generate_store, random_regex_pattern, term_pool, FuzzRng,
@@ -1214,11 +1214,12 @@ fn an_intern_after_the_load_falls_back_to_topk_with_the_same_answers() {
             "order strategy=stream"
         );
         // The load is snapshot generation 1; the insert is the log's tail.
-        shared.insert(&Triple::new(
+        let fresh = Quad::from(Triple::new(
             iri("http://b.example/fresh"),
             iri("http://b.example/unrelated"),
             Literal::string("fresh"),
         ));
+        shared.apply_update(|_| (Vec::new(), vec![fresh])).unwrap();
     }
     let (restored, report) = SharedStore::open(&dir).unwrap();
     assert_eq!(

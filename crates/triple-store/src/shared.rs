@@ -3,26 +3,27 @@
 //!
 //! The simulated endpoint fleet serves queries from many extraction worker
 //! threads at once (`hbold::ExtractionPipeline::run_many` fans a crawl out
-//! over endpoints, and the server's workers answer concurrent clients), so
-//! the read path must never block behind a writer. [`SharedStore`] therefore keeps the current store behind an
-//! `Arc`: readers grab a [`SharedStore::snapshot`] — a brief read-lock to
-//! clone the `Arc`, after which they query the immutable snapshot entirely
-//! lock-free — while updates mutate copy-on-write under a write lock
-//! (`Arc::make_mut` clones the store only when snapshots are outstanding)
-//! and loads take it only to swap in the version they built beside.
+//! over endpoints, and the server's threads answer concurrent clients), so
+//! the read path must never block behind a writer. [`SharedStore`] therefore
+//! keeps the current store behind an `Arc`, and has one read path and one
+//! update path. A reader takes a [`SharedStore::snapshot`] — a brief read
+//! lock to clone the `Arc` — and queries that immutable version lock-free.
+//! A writer does all of its slow work beside the published version and takes
+//! the store's write lock only to publish.
 //!
 //! The result is that a query never observes a half-applied write: either it
 //! sees the store from before a commit or from after it, with dictionary
 //! and quad indexes always mutually consistent.
 //!
-//! # Two write paths
+//! # Updates and loads
 //!
-//! An *update* is a plan: it looks at the current state and names quads to
-//! remove and quads to insert, and one private commit function normalises
-//! that to the actual delta, logs it, applies it and publishes it as a
-//! single transition. [`SharedStore::insert`] and [`SharedStore::remove`]
-//! name one default-graph triple, and [`SharedStore::apply_update`] takes
-//! the caller's own plan — the entry point of SPARQL Update executors.
+//! An *update* ([`SharedStore::apply_update`], the entry point of SPARQL
+//! Update executors) is a plan: it looks at a snapshot and names quads to
+//! remove and quads to insert. The store normalises that to the actual
+//! delta, logs it, and only then applies it in place under the write lock
+//! (`Arc::make_mut` clones the store only when other snapshots are
+//! outstanding). A failed log append is returned as a [`PersistError`] with
+//! nothing applied.
 //!
 //! A *load* ([`SharedStore::bulk_load`], [`SharedStore::try_bulk_load`])
 //! is a batch of triples, possibly streamed straight from a parser. It is
@@ -30,6 +31,10 @@
 //! (into an empty store when nothing was ever interned, so a first load is
 //! a fresh load in term order), and that version is published whole — or,
 //! on a source error, dropped with nothing published.
+//!
+//! Writers — updates, loads and checkpoints — take turns on one writers'
+//! mutex, which readers never touch, so each write plans against the version
+//! it publishes over.
 //!
 //! # Durability
 //!
@@ -45,18 +50,15 @@
 //! disk.
 //!
 //! ```
-//! use hbold_rdf_model::{Iri, Triple, vocab::{foaf, rdf}};
+//! use hbold_rdf_model::{Iri, Quad, Triple, vocab::{foaf, rdf}};
 //! use hbold_triple_store::SharedStore;
 //!
 //! let dir = std::env::temp_dir().join(format!("hbold-doc-shared-{}", std::process::id()));
 //! # let _ = std::fs::remove_dir_all(&dir);
 //! {
 //!     let (store, _report) = SharedStore::open(&dir)?;
-//!     store.insert(&Triple::new(
-//!         Iri::new("http://example.org/alice")?,
-//!         rdf::type_(),
-//!         foaf::person(),
-//!     ));
+//!     let alice = Triple::new(Iri::new("http://example.org/alice")?, rdf::type_(), foaf::person());
+//!     store.apply_update(|_| (Vec::new(), vec![Quad::from(alice)]))?;
 //! } // process "dies" here — no checkpoint, the WAL has the write
 //! let (reopened, report) = SharedStore::open(&dir)?;
 //! assert_eq!(reopened.len(), 1);
@@ -72,7 +74,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use hbold_rdf_model::{Graph, Quad, Triple, TriplePattern};
+use hbold_rdf_model::{Graph, Quad, Triple};
 use parking_lot::{Mutex, RwLock};
 
 use crate::persist::{PersistError, PersistOptions, Persistence, RecoveryReport, WalOp};
@@ -110,16 +112,13 @@ impl<E: std::error::Error + 'static> std::error::Error for LoadError<E> {
 /// and optional write-ahead-logged durability.
 ///
 /// ```
-/// use hbold_rdf_model::{Iri, Triple, vocab::{foaf, rdf}};
+/// use hbold_rdf_model::{Iri, Quad, Triple, vocab::{foaf, rdf}};
 /// use hbold_triple_store::SharedStore;
 ///
 /// let store = SharedStore::new();
 /// let snapshot = store.snapshot(); // frozen view, lock-free to query
-/// store.insert(&Triple::new(
-///     Iri::new("http://example.org/alice")?,
-///     rdf::type_(),
-///     foaf::person(),
-/// ));
+/// let alice = Triple::new(Iri::new("http://example.org/alice")?, rdf::type_(), foaf::person());
+/// store.apply_update(|_| (Vec::new(), vec![Quad::from(alice)]))?;
 /// assert_eq!(snapshot.len(), 0, "snapshots never see later writes");
 /// assert_eq!(store.len(), 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -127,14 +126,9 @@ impl<E: std::error::Error + 'static> std::error::Error for LoadError<E> {
 #[derive(Debug, Clone, Default)]
 pub struct SharedStore {
     inner: Arc<RwLock<Arc<TripleStore>>>,
-    // The writers' lock, and the persistence directory of a durable store.
-    // Lock order: `persist` first, then the `inner` write lock. Every writer
-    // holds the persist mutex across its whole write — WAL append + apply,
-    // or a load's build + snapshot — so the log always reflects the
-    // published store history and no write is built on a stale version;
-    // checkpoints and loads hold only `persist` during their slow
-    // build/encode/fsync phase, keeping readers (who take `inner` read
-    // locks and never touch `persist`) unblocked.
+    // The writers' mutex, and the persistence directory of a durable store.
+    // Writers serialise on `persist`, and `inner`'s write lock is held only
+    // to publish.
     persist: Arc<Mutex<Option<Persistence>>>,
 }
 
@@ -253,24 +247,6 @@ impl SharedStore {
         self.snapshot().is_empty()
     }
 
-    /// Inserts a triple into the default graph; returns `true` if it was
-    /// not already present.
-    ///
-    /// # Panics
-    /// Panics if the store is durable and the log append fails — the
-    /// in-memory and on-disk histories would otherwise diverge silently.
-    pub fn insert(&self, triple: &Triple) -> bool {
-        let quad = Quad::from(triple.clone());
-        self.commit(|_| (Vec::new(), vec![quad])).1 == 1
-    }
-
-    /// Removes a triple from the default graph; returns `true` if it was
-    /// present. Panics like [`SharedStore::insert`] on log failure.
-    pub fn remove(&self, triple: &Triple) -> bool {
-        let quad = Quad::from(triple.clone());
-        self.commit(|_| (vec![quad], Vec::new())).0 == 1
-    }
-
     /// Bulk-loads a batch of triples into the default graph, returning how
     /// many were new: [`SharedStore::try_bulk_load`] over a source that
     /// cannot fail.
@@ -338,11 +314,11 @@ impl SharedStore {
         Ok(added)
     }
 
-    /// Commits one atomic update step: `plan` inspects a consistent view
-    /// of the current store (under the write lock, so no concurrent write
-    /// can interleave) and returns the quads to remove and the quads to
+    /// Commits one atomic update step: `plan` inspects a snapshot of the
+    /// current store and returns the quads to remove and the quads to
     /// insert; both are applied as a single store transition, so snapshot
-    /// readers see either none or all of the update.
+    /// readers see either none or all of the update. No other write can
+    /// come between the plan and its commit.
     ///
     /// The plan is normalized before committing — removes are filtered to
     /// quads actually present, inserts to quads actually absent after the
@@ -351,79 +327,52 @@ impl SharedStore {
     /// idempotently; a plan that changes nothing appends nothing. Returns
     /// `(removed, inserted)` counts.
     ///
+    /// The plan runs without the store lock, so readers keep taking
+    /// snapshots while it evaluates; only the apply takes the write lock.
+    /// Auto-checkpoints afterwards when the log has outgrown its budget.
+    ///
     /// This is the durability-correct entry point for SPARQL 1.1 Update:
     /// evaluating `DELETE`/`INSERT ... WHERE` against the same state it
     /// mutates, with crash-atomicity per update.
     ///
-    /// # Panics
-    /// Panics if the store is durable and the log append fails.
+    /// # Errors
+    /// A durable store returns the [`PersistError`] of a failed log append.
+    /// The append is the commit point, so nothing has been applied then:
+    /// the published store is unchanged, and the log is cut back to its
+    /// last whole record, so the next update succeeds once the fault
+    /// clears. (Should even that cut fail, the log refuses every later
+    /// append until the directory is reopened.) Apart from `plan` itself,
+    /// nothing here panics.
     pub fn apply_update(
         &self,
         plan: impl FnOnce(&TripleStore) -> (Vec<Quad>, Vec<Quad>),
-    ) -> (usize, usize) {
-        self.commit(plan)
-    }
-
-    /// Returns all triples matching the pattern.
-    pub fn matching(&self, pattern: &TriplePattern) -> Vec<Triple> {
-        self.snapshot().matching(pattern)
-    }
-
-    /// Counts triples matching the pattern.
-    pub fn count_matching(&self, pattern: &TriplePattern) -> usize {
-        self.snapshot().count_matching(pattern)
-    }
-
-    /// Runs `f` with shared (read) access to a consistent snapshot of the
-    /// underlying store. The store lock is *not* held while `f` runs.
-    pub fn read<R>(&self, f: impl FnOnce(&TripleStore) -> R) -> R {
-        f(&self.snapshot())
-    }
-
-    /// The one way the store changes. Runs `plan` against the current
-    /// store, normalises what it returns to the actual delta, and — if
-    /// anything is left — **logs it first and applies it second** under the
-    /// store write lock, so a failed append can never publish state the
-    /// on-disk history lacks. An in-memory store takes the same steps minus
-    /// the append. Auto-checkpoints afterwards when the WAL has outgrown its
-    /// budget. Returns `(removed, inserted)`.
-    fn commit(&self, plan: impl FnOnce(&TripleStore) -> (Vec<Quad>, Vec<Quad>)) -> (usize, usize) {
-        // Persistence lock first (see the field's lock-order note), held
-        // across plan + append + apply so the WAL order matches publish
-        // order.
+    ) -> Result<(usize, usize), PersistError> {
         let mut persist = self.persist.lock();
-        let counts = {
-            let mut guard = self.inner.write();
-            let (mut removes, mut inserts) = plan(&guard);
-            retain_distinct(&mut removes, |q| guard.contains_quad(q));
+        let op = {
+            let view = self.snapshot();
+            let (mut removes, mut inserts) = plan(&view);
+            retain_distinct(&mut removes, |q| view.contains_quad(q));
             let removed: HashSet<&Quad> = removes.iter().collect();
             retain_distinct(&mut inserts, |q| {
-                !guard.contains_quad(q) || removed.contains(q)
+                !view.contains_quad(q) || removed.contains(q)
             });
-            let counts = (removes.len(), inserts.len());
-            if counts != (0, 0) {
-                let op = WalOp { removes, inserts };
-                if let Some(persist) = persist.as_mut() {
-                    // The append IS the commit point; nothing has been
-                    // applied yet, so failing here leaves memory and disk
-                    // consistent (both without the write).
-                    persist
-                        .log(&op)
-                        .expect("write-ahead log append failed; cannot guarantee durability");
-                }
-                op.apply(Arc::make_mut(&mut guard));
+            WalOp { removes, inserts }
+        }; // the view is gone: `make_mut` below clones only for other readers
+        let counts = (op.removes.len(), op.inserts.len());
+        if counts != (0, 0) {
+            if let Some(persist) = persist.as_mut() {
+                persist.log(&op)?;
             }
-            counts
-        }; // store lock released — readers proceed during any checkpoint
+            op.apply(Arc::make_mut(&mut self.inner.write()));
+        }
         if let Some(persist) = persist.as_mut().filter(|p| p.wants_checkpoint()) {
-            let snapshot = self.inner.read().clone();
             // A failed compaction loses nothing — the operation is already
             // committed in the WAL, which simply keeps growing until a
             // later checkpoint succeeds. Warn (once per failure streak,
             // not once per write) and keep serving; embedders that need a
             // programmatic signal call [`SharedStore::checkpoint`]
             // themselves and get the error.
-            match persist.checkpoint(&snapshot) {
+            match persist.checkpoint(&self.snapshot()) {
                 Ok(_) => persist.checkpoint_failing = false,
                 Err(e) => {
                     if !persist.checkpoint_failing {
@@ -433,7 +382,7 @@ impl SharedStore {
                 }
             }
         }
-        counts
+        Ok(counts)
     }
 }
 
@@ -444,14 +393,14 @@ fn retain_distinct(quads: &mut Vec<Quad>, mut keep: impl FnMut(&Quad) -> bool) {
     let mut seen = HashSet::with_capacity(quads.len());
     let kept: Vec<bool> = quads.iter().map(|q| keep(q) && seen.insert(q)).collect();
     let mut kept = kept.into_iter();
-    quads.retain(|_| kept.next().expect("one flag per quad"));
+    quads.retain(|_| kept.next() == Some(true));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hbold_rdf_model::vocab::{foaf, rdf};
-    use hbold_rdf_model::Iri;
+    use hbold_rdf_model::{Iri, TriplePattern};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -468,6 +417,12 @@ mod tests {
         )
     }
 
+    /// One logged update inserting `triples` into the default graph.
+    fn log_insert(shared: &SharedStore, triples: impl IntoIterator<Item = Triple>) -> usize {
+        let quads = triples.into_iter().map(Quad::from).collect();
+        shared.apply_update(|_| (Vec::new(), quads)).unwrap().1
+    }
+
     #[test]
     fn shared_store_is_usable_across_threads() {
         let shared = SharedStore::new();
@@ -477,7 +432,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..50 {
                     let subject = Iri::new(format!("http://e.org/w{worker}/i{i}")).unwrap();
-                    store.insert(&Triple::new(subject, rdf::type_(), foaf::person()));
+                    log_insert(&store, [Triple::new(subject, rdf::type_(), foaf::person())]);
                 }
             }));
         }
@@ -486,7 +441,9 @@ mod tests {
         }
         assert_eq!(shared.len(), 200);
         assert_eq!(
-            shared.count_matching(&TriplePattern::any().with_predicate(rdf::type_())),
+            shared
+                .snapshot()
+                .count_matching(&TriplePattern::any().with_predicate(rdf::type_())),
             200
         );
     }
@@ -494,12 +451,8 @@ mod tests {
     #[test]
     fn read_and_write_closures() {
         let shared = SharedStore::new();
-        shared.insert(&Triple::new(
-            Iri::new("http://e.org/a").unwrap(),
-            rdf::type_(),
-            foaf::person(),
-        ));
-        let classes = shared.read(|store| store.to_graph().classes());
+        log_insert(&shared, [t(0)]);
+        let classes = shared.snapshot().to_graph().classes();
         assert!(classes.contains(&foaf::person()));
         assert!(!shared.is_empty());
         assert!(!shared.is_durable());
@@ -510,7 +463,7 @@ mod tests {
     #[test]
     fn snapshots_are_immune_to_later_writes() {
         let shared = SharedStore::new();
-        shared.insert(&t(0));
+        log_insert(&shared, [t(0)]);
         let before = shared.snapshot();
         let batch: Vec<Triple> = (1..100).map(t).collect();
         assert_eq!(shared.bulk_load(batch.iter()), 99);
@@ -527,10 +480,10 @@ mod tests {
         assert_eq!(shared.len(), 1);
     }
 
-    /// One logged update inserting `triples` into the default graph.
-    fn log_insert(shared: &SharedStore, triples: impl IntoIterator<Item = Triple>) -> usize {
-        let quads = triples.into_iter().map(Quad::from).collect();
-        shared.apply_update(|_| (Vec::new(), quads)).1
+    /// One logged update removing `triple` from the default graph.
+    fn log_remove(shared: &SharedStore, triple: Triple) -> usize {
+        let quads = vec![Quad::from(triple)];
+        shared.apply_update(|_| (quads, Vec::new())).unwrap().0
     }
 
     /// The snapshot and temp-snapshot files in `dir`, sorted.
@@ -552,14 +505,14 @@ mod tests {
             assert_eq!(report, RecoveryReport::default());
             assert!(shared.is_durable());
             assert_eq!(shared.data_dir(), Some(dir.clone()));
-            shared.insert(&t(1));
+            log_insert(&shared, [t(1)]);
             log_insert(&shared, (2..20).map(t));
-            shared.remove(&t(5));
+            log_remove(&shared, t(5));
             assert!(shared.wal_bytes().unwrap() > 0);
         }
         let (reopened, report) = SharedStore::open(&dir).unwrap();
         assert_eq!(reopened.len(), 18);
-        assert!(!reopened.matching(&TriplePattern::any()).contains(&t(5)));
+        assert!(!reopened.snapshot().contains(&t(5)));
         assert_eq!(report.wal_ops_replayed, 3);
         assert_eq!(report.snapshot_generation, None);
         let _ = std::fs::remove_dir_all(&dir);
@@ -573,7 +526,7 @@ mod tests {
             log_insert(&shared, (0..50).map(t));
             assert_eq!(shared.checkpoint().unwrap(), Some(1));
             assert_eq!(shared.wal_bytes(), Some(0));
-            shared.insert(&t(100)); // lands in the fresh WAL
+            log_insert(&shared, [t(100)]); // lands in the fresh WAL
         }
         let (reopened, report) = SharedStore::open(&dir).unwrap();
         assert_eq!(reopened.len(), 51);
@@ -586,10 +539,10 @@ mod tests {
     fn no_op_writes_leave_the_wal_untouched() {
         let dir = temp_dir("noop");
         let (shared, _) = SharedStore::open(&dir).unwrap();
-        shared.insert(&t(1));
+        log_insert(&shared, [t(1)]);
         let after_insert = shared.wal_bytes().unwrap();
-        shared.insert(&t(1)); // duplicate
-        shared.remove(&t(99)); // absent
+        assert_eq!(log_insert(&shared, [t(1)]), 0); // duplicate
+        assert_eq!(log_remove(&shared, t(99)), 0); // absent
         assert_eq!(log_insert(&shared, [t(1), t(1)]), 0); // fully deduplicated
         assert_eq!(shared.wal_bytes().unwrap(), after_insert);
         let _ = std::fs::remove_dir_all(&dir);
@@ -628,7 +581,7 @@ mod tests {
     fn a_failed_load_publishes_nothing_and_leaves_the_directory_alone() {
         let dir = temp_dir("failed-load");
         let (shared, _) = SharedStore::open(&dir).unwrap();
-        shared.insert(&t(1));
+        log_insert(&shared, [t(1)]);
         let wal = std::fs::read(dir.join("wal.log")).unwrap();
         let before = shared.snapshot();
         let source = (2..10)
@@ -657,7 +610,7 @@ mod tests {
         };
         let (shared, _) = SharedStore::open_with(&dir, options).unwrap();
         for n in 0..64 {
-            shared.insert(&t(n));
+            log_insert(&shared, [t(n)]);
         }
         // The WAL kept being compacted away, so it is far below 64 records.
         assert!(shared.wal_bytes().unwrap() <= 256 + 128);
@@ -675,18 +628,17 @@ mod tests {
         {
             let (shared, _) = SharedStore::open(&dir).unwrap();
             let one = || vec![Quad::new(t(1), Some(g.clone()))];
-            assert_eq!(shared.apply_update(|_| (vec![], one())), (0, 1));
-            assert_eq!(shared.apply_update(|_| (vec![], one())), (0, 0));
+            let update = |removes, inserts| shared.apply_update(|_| (removes, inserts)).unwrap();
+            assert_eq!(update(vec![], one()), (0, 1));
+            assert_eq!(update(vec![], one()), (0, 0));
             let batch: Vec<Quad> = (2..10).map(|n| Quad::new(t(n), Some(g.clone()))).collect();
-            assert_eq!(shared.apply_update(|_| (vec![], batch)), (0, 8));
+            assert_eq!(update(vec![], batch), (0, 8));
             let two = vec![Quad::new(t(2), Some(g.clone()))];
-            assert_eq!(shared.apply_update(|_| (two, vec![])), (1, 0));
-            let (removed, inserted) = shared.apply_update(|_| {
-                (
-                    vec![Quad::new(t(3), Some(g.clone()))],
-                    vec![Quad::new(t(3), None), Quad::new(t(3), Some(g.clone()))],
-                )
-            });
+            assert_eq!(update(two, vec![]), (1, 0));
+            let (removed, inserted) = update(
+                vec![Quad::new(t(3), Some(g.clone()))],
+                vec![Quad::new(t(3), None), Quad::new(t(3), Some(g.clone()))],
+            );
             assert_eq!((removed, inserted), (1, 2));
         }
         let (reopened, report) = SharedStore::open(&dir).unwrap();
@@ -704,10 +656,12 @@ mod tests {
     fn apply_update_normalizes_to_the_actual_delta() {
         let shared = SharedStore::new();
         let g: hbold_rdf_model::Term = Iri::new("http://graphs.example/g1").unwrap().into();
-        shared.apply_update(|_| (vec![], vec![Quad::new(t(1), Some(g.clone()))]));
+        shared
+            .apply_update(|_| (vec![], vec![Quad::new(t(1), Some(g.clone()))]))
+            .unwrap();
         // Removing an absent quad and inserting a present one are no-ops;
         // remove-then-reinsert of the same quad is a real (2-count) step.
-        let (removed, inserted) = shared.apply_update(|_| {
+        let counts = shared.apply_update(|_| {
             (
                 vec![
                     Quad::new(t(9), Some(g.clone())), // absent
@@ -719,10 +673,56 @@ mod tests {
                 ],
             )
         });
-        assert_eq!((removed, inserted), (1, 1));
+        assert_eq!(counts.unwrap(), (1, 1));
         assert_eq!(shared.snapshot().len(), 1);
-        let (removed, inserted) = shared.apply_update(|_| (vec![], vec![]));
-        assert_eq!((removed, inserted), (0, 0));
+        assert_eq!(shared.apply_update(|_| (vec![], vec![])).unwrap(), (0, 0));
+    }
+
+    #[test]
+    fn a_reader_does_not_wait_for_an_update_s_plan() {
+        let shared = SharedStore::new();
+        log_insert(&shared, [t(0)]);
+        let (planning, started) = std::sync::mpsc::channel();
+        let writer = {
+            let shared = shared.clone();
+            std::thread::spawn(move || {
+                shared.apply_update(|_| {
+                    planning.send(()).unwrap();
+                    std::thread::sleep(std::time::Duration::from_millis(500));
+                    (Vec::new(), vec![Quad::from(t(1))])
+                })
+            })
+        };
+        started.recv().unwrap();
+        let asked = std::time::Instant::now();
+        let view = shared.snapshot();
+        let waited = asked.elapsed();
+        assert!(
+            waited < std::time::Duration::from_millis(50),
+            "snapshot() waited {waited:?} for the plan"
+        );
+        assert_eq!(view.len(), 1, "the plan's update is not yet published");
+        drop(view);
+        assert_eq!(writer.join().unwrap().unwrap(), (0, 1));
+        assert_eq!(shared.len(), 2);
+    }
+
+    #[test]
+    fn an_update_applies_in_place_unless_a_snapshot_is_held() {
+        let shared = SharedStore::new();
+        log_insert(&shared, (0..10).map(t));
+        let published = Arc::as_ptr(&shared.snapshot());
+        assert_eq!(log_insert(&shared, [t(10)]), 1);
+        assert_eq!(
+            Arc::as_ptr(&shared.snapshot()),
+            published,
+            "an update with no snapshot held cloned the store"
+        );
+        // A reader's snapshot stays frozen, so the update works on a copy.
+        let held = shared.snapshot();
+        assert_eq!(log_insert(&shared, [t(11)]), 1);
+        assert_ne!(Arc::as_ptr(&shared.snapshot()), published);
+        assert_eq!((held.len(), shared.len()), (11, 12));
     }
 
     #[test]
@@ -739,7 +739,7 @@ mod tests {
             .iter()
             .map(|tr| Quad::new(tr.clone(), Some(ga.clone())))
             .collect();
-        shared.apply_update(|_| (vec![], batch));
+        shared.apply_update(|_| (vec![], batch)).unwrap();
 
         let stop = Arc::new(AtomicBool::new(false));
         let writer = {
@@ -755,7 +755,7 @@ mod tests {
                     } else {
                         (gb.clone(), ga.clone())
                     };
-                    shared.apply_update(|_| {
+                    let moved = shared.apply_update(|_| {
                         (
                             tokens
                                 .iter()
@@ -767,6 +767,7 @@ mod tests {
                                 .collect(),
                         )
                     });
+                    assert_eq!(moved.unwrap(), (10, 10));
                     in_a = !in_a;
                 }
             })
@@ -805,7 +806,7 @@ mod tests {
                 handles.push(std::thread::spawn(move || {
                     for i in 0..25 {
                         let s = Iri::new(format!("http://e.org/w{worker}/{i}")).unwrap();
-                        store.insert(&Triple::new(s, rdf::type_(), foaf::person()));
+                        log_insert(&store, [Triple::new(s, rdf::type_(), foaf::person())]);
                     }
                 }));
             }

@@ -151,7 +151,8 @@ fn small_updates_leave_the_flat_tiers_alone_until_the_crossing_one() {
     let mut update = || {
         let inserts = quads([next, next + 1]);
         next += 2;
-        assert_eq!(shared.apply_update(|_| (Vec::new(), inserts)), (0, 2));
+        let delta = shared.apply_update(|_| (Vec::new(), inserts));
+        assert_eq!(delta.unwrap(), (0, 2));
         tiers(&shared.snapshot())
     };
     assert_eq!(update(), (N, 2, 0));
@@ -193,7 +194,7 @@ fn reopening_a_snapshot_plus_a_log_tail_performs_no_fold() {
                 let delta = store.apply_update(|_| {
                     (quads([record]), quads([N + 2 * record, N + 2 * record + 1]))
                 });
-                assert_eq!(delta, (1, 2));
+                assert_eq!(delta.unwrap(), (1, 2));
             }
         }
     }
@@ -229,12 +230,13 @@ fn folds_copy_a_bounded_number_of_keys_per_key_changed() {
     let (folds_before, keys_before) = fold_counts();
     for n in 0..COMMITS {
         // Two inserts for every remove, so both churn tiers fill.
-        let changed = if n % 3 == 2 {
-            shared.remove(&t(n))
+        let delta = if n % 3 == 2 {
+            (quads([n]), Vec::new())
         } else {
-            shared.insert(&t(N + n))
+            (Vec::new(), quads([N + n]))
         };
-        assert!(changed);
+        let (removed, inserted) = shared.apply_update(|_| delta).unwrap();
+        assert_eq!(removed + inserted, 1);
     }
     let (folds, keys) = fold_counts();
     let (folds, copied) = (folds - folds_before, (keys - keys_before) as usize);

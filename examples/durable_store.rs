@@ -14,10 +14,19 @@
 
 use hbold_endpoint::synth::{scholarly, ScholarlyConfig};
 use hbold_rdf_model::vocab::{foaf, rdf};
-use hbold_rdf_model::{Iri, Triple};
+use hbold_rdf_model::{Iri, Quad, Triple};
 use hbold_server::{ServerConfig, SparqlServer};
 use hbold_sparql::execute_query;
 use hbold_triple_store::SharedStore;
+
+/// Logs one update inserting `<person> a foaf:Person` into the default graph.
+fn insert_person(store: &SharedStore, person: &str) {
+    let person = Iri::new(format!("http://example.org/{person}")).unwrap();
+    let quad = Quad::from(Triple::new(person, rdf::type_(), foaf::person()));
+    store
+        .apply_update(|_| (Vec::new(), vec![quad]))
+        .expect("the write-ahead log takes the update");
+}
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("hbold-durable-example-{}", std::process::id()));
@@ -46,8 +55,7 @@ fn main() {
 
     // 3. An update is logged; a checkpoint compacts the WAL into the next
     //    checksummed binary snapshot.
-    let carol = Iri::new("http://example.org/carol").unwrap();
-    store.insert(&Triple::new(carol, rdf::type_(), foaf::person()));
+    insert_person(&store, "carol");
     println!(
         "one update logged, WAL at {} bytes",
         store.wal_bytes().unwrap()
@@ -59,8 +67,7 @@ fn main() {
     );
 
     // 4. More writes after the checkpoint: these live only in the WAL.
-    let alice = Iri::new("http://example.org/alice").unwrap();
-    store.insert(&Triple::new(alice.clone(), rdf::type_(), foaf::person()));
+    insert_person(&store, "alice");
     let expected = store.len();
     drop(store);
 
@@ -85,8 +92,7 @@ fn main() {
     //    way a crash mid-write would. Recovery truncates the torn tail and
     //    keeps every committed record.
     let (store, _) = SharedStore::open(&dir).expect("reopen");
-    let bob = Iri::new("http://example.org/bob").unwrap();
-    store.insert(&Triple::new(bob, rdf::type_(), foaf::person()));
+    insert_person(&store, "bob");
     drop(store);
     let wal = dir.join("wal.log");
     let len = std::fs::metadata(&wal).unwrap().len();
