@@ -30,9 +30,13 @@
 //! been bound all along.
 //!
 //! **Sinks copy what they keep.** The tail stages receive the borrowed row:
-//! the group stage folds it into per-group accumulators and keeps nothing,
+//! the group stage folds it into per-group accumulators and keeps nothing
+//! (its key read in place by the one flat [`KeyTable`], which the project
+//! stage's `DISTINCT` keys through too; a `COUNT` tests its slot and adds),
 //! the order stage tests it against the top-k heap's maximum before copying
-//! it, the project stage decodes the rows of the page. Everything up to
+//! it, the project stage decodes the rows of the page. A group stage the
+//! planner chose to count ([`Group::Count`]) walks no row at all: its count
+//! is read off the index directory. Everything up to
 //! there operates on identifiers (two terms compare by reference in the
 //! dictionary where ids differ); the dictionary is consulted only where
 //! lexical values are genuinely needed (expression evaluation, aggregate
@@ -63,7 +67,7 @@ use crate::eval::{
 use crate::expr::{
     evaluate_scoped, filter_passes_scoped, number_term, numeric_value, Binding, Scope,
 };
-use crate::optimize::{Node, Order, Plan, Select, Tail, TailSpans};
+use crate::optimize::{Group, Node, Order, Plan, Select, Tail, TailSpans};
 use crate::results::{QueryResults, SelectResults};
 
 /// Sentinel marking an unbound slot in an [`EncRow`].
@@ -481,6 +485,11 @@ pub(crate) fn attach<'a>(ctx: &EncContext<'a>, span: Option<Span>, poll: bool) -
 }
 
 impl Probe<'_> {
+    /// The node's span, when tracing is on.
+    pub(crate) fn span(&self) -> Option<&Span> {
+        self.span.as_ref()
+    }
+
     /// Counts one unit of the node's work (a quad examined) and checks the
     /// token once every `check_interval` units, the very first included.
     #[inline]
@@ -768,8 +777,8 @@ fn run_select(
 ) -> Result<SelectResults, SparqlError> {
     let query = select.query;
     let (offset, limit) = (query.offset.unwrap_or(0), query.limit);
-    let results = if let Some(slots) = &select.group {
-        let mut results = project_grouped(ctx, select, slots, drive, spans)?;
+    let results = if let Some(group) = &select.group {
+        let mut results = project_grouped(ctx, select, group, drive, spans)?;
         // Post-aggregation row counts are small; DISTINCT/OFFSET/LIMIT run
         // in the Term domain here.
         timed(spans.project.as_ref(), || {
@@ -778,26 +787,24 @@ fn run_select(
         results
     } else {
         // The project stage, a sink over encoded rows — the pattern's own,
-        // or the order stage's: `DISTINCT` on the projected columns (ids
-        // looked up as a borrowed slice, copied only when new), `OFFSET`,
+        // or the order stage's: `DISTINCT` on the projected columns (keyed
+        // in place in a [`KeyTable`], copied only when new), `OFFSET`,
         // `LIMIT`, the decode of exactly the page's rows, and `Break` with
         // the row that completes the page.
         let (variables, columns) = compile_projection(select.projection, ctx.layout);
         let target = limit.map_or(usize::MAX, |limit| offset.saturating_add(limit));
-        let (mut seen_ids, mut seen_terms) = (IdSet::default(), HashSet::new());
-        let (mut projected_ids, mut passed, mut rows) = (Vec::new(), 0, Vec::new());
+        let mut seen_ids = match &columns {
+            Columns::Slots(slots) => KeyTable::new(slots.len()),
+            Columns::Mixed(_) => KeyTable::default(),
+        };
+        let (mut seen_terms, mut passed, mut rows) = (HashSet::new(), 0, Vec::new());
         let mut project = |row: &[TermId]| -> Flow {
             let projected = match &columns {
                 Columns::Slots(slots) => {
-                    let ids = slots.iter().map(|&s| row[s as usize]);
-                    if select.distinct {
-                        projected_ids.clear();
-                        projected_ids.extend(ids.clone());
-                        if seen_ids.contains(projected_ids.as_slice()) {
-                            return CONTINUE;
-                        }
-                        seen_ids.insert(projected_ids.clone());
+                    if select.distinct && !seen_ids.insert(row, slots).1 {
+                        return CONTINUE;
                     }
+                    let ids = slots.iter().map(|&s| row[s as usize]);
                     // The single point where variable columns materialize.
                     (passed >= offset).then(|| {
                         ids.map(|id| (id != UNBOUND).then(|| ctx.dict.term(id).clone()))
@@ -1077,8 +1084,6 @@ fn compare_rows_tiebreak(ctx: &EncContext<'_>, a: &[TermId], b: &[TermId]) -> Or
 
 // ---- id hashing ------------------------------------------------------------------
 
-/// A hash map keyed by store-assigned ids (see [`IdHasher`]).
-type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 /// A hash set of store-assigned ids (see [`IdHasher`]).
 type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
@@ -1128,6 +1133,93 @@ impl Hasher for IdHasher {
     }
 }
 
+/// The group stage's and `DISTINCT`'s one table: a set of keys of `width`
+/// ids each, numbered in first-encounter order. A key is read straight off
+/// the row's slots — hashed there with [`IdHasher`] and compared there
+/// against the keys stored flat — and copied in only when it is new, so the
+/// table allocates per key, never per row. Open addressing with linear
+/// probing over a power-of-two cell array, at most half full. [`UNBOUND`]
+/// is a legal id inside a key, so a free cell is marked in the cells, never
+/// in the keys.
+#[derive(Default)]
+struct KeyTable {
+    width: usize,
+    /// Key `i` is `keys[i * width..(i + 1) * width]`.
+    keys: Vec<TermId>,
+    /// How many keys there are (with `width` 0, `keys` cannot tell).
+    len: usize,
+    /// A key's number, or [`KeyTable::FREE`].
+    cells: Vec<u32>,
+}
+
+impl KeyTable {
+    const FREE: u32 = u32::MAX;
+
+    fn new(width: usize) -> KeyTable {
+        KeyTable {
+            width,
+            ..KeyTable::default()
+        }
+    }
+
+    fn hash(ids: impl Iterator<Item = TermId>) -> u64 {
+        let mut hasher = IdHasher::default();
+        ids.for_each(|id| hasher.write_u32(id));
+        hasher.finish()
+    }
+
+    /// The number of the key `slots` pick out of `row`, and whether it is
+    /// new.
+    #[inline]
+    fn insert(&mut self, row: &[TermId], slots: &[u32]) -> (usize, bool) {
+        debug_assert_eq!(slots.len(), self.width);
+        if 2 * (self.len + 1) > self.cells.len() {
+            self.grow();
+        }
+        let mask = self.cells.len() - 1;
+        let mut cell = Self::hash(slots.iter().map(|&s| row[s as usize])) as usize & mask;
+        loop {
+            let key = self.cells[cell];
+            if key == Self::FREE {
+                self.cells[cell] = u32::try_from(self.len).expect("fewer than 2^32 keys");
+                self.keys.extend(slots.iter().map(|&s| row[s as usize]));
+                self.len += 1;
+                return (self.len - 1, true);
+            }
+            let stored = self.key(key as usize);
+            if stored
+                .iter()
+                .zip(slots)
+                .all(|(&id, &s)| id == row[s as usize])
+            {
+                return (key as usize, false);
+            }
+            cell = (cell + 1) & mask;
+        }
+    }
+
+    /// Doubles the cells (to 8 at first) and places every key again.
+    fn grow(&mut self) {
+        let cells = (2 * self.cells.len()).max(8);
+        self.cells = vec![Self::FREE; cells];
+        for key in 0..self.len {
+            let mut cell = Self::hash(self.key(key).iter().copied()) as usize & (cells - 1);
+            while self.cells[cell] != Self::FREE {
+                cell = (cell + 1) & (cells - 1);
+            }
+            self.cells[cell] = key as u32;
+        }
+    }
+
+    fn key(&self, key: usize) -> &[TermId] {
+        &self.keys[key * self.width..(key + 1) * self.width]
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+}
+
 // ---- grouped evaluation ----------------------------------------------------------
 
 /// What one aggregate has folded of one group so far. Only the fields its
@@ -1171,6 +1263,13 @@ impl Aggregate<'_> {
         let (repeated, term) = match (self.slot, self.arg) {
             (Some(slot), _) => match row[slot as usize] {
                 UNBOUND => return Ok(()),
+                // A count tests the slot and adds: no term is looked up.
+                id if self.func == AggregateFunction::Count => {
+                    if !self.distinct || acc.seen_ids.insert(id) {
+                        acc.count += 1;
+                    }
+                    return Ok(());
+                }
                 id => (self.distinct && !acc.seen_ids.insert(id), ctx.dict.term(id)),
             },
             (None, None) if self.func == AggregateFunction::Count && !self.distinct => {
@@ -1226,17 +1325,19 @@ impl Aggregate<'_> {
 }
 
 /// The group and order stages of a grouped/aggregated projection
-/// (`Select::group`). The group stage is a sink of per-group accumulators: a
-/// solution is looked up by its key — the `GROUP BY` slots' ids, hashed as a
-/// borrowed slice and copied once per *group* — and folded into that group's
-/// aggregates on the spot; no solution is kept. With no `GROUP BY` there is
-/// exactly one group, even if it is empty. Group *output* evaluation decodes
+/// (`Select::group`). The group stage is a sink of per-group accumulators:
+/// with [`Group::Hash`], a solution is looked up by its key — the `GROUP BY`
+/// slots' ids, read in place by the [`KeyTable`], which copies a key once per
+/// *group* — and folded into that group's aggregates on the spot; no solution
+/// is kept. With no `GROUP BY` there is exactly one group, even if it is
+/// empty. With [`Group::Count`] that one group's counts are read off the
+/// index directory and no row is walked. Group *output* evaluation decodes
 /// into Term-domain bindings, where ORDER BY over aggregate aliases lives.
 /// Groups leave in first-encounter order; only `ORDER BY` pins one.
 fn project_grouped(
     ctx: &EncContext<'_>,
     select: &Select<'_>,
-    group_slots: &[u32],
+    group: &Group,
     drive: impl FnOnce(Emit<'_>) -> Flow,
     spans: &TailSpans,
 ) -> Result<SelectResults, SparqlError> {
@@ -1279,48 +1380,67 @@ fn project_grouped(
             _ => None,
         })
         .collect();
-    let fresh =
-        || -> Vec<Accumulator> { aggregates.iter().map(|_| Accumulator::default()).collect() };
+    let group_slots: &[u32] = match group {
+        Group::Hash(slots) => slots,
+        Group::Count(_) => &[],
+    };
 
     let grouped_bindings = timed(spans.group.as_ref(), || {
-        let mut index: IdMap<Vec<TermId>, usize> = IdMap::default();
-        let mut groups: Vec<(Vec<TermId>, Vec<Accumulator>)> = Vec::new();
+        // The groups' keys, and their accumulators: group `g`'s are
+        // `accs[g * n..(g + 1) * n]`, one per aggregate.
+        let mut table = KeyTable::new(group_slots.len());
+        let mut accs: Vec<Accumulator> = Vec::new();
+        let n = aggregates.len();
         if group_slots.is_empty() {
-            groups.push((Vec::new(), fresh()));
+            table.insert(&[], &[]);
+            accs.resize_with(n, Accumulator::default);
         }
-        let mut key: Vec<TermId> = Vec::with_capacity(group_slots.len());
-        drive(&mut |row| {
-            let group = if group_slots.is_empty() {
-                0
-            } else {
-                key.clear();
-                key.extend(group_slots.iter().map(|&s| row[s as usize]));
-                match index.get(key.as_slice()) {
-                    Some(&group) => group,
-                    None => {
-                        index.insert(key.clone(), groups.len());
-                        groups.push((key.clone(), fresh()));
-                        groups.len() - 1
+        match group {
+            Group::Hash(slots) => {
+                drive(&mut |row| {
+                    let (group, new) = table.insert(row, slots);
+                    if new {
+                        accs.resize_with(accs.len() + n, Accumulator::default);
                     }
-                }
-            };
-            for (aggregate, acc) in aggregates.iter().zip(&mut groups[group].1) {
-                aggregate.fold(ctx, row, acc)?;
+                    for (aggregate, acc) in aggregates.iter().zip(&mut accs[group * n..]) {
+                        aggregate.fold(ctx, row, acc)?;
+                    }
+                    CONTINUE
+                })
+                .map(drop)?;
             }
-            CONTINUE
-        })
-        .map(drop)?;
-        // Evaluate each group into an output binding so ORDER BY can see
-        // aliases. Group boundaries are this path's batch boundaries: one
-        // token poll per group.
-        groups
-            .into_iter()
-            .map(|(key, accs)| {
+            Group::Count(counted) => {
+                // Fails an already-tripped token, as the walk would.
                 if let Some(token) = ctx.cancel {
                     token.check()?;
                 }
-                let finished = aggregates.iter().zip(accs).map(|(a, acc)| a.finish(acc));
-                evaluate_group(ctx, items, group_slots, &key, finished)
+                // O(log n) in the directory, for the rows a walk would
+                // have folded: every one binds the counted variables.
+                let rows = timed(counted.scan.as_ref(), || {
+                    counted.quads.map_or(0, |(graph, [s, p, o])| {
+                        ctx.store.count_matching_quads_encoded(graph, s, p, o)
+                    })
+                });
+                if let Some(span) = &counted.scan {
+                    span.add_rows(rows as u64);
+                }
+                accs.iter_mut().for_each(|acc| acc.count = rows);
+            }
+        }
+        // Evaluate each group into an output binding so ORDER BY can see
+        // aliases. Group boundaries are this path's batch boundaries: one
+        // token poll per group.
+        let mut accs = accs.into_iter();
+        (0..table.len())
+            .map(|group| {
+                if let Some(token) = ctx.cancel {
+                    token.check()?;
+                }
+                let finished = aggregates
+                    .iter()
+                    .zip(accs.by_ref().take(n))
+                    .map(|(a, acc)| a.finish(acc));
+                evaluate_group(ctx, items, group_slots, table.key(group), finished)
             })
             .collect::<Result<Vec<Binding>, SparqlError>>()
     })?;
@@ -1386,7 +1506,207 @@ fn evaluate_group(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{evaluate, parse_query, reference};
+    use hbold_rdf_model::{Iri, Literal, Triple};
     use std::hash::BuildHasher;
+
+    fn iri(local: &str) -> Iri {
+        Iri::new(format!("http://kt.example/{local}")).unwrap()
+    }
+
+    /// `subjects` subjects, each typed with one of three classes and valued
+    /// with one of `values` literals; every fourth also named.
+    fn store(subjects: usize, values: usize) -> TripleStore {
+        let mut triples = Vec::new();
+        for i in 0..subjects {
+            let s = iri(&format!("s{i}"));
+            triples.push(Triple::new(
+                s.clone(),
+                iri("a"),
+                iri(&format!("C{}", i % 3)),
+            ));
+            let value = Literal::string(format!("v{}", i % values));
+            triples.push(Triple::new(s.clone(), iri("v"), value));
+            if i % 4 == 0 {
+                triples.push(Triple::new(
+                    s,
+                    iri("name"),
+                    Literal::string(format!("n{i}")),
+                ));
+            }
+        }
+        let mut store = TripleStore::new();
+        store.insert_batch(triples.iter());
+        store
+    }
+
+    /// The engine's rows, after checking them against the reference
+    /// evaluator's as a multiset.
+    fn agreed(store: &TripleStore, query: &str) -> Vec<Vec<Option<Term>>> {
+        let parsed = parse_query(query).unwrap();
+        let engine = evaluate(store, &parsed).unwrap().into_select().unwrap();
+        let expected = reference::evaluate(store, &parsed)
+            .unwrap()
+            .into_select()
+            .unwrap();
+        assert_eq!(engine.variables, expected.variables, "{query}");
+        let sorted = |mut rows: Vec<Vec<Option<Term>>>| {
+            rows.sort();
+            rows
+        };
+        assert_eq!(
+            sorted(engine.rows.clone()),
+            sorted(expected.rows),
+            "{query}"
+        );
+        engine.rows
+    }
+
+    /// Inserts every key of `keys` (`width` ≥ 1 ids each) and returns the
+    /// numbers the table gave them, after checking that a second pass finds
+    /// each under the same number.
+    fn numbered(width: usize, keys: &[TermId]) -> Vec<usize> {
+        let slots: Vec<u32> = (0..width as u32).collect();
+        let mut table = KeyTable::new(width);
+        let mut numbers = Vec::new();
+        for key in keys.chunks(width) {
+            numbers.push(table.insert(key, &slots).0);
+        }
+        for (key, &number) in keys.chunks(width).zip(&numbers) {
+            assert_eq!(table.insert(key, &slots), (number, false));
+            assert_eq!(table.key(number), &key[..width]);
+        }
+        assert!(2 * table.len() <= table.cells.len());
+        numbers
+    }
+
+    #[test]
+    fn the_key_table_numbers_keys_in_first_encounter_order_through_its_doublings() {
+        // 12 000 distinct two-id keys, each inserted twice in a row: eleven
+        // doublings of the cells, every key numbered once.
+        let keys: Vec<TermId> = (0..12_000u32).flat_map(|i| [i % 7, i, i % 7, i]).collect();
+        let numbers = numbered(2, &keys);
+        let first: Vec<usize> = numbers.iter().copied().step_by(2).collect();
+        assert_eq!(first, (0..12_000).collect::<Vec<_>>());
+        assert!(numbers.chunks(2).all(|pair| pair[0] == pair[1]));
+        // Width 0: one key, whatever the row.
+        let mut table = KeyTable::new(0);
+        assert_eq!(table.insert(&[5, 6], &[]), (0, true));
+        assert_eq!(table.insert(&[7], &[]), (0, false));
+        assert_eq!(table.len(), 1);
+    }
+
+    #[test]
+    fn unbound_is_a_key_id_like_any_other() {
+        // `UNBOUND` is `u32::MAX`, so is a free cell's mark: keys made of
+        // it, or ending in it, are keys.
+        for width in 1..=3 {
+            let keys: Vec<TermId> = [UNBOUND, 0, 1, 2, UNBOUND - 1]
+                .into_iter()
+                .flat_map(|last| {
+                    let mut key = vec![UNBOUND; width];
+                    key[width - 1] = last;
+                    key
+                })
+                .collect();
+            assert_eq!(numbered(width, &keys), vec![0, 1, 2, 3, 4], "width {width}");
+        }
+    }
+
+    #[test]
+    fn keys_that_differ_only_in_their_last_id_are_kept_apart() {
+        let keys: Vec<TermId> = (0..1024u32).flat_map(|c| [7, 7, c]).collect();
+        assert_eq!(numbered(3, &keys), (0..1024).collect::<Vec<_>>());
+        // Under one predicate 1 024 values, under another 256 names, under
+        // the type three classes: `GROUP BY ?p ?o` keys that share their
+        // first id.
+        let rows = agreed(
+            &store(1024, 1024),
+            "SELECT ?p ?o (COUNT(*) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p ?o",
+        );
+        assert_eq!(rows.len(), 1024 + 256 + 3);
+    }
+
+    #[test]
+    fn ten_thousand_groups_agree_with_the_reference() {
+        // One row per group: the reference looks each up by a linear scan.
+        let store = store(10_000, 10);
+        let rows = agreed(
+            &store,
+            "SELECT ?s (COUNT(*) AS ?n) (MIN(?t) AS ?least) WHERE { ?s <http://kt.example/a> ?t } \
+             GROUP BY ?s",
+        );
+        assert_eq!(rows.len(), 10_000);
+        // The same keys through the project stage's `DISTINCT`.
+        let rows = agreed(&store, "SELECT DISTINCT ?s WHERE { ?s ?p ?o }");
+        assert_eq!(rows.len(), 10_000);
+    }
+
+    #[test]
+    fn group_keys_of_every_width_agree_with_the_reference() {
+        let store = store(60, 4);
+        for (keys, groups) in [("", 1), ("?t", 3), ("?t ?o", 12), ("?t ?o ?s", 60)] {
+            let group_by = match keys {
+                "" => String::new(),
+                keys => format!(" GROUP BY {keys}"),
+            };
+            let query = format!(
+                "SELECT {keys} (COUNT(?s) AS ?n) (COUNT(DISTINCT ?o) AS ?d) (MAX(?o) AS ?m) \
+                 WHERE {{ ?s <http://kt.example/a> ?t . ?s <http://kt.example/v> ?o }}{group_by}"
+            );
+            assert_eq!(agreed(&store, &query).len(), groups, "{query}");
+        }
+        // A key named twice is a key of width two.
+        let rows = agreed(
+            &store,
+            "SELECT ?t (COUNT(*) AS ?n) WHERE { ?s <http://kt.example/a> ?t } GROUP BY ?t ?t",
+        );
+        assert_eq!(rows.len(), 3);
+    }
+
+    #[test]
+    fn a_key_that_optional_leaves_unbound_is_a_group() {
+        let store = store(40, 4);
+        // Three in four subjects have no name: one group per name, plus
+        // the unbound name's group per class.
+        let rows = agreed(
+            &store,
+            "SELECT ?t ?n (COUNT(*) AS ?c) WHERE { ?s <http://kt.example/a> ?t \
+             OPTIONAL { ?s <http://kt.example/name> ?n } } GROUP BY ?t ?n",
+        );
+        assert_eq!(rows.len(), 10 + 3);
+        let rows = agreed(
+            &store,
+            "SELECT ?n (COUNT(?n) AS ?c) WHERE { ?s <http://kt.example/a> ?t \
+             OPTIONAL { ?s <http://kt.example/name> ?n } } GROUP BY ?n",
+        );
+        assert!(rows.contains(&vec![None, Some(number_term(0.0))]));
+    }
+
+    #[test]
+    fn groups_and_distinct_rows_leave_in_first_encounter_order() {
+        let store = store(90, 7);
+        let plain = agreed(&store, "SELECT ?o WHERE { ?s <http://kt.example/v> ?o }");
+        let mut first = Vec::new();
+        for row in plain {
+            if !first.contains(&row[0]) {
+                first.push(row[0].clone());
+            }
+        }
+        assert_eq!(first.len(), 7);
+        let grouped = agreed(
+            &store,
+            "SELECT ?o (COUNT(*) AS ?n) WHERE { ?s <http://kt.example/v> ?o } GROUP BY ?o",
+        );
+        let grouped: Vec<_> = grouped.into_iter().map(|row| row[0].clone()).collect();
+        assert_eq!(grouped, first);
+        let distinct = agreed(
+            &store,
+            "SELECT DISTINCT ?o WHERE { ?s <http://kt.example/v> ?o }",
+        );
+        let distinct: Vec<_> = distinct.into_iter().map(|row| row[0].clone()).collect();
+        assert_eq!(distinct, first);
+    }
 
     /// `GROUP BY ?p ?c` over one predicate: 1 024 keys sharing their first
     /// id must still spread over the low bits a table of 2 048 buckets picks
@@ -1400,9 +1720,11 @@ mod tests {
         };
         let pairs = buckets(&mut (0..1024u32).map(|c| hasher.hash_one([7, c].as_slice())));
         let singles = buckets(&mut (0..1024u32).map(|id| hasher.hash_one(id)));
+        // The key table hashes a key in place, with no length in front.
+        let in_place = buckets(&mut (0..1024u32).map(|c| KeyTable::hash([7, c].into_iter())));
         assert!(
-            pairs > 700 && singles > 700,
-            "{pairs} and {singles} buckets"
+            pairs > 700 && singles > 700 && in_place > 700,
+            "{pairs}, {singles} and {in_place} buckets"
         );
     }
 }

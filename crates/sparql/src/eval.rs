@@ -908,10 +908,14 @@ mod tests {
         assert_eq!(order.attr("strategy").unwrap().as_str(), Some("sort"));
         assert_eq!((group.rows(), order.rows(), project.rows()), (3, 3, 3));
 
-        assert_eq!(
-            names(&trace("SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }")),
-            ["bgp", "group", "project"]
-        );
+        // A count read off the directory: the same stages, and the scan
+        // reports the rows the count stands for.
+        let execute = trace("SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }");
+        assert_eq!(names(&execute), ["bgp", "group", "project"]);
+        let group = &execute.children()[1];
+        assert_eq!(group.attr("strategy").unwrap().as_str(), Some("count"));
+        let scan = &execute.children()[0].children()[0];
+        assert_eq!(scan.rows(), store.len() as u64);
         assert_eq!(names(&trace("ASK { ?s ?p ?o }")), ["bgp", "ask"]);
     }
 }

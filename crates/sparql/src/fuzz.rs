@@ -13,7 +13,8 @@
 //! the `i64`/`f64` boundary, `NaN`, language tags, strings needing
 //! CSV/TSV/JSON escaping) — or, for a fixed share of seeds, a query in the
 //! shape of schema extraction (a short `?s a <C> . ?s ?p ?o . ?o a ?t` chain,
-//! grouped and aggregated, with and without `ORDER BY … LIMIT`) or of a
+//! grouped and aggregated, with and without `ORDER BY … LIMIT`, or one
+//! pattern under ungrouped counts, the triple count's shape) or of a
 //! browse page (`?s a <C> . ?s ?p ?o ORDER BY ?s ?p ?o`, and orders next to
 //! it that must not stream). The store is loaded one quad at a time, in one
 //! fresh bulk load (its ids then in term order, where `ORDER BY` can stream)
@@ -606,9 +607,10 @@ fn random_aggregate(rng: &mut FuzzRng, i: usize, arg: String) -> ProjectionItem 
 /// of the link-count chain `?s <p> <C> . ?s ?p ?o . ?o <q> ?x` — the last one
 /// sometimes under `OPTIONAL`, so that a group key can be unbound — grouped by
 /// zero to two of its variables, with one or two aggregates of any function,
-/// with and without `ORDER BY … LIMIT`. The general generator reaches these
-/// shapes only by accident; the grouped tail is where the extraction
-/// workload lives.
+/// with and without `ORDER BY … LIMIT` — or, for some seeds, one pattern
+/// of it (or a random one) counted ([`generate_lone_count_query`]). The
+/// general generator reaches these shapes only by accident; the grouped tail
+/// is where the extraction workload lives.
 fn generate_extraction_query(rng: &mut FuzzRng) -> Query {
     let var = |name: &str| TermOrVariable::Variable(name.to_string());
     let predicate =
@@ -634,6 +636,13 @@ fn generate_extraction_query(rng: &mut FuzzRng) -> Query {
             object: var("x"),
         },
     ];
+    if rng.chance(30) {
+        let lone = match rng.chance(30) {
+            true => random_triple_pattern(rng),
+            false => chain.swap_remove(rng.below(3)),
+        };
+        return generate_lone_count_query(rng, lone);
+    }
     // One pattern is the plain `?s ?p ?o` scan.
     match rng.below(3) {
         0 => chain = vec![chain.swap_remove(1)],
@@ -687,6 +696,60 @@ fn generate_extraction_query(rng: &mut FuzzRng) -> Query {
         limit: rng
             .chance(if ordered { 60 } else { 15 })
             .then(|| random_cut_value(rng)),
+        offset: rng.chance(15).then(|| random_cut_value(rng)),
+    }
+}
+
+/// A query in the shape of the extraction's triple count: `lone`, sometimes
+/// scoped to a graph and sometimes under dataset clauses, with one or two
+/// counts of `*` or of its variables and no `GROUP BY` — the tail the
+/// planner reads off the index directory — or, now and then, a count next to
+/// them that it cannot read there (`DISTINCT`, or of a variable the pattern
+/// does not bind). Ordered, cut, `DISTINCT` at random.
+fn generate_lone_count_query(rng: &mut FuzzRng, lone: TriplePatternAst) -> Query {
+    let mut pattern = GraphPattern::Bgp(vec![lone]);
+    let pattern_vars = pattern.variables();
+    if rng.chance(20) {
+        pattern = GraphPattern::Graph {
+            name: random_graph_name(rng),
+            inner: Box::new(pattern),
+        };
+    }
+    let mut items = Vec::new();
+    for i in 0..1 + rng.below(2) {
+        let arg = match rng.below(10) {
+            0 => Some("w".to_string()),
+            1..=4 => None,
+            _ => pattern_vars
+                .get(rng.below(pattern_vars.len().max(1)))
+                .cloned(),
+        };
+        items.push(ProjectionItem::Expression {
+            expr: Expression::Aggregate {
+                func: AggregateFunction::Count,
+                distinct: rng.chance(10),
+                arg: arg.map(|v| Box::new(Expression::Variable(v))),
+            },
+            alias: format!("agg{i}"),
+        });
+    }
+    let order_by = match rng.chance(30) {
+        true => vec![OrderCondition {
+            expr: Expression::Variable("agg0".to_string()),
+            descending: rng.chance(50),
+        }],
+        false => Vec::new(),
+    };
+    Query {
+        form: QueryForm::Select {
+            distinct: rng.chance(10),
+            projection: Projection::Items(items),
+        },
+        dataset: random_dataset(rng),
+        pattern,
+        group_by: vec![],
+        order_by,
+        limit: rng.chance(20).then(|| random_cut_value(rng)),
         offset: rng.chance(15).then(|| random_cut_value(rng)),
     }
 }
@@ -1392,6 +1455,14 @@ pub struct Coverage {
     /// Cases whose plan streams its `ORDER BY` (rows in term order off a
     /// store whose ids are term order).
     pub streamed: usize,
+    /// Cases whose plan reads its counts off the index directory.
+    pub counted: usize,
+    /// Counted cases whose churned shape reached its tier state and was
+    /// counted too.
+    pub counted_churned: usize,
+    /// Counted cases whose sparse shape reached its tier state and was
+    /// counted too.
+    pub counted_sparse: usize,
     /// Cases whose churned shape had its flat, delta and tombstone tiers
     /// all non-empty at query time.
     pub churned: usize,
@@ -1407,6 +1478,9 @@ impl std::ops::AddAssign for Coverage {
         self.grouped += other.grouped;
         self.topk += other.topk;
         self.streamed += other.streamed;
+        self.counted += other.counted;
+        self.counted_churned += other.counted_churned;
+        self.counted_sparse += other.counted_sparse;
         self.churned += other.churned;
         self.sparse += other.sparse;
     }
@@ -1472,6 +1546,7 @@ pub fn check_query(
         grouped: usize::from(tail.contains("\ngroup strategy=")),
         topk: usize::from(tail.contains("\norder strategy=topk")),
         streamed: usize::from(tail.contains("\norder strategy=stream")),
+        counted: usize::from(tail.contains("\ngroup strategy=count")),
         ..Coverage::default()
     };
 
@@ -1535,6 +1610,19 @@ pub fn check_query(
             .map_err(|e| fail(format!("engine failed on the {shape} store: {e}")))?;
         check_equivalent(&ast, &expected, &answer, uncut.as_ref(), shape).map_err(&fail)?;
         check_sorted(&ast, &answer).map_err(|e| fail(format!("{shape}: {e}")))?;
+        let counted = || {
+            let plan = crate::optimize::explain(&reshaped, &ast).to_string();
+            usize::from(plan.contains("\ngroup strategy=count"))
+        };
+        match shape {
+            "churned" if coverage.counted > 0 => {
+                coverage.counted_churned = reached.churned * counted()
+            }
+            "sparse" if coverage.counted > 0 => {
+                coverage.counted_sparse = reached.sparse * counted()
+            }
+            _ => {}
+        }
     }
     Ok(coverage)
 }

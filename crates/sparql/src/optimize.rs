@@ -38,10 +38,12 @@
 //!   evaluation error (see `cannot_raise` in this module) — the residual
 //!   filter still runs, so pushdown only removes rows it would reject anyway.
 //! * **The tail** — `ASK` stops at the first solution; aggregates fold into
-//!   per-group accumulators hashed on the `GROUP BY` ids (no `GROUP BY`: one
-//!   group); an `ORDER BY` the rows already arrive in *streams* (below),
-//!   `ORDER BY … LIMIT` without `DISTINCT` keeps a top-k heap, any other
-//!   `ORDER BY` sorts; everything ends in the project stage.
+//!   per-group accumulators keyed on the `GROUP BY` ids (no `GROUP BY`: one
+//!   group), or, over a lone triple pattern read in one graph under nothing
+//!   but row counts, are *counted* off the index directory with no row
+//!   walked (`counted_scan`); an `ORDER BY` the rows already arrive in
+//!   *streams* (below), `ORDER BY … LIMIT` without `DISTINCT` keeps a top-k
+//!   heap, any other `ORDER BY` sorts; everything ends in the project stage.
 //! * **Interesting orders** (System R's term) — each scan stage is one
 //!   range of one index per input row, so it emits its open variables
 //!   sorted by id in that index's key order, and nested stages emit the
@@ -70,7 +72,10 @@ use hbold_rdf_model::Term;
 use hbold_telemetry::{Counter, Registry, Span};
 use hbold_triple_store::{IndexOrder, TermId, TripleStore};
 
-use crate::ast::{ComparisonOp, Expression, Function, GraphPattern, Projection, Query, QueryForm};
+use crate::ast::{
+    AggregateFunction, ComparisonOp, Expression, Function, GraphPattern, Projection,
+    ProjectionItem, Query, QueryForm,
+};
 use crate::encoded::{attach, render_triple_pattern, EncContext, EncNode, EncTriplePattern, Probe};
 use crate::encoded::{Emit, EncDataset, EncGraph, Flow, SlotLayout, UNBOUND};
 
@@ -163,11 +168,30 @@ pub(crate) struct Select<'q> {
     pub query: &'q Query,
     pub projection: &'q Projection,
     pub distinct: bool,
-    /// Per-group accumulators, hashed on these `GROUP BY` slots' ids (none:
-    /// one group, with no lookup). A solution is folded into its group's
-    /// aggregates as it arrives; no solution is kept.
-    pub group: Option<Vec<u32>>,
+    pub group: Option<Group>,
     pub order: Option<Order>,
+}
+
+/// How a grouped SELECT's group stage gets its groups.
+pub(crate) enum Group {
+    /// Per-group accumulators, found in the group table by these `GROUP BY`
+    /// slots' ids (none: the one group). A solution is folded into its
+    /// group's aggregates as it arrives; no solution is kept.
+    Hash(Vec<u32>),
+    /// One group whose every aggregate counts the rows of the lone scan
+    /// (see [`counted_scan`]): their number is read off the index directory,
+    /// and no row is walked.
+    Count(Counted),
+}
+
+/// A lone scan, resolved for [`Group::Count`].
+pub(crate) struct Counted {
+    /// The one graph the scan reads and its constant ids (`None` for a
+    /// variable position) — or `None` when the scan reads no graph or has a
+    /// constant the store never interned, and matches nothing.
+    pub quads: Option<(TermId, [Option<TermId>; 3])>,
+    /// The scan's span: it reports the rows the count stands for.
+    pub scan: Option<Span>,
 }
 
 /// What consumes the pattern pipeline's solutions.
@@ -268,7 +292,7 @@ pub(crate) fn plan_pattern<'p>(
     parent: Option<&Span>,
 ) -> Plan<'p> {
     // A plan under an imposed join order (the fuzz harness's shuffled leg)
-    // never streams: it is what a streamed answer is checked against.
+    // never streams or counts: it is what those answers are checked against.
     let imposed = reorder.is_some();
     let mut planner = Planner {
         ctx,
@@ -279,7 +303,10 @@ pub(crate) fn plan_pattern<'p>(
     let mut bound = vec![false; ctx.layout.len()];
     let root = planner.node(&query.pattern, EncGraph::Default, &mut bound, parent);
     let streamed = (!imposed).then(|| stream_order(ctx, &root)).flatten();
-    let (tail, spans) = plan_tail(ctx, query, streamed, parent);
+    let counted = (!imposed)
+        .then(|| counted_scan(ctx, query, &root))
+        .flatten();
+    let (tail, spans) = plan_tail(ctx, query, streamed, counted, parent);
     Plan {
         root,
         tail,
@@ -417,12 +444,14 @@ impl<'p> Planner<'_, 'p, '_> {
 
 /// Chooses the tail from the query's form and solution modifiers, and —
 /// for an ungrouped `ORDER BY` — from `streamed`, the order the pattern's
-/// rows arrive in ([`stream_order`]); its stages' spans go under `parent`,
-/// after the pattern's.
+/// rows arrive in ([`stream_order`]), and for aggregates from `counted`, the
+/// lone scan they can read their counts off ([`counted_scan`]); its stages'
+/// spans go under `parent`, after the pattern's.
 fn plan_tail<'p>(
     ctx: &EncContext<'_>,
     query: &'p Query,
     streamed: Option<Vec<u32>>,
+    counted: Option<Counted>,
     parent: Option<&Span>,
 ) -> (Tail<'p>, TailSpans) {
     let stage = |name: &str| parent.map(|parent| parent.child(name));
@@ -439,12 +468,21 @@ fn plan_tail<'p>(
     };
     let sort = (!query.order_by.is_empty()).then_some(Order::Sort);
     let (group, order) = if query.uses_aggregates() || !query.group_by.is_empty() {
-        let slots = query.group_by.iter().map(|v| {
-            ctx.layout
-                .slot_of(v)
-                .expect("layout covers group variables")
-        });
-        (Some(slots.collect()), sort)
+        let group = match counted {
+            Some(counted) => Group::Count(counted),
+            None => Group::Hash(
+                query
+                    .group_by
+                    .iter()
+                    .map(|v| {
+                        ctx.layout
+                            .slot_of(v)
+                            .expect("layout covers group variables")
+                    })
+                    .collect(),
+            ),
+        };
+        (Some(group), sort)
     } else {
         let order = match (sort, query.limit) {
             (Some(_), _) if streams(ctx, query, streamed) => Some(Order::Stream),
@@ -460,9 +498,12 @@ fn plan_tail<'p>(
     };
     let spans = TailSpans {
         ask: None,
-        group: group
-            .as_ref()
-            .and_then(|_| stage("group").inspect(|span| span.set_attr("strategy", "hash"))),
+        group: group.as_ref().and_then(|group| {
+            stage("group").inspect(|span| match group {
+                Group::Hash(_) => span.set_attr("strategy", "hash"),
+                Group::Count(_) => span.set_attr("strategy", "count"),
+            })
+        }),
         order: order.as_ref().and_then(|order| {
             stage("order").inspect(|span| match order {
                 Order::Stream => span.set_attr("strategy", "stream"),
@@ -558,6 +599,88 @@ fn streams(ctx: &EncContext<'_>, query: &Query, streamed: Option<Vec<u32>>) -> b
         })
         .collect();
     keys == Some(streamed) && ctx.dict.sorted_len() == ctx.dict.len()
+}
+
+// ---- counts off the directory ----------------------------------------------------
+
+/// The lone scan whose rows an aggregate tail only counts, resolved so its
+/// count can be read off the index directory
+/// (`TripleStore::count_matching_quads_encoded`) — or `None` when the
+/// query's answer needs the rows walked.
+///
+/// Only one shape counts: a single BGP of one triple pattern (no `FILTER`,
+/// no other node) reading at most one graph — the query's default graph
+/// when that is one graph or none (a `FROM` merge of two is a set union the
+/// count would over-count), or `GRAPH <g>` (`GRAPH ?g` loops over graphs) —
+/// with no variable repeated in it (`?x ?p ?x` matches fewer quads than its
+/// prefix counts), under an ungrouped projection of non-`DISTINCT` counts
+/// only: each `COUNT(*)` or `COUNT(?v)` of a variable the pattern binds, so
+/// every row counts once in each. Decided here, once: the executor has no
+/// fallback to take.
+fn counted_scan(ctx: &EncContext<'_>, query: &Query, root: &Node) -> Option<Counted> {
+    let QueryForm::Select {
+        projection: Projection::Items(items),
+        ..
+    } = &query.form
+    else {
+        return None;
+    };
+    let Node::Bgp(stages) = root else {
+        return None;
+    };
+    let [(tp, probe)] = stages.as_slice() else {
+        return None;
+    };
+    let slots: Vec<u32> = pattern_var_slots(tp).collect();
+    let repeated = (1..slots.len()).any(|i| slots[..i].contains(&slots[i]));
+    if !query.group_by.is_empty() || tp.graph_var().is_some() || repeated {
+        return None;
+    }
+    let counts_rows = |item: &ProjectionItem| match item {
+        ProjectionItem::Expression {
+            expr:
+                Expression::Aggregate {
+                    func: AggregateFunction::Count,
+                    distinct: false,
+                    arg,
+                },
+            ..
+        } => match arg.as_deref() {
+            None => true,
+            Some(Expression::Variable(v)) => {
+                ctx.layout.slot_of(v).is_some_and(|s| slots.contains(&s))
+            }
+            Some(_) => false,
+        },
+        _ => false,
+    };
+    if !items.iter().all(counts_rows) {
+        return None;
+    }
+    let graph = match tp.graph {
+        EncGraph::Default => match ctx.dataset.default_graphs.as_slice() {
+            [] => None,
+            &[g] => Some(g),
+            _ => return None,
+        },
+        EncGraph::Named(EncNode::Const(g)) => g.filter(|&g| ctx.dataset.is_named(g)),
+        EncGraph::Named(EncNode::Var(_)) => return None,
+    };
+    let mut ids = [None; 3];
+    let mut interned = true;
+    for (id, node) in ids.iter_mut().zip(tp.nodes()) {
+        match node {
+            EncNode::Const(constant) => {
+                interned &= constant.is_some();
+                *id = constant;
+            }
+            EncNode::Var(_) => {}
+        }
+    }
+    Some(Counted {
+        quads: graph.filter(|_| interned).map(|g| (g, ids)),
+        scan: probe.span().cloned(),
+    })
 }
 
 fn mark_pattern_vars(tp: &EncTriplePattern, bound: &mut [bool]) {
@@ -933,7 +1056,7 @@ mod tests {
     use super::*;
     use crate::ast::Dataset;
     use crate::parse_query;
-    use hbold_rdf_model::{Iri, Triple};
+    use hbold_rdf_model::{Iri, Quad, Triple};
 
     fn iri(s: &str) -> Iri {
         Iri::new(s).unwrap()
@@ -1157,7 +1280,7 @@ mod tests {
             (
                 "SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }",
                 "bgp order=[0]\n  scan pattern=?s ?p ?o written_index=0 estimate=12\n\
-                 group strategy=hash\nproject\n"
+                 group strategy=count\nproject\n"
                     .to_string(),
             ),
             (
@@ -1200,6 +1323,177 @@ mod tests {
         ] {
             let plan = explain(&store, &parse_query(query).unwrap());
             assert_eq!(plan.to_string(), outline, "query {query}");
+        }
+    }
+
+    /// Ten subjects typed `C` or `D`, linked in a ring; the links also in
+    /// two named graphs, the first one in both.
+    fn graph_store() -> TripleStore {
+        let mut quads = Vec::new();
+        for i in 0..10 {
+            let s = iri(&format!("http://e.org/s{i}"));
+            let class = iri(if i % 2 == 0 {
+                "http://e.org/C"
+            } else {
+                "http://e.org/D"
+            });
+            let link = Triple::new(
+                s.clone(),
+                iri("http://e.org/p"),
+                iri(&format!("http://e.org/s{}", (i + 1) % 10)),
+            );
+            quads.push(Quad::new(
+                Triple::new(s, iri("http://e.org/a"), class),
+                None,
+            ));
+            quads.push(Quad::new(link.clone(), None));
+            for g in ["http://e.org/g1", "http://e.org/g2"] {
+                if i == 0 || (g == "http://e.org/g1") == (i < 5) {
+                    quads.push(Quad::new(link.clone(), Some(iri(g).into())));
+                }
+            }
+        }
+        let mut store = TripleStore::new();
+        store.insert_quads_batch(quads.iter());
+        store
+    }
+
+    /// The strategy of `query`'s group stage, after checking its answer
+    /// against the reference evaluator's.
+    fn group_strategy(store: &TripleStore, query: &str) -> String {
+        let parsed = parse_query(query).unwrap();
+        let expected = crate::reference::evaluate(store, &parsed).unwrap();
+        assert_eq!(
+            crate::evaluate(store, &parsed).unwrap(),
+            expected,
+            "{query}"
+        );
+        let plan = explain(store, &parsed).to_string();
+        let group = plan.lines().find(|line| line.starts_with("group "));
+        group.unwrap_or("no group stage").to_string()
+    }
+
+    /// The one count of `query`'s one row.
+    fn the_count(store: &TripleStore, query: &str) -> String {
+        let rows = crate::evaluate(store, &parse_query(query).unwrap()).unwrap();
+        let rows = rows.into_select().unwrap().rows;
+        assert_eq!(rows.len(), 1, "{query}");
+        rows[0][0].as_ref().unwrap().label().to_string()
+    }
+
+    #[test]
+    fn a_lone_pattern_is_counted_off_the_directory() {
+        let store = graph_store();
+        for (query, count) in [
+            ("SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }", "20"),
+            ("SELECT (COUNT(?s) AS ?n) WHERE { ?s <http://e.org/a> <http://e.org/C> }", "5"),
+            (
+                "SELECT (COUNT(*) AS ?n) (COUNT(?o) AS ?m) WHERE { <http://e.org/s3> ?p ?o }",
+                "2",
+            ),
+            ("SELECT (COUNT(*) AS ?n) WHERE { <http://e.org/s3> <http://e.org/a> <http://e.org/D> }", "1"),
+            // Constants the store never interned: one row, and it says 0.
+            ("SELECT (COUNT(*) AS ?n) WHERE { ?s <http://e.org/nope> ?o }", "0"),
+            ("SELECT (COUNT(*) AS ?n) WHERE { GRAPH <http://e.org/nope> { ?s ?p ?o } }", "0"),
+            ("SELECT (COUNT(*) AS ?n) WHERE { GRAPH <http://e.org/g1> { ?s ?p ?o } }", "5"),
+            (
+                "SELECT (COUNT(?o) AS ?n) WHERE { GRAPH <http://e.org/g2> { ?s <http://e.org/p> ?o } }",
+                "6",
+            ),
+            ("SELECT (COUNT(*) AS ?n) FROM <http://e.org/g2> WHERE { ?s ?p ?o }", "6"),
+            // `FROM NAMED` hides the graph `GRAPH` names.
+            (
+                "SELECT (COUNT(*) AS ?n) FROM NAMED <http://e.org/g2> \
+                 WHERE { GRAPH <http://e.org/g1> { ?s ?p ?o } }",
+                "0",
+            ),
+            ("SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o } ORDER BY ?n", "20"),
+            ("SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o } ORDER BY DESC(?n) LIMIT 1", "20"),
+        ] {
+            assert_eq!(group_strategy(&store, query), "group strategy=count", "{query}");
+            assert_eq!(the_count(&store, query), count, "{query}");
+        }
+        // The single row under `LIMIT 0` and `OFFSET 1`: gone.
+        for query in [
+            "SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o } LIMIT 0",
+            "SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o } OFFSET 1",
+        ] {
+            assert_eq!(
+                group_strategy(&store, query),
+                "group strategy=count",
+                "{query}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_count_the_directory_cannot_answer_walks_its_rows() {
+        let store = graph_store();
+        for query in [
+            // A repeated variable matches fewer quads than its prefix.
+            "SELECT (COUNT(*) AS ?n) WHERE { ?x ?p ?x }",
+            // A `FROM` merge is a set union: the link in both graphs counts once.
+            "SELECT (COUNT(*) AS ?n) FROM <http://e.org/g1> FROM <http://e.org/g2> WHERE { ?s ?p ?o }",
+            "SELECT (COUNT(*) AS ?n) WHERE { GRAPH ?g { ?s ?p ?o } }",
+            "SELECT (COUNT(?z) AS ?n) WHERE { ?s ?p ?o }",
+            "SELECT (COUNT(DISTINCT ?s) AS ?n) WHERE { ?s ?p ?o }",
+            "SELECT (COUNT(*) AS ?n) (MAX(?o) AS ?m) WHERE { ?s ?p ?o }",
+            "SELECT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p",
+            "SELECT (COUNT(*) AS ?n) WHERE { ?s <http://e.org/a> <http://e.org/C> . ?s ?p ?o }",
+            "SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o FILTER(BOUND(?s)) }",
+        ] {
+            assert_eq!(group_strategy(&store, query), "group strategy=hash", "{query}");
+        }
+    }
+
+    #[test]
+    fn a_count_off_the_directory_sees_the_churn_tiers() {
+        // A fresh load (with room for churn: 60 more quads in a graph of
+        // their own), then a key removed from the flat tier and two added
+        // beside it: tombstones and delta keys inside the counted ranges.
+        let mut quads: Vec<Quad> = graph_store().iter_quads().collect();
+        for i in 0..60 {
+            let filler = Triple::new(
+                iri(&format!("http://e.org/f{i}")),
+                iri("http://e.org/p"),
+                iri("http://e.org/f"),
+            );
+            quads.push(Quad::new(filler, Some(iri("http://e.org/filler").into())));
+        }
+        let mut store = TripleStore::new();
+        store.insert_quads_batch(quads.iter());
+        let link = |from: &str, to: &str| Triple::new(iri(from), iri("http://e.org/p"), iri(to));
+        store.remove(&link("http://e.org/s3", "http://e.org/s4"));
+        store.insert(&link("http://e.org/s3", "http://e.org/s7"));
+        store.insert(&link("http://e.org/s5", "http://e.org/new"));
+        let tiers = store.index_tier_sizes();
+        assert!(
+            tiers
+                .iter()
+                .all(|(_, t)| t.flat > 0 && t.delta > 0 && t.dead > 0),
+            "{tiers:?}"
+        );
+        for (query, count) in [
+            ("SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }", "21"),
+            (
+                "SELECT (COUNT(?o) AS ?n) WHERE { ?s <http://e.org/p> ?o }",
+                "11",
+            ),
+            (
+                "SELECT (COUNT(*) AS ?n) WHERE { <http://e.org/s3> <http://e.org/p> ?o }",
+                "1",
+            ),
+            (
+                "SELECT (COUNT(*) AS ?n) WHERE { ?s <http://e.org/p> <http://e.org/s4> }",
+                "0",
+            ),
+        ] {
+            assert_eq!(
+                group_strategy(&store, query),
+                "group strategy=count",
+                "{query}"
+            );
+            assert_eq!(the_count(&store, query), count, "{query}");
         }
     }
 

@@ -206,3 +206,40 @@ fn a_join_that_produces_no_rows_is_still_cancelled() {
         );
     }
 }
+
+/// A count read off the index directory walks no rows: it passes its two
+/// checks — one before the first row, one at its one group — and answers
+/// exactly however large the store. The same count behind a filter walks
+/// every quad, each a check under this token, and is cancelled.
+#[test]
+fn a_count_off_the_directory_walks_no_rows() {
+    use hbold_rdf_model::{Iri, Literal, Triple};
+    const QUADS: usize = 100_000;
+    let triples: Vec<Triple> = (0..QUADS)
+        .map(|i| {
+            let s = Iri::new(format!("http://c.example/s{}", i / 4)).unwrap();
+            let p = Iri::new(format!("http://c.example/p{}", i % 4)).unwrap();
+            Triple::new(s, p, Literal::string(format!("{i}")))
+        })
+        .collect();
+    let mut store = TripleStore::new();
+    store.insert_batch(triples.iter());
+    let counted = hbold_sparql::parse_query("SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }").unwrap();
+    let token = CancellationToken::cancel_after_checks(2);
+    match eval(&store, &counted, Some(&token)) {
+        Ok(QueryResults::Select(rows)) => {
+            let count = rows.rows[0][0].as_ref().unwrap().label().to_string();
+            assert_eq!(count, QUADS.to_string());
+        }
+        other => panic!("the counted query did not answer: {other:?}"),
+    }
+    let walked =
+        hbold_sparql::parse_query("SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o FILTER(BOUND(?s)) }")
+            .unwrap();
+    let token = CancellationToken::cancel_after_checks(2);
+    let result = eval(&store, &walked, Some(&token));
+    assert!(
+        matches!(result, Err(SparqlError::Cancelled)),
+        "expected Cancelled, got {result:?}"
+    );
+}

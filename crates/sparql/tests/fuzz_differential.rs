@@ -46,13 +46,18 @@ fn generated_queries_agree_across_engines_and_serializations() {
         "query sweep: {cases} cases; the shuffled leg ran {} multi-pattern BGPs in a \
          non-default order; {} cases ran a group stage, {} a top-k order stage, {} a \
          streamed order stage; {} ran on a churned store with all three tiers \
-         non-empty, {} on a sparse store with a run whose directory lists its second ids",
+         non-empty, {} on a sparse store with a run whose directory lists its second ids; \
+         {} ran group strategy=count, {} of them also on the churned store and {} on the \
+         sparse one",
         covered.reordered_bgps,
         covered.grouped,
         covered.topk,
         covered.streamed,
         covered.churned,
-        covered.sparse
+        covered.sparse,
+        covered.counted,
+        covered.counted_churned,
+        covered.counted_sparse
     );
     // A shuffle that always reproduced the planner's order would make the
     // third leg a copy of the first.
@@ -70,6 +75,16 @@ fn generated_queries_agree_across_engines_and_serializations() {
         covered.grouped,
         covered.topk,
         covered.streamed
+    );
+    // A count read off the index directory answers without a walk, so
+    // only the differential checks it; on the churned and sparse shapes it
+    // must see through tombstones, delta keys and sparse directories.
+    assert!(
+        covered.counted > 0 && covered.counted_churned > 0 && covered.counted_sparse > 0,
+        "no counted ({}), counted churned ({}) or counted sparse ({}) case in {cases} cases",
+        covered.counted,
+        covered.counted_churned,
+        covered.counted_sparse
     );
     // A shape that no longer reaches its tier state — a fold policy that
     // left no room for churn, a dictionary that stopped spreading ids —

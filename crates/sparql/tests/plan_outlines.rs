@@ -20,7 +20,7 @@ const GOLDEN: &str = include_str!("golden/plan_outlines.txt");
 /// pushed pre-bind, `GRAPH <g>`, `GRAPH ?g` — whose variable a filter can
 /// pre-bind only when a triple pattern under it binds it) and per tail and
 /// dataset shape (`FROM` merge, `ASK`, hash group with sort, top-k, streamed
-/// order, `DISTINCT`).
+/// order, `DISTINCT`, a lone pattern counted off the index directory).
 const CORPUS: &[&str] = &[
     "SELECT ?s ?o WHERE { ?s <http://e.org/p> ?o . ?s <http://e.org/a> <http://e.org/C> }",
     "SELECT * WHERE { ?s <http://e.org/a> <http://e.org/C> { ?s <http://e.org/p> ?o . ?o <http://e.org/a> ?c } }",
@@ -37,6 +37,7 @@ const CORPUS: &[&str] = &[
     "SELECT ?s ?o WHERE { ?s <http://e.org/p> ?o } ORDER BY DESC(?o) LIMIT 3 OFFSET 1",
     "SELECT ?s ?p ?o WHERE { ?s <http://e.org/a> <http://e.org/C> . ?s ?p ?o } ORDER BY ?s ?p ?o LIMIT 5",
     "SELECT DISTINCT ?c WHERE { ?s <http://e.org/a> ?c . ?s <http://e.org/p> ?o }",
+    "SELECT (COUNT(?o) AS ?n) WHERE { ?s <http://e.org/p> ?o }",
 ];
 
 fn iri(s: &str) -> Iri {
