@@ -5,6 +5,7 @@
 //! ```text
 //! exp_report              # run every experiment (E1–E11) at default scale
 //! exp_report e1 e9        # run only the listed experiments
+//! exp_report executor     # the executor's overhead on one extraction pass
 //! exp_report --quick      # smaller workloads (used by CI / smoke tests)
 //! exp_report --figures-dir target/figures   # also write the SVG figures
 //! ```
@@ -62,6 +63,9 @@ fn main() {
     }
     if wants("e11") {
         run_e11();
+    }
+    if wants("executor") {
+        run_executor(quick);
     }
 }
 
@@ -246,4 +250,33 @@ fn run_e11() {
         );
     }
     println!();
+}
+
+fn run_executor(quick: bool) {
+    // The perf ledger's fixture sizes (40 classes, 20 000 instances).
+    let (classes, instances, passes) = if quick {
+        (12, 1_500, 5)
+    } else {
+        (40, 20_000, 25)
+    };
+    let split = executor_split(classes, instances, 7, passes);
+    println!(
+        "Executor — one in-process extraction pass by query class ({} quads, fastest of {passes})",
+        split.quads
+    );
+    println!("     {:<16} {:>8} {:>10}", "class", "queries", "time");
+    for (class, queries, time) in &split.classes {
+        println!("     {class:<16} {queries:>8} {:>8.3}ms", ms(*time));
+    }
+    println!("     {:<16} {:>8} {:>8.3}ms", "pass", "", ms(split.pass));
+    println!(
+        "     raw nested-scan floor: property {:.3}ms, link {:.3}ms",
+        ms(split.property_floor),
+        ms(split.link_floor)
+    );
+    println!();
+}
+
+fn ms(time: std::time::Duration) -> f64 {
+    time.as_secs_f64() * 1e3
 }

@@ -3,6 +3,7 @@
 //! Each driver returns a plain-data result that the `exp_report` binary
 //! formats as the paper-style table.
 
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 use hbold::{
@@ -569,9 +570,180 @@ pub fn e11_extraction_strategies(classes: usize, instances: usize) -> Vec<E11Row
     rows
 }
 
+// ---------------------------------------------------------------------------
+// Executor overhead — one in-process extraction pass, split by query class
+// ---------------------------------------------------------------------------
+
+/// One in-process pass of the aggregate queries schema extraction sends
+/// (`IndexExtractor`'s, as the perf ledger's `extract_pass` replays them),
+/// split by query class, beside the raw nested-scan floor of the property
+/// and link plans: the same index probes, prepared once and driven by plain
+/// loops that only count. The executor's overhead on a class is its time
+/// less its floor.
+#[derive(Debug, Clone)]
+pub struct ExecutorSplit {
+    /// Quads in the store.
+    pub quads: usize,
+    /// Per query class — `count_all`, `class`, `property`, `link`,
+    /// `count_distinct` —: its queries and the fastest pass's summed time.
+    pub classes: Vec<(&'static str, usize, Duration)>,
+    /// The fastest pass's whole time.
+    pub pass: Duration,
+    /// The fastest nested-scan loop of every class's property plan
+    /// (`?s a <C> . ?s ?p ?o`).
+    pub property_floor: Duration,
+    /// The same for the link plans (`?s a <C> . ?s ?p ?o . ?o a ?target`).
+    pub link_floor: Duration,
+}
+
+/// The query classes of [`ExecutorSplit`], in report order.
+const QUERY_CLASSES: [&str; 5] = ["count_all", "class", "property", "link", "count_distinct"];
+
+/// Runs the executor split on a `random_lod` dataset of `classes` classes
+/// and `instances` instances (the ledger's generator settings), timing
+/// `passes` passes and keeping each class's fastest.
+pub fn executor_split(classes: usize, instances: usize, seed: u64, passes: usize) -> ExecutorSplit {
+    use hbold_rdf_model::{vocab::rdf, Term};
+    use hbold_triple_store::{TermId, TripleStore, DEFAULT_GRAPH};
+
+    let graph = random_lod(&RandomLodConfig {
+        classes,
+        instances,
+        datatype_properties_per_class: 2.0,
+        object_properties_per_class: 2.0,
+        seed,
+        ..RandomLodConfig::default()
+    });
+    let store = TripleStore::from_graph(&graph);
+    let rdf_type = Term::from(rdf::type_());
+    let class_terms: BTreeSet<&Term> = graph
+        .iter()
+        .filter(|t| t.predicate == rdf_type && t.object.as_iri().is_some())
+        .map(|t| &t.object)
+        .collect();
+    let mut queries = vec![
+        (0, "SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }".to_string()),
+        (
+            1,
+            "SELECT ?class (COUNT(?s) AS ?n) WHERE { ?s a ?class } GROUP BY ?class ORDER BY ?class"
+                .to_string(),
+        ),
+    ];
+    for class in &class_terms {
+        let class = class.to_ntriples();
+        queries.push((
+            2,
+            format!(
+                "SELECT ?p (COUNT(?o) AS ?n) WHERE {{ ?s a {class} . ?s ?p ?o }} \
+                 GROUP BY ?p ORDER BY ?p"
+            ),
+        ));
+        queries.push((
+            3,
+            format!(
+                "SELECT ?p ?target (COUNT(?o) AS ?n) WHERE {{ ?s a {class} . ?s ?p ?o . \
+                 ?o a ?target }} GROUP BY ?p ?target ORDER BY ?p ?target"
+            ),
+        ));
+    }
+    queries.push((
+        4,
+        "SELECT (COUNT(DISTINCT ?s) AS ?n) WHERE { ?s a ?class }".to_string(),
+    ));
+    let parsed: Vec<(usize, hbold_sparql::ast::Query)> = queries
+        .iter()
+        .map(|(class, text)| {
+            (
+                *class,
+                hbold_sparql::parse_query(text).expect("a valid query"),
+            )
+        })
+        .collect();
+
+    let mut best = [Duration::MAX; QUERY_CLASSES.len()];
+    let mut pass = Duration::MAX;
+    for _ in 0..passes {
+        let mut times = [Duration::ZERO; QUERY_CLASSES.len()];
+        for (class, query) in &parsed {
+            let started = Instant::now();
+            std::hint::black_box(hbold_sparql::evaluate(&store, query).expect("evaluates"));
+            times[*class] += started.elapsed();
+        }
+        pass = pass.min(times.iter().sum());
+        for (best, time) in best.iter_mut().zip(times) {
+            *best = (*best).min(time);
+        }
+    }
+
+    // The floor: the plans' probes, each shape prepared once.
+    let type_id = store.id_of(&rdf_type);
+    let class_ids: Vec<TermId> = class_terms.iter().filter_map(|c| store.id_of(c)).collect();
+    let typed = store.prepare_scan(DEFAULT_GRAPH, [false, true, true]);
+    let out_of = store.prepare_scan(DEFAULT_GRAPH, [true, false, false]);
+    let types_of = store.prepare_scan(DEFAULT_GRAPH, [true, true, false]);
+    let (mut property_floor, mut link_floor) = (Duration::MAX, Duration::MAX);
+    for _ in 0..passes {
+        let Some(type_id) = type_id else { break };
+        for link in [false, true] {
+            let started = Instant::now();
+            let mut rows = 0usize;
+            for &class in &class_ids {
+                // GPOS keys: (graph, predicate, object, subject).
+                for (_, _, _, s) in typed.probe([type_id, class, 0]) {
+                    // GSPO keys: (graph, subject, predicate, object).
+                    for (_, _, _, o) in out_of.probe([s, 0, 0]) {
+                        rows += match link {
+                            false => 1,
+                            true => types_of.probe([o, type_id, 0]).count(),
+                        };
+                    }
+                }
+            }
+            std::hint::black_box(rows);
+            let floor = if link {
+                &mut link_floor
+            } else {
+                &mut property_floor
+            };
+            *floor = (*floor).min(started.elapsed());
+        }
+    }
+    ExecutorSplit {
+        quads: store.len(),
+        classes: QUERY_CLASSES
+            .iter()
+            .enumerate()
+            .map(|(i, &name)| {
+                (
+                    name,
+                    parsed.iter().filter(|(c, _)| *c == i).count(),
+                    best[i],
+                )
+            })
+            .collect(),
+        pass,
+        property_floor,
+        link_floor,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_executor_split_times_every_extraction_query_once_per_pass() {
+        let split = executor_split(6, 300, 7, 2);
+        let queries: Vec<usize> = split.classes.iter().map(|&(_, n, _)| n).collect();
+        // One property and one link query per class, typed `rdfs:Class`
+        // included.
+        assert_eq!(queries[..2], [1, 1]);
+        assert_eq!(queries[2], queries[3]);
+        assert!(queries[2] >= 6 && queries[4] == 1, "{queries:?}");
+        let classes: Duration = split.classes.iter().map(|&(_, _, time)| time).sum();
+        assert!(classes <= split.pass && split.pass > Duration::ZERO);
+        assert!(split.property_floor > Duration::ZERO && split.link_floor > Duration::ZERO);
+    }
 
     #[test]
     fn e1_shows_stored_lookup_is_faster() {

@@ -5,7 +5,7 @@
 //! malformed or hostile peer can cost at most a bounded allocation and a
 //! clean 4xx — never a panic or an unbounded buffer.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
 
 use hbold_telemetry::json::JsonValue;
@@ -332,10 +332,11 @@ impl Connection {
             head.push_str("\r\n");
         }
         head.push_str("\r\n");
-        self.stream.write_all(head.as_bytes())?;
-        if !head_only {
-            self.stream.write_all(&response.body)?;
-        }
+        let body: &[u8] = if head_only { &[] } else { &response.body };
+        write_all_vectored(
+            &mut self.stream,
+            &mut [IoSlice::new(head.as_bytes()), IoSlice::new(body)],
+        )?;
         self.stream.flush()
     }
 
@@ -593,9 +594,131 @@ impl HttpResponse {
     }
 }
 
+/// Writes every byte of `parts`, in order, through `write_vectored`: the
+/// head and the body of a response leave in one send when the socket takes
+/// them whole, and a partial write resumes where it stopped — the body is
+/// never copied behind the head.
+fn write_all_vectored(out: &mut impl Write, mut parts: &mut [IoSlice<'_>]) -> io::Result<()> {
+    while !parts.is_empty() {
+        match out.write_vectored(parts) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(written) => IoSlice::advance_slices(&mut parts, written),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A writer that takes at most `limit` bytes per call, and is
+    /// interrupted once before its first write.
+    struct Trickle {
+        limit: usize,
+        written: Vec<u8>,
+        calls: usize,
+        interrupted: bool,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(bytes)])
+        }
+
+        fn write_vectored(&mut self, parts: &[IoSlice<'_>]) -> io::Result<usize> {
+            if !self.interrupted {
+                self.interrupted = true;
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            self.calls += 1;
+            let mut taken = 0;
+            for part in parts {
+                let take = part.len().min(self.limit - taken);
+                self.written.extend_from_slice(&part[..take]);
+                taken += take;
+            }
+            Ok(taken)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn head_and_body_leave_in_one_write_and_resume_after_a_partial_one() {
+        let (head, body) = (
+            b"HTTP/1.1 200 OK\r\n\r\n".as_slice(),
+            b"0123456789".as_slice(),
+        );
+        for limit in [usize::MAX, 1, 7, head.len(), head.len() + 3] {
+            let mut out = Trickle {
+                limit,
+                written: Vec::new(),
+                calls: 0,
+                interrupted: false,
+            };
+            write_all_vectored(&mut out, &mut [IoSlice::new(head), IoSlice::new(body)]).unwrap();
+            assert_eq!(out.written, [head, body].concat(), "limit {limit}");
+            let total = head.len() + body.len();
+            assert_eq!(out.calls, total.div_ceil(limit.min(total)), "limit {limit}");
+        }
+        // A HEAD response's empty body costs no call of its own.
+        let mut out = Trickle {
+            limit: usize::MAX,
+            written: Vec::new(),
+            calls: 0,
+            interrupted: true,
+        };
+        write_all_vectored(&mut out, &mut [IoSlice::new(head), IoSlice::new(&[])]).unwrap();
+        assert_eq!((out.written.as_slice(), out.calls), (head, 1));
+    }
+
+    /// Writes `response` over a loopback socket and returns every byte the
+    /// peer reads until the writer closes.
+    fn sent(response: HttpResponse, head_only: bool) -> Vec<u8> {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let writer = std::thread::spawn(move || {
+            Connection::new(stream)
+                .write_response(&response, head_only)
+                .unwrap()
+        });
+        let mut received = Vec::new();
+        peer.read_to_end(&mut received).unwrap();
+        writer.join().unwrap();
+        received
+    }
+
+    #[test]
+    fn a_body_larger_than_the_send_buffer_arrives_byte_exact() {
+        // Far past any loopback send buffer: the kernel takes it in parts.
+        let body: Vec<u8> = (0..8usize << 20).map(|i| (i * 31 % 251) as u8).collect();
+        let received = sent(
+            HttpResponse::ok("application/octet-stream", body.clone()),
+            false,
+        );
+        let split = received.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
+        let head = std::str::from_utf8(&received[..split]).unwrap();
+        assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{head}");
+        assert!(
+            head.contains(&format!("Content-Length: {}\r\n", body.len())),
+            "{head}"
+        );
+        assert!(received[split..] == body[..], "the body arrives byte-exact");
+    }
+
+    #[test]
+    fn a_head_response_withholds_its_body() {
+        let received = sent(HttpResponse::ok("text/plain", "twelve bytes"), true);
+        let head = String::from_utf8(received).unwrap();
+        assert!(head.ends_with("\r\n\r\n"), "{head}");
+        assert!(head.contains("Content-Length: 12\r\n"), "{head}");
+    }
 
     #[test]
     fn percent_decoding() {

@@ -24,10 +24,22 @@
 //!
 //! **Every scan reads inside one graph.** The query's dataset resolves once,
 //! into two graph lists (`EncDataset`): the default graphs a plain pattern
-//! reads and the named graphs `GRAPH` can see. A scan stage runs the store's
-//! in-graph scan per graph of its scope; `GRAPH ?g` with `?g` unbound is a
-//! loop over the named list that binds `?g` and runs the stage as if it had
-//! been bound all along.
+//! reads and the named graphs `GRAPH` can see. A scan stage ([`Stage`])
+//! probes the store inside each graph of its scope; `GRAPH ?g` with `?g`
+//! unbound is a loop over the named list that binds `?g` and runs the stage
+//! as if it had been bound all along.
+//!
+//! **A stage prepares its scans; a row probes them.** Which of a pattern's
+//! subject, predicate and object a row binds — its bound mask — fixes the
+//! index, the graph's run in it and the key layout
+//! (`TripleStore::prepare_scan`). A stage resolves them the first time a row
+//! of a mask arrives and keeps them, at most one per mask (under `OPTIONAL`
+//! the mask can differ per row), beside where each open key component goes
+//! in the row. A row's probe is then a jump in the run's directory: it
+//! yields one window's pairs, whose shared components are written into the
+//! row once per window while each pair writes the rest ("leaves read
+//! windows"); where churn reaches into the probed range it yields the merged
+//! scan, key by key.
 //!
 //! **Sinks copy what they keep.** The tail stages receive the borrowed row:
 //! the group stage folds it into per-group accumulators and keeps nothing
@@ -47,7 +59,7 @@
 //! in the Term domain, so the differential oracle keeps checking this whole
 //! module against an implementation that shares none of it.
 
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -56,7 +68,9 @@ use std::time::{Duration, Instant};
 
 use hbold_rdf_model::Term;
 use hbold_telemetry::Span;
-use hbold_triple_store::{EncodedTriple, TermDictionary, TermId, TripleStore, DEFAULT_GRAPH};
+use hbold_triple_store::{
+    IndexOrder, PrefixScan, PreparedScan, TermDictionary, TermId, TripleStore, DEFAULT_GRAPH,
+};
 
 use crate::ast::*;
 use crate::cancel::CancellationToken;
@@ -264,7 +278,7 @@ impl Scope for EncScope<'_> {
 // ---- compiled triple patterns ----------------------------------------------------
 
 /// One position of an encoded triple pattern.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum EncNode {
     /// A constant term, pre-resolved against the store dictionary.
     /// `None` means the term was never interned: the pattern matches
@@ -546,14 +560,28 @@ fn chain<T>(
     }
 }
 
-impl Node<'_> {
+impl<'p> Node<'p> {
+    /// The probes of every stage under this node so far, by kind (see
+    /// [`Stage::probes`]).
+    pub(crate) fn probes(&self) -> [u64; 2] {
+        let add = |[w, m]: [u64; 2], [dw, dm]: [u64; 2]| [w + dw, m + dm];
+        match self {
+            Node::Bgp(stages) => stages.iter().map(Stage::probes).fold([0, 0], add),
+            Node::Join(parts) => parts.iter().map(Node::probes).fold([0, 0], add),
+            Node::LeftJoin { left, right, .. } | Node::Union(left, right, _) => {
+                add(left.probes(), right.probes())
+            }
+            Node::Filter { inner, .. } => inner.probes(),
+        }
+    }
+
     /// Pushes every solution of this node that extends `row` into `emit`.
     /// A node binds its slots in `row` itself, emits, and un-binds on the
     /// way back, so `row` leaves as it came, whatever the outcome.
-    pub(crate) fn run(&self, ctx: &EncContext<'_>, row: &mut [TermId], emit: Emit<'_>) -> Flow {
+    pub(crate) fn run(&self, ctx: &EncContext<'p>, row: &mut [TermId], emit: Emit<'_>) -> Flow {
         match self {
-            Node::Bgp(stages) => chain(stages, row, emit, &|(tp, probe), row, emit| {
-                probe.observe(emit, |emit| scan(ctx, tp, probe, row, emit))
+            Node::Bgp(stages) => chain(stages, row, emit, &|stage, row, emit| {
+                stage.probe.observe(emit, |emit| stage.run(ctx, row, emit))
             }),
             Node::Join(parts) => chain(parts, row, emit, &|part, row, emit| {
                 part.run(ctx, row, emit)
@@ -608,116 +636,302 @@ impl Node<'_> {
 
 // ---- triple-pattern scans --------------------------------------------------------
 
-/// One BGP stage: extends `row` through `tp` by encoded index scans inside
-/// the graphs the pattern reads, emitting once per matching quad. A constant
-/// uses its pre-compiled id, a variable the row already binds acts as a
-/// constant, and an unbound variable leaves its position open for the range
-/// scan to bind.
-fn scan(
-    ctx: &EncContext<'_>,
-    tp: &EncTriplePattern,
-    probe: &Probe<'_>,
-    row: &mut [TermId],
-    emit: Emit<'_>,
-) -> Flow {
-    // The graphs to scan inside: the query's default graphs, or the named
-    // graph the pattern is scoped to, if visible.
-    let scoped: [TermId; 1];
-    let graphs: &[TermId] = match tp.graph {
-        EncGraph::Default => &ctx.dataset.default_graphs,
-        EncGraph::Named(EncNode::Var(slot)) if row[slot as usize] == UNBOUND => {
-            // `GRAPH ?g`, `?g` unbound: one in-graph scan per visible named
-            // graph, with `?g` bound to it meanwhile — so a `?g` inside the
-            // triple (`GRAPH ?g { ?g ?p ?o }`) is a constant like any bound
-            // variable.
-            for &g in &ctx.dataset.named_graphs {
-                row[slot as usize] = g;
-                let flow = scan(ctx, tp, probe, row, emit);
-                row[slot as usize] = UNBOUND;
-                if flow?.is_break() {
-                    return Ok(ControlFlow::Break(()));
-                }
+/// One BGP stage: its compiled pattern, the probe that observes it, and the
+/// store scans it has prepared — at most one per bound mask (which of the
+/// subject, predicate and object the row binds), made the first time a row
+/// of that mask arrives: boundness can differ per row under `OPTIONAL`.
+pub(crate) struct Stage<'p> {
+    pub tp: EncTriplePattern,
+    pub probe: Probe<'p>,
+    /// The graph the stage reads, resolved against the query's dataset.
+    graph: StageGraph,
+    /// The bound mask's bits of the constant positions (bit `i` for
+    /// position `i`: subject, predicate, object), and the slots of the
+    /// variable ones.
+    constants: usize,
+    vars: [Option<u32>; 3],
+    shapes: [OnceCell<Shape<'p>>; 8],
+    /// Probes answered by the flat tier's windows, and by the merged scan.
+    probes: [Cell<u64>; 2],
+}
+
+/// Where a stage reads, resolved once against the query's dataset.
+#[derive(Clone, Copy)]
+enum StageGraph {
+    /// One graph, whatever the row: its scans are prepared once per shape.
+    One(TermId),
+    /// No graph, or a constant the store never interned: the pattern
+    /// matches nothing.
+    Nothing,
+    /// The query's default graph merges two or more `FROM` graphs.
+    Merged,
+    /// `GRAPH ?g`: the graph is the slot's, bound or looped over.
+    Var(u32),
+}
+
+/// A stage's scans for one bound mask: the index key's layout against the
+/// row, and — when the stage reads one graph — the prepared scan itself.
+struct Shape<'p> {
+    scan: Option<PreparedScan<'p>>,
+    /// Where the ids of the bound key components come from, in key order
+    /// (the open ones read 0).
+    key: [Source; 3],
+    /// Which of subject, predicate and object are bound.
+    bound: [bool; 3],
+    /// What each key component after the graph does to the row: nothing
+    /// (bound), or binds or tests a slot.
+    binds: [Bind; 3],
+}
+
+/// Where a bound key component's id comes from.
+#[derive(Clone, Copy)]
+enum Source {
+    Id(TermId),
+    Slot(u32),
+}
+
+/// What an open key component does to the row.
+#[derive(Clone, Copy, PartialEq)]
+enum Bind {
+    /// The component is bound: the probe matched it already.
+    Bound,
+    /// Writes the component's id into the slot.
+    Write(u32),
+    /// A variable repeated in the pattern (`?x ?p ?x`): the id must equal
+    /// the one an earlier component wrote.
+    Check(u32),
+}
+
+impl Bind {
+    /// Applies the component's `id` to the row: `false` when a repeated
+    /// variable meets another id.
+    #[inline(always)]
+    fn set(self, row: &mut [TermId], id: TermId) -> bool {
+        match self {
+            Bind::Bound => true,
+            Bind::Write(slot) => {
+                row[slot as usize] = id;
+                true
             }
-            return CONTINUE;
-        }
-        EncGraph::Named(node) => {
-            let graph = match node {
-                EncNode::Const(id) => id,
-                EncNode::Var(slot) => Some(row[slot as usize]),
-            };
-            match graph {
-                Some(g) if ctx.dataset.is_named(g) => {
-                    scoped = [g];
-                    &scoped
-                }
-                _ => return CONTINUE,
-            }
-        }
-    };
-    // The positions this scan binds, as (position, slot), and the ids it
-    // looks up.
-    let mut open = [(0usize, 0u32); 3];
-    let mut opened = 0;
-    let mut fixed = [None; 3];
-    for (position, node) in tp.nodes().into_iter().enumerate() {
-        match node {
-            EncNode::Const(None) => return CONTINUE,
-            EncNode::Const(Some(id)) => fixed[position] = Some(id),
-            EncNode::Var(slot) => match row[slot as usize] {
-                UNBOUND => {
-                    open[opened] = (position, slot);
-                    opened += 1;
-                }
-                id => fixed[position] = Some(id),
-            },
-        }
-    }
-    let [s, p, o] = fixed;
-    let within = |g: TermId| ctx.store.matching_quads_encoded_iter(g, s, p, o);
-    let open = &open[..opened];
-    match graphs {
-        [] => CONTINUE,
-        &[g] => each_triple(within(g), open, probe, row, emit),
-        // A `FROM` merge of two or more graphs: the default graph is their
-        // *set* union, so matches go through a dedup set first.
-        graphs => {
-            let merged: BTreeSet<EncodedTriple> = graphs.iter().flat_map(|&g| within(g)).collect();
-            each_triple(merged.into_iter(), open, probe, row, emit)
+            Bind::Check(slot) => row[slot as usize] == id,
         }
     }
 }
 
-/// The scan loop: every triple is one unit of the stage's work (polled);
-/// each binds the `open` positions, emits, and un-binds. Every open slot was
-/// unbound on entry, so un-binding resets them all — also after a repeated
-/// variable met conflicting ids (`?x ?p ?x`) and nothing was emitted.
-#[inline]
-fn each_triple(
-    triples: impl Iterator<Item = EncodedTriple>,
-    open: &[(usize, u32)],
-    probe: &Probe<'_>,
-    row: &mut [TermId],
-    emit: Emit<'_>,
-) -> Flow {
-    for triple in triples {
-        probe.poll()?;
-        let ids = [triple.subject, triple.predicate, triple.object];
-        let consistent = open.iter().all(|&(position, slot)| {
-            let cell = &mut row[slot as usize];
-            if *cell == UNBOUND {
-                *cell = ids[position];
+impl<'p> Stage<'p> {
+    /// The stage of `tp`, observed by `probe`.
+    pub(crate) fn new(ctx: &EncContext<'p>, tp: EncTriplePattern, probe: Probe<'p>) -> Stage<'p> {
+        let graph = match tp.graph {
+            EncGraph::Default => match ctx.dataset.default_graphs.as_slice() {
+                [] => StageGraph::Nothing,
+                &[g] => StageGraph::One(g),
+                _ => StageGraph::Merged,
+            },
+            EncGraph::Named(EncNode::Const(Some(g))) if ctx.dataset.is_named(g) => {
+                StageGraph::One(g)
             }
-            *cell == ids[position]
-        });
-        let flow = if consistent { emit(row) } else { CONTINUE };
-        for &(_, slot) in open {
-            row[slot as usize] = UNBOUND;
-        }
-        if flow?.is_break() {
-            return Ok(ControlFlow::Break(()));
+            EncGraph::Named(EncNode::Const(_)) => StageGraph::Nothing,
+            EncGraph::Named(EncNode::Var(slot)) => StageGraph::Var(slot),
+        };
+        let nodes = tp.nodes();
+        // A constant the store never interned: the scan is statically empty.
+        let graph = match nodes.contains(&EncNode::Const(None)) {
+            true => StageGraph::Nothing,
+            false => graph,
+        };
+        let constants = (0..3)
+            .filter(|&i| matches!(nodes[i], EncNode::Const(_)))
+            .fold(0, |mask, i| mask | 1 << i);
+        Stage {
+            tp,
+            probe,
+            graph,
+            constants,
+            vars: nodes.map(|node| match node {
+                EncNode::Var(slot) => Some(slot),
+                EncNode::Const(_) => None,
+            }),
+            shapes: Default::default(),
+            probes: Default::default(),
         }
     }
-    CONTINUE
+
+    /// How many of this stage's probes one window of the flat tier
+    /// answered, and how many the merged scan (churn in the probed range).
+    pub(crate) fn probes(&self) -> [u64; 2] {
+        self.probes.each_ref().map(Cell::get)
+    }
+
+    /// The shape of the bound `mask` (bit `i`: position `i` — subject,
+    /// predicate, object — is bound), prepared.
+    fn shape(&self, ctx: &EncContext<'p>, mask: usize) -> Shape<'p> {
+        let bound = [0, 1, 2].map(|i| mask & 1 << i != 0);
+        let (order, _) = IndexOrder::for_pattern(bound);
+        let nodes = self.tp.nodes();
+        let mut shape = Shape {
+            scan: match self.graph {
+                StageGraph::One(g) => Some(ctx.store.prepare_scan(g, bound)),
+                _ => None,
+            },
+            key: [Source::Id(0); 3],
+            bound,
+            binds: [Bind::Bound; 3],
+        };
+        for (i, position) in order.positions().into_iter().enumerate() {
+            match nodes[position] {
+                EncNode::Const(id) => shape.key[i] = Source::Id(id.unwrap_or(0)),
+                EncNode::Var(slot) if bound[position] => shape.key[i] = Source::Slot(slot),
+                EncNode::Var(slot) => {
+                    let written = shape.binds[..i].contains(&Bind::Write(slot));
+                    shape.binds[i] = match written {
+                        true => Bind::Check(slot),
+                        false => Bind::Write(slot),
+                    };
+                }
+            }
+        }
+        shape
+    }
+
+    /// Extends `row` through the stage's pattern, emitting once per
+    /// matching quad of the graphs it reads. A constant uses its
+    /// pre-compiled id, a variable the row already binds acts as a constant,
+    /// and an unbound variable leaves its position open for the probe to
+    /// bind.
+    fn run(&self, ctx: &EncContext<'p>, row: &mut [TermId], emit: Emit<'_>) -> Flow {
+        let graph = match self.graph {
+            StageGraph::Nothing => return CONTINUE,
+            // `GRAPH ?g`, `?g` unbound: one in-graph scan per visible named
+            // graph, with `?g` bound to it meanwhile — so a `?g` inside the
+            // triple (`GRAPH ?g { ?g ?p ?o }`) is a constant like any bound
+            // variable.
+            StageGraph::Var(slot) if row[slot as usize] == UNBOUND => {
+                for &g in &ctx.dataset.named_graphs {
+                    row[slot as usize] = g;
+                    let flow = self.run(ctx, row, emit);
+                    row[slot as usize] = UNBOUND;
+                    if flow?.is_break() {
+                        return Ok(ControlFlow::Break(()));
+                    }
+                }
+                return CONTINUE;
+            }
+            StageGraph::Var(slot) => match row[slot as usize] {
+                g if ctx.dataset.is_named(g) => Some(g),
+                _ => return CONTINUE,
+            },
+            StageGraph::One(_) | StageGraph::Merged => None,
+        };
+        let mut mask = self.constants;
+        for (i, slot) in self.vars.into_iter().enumerate() {
+            if let Some(slot) = slot {
+                mask |= usize::from(row[slot as usize] != UNBOUND) << i;
+            }
+        }
+        let shape = self.shapes[mask].get_or_init(|| self.shape(ctx, mask));
+        let key = shape.key.map(|source| match source {
+            Source::Id(id) => id,
+            Source::Slot(slot) => row[slot as usize],
+        });
+        let flow = self.probe_graphs(ctx, shape, graph, key, row, emit);
+        // Every slot the stage wrote was unbound on entry.
+        for bind in shape.binds {
+            if let Bind::Write(slot) = bind {
+                row[slot as usize] = UNBOUND;
+            }
+        }
+        flow
+    }
+
+    /// Probes the graphs the stage reads — its one prepared graph, the
+    /// row's `graph`, or the `FROM` merge — with the bound ids `key`.
+    #[inline]
+    fn probe_graphs(
+        &self,
+        ctx: &EncContext<'p>,
+        shape: &Shape<'p>,
+        graph: Option<TermId>,
+        key: [TermId; 3],
+        row: &mut [TermId],
+        emit: Emit<'_>,
+    ) -> Flow {
+        match (&shape.scan, graph) {
+            (Some(scan), _) => self.walk(shape, scan.probe(key), row, emit),
+            (None, Some(g)) => {
+                let scan = ctx.store.prepare_scan(g, shape.bound).probe(key);
+                self.walk(shape, scan, row, emit)
+            }
+            // A `FROM` merge of two or more graphs: the default graph is
+            // their *set* union, so matches go through a dedup set first.
+            (None, None) => {
+                let keys: BTreeSet<(TermId, TermId, TermId)> = ctx
+                    .dataset
+                    .default_graphs
+                    .iter()
+                    .flat_map(move |&g| ctx.store.prepare_scan(g, shape.bound).probe(key))
+                    .map(|(_, second, c, d)| (second, c, d))
+                    .collect();
+                for (second, c, d) in keys {
+                    if self.window(shape, second, &[(c, d)], row, emit)?.is_break() {
+                        return Ok(ControlFlow::Break(()));
+                    }
+                }
+                CONTINUE
+            }
+        }
+    }
+
+    /// The scan loop over one probe's answer: one window of the flat tier
+    /// — a probe with its second component bound, on a store without churn
+    /// there — or else the scan's keys, each a window of one pair.
+    #[inline]
+    fn walk(
+        &self,
+        shape: &Shape<'_>,
+        scan: PrefixScan<'_>,
+        row: &mut [TermId],
+        emit: Emit<'_>,
+    ) -> Flow {
+        let count = |probes: &Cell<u64>| probes.set(probes.get() + 1);
+        if let Some((second, pairs)) = scan.window() {
+            count(&self.probes[0]);
+            return self.window(shape, second, pairs, row, emit);
+        }
+        if scan.merges_churn() {
+            count(&self.probes[1]);
+        }
+        for (_, second, c, d) in scan {
+            if self.window(shape, second, &[(c, d)], row, emit)?.is_break() {
+                return Ok(ControlFlow::Break(()));
+            }
+        }
+        CONTINUE
+    }
+
+    /// One window of a probe ("leaves read windows"): its second component
+    /// goes into the row once, then each pair binds the open components
+    /// and emits. Every pair is one unit of the stage's work (polled).
+    #[inline(always)]
+    fn window(
+        &self,
+        shape: &Shape<'_>,
+        second: TermId,
+        pairs: &[(TermId, TermId)],
+        row: &mut [TermId],
+        emit: Emit<'_>,
+    ) -> Flow {
+        let [by_second, third, fourth] = shape.binds;
+        // The second component is bound, or the first open one: never a
+        // repeat.
+        by_second.set(row, second);
+        for &(c, d) in pairs {
+            self.probe.poll()?;
+            if third.set(row, c) && fourth.set(row, d) && emit(row)?.is_break() {
+                return Ok(ControlFlow::Break(()));
+            }
+        }
+        CONTINUE
+    }
 }
 
 // ---- the plan, run ---------------------------------------------------------------
@@ -727,9 +941,9 @@ fn each_triple(
 /// (tracing on) it times the run, every node and tail stage reports under
 /// it, and once the walk is done their times are settled so that a span's
 /// children never add up to more than the span.
-pub(crate) fn execute(
-    ctx: &EncContext<'_>,
-    plan: &Plan<'_>,
+pub(crate) fn execute<'p>(
+    ctx: &EncContext<'p>,
+    plan: &Plan<'p>,
     span: Option<&Span>,
 ) -> Result<QueryResults, SparqlError> {
     // Fails an already-tripped token before the first row.

@@ -109,6 +109,18 @@ pub(crate) fn evaluate_planned(
     hooks: &EvalHooks<'_>,
     reorder: Option<BgpReorder<'_>>,
 ) -> Result<QueryResults, SparqlError> {
+    evaluate_counting_probes(store, query, hooks, reorder).0
+}
+
+/// [`evaluate_planned`], also returning how many of the run's scan probes
+/// one window of the flat tier answered and how many the merged scan — what
+/// the fuzz harness reports its coverage of.
+pub(crate) fn evaluate_counting_probes(
+    store: &TripleStore,
+    query: &Query,
+    hooks: &EvalHooks<'_>,
+    reorder: Option<BgpReorder<'_>>,
+) -> (Result<QueryResults, SparqlError>, [u64; 2]) {
     let layout = SlotLayout::of_query(query);
     let mut ctx = EncContext::new(store, &layout, &query.dataset);
     ctx.cancel = hooks.cancel;
@@ -131,7 +143,8 @@ pub(crate) fn evaluate_planned(
         faults.operator_latency();
     }
 
-    execute(&ctx, &plan, exec_span.as_ref())
+    let results = execute(&ctx, &plan, exec_span.as_ref());
+    (results, plan.root.probes())
 }
 
 // ---- compile-compat shim for the frozen `benchmark/` crate -------------------------

@@ -1470,6 +1470,19 @@ pub struct Coverage {
     /// sorted distinct second ids beside their offsets), read off the
     /// store's tier sizes.
     pub sparse: usize,
+    /// Scan probes, over the planned run and every physical shape's, that
+    /// one window of the flat tier answered.
+    pub window_probes: usize,
+    /// Scan probes, likewise, that churn reached into: the merged scan.
+    pub merged_probes: usize,
+}
+
+impl Coverage {
+    /// Adds one evaluation's scan probes: one window, merged.
+    fn count_probes(&mut self, [windows, merged]: [u64; 2]) {
+        self.window_probes += windows as usize;
+        self.merged_probes += merged as usize;
+    }
 }
 
 impl std::ops::AddAssign for Coverage {
@@ -1483,6 +1496,8 @@ impl std::ops::AddAssign for Coverage {
         self.counted_sparse += other.counted_sparse;
         self.churned += other.churned;
         self.sparse += other.sparse;
+        self.window_probes += other.window_probes;
+        self.merged_probes += other.merged_probes;
     }
 }
 
@@ -1538,7 +1553,8 @@ pub fn check_query(
     // engine compiles. The planner can change plans, never results.
     check_slots(&ast).map_err(&fail)?;
     let naive = reference::evaluate(store, &ast);
-    let planned = eval::evaluate(store, &ast);
+    let hooks = EvalHooks::default();
+    let (planned, probes) = eval::evaluate_counting_probes(store, &ast, &hooks, None);
     let (shuffled, reordered_bgps) = evaluate_shuffled(store, &ast, shuffle_seed);
     let tail = crate::optimize::explain(store, &ast).to_string();
     let mut coverage = Coverage {
@@ -1549,6 +1565,7 @@ pub fn check_query(
         counted: usize::from(tail.contains("\ngroup strategy=count")),
         ..Coverage::default()
     };
+    coverage.count_probes(probes);
 
     let expected = match naive {
         Err(e) => {
@@ -1606,8 +1623,10 @@ pub fn check_query(
     let (shapes, reached) = physical_shapes(store, !shuffle_seed).map_err(&fail)?;
     coverage += reached;
     for (shape, reshaped) in shapes {
-        let answer = eval::evaluate(&reshaped, &ast)
-            .map_err(|e| fail(format!("engine failed on the {shape} store: {e}")))?;
+        let (answer, probes) = eval::evaluate_counting_probes(&reshaped, &ast, &hooks, None);
+        coverage.count_probes(probes);
+        let answer =
+            answer.map_err(|e| fail(format!("engine failed on the {shape} store: {e}")))?;
         check_equivalent(&ast, &expected, &answer, uncut.as_ref(), shape).map_err(&fail)?;
         check_sorted(&ast, &answer).map_err(|e| fail(format!("{shape}: {e}")))?;
         let counted = || {

@@ -76,7 +76,9 @@ use crate::ast::{
     AggregateFunction, ComparisonOp, Expression, Function, GraphPattern, Projection,
     ProjectionItem, Query, QueryForm,
 };
-use crate::encoded::{attach, render_triple_pattern, EncContext, EncNode, EncTriplePattern, Probe};
+use crate::encoded::{
+    attach, render_triple_pattern, EncContext, EncNode, EncTriplePattern, Probe, Stage,
+};
 use crate::encoded::{Emit, EncDataset, EncGraph, Flow, SlotLayout, UNBOUND};
 
 // ---- decision counters ------------------------------------------------------------
@@ -122,8 +124,9 @@ pub(crate) fn counters() -> &'static OptimizerCounters {
 /// is given the empty row. A node's `probe` observes it.
 pub(crate) enum Node<'p> {
     /// Nested index scans, in execution order: each compiled pattern beside
-    /// the probe that times its `scan` span and polls the token.
-    Bgp(Vec<(EncTriplePattern, Probe<'p>)>),
+    /// the probe that times its `scan` span and polls the token, and the
+    /// store scans it prepares (see [`Stage`]).
+    Bgp(Vec<Stage<'p>>),
     /// The parts, each fed by the one before.
     Join(Vec<Node<'p>>),
     /// `OPTIONAL`: `right` runs once per `left` row; an unmatched row survives.
@@ -383,7 +386,7 @@ impl<'p> Planner<'_, 'p, '_> {
                         scan.set_attr("written_index", i);
                         scan.set_attr("estimate", estimate);
                     });
-                    (tps[i], attach(ctx, span, true))
+                    Stage::new(ctx, tps[i], attach(ctx, span, true))
                 });
                 let stages: Vec<_> = stages.collect();
                 self.bgps.push(BgpPlan { order, estimates });
@@ -553,7 +556,7 @@ fn stream_order(ctx: &EncContext<'_>, root: &Node) -> Option<Vec<u32>> {
     let one_graph = ctx.dataset.default_graphs.len() == 1
         && stages
             .iter()
-            .all(|(tp, _)| matches!(tp.graph, EncGraph::Default));
+            .all(|stage| matches!(stage.tp.graph, EncGraph::Default));
     if !one_graph {
         return None;
     }
@@ -562,7 +565,7 @@ fn stream_order(ctx: &EncContext<'_>, root: &Node) -> Option<Vec<u32>> {
         bound[slot as usize] = true;
     }
     let mut emitted = Vec::new();
-    for (tp, _) in stages {
+    for Stage { tp, .. } in stages {
         let nodes = tp.nodes();
         let fixed = nodes.map(|node| match node {
             EncNode::Const(_) => true,
@@ -628,7 +631,7 @@ fn counted_scan(ctx: &EncContext<'_>, query: &Query, root: &Node) -> Option<Coun
     let Node::Bgp(stages) = root else {
         return None;
     };
-    let [(tp, probe)] = stages.as_slice() else {
+    let [Stage { tp, probe, .. }] = stages.as_slice() else {
         return None;
     };
     let slots: Vec<u32> = pattern_var_slots(tp).collect();

@@ -48,7 +48,7 @@ fn generated_queries_agree_across_engines_and_serializations() {
          streamed order stage; {} ran on a churned store with all three tiers \
          non-empty, {} on a sparse store with a run whose directory lists its second ids; \
          {} ran group strategy=count, {} of them also on the churned store and {} on the \
-         sparse one",
+         sparse one; {} scan probes read one window of the flat tier, {} merged churn",
         covered.reordered_bgps,
         covered.grouped,
         covered.topk,
@@ -57,7 +57,9 @@ fn generated_queries_agree_across_engines_and_serializations() {
         covered.sparse,
         covered.counted,
         covered.counted_churned,
-        covered.counted_sparse
+        covered.counted_sparse,
+        covered.window_probes,
+        covered.merged_probes
     );
     // A shuffle that always reproduced the planner's order would make the
     // third leg a copy of the first.
@@ -85,6 +87,15 @@ fn generated_queries_agree_across_engines_and_serializations() {
         covered.counted,
         covered.counted_churned,
         covered.counted_sparse
+    );
+    // A probe reads one window of the flat tier, or — where churn reaches
+    // into its range — the merged scan: a sweep that stopped reaching either
+    // would leave that half of the prepared probe checked by nothing.
+    assert!(
+        covered.window_probes > 0 && covered.merged_probes > 0,
+        "no window ({}) or merged ({}) probe in {cases} cases",
+        covered.window_probes,
+        covered.merged_probes
     );
     // A shape that no longer reaches its tier state — a fold policy that
     // left no room for churn, a dictionary that stopped spreading ids —

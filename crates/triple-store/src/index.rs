@@ -77,22 +77,32 @@
 //!   second ids beside their offsets, and a second id is found by a binary
 //!   search among them. 8 bytes per distinct id, plus 4 per run.
 //!
-//! A probe finds the first component's run by a binary search over the
-//! runs (a handful), then:
+//! # Prepared probes
 //!
-//! * a prefix of just the first component is the run's bounds;
-//! * a second id without keys is the empty window where its keys would sit;
-//! * a two-component prefix is its window, unsearched;
-//! * a longer prefix searches inside that window's pairs, a few wide.
+//! A pattern's lookups are *prepared*: `PositionalIndex::prepare` finds the
+//! first component's run once (a binary search over the runs, a handful)
+//! and notes whether a churn tier holds a key of it, and each
+//! `Prepared::probe` then binds the next components:
 //!
-//! Scans yield keys by value. A scan with the second component bound — every
-//! join probe — is a bare slice iterator over the window's pairs beside that
-//! constant; `scan_prefix1` and `scan_all` walk the directory in step with
-//! the pairs, advancing the second component as the position crosses the
-//! next offset (a dense directory's empty windows are stepped over). A walk
-//! pays a branch per window that a vector of full keys did not; its `fold`
-//! (`count`, `for_each`, a merge, the snapshot writer) runs window by window
-//! over slices and pays nothing per key.
+//! * none: the run's bounds, walked window by window;
+//! * the second: its window, two loads in a dense directory — or the empty
+//!   window where its keys would sit;
+//! * the second and more: a seek inside that window's pairs for the rest,
+//!   linear in a window of at most eight pairs (a subject's or an object's
+//!   keys, what a join probe seeks in), a binary search in a longer one.
+//!
+//! With no churn key of the run, a probe with the second component bound —
+//! every join probe — is the window's pairs beside the components they
+//! share, handed out as a slice ([`PrefixScan::window`]); a graph with churn
+//! looks the probed range up in the churn tiers, and only a probe they reach
+//! into pays for the merge. `scan_prefix1`..`scan_prefix4` are prepare then
+//! probe, so the store has one lookup. Scans yield keys by value; a walk
+//! across windows (an open second component, `scan_all`) advances the
+//! second component as the position crosses the next offset (a dense
+//! directory's empty windows are stepped over), a branch per window that a
+//! vector of full keys did not pay, and its `fold` (`count`, `for_each`, a
+//! merge, the snapshot writer) runs window by window over slices and pays
+//! nothing per key.
 //!
 //! So a flat key costs 8 bytes plus its share of the directory: at most 4
 //! more in a dense run and at most 8 in a sparse one, ≈ 9 on a fresh load
@@ -162,7 +172,7 @@ impl IndexOrder {
 
     /// The positions (subject 0, predicate 1, object 2) this order's keys
     /// hold after the graph, in key order.
-    pub(crate) fn positions(self) -> [usize; 3] {
+    pub fn positions(self) -> [usize; 3] {
         match self {
             IndexOrder::Gspo => [0, 1, 2],
             IndexOrder::Gpos => [1, 2, 0],
@@ -421,10 +431,34 @@ fn seek(pairs: &[Pair], (from, to): (usize, usize), pair: Pair, upper: bool) -> 
         _ => {}
     }
     let bits = pair_bits(pair);
-    from + pairs[from..to].partition_point(|&pair| match upper {
+    from + before(&pairs[from..to], |&pair| match upper {
         true => pair_bits(pair) <= bits,
         false => pair_bits(pair) < bits,
     })
+}
+
+/// How many pairs of the window lead it while `below` holds, which it does
+/// for a prefix of them: a linear read in a window of at most
+/// [`SHORT_WINDOW`] pairs — a subject's or an object's keys, what a join
+/// probe seeks in —, a binary search in a longer one.
+#[inline(always)]
+fn before(window: &[Pair], below: impl Fn(&Pair) -> bool) -> usize {
+    match window.len() <= SHORT_WINDOW {
+        true => window.iter().take_while(|pair| below(pair)).count(),
+        false => window.partition_point(below),
+    }
+}
+
+/// The longest window [`before`] reads linearly.
+const SHORT_WINDOW: usize = 8;
+
+/// The pairs of a window whose `key` equals `target`; the window is sorted
+/// by `key`.
+#[inline(always)]
+fn equal<K: Ord + Copy>(window: &[Pair], target: K, key: impl Fn(&Pair) -> K) -> &[Pair] {
+    let start = before(window, |pair| key(pair) < target);
+    let rest = &window[start..];
+    &rest[..before(rest, |pair| key(pair) <= target)]
 }
 
 /// The allocation behind an `Arc<[T]>` of `items`: the strong and weak
@@ -789,57 +823,48 @@ impl PositionalIndex {
         }
     }
 
+    /// The merged scan of `[lo, hi]`: a walk of the flat tier's range and
+    /// the churn inside it. Only the graph cursors (`first_in_range`) read
+    /// a range that is not a pattern's; a pattern's is a [`Prepared`] probe.
     fn scan_range(&self, lo: Key, hi: Key) -> PrefixScan<'_> {
         let (start, end) = self.flat_bounds(lo, hi);
-        let one_window = (lo.0, lo.1) == (hi.0, hi.1);
-        if one_window && self.delta.is_empty() && self.dead.is_empty() {
-            // The hot path: every key of the range has `lo`'s first two
-            // components, and no churn reaches into it.
-            return PrefixScan(Scan::Window(Window {
-                first: lo.0,
-                second: lo.1,
-                pairs: self.pairs[start..end].iter(),
-            }));
-        }
-        let walk = match one_window {
-            true => Walk::window((lo.0, lo.1), &self.pairs[start..end]),
-            false => Walk::new(self, start, end),
-        };
         let bounds = (Bound::Included(lo), Bound::Included(hi));
-        // An empty churn tier — the common case — is not descended at all.
-        fn churn(tier: &BTreeSet<Key>, bounds: (Bound<Key>, Bound<Key>)) -> Range<'_, Key> {
-            match tier.is_empty() {
-                true => Range::default(),
-                false => tier.range(bounds),
-            }
+        PrefixScan::new(
+            Walk::new(self, start, end),
+            churn(&self.delta, bounds),
+            churn(&self.dead, bounds),
+        )
+    }
+
+    /// The probes of the keys whose first component is `first`, its run
+    /// looked up once (see [`Prepared`]).
+    pub(crate) fn prepare(&self, first: TermId) -> Prepared<'_> {
+        let max = TermId::MAX;
+        let keys = (first, 0, 0, 0)..=(first, max, max, max);
+        let churn = |tier: &BTreeSet<Key>| tier.range(keys.clone()).next().is_some();
+        Prepared {
+            index: self,
+            first,
+            run: self.run(first).ok(),
+            churn: churn(&self.delta) || churn(&self.dead),
         }
-        PrefixScan::new(walk, churn(&self.delta, bounds), churn(&self.dead, bounds))
     }
 
     /// Scans keys whose first component equals `first`, in ascending order.
     pub fn scan_prefix1(&self, first: TermId) -> PrefixScan<'_> {
-        self.scan_range(
-            (first, 0, 0, 0),
-            (first, TermId::MAX, TermId::MAX, TermId::MAX),
-        )
+        self.prepare(first).probe(0, [0; 3])
     }
 
     /// Scans keys whose first two components equal `(first, second)`, in
     /// ascending order.
     pub fn scan_prefix2(&self, first: TermId, second: TermId) -> PrefixScan<'_> {
-        self.scan_range(
-            (first, second, 0, 0),
-            (first, second, TermId::MAX, TermId::MAX),
-        )
+        self.prepare(first).probe(1, [second, 0, 0])
     }
 
     /// Scans keys whose first three components equal
     /// `(first, second, third)`, in ascending order.
     pub fn scan_prefix3(&self, first: TermId, second: TermId, third: TermId) -> PrefixScan<'_> {
-        self.scan_range(
-            (first, second, third, 0),
-            (first, second, third, TermId::MAX),
-        )
+        self.prepare(first).probe(2, [second, third, 0])
     }
 
     /// Scans the (at most one) key equal to `(first, second, third, fourth)`
@@ -852,10 +877,7 @@ impl PositionalIndex {
         third: TermId,
         fourth: TermId,
     ) -> PrefixScan<'_> {
-        self.scan_range(
-            (first, second, third, fourth),
-            (first, second, third, fourth),
-        )
+        self.prepare(first).probe(3, [second, third, fourth])
     }
 
     /// Scans every key in ascending order.
@@ -918,13 +940,9 @@ impl PositionalIndex {
     }
 
     /// Smallest live key in `[lo, hi]`: the head of the merged scan — with
-    /// no churn, of a walk that is never boxed into a scan.
+    /// no churn in the range, of a bare walk.
     fn first_in_range(&self, lo: Key, hi: Key) -> Option<Key> {
-        if !self.delta.is_empty() || !self.dead.is_empty() {
-            return self.scan_range(lo, hi).next();
-        }
-        let (start, end) = self.flat_bounds(lo, hi);
-        Walk::new(self, start, end).next()
+        self.scan_range(lo, hi).next()
     }
 
     /// Every distinct first component, in ascending order, computed exactly
@@ -1005,6 +1023,15 @@ impl PositionalIndex {
     }
 }
 
+/// The keys of a churn tier in `bounds`; an empty tier — the common case —
+/// is not descended at all.
+fn churn(tier: &BTreeSet<Key>, bounds: (Bound<Key>, Bound<Key>)) -> Range<'_, Key> {
+    match tier.is_empty() {
+        true => Range::default(),
+        false => tier.range(bounds),
+    }
+}
+
 /// The pair as one integer whose order is the pair's: one wide comparison
 /// per step of a search instead of up to two narrow ones.
 #[inline]
@@ -1030,6 +1057,84 @@ fn key_successor(k: Key) -> Option<Key> {
         Some((a + 1, 0, 0, 0))
     } else {
         None
+    }
+}
+
+/// The probes of one first component's keys — on the graph-first orders,
+/// of one graph — with its run looked up once ([`PositionalIndex::prepare`]):
+/// a probe with the next components bound is then a jump in the run's
+/// directory, plus a seek in the window for a third bound component, and
+/// never searches the runs again.
+#[derive(Clone, Copy)]
+pub(crate) struct Prepared<'a> {
+    index: &'a PositionalIndex,
+    first: TermId,
+    /// `None` when no flat key has this first component.
+    run: Option<&'a Run>,
+    /// Whether a churn tier holds a key with this first component: only
+    /// then does a probe look at the churn tiers.
+    churn: bool,
+}
+
+impl<'a> Prepared<'a> {
+    /// The keys `(first, key[0], .., key[bound - 1], ..)`, ascending: the
+    /// first `bound` (0–3) of `key` are bound, the rest is ignored. With no
+    /// churn in that range — always, on a store without churn — it reads
+    /// the flat tier alone: one window, or a slice of one, when `bound` is 1
+    /// or more ([`PrefixScan::window`]), else a walk of the run's windows.
+    #[inline(always)]
+    pub(crate) fn probe(&self, bound: usize, key: [TermId; 3]) -> PrefixScan<'a> {
+        let Some(run) = self.run.filter(|_| !self.churn) else {
+            let [a, b, c] = key;
+            return self.merged(bound, a, b, c);
+        };
+        if bound == 0 {
+            return PrefixScan(Walk::run(self.index, run).into_scan());
+        }
+        PrefixScan(Scan::Window(Window {
+            first: self.first,
+            second: key[0],
+            pairs: self.pairs(run, bound, key).iter(),
+        }))
+    }
+
+    /// The pairs of `run` a probe with a bound second component reads: its
+    /// window, or the slice of it holding the bound third (and fourth)
+    /// component.
+    #[inline(always)]
+    fn pairs(&self, run: &Run, bound: usize, key: [TermId; 3]) -> &'a [Pair] {
+        let (from, to) = run.window(key[0]);
+        let window = &self.index.pairs[from..to];
+        match bound {
+            1 => window,
+            2 => equal(window, key[1], |&(c, _)| c),
+            _ => equal(window, pair_bits((key[1], key[2])), |&pair| pair_bits(pair)),
+        }
+    }
+
+    /// A probe of a graph without flat keys or with churn: the merged scan
+    /// of the flat tier's range and the churn tiers' — a bare walk when no
+    /// churn key lies in the range.
+    #[inline(never)]
+    fn merged(&self, bound: usize, a: TermId, b: TermId, c: TermId) -> PrefixScan<'a> {
+        let (first, max) = (self.first, TermId::MAX);
+        let (lo, hi) = match bound {
+            0 => ((first, 0, 0, 0), (first, max, max, max)),
+            1 => ((first, a, 0, 0), (first, a, max, max)),
+            2 => ((first, a, b, 0), (first, a, b, max)),
+            _ => ((first, a, b, c), (first, a, b, c)),
+        };
+        let flat = match (self.run, bound) {
+            (None, _) => Walk::window((first, a), &[]),
+            (Some(run), 0) => Walk::run(self.index, run),
+            (Some(run), _) => Walk::window((first, a), self.pairs(run, bound, [a, b, c])),
+        };
+        let bounds = (Bound::Included(lo), Bound::Included(hi));
+        PrefixScan::new(
+            flat,
+            churn(&self.index.delta, bounds),
+            churn(&self.index.dead, bounds),
+        )
     }
 }
 
@@ -1103,6 +1208,20 @@ impl<'a> Walk<'a> {
             pairs: pairs.iter(),
             ends: &[],
             ids: None,
+            runs: &[],
+        }
+    }
+
+    /// Every key of `run`, a run of `index`.
+    fn run(index: &'a PositionalIndex, run: &'a Run) -> Self {
+        let (first, second, ends, ids, left) = run.entry();
+        Walk {
+            first,
+            second,
+            left,
+            pairs: index.pairs[run.start()..run.end()].iter(),
+            ends,
+            ids,
             runs: &[],
         }
     }
@@ -1229,6 +1348,24 @@ struct Merge<'a> {
 }
 
 impl<'a> PrefixScan<'a> {
+    /// The scan's keys when they lie in one window of the flat tier and no
+    /// churn reaches them — every probe with a bound second component on a
+    /// store without churn: the window's second component beside its pairs
+    /// `(third, fourth)`, the first component being the probe's.
+    #[inline]
+    pub fn window(&self) -> Option<(TermId, &'a [(TermId, TermId)])> {
+        match &self.0 {
+            Scan::Window(window) => Some((window.second, window.pairs.as_slice())),
+            _ => None,
+        }
+    }
+
+    /// Whether churn reaches into the scan's range, so that it merges the
+    /// flat tier with the churn tiers key by key.
+    pub fn merges_churn(&self) -> bool {
+        matches!(self.0, Scan::Merged(_))
+    }
+
     fn new(flat: Walk<'a>, mut delta: Range<'a, Key>, mut dead: Range<'a, Key>) -> Self {
         let delta_next = delta.next();
         let dead_next = dead.next();

@@ -43,8 +43,8 @@ pub mod store;
 
 pub use dictionary::{TermDictionary, TermId};
 pub use fault::FaultInjector;
-pub use index::{IndexOrder, TierBytes, TierSizes};
+pub use index::{IndexOrder, PrefixScan, TierBytes, TierSizes};
 pub use persist::{PersistError, PersistOptions, RecoveryReport};
 pub use shared::{LoadError, SharedStore};
 pub use stats::StoreStats;
-pub use store::{EncodedScan, EncodedTriple, TripleStore, DEFAULT_GRAPH};
+pub use store::{EncodedScan, EncodedTriple, PreparedScan, TripleStore, DEFAULT_GRAPH};

@@ -6,7 +6,7 @@ use std::borrow::Borrow;
 use hbold_rdf_model::{Graph, Quad, Term, Triple, TriplePattern};
 
 use crate::dictionary::{TermDictionary, TermId};
-use crate::index::{IndexOrder, PositionalIndex, PrefixScan, TierBytes, TierSizes};
+use crate::index::{IndexOrder, PositionalIndex, PrefixScan, Prepared, TierBytes, TierSizes};
 
 /// The reserved identifier of the default graph.
 ///
@@ -509,12 +509,13 @@ impl TripleStore {
 
     /// Streams the encoded triples of one graph ([`DEFAULT_GRAPH`] for the
     /// default graph) matching the encoded pattern
-    /// `(subject?, predicate?, object?)`, choosing the graph-first index
-    /// whose order puts the bound positions right after the graph.
+    /// `(subject?, predicate?, object?)`: its shape prepared
+    /// ([`TripleStore::prepare_scan`]) and probed once.
     ///
-    /// This is the innermost loop of the SPARQL engine: it returns a
-    /// concrete iterator (no boxing, no decoding) walking a contiguous index
-    /// range, so a BGP join stays entirely in the `TermId` domain.
+    /// It returns a concrete iterator (no boxing, no decoding) walking a
+    /// contiguous index range, so a caller stays in the `TermId` domain. A
+    /// caller probing one shape many times — a BGP join — prepares it once
+    /// and probes it per row instead.
     pub fn matching_quads_encoded_iter(
         &self,
         graph: TermId,
@@ -522,31 +523,38 @@ impl TripleStore {
         predicate: Option<TermId>,
         object: Option<TermId>,
     ) -> EncodedScan<'_> {
-        let (order, index, [a, b, c], bound) = self.lookup([subject, predicate, object]);
-        let scan = match bound {
-            0 => index.scan_prefix1(graph),
-            1 => index.scan_prefix2(graph, a),
-            2 => index.scan_prefix3(graph, a, b),
-            _ => index.scan_prefix4(graph, a, b, c),
-        };
-        EncodedScan { scan, order }
+        let spo = [subject, predicate, object];
+        let scan = self.prepare_scan(graph, spo.map(|id| id.is_some()));
+        let key = scan
+            .order
+            .positions()
+            .map(|position| spo[position].unwrap_or(0));
+        EncodedScan {
+            scan: scan.probe(key),
+            order: scan.order,
+        }
     }
 
-    /// A pattern lookup's dispatch ([`IndexOrder::for_pattern`]): the order,
-    /// its index, the pattern's ids in the index's key order (open positions
-    /// as 0, all after the bound ones) and how many are bound.
-    fn lookup(
-        &self,
-        spo: [Option<TermId>; 3],
-    ) -> (IndexOrder, &PositionalIndex, [TermId; 3], usize) {
-        let (order, open) = IndexOrder::for_pattern(spo.map(|id| id.is_some()));
-        let index = match order {
+    /// Prepares the scans of one pattern shape inside one graph: given
+    /// which of subject, predicate and object (positions 0, 1, 2) are bound,
+    /// it fixes the index ([`IndexOrder::for_pattern`]), the graph's run in
+    /// it and the key layout once, so that each [`PreparedScan::probe`] is a
+    /// jump in the run's directory.
+    pub fn prepare_scan(&self, graph: TermId, bound: [bool; 3]) -> PreparedScan<'_> {
+        let (order, open) = IndexOrder::for_pattern(bound);
+        PreparedScan {
+            run: self.index(order).prepare(graph),
+            order,
+            bound: 3 - open.len(),
+        }
+    }
+
+    fn index(&self, order: IndexOrder) -> &PositionalIndex {
+        match order {
             IndexOrder::Gspo => &self.gspo,
             IndexOrder::Gpos => &self.gpos,
             IndexOrder::Gosp => &self.gosp,
-        };
-        let key = order.positions().map(|position| spo[position].unwrap_or(0));
-        (order, index, key, 3 - open.len())
+        }
     }
 
     /// Counts the default-graph triples matching the encoded pattern
@@ -574,8 +582,11 @@ impl TripleStore {
         predicate: Option<TermId>,
         object: Option<TermId>,
     ) -> usize {
-        let (_, index, [a, b, c], bound) = self.lookup([subject, predicate, object]);
-        match bound {
+        let spo = [subject, predicate, object];
+        let (order, open) = IndexOrder::for_pattern(spo.map(|id| id.is_some()));
+        let index = self.index(order);
+        let [a, b, c] = order.positions().map(|position| spo[position].unwrap_or(0));
+        match 3 - open.len() {
             0 => index.count_prefix1(graph),
             1 => index.count_prefix2(graph, a),
             2 => index.count_prefix3(graph, a, b),
@@ -735,10 +746,36 @@ impl TripleStore {
     }
 }
 
+/// One pattern shape's scans inside one graph, resolved once
+/// ([`TripleStore::prepare_scan`]): the index, the graph's run in it and the
+/// key layout. A probe reads no dispatch table and searches no run table.
+#[derive(Clone, Copy)]
+pub struct PreparedScan<'s> {
+    run: Prepared<'s>,
+    order: IndexOrder,
+    bound: usize,
+}
+
+impl<'s> PreparedScan<'s> {
+    /// The index the shape reads: its key holds the graph, then the
+    /// positions [`IndexOrder::positions`] lists, the bound ones first.
+    pub fn order(&self) -> IndexOrder {
+        self.order
+    }
+
+    /// The quads of the graph whose bound positions hold `key`'s ids, in
+    /// key order: `key[i]` is the id of position `order().positions()[i]`,
+    /// and only the bound ones, which come first, are read. The scan's
+    /// keys are the index's, graph first.
+    #[inline(always)]
+    pub fn probe(&self, key: [TermId; 3]) -> PrefixScan<'s> {
+        self.run.probe(self.bound, key)
+    }
+}
+
 /// A streaming scan of the encoded triples of one graph from one positional
 /// index, with the index's key permutation mapped back to
-/// subject/predicate/object on the fly. Concrete (unboxed) so BGP join
-/// inner loops monomorphize fully.
+/// subject/predicate/object on the fly.
 pub struct EncodedScan<'s> {
     scan: PrefixScan<'s>,
     order: IndexOrder,

@@ -144,6 +144,28 @@ fn a_three_key_group_allocates_for_its_groups_not_its_rows() {
 }
 
 #[test]
+fn a_join_probe_allocates_nothing() {
+    // The link count's three stages: each instance of C0 is one probe of
+    // the second stage, and each of its four quads one probe of the third
+    // — 1 250 probes over 1 000 instances, 12 500 over 10 000. A stage
+    // prepares its scan once per bound mask and probes it per row, so the
+    // query allocates exactly as much at either size.
+    let query = "SELECT ?p ?t (COUNT(?o) AS ?n) WHERE { \
+                 ?s a <http://rf.example/C0> . ?s ?p ?o . ?o a ?t } GROUP BY ?p ?t";
+    counted(&class_instance_store(CLASSES), query);
+    let [(small, few), (large, many)] =
+        [1_000, 10_000].map(|instances| counted(&class_instance_store(instances), query));
+    assert_eq!(
+        (small.rows.len(), large.rows.len()),
+        (2 * CLASSES, 2 * CLASSES)
+    );
+    assert_eq!(
+        few, many,
+        "allocations over 1 000 and over 10 000 instances"
+    );
+}
+
+#[test]
 fn a_count_over_a_join_allocates_the_same_at_any_size() {
     let [(small, few), (large, many)] =
         at_both_sizes("SELECT (COUNT(*) AS ?n) WHERE { ?s a <http://rf.example/C1> . ?s ?p ?o }");
