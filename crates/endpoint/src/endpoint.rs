@@ -250,7 +250,7 @@ impl SparqlEndpoint {
                 let snapshot = store.snapshot();
                 let hooks = EvalHooks {
                     trace,
-                    cancel: None,
+                    ..EvalHooks::default()
                 };
                 let results = hbold_sparql::evaluate_with_hooks(&snapshot, &parsed, &hooks)?;
                 (results, None)

@@ -13,7 +13,7 @@ use hbold_endpoint::{
 use hbold_server::{ServerConfig, SparqlServer};
 use hbold_triple_store::SharedStore;
 
-/// The differential fuzz check's query shapes (`hbold_sparql::fuzz`
+/// The differential fuzz check's query shapes (`hbold_sparql_check::fuzz`
 /// generates these constructs; this list covers the same constructs with
 /// concrete text that the plan cache and the wire protocol both see).
 const ORACLE_SHAPES: &[&str] = &[

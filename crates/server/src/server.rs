@@ -876,6 +876,7 @@ fn execute(
     let hooks = EvalHooks {
         trace: root.as_ref(),
         cancel: Some(&guard.token),
+        ..EvalHooks::default()
     };
     let results = match evaluate_with_hooks(&snapshot, &plan, &hooks) {
         Ok(results) => results,

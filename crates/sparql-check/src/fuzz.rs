@@ -66,8 +66,8 @@
 //! scoping throughout) interleaved with probe queries. Each request must
 //! survive the print → parse fixpoint, and is applied to *two* stores in
 //! lockstep — one through the engine-planned path
-//! ([`crate::update::apply_updates`]), one through the naive-reference path
-//! ([`crate::update::apply_updates_naive`]) — after which the stores'
+//! ([`hbold_sparql::apply_updates`]), one through the naive-reference path
+//! ([`reference::apply_updates`]) — after which the stores'
 //! full quad sets and mutation counts must be identical, the engine
 //! store's snapshot must restore to the same quads (the next request is
 //! applied to that restore), and every probe query must pass the complete
@@ -80,6 +80,7 @@
 //! which is usually a few clauses and minimizes quickly by deleting parts.
 //! `HBOLD_FUZZ_CASES` scales the sweep (default 512; CI smoke uses the same).
 
+use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 
@@ -89,17 +90,15 @@ use hbold_telemetry::json::JsonValue;
 use hbold_triple_store::persist::{snapshot, WalOp};
 use hbold_triple_store::TripleStore;
 
-use crate::ast::*;
-use crate::encoded::SlotLayout;
-use crate::error::SparqlError;
-use crate::eval::{self, EvalHooks};
-use crate::expr::term_string_value;
-use crate::parser::{parse_query, parse_update};
-use crate::plan::parse_cached;
+use hbold_sparql::ast::*;
+use hbold_sparql::expr::term_string_value;
+use hbold_sparql::{
+    apply_updates, evaluate_with_hooks, explain, parse_cached, parse_query, parse_update, CsvTable,
+    EvalHooks, QueryResults, SelectResults, SlotLayout, SparqlError,
+};
+
 use crate::pretty::{print_query, print_update};
 use crate::reference;
-use crate::results::{CsvTable, QueryResults, SelectResults};
-use crate::update::{apply_updates, apply_updates_naive};
 
 /// A tiny deterministic RNG (SplitMix64) so the fuzzer needs no external
 /// crates and every case is a pure function of its seed.
@@ -1420,26 +1419,47 @@ fn re_escaped(json: &str, rng: &mut FuzzRng) -> String {
 
 /// Evaluates `query` with every BGP's triple patterns executed in a random
 /// permutation drawn from `seed` instead of the cost-based order (filter
-/// pushdown unchanged). Also returns how many BGPs thereby ran in an order
-/// other than the one the planner would have picked.
-///
-/// This is the only way to impose a join order on the engine, and it exists
-/// for the differential harness alone.
+/// pushdown unchanged), through [`EvalHooks::join_order`]. Also returns how
+/// many BGPs thereby ran in an order other than the one the planner would
+/// have picked.
 pub fn evaluate_shuffled(
     store: &TripleStore,
     query: &Query,
     seed: u64,
 ) -> (Result<QueryResults, SparqlError>, usize) {
-    let mut rng = FuzzRng::new(seed);
-    let mut non_default = 0;
-    let mut shuffle = |planned: Vec<usize>| {
+    let rng = RefCell::new(FuzzRng::new(seed));
+    let non_default = Cell::new(0);
+    let shuffle = |planned: Vec<usize>| {
         let mut order = planned.clone();
-        rng.shuffle(&mut order);
-        non_default += usize::from(order != planned);
+        rng.borrow_mut().shuffle(&mut order);
+        non_default.set(non_default.get() + usize::from(order != planned));
         order
     };
-    let result = eval::evaluate_planned(store, query, &EvalHooks::default(), Some(&mut shuffle));
-    (result, non_default)
+    let hooks = EvalHooks {
+        join_order: Some(&shuffle),
+        ..EvalHooks::default()
+    };
+    let result = evaluate_with_hooks(store, query, &hooks);
+    (result, non_default.get())
+}
+
+/// Evaluates `query` under its planned join order, adding the run's scan
+/// probes to `coverage`: one window of the flat tier, merged.
+fn evaluate_counted(
+    store: &TripleStore,
+    query: &Query,
+    coverage: &mut Coverage,
+) -> Result<QueryResults, SparqlError> {
+    let probes = Cell::new([0; 2]);
+    let hooks = EvalHooks {
+        scan_probes: Some(&probes),
+        ..EvalHooks::default()
+    };
+    let result = evaluate_with_hooks(store, query, &hooks);
+    let [windows, merged] = probes.get();
+    coverage.window_probes += windows as usize;
+    coverage.merged_probes += merged as usize;
+    result
 }
 
 /// What one fuzz case exercised — the sweep sums these and fails when a kind
@@ -1475,14 +1495,6 @@ pub struct Coverage {
     pub window_probes: usize,
     /// Scan probes, likewise, that churn reached into: the merged scan.
     pub merged_probes: usize,
-}
-
-impl Coverage {
-    /// Adds one evaluation's scan probes: one window, merged.
-    fn count_probes(&mut self, [windows, merged]: [u64; 2]) {
-        self.window_probes += windows as usize;
-        self.merged_probes += merged as usize;
-    }
 }
 
 impl std::ops::AddAssign for Coverage {
@@ -1553,10 +1565,8 @@ pub fn check_query(
     // engine compiles. The planner can change plans, never results.
     check_slots(&ast).map_err(&fail)?;
     let naive = reference::evaluate(store, &ast);
-    let hooks = EvalHooks::default();
-    let (planned, probes) = eval::evaluate_counting_probes(store, &ast, &hooks, None);
     let (shuffled, reordered_bgps) = evaluate_shuffled(store, &ast, shuffle_seed);
-    let tail = crate::optimize::explain(store, &ast).to_string();
+    let tail = explain(store, &ast).to_string();
     let mut coverage = Coverage {
         reordered_bgps,
         grouped: usize::from(tail.contains("\ngroup strategy=")),
@@ -1565,7 +1575,7 @@ pub fn check_query(
         counted: usize::from(tail.contains("\ngroup strategy=count")),
         ..Coverage::default()
     };
-    coverage.count_probes(probes);
+    let planned = evaluate_counted(store, &ast, &mut coverage);
 
     let expected = match naive {
         Err(e) => {
@@ -1623,14 +1633,13 @@ pub fn check_query(
     let (shapes, reached) = physical_shapes(store, !shuffle_seed).map_err(&fail)?;
     coverage += reached;
     for (shape, reshaped) in shapes {
-        let (answer, probes) = eval::evaluate_counting_probes(&reshaped, &ast, &hooks, None);
-        coverage.count_probes(probes);
+        let answer = evaluate_counted(&reshaped, &ast, &mut coverage);
         let answer =
             answer.map_err(|e| fail(format!("engine failed on the {shape} store: {e}")))?;
         check_equivalent(&ast, &expected, &answer, uncut.as_ref(), shape).map_err(&fail)?;
         check_sorted(&ast, &answer).map_err(|e| fail(format!("{shape}: {e}")))?;
         let counted = || {
-            let plan = crate::optimize::explain(&reshaped, &ast).to_string();
+            let plan = explain(&reshaped, &ast).to_string();
             usize::from(plan.contains("\ngroup strategy=count"))
         };
         match shape {
@@ -1830,7 +1839,7 @@ pub fn check_update_case(seed: u64) -> Result<(), String> {
         // Leg 2: engine-planned and naive-planned application agree — on
         // acceptance, on the mutation counts, and on the resulting store.
         let engine_outcome = apply_updates(&mut engine_store, &parsed);
-        let naive_outcome = apply_updates_naive(&mut naive_store, &parsed);
+        let naive_outcome = reference::apply_updates(&mut naive_store, &parsed);
         match (&engine_outcome, &naive_outcome) {
             (Ok(_), Err(e)) => {
                 return Err(fail(format!(
@@ -2040,7 +2049,7 @@ mod tests {
         // subjects within a modest seed range, or the join-order
         // differential silently runs on uniform graphs only.
         let dominant_share = |store: &TripleStore, query: &str| -> f64 {
-            let top = eval::execute_query(store, query)
+            let top = hbold_sparql::execute_query(store, query)
                 .unwrap()
                 .into_select()
                 .unwrap();

@@ -1,7 +1,7 @@
 //! Pretty-printing parsed queries back to SPARQL text.
 //!
 //! The printer emits *parser-canonical* text: every construct is rendered in
-//! the exact shape [`crate::parser`] normalizes to, so that for any `Query`
+//! the exact shape [`hbold_sparql::parser`] normalizes to, so that for any `Query`
 //! the parser produced, `parse(print(q)) == q` — the parse → print → re-parse
 //! fixpoint the fuzz harness (see [`crate::fuzz`]) asserts on every generated
 //! query. The rules that make this hold:
@@ -24,7 +24,7 @@
 
 use hbold_rdf_model::Term;
 
-use crate::ast::*;
+use hbold_sparql::ast::*;
 
 /// Renders a query as SPARQL text the parser maps back to the same AST.
 pub fn print_query(query: &Query) -> String {
@@ -348,7 +348,7 @@ fn operand(expr: &Expression) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse_query;
+    use hbold_sparql::parse_query;
 
     fn roundtrip(query: &str) {
         let ast1 = parse_query(query).unwrap_or_else(|e| panic!("parse {query:?}: {e}"));

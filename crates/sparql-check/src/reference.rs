@@ -1,31 +1,26 @@
-//! A deliberately naive reference evaluator — the differential test oracle.
+//! A deliberately naive reference evaluator and update planner — the
+//! differential test oracle.
 //!
 //! This module re-implements query evaluation with none of the engine's
 //! machinery: no indexes (every triple pattern is a full scan over
 //! [`TripleStore::iter`]), no join reordering (patterns evaluate in written
-//! order), no streaming, no top-k, no plan cache, no threads. Everything is
-//! materialized `Vec`s and full sorts. It exists so that property tests can
-//! assert the optimized streaming engine returns exactly the same
-//! multiset of rows on randomly generated queries — the "check every
-//! optimization against a naive implementation" discipline.
+//! order), no streaming, no top-k, no plan cache. Everything is
+//! materialized `Vec`s and full sorts.
 //!
-//! The only pieces shared with the real engine are the *semantic* primitives
-//! (expression evaluation in [`crate::expr`], the term order — `Ord for
-//! Term` — and the `ORDER BY` sort over it), which both sides must agree on
-//! by definition; the fuzz harness's permutation leg and the exhaustive
-//! order test check the order itself.
+//! It shares with the engine only what defines the language: the parser,
+//! expression evaluation ([`hbold_sparql::expr`]) and the term order (`Ord
+//! for Term`), which the fuzz harness's physical shapes check. Its `ORDER
+//! BY`, `SUM`/`AVG` and update templates are its own.
 
 use std::collections::BTreeSet;
 
-use hbold_rdf_model::{Term, Triple};
+use hbold_rdf_model::{Literal, Quad, Term, Triple};
+use hbold_sparql::ast::*;
+use hbold_sparql::expr::{
+    evaluate_scoped, filter_passes_scoped, number_term, numeric_value, Binding, EvalValue,
+};
+use hbold_sparql::{parse_query, QueryResults, SelectResults, SparqlError, UpdateOutcome};
 use hbold_triple_store::TripleStore;
-
-use crate::ast::*;
-use crate::error::SparqlError;
-use crate::eval::{aggregate_numbers, order_bindings};
-use crate::expr::{evaluate_expression, filter_passes, number_term, numeric_value, Binding};
-use crate::parser::parse_query;
-use crate::results::{QueryResults, SelectResults};
 
 /// Parses and evaluates a query string with the naive reference evaluator.
 pub fn execute_query(store: &TripleStore, query: &str) -> Result<QueryResults, SparqlError> {
@@ -34,40 +29,107 @@ pub fn execute_query(store: &TripleStore, query: &str) -> Result<QueryResults, S
 
 /// Evaluates a parsed [`Query`] naively.
 pub fn evaluate(store: &TripleStore, query: &Query) -> Result<QueryResults, SparqlError> {
-    let solutions = eval_pattern(
-        store,
-        &query.dataset,
-        GraphScope::Default,
-        &query.pattern,
-        vec![Binding::new()],
-    )?;
+    let solutions = solve(store, &query.dataset, &query.pattern)?;
+    let QueryForm::Select {
+        distinct,
+        projection,
+    } = &query.form
+    else {
+        return Ok(QueryResults::Ask(!solutions.is_empty()));
+    };
+    let mut results = if query.uses_aggregates() || !query.group_by.is_empty() {
+        project_grouped(query, projection, solutions)?
+    } else {
+        // ORDER BY sees the SELECT expressions' aliases; ties fall to the
+        // solutions themselves.
+        let ordered = order(&query.order_by, solutions, |s| extend(projection, s));
+        project_plain(&query.pattern, projection, ordered)?
+    };
+    if *distinct {
+        let mut seen: BTreeSet<String> = BTreeSet::new();
+        results.rows.retain(|row| seen.insert(row_key(row)));
+    }
+    let offset = query.offset.unwrap_or(0);
+    if offset > 0 {
+        results.rows.drain(..offset.min(results.rows.len()));
+    }
+    if let Some(limit) = query.limit {
+        results.rows.truncate(limit);
+    }
+    Ok(QueryResults::Select(results))
+}
 
-    match &query.form {
-        QueryForm::Ask => Ok(QueryResults::Ask(!solutions.is_empty())),
-        QueryForm::Select {
-            distinct,
-            projection,
-        } => {
-            let mut results = if query.uses_aggregates() || !query.group_by.is_empty() {
-                project_grouped(query, projection, solutions)?
-            } else {
-                let ordered = order_bindings(&query.order_by, solutions)?;
-                project_plain(&query.pattern, projection, ordered)?
-            };
-            if *distinct {
-                let mut seen: BTreeSet<String> = BTreeSet::new();
-                results.rows.retain(|row| seen.insert(row_key(row)));
+/// Every solution of `pattern` over the store's dataset as `dataset` scopes
+/// it.
+fn solve(
+    store: &TripleStore,
+    dataset: &Dataset,
+    pattern: &GraphPattern,
+) -> Result<Vec<Binding>, SparqlError> {
+    eval_pattern(
+        store,
+        dataset,
+        GraphScope::Default,
+        pattern,
+        vec![Binding::new()],
+    )
+}
+
+/// `solution` extended by every `SELECT` expression of `projection`, each
+/// evaluated over `solution` alone: an alias is bound to its value, or
+/// unbound where the expression errs — also when the solution binds it.
+fn extend(projection: &Projection, solution: &Binding) -> Binding {
+    let mut extended = solution.clone();
+    if let Projection::Items(items) = projection {
+        for item in items {
+            if let ProjectionItem::Expression { expr, alias } = item {
+                let value = evaluate_scoped(expr, solution).ok();
+                bind(&mut extended, alias, value.and_then(EvalValue::into_term));
             }
-            let offset = query.offset.unwrap_or(0);
-            if offset > 0 {
-                results.rows.drain(..offset.min(results.rows.len()));
-            }
-            if let Some(limit) = query.limit {
-                results.rows.truncate(limit);
-            }
-            Ok(QueryResults::Select(results))
         }
     }
+    extended
+}
+
+/// Binds `name` to `value`, or unbinds it when `value` is `None`.
+fn bind(binding: &mut Binding, name: &str, value: Option<Term>) {
+    match value {
+        Some(term) => binding.insert(name.to_string(), term),
+        None => binding.remove(name),
+    };
+}
+
+/// `ORDER BY`: each condition evaluates over the solution's `scope` (an
+/// error is unbound) and compares ascending under `Option<Term>`'s order —
+/// unbound first, then the term order — reversed under `DESC`; equal keys
+/// fall to the solutions' own order (variable names, then terms), which
+/// makes the order total.
+fn order(
+    order_by: &[OrderCondition],
+    solutions: Vec<Binding>,
+    scope: impl Fn(&Binding) -> Binding,
+) -> Vec<Binding> {
+    if order_by.is_empty() {
+        return solutions;
+    }
+    let keys = |scope: Binding| -> Vec<Option<Term>> {
+        let key = |cond: &OrderCondition| evaluate_scoped(&cond.expr, &scope).ok();
+        order_by
+            .iter()
+            .map(|c| key(c).and_then(EvalValue::into_term))
+            .collect()
+    };
+    let mut keyed: Vec<(Vec<Option<Term>>, Binding)> = solutions
+        .into_iter()
+        .map(|solution| (keys(scope(&solution)), solution))
+        .collect();
+    keyed.sort_by(|(ka, a), (kb, b)| {
+        let keys = order_by.iter().zip(ka.iter().zip(kb));
+        keys.map(|(cond, (x, y))| if cond.descending { y.cmp(x) } else { x.cmp(y) })
+            .find(|ord| ord.is_ne())
+            .unwrap_or_else(|| a.cmp(b))
+    });
+    keyed.into_iter().map(|(_, solution)| solution).collect()
 }
 
 fn row_key(row: &[Option<Term>]) -> String {
@@ -211,7 +273,7 @@ fn eval_pattern(
             let solutions = eval_pattern(store, dataset, scope, inner, input)?;
             let mut out = Vec::new();
             for binding in solutions {
-                if filter_passes(condition, &binding)? {
+                if filter_passes_scoped(condition, &binding)? {
                     out.push(binding);
                 }
             }
@@ -274,7 +336,7 @@ fn project_plain(
                     match item {
                         ProjectionItem::Variable(v) => row.push(binding.get(v).cloned()),
                         ProjectionItem::Expression { expr, .. } => {
-                            row.push(evaluate_expression(expr, binding)?.into_term())
+                            row.push(evaluate_scoped(expr, binding)?.into_term())
                         }
                     }
                 }
@@ -336,35 +398,37 @@ fn project_grouped(
         })
         .collect();
 
+    // A group's solution: its key, then each SELECT expression's alias —
+    // what ORDER BY sees, unprojected keys included.
     let mut grouped_bindings: Vec<Binding> = Vec::new();
     for (key_binding, members) in groups {
-        let mut out = Binding::new();
+        let mut out = key_binding.clone();
         for item in items {
-            match item {
-                ProjectionItem::Variable(v) => {
-                    if let Some(term) = key_binding.get(v) {
-                        out.insert(v.clone(), term.clone());
-                    }
-                }
-                ProjectionItem::Expression { expr, alias } => {
-                    let value = match expr {
+            let (name, value) = match item {
+                // A grouped variable, so already bound.
+                ProjectionItem::Variable(_) => continue,
+                ProjectionItem::Expression {
+                    expr:
                         Expression::Aggregate {
                             func,
                             distinct,
                             arg,
-                        } => evaluate_aggregate(*func, *distinct, arg.as_deref(), &members)?,
-                        other => evaluate_expression(other, &key_binding)?.into_term(),
-                    };
-                    if let Some(term) = value {
-                        out.insert(alias.clone(), term);
-                    }
+                        },
+                    alias,
+                } => (
+                    alias,
+                    evaluate_aggregate(*func, *distinct, arg.as_deref(), &members)?,
+                ),
+                ProjectionItem::Expression { expr, alias } => {
+                    (alias, evaluate_scoped(expr, &key_binding)?.into_term())
                 }
-            }
+            };
+            bind(&mut out, name, value);
         }
         grouped_bindings.push(out);
     }
 
-    let ordered = order_bindings(&query.order_by, grouped_bindings)?;
+    let ordered = order(&query.order_by, grouped_bindings, Binding::clone);
     let rows = ordered
         .iter()
         .map(|b| variables.iter().map(|v| b.get(v).cloned()).collect())
@@ -372,9 +436,7 @@ fn project_grouped(
     Ok(SelectResults { variables, rows })
 }
 
-/// Evaluates one aggregate over a group's members (the engine's encoded
-/// equivalent lives in `crate::encoded`; only the `SUM`/`AVG` arithmetic,
-/// [`aggregate_numbers`], is shared).
+/// Evaluates one aggregate over a group's members.
 fn evaluate_aggregate(
     func: AggregateFunction,
     distinct: bool,
@@ -386,9 +448,9 @@ fn evaluate_aggregate(
     let mut values: Vec<Term> = Vec::new();
     for member in members {
         match arg {
-            None => values.push(Term::Literal(hbold_rdf_model::Literal::integer(1))),
+            None => values.push(Term::Literal(Literal::integer(1))),
             Some(expr) => {
-                if let Some(t) = evaluate_expression(expr, member)?.into_term() {
+                if let Some(t) = evaluate_scoped(expr, member)?.into_term() {
                     values.push(t);
                 }
             }
@@ -400,13 +462,94 @@ fn evaluate_aggregate(
     }
     Ok(match func {
         AggregateFunction::Count => Some(number_term(values.len() as f64)),
-        AggregateFunction::Sum | AggregateFunction::Avg => Some(aggregate_numbers(
-            func,
-            values.iter().filter_map(numeric_value).collect(),
-        )),
+        AggregateFunction::Sum | AggregateFunction::Avg => {
+            // Summed in total order, so the sum is a function of the value
+            // multiset: float addition is not associative, and the engine
+            // meets a group's members in another order.
+            let mut numbers: Vec<f64> = values.iter().filter_map(numeric_value).collect();
+            numbers.sort_by(f64::total_cmp);
+            let sum: f64 = numbers.iter().sum();
+            match func {
+                AggregateFunction::Avg if !numbers.is_empty() => {
+                    Some(number_term(sum / numbers.len() as f64))
+                }
+                _ => Some(number_term(sum)),
+            }
+        }
         AggregateFunction::Min => values.into_iter().min(),
         AggregateFunction::Max => values.into_iter().max(),
     })
+}
+
+/// Plans one update operation naively against the current store state: the
+/// `(removes, inserts)` delta, each sorted and deduplicated. Every solution
+/// of the `WHERE` clause (a `DELETE WHERE` block is its own) instantiates
+/// the templates; an entry with an unbound variable, or a term its position
+/// does not allow, gives no quad.
+pub fn plan_update(
+    store: &TripleStore,
+    op: &Update,
+) -> Result<(Vec<Quad>, Vec<Quad>), SparqlError> {
+    let ground = |quads: &[QuadData]| -> Vec<Quad> {
+        let triple =
+            |q: &QuadData| Triple::new(q.subject.clone(), q.predicate.clone(), q.object.clone());
+        let quads = quads.iter().map(|q| Quad::new(triple(q), q.graph.clone()));
+        quads.collect::<BTreeSet<_>>().into_iter().collect()
+    };
+    let (delete, insert, pattern) = match op {
+        Update::InsertData(quads) => return Ok((Vec::new(), ground(quads))),
+        Update::DeleteData(quads) => return Ok((ground(quads), Vec::new())),
+        Update::DeleteWhere(patterns) => {
+            let parts = patterns.iter().map(|qp| match &qp.graph {
+                None => GraphPattern::Bgp(vec![qp.triple.clone()]),
+                Some(name) => GraphPattern::Graph {
+                    name: name.clone(),
+                    inner: Box::new(GraphPattern::Bgp(vec![qp.triple.clone()])),
+                },
+            });
+            (patterns, &[][..], GraphPattern::Join(parts.collect()))
+        }
+        Update::Modify {
+            delete,
+            insert,
+            pattern,
+        } => (delete, insert.as_slice(), pattern.clone()),
+    };
+    let solutions = solve(store, &Dataset::default(), &pattern)?;
+    let instantiate = |template: &[QuadPatternAst]| -> Vec<Quad> {
+        let quads = solutions.iter().flat_map(|solution| {
+            let term = |node: &TermOrVariable| match node {
+                TermOrVariable::Term(t) => Some(t.clone()),
+                TermOrVariable::Variable(v) => solution.get(v).cloned(),
+            };
+            template.iter().filter_map(move |qp| {
+                let graph = match &qp.graph {
+                    None => None,
+                    Some(node) => Some(term(node)?),
+                };
+                let [s, p, o] = [&qp.triple.subject, &qp.triple.predicate, &qp.triple.object];
+                Quad::try_new(Triple::new(term(s)?, term(p)?, term(o)?), graph).ok()
+            })
+        });
+        quads.collect::<BTreeSet<_>>().into_iter().collect()
+    };
+    Ok((instantiate(delete), instantiate(insert)))
+}
+
+/// Applies update operations to `store` in order, each planned by
+/// [`plan_update`] against the state the ones before it left.
+pub fn apply_updates(
+    store: &mut TripleStore,
+    ops: &[Update],
+) -> Result<UpdateOutcome, SparqlError> {
+    let mut outcome = UpdateOutcome::default();
+    for op in ops {
+        let (removes, inserts) = plan_update(store, op)?;
+        let (removed, inserted) = store.apply_delta(&removes, &inserts);
+        outcome.removed += removed;
+        outcome.inserted += inserted;
+    }
+    Ok(outcome)
 }
 
 #[cfg(test)]
@@ -439,7 +582,7 @@ mod tests {
             "ASK { ?s a <http://xmlns.com/foaf/0.1/Person> }",
         ] {
             let naive = execute_query(&store, q).unwrap();
-            let engine = crate::execute_query(&store, q).unwrap();
+            let engine = hbold_sparql::execute_query(&store, q).unwrap();
             assert_eq!(naive, engine, "query {q}");
         }
     }
@@ -452,7 +595,7 @@ mod tests {
         let q = "SELECT ?s ?o WHERE { ?s ?p ?o . ?s a <http://xmlns.com/foaf/0.1/Person> } ORDER BY ?s ?o";
         assert_eq!(
             execute_query(&store, q).unwrap(),
-            crate::execute_query(&store, q).unwrap()
+            hbold_sparql::execute_query(&store, q).unwrap()
         );
     }
 }

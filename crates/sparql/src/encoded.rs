@@ -24,7 +24,7 @@
 //!
 //! **Every scan reads inside one graph.** The query's dataset resolves once,
 //! into two graph lists (`EncDataset`): the default graphs a plain pattern
-//! reads and the named graphs `GRAPH` can see. A scan stage ([`Stage`])
+//! reads and the named graphs `GRAPH` can see. A scan stage (`Stage`)
 //! probes the store inside each graph of its scope; `GRAPH ?g` with `?g`
 //! unbound is a loop over the named list that binds `?g` and runs the stage
 //! as if it had been bound all along.
@@ -43,11 +43,11 @@
 //!
 //! **Sinks copy what they keep.** The tail stages receive the borrowed row:
 //! the group stage folds it into per-group accumulators and keeps nothing
-//! (its key read in place by the one flat [`KeyTable`], which the project
+//! (its key read in place by the one flat `KeyTable`, which the project
 //! stage's `DISTINCT` keys through too; a `COUNT` tests its slot and adds),
 //! the order stage tests it against the top-k heap's maximum before copying
 //! it, the project stage decodes the rows of the page. A group stage the
-//! planner chose to count ([`Group::Count`]) walks no row at all: its count
+//! planner chose to count (`Group::Count`) walks no row at all: its count
 //! is read off the index directory. Everything up to
 //! there operates on identifiers (two terms compare by reference in the
 //! dictionary where ids differ); the dictionary is consulted only where
@@ -55,9 +55,10 @@
 //! arithmetic), and full [`Term`] rows materialize exactly once, at the
 //! [`SelectResults`] boundary.
 //!
-//! The naive reference evaluator ([`crate::reference`]) deliberately stays
-//! in the Term domain, so the differential oracle keeps checking this whole
-//! module against an implementation that shares none of it.
+//! The naive reference evaluator (`hbold_sparql_check::reference`)
+//! deliberately stays in the Term domain, so the differential oracle keeps
+//! checking this whole module against an implementation that shares none
+//! of it.
 
 use std::cell::{Cell, OnceCell};
 use std::cmp::Ordering;
@@ -79,7 +80,7 @@ use crate::eval::{
     aggregate_numbers, compare_ordered, order_bindings, order_keys, order_solutions,
 };
 use crate::expr::{
-    evaluate_scoped, filter_passes_scoped, number_term, numeric_value, Binding, Scope,
+    evaluate_scoped, filter_passes_scoped, number_term, numeric_value, Binding, EvalValue, Scope,
 };
 use crate::optimize::{Group, Node, Order, Plan, Select, Tail, TailSpans};
 use crate::results::{QueryResults, SelectResults};
@@ -1068,7 +1069,7 @@ fn run_select(
                     _ => None,
                 };
                 let ordered = timed(spans.order.as_ref(), || {
-                    order_rows(ctx, &query.order_by, k, drive, spans.order.as_ref())
+                    order_rows(ctx, select, k, drive, spans.order.as_ref())
                 })?;
                 timed(spans.project.as_ref(), || {
                     for (_, row) in &ordered {
@@ -1177,12 +1178,14 @@ fn distinct_cut(
 type KeyedRow = (Vec<Option<Term>>, EncRow);
 
 /// The order stage: drives the pattern into the one [`order_solutions`].
-/// Plain-variable `ORDER BY` conditions resolve to slots once and compare
-/// ids, so nothing decodes before projection; a row is tested against the
-/// heap's maximum while still borrowed, and copied only if it gets in.
+/// `ORDER BY` conditions that are plain pattern variables resolve to slots
+/// once and compare ids, so nothing decodes before projection; the others
+/// evaluate over the row [`Extended`] by the `SELECT` expressions. A row is
+/// tested against the heap's maximum while still borrowed, and copied only
+/// if it gets in.
 fn order_rows(
     ctx: &EncContext<'_>,
-    order_by: &[OrderCondition],
+    select: &Select<'_>,
     k: Option<usize>,
     drive: impl FnOnce(Emit<'_>) -> Flow,
     span: Option<&Span>,
@@ -1191,16 +1194,22 @@ fn order_rows(
     if k == Some(0) {
         return Ok(Vec::new());
     }
+    let order_by = &select.query.order_by;
     let slots: Option<Vec<u32>> = order_by
         .iter()
         .map(|cond| match &cond.expr {
-            Expression::Variable(v) => ctx.layout.slot_of(v),
+            Expression::Variable(v) if select_expression(select.query, v).is_none() => {
+                ctx.layout.slot_of(v)
+            }
             _ => None,
         })
         .collect();
     let keys_of = |row: &[TermId]| match slots {
         Some(_) => Vec::new(),
-        None => order_keys(order_by, &ctx.scope(row)),
+        None => {
+            let solution = ctx.scope(row);
+            order_keys(order_by, &Extended(solution, select.query))
+        }
     };
     type View<'v> = (&'v [Option<Term>], &'v [TermId]);
     let compare = |(ka, ra): View<'_>, (kb, rb): View<'_>| {
@@ -1240,6 +1249,38 @@ fn order_rows(
         span.add_rows(kept.len() as u64);
     }
     Ok(kept)
+}
+
+/// The expression a `SELECT` item of `query` binds to `alias` (the last,
+/// if several do), or `None`.
+pub(crate) fn select_expression<'q>(query: &'q Query, alias: &str) -> Option<&'q Expression> {
+    let QueryForm::Select {
+        projection: Projection::Items(items),
+        ..
+    } = &query.form
+    else {
+        return None;
+    };
+    items.iter().rev().find_map(|item| match item {
+        ProjectionItem::Expression { expr, alias: name } if name == alias => Some(expr),
+        _ => None,
+    })
+}
+
+/// A solution extended by the `SELECT` expressions of a query, as `ORDER BY`
+/// sees it (SPARQL orders after it extends): an alias is the value of its
+/// expression over the solution, unbound where that errs.
+struct Extended<'q, S>(S, &'q Query);
+
+impl<S: Scope> Scope for Extended<'_, S> {
+    fn term(&self, name: &str) -> Option<Term> {
+        match select_expression(self.1, name) {
+            Some(expr) => evaluate_scoped(expr, &self.0)
+                .ok()
+                .and_then(EvalValue::into_term),
+            None => self.0.term(name),
+        }
+    }
 }
 
 /// Two `ORDER BY` keys held as ids, under `Option<Term>`'s order: unbound
@@ -1678,9 +1719,11 @@ fn project_grouped(
     Ok(SelectResults { variables, rows })
 }
 
-/// Evaluates one finished group into its Term-domain output binding;
-/// `aggregates` yields the values of the projection's aggregate columns, in
-/// column order.
+/// Evaluates one finished group into its Term-domain output binding — its
+/// key, and then each `SELECT` expression's alias bound to its value (or
+/// unbound where it errs), all of which `ORDER BY` sees; `aggregates`
+/// yields the values of the projection's aggregate columns, in column
+/// order.
 fn evaluate_group(
     ctx: &EncContext<'_>,
     items: &[ProjectionItem],
@@ -1688,31 +1731,33 @@ fn evaluate_group(
     key: &[TermId],
     mut aggregates: impl Iterator<Item = Option<Term>>,
 ) -> Result<Binding, SparqlError> {
-    // A synthetic row binding exactly the group-key slots: non-aggregate
-    // expressions in the projection see the key (and nothing else), the
-    // same visibility the Term-domain key binding used to give them.
-    let mut key_row = ctx.layout.empty_row();
-    for (i, &slot) in group_slots.iter().enumerate() {
-        key_row[slot as usize] = key[i];
-    }
-    let key_scope = ctx.scope(&key_row);
-
-    let mut out = Binding::new();
+    // The key binds the `GROUP BY` variables. Non-aggregate expressions in
+    // the projection see it and nothing else, so every value is computed
+    // before the first alias is bound.
+    let mut out: Binding = (group_slots.iter().zip(key))
+        .filter(|&(_, &id)| id != UNBOUND)
+        .map(|(&slot, &id)| (ctx.layout.name_of(slot).into(), ctx.dict.term(id).clone()))
+        .collect();
+    let mut values = Vec::with_capacity(items.len());
     for item in items {
-        let (name, value) = match item {
-            // Grouped by construction: `project_grouped` checked up front.
-            ProjectionItem::Variable(v) => (v, key_scope.term(v)),
+        values.push(match item {
+            // Grouped by construction (`project_grouped` checked up front),
+            // so already bound above.
+            ProjectionItem::Variable(_) => continue,
             ProjectionItem::Expression {
                 expr: Expression::Aggregate { .. },
                 alias,
             } => (alias, aggregates.next().flatten()),
             ProjectionItem::Expression { expr, alias } => {
-                (alias, evaluate_scoped(expr, &key_scope)?.into_term())
+                (alias, evaluate_scoped(expr, &out)?.into_term())
             }
+        });
+    }
+    for (alias, value) in values {
+        match value {
+            Some(term) => out.insert(alias.clone(), term),
+            None => out.remove(alias),
         };
-        if let Some(term) = value {
-            out.insert(name.clone(), term);
-        }
     }
     Ok(out)
 }
@@ -1720,61 +1765,10 @@ fn evaluate_group(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{evaluate, parse_query, reference};
+    use crate::{evaluate, parse_query};
     use hbold_rdf_model::{Iri, Literal, Triple};
+    use std::collections::BTreeMap;
     use std::hash::BuildHasher;
-
-    fn iri(local: &str) -> Iri {
-        Iri::new(format!("http://kt.example/{local}")).unwrap()
-    }
-
-    /// `subjects` subjects, each typed with one of three classes and valued
-    /// with one of `values` literals; every fourth also named.
-    fn store(subjects: usize, values: usize) -> TripleStore {
-        let mut triples = Vec::new();
-        for i in 0..subjects {
-            let s = iri(&format!("s{i}"));
-            triples.push(Triple::new(
-                s.clone(),
-                iri("a"),
-                iri(&format!("C{}", i % 3)),
-            ));
-            let value = Literal::string(format!("v{}", i % values));
-            triples.push(Triple::new(s.clone(), iri("v"), value));
-            if i % 4 == 0 {
-                triples.push(Triple::new(
-                    s,
-                    iri("name"),
-                    Literal::string(format!("n{i}")),
-                ));
-            }
-        }
-        let mut store = TripleStore::new();
-        store.insert_batch(triples.iter());
-        store
-    }
-
-    /// The engine's rows, after checking them against the reference
-    /// evaluator's as a multiset.
-    fn agreed(store: &TripleStore, query: &str) -> Vec<Vec<Option<Term>>> {
-        let parsed = parse_query(query).unwrap();
-        let engine = evaluate(store, &parsed).unwrap().into_select().unwrap();
-        let expected = reference::evaluate(store, &parsed)
-            .unwrap()
-            .into_select()
-            .unwrap();
-        assert_eq!(engine.variables, expected.variables, "{query}");
-        let sorted = |mut rows: Vec<Vec<Option<Term>>>| {
-            rows.sort();
-            rows
-        };
-        assert_eq!(
-            sorted(engine.rows.clone()),
-            sorted(expected.rows),
-            "{query}"
-        );
-        engine.rows
-    }
 
     /// Inserts every key of `keys` (`width` ≥ 1 ids each) and returns the
     /// numbers the table gave them, after checking that a second pass finds
@@ -1831,49 +1825,130 @@ mod tests {
     fn keys_that_differ_only_in_their_last_id_are_kept_apart() {
         let keys: Vec<TermId> = (0..1024u32).flat_map(|c| [7, 7, c]).collect();
         assert_eq!(numbered(3, &keys), (0..1024).collect::<Vec<_>>());
-        // Under one predicate 1 024 values, under another 256 names, under
-        // the type three classes: `GROUP BY ?p ?o` keys that share their
-        // first id.
-        let rows = agreed(
-            &store(1024, 1024),
-            "SELECT ?p ?o (COUNT(*) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p ?o",
-        );
-        assert_eq!(rows.len(), 1024 + 256 + 3);
+    }
+
+    fn iri(local: &str) -> Iri {
+        Iri::new(format!("http://kt.example/{local}")).unwrap()
+    }
+
+    fn subject(i: usize) -> Term {
+        iri(&format!("s{i}")).into()
+    }
+
+    fn class(i: usize) -> Term {
+        iri(&format!("C{}", i % 3)).into()
+    }
+
+    fn value(i: usize, values: usize) -> Term {
+        Literal::string(format!("v{}", i % values)).into()
+    }
+
+    fn name(i: usize) -> Option<Term> {
+        i.is_multiple_of(4)
+            .then(|| Literal::string(format!("n{i}")).into())
+    }
+
+    fn count(n: usize) -> Option<Term> {
+        Some(number_term(n as f64))
+    }
+
+    /// `subjects` subjects, each typed with one of three classes and valued
+    /// with one of `values` literals; every fourth also named.
+    fn store(subjects: usize, values: usize) -> TripleStore {
+        let mut triples = Vec::new();
+        for i in 0..subjects {
+            triples.push(Triple::new(subject(i), iri("a"), class(i)));
+            triples.push(Triple::new(subject(i), iri("v"), value(i, values)));
+            if let Some(name) = name(i) {
+                triples.push(Triple::new(subject(i), iri("name"), name));
+            }
+        }
+        let mut store = TripleStore::new();
+        store.insert_batch(triples.iter());
+        store
+    }
+
+    /// The engine's rows, after checking them as a multiset against
+    /// `reference`: the rows the store's recipe gives, worked out by the
+    /// test without the engine.
+    fn agreed(
+        store: &TripleStore,
+        query: &str,
+        mut reference: Vec<Vec<Option<Term>>>,
+    ) -> Vec<Vec<Option<Term>>> {
+        let parsed = parse_query(query).unwrap();
+        let engine = evaluate(store, &parsed).unwrap().into_select().unwrap();
+        let mut rows = engine.rows.clone();
+        rows.sort();
+        reference.sort();
+        assert_eq!(rows, reference, "{query}");
+        engine.rows
     }
 
     #[test]
     fn ten_thousand_groups_agree_with_the_reference() {
-        // One row per group: the reference looks each up by a linear scan.
         let store = store(10_000, 10);
         let rows = agreed(
             &store,
             "SELECT ?s (COUNT(*) AS ?n) (MIN(?t) AS ?least) WHERE { ?s <http://kt.example/a> ?t } \
              GROUP BY ?s",
+            (0..10_000)
+                .map(|i| vec![Some(subject(i)), count(1), Some(class(i))])
+                .collect(),
         );
         assert_eq!(rows.len(), 10_000);
         // The same keys through the project stage's `DISTINCT`.
-        let rows = agreed(&store, "SELECT DISTINCT ?s WHERE { ?s ?p ?o }");
+        let rows = agreed(
+            &store,
+            "SELECT DISTINCT ?s WHERE { ?s ?p ?o }",
+            (0..10_000).map(|i| vec![Some(subject(i))]).collect(),
+        );
         assert_eq!(rows.len(), 10_000);
     }
 
     #[test]
     fn group_keys_of_every_width_agree_with_the_reference() {
         let store = store(60, 4);
-        for (keys, groups) in [("", 1), ("?t", 3), ("?t ?o", 12), ("?t ?o ?s", 60)] {
-            let group_by = match keys {
-                "" => String::new(),
-                keys => format!(" GROUP BY {keys}"),
+        // The pattern's solutions as `[?t, ?o, ?s]`, so a key of width `w`
+        // is a solution's first `w` terms.
+        let solutions: Vec<[Term; 3]> = (0..60)
+            .map(|i| [class(i), value(i, 4), subject(i)])
+            .collect();
+        for (width, groups) in [1, 3, 12, 60].into_iter().enumerate() {
+            let keys = ["?t", "?o", "?s"][..width].join(" ");
+            let group_by = match width {
+                0 => String::new(),
+                _ => format!(" GROUP BY {keys}"),
             };
             let query = format!(
                 "SELECT {keys} (COUNT(?s) AS ?n) (COUNT(DISTINCT ?o) AS ?d) (MAX(?o) AS ?m) \
                  WHERE {{ ?s <http://kt.example/a> ?t . ?s <http://kt.example/v> ?o }}{group_by}"
             );
-            assert_eq!(agreed(&store, &query).len(), groups, "{query}");
+            let mut members: BTreeMap<&[Term], Vec<&Term>> = BTreeMap::new();
+            for solution in &solutions {
+                members
+                    .entry(&solution[..width])
+                    .or_default()
+                    .push(&solution[1]);
+            }
+            let reference = members
+                .into_iter()
+                .map(|(key, objects)| {
+                    let distinct: BTreeSet<&Term> = objects.iter().copied().collect();
+                    let mut row: Vec<Option<Term>> = key.iter().cloned().map(Some).collect();
+                    row.push(count(objects.len()));
+                    row.push(count(distinct.len()));
+                    row.push(distinct.last().map(|&o| o.clone()));
+                    row
+                })
+                .collect();
+            assert_eq!(agreed(&store, &query, reference).len(), groups, "{query}");
         }
         // A key named twice is a key of width two.
         let rows = agreed(
             &store,
             "SELECT ?t (COUNT(*) AS ?n) WHERE { ?s <http://kt.example/a> ?t } GROUP BY ?t ?t",
+            (0..3).map(|c| vec![Some(class(c)), count(20)]).collect(),
         );
         assert_eq!(rows.len(), 3);
     }
@@ -1883,16 +1958,28 @@ mod tests {
         let store = store(40, 4);
         // Three in four subjects have no name: one group per name, plus
         // the unbound name's group per class.
+        let mut sizes: BTreeMap<(Term, Option<Term>), usize> = BTreeMap::new();
+        for i in 0..40 {
+            *sizes.entry((class(i), name(i))).or_default() += 1;
+        }
         let rows = agreed(
             &store,
             "SELECT ?t ?n (COUNT(*) AS ?c) WHERE { ?s <http://kt.example/a> ?t \
              OPTIONAL { ?s <http://kt.example/name> ?n } } GROUP BY ?t ?n",
+            sizes
+                .into_iter()
+                .map(|((t, n), size)| vec![Some(t), n, count(size)])
+                .collect(),
         );
         assert_eq!(rows.len(), 10 + 3);
         let rows = agreed(
             &store,
             "SELECT ?n (COUNT(?n) AS ?c) WHERE { ?s <http://kt.example/a> ?t \
              OPTIONAL { ?s <http://kt.example/name> ?n } } GROUP BY ?n",
+            (0..40)
+                .filter_map(|i| name(i).map(|n| vec![Some(n), count(1)]))
+                .chain([vec![None, count(0)]])
+                .collect(),
         );
         assert!(rows.contains(&vec![None, Some(number_term(0.0))]));
     }
@@ -1900,7 +1987,11 @@ mod tests {
     #[test]
     fn groups_and_distinct_rows_leave_in_first_encounter_order() {
         let store = store(90, 7);
-        let plain = agreed(&store, "SELECT ?o WHERE { ?s <http://kt.example/v> ?o }");
+        let plain = agreed(
+            &store,
+            "SELECT ?o WHERE { ?s <http://kt.example/v> ?o }",
+            (0..90).map(|i| vec![Some(value(i, 7))]).collect(),
+        );
         let mut first = Vec::new();
         for row in plain {
             if !first.contains(&row[0]) {
@@ -1908,15 +1999,20 @@ mod tests {
             }
         }
         assert_eq!(first.len(), 7);
+        // 90 = 12 · 7 + 6 subjects: the first six values hold one more.
         let grouped = agreed(
             &store,
             "SELECT ?o (COUNT(*) AS ?n) WHERE { ?s <http://kt.example/v> ?o } GROUP BY ?o",
+            (0..7)
+                .map(|k| vec![Some(value(k, 7)), count(if k < 6 { 13 } else { 12 })])
+                .collect(),
         );
         let grouped: Vec<_> = grouped.into_iter().map(|row| row[0].clone()).collect();
         assert_eq!(grouped, first);
         let distinct = agreed(
             &store,
             "SELECT DISTINCT ?o WHERE { ?s <http://kt.example/v> ?o }",
+            (0..7).map(|k| vec![Some(value(k, 7))]).collect(),
         );
         let distinct: Vec<_> = distinct.into_iter().map(|row| row[0].clone()).collect();
         assert_eq!(distinct, first);

@@ -14,11 +14,10 @@ use crate::regex::Regex;
 /// A `BTreeMap` keeps iteration deterministic, which keeps query results and
 /// therefore every experiment in the benchmark harness reproducible.
 ///
-/// The streaming engine itself no longer carries `Binding`s between
-/// operators — it runs on dictionary-encoded slot rows (see
-/// [`crate::encoded`]) and decodes lazily through a [`Scope`] — but the
-/// naive reference evaluator, grouped output bindings and several public
-/// APIs still speak this type.
+/// The streaming engine itself does not carry `Binding`s between operators
+/// — it runs on dictionary-encoded slot rows (see [`crate::encoded`]) and
+/// decodes lazily through a [`Scope`] — but grouped output bindings and
+/// several public APIs speak this type.
 pub type Binding = BTreeMap<String, Term>;
 
 /// A source of variable bindings for expression evaluation.
@@ -87,16 +86,11 @@ impl EvalValue {
     }
 }
 
-/// Evaluates `expr` under `binding`.
+/// Evaluates `expr` against any [`Scope`]: a Term-domain [`Binding`] or the
+/// encoded engine's slot rows.
 ///
 /// Aggregates are *not* handled here (they are evaluated per group by the
 /// engine); encountering one is reported as an error.
-pub fn evaluate_expression(expr: &Expression, binding: &Binding) -> Result<EvalValue, SparqlError> {
-    evaluate_scoped(expr, binding)
-}
-
-/// Evaluates `expr` against any [`Scope`] — the shared core behind both the
-/// Term-domain [`evaluate_expression`] and the encoded engine's slot rows.
 pub fn evaluate_scoped(expr: &Expression, scope: &impl Scope) -> Result<EvalValue, SparqlError> {
     Ok(match expr {
         Expression::Variable(name) => match scope.term(name) {
@@ -140,12 +134,8 @@ pub fn evaluate_scoped(expr: &Expression, scope: &impl Scope) -> Result<EvalValu
     })
 }
 
-/// Evaluates a filter condition: errors and non-boolean outcomes are `false`.
-pub fn filter_passes(expr: &Expression, binding: &Binding) -> Result<bool, SparqlError> {
-    filter_passes_scoped(expr, binding)
-}
-
-/// [`filter_passes`] over any [`Scope`].
+/// Evaluates a filter condition over any [`Scope`]: errors and non-boolean
+/// outcomes are `false`.
 pub fn filter_passes_scoped(expr: &Expression, scope: &impl Scope) -> Result<bool, SparqlError> {
     Ok(evaluate_scoped(expr, scope)?
         .effective_boolean()
@@ -339,15 +329,15 @@ mod tests {
     fn variable_and_constant_lookup() {
         let b = binding(&[("x", int(5))]);
         assert_eq!(
-            evaluate_expression(&E::Variable("x".into()), &b).unwrap(),
+            evaluate_scoped(&E::Variable("x".into()), &b).unwrap(),
             EvalValue::Term(int(5))
         );
         assert_eq!(
-            evaluate_expression(&E::Variable("missing".into()), &b).unwrap(),
+            evaluate_scoped(&E::Variable("missing".into()), &b).unwrap(),
             EvalValue::Error
         );
         assert_eq!(
-            evaluate_expression(&E::Constant(int(1)), &b).unwrap(),
+            evaluate_scoped(&E::Constant(int(1)), &b).unwrap(),
             EvalValue::Term(int(1))
         );
     }
@@ -360,13 +350,13 @@ mod tests {
             left: Box::new(E::Variable("age".into())),
             right: Box::new(E::Constant(int(18))),
         };
-        assert!(filter_passes(&expr, &b).unwrap());
+        assert!(filter_passes_scoped(&expr, &b).unwrap());
         let expr = E::Comparison {
             op: ComparisonOp::Lt,
             left: Box::new(E::Variable("age".into())),
             right: Box::new(E::Constant(int(18))),
         };
-        assert!(!filter_passes(&expr, &b).unwrap());
+        assert!(!filter_passes_scoped(&expr, &b).unwrap());
     }
 
     #[test]
@@ -379,14 +369,14 @@ mod tests {
             left: Box::new(E::Variable("x".into())),
             right: Box::new(E::Constant(a.clone())),
         };
-        assert!(filter_passes(&eq, &b).unwrap());
+        assert!(filter_passes_scoped(&eq, &b).unwrap());
         let lt = E::Comparison {
             op: ComparisonOp::Lt,
             left: Box::new(E::Variable("x".into())),
             right: Box::new(E::Constant(b_term)),
         };
         assert!(
-            !filter_passes(&lt, &b).unwrap(),
+            !filter_passes_scoped(&lt, &b).unwrap(),
             "IRI order comparison is an error, hence false"
         );
     }
@@ -401,12 +391,12 @@ mod tests {
         let unbound = E::Variable("nope".into());
         // true || error = true
         let or = E::Or(Box::new(bound_true.clone()), Box::new(unbound.clone()));
-        assert!(filter_passes(&or, &b).unwrap());
+        assert!(filter_passes_scoped(&or, &b).unwrap());
         // error && true = error -> false in filter context
         let and = E::And(Box::new(unbound), Box::new(bound_true.clone()));
-        assert!(!filter_passes(&and, &b).unwrap());
+        assert!(!filter_passes_scoped(&and, &b).unwrap());
         // !true = false
-        assert!(!filter_passes(&E::Not(Box::new(bound_true)), &b).unwrap());
+        assert!(!filter_passes_scoped(&E::Not(Box::new(bound_true)), &b).unwrap());
     }
 
     #[test]
@@ -414,7 +404,7 @@ mod tests {
         let url = Term::Literal(Literal::string("http://data.europa.eu/sparql"));
         let b = binding(&[("url", url)]);
         let make = |func, args| E::Function { func, args };
-        assert!(filter_passes(
+        assert!(filter_passes_scoped(
             &make(
                 Function::Contains,
                 vec![
@@ -425,7 +415,7 @@ mod tests {
             &b
         )
         .unwrap());
-        assert!(filter_passes(
+        assert!(filter_passes_scoped(
             &make(
                 Function::StrStarts,
                 vec![
@@ -436,7 +426,7 @@ mod tests {
             &b
         )
         .unwrap());
-        assert!(filter_passes(
+        assert!(filter_passes_scoped(
             &make(
                 Function::StrEnds,
                 vec![
@@ -447,7 +437,7 @@ mod tests {
             &b
         )
         .unwrap());
-        assert!(!filter_passes(
+        assert!(!filter_passes_scoped(
             &make(
                 Function::Contains,
                 vec![
@@ -472,7 +462,7 @@ mod tests {
                 E::Constant(Term::Literal(Literal::string("i"))),
             ],
         };
-        assert!(filter_passes(&expr, &b).unwrap());
+        assert!(filter_passes_scoped(&expr, &b).unwrap());
         let bad = E::Function {
             func: Function::Regex,
             args: vec![
@@ -480,7 +470,7 @@ mod tests {
                 E::Constant(Term::Literal(Literal::string("(unclosed"))),
             ],
         };
-        assert!(evaluate_expression(&bad, &b).is_err());
+        assert!(evaluate_scoped(&bad, &b).is_err());
     }
 
     #[test]
@@ -492,14 +482,14 @@ mod tests {
             func,
             args: vec![E::Variable(var.into())],
         };
-        assert!(filter_passes(&f(Function::IsLiteral, "l"), &b).unwrap());
-        assert!(filter_passes(&f(Function::IsIri, "i"), &b).unwrap());
-        assert!(!filter_passes(&f(Function::IsBlank, "i"), &b).unwrap());
-        match evaluate_expression(&f(Function::Lang, "l"), &b).unwrap() {
+        assert!(filter_passes_scoped(&f(Function::IsLiteral, "l"), &b).unwrap());
+        assert!(filter_passes_scoped(&f(Function::IsIri, "i"), &b).unwrap());
+        assert!(!filter_passes_scoped(&f(Function::IsBlank, "i"), &b).unwrap());
+        match evaluate_scoped(&f(Function::Lang, "l"), &b).unwrap() {
             EvalValue::Term(Term::Literal(l)) => assert_eq!(l.lexical_form(), "it"),
             other => panic!("unexpected {other:?}"),
         }
-        match evaluate_expression(&f(Function::Str, "i"), &b).unwrap() {
+        match evaluate_scoped(&f(Function::Str, "i"), &b).unwrap() {
             EvalValue::Term(Term::Literal(l)) => assert_eq!(l.lexical_form(), "http://e.org/a"),
             other => panic!("unexpected {other:?}"),
         }

@@ -28,8 +28,6 @@
 //!   ordering and equality-filter pushdown,
 //! * [`plan`] — the plan cache, keyed on the exact query text (at most
 //!   16 KiB),
-//! * [`mod@reference`] — a deliberately naive evaluator used as a differential
-//!   test oracle against the streaming engine,
 //! * [`expr`] — expression evaluation (comparisons, logical operators,
 //!   `REGEX`, string and term functions),
 //! * [`regex`] — a small self-contained regular-expression engine used by
@@ -40,14 +38,14 @@
 //!   member order,
 //! * [`json`] — a re-export of the workspace's one JSON tree, which lives in
 //!   `hbold_telemetry::json`,
-//! * [`pretty`] — pretty-printer whose output re-parses to the same AST,
 //! * [`update`] — SPARQL 1.1 Update: `INSERT DATA` / `DELETE DATA` /
 //!   `DELETE WHERE` / `DELETE ... INSERT ... WHERE`, with `GRAPH`-scoped
-//!   quad templates planned into atomic remove/insert deltas,
-//! * [`fuzz`] — seeded grammar-based query/graph generators and the
-//!   differential + serialization round-trip fuzz harness (queries under
-//!   the cost-based order, seeded random join orders and the naive
-//!   reference; update sequences against the naive planner).
+//!   quad templates planned into atomic remove/insert deltas.
+//!
+//! The engine's test apparatus — the seeded generators, the naive reference
+//! evaluator and update planner, the pretty-printer and the differential
+//! fuzz check — lives in the `hbold_sparql_check` crate, which only test
+//! targets depend on.
 //!
 //! ```
 //! use hbold_rdf_model::{Iri, Triple, vocab::{foaf, rdf}};
@@ -76,14 +74,11 @@ pub mod encoded;
 pub mod error;
 pub mod eval;
 pub mod expr;
-pub mod fuzz;
 pub mod json;
 pub mod lexer;
 pub mod optimize;
 pub mod parser;
 pub mod plan;
-pub mod pretty;
-pub mod reference;
 pub mod regex;
 pub mod results;
 pub mod update;
@@ -97,11 +92,9 @@ pub use eval::{evaluate_with, EvalOptions};
 pub use optimize::{explain, PlanExplanation};
 pub use parser::{parse_query, parse_update};
 pub use plan::{parse_cached, parse_traced, PlanCacheStats};
-pub use pretty::{print_query, print_update};
 pub use results::{CsvTable, QueryResults, ResultsParseError, SelectResults};
 pub use update::{
-    apply_updates, apply_updates_naive, execute_update, plan_update_op, plan_update_op_with,
-    UpdateOutcome,
+    apply_updates, execute_update, plan_update_op, plan_update_op_with, UpdateOutcome,
 };
 
 /// Forces registration of the engine's counter families

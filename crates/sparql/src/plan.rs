@@ -183,11 +183,11 @@ pub fn reset() {
 
 #[cfg(test)]
 mod tests {
-    use hbold_rdf_model::{Iri, Literal, Triple};
+    use hbold_rdf_model::{Iri, Literal, Term, Triple};
     use hbold_triple_store::TripleStore;
 
     use super::*;
-    use crate::{eval, reference};
+    use crate::eval;
 
     #[test]
     fn repeated_parses_hit_the_cache() {
@@ -228,10 +228,11 @@ mod tests {
         let query = |object: &str| {
             format!("SELECT ?s WHERE {{ ?s ?p ?o FILTER(?s <?{long_var}||?o='{object}') }}")
         };
-        for text in [query(">  x"), query("> x")] {
+        // `?s < ?vvv…` errs (unbound), so only the `||`'s right side picks.
+        for (text, subject) in [(query(">  x"), "two"), (query("> x"), "one")] {
             let answer = eval::execute_query(&store, &text).unwrap();
-            assert_eq!(answer.clone().into_select().unwrap().len(), 1);
-            assert_eq!(answer, reference::execute_query(&store, &text).unwrap());
+            let rows = answer.into_select().unwrap().rows;
+            assert_eq!(rows, vec![vec![Some(Term::from(iri(subject)))]]);
         }
     }
 

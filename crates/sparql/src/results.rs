@@ -774,7 +774,8 @@ fn csv_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hbold_rdf_model::{Iri, Literal};
+    use hbold_rdf_model::{Iri, Literal, TermKind};
+    use std::collections::HashSet;
 
     fn results() -> SelectResults {
         SelectResults {
@@ -1076,23 +1077,30 @@ mod tests {
     fn json_encoder_bytes_are_pinned() {
         // Captured from the encoder as it stood before it moved onto
         // `hbold_telemetry::json` (one `String` per name, value and term):
-        // every term shape the fuzz pool knows, bound and unbound cells, a
-        // variable name that needs escaping.
-        let pool = crate::fuzz::term_pool();
-        let table = SelectResults {
-            variables: vec!["term".into(), "prev \"quoted\"".into()],
-            rows: pool
-                .iter()
-                .enumerate()
-                .map(|(i, t)| vec![Some(t.clone()), (i % 2 == 1).then(|| pool[i - 1].clone())])
-                .collect(),
-        };
-        let json = table.to_sparql_json();
-        assert_eq!(json, include_str!("../tests/golden/term_pool.srj"));
-        assert_eq!(
-            QueryResults::from_sparql_json(&json).unwrap(),
-            QueryResults::Select(table)
-        );
+        // every term shape the fuzz pool knows (that the table is that pool
+        // is `tests/oracle_agreement.rs`'s check), bound and unbound cells,
+        // a variable name that needs escaping.
+        let golden = include_str!("../tests/golden/term_pool.srj");
+        let table = QueryResults::from_sparql_json(golden)
+            .unwrap()
+            .into_select()
+            .unwrap();
+        assert_eq!(table.variables, ["term", "prev \"quoted\""]);
+        let terms: Vec<Term> = table
+            .rows
+            .iter()
+            .map(|row| row[0].clone().unwrap())
+            .collect();
+        for (i, row) in table.rows.iter().enumerate() {
+            assert_eq!(
+                row[1],
+                (i % 2 == 1).then(|| terms[i - 1].clone()),
+                "row {i}"
+            );
+        }
+        let kinds: HashSet<TermKind> = terms.iter().map(Term::kind).collect();
+        assert_eq!(kinds.len(), 3, "{kinds:?}");
+        assert_eq!(table.to_sparql_json(), golden);
     }
 
     #[test]

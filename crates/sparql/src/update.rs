@@ -17,10 +17,7 @@
 //! position (a literal subject, a non-IRI predicate or graph), produces no
 //! quad for that template entry — it never fails the whole operation.
 //!
-//! `WHERE` clauses evaluate through the real streaming engine; the
-//! `*_naive` variants run them through the deliberately naive
-//! [`crate::reference`] evaluator instead, giving the differential fuzz
-//! harness an independent second opinion on every generated update.
+//! `WHERE` clauses evaluate through the streaming engine.
 
 use hbold_rdf_model::{Quad, Term, Triple};
 use hbold_triple_store::TripleStore;
@@ -45,15 +42,6 @@ pub struct UpdateOutcome {
     pub inserted: usize,
 }
 
-/// Which evaluator answers an operation's `WHERE` clause.
-#[derive(Clone, Copy)]
-enum WhereSolver {
-    /// The streaming engine.
-    Engine,
-    /// The naive reference evaluator, for differential testing.
-    Naive,
-}
-
 /// Plans one update operation against the current store state, returning
 /// the `(removes, inserts)` quad delta. Nothing is mutated; both sets are
 /// deduplicated. `WHERE` clauses evaluate through the streaming engine.
@@ -61,7 +49,7 @@ pub fn plan_update_op(
     store: &TripleStore,
     op: &Update,
 ) -> Result<(Vec<Quad>, Vec<Quad>), SparqlError> {
-    plan_with(store, op, WhereSolver::Engine, None)
+    plan_update_op_with(store, op, None)
 }
 
 /// [`plan_update_op`] with a cooperative [`CancellationToken`] polled while
@@ -74,21 +62,12 @@ pub fn plan_update_op_with(
     op: &Update,
     cancel: Option<&CancellationToken>,
 ) -> Result<(Vec<Quad>, Vec<Quad>), SparqlError> {
-    plan_with(store, op, WhereSolver::Engine, cancel)
-}
-
-fn plan_with(
-    store: &TripleStore,
-    op: &Update,
-    solver: WhereSolver,
-    cancel: Option<&CancellationToken>,
-) -> Result<(Vec<Quad>, Vec<Quad>), SparqlError> {
     match op {
         Update::InsertData(quads) => Ok((Vec::new(), dedup(quads.iter().map(ground_quad)))),
         Update::DeleteData(quads) => Ok((dedup(quads.iter().map(ground_quad)), Vec::new())),
         Update::DeleteWhere(patterns) => {
             // The pattern doubles as the delete template.
-            let (vars, rows) = solve_where(store, quads_pattern(patterns), solver, cancel)?;
+            let (vars, rows) = solve_where(store, quads_pattern(patterns), cancel)?;
             let removes = rows
                 .iter()
                 .flat_map(|row| instantiate(patterns, &vars, row))
@@ -100,7 +79,7 @@ fn plan_with(
             insert,
             pattern,
         } => {
-            let (vars, rows) = solve_where(store, pattern.clone(), solver, cancel)?;
+            let (vars, rows) = solve_where(store, pattern.clone(), cancel)?;
             let removes = rows
                 .iter()
                 .flat_map(|row| instantiate(delete, &vars, row))
@@ -131,26 +110,9 @@ pub fn apply_updates(
     store: &mut TripleStore,
     ops: &[Update],
 ) -> Result<UpdateOutcome, SparqlError> {
-    apply_with(store, ops, WhereSolver::Engine)
-}
-
-/// [`apply_updates`] with `WHERE` clauses evaluated by the naive reference
-/// evaluator.
-pub fn apply_updates_naive(
-    store: &mut TripleStore,
-    ops: &[Update],
-) -> Result<UpdateOutcome, SparqlError> {
-    apply_with(store, ops, WhereSolver::Naive)
-}
-
-fn apply_with(
-    store: &mut TripleStore,
-    ops: &[Update],
-    solver: WhereSolver,
-) -> Result<UpdateOutcome, SparqlError> {
     let mut outcome = UpdateOutcome::default();
     for op in ops {
-        let (removes, inserts) = plan_with(store, op, solver, None)?;
+        let (removes, inserts) = plan_update_op(store, op)?;
         let (removed, inserted) = store.apply_delta(&removes, &inserts);
         outcome.removed += removed;
         outcome.inserted += inserted;
@@ -175,7 +137,7 @@ fn dedup(quads: impl IntoIterator<Item = Quad>) -> Vec<Quad> {
 }
 
 /// Lowers a `DELETE WHERE` quad-pattern block to the [`GraphPattern`] the
-/// evaluators understand: default-graph patterns stay bare triple patterns,
+/// engine understands: default-graph patterns stay bare triple patterns,
 /// graph-scoped ones wrap in a `GRAPH` group, all joined conjunctively.
 fn quads_pattern(patterns: &[QuadPatternAst]) -> GraphPattern {
     let parts: Vec<GraphPattern> = patterns
@@ -203,7 +165,6 @@ fn quads_pattern(patterns: &[QuadPatternAst]) -> GraphPattern {
 fn solve_where(
     store: &TripleStore,
     pattern: GraphPattern,
-    solver: WhereSolver,
     cancel: Option<&CancellationToken>,
 ) -> Result<(Vec<String>, Vec<Vec<Option<Term>>>), SparqlError> {
     let query = Query {
@@ -218,18 +179,11 @@ fn solve_where(
         limit: None,
         offset: None,
     };
-    let results = match solver {
-        WhereSolver::Engine => evaluate_with_hooks(
-            store,
-            &query,
-            &EvalHooks {
-                cancel,
-                ..EvalHooks::default()
-            },
-        )?,
-        WhereSolver::Naive => crate::reference::evaluate(store, &query)?,
+    let hooks = EvalHooks {
+        cancel,
+        ..EvalHooks::default()
     };
-    match results {
+    match evaluate_with_hooks(store, &query, &hooks)? {
         QueryResults::Select(select) => Ok((select.variables, select.rows)),
         QueryResults::Ask(_) => unreachable!("WHERE solutions always evaluate as SELECT"),
     }
@@ -469,28 +423,5 @@ mod tests {
                 inserted: 0
             }
         );
-    }
-
-    #[test]
-    fn engine_and_naive_planners_agree() {
-        let mut store = TripleStore::new();
-        for i in 0..4 {
-            store.insert_quad(&quad(
-                &format!("http://e.org/s{i}"),
-                "http://e.org/p",
-                &format!("http://e.org/o{}", i % 2),
-                (i % 2 == 0).then_some("http://e.org/g"),
-            ));
-        }
-        let ops = parse_update(
-            "DELETE { GRAPH <http://e.org/g> { ?s <http://e.org/p> ?o } } \
-             INSERT { ?s <http://e.org/p2> ?o } \
-             WHERE { GRAPH ?g { ?s <http://e.org/p> ?o } }",
-        )
-        .unwrap();
-        let engine = plan_update_op(&store, &ops[0]).unwrap();
-        let naive = plan_with(&store, &ops[0], WhereSolver::Naive, None).unwrap();
-        assert_eq!(engine, naive);
-        assert!(!engine.0.is_empty());
     }
 }

@@ -8,9 +8,11 @@
 //!   seed costs up to ~40 evaluations for the boundary sweep).
 //! * `HBOLD_FUZZ_SEED=<seed>` reruns exactly one failing case.
 
-use hbold_sparql::fuzz::{cases_from_env, generate_query, generate_store, seed_from_env, FuzzRng};
-use hbold_sparql::pretty::print_query;
 use hbold_sparql::{evaluate_with_hooks, CancellationToken, EvalHooks, QueryResults, SparqlError};
+use hbold_sparql_check::fuzz::{
+    cases_from_env, generate_query, generate_store, seed_from_env, FuzzRng,
+};
+use hbold_sparql_check::pretty::print_query;
 use hbold_triple_store::TripleStore;
 
 /// Longest `cancel_after_checks` sweep per seed. Queries needing more

@@ -1,7 +1,7 @@
 //! Grammar-based fuzz sweep: every seeded case must pass the three-way
 //! differential check, the parse → pretty-print → re-parse fixpoint, the
 //! JSON/CSV/TSV serialization round-trips and the same answer from every
-//! physical shape of its store (see `hbold_sparql::fuzz`).
+//! physical shape of its store (see `hbold_sparql_check::fuzz`).
 //!
 //! * `HBOLD_FUZZ_CASES=<n>` scales the sweep (default 512; the CI smoke job
 //!   uses the default, local deep sweeps use 10k+).
@@ -10,7 +10,9 @@
 //! On failure the panic message embeds the seed and the generated query, so
 //! any red run is reproducible with `HBOLD_FUZZ_SEED`.
 
-use hbold_sparql::fuzz::{cases_from_env, check_case, check_update_case, seed_from_env, Coverage};
+use hbold_sparql_check::fuzz::{
+    cases_from_env, check_case, check_update_case, seed_from_env, Coverage,
+};
 
 #[test]
 fn generated_queries_agree_across_engines_and_serializations() {

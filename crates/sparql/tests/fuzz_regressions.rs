@@ -7,11 +7,12 @@
 use hbold_rdf_model::vocab::xsd;
 use hbold_rdf_model::{Iri, Literal, Quad, Term, Triple};
 use hbold_sparql::expr::number_term;
-use hbold_sparql::fuzz::{
+use hbold_sparql::regex::Regex;
+use hbold_sparql::{explain, QueryResults, SlotLayout, SparqlError};
+use hbold_sparql_check::fuzz::{
     check_query, evaluate_shuffled, generate_store, random_regex_pattern, term_pool, FuzzRng,
 };
-use hbold_sparql::regex::Regex;
-use hbold_sparql::{explain, reference, QueryResults, SlotLayout, SparqlError};
+use hbold_sparql_check::reference;
 use hbold_triple_store::TripleStore;
 
 fn iri(s: &str) -> Iri {
@@ -1104,7 +1105,7 @@ fn ids_of_a_fresh_load_order_mixed_literals_as_the_term_order_does() {
     // Numbers of three types, numeric-looking and plain strings, language
     // tags and ill-typed literals: ids follow `Term::cmp`, so comparing ids
     // is comparing terms.
-    let mut objects: Vec<Term> = hbold_sparql::fuzz::literal_pool()
+    let mut objects: Vec<Term> = hbold_sparql_check::fuzz::literal_pool()
         .into_iter()
         .map(Term::Literal)
         .collect();
@@ -1232,4 +1233,57 @@ fn an_intern_after_the_load_falls_back_to_topk_with_the_same_answers() {
     assert_eq!(rows(&snapshot), expected);
     drop(restored);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---- encoded.rs: what ORDER BY can see ---------------------------------------------
+//
+// SPARQL groups and extends each solution by the SELECT expressions before
+// it orders (§18.2.4–18.2.5), so ORDER BY sees every GROUP BY key, projected
+// or not, and every alias. Both sorted as unbound, and the rows fell to the
+// tie-break; the reference shared that code, so the fuzz check agreed.
+
+/// The one column of `query`'s answer over a store with predicate `a` on
+/// three subjects, `b` on one and `c` on two, after every leg of the check.
+fn column(query: &str) -> Vec<String> {
+    let mut store = TripleStore::new();
+    for (p, n) in [("a", 3), ("b", 1), ("c", 2)] {
+        for i in 0..n {
+            let s = iri(&format!("http://e.org/s{i}"));
+            store.insert(&Triple::new(
+                s,
+                iri(&format!("http://e.org/{p}")),
+                iri("http://e.org/o"),
+            ));
+        }
+    }
+    let rows = checked(&store, query).into_select().unwrap().rows;
+    rows.iter()
+        .map(|row| row[0].as_ref().unwrap().label().to_string())
+        .collect()
+}
+
+#[test]
+fn order_by_an_unprojected_group_key_descending() {
+    let query = "SELECT (COUNT(?s) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p ORDER BY DESC(?p)";
+    assert_eq!(column(query), ["2", "1", "3"]);
+}
+
+#[test]
+fn order_by_an_unprojected_group_key_ascending() {
+    let query = "SELECT (COUNT(?s) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p ORDER BY ?p";
+    assert_eq!(column(query), ["3", "1", "2"]);
+}
+
+#[test]
+fn order_by_an_expression_of_an_unprojected_group_key_under_limit() {
+    let query = "SELECT (COUNT(?s) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p \
+                 ORDER BY DESC(STR(?p)) LIMIT 2";
+    assert_eq!(column(query), ["2", "1"]);
+}
+
+#[test]
+fn order_by_a_select_alias() {
+    let query = "SELECT (STR(?p) AS ?x) WHERE { ?s ?p ?o } ORDER BY DESC(?x) LIMIT 3";
+    let c = "http://e.org/c";
+    assert_eq!(column(query), [c, c, "http://e.org/b"]);
 }

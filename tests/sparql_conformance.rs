@@ -308,7 +308,7 @@ fn reference_engine_agrees_with_the_engine_on_the_dataset() {
     for q in queries {
         let plan = hbold_sparql::parse_query(q).unwrap();
         let streaming = hbold_sparql::evaluate(&store, &plan).unwrap();
-        let naive = hbold_sparql::reference::evaluate(&store, &plan).unwrap();
+        let naive = hbold_sparql_check::reference::evaluate(&store, &plan).unwrap();
         assert_eq!(streaming, naive, "reference disagrees on {q}");
     }
 }
