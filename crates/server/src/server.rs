@@ -640,6 +640,13 @@ fn metrics(shared: &Shared) -> HttpResponse {
             &[],
         )
         .set(snapshot.dictionary().hashed_len() as u64);
+    registry
+        .gauge(
+            "hbold_store_materialized_terms",
+            "Dictionary ids whose term is built; below hbold_store_terms, a restored base holds the rest front-coded.",
+            &[],
+        )
+        .set(snapshot.dictionary().materialized_len() as u64);
     for (order, tiers) in snapshot.index_tier_sizes() {
         let order = order.label();
         for (tier, entries) in tiers.labeled() {

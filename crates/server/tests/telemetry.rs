@@ -37,6 +37,7 @@ const FAMILIES: &[(&str, &str)] = &[
     ("hbold_query_timeouts_total", "counter"),
     ("hbold_store_graph_quads", "gauge"),
     ("hbold_store_hashed_terms", "gauge"),
+    ("hbold_store_materialized_terms", "gauge"),
     ("hbold_store_named_graphs", "gauge"),
     ("hbold_store_sorted_terms", "gauge"),
     ("hbold_store_terms", "gauge"),
@@ -168,6 +169,11 @@ fn metrics_exposition_reports_exact_traffic() {
     // ...and the load's hash map indexes all of it.
     assert_eq!(
         metric("hbold_store_hashed_terms", &[]),
+        metric("hbold_store_terms", &[])
+    );
+    // ...and its renumbering built every term.
+    assert_eq!(
+        metric("hbold_store_materialized_terms", &[]),
         metric("hbold_store_terms", &[])
     );
     assert!(metric("hbold_plan_cache_entries", &[]) >= 1.0);

@@ -136,6 +136,13 @@ impl FuzzRng {
         &items[self.below(items.len())]
     }
 
+    /// A second stream derived from this one's state, which stays as it
+    /// is: a choice added to a generator draws from a fork, so every draw
+    /// the generator made before keeps its value.
+    pub fn fork(&self) -> FuzzRng {
+        FuzzRng(self.0 ^ 0xD1B5_4A32_D192_ED03)
+    }
+
     /// Shuffles `items` in place (Fisher–Yates).
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
@@ -854,6 +861,11 @@ pub fn generate_query(rng: &mut FuzzRng) -> Query {
     let pattern_vars = pattern.variables();
     let distinct = rng.chance(25);
     let aggregated = rng.chance(25);
+    // The choices below that the main stream never made — an unprojected
+    // `GROUP BY` key, an `ORDER BY` on an alias or on that key — draw from
+    // a fork, so the queries the main stream draws are what they were.
+    let mut side = rng.fork();
+    let mut side_order: Option<String> = None;
 
     // `orderable` lists the names ORDER BY may reference: for grouped queries
     // only grouped variables and aggregate aliases are in scope; for plain
@@ -865,8 +877,15 @@ pub fn generate_query(rng: &mut FuzzRng) -> Query {
                 group_by.push(var.clone());
             }
         }
+        // A key may stay out of the projection, still in scope to order by.
+        let hidden = (!group_by.is_empty() && side.chance(30))
+            .then(|| group_by[side.below(group_by.len())].clone());
+        if side.chance(60) {
+            side_order = hidden.clone();
+        }
         let mut items: Vec<ProjectionItem> = group_by
             .iter()
+            .filter(|v| Some(*v) != hidden.as_ref())
             .map(|v| ProjectionItem::Variable(v.clone()))
             .collect();
         let mut orderable = group_by.clone();
@@ -899,11 +918,15 @@ pub fn generate_query(rng: &mut FuzzRng) -> Query {
                 },
                 alias: "e0".to_string(),
             });
+            // The alias is in scope for ORDER BY too.
+            if side.chance(50) {
+                side_order = Some("e0".to_string());
+            }
         }
         (Projection::Items(items), vec![], pattern_vars.clone())
     };
 
-    let order_by: Vec<OrderCondition> = if !orderable.is_empty() && rng.chance(40) {
+    let mut order_by: Vec<OrderCondition> = if !orderable.is_empty() && rng.chance(40) {
         (0..1 + rng.below(2))
             .map(|_| {
                 let name = rng.pick(&orderable).clone();
@@ -924,6 +947,17 @@ pub fn generate_query(rng: &mut FuzzRng) -> Query {
     } else {
         vec![]
     };
+    if let Some(name) = side_order {
+        let at = side.below(order_by.len() + 1);
+        let descending = side.chance(50);
+        order_by.insert(
+            at,
+            OrderCondition {
+                expr: Expression::Variable(name),
+                descending,
+            },
+        );
+    }
 
     // LIMIT/OFFSET are generated with and without ORDER BY: the unordered
     // cut is implementation-defined row-wise but still pinned down by a
@@ -1495,6 +1529,10 @@ pub struct Coverage {
     pub window_probes: usize,
     /// Scan probes, likewise, that churn reached into: the merged scan.
     pub merged_probes: usize,
+    /// Cases that order by a `SELECT` expression's alias.
+    pub alias_ordered: usize,
+    /// Grouped cases that order by a `GROUP BY` key they do not project.
+    pub hidden_key_ordered: usize,
 }
 
 impl std::ops::AddAssign for Coverage {
@@ -1510,7 +1548,51 @@ impl std::ops::AddAssign for Coverage {
         self.sparse += other.sparse;
         self.window_probes += other.window_probes;
         self.merged_probes += other.merged_probes;
+        self.alias_ordered += other.alias_ordered;
+        self.hidden_key_ordered += other.hidden_key_ordered;
     }
+}
+
+/// The variables `query`'s `ORDER BY` conditions name bare.
+fn ordered_variables(query: &Query) -> impl Iterator<Item = &String> {
+    query.order_by.iter().filter_map(|c| match &c.expr {
+        Expression::Variable(v) => Some(v),
+        _ => None,
+    })
+}
+
+/// Whether `query` orders by the alias of one of its `SELECT` expressions.
+fn orders_by_alias(query: &Query) -> bool {
+    let QueryForm::Select {
+        projection: Projection::Items(items),
+        ..
+    } = &query.form
+    else {
+        return false;
+    };
+    ordered_variables(query).any(|v| {
+        items.iter().any(|item| {
+            matches!(item, ProjectionItem::Expression { expr, alias }
+                if alias == v && !matches!(expr, Expression::Aggregate { .. }))
+        })
+    })
+}
+
+/// Whether `query` orders by a `GROUP BY` key it does not project.
+fn orders_by_hidden_key(query: &Query) -> bool {
+    let QueryForm::Select {
+        projection: Projection::Items(items),
+        ..
+    } = &query.form
+    else {
+        return false;
+    };
+    let projected = |v: &String| {
+        items
+            .iter()
+            .any(|item| matches!(item, ProjectionItem::Variable(p) if p == v))
+    };
+    ordered_variables(query).any(|v| query.group_by.contains(v) && !projected(v))
 }
 
 /// Runs one full fuzz case for `seed`; `Err` carries a reproduction report
@@ -1573,6 +1655,8 @@ pub fn check_query(
         topk: usize::from(tail.contains("\norder strategy=topk")),
         streamed: usize::from(tail.contains("\norder strategy=stream")),
         counted: usize::from(tail.contains("\ngroup strategy=count")),
+        alias_ordered: usize::from(orders_by_alias(&ast)),
+        hidden_key_ordered: usize::from(orders_by_hidden_key(&ast)),
         ..Coverage::default()
     };
     let planned = evaluate_counted(store, &ast, &mut coverage);
@@ -1968,6 +2052,8 @@ mod tests {
         let mut saw_from = false;
         let mut saw_from_named = false;
         let mut saw_named_quads = false;
+        let mut saw_alias_order = false;
+        let mut saw_hidden_key_order = false;
         for seed in 0..400 {
             let mut rng = FuzzRng::new(seed);
             let store = generate_store(&mut rng);
@@ -1987,7 +2073,13 @@ mod tests {
             saw_filter |= printed.contains("FILTER");
             saw_graph_const |= printed.contains("GRAPH <");
             saw_graph_var |= printed.contains("GRAPH ?");
+            saw_alias_order |= orders_by_alias(&q);
+            saw_hidden_key_order |= orders_by_hidden_key(&q);
         }
+        assert!(
+            saw_alias_order && saw_hidden_key_order,
+            "coverage gap: alias order={saw_alias_order} unprojected key order={saw_hidden_key_order}"
+        );
         assert!(
             saw_ask && saw_group && saw_order && saw_cut_without_order,
             "coverage gap: ask={saw_ask} group={saw_group} order={saw_order} cut={saw_cut_without_order}"

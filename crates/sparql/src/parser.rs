@@ -23,6 +23,13 @@ pub fn parse_update(input: &str) -> Result<Vec<Update>, SparqlError> {
     Parser::new(tokens).parse_update_request()
 }
 
+/// A `SELECT` expression's `AS` variable, and where the query names it.
+struct Alias {
+    name: String,
+    line: usize,
+    column: usize,
+}
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
@@ -103,10 +110,10 @@ impl Parser {
 
     fn parse_query(mut self) -> Result<Query, SparqlError> {
         self.parse_prologue()?;
-        let form = if self.is_keyword("SELECT") {
+        let (form, aliases) = if self.is_keyword("SELECT") {
             self.parse_select_form()?
         } else if self.eat_keyword("ASK") {
-            QueryForm::Ask
+            (QueryForm::Ask, Vec::new())
         } else {
             return Err(self.error("expected SELECT or ASK (other query forms are not supported)"));
         };
@@ -116,6 +123,18 @@ impl Parser {
         // WHERE keyword is optional before the group pattern.
         self.eat_keyword("WHERE");
         let pattern = self.parse_group_graph_pattern()?;
+        // SPARQL 1.1 §18.2.1: an `AS` alias must not be in scope already.
+        let in_scope = pattern.variables();
+        if let Some(alias) = aliases.iter().find(|a| in_scope.contains(&a.name)) {
+            return Err(SparqlError::parse(
+                alias.line,
+                alias.column,
+                format!(
+                    "AS ?{}: the variable is already in scope in the WHERE pattern",
+                    alias.name
+                ),
+            ));
+        }
 
         let mut group_by = Vec::new();
         if self.eat_keyword("GROUP") {
@@ -274,9 +293,12 @@ impl Parser {
         }
     }
 
-    fn parse_select_form(&mut self) -> Result<QueryForm, SparqlError> {
+    /// The `SELECT` clause, and where each `AS` alias is named: the query
+    /// checks them against the pattern's variables once it has read it.
+    fn parse_select_form(&mut self) -> Result<(QueryForm, Vec<Alias>), SparqlError> {
         self.expect_keyword("SELECT")?;
         let distinct = self.eat_keyword("DISTINCT") || self.eat_keyword("REDUCED");
+        let mut aliases = Vec::new();
         let projection = if self.peek() == &TokenKind::Star {
             self.bump();
             Projection::Star
@@ -292,6 +314,7 @@ impl Parser {
                         self.bump();
                         let expr = self.parse_expression()?;
                         self.expect_keyword("AS")?;
+                        let (line, column) = (self.peek_token().line, self.peek_token().column);
                         let alias = match self.bump() {
                             TokenKind::Var(v) => v,
                             other => {
@@ -300,7 +323,19 @@ impl Parser {
                                 )
                             }
                         };
+                        if aliases.iter().any(|a: &Alias| a.name == alias) {
+                            return Err(SparqlError::parse(
+                                line,
+                                column,
+                                format!("AS ?{alias}: the variable is already in scope as an earlier alias"),
+                            ));
+                        }
                         self.expect(&TokenKind::RParen)?;
+                        aliases.push(Alias {
+                            name: alias.clone(),
+                            line,
+                            column,
+                        });
                         items.push(ProjectionItem::Expression { expr, alias });
                     }
                     _ => break,
@@ -311,10 +346,11 @@ impl Parser {
             }
             Projection::Items(items)
         };
-        Ok(QueryForm::Select {
+        let form = QueryForm::Select {
             distinct,
             projection,
-        })
+        };
+        Ok((form, aliases))
     }
 
     // ---- graph patterns ---------------------------------------------------------
@@ -1017,6 +1053,55 @@ mod tests {
             "undeclared prefix"
         );
         assert!(parse_query("SELECT ?s WHERE { ?s ?p ?o } LIMIT -3").is_err());
+    }
+
+    #[test]
+    fn an_alias_already_in_scope_is_a_parse_error() {
+        // SPARQL 1.1 §18.2.1: a variable of the pattern, in any part of it,
+        // or an earlier alias of the same SELECT.
+        for (query, column, reason) in [
+            ("SELECT (?o AS ?s) WHERE { ?s ?p ?o }", 15, "WHERE pattern"),
+            (
+                "SELECT (COUNT(?s) AS ?p) WHERE { ?s ?p ?o } GROUP BY ?p",
+                22,
+                "WHERE pattern",
+            ),
+            (
+                "SELECT ?s (STR(?o) AS ?x) WHERE { ?s ?p ?o OPTIONAL { ?s ?q ?x } }",
+                23,
+                "WHERE pattern",
+            ),
+            (
+                "SELECT (STR(?g) AS ?g) WHERE { GRAPH ?g { ?s ?p ?o } }",
+                20,
+                "WHERE pattern",
+            ),
+            (
+                "SELECT (STR(?s) AS ?x) (STR(?o) AS ?x) WHERE { ?s ?p ?o }",
+                36,
+                "earlier alias",
+            ),
+        ] {
+            match parse_query(query) {
+                Err(SparqlError::Parse {
+                    line: 1,
+                    column: at,
+                    message,
+                }) => {
+                    assert_eq!(at, column, "{query}: {message}");
+                    assert!(message.contains(reason), "{query}: {message}");
+                }
+                other => panic!("{query}: expected a parse error, got {other:?}"),
+            }
+        }
+        // A variable only a FILTER mentions is not in scope, and an alias
+        // may be projected, ordered by and named like nothing else.
+        for query in [
+            "SELECT (STR(?o) AS ?x) WHERE { ?s ?p ?o FILTER(?x != 1) }",
+            "SELECT ?p (COUNT(?s) AS ?agg0) (STR(?p) AS ?e0) WHERE { ?s ?p ?o } GROUP BY ?p ORDER BY ?e0",
+        ] {
+            assert!(parse_query(query).is_ok(), "{query}");
+        }
     }
 
     #[test]

@@ -161,7 +161,7 @@ fn deadlines_cut_off_a_cross_join_mid_operator() {
     // Six patterns: on the ~22-triple fuzz store this is 22^6 ≈ 1.1e8
     // combinations — far past what a release build can count in 30 ms.
     let query = hbold_sparql::parse_query(
-        "SELECT (COUNT(*) AS ?n) WHERE { \
+        "SELECT (COUNT(*) AS ?count) WHERE { \
          ?a ?b ?c . ?d ?e ?f . ?g ?h ?i . ?j ?k ?l . ?m ?n ?o . ?p ?q ?r }",
     )
     .expect("parses");

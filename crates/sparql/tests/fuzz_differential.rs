@@ -50,7 +50,8 @@ fn generated_queries_agree_across_engines_and_serializations() {
          streamed order stage; {} ran on a churned store with all three tiers \
          non-empty, {} on a sparse store with a run whose directory lists its second ids; \
          {} ran group strategy=count, {} of them also on the churned store and {} on the \
-         sparse one; {} scan probes read one window of the flat tier, {} merged churn",
+         sparse one; {} scan probes read one window of the flat tier, {} merged churn; \
+         {} ordered by a SELECT expression's alias, {} by a GROUP BY key they do not project",
         covered.reordered_bgps,
         covered.grouped,
         covered.topk,
@@ -61,7 +62,9 @@ fn generated_queries_agree_across_engines_and_serializations() {
         covered.counted_churned,
         covered.counted_sparse,
         covered.window_probes,
-        covered.merged_probes
+        covered.merged_probes,
+        covered.alias_ordered,
+        covered.hidden_key_ordered
     );
     // A shuffle that always reproduced the planner's order would make the
     // third leg a copy of the first.
@@ -98,6 +101,14 @@ fn generated_queries_agree_across_engines_and_serializations() {
         "no window ({}) or merged ({}) probe in {cases} cases",
         covered.window_probes,
         covered.merged_probes
+    );
+    // `ORDER BY` over a name the projection computes or leaves out: the
+    // sort runs on rows the projection has not cut down yet.
+    assert!(
+        covered.alias_ordered > 0 && covered.hidden_key_ordered > 0,
+        "no case ordered by an alias ({}) or by an unprojected key ({}) in {cases} cases",
+        covered.alias_ordered,
+        covered.hidden_key_ordered
     );
     // A shape that no longer reaches its tier state — a fold policy that
     // left no room for churn, a dictionary that stopped spreading ids —

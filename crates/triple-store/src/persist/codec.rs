@@ -109,6 +109,7 @@ pub fn write_varint(out: &mut Vec<u8>, mut value: u64) {
 }
 
 /// Reads an LEB128 varint from `bytes` starting at `*pos`, advancing `*pos`.
+#[inline]
 pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, PersistError> {
     let mut value = 0u64;
     let mut shift = 0u32;
@@ -142,12 +143,14 @@ pub fn write_str(out: &mut Vec<u8>, s: &str) {
 
 /// Reads a `u64` that must fit in `usize` (a length or count); rejects
 /// values that would wrap on 32-bit targets instead of truncating them.
+#[inline]
 pub fn read_len(bytes: &[u8], pos: &mut usize) -> Result<usize, PersistError> {
     usize::try_from(read_varint(bytes, pos)?)
         .map_err(|_| PersistError::corrupt("length does not fit in usize"))
 }
 
 /// Reads a length-prefixed UTF-8 string, borrowed from `bytes`.
+#[inline]
 pub fn read_str<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<&'a str, PersistError> {
     let len = read_len(bytes, pos)?;
     let end = pos

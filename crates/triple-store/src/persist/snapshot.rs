@@ -48,8 +48,26 @@
 //! dictionary's `sorted_len` as it reads — the longest prefix of the table
 //! that increases under `Term::cmp` — at the price of one byte comparison per
 //! IRI or blank node (the suffix against what it replaces: the shared prefix
-//! is already equal) and one value key per literal. A run that does not
-//! increase only ends that prefix early; it is never an error.
+//! is already equal) and one value key per typed literal. A run that does
+//! not increase only ends that prefix early; it is never an error.
+//!
+//! # Restore validates, and does not build
+//!
+//! The increasing prefix becomes the dictionary's base, and [`decode`]
+//! builds none of its terms but one *head* per block of 64 ids (see
+//! [`crate::dictionary`]). It
+//! keeps the base's bytes instead, and for each block where its second
+//! entry starts and the datatype that entry is coded against; the first
+//! read of a block builds it from there. So that a corrupt file is refused
+//! at restore and never at that first read, one pass makes every check a
+//! built term would: tags, UTF-8, front-coding bounds, datatype IRIs (parsed
+//! when they change), IRI syntax, blank-node labels (as a blank node holds
+//! them, since the next entry is coded against the head's text) and the
+//! order. An IRI whose shared prefix runs past the scheme's colon of the
+//! IRI before it — valid, so everything up to the suffix is — has only its
+//! suffix scanned; any other is checked whole by `Iri::parse`, which also
+//! names what is wrong. Entries past the base — the tail — are built and
+//! hashed as they are read, each checked against the base by search.
 //!
 //! # The quad runs
 //!
@@ -84,20 +102,22 @@
 //! place (and the directory fsynced), so readers only ever observe either
 //! the old complete snapshot or the new complete snapshot.
 
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::Path;
 
+use hbold_rdf_model::vocab::{rdf, xsd};
 use hbold_rdf_model::{Iri, Term, ValueKey};
 
-use crate::dictionary::{TermDictionary, TermId};
+use crate::dictionary::{TermDictionary, TermId, BLOCK_LEN};
 use crate::index::{PositionalIndex, TierBuilder};
 use crate::store::{TripleStore, DEFAULT_GRAPH};
 
 use super::codec::{
     crc32, parse_datatype, read_len, read_str, read_varint, tag_of, term_of, text_of, write_str,
-    write_varint, TAG_LANG, TAG_TYPED,
+    write_varint, TAG_BLANK, TAG_IRI, TAG_LANG, TAG_STRING, TAG_TYPED,
 };
 use super::PersistError;
 
@@ -189,33 +209,6 @@ fn write_front_coded(out: &mut Vec<u8>, prev: &str, text: &str) {
     write_str(out, &text[shared..]);
 }
 
-/// Reads a text [`write_front_coded`] wrote against `prev`, which becomes
-/// it. Returns how the new text orders against the old one: its first
-/// `shared` bytes are the old text's, so the suffix against what it replaces
-/// decides — one byte, when the prefix was the longest.
-fn read_front_coded(
-    bytes: &[u8],
-    pos: &mut usize,
-    prev: &mut String,
-) -> Result<Ordering, PersistError> {
-    let shared = read_len(bytes, pos)?;
-    let suffix = read_str(bytes, pos)?;
-    if shared > prev.len() {
-        return Err(PersistError::corrupt(
-            "front-coded prefix is longer than the previous term's text",
-        ));
-    }
-    if !prev.is_char_boundary(shared) {
-        return Err(PersistError::corrupt(
-            "front-coded prefix splits a character",
-        ));
-    }
-    let order = suffix.as_bytes().cmp(&prev.as_bytes()[shared..]);
-    prev.truncate(shared);
-    prev.push_str(suffix);
-    Ok(order)
-}
-
 fn zigzag(delta: i64) -> u64 {
     ((delta << 1) ^ (delta >> 63)) as u64
 }
@@ -259,9 +252,7 @@ pub fn decode(bytes: &[u8]) -> Result<TripleStore, PersistError> {
     }
 
     let mut pos = 0usize;
-    let (terms, sorted_len) = read_term_table(payload, &mut pos, term_count)?;
-    let dict = TermDictionary::from_terms(terms, sorted_len)
-        .ok_or_else(|| PersistError::corrupt("duplicate term in term table"))?;
+    let dict = read_term_table(payload, &mut pos, term_count)?;
     let gspo = read_quads(payload, &mut pos, quad_count, dict.len())?;
     if pos != payload.len() {
         return Err(PersistError::corrupt("snapshot payload has trailing bytes"));
@@ -269,81 +260,323 @@ pub fn decode(bytes: &[u8]) -> Result<TripleStore, PersistError> {
     Ok(TripleStore::from_gspo(dict, gspo))
 }
 
-/// Reads the term table, and with it the length of its longest prefix that
-/// increases under `Term::cmp` (see the module docs).
+/// Reads a text [`write_front_coded`] wrote against `prev`, which becomes
+/// it. Returns how many bytes it shares with the old text, and how it
+/// orders against it: its first `shared` bytes are the old text's, so the
+/// suffix against what it replaces decides — one byte, when the prefix was
+/// the longest.
+fn read_front_coded(
+    bytes: &[u8],
+    pos: &mut usize,
+    prev: &mut String,
+) -> Result<(usize, Ordering), PersistError> {
+    let shared = read_len(bytes, pos)?;
+    let suffix = read_str(bytes, pos)?;
+    if shared > prev.len() {
+        return Err(PersistError::corrupt(
+            "front-coded prefix is longer than the previous term's text",
+        ));
+    }
+    if !prev.is_char_boundary(shared) {
+        return Err(PersistError::corrupt(
+            "front-coded prefix splits a character",
+        ));
+    }
+    let order = suffix.as_bytes().cmp(&prev.as_bytes()[shared..]);
+    prev.truncate(shared);
+    prev.push_str(suffix);
+    Ok((shared, order))
+}
+
+/// A position in a front-coded term table, and what the next entry is coded
+/// against: the previous entry's text, and the previous typed literal's
+/// datatype, as text and as an IRI.
+struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    text: String,
+    datatype_text: String,
+    datatype: Option<Iri>,
+}
+
+/// One entry of the table, beside the text it leaves in its [`Reader`].
+struct Entry<'a> {
+    tag: u8,
+    /// How many bytes of its text the previous entry's text supplied.
+    shared: usize,
+    /// How its text orders against the previous entry's.
+    text_order: Ordering,
+    /// A language-tagged literal's tag, as written.
+    lang: &'a str,
+    /// How a typed literal's datatype orders against the previous typed
+    /// literal's.
+    datatype_order: Ordering,
+}
+
+impl<'a> Reader<'a> {
+    /// Reads the next entry: its tag, its front-coded text and, by tag, its
+    /// language tag or front-coded datatype IRI (parsed when it changes; an
+    /// unchanged datatype is the previous one's `Arc`).
+    fn entry(&mut self) -> Result<Entry<'a>, PersistError> {
+        let Some(&tag) = self.bytes.get(self.pos) else {
+            return Err(PersistError::corrupt("term tag runs past end of input"));
+        };
+        self.pos += 1;
+        let (shared, text_order) = read_front_coded(self.bytes, &mut self.pos, &mut self.text)?;
+        let (mut lang, mut datatype_order) = ("", Ordering::Equal);
+        match tag {
+            TAG_IRI | TAG_BLANK | TAG_STRING => {}
+            TAG_LANG => lang = read_str(self.bytes, &mut self.pos)?,
+            TAG_TYPED => {
+                let datatype_text = &mut self.datatype_text;
+                datatype_order = read_front_coded(self.bytes, &mut self.pos, datatype_text)?.1;
+                if self.datatype.is_none() || datatype_order != Ordering::Equal {
+                    self.datatype = Some(parse_datatype(datatype_text)?);
+                }
+            }
+            other => return Err(PersistError::corrupt(format!("unknown term tag {other}"))),
+        }
+        Ok(Entry {
+            tag,
+            shared,
+            text_order,
+            lang,
+            datatype_order,
+        })
+    }
+
+    /// The term `entry`, the last one read, describes.
+    fn term(&self, entry: &Entry<'_>) -> Result<Term, PersistError> {
+        let datatype = match entry.tag {
+            TAG_TYPED => self.datatype.clone(),
+            _ => None,
+        };
+        term_of(entry.tag, &self.text, entry.lang, datatype)
+    }
+}
+
+/// A restored base's term table, kept front-coded (see the module docs):
+/// its bytes, and where each block's second entry starts with the datatype
+/// it is coded against — the first entry is the block's head, built at
+/// restore, whose text the second one is coded against.
+pub(crate) struct TermTable {
+    bytes: Box<[u8]>,
+    blocks: Vec<BlockStart>,
+}
+
+impl std::fmt::Debug for TermTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TermTable")
+            .field("bytes", &self.bytes.len())
+            .field("blocks", &self.blocks.len())
+            .finish()
+    }
+}
+
+struct BlockStart {
+    pos: usize,
+    datatype: Option<Iri>,
+}
+
+thread_local! {
+    /// The two texts a block is decoded in, kept between blocks so that
+    /// building one allocates its terms and nothing else.
+    static SCRATCH: Cell<(String, String)> = const { Cell::new((String::new(), String::new())) };
+}
+
+impl TermTable {
+    /// The `len` terms of block `b`, whose head is `head`, decoded from
+    /// bytes the restore validated: a corrupt file was refused then.
+    pub(crate) fn block(&self, b: usize, head: &Term, len: usize) -> Box<[Term]> {
+        let BlockStart { pos, datatype } = &self.blocks[b];
+        let (mut text, mut datatype_text) = SCRATCH.take();
+        text.clear();
+        text.push_str(text_of(head));
+        datatype_text.clear();
+        datatype_text.push_str(datatype.as_ref().map_or("", Iri::as_str));
+        let mut reader = Reader {
+            bytes: &self.bytes,
+            pos: *pos,
+            text,
+            datatype_text,
+            datatype: datatype.clone(),
+        };
+        let mut terms = Vec::with_capacity(len);
+        terms.push(head.clone());
+        for _ in 1..len {
+            let term = reader.entry().and_then(|entry| reader.term(&entry));
+            terms.push(term.expect("the restore validated every entry of the table"));
+        }
+        SCRATCH.set((reader.text, reader.datatype_text));
+        terms.into_boxed_slice()
+    }
+}
+
+/// What the order check keeps of the previous entry.
+#[derive(Clone, Copy)]
+struct Ordered<'a> {
+    tag: u8,
+    /// A literal's value key; `None` for an IRI or a blank node.
+    value: Option<ValueKey>,
+    lang: &'a str,
+}
+
+/// Reads the term table into the restored dictionary, validating every
+/// entry without building the base's terms (see the module docs).
 fn read_term_table(
     payload: &[u8],
     pos: &mut usize,
     count: usize,
-) -> Result<(Vec<Term>, usize), PersistError> {
+) -> Result<TermDictionary, PersistError> {
+    let mut reader = Reader {
+        bytes: &payload[*pos..],
+        pos: 0,
+        text: String::new(),
+        datatype_text: String::new(),
+        datatype: None,
+    };
     // Counts come from the (CRC-guarded) header, but a maliciously crafted
     // header can carry a valid checksum over absurd counts — cap the
     // pre-allocation by what the rest of the payload can hold (a term takes
     // at least 3 bytes: tag, shared length, suffix length) and let the
     // per-item reads fail on the short payload.
-    let mut terms: Vec<Term> = Vec::with_capacity(count.min((payload.len() - *pos) / 3));
-    let (mut text, mut datatype_text) = (String::new(), String::new());
-    let mut datatype: Option<Iri> = None;
-    // The previous term's value key (literals only), while the run lasts.
-    let mut prev_value: Option<ValueKey> = None;
-    let mut sorted_len = None;
+    let blocks = count.min(reader.bytes.len() / 3).div_ceil(BLOCK_LEN);
+    let (mut heads, mut starts) = (Vec::with_capacity(blocks), Vec::with_capacity(blocks));
+    // The base's length and its table's, once an entry ends the run that
+    // increases; the terms from there on.
+    let mut base = None;
+    let mut tail = Vec::new();
+    let mut prev: Option<Ordered<'_>> = None;
+    // The scheme's colon when the previous entry was an IRI.
+    let mut iri_colon = None;
     for i in 0..count {
-        let Some(&tag) = payload.get(*pos) else {
-            return Err(PersistError::corrupt("term tag runs past end of input"));
-        };
-        *pos += 1;
-        let text_order = read_front_coded(payload, pos, &mut text)?;
-        let (lang, typed) = match tag {
-            TAG_LANG => (read_str(payload, pos)?, None),
-            TAG_TYPED => {
-                let datatype_order = read_front_coded(payload, pos, &mut datatype_text)?;
-                // An unchanged datatype is the previous one's `Arc`.
-                if datatype.is_none() || datatype_order != Ordering::Equal {
-                    datatype = Some(parse_datatype(&datatype_text)?);
-                }
-                ("", datatype.clone())
-            }
-            _ => ("", None),
-        };
-        let term = term_of(tag, &text, lang, typed)?;
-        if sorted_len.is_none() {
-            let value = match &term {
-                Term::Literal(l) => Some(ValueKey::of(l.lexical_form(), l.datatype())),
+        let start = reader.pos;
+        let entry = reader.entry()?;
+        if entry.tag == TAG_BLANK && !is_written_label(&reader.text) {
+            return Err(PersistError::corrupt(
+                "blank node label is not one this format writes",
+            ));
+        }
+        if base.is_none() {
+            let value = match entry.tag {
+                TAG_STRING | TAG_LANG => Some(ValueKey::Text),
+                TAG_TYPED => reader
+                    .datatype
+                    .as_ref()
+                    .map(|dt| ValueKey::of(&reader.text, dt)),
                 _ => None,
             };
-            if let Some(prev) = terms.last() {
-                if !increases(prev, prev_value, &term, value, text_order) {
-                    sorted_len = Some(i);
-                }
+            let this = Ordered {
+                tag: entry.tag,
+                value,
+                lang: entry.lang,
+            };
+            if prev.is_some_and(|prev| !increases(prev, this, &entry, &reader.datatype_text)) {
+                base = Some((i, start));
             }
-            prev_value = value;
+            prev = Some(this);
         }
-        terms.push(term);
+        if base.is_some() {
+            tail.push(reader.term(&entry)?);
+        } else if i % BLOCK_LEN == 0 {
+            let head = reader.term(&entry)?;
+            iri_colon = head.as_iri().and_then(|iri| iri.as_str().find(':'));
+            heads.push(head);
+            starts.push(BlockStart {
+                pos: reader.pos,
+                datatype: reader.datatype.clone(),
+            });
+        } else if entry.tag == TAG_IRI {
+            iri_colon = Some(check_iri(&reader.text, entry.shared, iri_colon)?);
+        } else {
+            iri_colon = None;
+        }
     }
-    Ok((terms, sorted_len.unwrap_or(count)))
+    let (sorted_len, table_len) = base.unwrap_or((count, reader.pos));
+    *pos += reader.pos;
+    let table = TermTable {
+        bytes: reader.bytes[..table_len].into(),
+        blocks: starts,
+    };
+    TermDictionary::restored(table, heads, sorted_len, tail)
+        .ok_or_else(|| PersistError::corrupt("duplicate term in term table"))
 }
 
-/// Whether `term` follows `prev` in the term order, given each one's value
-/// key (literals) and how `term`'s text orders against `prev`'s.
-fn increases(
-    prev: &Term,
-    prev_value: Option<ValueKey>,
-    term: &Term,
-    value: Option<ValueKey>,
-    text_order: Ordering,
-) -> bool {
-    match (prev, term) {
-        (Term::Blank(_), Term::Blank(_)) | (Term::Iri(_), Term::Iri(_)) => {
-            text_order == Ordering::Greater
+/// Whether [`hbold_rdf_model::BlankNode::from_label`] keeps `label` as it
+/// is: every label a blank node holds, and so every label [`encode`] writes.
+/// A block's head is built from its label and the next entry is coded
+/// against that text, so the two must not differ.
+fn is_written_label(label: &str) -> bool {
+    let allowed = |b: u8| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.');
+    !label.is_empty() && label.bytes().all(allowed) && !label.ends_with('.')
+}
+
+/// Checks the IRI `text` as [`Iri::parse`] does, and returns where its
+/// scheme's colon is. `colon` is the previous entry's when that was an IRI,
+/// which is valid: when the `shared` prefix runs past it, the scheme and
+/// everything up to the suffix are that IRI's, and only the suffix is
+/// scanned. Otherwise, and to name what is wrong, `Iri::parse` decides.
+fn check_iri(text: &str, shared: usize, colon: Option<usize>) -> Result<usize, PersistError> {
+    if let Some(colon) = colon.filter(|&colon| shared > colon) {
+        if !text[shared..].contains(forbidden_in_iri) {
+            return Ok(colon);
         }
-        (Term::Literal(p), Term::Literal(l)) => {
-            let rest = || (l.datatype(), l.language()).cmp(&(p.datatype(), p.language()));
-            value.cmp(&prev_value).then(text_order).then_with(rest) == Ordering::Greater
-        }
-        // Across kinds: blank nodes, then IRIs, then literals.
-        (Term::Blank(_), _) | (Term::Iri(_), Term::Literal(_)) => true,
-        _ => false,
     }
+    Iri::parse(text).map_err(|e| PersistError::corrupt(format!("invalid IRI in term: {e}")))?;
+    Ok(text.find(':').expect("a valid IRI has a scheme"))
+}
+
+/// The characters [`Iri::parse`] refuses after the scheme: whitespace, and
+/// those the N-Triples / SPARQL `IRIREF` production excludes.
+fn forbidden_in_iri(c: char) -> bool {
+    c.is_whitespace() || matches!(c, '<' | '>' | '"' | '{' | '}' | '|' | '^' | '`' | '\\')
+}
+
+/// Whether the entry `next` follows `prev` in the term order, given how its
+/// text and (typed literals) datatype order against the ones before it, and
+/// the last typed literal's datatype text: the order of [`Term::cmp`] over
+/// kind, then an IRI's or a blank node's text, a literal's value key,
+/// lexical form, datatype and language tag.
+fn increases<'a>(
+    prev: Ordered<'a>,
+    next: Ordered<'a>,
+    entry: &Entry<'_>,
+    datatype_text: &str,
+) -> bool {
+    // Across kinds: blank nodes, then IRIs, then literals.
+    let kind = |tag| match tag {
+        TAG_BLANK => 0,
+        TAG_IRI => 1,
+        _ => 2,
+    };
+    match kind(next.tag).cmp(&kind(prev.tag)) {
+        Ordering::Equal if next.value.is_none() => entry.text_order == Ordering::Greater,
+        Ordering::Equal => {
+            let datatype = |tag| match tag {
+                TAG_STRING => xsd::text::string,
+                TAG_LANG => rdf::text::lang_string,
+                _ => datatype_text,
+            };
+            let datatypes = || match (prev.tag, next.tag) {
+                (TAG_TYPED, TAG_TYPED) => entry.datatype_order,
+                _ => datatype(next.tag).cmp(datatype(prev.tag)),
+            };
+            // A tag orders as the literal holds it: lower-cased.
+            let language = |o: Ordered<'a>| (o.tag == TAG_LANG).then_some(o.lang);
+            let languages = || match (language(next), language(prev)) {
+                (Some(a), Some(b)) => lowered(a).cmp(lowered(b)),
+                (a, b) => a.is_some().cmp(&b.is_some()),
+            };
+            let order = next.value.cmp(&prev.value).then(entry.text_order);
+            order.then_with(datatypes).then_with(languages) == Ordering::Greater
+        }
+        order => order == Ordering::Greater,
+    }
+}
+
+/// A language tag's bytes, lower-cased.
+fn lowered(tag: &str) -> impl Iterator<Item = u8> + '_ {
+    tag.bytes().map(|b| b.to_ascii_lowercase())
 }
 
 /// Reads the GSPO-ordered quad runs straight into GSPO's flat tier; every
@@ -895,5 +1128,251 @@ mod tests {
         let restored: Vec<_> = loaded.iter_quads().collect();
         assert_eq!(original, restored);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One entry of a hand-made term table: its tag, its text, and its
+    /// language tag or datatype IRI.
+    type Written = (u8, String, String);
+
+    /// A term table of `entries`, each text (and datatype) front-coded
+    /// against the one before it as [`encode`] codes it — except entry
+    /// `raw.0`, written with `raw.1` shared bytes and the suffix `raw.2`.
+    fn front_coded_table(entries: &[Written], raw: Option<(usize, usize, &str)>) -> Vec<u8> {
+        let mut payload = Vec::new();
+        let (mut text, mut datatype) = ("", "");
+        for (i, (tag, t, extra)) in entries.iter().enumerate() {
+            payload.push(*tag);
+            match raw {
+                Some((at, shared, suffix)) if at == i => {
+                    write_varint(&mut payload, shared as u64);
+                    write_str(&mut payload, suffix);
+                }
+                _ => write_front_coded(&mut payload, text, t),
+            }
+            text = t;
+            match *tag {
+                TAG_LANG => write_str(&mut payload, extra),
+                TAG_TYPED => {
+                    write_front_coded(&mut payload, datatype, extra);
+                    datatype = extra;
+                }
+                _ => {}
+            }
+        }
+        payload
+    }
+
+    #[test]
+    fn a_bad_entry_in_the_last_block_is_refused_by_the_restore() {
+        // 100 increasing entries: entry 90 sits in the second and last
+        // block, past its head, where the restore validates it without
+        // building it. Each case's table decodes whole, sorted as far as
+        // `sorted`; with entry 90 made bad, `decode` itself refuses it.
+        let entry = |tag: u8, text: String| (tag, text, String::new());
+        let iris: Vec<Written> = (0..100)
+            .map(|i| entry(TAG_IRI, format!("http://e.org/t/{i:03}")))
+            .collect();
+        let accented: Vec<Written> = (0..100)
+            .map(|i| entry(TAG_IRI, format!("http://e.org/é/{i:03}")))
+            .collect();
+        let integers: Vec<Written> = (0..100)
+            .map(|i| (TAG_TYPED, i.to_string(), xsd::text::integer.to_string()))
+            .collect();
+        let after_blanks: Vec<Written> = (0..100)
+            .map(|i| match i {
+                0..=89 => entry(TAG_BLANK, format!("{i:03}n")),
+                _ => entry(TAG_IRI, format!("http://e.org/{i:03}")),
+            })
+            .collect();
+        // Literals order after IRIs, so here entry 90 starts the tail.
+        let after_literals: Vec<Written> = (0..100)
+            .map(|i| match i {
+                0..=89 => entry(TAG_STRING, format!("http://e.org/a b{i:03}")),
+                _ => entry(TAG_IRI, format!("http://e.org/{i:03}")),
+            })
+            .collect();
+        let at89 = |entries: &[Written], suffix: &str| format!("{}{suffix}", entries[89].1);
+        let cases = [
+            (
+                "a forbidden IRI byte in a suffix",
+                &iris,
+                entry(TAG_IRI, at89(&iris, "<")),
+                None,
+                100,
+                "invalid IRI",
+            ),
+            (
+                "U+00A0 in a suffix",
+                &iris,
+                entry(TAG_IRI, at89(&iris, "\u{a0}")),
+                None,
+                100,
+                "invalid IRI",
+            ),
+            (
+                "a shared prefix that splits a character",
+                &accented,
+                accented[90].clone(),
+                Some(("http://e.org/".len() + 1, "x")),
+                100,
+                "splits a character",
+            ),
+            (
+                "a bad datatype IRI",
+                &integers,
+                (TAG_TYPED, "90".into(), "no scheme".into()),
+                None,
+                100,
+                "invalid datatype IRI",
+            ),
+            (
+                "an IRI coded against a blank node",
+                &after_blanks,
+                // The label is all a valid IRI could share, and its first
+                // character cannot start a scheme.
+                entry(TAG_IRI, at89(&after_blanks, ":x")),
+                None,
+                100,
+                "invalid IRI",
+            ),
+            (
+                "an IRI coded against a literal",
+                &after_literals,
+                // The space is in the shared prefix, not the suffix.
+                entry(TAG_IRI, at89(&after_literals, "c")),
+                None,
+                90,
+                "invalid IRI",
+            ),
+        ];
+        for (what, entries, bad, raw, sorted, reason) in cases {
+            let good = decode(&crafted(100, 0, &front_coded_table(entries, None)))
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            let dictionary = good.dictionary();
+            assert_eq!(dictionary.sorted_len(), sorted, "{what}");
+            assert_eq!(dictionary.materialized_len(), 100 - sorted, "{what}");
+            let mut entries = entries.clone();
+            entries[90] = bad;
+            let raw = raw.map(|(shared, suffix)| (90, shared, suffix));
+            let refused = corruption(&crafted(100, 0, &front_coded_table(&entries, raw)));
+            assert!(refused.contains(reason), "{what}: {refused}");
+        }
+    }
+
+    #[test]
+    fn the_suffix_check_agrees_with_iri_parse() {
+        // Front-coded neighbours: a valid IRI, then a text sharing each of
+        // its character-boundary prefixes and ending in each suffix. The
+        // restore's verdict on the second, given the first's colon, is
+        // `Iri::parse`'s, and so is the colon it reports.
+        let firsts = [
+            "http://e.org/a",
+            "h:x",
+            "urn:isbn:0451450523",
+            "http://e.org/é/ü",
+            "a+b-c.d:/p?q=1#f",
+            "mailto:someone@e.org",
+        ];
+        let suffixes = [
+            "",
+            "a",
+            "/x/y",
+            ":",
+            "::x",
+            " ",
+            "\t",
+            "<",
+            ">",
+            "\"",
+            "{",
+            "}",
+            "|",
+            "^",
+            "`",
+            "\\",
+            "\u{a0}",
+            "\u{85}",
+            "\u{2003}",
+            "\u{3000}",
+            "\u{2028}",
+            "é",
+            "x\u{a0}y",
+            "ok<",
+            "\u{1F600}",
+            "%20",
+            "#frag",
+            "~:x",
+            "+:x",
+            "1:x",
+        ];
+        let mut checked = 0;
+        for first in firsts {
+            let colon = first.find(':');
+            assert!(Iri::parse(first).is_ok());
+            for shared in (0..=first.len()).filter(|&at| first.is_char_boundary(at)) {
+                for suffix in suffixes {
+                    let text = format!("{}{suffix}", &first[..shared]);
+                    let restore = check_iri(&text, shared, colon).map_err(|_| ());
+                    let parse = Iri::parse(&text).map(|_| text.find(':').unwrap());
+                    assert_eq!(restore, parse.map_err(|_| ()), "{text:?} after {first:?}");
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 1_000, "{checked}");
+    }
+
+    #[test]
+    fn a_restored_base_builds_a_block_on_its_first_read() {
+        // A fresh load of 1 001 terms: blocks of 64, the last one of 41.
+        let loaded = TripleStore::from_graph(&sample(499).iter().collect());
+        let terms = loaded.term_count();
+        assert_eq!(terms, 1_001);
+        let restored = decode(&encode(&loaded)).unwrap();
+        let dict = restored.dictionary();
+        assert_eq!((dict.sorted_len(), dict.materialized_len()), (terms, 0));
+        let term = |id: TermId| loaded.dictionary().term(id).clone();
+        // A head answers a lookup without building its block.
+        assert_eq!(dict.id_of(&term(128)), Some(128));
+        assert_eq!(dict.materialized_len(), 0);
+        // Any other id builds its one block, a miss at most one.
+        assert_eq!(dict.id_of(&term(130)), Some(130));
+        assert_eq!(dict.materialized_len(), 64);
+        assert_eq!(
+            dict.id_of(&Iri::new("http://e.org/1x").unwrap().into()),
+            None
+        );
+        assert!(dict.materialized_len() <= 128);
+        assert_eq!(dict.term(1_000), &term(1_000));
+        assert_eq!(dict.get(960), Some(&term(960)));
+        let built = dict.materialized_len();
+        assert!(built <= 128 + 41, "{built}");
+        // A clone shares what is built.
+        let copy = restored.clone();
+        assert_eq!(copy.dictionary().materialized_len(), built);
+        // Every id reads back as the load numbered it, and the re-encoded
+        // snapshot is the one it came from.
+        for (id, t) in loaded.dictionary().iter() {
+            assert_eq!(dict.term(id), t);
+        }
+        assert_eq!(dict.materialized_len(), terms);
+        assert_eq!(encode(&restored), encode(&loaded));
+    }
+
+    #[test]
+    fn a_snapshot_re_encoded_from_its_restore_is_byte_identical() {
+        // A fresh load, then interns past it: a base and a tail.
+        let mut store = TripleStore::from_graph(&sample(300).iter().collect());
+        for i in 0..40 {
+            store.insert(&Triple::new(
+                Iri::new(format!("http://a.example/{i}")).unwrap(),
+                foaf::name(),
+                Literal::lang_string(format!("n{i}"), "EN"),
+            ));
+        }
+        let bytes = encode(&store);
+        let restored = decode(&bytes).unwrap();
+        assert!(restored.dictionary().sorted_len() < restored.term_count());
+        assert_eq!(encode(&restored), bytes);
     }
 }

@@ -145,21 +145,72 @@ fn escaping_control_characters_allocates_nothing_but_the_output() {
     );
 }
 
+/// The snapshot of a fresh load of [`triples`]`(n)`.
+fn snapshot_of(n: usize) -> Vec<u8> {
+    let graph: Graph = triples(n).into_iter().collect();
+    snapshot::encode(&TripleStore::from_graph(&graph))
+}
+
 #[test]
 fn a_snapshot_term_table_decodes_each_term_once() {
+    // A restore validates every entry of the term table and builds one
+    // term a block of 64 ids — its head — and nothing else per term: the
+    // tables are sized up front.
     let decode = |n: usize| {
-        let graph: Graph = triples(n).into_iter().collect();
-        let bytes = snapshot::encode(&TripleStore::from_graph(&graph));
+        let bytes = snapshot_of(n);
         let (store, allocations) = counted(|| snapshot::decode(&bytes).unwrap());
         assert_eq!(store.len(), n);
+        assert_eq!(store.dictionary().materialized_len(), 0);
         allocations
     };
-    // Each added triple adds two terms — its subject and its object — and
-    // nothing else allocates per term: the tables are sized up front.
-    let per_triple = marginal(decode, 600);
+    // Each added triple adds two terms — its subject and its object.
+    let per_triple = marginal(decode, 1_200);
     assert!(
-        per_triple <= 2.01,
+        per_triple <= 2.0 / 64.0 + 0.01,
         "{per_triple} allocations per decoded triple"
+    );
+}
+
+#[test]
+fn touching_every_restored_id_builds_each_term_once() {
+    // Every third object a language-tagged literal, whose tag is a copy
+    // of its own.
+    let graph: Graph = triples(1_200)
+        .into_iter()
+        .enumerate()
+        .map(|(i, t)| match i % 3 {
+            0 => Triple::new(
+                t.subject,
+                t.predicate,
+                Literal::lang_string(format!("name {i}"), "it"),
+            ),
+            _ => t,
+        })
+        .collect();
+    let bytes = snapshot::encode(&TripleStore::from_graph(&graph));
+    let touch = |store: &TripleStore| {
+        let dictionary = store.dictionary();
+        for id in 0..dictionary.len() as u32 {
+            std::hint::black_box(dictionary.term(id));
+        }
+        dictionary.len()
+    };
+    // Once unmeasured: the block decoder keeps its text buffers between
+    // blocks, and this thread's are grown here.
+    touch(&snapshot::decode(&bytes).unwrap());
+    let store = snapshot::decode(&bytes).unwrap();
+    let (terms, allocations) = counted(|| touch(&store));
+    let tagged = store
+        .dictionary()
+        .iter()
+        .filter(|(_, t)| matches!(t, Term::Literal(l) if l.language().is_some()))
+        .count();
+    assert_eq!(store.dictionary().materialized_len(), terms);
+    // A block of 64 ids: its head is built already, and the 63 others and
+    // the block's slice cost one allocation each.
+    assert!(
+        allocations <= terms + tagged,
+        "{allocations} allocations for {terms} terms, {tagged} tagged"
     );
 }
 
