@@ -15,11 +15,10 @@ mod common;
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use hbold_rdf_model::vocab::{foaf, rdf};
-use hbold_rdf_model::{Graph, Iri, Literal, Triple};
+use hbold_rdf_model::{Graph, Iri, Triple};
 use hbold_server::{ServerConfig, SparqlServer};
 use hbold_triple_store::{PersistOptions, SharedStore};
 
@@ -28,21 +27,7 @@ use hbold_triple_store::{PersistOptions, SharedStore};
 const CROSS_JOIN: &str = "SELECT (COUNT(*) AS ?n) WHERE { ?a ?b ?c . ?d ?e ?f . ?g ?h ?i }";
 
 fn people_store(n: usize) -> SharedStore {
-    let mut g = Graph::new();
-    for i in 0..n {
-        let s = Iri::new(format!("http://example.org/person/{i}")).unwrap();
-        g.insert(Triple::new(s.clone(), rdf::type_(), foaf::person()));
-        g.insert(Triple::new(
-            s.clone(),
-            foaf::name(),
-            Literal::string(format!("Person {i}")),
-        ));
-        if i > 0 {
-            let other = Iri::new(format!("http://example.org/person/{}", i / 2)).unwrap();
-            g.insert(Triple::new(s, foaf::knows(), other));
-        }
-    }
-    SharedStore::from_graph(&g)
+    SharedStore::from_graph(&common::people_graph(n))
 }
 
 /// One POST round-trip over a fresh connection; returns (status, full text).
@@ -66,13 +51,6 @@ fn post(addr: std::net::SocketAddr, path: &str, content_type: &str, body: &str) 
         .and_then(|s| s.parse().ok())
         .unwrap_or_else(|| panic!("no status line in {text:?}"));
     (status, text)
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("hbold-armor-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 /// The tentpole acceptance check: a query running past `--query-timeout-ms`
@@ -211,7 +189,7 @@ fn admission_limit_rejects_with_503_and_retry_after() {
 /// *and its WAL* byte-identical — no partial delta, no torn log record.
 #[test]
 fn timed_out_update_leaves_store_and_wal_byte_identical() {
-    let dir = temp_dir("atomic-update");
+    let dir = common::temp_dir("atomic-update");
     let (store, _report) = SharedStore::open_with(dir.to_str().unwrap(), PersistOptions::default())
         .expect("open durable store");
     let mut g = Graph::new();

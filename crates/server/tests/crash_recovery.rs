@@ -5,18 +5,22 @@
 //! last committed write and serve **byte-identical** SPARQL results to an
 //! in-memory server holding the same data.
 
-use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use hbold_rdf_model::vocab::{foaf, rdf};
-use hbold_rdf_model::{Graph, Iri, Literal, Quad, Triple};
+use hbold_rdf_model::{Iri, Quad, Triple};
 use hbold_server::{ServerConfig, SparqlServer};
 use hbold_triple_store::SharedStore;
 
 mod common;
+
+use common::json;
+use common::{
+    http_get, http_query, http_update, metric, metric_lines, people_graph, percent_encode,
+    refused_boot, spawn_server, spawn_server_with_env, temp_dir, write_file,
+};
 
 const QUERIES: &[&str] = &[
     "SELECT ?s ?name WHERE { ?s <http://xmlns.com/foaf/0.1/name> ?name } ORDER BY ?name LIMIT 25",
@@ -25,158 +29,6 @@ const QUERIES: &[&str] = &[
     "ASK { ?s a <http://xmlns.com/foaf/0.1/Person> }",
     "SELECT ?a ?b WHERE { ?a <http://xmlns.com/foaf/0.1/knows> ?b } ORDER BY ?a ?b LIMIT 40",
 ];
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("hbold-crash-recovery-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn people_graph(n: usize) -> Graph {
-    let mut g = Graph::new();
-    for i in 0..n {
-        let s = Iri::new(format!("http://example.org/person/{i}")).unwrap();
-        g.insert(Triple::new(s.clone(), rdf::type_(), foaf::person()));
-        g.insert(Triple::new(
-            s.clone(),
-            foaf::name(),
-            Literal::string(format!("Person {i}")),
-        ));
-        if i > 0 {
-            let other = Iri::new(format!("http://example.org/person/{}", i / 2)).unwrap();
-            g.insert(Triple::new(s, foaf::knows(), other));
-        }
-    }
-    g
-}
-
-fn write_ntriples(graph: &Graph, path: &PathBuf) {
-    let mut text = String::new();
-    for t in graph.iter() {
-        text.push_str(&format!(
-            "{} {} {} .\n",
-            t.subject.to_ntriples(),
-            t.predicate.to_ntriples(),
-            t.object.to_ntriples()
-        ));
-    }
-    std::fs::write(path, text).unwrap();
-}
-
-/// A spawned `hbold-server` child plus the port it reported on stdout.
-struct ServerProcess {
-    child: Child,
-    port: u16,
-}
-
-/// A failed assertion must not leave the child running: it holds the test
-/// harness's stderr open, and whoever reads that waits forever.
-impl Drop for ServerProcess {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-fn spawn_server(args: &[&str]) -> ServerProcess {
-    spawn_server_with_env(args, &[])
-}
-
-fn spawn_server_with_env(args: &[&str], env: &[(&str, &str)]) -> ServerProcess {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_hbold-server"))
-        .args(["--addr", "127.0.0.1:0"])
-        .args(args)
-        .envs(env.iter().copied())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .expect("spawn hbold-server");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut reader = BufReader::new(stdout);
-    let mut line = String::new();
-    let port = loop {
-        line.clear();
-        let n = reader.read_line(&mut line).expect("read server stdout");
-        assert!(n > 0, "server exited before announcing its address");
-        if let Some(rest) = line.split("http://127.0.0.1:").nth(1) {
-            let port: u16 = rest
-                .split('/')
-                .next()
-                .and_then(|p| p.trim().parse().ok())
-                .unwrap_or_else(|| panic!("unparsable address line {line:?}"));
-            break port;
-        }
-    };
-    // Keep draining stdout so the child never blocks on a full pipe.
-    std::thread::spawn(move || {
-        let mut rest = String::new();
-        let _ = reader.read_to_string(&mut rest);
-    });
-    ServerProcess { child, port }
-}
-
-fn percent_encode(query: &str) -> String {
-    let mut out = String::new();
-    for b in query.bytes() {
-        match b {
-            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
-                out.push(b as char)
-            }
-            other => out.push_str(&format!("%{other:02X}")),
-        }
-    }
-    out
-}
-
-/// GET ?query= against a loopback port; returns (status, body bytes).
-fn http_query(port: u16, query: &str) -> (u16, Vec<u8>) {
-    http_get(port, &format!("/sparql?query={}", percent_encode(query)))
-}
-
-/// GET `target` against a loopback port; returns (status, body bytes).
-fn http_get(port: u16, target: &str) -> (u16, Vec<u8>) {
-    let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let request = format!("GET {target} HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n");
-    stream.write_all(request.as_bytes()).expect("send request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("response head");
-    let head = String::from_utf8_lossy(&raw[..head_end]).to_string();
-    let status: u16 = head
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line in {head:?}"));
-    (status, raw[head_end + 4..].to_vec())
-}
-
-/// POST one update request (`application/sparql-update`); returns the status.
-fn http_update(port: u16, update: &str) -> u16 {
-    let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let request = format!(
-        "POST /update HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Type: application/sparql-update\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{update}",
-        update.len()
-    );
-    stream.write_all(request.as_bytes()).expect("send update");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let head = String::from_utf8_lossy(&raw);
-    head.split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line in {head:?}"))
-}
 
 /// The snapshot, temp-snapshot and log files of a data directory, sorted
 /// (the directory's `lock` file left out).
@@ -190,30 +42,17 @@ fn store_files(dir: &Path) -> Vec<String> {
     names
 }
 
-fn wait_until_serving(port: u16) {
-    for _ in 0..100 {
-        if TcpStream::connect(("127.0.0.1", port)).is_ok() {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    panic!("server on port {port} never came up");
-}
-
 #[test]
 fn killed_server_restarts_with_byte_identical_results() {
     let dir = temp_dir("kill-restart");
     let data_dir = dir.join("data");
-    let nt_path = dir.join("people.nt");
-    write_ntriples(&people_graph(150), &nt_path);
     let data_dir_str = data_dir.to_str().unwrap();
-    let nt_str = nt_path.to_str().unwrap();
+    let nt_str = &write_file(&dir, "people.nt", &people_graph(150).to_ntriples());
 
     // Boot a durable server that loads the dataset into the empty
     // directory. The load is committed before the server listens, as
     // snapshot generation 1 over an empty log — not as a log record.
     let mut first = spawn_server(&["--data-dir", data_dir_str, "--data", nt_str]);
-    wait_until_serving(first.port);
     let (status, warm_body) = http_query(first.port, QUERIES[0]);
     assert_eq!(status, 200, "durable server answers before the crash");
     assert_eq!(
@@ -233,16 +72,13 @@ fn killed_server_restarts_with_byte_identical_results() {
     );
     // SIGKILL: no graceful drain, no shutdown checkpoint — the load's
     // snapshot is all that survives.
-    first.child.kill().expect("SIGKILL the server");
-    let _ = first.child.wait();
+    first.kill();
 
     // Restart from the data directory alone — no --data this time.
-    let mut restarted = spawn_server(&["--data-dir", data_dir_str]);
-    wait_until_serving(restarted.port);
+    let restarted = spawn_server(&["--data-dir", data_dir_str]);
 
     // Reference: a plain in-memory server over the same file.
-    let mut reference = spawn_server(&["--data", nt_str]);
-    wait_until_serving(reference.port);
+    let reference = spawn_server(&["--data", nt_str]);
 
     for query in QUERIES {
         let (restarted_status, restarted_body) = http_query(restarted.port, query);
@@ -258,10 +94,6 @@ fn killed_server_restarts_with_byte_identical_results() {
     let (_, post_crash_body) = http_query(restarted.port, QUERIES[0]);
     assert_eq!(post_crash_body, warm_body);
 
-    restarted.child.kill().expect("stop restarted server");
-    let _ = restarted.child.wait();
-    reference.child.kill().expect("stop reference server");
-    let _ = reference.child.wait();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -298,21 +130,17 @@ fn killed_mid_update_stream_restarts_byte_identical() {
     // Durable server, born empty; every update is acknowledged (204 means
     // the WAL record was appended) before the SIGKILL lands.
     let mut durable = spawn_server(&["--data-dir", data_dir_str]);
-    wait_until_serving(durable.port);
     for update in &updates {
         assert_eq!(http_update(durable.port, update), 204, "update {update:?}");
     }
-    durable.child.kill().expect("SIGKILL mid update stream");
-    let _ = durable.child.wait();
+    durable.kill();
     assert!(data_dir.join("wal.log").exists(), "the WAL survived");
 
     // Restart from the data directory alone.
-    let mut restarted = spawn_server(&["--data-dir", data_dir_str]);
-    wait_until_serving(restarted.port);
+    let restarted = spawn_server(&["--data-dir", data_dir_str]);
 
     // Reference: an in-memory server replaying the same acknowledged stream.
-    let mut reference = spawn_server(&[]);
-    wait_until_serving(reference.port);
+    let reference = spawn_server(&[]);
     for update in &updates {
         assert_eq!(http_update(reference.port, update), 204);
     }
@@ -338,10 +166,6 @@ fn killed_mid_update_stream_restarts_byte_identical() {
         );
     }
 
-    restarted.child.kill().expect("stop restarted server");
-    let _ = restarted.child.wait();
-    reference.child.kill().expect("stop reference server");
-    let _ = reference.child.wait();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -349,8 +173,7 @@ fn killed_mid_update_stream_restarts_byte_identical() {
 fn graceful_shutdown_checkpoints_so_restart_needs_no_wal() {
     let dir = temp_dir("graceful-checkpoint");
     let data_dir = dir.join("data");
-    let nt_path = dir.join("people.nt");
-    write_ntriples(&people_graph(40), &nt_path);
+    let nt = write_file(&dir, "people.nt", &people_graph(40).to_ntriples());
 
     // Boot durable (the load is snapshot generation 1), log one update,
     // then stop through POST /shutdown: the drain must checkpoint the
@@ -359,22 +182,14 @@ fn graceful_shutdown_checkpoints_so_restart_needs_no_wal() {
         "--data-dir",
         data_dir.to_str().unwrap(),
         "--data",
-        nt_path.to_str().unwrap(),
+        &nt,
         "--enable-shutdown",
     ]);
-    wait_until_serving(server.port);
     let update =
         "INSERT DATA { <http://example.org/person/40> a <http://xmlns.com/foaf/0.1/Person> }";
     assert_eq!(http_update(server.port, update), 204);
     assert!(std::fs::metadata(data_dir.join("wal.log")).unwrap().len() > 0);
-    let mut stream = TcpStream::connect(("127.0.0.1", server.port)).unwrap();
-    stream
-        .write_all(b"POST /shutdown HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n")
-        .unwrap();
-    let mut drain = Vec::new();
-    let _ = stream.read_to_end(&mut drain);
-    let status = server.child.wait().expect("server exits");
-    assert!(status.success(), "graceful shutdown exits 0");
+    server.shutdown();
 
     assert_eq!(
         std::fs::metadata(data_dir.join("wal.log")).unwrap().len(),
@@ -390,16 +205,21 @@ fn graceful_shutdown_checkpoints_so_restart_needs_no_wal() {
     assert!(data_dir.join("snapshot-0000000000000002.hbs").exists());
 
     // And the snapshot alone reproduces the data.
-    let mut restarted = spawn_server(&["--data-dir", data_dir.to_str().unwrap()]);
-    wait_until_serving(restarted.port);
+    let restarted = spawn_server(&["--data-dir", data_dir.to_str().unwrap()]);
     let (status, body) = http_query(
         restarted.port,
         "SELECT (COUNT(?s) AS ?n) WHERE { ?s a <http://xmlns.com/foaf/0.1/Person> }",
     );
     assert_eq!(status, 200);
     assert!(String::from_utf8_lossy(&body).contains("\"41\""));
-    restarted.child.kill().unwrap();
-    let _ = restarted.child.wait();
+    // The restore searches the snapshot's sorted base instead of hashing
+    // it, and keeps it front-coded: a count reads no term, so most of its
+    // blocks are still unbuilt.
+    let (_, body) = http_query(restarted.port, "SELECT (COUNT(*) AS ?n) { ?s ?p ?o }");
+    assert!(String::from_utf8_lossy(&body).contains("\"120\""));
+    let terms = metric(restarted.port, "hbold_store_terms");
+    assert!(metric(restarted.port, "hbold_store_hashed_terms") < terms);
+    assert!(metric(restarted.port, "hbold_store_materialized_terms") < terms);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -422,7 +242,6 @@ fn a_failed_wal_append_is_a_503_and_leaves_no_trace() {
         "1",
     ];
     let mut server = spawn_server_with_env(&args, &[("HBOLD_FAULTS", "seed=1,wal_io=1")]);
-    wait_until_serving(server.port);
     let wal = data_dir.join("wal.log");
     let wal_len = std::fs::metadata(&wal).unwrap().len();
     let count = "SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }";
@@ -481,19 +300,15 @@ fn a_failed_wal_append_is_a_503_and_leaves_no_trace() {
         );
     }
     assert_eq!(std::fs::metadata(&wal).unwrap().len(), wal_len);
-    server.child.kill().unwrap();
-    let _ = server.child.wait();
+    server.kill();
 
-    let mut restarted = spawn_server(&args[..2]);
-    wait_until_serving(restarted.port);
+    let restarted = spawn_server(&args[..2]);
     assert_eq!(
         http_query(restarted.port, ask),
         (200, br#"{"head":{},"boolean":false}"#.to_vec())
     );
     assert_eq!(http_query(restarted.port, count), (200, triples));
     assert_eq!(std::fs::metadata(&wal).unwrap().len(), wal_len);
-    restarted.child.kill().unwrap();
-    let _ = restarted.child.wait();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -562,12 +377,7 @@ fn a_log_written_by_another_build_stops_the_boot_and_is_left_untouched() {
     bytes.extend_from_slice(&payload);
     std::fs::write(&wal, &bytes).unwrap();
 
-    let output = Command::new(env!("CARGO_BIN_EXE_hbold-server"))
-        .args(["--addr", "127.0.0.1:0", "--data-dir", dir.to_str().unwrap()])
-        .output()
-        .expect("run hbold-server");
-    assert_eq!(output.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&output.stderr);
+    let stderr = refused_boot(&["--data-dir", dir.to_str().unwrap()], &[]);
     assert!(stderr.contains("cannot open data directory"), "{stderr}");
     assert!(stderr.contains("unknown record tag 9"), "{stderr}");
     assert_eq!(std::fs::read(&wal).unwrap(), bytes, "the log was modified");
@@ -582,24 +392,15 @@ fn a_log_written_by_another_build_stops_the_boot_and_is_left_untouched() {
 #[test]
 fn a_load_that_fails_exits_2_and_leaves_the_directory_empty() {
     let dir = temp_dir("failed-load");
-    let good = dir.join("people.nt");
-    write_ntriples(&people_graph(30), &good);
-    let text = std::fs::read_to_string(&good).unwrap();
+    let text = people_graph(30).to_ntriples();
+    let good = write_file(&dir, "people.nt", &text);
     let mut lines: Vec<&str> = text.lines().collect();
     lines[39] = "<http://example.org/person/7> <http://xmlns.com/foaf/0.1/name> .";
-    let bad = dir.join("broken.nt");
-    std::fs::write(&bad, lines.join("\n")).unwrap();
+    let bad = write_file(&dir, "broken.nt", &lines.join("\n"));
 
-    let run = |data_dir: &Path, file: &Path, faults: &str| {
-        let output = Command::new(env!("CARGO_BIN_EXE_hbold-server"))
-            .args(["--addr", "127.0.0.1:0", "--data-dir"])
-            .arg(data_dir)
-            .arg("--data")
-            .arg(file)
-            .env("HBOLD_FAULTS", faults)
-            .output()
-            .expect("run hbold-server");
-        assert_eq!(output.status.code(), Some(2), "{output:?}");
+    let run = |data_dir: &Path, file: &str, faults: &str| {
+        let args = ["--data-dir", data_dir.to_str().unwrap(), "--data", file];
+        let stderr = refused_boot(&args, &[("HBOLD_FAULTS", faults)]);
         assert_eq!(
             store_files(data_dir),
             ["wal.log"],
@@ -609,7 +410,7 @@ fn a_load_that_fails_exits_2_and_leaves_the_directory_empty() {
             std::fs::metadata(data_dir.join("wal.log")).unwrap().len(),
             0
         );
-        String::from_utf8_lossy(&output.stderr).into_owned()
+        stderr
     };
     let stderr = run(&dir.join("parse-data"), &bad, "");
     assert!(stderr.contains("broken.nt"), "{stderr}");
@@ -617,5 +418,107 @@ fn a_load_that_fails_exits_2_and_leaves_the_directory_empty() {
     let stderr = run(&dir.join("fault-data"), &good, "snapshot_io=1");
     assert!(stderr.contains("people.nt"), "{stderr}");
     assert!(stderr.contains("injected snapshot I/O fault"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A browse page after a fresh `--data` load streams in term order (the
+/// load numbers the dictionary by `Term::cmp`). One `INSERT DATA` of a fresh
+/// IRI appends an id past the sorted run: the same page then plans as top-k
+/// and answers the same bytes, and the gauges say the run ended. A SIGKILL
+/// and a restart (the load's snapshot plus the insert's log record) change
+/// neither the answer, nor the plan, nor the gauges.
+#[test]
+fn a_browse_page_streams_then_falls_back_to_topk_across_a_kill() {
+    let dir = temp_dir("browse");
+    let text: String = (0..400)
+        .map(|i| {
+            let s = format!("<http://ci.example/item/{}>", i * 7919 % 400);
+            format!(
+                "{s} <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://ci.example/Item> .\n\
+                 {s} <http://ci.example/label> \"item {i}\" .\n\
+                 {s} <http://ci.example/rank> \"{}\"^^<http://www.w3.org/2001/XMLSchema#integer> .\n",
+                i * 31 % 97
+            )
+        })
+        .collect();
+    let nt = write_file(&dir, "browse.nt", &text);
+    let data_dir = dir.join("data");
+    let data_dir = data_dir.to_str().unwrap();
+    let page = "SELECT ?s ?p ?o WHERE { ?s a <http://ci.example/Item> . ?s ?p ?o } \
+                ORDER BY ?s ?p ?o LIMIT 50 OFFSET 100";
+    // The strategies of the traced page's order spans, then the sorted
+    // terms and all terms.
+    let plan = |port| {
+        let target = format!("/sparql?trace=1&query={}", percent_encode(page));
+        let doc = json::parse(&String::from_utf8(http_get(port, &target).1).unwrap());
+        let orders = json::named(json::at(&doc, "trace"), "order");
+        let strategy = |s: &&_| json::at(s, "attrs.strategy").as_str().unwrap().to_owned();
+        let terms = ["hbold_store_sorted_terms", "hbold_store_terms"].map(|m| metric(port, m));
+        (orders.iter().map(strategy).collect::<Vec<_>>(), terms)
+    };
+    let mut server = spawn_server(&["--data-dir", data_dir, "--data", &nt]);
+    let (strategies, [sorted, terms]) = plan(server.port);
+    assert_eq!(strategies, ["stream"]);
+    assert_eq!(sorted, terms);
+    let (status, fresh) = http_query(server.port, page);
+    assert_eq!(status, 200);
+    let insert = "INSERT DATA { <http://ci.example/a-fresh-iri> <http://ci.example/label> \"x\" }";
+    assert_eq!(http_update(server.port, insert), 204);
+    let grown = plan(server.port);
+    assert_eq!(grown.0, ["topk"], "an intern past the run still streams");
+    let [sorted, terms] = grown.1;
+    assert!(sorted < terms, "{sorted} of {terms} terms sorted");
+    assert_eq!(http_query(server.port, page), (200, fresh.clone()));
+    server.kill();
+    let restarted = spawn_server(&["--data-dir", data_dir]);
+    assert_eq!(plan(restarted.port), grown);
+    assert_eq!(http_query(restarted.port, page), (200, fresh));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Only GSPO is stored, and no directory: every restore derives GPOS and
+/// GOSP and rebuilds every directory. The twelve tier series (3 orders ×
+/// flat/delta/dead/directory) and twelve byte series (3 orders ×
+/// pairs/directory/delta/dead) read the same after a fresh load (its
+/// subjects one dense block, so GSPO has a directory), after a SIGKILL
+/// restart and after a graceful restart: both restore the load's snapshot.
+#[test]
+fn every_restore_rebuilds_the_same_tiers_and_directories() {
+    let dir = temp_dir("directory");
+    let text: String = (0..300)
+        .map(|i| {
+            format!(
+                "<http://ci.example/node/{i}> <http://ci.example/next> <http://ci.example/node/{}> .\n\
+                 <http://ci.example/node/{i}> <http://ci.example/label> \"node {i}\" .\n",
+                (i + 1) % 300
+            )
+        })
+        .collect();
+    let nt = write_file(&dir, "directory.nt", &text);
+    let data_dir = dir.join("data");
+    let data_dir = data_dir.to_str().unwrap();
+    let tiers = |port| {
+        let names = ["hbold_index_tier_entries", "hbold_index_bytes"];
+        names.map(|name| metric_lines(port, name)).concat()
+    };
+    let mut server = spawn_server(&["--data-dir", data_dir, "--data", &nt]);
+    let loaded = tiers(server.port);
+    assert_eq!(loaded.len(), 24, "{loaded:#?}");
+    // Eight bytes of pairs for each of the 600 quads, and a directory.
+    let value = |series: &str| loaded.iter().find_map(|l| l.strip_prefix(series)).unwrap();
+    assert_eq!(
+        value("hbold_index_bytes{order=\"gspo\",tier=\"pairs\"} "),
+        "4800"
+    );
+    assert_ne!(
+        value("hbold_index_tier_entries{order=\"gspo\",tier=\"directory\"} "),
+        "0"
+    );
+    server.kill();
+    let mut restarted = spawn_server(&["--data-dir", data_dir, "--enable-shutdown"]);
+    assert_eq!(tiers(restarted.port), loaded, "the SIGKILL restart");
+    restarted.shutdown();
+    let again = spawn_server(&["--data-dir", data_dir]);
+    assert_eq!(tiers(again.port), loaded, "the graceful restart");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -212,6 +212,15 @@ fn health_and_unknown_routes() {
     assert_eq!(body, b"ok\n");
     let (status, _, _) = roundtrip(&server, "GET /nowhere HTTP/1.1\r\nHost: x\r\n\r\n");
     assert_eq!(status, 404);
+    // An error body, byte for byte: its detail holds escaped quotes.
+    let (status, _, body) = roundtrip(&server, "GET /sparql HTTP/1.1\r\nHost: x\r\n\r\n");
+    assert_eq!(status, 400);
+    let expected = concat!(
+        r#"{"error":{"status":400,"reason":"Bad Request","detail":"missing required \"query\" parameter"}}"#,
+        "\n"
+    );
+    assert_eq!(String::from_utf8(body).unwrap(), expected);
+    common::json::check(expected).unwrap();
     // /shutdown is disabled unless opted in.
     let (status, _, _) = roundtrip(
         &server,

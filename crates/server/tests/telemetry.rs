@@ -4,14 +4,14 @@
 
 mod common;
 
-use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use common::{roundtrip, sample_store, send};
+use common::json::{at, named, parse, spans};
+use common::{http_query, roundtrip, sample_store, send, spawn_server};
 use hbold_server::{ServerConfig, SparqlServer};
-use hbold_sparql::json::JsonValue;
 use hbold_telemetry::expo::parse_exposition;
+use hbold_telemetry::json::JsonValue;
 
 fn start_server(config: ServerConfig) -> SparqlServer {
     SparqlServer::start(sample_store(10), config).expect("server starts")
@@ -226,17 +226,27 @@ fn metrics_exposition_reports_exact_traffic() {
     server.shutdown();
 }
 
-fn find_spans<'a>(doc: &'a JsonValue, name: &str, out: &mut Vec<&'a JsonValue>) {
-    if doc.get("name").and_then(|n| n.as_str()) == Some(name) {
-        out.push(doc);
-    }
-    if let Some(children) = doc.get("children").and_then(|c| c.as_array()) {
-        for child in children {
-            find_spans(child, name, out);
-        }
+fn elapsed(span: &JsonValue) -> f64 {
+    at(span, "elapsed_ns").as_f64().unwrap()
+}
+
+/// Every span's children add up to at most its own time, and a `bgp` over
+/// scans that took time reads more than 0.
+fn assert_times_add_up(trace: &JsonValue) {
+    for span in spans(trace) {
+        let children = at(span, "children").as_array().unwrap();
+        let below: f64 = children.iter().map(elapsed).sum();
+        let (name, own) = (at(span, "name").as_str().unwrap(), elapsed(span));
+        assert!(below <= own, "{name}: children {below} > {own}");
+        assert!(name != "bgp" || below == 0.0 || own > 0.0, "{name}");
     }
 }
 
+/// A traced query, checked by the recognizer: the root `query` span with
+/// its phases, a count tail beside the pattern it consumed, a bgp with its
+/// join order, scans with estimates, a plan-cache hit on the second run;
+/// then a grouped query with an `OPTIONAL`, whose tree has every kind of
+/// span it ran. Every span's times add up.
 #[test]
 fn trace_query_returns_a_span_tree() {
     let server = start_server(ServerConfig {
@@ -245,83 +255,65 @@ fn trace_query_returns_a_span_tree() {
         ..ServerConfig::default()
     });
     let mut stream = TcpStream::connect(server.addr()).expect("connect");
-    let (status, head, body) = send(
-        &mut stream,
-        &format!("GET /sparql?query={COUNT_QUERY_ENCODED}&trace=1 HTTP/1.1\r\nHost: x\r\n\r\n"),
-    );
-    assert_eq!(status, 200);
-    assert!(head.contains("application/json"));
-    let doc = JsonValue::parse(std::str::from_utf8(&body).unwrap()).expect("trace JSON");
-
-    let trace_id = doc.get("trace_id").unwrap().as_str().unwrap();
+    let mut traced = |query: &str| {
+        let (status, head, body) = send(
+            &mut stream,
+            &format!("GET /sparql?query={query}&trace=1 HTTP/1.1\r\nHost: x\r\n\r\n"),
+        );
+        assert_eq!(status, 200);
+        assert!(head.contains("application/json"));
+        parse(&String::from_utf8(body).unwrap())
+    };
+    let doc = traced(COUNT_QUERY_ENCODED);
+    let trace_id = at(&doc, "trace_id").as_str().unwrap();
     assert!(
         trace_id.starts_with('c') && trace_id.contains("-r"),
         "trace id {trace_id:?}"
     );
     // The COUNT aggregate projects one row.
-    assert_eq!(doc.get("rows").unwrap().as_f64(), Some(1.0));
+    assert_eq!(at(&doc, "rows").as_f64(), Some(1.0));
 
-    let trace = doc.get("trace").unwrap();
-    assert_eq!(trace.get("name").unwrap().as_str(), Some("query"));
-    let attrs = trace.get("attrs").unwrap();
-    assert_eq!(attrs.get("trace_id").unwrap().as_str(), Some(trace_id));
-    assert!(attrs
-        .get("query")
-        .unwrap()
-        .as_str()
-        .unwrap()
-        .contains("COUNT"));
-    let children: Vec<&str> = trace
-        .get("children")
-        .unwrap()
-        .as_array()
-        .unwrap()
-        .iter()
-        .map(|c| c.get("name").unwrap().as_str().unwrap())
-        .collect();
-    assert_eq!(children, ["parse", "plan", "execute"]);
+    let trace = at(&doc, "trace");
+    assert_eq!(at(trace, "name").as_str(), Some("query"));
+    assert_eq!(at(trace, "attrs.trace_id").as_str(), Some(trace_id));
+    assert!(at(trace, "attrs.query").as_str().unwrap().contains("COUNT"));
+    let phases = at(trace, "children").as_array().unwrap();
+    let children: Vec<_> = phases.iter().map(|c| at(c, "name").as_str()).collect();
+    assert_eq!(children, [Some("parse"), Some("plan"), Some("execute")]);
     // The root's time covers its phases (it used to read 0).
-    let elapsed = |span: &JsonValue| span.get("elapsed_ns").unwrap().as_f64().unwrap();
-    let phases = trace.get("children").unwrap().as_array().unwrap();
     assert!(elapsed(trace) > 0.0);
-    assert!(elapsed(trace) >= phases.iter().map(elapsed).sum::<f64>());
+    assert_times_add_up(trace);
     // The count tail reports under `execute` beside the pattern it consumed.
-    let mut groups = Vec::new();
-    find_spans(trace, "group", &mut groups);
+    let groups = named(trace, "group");
     assert_eq!(groups.len(), 1);
     assert!(elapsed(groups[0]) <= elapsed(&phases[2]));
 
     // The execute subtree carries per-operator detail: a bgp with its join
     // order, and scans with cardinality estimates and actual row counts.
-    let mut bgps = Vec::new();
-    find_spans(trace, "bgp", &mut bgps);
+    let bgps = named(trace, "bgp");
     assert_eq!(bgps.len(), 1);
-    assert!(bgps[0].get("attrs").unwrap().get("order").is_some());
-    let mut scans = Vec::new();
-    find_spans(trace, "scan", &mut scans);
+    at(bgps[0], "attrs.order");
+    let scans = named(trace, "scan");
     assert_eq!(scans.len(), 1, "one triple pattern, one scan span");
-    let scan_attrs = scans[0].get("attrs").unwrap();
-    assert!(scan_attrs.get("estimate").is_some());
-    assert!(scan_attrs.get("pattern").is_some());
-    assert_eq!(scans[0].get("rows").unwrap().as_f64(), Some(10.0));
+    at(scans[0], "attrs.estimate");
+    at(scans[0], "attrs.pattern");
+    assert_eq!(at(scans[0], "rows").as_f64(), Some(10.0));
 
     // A second identical query hits the plan cache and says so in the trace.
-    let (_, _, body) = send(
-        &mut stream,
-        &format!("GET /sparql?query={COUNT_QUERY_ENCODED}&trace=1 HTTP/1.1\r\nHost: x\r\n\r\n"),
-    );
-    let doc = JsonValue::parse(std::str::from_utf8(&body).unwrap()).unwrap();
-    let mut parses = Vec::new();
-    find_spans(doc.get("trace").unwrap(), "parse", &mut parses);
-    assert_eq!(
-        parses[0]
-            .get("attrs")
-            .unwrap()
-            .get("cache_hit")
-            .unwrap()
-            .as_f64(),
-        Some(1.0)
-    );
+    let doc = traced(COUNT_QUERY_ENCODED);
+    let parses = named(at(&doc, "trace"), "parse");
+    assert_eq!(at(parses[0], "attrs.cache_hit").as_f64(), Some(1.0));
+
+    let grouped = "SELECT ?c (COUNT(?f) AS ?n) WHERE { ?s a ?c \
+                   OPTIONAL { ?s <http://xmlns.com/foaf/0.1/knows> ?f } } GROUP BY ?c";
+    let doc = traced(&common::percent_encode(grouped));
+    for kind in ["optional", "bgp", "scan", "group", "project"] {
+        assert!(!named(at(&doc, "trace"), kind).is_empty(), "no {kind} span");
+    }
+    for scan in named(at(&doc, "trace"), "scan") {
+        at(scan, "attrs.estimate");
+    }
+    assert_times_add_up(at(&doc, "trace"));
 
     // Untraced requests on the same server still serve plain SPARQL JSON.
     let (status, head, _) = send(
@@ -334,80 +326,37 @@ fn trace_query_returns_a_span_tree() {
 }
 
 /// Boots the real binary with `--slow-query-ms 0` so every query is "slow",
-/// runs one query, and asserts the stderr slow-query line is well-formed
-/// JSON carrying the trace id, query text, and span tree.
+/// runs one whose text holds quotes and a newline, and checks the stderr
+/// slow-query line with the recognizer: one JSON document carrying the
+/// trace id, the query text exactly as sent, and the span tree.
 #[test]
 fn slow_query_log_emits_a_json_line() {
-    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_hbold-server"))
-        .args([
-            "--addr",
-            "127.0.0.1:0",
-            "--demo-people",
-            "20",
-            "--workers",
-            "2",
-            "--slow-query-ms",
-            "0",
-            "--enable-shutdown",
-        ])
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("spawn hbold-server");
-
-    // The binary prints its OS-picked port on stdout once it is serving.
-    let mut stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
-    let mut addr = None;
-    for _ in 0..20 {
-        let mut line = String::new();
-        if stdout.read_line(&mut line).unwrap_or(0) == 0 {
-            break;
-        }
-        if let Some(rest) = line.split("http://").nth(1) {
-            addr = rest.split("/sparql").next().map(str::to_string);
-            break;
-        }
-    }
-    let addr = addr.expect("server printed its address");
-
-    let mut stream = TcpStream::connect(&addr).expect("connect to binary");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let query = "SELECT%20%3Fs%20WHERE%20%7B%20%3Fs%20a%20%3Chttp%3A%2F%2Fxmlns.com%2Ffoaf%2F0.1%2FPerson%3E%20%7D";
-    let (status, _, _) = send(
-        &mut stream,
-        &format!("GET /sparql?query={query} HTTP/1.1\r\nHost: x\r\n\r\n"),
-    );
-    assert_eq!(status, 200);
-    let (status, _, _) = send(
-        &mut stream,
-        "POST /shutdown HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n",
-    );
-    assert_eq!(status, 200);
-    drop(stream);
-
-    let output = child.wait_with_output().expect("server exits");
-    assert!(output.status.success(), "binary exited {:?}", output.status);
-    let stderr = String::from_utf8_lossy(&output.stderr);
+    let args = [
+        "--demo-people",
+        "20",
+        "--workers",
+        "2",
+        "--slow-query-ms",
+        "0",
+        "--enable-shutdown",
+    ];
+    let mut server = spawn_server(&args);
+    let query = "SELECT ?s WHERE {\n ?s a <http://xmlns.com/foaf/0.1/Person> ; ?p \"a \\\"quoted\\\" name\" }";
+    assert_eq!(http_query(server.port, query).0, 200);
+    let stderr = server.shutdown();
     let line = stderr
         .lines()
         .find(|l| l.contains("\"event\":\"slow_query\""))
         .unwrap_or_else(|| panic!("no slow-query line in stderr: {stderr:?}"));
-    let doc = JsonValue::parse(line).expect("slow-query line is JSON");
-    let trace_id = doc.get("trace_id").unwrap().as_str().unwrap();
+    let doc = parse(line);
+    let trace_id = at(&doc, "trace_id").as_str().unwrap();
     assert!(trace_id.starts_with('c') && trace_id.contains("-r"));
-    assert!(doc
-        .get("query")
-        .unwrap()
-        .as_str()
-        .unwrap()
-        .contains("SELECT"));
-    assert!(doc.get("elapsed_us").unwrap().as_f64().is_some());
-    let trace = doc.get("trace").unwrap();
-    assert_eq!(trace.get("name").unwrap().as_str(), Some("query"));
-    let mut scans = Vec::new();
-    find_spans(trace, "scan", &mut scans);
+    assert_eq!(at(&doc, "query").as_str(), Some(query));
+    assert!(at(&doc, "elapsed_us").as_f64().is_some());
+    let trace = at(&doc, "trace");
+    assert_eq!(at(trace, "name").as_str(), Some("query"));
+    let scans = named(trace, "scan");
     assert!(!scans.is_empty(), "slow-query trace carries scan spans");
-    assert!(scans[0].get("attrs").unwrap().get("estimate").is_some());
+    at(scans[0], "attrs.estimate");
+    assert_times_add_up(trace);
 }

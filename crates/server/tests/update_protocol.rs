@@ -8,7 +8,7 @@ mod common;
 
 use std::time::Duration;
 
-use common::{roundtrip, sample_store};
+use common::{percent_encode, roundtrip, sample_store};
 use hbold_server::{ServerConfig, SparqlServer};
 use hbold_sparql::QueryResults;
 
@@ -41,24 +41,11 @@ fn query(server: &SparqlServer, sparql: &str) -> QueryResults {
         server,
         &format!(
             "GET /sparql?query={} HTTP/1.1\r\nHost: x\r\n\r\n",
-            urlencode(sparql)
+            percent_encode(sparql)
         ),
     );
     assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
     QueryResults::from_sparql_json(std::str::from_utf8(&body).unwrap()).unwrap()
-}
-
-fn urlencode(s: &str) -> String {
-    let mut out = String::new();
-    for b in s.bytes() {
-        match b {
-            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
-                out.push(b as char)
-            }
-            _ => out.push_str(&format!("%{b:02X}")),
-        }
-    }
-    out
 }
 
 #[test]
@@ -114,7 +101,7 @@ fn form_encoded_updates_work_on_both_endpoints() {
             "INSERT DATA {{ <http://example.org/form{}> <http://example.org/p> \"v\" }}",
             path.trim_start_matches('/')
         );
-        let form = format!("update={}", urlencode(&update));
+        let form = format!("update={}", percent_encode(&update));
         let (status, _, body) = roundtrip(
             &server,
             &format!(

@@ -3,11 +3,32 @@
 //! JSON/CSV/TSV serialization round-trips and the same answer from every
 //! physical shape of its store (see `hbold_sparql_check::fuzz`).
 //!
-//! * `HBOLD_FUZZ_CASES=<n>` scales the sweep (default 512; the CI smoke job
-//!   uses the default, local deep sweeps use 10k+).
+//! The three ways are the engine under its cost-based plan, the engine with
+//! every BGP in a seeded random join order, and the naive reference, with
+//! `GRAPH`/`FROM` dataset clauses and skewed graph modes; the engine's
+//! variable→slot layout is checked on its own. The shapes are the same
+//! quads inserted one by one in a shuffled order, restored from the store's
+//! snapshot, replayed from a seeded log of WAL records into an empty store,
+//! churned (flat, delta and tombstone tiers all non-empty) and sparse (junk
+//! terms interned between the logical ones, so runs take the sparse
+//! directory); each must give the reference's answer, sorted under
+//! `ORDER BY`. A fixed share of seeds generates extraction-shaped queries
+//! (`GROUP BY` over 0–2 keys with the six aggregates, with and without
+//! `ORDER BY … LIMIT`, now and then a lone pattern under ungrouped counts,
+//! which the planner counts off the index directory) and another share
+//! browse pages (`?s a <C> . ?s ?p ?o ORDER BY ?s ?p ?o`, and orders beside
+//! it that must not stream). Each store is loaded one quad at a time, in one
+//! fresh bulk load (ids in term order, where `ORDER BY` streams), or by a
+//! fresh load followed by single inserts. The sweep prints what it reached
+//! and fails when any mode it counts reached zero cases, so the gate goes
+//! red when the generator stops producing that mode.
+//!
+//! * `HBOLD_FUZZ_CASES=<n>` scales the sweep (default 512, which the
+//!   release run of the whole suite uses; local deep sweeps use 10k+).
 //! * `HBOLD_FUZZ_SEED=<seed>` reruns exactly one failing case.
 //!
-//! On failure the panic message embeds the seed and the generated query, so
+//! Seeds run sequentially from 0, so every run covers the same cases. On
+//! failure the panic message embeds the seed and the generated query, so
 //! any red run is reproducible with `HBOLD_FUZZ_SEED`.
 
 use hbold_sparql_check::fuzz::{
@@ -125,8 +146,9 @@ fn generated_queries_agree_across_engines_and_serializations() {
 /// SPARQL Update sequence against two stores in lockstep — one through the
 /// statistics-driven engine planner, one through the naive reference
 /// planner — and requires identical outcomes, identical N-Quads
-/// fingerprints after every step, a `print_update` → `parse_update`
-/// fixpoint, and agreement on follow-up probe queries. Reruns one case
+/// fingerprints after every step, the engine store's snapshot restoring to
+/// the same quads, a `print_update` → `parse_update` fixpoint, and
+/// agreement on follow-up probe queries. Reruns one case
 /// with `HBOLD_FUZZ_SEED=<seed> cargo test --test fuzz_differential
 /// generated_update_sequences`.
 #[test]
