@@ -4,8 +4,7 @@
 //! session that issues its next query as soon as the previous answer lands
 //! (closed-loop, so offered load adapts to server speed instead of piling
 //! up). The report carries exact (sorted-sample) p50/p95/p99 latencies and
-//! end-to-end throughput — the numbers the ROADMAP's "heavy traffic" goal
-//! is judged by.
+//! end-to-end throughput.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};

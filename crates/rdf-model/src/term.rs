@@ -82,12 +82,19 @@ impl Iri {
     /// straight into the shared buffer — and only when it is valid. What
     /// decoders call: their text is a slice of the document.
     pub fn parse(text: &str) -> Result<Self, IriParseError> {
+        Iri::check(text)?;
+        Ok(Iri(Arc::from(text)))
+    }
+
+    /// [`Iri::parse`]'s verdict on `text`, without the copy: for a decoder
+    /// that validates text now and builds the IRI later, or never.
+    pub fn check(text: &str) -> Result<(), IriParseError> {
         match invalid_iri(text) {
             Some(reason) => Err(IriParseError {
                 text: text.to_string(),
                 reason,
             }),
-            None => Ok(Iri(Arc::from(text))),
+            None => Ok(()),
         }
     }
 
@@ -115,13 +122,15 @@ impl Iri {
         Some((iri, stop))
     }
 
-    /// Creates an IRI without validation.
+    /// Creates an IRI without validation. Borrowed text is copied once,
+    /// straight into the shared buffer, as [`Iri::parse`] copies it.
     ///
-    /// Intended for compile-time-known vocabulary constants and for internal
-    /// generators that construct IRIs from already-validated parts. Prefer
-    /// [`Iri::new`] for externally supplied text.
-    pub fn new_unchecked(text: impl Into<String>) -> Self {
-        Iri(Arc::from(text.into()))
+    /// Intended for compile-time-known vocabulary constants, for internal
+    /// generators that construct IRIs from already-validated parts, and for
+    /// decoders of bytes validated before. Prefer [`Iri::new`] for
+    /// externally supplied text.
+    pub fn new_unchecked(text: impl Into<Arc<str>>) -> Self {
+        Iri(text.into())
     }
 
     /// The full IRI text.

@@ -46,7 +46,7 @@ const REALWORLD_JSON: &str = concat!(
     r#"{"head":{"vars":["s","p","o"]},"results":{"bindings":["#,
     r#"{"s":{"type":"bnode","value":"b1"},"p":{"type":"uri","value":"http://example.org/near"},"o":{"type":"uri","value":"http://example.org/straße/münchen"}},"#,
     r#"{"s":{"type":"uri","value":"http://example.org/release.v1.2"},"p":{"type":"uri","value":"http://example.org/note"},"o":{"type":"literal","value":"it's","xml:lang":"en"}},"#,
-    r#"{"s":{"type":"uri","value":"http://example.org/straße/münchen"},"p":{"type":"uri","value":"http://example.org/名前"},"o":{"type":"literal","value":"東京 é😀","datatype":"http://www.w3.org/2001/XMLSchema#string"}},"#,
+    r#"{"s":{"type":"uri","value":"http://example.org/straße/münchen"},"p":{"type":"uri","value":"http://example.org/名前"},"o":{"type":"literal","value":"東京 é😀"}},"#,
     r#"{"s":{"type":"uri","value":"http://example.org/straße/münchen"},"p":{"type":"uri","value":"http://www.w3.org/1999/02/22-rdf-syntax-ns#type"},"o":{"type":"uri","value":"http://example.org/City"}},"#,
     r#"{"s":{"type":"uri","value":"http://example.org/straße/münchen"},"p":{"type":"uri","value":"http://www.w3.org/2000/01/rdf-schema#label"},"o":{"type":"literal","value":"München","xml:lang":"de"}},"#,
     r#"{"s":{"type":"uri","value":"http://example.org/Ωmega"},"p":{"type":"uri","value":"http://example.org/count"},"o":{"type":"literal","value":"42","datatype":"http://www.w3.org/2001/XMLSchema#integer"}},"#,
@@ -122,7 +122,7 @@ fn every_escape_at_every_word_offset_survives_the_wire() {
             let s = format!("http://example.org/escape/{i}/{offset:02}");
             nt += &format!("<{s}> <http://example.org/value> \"{a}{nt_text}{b}\" .\n");
             expected += &format!(
-                r#"{{"s":{{"type":"uri","value":"{s}"}},"o":{{"type":"literal","value":"{a}{json_text}{b}","datatype":"http://www.w3.org/2001/XMLSchema#string"}}}},"#
+                r#"{{"s":{{"type":"uri","value":"{s}"}},"o":{{"type":"literal","value":"{a}{json_text}{b}"}}}},"#
             );
         }
     }

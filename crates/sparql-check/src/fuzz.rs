@@ -78,7 +78,7 @@
 //! `HBOLD_FUZZ_SEED=<seed> cargo test -p hbold_sparql --test fuzz_differential`,
 //! then shrink by hand — the failure message embeds the generated query text,
 //! which is usually a few clauses and minimizes quickly by deleting parts.
-//! `HBOLD_FUZZ_CASES` scales the sweep (default 512; CI smoke uses the same).
+//! `HBOLD_FUZZ_CASES` scales the sweep (default 2048; CI smoke uses the same).
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
@@ -1226,8 +1226,8 @@ fn check_sorted(query: &Query, results: &QueryResults) -> Result<(), String> {
 
 /// The slot layout compiled for `query` is a dense bijection between slots
 /// and names, puts the pattern variables first in first-appearance order,
-/// and resolves every variable the query projects, groups or orders by to
-/// the slot carrying that name.
+/// and resolves every variable the query projects, groups or orders by, and
+/// every `SELECT` alias, to the slot carrying that name.
 fn check_slots(query: &Query) -> Result<(), String> {
     fn variables(expr: &Expression, out: &mut Vec<String>) {
         match expr {
@@ -1275,7 +1275,10 @@ fn check_slots(query: &Query) -> Result<(), String> {
         for item in items {
             match item {
                 ProjectionItem::Variable(v) => referenced.push(v.clone()),
-                ProjectionItem::Expression { expr, .. } => variables(expr, &mut referenced),
+                ProjectionItem::Expression { expr, alias } => {
+                    variables(expr, &mut referenced);
+                    referenced.push(alias.clone());
+                }
             }
         }
     }
@@ -1506,6 +1509,9 @@ pub struct Coverage {
     pub grouped: usize,
     /// Cases whose plan orders through the bounded top-k heap.
     pub topk: usize,
+    /// Grouped cases whose plan orders the group stage's rows through the
+    /// top-k heap.
+    pub grouped_topk: usize,
     /// Cases whose plan streams its `ORDER BY` (rows in term order off a
     /// store whose ids are term order).
     pub streamed: usize,
@@ -1540,6 +1546,7 @@ impl std::ops::AddAssign for Coverage {
         self.reordered_bgps += other.reordered_bgps;
         self.grouped += other.grouped;
         self.topk += other.topk;
+        self.grouped_topk += other.grouped_topk;
         self.streamed += other.streamed;
         self.counted += other.counted;
         self.counted_churned += other.counted_churned;
@@ -1649,10 +1656,15 @@ pub fn check_query(
     let naive = reference::evaluate(store, &ast);
     let (shuffled, reordered_bgps) = evaluate_shuffled(store, &ast, shuffle_seed);
     let tail = explain(store, &ast).to_string();
+    let (grouped, topk) = (
+        tail.contains("\ngroup strategy="),
+        tail.contains("\norder strategy=topk"),
+    );
     let mut coverage = Coverage {
         reordered_bgps,
-        grouped: usize::from(tail.contains("\ngroup strategy=")),
-        topk: usize::from(tail.contains("\norder strategy=topk")),
+        grouped: usize::from(grouped),
+        topk: usize::from(topk),
+        grouped_topk: usize::from(grouped && topk),
         streamed: usize::from(tail.contains("\norder strategy=stream")),
         counted: usize::from(tail.contains("\ngroup strategy=count")),
         alias_ordered: usize::from(orders_by_alias(&ast)),
@@ -2054,6 +2066,7 @@ mod tests {
         let mut saw_named_quads = false;
         let mut saw_alias_order = false;
         let mut saw_hidden_key_order = false;
+        let mut saw_grouped_topk = false;
         for seed in 0..400 {
             let mut rng = FuzzRng::new(seed);
             let store = generate_store(&mut rng);
@@ -2075,10 +2088,14 @@ mod tests {
             saw_graph_var |= printed.contains("GRAPH ?");
             saw_alias_order |= orders_by_alias(&q);
             saw_hidden_key_order |= orders_by_hidden_key(&q);
+            let plan = explain(&store, &q).to_string();
+            saw_grouped_topk |=
+                plan.contains("\ngroup strategy=") && plan.contains("\norder strategy=topk");
         }
         assert!(
-            saw_alias_order && saw_hidden_key_order,
-            "coverage gap: alias order={saw_alias_order} unprojected key order={saw_hidden_key_order}"
+            saw_alias_order && saw_hidden_key_order && saw_grouped_topk,
+            "coverage gap: alias order={saw_alias_order} unprojected key order={saw_hidden_key_order} \
+             grouped top-k={saw_grouped_topk}"
         );
         assert!(
             saw_ask && saw_group && saw_order && saw_cut_without_order,

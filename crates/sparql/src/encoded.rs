@@ -48,12 +48,15 @@
 //! the order stage tests it against the top-k heap's maximum before copying
 //! it, the project stage decodes the rows of the page. A group stage the
 //! planner chose to count (`Group::Count`) walks no row at all: its count
-//! is read off the index directory. Everything up to
-//! there operates on identifiers (two terms compare by reference in the
-//! dictionary where ids differ); the dictionary is consulted only where
-//! lexical values are genuinely needed (expression evaluation, aggregate
-//! arithmetic), and full [`Term`] rows materialize exactly once, at the
-//! [`SelectResults`] boundary.
+//! is read off the index directory. A finished group is one row of the
+//! same layout (its keys and its `SELECT` expressions' values in their
+//! slots), and these rows take the order and project stages a pattern's
+//! rows take. Everything up to there operates on identifiers — a computed
+//! value is a query-local id past the dictionary's (see [`Computed`]) —,
+//! two terms compare by reference where ids differ, terms are consulted
+//! only where lexical values are genuinely needed (expression evaluation,
+//! aggregate arithmetic), and full [`Term`] rows materialize exactly once,
+//! at the [`SelectResults`] boundary.
 //!
 //! The naive reference evaluator (`hbold_sparql_check::reference`)
 //! deliberately stays in the Term domain, so the differential oracle keeps
@@ -76,11 +79,9 @@ use hbold_triple_store::{
 use crate::ast::*;
 use crate::cancel::CancellationToken;
 use crate::error::SparqlError;
-use crate::eval::{
-    aggregate_numbers, compare_ordered, order_bindings, order_keys, order_solutions,
-};
+use crate::eval::{aggregate_numbers, compare_ordered, order_keys, order_solutions};
 use crate::expr::{
-    evaluate_scoped, filter_passes_scoped, number_term, numeric_value, Binding, EvalValue, Scope,
+    evaluate_scoped, filter_passes_scoped, number_term, numeric_value, EvalValue, Scope,
 };
 use crate::optimize::{Group, Node, Order, Plan, Select, Tail, TailSpans};
 use crate::results::{QueryResults, SelectResults};
@@ -103,9 +104,10 @@ pub type EncRow = Vec<TermId>;
 ///
 /// Slots are assigned in two groups: graph-pattern variables first, in
 /// first-appearance order (so a `SELECT *` projection is simply slots
-/// `0..pattern_vars()`), then variables referenced only by projection,
-/// GROUP BY or ORDER BY expressions (those slots exist so lookups are
-/// total, and stay [`UNBOUND`] in every row).
+/// `0..pattern_vars()`), then the variables and aliases referenced only by
+/// projection, GROUP BY or ORDER BY expressions. Those slots exist so
+/// lookups are total, and stay [`UNBOUND`] in every pattern row; a group's
+/// row holds its `SELECT` expressions' values in their aliases' slots.
 #[derive(Debug, Clone, Default)]
 pub struct SlotLayout {
     names: Vec<String>,
@@ -137,7 +139,10 @@ impl SlotLayout {
             for item in items {
                 match item {
                     ProjectionItem::Variable(v) => layout.add(v),
-                    ProjectionItem::Expression { expr, .. } => layout.add_expression_vars(expr),
+                    ProjectionItem::Expression { expr, alias } => {
+                        layout.add_expression_vars(expr);
+                        layout.add(alias);
+                    }
                 }
             }
         }
@@ -254,25 +259,67 @@ impl SlotLayout {
 // ---- encoded scope (lazy decode for expressions) ---------------------------------
 
 /// A [`Scope`] view over one encoded row: variable lookups resolve through
-/// the slot layout and decode through the dictionary only when an
-/// expression actually needs the term.
+/// the slot layout and decode through [`Terms`] only when an expression
+/// actually needs the term.
 pub(crate) struct EncScope<'a> {
     pub row: &'a [TermId],
     pub layout: &'a SlotLayout,
-    pub dict: &'a TermDictionary,
+    pub terms: Terms<'a>,
 }
 
 impl Scope for EncScope<'_> {
     fn term(&self, name: &str) -> Option<Term> {
         let slot = self.layout.slot_of(name)?;
         let id = self.row[slot as usize];
-        (id != UNBOUND).then(|| self.dict.term(id).clone())
+        (id != UNBOUND).then(|| self.terms.term(id).clone())
     }
 
     fn is_bound(&self, name: &str) -> bool {
         self.layout
             .slot_of(name)
             .is_some_and(|slot| self.row[slot as usize] != UNBOUND)
+    }
+}
+
+/// The terms a tail's ids name: the dictionary's, and from its `len()` on
+/// the values a grouped query computed (its [`Computed`] table's).
+#[derive(Clone, Copy)]
+pub(crate) struct Terms<'a> {
+    dict: &'a TermDictionary,
+    computed: &'a [Term],
+}
+
+impl<'a> Terms<'a> {
+    /// The term `id` names; `id` is not [`UNBOUND`].
+    fn term(self, id: TermId) -> &'a Term {
+        match (id as usize).checked_sub(self.dict.len()) {
+            Some(local) => &self.computed[local],
+            None => self.dict.term(id),
+        }
+    }
+}
+
+/// The values a grouped query computes — its aggregates' and its other
+/// `SELECT` expressions' — as query-local ids, numbered from the
+/// dictionary's `len()`. A value computed again gets the id it got first,
+/// so equal ids are still equal terms, and `DISTINCT` keys on ids.
+#[derive(Default)]
+struct Computed {
+    first: usize,
+    terms: Vec<Term>,
+    ids: HashMap<Term, TermId>,
+}
+
+impl Computed {
+    /// The id of `term`.
+    fn id(&mut self, term: Term) -> TermId {
+        let (terms, first) = (&mut self.terms, self.first);
+        *self.ids.entry(term).or_insert_with_key(|term| {
+            terms.push(term.clone());
+            let id = TermId::try_from(first + terms.len() - 1).ok();
+            id.filter(|&id| id != UNBOUND)
+                .expect("fewer than 2^32 - 1 ids")
+        })
     }
 }
 
@@ -426,13 +473,14 @@ impl<'a> EncContext<'a> {
         }
     }
 
-    /// The lazily-decoding expression scope over one row.
+    /// The lazily-decoding expression scope over one pattern row.
     fn scope<'r>(&'r self, row: &'r [TermId]) -> EncScope<'r> {
-        EncScope {
-            row,
-            layout: self.layout,
-            dict: self.dict,
-        }
+        let (layout, dict) = (self.layout, self.dict);
+        let terms = Terms {
+            dict,
+            computed: &[],
+        };
+        EncScope { row, layout, terms }
     }
 }
 
@@ -982,7 +1030,7 @@ fn settle_labels(span: &Span) -> u64 {
     span.elapsed_ns()
 }
 
-/// The SELECT tails. A tail span wraps the drive it consumes, so until
+/// The SELECT tail. A tail span wraps the drive it consumes, so until
 /// [`execute`] settles it the first stage's time includes the pattern's.
 fn run_select(
     ctx: &EncContext<'_>,
@@ -990,139 +1038,149 @@ fn run_select(
     spans: &TailSpans,
     drive: impl FnOnce(Emit<'_>) -> Flow,
 ) -> Result<SelectResults, SparqlError> {
+    // The order and project stages' source: the pattern, or the group
+    // stage's rows, whose ids name the terms the group stage computed too.
+    let mut drive = Some(drive);
+    let mut groups = match &select.group {
+        Some(group) => group_rows(ctx, select, group, drive.take().expect("undriven"), spans)?,
+        None => Groups::default(),
+    };
+    let width = ctx.layout.len();
+    let source = |emit: Emit<'_>| match drive {
+        Some(drive) => drive(emit),
+        // A grouped layout has a slot for every projected name: `width > 0`.
+        None => {
+            for row in groups.rows.chunks_exact_mut(width) {
+                if emit(row)?.is_break() {
+                    return Ok(ControlFlow::Break(()));
+                }
+            }
+            CONTINUE
+        }
+    };
+    let (dict, computed) = (ctx.dict, &groups.computed.terms[..]);
+    let terms = Terms { dict, computed };
     let query = select.query;
     let (offset, limit) = (query.offset.unwrap_or(0), query.limit);
-    let results = if let Some(group) = &select.group {
-        let mut results = project_grouped(ctx, select, group, drive, spans)?;
-        // Post-aggregation row counts are small; DISTINCT/OFFSET/LIMIT run
-        // in the Term domain here.
-        timed(spans.project.as_ref(), || {
-            distinct_cut(&mut results.rows, select.distinct, offset, limit)
-        });
-        results
-    } else {
-        // The project stage, a sink over encoded rows — the pattern's own,
-        // or the order stage's: `DISTINCT` on the projected columns (keyed
-        // in place in a [`KeyTable`], copied only when new), `OFFSET`,
-        // `LIMIT`, the decode of exactly the page's rows, and `Break` with
-        // the row that completes the page.
-        let (variables, columns) = compile_projection(select.projection, ctx.layout);
-        let target = limit.map_or(usize::MAX, |limit| offset.saturating_add(limit));
-        let mut seen_ids = match &columns {
-            Columns::Slots(slots) => KeyTable::new(slots.len()),
-            Columns::Mixed(_) => KeyTable::default(),
-        };
-        let (mut seen_terms, mut passed, mut rows) = (HashSet::new(), 0, Vec::new());
-        let mut project = |row: &[TermId]| -> Flow {
-            let projected = match &columns {
-                Columns::Slots(slots) => {
-                    if select.distinct && !seen_ids.insert(row, slots).1 {
-                        return CONTINUE;
-                    }
-                    let ids = slots.iter().map(|&s| row[s as usize]);
-                    // The single point where variable columns materialize.
-                    (passed >= offset).then(|| {
-                        ids.map(|id| (id != UNBOUND).then(|| ctx.dict.term(id).clone()))
-                            .collect()
-                    })
+    // The project stage, a sink over encoded rows — the source's own, or
+    // the order stage's: `DISTINCT` on the projected columns (keyed in place
+    // in a [`KeyTable`], copied only when new), `OFFSET`, `LIMIT`, the decode
+    // of exactly the page's rows, and `Break` with the row that completes
+    // the page.
+    let (variables, columns) = compile_projection(select, ctx.layout);
+    let target = limit.map_or(usize::MAX, |limit| offset.saturating_add(limit));
+    let mut seen_ids = match &columns {
+        Columns::Slots(slots) => KeyTable::new(slots.len()),
+        Columns::Mixed(_) => KeyTable::default(),
+    };
+    let (mut seen_terms, mut passed, mut rows) = (HashSet::new(), 0, Vec::new());
+    let mut project = |row: &[TermId]| -> Flow {
+        let projected = match &columns {
+            Columns::Slots(slots) => {
+                if select.distinct && !seen_ids.insert(row, slots).1 {
+                    return CONTINUE;
                 }
-                Columns::Mixed(items) => {
-                    let projected = project_mixed(ctx, items, row)?;
-                    if select.distinct && !seen_terms.insert(projected.clone()) {
-                        return CONTINUE;
-                    }
-                    (passed >= offset).then_some(projected)
-                }
-            };
-            rows.extend(projected);
-            passed += 1;
-            Ok(match passed >= target {
-                true => ControlFlow::Break(()),
-                false => ControlFlow::Continue(()),
-            })
-        };
-        match &select.order {
-            // An empty page (`LIMIT 0`) never runs the pattern at all.
-            None | Some(Order::Stream) if target == 0 => {}
-            None => drop(timed(spans.project.as_ref(), || {
-                drive(&mut |row| project(row))
-            })?),
-            // The rows arrive in order: the order stage only counts them
-            // through, and the project stage's `Break` ends the walk.
-            Some(Order::Stream) => {
-                let mut rows_in = 0u64;
-                timed(spans.order.as_ref(), || {
-                    drive(&mut |row| {
-                        rows_in += 1;
-                        project(row)
-                    })
-                    .map(drop)
-                })?;
-                if let Some(span) = &spans.order {
-                    span.set_attr("rows_in", rows_in);
-                    span.add_rows(rows_in);
-                }
+                let ids = slots.iter().map(|&s| row[s as usize]);
+                // The single point where variable columns materialize.
+                (passed >= offset).then(|| {
+                    ids.map(|id| (id != UNBOUND).then(|| terms.term(id).clone()))
+                        .collect()
+                })
             }
-            Some(order) => {
-                let k = match order {
-                    Order::TopK(k) => Some(*k),
-                    _ => None,
-                };
-                let ordered = timed(spans.order.as_ref(), || {
-                    order_rows(ctx, select, k, drive, spans.order.as_ref())
-                })?;
-                timed(spans.project.as_ref(), || {
-                    for (_, row) in &ordered {
-                        if target == 0 || project(row)?.is_break() {
-                            break;
-                        }
-                    }
-                    Ok::<(), SparqlError>(())
-                })?;
+            Columns::Mixed(items) => {
+                let projected = project_mixed(ctx, items, row)?;
+                if select.distinct && !seen_terms.insert(projected.clone()) {
+                    return CONTINUE;
+                }
+                (passed >= offset).then_some(projected)
+            }
+        };
+        rows.extend(projected);
+        passed += 1;
+        Ok(match passed >= target {
+            true => ControlFlow::Break(()),
+            false => ControlFlow::Continue(()),
+        })
+    };
+    match &select.order {
+        // An empty page (`LIMIT 0`) never runs the source at all.
+        None | Some(Order::Stream) if target == 0 => {}
+        None => drop(timed(spans.project.as_ref(), || {
+            source(&mut |row| project(row))
+        })?),
+        // The rows arrive in order: the order stage only counts them
+        // through, and the project stage's `Break` ends the walk.
+        Some(Order::Stream) => {
+            let mut rows_in = 0u64;
+            timed(spans.order.as_ref(), || {
+                source(&mut |row| {
+                    rows_in += 1;
+                    project(row)
+                })
+                .map(drop)
+            })?;
+            if let Some(span) = &spans.order {
+                span.set_attr("rows_in", rows_in);
+                span.add_rows(rows_in);
             }
         }
-        SelectResults { variables, rows }
-    };
-    if let Some(span) = &spans.project {
-        span.add_rows(results.rows.len() as u64);
+        Some(order) => {
+            let k = match order {
+                Order::TopK(k) => Some(*k),
+                _ => None,
+            };
+            let ordered = timed(spans.order.as_ref(), || {
+                order_rows(ctx, terms, select, k, source, spans.order.as_ref())
+            })?;
+            timed(spans.project.as_ref(), || {
+                for (_, row) in &ordered {
+                    if target == 0 || project(row)?.is_break() {
+                        break;
+                    }
+                }
+                Ok::<(), SparqlError>(())
+            })?;
+        }
     }
-    Ok(results)
+    if let Some(span) = &spans.project {
+        span.add_rows(rows.len() as u64);
+    }
+    Ok(SelectResults { variables, rows })
 }
 
 // ---- projection (the decode boundary) --------------------------------------------
 
 /// The columns of a projection compiled against the slot layout.
 enum Columns<'q> {
-    /// Every column is a plain variable (or `SELECT *`): column `i` reads
-    /// slot `slots[i]`, and DISTINCT can dedup on raw identifiers.
+    /// Every column is a slot — a plain variable, `SELECT *`, or a group
+    /// row's alias: column `i` reads slot `slots[i]`, and DISTINCT can dedup
+    /// on raw identifiers.
     Slots(Vec<u32>),
-    /// At least one column is a computed expression; rows materialize into
-    /// the Term domain at projection time.
+    /// At least one column computes an expression over a pattern row; rows
+    /// materialize into the Term domain at projection time.
     Mixed(&'q [ProjectionItem]),
 }
 
-/// Compiles a projection into its variable names and [`Columns`].
-fn compile_projection<'q>(
-    projection: &'q Projection,
-    layout: &SlotLayout,
-) -> (Vec<String>, Columns<'q>) {
-    let Projection::Items(items) = projection else {
+/// Compiles a SELECT's projection into its variable names and [`Columns`].
+/// A group's row holds every projected name in its slot, aliases included.
+fn compile_projection<'q>(select: &Select<'q>, layout: &SlotLayout) -> (Vec<String>, Columns<'q>) {
+    let Projection::Items(items) = select.projection else {
         let width = layout.pattern_vars();
         let slots = (0..width as u32).collect();
         return (layout.names()[..width].to_vec(), Columns::Slots(slots));
     };
-    let variables = items
+    let variables: Vec<String> = items
         .iter()
         .map(|item| match item {
-            ProjectionItem::Variable(v) => v.clone(),
-            ProjectionItem::Expression { alias, .. } => alias.clone(),
+            ProjectionItem::Variable(v) | ProjectionItem::Expression { alias: v, .. } => v.clone(),
         })
         .collect();
     let all_slots: Option<Vec<u32>> = items
         .iter()
-        .map(|item| match item {
-            ProjectionItem::Variable(v) => layout.slot_of(v),
-            ProjectionItem::Expression { .. } => None,
+        .zip(&variables)
+        .map(|(item, name)| match item {
+            ProjectionItem::Expression { .. } if select.group.is_none() => None,
+            _ => layout.slot_of(name),
         })
         .collect();
     (
@@ -1151,25 +1209,6 @@ fn project_mixed(
     Ok(out)
 }
 
-/// DISTINCT (in row order), OFFSET and LIMIT over Term-domain rows.
-fn distinct_cut(
-    rows: &mut Vec<Vec<Option<Term>>>,
-    distinct: bool,
-    offset: usize,
-    limit: Option<usize>,
-) {
-    if distinct {
-        let mut seen: HashSet<Vec<Option<Term>>> = HashSet::with_capacity(rows.len());
-        rows.retain(|r| seen.insert(r.clone()));
-    }
-    if offset > 0 {
-        rows.drain(..offset.min(rows.len()));
-    }
-    if let Some(limit) = limit {
-        rows.truncate(limit);
-    }
-}
-
 // ---- ordering --------------------------------------------------------------------
 
 /// A kept solution of the order stage: the evaluated `ORDER BY` keys (none
@@ -1177,38 +1216,46 @@ fn distinct_cut(
 /// keys then) beside the copied row.
 type KeyedRow = (Vec<Option<Term>>, EncRow);
 
-/// The order stage: drives the pattern into the one [`order_solutions`].
-/// `ORDER BY` conditions that are plain pattern variables resolve to slots
-/// once and compare ids, so nothing decodes before projection; the others
-/// evaluate over the row [`Extended`] by the `SELECT` expressions. A row is
-/// tested against the heap's maximum while still borrowed, and copied only
-/// if it gets in.
+/// The order stage: drives its source — the pattern, or the group stage —
+/// into the one [`order_solutions`]. `ORDER BY` conditions that are plain
+/// variables of the row resolve to slots once and compare ids, so nothing
+/// decodes before projection. The others evaluate over the row: a group's
+/// row as it is, its aliases bound in their slots; a pattern's row
+/// [`Extended`] by the `SELECT` expressions. A row is tested against the
+/// heap's maximum while still borrowed, and copied only if it gets in.
 fn order_rows(
     ctx: &EncContext<'_>,
+    terms: Terms<'_>,
     select: &Select<'_>,
     k: Option<usize>,
     drive: impl FnOnce(Emit<'_>) -> Flow,
     span: Option<&Span>,
 ) -> Result<Vec<KeyedRow>, SparqlError> {
-    // `LIMIT 0`: nothing to keep, and the pattern never runs.
+    // `LIMIT 0`: nothing to keep, and the source never runs.
     if k == Some(0) {
         return Ok(Vec::new());
     }
-    let order_by = &select.query.order_by;
+    let (order_by, grouped) = (&select.query.order_by, select.group.is_some());
     let slots: Option<Vec<u32>> = order_by
         .iter()
         .map(|cond| match &cond.expr {
-            Expression::Variable(v) if select_expression(select.query, v).is_none() => {
+            Expression::Variable(v) if grouped || select_expression(select.query, v).is_none() => {
                 ctx.layout.slot_of(v)
             }
             _ => None,
         })
         .collect();
-    let keys_of = |row: &[TermId]| match slots {
-        Some(_) => Vec::new(),
-        None => {
-            let solution = ctx.scope(row);
-            order_keys(order_by, &Extended(solution, select.query))
+    let keys_of = |row: &[TermId]| {
+        let scope = EncScope {
+            terms,
+            ..ctx.scope(row)
+        };
+        match slots {
+            Some(_) => Vec::new(),
+            // A group's row binds its aliases. Never through `Extended`,
+            // which would run an aggregate again over the one row.
+            None if grouped => order_keys(order_by, &scope),
+            None => order_keys(order_by, &Extended(scope, select.query)),
         }
     };
     type View<'v> = (&'v [Option<Term>], &'v [TermId]);
@@ -1216,10 +1263,10 @@ fn order_rows(
         compare_ordered(
             order_by,
             |i| match &slots {
-                Some(slots) => compare_ids(ctx.dict, ra[slots[i] as usize], rb[slots[i] as usize]),
+                Some(slots) => terms.compare(ra[slots[i] as usize], rb[slots[i] as usize]),
                 None => ka[i].cmp(&kb[i]),
             },
-            || compare_rows_tiebreak(ctx, ra, rb),
+            || terms.compare_rows(ctx.layout, ra, rb),
         )
     };
     let mut rows_in = 0u64;
@@ -1283,54 +1330,50 @@ impl<S: Scope> Scope for Extended<'_, S> {
     }
 }
 
-/// Two `ORDER BY` keys held as ids, under `Option<Term>`'s order: unbound
-/// first, then the term order. Interning is injective, so equal ids are
-/// equal terms; below the dictionary's `sorted_len` ids are numbered in term
-/// order, so two such ids compare as integers; only the rest look their
-/// terms up.
-fn compare_ids(dict: &TermDictionary, a: TermId, b: TermId) -> Ordering {
-    let sorted = dict.sorted_len() as u64;
-    if u64::from(a.max(b)) < sorted {
-        return a.cmp(&b);
+impl Terms<'_> {
+    /// Two `ORDER BY` keys held as ids, under `Option<Term>`'s order:
+    /// unbound first, then the term order. Interning is injective, and so
+    /// is the [`Computed`] table, so equal ids are equal terms; below the
+    /// dictionary's `sorted_len` ids are numbered in term order, so two such
+    /// ids compare as integers; only the rest look their terms up.
+    fn compare(self, a: TermId, b: TermId) -> Ordering {
+        let sorted = self.dict.sorted_len() as u64;
+        if u64::from(a.max(b)) < sorted {
+            return a.cmp(&b);
+        }
+        let term = |id: TermId| (id != UNBOUND).then(|| self.term(id));
+        match a == b {
+            true => Ordering::Equal,
+            false => term(a).cmp(&term(b)),
+        }
     }
-    let term = |id: TermId| (id != UNBOUND).then(|| dict.term(id));
-    match a == b {
-        true => Ordering::Equal,
-        false => term(a).cmp(&term(b)),
-    }
-}
 
-/// The whole-row tie-break of `ORDER BY` over encoded rows: `Binding`'s own
-/// order (variable names, then the term order — what
-/// [`crate::eval::order_bindings`] breaks ties by) without building the
-/// map. Slots are walked in variable-name order, unbound ones skipped, ids
-/// compared first and terms looked up only where they differ.
-fn compare_rows_tiebreak(ctx: &EncContext<'_>, a: &[TermId], b: &[TermId]) -> Ordering {
-    let mut ia = ctx
-        .layout
-        .name_sorted
-        .iter()
-        .filter(|&&slot| a[slot as usize] != UNBOUND);
-    let mut ib = ctx
-        .layout
-        .name_sorted
-        .iter()
-        .filter(|&&slot| b[slot as usize] != UNBOUND);
-    loop {
-        match (ia.next(), ib.next()) {
-            (None, None) => return Ordering::Equal,
-            (None, Some(_)) => return Ordering::Less,
-            (Some(_), None) => return Ordering::Greater,
-            (Some(&sa), Some(&sb)) => {
-                let ord = ctx.layout.name_of(sa).cmp(ctx.layout.name_of(sb));
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-                // Distinct ids never compare `Equal`: the term order ties
-                // only equal terms.
-                match compare_ids(ctx.dict, a[sa as usize], b[sb as usize]) {
-                    Ordering::Equal => {}
-                    ord => return ord,
+    /// The whole-row tie-break of `ORDER BY` over encoded rows: the order
+    /// of the solutions' variable-to-term maps (variable names, then the
+    /// term order) without building the maps. Slots are walked in
+    /// variable-name order, unbound ones skipped — so a group's row compares
+    /// by its keys and aliases alone — ids compared first and terms looked
+    /// up only where they differ.
+    fn compare_rows(self, layout: &SlotLayout, a: &[TermId], b: &[TermId]) -> Ordering {
+        let slots = layout.name_sorted.iter().copied();
+        let mut ia = slots.clone().filter(|&slot| a[slot as usize] != UNBOUND);
+        let mut ib = slots.filter(|&slot| b[slot as usize] != UNBOUND);
+        loop {
+            match (ia.next(), ib.next()) {
+                (None, None) => return Ordering::Equal,
+                (None, Some(_)) => return Ordering::Less,
+                (Some(_), None) => return Ordering::Greater,
+                (Some(sa), Some(sb)) => {
+                    let ord = layout.name_of(sa).cmp(layout.name_of(sb));
+                    if ord != Ordering::Equal {
+                        return ord;
+                    }
+                    // Distinct ids never compare `Equal`: the term order
+                    // ties only equal terms.
+                    match self.compare(a[sa as usize], b[sb as usize]) {
+                        Ordering::Equal => {}
+                        ord => return ord,
+                    }
                 }
             }
         }
@@ -1579,23 +1622,33 @@ impl Aggregate<'_> {
     }
 }
 
-/// The group and order stages of a grouped/aggregated projection
-/// (`Select::group`). The group stage is a sink of per-group accumulators:
-/// with [`Group::Hash`], a solution is looked up by its key — the `GROUP BY`
-/// slots' ids, read in place by the [`KeyTable`], which copies a key once per
-/// *group* — and folded into that group's aggregates on the spot; no solution
-/// is kept. With no `GROUP BY` there is exactly one group, even if it is
-/// empty. With [`Group::Count`] that one group's counts are read off the
-/// index directory and no row is walked. Group *output* evaluation decodes
-/// into Term-domain bindings, where ORDER BY over aggregate aliases lives.
-/// Groups leave in first-encounter order; only `ORDER BY` pins one.
-fn project_grouped(
+/// What the group stage hands the order and project stages: one row per
+/// group in first-encounter order — rows of the layout's width, flat — and
+/// the values they hold.
+#[derive(Default)]
+struct Groups {
+    rows: Vec<TermId>,
+    computed: Computed,
+}
+
+/// The group stage of a grouped/aggregated projection (`Select::group`): a
+/// sink of per-group accumulators, then the source of the rows the order
+/// and project stages take. With [`Group::Hash`], a solution is looked up by
+/// its key — the `GROUP BY` slots' ids, read in place by the [`KeyTable`],
+/// which copies a key once per *group* — and folded into that group's
+/// aggregates on the spot; no solution is kept. With no `GROUP BY` there is
+/// exactly one group, even if it is empty. With [`Group::Count`] that one
+/// group's counts are read off the index directory and no row is walked.
+/// A finished group is one row: its key in the `GROUP BY` slots, each
+/// `SELECT` expression's value — or unbound, where it errs — as a
+/// [`Computed`] id in its alias slot, every other slot [`UNBOUND`].
+fn group_rows(
     ctx: &EncContext<'_>,
     select: &Select<'_>,
     group: &Group,
     drive: impl FnOnce(Emit<'_>) -> Flow,
     spans: &TailSpans,
-) -> Result<SelectResults, SparqlError> {
+) -> Result<Groups, SparqlError> {
     let Projection::Items(items) = select.projection else {
         return Err(SparqlError::Unsupported(
             "SELECT * cannot be combined with GROUP BY or aggregates".into(),
@@ -1612,17 +1665,21 @@ fn project_grouped(
             }
         }
     }
-    let aggregates: Vec<Aggregate<'_>> = items
+    // The `SELECT` expressions and their aliases' slots, in column order.
+    let columns: Vec<(&Expression, u32)> = items
         .iter()
         .filter_map(|item| match item {
-            ProjectionItem::Expression {
-                expr:
-                    Expression::Aggregate {
-                        func,
-                        distinct,
-                        arg,
-                    },
-                ..
+            ProjectionItem::Variable(_) => None,
+            ProjectionItem::Expression { expr, alias } => Some((expr, ctx.layout.slot_of(alias)?)),
+        })
+        .collect();
+    let aggregates: Vec<Aggregate<'_>> = columns
+        .iter()
+        .filter_map(|&(expr, _)| match expr {
+            Expression::Aggregate {
+                func,
+                distinct,
+                arg,
             } => Some(Aggregate {
                 func: *func,
                 distinct: *distinct,
@@ -1640,7 +1697,7 @@ fn project_grouped(
         Group::Count(_) => &[],
     };
 
-    let grouped_bindings = timed(spans.group.as_ref(), || {
+    timed(spans.group.as_ref(), || {
         // The groups' keys, and their accumulators: group `g`'s are
         // `accs[g * n..(g + 1) * n]`, one per aggregate.
         let mut table = KeyTable::new(group_slots.len());
@@ -1666,9 +1723,7 @@ fn project_grouped(
             }
             Group::Count(counted) => {
                 // Fails an already-tripped token, as the walk would.
-                if let Some(token) = ctx.cancel {
-                    token.check()?;
-                }
+                ctx.cancel.map_or(Ok(()), CancellationToken::check)?;
                 // O(log n) in the directory, for the rows a walk would
                 // have folded: every one binds the counted variables.
                 let rows = timed(counted.scan.as_ref(), || {
@@ -1682,84 +1737,46 @@ fn project_grouped(
                 accs.iter_mut().for_each(|acc| acc.count = rows);
             }
         }
-        // Evaluate each group into an output binding so ORDER BY can see
-        // aliases. Group boundaries are this path's batch boundaries: one
-        // token poll per group.
-        let mut accs = accs.into_iter();
-        (0..table.len())
-            .map(|group| {
-                if let Some(token) = ctx.cancel {
-                    token.check()?;
-                }
-                let finished = aggregates
-                    .iter()
-                    .zip(accs.by_ref().take(n))
-                    .map(|(a, acc)| a.finish(acc));
-                evaluate_group(ctx, items, group_slots, table.key(group), finished)
-            })
-            .collect::<Result<Vec<Binding>, SparqlError>>()
-    })?;
-    if let Some(span) = &spans.group {
-        span.set_attr("groups", grouped_bindings.len());
-        span.add_rows(grouped_bindings.len() as u64);
-    }
-
-    let ordered = timed(spans.order.as_ref(), || {
-        order_bindings(&select.query.order_by, grouped_bindings)
-    })?;
-    if let Some(span) = &spans.order {
-        span.set_attr("rows_in", ordered.len());
-        span.add_rows(ordered.len() as u64);
-    }
-    let (variables, _) = compile_projection(select.projection, ctx.layout);
-    let rows = ordered
-        .iter()
-        .map(|b| variables.iter().map(|v| b.get(v).cloned()).collect())
-        .collect();
-    Ok(SelectResults { variables, rows })
-}
-
-/// Evaluates one finished group into its Term-domain output binding — its
-/// key, and then each `SELECT` expression's alias bound to its value (or
-/// unbound where it errs), all of which `ORDER BY` sees; `aggregates`
-/// yields the values of the projection's aggregate columns, in column
-/// order.
-fn evaluate_group(
-    ctx: &EncContext<'_>,
-    items: &[ProjectionItem],
-    group_slots: &[u32],
-    key: &[TermId],
-    mut aggregates: impl Iterator<Item = Option<Term>>,
-) -> Result<Binding, SparqlError> {
-    // The key binds the `GROUP BY` variables. Non-aggregate expressions in
-    // the projection see it and nothing else, so every value is computed
-    // before the first alias is bound.
-    let mut out: Binding = (group_slots.iter().zip(key))
-        .filter(|&(_, &id)| id != UNBOUND)
-        .map(|(&slot, &id)| (ctx.layout.name_of(slot).into(), ctx.dict.term(id).clone()))
-        .collect();
-    let mut values = Vec::with_capacity(items.len());
-    for item in items {
-        values.push(match item {
-            // Grouped by construction (`project_grouped` checked up front),
-            // so already bound above.
-            ProjectionItem::Variable(_) => continue,
-            ProjectionItem::Expression {
-                expr: Expression::Aggregate { .. },
-                alias,
-            } => (alias, aggregates.next().flatten()),
-            ProjectionItem::Expression { expr, alias } => {
-                (alias, evaluate_scoped(expr, &out)?.into_term())
-            }
-        });
-    }
-    for (alias, value) in values {
-        match value {
-            Some(term) => out.insert(alias.clone(), term),
-            None => out.remove(alias),
+        // One row per group. Group boundaries are this stage's batch
+        // boundaries: one token poll per group.
+        let (len, width) = (table.len(), ctx.layout.len());
+        let mut computed = Computed {
+            first: ctx.dict.len(),
+            terms: Vec::with_capacity(len * columns.len()),
+            ids: HashMap::with_capacity(len * columns.len()),
         };
-    }
-    Ok(out)
+        let mut rows = Vec::with_capacity(len * width);
+        let mut values = Vec::with_capacity(columns.len());
+        let mut accs = accs.into_iter();
+        for group in 0..len {
+            ctx.cancel.map_or(Ok(()), CancellationToken::check)?;
+            rows.resize((group + 1) * width, UNBOUND);
+            let row = &mut rows[group * width..];
+            for (&slot, &id) in group_slots.iter().zip(table.key(group)) {
+                row[slot as usize] = id;
+            }
+            // A non-aggregate expression sees the key and nothing else, so
+            // every value is computed before the first alias slot is
+            // written.
+            let mut finished = (aggregates.iter().zip(accs.by_ref().take(n)))
+                .map(|(aggregate, acc)| aggregate.finish(acc));
+            for &(expr, slot) in &columns {
+                let value = match expr {
+                    Expression::Aggregate { .. } => finished.next().flatten(),
+                    expr => evaluate_scoped(expr, &ctx.scope(row))?.into_term(),
+                };
+                values.push((slot, value));
+            }
+            for (slot, value) in values.drain(..) {
+                row[slot as usize] = value.map_or(UNBOUND, |term| computed.id(term));
+            }
+        }
+        if let Some(span) = &spans.group {
+            span.set_attr("groups", len);
+            span.add_rows(len as u64);
+        }
+        Ok(Groups { rows, computed })
+    })
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@ use hbold_triple_store::TripleStore;
 use crate::ast::*;
 use crate::encoded::{execute, timed, EncContext, SlotLayout};
 use crate::error::SparqlError;
-use crate::expr::{evaluate_scoped, number_term, Binding, EvalValue, Scope};
+use crate::expr::{evaluate_scoped, number_term, EvalValue, Scope};
 use crate::optimize::plan_pattern;
 use crate::plan::parse_cached;
 use crate::results::QueryResults;
@@ -171,8 +171,8 @@ pub fn evaluate_with(
 // ---- what stands on the term order ------------------------------------------------
 //
 // `Ord for Term` (in `hbold-rdf-model`) is the one order. `MIN`/`MAX`, the
-// `ORDER BY` keys and the whole-row tie-break below *are* it — the engine's
-// id rows and grouped output bindings both sort through the one
+// `ORDER BY` keys and the whole-row tie-break *are* it — a pattern's rows
+// and a group stage's rows sort alike, as id rows, through the one
 // `order_solutions`.
 
 /// `SUM` (or, for [`AggregateFunction::Avg`], the mean) of an aggregate's
@@ -293,7 +293,8 @@ impl<R: Default> Sorter<'_, R> {
 /// Sorts the solutions `drive` offers to the [`Sorter`] under `compare`, a
 /// total order — all of them, or with `k` the first `k` through a bounded
 /// max-heap, so `ORDER BY ... LIMIT` never materializes or fully sorts the
-/// solution set. This is the one sort, for id rows and bindings alike.
+/// solution set. This is the one sort, for a pattern's rows and a group
+/// stage's alike.
 pub(crate) fn order_solutions<R: Default>(
     k: Option<usize>,
     compare: Compare<'_, R>,
@@ -320,28 +321,6 @@ pub(crate) fn order_solutions<R: Default>(
             sorted.into_iter().map(|Entry(row, _)| row).collect()
         }
     })
-}
-
-/// [`order_solutions`] over Term-domain bindings (grouped output rows):
-/// keys evaluate once per solution, and the tie-break is `Binding`'s own
-/// order — variable names, then the term order.
-pub(crate) fn order_bindings(
-    order_by: &[OrderCondition],
-    solutions: Vec<Binding>,
-) -> Result<Vec<Binding>, SparqlError> {
-    if order_by.is_empty() {
-        return Ok(solutions);
-    }
-    type Keyed = (Vec<Option<Term>>, Binding);
-    let compare =
-        |a: &Keyed, b: &Keyed| compare_ordered(order_by, |i| a.0[i].cmp(&b.0[i]), || a.1.cmp(&b.1));
-    let sorted = order_solutions(None, &compare, |sorter| {
-        for solution in solutions {
-            sorter.keep(|kept| *kept = (order_keys(order_by, &solution), solution));
-        }
-        Ok(())
-    })?;
-    Ok(sorted.into_iter().map(|(_, solution)| solution).collect())
 }
 
 #[cfg(test)]

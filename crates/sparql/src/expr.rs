@@ -14,10 +14,10 @@ use crate::regex::Regex;
 /// A `BTreeMap` keeps iteration deterministic, which keeps query results and
 /// therefore every experiment in the benchmark harness reproducible.
 ///
-/// The streaming engine itself does not carry `Binding`s between operators
-/// — it runs on dictionary-encoded slot rows (see [`crate::encoded`]) and
-/// decodes lazily through a [`Scope`] — but grouped output bindings and
-/// several public APIs speak this type.
+/// The engine itself never builds a `Binding` — it runs on
+/// dictionary-encoded slot rows, a group's answer included (see
+/// [`crate::encoded`]), and decodes lazily through a [`Scope`] — but several
+/// public APIs and the reference evaluator speak this type.
 pub type Binding = BTreeMap<String, Term>;
 
 /// A source of variable bindings for expression evaluation.

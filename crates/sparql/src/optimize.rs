@@ -41,9 +41,11 @@
 //!   per-group accumulators keyed on the `GROUP BY` ids (no `GROUP BY`: one
 //!   group), or, over a lone triple pattern read in one graph under nothing
 //!   but row counts, are *counted* off the index directory with no row
-//!   walked (`counted_scan`); an `ORDER BY` the rows already arrive in
-//!   *streams* (below), `ORDER BY … LIMIT` without `DISTINCT` keeps a top-k
-//!   heap, any other `ORDER BY` sorts; everything ends in the project stage.
+//!   walked (`counted_scan`), and the group stage then emits one row per
+//!   group; an `ORDER BY` a pattern's rows already arrive in *streams*
+//!   (below), `ORDER BY … LIMIT` without `DISTINCT` keeps a top-k heap —
+//!   over a pattern's rows or a group stage's alike —, any other `ORDER BY`
+//!   sorts; everything ends in the project stage.
 //! * **Interesting orders** (System R's term) — each scan stage is one
 //!   range of one index per input row, so it emits its open variables
 //!   sorted by id in that index's key order, and nested stages emit the
@@ -451,7 +453,9 @@ impl<'p> Planner<'_, 'p, '_> {
 /// for an ungrouped `ORDER BY` — from `streamed`, the order the pattern's
 /// rows arrive in ([`stream_order`]), and for aggregates from `counted`, the
 /// lone scan they can read their counts off ([`counted_scan`]); its stages'
-/// spans go under `parent`, after the pattern's.
+/// spans go under `parent`, after the pattern's. One rule orders a
+/// pattern's rows and a group stage's alike: top-k under a `LIMIT` without
+/// `DISTINCT`, else a sort; only a pattern's rows can stream.
 fn plan_tail<'p>(
     ctx: &EncContext<'_>,
     query: &'p Query,
@@ -471,35 +475,32 @@ fn plan_tail<'p>(
         };
         return (Tail::Ask, spans);
     };
+    let grouped = query.uses_aggregates() || !query.group_by.is_empty();
+    let group = grouped.then(|| match counted {
+        Some(counted) => Group::Count(counted),
+        None => Group::Hash(
+            query
+                .group_by
+                .iter()
+                .map(|v| {
+                    ctx.layout
+                        .slot_of(v)
+                        .expect("layout covers group variables")
+                })
+                .collect(),
+        ),
+    });
     let sort = (!query.order_by.is_empty()).then_some(Order::Sort);
-    let (group, order) = if query.uses_aggregates() || !query.group_by.is_empty() {
-        let group = match counted {
-            Some(counted) => Group::Count(counted),
-            None => Group::Hash(
-                query
-                    .group_by
-                    .iter()
-                    .map(|v| {
-                        ctx.layout
-                            .slot_of(v)
-                            .expect("layout covers group variables")
-                    })
-                    .collect(),
-            ),
-        };
-        (Some(group), sort)
-    } else {
-        let order = match (sort, query.limit) {
-            (Some(_), _) if streams(ctx, query, streamed) => Some(Order::Stream),
-            // DISTINCT dedupes *projected rows* before LIMIT applies, so
-            // top-k over raw solutions could come up short — full sort in
-            // that case.
-            (Some(_), Some(limit)) if !*distinct => {
-                Some(Order::TopK(query.offset.unwrap_or(0).saturating_add(limit)))
-            }
-            (sort, _) => sort,
-        };
-        (None, order)
+    let order = match (sort, query.limit) {
+        // Only a pattern's rows can arrive in order.
+        (Some(_), _) if !grouped && streams(ctx, query, streamed) => Some(Order::Stream),
+        // DISTINCT dedupes *projected rows* before LIMIT applies, so
+        // top-k over unprojected rows could come up short — full sort in
+        // that case.
+        (Some(_), Some(limit)) if !*distinct => {
+            Some(Order::TopK(query.offset.unwrap_or(0).saturating_add(limit)))
+        }
+        (sort, _) => sort,
     };
     let spans = TailSpans {
         ask: None,

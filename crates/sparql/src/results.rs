@@ -24,7 +24,7 @@ use std::borrow::Cow;
 use std::fmt;
 
 use hbold_rdf_model::text::Cursor;
-use hbold_rdf_model::vocab::{datatype_iri, rdf};
+use hbold_rdf_model::vocab::{datatype_iri, rdf, xsd};
 use hbold_rdf_model::{BlankNode, Iri, Literal, Term};
 use hbold_telemetry::json::{write_str, Event, JsonError, JsonValue, Reader};
 
@@ -752,6 +752,8 @@ fn write_term(out: &mut String, term: &Term) {
                 out.push_str(r#","xml:lang":"#);
                 write_str(out, lang);
             }
+            // A simple literal's `xsd:string` goes without saying (RDF 1.1).
+            None if lit.datatype().as_str() == xsd::text::string => {}
             None => {
                 out.push_str(r#","datatype":"#);
                 write_str(out, lit.datatype().as_str());
@@ -1076,7 +1078,8 @@ mod tests {
     #[test]
     fn json_encoder_bytes_are_pinned() {
         // Captured from the encoder as it stood before it moved onto
-        // `hbold_telemetry::json` (one `String` per name, value and term):
+        // `hbold_telemetry::json` (one `String` per name, value and term),
+        // then with a simple literal's implied `xsd:string` left out:
         // every term shape the fuzz pool knows (that the table is that pool
         // is `tests/oracle_agreement.rs`'s check), bound and unbound cells,
         // a variable name that needs escaping.

@@ -23,17 +23,34 @@
 //! and fails when any mode it counts reached zero cases, so the gate goes
 //! red when the generator stops producing that mode.
 //!
-//! * `HBOLD_FUZZ_CASES=<n>` scales the sweep (default 512, which the
-//!   release run of the whole suite uses; local deep sweeps use 10k+).
+//! * `HBOLD_FUZZ_CASES=<n>` scales the sweep (default 2048, which both the
+//!   debug gate — its engine crates optimised, see below — and the release
+//!   run of the whole suite use; local deep sweeps use 10k+).
 //! * `HBOLD_FUZZ_SEED=<seed>` reruns exactly one failing case.
 //!
 //! Seeds run sequentially from 0, so every run covers the same cases. On
 //! failure the panic message embeds the seed and the generated query, so
 //! any red run is reproducible with `HBOLD_FUZZ_SEED`.
 
+use std::path::Path;
+
 use hbold_sparql_check::fuzz::{
     cases_from_env, check_case, check_update_case, seed_from_env, Coverage,
 };
+
+/// `cargo test` builds the dev profile, whose engine crates the workspace
+/// optimises (`opt-level = 1` per package in the root `Cargo.toml`) so that
+/// the sweeps below run at a useful size. Its debug assertions must stay
+/// on: the engine's and the store's `debug_assert!`s are part of what the
+/// sweeps check. A test binary's directory names its profile
+/// (`target/debug/deps`); a release run has no debug assertions to keep.
+#[test]
+fn the_debug_gate_keeps_its_debug_assertions() {
+    let exe = std::env::current_exe().unwrap();
+    let profile = exe.parent().and_then(Path::parent).map(Path::file_name);
+    let dev = profile == Some(Some("debug".as_ref()));
+    assert!(!dev || cfg!(debug_assertions), "{} has none", exe.display());
+}
 
 #[test]
 fn generated_queries_agree_across_engines_and_serializations() {
@@ -43,7 +60,7 @@ fn generated_queries_agree_across_engines_and_serializations() {
         }
         return;
     }
-    let cases = cases_from_env(512);
+    let cases = cases_from_env(2048);
     let mut failures = Vec::new();
     let mut covered = Coverage::default();
     for seed in 0..cases {
@@ -67,8 +84,8 @@ fn generated_queries_agree_across_engines_and_serializations() {
     );
     eprintln!(
         "query sweep: {cases} cases; the shuffled leg ran {} multi-pattern BGPs in a \
-         non-default order; {} cases ran a group stage, {} a top-k order stage, {} a \
-         streamed order stage; {} ran on a churned store with all three tiers \
+         non-default order; {} cases ran a group stage, {} a top-k order stage ({} of \
+         them over groups), {} a streamed order stage; {} ran on a churned store with all three tiers \
          non-empty, {} on a sparse store with a run whose directory lists its second ids; \
          {} ran group strategy=count, {} of them also on the churned store and {} on the \
          sparse one; {} scan probes read one window of the flat tier, {} merged churn; \
@@ -76,6 +93,7 @@ fn generated_queries_agree_across_engines_and_serializations() {
         covered.reordered_bgps,
         covered.grouped,
         covered.topk,
+        covered.grouped_topk,
         covered.streamed,
         covered.churned,
         covered.sparse,
@@ -103,6 +121,13 @@ fn generated_queries_agree_across_engines_and_serializations() {
         covered.grouped,
         covered.topk,
         covered.streamed
+    );
+    // Group rows take the order stage pattern rows take: a sweep that
+    // stopped cutting them through the top-k heap would leave that path
+    // checked by nothing.
+    assert!(
+        covered.grouped_topk > 0,
+        "no grouped top-k case in {cases} cases"
     );
     // A count read off the index directory answers without a walk, so
     // only the differential checks it; on the churned and sparse shapes it
@@ -159,7 +184,7 @@ fn generated_update_sequences_agree_with_naive_reference() {
         }
         return;
     }
-    let cases = cases_from_env(512);
+    let cases = cases_from_env(2048);
     eprintln!("update-sequence sweep: {cases} cases, seeds 0..{cases}");
     let mut failures = Vec::new();
     for seed in 0..cases {

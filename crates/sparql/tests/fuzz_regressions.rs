@@ -1287,3 +1287,88 @@ fn order_by_a_select_alias() {
     let c = "http://e.org/c";
     assert_eq!(column(query), [c, c, "http://e.org/b"]);
 }
+
+// ---- encoded.rs: group rows take the order and project stages ------------------------
+//
+// A finished group is one id row — its keys, and its SELECT expressions'
+// values as query-local ids — and goes through the same order stage (top-k
+// under a LIMIT without DISTINCT) and project stage (DISTINCT on ids,
+// OFFSET, LIMIT) as a pattern's rows.
+
+/// Every cell of `query`'s answer, by label, over a store whose predicates
+/// `a` … `e` have 3, 1, 2, 2 and 1 subjects — so `COUNT` repeats across
+/// groups — after every leg of the check.
+fn group_cells(query: &str) -> Vec<Vec<String>> {
+    let mut store = TripleStore::new();
+    for (p, n) in [("a", 3), ("b", 1), ("c", 2), ("d", 2), ("e", 1)] {
+        for i in 0..n {
+            let s = iri(&format!("http://e.org/s{i}"));
+            let p = iri(&format!("http://e.org/{p}"));
+            store.insert(&Triple::new(s, p, iri("http://e.org/o")));
+        }
+    }
+    let rows = checked(&store, query).into_select().unwrap().rows;
+    let label = |cell: &Option<Term>| cell.as_ref().unwrap().label().to_string();
+    rows.iter()
+        .map(|row| row.iter().map(label).collect())
+        .collect()
+}
+
+#[test]
+fn distinct_over_an_aggregate_that_repeats_across_groups() {
+    let query = "SELECT DISTINCT (COUNT(?s) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p";
+    let mut counts = group_cells(query);
+    counts.sort();
+    assert_eq!(counts, [["1"], ["2"], ["3"]]);
+}
+
+#[test]
+fn a_limit_that_cuts_inside_a_tie_of_the_aggregate() {
+    // `b` and `e` tie on 1, `c` and `d` on 2: the whole-row tie-break
+    // orders each pair by `?p`, and the top-k heap cuts after `c`.
+    let query = "SELECT ?p (COUNT(?s) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p ORDER BY ?n LIMIT 3";
+    let rows = group_cells(query);
+    assert_eq!(rows, [["b", "1"], ["e", "1"], ["c", "2"]]);
+    let store = TripleStore::new();
+    assert_eq!(order_line(&store, query), "order strategy=topk k=3");
+    let query = "SELECT ?p (COUNT(?s) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p \
+                 ORDER BY DESC(?n) LIMIT 2 OFFSET 1";
+    assert_eq!(group_cells(query), [["c", "2"], ["d", "2"]]);
+}
+
+#[test]
+fn distinct_over_a_key_under_an_alias() {
+    // Nine (subject, predicate) groups, five predicates.
+    let query = "SELECT DISTINCT (?p AS ?q) WHERE { ?s ?p ?o } GROUP BY ?s ?p";
+    let mut rows = group_cells(query);
+    rows.sort();
+    assert_eq!(rows, [["a"], ["b"], ["c"], ["d"], ["e"]]);
+    let query = "SELECT DISTINCT (?p AS ?q) WHERE { ?s ?p ?o } ORDER BY ?q";
+    assert_eq!(group_cells(query), [["a"], ["b"], ["c"], ["d"], ["e"]]);
+}
+
+#[test]
+fn order_by_an_expression_of_an_aggregate_alias() {
+    // Evaluated over the group's row, its alias bound: never by running
+    // `COUNT` again over one row. (The grammar has no arithmetic, so
+    // `STR(?n)` and `?n > 1` stand for `?n * 2`.)
+    for condition in ["DESC(STR(?n)) ?p", "DESC(?n > 1) ?p"] {
+        let query = format!(
+            "SELECT ?p (COUNT(?s) AS ?n) WHERE {{ ?s ?p ?o }} GROUP BY ?p ORDER BY {condition}"
+        );
+        let rows = group_cells(&query);
+        let order: Vec<&str> = rows.iter().map(|row| row[0].as_str()).collect();
+        assert_eq!(order, ["a", "c", "d", "b", "e"], "{query}");
+    }
+}
+
+#[test]
+fn an_offset_past_the_last_group_is_empty() {
+    for query in [
+        "SELECT ?p (COUNT(?s) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p OFFSET 5",
+        "SELECT ?p (COUNT(?s) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p ORDER BY ?n LIMIT 2 OFFSET 7",
+        "SELECT (COUNT(?s) AS ?n) WHERE { ?s ?p ?o } OFFSET 1",
+    ] {
+        assert!(group_cells(query).is_empty(), "{query}");
+    }
+}

@@ -19,8 +19,9 @@ const GOLDEN: &str = include_str!("golden/plan_outlines.txt");
 /// One query per node (BGP, group join, `OPTIONAL`, `UNION`, `FILTER` with a
 /// pushed pre-bind, `GRAPH <g>`, `GRAPH ?g` — whose variable a filter can
 /// pre-bind only when a triple pattern under it binds it) and per tail and
-/// dataset shape (`FROM` merge, `ASK`, hash group with sort, top-k, streamed
-/// order, `DISTINCT`, a lone pattern counted off the index directory).
+/// dataset shape (`FROM` merge, `ASK`, hash group with sort and with top-k,
+/// top-k, streamed order, `DISTINCT`, a lone pattern counted off the index
+/// directory).
 const CORPUS: &[&str] = &[
     "SELECT ?s ?o WHERE { ?s <http://e.org/p> ?o . ?s <http://e.org/a> <http://e.org/C> }",
     "SELECT * WHERE { ?s <http://e.org/a> <http://e.org/C> { ?s <http://e.org/p> ?o . ?o <http://e.org/a> ?c } }",
@@ -34,6 +35,7 @@ const CORPUS: &[&str] = &[
     "SELECT ?s ?o FROM <http://e.org/g1> FROM <http://e.org/g2> WHERE { ?s <http://e.org/p> ?o }",
     "ASK { ?s <http://e.org/a> <http://e.org/D> . ?s <http://e.org/p> ?o }",
     "SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s <http://e.org/a> ?c } GROUP BY ?c ORDER BY DESC(?n)",
+    "SELECT ?c (COUNT(?s) AS ?n) WHERE { ?s <http://e.org/a> ?c } GROUP BY ?c ORDER BY DESC(?n) LIMIT 1",
     "SELECT ?s ?o WHERE { ?s <http://e.org/p> ?o } ORDER BY DESC(?o) LIMIT 3 OFFSET 1",
     "SELECT ?s ?p ?o WHERE { ?s <http://e.org/a> <http://e.org/C> . ?s ?p ?o } ORDER BY ?s ?p ?o LIMIT 5",
     "SELECT DISTINCT ?c WHERE { ?s <http://e.org/a> ?c . ?s <http://e.org/p> ?o }",

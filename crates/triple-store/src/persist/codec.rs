@@ -222,19 +222,26 @@ pub fn read_term(bytes: &[u8], pos: &mut usize) -> Result<Term, PersistError> {
         TAG_TYPED => ("", Some(parse_datatype(read_str(bytes, pos)?)?)),
         _ => ("", None),
     };
-    term_of(tag, text, lang, datatype)
+    term_of(tag, text, lang, datatype, false)
 }
 
 /// Builds the term a tag and its fields describe (`lang` is read for
 /// [`TAG_LANG`] only, `datatype` for [`TAG_TYPED`] only), copying each text
-/// once.
+/// once. An IRI's text is checked by [`Iri::parse`] unless `validated` says
+/// these bytes passed that check already: a restored term table's block,
+/// whose every entry the restore validated.
 pub(super) fn term_of(
     tag: u8,
     text: &str,
     lang: &str,
     datatype: Option<Iri>,
+    validated: bool,
 ) -> Result<Term, PersistError> {
     Ok(match (tag, datatype) {
+        (TAG_IRI, _) if validated => {
+            debug_assert!(Iri::check(text).is_ok(), "the restore validated {text:?}");
+            Iri::new_unchecked(text).into()
+        }
         // Snapshot/WAL terms were validated when first constructed, so a
         // decode failure here means file corruption, not user input.
         (TAG_IRI, _) => Iri::parse(text)

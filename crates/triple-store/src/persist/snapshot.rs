@@ -65,9 +65,11 @@
 //! them, since the next entry is coded against the head's text) and the
 //! order. An IRI whose shared prefix runs past the scheme's colon of the
 //! IRI before it — valid, so everything up to the suffix is — has only its
-//! suffix scanned; any other is checked whole by `Iri::parse`, which also
-//! names what is wrong. Entries past the base — the tail — are built and
-//! hashed as they are read, each checked against the base by search.
+//! suffix scanned; any other is checked whole by `Iri::check` (`Iri::parse`
+//! without its copy), which also names what is wrong. So a block's IRIs are
+//! built later without a second check (`term_of`'s `validated`). Entries
+//! past the base — the tail — are built and hashed as they are read, each
+//! checked against the base by search.
 //!
 //! # The quad runs
 //!
@@ -345,13 +347,14 @@ impl<'a> Reader<'a> {
         })
     }
 
-    /// The term `entry`, the last one read, describes.
-    fn term(&self, entry: &Entry<'_>) -> Result<Term, PersistError> {
+    /// The term `entry`, the last one read, describes; `validated` as
+    /// [`term_of`] takes it.
+    fn term(&self, entry: &Entry<'_>, validated: bool) -> Result<Term, PersistError> {
         let datatype = match entry.tag {
             TAG_TYPED => self.datatype.clone(),
             _ => None,
         };
-        term_of(entry.tag, &self.text, entry.lang, datatype)
+        term_of(entry.tag, &self.text, entry.lang, datatype, validated)
     }
 }
 
@@ -404,7 +407,7 @@ impl TermTable {
         let mut terms = Vec::with_capacity(len);
         terms.push(head.clone());
         for _ in 1..len {
-            let term = reader.entry().and_then(|entry| reader.term(&entry));
+            let term = reader.entry().and_then(|entry| reader.term(&entry, true));
             terms.push(term.expect("the restore validated every entry of the table"));
         }
         SCRATCH.set((reader.text, reader.datatype_text));
@@ -477,9 +480,9 @@ fn read_term_table(
             prev = Some(this);
         }
         if base.is_some() {
-            tail.push(reader.term(&entry)?);
+            tail.push(reader.term(&entry, false)?);
         } else if i % BLOCK_LEN == 0 {
-            let head = reader.term(&entry)?;
+            let head = reader.term(&entry, false)?;
             iri_colon = head.as_iri().and_then(|iri| iri.as_str().find(':'));
             heads.push(head);
             starts.push(BlockStart {
@@ -515,14 +518,14 @@ fn is_written_label(label: &str) -> bool {
 /// scheme's colon is. `colon` is the previous entry's when that was an IRI,
 /// which is valid: when the `shared` prefix runs past it, the scheme and
 /// everything up to the suffix are that IRI's, and only the suffix is
-/// scanned. Otherwise, and to name what is wrong, `Iri::parse` decides.
+/// scanned. Otherwise, and to name what is wrong, [`Iri::check`] decides.
 fn check_iri(text: &str, shared: usize, colon: Option<usize>) -> Result<usize, PersistError> {
     if let Some(colon) = colon.filter(|&colon| shared > colon) {
         if !text[shared..].contains(forbidden_in_iri) {
             return Ok(colon);
         }
     }
-    Iri::parse(text).map_err(|e| PersistError::corrupt(format!("invalid IRI in term: {e}")))?;
+    Iri::check(text).map_err(|e| PersistError::corrupt(format!("invalid IRI in term: {e}")))?;
     Ok(text.find(':').expect("a valid IRI has a scheme"))
 }
 

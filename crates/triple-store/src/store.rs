@@ -26,8 +26,8 @@ pub const DEFAULT_GRAPH: TermId = TermId::MAX;
 /// not an option: a merge rewrites at most `FOLD_RATIO + 1` keys per key
 /// changed since the last one, so writes cost `O(change · log n)` amortised,
 /// and the churn tiers never hold more than `1 / FOLD_RATIO` (≈ 6 %) of the
-/// store, which bounds what a scan pays to merge them in (measured in
-/// ROADMAP.md, "O(delta) writes"). Nothing a caller knows — store size,
+/// store, which bounds what a scan pays to merge them in (pinned by
+/// `crates/triple-store/tests/tier_policy.rs`). Nothing a caller knows — store size,
 /// update size, read/write mix — moves the balance point, because the
 /// threshold already scales with the store.
 const FOLD_RATIO: usize = 16;
